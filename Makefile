@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-compare check report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check
+.PHONY: all build test vet bench bench-json bench-compare check report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest
 
 all: build vet test
 
@@ -74,9 +74,18 @@ queueing-check:
 # watermark under the pinned bound (192 MiB, matching
 # TestFleetStudyHeapBound) and a worker-invariant fleet.csv, and the
 # small-scale figure CSVs must stay byte-identical to testdata/golden.
-# See docs/SCALE.md.
+# See docs/SCALE.md. The first line is the fleet path's race gate:
+# batch worlds run on concurrent workers, so the fleet study must stay
+# race-clean at an elevated -count.
 scale-check: build
+	$(GO) test -race -count=3 -run 'TestRunFleetStudySmall|TestFleetStudy' .
 	./scripts/scale_smoke.sh ./bin/fesplit
+
+# Self-tests of the separate fesplit/benchmark module (not part of the
+# root `go test ./...`): catches an API rename that breaks the benchmark
+# harness before the next benchmark run does.
+bench-selftest:
+	cd benchmark && $(GO) test ./...
 
 # Runtime-telemetry smoke, end to end through the CLI: a short study
 # with heartbeat, streaming sink and the HTTP endpoint all on; scrapes

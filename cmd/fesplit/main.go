@@ -5,7 +5,7 @@
 //
 //	fesplit report       [-seed N] [-scale light|full] [-fig all|3..9|caching] [-csv DIR] [-html FILE]
 //	fesplit study        [-seed N] [-scale light|full] [-workers N] [-node-batches K] [-dir DIR]
-//	             [-progress] [-progress-interval D] [-listen ADDR] [-stream] [-linger D]
+//	             [-progress] [-progress-interval D] [-listen ADDR] [-linger D]
 //	             [-diurnal -clients N [-horizon D] [-fleet-batches K]]
 //	fesplit sweep        [-seed N] [-miles M] [-loss P] [-repeats K]
 //	fesplit direct       [-seed N] [-service google|bing] [-nodes N]
@@ -14,13 +14,14 @@
 //	fesplit obs          [-seed N] [-service google|bing] [-nodes N] [-dir DIR]
 //	             [-tail-pct P] [-max-exemplars N] [-bound-tol D] [-full-spans]
 //	fesplit profile      [-seed N] [-scale light|full] [-workers N] [-node-batches K]
-//	             [-stream] [-dir DIR] [-top N] [-be-slowdown F]
+//	             [-dir DIR] [-top N] [-be-slowdown F]
 //	fesplit diff         [-rel-pct P] [-abs S] [-quantiles Q,Q] [-family PFX,PFX] OLD NEW
 //	fesplit interactive  [-seed N] [-q KEYWORDS]
 //	fesplit live         [-seed N] [-proc MS] [-oneway MS] [-n QUERIES]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h already printed the flag set's usage
 		fmt.Fprintln(os.Stderr, "fesplit:", err)
 		os.Exit(1)
 	}
@@ -87,7 +88,8 @@ commands:
                figures, metrics, spans and reports into one directory;
                outputs are byte-identical for any -workers value and with
                telemetry (-progress, -listen, runtime.jsonl) on or off;
-               -stream bounds memory by folding records into accumulators;
+               default-FE campaign records are folded into accumulators
+               per node batch, so memory is bounded by one batch world;
                -diurnal -clients N runs the ephemeral-client fleet campaign
                (open-loop diurnal arrivals, heap tracks peak concurrency)
   sweep        FE-placement ablation: the placement / fetch-time trade-off

@@ -112,28 +112,15 @@ func cmdObs(args []string) error {
 		return err
 	}
 	rep := &fesplit.Report{Config: fesplit.StudyConfig{Seed: *seed, Nodes: *nodes}}
-	files := []struct {
-		name  string
-		write func(f *os.File) error
-	}{
+	files := []outFile{
 		{"trace.json", func(f *os.File) error { return obs.WriteChromeTrace(f, spans) }},
 		{"metrics.prom", func(f *os.File) error { return obs.WritePrometheus(f, o.Reg) }},
 		{"metrics.jsonl", func(f *os.File) error { return obs.WriteMetricsJSONL(f, o.Reg) }},
 		{"spans.jsonl", func(f *os.File) error { return obs.WriteSpansJSONL(f, spans) }},
 		{"report.html", func(f *os.File) error { return rep.WriteHTML(f, o.Reg, exemplars) }},
 	}
-	for _, out := range files {
-		f, err := os.Create(filepath.Join(*dir, out.name))
-		if err != nil {
-			return err
-		}
-		if err := out.write(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", out.name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFiles(*dir, files); err != nil {
+		return fmt.Errorf("obs: %w", err)
 	}
 
 	fmt.Printf("observed %s-like run: seed %d, %d nodes × %d queries\n",

@@ -18,15 +18,13 @@ import (
 // waterfalls. Like `fesplit study`, every exported byte is identical
 // for any -workers value and across repeated same-seed runs.
 func cmdProfile(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
+	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "experiment seed")
 	scale := fs.String("scale", "light", "study scale: light or full")
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"worker goroutines for study cells and node batches (must be ≥ 1)")
 	batches := fs.Int("node-batches", 0,
 		"node batches for the default-FE campaign (0 → default; changes results, unlike -workers)")
-	stream := fs.Bool("stream", false,
-		"stream default-FE campaign records through mergeable accumulators (bounded memory; identical figures)")
 	dir := fs.String("dir", "profile-out", "output directory for the exported files")
 	topN := fs.Int("top", 5, "phases to print per service in the stderr blame table (0 → all)")
 	beSlowdown := fs.Float64("be-slowdown", 0,
@@ -44,11 +42,10 @@ func cmdProfile(args []string) error {
 	case "full":
 		cfg = fesplit.DefaultStudyConfig(*seed)
 	default:
-		return fmt.Errorf("profile: unknown scale %q", *scale)
+		return fmt.Errorf("profile: unknown -scale %q", *scale)
 	}
 	cfg.Workers = *workers
 	cfg.NodeBatches = *batches
-	cfg.StreamRecords = *stream
 	cfg.BESlowdown = *beSlowdown
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
@@ -60,27 +57,14 @@ func cmdProfile(args []string) error {
 	}
 	rows := fesplit.ProfileFromMetrics(out.Metrics)
 	spans := out.Spans()
-	files := []struct {
-		name  string
-		write func(f *os.File) error
-	}{
+	files := []outFile{
 		{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, rows) }},
 		{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
 		{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
 		{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
 	}
-	for _, o := range files {
-		f, err := os.Create(filepath.Join(*dir, o.name))
-		if err != nil {
-			return err
-		}
-		if err := o.write(f); err != nil {
-			f.Close()
-			return fmt.Errorf("profile: writing %s: %w", o.name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFiles(*dir, files); err != nil {
+		return fmt.Errorf("profile: %w", err)
 	}
 	if err := fesplit.WriteProfileTable(os.Stderr, rows, *topN); err != nil {
 		return err

@@ -18,7 +18,7 @@ import (
 // every exported byte is identical whatever -workers is — the worker
 // count buys wall-clock time, never different results.
 func cmdStudy(args []string) error {
-	fs := flag.NewFlagSet("study", flag.ExitOnError)
+	fs := flag.NewFlagSet("study", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "experiment seed")
 	scale := fs.String("scale", "light", "study scale: light or full")
 	workers := fs.Int("workers", runtime.NumCPU(),
@@ -32,8 +32,6 @@ func cmdStudy(args []string) error {
 		"wall-clock sampling cadence for -progress, runtime.jsonl and -listen snapshots")
 	listen := fs.String("listen", "",
 		"serve live telemetry over HTTP on this address (/metrics, /progress, /debug/pprof); empty disables")
-	stream := fs.Bool("stream", false,
-		"stream default-FE campaign records through mergeable accumulators instead of retaining datasets (bounded memory; identical figures)")
 	linger := fs.Duration("linger", 0,
 		"keep the -listen endpoint up this long after the study finishes (for scraping a completed run)")
 	diurnal := fs.Bool("diurnal", false,
@@ -64,11 +62,10 @@ func cmdStudy(args []string) error {
 	case "full":
 		cfg = fesplit.DefaultStudyConfig(*seed)
 	default:
-		return fmt.Errorf("study: unknown scale %q", *scale)
+		return fmt.Errorf("study: unknown -scale %q", *scale)
 	}
 	cfg.Workers = *workers
 	cfg.NodeBatches = *batches
-	cfg.StreamRecords = *stream
 
 	// The output directory must exist before the run: runtime.jsonl
 	// streams wall-clock telemetry while the study executes.
@@ -76,7 +73,7 @@ func cmdStudy(args []string) error {
 		return err
 	}
 	study := fesplit.NewStudy(cfg)
-	telemetry := *progress || *listen != "" || *stream
+	telemetry := *progress || *listen != ""
 	var sampler *fesplit.RuntimeSampler
 	var server *fesplit.RuntimeServer
 	if telemetry {
@@ -116,28 +113,15 @@ func cmdStudy(args []string) error {
 		return err
 	}
 	spans := out.Spans()
-	files := []struct {
-		name  string
-		write func(f *os.File) error
-	}{
+	files := []outFile{
 		{"report.txt", func(f *os.File) error { return out.Report.WriteText(f) }},
 		{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
 		{"metrics.prom", func(f *os.File) error { return fesplit.WritePrometheus(f, out.Metrics) }},
 		{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
 		{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
 	}
-	for _, o := range files {
-		f, err := os.Create(filepath.Join(*dir, o.name))
-		if err != nil {
-			return err
-		}
-		if err := o.write(f); err != nil {
-			f.Close()
-			return fmt.Errorf("study: writing %s: %w", o.name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFiles(*dir, files); err != nil {
+		return fmt.Errorf("study: %w", err)
 	}
 	fmt.Fprintf(os.Stderr,
 		"study: seed %d, scale %s, %d workers — %d metric families, %d tail exemplars\n",
@@ -212,16 +196,9 @@ func runFleetStudy(seed int64, clients int, horizon time.Duration, batches, work
 	if err != nil {
 		return fmt.Errorf("study: fleet campaign: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, "fleet.csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteFleetCSV(f); err != nil {
-		f.Close()
-		return fmt.Errorf("study: writing fleet.csv: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
+	fleetCSV := outFile{"fleet.csv", func(f *os.File) error { return res.WriteFleetCSV(f) }}
+	if err := writeFiles(dir, []outFile{fleetCSV}); err != nil {
+		return fmt.Errorf("study: %w", err)
 	}
 	m := res.Merged
 	fmt.Fprintf(os.Stderr,
@@ -232,5 +209,31 @@ func runFleetStudy(seed int64, clients int, horizon time.Duration, batches, work
 		res.Overall.Quantile(0.5), res.Overall.Quantile(0.99),
 		float64(res.HeapWatermark)/(1<<20), clients)
 	fmt.Fprintf(os.Stderr, "study: fleet.csv written to %s\n", dir)
+	return nil
+}
+
+// outFile is one exported artifact: its name inside the output
+// directory and the writer that renders it.
+type outFile struct {
+	name  string
+	write func(f *os.File) error
+}
+
+// writeFiles creates each file under dir and renders it, checking both
+// the write and the close.
+func writeFiles(dir string, files []outFile) error {
+	for _, o := range files {
+		f, err := os.Create(filepath.Join(dir, o.name))
+		if err != nil {
+			return err
+		}
+		if err := o.write(f); err != nil {
+			f.Close()
+			return fmt.Errorf("writing %s: %w", o.name, err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
 	return nil
 }

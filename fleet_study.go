@@ -98,20 +98,20 @@ type FleetStudyResult struct {
 // only retained spans (the record — events, span, body — is arena- and
 // slab-owned and recycled right after Consume returns).
 type fleetStudySink struct {
-	boundary int
-	tol      time.Duration
-	ts       *obs.TailSampler
-	overall  *stats.Sketch
-	dynamic  *stats.Sketch
+	boundary   int
+	tol        time.Duration
+	ts         *obs.TailSampler
+	overall    *stats.Sketch
+	dynamic    *stats.Sketch
 	extracted  int
 	violations int
 }
 
-func newFleetStudySink(boundary int, tail obs.TailConfig) *fleetStudySink {
+func newFleetStudySink(boundary int, ts *obs.TailSampler) *fleetStudySink {
 	return &fleetStudySink{
 		boundary: boundary,
 		tol:      DefaultBoundTolerance,
-		ts:       obs.NewTailSampler(tail),
+		ts:       ts,
 		overall:  stats.NewSketch(0),
 		dynamic:  stats.NewSketch(0),
 	}
@@ -120,16 +120,17 @@ func newFleetStudySink(boundary int, tail obs.TailConfig) *fleetStudySink {
 // Consume implements emulator.RecordSink.
 func (k *fleetStudySink) Consume(rec *emulator.Record) {
 	k.overall.Add(float64(rec.OverallDelay()) / float64(time.Millisecond))
-	if rec.Failed || len(rec.Events) == 0 {
-		return
-	}
-	p, err := analysis.ExtractRecord(*rec, k.boundary)
+	p, _, err := analysis.ExtractRecord(rec, k.boundary)
 	if err != nil {
 		return
 	}
 	k.extracted++
 	k.dynamic.Add(float64(p.Tdynamic) / float64(time.Millisecond))
-	if analysis.SampleTailTransient(k.ts, rec, p, k.tol) {
+	// The span is arena-owned and recycled after this call: the sampler
+	// deep-copies it only if the offer is retained.
+	violation := p.ViolatesBounds(rec.TrueFetch, k.tol)
+	k.ts.OfferTransient(p.Tdynamic.Seconds(), violation, rec.Span)
+	if violation {
 		k.violations++
 	}
 }
@@ -149,8 +150,7 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sinks := make([]*fleetStudySink, 0, 16)
-	results, _, _, err := emulator.RunFleet(emulator.FleetShardedOptions{
+	results, _, sinks, err := emulator.RunFleet(emulator.FleetShardedOptions{
 		SimSeed:    s.cfg.Seed + 101,
 		Deployment: cfg,
 		Fleet: emulator.FleetOptions{
@@ -161,17 +161,11 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		},
 		Batches: fc.Batches,
 		Workers: fc.Workers,
-		Sink: func(batch int) emulator.RecordSink {
-			for len(sinks) <= batch {
-				sinks = append(sinks, nil)
-			}
-			sinks[batch] = newFleetStudySink(boundary, fc.Tail)
-			return sinks[batch]
-		},
-		Observe: func(batch int) *obs.Observer {
-			// The sink owns the tail sampler; the observer's job here is
-			// making the runner assemble spans and wire stack metrics.
-			return &obs.Observer{Reg: obs.NewRegistry(), Tail: obs.NewTailSampler(fc.Tail)}
+		// The batch observer makes the runner assemble spans and wire
+		// stack metrics; its tail sampler is the one the sink feeds.
+		Observe: func(int) *obs.Observer { return obs.NewTailObserver(fc.Tail) },
+		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
+			return newFleetStudySink(boundary, o.Tail)
 		},
 		Runtime: s.rt,
 	})
@@ -185,7 +179,8 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		Dynamic: stats.NewSketch(0),
 	}
 	samplers := make([]*obs.TailSampler, 0, len(sinks))
-	for _, k := range sinks {
+	for _, sink := range sinks {
+		k := sink.(*fleetStudySink)
 		out.Overall.Merge(k.overall)
 		out.Dynamic.Merge(k.dynamic)
 		out.Extracted += k.extracted

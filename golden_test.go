@@ -86,47 +86,3 @@ func TestGoldenFigureCSVs(t *testing.T) {
 		t.Errorf("golden file %s no longer produced by the study", name)
 	}
 }
-
-// TestGoldenFigureCSVsStreaming pins the streaming record path against
-// the same goldens: folding records through per-batch sinks and
-// dropping the datasets (with telemetry attached, for good measure)
-// must reproduce every figure CSV byte for byte.
-func TestGoldenFigureCSVsStreaming(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are written by TestGoldenFigureCSVs")
-	}
-	cfg := LightStudyConfig(42)
-	cfg.StreamRecords = true
-	s := NewStudy(cfg)
-	s.SetRuntime(NewRuntimeEngine())
-	rep, err := s.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := rep.WriteCSVs(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := filepath.Glob(filepath.Join(dir, "*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("streaming study produced no CSV figures")
-	}
-	for _, path := range got {
-		name := filepath.Base(path)
-		gotB, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-		if err != nil {
-			t.Fatalf("streaming study emits %s with no golden counterpart: %v", name, err)
-		}
-		if string(gotB) != string(wantB) {
-			t.Errorf("%s: streaming record path drifted from golden (%d vs %d bytes)",
-				name, len(gotB), len(wantB))
-		}
-	}
-}

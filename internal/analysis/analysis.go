@@ -168,15 +168,34 @@ type Params struct {
 // Tdelta ≤ Tfetch ≤ Tdynamic (paper equation 1).
 func (p Params) FetchBounds() (lo, hi time.Duration) { return p.Tdelta, p.Tdynamic }
 
-// ExtractRecord parses and measures one dataset record given the
-// service's static/dynamic boundary.
-func ExtractRecord(r emulator.Record, boundary int) (Params, error) {
+// ViolatesBounds reports whether a ground-truth fetch time falsifies
+// the inference bound Tdelta ≤ Tfetch ≤ Tdynamic beyond the jitter
+// tolerance. A zero fetch time means no ground truth was joined; that
+// cannot witness a violation.
+func (p Params) ViolatesBounds(trueFetch, tol time.Duration) bool {
+	if trueFetch <= 0 {
+		return false
+	}
+	return trueFetch < p.Tdelta-tol || trueFetch > p.Tdynamic+tol
+}
+
+// ExtractRecord is the one place a finished record becomes measurements:
+// it applies the skip rules (failed query, no captured events,
+// unparseable session, boundary not locatable in the stream), parses
+// the session once and builds the Section-2 parameters. The located
+// session comes back alongside them so critical-path attribution
+// (AttributeRecord) reuses the parse; it holds the reassembled payload,
+// so drop it with the record.
+func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, error) {
+	if r.Failed || len(r.Events) == 0 {
+		return Params{}, nil, trace.ErrNoResponse
+	}
 	s, err := trace.Parse(r.Key, r.Events)
 	if err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	if err := s.Locate(boundary); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	return Params{
 		Node:      r.Node,
@@ -188,12 +207,12 @@ func ExtractRecord(r emulator.Record, boundary int) (Params, error) {
 		Overall:   s.Overall(),
 		Terms:     r.Query.Terms,
 		Coalesced: s.Tdelta() == 0,
-	}, nil
+	}, s, nil
 }
 
-// ExtractDataset measures every successful record of a dataset. If
-// boundary ≤ 0 it is derived with BoundaryFromDataset first. Records
-// that fail to parse are skipped.
+// ExtractDataset measures every measurable record of a dataset
+// (ExtractRecord's skip rules). If boundary ≤ 0 it is derived with
+// BoundaryFromDataset first.
 func ExtractDataset(ds *emulator.Dataset, boundary int) []Params {
 	if boundary <= 0 {
 		boundary = BoundaryFromDataset(ds)
@@ -202,15 +221,10 @@ func ExtractDataset(ds *emulator.Dataset, boundary int) []Params {
 		}
 	}
 	out := make([]Params, 0, len(ds.Records))
-	for _, r := range ds.Records {
-		if r.Failed || len(r.Events) == 0 {
-			continue
+	for i := range ds.Records {
+		if p, _, err := ExtractRecord(&ds.Records[i], boundary); err == nil {
+			out = append(out, p)
 		}
-		p, err := ExtractRecord(r, boundary)
-		if err != nil {
-			continue
-		}
-		out = append(out, p)
 	}
 	return out
 }
@@ -229,7 +243,8 @@ type NodeSummary struct {
 }
 
 // PerNode groups measured params by node and summarizes each, sorted by
-// median RTT ascending.
+// median RTT ascending (equal medians by node name, so the order never
+// depends on map iteration).
 func PerNode(params []Params) []NodeSummary {
 	group := map[simnet.HostID][]Params{}
 	for _, p := range params {
@@ -256,7 +271,12 @@ func PerNode(params []Params) []NodeSummary {
 			N:           len(ps),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RTT < out[j].RTT })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].RTT != out[j].RTT {
+			return out[i].RTT < out[j].RTT
+		}
+		return out[i].Node < out[j].Node
+	})
 	return out
 }
 

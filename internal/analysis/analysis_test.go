@@ -189,6 +189,23 @@ func TestDeltaThresholdDetection(t *testing.T) {
 	}
 }
 
+func TestPerNodeOrderStableOnEqualRTT(t *testing.T) {
+	// Two nodes share a median RTT: their relative order must come from
+	// the node name, never from map iteration.
+	params := []analysis.Params{
+		{Node: "node-b", RTT: 20 * time.Millisecond},
+		{Node: "node-a", RTT: 20 * time.Millisecond},
+		{Node: "node-c", RTT: 5 * time.Millisecond},
+	}
+	for i := 0; i < 50; i++ {
+		nodes := analysis.PerNode(params)
+		if len(nodes) != 3 || nodes[0].Node != "node-c" || nodes[1].Node != "node-a" || nodes[2].Node != "node-b" {
+			t.Fatalf("call %d: order %v %v %v, want node-c node-a node-b",
+				i, nodes[0].Node, nodes[1].Node, nodes[2].Node)
+		}
+	}
+}
+
 func TestRTTCDFConstruction(t *testing.T) {
 	nodes := []analysis.NodeSummary{
 		{RTT: 5 * time.Millisecond},

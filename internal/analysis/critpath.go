@@ -14,8 +14,7 @@ import (
 // exclusive phase, the fetch estimate vs FE ground truth, and the
 // conservation self-check counters. Zero value (nil registry) observes
 // nothing. Like ParamObserver it is built once per batch/cell and fed
-// per record, so streaming and accumulating runs fold the exact same
-// sequence of observations.
+// per record.
 type CritObserver struct {
 	phases  [critpath.NumPhases]*obs.Sketch
 	est     *obs.Sketch
@@ -71,20 +70,12 @@ func (co *CritObserver) Observe(a critpath.Attribution, trueFetch time.Duration)
 }
 
 // AttributeRecord computes the exclusive critical-path attribution of
-// one record and annotates it onto the record's span tree (cp:* child
-// spans + fetch-estimate attr), so exporters and tail exemplars carry
-// the waterfall. Records that cannot be attributed — failed, span-less,
-// unparseable, or without a locatable content boundary — return ok
-// false and are left untouched.
-func AttributeRecord(rr *emulator.Record, boundary int) (critpath.Attribution, bool) {
-	if rr.Failed || rr.Span == nil || len(rr.Events) == 0 || boundary <= 0 {
-		return critpath.Attribution{}, false
-	}
-	s, err := trace.Parse(rr.Key, rr.Events)
-	if err != nil {
-		return critpath.Attribution{}, false
-	}
-	if err := s.Locate(boundary); err != nil {
+// one record from its located session s (as ExtractRecord returns it)
+// and annotates it onto the record's span tree (cp:* child spans +
+// fetch-estimate attr), so exporters and tail exemplars carry the
+// waterfall. A span-less record returns ok false and is left untouched.
+func AttributeRecord(rr *emulator.Record, s *trace.Session) (critpath.Attribution, bool) {
+	if rr.Span == nil || s == nil || s.Boundary() < 0 {
 		return critpath.Attribution{}, false
 	}
 	a := critpath.Attribute(rr.Span, critpath.Timeline{
@@ -115,7 +106,11 @@ func ObserveCritPath(reg *obs.Registry, service string, ds *emulator.Dataset, bo
 	n := 0
 	for i := range ds.Records {
 		rr := &ds.Records[i]
-		if a, ok := AttributeRecord(rr, boundary); ok {
+		_, s, err := ExtractRecord(rr, boundary)
+		if err != nil {
+			continue
+		}
+		if a, ok := AttributeRecord(rr, s); ok {
 			co.Observe(a, rr.TrueFetch)
 			n++
 		}

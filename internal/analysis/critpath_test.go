@@ -47,7 +47,11 @@ func TestCritPathConservation(t *testing.T) {
 			attributed := 0
 			for i := range ds.Records {
 				rr := &ds.Records[i]
-				a, ok := AttributeRecord(rr, boundary)
+				_, sess, err := ExtractRecord(rr, boundary)
+				if err != nil {
+					continue
+				}
+				a, ok := AttributeRecord(rr, sess)
 				if !ok {
 					continue
 				}

@@ -74,9 +74,9 @@ func ObserveParams(reg *obs.Registry, service string, params []Params) {
 // uses) to avoid flagging measurement noise as model violations.
 //
 // boundary ≤ 0 derives the static/dynamic boundary from the dataset
-// first (BoundaryFromDataset). Records without a parseable session or
-// an assembled span are skipped. Returns how many records were offered
-// and how many carried violations.
+// first (BoundaryFromDataset). Records without an assembled span, or
+// that ExtractRecord cannot measure, are skipped. Returns how many
+// records were offered and how many carried violations.
 func SampleTails(ts *obs.TailSampler, ds *emulator.Dataset, boundary int, tol time.Duration) (offered, violations int) {
 	if ts == nil {
 		return 0, 0
@@ -89,54 +89,19 @@ func SampleTails(ts *obs.TailSampler, ds *emulator.Dataset, boundary int, tol ti
 	}
 	for i := range ds.Records {
 		rr := &ds.Records[i]
-		if rr.Failed || rr.Span == nil || len(rr.Events) == 0 {
+		if rr.Span == nil {
 			continue
 		}
-		p, err := ExtractRecord(*rr, boundary)
+		p, _, err := ExtractRecord(rr, boundary)
 		if err != nil {
 			continue
 		}
-		if SampleTail(ts, rr, p, tol) {
+		violation := p.ViolatesBounds(rr.TrueFetch, tol)
+		ts.Offer(p.Tdynamic.Seconds(), violation, rr.Span)
+		if violation {
 			violations++
 		}
 		offered++
 	}
 	return offered, violations
-}
-
-// SampleTail offers one already-extracted record to the tail sampler —
-// the per-record streaming form of SampleTails. The caller owns the
-// skip conditions (failed record, missing span, extraction error);
-// SampleTail only judges the bound and offers. Returns whether the
-// record carried a violation.
-func SampleTail(ts *obs.TailSampler, rr *emulator.Record, p Params, tol time.Duration) bool {
-	violation := violatesBounds(p, rr.TrueFetch, tol)
-	if ts != nil {
-		ts.Offer(p.Tdynamic.Seconds(), violation, rr.Span)
-	}
-	return violation
-}
-
-// SampleTailTransient is SampleTail for arena-backed spans: the span is
-// valid only for the duration of the call (fleet campaigns recycle span
-// nodes after every fold), so the sampler deep-copies it if — and only
-// if — the offer is retained (obs.TailSampler.OfferTransient). Selection
-// is identical to SampleTail; only span ownership differs.
-func SampleTailTransient(ts *obs.TailSampler, rr *emulator.Record, p Params, tol time.Duration) bool {
-	violation := violatesBounds(p, rr.TrueFetch, tol)
-	if ts != nil {
-		ts.OfferTransient(p.Tdynamic.Seconds(), violation, rr.Span)
-	}
-	return violation
-}
-
-// violatesBounds reports whether a ground-truth fetch time falsifies
-// the inference bound Tdelta ≤ Tfetch ≤ Tdynamic beyond the jitter
-// tolerance. A zero fetch time means no ground truth was joined; that
-// cannot witness a violation.
-func violatesBounds(p Params, trueFetch, tol time.Duration) bool {
-	if trueFetch <= 0 {
-		return false
-	}
-	return trueFetch < p.Tdelta-tol || trueFetch > p.Tdynamic+tol
 }

@@ -150,8 +150,8 @@ func TestViolatesBounds(t *testing.T) {
 		{90 * time.Millisecond, 2 * time.Millisecond, true},
 		{410 * time.Millisecond, 2 * time.Millisecond, true},
 	} {
-		if got := violatesBounds(p, tc.fetch, tc.tol); got != tc.want {
-			t.Errorf("violatesBounds(fetch=%v, tol=%v) = %v, want %v", tc.fetch, tc.tol, got, tc.want)
+		if got := p.ViolatesBounds(tc.fetch, tc.tol); got != tc.want {
+			t.Errorf("ViolatesBounds(fetch=%v, tol=%v) = %v, want %v", tc.fetch, tc.tol, got, tc.want)
 		}
 	}
 }
@@ -171,10 +171,10 @@ func TestSampleTailsRetainsSyntheticViolation(t *testing.T) {
 	planted := -1
 	for i := range ds.Records {
 		rr := &ds.Records[i]
-		if rr.Failed || rr.Span == nil {
+		if rr.Span == nil {
 			continue
 		}
-		if _, err := ExtractRecord(*rr, boundary); err != nil {
+		if _, _, err := ExtractRecord(rr, boundary); err != nil {
 			continue
 		}
 		rr.TrueFetch = time.Hour

@@ -7,6 +7,8 @@ import (
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
 	"fesplit/internal/frontend"
+	"fesplit/internal/obs"
+	"fesplit/internal/shard"
 )
 
 func TestMatchFetchEdgeCases(t *testing.T) {
@@ -148,6 +150,35 @@ func TestFinalizeRecordWithUnknownKey(t *testing.T) {
 	}
 }
 
+// collectSink keeps a scalar copy of every record it is fed — records
+// (events, span, body) must not be retained past Consume.
+type collectSink struct {
+	recs []Record
+}
+
+func (c *collectSink) Consume(rec *Record) {
+	c.recs = append(c.recs, Record{
+		Node: rec.Node, FE: rec.FE, IssuedAt: rec.IssuedAt, DoneAt: rec.DoneAt,
+		Status: rec.Status, BodyLen: rec.BodyLen, Failed: rec.Failed,
+	})
+}
+
+// runShardedCollect runs a sharded campaign into per-batch collecting
+// sinks and returns the records concatenated in batch order.
+func runShardedCollect(t *testing.T, opts ShardedAOptions) []Record {
+	t.Helper()
+	opts.Sink = func(int, *obs.Observer) RecordSink { return &collectSink{} }
+	_, sinks, err := RunShardedA(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	for _, k := range sinks {
+		out = append(out, k.(*collectSink).recs...)
+	}
+	return out
+}
+
 func TestRunShardedAMatchesUnsharded(t *testing.T) {
 	// One batch (k=1) through the sharded path must equal the plain
 	// RunExperimentA campaign: same seeds, same world, same records.
@@ -155,54 +186,57 @@ func TestRunShardedAMatchesUnsharded(t *testing.T) {
 	aopts := AOptions{QueriesPerNode: 2, Interval: time.Second, QuerySeed: 7}
 	ropts := Options{Nodes: 5, FleetSeed: 6}
 
-	plain, err := New(5, dep, ropts)
+	// The sharded path derives batch 0's sim seed via shard.Mix, so seed
+	// the plain runner the same way for the comparison.
+	plain, err := New(shard.Mix(5, 0), dep, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plain.RunExperimentA(aopts)
+	want := plain.RunExperimentA(aopts).Records
 
-	// The sharded path derives batch 0's sim seed via shard.Mix, so use
-	// a single-batch runner seeded the same way for the comparison.
-	got, _, _, err := RunShardedA(ShardedAOptions{
+	got := runShardedCollect(t, ShardedAOptions{
 		SimSeed: 5, Deployment: dep, Runner: ropts, A: aopts, Batches: 1, Workers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("sharded %d records, plain %d", len(got), len(want))
 	}
-	if len(got.Records) != len(want.Records) {
-		t.Fatalf("sharded %d records, plain %d", len(got.Records), len(want.Records))
-	}
-	// Batch boundaries must not change which nodes run: record owners
-	// line up one-to-one in issue order within each node.
-	for i := range want.Records {
-		if got.Records[i].Node != want.Records[i].Node {
-			t.Fatalf("record %d node %s, want %s", i, got.Records[i].Node, want.Records[i].Node)
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Node != w.Node || g.DoneAt != w.DoneAt || g.BodyLen != w.BodyLen {
+			t.Fatalf("record %d: sharded %+v, plain %+v", i, g, w)
 		}
 	}
 }
 
 func TestRunShardedADeterministicAcrossWorkers(t *testing.T) {
 	dep := cdn.GoogleLike(1)
-	run := func(workers int) *Dataset {
-		ds, _, _, err := RunShardedA(ShardedAOptions{
+	run := func(workers int) []Record {
+		return runShardedCollect(t, ShardedAOptions{
 			SimSeed: 9, Deployment: dep,
 			Runner:  Options{Nodes: 6, FleetSeed: 10},
 			A:       AOptions{QueriesPerNode: 2, Interval: time.Second, QuerySeed: 11},
 			Batches: 3, Workers: workers,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
 	}
 	a, b := run(1), run(4)
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("workers=1 %d records, workers=4 %d", len(a.Records), len(b.Records))
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("workers=1 %d records, workers=4 %d", len(a), len(b))
 	}
-	for i := range a.Records {
-		ra, rb := a.Records[i], b.Records[i]
+	for i := range a {
+		ra, rb := a[i], b[i]
 		if ra.Node != rb.Node || ra.DoneAt != rb.DoneAt || ra.BodyLen != rb.BodyLen {
 			t.Fatalf("record %d differs across worker counts: %+v vs %+v", i, ra, rb)
 		}
+	}
+}
+
+func TestRunShardedARequiresSink(t *testing.T) {
+	_, _, err := RunShardedA(ShardedAOptions{
+		SimSeed: 1, Deployment: cdn.GoogleLike(1),
+		Runner: Options{Nodes: 2, FleetSeed: 2},
+		A:      AOptions{QueriesPerNode: 1, Interval: time.Second},
+	})
+	if err == nil {
+		t.Fatal("RunShardedA accepted a nil sink factory")
 	}
 }

@@ -65,13 +65,11 @@ type Record struct {
 // payload byte (paper Figure 8's quantity).
 func (r Record) OverallDelay() time.Duration { return r.DoneAt - r.IssuedAt }
 
-// RecordSink consumes finalized records one at a time — the streaming
-// alternative to accumulating a Dataset. A sharded campaign built with
-// a sink folds each record into the caller's mergeable accumulators
-// (parameter extraction, quantile sketches, tail sampling) and then
-// drops it, so the campaign's memory stays bounded by one batch world
-// instead of growing with the full record count. See
-// ShardedAOptions.Sink.
+// RecordSink consumes finalized records one at a time. The sharded
+// campaigns (RunShardedA, RunFleet) fold each record into the caller's
+// mergeable accumulators (parameter extraction, quantile sketches, tail
+// sampling) and then drop it, so a campaign's memory stays bounded by
+// one batch world instead of growing with the full record count.
 //
 // Consume is called in record order (batch order, then per-batch
 // simulation order), from the batch's worker goroutine. The record —
@@ -338,9 +336,10 @@ func matchFetch(cands []frontend.FetchRecord, issued, done time.Duration) (front
 	return frontend.FetchRecord{}, false
 }
 
-// observe flushes registry snapshots and, when span retention is on
-// (keep-everything tracer or tail sampler), assembles one causal span
-// tree per completed record.
+// observe flushes registry snapshots and turns every completed record
+// into observations: each record's session is parsed once, feeding both
+// the phase sketches and — when span retention is on (keep-everything
+// tracer or tail sampler) — its causal span tree.
 func (r *Runner) observe(ds *Dataset) {
 	o := r.obsv
 	if o == nil {
@@ -348,30 +347,42 @@ func (r *Runner) observe(ds *Dataset) {
 	}
 	r.simMetrics.Flush()
 	r.Net.ExportMetrics(o.Registry())
-	r.observePhases(ds)
-	if !o.WantSpans() {
+	wantSpans := o.WantSpans()
+	if o.Registry() == nil && !wantSpans {
 		return
 	}
-	tracer := o.Tracer()
-	logs := make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
-	links := make(map[simnet.HostID]beLink, len(r.Dep.FEs))
-	for _, fe := range r.Dep.FEs {
-		m := make(map[feLogKey][]frontend.FetchRecord)
-		for _, fr := range fe.FetchLog() {
-			k := feLogKey{fr.Client, fr.ClientPort}
-			m[k] = append(m[k], fr)
-		}
-		logs[fe.Host()] = m
-		if be := r.Dep.BEOf(fe); be != nil {
-			links[fe.Host()] = beLink{be: be.Host(), rtt: r.Net.RTT(fe.Host(), be.Host())}
+	observePhases := phaseObserver(o.Registry(), ds.Service)
+	var (
+		logs  map[simnet.HostID]map[feLogKey][]frontend.FetchRecord
+		links map[simnet.HostID]beLink
+	)
+	if wantSpans {
+		logs = make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
+		links = make(map[simnet.HostID]beLink, len(r.Dep.FEs))
+		for _, fe := range r.Dep.FEs {
+			m := make(map[feLogKey][]frontend.FetchRecord)
+			for _, fr := range fe.FetchLog() {
+				k := feLogKey{fr.Client, fr.ClientPort}
+				m[k] = append(m[k], fr)
+			}
+			logs[fe.Host()] = m
+			if be := r.Dep.BEOf(fe); be != nil {
+				links[fe.Host()] = beLink{be: be.Host(), rtt: r.Net.RTT(fe.Host(), be.Host())}
+			}
 		}
 	}
+	tracer := o.Tracer()
 	for i := range ds.Records {
 		rr := &ds.Records[i]
-		if rr.Failed || rr.Span != nil || rr.Key == (capture.ConnKey{}) {
+		if rr.Failed {
 			continue
 		}
-		rr.Span = r.assembleSpan(rr, logs[rr.FE], links[rr.FE])
+		s, _ := trace.Parse(rr.Key, rr.Events) // nil when the capture did not parse
+		observePhases(rr, s)
+		if !wantSpans || rr.Span != nil || rr.Key == (capture.ConnKey{}) {
+			continue
+		}
+		rr.Span = joinSpan(rr, s, logs[rr.FE], links[rr.FE])
 		tracer.Add(rr.Span)
 	}
 }
@@ -385,14 +396,15 @@ type beLink struct {
 	rtt time.Duration
 }
 
-// observePhases feeds the dimensional quantile sketches: per-phase
-// durations labeled by service, per-FE overall delay, and per-vantage
-// overall delay under a bounded cardinality cap (fleet nodes are the
-// one label dimension that scales with deployment size).
-func (r *Runner) observePhases(ds *Dataset) {
-	reg := r.obsv.Registry()
+// phaseObserver returns the per-record feed of the dimensional quantile
+// sketches: per-phase durations labeled by service, per-FE overall
+// delay, and per-vantage overall delay under a bounded cardinality cap
+// (fleet nodes are the one label dimension that scales with deployment
+// size). s is the record's parsed session, nil when the capture did not
+// parse. A nil registry observes nothing.
+func phaseObserver(reg *obs.Registry, svc string) func(rr *Record, s *trace.Session) {
 	if reg == nil {
-		return
+		return func(*Record, *trace.Session) {}
 	}
 	phase := reg.SketchVec("query_phase_seconds",
 		"per-phase query durations (client-observed)",
@@ -403,12 +415,7 @@ func (r *Runner) observePhases(ds *Dataset) {
 	perNode := reg.SketchVec("vantage_overall_seconds",
 		"overall query delay by vantage node",
 		obs.DefaultSketchAlpha, "service", "vantage").Bounded(obs.DefaultCardinality)
-	svc := ds.Service
-	for i := range ds.Records {
-		rr := &ds.Records[i]
-		if rr.Failed {
-			continue
-		}
+	return func(rr *Record, s *trace.Session) {
 		overall := rr.OverallDelay().Seconds()
 		phase.With(svc, "overall").Observe(overall)
 		perFE.With(svc, string(rr.FE)).Observe(overall)
@@ -416,7 +423,7 @@ func (r *Runner) observePhases(ds *Dataset) {
 		if rr.DNSTime > 0 {
 			phase.With(svc, "dns").Observe(rr.DNSTime.Seconds())
 		}
-		if s, err := trace.Parse(rr.Key, rr.Events); err == nil {
+		if s != nil {
 			phase.With(svc, "handshake").Observe(s.RTT.Seconds())
 			phase.With(svc, "get").Observe((s.T3 - s.T1).Seconds())
 			phase.With(svc, "delivery").Observe((s.TE - s.T3).Seconds())
@@ -424,49 +431,52 @@ func (r *Runner) observePhases(ds *Dataset) {
 	}
 }
 
-// assembleSpan builds the paper's Figure-2 causal phases of one query as
-// a span tree: client-side phases from the parsed packet session, plus
-// the FE's hidden ground truth (static flush, FE↔BE fetch) on a second
-// track. As a side effect it fills Record.TrueFetch from the FE log.
-func (r *Runner) assembleSpan(rr *Record, feLog map[feLogKey][]frontend.FetchRecord, link beLink) *obs.Span {
-	start := rr.IssuedAt - rr.DNSTime
-	root := &obs.Span{
-		Name:  "query",
-		Track: "client",
-		Key:   obs.ConnKey(rr.Key),
-		Start: start,
-		End:   rr.DoneAt,
+// joinSpan joins one record with the FE's hidden ground truth — filling
+// Record.TrueFetch from the FE log — and assembles its span tree on the
+// heap, for records that outlive the run.
+func joinSpan(rr *Record, s *trace.Session, feLog map[feLogKey][]frontend.FetchRecord, link beLink) *obs.Span {
+	fr, _ := matchFetch(feLog[feLogKey{string(rr.Node), rr.Key.LocalPort}], rr.IssuedAt, rr.DoneAt)
+	if fr.FetchDone > 0 {
+		rr.TrueFetch = fr.FetchDone - fr.Arrived
 	}
+	return assembleSpan(nil, rr, s, fr, link)
+}
+
+// assembleSpan builds the paper's Figure-2 causal phases of one query as
+// a span tree: client-side phases from the parsed packet session s (nil
+// when the capture did not parse), plus the FE's ground truth fr (zero
+// value when the join failed: static flush, FE↔BE fetch) on a second
+// track. Nodes come from arena a and are recycled with it; a nil arena
+// allocates on the heap.
+func assembleSpan(a *obs.SpanArena, rr *Record, s *trace.Session, fr frontend.FetchRecord, link beLink) *obs.Span {
+	start := rr.IssuedAt - rr.DNSTime
+	root := a.NewSpan("query", "client", obs.ConnKey(rr.Key), start, rr.DoneAt)
 	root.SetAttr("node", string(rr.Node))
 	root.SetAttr("fe", string(rr.FE))
 	root.SetAttr("keywords", rr.Query.Keywords)
 	if rr.DNSTime > 0 {
-		root.Child("dns-resolve", start, rr.IssuedAt)
+		a.Child(root, "dns-resolve", start, rr.IssuedAt)
 	}
-	if s, err := trace.Parse(rr.Key, rr.Events); err == nil {
-		root.Child("tcp-handshake", s.TB, s.TB+s.RTT)
-		root.Child("get-request", s.T1, s.T3)
-		root.Child("delivery", s.T3, s.TE)
+	if s != nil {
+		a.Child(root, "tcp-handshake", s.TB, s.TB+s.RTT)
+		a.Child(root, "get-request", s.T1, s.T3)
+		a.Child(root, "delivery", s.T3, s.TE)
 	}
-	cands := feLog[feLogKey{string(rr.Node), rr.Key.LocalPort}]
-	if fr, ok := matchFetch(cands, rr.IssuedAt, rr.DoneAt); ok {
-		if fr.StaticAt > 0 {
-			c := root.Child("fe-static-flush", fr.Arrived, fr.StaticAt)
-			c.Track = "frontend"
+	if fr.StaticAt > 0 {
+		c := a.Child(root, "fe-static-flush", fr.Arrived, fr.StaticAt)
+		c.Track = "frontend"
+	}
+	if fr.FetchDone > 0 {
+		c := a.Child(root, "fe-fetch", fr.Arrived, fr.FetchDone)
+		c.Track = "frontend"
+		if link.be != "" {
+			c.SetAttr("be", string(link.be))
+			c.SetAttr("be_rtt_ns", strconv.FormatInt(int64(link.rtt), 10))
 		}
-		if fr.FetchDone > 0 {
-			c := root.Child("fe-fetch", fr.Arrived, fr.FetchDone)
-			c.Track = "frontend"
-			if link.be != "" {
-				c.SetAttr("be", string(link.be))
-				c.SetAttr("be_rtt_ns", strconv.FormatInt(int64(link.rtt), 10))
-			}
-			if fr.QueueWait > 0 {
-				// BE-reported cluster queueing inside the fetch window,
-				// powering the be-queue critical-path phase.
-				c.SetAttr("be_queue_ns", strconv.FormatInt(int64(fr.QueueWait), 10))
-			}
-			rr.TrueFetch = fr.FetchDone - fr.Arrived
+		if fr.QueueWait > 0 {
+			// BE-reported cluster queueing inside the fetch window,
+			// powering the be-queue critical-path phase.
+			c.SetAttr("be_queue_ns", strconv.FormatInt(int64(fr.QueueWait), 10))
 		}
 	}
 	return root
@@ -506,6 +516,18 @@ func (o AOptions) withDefaults() AOptions {
 	return o
 }
 
+// corpusOr returns queries or, when empty, the generated granular corpus
+// of n queries (n ≤ 0 → 20) that every campaign shape defaults to.
+func corpusOr(queries []workload.Query, n int, seed int64) []workload.Query {
+	if len(queries) > 0 {
+		return queries
+	}
+	if n <= 0 {
+		n = 20
+	}
+	return workload.NewGenerator(seed+77).Corpus(n, workload.ClassGranular)
+}
+
 // RunExperimentA runs the default-FE experiment: every node sends the
 // shared query sequence to its DNS-default FE every Interval.
 func (r *Runner) RunExperimentA(opts AOptions) *Dataset {
@@ -518,11 +540,7 @@ func (r *Runner) RunExperimentA(opts AOptions) *Dataset {
 // behave exactly as they would in the full campaign.
 func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 	opts = opts.withDefaults()
-	queries := opts.Queries
-	if len(queries) == 0 {
-		gen := workload.NewGenerator(opts.QuerySeed + 77)
-		queries = gen.Corpus(opts.QueriesPerNode, workload.ClassGranular)
-	}
+	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
 	ds := r.newDataset("A")
 	for i := lo; i < hi; i++ {
 		node := r.Fleet.Nodes[i]
@@ -557,11 +575,7 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 // connection's trace cannot be split per query).
 func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 	opts = opts.withDefaults()
-	queries := opts.Queries
-	if len(queries) == 0 {
-		gen := workload.NewGenerator(opts.QuerySeed + 77)
-		queries = gen.Corpus(opts.QueriesPerNode, workload.ClassGranular)
-	}
+	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
 	ds := r.newDataset("A-keepalive")
 	for i, node := range r.Fleet.Nodes {
 		node := node
@@ -648,15 +662,7 @@ type OpenLoopOptions struct {
 // inside the surge window), issuing corpus queries in sequence (the
 // HotQuery inside the window, when set).
 func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
-	queries := opts.Queries
-	if len(queries) == 0 {
-		n := opts.QueriesPerNode
-		if n <= 0 {
-			n = 20
-		}
-		gen := workload.NewGenerator(opts.QuerySeed + 77)
-		queries = gen.Corpus(n, workload.ClassGranular)
-	}
+	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
 	ds := r.newDataset("open-loop")
 	for i, node := range r.Fleet.Nodes {
 		fe := opts.FE

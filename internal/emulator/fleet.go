@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"fesplit/internal/capture"
@@ -209,15 +208,7 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 	if err != nil {
 		return nil, err
 	}
-	queries := opts.Queries
-	if len(queries) == 0 {
-		n := opts.QueriesPerNode
-		if n <= 0 {
-			n = 20
-		}
-		gen := workload.NewGenerator(opts.QuerySeed + 77)
-		queries = gen.Corpus(n, workload.ClassGranular)
-	}
+	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
 	r := &FleetRunner{
 		Sim:     sim,
 		Net:     net,
@@ -396,13 +387,13 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	}
 	rr.Events = r.evScratch
 
-	if fr, ok := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt); ok {
-		rr.TrueFetch = fr.FetchDone - fr.Arrived
-		if r.arena != nil {
-			rr.Span = r.assembleFleetSpan(rr, fr)
-		}
-	} else if r.arena != nil {
-		rr.Span = r.assembleFleetSpan(rr, frontend.FetchRecord{})
+	// A failed join yields the zero FetchRecord: no ground truth, no
+	// FE-side spans.
+	fr, _ := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
+	rr.TrueFetch = fr.FetchDone - fr.Arrived
+	if r.arena != nil {
+		sess, _ := trace.Parse(rr.Key, rr.Events) // nil when the capture did not parse
+		rr.Span = assembleSpan(r.arena, rr, sess, fr, r.links[rr.FE])
 	}
 
 	r.opts.Sink.Consume(rr)
@@ -459,40 +450,6 @@ func findFetch(fe *frontend.Server, client string, port uint16, issued, done tim
 	return frontend.FetchRecord{}, false
 }
 
-// assembleFleetSpan is assembleSpan's arena twin: same tree shape,
-// same attributes, but every node comes from the campaign arena and is
-// recycled after the sink call. fr is the joined FE ground truth (zero
-// value when the join failed).
-func (r *FleetRunner) assembleFleetSpan(rr *Record, fr frontend.FetchRecord) *obs.Span {
-	a := r.arena
-	root := a.NewSpan("query", "client", obs.ConnKey(rr.Key), rr.IssuedAt, rr.DoneAt)
-	root.SetAttr("node", string(rr.Node))
-	root.SetAttr("fe", string(rr.FE))
-	root.SetAttr("keywords", rr.Query.Keywords)
-	if s, err := trace.Parse(rr.Key, rr.Events); err == nil {
-		a.Child(root, "tcp-handshake", s.TB, s.TB+s.RTT)
-		a.Child(root, "get-request", s.T1, s.T3)
-		a.Child(root, "delivery", s.T3, s.TE)
-	}
-	link := r.links[rr.FE]
-	if fr.StaticAt > 0 {
-		c := a.Child(root, "fe-static-flush", fr.Arrived, fr.StaticAt)
-		c.Track = "frontend"
-	}
-	if fr.FetchDone > 0 {
-		c := a.Child(root, "fe-fetch", fr.Arrived, fr.FetchDone)
-		c.Track = "frontend"
-		if link.be != "" {
-			c.SetAttr("be", string(link.be))
-			c.SetAttr("be_rtt_ns", strconv.FormatInt(int64(link.rtt), 10))
-		}
-		if fr.QueueWait > 0 {
-			c.SetAttr("be_queue_ns", strconv.FormatInt(int64(fr.QueueWait), 10))
-		}
-	}
-	return root
-}
-
 // FleetShardedOptions parameterize RunFleet, the sharded fleet
 // campaign. Arrivals are strided across batches (global arrival k runs
 // in batch k mod Batches), so every batch world sees the full diurnal
@@ -513,8 +470,8 @@ type FleetShardedOptions struct {
 	// Workers caps the goroutines running batches (0 → NumCPU).
 	Workers int
 	// Sink must return a fresh RecordSink private to the batch;
-	// required.
-	Sink func(batch int) RecordSink
+	// required. o is the batch's observer (nil without Observe).
+	Sink func(batch int, o *obs.Observer) RecordSink
 	// Observe, when non-nil, returns a fresh Observer private to the
 	// batch.
 	Observe func(batch int) *obs.Observer
@@ -528,52 +485,31 @@ type FleetShardedOptions struct {
 // Results, observers (nil unless Observe was set) and sinks come back
 // in batch order — the canonical merge order.
 func RunFleet(opts FleetShardedOptions) ([]*FleetResult, []*obs.Observer, []RecordSink, error) {
-	if opts.Sink == nil {
-		return nil, nil, nil, fmt.Errorf("emulator: sharded fleet campaign requires a sink factory")
-	}
 	k := opts.Batches
 	if k <= 0 {
 		k = DefaultNodeBatches
 	}
+	names := make([]string, k)
+	for b := range names {
+		names[b] = fmt.Sprintf("fleet[%d/%d]", b, k)
+	}
 	results := make([]*FleetResult, k)
-	obsvs := make([]*obs.Observer, k)
-	sinks := make([]RecordSink, k)
-	tasks := make([]shard.Task, k)
-	for b := 0; b < k; b++ {
-		b := b
-		tasks[b] = shard.Task{
-			Name: fmt.Sprintf("fleet[%d/%d]", b, k),
-			Run: func() error {
-				fopts := opts.Fleet
-				fopts.stride, fopts.offset = k, b
-				fopts.Runtime = opts.Runtime
-				sinks[b] = opts.Sink(b)
-				fopts.Sink = sinks[b]
-				fopts.Obs = nil
-				if opts.Observe != nil {
-					obsvs[b] = opts.Observe(b)
-					fopts.Obs = obsvs[b]
-				}
-				fr, err := NewFleetRunner(shard.Mix(opts.SimSeed, uint64(b)), opts.Deployment, fopts)
-				if err != nil {
-					return err
-				}
-				results[b] = fr.Run()
-				return nil
-			},
-		}
-	}
-	var p shard.Progress
-	if opts.Runtime != nil {
-		opts.Runtime.AddTasks(len(tasks))
-		p = opts.Runtime
-	}
-	if err := shard.RunProgress(opts.Workers, tasks, p); err != nil {
+	obsvs, sinks, err := runSharded(names, opts.Workers, opts.Runtime, opts.Observe, opts.Sink,
+		func(b int, o *obs.Observer, sink RecordSink) error {
+			fopts := opts.Fleet
+			fopts.stride, fopts.offset = k, b
+			fopts.Runtime = opts.Runtime
+			fopts.Sink = sink
+			fopts.Obs = o
+			fr, err := NewFleetRunner(shard.Mix(opts.SimSeed, uint64(b)), opts.Deployment, fopts)
+			if err != nil {
+				return err
+			}
+			results[b] = fr.Run()
+			return nil
+		})
+	if err != nil {
 		return nil, nil, nil, err
-	}
-	opts.Runtime.SampleMem()
-	if opts.Observe == nil {
-		obsvs = nil
 	}
 	return results, obsvs, sinks, nil
 }

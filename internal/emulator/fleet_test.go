@@ -237,7 +237,7 @@ func TestRunFleetShardedDeterministicAcrossWorkers(t *testing.T) {
 			Fleet:      fleetTestOpts(nil, nil),
 			Batches:    2,
 			Workers:    workers,
-			Sink: func(b int) RecordSink {
+			Sink: func(b int, _ *obs.Observer) RecordSink {
 				sinks[b] = &fleetSink{}
 				return sinks[b]
 			},

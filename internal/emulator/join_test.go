@@ -31,13 +31,12 @@ func TestFetchJoinSurvivesPortReuse(t *testing.T) {
 		{client: "node-1", port: port}: {early, late},
 	}
 	key := capture.ConnKey{Remote: "svc-fe-x", LocalPort: port, RemotePort: frontend.FEPort}
-	r := &Runner{}
 
 	recEarly := &Record{
 		Node: "node-1", FE: "svc-fe-x", Key: key,
 		IssuedAt: 900 * time.Millisecond, DoneAt: 1500 * time.Millisecond,
 	}
-	if span := r.assembleSpan(recEarly, feLog, beLink{}); span.Find("fe-fetch") == nil {
+	if span := joinSpan(recEarly, nil, feLog, beLink{}); span.Find("fe-fetch") == nil {
 		t.Fatal("early record joined no fetch span")
 	}
 	if want := 200 * time.Millisecond; recEarly.TrueFetch != want {
@@ -49,7 +48,7 @@ func TestFetchJoinSurvivesPortReuse(t *testing.T) {
 		Node: "node-1", FE: "svc-fe-x", Key: key,
 		IssuedAt: 60900 * time.Millisecond, DoneAt: 61700 * time.Millisecond,
 	}
-	if span := r.assembleSpan(recLate, feLog, beLink{}); span.Find("fe-fetch") == nil {
+	if span := joinSpan(recLate, nil, feLog, beLink{}); span.Find("fe-fetch") == nil {
 		t.Fatal("late record joined no fetch span")
 	}
 	if want := 400 * time.Millisecond; recLate.TrueFetch != want {
@@ -63,7 +62,7 @@ func TestFetchJoinSurvivesPortReuse(t *testing.T) {
 		Node: "node-1", FE: "svc-fe-x", Key: key,
 		IssuedAt: 30 * time.Second, DoneAt: 31 * time.Second,
 	}
-	if span := r.assembleSpan(recMiss, feLog, beLink{}); span.Find("fe-fetch") != nil {
+	if span := joinSpan(recMiss, nil, feLog, beLink{}); span.Find("fe-fetch") != nil {
 		t.Error("record outside both sessions still joined a fetch span")
 	}
 	if recMiss.TrueFetch != 0 {

@@ -2,14 +2,11 @@ package emulator
 
 import (
 	"fmt"
-	"time"
 
-	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/shard"
-	"fesplit/internal/simnet"
 )
 
 // DefaultNodeBatches is the number of node batches a sharded
@@ -52,17 +49,16 @@ type ShardedAOptions struct {
 	// return a fresh Observer private to the batch (a shared registry
 	// would race). RunShardedA returns the observers in batch order for
 	// the caller to merge canonically.
-	Observe func(b shard.Batch) *obs.Observer
-	// Sink, when non-nil, switches the campaign to the streaming record
-	// path: it is called once per batch (from the batch's worker
-	// goroutine) and must return a fresh RecordSink private to the
-	// batch. Each finished batch feeds its records into its sink in
-	// simulation order and then drops the batch dataset, so memory stays
-	// bounded by one batch world instead of the full record count.
-	// RunShardedA then returns a nil Dataset and the sinks in batch
-	// order: merging the per-batch accumulators in that order is
-	// equivalent to offering every record serially.
-	Sink func(b shard.Batch) RecordSink
+	Observe func(batch int) *obs.Observer
+	// Sink is called once per batch (from the batch's worker goroutine,
+	// after Observe, whose observer it receives — nil without Observe)
+	// and must return a fresh RecordSink private to the batch; required.
+	// Each finished batch feeds its records into its sink in simulation
+	// order and then drops the batch dataset, so memory stays bounded by
+	// one batch world instead of the full record count. The sinks come
+	// back in batch order: merging the per-batch accumulators in that
+	// order is equivalent to offering every record serially.
+	Sink func(batch int, o *obs.Observer) RecordSink
 	// Runtime, when non-nil, receives engine telemetry: batch task
 	// progress, streamed-record counts and heap watermark samples. Pure
 	// observation — results are byte-identical with or without it.
@@ -70,17 +66,15 @@ type ShardedAOptions struct {
 }
 
 // RunShardedA runs Experiment A split into contiguous node batches,
-// each in its own simulated world on its own worker goroutine, and
-// merges the per-batch datasets in batch order. It is the fleet-scale
-// form of Runner.RunExperimentA: same campaign shape, wall-clock
-// divided by the worker count instead of growing linearly with fleet
-// size.
+// each in its own simulated world on its own worker goroutine, folding
+// every batch's records into its sink. It is the fleet-scale form of
+// Runner.RunExperimentA: same campaign shape, wall-clock divided by the
+// worker count instead of growing linearly with fleet size, and live
+// heap bounded by one batch world.
 //
-// The returned observer slice is nil unless Observe was set; otherwise
-// it holds one observer per batch, in batch order. Likewise the sink
-// slice is nil unless Sink was set; with a Sink the returned Dataset is
-// nil — the records were streamed and dropped.
-func RunShardedA(opts ShardedAOptions) (*Dataset, []*obs.Observer, []RecordSink, error) {
+// Observers (nil unless Observe was set) and sinks come back in batch
+// order — the canonical merge order.
+func RunShardedA(opts ShardedAOptions) ([]*obs.Observer, []RecordSink, error) {
 	n := opts.Runner.withDefaults().Nodes
 	k := opts.Batches
 	if k <= 0 {
@@ -88,108 +82,70 @@ func RunShardedA(opts ShardedAOptions) (*Dataset, []*obs.Observer, []RecordSink,
 	}
 	batches := shard.NodeBatches(n, k)
 	if len(batches) == 0 {
-		return nil, nil, nil, fmt.Errorf("emulator: sharded A with no nodes")
+		return nil, nil, fmt.Errorf("emulator: sharded A with no nodes")
 	}
-	dss := make([]*Dataset, len(batches))
-	obsvs := make([]*obs.Observer, len(batches))
-	sinks := make([]RecordSink, len(batches))
-	tasks := make([]shard.Task, len(batches))
+	names := make([]string, len(batches))
 	for i, b := range batches {
-		i, b := i, b
-		tasks[i] = shard.Task{
-			Name: fmt.Sprintf("nodes[%d:%d]", b.Lo, b.Hi),
-			Run: func() error {
-				ropts := opts.Runner
-				ropts.Runtime = opts.Runtime
-				if opts.Observe != nil {
-					obsvs[i] = opts.Observe(b)
-					ropts.Obs = obsvs[i]
-				}
-				r, err := New(shard.Mix(opts.SimSeed, uint64(b.Index)), opts.Deployment, ropts)
-				if err != nil {
-					return err
-				}
-				ds := r.runExperimentARange(opts.A, b.Lo, b.Hi)
-				// Every batch world builds the full fleet, so its trace
-				// map holds an empty trace per foreign node; keep only
-				// this batch's nodes or the merge would mask another
-				// batch's real capture with an empty one.
-				keep := make(map[simnet.HostID]bool, b.Len())
-				for j := b.Lo; j < b.Hi; j++ {
-					keep[r.Fleet.Nodes[j].Host] = true
-				}
-				for host := range ds.Traces {
-					if !keep[host] {
-						delete(ds.Traces, host)
-					}
-				}
-				if opts.Sink != nil {
-					// Streaming path: fold every record into the batch's
-					// private sink in simulation order, then drop the
-					// dataset. The batch world (and its traces) dies with
-					// this closure, so the campaign's live heap is one
-					// batch, not the whole fleet's record history.
-					sink := opts.Sink(b)
-					sinks[i] = sink
-					for j := range ds.Records {
-						sink.Consume(&ds.Records[j])
-						opts.Runtime.NoteRecord()
-					}
-					return nil
-				}
-				dss[i] = ds
-				return nil
-			},
-		}
+		names[i] = fmt.Sprintf("nodes[%d:%d]", b.Lo, b.Hi)
 	}
-	var p shard.Progress
-	if opts.Runtime != nil {
-		opts.Runtime.AddTasks(len(tasks))
-		p = opts.Runtime
-	}
-	if err := shard.RunProgress(opts.Workers, tasks, p); err != nil {
-		return nil, nil, nil, err
-	}
-	opts.Runtime.SampleMem()
-	if opts.Observe == nil {
-		obsvs = nil
-	}
-	if opts.Sink == nil {
-		sinks = nil
-	}
-	return MergeDatasets(dss...), obsvs, sinks, nil
+	return runSharded(names, opts.Workers, opts.Runtime, opts.Observe, opts.Sink,
+		func(i int, o *obs.Observer, sink RecordSink) error {
+			b := batches[i]
+			ropts := opts.Runner
+			ropts.Runtime = opts.Runtime
+			ropts.Obs = o
+			r, err := New(shard.Mix(opts.SimSeed, uint64(b.Index)), opts.Deployment, ropts)
+			if err != nil {
+				return err
+			}
+			// The batch world (and its traces) dies with this closure, so
+			// the campaign's live heap is one batch, not the whole fleet's
+			// record history.
+			ds := r.runExperimentARange(opts.A, b.Lo, b.Hi)
+			for j := range ds.Records {
+				sink.Consume(&ds.Records[j])
+				opts.Runtime.NoteRecord()
+			}
+			return nil
+		})
 }
 
-// MergeDatasets joins per-shard datasets in argument order — the
-// canonical shard order. Records concatenate (so record order is batch
-// order, then per-batch simulation order), per-node traces union (first
-// writer wins; shards own disjoint node sets by construction), and
-// per-FE ground-truth fetch series concatenate in shard order. Nil
-// datasets are skipped; Service/Experiment come from the first non-nil
-// shard. Merging no datasets yields nil.
-func MergeDatasets(shards ...*Dataset) *Dataset {
-	var out *Dataset
-	for _, ds := range shards {
-		if ds == nil {
-			continue
-		}
-		if out == nil {
-			out = &Dataset{
-				Service:      ds.Service,
-				Experiment:   ds.Experiment,
-				Traces:       make(map[simnet.HostID]*capture.Trace),
-				FEFetchTimes: make(map[simnet.HostID][]time.Duration),
-			}
-		}
-		out.Records = append(out.Records, ds.Records...)
-		for host, tr := range ds.Traces {
-			if _, ok := out.Traces[host]; !ok {
-				out.Traces[host] = tr
-			}
-		}
-		for host, fts := range ds.FEFetchTimes {
-			out.FEFetchTimes[host] = append(out.FEFetchTimes[host], fts...)
-		}
+// runSharded is the sharding wrapper behind RunShardedA and RunFleet:
+// one task per named batch, each building its private observer and sink
+// on its own worker goroutine and then running its world. It returns
+// the observers (nil unless observe was set) and sinks in batch order.
+func runSharded(names []string, workers int, rtm *rt.Engine,
+	observe func(batch int) *obs.Observer,
+	sink func(batch int, o *obs.Observer) RecordSink,
+	world func(batch int, o *obs.Observer, sink RecordSink) error,
+) ([]*obs.Observer, []RecordSink, error) {
+	if sink == nil {
+		return nil, nil, fmt.Errorf("emulator: sharded campaign requires a sink factory")
 	}
-	return out
+	obsvs := make([]*obs.Observer, len(names))
+	sinks := make([]RecordSink, len(names))
+	tasks := make([]shard.Task, len(names))
+	for i, name := range names {
+		i := i
+		tasks[i] = shard.Task{Name: name, Run: func() error {
+			if observe != nil {
+				obsvs[i] = observe(i)
+			}
+			sinks[i] = sink(i, obsvs[i])
+			return world(i, obsvs[i], sinks[i])
+		}}
+	}
+	var p shard.Progress
+	if rtm != nil {
+		rtm.AddTasks(len(tasks))
+		p = rtm
+	}
+	if err := shard.RunProgress(workers, tasks, p); err != nil {
+		return nil, nil, err
+	}
+	rtm.SampleMem()
+	if observe == nil {
+		obsvs = nil
+	}
+	return obsvs, sinks, nil
 }

@@ -13,7 +13,7 @@ log="$out/stderr.log"
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$out"' EXIT
 
 "$bin" study -seed 7 -workers 2 -dir "$out/study" \
-    -progress -stream -listen 127.0.0.1:0 -linger 60s 2>"$log" &
+    -progress -listen 127.0.0.1:0 -linger 60s 2>"$log" &
 pid=$!
 
 # The CLI prints the resolved listen address (port 0 → kernel-chosen)

@@ -14,7 +14,6 @@ import (
 	"fesplit/internal/httpsim"
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
-	"fesplit/internal/shard"
 	"fesplit/internal/simnet"
 	"fesplit/internal/stats"
 	"fesplit/internal/tcpsim"
@@ -64,15 +63,6 @@ type StudyConfig struct {
 	// shard layout: changing it changes the (still deterministic)
 	// figure data, because batches are isolated simulations.
 	NodeBatches int
-	// StreamRecords switches the default-FE campaign (Figures 6–8) to
-	// the streaming record path: each node batch folds its records into
-	// mergeable accumulators (parameter lists, quantile sketches, tail
-	// samplers) at emission time and drops the batch dataset, so the
-	// campaign's live heap is bounded by one batch world instead of the
-	// full record history. Figure output is byte-identical either way;
-	// only exported sketch Sum fields may differ in final-bit float
-	// rounding (merge order). See docs/METRICS.md.
-	StreamRecords bool
 	// BESlowdown, when > 0 and ≠ 1, scales both deployments' BE
 	// processing-cost model (base and per-term) by this factor — a
 	// controlled latency-regression injection for exercising the
@@ -162,17 +152,22 @@ func (s *Study) boundaryFor(cfg DeploymentConfig) (int, error) {
 	}
 	fe := runner.Dep.DefaultFE(runner.Fleet.Nodes[0].Point)
 	node := runner.NearestNode(fe)
-	sweep := runner.KeywordSweep(fe, node, 2, 2*time.Second, s.cfg.Seed+73)
-	merged := &emulator.Dataset{}
-	for _, sd := range sweep {
-		merged.Records = append(merged.Records, sd.Records...)
-	}
-	b := analysis.BoundaryFromDataset(merged)
+	b := sweepBoundary(runner.KeywordSweep(fe, node, 2, 2*time.Second, s.cfg.Seed+73))
 	if b <= 0 {
 		return 0, fmt.Errorf("fesplit: boundary probe failed for %s", cfg.Name)
 	}
 	s.boundaries[cfg.Name] = b
 	return b, nil
+}
+
+// sweepBoundary derives the content boundary from a keyword sweep by
+// cross-query content analysis over all its classes' payloads.
+func sweepBoundary(sweeps map[workload.Class]*Dataset) int {
+	merged := &emulator.Dataset{}
+	for _, ds := range sweeps {
+		merged.Records = append(merged.Records, ds.Records...)
+	}
+	return analysis.BoundaryFromDataset(merged)
 }
 
 // Config returns the study configuration.
@@ -202,19 +197,14 @@ func (s *Study) serviceConfigs() []DeploymentConfig {
 }
 
 type expAResult struct {
-	ds       *Dataset
-	boundary int
-	params   []Params
-	nodes    []NodeSummary
+	params []Params
+	nodes  []NodeSummary
 }
 
 // aSink folds one batch's default-FE records into mergeable
-// accumulators at emission time — the streaming alternative to
-// retaining the batch dataset. It applies exactly the skip conditions
-// of analysis.ExtractDataset (failed record, no events, unparseable
-// session), so the concatenated per-batch parameter lists equal the
-// merged-dataset extraction byte for byte; tail offers additionally
-// require an assembled span, mirroring analysis.SampleTails.
+// accumulators at emission time, so the batch dataset can be dropped.
+// analysis.ExtractRecord decides which records are measurable; the
+// tail sampler ignores records without an assembled span.
 type aSink struct {
 	boundary int
 	po       *analysis.ParamObserver
@@ -225,10 +215,7 @@ type aSink struct {
 
 // Consume implements emulator.RecordSink.
 func (k *aSink) Consume(rec *emulator.Record) {
-	if rec.Failed || len(rec.Events) == 0 {
-		return
-	}
-	p, err := analysis.ExtractRecord(*rec, k.boundary)
+	p, sess, err := analysis.ExtractRecord(rec, k.boundary)
 	if err != nil {
 		return
 	}
@@ -236,52 +223,27 @@ func (k *aSink) Consume(rec *emulator.Record) {
 	k.po.Observe(p)
 	// Critical-path attribution annotates the span before the tail
 	// sampler can retain it, so exemplars carry the cp:* waterfall.
-	if k.co != nil {
-		if a, ok := analysis.AttributeRecord(rec, k.boundary); ok {
-			k.co.Observe(a, rec.TrueFetch)
-		}
+	if a, ok := analysis.AttributeRecord(rec, sess); ok {
+		k.co.Observe(a, rec.TrueFetch)
 	}
-	if k.ts != nil && rec.Span != nil {
-		analysis.SampleTail(k.ts, rec, p, DefaultBoundTolerance)
-	}
-}
-
-// expABatches resolves the node-batch count the sharded campaign will
-// use — the same clamping emulator.RunShardedA applies.
-func (s *Study) expABatches() int {
-	k := s.cfg.NodeBatches
-	if k <= 0 {
-		k = emulator.DefaultNodeBatches
-	}
-	if k > s.cfg.Nodes {
-		k = s.cfg.Nodes
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	k.ts.Offer(p.Tdynamic.Seconds(), p.ViolatesBounds(rec.TrueFetch, DefaultBoundTolerance), rec.Span)
 }
 
 // experimentA runs (or returns the cached) default-FE experiment for a
 // service: the fleet split into node batches (each an independent
-// simulated world, see emulator.RunShardedA), merged in batch order.
-// When the study is observed, each batch records into its own observer
-// and the registries merge here — also in batch order — then the
-// session parameters and tail exemplars are fed from the merged
-// dataset, so the observed view is identical for any worker count.
-//
-// With StreamRecords set the campaign instead streams: each batch's
-// records fold into a per-batch aSink (parameters, sketches, tail
-// offers) and the batch dataset is dropped. Batch accumulators merge in
-// batch order, which is exactly equivalent to the serial feed — same
-// parameters, same exemplar selection — so figure output is identical;
-// only the expAResult's dataset is nil (no figure consumes it).
+// simulated world, see emulator.RunShardedA), every batch folding its
+// records into a private aSink (parameters, sketches, tail offers) and
+// dropping its dataset, so the campaign's live heap is one batch world.
+// When the study is observed, each batch also records into its own
+// observer. Accumulators, registries and tail samplers merge here in
+// batch order — exactly equivalent to feeding every record serially —
+// so the result is identical for any worker count.
 func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 	if r, ok := s.expA[cfg.Name]; ok {
 		return r, nil
 	}
-	// The boundary probe is an independent world; streaming needs it
-	// before the campaign (records are measured as they are dropped).
+	// The boundary probe is an independent world; it runs before the
+	// campaign because records are measured as they are dropped.
 	boundary, err := s.boundaryFor(cfg)
 	if err != nil {
 		return nil, err
@@ -298,79 +260,44 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		Batches: s.cfg.NodeBatches,
 		Workers: s.cfg.Workers,
 		Runtime: s.rt,
+		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
+			return &aSink{
+				boundary: boundary,
+				po:       analysis.NewParamObserver(o.Registry(), cfg.Name),
+				co:       analysis.NewCritObserver(o.Registry(), cfg.Name),
+				ts:       o.TailSampler(),
+			}
+		},
 	}
-	// batchObsSlots pairs each batch's observer with its sink: Observe
-	// runs at batch start, Sink after the batch's records exist, both on
-	// the batch's own goroutine, and each batch touches only its slot.
-	var batchObsSlots []*obs.Observer
 	if s.obsv != nil {
-		if s.cfg.StreamRecords {
-			batchObsSlots = make([]*obs.Observer, s.expABatches())
-		}
-		sopts.Observe = func(b shard.Batch) *obs.Observer {
-			o := obs.NewTailObserver(s.obsv.Tail.Config())
-			if batchObsSlots != nil {
-				batchObsSlots[b.Index] = o
-			}
-			return o
+		sopts.Observe = func(int) *obs.Observer {
+			return obs.NewTailObserver(s.obsv.Tail.Config())
 		}
 	}
-	if s.cfg.StreamRecords {
-		sopts.Sink = func(b shard.Batch) emulator.RecordSink {
-			k := &aSink{boundary: boundary}
-			if batchObsSlots != nil {
-				o := batchObsSlots[b.Index]
-				k.po = analysis.NewParamObserver(o.Registry(), cfg.Name)
-				k.co = analysis.NewCritObserver(o.Registry(), cfg.Name)
-				k.ts = o.Tail
-			}
-			return k
-		}
-	}
-	ds, batchObs, batchSinks, err := emulator.RunShardedA(sopts)
+	batchObs, batchSinks, err := emulator.RunShardedA(sopts)
 	if err != nil {
 		return nil, err
 	}
+	// Concatenating per-batch accumulators in batch order replays the
+	// serial record order exactly.
 	var params []Params
-	if s.cfg.StreamRecords {
-		// Concatenating per-batch accumulators in batch order replays
-		// the serial record order exactly.
-		for _, bs := range batchSinks {
-			params = append(params, bs.(*aSink).params...)
-		}
-	} else {
-		params = analysis.ExtractDataset(ds, boundary)
+	for _, bs := range batchSinks {
+		params = append(params, bs.(*aSink).params...)
 	}
 	if s.obsv != nil {
+		// Batch tail samplers were fed during the run; fold them into
+		// the study sampler in batch order (equivalent to the serial
+		// Offer sequence — see obs.MergeTailSamplers).
+		samplers := []*obs.TailSampler{s.obsv.Tail}
 		for _, o := range batchObs {
 			if err := s.obsv.Reg.Merge(o.Registry()); err != nil {
 				return nil, err
 			}
+			samplers = append(samplers, o.Tail)
 		}
-		if s.cfg.StreamRecords {
-			// Batch tail samplers were fed during the run; fold them
-			// into the study sampler in batch order (equivalent to the
-			// serial Offer sequence — see obs.MergeTailSamplers).
-			samplers := make([]*obs.TailSampler, 0, len(batchObs)+1)
-			samplers = append(samplers, s.obsv.Tail)
-			for _, o := range batchObs {
-				samplers = append(samplers, o.Tail)
-			}
-			s.obsv.Tail = obs.MergeTailSamplers(samplers...)
-		} else {
-			analysis.ObserveParams(s.obsv.Registry(), cfg.Name, params)
-			// Attribute (and annotate spans) before tail sampling, so
-			// retained exemplars carry the cp:* waterfall.
-			analysis.ObserveCritPath(s.obsv.Registry(), cfg.Name, ds, boundary)
-			analysis.SampleTails(s.obsv.TailSampler(), ds, boundary, DefaultBoundTolerance)
-		}
+		s.obsv.Tail = obs.MergeTailSamplers(samplers...)
 	}
-	res := &expAResult{
-		ds:       ds,
-		boundary: boundary,
-		params:   params,
-		nodes:    analysis.PerNode(params),
-	}
+	res := &expAResult{params: params, nodes: analysis.PerNode(params)}
 	s.expA[cfg.Name] = res
 	return res, nil
 }
@@ -399,16 +326,7 @@ func (s *Study) Fig3() (*Fig3Data, error) {
 	sweeps := runner.KeywordSweep(fe, runner.Fleet.Nodes[0],
 		s.cfg.Fig3Samples, 2*time.Second, s.cfg.Seed+23)
 
-	// Boundary from cross-class payloads.
-	var all []*Dataset
-	for _, ds := range sweeps {
-		all = append(all, ds)
-	}
-	merged := &emulator.Dataset{Service: cfg.Name, Experiment: "fig3"}
-	for _, ds := range all {
-		merged.Records = append(merged.Records, ds.Records...)
-	}
-	boundary := analysis.BoundaryFromDataset(merged)
+	boundary := sweepBoundary(sweeps)
 	if boundary <= 0 {
 		return nil, fmt.Errorf("fesplit: fig3 boundary not found")
 	}

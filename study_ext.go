@@ -114,9 +114,10 @@ func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 		ModelHolds: true,
 	}
 	conns := map[uint16]bool{}
-	for _, rec := range ds.Records {
+	for i := range ds.Records {
+		rec := &ds.Records[i]
 		conns[rec.Key.LocalPort] = true
-		p, err := analysis.ExtractRecord(rec, boundary)
+		p, _, err := analysis.ExtractRecord(rec, boundary)
 		if err != nil {
 			data.ModelHolds = false
 			continue

@@ -158,7 +158,7 @@ func queueBuckets(ds *emulator.Dataset, boundary int, width, horizon time.Durati
 			buckets[b].Degraded++
 		default:
 			buckets[b].OK++
-			if p, err := analysis.ExtractRecord(*rec, boundary); err == nil {
+			if p, _, err := analysis.ExtractRecord(rec, boundary); err == nil {
 				tdyn[b] = append(tdyn[b], ms(p.Tdynamic))
 			}
 		}
@@ -361,7 +361,7 @@ func (s *Study) Failover() (*FailoverData, error) {
 		if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
 			continue
 		}
-		p, err := analysis.ExtractRecord(*rec, boundary)
+		p, _, err := analysis.ExtractRecord(rec, boundary)
 		if err != nil {
 			continue
 		}
@@ -432,7 +432,7 @@ func (s *Study) Capacity() (*CapacityData, error) {
 			if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
 				continue
 			}
-			p, err := analysis.ExtractRecord(*rec, boundary)
+			p, _, err := analysis.ExtractRecord(rec, boundary)
 			if err != nil {
 				continue
 			}
