@@ -116,120 +116,64 @@ run 'fesplit <command> -h' for flags.
 }
 
 func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	seed := fs.Int64("seed", 42, "experiment seed")
-	scale := fs.String("scale", "light", "study scale: light or full")
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+	parse := studyFlags(fs, false)
 	fig := fs.String("fig", "all", "figure to regenerate: all|3|4|5|6|7|8|9|caching")
 	csvDir := fs.String("csv", "", "also export figure data as CSV files into DIR")
 	htmlFile := fs.String("html", "", "also render the report as a self-contained HTML page (inline SVG figures) to FILE")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parse(args)
+	if err != nil {
 		return err
-	}
-	var cfg fesplit.StudyConfig
-	switch *scale {
-	case "light":
-		cfg = fesplit.LightStudyConfig(*seed)
-	case "full":
-		cfg = fesplit.DefaultStudyConfig(*seed)
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	study := fesplit.NewStudy(cfg)
-	if *fig == "all" {
-		// Observed run: the Report is identical to RunAll's (observation
-		// never perturbs the simulations), and the registry lets the
-		// HTML page carry the metrics sections — including the
-		// fast-forward engine's gauges.
-		out, err := study.RunAllObserved()
-		if err != nil {
-			return err
-		}
-		rep := out.Report
-		if *csvDir != "" {
-			if err := rep.WriteCSVs(*csvDir); err != nil {
-				return err
+	// -fig all is the observed matrix: the Report is identical to
+	// RunAll's (observation never perturbs the simulations), and the
+	// registry lets the HTML page carry the metrics sections. A single
+	// figure runs its serial method into an otherwise empty report.
+	run := study.RunAllObserved
+	if *fig != "all" {
+		run = func() (*fesplit.StudyOutput, error) {
+			rep := &fesplit.Report{Config: cfg}
+			var err error
+			switch *fig {
+			case "3":
+				rep.Fig3, err = study.Fig3()
+			case "4":
+				rep.Fig4, err = study.Fig4()
+			case "5":
+				rep.Fig5, err = study.Fig5()
+			case "6":
+				rep.Fig6, err = study.Fig6()
+			case "7":
+				rep.Fig7, err = study.Fig7()
+			case "8":
+				rep.Fig8, err = study.Fig8()
+			case "9":
+				rep.Fig9, err = study.Fig9()
+			case "caching":
+				rep.Caching, err = study.Caching()
+			default:
+				err = fmt.Errorf("unknown -fig %q", *fig)
 			}
-			fmt.Fprintf(os.Stderr, "CSV figure data written to %s\n", *csvDir)
+			return &fesplit.StudyOutput{Report: rep}, err
 		}
-		if err := writeReportHTMLObserved(rep, *htmlFile, out.Metrics, out.Exemplars); err != nil {
-			return err
-		}
-		if u, ok := fesplit.FastPathUsageFrom(out.Metrics); ok {
-			fmt.Fprintf(os.Stderr,
-				"fast path: %.0f epochs, %.0f bytes bypassed the event heap, %.0f fallbacks (busiest cell)\n",
-				u.Epochs, u.Bytes, u.Fallbacks)
-			fmt.Fprintf(os.Stderr,
-				"fast path lossy lanes: %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
-				u.Reentries, u.LossDrops, u.EpochSegments)
-			if u.HasReasons {
-				fmt.Fprintf(os.Stderr,
-					"fast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
-					u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
-			}
-		}
-		return rep.WriteText(os.Stdout)
 	}
-	rep := &fesplit.Report{Config: cfg}
-	var err error
-	switch *fig {
-	case "3":
-		rep.Fig3, err = study.Fig3()
-	case "4":
-		rep.Fig4, err = study.Fig4()
-	case "5":
-		rep.Fig5, err = study.Fig5()
-	case "6":
-		rep.Fig6, err = study.Fig6()
-	case "7":
-		rep.Fig7, err = study.Fig7()
-	case "8":
-		rep.Fig8, err = study.Fig8()
-	case "9":
-		rep.Fig9, err = study.Fig9()
-	case "caching":
-		rep.Caching, err = study.Caching()
-	default:
-		return fmt.Errorf("unknown figure %q", *fig)
-	}
+	out, err := runObserved(run, nil, *csvDir, "", func(out *fesplit.StudyOutput) []outFile {
+		if *htmlFile == "" {
+			return nil
+		}
+		return []outFile{htmlReport(*htmlFile, out)}
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("report: %w", err)
 	}
 	if *csvDir != "" {
-		if err := rep.WriteCSVs(*csvDir); err != nil {
-			return err
-		}
 		fmt.Fprintf(os.Stderr, "CSV figure data written to %s\n", *csvDir)
 	}
-	if err := writeReportHTML(rep, *htmlFile); err != nil {
-		return err
+	if *htmlFile != "" {
+		fmt.Fprintf(os.Stderr, "HTML report written to %s\n", *htmlFile)
 	}
-	return rep.WriteText(os.Stdout)
-}
-
-// writeReportHTML renders the report's HTML page when a path was given.
-func writeReportHTML(rep *fesplit.Report, path string) error {
-	return writeReportHTMLObserved(rep, path, nil, nil)
-}
-
-// writeReportHTMLObserved is writeReportHTML plus the optional metrics
-// and exemplar sections.
-func writeReportHTMLObserved(rep *fesplit.Report, path string, reg *fesplit.MetricsRegistry, ex []fesplit.Exemplar) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteHTML(f, reg, ex); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "HTML report written to %s\n", path)
-	return nil
+	return out.Report.WriteText(os.Stdout)
 }
 
 func cmdSweep(args []string) error {
@@ -315,12 +259,7 @@ func cmdTrace(args []string) error {
 	}
 	fmt.Println(traceSummary(tr))
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.Encode(f); err != nil {
+		if err := writeFiles("", []outFile{{*out, func(f *os.File) error { return tr.Encode(f) }}}); err != nil {
 			return err
 		}
 		fmt.Printf("\n(wrote binary trace with %d events to %s)\n", len(tr.Events), *out)
@@ -433,7 +372,7 @@ func cmdLive(args []string) error {
 		results = append(results, res)
 		payloads = append(payloads, res.Body)
 	}
-	boundary := livenet.SnapBoundary(results, analysisStaticBoundary(payloads))
+	boundary := livenet.SnapBoundary(results, analysis.StaticBoundary(payloads))
 	fmt.Printf("content boundary: %d bytes (configured static prefix %d)\n\n",
 		boundary, len(spec.StaticPrefix()))
 	fmt.Printf("%-6s %10s %10s %10s %10s\n", "query", "t3(ms)", "t4(ms)", "t5(ms)", "Tdelta")
@@ -446,17 +385,4 @@ func cmdLive(args []string) error {
 			float64(tm.T3)/1e6, float64(tm.T4)/1e6, float64(tm.T5)/1e6, float64(tm.Tdelta)/1e6)
 	}
 	return nil
-}
-
-// analysisStaticBoundary avoids importing internal/analysis twice in
-// this file's imports list; thin forwarding helper.
-func analysisStaticBoundary(payloads [][]byte) int {
-	return analysis.StaticBoundary(payloads)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -23,7 +23,7 @@ import (
 // inference-bound violation keep their span trees (-full-spans restores
 // the keep-everything tracer). Same seed → byte-identical files.
 func cmdObs(args []string) error {
-	fs := flag.NewFlagSet("obs", flag.ExitOnError)
+	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "experiment seed")
 	service := fs.String("service", "google", "deployment flavor: google or bing")
 	nodes := fs.Int("nodes", 12, "vantage nodes")
@@ -130,16 +130,7 @@ func cmdObs(args []string) error {
 	fmt.Println(metricsSummary(o.Reg))
 	fmt.Printf("  critical path: %d records attributed (run 'fesplit profile' for the blame table)\n",
 		attributed)
-	if u, ok := fesplit.FastPathUsageFrom(o.Reg); ok {
-		fmt.Printf("  fast path: %.0f epochs, %.0f bytes bypassed the event heap, %.0f fallbacks\n",
-			u.Epochs, u.Bytes, u.Fallbacks)
-		fmt.Printf("  fast path lossy lanes: %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
-			u.Reentries, u.LossDrops, u.EpochSegments)
-		if u.HasReasons {
-			fmt.Printf("  fast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
-				u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
-		}
-	}
+	printFastPath(os.Stdout, "  ", o.Reg)
 	for _, out := range files {
 		fmt.Printf("  wrote %s\n", filepath.Join(*dir, out.name))
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"fesplit"
@@ -19,51 +18,31 @@ import (
 // for any -workers value and across repeated same-seed runs.
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	seed := fs.Int64("seed", 42, "experiment seed")
-	scale := fs.String("scale", "light", "study scale: light or full")
-	workers := fs.Int("workers", runtime.NumCPU(),
-		"worker goroutines for study cells and node batches (must be ≥ 1)")
-	batches := fs.Int("node-batches", 0,
-		"node batches for the default-FE campaign (0 → default; changes results, unlike -workers)")
+	parse := studyFlags(fs, true)
 	dir := fs.String("dir", "profile-out", "output directory for the exported files")
 	topN := fs.Int("top", 5, "phases to print per service in the stderr blame table (0 → all)")
 	beSlowdown := fs.Float64("be-slowdown", 0,
 		"scale both services' BE processing cost by this factor (>0; a controlled regression injection for exercising `fesplit diff`)")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parse(args)
+	if err != nil {
 		return err
 	}
-	if *workers < 1 {
-		return fmt.Errorf("profile: -workers must be ≥ 1, got %d", *workers)
-	}
-	var cfg fesplit.StudyConfig
-	switch *scale {
-	case "light":
-		cfg = fesplit.LightStudyConfig(*seed)
-	case "full":
-		cfg = fesplit.DefaultStudyConfig(*seed)
-	default:
-		return fmt.Errorf("profile: unknown -scale %q", *scale)
-	}
-	cfg.Workers = *workers
-	cfg.NodeBatches = *batches
 	cfg.BESlowdown = *beSlowdown
-
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	out, err := fesplit.NewStudy(cfg).RunAllObserved()
+	var rows []fesplit.PhaseBlame
+	_, err = runObserved(fesplit.NewStudy(cfg).RunAllObserved, nil, "", *dir, func(out *fesplit.StudyOutput) []outFile {
+		rows = fesplit.ProfileFromMetrics(out.Metrics)
+		spans := out.Spans()
+		return []outFile{
+			{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, rows) }},
+			{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
+			{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
+			htmlReport("report.html", out),
+		}
+	})
 	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	rows := fesplit.ProfileFromMetrics(out.Metrics)
-	spans := out.Spans()
-	files := []outFile{
-		{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, rows) }},
-		{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
-		{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
-		{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
-	}
-	if err := writeFiles(*dir, files); err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
 	if err := fesplit.WriteProfileTable(os.Stderr, rows, *topN); err != nil {
@@ -82,7 +61,7 @@ func cmdProfile(args []string) error {
 // quantile) otherwise. Arguments are metrics.jsonl files or directories
 // containing one (e.g. `fesplit profile -dir` outputs).
 func cmdDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	relPct := fs.Float64("rel-pct", 10,
 		"relative quantile-delta breach threshold, percent of the old value")
 	abs := fs.Float64("abs", 0.0005,

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +11,135 @@ import (
 
 	"fesplit"
 )
+
+// studyFlags registers the flags report, study and profile share —
+// -seed and -scale, plus -workers and -node-batches on the commands that
+// expose the worker pool (elsewhere cells run on every CPU) — and
+// returns the function that parses args and validates them into the
+// run's StudyConfig.
+func studyFlags(fs *flag.FlagSet, pool bool) func(args []string) (fesplit.StudyConfig, error) {
+	seed := fs.Int64("seed", 42, "experiment seed")
+	scale := fs.String("scale", "light", "study scale: light or full")
+	var workers, batches int
+	if pool {
+		fs.IntVar(&workers, "workers", runtime.NumCPU(),
+			"worker goroutines for study cells and node batches (must be ≥ 1; capped at the cell count)")
+		fs.IntVar(&batches, "node-batches", 0,
+			"node batches for the default-FE campaign (0 → default; changes results, unlike -workers)")
+	}
+	return func(args []string) (cfg fesplit.StudyConfig, err error) {
+		if err = fs.Parse(args); err != nil {
+			return cfg, err
+		}
+		switch *scale {
+		case "light":
+			cfg = fesplit.LightStudyConfig(*seed)
+		case "full":
+			cfg = fesplit.DefaultStudyConfig(*seed)
+		default:
+			return cfg, fmt.Errorf("%s: unknown -scale %q", fs.Name(), *scale)
+		}
+		if pool && workers < 1 {
+			return cfg, fmt.Errorf("%s: -workers must be ≥ 1, got %d", fs.Name(), workers)
+		}
+		cfg.Workers, cfg.NodeBatches = workers, batches
+		return cfg, nil
+	}
+}
+
+// telemetry is a running wall-clock telemetry session of `fesplit
+// study`; server is nil without -listen.
+type telemetry struct {
+	sampler *fesplit.RuntimeSampler
+	jsonl   *os.File
+	server  *fesplit.RuntimeServer
+}
+
+// startTelemetry attaches a fresh engine to the study and samples it
+// every interval into dir/runtime.jsonl, onto stderr as a heartbeat
+// when progress is set, and into an HTTP endpoint when listen names an
+// address (the caller closes the endpoint).
+func startTelemetry(study *fesplit.Study, dir string, progress bool, interval time.Duration, listen string) (*telemetry, error) {
+	eng := fesplit.NewRuntimeEngine()
+	study.SetRuntime(eng)
+	var consumers []fesplit.RuntimeConsumer
+	if progress {
+		consumers = append(consumers, fesplit.RuntimeHeartbeat(os.Stderr))
+	}
+	rj, err := os.Create(filepath.Join(dir, "runtime.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	t := &telemetry{jsonl: rj}
+	consumers = append(consumers, fesplit.RuntimeJSONL(rj))
+	if listen != "" {
+		t.server, err = fesplit.NewRuntimeServer(eng, listen)
+		if err != nil {
+			rj.Close()
+			return nil, fmt.Errorf("study: -listen %s: %w", listen, err)
+		}
+		fmt.Fprintf(os.Stderr, "study: telemetry listening on http://%s\n", t.server.Addr())
+		consumers = append(consumers, t.server.OnSample)
+	}
+	t.sampler = fesplit.NewRuntimeSampler(eng, interval, consumers...)
+	t.sampler.Start()
+	return t, nil
+}
+
+// stop ends sampling with one final snapshot before the run's closing
+// summary is printed. A nil session is a no-op.
+func (t *telemetry) stop() {
+	if t != nil {
+		t.sampler.Stop()
+		t.jsonl.Close()
+	}
+}
+
+// runObserved is the one run body of the matrix commands — report,
+// study and profile: run the study, end the telemetry session (if any),
+// export figure CSVs into csvDir (when set) and the artifacts files
+// builds from the output under dir, and print the fast-path summary.
+// The commands differ only in those artifact lists.
+func runObserved(run func() (*fesplit.StudyOutput, error), tel *telemetry, csvDir, dir string,
+	files func(*fesplit.StudyOutput) []outFile) (*fesplit.StudyOutput, error) {
+	out, err := run()
+	tel.stop()
+	if err == nil && csvDir != "" {
+		err = out.Report.WriteCSVs(csvDir)
+	}
+	if err == nil {
+		err = writeFiles(dir, files(out))
+	}
+	if err != nil {
+		return nil, err
+	}
+	printFastPath(os.Stderr, "", out.Metrics)
+	return out, nil
+}
+
+// printFastPath writes the fast-forward engine's usage summary of an
+// observed run, each line led by prefix; nothing when the registry
+// carries no fast-path gauges.
+func printFastPath(w io.Writer, prefix string, reg *fesplit.MetricsRegistry) {
+	u, ok := fesplit.FastPathUsageFrom(reg)
+	if !ok {
+		return
+	}
+	fmt.Fprintf(w, "%sfast path: %.0f epochs, %.0f bytes bypassed the event heap, %.0f fallbacks\n",
+		prefix, u.Epochs, u.Bytes, u.Fallbacks)
+	fmt.Fprintf(w, "%sfast path lossy lanes: %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
+		prefix, u.Reentries, u.LossDrops, u.EpochSegments)
+	if u.HasReasons {
+		fmt.Fprintf(w, "%sfast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
+			prefix, u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
+	}
+}
+
+// htmlReport is the self-contained HTML page artifact, with the
+// metrics and exemplar sections when the run was observed.
+func htmlReport(name string, out *fesplit.StudyOutput) outFile {
+	return outFile{name, func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }}
+}
 
 // cmdStudy runs the full observed study on a worker pool and exports
 // every view of it into one directory: the text report, figure CSVs,
@@ -19,12 +149,7 @@ import (
 // count buys wall-clock time, never different results.
 func cmdStudy(args []string) error {
 	fs := flag.NewFlagSet("study", flag.ContinueOnError)
-	seed := fs.Int64("seed", 42, "experiment seed")
-	scale := fs.String("scale", "light", "study scale: light or full")
-	workers := fs.Int("workers", runtime.NumCPU(),
-		"worker goroutines for study cells and node batches (must be ≥ 1; capped at the cell count)")
-	batches := fs.Int("node-batches", 0,
-		"node batches for the default-FE campaign (0 → default; changes results, unlike -workers)")
+	parse := studyFlags(fs, true)
 	dir := fs.String("dir", "study-out", "output directory for the exported files")
 	progress := fs.Bool("progress", false,
 		"print a live heartbeat line to stderr every -progress-interval while the study runs")
@@ -42,104 +167,55 @@ func cmdStudy(args []string) error {
 		"virtual-time span of the -diurnal rate curve (the compressed day)")
 	fleetBatches := fs.Int("fleet-batches", 0,
 		"strided arrival batches for -diurnal (0 → default; changes results, unlike -workers)")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parse(args)
+	switch {
+	case err != nil:
 		return err
-	}
-	if *workers < 1 {
-		return fmt.Errorf("study: -workers must be ≥ 1, got %d", *workers)
-	}
-	if *diurnal {
-		return runFleetStudy(*seed, *clients, *horizon, *fleetBatches, *workers, *dir,
-			*progress, *progressInterval, *listen)
-	}
-	if *clients > 0 {
+	case *diurnal && *clients <= 0:
+		return fmt.Errorf("study: -diurnal requires -clients > 0, got %d", *clients)
+	case !*diurnal && *clients > 0:
 		return fmt.Errorf("study: -clients requires -diurnal")
 	}
-	var cfg fesplit.StudyConfig
-	switch *scale {
-	case "light":
-		cfg = fesplit.LightStudyConfig(*seed)
-	case "full":
-		cfg = fesplit.DefaultStudyConfig(*seed)
-	default:
-		return fmt.Errorf("study: unknown -scale %q", *scale)
-	}
-	cfg.Workers = *workers
-	cfg.NodeBatches = *batches
-
 	// The output directory must exist before the run: runtime.jsonl
 	// streams wall-clock telemetry while the study executes.
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
 	study := fesplit.NewStudy(cfg)
-	telemetry := *progress || *listen != ""
-	var sampler *fesplit.RuntimeSampler
-	var server *fesplit.RuntimeServer
-	if telemetry {
-		eng := fesplit.NewRuntimeEngine()
-		study.SetRuntime(eng)
-		var consumers []fesplit.RuntimeConsumer
-		if *progress {
-			consumers = append(consumers, fesplit.RuntimeHeartbeat(os.Stderr))
-		}
-		rj, err := os.Create(filepath.Join(*dir, "runtime.jsonl"))
-		if err != nil {
+	var tel *telemetry
+	if *diurnal || *progress || *listen != "" {
+		if tel, err = startTelemetry(study, *dir, *progress, *progressInterval, *listen); err != nil {
 			return err
 		}
-		defer rj.Close()
-		consumers = append(consumers, fesplit.RuntimeJSONL(rj))
-		if *listen != "" {
-			server, err = fesplit.NewRuntimeServer(eng, *listen)
-			if err != nil {
-				return fmt.Errorf("study: -listen %s: %w", *listen, err)
-			}
-			defer server.Close()
-			fmt.Fprintf(os.Stderr, "study: telemetry listening on http://%s\n", server.Addr())
-			consumers = append(consumers, server.OnSample)
+		if tel.server != nil {
+			defer tel.server.Close()
 		}
-		sampler = fesplit.NewRuntimeSampler(eng, *progressInterval, consumers...)
-		sampler.Start()
 	}
-
-	out, err := study.RunAllObserved()
-	if sampler != nil {
-		sampler.Stop() // flush one final snapshot before reporting
+	if *diurnal {
+		return runFleetStudy(study, tel, *clients, *horizon, *fleetBatches, *dir)
 	}
+	out, err := runObserved(study.RunAllObserved, tel, *dir, *dir, func(out *fesplit.StudyOutput) []outFile {
+		spans := out.Spans()
+		return []outFile{
+			{"report.txt", func(f *os.File) error { return out.Report.WriteText(f) }},
+			{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
+			{"metrics.prom", func(f *os.File) error { return fesplit.WritePrometheus(f, out.Metrics) }},
+			{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
+			htmlReport("report.html", out),
+		}
+	})
 	if err != nil {
-		return fmt.Errorf("study: %w", err)
-	}
-	if err := out.Report.WriteCSVs(*dir); err != nil {
-		return err
-	}
-	spans := out.Spans()
-	files := []outFile{
-		{"report.txt", func(f *os.File) error { return out.Report.WriteText(f) }},
-		{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
-		{"metrics.prom", func(f *os.File) error { return fesplit.WritePrometheus(f, out.Metrics) }},
-		{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
-		{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
-	}
-	if err := writeFiles(*dir, files); err != nil {
 		return fmt.Errorf("study: %w", err)
 	}
 	fmt.Fprintf(os.Stderr,
 		"study: seed %d, scale %s, %d workers — %d metric families, %d tail exemplars\n",
-		*seed, *scale, *workers, len(out.Metrics.Families()), len(out.Exemplars))
-	if u, ok := fesplit.FastPathUsageFrom(out.Metrics); ok && u.HasReasons {
-		fmt.Fprintf(os.Stderr,
-			"study: fastpath fallbacks %.0f (loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f)\n",
-			u.Fallbacks, u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
-		fmt.Fprintf(os.Stderr,
-			"study: fastpath lossy lanes %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
-			u.Reentries, u.LossDrops, u.EpochSegments)
-	}
+		cfg.Seed, fs.Lookup("scale").Value, cfg.Workers, len(out.Metrics.Families()), len(out.Exemplars))
 	if eng := study.Runtime(); eng != nil {
 		fmt.Fprintf(os.Stderr, "study: peak heap %.1f MiB, %d records streamed\n",
 			float64(eng.HeapWatermark())/(1<<20), eng.Records())
 	}
 	fmt.Fprintf(os.Stderr, "study: figures + metrics + reports written to %s\n", *dir)
-	if server != nil && *linger > 0 {
+	if tel != nil && tel.server != nil && *linger > 0 {
 		fmt.Fprintf(os.Stderr, "study: holding telemetry endpoint for %s\n", *linger)
 		time.Sleep(*linger)
 	}
@@ -151,48 +227,15 @@ func cmdStudy(args []string) error {
 // fleet.csv plus the standard runtime telemetry. The headline property
 // the scale-smoke gate pins: the heap watermark tracks peak concurrency
 // (the diurnal curve), not the client count.
-func runFleetStudy(seed int64, clients int, horizon time.Duration, batches, workers int,
-	dir string, progress bool, progressInterval time.Duration, listen string) error {
-	if clients <= 0 {
-		return fmt.Errorf("study: -diurnal requires -clients > 0, got %d", clients)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	cfg := fesplit.LightStudyConfig(seed)
-	cfg.Workers = workers
-	study := fesplit.NewStudy(cfg)
-	eng := fesplit.NewRuntimeEngine()
-	study.SetRuntime(eng)
-	var consumers []fesplit.RuntimeConsumer
-	if progress {
-		consumers = append(consumers, fesplit.RuntimeHeartbeat(os.Stderr))
-	}
-	rj, err := os.Create(filepath.Join(dir, "runtime.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer rj.Close()
-	consumers = append(consumers, fesplit.RuntimeJSONL(rj))
-	var server *fesplit.RuntimeServer
-	if listen != "" {
-		server, err = fesplit.NewRuntimeServer(eng, listen)
-		if err != nil {
-			return fmt.Errorf("study: -listen %s: %w", listen, err)
-		}
-		defer server.Close()
-		fmt.Fprintf(os.Stderr, "study: telemetry listening on http://%s\n", server.Addr())
-		consumers = append(consumers, server.OnSample)
-	}
-	sampler := fesplit.NewRuntimeSampler(eng, progressInterval, consumers...)
-	sampler.Start()
+func runFleetStudy(study *fesplit.Study, tel *telemetry, clients int, horizon time.Duration, batches int, dir string) error {
+	cfg := study.Config()
 	res, err := study.RunFleetStudy(fesplit.FleetStudyConfig{
 		Clients: clients,
 		Horizon: horizon,
 		Batches: batches,
-		Workers: workers,
+		Workers: cfg.Workers,
 	})
-	sampler.Stop()
+	tel.stop()
 	if err != nil {
 		return fmt.Errorf("study: fleet campaign: %w", err)
 	}
@@ -203,7 +246,7 @@ func runFleetStudy(seed int64, clients int, horizon time.Duration, batches, work
 	m := res.Merged
 	fmt.Fprintf(os.Stderr,
 		"study: fleet seed %d — %d arrivals over %s, %d pooled slots (peak live %d), %d rejected, %d tail exemplars\n",
-		seed, m.Arrivals, horizon, m.Slots, m.PeakLive, m.Rejected, len(res.Exemplars))
+		cfg.Seed, m.Arrivals, horizon, m.Slots, m.PeakLive, m.Rejected, len(res.Exemplars))
 	fmt.Fprintf(os.Stderr,
 		"study: overall p50/p99 %.1f/%.1f ms — peak heap %.1f MiB for %d clients\n",
 		res.Overall.Quantile(0.5), res.Overall.Quantile(0.99),

@@ -92,23 +92,113 @@ type Dataset struct {
 	FEFetchTimes map[simnet.HostID][]time.Duration
 }
 
-// Runner owns one simulated world: a deployment, a vantage fleet, and a
+// world is the plumbing every simulated world shares, whatever its
+// client population: simulator, network and deployment, the optional
+// observability wiring (simulator counters, one TCP stack bundle for
+// every endpoint, per-FE/BE labeled metrics), the optional wall-clock
+// telemetry hub, and each FE's back-end link for span annotation.
+// Runner and FleetRunner embed it.
+type world struct {
+	Sim *simnet.Sim
+	Net *simnet.Network
+	Dep *cdn.Deployment
+
+	obsv       *obs.Observer
+	simMetrics *simnet.Metrics
+	stack      *tcpsim.StackMetrics
+	rt         *rt.Engine
+	links      map[simnet.HostID]beLink
+}
+
+// newWorld builds the simulator, network and deployment, and wires them
+// to the observer and the telemetry hub (either may be nil).
+func newWorld(simSeed int64, depCfg cdn.Config, o *obs.Observer, rtm *rt.Engine) (*world, error) {
+	sim := simnet.New(simSeed)
+	net := simnet.NewNetwork(sim)
+	dep, err := cdn.Build(net, depCfg)
+	if err != nil {
+		return nil, err
+	}
+	w := &world{Sim: sim, Net: net, Dep: dep, obsv: o, rt: rtm,
+		links: make(map[simnet.HostID]beLink, len(dep.FEs))}
+	if rtm != nil {
+		sim.SetRuntime(rtm)
+		net.SetRuntime(rtm)
+	}
+	if o != nil {
+		reg := o.Registry()
+		w.simMetrics = simnet.NewMetrics(reg)
+		sim.SetMetrics(w.simMetrics)
+		w.stack = tcpsim.NewStackMetrics(reg)
+		for _, fe := range dep.FEs {
+			fe.Endpoint().Metrics = w.stack
+			fe.StartObserving(o)
+		}
+		for _, dc := range dep.BEs {
+			dc.Endpoint().Metrics = w.stack
+			dc.StartObserving(o)
+		}
+	}
+	for _, fe := range dep.FEs {
+		if be := dep.BEOf(fe); be != nil {
+			w.links[fe.Host()] = beLink{be: be.Host(), rtt: net.RTT(fe.Host(), be.Host())}
+		}
+	}
+	return w, nil
+}
+
+// newClient attaches one client host to the world: a TCP endpoint
+// reporting to the world's stack bundle, with a packet recorder on its
+// tap (snap drops payload bytes at capture time).
+func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config, snap bool) (*tcpsim.Endpoint, *capture.Recorder) {
+	ep := tcpsim.NewEndpoint(w.Net, host, cfg)
+	ep.Metrics = w.stack
+	rec := capture.NewRecorder(string(host))
+	rec.SnapPayload = snap
+	ep.Tap = rec.Tap
+	return ep, rec
+}
+
+// newRecord is a query's record at issue time; Failed clears when the
+// response completes.
+func (w *world) newRecord(node, fe simnet.HostID, q workload.Query, dnsTime time.Duration) Record {
+	return Record{Node: node, FE: fe, Query: q, IssuedAt: w.Sim.Now(), DNSTime: dnsTime, Failed: true}
+}
+
+// complete fills the response side of a record.
+func (w *world) complete(rr *Record, resp *httpsim.Response, keepBody bool) {
+	rr.Failed = false
+	rr.DoneAt = w.Sim.Now()
+	rr.Status = resp.Status
+	rr.BodyLen = len(resp.Body)
+	if keepBody {
+		rr.Body = resp.Body
+	}
+}
+
+// get sends the record's query to its FE on a fresh connection from ep
+// and stamps the connection's key on the record; onDone runs when the
+// response completes.
+func (w *world) get(ep *tcpsim.Endpoint, rr *Record, onDone func(*httpsim.Response)) {
+	conn := httpsim.Get(ep, rr.FE, frontend.FEPort, httpsim.NewGet(w.Dep.Name, rr.Query.Path()),
+		httpsim.ResponseCallbacks{OnDone: onDone})
+	rr.Key = capture.ConnKey{Remote: string(rr.FE), LocalPort: conn.LocalPort(), RemotePort: frontend.FEPort}
+}
+
+// stagger is node i's campaign start offset, so the fleet doesn't fire
+// in lockstep (PlanetLab nodes were never synchronized).
+func stagger(i int) time.Duration { return time.Duration(i%97) * 103 * time.Millisecond }
+
+// Runner owns one simulated world with a materialised vantage fleet: a
 // client TCP endpoint + packet recorder per node.
 type Runner struct {
-	Sim   *simnet.Sim
-	Net   *simnet.Network
-	Dep   *cdn.Deployment
+	*world
 	Fleet *vantage.Fleet
 
 	eps  map[simnet.HostID]*tcpsim.Endpoint
 	recs map[simnet.HostID]*capture.Recorder
 
-	clientTCP  tcpsim.Config
 	keepBodies bool
-
-	obsv       *obs.Observer
-	simMetrics *simnet.Metrics
-	rt         *rt.Engine
 }
 
 // Options configures a Runner.
@@ -157,59 +247,24 @@ func (o Options) withDefaults() Options {
 // New builds a Runner: simulator, network, deployment and fleet.
 func New(simSeed int64, depCfg cdn.Config, opts Options) (*Runner, error) {
 	opts = opts.withDefaults()
-	sim := simnet.New(simSeed)
-	net := simnet.NewNetwork(sim)
-	dep, err := cdn.Build(net, depCfg)
+	w, err := newWorld(simSeed, depCfg, opts.Obs, opts.Runtime)
 	if err != nil {
 		return nil, err
 	}
 	fleet := vantage.NewFleet(opts.Nodes, geo.WorldMetros(), opts.Access, opts.FleetSeed)
-	fleet.Wire(dep)
+	fleet.Wire(w.Dep)
 	r := &Runner{
-		Sim:        sim,
-		Net:        net,
-		Dep:        dep,
+		world:      w,
 		Fleet:      fleet,
 		eps:        make(map[simnet.HostID]*tcpsim.Endpoint),
 		recs:       make(map[simnet.HostID]*capture.Recorder),
-		clientTCP:  opts.ClientTCP,
 		keepBodies: opts.KeepBodies,
-		rt:         opts.Runtime,
-	}
-	if opts.Runtime != nil {
-		sim.SetRuntime(opts.Runtime)
-		net.SetRuntime(opts.Runtime)
-	}
-	var stack *tcpsim.StackMetrics
-	if opts.Obs != nil {
-		r.obsv = opts.Obs
-		reg := opts.Obs.Registry()
-		r.simMetrics = simnet.NewMetrics(reg)
-		sim.SetMetrics(r.simMetrics)
-		stack = tcpsim.NewStackMetrics(reg)
-		for _, fe := range dep.FEs {
-			fe.Endpoint().Metrics = stack
-			fe.StartObserving(opts.Obs)
-		}
-		for _, dc := range dep.BEs {
-			dc.Endpoint().Metrics = stack
-			dc.StartObserving(opts.Obs)
-		}
 	}
 	for _, n := range fleet.Nodes {
-		ep := tcpsim.NewEndpoint(net, n.Host, r.clientTCP)
-		ep.Metrics = stack
-		rec := capture.NewRecorder(string(n.Host))
-		rec.SnapPayload = opts.SnapPayloads
-		ep.Tap = rec.Tap
-		r.eps[n.Host] = ep
-		r.recs[n.Host] = rec
+		r.eps[n.Host], r.recs[n.Host] = w.newClient(n.Host, opts.ClientTCP, opts.SnapPayloads)
 	}
 	return r, nil
 }
-
-// Endpoint returns the client endpoint of a node.
-func (r *Runner) Endpoint(node simnet.HostID) *tcpsim.Endpoint { return r.eps[node] }
 
 // NearestNode returns the fleet node with the smallest RTT to the given
 // FE — the right vantage for content-boundary probes, whose static
@@ -246,35 +301,11 @@ func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
 func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	fe *frontend.Server, q workload.Query, dnsTime time.Duration) {
 	r.Sim.ScheduleAt(at, func() {
-		rec := Record{
-			Node:     node.Host,
-			FE:       fe.Host(),
-			Query:    q,
-			IssuedAt: r.Sim.Now(),
-			DNSTime:  dnsTime,
-			Failed:   true, // cleared on completion
-		}
 		idx := len(ds.Records)
-		ds.Records = append(ds.Records, rec)
-		req := httpsim.NewGet(r.Dep.Name, q.Path())
-		conn := httpsim.Get(r.eps[node.Host], fe.Host(), frontend.FEPort, req,
-			httpsim.ResponseCallbacks{
-				OnDone: func(resp *httpsim.Response) {
-					rr := &ds.Records[idx]
-					rr.Failed = false
-					rr.DoneAt = r.Sim.Now()
-					rr.Status = resp.Status
-					rr.BodyLen = len(resp.Body)
-					if r.keepBodies {
-						rr.Body = resp.Body
-					}
-				},
-			})
-		ds.Records[idx].Key = capture.ConnKey{
-			Remote:     string(fe.Host()),
-			LocalPort:  conn.LocalPort(),
-			RemotePort: frontend.FEPort,
-		}
+		ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, dnsTime))
+		r.get(r.eps[node.Host], &ds.Records[idx], func(resp *httpsim.Response) {
+			r.complete(&ds.Records[idx], resp, r.keepBodies)
+		})
 	})
 }
 
@@ -352,13 +383,9 @@ func (r *Runner) observe(ds *Dataset) {
 		return
 	}
 	observePhases := phaseObserver(o.Registry(), ds.Service)
-	var (
-		logs  map[simnet.HostID]map[feLogKey][]frontend.FetchRecord
-		links map[simnet.HostID]beLink
-	)
+	var logs map[simnet.HostID]map[feLogKey][]frontend.FetchRecord
 	if wantSpans {
 		logs = make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
-		links = make(map[simnet.HostID]beLink, len(r.Dep.FEs))
 		for _, fe := range r.Dep.FEs {
 			m := make(map[feLogKey][]frontend.FetchRecord)
 			for _, fr := range fe.FetchLog() {
@@ -366,9 +393,6 @@ func (r *Runner) observe(ds *Dataset) {
 				m[k] = append(m[k], fr)
 			}
 			logs[fe.Host()] = m
-			if be := r.Dep.BEOf(fe); be != nil {
-				links[fe.Host()] = beLink{be: be.Host(), rtt: r.Net.RTT(fe.Host(), be.Host())}
-			}
 		}
 	}
 	tracer := o.Tracer()
@@ -382,7 +406,7 @@ func (r *Runner) observe(ds *Dataset) {
 		if !wantSpans || rr.Span != nil || rr.Key == (capture.ConnKey{}) {
 			continue
 		}
-		rr.Span = joinSpan(rr, s, logs[rr.FE], links[rr.FE])
+		rr.Span = joinSpan(rr, s, logs[rr.FE], r.links[rr.FE])
 		tracer.Add(rr.Span)
 	}
 }
@@ -545,9 +569,7 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 	for i := lo; i < hi; i++ {
 		node := r.Fleet.Nodes[i]
 		defaultFE := r.Dep.DefaultFE(node.Point)
-		// Stagger node start times so the fleet doesn't fire in
-		// lockstep (PlanetLab nodes were never synchronized).
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := stagger(i)
 		for k := 0; k < opts.QueriesPerNode; k++ {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
@@ -581,30 +603,17 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 		node := node
 		fe := r.Dep.DefaultFE(node.Point)
 		pc := httpsim.NewPersistentConn(r.eps[node.Host], fe.Host(), frontend.FEPort)
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := stagger(i)
 		for k := 0; k < opts.QueriesPerNode; k++ {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
 			r.Sim.ScheduleAt(at, func() {
-				rec := Record{
-					Node:     node.Host,
-					FE:       fe.Host(),
-					Query:    q,
-					IssuedAt: r.Sim.Now(),
-					Failed:   true,
-				}
 				idx := len(ds.Records)
-				ds.Records = append(ds.Records, rec)
+				ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, 0))
 				req := httpsim.NewGet(r.Dep.Name, q.Path())
 				req.Header["Connection"] = "keep-alive"
 				pc.Do(req, httpsim.ResponseCallbacks{
-					OnDone: func(resp *httpsim.Response) {
-						rr := &ds.Records[idx]
-						rr.Failed = false
-						rr.DoneAt = r.Sim.Now()
-						rr.Status = resp.Status
-						rr.BodyLen = len(resp.Body)
-					},
+					OnDone: func(resp *httpsim.Response) { r.complete(&ds.Records[idx], resp, false) },
 				})
 			})
 		}
@@ -669,7 +678,7 @@ func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 		if fe == nil {
 			fe = r.Dep.DefaultFE(node.Point)
 		}
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := stagger(i)
 		k := 0
 		for at := start; at < opts.Horizon; {
 			surging := at >= opts.SurgeStart && at < opts.SurgeEnd
@@ -744,7 +753,7 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 	}
 	ds := r.newDataset("B")
 	for i, node := range r.Fleet.Nodes {
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := stagger(i)
 		for k := 0; k < opts.Repeats; k++ {
 			r.issueAt(ds, start+time.Duration(k)*opts.Interval, node, opts.FE, q)
 		}
@@ -792,7 +801,7 @@ func (r *Runner) CachingProbe(fe *frontend.Server, repeats int,
 	distinct = r.newDataset("caching-distinct")
 	di := 0
 	for i, node := range r.Fleet.Nodes {
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := stagger(i)
 		for k := 0; k < repeats; k++ {
 			at := start + time.Duration(k)*interval
 			// Interleave the phases so slowly varying server load

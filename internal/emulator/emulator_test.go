@@ -127,13 +127,6 @@ func TestInteractiveSession(t *testing.T) {
 	if len(s.Payload) == 0 {
 		t.Fatal("empty session payload")
 	}
-	st := emulator.SummarizeInteractive(ds, []float64{10, 20, 30})
-	if st.Completed != len(ds.Records) || st.Connections != len(ports) {
-		t.Fatalf("summary %+v", st)
-	}
-	if st.MedianTdynamicMS != 20 {
-		t.Fatalf("median = %v", st.MedianTdynamicMS)
-	}
 }
 
 func TestInteractivePrefixesCheaper(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/shard"
-	"fesplit/internal/simnet"
 	"fesplit/internal/tcpsim"
 	"fesplit/internal/trace"
 	"fesplit/internal/vantage"
@@ -166,18 +165,11 @@ func (q *outQueue) min() (time.Duration, bool) {
 
 // FleetRunner owns one fleet-campaign world.
 type FleetRunner struct {
-	Sim *simnet.Sim
-	Net *simnet.Network
-	Dep *cdn.Deployment
+	*world
 
 	opts    FleetOptions
 	queries []workload.Query
 	metros  []geo.Site
-	stack   *tcpsim.StackMetrics
-	obsv    *obs.Observer
-	simMet  *simnet.Metrics
-	rt      *rt.Engine
-	links   map[simnet.HostID]beLink
 
 	slots    []*fleetSlot
 	free     []*fleetSlot
@@ -202,50 +194,19 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 	if opts.Sink == nil {
 		return nil, fmt.Errorf("emulator: fleet campaign requires a record sink")
 	}
-	sim := simnet.New(simSeed)
-	net := simnet.NewNetwork(sim)
-	dep, err := cdn.Build(net, depCfg)
+	w, err := newWorld(simSeed, depCfg, opts.Obs, opts.Runtime)
 	if err != nil {
 		return nil, err
 	}
-	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
 	r := &FleetRunner{
-		Sim:     sim,
-		Net:     net,
-		Dep:     dep,
+		world:   w,
 		opts:    opts,
-		queries: queries,
+		queries: corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed),
 		metros:  geo.WorldMetros(),
-		rt:      opts.Runtime,
-		links:   make(map[simnet.HostID]beLink, len(dep.FEs)),
 	}
 	r.opts.ClientTCP.RecycleConns = true
-	if opts.Runtime != nil {
-		sim.SetRuntime(opts.Runtime)
-		net.SetRuntime(opts.Runtime)
-	}
-	if opts.Obs != nil {
-		r.obsv = opts.Obs
-		reg := opts.Obs.Registry()
-		r.simMet = simnet.NewMetrics(reg)
-		sim.SetMetrics(r.simMet)
-		r.stack = tcpsim.NewStackMetrics(reg)
-		for _, fe := range dep.FEs {
-			fe.Endpoint().Metrics = r.stack
-			fe.StartObserving(opts.Obs)
-		}
-		for _, dc := range dep.BEs {
-			dc.Endpoint().Metrics = r.stack
-			dc.StartObserving(opts.Obs)
-		}
-		if opts.Obs.WantSpans() {
-			r.arena = obs.NewSpanArena()
-		}
-	}
-	for _, fe := range dep.FEs {
-		if be := dep.BEOf(fe); be != nil {
-			r.links[fe.Host()] = beLink{be: be.Host(), rtt: net.RTT(fe.Host(), be.Host())}
-		}
+	if opts.Obs.WantSpans() {
+		r.arena = obs.NewSpanArena()
 	}
 	return r, nil
 }
@@ -268,13 +229,9 @@ func (r *FleetRunner) claim() *fleetSlot {
 	}
 	idx := r.opts.offset + len(r.slots)*r.opts.stride
 	n := vantage.SynthNode(r.opts.FleetSeed, idx, r.metros, r.opts.Access)
-	ep := tcpsim.NewEndpoint(r.Net, n.Host, r.opts.ClientTCP)
-	ep.Metrics = r.stack
-	rec := capture.NewRecorder(string(n.Host))
 	// Fleet captures are timeline-only: snap payload bytes so a slot's
 	// recorder slab stays proportional to segment count.
-	rec.SnapPayload = true
-	ep.Tap = rec.Tap
+	ep, rec := r.newClient(n.Host, r.opts.ClientTCP, true)
 	r.Dep.WireClient(n.Host, n.Point, n.OneWay, n.Access.Jitter, n.Access.Loss)
 	s := &fleetSlot{node: n, fe: r.Dep.DefaultFE(n.Point), ep: ep, rec: rec}
 	r.slots = append(r.slots, s)
@@ -334,33 +291,16 @@ func (r *FleetRunner) Run() *FleetResult {
 // fold on completion.
 func (r *FleetRunner) issue(idx int) {
 	s := r.claim()
-	now := r.Sim.Now()
-	q := r.queries[idx%len(r.queries)]
 	s.rec.ResetKeep()
-	rr := &s.record
-	*rr = Record{
-		Node:     s.node.Host,
-		FE:       s.fe.Host(),
-		Query:    q,
-		IssuedAt: now,
-		Failed:   true, // cleared on completion
-	}
-	s.outIdx = r.out.push(now)
+	s.record = r.newRecord(s.node.Host, s.fe.Host(), r.queries[idx%len(r.queries)], 0)
+	s.outIdx = r.out.push(s.record.IssuedAt)
 	r.res.Arrivals++
 	r.live++
 	if r.live > r.res.PeakLive {
 		r.res.PeakLive = r.live
 	}
 	r.rt.NoteFleetArrival()
-	req := httpsim.NewGet(r.Dep.Name, q.Path())
-	conn := httpsim.Get(s.ep, s.fe.Host(), frontend.FEPort, req, httpsim.ResponseCallbacks{
-		OnDone: func(resp *httpsim.Response) { r.fold(s, resp) },
-	})
-	rr.Key = capture.ConnKey{
-		Remote:     string(s.fe.Host()),
-		LocalPort:  conn.LocalPort(),
-		RemotePort: frontend.FEPort,
-	}
+	r.get(s.ep, &s.record, func(resp *httpsim.Response) { r.fold(s, resp) })
 }
 
 // fold finalizes one completed arrival: carve the session's events out
@@ -369,10 +309,7 @@ func (r *FleetRunner) issue(idx int) {
 // everything — recorder slab, span nodes, Record struct, slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
-	rr.Failed = false
-	rr.DoneAt = r.Sim.Now()
-	rr.Status = resp.Status
-	rr.BodyLen = len(resp.Body)
+	r.complete(rr, resp, false)
 	if resp.Status == 503 {
 		r.res.Rejected++
 	}

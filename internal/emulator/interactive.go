@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fesplit/internal/frontend"
-	"fesplit/internal/stats"
 	"fesplit/internal/vantage"
 	"fesplit/internal/workload"
 )
@@ -42,33 +41,6 @@ func (r *Runner) Interactive(fe *frontend.Server, node vantage.Node,
 		at += keystrokeGap
 	}
 	return r.finalize(ds)
-}
-
-// InteractiveStats summarizes an interactive session for reporting.
-type InteractiveStats struct {
-	Keystrokes  int
-	Completed   int
-	Connections int // distinct TCP connections used (one per keystroke)
-	// MedianTdynamicMS across keystroke queries.
-	MedianTdynamicMS float64
-}
-
-// SummarizeInteractive derives headline statistics from an interactive
-// dataset given the service's content boundary.
-func SummarizeInteractive(ds *Dataset, tdynMS []float64) InteractiveStats {
-	st := InteractiveStats{Keystrokes: len(ds.Records)}
-	conns := map[uint16]bool{}
-	for _, rec := range ds.Records {
-		if !rec.Failed {
-			st.Completed++
-		}
-		conns[rec.Key.LocalPort] = true
-	}
-	st.Connections = len(conns)
-	if len(tdynMS) > 0 {
-		st.MedianTdynamicMS = stats.Median(tdynMS)
-	}
-	return st
 }
 
 // --- convenience used by tests and the report ---

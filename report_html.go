@@ -135,13 +135,13 @@ func nodeParamSeries(nodes []NodeSummary) []viz.Series {
 	dy := viz.Series{Name: "Tdynamic"}
 	de := viz.Series{Name: "Tdelta"}
 	for _, n := range nodes {
-		rtt := msf(n.RTT)
+		rtt := ms(n.RTT)
 		st.X = append(st.X, rtt)
-		st.Y = append(st.Y, msf(n.MedStatic))
+		st.Y = append(st.Y, ms(n.MedStatic))
 		dy.X = append(dy.X, rtt)
-		dy.Y = append(dy.Y, msf(n.MedDynamic))
+		dy.Y = append(dy.Y, ms(n.MedDynamic))
 		de.X = append(de.X, rtt)
-		de.Y = append(de.Y, msf(n.MedDelta))
+		de.Y = append(de.Y, ms(n.MedDelta))
 	}
 	return []viz.Series{st, dy, de}
 }
@@ -456,7 +456,3 @@ func trimFloat(v float64) string {
 	s := fmt.Sprintf("%.4g", v)
 	return s
 }
-
-// msf converts a duration to float milliseconds (shared with report.go's
-// ms, kept separate to avoid touching its signature).
-func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -134,6 +134,18 @@ func NewStudy(cfg StudyConfig) *Study {
 	}
 }
 
+// world builds one cell's simulated world — the single place a Study
+// constructs a Runner. The simulator is seeded Seed+off and the fleet is
+// placed by Seed+off+1 (every cell's offsets pair up that way); opts
+// carries what varies per cell: fleet size, access profile, payload
+// snapping, and Obs for the cells whose worlds feed the study observer.
+// Every world publishes to the telemetry hub (see SetRuntime).
+func (s *Study) world(off int64, dep DeploymentConfig, opts emulator.Options) (*emulator.Runner, error) {
+	opts.FleetSeed = s.cfg.Seed + off + 1
+	opts.Runtime = s.rt
+	return emulator.New(s.cfg.Seed+off, dep, opts)
+}
+
 // boundaryFor derives (and caches) a service's static/dynamic content
 // boundary with a small dedicated probe run: a handful of distinct
 // queries from a node near its default FE, full payload capture, then
@@ -145,8 +157,7 @@ func (s *Study) boundaryFor(cfg DeploymentConfig) (int, error) {
 	if b, ok := s.boundaries[cfg.Name]; ok {
 		return b, nil
 	}
-	runner, err := emulator.New(s.cfg.Seed+71, cfg,
-		emulator.Options{Nodes: 6, FleetSeed: s.cfg.Seed + 72, Runtime: s.rt})
+	runner, err := s.world(71, cfg, emulator.Options{Nodes: 6})
 	if err != nil {
 		return 0, err
 	}
@@ -317,8 +328,7 @@ type Fig3Data struct {
 // samples for four keyword classes against one fixed Bing-like FE.
 func (s *Study) Fig3() (*Fig3Data, error) {
 	cfg := BingLike(s.cfg.Seed + 1)
-	runner, err := emulator.New(s.cfg.Seed+21, cfg,
-		emulator.Options{Nodes: 8, FleetSeed: s.cfg.Seed + 22, Runtime: s.rt})
+	runner, err := s.world(21, cfg, emulator.Options{Nodes: 8})
 	if err != nil {
 		return nil, err
 	}
@@ -378,50 +388,22 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 		160380 * time.Microsecond,
 		243250 * time.Microsecond,
 	}
-	sim := simnet.New(s.cfg.Seed + 31)
-	net := simnet.NewNetwork(sim)
-	if s.rt != nil {
-		sim.SetRuntime(s.rt)
-		net.SetRuntime(s.rt)
-	}
-	spec := workload.DefaultContentSpec("bing-like")
-	if _, err := backend.New(net, "be", geo.Site{Name: "be"}, spec,
-		backend.BingCostModel(), backend.Options{}, s.cfg.Seed+32); err != nil {
-		return nil, err
-	}
-	fe, err := frontend.New(net, frontend.Config{
-		Host: "fe", BEHost: "be", Static: spec.StaticPrefix(),
-		Load: frontend.SharedCDNLoadModel(), Seed: s.cfg.Seed + 33,
-	})
+	net, q, err := s.singleFEWorld(31, len(rtts))
 	if err != nil {
 		return nil, err
 	}
-	net.SetLink("fe", "be", simnet.PathParams{Delay: 12 * time.Millisecond})
-	fe.Prewarm(len(rtts))
-	sim.RunFor(time.Second)
-
-	gen := workload.NewGenerator(s.cfg.Seed + 34)
-	q := gen.Query(workload.ClassGranular)
-	rows := make([]Fig4Row, len(rtts))
+	start := net.Sim().Now() // every client sends its SYN at the same instant
 	recs := make([]*capture.Recorder, len(rtts))
-	starts := make([]time.Duration, len(rtts))
 	for i, rtt := range rtts {
-		host := simnet.HostID(fmt.Sprintf("fig4-client-%d", i))
-		net.SetLink(host, "fe", simnet.PathParams{Delay: rtt / 2})
-		ep := tcpsim.NewEndpoint(net, host, tcpsim.Config{})
-		rec := capture.NewRecorder(string(host))
-		ep.Tap = rec.Tap
-		recs[i] = rec
-		starts[i] = sim.Now()
-		httpsim.Get(ep, "fe", frontend.FEPort, httpsim.NewGet("bing-like", q.Path()),
-			httpsim.ResponseCallbacks{})
+		recs[i] = captureGet(net, simnet.HostID(fmt.Sprintf("fig4-client-%d", i)), rtt, q)
 	}
-	sim.Run()
+	net.Sim().Run()
+	rows := make([]Fig4Row, len(rtts))
 	for i, rec := range recs {
-		row := Fig4Row{RTTMS: float64(rtts[i]) / float64(time.Millisecond)}
+		row := Fig4Row{RTTMS: ms(rtts[i])}
 		for _, ev := range rec.Trace().Events {
 			row.Events = append(row.Events, Fig4Event{
-				AtMS:    float64(ev.Time-starts[i]) / float64(time.Millisecond),
+				AtMS:    ms(ev.Time - start),
 				Send:    ev.Dir == tcpsim.DirSend,
 				Payload: len(ev.Seg.Data),
 				Flags:   ev.Seg.Flags.String(),
@@ -436,7 +418,22 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 // a Bing-like FE and returns the client's packet trace — the library's
 // "tcpdump one session" facility, usable with capture.Decode tooling.
 func (s *Study) CaptureSession(rtt time.Duration) (*Trace, error) {
-	sim := simnet.New(s.cfg.Seed + 35)
+	net, q, err := s.singleFEWorld(35, 1)
+	if err != nil {
+		return nil, err
+	}
+	rec := captureGet(net, "client", rtt, q)
+	net.Sim().Run()
+	return rec.Trace(), nil
+}
+
+// singleFEWorld hand-wires the minimal Bing-like world Figure 4 and
+// CaptureSession share: one BE and one FE 12 ms apart, the FE prewarmed
+// for the given number of clients and the world settled for a second.
+// Seeds Seed+off … Seed+off+3 drive the simulator, the BE, the FE and
+// the generator of the granular query the clients send.
+func (s *Study) singleFEWorld(off int64, clients int) (*simnet.Network, workload.Query, error) {
+	sim := simnet.New(s.cfg.Seed + off)
 	net := simnet.NewNetwork(sim)
 	if s.rt != nil {
 		sim.SetRuntime(s.rt)
@@ -444,29 +441,33 @@ func (s *Study) CaptureSession(rtt time.Duration) (*Trace, error) {
 	}
 	spec := workload.DefaultContentSpec("bing-like")
 	if _, err := backend.New(net, "be", geo.Site{Name: "be"}, spec,
-		backend.BingCostModel(), backend.Options{}, s.cfg.Seed+36); err != nil {
-		return nil, err
+		backend.BingCostModel(), backend.Options{}, s.cfg.Seed+off+1); err != nil {
+		return nil, workload.Query{}, err
 	}
 	fe, err := frontend.New(net, frontend.Config{
 		Host: "fe", BEHost: "be", Static: spec.StaticPrefix(),
-		Load: frontend.SharedCDNLoadModel(), Seed: s.cfg.Seed + 37,
+		Load: frontend.SharedCDNLoadModel(), Seed: s.cfg.Seed + off + 2,
 	})
 	if err != nil {
-		return nil, err
+		return nil, workload.Query{}, err
 	}
 	net.SetLink("fe", "be", simnet.PathParams{Delay: 12 * time.Millisecond})
-	fe.Prewarm(1)
+	fe.Prewarm(clients)
 	sim.RunFor(time.Second)
-	net.SetLink("client", "fe", simnet.PathParams{Delay: rtt / 2})
-	ep := tcpsim.NewEndpoint(net, "client", tcpsim.Config{})
-	rec := capture.NewRecorder("client")
+	return net, workload.NewGenerator(s.cfg.Seed + off + 3).Query(workload.ClassGranular), nil
+}
+
+// captureGet wires a client host at the given RTT from the single-FE
+// world's FE, sends q on a fresh connection and returns the recorder
+// tapping the client's packets.
+func captureGet(net *simnet.Network, host simnet.HostID, rtt time.Duration, q workload.Query) *capture.Recorder {
+	net.SetLink(host, "fe", simnet.PathParams{Delay: rtt / 2})
+	ep := tcpsim.NewEndpoint(net, host, tcpsim.Config{})
+	rec := capture.NewRecorder(string(host))
 	ep.Tap = rec.Tap
-	gen := workload.NewGenerator(s.cfg.Seed + 38)
-	q := gen.Query(workload.ClassGranular)
 	httpsim.Get(ep, "fe", frontend.FEPort, httpsim.NewGet("bing-like", q.Path()),
 		httpsim.ResponseCallbacks{})
-	sim.Run()
-	return rec.Trace(), nil
+	return rec
 }
 
 // --- Figure 5 ---
@@ -488,20 +489,12 @@ type Fig5Data struct {
 // Fig5 reproduces Figure 5 for both services: Tstatic, Tdynamic and
 // Tdelta versus RTT with one fixed FE per service.
 func (s *Study) Fig5() ([]*Fig5Data, error) {
-	var out []*Fig5Data
-	for _, cfg := range s.serviceConfigs() {
-		d, err := s.fig5For(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	rep, err := s.runCells("fig5/")
+	return rep.Fig5, err
 }
 
 // fig5For runs the fixed-FE campaign for one service — the per-service
-// cell of Figure 5, shared by the serial method and the parallel cell
-// matrix.
+// cell of Figure 5.
 func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 	boundary, err := s.boundaryFor(cfg)
 	if err != nil {
@@ -511,10 +504,7 @@ func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 	// sessions at paper scale): snap payloads at capture time so
 	// it fits in memory. The boundary probe above already ran
 	// with full payloads.
-	runner, err := emulator.New(s.cfg.Seed+41, cfg, emulator.Options{
-		Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 42, SnapPayloads: true,
-		Runtime: s.rt,
-	})
+	runner, err := s.world(41, cfg, emulator.Options{Nodes: s.cfg.Nodes, SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
@@ -558,19 +548,12 @@ type Fig6Data struct {
 // Fig6 reproduces Figure 6: the CDF of client→default-FE RTTs for both
 // services.
 func (s *Study) Fig6() ([]*Fig6Data, error) {
-	var out []*Fig6Data
-	for _, cfg := range s.serviceConfigs() {
-		res, err := s.experimentA(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fig6From(cfg, res))
-	}
-	return out, nil
+	rep, err := s.runCells("figA/")
+	return rep.Fig6, err
 }
 
 // fig6From derives the Figure-6 series from a service's default-FE
-// campaign — a pure transform shared by Fig6 and the cell matrix.
+// campaign — a pure transform.
 func fig6From(cfg DeploymentConfig, res *expAResult) *Fig6Data {
 	var rtts []float64
 	for _, n := range res.nodes {
@@ -599,15 +582,8 @@ type Fig7Data struct {
 // Fig7 reproduces Figure 7: Tstatic and Tdynamic versus RTT with each
 // node using its default FE, for both services.
 func (s *Study) Fig7() ([]*Fig7Data, error) {
-	var out []*Fig7Data
-	for _, cfg := range s.serviceConfigs() {
-		res, err := s.experimentA(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fig7From(cfg, res))
-	}
-	return out, nil
+	rep, err := s.runCells("figA/")
+	return rep.Fig7, err
 }
 
 // fig7From derives the Figure-7 distributions from a service's
@@ -645,15 +621,8 @@ type Fig8Data struct {
 // Fig8 reproduces Figure 8: per-node box plots of the overall
 // user-perceived delay for both services.
 func (s *Study) Fig8() ([]*Fig8Data, error) {
-	var out []*Fig8Data
-	for _, cfg := range s.serviceConfigs() {
-		res, err := s.experimentA(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fig8From(cfg, res))
-	}
-	return out, nil
+	rep, err := s.runCells("figA/")
+	return rep.Fig8, err
 }
 
 // fig8From derives the Figure-8 box plots from a service's default-FE
@@ -691,49 +660,32 @@ type Fig9Data struct {
 // against FE↔BE distance for a single data center per service — Bing
 // Virginia and Google Lenoir, as in the paper.
 func (s *Study) Fig9() ([]*Fig9Data, error) {
-	// The paper picks one data center per service and "consider[s] the
-	// geographically closest FE servers" to it. The Google-like fleet
-	// used elsewhere is deliberately sparse (Figure-6 calibration),
-	// which would leave this regression only ~3 points; the real 2011
-	// Google ran far more FE sites than our sparse 5, so the Fig-9
-	// probe densifies the google-like FE placement to every US metro.
-	// Placement density does not change what each FE measures — its
-	// own distance to the data center versus its local clients'
-	// Tdynamic — it only adds regression points.
-	var out []*Fig9Data
-	for _, setup := range s.fig9Setups() {
-		d, err := s.fig9For(setup)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	rep, err := s.runCells("fig9/")
+	return rep.Fig9, err
 }
 
-// fig9Setup is one Figure-9 probe: a single-BE deployment and its data
-// center.
-type fig9Setup struct {
-	cfg DeploymentConfig
-	be  string
-}
-
-// fig9Setups returns the two single-data-center probes in canonical
-// order: Bing Virginia, then the FE-densified Google Lenoir.
-func (s *Study) fig9Setups() []fig9Setup {
+// fig9Setups returns the two single-data-center probe deployments in
+// canonical order: Bing Virginia, then the FE-densified Google Lenoir.
+//
+// The paper picks one data center per service and "consider[s] the
+// geographically closest FE servers" to it. The Google-like fleet used
+// elsewhere is deliberately sparse (Figure-6 calibration), which would
+// leave this regression only ~3 points; the real 2011 Google ran far
+// more FE sites than our sparse 5, so the probe densifies the
+// google-like FE placement to every US metro. Placement density does
+// not change what each FE measures — its own distance to the data
+// center versus its local clients' Tdynamic — it only adds regression
+// points.
+func (s *Study) fig9Setups() []DeploymentConfig {
 	googleProbe := cdn.SingleBE(GoogleLike(s.cfg.Seed+2), "google-be-lenoir")
 	googleProbe.FESites = geo.USMetros()
-	return []fig9Setup{
-		{cdn.SingleBE(BingLike(s.cfg.Seed+1), "bing-be-virginia"), "bing-be-virginia"},
-		{googleProbe, "google-be-lenoir"},
-	}
+	return []DeploymentConfig{cdn.SingleBE(BingLike(s.cfg.Seed+1), "bing-be-virginia"), googleProbe}
 }
 
 // fig9For runs one service's fetch-time factoring — the per-service
 // cell of Figure 9.
-func (s *Study) fig9For(setup fig9Setup) (*Fig9Data, error) {
-	runner, err := emulator.New(s.cfg.Seed+51, setup.cfg,
-		emulator.Options{Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 52, Runtime: s.rt})
+func (s *Study) fig9For(cfg DeploymentConfig) (*Fig9Data, error) {
+	runner, err := s.world(51, cfg, emulator.Options{Nodes: s.cfg.Nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -743,7 +695,7 @@ func (s *Study) fig9For(setup fig9Setup) (*Fig9Data, error) {
 		QuerySeed:      s.cfg.Seed + 53,
 	})
 	params := analysis.ExtractDataset(ds, 0)
-	analysis.ObserveParams(s.obsv.Registry(), "fig9/"+setup.cfg.Name, params)
+	analysis.ObserveParams(s.obsv.Registry(), "fig9/"+cfg.Name, params)
 	pts := analysis.Fig9Points(params, runner.Dep.FEBEDistances(), s.cfg.Fig9RTTCap)
 	if s.cfg.Fig9MileCap > 0 {
 		kept := pts[:0]
@@ -755,8 +707,8 @@ func (s *Study) fig9For(setup fig9Setup) (*Fig9Data, error) {
 		pts = kept
 	}
 	return &Fig9Data{
-		Service: setup.cfg.Name,
-		BE:      setup.be,
+		Service: cfg.Name,
+		BE:      cfg.BESites[0].Name,
 		Result:  analysis.FactorFetchCI(pts, 1000, s.cfg.Seed+54),
 	}, nil
 }
@@ -777,15 +729,8 @@ type CachingData struct {
 // Caching reproduces the Section-3 experiment on the Google-like
 // service, plus a cache-enabled positive control.
 func (s *Study) Caching() (*CachingData, error) {
-	deployed, err := s.cachingRun(false)
-	if err != nil {
-		return nil, err
-	}
-	control, err := s.cachingRun(true)
-	if err != nil {
-		return nil, err
-	}
-	return &CachingData{Service: "google-like", Deployed: deployed, Control: control}, nil
+	rep, err := s.runCells("caching/")
+	return rep.Caching, err
 }
 
 // cachingRun executes one caching-probe variant — deployed (cache off)
@@ -796,8 +741,7 @@ func (s *Study) cachingRun(cache bool) (CacheVerdict, error) {
 	if cache {
 		cfg.BEOptions = backend.Options{CacheResults: true, CacheHitTime: 2 * time.Millisecond}
 	}
-	runner, err := emulator.New(s.cfg.Seed+61, cfg,
-		emulator.Options{Nodes: min(s.cfg.Nodes, 40), FleetSeed: s.cfg.Seed + 62, Runtime: s.rt})
+	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40)})
 	if err != nil {
 		return CacheVerdict{}, err
 	}
@@ -823,11 +767,4 @@ func (s *Study) cachingRun(cache bool) (CacheVerdict, error) {
 		return CacheVerdict{}, fmt.Errorf("fesplit: caching probe found no near sessions")
 	}
 	return analysis.DetectCaching(sp, dp, 0.5), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

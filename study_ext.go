@@ -31,26 +31,18 @@ type TermEffectData struct {
 // small-RTT sessions against each service's default FEs with a
 // mixed-complexity corpus.
 func (s *Study) TermEffect() ([]*TermEffectData, error) {
-	var out []*TermEffectData
-	for _, cfg := range s.serviceConfigs() {
-		d, err := s.termEffectFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	rep, err := s.runCells("term-effect/")
+	return rep.TermEffect, err
 }
 
 // termEffectFor runs the term-count correlation for one service — the
-// per-service cell shared by TermEffect and the parallel cell matrix.
+// per-service cell of TermEffect.
 func (s *Study) termEffectFor(cfg DeploymentConfig) (*TermEffectData, error) {
 	boundary, err := s.boundaryFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+81, cfg,
-		emulator.Options{Nodes: min(s.cfg.Nodes, 60), FleetSeed: s.cfg.Seed + 82})
+	runner, err := s.world(81, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +90,7 @@ func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+85, cfg,
-		emulator.Options{Nodes: 6, FleetSeed: s.cfg.Seed + 86})
+	runner, err := s.world(85, cfg, emulator.Options{Nodes: 6})
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +145,7 @@ func (s *Study) ModelValidation() (*ModelValidationData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+91, cfg,
-		emulator.Options{Nodes: min(s.cfg.Nodes, 60), FleetSeed: s.cfg.Seed + 92})
+	runner, err := s.world(91, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
 	if err != nil {
 		return nil, err
 	}
@@ -227,51 +217,28 @@ type WirelessData struct {
 // wireless profile, on the Google-like service. Placing FEs close to
 // users matters far more when the last hop loses packets.
 func (s *Study) Wireless() (*WirelessData, error) {
-	campus, err := s.wirelessRun(vantage.CampusProfile())
+	rep, err := s.runCells("wireless/")
+	if err == nil {
+		err = finishWireless(rep.Wireless)
+	}
 	if err != nil {
 		return nil, err
 	}
-	wireless, err := s.wirelessRun(vantage.WirelessProfile())
-	if err != nil {
-		return nil, err
-	}
-	return combineWireless(campus, wireless)
-}
-
-// wirelessLeg is one access-profile run of the wireless what-if.
-type wirelessLeg struct {
-	OverallMS float64
-	Retrans   int
-}
-
-// namedProfile pairs an access profile with its cell-matrix label.
-type namedProfile struct {
-	name    string
-	profile vantage.AccessProfile
-}
-
-// wirelessProfiles returns the what-if's two access profiles in
-// canonical order: campus first, wireless second.
-func wirelessProfiles() []namedProfile {
-	return []namedProfile{
-		{"campus", vantage.CampusProfile()},
-		{"wireless", vantage.WirelessProfile()},
-	}
+	return rep.Wireless, nil
 }
 
 // wirelessRun executes the what-if campaign under one access profile —
-// the per-profile cell shared by Wireless and the parallel cell matrix.
-func (s *Study) wirelessRun(profile vantage.AccessProfile) (wirelessLeg, error) {
+// the per-profile cell of Wireless — and returns the median of per-node
+// median overall delays (ms) and the client-side retransmission count.
+func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, retrans int, err error) {
 	cfg := GoogleLike(s.cfg.Seed + 2)
 	boundary, err := s.boundaryFor(cfg)
 	if err != nil {
-		return wirelessLeg{}, err
+		return 0, 0, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+87, cfg, emulator.Options{
-		Nodes: min(s.cfg.Nodes, 60), FleetSeed: s.cfg.Seed + 88, Access: profile,
-	})
+	runner, err := s.world(87, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), Access: profile})
 	if err != nil {
-		return wirelessLeg{}, err
+		return 0, 0, err
 	}
 	ds := runner.RunExperimentA(emulator.AOptions{
 		QueriesPerNode: s.cfg.QueriesPerNodeA,
@@ -285,7 +252,6 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (wirelessLeg, error) 
 		meds = append(meds, float64(n.MedOverall)/float64(time.Millisecond))
 	}
 	// Count retransmissions from the captured traces.
-	retrans := 0
 	for _, tr := range ds.Traces {
 		for _, ev := range tr.Events {
 			if ev.Seg.Retrans {
@@ -293,22 +259,16 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (wirelessLeg, error) 
 			}
 		}
 	}
-	return wirelessLeg{OverallMS: stats.Median(meds), Retrans: retrans}, nil
+	return stats.Median(meds), retrans, nil
 }
 
-// combineWireless joins the two access-profile legs into the what-if
-// verdict, flagging the anomaly where wireless fails to be slower.
-func combineWireless(campus, wireless wirelessLeg) (*WirelessData, error) {
-	if wireless.OverallMS <= campus.OverallMS {
-		// Not an error, but flag the anomaly for the caller.
-		return nil, fmt.Errorf("fesplit: wireless (%f ms) not slower than campus (%f ms)",
-			wireless.OverallMS, campus.OverallMS)
+// finishWireless is the cell table's one cross-row step: the what-if's
+// two legs land in one WirelessData, and the verdict only holds when
+// the wireless leg is the slower one.
+func finishWireless(w *WirelessData) error {
+	if w.WirelessOverallMS <= w.CampusOverallMS {
+		return fmt.Errorf("fesplit: wireless (%f ms) not slower than campus (%f ms)",
+			w.WirelessOverallMS, w.CampusOverallMS)
 	}
-	return &WirelessData{
-		Service:           "google-like",
-		CampusOverallMS:   campus.OverallMS,
-		WirelessOverallMS: wireless.OverallMS,
-		CampusRetrans:     campus.Retrans,
-		WirelessRetrans:   wireless.Retrans,
-	}, nil
+	return nil
 }

@@ -2,9 +2,11 @@ package fesplit
 
 import (
 	"fmt"
+	"strings"
 
 	"fesplit/internal/obs"
 	"fesplit/internal/shard"
+	"fesplit/internal/vantage"
 )
 
 // This file is the parallel study runner: RunAll (and its observed
@@ -56,129 +58,142 @@ func (o *StudyOutput) Spans() *SpanTracer {
 	return tr
 }
 
-// cellResults is the pre-allocated result slot set of the cell matrix.
-// Every cell writes only its own field (or array element), so the
-// struct needs no synchronization beyond the pool's completion barrier.
-type cellResults struct {
-	fig3        *Fig3Data
-	fig4        []Fig4Row
-	fig5        [2]*Fig5Data
-	fig6        [2]*Fig6Data
-	fig7        [2]*Fig7Data
-	fig8        [2]*Fig8Data
-	fig9        [2]*Fig9Data
-	caching     [2]CacheVerdict // deployed, control
-	term        [2]*TermEffectData
-	interactive *InteractiveData
-	modelCheck  *ModelValidationData
-	wireless    [2]wirelessLeg // campus, wireless
-	overload    *OverloadData
-	hotspot     *HotspotData
-	failover    *FailoverData
-	capacity    *CapacityData
-}
-
-// studyCell is one independent unit of the study matrix.
+// studyCell is one row of the study matrix: an independent unit of work
+// that runs on a study and writes its result into the report.
 type studyCell struct {
 	name string
-	run  func(cs *Study, res *cellResults) error
+	run  func(cs *Study, rep *Report) error
 }
 
-// cells returns the study's cell matrix in canonical order. The list —
-// like everything else in the decomposition — depends only on the
-// configuration, never on the worker count.
+// cells is the definition of the study matrix: every cell's name, its
+// position and the report field it writes. The order is the canonical
+// merge order of registries and tail samplers, so it is part of every
+// exported byte. Each row writes only its own field (or slice element)
+// of a report shaped by newReport, so concurrent rows need no
+// synchronization beyond the pool's completion barrier.
 func (s *Study) cells() []studyCell {
 	svcs := s.serviceConfigs()
 	list := []studyCell{
-		{"fig3", func(cs *Study, res *cellResults) (err error) {
-			res.fig3, err = cs.Fig3()
+		{"fig3", func(cs *Study, rep *Report) (err error) {
+			rep.Fig3, err = cs.Fig3()
 			return
 		}},
-		{"fig4", func(cs *Study, res *cellResults) (err error) {
-			res.fig4, err = cs.Fig4()
+		{"fig4", func(cs *Study, rep *Report) (err error) {
+			rep.Fig4, err = cs.Fig4()
 			return
 		}},
 	}
 	for i, cfg := range svcs {
-		i, cfg := i, cfg
-		list = append(list, studyCell{"fig5/" + cfg.Name, func(cs *Study, res *cellResults) (err error) {
-			res.fig5[i], err = cs.fig5For(cfg)
+		list = append(list, studyCell{"fig5/" + cfg.Name, func(cs *Study, rep *Report) (err error) {
+			rep.Fig5[i], err = cs.fig5For(cfg)
 			return
 		}})
 	}
 	for i, cfg := range svcs {
-		i, cfg := i, cfg
-		list = append(list, studyCell{"figA/" + cfg.Name, func(cs *Study, res *cellResults) error {
+		list = append(list, studyCell{"figA/" + cfg.Name, func(cs *Study, rep *Report) error {
 			expA, err := cs.experimentA(cfg)
 			if err != nil {
 				return err
 			}
-			res.fig6[i] = fig6From(cfg, expA)
-			res.fig7[i] = fig7From(cfg, expA)
-			res.fig8[i] = fig8From(cfg, expA)
+			rep.Fig6[i] = fig6From(cfg, expA)
+			rep.Fig7[i] = fig7From(cfg, expA)
+			rep.Fig8[i] = fig8From(cfg, expA)
 			return nil
 		}})
 	}
-	for i, setup := range s.fig9Setups() {
-		i, setup := i, setup
-		list = append(list, studyCell{"fig9/" + setup.cfg.Name, func(cs *Study, res *cellResults) (err error) {
-			res.fig9[i], err = cs.fig9For(setup)
+	for i, cfg := range s.fig9Setups() {
+		list = append(list, studyCell{"fig9/" + cfg.Name, func(cs *Study, rep *Report) (err error) {
+			rep.Fig9[i], err = cs.fig9For(cfg)
 			return
 		}})
 	}
-	for i, variant := range []struct {
-		name  string
-		cache bool
-	}{{"caching/deployed", false}, {"caching/control", true}} {
-		i, variant := i, variant
-		list = append(list, studyCell{variant.name, func(cs *Study, res *cellResults) (err error) {
-			res.caching[i], err = cs.cachingRun(variant.cache)
+	list = append(list,
+		studyCell{"caching/deployed", func(cs *Study, rep *Report) (err error) {
+			rep.Caching.Deployed, err = cs.cachingRun(false)
 			return
-		}})
-	}
+		}},
+		studyCell{"caching/control", func(cs *Study, rep *Report) (err error) {
+			rep.Caching.Control, err = cs.cachingRun(true)
+			return
+		}},
+	)
 	for i, cfg := range svcs {
-		i, cfg := i, cfg
-		list = append(list, studyCell{"term-effect/" + cfg.Name, func(cs *Study, res *cellResults) (err error) {
-			res.term[i], err = cs.termEffectFor(cfg)
+		list = append(list, studyCell{"term-effect/" + cfg.Name, func(cs *Study, rep *Report) (err error) {
+			rep.TermEffect[i], err = cs.termEffectFor(cfg)
 			return
 		}})
 	}
-	list = append(list,
-		studyCell{"interactive", func(cs *Study, res *cellResults) (err error) {
-			res.interactive, err = cs.Interactive("cloud computing performance")
+	return append(list,
+		studyCell{"interactive", func(cs *Study, rep *Report) (err error) {
+			rep.Interactive, err = cs.Interactive("cloud computing performance")
 			return
 		}},
-		studyCell{"model-validation", func(cs *Study, res *cellResults) (err error) {
-			res.modelCheck, err = cs.ModelValidation()
+		studyCell{"model-validation", func(cs *Study, rep *Report) (err error) {
+			rep.ModelCheck, err = cs.ModelValidation()
+			return
+		}},
+		// The what-if's two legs share one WirelessData; finishWireless
+		// joins them once both have run.
+		studyCell{"wireless/campus", func(cs *Study, rep *Report) (err error) {
+			rep.Wireless.CampusOverallMS, rep.Wireless.CampusRetrans, err = cs.wirelessRun(vantage.CampusProfile())
+			return
+		}},
+		studyCell{"wireless/wireless", func(cs *Study, rep *Report) (err error) {
+			rep.Wireless.WirelessOverallMS, rep.Wireless.WirelessRetrans, err = cs.wirelessRun(vantage.WirelessProfile())
+			return
+		}},
+		studyCell{"queue/overload", func(cs *Study, rep *Report) (err error) {
+			rep.Overload, err = cs.Overload()
+			return
+		}},
+		studyCell{"queue/hotspot", func(cs *Study, rep *Report) (err error) {
+			rep.Hotspot, err = cs.Hotspot()
+			return
+		}},
+		studyCell{"queue/failover", func(cs *Study, rep *Report) (err error) {
+			rep.Failover, err = cs.Failover()
+			return
+		}},
+		studyCell{"queue/capacity", func(cs *Study, rep *Report) (err error) {
+			rep.Capacity, err = cs.Capacity()
 			return
 		}},
 	)
-	for i, profile := range wirelessProfiles() {
-		i, profile := i, profile
-		list = append(list, studyCell{"wireless/" + profile.name, func(cs *Study, res *cellResults) (err error) {
-			res.wireless[i], err = cs.wirelessRun(profile.profile)
-			return
-		}})
+}
+
+// newReport returns the report shell the cell table writes into: the
+// per-service slices sized to the two services, the two-row results
+// (caching variants, wireless legs) allocated.
+func (s *Study) newReport() *Report {
+	return &Report{
+		Config:     s.cfg,
+		Fig5:       make([]*Fig5Data, 2),
+		Fig6:       make([]*Fig6Data, 2),
+		Fig7:       make([]*Fig7Data, 2),
+		Fig8:       make([]*Fig8Data, 2),
+		Fig9:       make([]*Fig9Data, 2),
+		Caching:    &CachingData{Service: "google-like"},
+		TermEffect: make([]*TermEffectData, 2),
+		Wireless:   &WirelessData{Service: "google-like"},
 	}
-	list = append(list,
-		studyCell{"queue/overload", func(cs *Study, res *cellResults) (err error) {
-			res.overload, err = cs.Overload()
-			return
-		}},
-		studyCell{"queue/hotspot", func(cs *Study, res *cellResults) (err error) {
-			res.hotspot, err = cs.Hotspot()
-			return
-		}},
-		studyCell{"queue/failover", func(cs *Study, res *cellResults) (err error) {
-			res.failover, err = cs.Failover()
-			return
-		}},
-		studyCell{"queue/capacity", func(cs *Study, res *cellResults) (err error) {
-			res.capacity, err = cs.Capacity()
-			return
-		}},
-	)
-	return list
+}
+
+// runCells is the serial face of the table: it runs, in table order and
+// on this study (so its memoized campaigns and boundaries are shared),
+// the rows whose name starts with prefix, and returns the report they
+// wrote into — the empty report on error. The public per-figure
+// methods are this call plus a field selection.
+func (s *Study) runCells(prefix string) (*Report, error) {
+	rep := s.newReport()
+	for _, c := range s.cells() {
+		if !strings.HasPrefix(c.name, prefix) {
+			continue
+		}
+		if err := c.run(s, rep); err != nil {
+			return &Report{}, err
+		}
+	}
+	return rep, nil
 }
 
 // RunAll executes every experiment of the study — on
@@ -207,11 +222,10 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 			s.cfg.Workers)
 	}
 	cells := s.cells()
-	res := &cellResults{}
+	rep := s.newReport()
 	obsvs := make([]*obs.Observer, len(cells))
 	tasks := make([]shard.Task, len(cells))
 	for i, c := range cells {
-		i, c := i, c
 		tasks[i] = shard.Task{Name: c.name, Run: func() error {
 			cs := NewStudy(s.cfg)
 			cs.rt = s.rt // shared telemetry hub — atomic, pure observation
@@ -221,7 +235,7 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 				cs.obsv.Reg.CounterVec("study_cell_runs_total",
 					"study cells executed, by cell name", "cell").With(c.name).Inc()
 			}
-			return c.run(cs, res)
+			return c.run(cs, rep)
 		}}
 	}
 	var progress shard.Progress
@@ -233,29 +247,9 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 		return nil, err
 	}
 
-	rep := &Report{
-		Config:      s.cfg,
-		Fig3:        res.fig3,
-		Fig4:        res.fig4,
-		Fig5:        res.fig5[:],
-		Fig6:        res.fig6[:],
-		Fig7:        res.fig7[:],
-		Fig8:        res.fig8[:],
-		Fig9:        res.fig9[:],
-		Caching:     &CachingData{Service: "google-like", Deployed: res.caching[0], Control: res.caching[1]},
-		TermEffect:  res.term[:],
-		Interactive: res.interactive,
-		ModelCheck:  res.modelCheck,
-		Overload:    res.overload,
-		Hotspot:     res.hotspot,
-		Failover:    res.failover,
-		Capacity:    res.capacity,
-	}
-	wireless, err := combineWireless(res.wireless[0], res.wireless[1])
-	if err != nil {
+	if err := finishWireless(rep.Wireless); err != nil {
 		return nil, fmt.Errorf("wireless: %w", err)
 	}
-	rep.Wireless = wireless
 	out := &StudyOutput{Report: rep}
 	if !observed {
 		return out, nil

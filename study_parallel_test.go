@@ -125,6 +125,66 @@ func TestSerialMethodsMatchRunAll(t *testing.T) {
 	if !reflect.DeepEqual(fig9, rep.Fig9) {
 		t.Errorf("Fig9() diverges from RunAll")
 	}
+	fig5, err := serial.Fig5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fig5, rep.Fig5) {
+		t.Errorf("Fig5() diverges from RunAll")
+	}
+	// Fig6–Fig8 run the same figA rows; the campaign behind them is
+	// memoized on the serial study, so three calls cost one.
+	fig6, err := serial.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig7, err := serial.Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := serial.Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fig6, rep.Fig6) || !reflect.DeepEqual(fig7, rep.Fig7) || !reflect.DeepEqual(fig8, rep.Fig8) {
+		t.Errorf("Fig6/Fig7/Fig8() diverge from RunAll")
+	}
+	wireless, err := serial.Wireless()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wireless, rep.Wireless) {
+		t.Errorf("Wireless() diverges from RunAll: %+v vs %+v", wireless, rep.Wireless)
+	}
+}
+
+// TestCellTableContract pins the study matrix against a literal list:
+// the cell order is the merge order of registries and tail samplers,
+// so a renamed, reordered, added or dropped row changes exported bytes.
+func TestCellTableContract(t *testing.T) {
+	want := []string{
+		"fig3", "fig4",
+		"fig5/bing-like", "fig5/google-like",
+		"figA/bing-like", "figA/google-like",
+		"fig9/bing-like", "fig9/google-like",
+		"caching/deployed", "caching/control",
+		"term-effect/bing-like", "term-effect/google-like",
+		"interactive", "model-validation",
+		"wireless/campus", "wireless/wireless",
+		"queue/overload", "queue/hotspot", "queue/failover", "queue/capacity",
+	}
+	var got []string
+	seen := map[string]bool{}
+	for _, c := range NewStudy(LightStudyConfig(1)).cells() {
+		if seen[c.name] {
+			t.Errorf("cell name %q appears twice", c.name)
+		}
+		seen[c.name] = true
+		got = append(got, c.name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cell table is\n  %q\nwant\n  %q", got, want)
+	}
 }
 
 func TestRunAllRejectsNegativeWorkers(t *testing.T) {

@@ -133,21 +133,25 @@ func (s *Study) queueScenarioBase(q backend.QueueOptions, pool frontend.PoolConf
 	return cfg
 }
 
-// queueBuckets folds a dataset's records into fixed-width time buckets
-// by arrival time. Records are classified by outcome against the
-// content boundary: full dynamic portion (OK), static-only (Degraded),
-// 503 (Rejected). Tdynamic quantiles summarize only OK records.
-func queueBuckets(ds *emulator.Dataset, boundary int, width, horizon time.Duration) []QueueBucket {
-	n := int((horizon + width - 1) / width)
-	buckets := make([]QueueBucket, n)
-	tdyn := make([][]float64, n)
+// newQueueBuckets lays out a windowed scenario's empty time buckets.
+func newQueueBuckets() []QueueBucket {
+	buckets := make([]QueueBucket, queueHorizon/queueBucketWidth)
 	for i := range buckets {
-		buckets[i].StartS = (time.Duration(i) * width).Seconds()
+		buckets[i].StartS = (time.Duration(i) * queueBucketWidth).Seconds()
 	}
+	return buckets
+}
+
+// foldRecords folds a dataset's records into the buckets by arrival
+// time. Records are classified by outcome against the content boundary:
+// full dynamic portion (OK), static-only (Degraded), 503 (Rejected).
+// Tdynamic quantiles summarize only OK records.
+func foldRecords(buckets []QueueBucket, ds *emulator.Dataset, boundary int) []QueueBucket {
+	tdyn := make([][]float64, len(buckets))
 	for i := range ds.Records {
 		rec := &ds.Records[i]
-		b := int(rec.IssuedAt / width)
-		if b < 0 || b >= n {
+		b := int(rec.IssuedAt / queueBucketWidth)
+		if b < 0 || b >= len(buckets) {
 			continue
 		}
 		buckets[b].Offered++
@@ -158,8 +162,8 @@ func queueBuckets(ds *emulator.Dataset, boundary int, width, horizon time.Durati
 			buckets[b].Degraded++
 		default:
 			buckets[b].OK++
-			if p, _, err := analysis.ExtractRecord(rec, boundary); err == nil {
-				tdyn[b] = append(tdyn[b], ms(p.Tdynamic))
+			if v, ok := servedTdynMS(rec, boundary); ok {
+				tdyn[b] = append(tdyn[b], v)
 			}
 		}
 	}
@@ -170,27 +174,52 @@ func queueBuckets(ds *emulator.Dataset, boundary int, width, horizon time.Durati
 	return buckets
 }
 
-// probeCluster schedules one cluster-state probe per bucket boundary
-// (pure reads — the probes never perturb the simulation) and returns a
-// closure that copies the samples into the buckets after the run.
-func probeCluster(r *emulator.Runner, cl *backend.Cluster, width time.Duration, n int) func([]QueueBucket) {
-	depth := make([]int, n)
-	util := make([]float64, n)
-	for b := 0; b < n; b++ {
-		b := b
-		r.Sim.ScheduleAt(time.Duration(b+1)*width, func() {
-			depth[b] = cl.Waiting()
-			util[b] = float64(cl.Busy()) / float64(cl.Replicas())
+// servedTdynMS returns the Tdynamic (ms) of a fully served record: one
+// that completed, was not refused, carries the dynamic portion past the
+// content boundary, and parses into session parameters.
+func servedTdynMS(rec *emulator.Record, boundary int) (float64, bool) {
+	if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
+		return 0, false
+	}
+	p, _, err := analysis.ExtractRecord(rec, boundary)
+	if err != nil {
+		return 0, false
+	}
+	return ms(p.Tdynamic), true
+}
+
+// probeCluster samples the deployment's first BE cluster into the
+// buckets at every bucket boundary (pure reads — the probes never
+// perturb the simulation).
+func probeCluster(r *emulator.Runner, buckets []QueueBucket) {
+	cl := r.Dep.BEs[0].Cluster()
+	for b := range buckets {
+		r.Sim.ScheduleAt(time.Duration(b+1)*queueBucketWidth, func() {
+			buckets[b].QueueDepth = cl.Waiting()
+			buckets[b].Utilization = float64(cl.Busy()) / float64(cl.Replicas())
 		})
 	}
-	return func(buckets []QueueBucket) {
-		for b := range buckets {
-			if b < n {
-				buckets[b].QueueDepth = depth[b]
-				buckets[b].Utilization = util[b]
-			}
-		}
+}
+
+// openLoop is the one driver of the four queueing scenarios: it builds
+// the scenario's observed world (simulator, fleet and query seeds at
+// Seed+off, +1, +2), lets the scenario wire probes or a failover into
+// it before anything runs, drives the 20-query-corpus open-loop
+// campaign, and feeds the critical-path observer under label.
+func (s *Study) openLoop(off int64, label string, cfg DeploymentConfig, nodes, boundary int,
+	load emulator.OpenLoopOptions, before func(*emulator.Runner)) (*emulator.Runner, *emulator.Dataset, error) {
+	runner, err := s.world(off, cfg, emulator.Options{Nodes: nodes, Obs: s.obsv})
+	if err != nil {
+		return nil, nil, err
 	}
+	if before != nil {
+		before(runner)
+	}
+	load.QueriesPerNode = 20
+	load.QuerySeed = s.cfg.Seed + off + 2
+	ds := runner.RunOpenLoop(load)
+	analysis.ObserveCritPath(s.obsv.Registry(), label, ds, boundary)
+	return runner, ds, nil
 }
 
 // Scenario pacing: these constants size the scenarios to overload a
@@ -219,37 +248,29 @@ func (s *Study) Overload() (*OverloadData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+110, cfg, emulator.Options{
-		Nodes: queueScenarioNode, FleetSeed: s.cfg.Seed + 111,
-		Obs: s.obsv, Runtime: s.rt,
-	})
+	buckets := newQueueBuckets()
+	runner, ds, err := s.openLoop(110, "overload/"+cfg.Name, cfg, queueScenarioNode, boundary,
+		emulator.OpenLoopOptions{
+			Horizon:      queueHorizon,
+			BaseInterval: 2 * time.Second,
+			SurgeStart:   queueSurgeStart,
+			SurgeEnd:     queueSurgeEnd,
+			SurgeFactor:  4,
+		}, func(r *emulator.Runner) { probeCluster(r, buckets) })
 	if err != nil {
 		return nil, err
 	}
 	be := runner.Dep.BEs[0]
-	n := int(queueHorizon / queueBucketWidth)
-	fill := probeCluster(runner, be.Cluster(), queueBucketWidth, n)
-	ds := runner.RunOpenLoop(emulator.OpenLoopOptions{
-		QueriesPerNode: 20,
-		QuerySeed:      s.cfg.Seed + 112,
-		Horizon:        queueHorizon,
-		BaseInterval:   2 * time.Second,
-		SurgeStart:     queueSurgeStart,
-		SurgeEnd:       queueSurgeEnd,
-		SurgeFactor:    4,
-	})
-	analysis.ObserveCritPath(s.obsv.Registry(), "overload/"+cfg.Name, ds, boundary)
 	d := &OverloadData{
 		Service:       cfg.Name,
 		Replicas:      replicas,
 		QueueCap:      qcap,
 		SurgeStartS:   queueSurgeStart.Seconds(),
 		SurgeEndS:     queueSurgeEnd.Seconds(),
-		Buckets:       queueBuckets(ds, boundary, queueBucketWidth, queueHorizon),
+		Buckets:       foldRecords(buckets, ds, boundary),
 		BERejected:    be.Rejected(),
 		MaxQueueDepth: be.MaxQueueLen(),
 	}
-	fill(d.Buckets)
 	for _, fe := range runner.Dep.FEs {
 		d.FERetries += fe.BERetries()
 		d.Degraded += fe.BERejectedFetches()
@@ -280,36 +301,27 @@ func (s *Study) Hotspot() (*HotspotData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+120, cfg, emulator.Options{
-		Nodes: queueScenarioNode, FleetSeed: s.cfg.Seed + 121,
-		Obs: s.obsv, Runtime: s.rt,
-	})
+	buckets := newQueueBuckets()
+	runner, ds, err := s.openLoop(120, "hotspot/"+cfg.Name, cfg, queueScenarioNode, boundary,
+		emulator.OpenLoopOptions{
+			Horizon:      queueHorizon,
+			BaseInterval: 2 * time.Second,
+			SurgeStart:   queueSurgeStart,
+			SurgeEnd:     queueSurgeEnd,
+			HotQuery:     hot,
+		}, func(r *emulator.Runner) { probeCluster(r, buckets) })
 	if err != nil {
 		return nil, err
 	}
-	be := runner.Dep.BEs[0]
-	n := int(queueHorizon / queueBucketWidth)
-	fill := probeCluster(runner, be.Cluster(), queueBucketWidth, n)
-	ds := runner.RunOpenLoop(emulator.OpenLoopOptions{
-		QueriesPerNode: 20,
-		QuerySeed:      s.cfg.Seed + 122,
-		Horizon:        queueHorizon,
-		BaseInterval:   2 * time.Second,
-		SurgeStart:     queueSurgeStart,
-		SurgeEnd:       queueSurgeEnd,
-		HotQuery:       hot,
-	})
-	analysis.ObserveCritPath(s.obsv.Registry(), "hotspot/"+cfg.Name, ds, boundary)
 	d := &HotspotData{
 		Service:       cfg.Name,
 		Replicas:      replicas,
 		HotTerms:      hot.Terms,
 		SurgeStartS:   queueSurgeStart.Seconds(),
 		SurgeEndS:     queueSurgeEnd.Seconds(),
-		Buckets:       queueBuckets(ds, boundary, queueBucketWidth, queueHorizon),
-		MaxQueueDepth: be.MaxQueueLen(),
+		Buckets:       foldRecords(buckets, ds, boundary),
+		MaxQueueDepth: runner.Dep.BEs[0].MaxQueueLen(),
 	}
-	fill(d.Buckets)
 	return d, nil
 }
 
@@ -327,48 +339,37 @@ func (s *Study) Failover() (*FailoverData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := emulator.New(s.cfg.Seed+130, cfg, emulator.Options{
-		Nodes: queueScenarioNode, FleetSeed: s.cfg.Seed + 131,
-		Obs: s.obsv, Runtime: s.rt,
-	})
+	d := &FailoverData{Service: cfg.Name, FailAtS: failAt.Seconds()}
+	_, ds, err := s.openLoop(130, "failover/"+cfg.Name, cfg, queueScenarioNode, boundary,
+		emulator.OpenLoopOptions{Horizon: queueHorizon, BaseInterval: 2 * time.Second},
+		func(r *emulator.Runner) {
+			// Pre-wire every FE to its failover target, then schedule
+			// the fleet-wide switch.
+			for i, fe := range r.Dep.FEs {
+				far := r.Dep.FarthestBE(fe.Site().Point)
+				r.Dep.WireFEBE(fe, far)
+				if i == 0 {
+					d.FromBE = string(fe.BEHost())
+					d.ToBE = string(far.Host())
+				}
+				r.Sim.ScheduleAt(failAt, func() { fe.SetBEHost(far.Host()) })
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	// Pre-wire every FE to its failover target, then schedule the
-	// fleet-wide switch.
-	d := &FailoverData{Service: cfg.Name, FailAtS: failAt.Seconds()}
-	for i, fe := range runner.Dep.FEs {
-		fe := fe
-		far := runner.Dep.FarthestBE(fe.Site().Point)
-		runner.Dep.WireFEBE(fe, far)
-		if i == 0 {
-			d.FromBE = string(fe.BEHost())
-			d.ToBE = string(far.Host())
-		}
-		runner.Sim.ScheduleAt(failAt, func() { fe.SetBEHost(far.Host()) })
-	}
-	ds := runner.RunOpenLoop(emulator.OpenLoopOptions{
-		QueriesPerNode: 20,
-		QuerySeed:      s.cfg.Seed + 132,
-		Horizon:        queueHorizon,
-		BaseInterval:   2 * time.Second,
-	})
-	analysis.ObserveCritPath(s.obsv.Registry(), "failover/"+cfg.Name, ds, boundary)
-	d.Buckets = queueBuckets(ds, boundary, queueBucketWidth, queueHorizon)
+	d.Buckets = foldRecords(newQueueBuckets(), ds, boundary)
 	var pre, post []float64
 	for i := range ds.Records {
 		rec := &ds.Records[i]
-		if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
-			continue
-		}
-		p, _, err := analysis.ExtractRecord(rec, boundary)
-		if err != nil {
+		v, ok := servedTdynMS(rec, boundary)
+		if !ok {
 			continue
 		}
 		if rec.IssuedAt < failAt {
-			pre = append(pre, ms(p.Tdynamic))
+			pre = append(pre, v)
 		} else {
-			post = append(post, ms(p.Tdynamic))
+			post = append(post, v)
 		}
 	}
 	d.PreP50Ms = stats.Median(pre)
@@ -404,40 +405,24 @@ func (s *Study) Capacity() (*CapacityData, error) {
 			backend.QueueOptions{Replicas: replicas, Policy: backend.LeastOutstanding},
 			frontend.PoolConfig{},
 		)
-		runner, err := emulator.New(s.cfg.Seed+140, cfg, emulator.Options{
-			Nodes: nodes, FleetSeed: s.cfg.Seed + 141,
-			Obs: s.obsv, Runtime: s.rt,
-		})
+		runner, ds, err := s.openLoop(140, fmt.Sprintf("capacity/r%d", replicas), cfg, nodes, boundary,
+			emulator.OpenLoopOptions{Horizon: horizon, BaseInterval: interval}, nil)
 		if err != nil {
 			return nil, err
 		}
 		be := runner.Dep.BEs[0]
-		ds := runner.RunOpenLoop(emulator.OpenLoopOptions{
-			QueriesPerNode: 20,
-			QuerySeed:      s.cfg.Seed + 142,
-			Horizon:        horizon,
-			BaseInterval:   interval,
-		})
-		analysis.ObserveCritPath(s.obsv.Registry(),
-			fmt.Sprintf("capacity/r%d", replicas), ds, boundary)
 		pt := CapacityPoint{
 			Replicas:      replicas,
+			Offered:       len(ds.Records),
 			Utilization:   be.Cluster().Utilization(runner.Sim.Now()),
 			MaxQueueDepth: be.MaxQueueLen(),
 		}
 		var tdyn []float64
 		for i := range ds.Records {
-			rec := &ds.Records[i]
-			pt.Offered++
-			if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
-				continue
+			if v, ok := servedTdynMS(&ds.Records[i], boundary); ok {
+				pt.OK++
+				tdyn = append(tdyn, v)
 			}
-			p, _, err := analysis.ExtractRecord(rec, boundary)
-			if err != nil {
-				continue
-			}
-			pt.OK++
-			tdyn = append(tdyn, ms(p.Tdynamic))
 		}
 		pt.P50Ms = stats.Median(tdyn)
 		pt.P99Ms = stats.Quantile(tdyn, 0.99)

@@ -143,3 +143,35 @@ func TestStreamingHeapWatermarkBound(t *testing.T) {
 			float64(net)/(1<<20), heapBound>>20)
 	}
 }
+
+// TestTelemetryCoversExtensionCells: the extension cells build their
+// worlds through the study's one constructor, so an attached engine
+// sees their simulator events like every other cell's (they used to
+// build worlds without the hub and ran invisibly to it).
+func TestTelemetryCoversExtensionCells(t *testing.T) {
+	s := NewStudy(LightStudyConfig(3))
+	eng := NewRuntimeEngine()
+	s.SetRuntime(eng)
+	cells := []struct {
+		name string
+		run  func() error
+	}{
+		{"Interactive", func() error { _, err := s.Interactive("cloud"); return err }},
+		{"ModelValidation", func() error { _, err := s.ModelValidation(); return err }},
+		{"termEffectFor", func() error { _, err := s.termEffectFor(GoogleLike(3 + 2)); return err }},
+	}
+	// The first cell pays for the shared boundary probe, whose world was
+	// always visible; run it up front so each delta is the cell's own.
+	if _, err := s.boundaryFor(GoogleLike(3 + 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		before := eng.Snapshot().Events
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if after := eng.Snapshot().Events; after <= before {
+			t.Errorf("%s: engine events stayed at %d — the cell's world is invisible to telemetry", c.name, after)
+		}
+	}
+}
