@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-compare check report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
+.PHONY: all build test vet bench bench-json bench-compare check layering report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
 
 all: build vet test
 
@@ -14,9 +14,20 @@ all: build vet test
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	$(MAKE) layering
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-compare
+
+# Layering gate: the emulator captures and joins, internal/analysis
+# parses and measures. The import graph is what keeps the emulator from
+# parsing a record a second time, so it is what this checks.
+layering:
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/emulator | \
+		grep -E '^fesplit/internal/(trace|analysis)$$'; then \
+		echo "layering: internal/emulator must not import the packages listed above"; exit 1; \
+	fi
+	@echo "layering: internal/emulator imports neither internal/trace nor internal/analysis"
 
 # Perf gate: short-benchtime run diffed against the latest committed
 # snapshot. ns/op growth beyond 15% is reported but does not fail the

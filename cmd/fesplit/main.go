@@ -12,7 +12,7 @@
 //	fesplit trace        [-seed N] [-rtt MS] [-o FILE]
 //	fesplit decode       FILE
 //	fesplit obs          [-seed N] [-service google|bing] [-nodes N] [-dir DIR]
-//	             [-tail-pct P] [-max-exemplars N] [-bound-tol D] [-full-spans]
+//	             [-tail-pct P] [-max-exemplars N] [-bound-tol D]
 //	fesplit profile      [-seed N] [-scale light|full] [-workers N] [-node-batches K]
 //	             [-dir DIR] [-top N] [-be-slowdown F]
 //	fesplit diff         [-rel-pct P] [-abs S] [-quantiles Q,Q] [-family PFX,PFX] OLD NEW

@@ -18,10 +18,10 @@ import (
 // layer enabled and exports every view of the run: a Chrome
 // trace-event file (open in Perfetto / chrome://tracing), a Prometheus
 // text exposition, a lossless JSONL metrics dump, a JSONL span dump,
-// and a self-contained HTML report. By default spans are TAIL-SAMPLED:
-// only queries beyond -tail-pct of the Tdynamic distribution and every
-// inference-bound violation keep their span trees (-full-spans restores
-// the keep-everything tracer). Same seed → byte-identical files.
+// and a self-contained HTML report. Spans are TAIL-SAMPLED: only
+// queries beyond -tail-pct of the Tdynamic distribution (at most
+// -max-exemplars of them) and every inference-bound violation keep
+// their span trees. Same seed → byte-identical files.
 func cmdObs(args []string) error {
 	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "experiment seed")
@@ -33,7 +33,6 @@ func cmdObs(args []string) error {
 	maxExemplars := fs.Int("max-exemplars", 64, "cap on retained tail exemplars (bound violations always kept)")
 	boundTol := fs.Duration("bound-tol", fesplit.DefaultBoundTolerance,
 		"jitter slack before a fetch time outside Tdelta..Tdynamic counts as a bound violation")
-	fullSpans := fs.Bool("full-spans", false, "keep every span tree instead of tail sampling")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
 	if err := fs.Parse(args); err != nil {
@@ -68,15 +67,10 @@ func cmdObs(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	var o *obs.Observer
-	if *fullSpans {
-		o = fesplit.NewObserver()
-	} else {
-		o = fesplit.NewTailObserver(fesplit.TailConfig{
-			Percentile:   *tailPct,
-			MaxExemplars: *maxExemplars,
-		})
-	}
+	o := fesplit.NewTailObserver(fesplit.TailConfig{
+		Percentile:   *tailPct,
+		MaxExemplars: *maxExemplars,
+	})
 	runner, err := fesplit.NewRunner(*seed, cfg, fesplit.RunnerOptions{
 		Nodes:     *nodes,
 		FleetSeed: *seed + 1,
@@ -91,22 +85,22 @@ func cmdObs(args []string) error {
 		QuerySeed:      *seed + 2,
 	})
 
-	// Analysis-layer observability: session-parameter sketches, the
-	// critical-path phase attribution (which annotates span trees with
-	// cp:* waterfalls, so it runs before tail sampling and export),
-	// then the tail-sampling pass (Tdynamic drives both).
-	params := fesplit.ExtractDataset(ds, 0)
-	fesplit.ObserveSessionParams(o.Registry(), ds.Service, params)
-	attributed := fesplit.ObserveCriticalPath(o.Registry(), ds.Service, ds, 0)
-	var exemplars []fesplit.Exemplar
-	spans := o.Spans
-	if !*fullSpans {
-		offered, violations := fesplit.SampleTails(o.TailSampler(), ds, 0, *boundTol)
-		exemplars = o.TailSampler().Select()
-		spans = o.TailSampler().Spans()
-		fmt.Printf("tail sampling: %d offered, %d retained (%d bound violations), threshold p%g = %.1f ms\n",
-			offered, len(exemplars), violations, 100*(*tailPct), 1000*o.TailSampler().Threshold())
+	// Analysis-layer observability, one parse per record: phase
+	// sketches, session parameters, critical-path attribution (which
+	// annotates span trees with cp:* waterfalls) and the tail offer, in
+	// the fold's fixed order.
+	fold := fesplit.NewRecordFold(o.Reg, ds.Service, ds.Service, fesplit.BoundaryFromDataset(ds), o.Tail, *boundTol)
+	var params []fesplit.Params
+	for i := range ds.Records {
+		if p, ok := fold.Consume(&ds.Records[i]); ok {
+			params = append(params, p)
+		}
 	}
+	fesplit.ObserveSessionParams(o.Reg, ds.Service, params)
+	exemplars := o.Tail.Select()
+	spans := o.Tail.Spans()
+	fmt.Printf("tail sampling: %d offered, %d retained (%d bound violations), threshold p%g = %.1f ms\n",
+		o.Tail.Offered(), len(exemplars), fold.Violations, 100*(*tailPct), 1000*o.Tail.Threshold())
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
@@ -129,7 +123,7 @@ func cmdObs(args []string) error {
 		len(ds.Records), countFailed(ds), spans.Len(), len(o.Reg.Families()))
 	fmt.Println(metricsSummary(o.Reg))
 	fmt.Printf("  critical path: %d records attributed (run 'fesplit profile' for the blame table)\n",
-		attributed)
+		fold.Attributed)
 	printFastPath(os.Stdout, "  ", o.Reg)
 	for _, out := range files {
 		fmt.Printf("  wrote %s\n", filepath.Join(*dir, out.name))

@@ -105,16 +105,17 @@ type (
 )
 
 // Observability. Pass an Observer via RunnerOptions.Obs to collect
-// sim-time metrics and one causal span tree per query; export with
-// WritePrometheus, WriteChromeTrace and WriteSpansJSONL.
+// sim-time metrics and the FE's ground truth per query, fold the
+// records through a RecordFold for span trees and tail exemplars, and
+// export with WritePrometheus, WriteChromeTrace and WriteSpansJSONL.
 type (
-	// Observer bundles a metrics registry and a span tracer.
+	// Observer bundles a metrics registry and a tail sampler.
 	Observer = obs.Observer
 	// MetricsRegistry holds deterministic counters/gauges/histograms.
 	MetricsRegistry = obs.Registry
 	// Span is one node of a per-query causal span tree.
 	Span = obs.Span
-	// SpanTracer accumulates finished span trees.
+	// SpanTracer holds finished span trees for the exporters.
 	SpanTracer = obs.Tracer
 	// TailConfig parameterizes tail-based exemplar sampling.
 	TailConfig = obs.TailConfig
@@ -171,12 +172,8 @@ func NewRuntimeServer(e *RuntimeEngine, addr string) (*RuntimeServer, error) {
 	return rt.NewServer(e, addr)
 }
 
-// NewObserver creates an observer with a registry and a span tracer.
-func NewObserver() *Observer { return obs.NewObserver() }
-
 // NewTailObserver creates an observer with a registry and a tail-based
-// exemplar sampler instead of a keep-everything tracer — the scalable
-// default for large campaigns.
+// exemplar sampler.
 func NewTailObserver(cfg TailConfig) *Observer { return obs.NewTailObserver(cfg) }
 
 // NewMetricsRegistry returns an empty deterministic metrics registry.
@@ -189,27 +186,22 @@ func ObserveSessionParams(reg *MetricsRegistry, service string, params []Params)
 	analysis.ObserveParams(reg, service, params)
 }
 
-// ObserveCriticalPath attributes every measurable record of a dataset
-// to exclusive critical-path phases (internal/obs/critpath) and folds
-// the results into the registry's critpath_phase_seconds /
-// critpath_fetch_seconds sketches. Records' span trees gain cp:*
-// waterfall annotations, so call it before tail sampling and span
-// export. boundary ≤ 0 derives the content boundary from the dataset.
-// Returns how many records were attributed. See docs/PROFILING.md.
-func ObserveCriticalPath(reg *MetricsRegistry, service string, ds *Dataset, boundary int) int {
-	return analysis.ObserveCritPath(reg, service, ds, boundary)
-}
+// RecordFold is the one measuring pass over finished records: a single
+// trace parse per record feeding, in order, the phase sketches, the
+// session parameters it returns, the span tree, the critical-path
+// attribution (cp:* waterfall annotations) and the tail offer. See
+// docs/PROFILING.md.
+type RecordFold = analysis.Fold
 
-// SampleTails offers every measurable record of a dataset to the tail
-// sampler; Select then retains span trees only for Tdynamic-tail
-// queries and records whose ground-truth fetch time violates
-// Tdelta ≤ Tfetch ≤ Tdynamic by more than tol. boundary ≤ 0 derives
-// the content boundary from the dataset; tol absorbs access-link
-// jitter in the client-observed bounds (DefaultBoundTolerance suits
-// the built-in campus access profile). Returns offered and violation
-// counts.
-func SampleTails(ts *TailSampler, ds *Dataset, boundary int, tol time.Duration) (offered, violations int) {
-	return analysis.SampleTails(ts, ds, boundary, tol)
+// NewRecordFold builds a fold measuring against a content boundary
+// (BoundaryFromDataset). reg receives the phase families labeled by
+// service and the critical-path families labeled by label; ts is offered
+// every measurable record's span tree, flagged when the ground-truth
+// fetch time violates Tdelta ≤ Tfetch ≤ Tdynamic by more than tol
+// (DefaultBoundTolerance suits the built-in campus access profile).
+// Either may be nil.
+func NewRecordFold(reg *MetricsRegistry, service, label string, boundary int, ts *TailSampler, tol time.Duration) *RecordFold {
+	return analysis.NewFold(reg, service, label, boundary, ts, tol)
 }
 
 // DefaultBoundTolerance is the violation slack matched to the default
@@ -217,14 +209,6 @@ func SampleTails(ts *TailSampler, ds *Dataset, boundary int, tol time.Duration) 
 // captured packet carrying up to one jitter draw, so two jitter widths
 // separate measurement noise from genuine model violations.
 var DefaultBoundTolerance = 2 * vantage.CampusProfile().Jitter
-
-// MergeMetrics merges src into dst the way the parallel study runner
-// joins per-shard registries: counters, histograms and sketches add
-// (order-independently), gauges take the element-wise max of value and
-// watermark. Schema mismatches between same-named families are errors.
-// Merge shards in canonical order to keep exports byte-deterministic —
-// see docs/PARALLEL.md.
-func MergeMetrics(dst, src *MetricsRegistry) error { return dst.Merge(src) }
 
 // MergeTailSamplers joins per-shard tail samplers into one whose
 // selection threshold reflects the merged (fleet-wide) value

@@ -33,10 +33,8 @@ type FleetStudyConfig struct {
 	Batches int
 	// Workers caps the goroutines running batches (0 → NumCPU).
 	Workers int
-	// Tail configures per-batch tail exemplar sampling. The fleet path
-	// always bounds the candidate pool: MaxCandidates ≤ 0 is clamped to
-	// 4 × MaxExemplars, keeping sampler memory O(K) over any campaign
-	// length.
+	// Tail configures per-batch tail exemplar sampling; sampler memory
+	// is O(MaxExemplars) over any campaign length.
 	Tail obs.TailConfig
 }
 
@@ -50,13 +48,6 @@ func (c FleetStudyConfig) withDefaults() FleetStudyConfig {
 		// padded 2% so rounding never leaves the integral short — the
 		// Clients cap truncates the excess exactly.
 		c.PeakRate = 1.02 * float64(c.Clients) / (0.5375 * c.Horizon.Seconds())
-	}
-	if c.Tail.MaxCandidates <= 0 {
-		max := c.Tail.MaxExemplars
-		if max <= 0 {
-			max = 64 // obs.TailConfig's MaxExemplars default
-		}
-		c.Tail.MaxCandidates = 4 * max
 	}
 	return c
 }
@@ -93,45 +84,25 @@ type FleetStudyResult struct {
 }
 
 // fleetStudySink folds one batch's records into mergeable accumulators
-// at emission time. Everything it keeps is O(1) per batch: two
-// quantile sketches, counters, and a bounded tail sampler that clones
-// only retained spans (the record — events, span, body — is arena- and
-// slab-owned and recycled right after Consume returns).
+// at emission time. Everything it keeps is O(1) per batch: two quantile
+// sketches, counters, and — inside the fold — a span arena plus the
+// batch observer's bounded tail sampler, which clones only retained
+// spans (the record's events and body are slab-owned and recycled right
+// after Consume returns). The fold has no registry: the fleet keeps
+// exemplars and delay sketches, not per-phase families.
 type fleetStudySink struct {
-	boundary   int
-	tol        time.Duration
-	ts         *obs.TailSampler
-	overall    *stats.Sketch
-	dynamic    *stats.Sketch
-	extracted  int
-	violations int
-}
-
-func newFleetStudySink(boundary int, ts *obs.TailSampler) *fleetStudySink {
-	return &fleetStudySink{
-		boundary: boundary,
-		tol:      DefaultBoundTolerance,
-		ts:       ts,
-		overall:  stats.NewSketch(0),
-		dynamic:  stats.NewSketch(0),
-	}
+	fold      *analysis.Fold
+	overall   *stats.Sketch
+	dynamic   *stats.Sketch
+	extracted int
 }
 
 // Consume implements emulator.RecordSink.
 func (k *fleetStudySink) Consume(rec *emulator.Record) {
 	k.overall.Add(float64(rec.OverallDelay()) / float64(time.Millisecond))
-	p, _, err := analysis.ExtractRecord(rec, k.boundary)
-	if err != nil {
-		return
-	}
-	k.extracted++
-	k.dynamic.Add(float64(p.Tdynamic) / float64(time.Millisecond))
-	// The span is arena-owned and recycled after this call: the sampler
-	// deep-copies it only if the offer is retained.
-	violation := p.ViolatesBounds(rec.TrueFetch, k.tol)
-	k.ts.OfferTransient(p.Tdynamic.Seconds(), violation, rec.Span)
-	if violation {
-		k.violations++
+	if p, ok := k.fold.Consume(rec); ok {
+		k.extracted++
+		k.dynamic.Add(float64(p.Tdynamic) / float64(time.Millisecond))
 	}
 }
 
@@ -150,7 +121,7 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, _, sinks, err := emulator.RunFleet(emulator.FleetShardedOptions{
+	results, obsvs, sinks, err := emulator.RunFleet(emulator.FleetShardedOptions{
 		SimSeed:    s.cfg.Seed + 101,
 		Deployment: cfg,
 		Fleet: emulator.FleetOptions{
@@ -161,11 +132,16 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		},
 		Batches: fc.Batches,
 		Workers: fc.Workers,
-		// The batch observer makes the runner assemble spans and wire
-		// stack metrics; its tail sampler is the one the sink feeds.
+		// The batch observer makes the runner join the FE's ground truth
+		// and wire stack metrics; its tail sampler is the one the sink's
+		// fold feeds.
 		Observe: func(int) *obs.Observer { return obs.NewTailObserver(fc.Tail) },
 		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
-			return newFleetStudySink(boundary, o.Tail)
+			return &fleetStudySink{
+				fold:    analysis.NewFold(nil, cfg.Name, cfg.Name, boundary, o.Tail, DefaultBoundTolerance),
+				overall: stats.NewSketch(0),
+				dynamic: stats.NewSketch(0),
+			}
 		},
 		Runtime: s.rt,
 	})
@@ -173,20 +149,22 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		return nil, err
 	}
 	out := &FleetStudyResult{
-		Merged:  emulator.MergeFleetResults(results...),
 		Batches: results,
 		Overall: stats.NewSketch(0),
 		Dynamic: stats.NewSketch(0),
 	}
-	samplers := make([]*obs.TailSampler, 0, len(sinks))
-	for _, sink := range sinks {
+	samplers := make([]*obs.TailSampler, len(sinks))
+	for i, sink := range sinks {
 		k := sink.(*fleetStudySink)
 		out.Overall.Merge(k.overall)
 		out.Dynamic.Merge(k.dynamic)
 		out.Extracted += k.extracted
-		out.Violations += k.violations
-		samplers = append(samplers, k.ts)
+		out.Violations += k.fold.Violations
+		// The span arena lives in the batch's fold, not in its runner.
+		results[i].ArenaCap = k.fold.ArenaCap()
+		samplers[i] = obsvs[i].Tail
 	}
+	out.Merged = emulator.MergeFleetResults(results...)
 	out.Exemplars = obs.MergeTailSamplers(samplers...).Select()
 	if s.rt != nil {
 		out.HeapWatermark = s.rt.HeapWatermark()

@@ -179,13 +179,14 @@ func (p Params) ViolatesBounds(trueFetch, tol time.Duration) bool {
 	return trueFetch < p.Tdelta-tol || trueFetch > p.Tdynamic+tol
 }
 
-// ExtractRecord is the one place a finished record becomes measurements:
-// it applies the skip rules (failed query, no captured events,
-// unparseable session, boundary not locatable in the stream), parses
-// the session once and builds the Section-2 parameters. The located
-// session comes back alongside them so critical-path attribution
-// (AttributeRecord) reuses the parse; it holds the reassembled payload,
-// so drop it with the record.
+// ExtractRecord is the one place a finished record is parsed: it applies
+// the skip rules (failed query, no captured events, unparseable
+// session, boundary not locatable in the stream), parses the session
+// once and builds the Section-2 parameters. The session comes back
+// whenever it parsed — with the error when only the boundary could not
+// be located, since the handshake and delivery instants are still good
+// — so Fold derives everything else from the same parse; it holds the
+// reassembled payload, so drop it with the record.
 func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, error) {
 	if r.Failed || len(r.Events) == 0 {
 		return Params{}, nil, trace.ErrNoResponse
@@ -195,7 +196,7 @@ func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, er
 		return Params{}, nil, err
 	}
 	if err := s.Locate(boundary); err != nil {
-		return Params{}, nil, err
+		return Params{}, s, err
 	}
 	return Params{
 		Node:      r.Node,

@@ -3,10 +3,8 @@ package analysis
 import (
 	"time"
 
-	"fesplit/internal/emulator"
 	"fesplit/internal/obs"
 	"fesplit/internal/obs/critpath"
-	"fesplit/internal/trace"
 )
 
 // CritObserver holds the pre-resolved critical-path sketches for one
@@ -67,53 +65,4 @@ func (co *CritObserver) Observe(a critpath.Attribution, trueFetch time.Duration)
 	if trueFetch > 0 {
 		co.truth.Observe(trueFetch.Seconds())
 	}
-}
-
-// AttributeRecord computes the exclusive critical-path attribution of
-// one record from its located session s (as ExtractRecord returns it)
-// and annotates it onto the record's span tree (cp:* child spans +
-// fetch-estimate attr), so exporters and tail exemplars carry the
-// waterfall. A span-less record returns ok false and is left untouched.
-func AttributeRecord(rr *emulator.Record, s *trace.Session) (critpath.Attribution, bool) {
-	if rr.Span == nil || s == nil || s.Boundary() < 0 {
-		return critpath.Attribution{}, false
-	}
-	a := critpath.Attribute(rr.Span, critpath.Timeline{
-		TB: s.TB, T1: s.T1, T2: s.T2, T3: s.T3,
-		T4: s.T4, T5: s.T5, TE: s.TE, RTT: s.RTT,
-	})
-	critpath.Annotate(rr.Span, a)
-	return a, true
-}
-
-// ObserveCritPath attributes every measurable record of a dataset and
-// folds the results into the registry's critical-path sketches.
-// boundary ≤ 0 derives the static/dynamic content boundary from the
-// dataset first. Returns how many records were attributed. Call it
-// before tail sampling so retained exemplar spans carry the cp:*
-// waterfall annotations.
-func ObserveCritPath(reg *obs.Registry, service string, ds *emulator.Dataset, boundary int) int {
-	if reg == nil {
-		return 0
-	}
-	if boundary <= 0 {
-		boundary = BoundaryFromDataset(ds)
-		if boundary <= 0 {
-			return 0
-		}
-	}
-	co := NewCritObserver(reg, service)
-	n := 0
-	for i := range ds.Records {
-		rr := &ds.Records[i]
-		_, s, err := ExtractRecord(rr, boundary)
-		if err != nil {
-			continue
-		}
-		if a, ok := AttributeRecord(rr, s); ok {
-			co.Observe(a, rr.TrueFetch)
-			n++
-		}
-	}
-	return n
 }

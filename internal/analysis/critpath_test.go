@@ -11,8 +11,9 @@ import (
 	"fesplit/internal/vantage"
 )
 
-// TestCritPathConservation runs the profiler end to end on emulator
-// output for both calibrated services and asserts, per record: phases
+// TestCritPathConservation runs the fold's span and critical-path steps
+// on emulator output for both calibrated services and asserts, per
+// record: phases
 // partition the root span exactly (the conservation invariant), the
 // derived fetch estimate respects [Tdelta, Tdynamic], and — validated
 // against Record.TrueFetch ground truth — estimate and truth live in
@@ -28,7 +29,7 @@ func TestCritPathConservation(t *testing.T) {
 		{"bing-like", cdn.BingLike(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := obs.NewObserver()
+			o := obs.NewTailObserver(obs.TailConfig{})
 			r, err := emulator.New(7, tc.cfg, emulator.Options{
 				Nodes: 10, FleetSeed: 8, Obs: o,
 			})
@@ -44,6 +45,7 @@ func TestCritPathConservation(t *testing.T) {
 			if boundary <= 0 {
 				t.Fatal("no content boundary derivable")
 			}
+			steps := NewFold(nil, tc.name, tc.name, boundary, nil, tol)
 			attributed := 0
 			for i := range ds.Records {
 				rr := &ds.Records[i]
@@ -51,15 +53,14 @@ func TestCritPathConservation(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				a, ok := AttributeRecord(rr, sess)
-				if !ok {
-					continue
-				}
+				steps.arena.Reset()
+				root := steps.span(rr, sess)
+				a := attribute(root, sess)
 				attributed++
 				if !a.Conserved() {
 					t.Fatalf("record %d: phase sum %v != total %v", i, a.Sum(), a.Total)
 				}
-				if want := rr.Span.End - rr.Span.Start; a.Total != want {
+				if want := root.End - root.Start; a.Total != want {
 					t.Fatalf("record %d: total %v != span duration %v", i, a.Total, want)
 				}
 				if a.FetchEstimate < a.Tdelta || a.FetchEstimate > a.Tdynamic {
@@ -84,7 +85,7 @@ func TestCritPathConservation(t *testing.T) {
 				// Annotation landed on the span: cp children cover the
 				// root exactly.
 				var cp time.Duration
-				for _, c := range rr.Span.Children {
+				for _, c := range root.Children {
 					if c.Track == critpath.AnnotationTrack {
 						cp += c.Dur()
 					}
@@ -97,12 +98,17 @@ func TestCritPathConservation(t *testing.T) {
 				t.Fatal("no records attributed")
 			}
 
-			// The bulk observer folds the same records into sketches:
-			// counts line up and the self-check counter stays zero.
+			// The fold itself runs the same steps into the registry's
+			// sketches: counts line up and the self-check counter stays
+			// zero.
 			reg := obs.NewRegistry()
-			n := ObserveCritPath(reg, tc.name, ds, boundary)
+			fold := NewFold(reg, tc.name, tc.name, boundary, nil, tol)
+			for i := range ds.Records {
+				fold.Consume(&ds.Records[i])
+			}
+			n := fold.Attributed
 			if n != attributed {
-				t.Fatalf("ObserveCritPath attributed %d, want %d", n, attributed)
+				t.Fatalf("fold attributed %d records, want %d", n, attributed)
 			}
 			assertCounter(t, reg, "critpath_records_total", float64(n))
 			assertCounter(t, reg, "critpath_conservation_breaks_total", 0)

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"time"
-
-	"fesplit/internal/emulator"
-	"fesplit/internal/obs"
-)
+import "fesplit/internal/obs"
 
 // ParamObserver holds the five pre-resolved session_param_seconds
 // sketches for one (registry, service) pair, so per-record streaming
@@ -59,49 +54,4 @@ func ObserveParams(reg *obs.Registry, service string, params []Params) {
 	for _, p := range params {
 		po.Observe(p)
 	}
-}
-
-// SampleTails offers every measurable record of a dataset to the tail
-// sampler, so Select retains span trees only for queries in the
-// Tdynamic tail or violating the inference bound. The offered value is
-// Tdynamic; the violation flag fires when the FE-side ground-truth
-// fetch time falls outside Tdelta ≤ Tfetch ≤ Tdynamic (paper equation
-// 1) by more than tol — those queries falsify the inference framework
-// and must always be retained, however fast they were. tol absorbs
-// access-link jitter: the client-side bounds come from two observed
-// packets, each shifted by up to one jitter draw, so pass about twice
-// the fleet's access jitter (the same tolerance the bounds validation
-// uses) to avoid flagging measurement noise as model violations.
-//
-// boundary ≤ 0 derives the static/dynamic boundary from the dataset
-// first (BoundaryFromDataset). Records without an assembled span, or
-// that ExtractRecord cannot measure, are skipped. Returns how many
-// records were offered and how many carried violations.
-func SampleTails(ts *obs.TailSampler, ds *emulator.Dataset, boundary int, tol time.Duration) (offered, violations int) {
-	if ts == nil {
-		return 0, 0
-	}
-	if boundary <= 0 {
-		boundary = BoundaryFromDataset(ds)
-		if boundary <= 0 {
-			return 0, 0
-		}
-	}
-	for i := range ds.Records {
-		rr := &ds.Records[i]
-		if rr.Span == nil {
-			continue
-		}
-		p, _, err := ExtractRecord(rr, boundary)
-		if err != nil {
-			continue
-		}
-		violation := p.ViolatesBounds(rr.TrueFetch, tol)
-		ts.Offer(p.Tdynamic.Seconds(), violation, rr.Span)
-		if violation {
-			violations++
-		}
-		offered++
-	}
-	return offered, violations
 }

@@ -31,7 +31,7 @@ func TestPerRecordFetchBounds(t *testing.T) {
 		{"bing-like", cdn.BingLike(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := obs.NewObserver()
+			o := obs.NewTailObserver(obs.TailConfig{})
 			r, err := emulator.New(7, tc.cfg, emulator.Options{
 				Nodes:     10,
 				FleetSeed: 8,
@@ -49,27 +49,27 @@ func TestPerRecordFetchBounds(t *testing.T) {
 			if boundary <= 0 {
 				t.Fatal("no content boundary derivable")
 			}
+			steps := NewFold(nil, tc.name, tc.name, boundary, nil, tol)
 			checked := 0
 			var lo, truth, hi []float64
-			for i, rec := range ds.Records {
+			for i := range ds.Records {
+				rec := &ds.Records[i]
 				if rec.Failed || rec.TrueFetch <= 0 {
 					continue
 				}
-				if rec.Span == nil {
-					t.Fatalf("record %d: no span assembled", i)
+				s, err := trace.Parse(rec.Key, rec.Events)
+				if err != nil || s.Locate(boundary) != nil {
+					continue
 				}
-				fetch := rec.Span.Find("fe-fetch")
+				steps.arena.Reset()
+				fetch := steps.span(rec, s).Find("fe-fetch")
 				if fetch == nil {
 					t.Fatalf("record %d: span tree missing fe-fetch", i)
 				}
 				if got := fetch.Dur(); got != rec.TrueFetch {
 					t.Fatalf("record %d: span fetch %v != TrueFetch %v", i, got, rec.TrueFetch)
 				}
-				s, err := trace.Parse(rec.Key, rec.Events)
-				if err != nil {
-					continue
-				}
-				if err := s.Locate(boundary); err != nil || s.Retransmissions > 0 {
+				if s.Retransmissions > 0 {
 					continue
 				}
 				if s.Tdelta() > rec.TrueFetch+tol {

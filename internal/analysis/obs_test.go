@@ -50,7 +50,7 @@ func TestSketchQuantilesMatchExact(t *testing.T) {
 		{"bing-like", cdn.BingLike(7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := obs.NewObserver()
+			o := obs.NewTailObserver(obs.TailConfig{})
 			ds, params := observedParams(t, o, tc.cfg)
 			ObserveParams(o.Registry(), ds.Service, params)
 
@@ -97,16 +97,25 @@ func TestSketchQuantilesMatchExact(t *testing.T) {
 	}
 }
 
-// TestSampleTailsRetainsTailAndViolations checks the tail-sampling
-// entry point: offered counts match measurable records, every
-// bound-violating record survives selection, and the retained tail
-// sits at or above the sampler's threshold.
-func TestSampleTailsRetainsTailAndViolations(t *testing.T) {
+// foldAll folds every record of ds through a fresh fold feeding ts.
+func foldAll(ts *obs.TailSampler, ds *emulator.Dataset) *Fold {
+	fold := NewFold(nil, ds.Service, ds.Service, BoundaryFromDataset(ds), ts, boundTol)
+	for i := range ds.Records {
+		fold.Consume(&ds.Records[i])
+	}
+	return fold
+}
+
+// TestFoldRetainsTailAndViolations checks the tail offer: offered
+// counts match measurable records, every bound-violating record
+// survives selection, and the retained tail sits at or above the
+// sampler's threshold.
+func TestFoldRetainsTailAndViolations(t *testing.T) {
 	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.8, MaxExemplars: 8})
 	ds, params := observedParams(t, o, cdn.GoogleLike(7))
-	offered, violations := SampleTails(o.TailSampler(), ds, 0, boundTol)
-	if offered < len(params)/2 {
-		t.Fatalf("offered %d records, want at least half of %d measurable", offered, len(params))
+	violations := foldAll(o.Tail, ds).Violations
+	if o.Tail.Offered() != len(params) {
+		t.Fatalf("offered %d records, want all %d measurable", o.Tail.Offered(), len(params))
 	}
 	sel := o.TailSampler().Select()
 	if len(sel) == 0 {
@@ -124,7 +133,7 @@ func TestSampleTailsRetainsTailAndViolations(t *testing.T) {
 		}
 	}
 	if kept != violations {
-		t.Errorf("selection kept %d violations, SampleTails reported %d", kept, violations)
+		t.Errorf("selection kept %d violations, the fold counted %d", kept, violations)
 	}
 	if len(sel) > 8+violations {
 		t.Errorf("selection %d exceeds cap %d + %d violations", len(sel), 8, violations)
@@ -156,41 +165,35 @@ func TestViolatesBounds(t *testing.T) {
 	}
 }
 
-// TestSampleTailsRetainsSyntheticViolation plants a ground-truth fetch
-// time that falsifies the inference bound and asserts the sampler keeps
-// that record even though its Tdynamic is nowhere near the tail.
-func TestSampleTailsRetainsSyntheticViolation(t *testing.T) {
+// TestFoldRetainsSyntheticViolation plants a ground-truth fetch time
+// that falsifies the inference bound and asserts the sampler keeps that
+// record even though its Tdynamic is nowhere near the tail.
+func TestFoldRetainsSyntheticViolation(t *testing.T) {
 	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.99, MaxExemplars: 1})
 	ds, _ := observedParams(t, o, cdn.GoogleLike(7))
 	boundary := BoundaryFromDataset(ds)
 	if boundary <= 0 {
 		t.Fatal("no boundary")
 	}
-	// Corrupt the fastest measurable record's ground truth so it
-	// violates Tfetch ≤ Tdynamic.
-	planted := -1
+	// Corrupt the first measurable record's ground truth so it violates
+	// Tfetch ≤ Tdynamic.
+	var planted *emulator.Record
 	for i := range ds.Records {
-		rr := &ds.Records[i]
-		if rr.Span == nil {
-			continue
+		if _, _, err := ExtractRecord(&ds.Records[i], boundary); err == nil {
+			planted = &ds.Records[i]
+			planted.TrueFetch = time.Hour
+			break
 		}
-		if _, _, err := ExtractRecord(rr, boundary); err != nil {
-			continue
-		}
-		rr.TrueFetch = time.Hour
-		planted = i
-		break
 	}
-	if planted < 0 {
+	if planted == nil {
 		t.Fatal("no record to plant a violation on")
 	}
-	_, violations := SampleTails(o.TailSampler(), ds, boundary, boundTol)
-	if violations < 1 {
+	if foldAll(o.Tail, ds).Violations < 1 {
 		t.Fatal("planted violation not detected")
 	}
 	found := false
 	for _, e := range o.TailSampler().Select() {
-		if e.Violation && e.Span == ds.Records[planted].Span {
+		if e.Violation && e.Span.Key == obs.ConnKey(planted.Key) && e.Span.Start == planted.IssuedAt {
 			found = true
 		}
 	}

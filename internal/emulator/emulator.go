@@ -13,7 +13,6 @@ package emulator
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"fesplit/internal/capture"
@@ -25,7 +24,6 @@ import (
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/simnet"
 	"fesplit/internal/tcpsim"
-	"fesplit/internal/trace"
 	"fesplit/internal/vantage"
 	"fesplit/internal/workload"
 )
@@ -53,12 +51,17 @@ type Record struct {
 	// TrueFetch is the FE-side ground-truth fetch time of this query
 	// (GET arrival at the FE to the complete dynamic portion from the
 	// BE), joined from the FE's fetch log by client host and port. Zero
-	// unless the runner was built with an observer carrying a tracer.
+	// unless the runner's observer carries a tail sampler (which turns
+	// the FE log on), and zero when the BE fetch failed.
 	TrueFetch time.Duration
-	// Span is the query's assembled causal span tree (client-side
-	// phases plus FE-side ground truth). Nil unless span tracing was
-	// enabled via Options.Obs.
-	Span *obs.Span
+	// Fetch is the joined FE log entry itself — the instants a span tree
+	// draws the FE-side phases from (zero value when nothing joined).
+	Fetch frontend.FetchRecord
+	// BE and BERTT are the FE's assigned back-end and the base FE↔BE
+	// round-trip propagation delay, which critical-path attribution
+	// (internal/obs/critpath) splits the fetch window by. Set with Fetch.
+	BE    simnet.HostID
+	BERTT time.Duration
 }
 
 // OverallDelay is the user-perceived response time: first SYN to last
@@ -73,8 +76,8 @@ func (r Record) OverallDelay() time.Duration { return r.DoneAt - r.IssuedAt }
 //
 // Consume is called in record order (batch order, then per-batch
 // simulation order), from the batch's worker goroutine. The record —
-// its Events, Span and Body included — must not be retained beyond the
-// call; copy what you keep.
+// its Events and Body included — must not be retained beyond the call;
+// copy what you keep.
 type RecordSink interface {
 	Consume(rec *Record)
 }
@@ -96,7 +99,7 @@ type Dataset struct {
 // client population: simulator, network and deployment, the optional
 // observability wiring (simulator counters, one TCP stack bundle for
 // every endpoint, per-FE/BE labeled metrics), the optional wall-clock
-// telemetry hub, and each FE's back-end link for span annotation.
+// telemetry hub, and each FE's back-end link for the ground-truth join.
 // Runner and FleetRunner embed it.
 type world struct {
 	Sim *simnet.Sim
@@ -176,6 +179,19 @@ func (w *world) complete(rr *Record, resp *httpsim.Response, keepBody bool) {
 	}
 }
 
+// join stamps the FE's ground truth on a record: the matched log entry
+// fr (the zero value when none matched), the fetch time it implies, and
+// the FE's back-end link. A degraded query's BE fetch never completes
+// (FetchDone stays zero), so it has no fetch time.
+func (w *world) join(rr *Record, fr frontend.FetchRecord) {
+	rr.Fetch = fr
+	if fr.FetchDone > 0 {
+		rr.TrueFetch = fr.FetchDone - fr.Arrived
+	}
+	link := w.links[rr.FE]
+	rr.BE, rr.BERTT = link.be, link.rtt
+}
+
 // get sends the record's query to its FE on a fresh connection from ep
 // and stamps the connection's key on the record; onDone runs when the
 // response completes.
@@ -223,8 +239,8 @@ type Options struct {
 	KeepBodies bool
 	// Obs, when non-nil, wires the whole world into an observability
 	// layer: simulator and network counters, a fleet-wide TCP stack
-	// bundle, per-FE/BE labeled metrics, and (when Obs carries a span
-	// tracer) one causal span tree per completed query, assembled at
+	// bundle, per-FE/BE labeled metrics, and (when Obs carries a tail
+	// sampler) the FE fetch log, joined onto every completed record at
 	// finalize time. Nil costs nothing on the hot paths.
 	Obs *obs.Observer
 	// Runtime, when non-nil, publishes engine liveness (events/sec,
@@ -367,10 +383,10 @@ func matchFetch(cands []frontend.FetchRecord, issued, done time.Duration) (front
 	return frontend.FetchRecord{}, false
 }
 
-// observe flushes registry snapshots and turns every completed record
-// into observations: each record's session is parsed once, feeding both
-// the phase sketches and — when span retention is on (keep-everything
-// tracer or tail sampler) — its causal span tree.
+// observe flushes the registry snapshots and, when the FE fetch log is
+// on (the observer carries a tail sampler), joins every completed
+// record with the FE's ground truth. Parsing and measuring the records
+// is internal/analysis's job.
 func (r *Runner) observe(ds *Dataset) {
 	o := r.obsv
 	if o == nil {
@@ -378,132 +394,33 @@ func (r *Runner) observe(ds *Dataset) {
 	}
 	r.simMetrics.Flush()
 	r.Net.ExportMetrics(o.Registry())
-	wantSpans := o.WantSpans()
-	if o.Registry() == nil && !wantSpans {
+	if o.TailSampler() == nil {
 		return
 	}
-	observePhases := phaseObserver(o.Registry(), ds.Service)
-	var logs map[simnet.HostID]map[feLogKey][]frontend.FetchRecord
-	if wantSpans {
-		logs = make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
-		for _, fe := range r.Dep.FEs {
-			m := make(map[feLogKey][]frontend.FetchRecord)
-			for _, fr := range fe.FetchLog() {
-				k := feLogKey{fr.Client, fr.ClientPort}
-				m[k] = append(m[k], fr)
-			}
-			logs[fe.Host()] = m
+	logs := make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
+	for _, fe := range r.Dep.FEs {
+		m := make(map[feLogKey][]frontend.FetchRecord)
+		for _, fr := range fe.FetchLog() {
+			k := feLogKey{fr.Client, fr.ClientPort}
+			m[k] = append(m[k], fr)
 		}
+		logs[fe.Host()] = m
 	}
-	tracer := o.Tracer()
 	for i := range ds.Records {
 		rr := &ds.Records[i]
-		if rr.Failed {
+		if rr.Failed || rr.Key == (capture.ConnKey{}) {
 			continue
 		}
-		s, _ := trace.Parse(rr.Key, rr.Events) // nil when the capture did not parse
-		observePhases(rr, s)
-		if !wantSpans || rr.Span != nil || rr.Key == (capture.ConnKey{}) {
-			continue
-		}
-		rr.Span = joinSpan(rr, s, logs[rr.FE], r.links[rr.FE])
-		tracer.Add(rr.Span)
+		fr, _ := matchFetch(logs[rr.FE][feLogKey{string(rr.Node), rr.Key.LocalPort}], rr.IssuedAt, rr.DoneAt)
+		r.join(rr, fr)
 	}
 }
 
 // beLink is the FE's assigned back-end and the base FE↔BE round-trip
-// propagation delay, annotated onto fe-fetch spans so the critical-path
-// attribution (internal/obs/critpath) can split the fetch window into
-// backbone propagation vs BE processing.
+// propagation delay.
 type beLink struct {
 	be  simnet.HostID
 	rtt time.Duration
-}
-
-// phaseObserver returns the per-record feed of the dimensional quantile
-// sketches: per-phase durations labeled by service, per-FE overall
-// delay, and per-vantage overall delay under a bounded cardinality cap
-// (fleet nodes are the one label dimension that scales with deployment
-// size). s is the record's parsed session, nil when the capture did not
-// parse. A nil registry observes nothing.
-func phaseObserver(reg *obs.Registry, svc string) func(rr *Record, s *trace.Session) {
-	if reg == nil {
-		return func(*Record, *trace.Session) {}
-	}
-	phase := reg.SketchVec("query_phase_seconds",
-		"per-phase query durations (client-observed)",
-		obs.DefaultSketchAlpha, "service", "phase")
-	perFE := reg.SketchVec("fe_overall_seconds",
-		"overall query delay by serving front-end",
-		obs.DefaultSketchAlpha, "service", "fe")
-	perNode := reg.SketchVec("vantage_overall_seconds",
-		"overall query delay by vantage node",
-		obs.DefaultSketchAlpha, "service", "vantage").Bounded(obs.DefaultCardinality)
-	return func(rr *Record, s *trace.Session) {
-		overall := rr.OverallDelay().Seconds()
-		phase.With(svc, "overall").Observe(overall)
-		perFE.With(svc, string(rr.FE)).Observe(overall)
-		perNode.With(svc, string(rr.Node)).Observe(overall)
-		if rr.DNSTime > 0 {
-			phase.With(svc, "dns").Observe(rr.DNSTime.Seconds())
-		}
-		if s != nil {
-			phase.With(svc, "handshake").Observe(s.RTT.Seconds())
-			phase.With(svc, "get").Observe((s.T3 - s.T1).Seconds())
-			phase.With(svc, "delivery").Observe((s.TE - s.T3).Seconds())
-		}
-	}
-}
-
-// joinSpan joins one record with the FE's hidden ground truth — filling
-// Record.TrueFetch from the FE log — and assembles its span tree on the
-// heap, for records that outlive the run.
-func joinSpan(rr *Record, s *trace.Session, feLog map[feLogKey][]frontend.FetchRecord, link beLink) *obs.Span {
-	fr, _ := matchFetch(feLog[feLogKey{string(rr.Node), rr.Key.LocalPort}], rr.IssuedAt, rr.DoneAt)
-	if fr.FetchDone > 0 {
-		rr.TrueFetch = fr.FetchDone - fr.Arrived
-	}
-	return assembleSpan(nil, rr, s, fr, link)
-}
-
-// assembleSpan builds the paper's Figure-2 causal phases of one query as
-// a span tree: client-side phases from the parsed packet session s (nil
-// when the capture did not parse), plus the FE's ground truth fr (zero
-// value when the join failed: static flush, FE↔BE fetch) on a second
-// track. Nodes come from arena a and are recycled with it; a nil arena
-// allocates on the heap.
-func assembleSpan(a *obs.SpanArena, rr *Record, s *trace.Session, fr frontend.FetchRecord, link beLink) *obs.Span {
-	start := rr.IssuedAt - rr.DNSTime
-	root := a.NewSpan("query", "client", obs.ConnKey(rr.Key), start, rr.DoneAt)
-	root.SetAttr("node", string(rr.Node))
-	root.SetAttr("fe", string(rr.FE))
-	root.SetAttr("keywords", rr.Query.Keywords)
-	if rr.DNSTime > 0 {
-		a.Child(root, "dns-resolve", start, rr.IssuedAt)
-	}
-	if s != nil {
-		a.Child(root, "tcp-handshake", s.TB, s.TB+s.RTT)
-		a.Child(root, "get-request", s.T1, s.T3)
-		a.Child(root, "delivery", s.T3, s.TE)
-	}
-	if fr.StaticAt > 0 {
-		c := a.Child(root, "fe-static-flush", fr.Arrived, fr.StaticAt)
-		c.Track = "frontend"
-	}
-	if fr.FetchDone > 0 {
-		c := a.Child(root, "fe-fetch", fr.Arrived, fr.FetchDone)
-		c.Track = "frontend"
-		if link.be != "" {
-			c.SetAttr("be", string(link.be))
-			c.SetAttr("be_rtt_ns", strconv.FormatInt(int64(link.rtt), 10))
-		}
-		if fr.QueueWait > 0 {
-			// BE-reported cluster queueing inside the fetch window,
-			// powering the be-queue critical-path phase.
-			c.SetAttr("be_queue_ns", strconv.FormatInt(int64(fr.QueueWait), 10))
-		}
-	}
-	return root
 }
 
 // FEResolver abstracts DNS-style client→FE resolution (implemented by

@@ -1,7 +1,6 @@
 package emulator_test
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -167,69 +166,6 @@ func TestIssueOnce(t *testing.T) {
 	ds := r.IssueOnce(fe, r.Fleet.Nodes[0], q)
 	if len(ds.Records) != 1 || ds.Records[0].Failed {
 		t.Fatalf("records = %+v", ds.Records)
-	}
-}
-
-func TestSaveLoadDatasetRoundTrip(t *testing.T) {
-	r := newRunner(t, 8)
-	ds := r.RunExperimentA(emulator.AOptions{
-		QueriesPerNode: 3, Interval: 2 * time.Second, QuerySeed: 1,
-	})
-	dir := filepath.Join(t.TempDir(), "dataset")
-	if err := emulator.SaveDataset(ds, dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := emulator.LoadDataset(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Service != ds.Service || got.Experiment != ds.Experiment {
-		t.Fatalf("metadata mismatch: %s/%s", got.Service, got.Experiment)
-	}
-	if len(got.Records) != len(ds.Records) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(ds.Records))
-	}
-	if len(got.Traces) != len(ds.Traces) {
-		t.Fatalf("traces = %d, want %d", len(got.Traces), len(ds.Traces))
-	}
-	for i := range ds.Records {
-		a, b := ds.Records[i], got.Records[i]
-		if a.Node != b.Node || a.Query != b.Query || a.Key != b.Key ||
-			a.IssuedAt != b.IssuedAt || a.DoneAt != b.DoneAt {
-			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, a, b)
-		}
-		if len(b.Events) != len(a.Events) {
-			t.Fatalf("record %d events %d vs %d", i, len(b.Events), len(a.Events))
-		}
-	}
-	// The analysis must produce identical results from the loaded set.
-	bOrig := analysis.BoundaryFromDataset(ds)
-	bLoad := analysis.BoundaryFromDataset(got)
-	if bOrig != bLoad {
-		t.Fatalf("boundary %d vs %d", bOrig, bLoad)
-	}
-	pOrig := analysis.ExtractDataset(ds, bOrig)
-	pLoad := analysis.ExtractDataset(got, bLoad)
-	if len(pOrig) != len(pLoad) {
-		t.Fatalf("params %d vs %d", len(pOrig), len(pLoad))
-	}
-	for i := range pOrig {
-		if pOrig[i] != pLoad[i] {
-			t.Fatalf("param %d mismatch: %+v vs %+v", i, pOrig[i], pLoad[i])
-		}
-	}
-	// Ground truth survives too.
-	for fe, fts := range ds.FEFetchTimes {
-		lts := got.FEFetchTimes[fe]
-		if len(lts) != len(fts) {
-			t.Fatalf("fetch times for %s: %d vs %d", fe, len(lts), len(fts))
-		}
-	}
-}
-
-func TestLoadDatasetMissingDir(t *testing.T) {
-	if _, err := emulator.LoadDataset(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("missing dir accepted")
 	}
 }
 
@@ -406,38 +342,4 @@ func TestFailedRecordsSkippedByAnalysis(t *testing.T) {
 // cdnPathDown returns a fully lossy path (an outage).
 func cdnPathDown() simnet.PathParams {
 	return simnet.PathParams{Delay: time.Millisecond, LossRate: 1}
-}
-
-func TestSaveLoadSnappedDataset(t *testing.T) {
-	r, err := emulator.New(71, cdn.GoogleLike(1),
-		emulator.Options{Nodes: 5, FleetSeed: 72, SnapPayloads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := r.RunExperimentB(emulator.BOptions{
-		FE: r.Dep.FEs[0], Repeats: 3, Interval: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "snapped")
-	if err := emulator.SaveDataset(ds, dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := emulator.LoadDataset(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapped payload lengths must survive the codec round trip so the
-	// timeline analysis stays valid.
-	origP := analysis.ExtractDataset(ds, 8000)
-	loadP := analysis.ExtractDataset(got, 8000)
-	if len(origP) == 0 || len(origP) != len(loadP) {
-		t.Fatalf("params %d vs %d", len(origP), len(loadP))
-	}
-	for i := range origP {
-		if origP[i] != loadP[i] {
-			t.Fatalf("param %d mismatch after snapped round trip", i)
-		}
-	}
 }

@@ -13,7 +13,6 @@ import (
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/shard"
 	"fesplit/internal/tcpsim"
-	"fesplit/internal/trace"
 	"fesplit/internal/vantage"
 	"fesplit/internal/workload"
 )
@@ -49,10 +48,8 @@ type FleetOptions struct {
 	// free-list's exact use case (proven transcript-identical by the
 	// tcpsim recycle differential suite).
 	ClientTCP tcpsim.Config
-	// Obs, when non-nil, wires metrics and (if it carries a tracer)
-	// per-query span assembly. Fleet spans are arena-allocated and
-	// valid only during Sink.Consume — sinks keep a span by cloning it
-	// (obs.TailSampler.OfferTransient does this on retention).
+	// Obs, when non-nil, wires metrics and (if it carries a tail
+	// sampler) the FE fetch log every folded record is joined with.
 	Obs *obs.Observer
 	// Runtime receives fleet gauges (arrivals, live, slots, pooled)
 	// and heap-watermark samples.
@@ -103,8 +100,10 @@ type FleetResult struct {
 	// prune time — with pruning it tracks in-flight count, not total
 	// arrivals.
 	PeakFELog int
-	// ArenaCap is the span arena's final node capacity (0 when span
-	// assembly is off).
+	// ArenaCap is the final node capacity of the span arena the
+	// campaign's sink assembled span trees in. The sink owns that arena
+	// (see analysis.Fold), so its owner fills this in; the runner leaves
+	// it zero.
 	ArenaCap int
 }
 
@@ -175,7 +174,6 @@ type FleetRunner struct {
 	free     []*fleetSlot
 	freeHead int
 
-	arena     *obs.SpanArena
 	evScratch []capture.Event
 	out       outQueue
 
@@ -205,9 +203,6 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 		metros:  geo.WorldMetros(),
 	}
 	r.opts.ClientTCP.RecycleConns = true
-	if opts.Obs.WantSpans() {
-		r.arena = obs.NewSpanArena()
-	}
 	return r, nil
 }
 
@@ -281,9 +276,6 @@ func (r *FleetRunner) Run() *FleetResult {
 	// Final prune pass and watermark sample close out the world.
 	r.prune()
 	r.rt.SampleMem()
-	if r.arena != nil {
-		r.res.ArenaCap = r.arena.Cap()
-	}
 	return &r.res
 }
 
@@ -304,9 +296,9 @@ func (r *FleetRunner) issue(idx int) {
 }
 
 // fold finalizes one completed arrival: carve the session's events out
-// of the slot recorder, join the FE's ground truth, assemble the span
-// (arena-allocated), hand the record to the sink, then recycle
-// everything — recorder slab, span nodes, Record struct, slot.
+// of the slot recorder, join the FE's ground truth, hand the record to
+// the sink, then recycle everything — recorder slab, Record struct,
+// slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
 	r.complete(rr, resp, false)
@@ -324,24 +316,15 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	}
 	rr.Events = r.evScratch
 
-	// A failed join yields the zero FetchRecord: no ground truth, no
-	// FE-side spans.
+	// A failed join yields the zero FetchRecord: no ground truth.
 	fr, _ := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
-	rr.TrueFetch = fr.FetchDone - fr.Arrived
-	if r.arena != nil {
-		sess, _ := trace.Parse(rr.Key, rr.Events) // nil when the capture did not parse
-		rr.Span = assembleSpan(r.arena, rr, sess, fr, r.links[rr.FE])
-	}
+	r.join(rr, fr)
 
 	r.opts.Sink.Consume(rr)
 	r.rt.NoteRecord()
 	r.rt.NoteFleetDone()
 
-	if r.arena != nil {
-		r.arena.Reset()
-	}
 	rr.Events = nil
-	rr.Span = nil
 	s.rec.ResetKeep()
 	r.out.markDone(s.outIdx)
 	r.release(s)

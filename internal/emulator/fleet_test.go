@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"fesplit/internal/backend"
 	"fesplit/internal/cdn"
+	"fesplit/internal/frontend"
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/trace"
@@ -92,16 +94,16 @@ func TestDefaultDiurnalCurveShape(t *testing.T) {
 
 // fleetSink folds records into summary statistics plus a fingerprint —
 // the streaming consumer a real study would use, instrumented for
-// assertions. It clones nothing: everything it keeps is scalar, and
-// spans go through OfferTransient (clone-on-retain).
+// assertions. Everything it keeps is scalar.
 type fleetSink struct {
 	n         int
 	rejected  int
 	parsed    int
 	trueFetch int
-	withSpan  int
-	fp        uint64
-	ts        *obs.TailSampler
+	// degraded counts joined records whose BE fetch never completed;
+	// negFetch records with a negative TrueFetch (must stay zero).
+	degraded, negFetch int
+	fp                 uint64
 }
 
 func (s *fleetSink) Consume(rec *Record) {
@@ -120,17 +122,17 @@ func (s *fleetSink) Consume(rec *Record) {
 	}
 	h.Write(buf[:])
 	s.fp = s.fp*1099511628211 ^ h.Sum64()
-	if rec.TrueFetch > 0 {
+	switch {
+	case rec.TrueFetch > 0:
 		s.trueFetch++
+	case rec.TrueFetch < 0:
+		s.negFetch++
+	}
+	if rec.Fetch.Arrived > 0 && rec.Fetch.FetchDone == 0 {
+		s.degraded++
 	}
 	if _, err := trace.Parse(rec.Key, rec.Events); err == nil {
 		s.parsed++
-	}
-	if rec.Span != nil {
-		s.withSpan++
-		if s.ts != nil {
-			s.ts.OfferTransient(rec.OverallDelay().Seconds(), false, rec.Span)
-		}
 	}
 }
 
@@ -146,8 +148,8 @@ func fleetTestOpts(sink RecordSink, o *obs.Observer) FleetOptions {
 }
 
 func TestFleetCampaignBoundedAndComplete(t *testing.T) {
-	sink := &fleetSink{ts: obs.NewTailSampler(obs.TailConfig{Percentile: 0.9, MaxExemplars: 8, MaxCandidates: 16})}
-	o := &obs.Observer{Reg: obs.NewRegistry(), Tail: sink.ts}
+	sink := &fleetSink{}
+	o := obs.NewTailObserver(obs.TailConfig{}) // the sampler turns the FE log on
 	eng := rt.NewEngine()
 	opts := fleetTestOpts(sink, o)
 	opts.Runtime = eng
@@ -183,23 +185,6 @@ func TestFleetCampaignBoundedAndComplete(t *testing.T) {
 	if sink.trueFetch < ok*9/10 {
 		t.Fatalf("only %d/%d sessions joined FE ground truth", sink.trueFetch, ok)
 	}
-	if sink.withSpan != sink.n {
-		t.Fatalf("spans assembled for %d/%d records", sink.withSpan, sink.n)
-	}
-	// Tail sampler retained a bounded pool of cloned exemplars that
-	// survived arena recycling: every selected span still has its tree.
-	if got := sink.ts.Retained(); got > 16+1 {
-		t.Fatalf("sampler retained %d exemplars, bound 16", got)
-	}
-	sel := sink.ts.Select()
-	if len(sel) == 0 {
-		t.Fatal("tail sampler selected nothing")
-	}
-	for _, e := range sel {
-		if e.Span == nil || e.Span.Name != "query" || len(e.Span.Children) == 0 {
-			t.Fatalf("retained exemplar span corrupted by arena recycling: %+v", e.Span)
-		}
-	}
 	// Runtime gauges: arrivals counted, everything returned to pools.
 	snap := eng.Snapshot()
 	if snap.Fleet.Arrivals != uint64(opts.Clients) || snap.Fleet.Live != 0 {
@@ -208,8 +193,33 @@ func TestFleetCampaignBoundedAndComplete(t *testing.T) {
 	if snap.Fleet.Slots != int64(res.Slots) || snap.Fleet.Pooled != int64(res.Slots) {
 		t.Fatalf("fleet gauges slots=%d pooled=%d, want %d each", snap.Fleet.Slots, snap.Fleet.Pooled, res.Slots)
 	}
-	if res.ArenaCap == 0 || res.ArenaCap > 4096 {
-		t.Fatalf("arena capacity %d nodes, want small and non-zero", res.ArenaCap)
+}
+
+// TestFleetDegradedFetchHasNoTrueFetch overloads a one-replica BE with a
+// one-deep queue, so some FE fetches exhaust their retries and degrade
+// to static-only: the FE logs the arrival but the fetch never completes.
+// Such a record joins its log entry yet has no fetch time — never a
+// negative one.
+func TestFleetDegradedFetchHasNoTrueFetch(t *testing.T) {
+	cfg := cdn.SingleBE(cdn.BingLike(1), "bing-be-virginia")
+	cfg.BEOptions.Queue = backend.QueueOptions{Replicas: 1, QueueCap: 1}
+	cfg.FEPool = frontend.PoolConfig{Retries: 1, Backoff: 5 * time.Millisecond}
+	sink := &fleetSink{}
+	opts := fleetTestOpts(sink, obs.NewTailObserver(obs.TailConfig{}))
+	opts.Curve = DefaultDiurnalCurve(30*time.Second, 40)
+	r, err := NewFleetRunner(11, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	if sink.degraded == 0 {
+		t.Fatal("no fetch degraded to static-only; the scenario does not overload the BE")
+	}
+	if sink.trueFetch == 0 {
+		t.Fatal("no record joined a completed fetch")
+	}
+	if sink.negFetch != 0 {
+		t.Fatalf("%d of %d folded records carry a negative TrueFetch", sink.negFetch, sink.n)
 	}
 }
 

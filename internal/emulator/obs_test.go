@@ -10,51 +10,47 @@ import (
 )
 
 // observedRun drives one small observed Experiment A and returns the
-// three exports.
-func observedRun(t *testing.T, seed int64) (prom, chrome, jsonl []byte, ds *Dataset) {
+// registry export and the dataset.
+func observedRun(t *testing.T, seed int64) (prom []byte, ds *Dataset) {
 	t.Helper()
-	o := obs.NewObserver()
+	o := obs.NewTailObserver(obs.TailConfig{})
 	r, err := New(seed, cdn.GoogleLike(seed), Options{Nodes: 6, FleetSeed: seed + 1, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds = r.RunExperimentA(AOptions{QueriesPerNode: 3, Interval: 2 * time.Second, QuerySeed: seed + 2})
-	var p, c, j bytes.Buffer
+	var p bytes.Buffer
 	if err := obs.WritePrometheus(&p, o.Reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteChromeTrace(&c, o.Spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteSpansJSONL(&j, o.Spans); err != nil {
-		t.Fatal(err)
-	}
-	return p.Bytes(), c.Bytes(), j.Bytes(), ds
+	return p.Bytes(), ds
 }
 
-// TestObservedRunDeterministic asserts the whole observability layer is
-// replay-exact: two same-seed runs export byte-identical Prometheus,
-// Chrome-trace and JSONL files.
+// TestObservedRunDeterministic asserts what the emulator observes is
+// replay-exact: two same-seed runs export byte-identical Prometheus
+// text and join the same FE ground truth onto every record. (The span
+// exports built from those records are analysis.Fold's test.)
 func TestObservedRunDeterministic(t *testing.T) {
-	p1, c1, j1, _ := observedRun(t, 11)
-	p2, c2, j2, _ := observedRun(t, 11)
+	p1, ds1 := observedRun(t, 11)
+	p2, ds2 := observedRun(t, 11)
 	if !bytes.Equal(p1, p2) {
 		t.Error("prometheus exports differ across same-seed runs")
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Error("chrome-trace exports differ across same-seed runs")
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Error("jsonl exports differ across same-seed runs")
+	for i := range ds1.Records {
+		a, b := ds1.Records[i], ds2.Records[i]
+		if a.Fetch != b.Fetch || a.TrueFetch != b.TrueFetch || a.BE != b.BE || a.BERTT != b.BERTT {
+			t.Fatalf("record %d joined different ground truth across same-seed runs", i)
+		}
 	}
 }
 
 // TestObservedRunCoverage asserts the registry spans every subsystem
 // (the obs CLI's acceptance floor: ≥12 families across simnet, tcpsim,
-// frontend and backend) and that every completed record carries a span
-// tree with the client-side phases.
+// frontend and backend) and that every completed record carries the
+// FE's ground truth a span tree needs: the joined log entry with its
+// fetch window, and the FE's back-end link.
 func TestObservedRunCoverage(t *testing.T) {
-	prom, _, _, ds := observedRun(t, 13)
+	prom, ds := observedRun(t, 13)
 	fams := 0
 	byPrefix := map[string]int{}
 	for _, line := range bytes.Split(prom, []byte("\n")) {
@@ -77,25 +73,23 @@ func TestObservedRunCoverage(t *testing.T) {
 			t.Errorf("no %s* families exported", p)
 		}
 	}
-	spans := 0
+	joined := 0
 	for i, rec := range ds.Records {
 		if rec.Failed {
 			continue
 		}
-		if rec.Span == nil {
-			t.Fatalf("record %d has no span", i)
+		if rec.TrueFetch <= 0 || rec.TrueFetch != rec.Fetch.FetchDone-rec.Fetch.Arrived {
+			t.Errorf("record %d: fetch time %v does not match its log entry %+v", i, rec.TrueFetch, rec.Fetch)
 		}
-		for _, name := range []string{"tcp-handshake", "get-request", "delivery", "fe-fetch"} {
-			if rec.Span.Find(name) == nil {
-				t.Errorf("record %d span missing %q phase", i, name)
-			}
+		if rec.Fetch.Arrived < rec.IssuedAt || rec.Fetch.Arrived > rec.DoneAt {
+			t.Errorf("record %d joined a fetch outside its query window", i)
 		}
-		if rec.TrueFetch <= 0 {
-			t.Errorf("record %d has no ground-truth fetch time", i)
+		if rec.BE == "" || rec.BERTT <= 0 {
+			t.Errorf("record %d carries no back-end link", i)
 		}
-		spans++
+		joined++
 	}
-	if spans == 0 {
-		t.Fatal("no spans assembled")
+	if joined == 0 {
+		t.Fatal("no records joined")
 	}
 }

@@ -24,9 +24,9 @@ type feMetrics struct {
 
 // StartObserving wires this FE into the observer: registry metrics
 // (labeled by FE host and geographic site) and, when the observer
-// retains spans (keep-everything tracer or tail sampler), per-request
-// fetch records for ground-truth span assembly. Call before traffic; a
-// nil observer is a no-op.
+// carries a tail sampler (so span trees will be assembled), per-request
+// fetch records for the ground-truth join. Call before traffic; a nil
+// observer is a no-op.
 func (fe *Server) StartObserving(o *obs.Observer) {
 	if reg := o.Registry(); reg != nil {
 		host, site := string(fe.host), fe.site.Name
@@ -57,7 +57,7 @@ func (fe *Server) StartObserving(o *obs.Observer) {
 				"fetches waiting for a BE-pool slot", "fe", "site").With(host, site),
 		}
 	}
-	if o.WantSpans() {
+	if o.TailSampler() != nil {
 		fe.logFetches = true
 	}
 }

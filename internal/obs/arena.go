@@ -24,26 +24,17 @@ const spanSlabSize = 256
 //     caller is responsible for sequencing Reset after all consumers
 //     of the current tree have returned.
 //
-// The zero value is ready to use, and a nil *SpanArena hands out plain
-// heap nodes the caller owns outright — so one span assembler serves
-// both the recycling fleet path and the record-retaining Runner.
-// SpanArena is not safe for concurrent use; give each batch world its
-// own.
+// The zero value is ready to use. SpanArena is not safe for concurrent
+// use; give each batch's fold its own.
 type SpanArena struct {
 	slabs [][]Span
 	cur   int // slab currently being carved
 	used  int // nodes used in slabs[cur]
 }
 
-// NewSpanArena returns an empty arena.
-func NewSpanArena() *SpanArena { return &SpanArena{} }
-
 // alloc hands out one recycled node with fields reset and slice
 // capacities (Attrs, Children) retained from the node's previous life.
 func (a *SpanArena) alloc() *Span {
-	if a == nil {
-		return &Span{}
-	}
 	if len(a.slabs) == 0 {
 		a.slabs = append(a.slabs, make([]Span, spanSlabSize))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func heapTree(i int) *Span {
 }
 
 func TestSpanArenaTreesMatchHeapTrees(t *testing.T) {
-	a := NewSpanArena()
+	a := new(SpanArena)
 	for i := 0; i < 10; i++ {
 		got := arenaTree(a, i)
 		if !reflect.DeepEqual(got, heapTree(i)) {
@@ -47,7 +48,7 @@ func TestSpanArenaTreesMatchHeapTrees(t *testing.T) {
 // TestSpanArenaResetReuses: after Reset the arena hands out the same
 // node capacity again instead of growing, and rebuilt trees are intact.
 func TestSpanArenaResetReuses(t *testing.T) {
-	a := NewSpanArena()
+	a := new(SpanArena)
 	for i := 0; i < 100; i++ {
 		arenaTree(a, i)
 	}
@@ -69,7 +70,7 @@ func TestSpanArenaResetReuses(t *testing.T) {
 // TestSpanCloneIndependent: a clone shares no memory with the original —
 // mutating (or arena-recycling) the source must not disturb the clone.
 func TestSpanCloneIndependent(t *testing.T) {
-	a := NewSpanArena()
+	a := new(SpanArena)
 	src := arenaTree(a, 7)
 	clone := src.Clone()
 	if !reflect.DeepEqual(clone, heapTree(7)) {
@@ -88,15 +89,18 @@ func TestSpanCloneIndependent(t *testing.T) {
 	}
 }
 
-// offerStream drives the same pseudo-random stream of offers into ts.
-// transient selects OfferTransient with per-offer arena recycling —
-// exactly the fleet campaign's usage.
-func offerStream(ts *TailSampler, seed int64, n int, transient bool) {
+// offerStream drives a pseudo-random stream of offers into ts —
+// OfferTransient with per-offer arena recycling when transient, exactly
+// a streaming campaign's usage — and returns every offer made, spans as
+// independent heap trees, for bruteSelect to choose from.
+func offerStream(ts *TailSampler, seed int64, n int, transient bool) []Exemplar {
 	rng := rand.New(rand.NewSource(seed))
-	a := NewSpanArena()
-	for i := 0; i < n; i++ {
+	a := new(SpanArena)
+	all := make([]Exemplar, n)
+	for i := range all {
 		v := rng.ExpFloat64() * 0.1
 		viol := rng.Intn(400) == 0
+		all[i] = Exemplar{Value: v, Violation: viol, Span: heapTree(i), Seq: i}
 		if transient {
 			a.Reset()
 			ts.OfferTransient(v, viol, arenaTree(a, i))
@@ -104,6 +108,37 @@ func offerStream(ts *TailSampler, seed int64, n int, transient bool) {
 			ts.Offer(v, viol, heapTree(i))
 		}
 	}
+	return all
+}
+
+// bruteSelect is the selection rule written out over every offer ever
+// made, with nothing evicted along the way: all violations, plus the
+// offers at or above thr — largest first, earlier offer winning ties —
+// up to what the cap leaves after the violations; in offer order.
+func bruteSelect(all []Exemplar, thr float64, maxExemplars int) []Exemplar {
+	var kept, tail []Exemplar
+	for _, e := range all {
+		switch {
+		case e.Violation:
+			kept = append(kept, e)
+		case e.Value >= thr:
+			tail = append(tail, e)
+		}
+	}
+	sort.Slice(tail, func(i, j int) bool {
+		if tail[i].Value != tail[j].Value {
+			return tail[i].Value > tail[j].Value
+		}
+		return tail[i].Seq < tail[j].Seq
+	})
+	if budget := maxExemplars - len(kept); budget < 0 {
+		tail = nil
+	} else if len(tail) > budget {
+		tail = tail[:budget]
+	}
+	kept = append(kept, tail...)
+	sort.Slice(kept, func(i, j int) bool { return kept[i].Seq < kept[j].Seq })
+	return kept
 }
 
 func sameSelection(t *testing.T, got, want []Exemplar, label string) {
@@ -123,62 +158,52 @@ func sameSelection(t *testing.T, got, want []Exemplar, label string) {
 	}
 }
 
-// TestBoundedSamplerMatchesExact: with MaxCandidates ≥ MaxExemplars the
-// bounded sampler must make byte-identical selections to the unbounded
-// one, for both Offer and arena-backed OfferTransient, while retaining
-// a bounded candidate pool.
+// TestBoundedSamplerMatchesExact: the sampler's bounded pool must select
+// exactly what a brute-force pass over every offer selects, for both
+// Offer and arena-backed OfferTransient, while never holding more than
+// MaxExemplars non-violation candidates.
 func TestBoundedSamplerMatchesExact(t *testing.T) {
 	const n = 5000
 	for _, seed := range []int64{1, 2, 3} {
-		for _, maxC := range []int{0 /* clamped to MaxExemplars */, 16, 64, 500} {
-			cfg := TailConfig{Percentile: 0.99, MaxExemplars: 16}
-			exact := NewTailSampler(cfg)
-			offerStream(exact, seed, n, false)
-
-			cfg.MaxCandidates = maxC
-			if maxC == 0 {
-				cfg.MaxCandidates = 1 // exercises the clamp to MaxExemplars
+		for _, transient := range []bool{false, true} {
+			for _, max := range []int{1, 16, 64, 500} {
+				ts := NewTailSampler(TailConfig{Percentile: 0.99, MaxExemplars: max})
+				all := offerStream(ts, seed, n, transient)
+				label := fmt.Sprintf("seed %d transient %v max %d", seed, transient, max)
+				if ts.Offered() != n {
+					t.Fatalf("%s: offered %d, want %d", label, ts.Offered(), n)
+				}
+				if got := len(ts.cands); got > max {
+					t.Fatalf("%s: candidate pool %d exceeds bound %d", label, got, max)
+				}
+				sameSelection(t, ts.Select(), bruteSelect(all, ts.Threshold(), max), label)
 			}
-			bounded := NewTailSampler(cfg)
-			offerStream(bounded, seed, n, true)
-
-			if bounded.Offered() != exact.Offered() {
-				t.Fatalf("seed %d K=%d: offered %d vs %d", seed, maxC, bounded.Offered(), exact.Offered())
-			}
-			wantMax := bounded.Config().MaxCandidates
-			if got := len(bounded.cands); got > wantMax {
-				t.Fatalf("seed %d K=%d: candidate pool %d exceeds bound %d", seed, maxC, got, wantMax)
-			}
-			sameSelection(t, bounded.Select(), exact.Select(), fmt.Sprintf("seed %d K=%d", seed, maxC))
 		}
 	}
 }
 
 // TestBoundedSamplerMergeMatchesExact: bounded per-shard samplers must
-// merge to the same selection as exact per-shard samplers, which in
-// turn (pinned by merge_test.go) equals the serial run.
+// merge to the brute-force selection over the concatenated offers of
+// every shard (sequence numbers rebased shard by shard, as the merge
+// does), with the merged pool still bounded.
 func TestBoundedSamplerMergeMatchesExact(t *testing.T) {
-	const shards, perShard = 4, 1500
-	cfgExact := TailConfig{Percentile: 0.99, MaxExemplars: 12}
-	cfgBound := cfgExact
-	cfgBound.MaxCandidates = 24
-
-	var exacts, bounds []*TailSampler
+	const shards, perShard, max = 4, 1500, 12
+	var samplers []*TailSampler
+	var all []Exemplar
 	for s := 0; s < shards; s++ {
-		e := NewTailSampler(cfgExact)
-		b := NewTailSampler(cfgBound)
-		offerStream(e, int64(100+s), perShard, false)
-		offerStream(b, int64(100+s), perShard, true)
-		exacts = append(exacts, e)
-		bounds = append(bounds, b)
+		ts := NewTailSampler(TailConfig{Percentile: 0.99, MaxExemplars: max})
+		for _, e := range offerStream(ts, int64(100+s), perShard, true) {
+			e.Seq += s * perShard
+			all = append(all, e)
+		}
+		samplers = append(samplers, ts)
 	}
-	me := MergeTailSamplers(exacts...)
-	mb := MergeTailSamplers(bounds...)
-	if mb.Offered() != me.Offered() {
-		t.Fatalf("merged offered %d vs %d", mb.Offered(), me.Offered())
+	merged := MergeTailSamplers(samplers...)
+	if merged.Offered() != len(all) {
+		t.Fatalf("merged offered %d, want %d", merged.Offered(), len(all))
 	}
-	if got, max := len(mb.cands), mb.Config().MaxCandidates; got > max {
+	if got := len(merged.cands); got > max {
 		t.Fatalf("merged candidate pool %d exceeds bound %d", got, max)
 	}
-	sameSelection(t, mb.Select(), me.Select(), "merged")
+	sameSelection(t, merged.Select(), bruteSelect(all, merged.Threshold(), max), "merged")
 }

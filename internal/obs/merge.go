@@ -93,10 +93,10 @@ func (r *Registry) Merge(src *Registry) error {
 // first non-nil sampler; nil samplers are skipped. With no non-nil
 // arguments the result is an empty sampler with default config.
 //
-// Bounded shards (TailConfig.MaxCandidates > 0) merge exactly: each
-// shard's pool is its top-K by value with K ≥ MaxExemplars, a superset
-// of anything the merged Select can keep from that shard, and the
-// merged sampler re-applies the same bound while absorbing.
+// The bounded shard pools merge exactly: each shard's pool is its
+// top-MaxExemplars by value, a superset of anything the merged Select
+// can keep from that shard, and the merged sampler re-applies the same
+// bound while absorbing.
 func MergeTailSamplers(ss ...*TailSampler) *TailSampler {
 	var out *TailSampler
 	for _, s := range ss {
@@ -110,11 +110,11 @@ func MergeTailSamplers(ss ...*TailSampler) *TailSampler {
 		base := out.offered
 		for _, c := range s.viols {
 			c.Seq += base
-			out.absorb(c)
+			out.absorb(c, false)
 		}
 		for _, c := range s.cands {
 			c.Seq += base
-			out.absorb(c)
+			out.absorb(c, false)
 		}
 		out.offered = base + s.offered
 	}

@@ -35,7 +35,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil tracer must be inert")
 	}
 	var o *Observer
-	if o.Registry() != nil || o.Tracer() != nil {
+	if o.Registry() != nil || o.TailSampler() != nil {
 		t.Fatal("nil observer must hand out nil components")
 	}
 }

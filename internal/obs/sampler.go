@@ -18,17 +18,6 @@ type TailConfig struct {
 	// Alpha is the relative accuracy of the internal threshold sketch
 	// (≤ 0 → stats.DefaultSketchAlpha).
 	Alpha float64
-	// MaxCandidates, when positive, bounds the non-violation candidate
-	// pool: the sampler keeps a streaming top-K by value (K clamped to
-	// at least MaxExemplars) instead of every offered span. Because the
-	// final selection never keeps more than MaxExemplars tail spans —
-	// always the largest values — retaining only the top K ≥
-	// MaxExemplars candidates provably yields the same Select() result
-	// as unbounded retention, per shard and after MergeTailSamplers.
-	// Violations remain unbounded: they are rare anomalies and the
-	// framework's raison d'être. 0 (default) retains every candidate,
-	// the exact legacy behaviour.
-	MaxCandidates int
 }
 
 func (c TailConfig) withDefaults() TailConfig {
@@ -37,9 +26,6 @@ func (c TailConfig) withDefaults() TailConfig {
 	}
 	if c.MaxExemplars <= 0 {
 		c.MaxExemplars = 64
-	}
-	if c.MaxCandidates > 0 && c.MaxCandidates < c.MaxExemplars {
-		c.MaxCandidates = c.MaxExemplars
 	}
 	return c
 }
@@ -70,19 +56,23 @@ type Exemplar struct {
 // which select lazily): the percentile threshold is a property of the
 // whole run's distribution, so selection is two-phase by design. All
 // methods are nil-safe; a nil sampler retains nothing.
+//
+// Memory is bounded whatever the campaign length: the final selection
+// never keeps more than MaxExemplars tail spans — always the largest
+// values — so the sampler retains only a streaming top-MaxExemplars of
+// the non-violation offers, which provably yields the same Select()
+// result as retaining every offer, per shard and after
+// MergeTailSamplers. Violations are unbounded: they are rare anomalies
+// and the framework's raison d'être.
 type TailSampler struct {
 	cfg    TailConfig
 	sketch *stats.Sketch
-	// cands holds non-violation candidates. Unbounded mode: plain
-	// append, in offer order. Bounded mode (cfg.MaxCandidates > 0):
-	// a min-heap with the *worst* exemplar at the root — smallest
-	// value, ties broken toward the larger Seq, mirroring Select's
-	// preference for earlier offers — so a better offer evicts the
-	// worst in O(log K).
+	// cands holds the non-violation candidates as a min-heap with the
+	// *worst* exemplar at the root — smallest value, ties broken toward
+	// the larger Seq, mirroring Select's preference for earlier offers
+	// — so a better offer evicts the worst in O(log MaxExemplars).
 	cands []Exemplar
-	// viols holds bound-violating exemplars in bounded mode (never
-	// evicted, so they must not participate in the heap). Unbounded
-	// mode keeps violations in cands, preserving legacy layout.
+	// viols holds the bound-violating exemplars, never evicted.
 	viols    []Exemplar
 	offered  int
 	selected []Exemplar
@@ -117,9 +107,9 @@ func (t *TailSampler) Offer(value float64, violation bool, span *Span) {
 
 // OfferTransient presents a query whose span tree is owned by a
 // SpanArena and about to be recycled. The sampler first decides whether
-// the exemplar would be retained at all — in bounded mode most are not —
-// and deep-copies the tree via Span.Clone only on retention, so the
-// caller may Reset the arena as soon as OfferTransient returns.
+// the exemplar would be retained at all — most are not — and
+// deep-copies the tree via Span.Clone only on retention, so the caller
+// may Reset the arena as soon as OfferTransient returns.
 func (t *TailSampler) OfferTransient(value float64, violation bool, span *Span) {
 	if t == nil || span == nil {
 		return
@@ -128,81 +118,38 @@ func (t *TailSampler) OfferTransient(value float64, violation bool, span *Span) 
 }
 
 func (t *TailSampler) offer(value float64, violation bool, span *Span, transient bool) {
-	t.done = false
-	t.selected = nil
 	t.sketch.Add(value)
-	ex := Exemplar{Value: value, Violation: violation, Span: span, Seq: t.offered}
+	t.absorb(Exemplar{Value: value, Violation: violation, Span: span, Seq: t.offered}, transient)
 	t.offered++
-	k := t.cfg.MaxCandidates
-	if violation {
-		if transient {
-			ex.Span = span.Clone()
-		}
-		if k > 0 {
-			t.viols = append(t.viols, ex)
-		} else {
-			t.cands = append(t.cands, ex)
-		}
-		return
-	}
-	if k <= 0 {
-		if transient {
-			ex.Span = span.Clone()
-		}
-		t.cands = append(t.cands, ex)
-		return
-	}
-	if len(t.cands) < k {
-		if transient {
-			ex.Span = span.Clone()
-		}
-		t.cands = append(t.cands, ex)
-		t.siftUp(len(t.cands) - 1)
-		return
-	}
-	// Pool full: keep ex only if it beats the current worst. The
-	// rejected span is never cloned — this is where bounded mode saves
-	// both the copy and the retention.
-	if !worseExemplar(t.cands[0], ex) {
-		return
-	}
-	if transient {
-		ex.Span = span.Clone()
-	}
-	t.cands[0] = ex
-	t.siftDown(0)
 }
 
-// absorb inserts an already-owned exemplar during MergeTailSamplers:
-// no sketch add (shard sketches merge wholesale), no clone, no offered
-// bump (the merger rebases counts per shard), but the same bounded-pool
-// discipline as offer.
-func (t *TailSampler) absorb(ex Exemplar) {
-	t.done = false
+// absorb puts an exemplar into the pool — violations always, others
+// while the pool has room or by evicting its current worst when they
+// beat it — cloning the span first when clone is set. A rejected span is
+// never cloned: the bounded pool saves both the copy and the retention.
+// MergeTailSamplers calls it directly with spans the shards already
+// own: no sketch add (shard sketches merge wholesale) and no offered
+// bump (the merger rebases counts per shard).
+func (t *TailSampler) absorb(ex Exemplar, clone bool) {
+	t.done = false // the threshold moves with every offer, kept or not
 	t.selected = nil
-	k := t.cfg.MaxCandidates
-	if ex.Violation {
-		if k > 0 {
-			t.viols = append(t.viols, ex)
-		} else {
-			t.cands = append(t.cands, ex)
-		}
+	full := len(t.cands) >= t.cfg.MaxExemplars
+	if !ex.Violation && full && !worseExemplar(t.cands[0], ex) {
 		return
 	}
-	if k <= 0 {
-		t.cands = append(t.cands, ex)
-		return
+	if clone {
+		ex.Span = ex.Span.Clone()
 	}
-	if len(t.cands) < k {
+	switch {
+	case ex.Violation:
+		t.viols = append(t.viols, ex)
+	case !full:
 		t.cands = append(t.cands, ex)
 		t.siftUp(len(t.cands) - 1)
-		return
+	default:
+		t.cands[0] = ex
+		t.siftDown(0)
 	}
-	if !worseExemplar(t.cands[0], ex) {
-		return
-	}
-	t.cands[0] = ex
-	t.siftDown(0)
 }
 
 // worseExemplar reports whether a ranks strictly worse than b for tail
@@ -245,7 +192,7 @@ func (t *TailSampler) siftDown(i int) {
 }
 
 // Offered returns how many candidates have been offered (including
-// those a bounded sampler has since evicted).
+// those the pool has since evicted).
 func (t *TailSampler) Offered() int {
 	if t == nil {
 		return 0
@@ -287,10 +234,7 @@ func (t *TailSampler) Select() []Exemplar {
 	var tail, kept []Exemplar
 	kept = append(kept, t.viols...)
 	for _, c := range t.cands {
-		switch {
-		case c.Violation:
-			kept = append(kept, c)
-		case c.Value >= thr:
+		if c.Value >= thr {
 			tail = append(tail, c)
 		}
 	}
@@ -324,13 +268,4 @@ func (t *TailSampler) Spans() *Tracer {
 		tr.Add(e.Span)
 	}
 	return tr
-}
-
-// ValueSketch exposes the sampler's internal value distribution (the
-// quantile sketch the threshold is computed from).
-func (t *TailSampler) ValueSketch() *stats.Sketch {
-	if t == nil {
-		return nil
-	}
-	return t.sketch
 }

@@ -76,9 +76,9 @@ func (s *Span) Find(name string) *Span {
 	return nil
 }
 
-// Tracer accumulates completed span trees, one root per query. Roots
-// are kept in Add order, which the single-threaded simulation makes
-// deterministic.
+// Tracer is the export container for finished span trees, one root per
+// query, in Add order (TailSampler.Spans fills one with the selected
+// exemplars for the Chrome-trace and JSONL exporters).
 type Tracer struct {
 	roots []*Span
 	count int
@@ -142,25 +142,16 @@ func (t *Tracer) Walk(fn func(s *Span, depth int)) {
 // *Observer disables everything it would wire: all fields' methods are
 // nil-safe, so instrumentation reads naturally at call sites.
 //
-// Spans and Tail govern span retention independently: a non-nil Spans
-// tracer keeps every assembled tree (small runs, debugging), a non-nil
-// Tail sampler keeps only tail/violation exemplars (the scalable
-// default of the obs CLI). Either one being set makes the emulator
-// assemble span trees.
+// Reg collects metrics. Tail, when set, makes the emulator log and join
+// the FE's ground truth and makes analysis.Fold assemble a span tree
+// per query, of which the sampler retains the tail/violation exemplars.
 type Observer struct {
-	Reg   *Registry
-	Spans *Tracer
-	Tail  *TailSampler
-}
-
-// NewObserver returns an observer with a fresh registry and a
-// keep-everything tracer.
-func NewObserver() *Observer {
-	return &Observer{Reg: NewRegistry(), Spans: NewTracer()}
+	Reg  *Registry
+	Tail *TailSampler
 }
 
 // NewTailObserver returns an observer with a fresh registry and a
-// tail-based exemplar sampler instead of a keep-everything tracer.
+// tail-based exemplar sampler.
 func NewTailObserver(cfg TailConfig) *Observer {
 	return &Observer{Reg: NewRegistry(), Tail: NewTailSampler(cfg)}
 }
@@ -174,14 +165,6 @@ func (o *Observer) Registry() *Registry {
 	return o.Reg
 }
 
-// Tracer returns the observer's span tracer (nil observer → nil).
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Spans
-}
-
 // TailSampler returns the observer's exemplar sampler (nil observer →
 // nil).
 func (o *Observer) TailSampler() *TailSampler {
@@ -189,11 +172,4 @@ func (o *Observer) TailSampler() *TailSampler {
 		return nil
 	}
 	return o.Tail
-}
-
-// WantSpans reports whether span trees should be assembled at all:
-// true when either a keep-everything tracer or a tail sampler is
-// wired.
-func (o *Observer) WantSpans() bool {
-	return o != nil && (o.Spans != nil || o.Tail != nil)
 }

@@ -130,7 +130,7 @@ func TestFastPathUsageFrom(t *testing.T) {
 	if _, ok := FastPathUsageFrom(nil); ok {
 		t.Error("nil registry reported fast-path gauges")
 	}
-	empty := NewObserver().Registry()
+	empty := NewMetricsRegistry()
 	if _, ok := FastPathUsageFrom(empty); ok {
 		t.Error("empty registry reported fast-path gauges")
 	}

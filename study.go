@@ -213,31 +213,21 @@ type expAResult struct {
 }
 
 // aSink folds one batch's default-FE records into mergeable
-// accumulators at emission time, so the batch dataset can be dropped.
-// analysis.ExtractRecord decides which records are measurable; the
-// tail sampler ignores records without an assembled span.
+// accumulators at emission time, so the batch dataset can be dropped:
+// analysis.Fold measures each record (and feeds the batch observer's
+// sketches and tail sampler); the sink keeps the parameters.
 type aSink struct {
-	boundary int
-	po       *analysis.ParamObserver
-	co       *analysis.CritObserver
-	ts       *obs.TailSampler
-	params   []Params
+	fold   *analysis.Fold
+	po     *analysis.ParamObserver
+	params []Params
 }
 
 // Consume implements emulator.RecordSink.
 func (k *aSink) Consume(rec *emulator.Record) {
-	p, sess, err := analysis.ExtractRecord(rec, k.boundary)
-	if err != nil {
-		return
+	if p, ok := k.fold.Consume(rec); ok {
+		k.params = append(k.params, p)
+		k.po.Observe(p)
 	}
-	k.params = append(k.params, p)
-	k.po.Observe(p)
-	// Critical-path attribution annotates the span before the tail
-	// sampler can retain it, so exemplars carry the cp:* waterfall.
-	if a, ok := analysis.AttributeRecord(rec, sess); ok {
-		k.co.Observe(a, rec.TrueFetch)
-	}
-	k.ts.Offer(p.Tdynamic.Seconds(), p.ViolatesBounds(rec.TrueFetch, DefaultBoundTolerance), rec.Span)
 }
 
 // experimentA runs (or returns the cached) default-FE experiment for a
@@ -273,10 +263,8 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		Runtime: s.rt,
 		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
 			return &aSink{
-				boundary: boundary,
-				po:       analysis.NewParamObserver(o.Registry(), cfg.Name),
-				co:       analysis.NewCritObserver(o.Registry(), cfg.Name),
-				ts:       o.TailSampler(),
+				fold: analysis.NewFold(o.Registry(), cfg.Name, cfg.Name, boundary, o.TailSampler(), DefaultBoundTolerance),
+				po:   analysis.NewParamObserver(o.Registry(), cfg.Name),
 			}
 		},
 	}

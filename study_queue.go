@@ -145,9 +145,10 @@ func newQueueBuckets() []QueueBucket {
 // foldRecords folds a dataset's records into the buckets by arrival
 // time. Records are classified by outcome against the content boundary:
 // full dynamic portion (OK), static-only (Degraded), 503 (Rejected).
-// Tdynamic quantiles summarize only OK records.
-func foldRecords(buckets []QueueBucket, ds *emulator.Dataset, boundary int) []QueueBucket {
-	tdyn := make([][]float64, len(buckets))
+// Tdynamic quantiles summarize only OK records; tdyn is openLoop's
+// per-record measurement.
+func foldRecords(buckets []QueueBucket, ds *emulator.Dataset, tdyn []float64, boundary int) []QueueBucket {
+	byBucket := make([][]float64, len(buckets))
 	for i := range ds.Records {
 		rec := &ds.Records[i]
 		b := int(rec.IssuedAt / queueBucketWidth)
@@ -162,30 +163,16 @@ func foldRecords(buckets []QueueBucket, ds *emulator.Dataset, boundary int) []Qu
 			buckets[b].Degraded++
 		default:
 			buckets[b].OK++
-			if v, ok := servedTdynMS(rec, boundary); ok {
-				tdyn[b] = append(tdyn[b], v)
+			if tdyn[i] >= 0 {
+				byBucket[b] = append(byBucket[b], tdyn[i])
 			}
 		}
 	}
 	for i := range buckets {
-		buckets[i].P50Ms = stats.Median(tdyn[i])
-		buckets[i].P99Ms = stats.Quantile(tdyn[i], 0.99)
+		buckets[i].P50Ms = stats.Median(byBucket[i])
+		buckets[i].P99Ms = stats.Quantile(byBucket[i], 0.99)
 	}
 	return buckets
-}
-
-// servedTdynMS returns the Tdynamic (ms) of a fully served record: one
-// that completed, was not refused, carries the dynamic portion past the
-// content boundary, and parses into session parameters.
-func servedTdynMS(rec *emulator.Record, boundary int) (float64, bool) {
-	if rec.Failed || rec.Status == 503 || rec.BodyLen <= boundary {
-		return 0, false
-	}
-	p, _, err := analysis.ExtractRecord(rec, boundary)
-	if err != nil {
-		return 0, false
-	}
-	return ms(p.Tdynamic), true
 }
 
 // probeCluster samples the deployment's first BE cluster into the
@@ -205,21 +192,34 @@ func probeCluster(r *emulator.Runner, buckets []QueueBucket) {
 // the scenario's observed world (simulator, fleet and query seeds at
 // Seed+off, +1, +2), lets the scenario wire probes or a failover into
 // it before anything runs, drives the 20-query-corpus open-loop
-// campaign, and feeds the critical-path observer under label.
+// campaign, and measures every record once — feeding the phase sketches
+// and the critical-path observer under label (the scenarios offer no
+// tail exemplars). tdyn[i] is record i's Tdynamic in ms when it was
+// fully served (completed, not refused, carrying the dynamic portion
+// past the content boundary, and parsing into session parameters), −1
+// otherwise.
 func (s *Study) openLoop(off int64, label string, cfg DeploymentConfig, nodes, boundary int,
-	load emulator.OpenLoopOptions, before func(*emulator.Runner)) (*emulator.Runner, *emulator.Dataset, error) {
-	runner, err := s.world(off, cfg, emulator.Options{Nodes: nodes, Obs: s.obsv})
+	load emulator.OpenLoopOptions, before func(*emulator.Runner)) (runner *emulator.Runner, ds *emulator.Dataset, tdyn []float64, err error) {
+	runner, err = s.world(off, cfg, emulator.Options{Nodes: nodes, Obs: s.obsv})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if before != nil {
 		before(runner)
 	}
 	load.QueriesPerNode = 20
 	load.QuerySeed = s.cfg.Seed + off + 2
-	ds := runner.RunOpenLoop(load)
-	analysis.ObserveCritPath(s.obsv.Registry(), label, ds, boundary)
-	return runner, ds, nil
+	ds = runner.RunOpenLoop(load)
+	fold := analysis.NewFold(s.obsv.Registry(), cfg.Name, label, boundary, nil, DefaultBoundTolerance)
+	tdyn = make([]float64, len(ds.Records))
+	for i := range ds.Records {
+		rec := &ds.Records[i]
+		tdyn[i] = -1
+		if p, ok := fold.Consume(rec); ok && rec.Status != 503 && rec.BodyLen > boundary {
+			tdyn[i] = ms(p.Tdynamic)
+		}
+	}
+	return runner, ds, tdyn, nil
 }
 
 // Scenario pacing: these constants size the scenarios to overload a
@@ -249,7 +249,7 @@ func (s *Study) Overload() (*OverloadData, error) {
 		return nil, err
 	}
 	buckets := newQueueBuckets()
-	runner, ds, err := s.openLoop(110, "overload/"+cfg.Name, cfg, queueScenarioNode, boundary,
+	runner, ds, tdyn, err := s.openLoop(110, "overload/"+cfg.Name, cfg, queueScenarioNode, boundary,
 		emulator.OpenLoopOptions{
 			Horizon:      queueHorizon,
 			BaseInterval: 2 * time.Second,
@@ -267,7 +267,7 @@ func (s *Study) Overload() (*OverloadData, error) {
 		QueueCap:      qcap,
 		SurgeStartS:   queueSurgeStart.Seconds(),
 		SurgeEndS:     queueSurgeEnd.Seconds(),
-		Buckets:       foldRecords(buckets, ds, boundary),
+		Buckets:       foldRecords(buckets, ds, tdyn, boundary),
 		BERejected:    be.Rejected(),
 		MaxQueueDepth: be.MaxQueueLen(),
 	}
@@ -302,7 +302,7 @@ func (s *Study) Hotspot() (*HotspotData, error) {
 		return nil, err
 	}
 	buckets := newQueueBuckets()
-	runner, ds, err := s.openLoop(120, "hotspot/"+cfg.Name, cfg, queueScenarioNode, boundary,
+	runner, ds, tdyn, err := s.openLoop(120, "hotspot/"+cfg.Name, cfg, queueScenarioNode, boundary,
 		emulator.OpenLoopOptions{
 			Horizon:      queueHorizon,
 			BaseInterval: 2 * time.Second,
@@ -319,7 +319,7 @@ func (s *Study) Hotspot() (*HotspotData, error) {
 		HotTerms:      hot.Terms,
 		SurgeStartS:   queueSurgeStart.Seconds(),
 		SurgeEndS:     queueSurgeEnd.Seconds(),
-		Buckets:       foldRecords(buckets, ds, boundary),
+		Buckets:       foldRecords(buckets, ds, tdyn, boundary),
 		MaxQueueDepth: runner.Dep.BEs[0].MaxQueueLen(),
 	}
 	return d, nil
@@ -340,7 +340,7 @@ func (s *Study) Failover() (*FailoverData, error) {
 		return nil, err
 	}
 	d := &FailoverData{Service: cfg.Name, FailAtS: failAt.Seconds()}
-	_, ds, err := s.openLoop(130, "failover/"+cfg.Name, cfg, queueScenarioNode, boundary,
+	_, ds, tdyn, err := s.openLoop(130, "failover/"+cfg.Name, cfg, queueScenarioNode, boundary,
 		emulator.OpenLoopOptions{Horizon: queueHorizon, BaseInterval: 2 * time.Second},
 		func(r *emulator.Runner) {
 			// Pre-wire every FE to its failover target, then schedule
@@ -358,17 +358,14 @@ func (s *Study) Failover() (*FailoverData, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Buckets = foldRecords(newQueueBuckets(), ds, boundary)
+	d.Buckets = foldRecords(newQueueBuckets(), ds, tdyn, boundary)
 	var pre, post []float64
-	for i := range ds.Records {
-		rec := &ds.Records[i]
-		v, ok := servedTdynMS(rec, boundary)
-		if !ok {
-			continue
-		}
-		if rec.IssuedAt < failAt {
+	for i, v := range tdyn {
+		switch {
+		case v < 0:
+		case ds.Records[i].IssuedAt < failAt:
 			pre = append(pre, v)
-		} else {
+		default:
 			post = append(post, v)
 		}
 	}
@@ -405,7 +402,7 @@ func (s *Study) Capacity() (*CapacityData, error) {
 			backend.QueueOptions{Replicas: replicas, Policy: backend.LeastOutstanding},
 			frontend.PoolConfig{},
 		)
-		runner, ds, err := s.openLoop(140, fmt.Sprintf("capacity/r%d", replicas), cfg, nodes, boundary,
+		runner, ds, tdyn, err := s.openLoop(140, fmt.Sprintf("capacity/r%d", replicas), cfg, nodes, boundary,
 			emulator.OpenLoopOptions{Horizon: horizon, BaseInterval: interval}, nil)
 		if err != nil {
 			return nil, err
@@ -417,15 +414,15 @@ func (s *Study) Capacity() (*CapacityData, error) {
 			Utilization:   be.Cluster().Utilization(runner.Sim.Now()),
 			MaxQueueDepth: be.MaxQueueLen(),
 		}
-		var tdyn []float64
-		for i := range ds.Records {
-			if v, ok := servedTdynMS(&ds.Records[i], boundary); ok {
-				pt.OK++
-				tdyn = append(tdyn, v)
+		var served []float64
+		for _, v := range tdyn {
+			if v >= 0 {
+				served = append(served, v)
 			}
 		}
-		pt.P50Ms = stats.Median(tdyn)
-		pt.P99Ms = stats.Quantile(tdyn, 0.99)
+		pt.OK = len(served)
+		pt.P50Ms = stats.Median(served)
+		pt.P99Ms = stats.Quantile(served, 0.99)
 		d.Points = append(d.Points, pt)
 	}
 	// The SLO derives from the first (largest-replica) point: twice
