@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-compare check layering report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
+.PHONY: all build test vet bench bench-json bench-compare check layering payload-check report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
 
 all: build vet test
 
@@ -16,6 +16,7 @@ check:
 	$(GO) build ./...
 	$(MAKE) layering
 	$(GO) test -race ./...
+	$(MAKE) payload-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-compare
 
@@ -28,6 +29,17 @@ layering:
 		echo "layering: internal/emulator must not import the packages listed above"; exit 1; \
 	fi
 	@echo "layering: internal/emulator imports neither internal/trace nor internal/analysis"
+
+# Length-only payload gate: a snapped world must be the full-payload
+# world minus the bytes (twin-world differential: records, packets, FE
+# ground truth, event counts), and a length-only query must stay inside
+# its allocation budget while a full-payload one costs ≥ 4× as much;
+# below them, the same differential for TCP streams and HTTP responses
+# that mix real and content-free bytes. At an elevated -count under the
+# race detector. See DESIGN.md §payload path.
+payload-check:
+	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget' ./internal/emulator
+	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 
 # Perf gate: short-benchtime run diffed against the latest committed
 # snapshot. ns/op growth beyond 15% is reported but does not fail the

@@ -59,6 +59,12 @@ type Options struct {
 	// only. Used by the no-FE baseline, where clients talk straight to
 	// the data center and nothing caches the static part.
 	ServeFullPage bool
+	// LengthOnly makes the data center answer with content-free bodies:
+	// every response has the length, headers, timing and random draws
+	// of the materialised one, but the body bytes are never built
+	// (workload.ContentSpec.DynamicLen instead of DynamicBody). For
+	// worlds whose clients read packet timings and sizes only.
+	LengthOnly bool
 	// TCP overrides the data center's endpoint configuration. The
 	// zero value defaults to a large initial window (10 segments),
 	// appropriate for warm intra-cloud FE connections; the no-FE
@@ -100,7 +106,7 @@ type DataCenter struct {
 	load       stats.AR1
 	lastLoadAt time.Duration
 
-	cache map[string][]byte
+	cache map[string]respBody
 
 	// worker-pool state (Options.Workers > 0)
 	busy  int
@@ -117,6 +123,13 @@ type DataCenter struct {
 
 	// observability (StartObserving)
 	met *beMetrics
+}
+
+// respBody is a response body: its length, and its bytes unless the
+// data center is length-only.
+type respBody struct {
+	n int
+	b []byte
 }
 
 type beJob struct {
@@ -136,7 +149,7 @@ func New(n *simnet.Network, host simnet.HostID, site geo.Site, spec workload.Con
 		cost:  cost,
 		opts:  opts.withDefaults(),
 		rng:   stats.NewRand(seed),
-		cache: make(map[string][]byte),
+		cache: make(map[string]respBody),
 	}
 	dc.load = stats.AR1{Phi: dc.opts.LoadPhi, Sigma: 0.3}
 	tcpCfg := dc.opts.TCP
@@ -218,20 +231,40 @@ func (dc *DataCenter) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 	if m := dc.met; m != nil {
 		m.procSeconds.Observe(proc.Seconds())
 	}
-	body := dc.spec.DynamicBody(q, dc.rng)
+	var body respBody
+	if dc.opts.LengthOnly {
+		body.n = dc.spec.DynamicLen(q, dc.rng)
+	} else {
+		body.b = dc.spec.DynamicBody(q, dc.rng)
+		body.n = len(body.b)
+	}
 	if dc.opts.CacheResults {
 		dc.cache[q.Keywords] = body
 	}
 	if dc.opts.ServeFullPage {
-		body = append(dc.spec.StaticPrefix(), body...)
+		static := dc.spec.StaticPrefix()
+		body.n += len(static)
+		if !dc.opts.LengthOnly {
+			body.b = append(static, body.b...)
+		}
 	}
 	dc.respondAfter(w, body, proc)
 }
 
-func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body []byte, d time.Duration) {
+// write sends a response body, content-free when the data center is
+// length-only.
+func (dc *DataCenter) write(w *httpsim.ResponseWriter, body respBody) {
+	if dc.opts.LengthOnly {
+		w.WriteBlank(body.n)
+	} else {
+		w.Write(body.b)
+	}
+}
+
+func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body respBody, d time.Duration) {
 	if dc.cluster != nil {
 		ok := dc.cluster.Submit(d, func(wait time.Duration) {
-			hdr := httpsim.ContentLengthHeader(len(body))
+			hdr := httpsim.ContentLengthHeader(body.n)
 			if wait > 0 {
 				// Report the queue share of the fetch so the FE (and the
 				// critical-path attribution downstream) can split Tfetch
@@ -241,7 +274,7 @@ func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body []byte, d tim
 				hdr[QueueWaitHeader] = strconv.FormatInt(int64(wait), 10)
 			}
 			w.WriteHeader(200, hdr)
-			w.Write(body)
+			dc.write(w, body)
 			w.End()
 		})
 		if !ok {
@@ -255,8 +288,8 @@ func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body []byte, d tim
 		return
 	}
 	dc.runJob(d, func() {
-		w.WriteHeader(200, httpsim.ContentLengthHeader(len(body)))
-		w.Write(body)
+		w.WriteHeader(200, httpsim.ContentLengthHeader(body.n))
+		dc.write(w, body)
 		w.End()
 	})
 }

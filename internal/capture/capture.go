@@ -22,15 +22,17 @@ type Event struct {
 	// Remote is the other endpoint's host ID.
 	Remote string
 	// Seg is the TCP segment. Seg.Data carries the payload bytes
-	// unless the recorder snapped them (tcpdump's snaplen); PayloadLen
-	// always holds the original payload length.
+	// unless the recorder snapped them (tcpdump's snaplen) or the
+	// segment was content-free to begin with; PayloadLen always holds
+	// the original payload length.
 	Seg tcpsim.Segment
 	// PayloadLen is the original payload size in bytes, valid even
-	// when Seg.Data was snapped away.
+	// when Seg.Data is absent.
 	PayloadLen int
 }
 
-// Snapped reports whether payload bytes were dropped at capture time.
+// Snapped reports whether the event lacks payload bytes it had on the
+// wire: dropped at capture time, or never materialised.
 func (e Event) Snapped() bool { return e.PayloadLen > len(e.Seg.Data) }
 
 // Trace is an ordered list of events captured at one node.
@@ -65,7 +67,7 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent) {
 		Dir:        ev.Dir,
 		Remote:     ev.Remote,
 		Seg:        ev.Segment,
-		PayloadLen: len(ev.Segment.Data),
+		PayloadLen: ev.Segment.PayloadLen(),
 	}
 	if r.SnapPayload {
 		e.Seg.Data = nil
@@ -173,7 +175,7 @@ func (t *Trace) Sessions() ([]ConnKey, map[ConnKey][]Event) {
 		slab = slab[:off+counts[k]]
 		// Capacity-capped: a session's appends can never spill into the
 		// next window.
-		m[k] = slab[off:off : off+counts[k]]
+		m[k] = slab[off : off : off+counts[k]]
 	}
 	for _, e := range t.Events {
 		k := e.key()

@@ -58,6 +58,13 @@ type Config struct {
 	// Gzip makes FEs serve compressed responses (static and dynamic
 	// portions as concatenated gzip members).
 	Gzip bool
+	// LengthOnly builds the deployment without response content: BEs
+	// compute body lengths instead of bodies and FEs flush and forward
+	// content-free bytes, so no layer builds, buffers or copies what no
+	// client reads. Wire byte counts, timing and random draws equal the
+	// materialised deployment's. Gzip deployments must stay materialised
+	// (compressed size depends on content).
+	LengthOnly bool
 	// DisableSplitTCP builds FEs without persistent BE connections
 	// (ablation).
 	DisableSplitTCP bool
@@ -88,9 +95,11 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 	}
 	d := &Deployment{Name: cfg.Name, Net: n, cfg: cfg}
 
+	beOpts := cfg.BEOptions
+	beOpts.LengthOnly = cfg.LengthOnly
 	for i, site := range cfg.BESites {
 		host := simnet.HostID(fmt.Sprintf("%s-be-%s", cfg.Name, site.Name))
-		dc, err := backend.New(n, host, site, cfg.Spec, cfg.Cost, cfg.BEOptions,
+		dc, err := backend.New(n, host, site, cfg.Spec, cfg.Cost, beOpts,
 			cfg.Seed+int64(1000+i))
 		if err != nil {
 			return nil, err
@@ -111,6 +120,7 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 			DisableSplitTCP: cfg.DisableSplitTCP,
 			Workers:         cfg.FEWorkers,
 			Gzip:            cfg.Gzip,
+			LengthOnly:      cfg.LengthOnly,
 			Seed:            cfg.Seed + int64(2000+i),
 			TCP:             cfg.FETCP,
 			BEPool:          cfg.FEPool,

@@ -41,7 +41,6 @@ type Record struct {
 	DNSTime time.Duration
 	Status  int
 	BodyLen int
-	Body    []byte
 	Failed  bool
 	// Key locates the session's packet events inside the node's trace.
 	Key capture.ConnKey
@@ -76,8 +75,8 @@ func (r Record) OverallDelay() time.Duration { return r.DoneAt - r.IssuedAt }
 //
 // Consume is called in record order (batch order, then per-batch
 // simulation order), from the batch's worker goroutine. The record —
-// its Events and Body included — must not be retained beyond the call;
-// copy what you keep.
+// its Events included — must not be retained beyond the call; copy what
+// you keep.
 type RecordSink interface {
 	Consume(rec *Record)
 }
@@ -106,6 +105,8 @@ type world struct {
 	Net *simnet.Network
 	Dep *cdn.Deployment
 
+	// snap: captures keep packet sizes, not bytes (Options.SnapPayloads).
+	snap       bool
 	obsv       *obs.Observer
 	simMetrics *simnet.Metrics
 	stack      *tcpsim.StackMetrics
@@ -114,15 +115,19 @@ type world struct {
 }
 
 // newWorld builds the simulator, network and deployment, and wires them
-// to the observer and the telemetry hub (either may be nil).
-func newWorld(simSeed int64, depCfg cdn.Config, o *obs.Observer, rtm *rt.Engine) (*world, error) {
+// to the observer and the telemetry hub (either may be nil). A world
+// whose captures are snapped reads no response content, so it is built
+// length-only: no layer materialises bytes the tap would drop. A Gzip
+// deployment is the exception — its wire sizes depend on content.
+func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm *rt.Engine) (*world, error) {
 	sim := simnet.New(simSeed)
 	net := simnet.NewNetwork(sim)
+	depCfg.LengthOnly = snap && !depCfg.Gzip
 	dep, err := cdn.Build(net, depCfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &world{Sim: sim, Net: net, Dep: dep, obsv: o, rt: rtm,
+	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm,
 		links: make(map[simnet.HostID]beLink, len(dep.FEs))}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
@@ -152,12 +157,12 @@ func newWorld(simSeed int64, depCfg cdn.Config, o *obs.Observer, rtm *rt.Engine)
 
 // newClient attaches one client host to the world: a TCP endpoint
 // reporting to the world's stack bundle, with a packet recorder on its
-// tap (snap drops payload bytes at capture time).
-func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config, snap bool) (*tcpsim.Endpoint, *capture.Recorder) {
+// tap (a snapped world's recorder drops whatever payload bytes reach it).
+func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config) (*tcpsim.Endpoint, *capture.Recorder) {
 	ep := tcpsim.NewEndpoint(w.Net, host, cfg)
 	ep.Metrics = w.stack
 	rec := capture.NewRecorder(string(host))
-	rec.SnapPayload = snap
+	rec.SnapPayload = w.snap
 	ep.Tap = rec.Tap
 	return ep, rec
 }
@@ -169,14 +174,11 @@ func (w *world) newRecord(node, fe simnet.HostID, q workload.Query, dnsTime time
 }
 
 // complete fills the response side of a record.
-func (w *world) complete(rr *Record, resp *httpsim.Response, keepBody bool) {
+func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.Failed = false
 	rr.DoneAt = w.Sim.Now()
 	rr.Status = resp.Status
-	rr.BodyLen = len(resp.Body)
-	if keepBody {
-		rr.Body = resp.Body
-	}
+	rr.BodyLen = resp.BodyLen
 }
 
 // join stamps the FE's ground truth on a record: the matched log entry
@@ -194,10 +196,11 @@ func (w *world) join(rr *Record, fr frontend.FetchRecord) {
 
 // get sends the record's query to its FE on a fresh connection from ep
 // and stamps the connection's key on the record; onDone runs when the
-// response completes.
+// response completes. The response is counted, never retained: the
+// capture is the record of content.
 func (w *world) get(ep *tcpsim.Endpoint, rr *Record, onDone func(*httpsim.Response)) {
 	conn := httpsim.Get(ep, rr.FE, frontend.FEPort, httpsim.NewGet(w.Dep.Name, rr.Query.Path()),
-		httpsim.ResponseCallbacks{OnDone: onDone})
+		httpsim.ResponseCallbacks{CountOnly: true, OnDone: onDone})
 	rr.Key = capture.ConnKey{Remote: string(rr.FE), LocalPort: conn.LocalPort(), RemotePort: frontend.FEPort}
 }
 
@@ -213,8 +216,6 @@ type Runner struct {
 
 	eps  map[simnet.HostID]*tcpsim.Endpoint
 	recs map[simnet.HostID]*capture.Recorder
-
-	keepBodies bool
 }
 
 // Options configures a Runner.
@@ -228,15 +229,17 @@ type Options struct {
 	Access vantage.AccessProfile
 	// ClientTCP overrides the client endpoints' TCP configuration.
 	ClientTCP tcpsim.Config
-	// SnapPayloads drops payload bytes at capture time (tcpdump
-	// snaplen): timeline analysis still works, content analysis does
-	// not. Required to keep paper-scale campaigns (250 nodes × 720
-	// repeats) within memory; derive the content boundary from a
-	// small unsnapped probe run instead.
+	// SnapPayloads is the capture's snaplen: records keep every packet's
+	// timing, sequence range and size but no payload bytes, so timeline
+	// analysis works and content analysis does not. Since nothing in
+	// such a world reads response content, none is built: back ends
+	// compute body lengths, front ends and TCP carry content-free byte
+	// ranges, and wire byte counts, timing and random draws are exactly
+	// those of the full-payload world (HTTP headers stay real). A Gzip
+	// deployment still materialises — compressed sizes depend on
+	// content — and only drops the bytes at the tap. Derive the content
+	// boundary from a small unsnapped probe run.
 	SnapPayloads bool
-	// KeepBodies retains each response body on its Record. Off by
-	// default — bodies duplicate what the traces already carry.
-	KeepBodies bool
 	// Obs, when non-nil, wires the whole world into an observability
 	// layer: simulator and network counters, a fleet-wide TCP stack
 	// bundle, per-FE/BE labeled metrics, and (when Obs carries a tail
@@ -263,21 +266,20 @@ func (o Options) withDefaults() Options {
 // New builds a Runner: simulator, network, deployment and fleet.
 func New(simSeed int64, depCfg cdn.Config, opts Options) (*Runner, error) {
 	opts = opts.withDefaults()
-	w, err := newWorld(simSeed, depCfg, opts.Obs, opts.Runtime)
+	w, err := newWorld(simSeed, depCfg, opts.SnapPayloads, opts.Obs, opts.Runtime)
 	if err != nil {
 		return nil, err
 	}
 	fleet := vantage.NewFleet(opts.Nodes, geo.WorldMetros(), opts.Access, opts.FleetSeed)
 	fleet.Wire(w.Dep)
 	r := &Runner{
-		world:      w,
-		Fleet:      fleet,
-		eps:        make(map[simnet.HostID]*tcpsim.Endpoint),
-		recs:       make(map[simnet.HostID]*capture.Recorder),
-		keepBodies: opts.KeepBodies,
+		world: w,
+		Fleet: fleet,
+		eps:   make(map[simnet.HostID]*tcpsim.Endpoint),
+		recs:  make(map[simnet.HostID]*capture.Recorder),
 	}
 	for _, n := range fleet.Nodes {
-		r.eps[n.Host], r.recs[n.Host] = w.newClient(n.Host, opts.ClientTCP, opts.SnapPayloads)
+		r.eps[n.Host], r.recs[n.Host] = w.newClient(n.Host, opts.ClientTCP)
 	}
 	return r, nil
 }
@@ -320,7 +322,7 @@ func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 		idx := len(ds.Records)
 		ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, dnsTime))
 		r.get(r.eps[node.Host], &ds.Records[idx], func(resp *httpsim.Response) {
-			r.complete(&ds.Records[idx], resp, r.keepBodies)
+			r.complete(&ds.Records[idx], resp)
 		})
 	})
 }
@@ -530,7 +532,8 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 				req := httpsim.NewGet(r.Dep.Name, q.Path())
 				req.Header["Connection"] = "keep-alive"
 				pc.Do(req, httpsim.ResponseCallbacks{
-					OnDone: func(resp *httpsim.Response) { r.complete(&ds.Records[idx], resp, false) },
+					CountOnly: true,
+					OnDone:    func(resp *httpsim.Response) { r.complete(&ds.Records[idx], resp) },
 				})
 			})
 		}

@@ -240,26 +240,6 @@ func TestSnappedCampaignStillAnalyzable(t *testing.T) {
 	}
 }
 
-func TestKeepBodiesOption(t *testing.T) {
-	with, err := emulator.New(71, cdn.GoogleLike(1),
-		emulator.Options{Nodes: 3, FleetSeed: 72, KeepBodies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := with.RunExperimentA(emulator.AOptions{QueriesPerNode: 1, Interval: time.Second})
-	if len(ds.Records[0].Body) == 0 {
-		t.Fatal("KeepBodies did not retain body")
-	}
-	without := newRunner(t, 3)
-	ds2 := without.RunExperimentA(emulator.AOptions{QueriesPerNode: 1, Interval: time.Second})
-	if len(ds2.Records[0].Body) != 0 {
-		t.Fatal("body retained without KeepBodies")
-	}
-	if ds2.Records[0].BodyLen == 0 {
-		t.Fatal("BodyLen lost")
-	}
-}
-
 func TestKeepAliveAReusesConnections(t *testing.T) {
 	r := newRunner(t, 10)
 	ds := r.RunKeepAliveA(emulator.AOptions{

@@ -192,7 +192,8 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 	if opts.Sink == nil {
 		return nil, fmt.Errorf("emulator: fleet campaign requires a record sink")
 	}
-	w, err := newWorld(simSeed, depCfg, opts.Obs, opts.Runtime)
+	// Fleet captures are timeline-only, so the world is length-only.
+	w, err := newWorld(simSeed, depCfg, true, opts.Obs, opts.Runtime)
 	if err != nil {
 		return nil, err
 	}
@@ -224,9 +225,7 @@ func (r *FleetRunner) claim() *fleetSlot {
 	}
 	idx := r.opts.offset + len(r.slots)*r.opts.stride
 	n := vantage.SynthNode(r.opts.FleetSeed, idx, r.metros, r.opts.Access)
-	// Fleet captures are timeline-only: snap payload bytes so a slot's
-	// recorder slab stays proportional to segment count.
-	ep, rec := r.newClient(n.Host, r.opts.ClientTCP, true)
+	ep, rec := r.newClient(n.Host, r.opts.ClientTCP)
 	r.Dep.WireClient(n.Host, n.Point, n.OneWay, n.Access.Jitter, n.Access.Loss)
 	s := &fleetSlot{node: n, fe: r.Dep.DefaultFE(n.Point), ep: ep, rec: rec}
 	r.slots = append(r.slots, s)
@@ -301,7 +300,7 @@ func (r *FleetRunner) issue(idx int) {
 // slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
-	r.complete(rr, resp, false)
+	r.complete(rr, resp)
 	if resp.Status == 503 {
 		r.res.Rejected++
 	}

@@ -127,6 +127,8 @@ type Server struct {
 	queue   []feJob
 
 	gzip bool
+	// lenOnly: responses carry content-free bodies (Config.LengthOnly).
+	lenOnly bool
 
 	served      int
 	fetchTimes  []time.Duration
@@ -177,6 +179,13 @@ type Config struct {
 	// cross-query content analysis keeps working on the wire bytes —
 	// as it did for the paper against the real gzipped services.
 	Gzip bool
+	// LengthOnly makes the FE serve content-free bodies: the static
+	// flush is len(Static) content-free bytes, BE responses are counted
+	// rather than retained, and the dynamic portion is forwarded as its
+	// length. Wire byte counts, timing and random draws are those of
+	// the materialised FE. Pair it with a length-only back end; it has
+	// no meaning under Gzip, whose sizes depend on content.
+	LengthOnly bool
 	// Seed drives the FE's local randomness.
 	Seed int64
 	// TCP overrides the endpoint TCP configuration (zero = defaults).
@@ -199,6 +208,7 @@ func New(n *simnet.Network, cfg Config) (*Server, error) {
 		splitTCP:  !cfg.DisableSplitTCP,
 		workers:   cfg.Workers,
 		gzip:      cfg.Gzip,
+		lenOnly:   cfg.LengthOnly,
 		pool:      cfg.BEPool,
 	}
 	if fe.pool.Retries > 0 && fe.pool.Backoff <= 0 {
@@ -462,8 +472,12 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		fe.fetchLog = append(fe.fetchLog, rec)
 	}
 
-	staticWritten := false
-	var pendingDynamic []byte
+	// The dynamic portion, once the BE fetch has resolved (fetched):
+	// its bytes, or only its length at a length-only FE. Both stay zero
+	// when the fetch failed or degraded to static-only.
+	staticWritten, fetched := false, false
+	var dynamic []byte
+	dynamicLen := 0
 	done := false
 
 	finish := func() {
@@ -471,7 +485,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 			return
 		}
 		done = true
-		w.Write(pendingDynamic)
+		fe.write(w, dynamic, dynamicLen)
 		w.End()
 	}
 
@@ -485,7 +499,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		} else {
 			w.WriteHeader(200, httpsim.Header{}) // close-framed
 		}
-		w.Write(fe.static)
+		fe.write(w, fe.static, len(fe.static))
 		staticWritten = true
 		if m := fe.met; m != nil {
 			m.staticFlushes.Inc()
@@ -493,7 +507,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		if r := fe.logAt(logIdx); r != nil {
 			r.StaticAt = sim.Now()
 		}
-		if pendingDynamic != nil {
+		if fetched {
 			finish()
 		}
 	})
@@ -508,6 +522,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		var issue func()
 		issue = func() {
 			pc.Do(&httpsim.Request{Method: "GET", Path: r.Path, Host: r.Host}, httpsim.ResponseCallbacks{
+				CountOnly: fe.lenOnly,
 				OnDone: func(resp *httpsim.Response) {
 					if resp.Status == 503 {
 						if attempt < fe.pool.Retries {
@@ -524,7 +539,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 						fe.be503s++
 						fe.putConn(pc)
 						fe.releaseSlot()
-						pendingDynamic = []byte{}
+						fetched = true
 						if staticWritten {
 							finish()
 						}
@@ -545,9 +560,10 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 					}
 					fe.putConn(pc)
 					fe.releaseSlot()
-					pendingDynamic = resp.Body
+					fetched = true
+					dynamic, dynamicLen = resp.Body, resp.BodyLen
 					if fe.gzip {
-						pendingDynamic = GzipMember(resp.Body)
+						dynamic = GzipMember(resp.Body)
 					}
 					if staticWritten {
 						finish()
@@ -556,7 +572,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 				OnError: func(error) {
 					// BE unreachable: end the response after the static part.
 					fe.releaseSlot()
-					pendingDynamic = []byte{}
+					fetched = true
 					if staticWritten {
 						finish()
 					}
@@ -565,6 +581,15 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		}
 		issue()
 	})
+}
+
+// write sends body bytes b, or only their count n at a length-only FE.
+func (fe *Server) write(w *httpsim.ResponseWriter, b []byte, n int) {
+	if fe.lenOnly {
+		w.WriteBlank(n)
+	} else {
+		w.Write(b)
+	}
 }
 
 func min(a, b int) int {

@@ -8,13 +8,20 @@ import (
 // ResponseCallbacks observe a response as it streams in. Any field may
 // be nil.
 type ResponseCallbacks struct {
+	// CountOnly asks for the body to be measured, not retained:
+	// Response.BodyLen is set, Response.Body stays nil, and nothing
+	// proportional to the body is allocated.
+	CountOnly bool
 	// OnHeader fires when the response header completes.
 	OnHeader func(*Response)
-	// OnBody fires for each body fragment, in order. The slice aliases
-	// the accumulating Response.Body and must not be modified; its
-	// bytes remain valid after the callback returns.
+	// OnBody fires for each body fragment that arrives as bytes, in
+	// order (content-free runs are only counted). The slice must not be
+	// modified. While the body is being retained it aliases the
+	// accumulating Response.Body and stays valid after the callback
+	// returns; otherwise it is valid only during the callback.
 	OnBody func([]byte)
-	// OnDone fires when the response is complete, with the full body.
+	// OnDone fires when the response is complete, with the full body
+	// (see Response.Body for when it is retained).
 	OnDone func(*Response)
 	// OnError fires if the connection dies before the response
 	// completes (close-framed responses terminated by abort still
@@ -29,6 +36,7 @@ type ResponseCallbacks struct {
 func Get(ep *tcpsim.Endpoint, host simnet.HostID, port uint16, req *Request, cb ResponseCallbacks) *tcpsim.Conn {
 	conn := ep.Dial(host, port)
 	parser := &responseParser{
+		countOnly:   cb.CountOnly,
 		onHeader:    cb.OnHeader,
 		onBodyChunk: cb.OnBody,
 	}
@@ -42,6 +50,11 @@ func Get(ep *tcpsim.Endpoint, host simnet.HostID, port uint16, req *Request, cb 
 	conn.OnConnect = func() { conn.Send(req.Marshal()) }
 	conn.OnData = func(b []byte) {
 		if err := parser.feed(b); err != nil && cb.OnError != nil {
+			cb.OnError(err)
+		}
+	}
+	conn.OnBlank = func(n int) {
+		if err := parser.feedBlank(n); err != nil && cb.OnError != nil {
 			cb.OnError(err)
 		}
 	}
@@ -92,6 +105,11 @@ func NewPersistentConn(ep *tcpsim.Endpoint, host simnet.HostID, port uint16) *Pe
 			p.fail(err)
 		}
 	}
+	p.conn.OnBlank = func(n int) {
+		if err := p.parser.feedBlank(n); err != nil {
+			p.fail(err)
+		}
+	}
 	p.conn.OnClose = func() {
 		p.closed = true
 		p.conn.Close()
@@ -123,6 +141,7 @@ func (p *PersistentConn) pump() {
 	p.inFly = true
 	cb := next.cb
 	p.cur = cb
+	p.parser.countOnly = cb.CountOnly
 	p.parser.onHeader = cb.OnHeader
 	p.parser.onBodyChunk = cb.OnBody
 	p.parser.onDone = func(r *Response) {

@@ -73,7 +73,13 @@ func (r *Request) Marshal() []byte {
 type Response struct {
 	Status int
 	Header Header
-	Body   []byte
+	// BodyLen is the body length in bytes; always set.
+	BodyLen int
+	// Body holds the body bytes. It is nil when the caller asked to
+	// count only (ResponseCallbacks.CountOnly) or when any part of the
+	// body arrived content-free (tcpsim.Conn.SendBlank): a body is
+	// retained whole or not at all.
+	Body []byte
 }
 
 func sortedKeys(h Header) []string {
@@ -188,6 +194,12 @@ type responseParser struct {
 	chunked    bool // chunked framing in progress
 	chunkSize  int  // payload size of the current chunk
 	chunkLeft  int  // remaining bytes of the current chunk (+CRLF)
+	lastCRLF   int  // bytes of the chunked terminator's final CRLF still due
+	// countOnly: measure bodies (Response.BodyLen), retain nothing.
+	// dropped: the current body met a content-free run and retains
+	// nothing either (Response.Body is all or nothing).
+	countOnly bool
+	dropped   bool
 
 	// onHeader fires when a response header completes; onBodyChunk for
 	// each body fragment; onDone when the response completes.
@@ -205,6 +217,13 @@ type responseParser struct {
 // growth, where the parser previously made a throwaway copy per
 // fragment — a top allocator in full-study profiles.
 func (p *responseParser) emitBody(data []byte) {
+	p.cur.BodyLen += len(data)
+	if p.countOnly || p.dropped {
+		if p.onBodyChunk != nil {
+			p.onBodyChunk(data)
+		}
+		return
+	}
 	start := len(p.cur.Body)
 	if need := start + len(data); need > cap(p.cur.Body) {
 		// Explicit doubling: runtime append grows large slices by only
@@ -223,6 +242,32 @@ func (p *responseParser) emitBody(data []byte) {
 		end := len(p.cur.Body)
 		p.onBodyChunk(p.cur.Body[start:end:end])
 	}
+}
+
+// feedBlank consumes a run of n content-free stream bytes. Only body
+// bytes may be content-free: a run reaching into a status line, a
+// header block or chunk framing is malformed.
+func (p *responseParser) feedBlank(n int) error {
+	switch {
+	case p.cur == nil || p.buf.Len() > 0:
+		return &parseError{"content-free bytes outside a response body"}
+	case p.chunked:
+		if n > p.chunkLeft-2 {
+			return &parseError{"content-free bytes inside chunk framing"}
+		}
+		p.chunkLeft -= n
+	case !p.untilClose:
+		if n > p.need {
+			return &parseError{"content-free bytes beyond Content-Length"}
+		}
+		p.need -= n
+	}
+	p.cur.BodyLen += n
+	p.cur.Body, p.dropped = nil, true
+	if !p.chunked && !p.untilClose && p.need == 0 {
+		p.finish()
+	}
+	return nil
 }
 
 // feed appends stream data, invoking callbacks as parsing progresses.
@@ -279,7 +324,7 @@ func (p *responseParser) feed(data []byte) error {
 					}
 					p.need = n
 					p.untilClose = false
-					if n > 0 {
+					if n > 0 && !p.countOnly {
 						// One exact allocation up front; the per-fragment
 						// emitBody appends then never grow (growslice on
 						// Body was a top allocator in full-study profiles).
@@ -337,6 +382,22 @@ func (p *responseParser) feed(data []byte) error {
 // response.
 func (p *responseParser) feedChunked() (done bool, err error) {
 	for {
+		if p.lastCRLF > 0 {
+			// The terminator's final CRLF may trail its size line by a
+			// segment; the response is complete only once it is consumed,
+			// or its bytes would prefix the next response on a keep-alive
+			// connection.
+			n := p.buf.Len()
+			if n > p.lastCRLF {
+				n = p.lastCRLF
+			}
+			p.buf.Next(n)
+			if p.lastCRLF -= n; p.lastCRLF > 0 {
+				return false, nil
+			}
+			p.finish()
+			return true, nil
+		}
 		if p.chunkLeft > 0 {
 			// Consume chunk payload plus its trailing CRLF. Offsets
 			// [0, chunkSize) of the chunk are payload; the final two
@@ -374,12 +435,8 @@ func (p *responseParser) feedChunked() (done bool, err error) {
 			return false, &parseError{"bad chunk size: " + line}
 		}
 		if size == 0 {
-			// Terminating chunk; consume the final CRLF if present.
-			if p.buf.Len() >= 2 {
-				p.buf.Next(2)
-			}
-			p.finish()
-			return true, nil
+			p.lastCRLF = 2 // terminating chunk: its final CRLF follows
+			continue
 		}
 		p.chunkSize = int(size)
 		p.chunkLeft = int(size) + 2 // payload + CRLF
@@ -400,6 +457,7 @@ func (p *responseParser) finish() {
 	p.chunked = false
 	p.chunkLeft = 0
 	p.need = 0
+	p.dropped = false
 	if p.onDone != nil {
 		p.onDone(resp)
 	}

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fesplit/internal/tcpsim"
@@ -108,6 +109,23 @@ func (w *ResponseWriter) Write(b []byte) {
 		return
 	}
 	w.conn.Send(b)
+}
+
+// WriteBlank streams n content-free body bytes: they are framed, timed
+// and counted exactly as Write of n bytes would be, but never built
+// (see tcpsim.Conn.SendBlank). Chunk framing stays real.
+func (w *ResponseWriter) WriteBlank(n int) {
+	if !w.wroteHeader {
+		w.WriteHeader(200, Header{})
+	}
+	if n <= 0 {
+		return
+	}
+	if w.chunked {
+		w.conn.SendBlank(append(strconv.AppendInt(nil, int64(n), 16), "\r\n"...), n, []byte("\r\n"))
+		return
+	}
+	w.conn.SendBlank(nil, n, nil)
 }
 
 // End completes the response: terminator chunk for chunked framing

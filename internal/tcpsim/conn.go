@@ -32,6 +32,9 @@ type Conn struct {
 	// recycled when the callback returns — so callbacks that keep the
 	// bytes must copy them. The callback must not modify the slice.
 	OnData func([]byte)
+	// OnBlank delivers an in-order run of n content-free stream bytes
+	// (see SendBlank), in stream order with OnData's deliveries.
+	OnBlank func(n int)
 	// OnClose fires once when the peer's FIN is received (end of the
 	// peer's stream).
 	OnClose func()
@@ -54,8 +57,14 @@ type Conn struct {
 	// segments carry capacity-capped subslices of it instead of fresh
 	// copies (see sendData). A reallocating append leaves in-flight
 	// subslices pointing at the old array, whose bytes never change.
+	//
+	// Content-free bytes (SendBlank) take sequence space but no room
+	// here: sndBuf holds the real bytes only, packed, and blanks lists
+	// the content-free runs of the unacked stream in sequence order.
 	sndBuf    []byte
-	bufBase   uint64  // sequence number of sndBuf[0]
+	bufBase   uint64 // sequence number of the first unacked stream byte
+	blanks    []blankRun
+	blankLen  uint64  // total length of blanks
 	cwnd      float64 // congestion window, bytes
 	ssthresh  float64 // slow-start threshold, bytes
 	peerWnd   int     // peer's advertised receive window
@@ -128,7 +137,7 @@ type Conn struct {
 
 	// --- receive side ---
 	rcvNxt   uint64
-	ooo      map[uint64][]byte // out-of-order segments keyed by seq
+	ooo      map[uint64]oooSeg // out-of-order segments keyed by seq
 	oooKeys  []uint64          // sorted mirror of ooo's keys (see oooInsertKey)
 	finRcvd  bool
 	finRseq  uint64
@@ -203,12 +212,13 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 // still be aliased by in-flight segments on the heap or the fast lane.
 func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server bool) {
 	cfg := c.ep.cfg
-	c.OnConnect, c.OnData, c.OnClose = nil, nil, nil
+	c.OnConnect, c.OnData, c.OnBlank, c.OnClose = nil, nil, nil, nil
 	c.acceptFn = nil
 	c.remote, c.remotePort, c.localPort, c.server = remote, remotePort, localPort, server
 	c.sndUna, c.sndNxt, c.maxSent = 0, 0, 0
 	c.sndBuf = nil
 	c.bufBase = 1
+	c.blanks, c.blankLen = c.blanks[:0], 0
 	c.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
 	c.ssthresh = float64(cfg.InitialSsthresh)
 	c.peerWnd = cfg.RcvWindow
@@ -289,6 +299,49 @@ func (c *Conn) Send(data []byte) {
 	if c.finQueued || c.st == stateClosed || len(data) == 0 {
 		return
 	}
+	c.queue(data)
+	if c.st == stateEstablished {
+		c.trySend()
+	}
+}
+
+// SendBlank queues head, then n content-free bytes, then tail, as one
+// write: the stream is segmented and timed exactly as Send of
+// len(head)+n+len(tail) real bytes would be, but the n bytes are never
+// built, buffered or copied — they occupy sequence space and wire size
+// only, and reach the peer through OnBlank. head and tail (either may
+// be empty) are the real bytes that frame the run, e.g. HTTP chunk
+// framing.
+func (c *Conn) SendBlank(head []byte, n int, tail []byte) {
+	if c.finQueued || c.st == stateClosed || len(head)+n+len(tail) == 0 {
+		return
+	}
+	c.queue(head)
+	if n > 0 {
+		end := c.streamEnd()
+		if k := len(c.blanks); k > 0 && c.blanks[k-1].end == end {
+			c.blanks[k-1].end += uint64(n)
+		} else {
+			c.blanks = append(c.blanks, blankRun{seq: end, end: end + uint64(n)})
+		}
+		c.blankLen += uint64(n)
+	}
+	c.queue(tail)
+	if c.st == stateEstablished {
+		c.trySend()
+	}
+}
+
+// blankRun is one content-free range [seq, end) of the send stream.
+type blankRun struct{ seq, end uint64 }
+
+// streamEnd is the sequence number following the last queued byte.
+func (c *Conn) streamEnd() uint64 {
+	return c.bufBase + uint64(len(c.sndBuf)) + c.blankLen
+}
+
+// queue appends real bytes to the send buffer.
+func (c *Conn) queue(data []byte) {
 	if need := len(c.sndBuf) + len(data); need > cap(c.sndBuf) {
 		// Explicit doubling: runtime append grows large slices by only
 		// ~1.25×, so streaming senders re-copied the buffer several
@@ -303,9 +356,6 @@ func (c *Conn) Send(data []byte) {
 		c.sndBuf = grown
 	}
 	c.sndBuf = append(c.sndBuf, data...)
-	if c.st == stateEstablished {
-		c.trySend()
-	}
 }
 
 // Close queues a FIN after all pending data; the connection terminates
@@ -322,14 +372,13 @@ func (c *Conn) Close() {
 
 // --- segment construction ---
 
-func (c *Conn) seg(flags Flags, seq uint64, data []byte) Segment {
+func (c *Conn) seg(flags Flags, seq uint64) Segment {
 	s := Segment{
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		Flags:   flags,
 		Seq:     seq,
 		Wnd:     c.ep.cfg.RcvWindow,
-		Data:    data,
 	}
 	if flags&FlagACK != 0 {
 		s.Ack = c.rcvNxt
@@ -337,6 +386,13 @@ func (c *Conn) seg(flags Flags, seq uint64, data []byte) Segment {
 			s.SACK = c.sackBlocks()
 		}
 	}
+	return s
+}
+
+// dataSeg builds the data segment carrying stream range [seq, seq+n).
+func (c *Conn) dataSeg(seq, n uint64) Segment {
+	s := c.seg(FlagACK, seq)
+	s.Data, s.Blank = c.payload(seq, n)
 	return s
 }
 
@@ -363,7 +419,7 @@ func (c *Conn) sackBlocks() []SACKBlock {
 	// or sort (this runs for every ACK while a hole is open).
 	blocks := make([]SACKBlock, 0, 3)
 	for _, k := range c.oooKeys {
-		end := k + uint64(len(c.ooo[k]))
+		end := k + uint64(c.ooo[k].n)
 		if n := len(blocks); n > 0 && blocks[n-1].End >= k {
 			if end > blocks[n-1].End {
 				blocks[n-1].End = end
@@ -464,10 +520,10 @@ func (c *Conn) retransmitHole(from uint64) bool {
 			return false
 		}
 	}
-	streamEnd := c.bufBase + uint64(len(c.sndBuf))
+	streamEnd := c.streamEnd()
 	if start >= streamEnd {
 		if c.finSent && start == c.finSeq {
-			s := c.seg(FlagFIN|FlagACK, c.finSeq, nil)
+			s := c.seg(FlagFIN|FlagACK, c.finSeq)
 			s.Retrans = true
 			c.transmit(s)
 			c.lastHole = start + 1
@@ -485,7 +541,7 @@ func (c *Conn) retransmitHole(from uint64) bool {
 			n = b.Start - start
 		}
 	}
-	s := c.seg(FlagACK, start, c.payload(start, n))
+	s := c.dataSeg(start, n)
 	s.Retrans = true
 	c.transmit(s)
 	c.lastHole = start + n
@@ -493,17 +549,73 @@ func (c *Conn) retransmitHole(from uint64) bool {
 }
 
 // payload returns the outgoing segment payload for stream range
-// [seq, seq+n) as a subslice of sndBuf — zero-copy, safe because
-// sndBuf's contents are write-once (see the field comment). The
+// [seq, seq+n): real bytes as a subslice of sndBuf — zero-copy, safe
+// because sndBuf's contents are write-once (see the field comment; the
 // capacity cap keeps a misbehaving receiver from appending into the
-// send buffer.
-func (c *Conn) payload(seq, n uint64) []byte {
+// send buffer) — or, for a range inside a content-free run, no bytes
+// and the length.
+func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
 	off := seq - c.bufBase
-	return c.sndBuf[off : off+n : off+n]
+	if len(c.blanks) == 0 {
+		return c.sndBuf[off : off+n : off+n], 0
+	}
+	// sndBuf skips the content-free bytes below seq; inside counts the
+	// ones within the range.
+	end := seq + n
+	var inside uint64
+	for _, r := range c.blanks {
+		if r.seq >= end {
+			break
+		}
+		off -= overlap(r, c.bufBase, seq)
+		inside += overlap(r, seq, end)
+	}
+	switch inside {
+	case 0:
+		return c.sndBuf[off : off+n : off+n], 0
+	case n:
+		return nil, int(n)
+	}
+	// The range straddles real and content-free bytes (a header sharing
+	// a segment with its body, chunk framing, a retransmission cut
+	// differently from the original): a segment is all one kind, so
+	// materialise this one — real bytes in place, zeros elsewhere.
+	buf := make([]byte, n)
+	pos := seq
+	for _, r := range c.blanks {
+		if r.end <= pos {
+			continue
+		}
+		if r.seq >= end {
+			break
+		}
+		if r.seq > pos {
+			off += uint64(copy(buf[pos-seq:r.seq-seq], c.sndBuf[off:]))
+		}
+		pos = r.end
+	}
+	if pos < end {
+		copy(buf[pos-seq:], c.sndBuf[off:])
+	}
+	return buf, 0
+}
+
+// overlap is the number of r's bytes that fall inside [lo, hi).
+func overlap(r blankRun, lo, hi uint64) uint64 {
+	if r.seq > lo {
+		lo = r.seq
+	}
+	if r.end < hi {
+		hi = r.end
+	}
+	if hi <= lo {
+		return 0
+	}
+	return hi - lo
 }
 
 func (c *Conn) transmit(s Segment) {
-	c.bytesSent += uint64(len(s.Data))
+	c.bytesSent += uint64(s.PayloadLen())
 	if c.fastEligible() {
 		c.fastSend(s)
 		return
@@ -659,7 +771,7 @@ func (c *Conn) fastSend(s Segment) {
 			m.Retransmits.Inc()
 		}
 	}
-	arrival, dropped := c.fwdPath.Transmit(e.cfg.HeaderSize + len(s.Data))
+	arrival, dropped := c.fwdPath.Transmit(e.cfg.HeaderSize + s.PayloadLen())
 	if dropped {
 		// The loss process consumed the segment at send time — exactly
 		// the draw Network.Send would have made; nothing is scheduled in
@@ -669,7 +781,7 @@ func (c *Conn) fastSend(s Segment) {
 		// runs segment-granularly on the packet path, and the lane is
 		// re-entered once the retransmission is cumulatively ACKed (see
 		// fastEligible).
-		if len(s.Data) > 0 || s.Flags&(FlagSYN|FlagFIN) != 0 {
+		if s.PayloadLen() > 0 || s.Flags&(FlagSYN|FlagFIN) != 0 {
 			c.fastLane = false
 			c.lossWait = true
 			c.lossSeq = s.Seq
@@ -694,14 +806,14 @@ func (c *Conn) fastSend(s Segment) {
 func (c *Conn) sendSYN() {
 	c.sndNxt = 1
 	c.startTimed(1)
-	c.transmit(c.seg(FlagSYN, 0, nil))
+	c.transmit(c.seg(FlagSYN, 0))
 	c.armTimer(c.rto)
 }
 
 func (c *Conn) sendSynAck() {
 	c.sndNxt = 1
 	c.startTimed(1)
-	c.transmit(c.seg(FlagSYN|FlagACK, 0, nil))
+	c.transmit(c.seg(FlagSYN|FlagACK, 0))
 	c.armTimer(c.rto)
 }
 
@@ -709,7 +821,7 @@ func (c *Conn) sendSynAck() {
 func (c *Conn) sendAck() {
 	c.ackPending = 0
 	c.ackTimerGen++
-	c.transmit(c.seg(FlagACK, c.sndNxt, nil))
+	c.transmit(c.seg(FlagACK, c.sndNxt))
 }
 
 // scheduleAck acknowledges received data, immediately or delayed per
@@ -910,29 +1022,29 @@ func (c *Conn) onTimeout() {
 func (c *Conn) retransmitOldest() {
 	switch c.st {
 	case stateSynSent:
-		s := c.seg(FlagSYN, 0, nil)
+		s := c.seg(FlagSYN, 0)
 		s.Retrans = true
 		c.transmit(s)
 		return
 	case stateSynRcvd:
-		s := c.seg(FlagSYN|FlagACK, 0, nil)
+		s := c.seg(FlagSYN|FlagACK, 0)
 		s.Retrans = true
 		c.transmit(s)
 		return
 	}
-	streamEnd := c.bufBase + uint64(len(c.sndBuf))
+	streamEnd := c.streamEnd()
 	if c.sndUna < streamEnd {
 		n := uint64(c.ep.cfg.MSS)
 		if n > streamEnd-c.sndUna {
 			n = streamEnd - c.sndUna
 		}
-		s := c.seg(FlagACK, c.sndUna, c.payload(c.sndUna, n))
+		s := c.dataSeg(c.sndUna, n)
 		s.Retrans = true
 		c.transmit(s)
 		return
 	}
 	if c.finSent && c.sndUna == c.finSeq {
-		s := c.seg(FlagFIN|FlagACK, c.finSeq, nil)
+		s := c.seg(FlagFIN|FlagACK, c.finSeq)
 		s.Retrans = true
 		c.transmit(s)
 	}
@@ -976,7 +1088,7 @@ func (c *Conn) handle(s Segment) {
 			c.cancelTimer()
 			c.establish()
 			// The establishing segment may carry data; fall through.
-			if len(s.Data) > 0 || s.Flags&FlagFIN != 0 {
+			if s.PayloadLen() > 0 || s.Flags&FlagFIN != 0 {
 				c.processPayload(s)
 			}
 			c.trySend()
@@ -996,7 +1108,7 @@ func (c *Conn) handle(s Segment) {
 	if s.Flags&FlagACK != 0 {
 		c.processAck(s)
 	}
-	if len(s.Data) > 0 || s.Flags&FlagFIN != 0 {
+	if s.PayloadLen() > 0 || s.Flags&FlagFIN != 0 {
 		c.processPayload(s)
 	}
 	c.maybeFinish()
@@ -1069,7 +1181,7 @@ func (c *Conn) processAck(s Segment) {
 
 	// Possible duplicate ACK: pure ACK, no data, nothing new acked,
 	// with data outstanding.
-	if s.Ack == c.sndUna && len(s.Data) == 0 && s.Flags&FlagFIN == 0 &&
+	if s.Ack == c.sndUna && s.PayloadLen() == 0 && s.Flags&FlagFIN == 0 &&
 		c.sndNxt > c.sndUna {
 		c.dupAcks++
 		if m := c.ep.Metrics; m != nil {
@@ -1117,7 +1229,7 @@ func (c *Conn) processAck(s Segment) {
 
 // advanceUna moves the send window forward to ack.
 func (c *Conn) advanceUna(ack uint64) {
-	streamEnd := c.bufBase + uint64(len(c.sndBuf))
+	streamEnd := c.streamEnd()
 	dataAck := ack
 	if c.finSent && ack > c.finSeq {
 		c.finAcked = true
@@ -1127,7 +1239,11 @@ func (c *Conn) advanceUna(ack uint64) {
 		dataAck = streamEnd
 	}
 	if dataAck > c.bufBase {
-		c.sndBuf = c.sndBuf[dataAck-c.bufBase:]
+		acked := dataAck - c.bufBase
+		if len(c.blanks) > 0 {
+			acked -= c.ackBlanks(dataAck)
+		}
+		c.sndBuf = c.sndBuf[acked:]
 		c.bufBase = dataAck
 	}
 	c.sndUna = ack
@@ -1136,16 +1252,43 @@ func (c *Conn) advanceUna(ack uint64) {
 	}
 }
 
+// ackBlanks drops the content-free runs (or the part of one) below ack
+// and returns how many content-free bytes that acknowledged.
+func (c *Conn) ackBlanks(ack uint64) uint64 {
+	var n uint64
+	i := 0
+	for ; i < len(c.blanks) && c.blanks[i].seq < ack; i++ {
+		r := &c.blanks[i]
+		if r.end > ack {
+			n += ack - r.seq
+			r.seq = ack
+			break
+		}
+		n += r.end - r.seq
+	}
+	c.blanks = c.blanks[:copy(c.blanks, c.blanks[i:])]
+	c.blankLen -= n
+	return n
+}
+
+// oooSeg is one buffered out-of-order payload: its length, and a pooled
+// copy of its bytes unless the segment was content-free.
+type oooSeg struct {
+	data []byte
+	n    int
+}
+
 // processPayload handles data bytes and FIN of an incoming segment.
 func (c *Conn) processPayload(s Segment) {
-	dataEnd := s.Seq + uint64(len(s.Data))
+	plen := s.PayloadLen()
+	dataEnd := s.Seq + uint64(plen)
 
 	switch {
 	case s.Seq == c.rcvNxt:
 		// In-order: deliver, then drain any contiguous out-of-order
 		// segments.
-		if len(s.Data) > 0 {
-			c.deliver(s.Data)
+		if plen > 0 {
+			c.deliver(s.Data, plen)
 			c.rcvNxt = dataEnd
 		}
 		drained := c.drainOOO()
@@ -1153,7 +1296,7 @@ func (c *Conn) processPayload(s Segment) {
 			c.handleFIN(dataEnd)
 			return
 		}
-		if len(s.Data) > 0 {
+		if plen > 0 {
 			if drained || len(c.ooo) > 0 {
 				c.sendAck() // filling a hole: ack immediately
 			} else {
@@ -1163,13 +1306,19 @@ func (c *Conn) processPayload(s Segment) {
 	case s.Seq > c.rcvNxt:
 		// Out of order: buffer a pooled copy and send an immediate
 		// duplicate ACK. The copy decouples the hole buffer from the
-		// sender's send buffer; the pool recycles it after delivery.
-		if len(s.Data) > 0 {
+		// sender's send buffer; the pool recycles it after delivery. A
+		// content-free segment has nothing to copy: only its length is
+		// kept.
+		if plen > 0 {
 			if _, dup := c.ooo[s.Seq]; !dup {
 				if c.ooo == nil {
-					c.ooo = make(map[uint64][]byte)
+					c.ooo = make(map[uint64]oooSeg)
 				}
-				c.ooo[s.Seq] = c.ep.segPool.copyIn(s.Data)
+				held := oooSeg{n: plen}
+				if s.Data != nil {
+					held.data = c.ep.segPool.copyIn(s.Data)
+				}
+				c.ooo[s.Seq] = held
 				c.oooInsertKey(s.Seq)
 			}
 		}
@@ -1181,7 +1330,11 @@ func (c *Conn) processPayload(s Segment) {
 	default: // s.Seq < c.rcvNxt
 		if dataEnd > c.rcvNxt {
 			// Partially new: deliver the new tail.
-			c.deliver(s.Data[c.rcvNxt-s.Seq:])
+			tail := s.Data
+			if tail != nil {
+				tail = tail[c.rcvNxt-s.Seq:]
+			}
+			c.deliver(tail, int(dataEnd-c.rcvNxt))
 			c.rcvNxt = dataEnd
 			c.drainOOO()
 		}
@@ -1223,9 +1376,9 @@ func (c *Conn) drainOOO() bool {
 			break
 		}
 		delete(c.ooo, c.rcvNxt)
-		c.deliver(d)
-		c.rcvNxt += uint64(len(d))
-		c.ep.segPool.put(d)
+		c.deliver(d.data, d.n)
+		c.rcvNxt += uint64(d.n)
+		c.ep.segPool.put(d.data)
 		drained = true
 	}
 	// Drop the sorted-key prefix now below rcvNxt: the keys drained
@@ -1235,7 +1388,7 @@ func (c *Conn) drainOOO() bool {
 		for ; i < len(c.oooKeys) && c.oooKeys[i] < c.rcvNxt; i++ {
 			k := c.oooKeys[i]
 			if d, ok := c.ooo[k]; ok { // stale overlap, not drained above
-				c.ep.segPool.put(d)
+				c.ep.segPool.put(d.data)
 				delete(c.ooo, k)
 			}
 		}
@@ -1257,8 +1410,16 @@ func (c *Conn) oooInsertKey(seq uint64) {
 	c.oooKeys[i] = seq
 }
 
-func (c *Conn) deliver(data []byte) {
-	c.bytesRecved += uint64(len(data))
+// deliver hands n in-order stream bytes to the application: data when
+// the bytes exist, a content-free run of n otherwise.
+func (c *Conn) deliver(data []byte, n int) {
+	c.bytesRecved += uint64(n)
+	if data == nil {
+		if c.OnBlank != nil {
+			c.OnBlank(n)
+		}
+		return
+	}
 	if c.OnData != nil {
 		c.OnData(data)
 	}
@@ -1273,7 +1434,7 @@ func (c *Conn) trySend() {
 		return
 	}
 	mss := uint64(c.ep.cfg.MSS)
-	streamEnd := c.bufBase + uint64(len(c.sndBuf))
+	streamEnd := c.streamEnd()
 
 	for c.sndNxt < streamEnd {
 		wnd := uint64(c.cwnd)
@@ -1294,7 +1455,7 @@ func (c *Conn) trySend() {
 		if n == 0 {
 			return
 		}
-		s := c.seg(FlagACK, c.sndNxt, c.payload(c.sndNxt, n))
+		s := c.dataSeg(c.sndNxt, n)
 		if c.sndNxt < c.maxSent {
 			s.Retrans = true // go-back-N resend after an RTO
 		} else {
@@ -1313,7 +1474,7 @@ func (c *Conn) trySend() {
 	if c.finQueued && !c.finSent && c.sndNxt == streamEnd {
 		c.finSent = true
 		c.finSeq = streamEnd
-		s := c.seg(FlagFIN|FlagACK, c.finSeq, nil)
+		s := c.seg(FlagFIN|FlagACK, c.finSeq)
 		if c.finSeq < c.maxSent {
 			s.Retrans = true
 		}
@@ -1357,7 +1518,7 @@ func (c *Conn) abort() {
 func (c *Conn) releaseOOO() {
 	for k, d := range c.ooo {
 		delete(c.ooo, k)
-		c.ep.segPool.put(d)
+		c.ep.segPool.put(d.data)
 	}
 	c.oooKeys = c.oooKeys[:0]
 }

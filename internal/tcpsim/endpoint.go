@@ -182,7 +182,7 @@ func (e *Endpoint) send(remote simnet.HostID, seg Segment) {
 	e.net.Send(simnet.Packet{
 		From:    e.host,
 		To:      remote,
-		Size:    e.cfg.HeaderSize + len(seg.Data),
+		Size:    e.cfg.HeaderSize + seg.PayloadLen(),
 		Payload: seg,
 	})
 }

@@ -227,7 +227,7 @@ func (l *fastLane) RunHead() {
 		ep.Deliver(simnet.Packet{
 			From:    r.from,
 			To:      ep.host,
-			Size:    ep.cfg.HeaderSize + len(ev.seg.Data),
+			Size:    ep.cfg.HeaderSize + ev.seg.PayloadLen(),
 			Payload: ev.seg,
 		})
 		return

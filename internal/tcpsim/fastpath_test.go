@@ -44,6 +44,23 @@ type transcript struct {
 	stats simnet.FastPathStats
 }
 
+// tap returns the Endpoint.Tap that appends host's events to tr.
+func (tr *transcript) tap(host string) func(TapEvent) {
+	return func(ev TapEvent) {
+		tr.events = append(tr.events, obsEvent{
+			at:      ev.Time,
+			host:    host,
+			dir:     ev.Dir,
+			remote:  ev.Remote,
+			flags:   ev.Segment.Flags,
+			seq:     ev.Segment.Seq,
+			ack:     ev.Segment.Ack,
+			dataLen: ev.Segment.PayloadLen(),
+			retrans: ev.Segment.Retrans,
+		})
+	}
+}
+
 func (tr *transcript) diff(other *transcript) string {
 	if tr.finalAt != other.finalAt {
 		return fmt.Sprintf("final sim time: %v vs %v", tr.finalAt, other.finalAt)
@@ -153,23 +170,8 @@ func (s fastScenario) run(t *testing.T, fast bool, mutate func(*simnet.Network, 
 		server: NewEndpoint(n, "s", cfg),
 	}
 	tr := &transcript{}
-	tap := func(host string) func(TapEvent) {
-		return func(ev TapEvent) {
-			tr.events = append(tr.events, obsEvent{
-				at:      ev.Time,
-				host:    host,
-				dir:     ev.Dir,
-				remote:  ev.Remote,
-				flags:   ev.Segment.Flags,
-				seq:     ev.Segment.Seq,
-				ack:     ev.Segment.Ack,
-				dataLen: len(ev.Segment.Data),
-				retrans: ev.Segment.Retrans,
-			})
-		}
-	}
-	tn.client.Tap = tap("c")
-	tn.server.Tap = tap("s")
+	tn.client.Tap = tr.tap("c")
+	tn.server.Tap = tr.tap("s")
 
 	payload := make([]byte, s.size)
 	for i := range payload {

@@ -82,7 +82,7 @@ func TestSegPoolNoDualOwnership(t *testing.T) {
 		}
 		for _, c := range ep.conns {
 			for seq, b := range c.ooo {
-				id := backing(b)
+				id := backing(b.data)
 				if owner, dup := seen[id]; dup {
 					t.Fatalf("ooo buffer for seq %d also owned by %s", seq, owner)
 				}

@@ -31,23 +31,8 @@ func (s churnScenario) run(t *testing.T, recycle bool) (*transcript, *Endpoint) 
 	server := NewEndpoint(n, "s", cfg)
 
 	tr := &transcript{}
-	tap := func(host string) func(TapEvent) {
-		return func(ev TapEvent) {
-			tr.events = append(tr.events, obsEvent{
-				at:      ev.Time,
-				host:    host,
-				dir:     ev.Dir,
-				remote:  ev.Remote,
-				flags:   ev.Segment.Flags,
-				seq:     ev.Segment.Seq,
-				ack:     ev.Segment.Ack,
-				dataLen: len(ev.Segment.Data),
-				retrans: ev.Segment.Retrans,
-			})
-		}
-	}
-	client.Tap = tap("c")
-	server.Tap = tap("s")
+	client.Tap = tr.tap("c")
+	server.Tap = tr.tap("s")
 
 	payload := make([]byte, s.size)
 	for i := range payload {

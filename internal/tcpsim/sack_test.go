@@ -18,7 +18,7 @@ type dropper struct {
 }
 
 func (d *dropper) Deliver(p simnet.Packet) {
-	if seg, ok := p.Payload.(Segment); ok && len(seg.Data) > 0 && !seg.Retrans {
+	if seg, ok := p.Payload.(Segment); ok && seg.PayloadLen() > 0 && !seg.Retrans {
 		d.seen++
 		if d.drops[d.seen] {
 			return
@@ -173,9 +173,8 @@ func TestSACKScoreboardMergesAndPrunes(t *testing.T) {
 
 func TestSACKBlocksCapAtThree(t *testing.T) {
 	c := &Conn{ep: &Endpoint{cfg: Config{SACK: true}.withDefaults()},
-		ooo: map[uint64][]byte{
-			10: make([]byte, 2), 20: make([]byte, 2), 30: make([]byte, 2),
-			40: make([]byte, 2), 50: make([]byte, 2),
+		ooo: map[uint64]oooSeg{
+			10: {n: 2}, 20: {n: 2}, 30: {n: 2}, 40: {n: 2}, 50: {n: 2},
 		},
 		oooKeys: []uint64{10, 20, 30, 40, 50}}
 	blocks := c.sackBlocks()
@@ -191,10 +190,10 @@ func TestSACKBlocksCapAtThree(t *testing.T) {
 
 func TestSACKContiguousOOOMergesToOneBlock(t *testing.T) {
 	c := &Conn{ep: &Endpoint{cfg: Config{SACK: true}.withDefaults()},
-		ooo: map[uint64][]byte{
-			100: make([]byte, 50),
-			150: make([]byte, 50), // contiguous
-			300: make([]byte, 10),
+		ooo: map[uint64]oooSeg{
+			100: {data: make([]byte, 50), n: 50},
+			150: {n: 50}, // contiguous, content-free
+			300: {data: make([]byte, 10), n: 10},
 		},
 		oooKeys: []uint64{100, 150, 300}}
 	blocks := c.sackBlocks()

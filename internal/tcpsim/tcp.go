@@ -62,20 +62,36 @@ type Segment struct {
 	SrcPort uint16
 	DstPort uint16
 	Flags   Flags
+	Retrans bool   // set on retransmissions (for traces/debugging)
 	Seq     uint64 // first payload byte (or the SYN/FIN's sequence slot)
 	Ack     uint64 // next byte expected from the peer (valid with FlagACK)
 	Wnd     int    // advertised receive window in bytes
-	Data    []byte // payload; nil for pure control segments
-	Retrans bool   // set on retransmissions (for traces/debugging)
+	Data    []byte // payload bytes; nil for control and content-free segments
+	// Blank is the payload length of a content-free segment: bytes that
+	// occupy sequence space and wire size but whose content no layer
+	// built (see Conn.SendBlank). Meaningful only when Data is nil; a
+	// segment is either all real bytes or all content-free. (Retrans
+	// sits beside Flags so this field does not grow the struct, which
+	// every captured event embeds.)
+	Blank int
 	// SACK carries up to three selective-ack blocks when the SACK
 	// option is enabled and the receiver holds out-of-order data.
 	SACK []SACKBlock
 }
 
+// PayloadLen returns the payload length in bytes, whether or not the
+// bytes themselves travel with the segment.
+func (s Segment) PayloadLen() int {
+	if s.Data != nil {
+		return len(s.Data)
+	}
+	return s.Blank
+}
+
 // Len returns the sequence-space length: payload bytes plus one for SYN
 // and one for FIN.
 func (s Segment) Len() uint64 {
-	n := uint64(len(s.Data))
+	n := uint64(s.PayloadLen())
 	if s.Flags&FlagSYN != 0 {
 		n++
 	}
@@ -88,7 +104,7 @@ func (s Segment) Len() uint64 {
 // String renders the segment for debugging.
 func (s Segment) String() string {
 	return fmt.Sprintf("[%s seq=%d ack=%d len=%d wnd=%d]",
-		s.Flags, s.Seq, s.Ack, len(s.Data), s.Wnd)
+		s.Flags, s.Seq, s.Ack, s.PayloadLen(), s.Wnd)
 }
 
 // Config tunes a TCP endpoint. Zero fields take the documented defaults

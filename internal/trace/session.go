@@ -53,13 +53,16 @@ type Session struct {
 	RTT time.Duration
 
 	// Payload is the reassembled response byte stream (HTTP header
-	// included — the paper counts it as static content). For traces
-	// captured with payload snapping, Payload holds zeroes where bytes
-	// were not captured; PayloadComplete reports whether every byte is
-	// genuine.
+	// included — the paper counts it as static content). It holds
+	// zeroes where bytes were not captured, and is nil when the capture
+	// carries no response bytes at all (snapped, or a length-only
+	// world); PayloadComplete reports whether every byte is genuine and
+	// StreamLen is the stream's length either way.
 	Payload []byte
-	// PayloadComplete is false when any inbound payload bytes were
-	// snapped at capture time (timeline analysis still valid; content
+	// StreamLen is the length of the response stream in bytes.
+	StreamLen int
+	// PayloadComplete is false when any inbound payload bytes are
+	// missing from the capture (timeline analysis still valid; content
 	// analysis is not).
 	PayloadComplete bool
 
@@ -89,13 +92,17 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	// allocation each. The per-chunk append-and-zero growth this
 	// replaces was the top allocator in wireless-study profiles (every
 	// extension allocated a fresh zeroed tail and often reallocated the
-	// whole payload).
-	maxEnd, nChunks := 0, 0
+	// whole payload). A capture without response bytes reassembles
+	// nothing: only the stream length is tracked.
+	maxEnd, nChunks, hasBytes := 0, 0, false
 	for _, ev := range events {
 		if ev.Dir != tcpsim.DirRecv {
 			continue
 		}
 		plen := len(ev.Seg.Data)
+		if plen > 0 {
+			hasBytes = true
+		}
 		if ev.PayloadLen > plen {
 			plen = ev.PayloadLen
 		}
@@ -109,6 +116,8 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	}
 	if nChunks > 0 {
 		chunks = make([]chunk, 0, nChunks)
+	}
+	if hasBytes {
 		// Extended by reslicing as chunks land: the fresh backing array
 		// is already zeroed, and only chunk copies write to it, so
 		// never-received gaps read as zero exactly as before.
@@ -155,11 +164,14 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 				if len(chunks) == 1 {
 					s.T3 = ev.Time
 				}
-				// Reassemble whatever bytes were captured.
-				if need := chunks[len(chunks)-1].end; need > len(s.Payload) {
-					s.Payload = s.Payload[:need] // within the pre-scanned cap
+				if end := start + plen; end > s.StreamLen {
+					s.StreamLen = end
 				}
-				copy(s.Payload[start:], seg.Data)
+				// Reassemble whatever bytes were captured.
+				if hasBytes {
+					s.Payload = s.Payload[:s.StreamLen] // within the pre-scanned cap
+					copy(s.Payload[start:], seg.Data)
+				}
 			}
 		}
 	}
@@ -238,14 +250,14 @@ func (s *Session) ArrivalOf(offset int) (time.Duration, error) {
 			return a.at, nil
 		}
 	}
-	return 0, fmt.Errorf("trace: offset %d never received (stream len %d)", offset, len(s.Payload))
+	return 0, fmt.Errorf("trace: offset %d never received (stream len %d)", offset, s.StreamLen)
 }
 
 // Locate sets T4/T5 for the given static/dynamic boundary: the static
-// portion is Payload[:boundary], the dynamic portion Payload[boundary:].
+// portion is stream bytes [0, boundary), the dynamic portion the rest.
 func (s *Session) Locate(boundary int) error {
-	if boundary <= 0 || boundary >= len(s.Payload) {
-		return fmt.Errorf("trace: boundary %d outside stream (len %d)", boundary, len(s.Payload))
+	if boundary <= 0 || boundary >= s.StreamLen {
+		return fmt.Errorf("trace: boundary %d outside stream (len %d)", boundary, s.StreamLen)
 	}
 	t4, err := s.ArrivalOf(boundary - 1)
 	if err != nil {
@@ -331,5 +343,5 @@ func (s *Session) String() string {
 	return fmt.Sprintf(
 		"session(%s:%d rtt=%v t1=%v t2=%v t3=%v t4=%v t5=%v te=%v bytes=%d boundary=%d retrans=%d complete=%v)",
 		s.Key.Remote, s.Key.LocalPort, s.RTT, s.T1, s.T2, s.T3, s.T4, s.T5, s.TE,
-		len(s.Payload), b, s.Retransmissions, s.PayloadComplete)
+		s.StreamLen, b, s.Retransmissions, s.PayloadComplete)
 }

@@ -67,6 +67,27 @@ func (s ContentSpec) StaticPrefix() []byte {
 	return out
 }
 
+// The literal pieces of a dynamic body. DynamicBody appends them and
+// DynamicLen measures them, so the two cannot drift apart.
+const (
+	dynMenuOpen  = `<div id="dynmenu">related: `
+	dynMenuMid   = ` images, `
+	dynMenuClose = " news</div>\n"
+	dynAdOpen    = `<div class="ad">Ad `
+	dynAdBuy     = ` — buy `
+	dynAdLink    = ` now! sponsored-link-`
+	dynAdClose   = "</div>\n"
+	dynResOpen   = `<div class="res"><a href="http://example-`
+	dynResOrg    = `.org/`
+	dynResQuote  = `">`
+	dynResTitle  = ` — result `
+	dynResURL    = `</a><span class="url">example-`
+	dynResAbout  = `.org</span><p>snippet about `
+	dynResClose  = "</p></div>\n"
+	dynTailOpen  = "</div>\n</body>\n</html>\n<!-- qid="
+	dynTailClose = " -->"
+)
+
 // DynamicBody synthesizes the query-dependent portion: dynamic menu
 // entries, search results and ads. The rng makes ad blocks and snippet
 // lengths vary run to run (deterministically per seed); the keyword
@@ -79,47 +100,85 @@ func (s ContentSpec) DynamicBody(q Query, rng *rand.Rand) []byte {
 	// profile. Output bytes and rng call order are unchanged (the
 	// differential workload test pins both against a fmt reference).
 	b := make([]byte, 0, target+512)
-	b = append(b, `<div id="dynmenu">related: `...)
+	b = append(b, dynMenuOpen...)
 	b = append(b, q.Keywords...)
-	b = append(b, ` images, `...)
+	b = append(b, dynMenuMid...)
 	b = append(b, q.Keywords...)
-	b = append(b, " news</div>\n"...)
+	b = append(b, dynMenuClose...)
 	i := 0
 	for len(b) < target-128 {
 		i++
 		if rng.Float64() < 0.15 {
-			b = append(b, `<div class="ad">Ad `...)
+			b = append(b, dynAdOpen...)
 			b = strconv.AppendInt(b, int64(i), 10)
-			b = append(b, ` — buy `...)
+			b = append(b, dynAdBuy...)
 			b = append(b, q.Keywords...)
-			b = append(b, ` now! sponsored-link-`...)
+			b = append(b, dynAdLink...)
 			b = appendPad6(b, rng.Intn(1e6))
-			b = append(b, "</div>\n"...)
+			b = append(b, dynAdClose...)
 			continue
 		}
-		b = append(b, `<div class="res"><a href="http://example-`...)
+		b = append(b, dynResOpen...)
 		b = appendPad6(b, rng.Intn(1e6))
-		b = append(b, `.org/`...)
+		b = append(b, dynResOrg...)
 		b = strconv.AppendInt(b, int64(q.ID), 10)
-		b = append(b, `">`...)
+		b = append(b, dynResQuote...)
 		b = append(b, q.Keywords...)
-		b = append(b, ` — result `...)
+		b = append(b, dynResTitle...)
 		b = strconv.AppendInt(b, int64(i), 10)
-		b = append(b, `</a><span class="url">example-`...)
+		b = append(b, dynResURL...)
 		b = appendPad6(b, rng.Intn(1e6))
-		b = append(b, `.org</span><p>snippet about `...)
+		b = append(b, dynResAbout...)
 		b = append(b, q.Keywords...)
 		// Variable-length snippet filler.
 		n := 40 + rng.Intn(120)
 		for j := 0; j < n; j++ {
 			b = append(b, byte('a'+(i+j)%26))
 		}
-		b = append(b, "</p></div>\n"...)
+		b = append(b, dynResClose...)
 	}
-	b = append(b, "</div>\n</body>\n</html>\n<!-- qid="...)
+	b = append(b, dynTailOpen...)
 	b = strconv.AppendInt(b, int64(q.ID), 10)
-	b = append(b, " -->"...)
+	b = append(b, dynTailClose...)
 	return b
+}
+
+// DynamicLen returns len(DynamicBody(q, rng)) without building the
+// body, for worlds that carry response lengths only. It makes the same
+// rng draws in the same order, so a generator shared with other models
+// (the back end's cost and load processes) ends in the same state
+// either way.
+func (s ContentSpec) DynamicLen(q Query, rng *rand.Rand) int {
+	target := s.DynamicSize(q)
+	kw, id := len(q.Keywords), decLen(q.ID)
+	n := len(dynMenuOpen) + kw + len(dynMenuMid) + kw + len(dynMenuClose)
+	i := 0
+	for n < target-128 {
+		i++
+		if rng.Float64() < 0.15 {
+			rng.Intn(1e6)
+			n += len(dynAdOpen) + decLen(i) + len(dynAdBuy) + kw + len(dynAdLink) + 6 + len(dynAdClose)
+			continue
+		}
+		rng.Intn(1e6)
+		rng.Intn(1e6)
+		n += len(dynResOpen) + 6 + len(dynResOrg) + id + len(dynResQuote) + kw +
+			len(dynResTitle) + decLen(i) + len(dynResURL) + 6 + len(dynResAbout) + kw +
+			40 + rng.Intn(120) + len(dynResClose)
+	}
+	return n + len(dynTailOpen) + id + len(dynTailClose)
+}
+
+// decLen is the number of bytes strconv.AppendInt(nil, v, 10) produces.
+func decLen(v int) int {
+	n := 1
+	if v < 0 {
+		n, v = 2, -v
+	}
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // appendPad6 appends v zero-padded to six digits — the %06d of the

@@ -234,6 +234,54 @@ func TestDynamicBodyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDynamicLenMatchesBody is the length-only contract: DynamicLen
+// returns exactly len(DynamicBody) and leaves the generator in the same
+// state, so a back end that never builds a body draws its cost and load
+// processes from the same stream positions as one that does.
+func TestDynamicLenMatchesBody(t *testing.T) {
+	specs := []ContentSpec{
+		DefaultContentSpec("google-like"),
+		{ServiceName: "tiny", StaticSize: 64, DynamicBase: 40, DynamicPerTerm: 3},
+		{ServiceName: "large", StaticSize: 64 << 10, DynamicBase: 300 << 10, DynamicPerTerm: 4096},
+	}
+	// Multi-byte keywords: the interactive cell slices a phrase by runes,
+	// and the ad/result templates themselves carry a 3-byte dash.
+	keywords := []string{"", "café", "naïve — search", "日本語 検索", "x"}
+	ids := []int{0, 7, 10, 99, 100, 4321, 99999, 100000, 1234567, 9999999}
+	g := NewGenerator(19)
+	cases := 0
+	for si, spec := range specs {
+		per := 300
+		if spec.ServiceName == "large" {
+			per = 12 // 300 KB bodies: fewer, still every class
+		}
+		for _, class := range Classes() {
+			for k := 0; k < per; k++ {
+				q := g.Query(class)
+				if k%2 == 1 {
+					q.Keywords = keywords[k/2%len(keywords)]
+				}
+				q.ID = ids[k%len(ids)]
+				seed := int64(si*1e6 + int(class)*1e4 + k)
+				r1, r2 := stats.NewRand(seed), stats.NewRand(seed)
+				got, want := spec.DynamicLen(q, r1), len(spec.DynamicBody(q, r2))
+				if got != want {
+					t.Fatalf("%s %v q=%+v: DynamicLen = %d, len(DynamicBody) = %d",
+						spec.ServiceName, class, q, got, want)
+				}
+				if r1.Int63() != r2.Int63() {
+					t.Fatalf("%s %v q=%+v: rng streams diverge after the call",
+						spec.ServiceName, class, q)
+				}
+				cases++
+			}
+		}
+	}
+	if cases < 2000 {
+		t.Fatalf("only %d cases", cases)
+	}
+}
+
 func TestDynamicBodyNearTargetSize(t *testing.T) {
 	spec := DefaultContentSpec("svc")
 	g := NewGenerator(7)

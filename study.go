@@ -139,7 +139,10 @@ func NewStudy(cfg StudyConfig) *Study {
 // placed by Seed+off+1 (every cell's offsets pair up that way); opts
 // carries what varies per cell: fleet size, access profile, payload
 // snapping, and Obs for the cells whose worlds feed the study observer.
-// Every world publishes to the telemetry hub (see SetRuntime).
+// A cell that takes its boundary from boundaryFor reads packet timings
+// only and snaps (its world then never builds response content); a cell
+// that analyses content — the probe itself, Fig 3, Fig 9, caching —
+// does not. Every world publishes to the telemetry hub (see SetRuntime).
 func (s *Study) world(off int64, dep DeploymentConfig, opts emulator.Options) (*emulator.Runner, error) {
 	opts.FleetSeed = s.cfg.Seed + off + 1
 	opts.Runtime = s.rt
@@ -252,7 +255,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 	sopts := emulator.ShardedAOptions{
 		SimSeed:    s.cfg.Seed + 11,
 		Deployment: cfg,
-		Runner:     emulator.Options{Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 12},
+		Runner:     emulator.Options{Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 12, SnapPayloads: true},
 		A: emulator.AOptions{
 			QueriesPerNode: s.cfg.QueriesPerNodeA,
 			Interval:       s.cfg.IntervalA,
@@ -488,10 +491,6 @@ func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fixed-FE campaign is the study's largest (250 × 720
-	// sessions at paper scale): snap payloads at capture time so
-	// it fits in memory. The boundary probe above already ran
-	// with full payloads.
 	runner, err := s.world(41, cfg, emulator.Options{Nodes: s.cfg.Nodes, SnapPayloads: true})
 	if err != nil {
 		return nil, err

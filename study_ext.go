@@ -42,7 +42,7 @@ func (s *Study) termEffectFor(cfg DeploymentConfig) (*TermEffectData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := s.world(81, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
+	runner, err := s.world(81, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := s.world(85, cfg, emulator.Options{Nodes: 6})
+	runner, err := s.world(85, cfg, emulator.Options{Nodes: 6, SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (s *Study) ModelValidation() (*ModelValidationData, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := s.world(91, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
+	runner, err := s.world(91, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, r
 	if err != nil {
 		return 0, 0, err
 	}
-	runner, err := s.world(87, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), Access: profile})
+	runner, err := s.world(87, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), Access: profile, SnapPayloads: true})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -200,7 +200,7 @@ func probeCluster(r *emulator.Runner, buckets []QueueBucket) {
 // otherwise.
 func (s *Study) openLoop(off int64, label string, cfg DeploymentConfig, nodes, boundary int,
 	load emulator.OpenLoopOptions, before func(*emulator.Runner)) (runner *emulator.Runner, ds *emulator.Dataset, tdyn []float64, err error) {
-	runner, err = s.world(off, cfg, emulator.Options{Nodes: nodes, Obs: s.obsv})
+	runner, err = s.world(off, cfg, emulator.Options{Nodes: nodes, SnapPayloads: true, Obs: s.obsv})
 	if err != nil {
 		return nil, nil, nil, err
 	}
