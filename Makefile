@@ -3,22 +3,23 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-compare check layering payload-check report report-full examples clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
+.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
 
 all: build vet test
 
-# CI-equivalent verification: vet, build, race-clean tests, then a
-# quick warn-only benchmark diff against the committed baseline. The
-# observability instrumentation must stay goroutine-free; -race proves
-# the simulation stays single-threaded.
+# CI-equivalent verification: vet, build, race-clean tests (the
+# allocation pins of the event engine, the packet path and the TCP
+# transfers are plain tests among them), the payload and formatting
+# gates, a fuzz smoke pass. The observability instrumentation must stay
+# goroutine-free; -race proves the simulation stays single-threaded.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(MAKE) layering
 	$(GO) test -race ./...
 	$(MAKE) payload-check
+	$(MAKE) fmt-check
 	$(MAKE) fuzz-smoke
-	$(MAKE) bench-compare
 
 # Layering gate: the emulator captures and joins, internal/analysis
 # parses and measures. The import graph is what keeps the emulator from
@@ -41,17 +42,9 @@ payload-check:
 	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 
-# Perf gate: short-benchtime run diffed against the latest committed
-# snapshot. ns/op growth beyond 15% is reported but does not fail the
-# build (timings on shared machines are too noisy to hard-gate; eyeball
-# the REGRESSION lines). allocs/op on the hot-path benchmarks IS a hard
-# gate even under -warn-only — allocation counts are deterministic, and
-# the event engine and packet send path are pinned at zero allocs/op.
-bench-compare:
-	$(GO) run ./cmd/benchjson -benchtime 100ms -o bench-check.json \
-		-compare $(BENCH_BASELINE) -warn-only
-
-BENCH_BASELINE ?= BENCH_10.json
+# Formatting gate: no Go file in the tree differs from its gofmt form.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . is not empty:"; gofmt -l .; exit 1; }
 
 # Fast-forward engine equivalence gate: the differential property test
 # (randomized RTT/loss/size/cwnd scenarios — i.i.d. and Gilbert — fast
@@ -166,19 +159,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Perf-trajectory snapshot: root study benchmarks plus the simnet and
-# tcpsim micro-benchmarks, recorded as BENCH_10.json (name → ns/op,
-# B/op, allocs/op, heap_bytes). Later PRs diff new snapshots against
-# this file.
-#
-# The `[^4]$` bench regexp drops BenchmarkStudyRunAllWorkers4 — the
-# only name ending in "4" — so the full study runs once, not twice.
-# The serial run (Workers1) is the trajectory's study timing: it does
-# not depend on the runner's core count, and the parallel runner's
-# correctness is already pinned byte-for-byte by `make equivalence`.
-bench-json:
-	$(GO) run ./cmd/benchjson -bench '[^4]$$' -o BENCH_10.json
-
 # Light-scale figure regeneration (seconds).
 report: build
 	./bin/fesplit report
@@ -186,14 +166,6 @@ report: build
 # Paper-scale regeneration (250 nodes, 720 repeats; ~10 min, ~4 GB RSS).
 report-full: build
 	./bin/fesplit report -scale full -csv results_csv | tee report_full.txt
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/placement
-	$(GO) run ./examples/splitbaseline
-	$(GO) run ./examples/cachingdetect
-	$(GO) run ./examples/livedemo
-	$(GO) run ./examples/dnspolicy
 
 clean:
 	rm -rf bin

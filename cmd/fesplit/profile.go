@@ -1,13 +1,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"fesplit"
+	"fesplit/internal/obs"
 )
 
 // cmdProfile runs the observed study and reports where each service's
@@ -16,8 +17,8 @@ import (
 // annotated tail-exemplar spans, and the HTML report with the phase
 // waterfalls. Like `fesplit study`, every exported byte is identical
 // for any -workers value and across repeated same-seed runs.
-func cmdProfile(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
+func cmdProfile(args []string, _, stderr io.Writer) error {
+	fs := newFlagSet("profile", stderr)
 	parse := studyFlags(fs, true)
 	dir := fs.String("dir", "profile-out", "output directory for the exported files")
 	topN := fs.Int("top", 5, "phases to print per service in the stderr blame table (0 → all)")
@@ -32,7 +33,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	var rows []fesplit.PhaseBlame
-	_, err = runObserved(fesplit.NewStudy(cfg).RunAllObserved, nil, "", *dir, func(out *fesplit.StudyOutput) []outFile {
+	_, err = runObserved(stderr, fesplit.NewStudy(cfg).RunAllObserved, nil, "", *dir, func(out *fesplit.StudyOutput) []outFile {
 		rows = fesplit.ProfileFromMetrics(out.Metrics)
 		spans := out.Spans()
 		return []outFile{
@@ -45,13 +46,13 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
-	if err := fesplit.WriteProfileTable(os.Stderr, rows, *topN); err != nil {
+	if err := fesplit.WriteProfileTable(stderr, rows, *topN); err != nil {
 		return err
 	}
 	if *beSlowdown > 0 && *beSlowdown != 1 {
-		fmt.Fprintf(os.Stderr, "profile: BE cost model scaled ×%g (injected regression)\n", *beSlowdown)
+		fmt.Fprintf(stderr, "profile: BE cost model scaled ×%g (injected regression)\n", *beSlowdown)
 	}
-	fmt.Fprintf(os.Stderr, "profile: blame table + metrics + report written to %s\n", *dir)
+	fmt.Fprintf(stderr, "profile: blame table + metrics + report written to %s\n", *dir)
 	return nil
 }
 
@@ -60,8 +61,8 @@ func cmdProfile(args []string) error {
 // nonzero with a verdict table naming the exact series (service, phase,
 // quantile) otherwise. Arguments are metrics.jsonl files or directories
 // containing one (e.g. `fesplit profile -dir` outputs).
-func cmdDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+func cmdDiff(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("diff", stderr)
 	relPct := fs.Float64("rel-pct", 10,
 		"relative quantile-delta breach threshold, percent of the old value")
 	abs := fs.Float64("abs", 0.0005,
@@ -93,7 +94,7 @@ func cmdDiff(args []string) error {
 		opt.Families = splitNonEmpty(*family)
 	}
 	rep := fesplit.DiffMetrics(oldReg, newReg, opt)
-	if err := rep.WriteTable(os.Stdout); err != nil {
+	if err := rep.WriteTable(stdout); err != nil {
 		return err
 	}
 	if rep.Failed() {
@@ -118,7 +119,7 @@ func readMetricsArg(path string) (*fesplit.MetricsRegistry, error) {
 		return nil, err
 	}
 	defer f.Close()
-	reg, err := fesplit.ReadMetricsJSONL(f)
+	reg, err := obs.ReadMetricsJSONL(f)
 	if err != nil {
 		return nil, fmt.Errorf("diff: %s: %w", path, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fesplit"
+	rt "fesplit/internal/obs/runtime"
 )
 
 // studyFlags registers the flags report, study and profile share —
@@ -50,38 +51,38 @@ func studyFlags(fs *flag.FlagSet, pool bool) func(args []string) (fesplit.StudyC
 // telemetry is a running wall-clock telemetry session of `fesplit
 // study`; server is nil without -listen.
 type telemetry struct {
-	sampler *fesplit.RuntimeSampler
+	sampler *rt.Sampler
 	jsonl   *os.File
-	server  *fesplit.RuntimeServer
+	server  *rt.Server
 }
 
 // startTelemetry attaches a fresh engine to the study and samples it
 // every interval into dir/runtime.jsonl, onto stderr as a heartbeat
 // when progress is set, and into an HTTP endpoint when listen names an
 // address (the caller closes the endpoint).
-func startTelemetry(study *fesplit.Study, dir string, progress bool, interval time.Duration, listen string) (*telemetry, error) {
-	eng := fesplit.NewRuntimeEngine()
+func startTelemetry(stderr io.Writer, study *fesplit.Study, dir string, progress bool, interval time.Duration, listen string) (*telemetry, error) {
+	eng := rt.NewEngine()
 	study.SetRuntime(eng)
-	var consumers []fesplit.RuntimeConsumer
+	var consumers []rt.Consumer
 	if progress {
-		consumers = append(consumers, fesplit.RuntimeHeartbeat(os.Stderr))
+		consumers = append(consumers, rt.Heartbeat(stderr))
 	}
 	rj, err := os.Create(filepath.Join(dir, "runtime.jsonl"))
 	if err != nil {
 		return nil, err
 	}
 	t := &telemetry{jsonl: rj}
-	consumers = append(consumers, fesplit.RuntimeJSONL(rj))
+	consumers = append(consumers, rt.JSONL(rj))
 	if listen != "" {
-		t.server, err = fesplit.NewRuntimeServer(eng, listen)
+		t.server, err = rt.NewServer(eng, listen)
 		if err != nil {
 			rj.Close()
 			return nil, fmt.Errorf("study: -listen %s: %w", listen, err)
 		}
-		fmt.Fprintf(os.Stderr, "study: telemetry listening on http://%s\n", t.server.Addr())
+		fmt.Fprintf(stderr, "study: telemetry listening on http://%s\n", t.server.Addr())
 		consumers = append(consumers, t.server.OnSample)
 	}
-	t.sampler = fesplit.NewRuntimeSampler(eng, interval, consumers...)
+	t.sampler = rt.NewSampler(eng, interval, consumers...)
 	t.sampler.Start()
 	return t, nil
 }
@@ -100,7 +101,7 @@ func (t *telemetry) stop() {
 // export figure CSVs into csvDir (when set) and the artifacts files
 // builds from the output under dir, and print the fast-path summary.
 // The commands differ only in those artifact lists.
-func runObserved(run func() (*fesplit.StudyOutput, error), tel *telemetry, csvDir, dir string,
+func runObserved(stderr io.Writer, run func() (*fesplit.StudyOutput, error), tel *telemetry, csvDir, dir string,
 	files func(*fesplit.StudyOutput) []outFile) (*fesplit.StudyOutput, error) {
 	out, err := run()
 	tel.stop()
@@ -113,7 +114,7 @@ func runObserved(run func() (*fesplit.StudyOutput, error), tel *telemetry, csvDi
 	if err != nil {
 		return nil, err
 	}
-	printFastPath(os.Stderr, "", out.Metrics)
+	printFastPath(stderr, "", out.Metrics)
 	return out, nil
 }
 
@@ -147,8 +148,8 @@ func htmlReport(name string, out *fesplit.StudyOutput) outFile {
 // self-contained HTML report. The headline property: for a fixed seed,
 // every exported byte is identical whatever -workers is — the worker
 // count buys wall-clock time, never different results.
-func cmdStudy(args []string) error {
-	fs := flag.NewFlagSet("study", flag.ContinueOnError)
+func cmdStudy(args []string, _, stderr io.Writer) error {
+	fs := newFlagSet("study", stderr)
 	parse := studyFlags(fs, true)
 	dir := fs.String("dir", "study-out", "output directory for the exported files")
 	progress := fs.Bool("progress", false,
@@ -184,7 +185,7 @@ func cmdStudy(args []string) error {
 	study := fesplit.NewStudy(cfg)
 	var tel *telemetry
 	if *diurnal || *progress || *listen != "" {
-		if tel, err = startTelemetry(study, *dir, *progress, *progressInterval, *listen); err != nil {
+		if tel, err = startTelemetry(stderr, study, *dir, *progress, *progressInterval, *listen); err != nil {
 			return err
 		}
 		if tel.server != nil {
@@ -192,9 +193,9 @@ func cmdStudy(args []string) error {
 		}
 	}
 	if *diurnal {
-		return runFleetStudy(study, tel, *clients, *horizon, *fleetBatches, *dir)
+		return runFleetStudy(stderr, study, tel, *clients, *horizon, *fleetBatches, *dir)
 	}
-	out, err := runObserved(study.RunAllObserved, tel, *dir, *dir, func(out *fesplit.StudyOutput) []outFile {
+	out, err := runObserved(stderr, study.RunAllObserved, tel, *dir, *dir, func(out *fesplit.StudyOutput) []outFile {
 		spans := out.Spans()
 		return []outFile{
 			{"report.txt", func(f *os.File) error { return out.Report.WriteText(f) }},
@@ -207,16 +208,16 @@ func cmdStudy(args []string) error {
 	if err != nil {
 		return fmt.Errorf("study: %w", err)
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"study: seed %d, scale %s, %d workers — %d metric families, %d tail exemplars\n",
 		cfg.Seed, fs.Lookup("scale").Value, cfg.Workers, len(out.Metrics.Families()), len(out.Exemplars))
 	if eng := study.Runtime(); eng != nil {
-		fmt.Fprintf(os.Stderr, "study: peak heap %.1f MiB, %d records streamed\n",
+		fmt.Fprintf(stderr, "study: peak heap %.1f MiB, %d records streamed\n",
 			float64(eng.HeapWatermark())/(1<<20), eng.Records())
 	}
-	fmt.Fprintf(os.Stderr, "study: figures + metrics + reports written to %s\n", *dir)
+	fmt.Fprintf(stderr, "study: figures + metrics + reports written to %s\n", *dir)
 	if tel != nil && tel.server != nil && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "study: holding telemetry endpoint for %s\n", *linger)
+		fmt.Fprintf(stderr, "study: holding telemetry endpoint for %s\n", *linger)
 		time.Sleep(*linger)
 	}
 	return nil
@@ -227,7 +228,7 @@ func cmdStudy(args []string) error {
 // fleet.csv plus the standard runtime telemetry. The headline property
 // the scale-smoke gate pins: the heap watermark tracks peak concurrency
 // (the diurnal curve), not the client count.
-func runFleetStudy(study *fesplit.Study, tel *telemetry, clients int, horizon time.Duration, batches int, dir string) error {
+func runFleetStudy(stderr io.Writer, study *fesplit.Study, tel *telemetry, clients int, horizon time.Duration, batches int, dir string) error {
 	cfg := study.Config()
 	res, err := study.RunFleetStudy(fesplit.FleetStudyConfig{
 		Clients: clients,
@@ -244,14 +245,14 @@ func runFleetStudy(study *fesplit.Study, tel *telemetry, clients int, horizon ti
 		return fmt.Errorf("study: %w", err)
 	}
 	m := res.Merged
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"study: fleet seed %d — %d arrivals over %s, %d pooled slots (peak live %d), %d rejected, %d tail exemplars\n",
 		cfg.Seed, m.Arrivals, horizon, m.Slots, m.PeakLive, m.Rejected, len(res.Exemplars))
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"study: overall p50/p99 %.1f/%.1f ms — peak heap %.1f MiB for %d clients\n",
 		res.Overall.Quantile(0.5), res.Overall.Quantile(0.99),
 		float64(res.HeapWatermark)/(1<<20), clients)
-	fmt.Fprintf(os.Stderr, "study: fleet.csv written to %s\n", dir)
+	fmt.Fprintf(stderr, "study: fleet.csv written to %s\n", dir)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,40 +10,92 @@ import (
 	"testing"
 )
 
-// TestStudyArgumentValidation: bad arguments to the three matrix
-// commands come back as errors naming the offending flag, before any
-// output directory exists.
+// runCLI runs one command line in-process and returns its exit code
+// and both output streams.
+func runCLI(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestStudyArgumentValidation: a bad argument to any command exits 1
+// with an error naming the offending flag or value, before any output
+// exists (dirArg, on the commands that have one); a missing, unknown or
+// removed command exits 2 with the usage text, which lists exactly the
+// dispatch table.
 func TestStudyArgumentValidation(t *testing.T) {
+	notATrace := filepath.Join(t.TempDir(), "not-a-trace")
+	if err := os.WriteFile(notATrace, []byte("module fesplit\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name   string
-		cmd    func([]string) error
-		dirArg string // the command's output-directory flag
+		cmd    string
+		dirArg string // the command's output flag, if any
 		args   []string
-		flag   string
+		code   int
+		want   string // substring of stderr
 	}{
-		{"report unknown scale", cmdReport, "-csv", []string{"-scale", "huge"}, "-scale"},
-		{"report has no pool flag", cmdReport, "-csv", []string{"-workers", "0"}, "-workers"},
-		{"report unknown figure", cmdReport, "-csv", []string{"-fig", "12"}, "-fig"},
-		{"study zero workers", cmdStudy, "-dir", []string{"-workers", "0"}, "-workers"},
-		{"study unknown scale", cmdStudy, "-dir", []string{"-scale", "huge"}, "-scale"},
-		{"study clients without diurnal", cmdStudy, "-dir", []string{"-clients", "5"}, "-clients"},
-		{"study removed stream flag", cmdStudy, "-dir", []string{"-stream"}, "-stream"},
-		{"profile zero workers", cmdProfile, "-dir", []string{"-workers", "0"}, "-workers"},
-		{"profile unknown scale", cmdProfile, "-dir", []string{"-scale", "huge"}, "-scale"},
-		{"profile removed stream flag", cmdProfile, "-dir", []string{"-stream"}, "-stream"},
+		{"report unknown scale", "report", "-csv", []string{"-scale", "huge"}, 1, "-scale"},
+		{"report has no pool flag", "report", "-csv", []string{"-workers", "0"}, 1, "-workers"},
+		{"report unknown figure", "report", "-csv", []string{"-fig", "12"}, 1, "-fig"},
+		{"study zero workers", "study", "-dir", []string{"-workers", "0"}, 1, "-workers"},
+		{"study unknown scale", "study", "-dir", []string{"-scale", "huge"}, 1, "-scale"},
+		{"study clients without diurnal", "study", "-dir", []string{"-clients", "5"}, 1, "-clients"},
+		{"study removed stream flag", "study", "-dir", []string{"-stream"}, 1, "-stream"},
+		{"profile zero workers", "profile", "-dir", []string{"-workers", "0"}, 1, "-workers"},
+		{"profile unknown scale", "profile", "-dir", []string{"-scale", "huge"}, 1, "-scale"},
+		{"profile removed stream flag", "profile", "-dir", []string{"-stream"}, 1, "-stream"},
+		{"sweep unknown flag", "sweep", "", []string{"-fraction", "0.5"}, 1, "-fraction"},
+		{"sweep loss above one", "sweep", "", []string{"-loss", "2"}, 1, "loss rate 2"},
+		{"sweep no query completes", "sweep", "", []string{"-loss", "0.9", "-repeats", "3"}, 1, "fraction 0.05, 0.10,"},
+		{"direct negative nodes", "direct", "", []string{"-nodes", "-3"}, 1, "got -3"},
+		{"direct zero nodes", "direct", "", []string{"-nodes", "0"}, 1, "got 0"},
+		{"direct unknown service", "direct", "", []string{"-service", "yahoo"}, 1, "-service"},
+		{"trace zero rtt", "trace", "-o", []string{"-rtt", "0"}, 1, "-rtt"},
+		{"trace negative rtt", "trace", "-o", []string{"-rtt", "-40"}, 1, "-rtt"},
+		{"decode no file", "decode", "", nil, 1, "exactly one trace file"},
+		{"decode not a trace", "decode", "", []string{notATrace}, 1, "not a valid fesplit trace"},
+		{"diff one argument", "diff", "", []string{notATrace}, 1, "usage: fesplit diff"},
+		{"no command", "", "", nil, 2, "commands:"},
+		{"unknown command", "frobnicate", "", nil, 2, `unknown command "frobnicate"`},
+		{"removed obs", "obs", "-dir", nil, 2, `unknown command "obs"`},
+		{"removed interactive", "interactive", "", nil, 2, `unknown command "interactive"`},
+		{"removed live", "live", "", nil, 2, `unknown command "live"`},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "out")
-			err := tc.cmd(append([]string{tc.dirArg, dir}, tc.args...))
-			if err == nil {
-				t.Fatalf("%v accepted", tc.args)
+			var args []string
+			if tc.cmd != "" {
+				args = append(args, tc.cmd)
 			}
-			if !strings.Contains(err.Error(), tc.flag) {
-				t.Errorf("error %q does not name %s", err, tc.flag)
+			if tc.dirArg != "" {
+				args = append(args, tc.dirArg, dir)
+			}
+			code, stdout, stderr := runCLI(append(args, tc.args...)...)
+			if code != tc.code {
+				t.Fatalf("%v: exit code %d, want %d (stderr: %s)", args, code, tc.code, stderr)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not name %q", stderr, tc.want)
 			}
 			if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
-				t.Errorf("output directory created despite the error (stat: %v)", statErr)
+				t.Errorf("output created despite the error (stat: %v)", statErr)
+			}
+			if tc.code != 2 {
+				return
+			}
+			var listed []string
+			_, list, _ := strings.Cut(stderr, "commands:\n")
+			for _, line := range strings.Split(list, "\n") {
+				if strings.HasPrefix(line, "  ") && line[2] != ' ' {
+					listed = append(listed, strings.Fields(line)[0])
+				}
+			}
+			want := []string{"report", "study", "profile", "diff", "trace", "decode", "sweep", "direct"}
+			if stdout != "" || !reflect.DeepEqual(listed, want) {
+				t.Errorf("stdout %q, usage lists %q; want nothing and %q", stdout, listed, want)
 			}
 		})
 	}
@@ -62,20 +115,21 @@ func TestMatrixArtifactSets(t *testing.T) {
 	study := append([]string{"metrics.jsonl", "metrics.prom", "report.html", "report.txt", "spans.jsonl"}, figures...)
 	tests := []struct {
 		name string
-		cmd  func([]string) error
+		cmd  string
 		args []string
 		want []string
 	}{
-		{"study", cmdStudy, nil, study},
-		{"study with telemetry", cmdStudy, []string{"-progress", "-progress-interval", "1h"},
+		{"study", "study", nil, study},
+		{"study with telemetry", "study", []string{"-progress", "-progress-interval", "1h"},
 			append([]string{"runtime.jsonl"}, study...)},
-		{"profile", cmdProfile, nil, []string{"metrics.jsonl", "profile.csv", "report.html", "spans.jsonl"}},
+		{"profile", "profile", nil, []string{"metrics.jsonl", "profile.csv", "report.html", "spans.jsonl"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := tc.cmd(append([]string{"-dir", dir, "-workers", "2", "-seed", "42"}, tc.args...)); err != nil {
-				t.Fatal(err)
+			args := append([]string{tc.cmd, "-dir", dir, "-workers", "2", "-seed", "42"}, tc.args...)
+			if code, _, stderr := runCLI(args...); code != 0 {
+				t.Fatalf("exit code %d: %s", code, stderr)
 			}
 			entries, err := os.ReadDir(dir)
 			if err != nil {

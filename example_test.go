@@ -2,51 +2,26 @@ package fesplit_test
 
 import (
 	"fmt"
-	"time"
 
 	"fesplit"
 )
 
-// ExamplePredictTimeline runs the paper's analytic split-TCP model for
-// one configuration: 30 ms client RTT, 12 ms FE processing, 120 ms
-// FE-BE fetch. The deterministic engine makes the output exact.
-func ExamplePredictTimeline() {
-	pred, err := fesplit.PredictTimeline(fesplit.ModelInputs{
-		RTT:          30 * time.Millisecond,
-		FEDelay:      12 * time.Millisecond,
-		Fetch:        120 * time.Millisecond,
-		StaticBytes:  8211,
-		DynamicBytes: 20480,
-	})
+// ExampleStudy is the quick start: build a light-scale study, run the
+// fixed-FE campaign of Figure 5, and read off — per service — the RTT
+// below which Tdelta stops shrinking and whether the FE's ground-truth
+// fetch time sits inside the inferred bounds Tdelta ≤ Tfetch ≤ Tdynamic.
+// The study is deterministic per seed, so the output is exact.
+func ExampleStudy() {
+	study := fesplit.NewStudy(fesplit.LightStudyConfig(42))
+	fig5, err := study.Fig5()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("Tstatic=%v Tdynamic=%v Tdelta=%v coalesced=%v\n",
-		pred.Tstatic(), pred.Tdynamic(), pred.Tdelta(), pred.Coalesced)
-	// Output: Tstatic=42ms Tdynamic=120ms Tdelta=78ms coalesced=false
-}
-
-// ExampleMovingMedian shows the paper's Figure-3 smoothing.
-func ExampleMovingMedian() {
-	series := []float64{10, 10, 200, 10, 10}
-	fmt.Println(fesplit.MovingMedian(series, 3))
-	// Output: [10 10 10 10 10]
-}
-
-// ExampleNewRunner measures one small fixed-FE campaign end to end.
-func ExampleNewRunner() {
-	runner, err := fesplit.NewRunner(7, fesplit.GoogleLike(1),
-		fesplit.RunnerOptions{Nodes: 10, FleetSeed: 3})
-	if err != nil {
-		panic(err)
+	for _, d := range fig5 {
+		fmt.Printf("%s via %s: Tdelta threshold %.0f ms, bounds %.0f ≤ %.0f ≤ %.0f ms hold: %v\n",
+			d.Service, d.FixedFE, d.ThresholdMS, d.BoundLoMS, d.TruthMS, d.BoundHiMS, d.BoundsOK)
 	}
-	// Experiment A uses a distinct-query corpus, so the static/dynamic
-	// boundary can be derived by content analysis (boundary 0 = auto).
-	ds := runner.RunExperimentA(fesplit.ExperimentAOptions{
-		QueriesPerNode: 3, Interval: 2 * time.Second,
-	})
-	params := fesplit.ExtractDataset(ds, 0)
-	nodes := fesplit.PerNode(params)
-	fmt.Printf("nodes measured: %d, sessions: %d\n", len(nodes), len(params))
-	// Output: nodes measured: 10, sessions: 30
+	// Output:
+	// bing-like via bing-like-fe-metro-chicago: Tdelta threshold 242 ms, bounds 132 ≤ 214 ≤ 223 ms hold: true
+	// google-like via google-like-fe-metro-chicago: Tdelta threshold 47 ms, bounds 27 ≤ 60 ≤ 62 ms hold: true
 }

@@ -16,71 +16,35 @@
 //
 // # Quick start
 //
-//	study := fesplit.NewStudy(fesplit.LightStudyConfig(42))
-//	fig5, err := study.Fig5()   // fixed-FE parameter extraction
-//	fig9, err := study.Fig9()   // fetch-time factoring regression
-//	study.WriteReport(os.Stdout)
-//
-// Lower-level building blocks are exposed through aliases: build a
-// Deployment, drive it with a Runner, and analyze the datasets by hand
-// for custom experiments.
+// ExampleStudy is the compiled quick start: NewStudy over a StudyConfig,
+// one method per figure (Fig3 … Fig9, Caching), RunAllObserved for the
+// whole observed matrix, and the Report writers for text, CSV and HTML.
+// The types below alias the internal packages' result types so those
+// signatures can be named from outside the module.
 package fesplit
 
 import (
 	"io"
-	"time"
 
 	"fesplit/internal/analysis"
 	"fesplit/internal/baseline"
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
-	"fesplit/internal/core"
 	"fesplit/internal/emulator"
-	"fesplit/internal/frontend"
-	"fesplit/internal/geo"
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
-	"fesplit/internal/stats"
-	"fesplit/internal/tcpsim"
-	"fesplit/internal/trace"
 	"fesplit/internal/vantage"
 	"fesplit/internal/workload"
 )
 
-// Deployment building blocks.
+// Result and configuration types the Study API hands out.
 type (
-	// Deployment is a built service: FE fleet, BE sites and network.
-	Deployment = cdn.Deployment
 	// DeploymentConfig specifies a deployment to build.
 	DeploymentConfig = cdn.Config
-	// FrontEnd is one front-end (proxy) server.
-	FrontEnd = frontend.Server
-	// Fleet is the set of measurement vantage points.
-	Fleet = vantage.Fleet
-	// Site is a named geographic location.
-	Site = geo.Site
-	// Point is a geographic coordinate.
-	Point = geo.Point
-)
-
-// Measurement pipeline.
-type (
-	// Runner drives a vantage fleet against a deployment.
-	Runner = emulator.Runner
-	// RunnerOptions configures a Runner.
-	RunnerOptions = emulator.Options
-	// ExperimentAOptions parameterize the default-FE experiment.
-	ExperimentAOptions = emulator.AOptions
-	// ExperimentBOptions parameterize the fixed-FE experiment.
-	ExperimentBOptions = emulator.BOptions
 	// Dataset is the output of one experiment.
 	Dataset = emulator.Dataset
-	// Record is one completed query.
-	Record = emulator.Record
 	// Trace is a node's captured packet trace.
 	Trace = capture.Trace
-	// Session is a parsed per-query packet timeline.
-	Session = trace.Session
 	// Params are the per-session measured parameters
 	// (RTT, Tstatic, Tdynamic, Tdelta, Overall).
 	Params = analysis.Params
@@ -90,133 +54,39 @@ type (
 	FactorResult = analysis.FactorResult
 	// CacheVerdict is the caching-detection outcome (Section 3).
 	CacheVerdict = analysis.CacheVerdict
-	// ModelInputs feed the analytic timeline predictor.
-	ModelInputs = core.Inputs
-	// ModelPrediction is the predicted Figure-2 timeline.
-	ModelPrediction = core.Prediction
 	// PlacementPoint is one FE position in the placement ablation.
 	PlacementPoint = baseline.PlacementPoint
 	// QueryClass labels the keyword classes (popular, granular,
 	// complex, mixed).
 	QueryClass = workload.Class
-	// TCPConfig tunes a simulated TCP endpoint (MSS, initial window,
-	// delayed ACKs, RTO bounds).
-	TCPConfig = tcpsim.Config
 )
 
-// Observability. Pass an Observer via RunnerOptions.Obs to collect
-// sim-time metrics and the FE's ground truth per query, fold the
-// records through a RecordFold for span trees and tail exemplars, and
-// export with WritePrometheus, WriteChromeTrace and WriteSpansJSONL.
+// Observability: what an observed run (Study.RunAllObserved) returns
+// and the exporters WritePrometheus, WriteMetricsJSONL and
+// WriteSpansJSONL consume.
 type (
-	// Observer bundles a metrics registry and a tail sampler.
-	Observer = obs.Observer
 	// MetricsRegistry holds deterministic counters/gauges/histograms.
 	MetricsRegistry = obs.Registry
 	// Span is one node of a per-query causal span tree.
 	Span = obs.Span
 	// SpanTracer holds finished span trees for the exporters.
 	SpanTracer = obs.Tracer
-	// TailConfig parameterizes tail-based exemplar sampling.
-	TailConfig = obs.TailConfig
-	// TailSampler retains span trees only for tail-latency queries and
-	// inference-bound violations.
-	TailSampler = obs.TailSampler
 	// Exemplar is one retained query: its Tdynamic, violation flag and
 	// full span tree.
 	Exemplar = obs.Exemplar
 )
 
-// Engine runtime telemetry — wall-clock visibility into a running
-// study (heartbeats, resource watermarks, HTTP endpoints). Everything
-// here is pure observation: attaching it never changes a deterministic
-// output. See docs/METRICS.md.
-type (
-	// RuntimeEngine is the lock-free hub simulators, the fast-path
-	// engine and shard pools publish into.
-	RuntimeEngine = rt.Engine
-	// RuntimeSnapshot is one point-in-time reading of the hub plus Go
-	// runtime stats (heap, GC, goroutines).
-	RuntimeSnapshot = rt.Snapshot
-	// RuntimeSampler periodically snapshots an engine and fans the
-	// snapshots out to consumers.
-	RuntimeSampler = rt.Sampler
-	// RuntimeConsumer receives sampled snapshots.
-	RuntimeConsumer = rt.Consumer
-	// RuntimeServer serves /metrics, /progress and /debug/pprof for a
-	// running engine.
-	RuntimeServer = rt.Server
-)
-
-// NewRuntimeEngine creates a telemetry hub; attach it with
-// Study.SetRuntime or RunnerOptions.Runtime.
-func NewRuntimeEngine() *RuntimeEngine { return rt.NewEngine() }
-
-// NewRuntimeSampler creates a wall-clock sampler over an engine
-// (interval ≤ 0 → one second) feeding the given consumers.
-func NewRuntimeSampler(e *RuntimeEngine, interval time.Duration, consumers ...RuntimeConsumer) *RuntimeSampler {
-	return rt.NewSampler(e, interval, consumers...)
-}
-
-// RuntimeHeartbeat returns a consumer printing one human heartbeat
-// line per sample (the `fesplit study -progress` stderr format).
-func RuntimeHeartbeat(w io.Writer) RuntimeConsumer { return rt.Heartbeat(w) }
-
-// RuntimeJSONL returns a consumer appending one JSON snapshot per
-// sample (the runtime.jsonl format).
-func RuntimeJSONL(w io.Writer) RuntimeConsumer { return rt.JSONL(w) }
-
-// NewRuntimeServer starts an HTTP listener on addr exposing the
-// engine's /metrics (Prometheus), /progress (JSON) and /debug/pprof.
-func NewRuntimeServer(e *RuntimeEngine, addr string) (*RuntimeServer, error) {
-	return rt.NewServer(e, addr)
-}
-
-// NewTailObserver creates an observer with a registry and a tail-based
-// exemplar sampler.
-func NewTailObserver(cfg TailConfig) *Observer { return obs.NewTailObserver(cfg) }
-
-// NewMetricsRegistry returns an empty deterministic metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// ObserveSessionParams feeds measured per-session parameters into the
-// registry's dimensional quantile sketches, labeled by service and
-// phase (rtt, tstatic, tdynamic, tdelta, overall).
-func ObserveSessionParams(reg *MetricsRegistry, service string, params []Params) {
-	analysis.ObserveParams(reg, service, params)
-}
-
-// RecordFold is the one measuring pass over finished records: a single
-// trace parse per record feeding, in order, the phase sketches, the
-// session parameters it returns, the span tree, the critical-path
-// attribution (cp:* waterfall annotations) and the tail offer. See
-// docs/PROFILING.md.
-type RecordFold = analysis.Fold
-
-// NewRecordFold builds a fold measuring against a content boundary
-// (BoundaryFromDataset). reg receives the phase families labeled by
-// service and the critical-path families labeled by label; ts is offered
-// every measurable record's span tree, flagged when the ground-truth
-// fetch time violates Tdelta ≤ Tfetch ≤ Tdynamic by more than tol
-// (DefaultBoundTolerance suits the built-in campus access profile).
-// Either may be nil.
-func NewRecordFold(reg *MetricsRegistry, service, label string, boundary int, ts *TailSampler, tol time.Duration) *RecordFold {
-	return analysis.NewFold(reg, service, label, boundary, ts, tol)
-}
+// NewRuntimeEngine creates a wall-clock telemetry hub (heartbeats,
+// resource watermarks, HTTP endpoints — see docs/METRICS.md); attach it
+// with Study.SetRuntime. It is pure observation: attaching it never
+// changes a deterministic output.
+func NewRuntimeEngine() *rt.Engine { return rt.NewEngine() }
 
 // DefaultBoundTolerance is the violation slack matched to the default
 // campus access profile: each client-observed bound derives from one
 // captured packet carrying up to one jitter draw, so two jitter widths
 // separate measurement noise from genuine model violations.
 var DefaultBoundTolerance = 2 * vantage.CampusProfile().Jitter
-
-// MergeTailSamplers joins per-shard tail samplers into one whose
-// selection threshold reflects the merged (fleet-wide) value
-// distribution; exemplars are re-ranked across the union. Pass shards
-// in canonical order.
-func MergeTailSamplers(shards ...*TailSampler) *TailSampler {
-	return obs.MergeTailSamplers(shards...)
-}
 
 // FastPathUsage summarizes the flow-level fast-forward engine's
 // activity as recorded in a metrics registry: epochs entered by
@@ -316,17 +186,9 @@ func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 // buckets) and byte-deterministic.
 func WriteMetricsJSONL(w io.Writer, r *MetricsRegistry) error { return obs.WriteMetricsJSONL(w, r) }
 
-// ReadMetricsJSONL reconstructs a registry from a WriteMetricsJSONL
-// dump.
-func ReadMetricsJSONL(rd io.Reader) (*MetricsRegistry, error) { return obs.ReadMetricsJSONL(rd) }
-
 // WritePrometheus renders a registry in Prometheus text exposition
 // format (sorted, deterministic).
 func WritePrometheus(w io.Writer, r *MetricsRegistry) error { return obs.WritePrometheus(w, r) }
-
-// WriteChromeTrace renders collected spans as a Chrome trace-event file
-// (open in Perfetto or chrome://tracing).
-func WriteChromeTrace(w io.Writer, t *SpanTracer) error { return obs.WriteChromeTrace(w, t) }
 
 // WriteSpansJSONL renders collected spans as one JSON object per line.
 func WriteSpansJSONL(w io.Writer, t *SpanTracer) error { return obs.WriteSpansJSONL(w, t) }
@@ -338,45 +200,3 @@ func GoogleLike(seed int64) DeploymentConfig { return cdn.GoogleLike(seed) }
 // BingLike returns the calibrated Bing-style deployment config: dense
 // shared CDN FEs, slower more variable back-ends.
 func BingLike(seed int64) DeploymentConfig { return cdn.BingLike(seed) }
-
-// SingleBE restricts a deployment config to one back-end site (the
-// Figure-9 setup).
-func SingleBE(cfg DeploymentConfig, beName string) DeploymentConfig {
-	return cdn.SingleBE(cfg, beName)
-}
-
-// NewRunner builds a simulated world: deployment plus vantage fleet.
-func NewRunner(simSeed int64, cfg DeploymentConfig, opts RunnerOptions) (*Runner, error) {
-	return emulator.New(simSeed, cfg, opts)
-}
-
-// ExtractDataset measures every record of a dataset; boundary ≤ 0
-// derives the static/dynamic boundary by content analysis first.
-func ExtractDataset(ds *Dataset, boundary int) []Params {
-	return analysis.ExtractDataset(ds, boundary)
-}
-
-// BoundaryFromDataset derives a service's static/dynamic content
-// boundary by cross-query content analysis over a dataset's traces.
-func BoundaryFromDataset(ds *Dataset) int {
-	return analysis.BoundaryFromDataset(ds)
-}
-
-// PerNode aggregates measured params into per-node summaries.
-func PerNode(params []Params) []NodeSummary { return analysis.PerNode(params) }
-
-// PredictTimeline runs the paper's analytic model.
-func PredictTimeline(in ModelInputs) (ModelPrediction, error) { return core.Predict(in) }
-
-// PlacementSweep runs the FE-placement ablation.
-func PlacementSweep(cfg baseline.SweepConfig) ([]PlacementPoint, error) {
-	return baseline.PlacementSweep(cfg)
-}
-
-// SweepConfig parameterizes PlacementSweep.
-type SweepConfig = baseline.SweepConfig
-
-// MovingMedian smooths a series the way the paper's Figure 3 does.
-func MovingMedian(xs []float64, window int) []float64 {
-	return stats.MovingMedian(xs, window)
-}

@@ -263,9 +263,6 @@ func TestFoldArenaBoundedAndExemplarsSurvive(t *testing.T) {
 		if err := obs.WriteSpansJSONL(out.buf, out.ts.Spans()); err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.WriteChromeTrace(out.buf, out.ts.Spans()); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("span exports differ across two folds of the same records")

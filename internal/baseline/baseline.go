@@ -43,6 +43,9 @@ type DirectResult struct {
 // result per node with at least one completed query.
 func RunDirect(depCfg cdn.Config, nodes int, fleetSeed int64, repeats int,
 	interval time.Duration, querySeed int64) ([]DirectResult, error) {
+	if nodes < 1 {
+		return nil, fmt.Errorf("baseline: need at least one vantage node, got %d", nodes)
+	}
 	depCfg.BEOptions.ServeFullPage = true
 	// Cold public-Internet clients get the era-faithful initial window
 	// (RFC 3390), not the warm intra-cloud one.
@@ -112,13 +115,20 @@ type PlacementPoint struct {
 	ClientFEMiles, FEBEMiles float64
 	// RTTClientFE is the measured handshake RTT of the first leg.
 	RTTClientFE time.Duration
+	// N is how many of the position's queries completed. Overall and
+	// MedTdynamic are medians over exactly those N queries, so both are
+	// zero — no sample, not a delay — when N is 0.
+	N int
 	// Overall is the median user-perceived delay.
 	Overall time.Duration
 	// MedTdynamic is the median time from the GET's ACK to the first
 	// dynamic content byte — the paper's Tdynamic, which below the
 	// placement threshold is governed by the FE-BE fetch alone.
 	MedTdynamic time.Duration
-	// MedFetch is the FE's median ground-truth fetch time.
+	// Fetches is how many fetches the FE finished (a fetch can finish
+	// for a query the lossy client leg never completes); MedFetch is the
+	// FE's median ground-truth fetch time over them.
+	Fetches  int
 	MedFetch time.Duration
 }
 
@@ -162,6 +172,9 @@ func (c SweepConfig) withDefaults() SweepConfig {
 // positions are independent and identically seeded.
 func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 	cfg = cfg.withDefaults()
+	if !(cfg.ClientLoss >= 0 && cfg.ClientLoss < 1) {
+		return nil, fmt.Errorf("baseline: client loss rate %v outside [0,1)", cfg.ClientLoss)
+	}
 	delays := geo.WideAreaFEBEDelayModel()
 	clientDelay := geo.DefaultDelayModel()
 	out := make([]PlacementPoint, 0, len(cfg.Fractions))
@@ -208,17 +221,23 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 			sim.ScheduleAt(at, func() {
 				issued := sim.Now()
 				received := 0
+				var firstDyn time.Duration
 				httpsim.Get(ep, "fe", frontend.FEPort, httpsim.NewGet("sweep", q.Path()),
 					httpsim.ResponseCallbacks{
 						OnBody: func(b []byte) {
 							before := received
 							received += len(b)
 							if before <= dynStart && received > dynStart {
-								// Tdynamic := t5 − t2 ≈ first-dynamic − (issued + RTT).
-								tdyn = append(tdyn, float64(sim.Now()-issued-rtt))
+								firstDyn = sim.Now()
 							}
 						},
+						// A query is a sample of both medians once it
+						// completes: a transfer the loss rate never lets
+						// finish has no overall delay for its Tdynamic
+						// to sit beside.
 						OnDone: func(*httpsim.Response) {
+							// Tdynamic := t5 − t2 ≈ first-dynamic − (issued + RTT).
+							tdyn = append(tdyn, float64(firstDyn-issued-rtt))
 							overall = append(overall, float64(sim.Now()-issued))
 						},
 					})
@@ -235,8 +254,10 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 			ClientFEMiles: cfMiles,
 			FEBEMiles:     fbMiles,
 			RTTClientFE:   rtt,
+			N:             len(overall),
 			Overall:       time.Duration(stats.Median(overall)),
 			MedTdynamic:   time.Duration(stats.Median(tdyn)),
+			Fetches:       len(fetch),
 			MedFetch:      time.Duration(stats.Median(fetch)),
 		})
 	}

@@ -1,6 +1,9 @@
 package baseline
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +112,40 @@ func TestPlacementSweepShape(t *testing.T) {
 func TestPlacementSweepValidation(t *testing.T) {
 	if _, err := PlacementSweep(SweepConfig{Fractions: []float64{1.5}}); err == nil {
 		t.Fatal("fraction > 1 accepted")
+	}
+	for _, loss := range []float64{-0.1, 1, 2, math.NaN()} {
+		_, err := PlacementSweep(SweepConfig{ClientLoss: loss})
+		if err == nil || !strings.Contains(err.Error(), "[0,1)") {
+			t.Errorf("client loss %v: err = %v, want a rejection naming the range", loss, err)
+		}
+	}
+}
+
+func TestRunDirectRejectsEmptyFleet(t *testing.T) {
+	for _, nodes := range []int{0, -3} {
+		_, err := RunDirect(cdn.GoogleLike(1), nodes, 11, 4, 2*time.Second, 5)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(nodes)) {
+			t.Errorf("nodes %d: err = %v, want a rejection naming the value", nodes, err)
+		}
+	}
+}
+
+// TestPlacementSweepCountsSamples: every point says how many queries
+// its medians rest on — all of them on a clean path, none at a loss
+// rate no handshake survives, where the zero medians are not delays.
+func TestPlacementSweepCountsSamples(t *testing.T) {
+	run := func(loss float64) PlacementPoint {
+		pts, err := PlacementSweep(SweepConfig{Fractions: []float64{0.5}, Repeats: 3, ClientLoss: loss, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts[0]
+	}
+	if p := run(0); p.N != 3 || p.Fetches != 3 || p.Overall <= 0 || p.MedTdynamic <= 0 || p.MedFetch <= 0 {
+		t.Errorf("clean path: %+v, want 3 completed queries, 3 fetches and positive medians", p)
+	}
+	if p := run(0.9); p.N != 0 || p.Overall != 0 || p.MedTdynamic != 0 {
+		t.Errorf("90%% loss: %+v, want no completed query and no medians", p)
 	}
 }
 

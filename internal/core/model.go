@@ -65,17 +65,11 @@ type Prediction struct {
 	Coalesced bool
 }
 
-// Tstatic is t4 − t2.
-func (p Prediction) Tstatic() time.Duration { return p.T4 - p.T2 }
-
 // Tdynamic is t5 − t2.
 func (p Prediction) Tdynamic() time.Duration { return p.T5 - p.T2 }
 
 // Tdelta is t5 − t4.
 func (p Prediction) Tdelta() time.Duration { return p.T5 - p.T4 }
-
-// Overall is te − tb.
-func (p Prediction) Overall() time.Duration { return p.TE - p.TB }
 
 // slotHeap holds times at which a congestion-window slot becomes free.
 type slotHeap []time.Duration

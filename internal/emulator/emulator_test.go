@@ -9,6 +9,7 @@ import (
 	"fesplit/internal/emulator"
 	"fesplit/internal/simnet"
 	"fesplit/internal/stats"
+	"fesplit/internal/tcpsim"
 	"fesplit/internal/trace"
 	"fesplit/internal/workload"
 )
@@ -284,6 +285,41 @@ func TestKeepAliveFasterThanFreshConnections(t *testing.T) {
 		t.Fatalf("keep-alive (%v) not faster than fresh connections (%v)", k, f)
 	}
 	t.Logf("median overall: fresh=%v keep-alive=%v (saves %v)", f, k, f-k)
+}
+
+// TestInitCwndLowersOverallDelay is ablation A3 (EXPERIMENTS.md): the
+// FE→client initial congestion window. A larger window delivers the
+// result page in fewer round trips, so the median measured overall
+// delay over one 25-node campaign must not rise from IW 1 to 3 to 10,
+// and must be strictly lower at 10 than at 1.
+func TestInitCwndLowersOverallDelay(t *testing.T) {
+	const seed = 1234
+	median := func(iw int) float64 {
+		cfg := cdn.GoogleLike(seed)
+		cfg.FETCP = tcpsim.Config{InitialCwnd: iw}
+		r, err := emulator.New(seed+int64(iw), cfg, emulator.Options{Nodes: 25, FleetSeed: seed + 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := r.RunExperimentA(emulator.AOptions{
+			QueriesPerNode: 4, Interval: 2 * time.Second, QuerySeed: seed + 8,
+		})
+		params := analysis.ExtractDataset(ds, 0)
+		if len(params) != 25*4 {
+			t.Fatalf("IW %d: measured %d of %d queries", iw, len(params), 25*4)
+		}
+		var overall []float64
+		for _, p := range params {
+			overall = append(overall, float64(p.Overall))
+		}
+		return stats.Median(overall)
+	}
+	iw1, iw3, iw10 := median(1), median(3), median(10)
+	if iw3 > iw1 || iw10 > iw3 || iw10 >= iw1 {
+		t.Fatalf("median overall delay IW1=%v IW3=%v IW10=%v: want non-increasing, and IW10 < IW1",
+			time.Duration(iw1), time.Duration(iw3), time.Duration(iw10))
+	}
+	t.Logf("median overall: IW1=%v IW3=%v IW10=%v", time.Duration(iw1), time.Duration(iw3), time.Duration(iw10))
 }
 
 func TestFailedRecordsSkippedByAnalysis(t *testing.T) {

@@ -179,8 +179,5 @@ func (p *PersistentConn) Close() {
 	p.conn.Close()
 }
 
-// Conn exposes the transport connection (for metrics and tests).
-func (p *PersistentConn) Conn() *tcpsim.Conn { return p.conn }
-
 // QueueLen returns the number of requests not yet sent.
 func (p *PersistentConn) QueueLen() int { return len(p.queue) }

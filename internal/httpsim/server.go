@@ -32,9 +32,6 @@ func NewServer(ep *tcpsim.Endpoint, port uint16, handler HandlerFunc) (*Server, 
 	return s, nil
 }
 
-// Close stops accepting new connections.
-func (s *Server) Close() { s.lis.Close() }
-
 // accept wires one connection. Multiple sequential requests per
 // connection are supported (keep-alive); responses must complete in
 // request order — PersistentConn enforces one request in flight, and

@@ -89,11 +89,12 @@ func TestSpanCloneIndependent(t *testing.T) {
 	}
 }
 
-// offerStream drives a pseudo-random stream of offers into ts —
-// OfferTransient with per-offer arena recycling when transient, exactly
-// a streaming campaign's usage — and returns every offer made, spans as
-// independent heap trees, for bruteSelect to choose from.
-func offerStream(ts *TailSampler, seed int64, n int, transient bool) []Exemplar {
+// offerStream drives a pseudo-random stream of offers into ts — with
+// per-offer arena recycling when recycled, exactly a streaming
+// campaign's usage, as fresh heap trees otherwise — and returns every
+// offer made, spans as independent heap trees, for bruteSelect to
+// choose from.
+func offerStream(ts *TailSampler, seed int64, n int, recycled bool) []Exemplar {
 	rng := rand.New(rand.NewSource(seed))
 	a := new(SpanArena)
 	all := make([]Exemplar, n)
@@ -101,12 +102,12 @@ func offerStream(ts *TailSampler, seed int64, n int, transient bool) []Exemplar 
 		v := rng.ExpFloat64() * 0.1
 		viol := rng.Intn(400) == 0
 		all[i] = Exemplar{Value: v, Violation: viol, Span: heapTree(i), Seq: i}
-		if transient {
+		tree := heapTree(i)
+		if recycled {
 			a.Reset()
-			ts.OfferTransient(v, viol, arenaTree(a, i))
-		} else {
-			ts.Offer(v, viol, heapTree(i))
+			tree = arenaTree(a, i)
 		}
+		ts.OfferTransient(v, viol, tree)
 	}
 	return all
 }
@@ -159,17 +160,17 @@ func sameSelection(t *testing.T, got, want []Exemplar, label string) {
 }
 
 // TestBoundedSamplerMatchesExact: the sampler's bounded pool must select
-// exactly what a brute-force pass over every offer selects, for both
-// Offer and arena-backed OfferTransient, while never holding more than
+// exactly what a brute-force pass over every offer selects, for heap
+// trees and recycled arena trees alike, while never holding more than
 // MaxExemplars non-violation candidates.
 func TestBoundedSamplerMatchesExact(t *testing.T) {
 	const n = 5000
 	for _, seed := range []int64{1, 2, 3} {
-		for _, transient := range []bool{false, true} {
+		for _, recycled := range []bool{false, true} {
 			for _, max := range []int{1, 16, 64, 500} {
 				ts := NewTailSampler(TailConfig{Percentile: 0.99, MaxExemplars: max})
-				all := offerStream(ts, seed, n, transient)
-				label := fmt.Sprintf("seed %d transient %v max %d", seed, transient, max)
+				all := offerStream(ts, seed, n, recycled)
+				label := fmt.Sprintf("seed %d recycled %v max %d", seed, recycled, max)
 				if ts.Offered() != n {
 					t.Fatalf("%s: offered %d, want %d", label, ts.Offered(), n)
 				}

@@ -92,9 +92,6 @@ type Segment struct {
 	Start, End time.Duration
 }
 
-// Dur returns the segment's duration.
-func (s Segment) Dur() time.Duration { return s.End - s.Start }
-
 // Attribution is the exclusive partition of one query's root span.
 type Attribution struct {
 	// Phases holds the total time attributed to each phase, indexed by

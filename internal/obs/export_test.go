@@ -49,60 +49,6 @@ func buildTestTrace() *Tracer {
 	return tr
 }
 
-// chromeDoc mirrors the emitted JSON for round-trip validation.
-type chromeDoc struct {
-	TraceEvents []struct {
-		Name string  `json:"name"`
-		Ph   string  `json:"ph"`
-		Ts   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-		Pid  int     `json:"pid"`
-		Tid  int     `json:"tid"`
-	} `json:"traceEvents"`
-}
-
-func TestChromeTraceRoundTrip(t *testing.T) {
-	tr := buildTestTrace()
-	var b strings.Builder
-	if err := WriteChromeTrace(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("chrome trace is not strict JSON: %v\n%s", err, b.String())
-	}
-	spans := 0
-	lastTs := map[[2]int]float64{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		spans++
-		if ev.Ts < 0 || ev.Dur < 0 {
-			t.Fatalf("negative ts/dur on %q: %v/%v", ev.Name, ev.Ts, ev.Dur)
-		}
-		track := [2]int{ev.Pid, ev.Tid}
-		if prev, ok := lastTs[track]; ok && ev.Ts < prev {
-			t.Fatalf("ts not monotone on track %v: %v after %v", track, ev.Ts, prev)
-		}
-		lastTs[track] = ev.Ts
-	}
-	if want := tr.Len(); spans != want {
-		t.Fatalf("exported %d spans, want %d", spans, want)
-	}
-	// Two queries × three tracks each (client, FE, critpath) → six
-	// threads.
-	if len(lastTs) != 6 {
-		t.Fatalf("got %d threads, want 6", len(lastTs))
-	}
-	// Attribution fields ride the args payload.
-	for _, field := range []string{`"be_rtt_ns":"20000000"`, `"cp_fetch_est_ns":"80000000"`} {
-		if !strings.Contains(b.String(), field) {
-			t.Fatalf("chrome trace missing attribution field %s", field)
-		}
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := buildTestTrace()
 	var b strings.Builder
@@ -165,90 +111,25 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChromeTraceCrossShardOrdering pins the merged-tracer contract:
-// per-batch tracers folded in canonical shard order (the study's merge
-// path) export a Chrome trace that is deterministic, strict JSON, and
-// time-monotone within every thread — even though across shards the
-// roots' absolute times interleave arbitrarily.
-func TestChromeTraceCrossShardOrdering(t *testing.T) {
-	buildShard := func(shard int) *Tracer {
-		tr := NewTracer()
-		for q := 0; q < 3; q++ {
-			// Shard 1's times deliberately start before shard 0's.
-			base := time.Duration(q)*400*time.Millisecond +
-				time.Duration(1-shard)*150*time.Millisecond
-			root := &Span{
-				Name: "query", Track: "client-1",
-				Key:   ConnKey{Remote: "fe", LocalPort: uint16(shard*100 + q), RemotePort: 80},
-				Start: base, End: base + 100*time.Millisecond,
-			}
-			c := root.Child("cp:be-proc", base+10*time.Millisecond, base+90*time.Millisecond)
-			c.Track = "critpath"
-			tr.Add(root)
-		}
-		return tr
-	}
-	render := func() string {
-		merged := NewTracer()
-		for shard := 0; shard < 2; shard++ {
-			for _, r := range buildShard(shard).Roots() {
-				merged.Add(r)
-			}
-		}
-		var b strings.Builder
-		if err := WriteChromeTrace(&b, merged); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	out := render()
-	if out != render() {
-		t.Fatal("merged chrome trace not deterministic")
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("merged chrome trace is not strict JSON: %v", err)
-	}
-	spans := 0
-	lastTs := map[[2]int]float64{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		spans++
-		track := [2]int{ev.Pid, ev.Tid}
-		if prev, ok := lastTs[track]; ok && ev.Ts < prev {
-			t.Fatalf("ts not monotone on track %v: %v after %v", track, ev.Ts, prev)
-		}
-		lastTs[track] = ev.Ts
-	}
-	if spans != 12 {
-		t.Fatalf("exported %d spans, want 12", spans)
-	}
-}
-
 func TestExportsDeterministic(t *testing.T) {
-	render := func() (string, string, string) {
+	render := func() (string, string) {
 		tr := buildTestTrace()
 		r := NewRegistry()
 		r.Counter("a_total", "a").Add(7)
 		r.CounterVec("b_total", "b", "k").With("v1").Inc()
 		r.CounterVec("b_total", "b", "k").With("v0").Inc()
-		var c, j, p strings.Builder
-		if err := WriteChromeTrace(&c, tr); err != nil {
-			t.Fatal(err)
-		}
+		var j, p strings.Builder
 		if err := WriteSpansJSONL(&j, tr); err != nil {
 			t.Fatal(err)
 		}
 		if err := WritePrometheus(&p, r); err != nil {
 			t.Fatal(err)
 		}
-		return c.String(), j.String(), p.String()
+		return j.String(), p.String()
 	}
-	c1, j1, p1 := render()
-	c2, j2, p2 := render()
-	if c1 != c2 || j1 != j2 || p1 != p2 {
+	j1, p1 := render()
+	j2, p2 := render()
+	if j1 != j2 || p1 != p2 {
 		t.Fatal("exports differ between identical builds")
 	}
 }

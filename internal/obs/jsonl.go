@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
+	"strings"
+	"time"
 )
 
 // WriteSpansJSONL dumps every span as one JSON object per line,
@@ -33,4 +37,36 @@ func WriteSpansJSONL(w io.Writer, t *Tracer) error {
 		bw.printf("}\n")
 	})
 	return bw.err
+}
+
+// usec renders a duration as microseconds with nanosecond precision.
+func usec(d time.Duration) string {
+	neg := ""
+	if d < 0 {
+		neg, d = "-", -d
+	}
+	return fmt.Sprintf("%s%d.%03d", neg, d/time.Microsecond, d%time.Microsecond)
+}
+
+// jstr JSON-encodes a string. Invalid UTF-8 is coerced to U+FFFD first
+// so encoding is idempotent: re-encoding a decoded value yields the
+// same bytes (encoding/json would otherwise escape the invalid byte on
+// the first pass and pass the replacement rune through on the second).
+func jstr(s string) string {
+	b, _ := json.Marshal(strings.ToValidUTF8(s, "�"))
+	return string(b)
+}
+
+// errWriter latches the first write error so export code can stay
+// linear.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) printf(format string, args ...interface{}) {
+	if e.err != nil {
+		return
+	}
+	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

@@ -125,7 +125,7 @@ func TestMergeTailSamplersEqualsSingle(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			// Values 1..n with a violation sprinkled in; exactly
 			// representable so shard split cannot perturb the sketch.
-			t.Offer(float64(i+1), i%37 == 0, mkSpan(i))
+			t.OfferTransient(float64(i+1), i%37 == 0, mkSpan(i))
 		}
 	}
 	const n = 111
@@ -162,7 +162,7 @@ func TestMergeTailSamplersNilAndEmpty(t *testing.T) {
 		t.Fatal("all-nil merge should yield an empty sampler")
 	}
 	real := NewTailSampler(TailConfig{Percentile: 0.5})
-	real.Offer(1, false, &Span{Name: "q"})
+	real.OfferTransient(1, false, &Span{Name: "q"})
 	merged := MergeTailSamplers(nil, real)
 	if merged.Offered() != 1 {
 		t.Fatalf("offered %d, want 1", merged.Offered())

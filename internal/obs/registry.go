@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability layer: a deterministic,
 // sim-clock-driven metrics registry (counters, gauges, fixed-bucket
 // histograms, quantile sketches), a per-query span tracer with
-// tail-based exemplar sampling, and exporters for Chrome trace-event
-// JSON, Prometheus text exposition and JSONL metric/span dumps.
+// tail-based exemplar sampling, and exporters for Prometheus text
+// exposition and JSONL metric/span dumps.
 //
 // Design constraints, in order:
 //
@@ -531,14 +531,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values).gauge
 }
 
-// Bounded caps the vec's series count and returns the vec for chaining.
-func (v *GaugeVec) Bounded(n int) *GaugeVec {
-	if v != nil {
-		v.f.limit = n
-	}
-	return v
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *Family }
 
@@ -557,14 +549,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return v.f.child(values).hist
-}
-
-// Bounded caps the vec's series count and returns the vec for chaining.
-func (v *HistogramVec) Bounded(n int) *HistogramVec {
-	if v != nil {
-		v.f.limit = n
-	}
-	return v
 }
 
 // SketchVec is a quantile-sketch family with labels.

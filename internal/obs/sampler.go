@@ -93,33 +93,19 @@ func (t *TailSampler) Config() TailConfig {
 	return t.cfg
 }
 
-// Offer presents one completed query: its selection value (seconds),
-// whether it violated the inference bound, and its span tree. Nil
-// samplers and nil spans are ignored. The sampler retains the span
-// pointer as-is; the span must stay valid for the sampler's lifetime
-// (for arena-owned spans use OfferTransient).
-func (t *TailSampler) Offer(value float64, violation bool, span *Span) {
-	if t == nil || span == nil {
-		return
-	}
-	t.offer(value, violation, span, false)
-}
-
-// OfferTransient presents a query whose span tree is owned by a
-// SpanArena and about to be recycled. The sampler first decides whether
-// the exemplar would be retained at all — most are not — and
+// OfferTransient presents one completed query: its selection value
+// (seconds), whether it violated the inference bound, and its span
+// tree. Nil samplers and nil spans are ignored. The tree may be owned
+// by a SpanArena and about to be recycled: the sampler first decides
+// whether the exemplar would be retained at all — most are not — and
 // deep-copies the tree via Span.Clone only on retention, so the caller
 // may Reset the arena as soon as OfferTransient returns.
 func (t *TailSampler) OfferTransient(value float64, violation bool, span *Span) {
 	if t == nil || span == nil {
 		return
 	}
-	t.offer(value, violation, span, true)
-}
-
-func (t *TailSampler) offer(value float64, violation bool, span *Span, transient bool) {
 	t.sketch.Add(value)
-	t.absorb(Exemplar{Value: value, Violation: violation, Span: span, Seq: t.offered}, transient)
+	t.absorb(Exemplar{Value: value, Violation: violation, Span: span, Seq: t.offered}, true)
 	t.offered++
 }
 
@@ -200,15 +186,6 @@ func (t *TailSampler) Offered() int {
 	return t.offered
 }
 
-// Retained returns how many exemplars are currently held — the bounded
-// footprint a fleet campaign reports (testing/telemetry aid).
-func (t *TailSampler) Retained() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.cands) + len(t.viols)
-}
-
 // Threshold returns the current selection threshold: the configured
 // percentile of every value offered so far (0 when nothing offered).
 func (t *TailSampler) Threshold() float64 {
@@ -222,7 +199,7 @@ func (t *TailSampler) Threshold() float64 {
 // tail candidates at or above the percentile threshold, capped at
 // MaxExemplars with the largest values winning (ties broken by offer
 // order). The result is sorted by offer order so exports follow
-// simulation time. Select is idempotent until the next Offer.
+// simulation time. Select is idempotent until the next offer.
 func (t *TailSampler) Select() []Exemplar {
 	if t == nil {
 		return nil
@@ -257,11 +234,8 @@ func (t *TailSampler) Select() []Exemplar {
 	return kept
 }
 
-// Exemplars is an alias for Select.
-func (t *TailSampler) Exemplars() []Exemplar { return t.Select() }
-
 // Spans returns the selected exemplars' span trees as a Tracer, ready
-// for the Chrome-trace and JSONL span exporters.
+// for the JSONL span exporter.
 func (t *TailSampler) Spans() *Tracer {
 	tr := NewTracer()
 	for _, e := range t.Select() {

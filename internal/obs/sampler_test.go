@@ -17,13 +17,13 @@ func TestTailSamplerKeepsTailAndViolations(t *testing.T) {
 	// 100 well-behaved fast queries, 5 slow tail queries, 3 violations
 	// buried in the fast bulk.
 	for i := 0; i < 100; i++ {
-		ts.Offer(0.050, false, tailSpan(i))
+		ts.OfferTransient(0.050, false, tailSpan(i))
 	}
 	for i := 100; i < 105; i++ {
-		ts.Offer(1.0+float64(i-100)*0.1, false, tailSpan(i))
+		ts.OfferTransient(1.0+float64(i-100)*0.1, false, tailSpan(i))
 	}
 	for i := 105; i < 108; i++ {
-		ts.Offer(0.050, true, tailSpan(i))
+		ts.OfferTransient(0.050, true, tailSpan(i))
 	}
 	sel := ts.Select()
 	violations, tail := 0, 0
@@ -61,7 +61,7 @@ func TestTailSamplerKeepsTailAndViolations(t *testing.T) {
 func TestTailSamplerViolationsBypassCap(t *testing.T) {
 	ts := NewTailSampler(TailConfig{Percentile: 0.5, MaxExemplars: 2})
 	for i := 0; i < 10; i++ {
-		ts.Offer(float64(i), true, tailSpan(i))
+		ts.OfferTransient(float64(i), true, tailSpan(i))
 	}
 	if got := len(ts.Select()); got != 10 {
 		t.Fatalf("retained %d violations, want all 10 despite MaxExemplars=2", got)
@@ -72,7 +72,7 @@ func TestTailSamplerCapPrefersLargest(t *testing.T) {
 	ts := NewTailSampler(TailConfig{Percentile: 0.01, MaxExemplars: 3})
 	vals := []float64{5, 1, 9, 3, 7}
 	for i, v := range vals {
-		ts.Offer(v, false, tailSpan(i))
+		ts.OfferTransient(v, false, tailSpan(i))
 	}
 	sel := ts.Select()
 	if len(sel) != 3 {
@@ -91,7 +91,7 @@ func TestTailSamplerDeterministicAndIdempotent(t *testing.T) {
 	build := func() *TailSampler {
 		ts := NewTailSampler(TailConfig{Percentile: 0.8, MaxExemplars: 4})
 		for i := 0; i < 50; i++ {
-			ts.Offer(float64(i%7)*0.1, i%13 == 0, tailSpan(i))
+			ts.OfferTransient(float64(i%7)*0.1, i%13 == 0, tailSpan(i))
 		}
 		return ts
 	}
@@ -116,7 +116,7 @@ func TestTailSamplerDeterministicAndIdempotent(t *testing.T) {
 
 func TestTailSamplerNilSafe(t *testing.T) {
 	var ts *TailSampler
-	ts.Offer(1, true, tailSpan(0))
+	ts.OfferTransient(1, true, tailSpan(0))
 	if ts.Select() != nil || ts.Threshold() != 0 || ts.Offered() != 0 {
 		t.Fatal("nil sampler must be inert")
 	}
@@ -125,7 +125,7 @@ func TestTailSamplerNilSafe(t *testing.T) {
 		t.Fatal("nil observer must expose a nil sampler")
 	}
 	ts2 := NewTailSampler(TailConfig{})
-	ts2.Offer(1, false, nil) // nil spans ignored
+	ts2.OfferTransient(1, false, nil) // nil spans ignored
 	if ts2.Offered() != 0 {
 		t.Fatal("nil span offer must be ignored")
 	}

@@ -78,7 +78,7 @@ func (s *Span) Find(name string) *Span {
 
 // Tracer is the export container for finished span trees, one root per
 // query, in Add order (TailSampler.Spans fills one with the selected
-// exemplars for the Chrome-trace and JSONL exporters).
+// exemplars for the JSONL exporter).
 type Tracer struct {
 	roots []*Span
 	count int

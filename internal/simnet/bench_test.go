@@ -8,10 +8,39 @@ import (
 	rt "fesplit/internal/obs/runtime"
 )
 
-// BenchmarkEventThroughput measures raw scheduler throughput: schedule
-// and drain chains of events.
-func BenchmarkEventThroughput(b *testing.B) {
+// wirings are the instrumentation states the event engine and the
+// packet path must stay allocation-free under — nothing attached, a
+// metrics registry wired, a wall-clock telemetry hub attached (batched
+// atomic adds, flushed every rtFlushInterval events). The benchmarks
+// below measure each state's overhead; TestScheduleStepZeroAlloc and
+// TestNetworkSendZeroAlloc pin each at zero allocations. n is nil when
+// the world has no network.
+var wirings = []struct {
+	name string
+	wire func(s *Sim, n *Network)
+}{
+	{"bare", bare},
+	{"metrics", withMetrics},
+	{"runtime", withRuntime},
+}
+
+func bare(*Sim, *Network) {}
+
+func withMetrics(s *Sim, _ *Network) { s.SetMetrics(NewMetrics(obs.NewRegistry())) }
+
+func withRuntime(s *Sim, n *Network) {
+	eng := rt.NewEngine()
+	s.SetRuntime(eng)
+	if n != nil {
+		n.SetRuntime(eng)
+	}
+}
+
+// benchEventThroughput measures raw scheduler throughput: schedule and
+// drain chains of events.
+func benchEventThroughput(b *testing.B, wire func(*Sim, *Network)) {
 	s := New(1)
+	wire(s, nil)
 	var fn func()
 	remaining := b.N
 	fn = func() {
@@ -25,11 +54,12 @@ func BenchmarkEventThroughput(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkNetworkSend measures per-packet delivery cost on a
-// configured path.
-func BenchmarkNetworkSend(b *testing.B) {
+// benchNetworkSend measures per-packet delivery cost on a configured
+// path.
+func benchNetworkSend(b *testing.B, wire func(*Sim, *Network)) {
 	s := New(2)
 	n := NewNetwork(s)
+	wire(s, n)
 	n.Attach("dst", HandlerFunc(func(Packet) {}))
 	n.SetPath("src", "dst", PathParams{Delay: time.Millisecond})
 	b.ResetTimer()
@@ -42,78 +72,10 @@ func BenchmarkNetworkSend(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkEventThroughputMetrics is BenchmarkEventThroughput with the
-// registry wired: the overhead gate for enabled instrumentation.
-func BenchmarkEventThroughputMetrics(b *testing.B) {
-	s := New(1)
-	s.SetMetrics(NewMetrics(obs.NewRegistry()))
-	var fn func()
-	remaining := b.N
-	fn = func() {
-		if remaining > 0 {
-			remaining--
-			s.Schedule(time.Microsecond, fn)
-		}
-	}
-	s.Schedule(0, fn)
-	b.ResetTimer()
-	s.Run()
-}
+func BenchmarkEventThroughput(b *testing.B)        { benchEventThroughput(b, bare) }
+func BenchmarkEventThroughputMetrics(b *testing.B) { benchEventThroughput(b, withMetrics) }
+func BenchmarkEventThroughputRuntime(b *testing.B) { benchEventThroughput(b, withRuntime) }
 
-// BenchmarkNetworkSendMetrics is BenchmarkNetworkSend with the registry
-// wired.
-func BenchmarkNetworkSendMetrics(b *testing.B) {
-	s := New(2)
-	s.SetMetrics(NewMetrics(obs.NewRegistry()))
-	n := NewNetwork(s)
-	n.Attach("dst", HandlerFunc(func(Packet) {}))
-	n.SetPath("src", "dst", PathParams{Delay: time.Millisecond})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(Packet{From: "src", To: "dst", Size: 1460})
-		if i%1024 == 0 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
-// BenchmarkEventThroughputRuntime is BenchmarkEventThroughput with a
-// wall-clock telemetry hub attached: the overhead gate for runtime
-// publication (batched atomic adds, flushed every rtFlushInterval
-// events — must stay at zero allocs/op like the bare engine).
-func BenchmarkEventThroughputRuntime(b *testing.B) {
-	s := New(1)
-	s.SetRuntime(rt.NewEngine())
-	var fn func()
-	remaining := b.N
-	fn = func() {
-		if remaining > 0 {
-			remaining--
-			s.Schedule(time.Microsecond, fn)
-		}
-	}
-	s.Schedule(0, fn)
-	b.ResetTimer()
-	s.Run()
-}
-
-// BenchmarkNetworkSendRuntime is BenchmarkNetworkSend with a telemetry
-// hub attached to both the scheduler and the network.
-func BenchmarkNetworkSendRuntime(b *testing.B) {
-	s := New(2)
-	eng := rt.NewEngine()
-	s.SetRuntime(eng)
-	n := NewNetwork(s)
-	n.SetRuntime(eng)
-	n.Attach("dst", HandlerFunc(func(Packet) {}))
-	n.SetPath("src", "dst", PathParams{Delay: time.Millisecond})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(Packet{From: "src", To: "dst", Size: 1460})
-		if i%1024 == 0 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
+func BenchmarkNetworkSend(b *testing.B)        { benchNetworkSend(b, bare) }
+func BenchmarkNetworkSendMetrics(b *testing.B) { benchNetworkSend(b, withMetrics) }
+func BenchmarkNetworkSendRuntime(b *testing.B) { benchNetworkSend(b, withRuntime) }

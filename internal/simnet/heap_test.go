@@ -84,54 +84,63 @@ func TestEventQueuePopZeroesSlot(t *testing.T) {
 }
 
 // TestScheduleStepZeroAlloc pins the engine's zero-allocation contract:
-// once the heap's backing array is warm, Schedule and Step allocate
-// nothing. (The old container/heap engine paid one allocation per
-// scheduled event.)
+// once the heap's backing array is warm, Schedule and Run allocate
+// nothing, whatever instrumentation is wired. (The old container/heap
+// engine paid one allocation per scheduled event.)
 func TestScheduleStepZeroAlloc(t *testing.T) {
-	s := New(1)
-	fn := func() {}
-	// Warm the heap's backing array past the measured burst.
-	for i := 0; i < 64; i++ {
-		s.Schedule(Time(i), fn)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			s.Schedule(Time(i), fn)
-		}
-		for s.Step() {
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Schedule+Step allocated %v objects per run, want 0", allocs)
+	for _, w := range wirings {
+		t.Run(w.name, func(t *testing.T) {
+			s := New(1)
+			w.wire(s, nil)
+			fn := func() {}
+			// Warm the heap's backing array past the measured burst.
+			for i := 0; i < 64; i++ {
+				s.Schedule(Time(i), fn)
+			}
+			s.Run()
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < 32; i++ {
+					s.Schedule(Time(i), fn)
+				}
+				s.Run() // not a Step loop: Run is what publishes to a wired hub
+			})
+			if allocs != 0 {
+				t.Fatalf("Schedule+Run allocated %v objects per run, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestNetworkSendZeroAlloc pins the packet path: Send carries the packet
-// to the heap by value, with no closure.
+// to the heap by value, with no closure, whatever instrumentation is
+// wired.
 func TestNetworkSendZeroAlloc(t *testing.T) {
-	s := New(1)
-	n := NewNetwork(s)
-	n.SetPath("a", "b", PathParams{Delay: time.Millisecond})
-	delivered := 0
-	n.Attach("b", HandlerFunc(func(pkt Packet) { delivered++ }))
-	pkt := Packet{From: "a", To: "b", Size: 1200}
-	// Warm the heap and the per-path state.
-	for i := 0; i < 64; i++ {
-		n.Send(pkt)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			n.Send(pkt)
-		}
-		for s.Step() {
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Send+deliver allocated %v objects per run, want 0", allocs)
-	}
-	if delivered == 0 {
-		t.Fatal("no packets delivered")
+	for _, w := range wirings {
+		t.Run(w.name, func(t *testing.T) {
+			s := New(1)
+			n := NewNetwork(s)
+			w.wire(s, n)
+			n.SetPath("a", "b", PathParams{Delay: time.Millisecond})
+			delivered := 0
+			n.Attach("b", HandlerFunc(func(pkt Packet) { delivered++ }))
+			pkt := Packet{From: "a", To: "b", Size: 1200}
+			// Warm the heap and the per-path state.
+			for i := 0; i < 64; i++ {
+				n.Send(pkt)
+			}
+			s.Run()
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < 32; i++ {
+					n.Send(pkt)
+				}
+				s.Run()
+			})
+			if allocs != 0 {
+				t.Fatalf("Send+deliver allocated %v objects per run, want 0", allocs)
+			}
+			if delivered == 0 {
+				t.Fatal("no packets delivered")
+			}
+		})
 	}
 }

@@ -76,9 +76,6 @@ func (s *Sim) SetMetrics(m *Metrics) {
 	}
 }
 
-// Metrics returns the wired bundle (nil when disabled).
-func (s *Sim) Metrics() *Metrics { return s.metrics }
-
 // ExportMetrics snapshots the per-path counters into labeled registry
 // families (net_path_*{from,to}). Paths are walked in sorted key order
 // so the exposition is deterministic. The per-packet hot path stays

@@ -98,16 +98,16 @@ type Network struct {
 	// resumed after a loss suspension are counted as re-entries, and
 	// lane segments consumed by the loss process at send time as loss
 	// drops.
-	fastSegs       uint64
-	fastBytes      uint64
-	fastEpochs     uint64
-	fastFallbacks  uint64
-	fastReentries  uint64
-	fastLossDrops  uint64
-	fastByReason   [rt.NumReasons]uint64
-	rtEngine       *rt.Engine
-	rtPub          FastPathStats // last values published to rtEngine
-	rtPubByReason  [rt.NumReasons]uint64
+	fastSegs      uint64
+	fastBytes     uint64
+	fastEpochs    uint64
+	fastFallbacks uint64
+	fastReentries uint64
+	fastLossDrops uint64
+	fastByReason  [rt.NumReasons]uint64
+	rtEngine      *rt.Engine
+	rtPub         FastPathStats // last values published to rtEngine
+	rtPubByReason [rt.NumReasons]uint64
 }
 
 // NewNetwork creates an empty network on the given simulator.

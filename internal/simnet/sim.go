@@ -360,9 +360,6 @@ func (s *Sim) SetRuntime(e *rt.Engine) {
 	s.rtLastNow = s.now
 }
 
-// Runtime returns the wired telemetry hub (nil when none).
-func (s *Sim) Runtime() *rt.Engine { return s.rt }
-
 // flushRuntime publishes the since-last-flush deltas to the hub.
 func (s *Sim) flushRuntime() {
 	e := s.rt
@@ -398,9 +395,6 @@ func (s *Sim) Pending() int {
 	}
 	return n
 }
-
-// MaxPending returns the deepest the event queue has been.
-func (s *Sim) MaxPending() int { return s.maxDepth }
 
 // String summarizes simulator state for debugging.
 func (s *Sim) String() string {

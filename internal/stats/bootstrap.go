@@ -37,7 +37,7 @@ func BootstrapLinReg(xs, ys []float64, resamples int, level float64, rng *rand.R
 	rx, ry := scratch[:n:n], scratch[n:]
 	acc := make([]float64, 2*resamples)
 	slopes := acc[:0:resamples]
-	intercepts := acc[resamples:resamples:2*resamples]
+	intercepts := acc[resamples : resamples : 2*resamples]
 	for b := 0; b < resamples; b++ {
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)

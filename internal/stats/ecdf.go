@@ -56,20 +56,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[i]
 }
 
-// Points returns (x, F(x)) pairs at every distinct sample value, suitable
-// for plotting a CDF curve.
-func (e *ECDF) Points() (xs, fs []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		fs = append(fs, float64(i+1)/float64(n))
-	}
-	return xs, fs
-}
-
 // KS returns the two-sample Kolmogorov–Smirnov statistic
 // sup_x |F1(x) − F2(x)|. It is used by the caching-detection experiment
 // to decide whether two Tdynamic distributions are indistinguishable.

@@ -8,151 +8,116 @@ import (
 	"fesplit/internal/simnet"
 )
 
-// BenchmarkBulkTransfer measures simulated TCP throughput: a 1 MB
-// transfer over a clean 20 ms-RTT path, end to end.
-func BenchmarkBulkTransfer(b *testing.B) {
-	payload := make([]byte, 1<<20)
-	b.SetBytes(int64(len(payload)))
-	for i := 0; i < b.N; i++ {
-		sim := simnet.New(int64(i))
-		n := simnet.NewNetwork(sim)
-		n.SetLink("c", "s", simnet.PathParams{Delay: 10 * time.Millisecond})
-		client := NewEndpoint(n, "c", Config{})
-		server := NewEndpoint(n, "s", Config{})
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			b.Fatal(err)
-		}
-		got := 0
-		conn := client.Dial("s", 80)
-		conn.OnData = func(d []byte) { got += len(d) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		if got != len(payload) {
-			b.Fatalf("incomplete: %d", got)
-		}
-	}
+// transferScenario is one server→client transfer in a fresh world: the
+// shared body of the transfer benchmarks below and of
+// TestTransferAllocPins, so the pins count exactly what the benchmarks
+// time.
+type transferScenario struct {
+	size int               // payload bytes
+	cfg  Config            // both endpoints
+	path simnet.PathParams // both directions
+	// lossyAfter, when > 0, turns the server→client direction 2 % lossy
+	// at that instant: the transfer starts clean (fast-forwarding) and
+	// must abandon its epoch mid-stream.
+	lossyAfter time.Duration
+	// packetLane disables the fast-forward engine, so every segment and
+	// ACK is an event on the heap. Otherwise the engine must have carried
+	// segments: a scenario cannot silently measure the wrong lane.
+	packetLane bool
 }
 
-// BenchmarkFastPathTransfer measures the fast-forward engine in
-// isolation: the same clean 1 MB transfer as BulkTransfer, but without
-// SetBytes so `go test -benchmem` reports allocs/op in a form the
-// benchjson parser ingests (a MB/s column would sit between ns/op and
-// B/op and defeat its line regexp) — this is the benchmark the
-// allocs/op hard gate watches for the fast path.
-func BenchmarkFastPathTransfer(b *testing.B) {
-	payload := make([]byte, 1<<20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim := simnet.New(int64(i))
-		n := simnet.NewNetwork(sim)
-		n.SetLink("c", "s", simnet.PathParams{Delay: 10 * time.Millisecond})
-		client := NewEndpoint(n, "c", Config{})
-		server := NewEndpoint(n, "s", Config{})
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			b.Fatal(err)
-		}
-		got := 0
-		conn := client.Dial("s", 80)
-		conn.OnData = func(d []byte) { got += len(d) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		if got != len(payload) {
-			b.Fatalf("incomplete: %d", got)
-		}
-		if st := n.FastPathStats(); st.Segments == 0 {
-			b.Fatal("fast path inactive; benchmark measures the wrong lane")
-		}
-	}
+var (
+	clean20ms = simnet.PathParams{Delay: 10 * time.Millisecond}
+	// bulkTransfer: 1 MB over a clean 20 ms-RTT path, end to end — the
+	// fast-forward engine in isolation.
+	bulkTransfer = transferScenario{size: 1 << 20, path: clean20ms}
+	// fastPathFallback: the epoch-abandonment cost — the fallback
+	// transition plus packet-path recovery for the remainder.
+	fastPathFallback = transferScenario{size: 256 << 10, cfg: Config{SACK: true}, path: clean20ms,
+		lossyAfter: 40 * time.Millisecond}
+)
+
+// lossyTransfer is 256 KB with SACK over a path with the given loss
+// parameters — the lossy lane scenarios.
+func lossyTransfer(path simnet.PathParams) transferScenario {
+	return transferScenario{size: 256 << 10, cfg: Config{SACK: true}, path: path}
 }
 
-// BenchmarkFastPathFallback measures the epoch-abandonment cost: the
-// transfer starts clean (fast-forwarding) and the path turns lossy
-// mid-stream, forcing the fallback transition plus packet-path
-// recovery for the remainder.
-func BenchmarkFastPathFallback(b *testing.B) {
-	payload := make([]byte, 256<<10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim := simnet.New(int64(i))
-		n := simnet.NewNetwork(sim)
-		clean := simnet.PathParams{Delay: 10 * time.Millisecond}
-		n.SetLink("c", "s", clean)
-		client := NewEndpoint(n, "c", Config{SACK: true})
-		server := NewEndpoint(n, "s", Config{SACK: true})
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			b.Fatal(err)
-		}
-		sim.Schedule(40*time.Millisecond, func() {
-			n.SetPath("s", "c", simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: 0.02})
-		})
-		got := 0
-		conn := client.Dial("s", 80)
-		conn.OnData = func(d []byte) { got += len(d) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		if got != len(payload) {
-			b.Fatalf("incomplete: %d", got)
-		}
-	}
-}
-
-// lossyTransfer runs one 256 KB SACK transfer over a path with the
-// given loss parameters — the shared body of the lossy lane benchmarks.
-func lossyTransfer(b *testing.B, payload []byte, params simnet.PathParams) {
-	for i := 0; i < b.N; i++ {
-		sim := simnet.New(int64(i))
-		n := simnet.NewNetwork(sim)
-		n.SetLink("c", "s", params)
-		cfg := Config{SACK: true}
-		client := NewEndpoint(n, "c", cfg)
-		server := NewEndpoint(n, "s", cfg)
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			b.Fatal(err)
-		}
-		got := 0
-		conn := client.Dial("s", 80)
-		conn.OnData = func(d []byte) { got += len(d) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		if got != len(payload) {
-			b.Fatalf("incomplete: %d", got)
-		}
-	}
-}
-
-// BenchmarkGilbertLossyTransfer measures the lossy fast lane under the
-// paper's bursty loss model: 256 KB with SACK over a path whose
-// Gilbert–Elliott process averages ≈1% loss in bursts. Epochs suspend
-// per burst and re-enter once recovery completes; benchjson's allocs/op
-// hard gate watches this benchmark alongside the clean fast path.
-func BenchmarkGilbertLossyTransfer(b *testing.B) {
-	payload := make([]byte, 256<<10)
-	b.ReportAllocs()
+// gilbertLossy is the lossy fast lane under the paper's bursty loss
+// model: a Gilbert–Elliott process averaging ≈1 % loss in bursts. Epochs
+// suspend per burst and re-enter once recovery completes.
+func gilbertLossy() transferScenario {
 	g := simnet.WirelessGilbert()
-	lossyTransfer(b, payload, simnet.PathParams{Delay: 10 * time.Millisecond, Gilbert: &g})
+	return lossyTransfer(simnet.PathParams{Delay: 10 * time.Millisecond, Gilbert: &g})
 }
+
+// run builds the world from seed, sends payload (sc.size bytes, made
+// once by the caller so it is not part of the measured cost) and fails
+// tb unless every byte arrives.
+func (sc transferScenario) run(tb testing.TB, seed int64, payload []byte) {
+	sim := simnet.New(seed)
+	n := simnet.NewNetwork(sim)
+	n.SetLink("c", "s", sc.path)
+	client := NewEndpoint(n, "c", sc.cfg)
+	server := NewEndpoint(n, "s", sc.cfg)
+	if _, err := server.Listen(80, func(c *Conn) {
+		c.Send(payload)
+		c.Close()
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if sc.packetLane {
+		n.SetFastPathEnabled(false)
+	}
+	if sc.lossyAfter > 0 {
+		lossy := simnet.PathParams{Delay: sc.path.Delay, LossRate: 0.02}
+		sim.Schedule(sc.lossyAfter, func() { n.SetPath("s", "c", lossy) })
+	}
+	got := 0
+	conn := client.Dial("s", 80)
+	conn.OnData = func(d []byte) { got += len(d) }
+	conn.OnClose = func() { conn.Close() }
+	sim.Run()
+	if got != len(payload) {
+		tb.Fatalf("incomplete: %d", got)
+	}
+	if fast := n.FastPathStats().Segments > 0; fast == sc.packetLane {
+		tb.Fatalf("scenario measures the wrong lane: fast lane carried segments = %v", fast)
+	}
+}
+
+// bench runs the scenario b.N times, world i seeded i.
+func (sc transferScenario) bench(b *testing.B) {
+	payload := make([]byte, sc.size)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc.run(b, int64(i), payload)
+	}
+}
+
+// BenchmarkBulkTransfer measures simulated TCP throughput (MB/s).
+func BenchmarkBulkTransfer(b *testing.B) {
+	b.SetBytes(int64(bulkTransfer.size))
+	bulkTransfer.bench(b)
+}
+
+// BenchmarkFastPathTransfer is BulkTransfer reported per operation
+// rather than per byte.
+func BenchmarkFastPathTransfer(b *testing.B) { bulkTransfer.bench(b) }
+
+func BenchmarkFastPathFallback(b *testing.B) { fastPathFallback.bench(b) }
+
+func BenchmarkGilbertLossyTransfer(b *testing.B) { gilbertLossy().bench(b) }
 
 // BenchmarkLossRateSweep sweeps i.i.d. loss rates across the regime the
 // studies exercise, bounding how lossy-lane throughput decays as
 // suspensions (one per drop) crowd out analytic epochs.
 func BenchmarkLossRateSweep(b *testing.B) {
-	payload := make([]byte, 256<<10)
 	for _, rate := range []float64{0.001, 0.005, 0.01, 0.02, 0.05} {
 		b.Run(fmt.Sprintf("loss=%g", rate), func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
-			lossyTransfer(b, payload, simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: rate})
+			sc := lossyTransfer(simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: rate})
+			b.SetBytes(int64(sc.size))
+			sc.bench(b)
 		})
 	}
 }
@@ -160,28 +125,40 @@ func BenchmarkLossRateSweep(b *testing.B) {
 // BenchmarkLossyTransfer measures recovery-path cost: 256 KB at 2%
 // loss with SACK.
 func BenchmarkLossyTransfer(b *testing.B) {
-	payload := make([]byte, 256<<10)
-	b.SetBytes(int64(len(payload)))
-	for i := 0; i < b.N; i++ {
-		sim := simnet.New(int64(i))
-		n := simnet.NewNetwork(sim)
-		n.SetLink("c", "s", simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: 0.02})
-		cfg := Config{SACK: true}
-		client := NewEndpoint(n, "c", cfg)
-		server := NewEndpoint(n, "s", cfg)
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			b.Fatal(err)
-		}
-		got := 0
-		conn := client.Dial("s", 80)
-		conn.OnData = func(d []byte) { got += len(d) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		if got != len(payload) {
-			b.Fatalf("incomplete: %d", got)
-		}
+	sc := lossyTransfer(simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: 0.02})
+	b.SetBytes(int64(sc.size))
+	sc.bench(b)
+}
+
+// TestTransferAllocPins pins what one whole transfer allocates — world
+// set-up, handshake, every segment, teardown — in each benchmarked
+// scenario, at a fixed seed so the count is exact. On the fast lane a
+// segment allocates nothing (write-once send buffer, by-value lane
+// entries), so a transfer costs tens of objects however many segments
+// it carries; the packet lane boxes each segment and each ACK into its
+// simnet.Packet, one object per packet, and recovery adds pooled
+// reassembly buffers and timers. A limit 10 % over the measured count
+// leaves room for set-up changes and none for one more allocation per
+// segment, packet or event (256 KB is ≈ 180 segments, 1 MB ≈ 720).
+func TestTransferAllocPins(t *testing.T) {
+	tests := []struct {
+		name     string
+		sc       transferScenario
+		measured float64 // allocations per transfer at seed 1
+	}{
+		{"BulkTransfer", bulkTransfer, 55}, // also BenchmarkFastPathTransfer: one scenario
+		{"BulkTransferPacketLane", transferScenario{size: 1 << 20, path: clean20ms, packetLane: true}, 1489},
+		{"FastPathFallback", fastPathFallback, 307},
+		{"GilbertLossyTransfer", gilbertLossy(), 142},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := make([]byte, tc.sc.size)
+			got := testing.AllocsPerRun(5, func() { tc.sc.run(t, 1, payload) })
+			if limit := tc.measured * 1.1; got > limit {
+				t.Errorf("one transfer allocated %.0f objects, more than 10 %% over the pinned %.0f",
+					got, tc.measured)
+			}
+		})
 	}
 }

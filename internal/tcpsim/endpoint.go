@@ -87,12 +87,6 @@ func NewEndpoint(n *simnet.Network, host simnet.HostID, cfg Config) *Endpoint {
 	return ep
 }
 
-// Host returns this endpoint's host ID.
-func (e *Endpoint) Host() simnet.HostID { return e.host }
-
-// Config returns the endpoint's effective (default-filled) configuration.
-func (e *Endpoint) Config() Config { return e.cfg }
-
 // Sim returns the underlying simulator.
 func (e *Endpoint) Sim() *simnet.Sim { return e.net.Sim() }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fesplit/internal/analysis"
+	"fesplit/internal/obs"
 	"fesplit/internal/obs/critpath"
 )
 
@@ -15,7 +16,7 @@ import (
 // phase (the injected-regression shape the diff gate must catch).
 func feedCritRegistry(t *testing.T, service string, slow float64) *MetricsRegistry {
 	t.Helper()
-	reg := NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	co := analysis.NewCritObserver(reg, service)
 	ms := func(n float64) time.Duration { return time.Duration(n * float64(time.Millisecond)) }
 	for i := 0; i < 200; i++ {
@@ -133,7 +134,7 @@ func TestDiffMetricsJSONLRoundTrip(t *testing.T) {
 	if err := WriteMetricsJSONL(&b, reg); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMetricsJSONL(strings.NewReader(b.String()))
+	back, err := obs.ReadMetricsJSONL(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,14 +301,22 @@ func sampleNodes(nodes []NodeSummary, k int) []NodeSummary {
 	return out
 }
 
-// WritePlacementSweep renders the placement-ablation table.
+// WritePlacementSweep renders the placement-ablation table. A median
+// over zero samples — no query completed, or no fetch finished, at that
+// position — prints as "-", never as a delay of zero.
 func WritePlacementSweep(w io.Writer, pts []PlacementPoint) {
 	fmt.Fprintf(w, "%-10s %14s %14s %12s %12s %12s\n",
 		"fraction", "client-FE mi", "FE-BE mi", "overall ms", "Tdyn ms", "fetch ms")
+	median := func(d time.Duration, samples int) string {
+		if samples == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f", ms(d))
+	}
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-10.2f %14.0f %14.0f %12.1f %12.1f %12.1f\n",
+		fmt.Fprintf(w, "%-10.2f %14.0f %14.0f %12s %12s %12s\n",
 			p.Fraction, p.ClientFEMiles, p.FEBEMiles,
-			ms(p.Overall), ms(p.MedTdynamic), ms(p.MedFetch))
+			median(p.Overall, p.N), median(p.MedTdynamic, p.N), median(p.MedFetch, p.Fetches))
 	}
 }
 
@@ -323,6 +331,3 @@ func RunDirectBaseline(cfg DeploymentConfig, nodes int, fleetSeed int64,
 	sort.Slice(res, func(i, j int) bool { return res[i].RTT < res[j].RTT })
 	return res, nil
 }
-
-// DirectResult is one node's outcome in the no-FE baseline.
-type DirectResult = baseline.DirectResult

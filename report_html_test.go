@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fesplit/internal/obs"
 )
 
 // sampleReport builds a small hand-rolled report exercising every HTML
@@ -48,7 +50,7 @@ func sampleReport() *Report {
 }
 
 func sampleObs() (*MetricsRegistry, []Exemplar) {
-	o := NewTailObserver(TailConfig{Percentile: 0.5, MaxExemplars: 4})
+	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.5, MaxExemplars: 4})
 	reg := o.Registry()
 	reg.Counter("sim_events_total", "events").Add(999)
 	reg.Gauge("fastpath_epochs", "epochs").Set(12)
@@ -67,7 +69,7 @@ func sampleObs() (*MetricsRegistry, []Exemplar) {
 		root.Child("handshake", root.Start, root.Start+40*time.Millisecond)
 		fe := root.Child("fe-fetch", root.Start+50*time.Millisecond, root.Start+180*time.Millisecond)
 		fe.Track = "frontend"
-		ts.Offer(0.1+float64(i)*0.01, i == 3, root)
+		ts.OfferTransient(0.1+float64(i)*0.01, i == 3, root)
 	}
 	return reg, ts.Select()
 }
@@ -130,7 +132,7 @@ func TestFastPathUsageFrom(t *testing.T) {
 	if _, ok := FastPathUsageFrom(nil); ok {
 		t.Error("nil registry reported fast-path gauges")
 	}
-	empty := NewMetricsRegistry()
+	empty := obs.NewRegistry()
 	if _, ok := FastPathUsageFrom(empty); ok {
 		t.Error("empty registry reported fast-path gauges")
 	}

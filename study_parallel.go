@@ -49,7 +49,7 @@ type StudyOutput struct {
 }
 
 // Spans returns the exemplars' span trees as a tracer, ready for
-// WriteChromeTrace and WriteSpansJSONL.
+// WriteSpansJSONL.
 func (o *StudyOutput) Spans() *SpanTracer {
 	tr := obs.NewTracer()
 	for _, e := range o.Exemplars {

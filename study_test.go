@@ -5,9 +5,13 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"fesplit/internal/baseline"
+	"fesplit/internal/cdn"
 )
 
 // TestStudyHeadlineFindings runs the light-scale study end to end and
@@ -273,7 +277,7 @@ func TestWriteReportRendersEverySection(t *testing.T) {
 }
 
 func TestPlacementSweepPublicAPI(t *testing.T) {
-	pts, err := PlacementSweep(SweepConfig{
+	pts, err := baseline.PlacementSweep(baseline.SweepConfig{
 		Fractions: []float64{0.1, 0.9}, Repeats: 5, Seed: 9,
 	})
 	if err != nil {
@@ -284,13 +288,21 @@ func TestPlacementSweepPublicAPI(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WritePlacementSweep(&buf, pts)
-	if !strings.Contains(buf.String(), "fraction") {
-		t.Fatal("sweep table missing header")
+	if !strings.Contains(buf.String(), "fraction") || strings.Contains(buf.String(), " -") {
+		t.Fatalf("sweep table missing its header, or marking a sampled median as empty:\n%s", buf.String())
+	}
+	// A position where no query completed has no overall or Tdynamic
+	// median to print — but the FE still finished fetches.
+	buf.Reset()
+	WritePlacementSweep(&buf, []PlacementPoint{{Fraction: 0.5, Fetches: 3, MedFetch: 250 * time.Millisecond}})
+	row := strings.Fields(strings.Split(buf.String(), "\n")[1])
+	if want := []string{"0.50", "0", "0", "-", "-", "250.0"}; !reflect.DeepEqual(row, want) {
+		t.Fatalf("row for a position with no completed query = %q, want %q", row, want)
 	}
 }
 
 func TestDirectBaselinePublicAPI(t *testing.T) {
-	res, err := RunDirectBaseline(SingleBE(GoogleLike(1), "google-be-lenoir"),
+	res, err := RunDirectBaseline(cdn.SingleBE(GoogleLike(1), "google-be-lenoir"),
 		10, 3, 2, time.Second, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -302,26 +314,6 @@ func TestDirectBaselinePublicAPI(t *testing.T) {
 		if res[i].RTT < res[i-1].RTT {
 			t.Fatal("results not RTT-sorted")
 		}
-	}
-}
-
-func TestPredictTimelinePublicAPI(t *testing.T) {
-	p, err := PredictTimeline(ModelInputs{
-		RTT: 20 * time.Millisecond, FEDelay: 10 * time.Millisecond,
-		Fetch: 100 * time.Millisecond, StaticBytes: 8000, DynamicBytes: 20000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Tdynamic() <= 0 {
-		t.Fatal("no prediction")
-	}
-}
-
-func TestMovingMedianPublicAPI(t *testing.T) {
-	out := MovingMedian([]float64{1, 100, 1}, 3)
-	if len(out) != 3 {
-		t.Fatal("length mismatch")
 	}
 }
 

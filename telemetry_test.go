@@ -4,6 +4,8 @@ import (
 	"bytes"
 	goruntime "runtime"
 	"testing"
+
+	rt "fesplit/internal/obs/runtime"
 )
 
 // TestTelemetryDeterminismNeutral is the telemetry PR's headline
@@ -13,11 +15,11 @@ import (
 // back.
 func TestTelemetryDeterminismNeutral(t *testing.T) {
 	const seed = 3
-	run := func(workers int, attach bool) (map[string][]byte, *RuntimeEngine) {
+	run := func(workers int, attach bool) (map[string][]byte, *rt.Engine) {
 		cfg := LightStudyConfig(seed)
 		cfg.Workers = workers
 		s := NewStudy(cfg)
-		var eng *RuntimeEngine
+		var eng *rt.Engine
 		if attach {
 			eng = NewRuntimeEngine()
 			s.SetRuntime(eng)
@@ -50,7 +52,7 @@ func TestTelemetryDeterminismNeutral(t *testing.T) {
 
 	// The engines must actually have seen the run, or the comparison
 	// above proves nothing about telemetry.
-	for label, eng := range map[string]*RuntimeEngine{"w1": eng1, "w4": eng4} {
+	for label, eng := range map[string]*rt.Engine{"w1": eng1, "w4": eng4} {
 		snap := eng.Snapshot()
 		if snap.Events == 0 {
 			t.Errorf("%s: engine saw no simulator events", label)
@@ -74,7 +76,7 @@ func TestTelemetryDeterminismNeutral(t *testing.T) {
 // per-batch sinks (the engine counted them).
 func TestStreamingWorkerInvariant(t *testing.T) {
 	const seed = 11
-	run := func(workers int) (map[string][]byte, *RuntimeEngine) {
+	run := func(workers int) (map[string][]byte, *rt.Engine) {
 		cfg := LightStudyConfig(seed)
 		cfg.Workers = workers
 		s := NewStudy(cfg)
