@@ -66,9 +66,10 @@ lossy-check:
 	$(GO) test -race -count=5 -run 'TestLossEpoch|FuzzLossEpochBoundary' ./internal/tcpsim
 
 # Short fuzz pass over the observability codecs (label escaping, the
-# metrics JSONL round trip) and the lossy fast-lane differential
-# property. Go runs one fuzz target per invocation, so one run each.
-# ~10s each — a smoke pass for CI, not a campaign.
+# metrics JSONL round trip over all three instrument kinds) and the
+# lossy fast-lane differential property. Go runs one fuzz target per
+# invocation, so one run each. ~10s each — a smoke pass, not a
+# campaign; the CI check job runs this target, so the list lives here.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
@@ -112,9 +113,10 @@ telemetry-smoke: build
 	./scripts/telemetry_smoke.sh ./bin/fesplit
 
 # Critical-path profiler / regression-gate smoke, end to end through
-# the CLI: two same-seed profiled runs must diff clean (exit 0) and a
-# run with an injected 2× BE slowdown must fail the gate (nonzero)
-# with a verdict naming the be-proc phase. See docs/PROFILING.md.
+# the CLI: two same-seed profiled runs must diff clean (exit 0), a run
+# with an injected 2× BE slowdown must fail the gate (nonzero) with a
+# verdict naming the be-proc phase, and a diff that compared nothing
+# must fail too. See docs/PROFILING.md.
 profile-smoke: build
 	./scripts/profile_smoke.sh ./bin/fesplit
 
@@ -132,11 +134,11 @@ equivalence: build
 	@echo "serial and parallel study outputs are byte-identical"
 
 # Aim-2 progress metric (ROADMAP): non-test Go lines outside benchmark/,
-# in total and for the four packages the simplification PRs work on.
+# in total and for the five packages the simplification PRs work on.
 # CHANGES.md quotes these numbers; this target reproduces them.
 loc:
 	@printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
-	@for d in . internal/emulator internal/analysis cmd/fesplit; do \
+	@for d in . internal/emulator internal/analysis internal/obs cmd/fesplit; do \
 		printf '%-18s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done
 

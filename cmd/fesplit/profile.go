@@ -59,8 +59,10 @@ func cmdProfile(args []string, _, stderr io.Writer) error {
 // cmdDiff compares two profiled runs sketch-by-sketch and gates on
 // regressions: exit 0 when no quantile moved past the thresholds,
 // nonzero with a verdict table naming the exact series (service, phase,
-// quantile) otherwise. Arguments are metrics.jsonl files or directories
-// containing one (e.g. `fesplit profile -dir` outputs).
+// quantile) otherwise — and nonzero too when the two dumps share no
+// sketch series, since a gate that compared nothing has not passed.
+// Arguments are metrics.jsonl files or directories containing one (e.g.
+// `fesplit profile -dir` outputs).
 func cmdDiff(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("diff", stderr)
 	relPct := fs.Float64("rel-pct", 10,
@@ -96,6 +98,10 @@ func cmdDiff(args []string, stdout, stderr io.Writer) error {
 	rep := fesplit.DiffMetrics(oldReg, newReg, opt)
 	if err := rep.WriteTable(stdout); err != nil {
 		return err
+	}
+	if rep.SeriesCompared == 0 {
+		return fmt.Errorf("nothing compared: %s and %s share no sketch series (empty dump, disjoint runs or a -family filter matching nothing)",
+			fs.Arg(0), fs.Arg(1))
 	}
 	if rep.Failed() {
 		return fmt.Errorf("%d quantile regression(s) between %s and %s",

@@ -130,10 +130,8 @@ func printFastPath(w io.Writer, prefix string, reg *fesplit.MetricsRegistry) {
 		prefix, u.Epochs, u.Bytes, u.Fallbacks)
 	fmt.Fprintf(w, "%sfast path lossy lanes: %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
 		prefix, u.Reentries, u.LossDrops, u.EpochSegments)
-	if u.HasReasons {
-		fmt.Fprintf(w, "%sfast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
-			prefix, u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
-	}
+	fmt.Fprintf(w, "%sfast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
+		prefix, u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
 }
 
 // htmlReport is the self-contained HTML page artifact, with the

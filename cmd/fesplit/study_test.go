@@ -28,6 +28,10 @@ func TestStudyArgumentValidation(t *testing.T) {
 	if err := os.WriteFile(notATrace, []byte("module fesplit\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	emptyDump := filepath.Join(t.TempDir(), "metrics.jsonl")
+	if err := os.WriteFile(emptyDump, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name   string
 		cmd    string
@@ -57,6 +61,7 @@ func TestStudyArgumentValidation(t *testing.T) {
 		{"decode no file", "decode", "", nil, 1, "exactly one trace file"},
 		{"decode not a trace", "decode", "", []string{notATrace}, 1, "not a valid fesplit trace"},
 		{"diff one argument", "diff", "", []string{notATrace}, 1, "usage: fesplit diff"},
+		{"diff nothing compared", "diff", "", []string{emptyDump, emptyDump}, 1, "nothing compared"},
 		{"no command", "", "", nil, 2, "commands:"},
 		{"unknown command", "frobnicate", "", nil, 2, `unknown command "frobnicate"`},
 		{"removed obs", "obs", "-dir", nil, 2, `unknown command "obs"`},

@@ -3,6 +3,7 @@ package fesplit
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -20,7 +21,9 @@ type DiffOptions struct {
 	// Abs is the absolute-delta floor in the series' native unit
 	// (seconds for *_seconds families; default 500µs = 0.0005). Both
 	// thresholds must be exceeded, so microscopic tails on tiny phases
-	// don't fail the gate.
+	// don't fail the gate; against an old value of exactly 0 (the
+	// critical-path families observe zeros by design) no relative move
+	// exists and the floor alone decides.
 	Abs float64
 	// Families restricts the comparison to family names with one of
 	// these prefixes (empty → every sketch family present in both runs).
@@ -47,7 +50,8 @@ type DiffRow struct {
 	Labels   string // "name=value ..." in label order
 	Quantile float64
 	Old, New float64
-	// DeltaPct is the relative move in percent of the old value.
+	// DeltaPct is the relative move in percent of the old value (±Inf
+	// when the old value is 0).
 	DeltaPct float64
 	// Regression is true when the new value is larger (slower).
 	Regression bool
@@ -64,8 +68,10 @@ type DiffReport struct {
 	OnlyOld, OnlyNew []string
 }
 
-// Failed reports whether the diff should gate (any regression breach).
-func (r *DiffReport) Failed() bool { return r.Regressions > 0 }
+// Failed reports whether the diff should gate: any regression breach,
+// or nothing compared at all — an empty dump, two runs sharing no
+// sketch series or a family filter matching nothing has not passed.
+func (r *DiffReport) Failed() bool { return r.Regressions > 0 || r.SeriesCompared == 0 }
 
 type diffSeries struct {
 	family string
@@ -152,7 +158,7 @@ func DiffMetrics(oldReg, newReg *MetricsRegistry, opt DiffOptions) *DiffReport {
 			if base < 0 {
 				base = -base
 			}
-			if base == 0 || abs/base*100 <= opt.RelPct {
+			if base != 0 && abs/base*100 <= opt.RelPct {
 				continue
 			}
 			row := DiffRow{
@@ -186,10 +192,14 @@ func (r *DiffReport) WriteTable(w io.Writer) error {
 			if row.Regression {
 				verdict = "REGRESSED"
 			}
-			if _, err := fmt.Fprintf(w, "%-10s %-28s %-40s %12.6f %12.6f %+8.1f%%\n",
+			delta := fmt.Sprintf("%+8.1f%%", row.DeltaPct)
+			if math.IsInf(row.DeltaPct, 0) {
+				delta = "new" // moved off an old value of 0
+			}
+			if _, err := fmt.Fprintf(w, "%-10s %-28s %-40s %12.6f %12.6f %9s\n",
 				verdict,
 				fmt.Sprintf("%s p%g", row.Family, row.Quantile*100),
-				row.Labels, row.Old, row.New, row.DeltaPct); err != nil {
+				row.Labels, row.Old, row.New, delta); err != nil {
 				return err
 			}
 		}

@@ -65,7 +65,7 @@ type (
 // and the exporters WritePrometheus, WriteMetricsJSONL and
 // WriteSpansJSONL consume.
 type (
-	// MetricsRegistry holds deterministic counters/gauges/histograms.
+	// MetricsRegistry holds deterministic counters, gauges and sketches.
 	MetricsRegistry = obs.Registry
 	// Span is one node of a per-query causal span tree.
 	Span = obs.Span
@@ -104,26 +104,22 @@ type FastPathUsage struct {
 	// engine being disabled outright, and loss-recovery suspensions
 	// (a lane segment was consumed by the loss process; the epoch
 	// resumes once the retransmission is cumulatively ACKed).
-	// HasReasons is false on dumps predating the breakdown.
 	FallbackLoss         float64
 	FallbackTopology     float64
 	FallbackTeardown     float64
 	FallbackDisabled     float64
 	FallbackLossRecovery float64
-	HasReasons           bool
-	// Lossy-lane activity (zero on dumps predating loss epochs):
-	// epochs re-entered after a loss-recovery suspension, lane
-	// segments consumed by loss processes at send time, and the mean
-	// heap-bypassing segments per analytic epoch.
+	// Lossy-lane activity: epochs re-entered after a loss-recovery
+	// suspension, lane segments consumed by loss processes at send
+	// time, and the mean heap-bypassing segments per analytic epoch.
 	Reentries     float64
 	LossDrops     float64
 	EpochSegments float64
 }
 
-// FastPathUsageFrom extracts the fastpath_* gauge trio (plus the
-// per-reason fallback breakdown when present) from a registry. ok is
-// false when the registry carries no fast-path gauges (nil registry,
-// or a metrics dump predating the fast-forward engine).
+// FastPathUsageFrom extracts the fastpath_* gauges and the per-reason
+// fallback breakdown from a registry. ok is false when the registry
+// carries no fast-path gauges (nil registry: the run was not observed).
 func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 	for _, f := range reg.Families() {
 		if f.Kind != obs.KindGauge {
@@ -150,7 +146,6 @@ func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 					continue
 				}
 				*dst = s.Gauge.Value()
-				u.HasReasons = true
 			}
 			continue
 		}

@@ -23,38 +23,27 @@ type FleetStudyConfig struct {
 	// Horizon is the diurnal curve's span of virtual time (the
 	// compressed "day"). Default 10 minutes.
 	Horizon time.Duration
-	// PeakRate is the mid-day fleet-wide arrival rate (arrivals/sec).
-	// 0 derives the rate whose diurnal integral over Horizon yields
-	// Clients arrivals.
-	PeakRate float64
 	// Batches splits arrivals into strided independent worlds
 	// (≤ 0 → emulator.DefaultNodeBatches). Part of the shard layout:
 	// changing it changes the (still deterministic) results.
 	Batches int
 	// Workers caps the goroutines running batches (0 → NumCPU).
 	Workers int
-	// Tail configures per-batch tail exemplar sampling; sampler memory
-	// is O(MaxExemplars) over any campaign length.
-	Tail obs.TailConfig
 }
 
-func (c FleetStudyConfig) withDefaults() FleetStudyConfig {
-	if c.Horizon <= 0 {
-		c.Horizon = 10 * time.Minute
-	}
-	if c.PeakRate <= 0 && c.Clients > 0 {
-		// DefaultDiurnalCurve integrates to 0.5375 × peak × horizon
-		// (trapezoids over the 0.15/0.5/1/0.5/0.15 shape): invert it,
-		// padded 2% so rounding never leaves the integral short — the
-		// Clients cap truncates the excess exactly.
-		c.PeakRate = 1.02 * float64(c.Clients) / (0.5375 * c.Horizon.Seconds())
-	}
-	return c
-}
-
-// Curve returns the campaign's diurnal rate curve.
+// Curve returns the campaign's diurnal rate curve over Horizon, with
+// the mid-day peak rate whose diurnal integral yields Clients arrivals.
 func (c FleetStudyConfig) Curve() emulator.DiurnalCurve {
-	return emulator.DefaultDiurnalCurve(c.Horizon, c.PeakRate)
+	horizon := c.Horizon
+	if horizon <= 0 {
+		horizon = 10 * time.Minute
+	}
+	// DefaultDiurnalCurve integrates to 0.5375 × peak × horizon
+	// (trapezoids over the 0.15/0.5/1/0.5/0.15 shape): invert it,
+	// padded 2% so rounding never leaves the integral short — the
+	// Clients cap truncates the excess exactly.
+	peak := 1.02 * float64(c.Clients) / (0.5375 * horizon.Seconds())
+	return emulator.DefaultDiurnalCurve(horizon, peak)
 }
 
 // FleetStudyResult is the folded outcome of a fleet campaign: campaign
@@ -112,7 +101,6 @@ func (k *fleetStudySink) Consume(rec *emulator.Record) {
 // one streaming sink per batch, merged in batch order. For a fixed
 // seed every output is identical whatever Workers is.
 func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
-	fc = fc.withDefaults()
 	if fc.Clients <= 0 {
 		return nil, fmt.Errorf("fesplit: fleet study needs Clients > 0")
 	}
@@ -132,10 +120,13 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		},
 		Batches: fc.Batches,
 		Workers: fc.Workers,
-		// The batch observer makes the runner join the FE's ground truth
-		// and wire stack metrics; its tail sampler is the one the sink's
-		// fold feeds.
-		Observe: func(int) *obs.Observer { return obs.NewTailObserver(fc.Tail) },
+		// The batch observer is tail-only: its sampler makes the runner
+		// log and join the FE's ground truth and is the one the sink's
+		// fold feeds. It carries no registry — nothing here would merge
+		// or export one.
+		Observe: func(int) *obs.Observer {
+			return &obs.Observer{Tail: obs.NewTailSampler(obs.TailConfig{})}
+		},
 		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
 			return &fleetStudySink{
 				fold:    analysis.NewFold(nil, cfg.Name, cfg.Name, boundary, o.Tail, DefaultBoundTolerance),

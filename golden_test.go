@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files from the current study output")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files and the generated family table of docs/METRICS.md from the current study output")
 
 // TestGoldenFigureCSVs regression-pins every figure CSV of the light
 // study at seed 42. The study is deterministic end to end, so any byte

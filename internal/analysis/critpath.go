@@ -11,8 +11,7 @@ import (
 // (registry, service) pair: one critpath_phase_seconds child per
 // exclusive phase, the fetch estimate vs FE ground truth, and the
 // conservation self-check counters. Zero value (nil registry) observes
-// nothing. Like ParamObserver it is built once per batch/cell and fed
-// per record.
+// nothing. It is built once per batch/cell and fed per record.
 type CritObserver struct {
 	phases  [critpath.NumPhases]*obs.Sketch
 	est     *obs.Sketch

@@ -16,24 +16,31 @@ import (
 	"fesplit/internal/trace"
 )
 
-// overloadedRun drives a short open-loop campaign against a Bing-like
+// overloadedWorld drives a short open-loop campaign against a Bing-like
 // deployment with a single BE replica behind an FE→BE pool that admits
 // two fetches at a time and queues one more, so the dataset holds fully
-// served queries (some BE-queued) and 503 rejections — with FE ground
-// truth joined on (the observer carries a sampler). Returns the dataset
-// and the service's content boundary, derived from the served responses.
-func overloadedRun(t *testing.T) (*emulator.Dataset, int) {
+// served queries (some BE-queued) and 503 rejections. The world reports
+// to o (nil: unobserved).
+func overloadedWorld(t *testing.T, o *obs.Observer) *emulator.Dataset {
 	t.Helper()
 	cfg := cdn.SingleBE(cdn.BingLike(7), "bing-be-virginia")
 	cfg.BEOptions.Queue = backend.QueueOptions{Replicas: 1}
 	cfg.FEPool = frontend.PoolConfig{MaxConns: 2, QueueCap: 1}
-	r, err := emulator.New(7, cfg, emulator.Options{Nodes: 12, FleetSeed: 8, Obs: obs.NewTailObserver(obs.TailConfig{})})
+	r, err := emulator.New(7, cfg, emulator.Options{Nodes: 12, FleetSeed: 8, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := r.RunOpenLoop(emulator.OpenLoopOptions{
+	return r.RunOpenLoop(emulator.OpenLoopOptions{
 		FE: r.Dep.FEs[0], Horizon: 12 * time.Second, BaseInterval: time.Second, QueriesPerNode: 6, QuerySeed: 9,
 	})
+}
+
+// overloadedRun is overloadedWorld with FE ground truth joined on (the
+// observer carries a sampler). Returns the dataset and the service's
+// content boundary, derived from the served responses.
+func overloadedRun(t *testing.T) (*emulator.Dataset, int) {
+	t.Helper()
+	ds := overloadedWorld(t, obs.NewTailObserver(obs.TailConfig{}))
 	served := &emulator.Dataset{}
 	for _, rec := range ds.Records {
 		if rec.Status == 200 {
@@ -285,5 +292,38 @@ func TestExtractRecordReturnsUnlocatedSession(t *testing.T) {
 	want, _ := trace.Parse(rec.Key, rec.Events)
 	if s.RTT != want.RTT || s.T3 != want.T3 || s.TE != want.TE {
 		t.Error("returned session differs from a fresh parse")
+	}
+}
+
+// TestObservedQueryAllocOverhead puts the cost of observing on the
+// ledger in a machine-independent unit: the same world at the same seed
+// run unobserved and measured with ExtractDataset, then run under a
+// tail observer and measured with a Fold feeding its registry and
+// sampler, compared in allocations per query. Counts are exact at a
+// fixed seed, so the limit sits 0.15 % over the measured ratio: 0.3
+// allocations per query is room for a few objects of world set-up (a
+// new unlabeled family costs about five per world, 0.04 per query) and
+// none for one more allocation per folded record, which adds 0.5 per
+// query even when only the measurable half of the records pays it. The
+// race detector inflates the unobserved arm, so the ratio only reads
+// lower there. Update the pinned ratio only with a reason.
+func TestObservedQueryAllocOverhead(t *testing.T) {
+	ds, boundary := overloadedRun(t)
+	queries := float64(len(ds.Records))
+	unobserved := testing.AllocsPerRun(5, func() {
+		ExtractDataset(overloadedWorld(t, nil), boundary)
+	}) / queries
+	observed := testing.AllocsPerRun(5, func() {
+		o := obs.NewTailObserver(obs.TailConfig{})
+		ds := overloadedWorld(t, o)
+		fold := NewFold(o.Reg, "svc", "svc", boundary, o.Tail, boundTol)
+		for i := range ds.Records {
+			fold.Consume(&ds.Records[i])
+		}
+	}) / queries
+	const measured = 1.3946 // 148.1 → 206.5 allocations per query at seed 7
+	if ratio := observed / unobserved; ratio > measured*1.0015 {
+		t.Errorf("observing costs %.1f → %.1f allocations per query, ratio %.4f: more than 0.15 %% over the pinned %.4f",
+			unobserved, observed, ratio, measured)
 	}
 }

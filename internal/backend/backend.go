@@ -220,7 +220,6 @@ func (dc *DataCenter) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 			dc.cacheHits++
 			if m := dc.met; m != nil {
 				m.cacheHits.Inc()
-				m.procSeconds.Observe(dc.opts.CacheHitTime.Seconds())
 			}
 			dc.respondAfter(w, body, dc.opts.CacheHitTime)
 			return
@@ -228,9 +227,6 @@ func (dc *DataCenter) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 	}
 
 	proc := dc.cost.Sample(q, dc.currentLoad(), dc.rng)
-	if m := dc.met; m != nil {
-		m.procSeconds.Observe(proc.Seconds())
-	}
 	var body respBody
 	if dc.opts.LengthOnly {
 		body.n = dc.spec.DynamicLen(q, dc.rng)

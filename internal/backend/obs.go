@@ -9,7 +9,6 @@ import (
 type beMetrics struct {
 	requests    *obs.Counter
 	cacheHits   *obs.Counter
-	procSeconds *obs.Histogram
 	concurrency *obs.Gauge
 	queueDepth  *obs.Gauge
 	utilization *obs.Gauge
@@ -29,9 +28,6 @@ func (dc *DataCenter) StartObserving(o *obs.Observer) {
 			"forwarded queries handled per data center", "be", "site").With(host, site),
 		cacheHits: reg.CounterVec("be_cache_hits_total",
 			"result-cache hits (0 unless caching enabled)", "be", "site").With(host, site),
-		procSeconds: reg.HistogramVec("be_proc_seconds",
-			"modeled back-end processing time per query",
-			obs.DurationBuckets(), "be", "site").With(host, site),
 		concurrency: reg.GaugeVec("be_concurrency",
 			"queries concurrently occupying BE workers", "be", "site").With(host, site),
 		queueDepth: reg.GaugeVec("be_queue_depth",

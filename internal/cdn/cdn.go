@@ -48,9 +48,6 @@ type Config struct {
 	FEBEJitter time.Duration
 	// BEOptions passes through to each data center.
 	BEOptions backend.Options
-	// FEWorkers bounds concurrent request processing per FE (0 =
-	// unlimited): mechanistic queueing under overload.
-	FEWorkers int
 	// FEPool bounds each FE's BE connection pool with admission control
 	// and 503 retry/backoff (zero value = legacy unbounded pool). Pairs
 	// with BEOptions.Queue for the load-aware back-end scenarios.
@@ -118,7 +115,6 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 			Static:          static,
 			Load:            cfg.FELoad,
 			DisableSplitTCP: cfg.DisableSplitTCP,
-			Workers:         cfg.FEWorkers,
 			Gzip:            cfg.Gzip,
 			LengthOnly:      cfg.LengthOnly,
 			Seed:            cfg.Seed + int64(2000+i),

@@ -52,9 +52,7 @@ type Config struct {
 	// BaseLookup is the resolution cost on a cache miss: the stub→
 	// recursive→authoritative round trips (default 20 ms).
 	BaseLookup time.Duration
-	// LookupJitter adds uniform [0, LookupJitter) to each miss.
-	LookupJitter time.Duration
-	// Seed drives rotation and jitter.
+	// Seed drives rotation.
 	Seed int64
 }
 
@@ -148,12 +146,8 @@ func (r *Resolver) Resolve(now time.Duration, client simnet.HostID, p geo.Point)
 	default:
 		fe = fes[0]
 	}
-	cost := r.cfg.BaseLookup
-	if r.cfg.LookupJitter > 0 {
-		cost += time.Duration(r.rng.Int63n(int64(r.cfg.LookupJitter)))
-	}
 	r.cache[client] = cacheEntry{fe: fe, expires: now + r.cfg.TTL}
-	return fe, cost
+	return fe, r.cfg.BaseLookup
 }
 
 // Flush clears the client cache (for experiments that force fresh

@@ -57,9 +57,6 @@ type FleetOptions struct {
 	// Sink consumes every folded record; required. The fleet path is
 	// streaming-only — there is no Dataset to accumulate.
 	Sink RecordSink
-	// PruneEvery is the fold cadence of FE fetch-log pruning
-	// (default 64 completions).
-	PruneEvery int
 
 	// arrival/slot striding for sharded campaigns (RunFleet): this
 	// runner owns global arrival indices k with k % stride == offset,
@@ -71,9 +68,6 @@ type FleetOptions struct {
 func (o FleetOptions) withDefaults() FleetOptions {
 	if o.Access == (vantage.AccessProfile{}) {
 		o.Access = vantage.CampusProfile()
-	}
-	if o.PruneEvery <= 0 {
-		o.PruneEvery = 64
 	}
 	if o.stride <= 0 {
 		o.stride = 1
@@ -329,10 +323,14 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	r.release(s)
 	r.live--
 	r.res.Completed++
-	if r.res.Completed%r.opts.PruneEvery == 0 {
+	if r.res.Completed%pruneEvery == 0 {
 		r.prune()
 	}
 }
+
+// pruneEvery is the fold cadence of FE fetch-log pruning, in
+// completions.
+const pruneEvery = 64
 
 // prune trims every FE's fetch log below the oldest outstanding
 // arrival — completed entries were already joined at fold time.

@@ -174,7 +174,7 @@ func TestFleetCampaignBoundedAndComplete(t *testing.T) {
 		t.Fatalf("slots %d < peak live %d", res.Slots, res.PeakLive)
 	}
 	// FE logs must be pruned to the in-flight window, not the campaign.
-	if res.PeakFELog > res.PeakLive+opts.PruneEvery+64 {
+	if res.PeakFELog > res.PeakLive+pruneEvery+64 {
 		t.Fatalf("peak FE log %d not bounded by in-flight window (peak live %d)", res.PeakFELog, res.PeakLive)
 	}
 	// Session quality: completed, parseable, joined to FE ground truth.

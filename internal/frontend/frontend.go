@@ -547,7 +547,6 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 					}
 					fe.fetchTimes = append(fe.fetchTimes, sim.Now()-arrived)
 					if m := fe.met; m != nil {
-						m.fetchSeconds.Observe((sim.Now() - arrived).Seconds())
 						m.fetchQuantiles.Observe((sim.Now() - arrived).Seconds())
 					}
 					if rec := fe.logAt(logIdx); rec != nil {

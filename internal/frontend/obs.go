@@ -11,7 +11,6 @@ import (
 type feMetrics struct {
 	requests       *obs.Counter
 	staticFlushes  *obs.Counter
-	fetchSeconds   *obs.Histogram
 	fetchQuantiles *obs.Sketch
 	concurrency    *obs.Gauge
 	queueDepth     *obs.Gauge
@@ -35,9 +34,6 @@ func (fe *Server) StartObserving(o *obs.Observer) {
 				"client requests handled per front-end", "fe", "site").With(host, site),
 			staticFlushes: reg.CounterVec("fe_static_flushes_total",
 				"cached static prefixes flushed to clients", "fe", "site").With(host, site),
-			fetchSeconds: reg.HistogramVec("fe_fetch_seconds",
-				"ground-truth FE-BE fetch time (GET arrival to full dynamic portion)",
-				obs.DurationBuckets(), "fe", "site").With(host, site),
 			fetchQuantiles: reg.SketchVec("fe_fetch_quantiles",
 				"ground-truth FE-BE fetch time quantile sketch",
 				obs.DefaultSketchAlpha, "fe", "site").With(host, site),

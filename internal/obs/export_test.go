@@ -152,3 +152,31 @@ func TestSpanTreeHelpers(t *testing.T) {
 		t.Fatalf("depths = %v", depths)
 	}
 }
+
+// TestReadMetricsJSONLRejects pins the reader's input checks: every
+// malformed dump is an error naming the line, never a panic and never a
+// silently dropped series. The histogram row is a dump written before
+// the fixed-bucket kind was removed.
+func TestReadMetricsJSONLRejects(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"not json", "{", "line 1"},
+		{"label count", `{"name":"a","kind":"counter","label_names":["x"],"label_values":[],"value":1}`,
+			"1 label names vs 0 values"},
+		{"bucket count", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[1,2],"bucket_n":[3]}`,
+			"2 bucket indices vs 1 counts"},
+		{"unknown kind", `{"name":"a","kind":"untyped","value":1}`, `line 1: unknown kind "untyped"`},
+		{"removed histogram kind", `{"name":"ok_total","kind":"counter","value":1}` + "\n" +
+			`{"name":"fe_fetch_seconds","kind":"histogram","bounds":[0.1],"counts":[1,0],"sum":0.05,"count":1}`,
+			`line 2: unknown kind "histogram"`},
+		{"schema collision", `{"name":"a","kind":"counter","value":1}` + "\n" + `{"name":"a","kind":"gauge","value":1}`,
+			"inconsistent series"},
+	} {
+		reg, err := ReadMetricsJSONL(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+		if reg != nil {
+			t.Errorf("%s: a rejected dump still returned a registry", tc.name)
+		}
+	}
+}

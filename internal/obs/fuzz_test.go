@@ -90,10 +90,8 @@ func FuzzMetricsJSONLRoundTrip(f *testing.F) {
 		r := NewRegistry()
 		r.CounterVec("fz_total", "c", "site", "svc").With(l1, l2).Add(v)
 		r.GaugeVec("fz_depth", "g", "site").With(l1).Set(v)
-		h := r.HistogramVec("fz_seconds", "h", []float64{0.1, 1, 10}, "svc").With(l2)
 		sk := r.SketchVec("fz_quant", "s", 0.02, "site", "svc").With(l1, l2)
 		for i := uint(0); i < n%64; i++ {
-			h.Observe(v + float64(i))
 			sk.Observe(v + float64(i))
 		}
 		var first bytes.Buffer

@@ -15,11 +15,10 @@ import "fmt"
 //     of the two historical maxima — the only commutative reading of
 //     "last value" that is independent of shard order (the study's
 //     gauges are all high-water marks, where max is the meaning);
-//   - histograms add per-bucket counts, counts and sums;
 //   - sketches merge via stats.Sketch.Merge, which is exact for bucket
 //     counts and order-independent up to float rounding of Sum.
 //
-// Schema collisions (same family name, different kind/labels/bounds/
+// Schema collisions (same family name, different kind/labels/
 // accuracy/help) return an error naming the family and both
 // registration sites rather than panicking: during a merge the two
 // sites are in different shards and the caller — not the programmer at
@@ -43,14 +42,13 @@ func (r *Registry) Merge(src *Registry) error {
 				Help:   sf.Help,
 				Kind:   sf.Kind,
 				labels: sf.labels,
-				bounds: sf.bounds,
 				alpha:  sf.alpha,
 				limit:  sf.limit,
 				site:   sf.site,
 				kids:   make(map[string]*series),
 			}
 			r.families[sf.Name] = df
-		} else if m := df.schemaMismatch(sf.Help, sf.Kind, sf.labels, sf.bounds, sf.alpha); m != "" {
+		} else if m := df.schemaMismatch(sf.Help, sf.Kind, sf.labels, sf.alpha); m != "" {
 			return fmt.Errorf("obs: merge of metric %q: different %s (registered at %s vs %s)",
 				sf.Name, m, df.site, sf.site)
 		}
@@ -66,12 +64,6 @@ func (r *Registry) Merge(src *Registry) error {
 				if sv.Gauge.max > ds.gauge.max {
 					ds.gauge.max = sv.Gauge.max
 				}
-			case KindHistogram:
-				for i, c := range sv.Histogram.counts {
-					ds.hist.counts[i] += c
-				}
-				ds.hist.count += sv.Histogram.count
-				ds.hist.sum += sv.Histogram.sum
 			case KindSketch:
 				ds.sketch.sk.Merge(sv.Sketch.sk)
 			}

@@ -19,8 +19,6 @@ func fillRegistry(r *Registry, lo, hi int) {
 		// equals the cross-shard max — the only gauge pattern that is
 		// shard-order independent (see Registry.Merge).
 		r.Gauge("merge_test_high_water", "a gauge").Set(float64(i))
-		r.Histogram("merge_test_ms", "a histogram", []float64{1, 4, 16, 64}).
-			Observe(float64(i % 70))
 		r.Sketch("merge_test_sketch", "a sketch", 0).Observe(float64(i%100 + 1))
 	}
 }

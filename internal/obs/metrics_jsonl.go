@@ -12,8 +12,8 @@ import (
 
 // WriteMetricsJSONL dumps every labeled series of the registry as one
 // JSON object per line: greppable, streamable, and — unlike the
-// Prometheus text format — lossless, carrying raw histogram bucket
-// counts and full sketch state so ReadMetricsJSONL reconstructs an
+// Prometheus text format — lossless, carrying gauge high-water marks
+// and full sketch state so ReadMetricsJSONL reconstructs an
 // equivalent registry (and merged fleet views can be built offline).
 // Families are walked in sorted name order and series in sorted
 // label-value order with a fixed field order, so same-seed runs export
@@ -34,23 +34,6 @@ func WriteMetricsJSONL(w io.Writer, r *Registry) error {
 			case KindGauge:
 				bw.printf(`,"value":%s,"max":%s`,
 					fmtFloat(s.Gauge.Value()), fmtFloat(s.Gauge.Max()))
-			case KindHistogram:
-				h := s.Histogram
-				bw.printf(`,"bounds":[`)
-				for i, b := range h.bounds {
-					if i > 0 {
-						bw.printf(",")
-					}
-					bw.printf("%s", fmtFloat(b))
-				}
-				bw.printf(`],"counts":[`)
-				for i, c := range h.counts {
-					if i > 0 {
-						bw.printf(",")
-					}
-					bw.printf("%d", c)
-				}
-				bw.printf(`],"sum":%s,"count":%d`, fmtFloat(h.Sum()), h.Count())
 			case KindSketch:
 				sk := s.Sketch.Underlying()
 				bw.printf(`,"alpha":%s,"zero":%d,"sum":%s,"min":%s,"max":%s`,
@@ -95,22 +78,19 @@ func jstrs(ss []string) string {
 
 // metricLine mirrors one WriteMetricsJSONL line for decoding.
 type metricLine struct {
-	Name        string    `json:"name"`
-	Kind        string    `json:"kind"`
-	Help        string    `json:"help"`
-	LabelNames  []string  `json:"label_names"`
-	LabelValues []string  `json:"label_values"`
-	Value       float64   `json:"value"`
-	Max         float64   `json:"max"`
-	Bounds      []float64 `json:"bounds"`
-	Counts      []uint64  `json:"counts"`
-	Sum         float64   `json:"sum"`
-	Count       uint64    `json:"count"`
-	Alpha       float64   `json:"alpha"`
-	Zero        uint64    `json:"zero"`
-	Min         float64   `json:"min"`
-	BucketIdx   []int     `json:"bucket_idx"`
-	BucketN     []uint64  `json:"bucket_n"`
+	Name        string   `json:"name"`
+	Kind        string   `json:"kind"`
+	Help        string   `json:"help"`
+	LabelNames  []string `json:"label_names"`
+	LabelValues []string `json:"label_values"`
+	Value       float64  `json:"value"`
+	Max         float64  `json:"max"`
+	Sum         float64  `json:"sum"`
+	Alpha       float64  `json:"alpha"`
+	Zero        uint64   `json:"zero"`
+	Min         float64  `json:"min"`
+	BucketIdx   []int    `json:"bucket_idx"`
+	BucketN     []uint64 `json:"bucket_n"`
 }
 
 // ReadMetricsJSONL parses a WriteMetricsJSONL dump back into a
@@ -150,17 +130,6 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 			g := reg.GaugeVec(m.Name, m.Help, m.LabelNames...).With(m.LabelValues...)
 			g.Set(m.Max) // raise the high-water mark first
 			g.Set(m.Value)
-		case "histogram":
-			if len(m.Counts) != len(m.Bounds)+1 {
-				return nil, fmt.Errorf("obs: metrics jsonl line %d: %d bucket counts for %d bounds",
-					lineNo, len(m.Counts), len(m.Bounds))
-			}
-			h := reg.HistogramVec(m.Name, m.Help, m.Bounds, m.LabelNames...).With(m.LabelValues...)
-			copy(h.counts, m.Counts)
-			for _, c := range m.Counts {
-				h.count += c
-			}
-			h.sum = m.Sum
 		case "summary":
 			if len(m.BucketIdx) != len(m.BucketN) {
 				return nil, fmt.Errorf("obs: metrics jsonl line %d: %d bucket indices vs %d counts",

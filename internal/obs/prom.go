@@ -42,33 +42,11 @@ func writeSeries(w io.Writer, f *Family, s SeriesView) error {
 		_, err := fmt.Fprintf(w, "%s%s %s\n",
 			f.Name, labelString(s.LabelNames, s.LabelValues, ""), fmtFloat(s.Gauge.Value()))
 		return err
-	case KindHistogram:
-		h := s.Histogram
-		cum := uint64(0)
-		for i, b := range h.bounds {
-			cum += h.counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.Name, labelString(s.LabelNames, s.LabelValues, fmtFloat(b)), cum); err != nil {
-				return err
-			}
-		}
-		cum += h.counts[len(h.bounds)]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, "+Inf"), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), fmtFloat(h.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), h.Count())
-		return err
 	case KindSketch:
 		sk := s.Sketch
 		for _, q := range SummaryQuantiles() {
 			if _, err := fmt.Fprintf(w, "%s%s %s\n",
-				f.Name, labelStringQ(s.LabelNames, s.LabelValues, fmtFloat(q)),
+				f.Name, labelString(s.LabelNames, s.LabelValues, fmtFloat(q)),
 				fmtFloat(sk.Quantile(q))); err != nil {
 				return err
 			}
@@ -89,19 +67,10 @@ func writeSeries(w io.Writer, f *Family, s SeriesView) error {
 // JSONL export).
 func SummaryQuantiles() []float64 { return []float64{0.5, 0.9, 0.95, 0.99} }
 
-// labelString renders {k="v",...}, appending an le bucket label when
-// non-empty. Empty label sets render as "".
-func labelString(names, values []string, le string) string {
-	return labelStringExtra(names, values, "le", le)
-}
-
-// labelStringQ renders {k="v",...} with a summary quantile label.
-func labelStringQ(names, values []string, q string) string {
-	return labelStringExtra(names, values, "quantile", q)
-}
-
-func labelStringExtra(names, values []string, extraName, extraVal string) string {
-	if len(names) == 0 && extraVal == "" {
+// labelString renders {k="v",...}, appending a summary quantile label
+// when non-empty. Empty label sets render as "".
+func labelString(names, values []string, quantile string) string {
+	if len(names) == 0 && quantile == "" {
 		return ""
 	}
 	var b strings.Builder
@@ -115,13 +84,12 @@ func labelStringExtra(names, values []string, extraName, extraVal string) string
 		b.WriteString(escapeLabel(values[i]))
 		b.WriteByte('"')
 	}
-	if extraVal != "" {
+	if quantile != "" {
 		if len(names) > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(extraName)
-		b.WriteString(`="`)
-		b.WriteString(extraVal)
+		b.WriteString(`quantile="`)
+		b.WriteString(quantile)
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')

@@ -1,6 +1,7 @@
 // Package obs is the simulator's observability layer: a deterministic,
-// sim-clock-driven metrics registry (counters, gauges, fixed-bucket
-// histograms, quantile sketches), a per-query span tracer with
+// sim-clock-driven metrics registry with one instrument kind per
+// question (a count is a counter, a level or high-water mark a gauge, a
+// distribution a quantile sketch), a per-query span tracer with
 // tail-based exemplar sampling, and exporters for Prometheus text
 // exposition and JSONL metric/span dumps.
 //
@@ -41,7 +42,6 @@ type Kind uint8
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 	// KindSketch is a mergeable quantile sketch (stats.Sketch); it
 	// exports as a Prometheus summary with fixed quantiles.
 	KindSketch
@@ -54,8 +54,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	case KindSketch:
 		return "summary"
 	}
@@ -125,9 +123,8 @@ func (g *Gauge) Value() float64 {
 
 // RaiseMax lifts the recorded maximum to at least v without touching
 // the current value. Subsystems that track a high-water mark exactly
-// but publish the live value on a decimated cadence (the scheduler's
-// heap depth) use this at flush time, so short runs whose decimated
-// samples never fired still export the true watermark.
+// and publish the live value only at flush time (the scheduler's heap
+// depth) use this so the export carries the true watermark.
 func (g *Gauge) RaiseMax(v float64) {
 	if g != nil && v > g.max {
 		g.max = v
@@ -140,48 +137,6 @@ func (g *Gauge) Max() float64 {
 		return 0
 	}
 	return g.max
-}
-
-// Histogram is a fixed-bucket cumulative histogram. Buckets are upper
-// bounds in ascending order; an implicit +Inf bucket catches the rest.
-// All methods are no-ops on a nil receiver.
-type Histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is the +Inf bucket
-	count  uint64
-	sum    float64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.count++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of samples (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of all samples (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Sketch is a quantile-sketch instrument: a nil-safe wrapper around
@@ -239,24 +194,11 @@ func (s *Sketch) Underlying() *stats.Sketch {
 	return s.sk
 }
 
-// DurationBuckets are histogram bounds in seconds suited to the
-// simulation's latency scales: 100 µs to ~30 s, roughly ×3 apart.
-func DurationBuckets() []float64 {
-	return []float64{.0001, .0003, .001, .003, .01, .03, .1, .3, 1, 3, 10, 30}
-}
-
-// SizeBuckets are histogram bounds for byte counts and window sizes:
-// one MSS up to 1 MiB, ×2 apart.
-func SizeBuckets() []float64 {
-	return []float64{1460, 2920, 5840, 11680, 23360, 46720, 93440, 186880, 373760, 747520, 1 << 20}
-}
-
 // series is one labeled child of a family.
 type series struct {
 	labelValues []string
 	counter     *Counter
 	gauge       *Gauge
-	hist        *Histogram
 	sketch      *Sketch
 }
 
@@ -277,10 +219,9 @@ type Family struct {
 	Help   string
 	Kind   Kind
 	labels []string
-	bounds []float64 // histogram families only
-	alpha  float64   // sketch families only
-	limit  int       // series cap; overflow collapses into OverflowLabel
-	site   string    // file:line of the first registration
+	alpha  float64 // sketch families only
+	limit  int     // series cap; overflow collapses into OverflowLabel
+	site   string  // file:line of the first registration
 	kids   map[string]*series
 }
 
@@ -307,11 +248,11 @@ func regSite() string {
 }
 
 // family returns (creating if needed) the named family. Re-registering
-// a name with a different schema — kind, label names, histogram bounds,
-// sketch accuracy or help text — panics with both registration sites:
+// a name with a different schema — kind, label names, sketch accuracy
+// or help text — panics with both registration sites:
 // the two call sites are silently writing into each other's series, and
 // that is a programming error, not a runtime condition.
-func (r *Registry) family(name, help string, kind Kind, labels []string, bounds []float64, alpha float64) *Family {
+func (r *Registry) family(name, help string, kind Kind, labels []string, alpha float64) *Family {
 	f, ok := r.families[name]
 	if !ok {
 		f = &Family{
@@ -319,7 +260,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 			Help:   help,
 			Kind:   kind,
 			labels: labels,
-			bounds: bounds,
 			alpha:  alpha,
 			limit:  DefaultCardinality,
 			site:   regSite(),
@@ -328,7 +268,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 		r.families[name] = f
 		return f
 	}
-	if mismatch := f.schemaMismatch(help, kind, labels, bounds, alpha); mismatch != "" {
+	if mismatch := f.schemaMismatch(help, kind, labels, alpha); mismatch != "" {
 		panic(fmt.Sprintf("obs: metric %q re-registered with different %s\n  first registered at %s\n  re-registered at    %s",
 			name, mismatch, f.site, regSite()))
 	}
@@ -337,7 +277,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 
 // schemaMismatch names the first differing schema field, or "" when the
 // registration is an exact duplicate (the normal get-or-create idiom).
-func (f *Family) schemaMismatch(help string, kind Kind, labels []string, bounds []float64, alpha float64) string {
+func (f *Family) schemaMismatch(help string, kind Kind, labels []string, alpha float64) string {
 	if f.Kind != kind {
 		return fmt.Sprintf("kind (%s vs %s)", f.Kind, kind)
 	}
@@ -347,14 +287,6 @@ func (f *Family) schemaMismatch(help string, kind Kind, labels []string, bounds 
 	for i := range labels {
 		if f.labels[i] != labels[i] {
 			return fmt.Sprintf("label names (%q vs %q)", f.labels[i], labels[i])
-		}
-	}
-	if len(f.bounds) != len(bounds) {
-		return "histogram bounds"
-	}
-	for i := range bounds {
-		if f.bounds[i] != bounds[i] {
-			return "histogram bounds"
 		}
 	}
 	if f.alpha != alpha {
@@ -412,11 +344,6 @@ func (f *Family) child(values []string) *series {
 		s.counter = &Counter{}
 	case KindGauge:
 		s.gauge = &Gauge{}
-	case KindHistogram:
-		s.hist = &Histogram{
-			bounds: f.bounds,
-			counts: make([]uint64, len(f.bounds)+1),
-		}
 	case KindSketch:
 		s.sketch = &Sketch{sk: stats.NewSketch(f.alpha)}
 	}
@@ -442,7 +369,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, KindCounter, nil, nil, 0).child(nil).counter
+	return r.family(name, help, KindCounter, nil, 0).child(nil).counter
 }
 
 // Gauge returns the unlabeled gauge of the named family.
@@ -450,16 +377,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, KindGauge, nil, nil, 0).child(nil).gauge
-}
-
-// Histogram returns the unlabeled histogram of the named family with
-// the given bucket upper bounds (used on first registration only).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, KindHistogram, nil, bounds, 0).child(nil).hist
+	return r.family(name, help, KindGauge, nil, 0).child(nil).gauge
 }
 
 // Sketch returns the unlabeled quantile sketch of the named family with
@@ -468,7 +386,7 @@ func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
 	if r == nil {
 		return nil
 	}
-	return r.family(name, help, KindSketch, nil, nil, normAlpha(alpha)).child(nil).sketch
+	return r.family(name, help, KindSketch, nil, normAlpha(alpha)).child(nil).sketch
 }
 
 // DefaultSketchAlpha re-exports the stats-layer default relative
@@ -492,7 +410,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.family(name, help, KindCounter, labels, nil, 0)}
+	return &CounterVec{f: r.family(name, help, KindCounter, labels, 0)}
 }
 
 // With returns the child counter for the label values (nil on nil vec).
@@ -503,15 +421,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values).counter
 }
 
-// Bounded caps the vec's series count (see Family cardinality) and
-// returns the vec for chaining.
-func (v *CounterVec) Bounded(n int) *CounterVec {
-	if v != nil {
-		v.f.limit = n
-	}
-	return v
-}
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *Family }
 
@@ -520,7 +429,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.family(name, help, KindGauge, labels, nil, 0)}
+	return &GaugeVec{f: r.family(name, help, KindGauge, labels, 0)}
 }
 
 // With returns the child gauge for the label values (nil on nil vec).
@@ -529,26 +438,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 		return nil
 	}
 	return v.f.child(values).gauge
-}
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *Family }
-
-// HistogramVec returns the labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.family(name, help, KindHistogram, labels, bounds, 0)}
-}
-
-// With returns the child histogram for the label values (nil on nil
-// vec).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(values).hist
 }
 
 // SketchVec is a quantile-sketch family with labels.
@@ -560,7 +449,7 @@ func (r *Registry) SketchVec(name, help string, alpha float64, labels ...string)
 	if r == nil {
 		return nil
 	}
-	return &SketchVec{f: r.family(name, help, KindSketch, labels, nil, normAlpha(alpha))}
+	return &SketchVec{f: r.family(name, help, KindSketch, labels, normAlpha(alpha))}
 }
 
 // With returns the child sketch for the label values (nil on nil vec).
@@ -571,7 +460,8 @@ func (v *SketchVec) With(values ...string) *Sketch {
 	return v.f.child(values).sketch
 }
 
-// Bounded caps the vec's series count and returns the vec for chaining.
+// Bounded caps the vec's series count (see Family cardinality) and
+// returns the vec for chaining.
 func (v *SketchVec) Bounded(n int) *SketchVec {
 	if v != nil {
 		v.f.limit = n
@@ -612,7 +502,6 @@ func (f *Family) Series() []SeriesView {
 			LabelValues: s.labelValues,
 			Counter:     s.counter,
 			Gauge:       s.gauge,
-			Histogram:   s.hist,
 			Sketch:      s.sketch,
 		})
 	}
@@ -627,13 +516,11 @@ func (f *Family) Alpha() float64 { return f.alpha }
 func (f *Family) LabelNames() []string { return f.labels }
 
 // SeriesView is one labeled series of a family, for export. Exactly one
-// of Counter/Gauge/Histogram/Sketch is non-nil, matching the family
-// kind.
+// of Counter/Gauge/Sketch is non-nil, matching the family kind.
 type SeriesView struct {
 	LabelNames  []string
 	LabelValues []string
 	Counter     *Counter
 	Gauge       *Gauge
-	Histogram   *Histogram
 	Sketch      *Sketch
 }

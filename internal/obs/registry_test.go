@@ -9,21 +9,21 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", DurationBuckets())
+	sk := r.Sketch("s", "", 0)
 	cv := r.CounterVec("cv", "", "l")
 	gv := r.GaugeVec("gv", "", "l")
-	hv := r.HistogramVec("hv", "", SizeBuckets(), "l")
+	sv := r.SketchVec("sv", "", 0, "l")
 
 	c.Inc()
 	c.Add(3)
 	g.Set(5)
 	g.Add(-1)
-	h.Observe(0.01)
+	sk.Observe(0.01)
 	cv.With("x").Inc()
 	gv.With("x").Set(2)
-	hv.With("x").Observe(1)
+	sv.With("x").Observe(1)
 
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || sk.Count() != 0 || sk.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if fams := r.Families(); fams != nil {
@@ -40,7 +40,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("packets_total", "packets")
 	c.Inc()
@@ -59,17 +59,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	g.Add(-6)
 	if g.Value() != 1 || g.Max() != 7 {
 		t.Fatalf("gauge = (%v max %v), want (1 max 7)", g.Value(), g.Max())
-	}
-
-	h := r.Histogram("lat", "latency", []float64{1, 10})
-	for _, v := range []float64{0.5, 5, 50, 7} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 || h.Sum() != 62.5 {
-		t.Fatalf("hist count=%d sum=%v, want 4, 62.5", h.Count(), h.Sum())
-	}
-	if h.counts[0] != 1 || h.counts[1] != 2 || h.counts[2] != 1 {
-		t.Fatalf("bucket counts = %v", h.counts)
 	}
 }
 
@@ -129,9 +118,9 @@ func TestRegistrationPanicNamesBothSites(t *testing.T) {
 
 func TestIdenticalReRegistrationIsFine(t *testing.T) {
 	r := NewRegistry()
-	h1 := r.Histogram("h_seconds", "help", DurationBuckets())
-	h2 := r.Histogram("h_seconds", "help", DurationBuckets())
-	if h1 != h2 {
+	g1 := r.Gauge("g_depth", "help")
+	g2 := r.Gauge("g_depth", "help")
+	if g1 != g2 {
 		t.Fatal("identical re-registration must return the same instrument")
 	}
 	s1 := r.SketchVec("s_seconds", "help", 0.02, "fe")
@@ -180,34 +169,34 @@ func TestSketchInstrument(t *testing.T) {
 
 func TestCardinalityBound(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("per_node_total", "per-vantage requests", "vantage").Bounded(4)
+	v := r.SketchVec("per_node_seconds", "per-vantage delay", 0, "vantage").Bounded(4)
 	for i := 0; i < 10; i++ {
-		v.With(string(rune('a' + i))).Inc()
+		v.With(string(rune('a' + i))).Observe(1)
 	}
 	f := r.Families()[0]
 	series := f.Series()
 	if len(series) != 5 { // 4 real + 1 overflow
 		t.Fatalf("got %d series, want 4 + overflow", len(series))
 	}
-	var overflow *Counter
+	var overflow *Sketch
 	for _, s := range series {
 		if s.LabelValues[0] == OverflowLabel {
-			overflow = s.Counter
+			overflow = s.Sketch
 		}
 	}
 	if overflow == nil {
 		t.Fatal("no overflow series created")
 	}
-	if overflow.Value() != 6 {
-		t.Fatalf("overflow absorbed %v increments, want 6", overflow.Value())
+	if overflow.Count() != 6 {
+		t.Fatalf("overflow absorbed %v samples, want 6", overflow.Count())
 	}
 	// Existing children keep resolving to themselves past the cap.
-	if v.With("a").Value() != 1 {
+	if v.With("a").Count() != 1 {
 		t.Fatal("pre-cap child lost its identity")
 	}
 	// New children keep collapsing deterministically.
-	if v.With("zz"); overflow.Value() != 6 {
-		t.Fatal("With alone must not increment")
+	if v.With("zz"); overflow.Count() != 6 {
+		t.Fatal("With alone must not observe")
 	}
 }
 
@@ -215,10 +204,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim_events_total", "events executed").Add(42)
 	r.GaugeVec("fe_concurrency", "busy workers", "fe").With(`ed"ge\1`).Set(3)
-	h := r.Histogram("fetch_seconds", "fetch latency", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, r); err != nil {
@@ -228,11 +213,6 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE sim_events_total counter\nsim_events_total 42\n",
 		"# TYPE fe_concurrency gauge\n" + `fe_concurrency{fe="ed\"ge\\1"} 3` + "\n",
-		`fetch_seconds_bucket{le="0.1"} 1`,
-		`fetch_seconds_bucket{le="1"} 2`,
-		`fetch_seconds_bucket{le="+Inf"} 3`,
-		"fetch_seconds_sum 5.55",
-		"fetch_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

@@ -15,9 +15,6 @@ type TailConfig struct {
 	// Bound-violating exemplars are never evicted by the cap: they are
 	// the measurement anomalies the whole framework exists to surface.
 	MaxExemplars int
-	// Alpha is the relative accuracy of the internal threshold sketch
-	// (≤ 0 → stats.DefaultSketchAlpha).
-	Alpha float64
 }
 
 func (c TailConfig) withDefaults() TailConfig {
@@ -82,7 +79,7 @@ type TailSampler struct {
 // NewTailSampler returns an empty sampler.
 func NewTailSampler(cfg TailConfig) *TailSampler {
 	cfg = cfg.withDefaults()
-	return &TailSampler{cfg: cfg, sketch: stats.NewSketch(cfg.Alpha)}
+	return &TailSampler{cfg: cfg, sketch: stats.NewSketch(stats.DefaultSketchAlpha)}
 }
 
 // Config returns the sampler's resolved configuration.

@@ -1,30 +1,25 @@
 package simnet
 
-import (
-	"sort"
-
-	"fesplit/internal/obs"
-)
+import "fesplit/internal/obs"
 
 // Metrics bundles the scheduler's and network's registry instruments.
 // A nil *Metrics disables instrumentation: the hot paths pay a single
 // pointer compare (the scheduler and packet-send benchmarks gate this).
 type Metrics struct {
 	// Scheduler.
-	Scheduled    *obs.Counter
-	Executed     *obs.Counter
-	HeapDepth    *obs.Gauge
-	HeapDepthMax *obs.Gauge
+	Scheduled *obs.Counter
+	Executed  *obs.Counter
+	HeapDepth *obs.Gauge
 
-	// Network aggregates (per-path counters live on the paths
-	// themselves and are snapshotted by Network.ExportMetrics).
+	// Network aggregates (per-path totals stay on the paths themselves;
+	// Network.Stats reads them).
 	PacketsSent    *obs.Counter
 	PacketsDropped *obs.Counter
 	BytesSent      *obs.Counter
 
 	// sim, set by SetMetrics, lets Flush read the queue depth and its
-	// exact maximum; the per-event gauge updates are sampled (see
-	// Sim.enqueue), so Flush is where the final values land.
+	// exact maximum: the hot path tracks both as integers, so Flush is
+	// where the gauge gets its values.
 	sim *Sim
 }
 
@@ -35,36 +30,26 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Scheduled:    reg.Counter("sim_events_scheduled_total", "events pushed onto the scheduler heap"),
-		Executed:     reg.Counter("sim_events_executed_total", "events popped and run by the scheduler"),
-		HeapDepth:    reg.Gauge("sim_heap_depth", "pending events on the scheduler heap"),
-		HeapDepthMax: reg.Gauge("sim_heap_depth_max", "deepest scheduler heap observed"),
-		PacketsSent:  reg.Counter("net_packets_sent_total", "packets submitted to the network"),
+		Scheduled:   reg.Counter("sim_events_scheduled_total", "events pushed onto the scheduler heap"),
+		Executed:    reg.Counter("sim_events_executed_total", "events popped and run by the scheduler"),
+		HeapDepth:   reg.Gauge("sim_heap_depth", "pending events on the scheduler heap"),
+		PacketsSent: reg.Counter("net_packets_sent_total", "packets submitted to the network"),
 		PacketsDropped: reg.Counter("net_packets_dropped_total",
 			"packets dropped by loss processes before delivery"),
 		BytesSent: reg.Counter("net_bytes_sent_total", "payload+header bytes submitted to the network"),
 	}
 }
 
-// Flush copies derived values (the current queue depth and its exact
-// maximum) into their exported gauges. Call once before exporting the
-// registry: the per-event HeapDepth updates are decimated samples, so
-// only after Flush do the gauges carry authoritative values.
+// Flush copies the current queue depth and its exactly-tracked maximum
+// into the sim_heap_depth gauge (value and high-water mark). Call once
+// before exporting the registry; a bundle not wired to a Sim has
+// nothing to flush.
 func (m *Metrics) Flush() {
-	if m == nil {
+	if m == nil || m.sim == nil {
 		return
 	}
-	if s := m.sim; s != nil {
-		m.HeapDepth.Set(float64(s.events.len()))
-		// The decimated per-event samples may never have fired on a
-		// short run (depthSampleInterval events is a lot of scenario),
-		// leaving the gauge's historical max at zero — raise it to the
-		// exactly-tracked watermark so every export reports the truth.
-		m.HeapDepth.RaiseMax(float64(s.maxDepth))
-		m.HeapDepthMax.Set(float64(s.maxDepth))
-		return
-	}
-	m.HeapDepthMax.Set(m.HeapDepth.Max())
+	m.HeapDepth.Set(float64(m.sim.events.len()))
+	m.HeapDepth.RaiseMax(float64(m.sim.maxDepth))
 }
 
 // SetMetrics wires (or, with nil, unwires) scheduler and network
@@ -76,25 +61,16 @@ func (s *Sim) SetMetrics(m *Metrics) {
 	}
 }
 
-// ExportMetrics snapshots the per-path counters into labeled registry
-// families (net_path_*{from,to}). Paths are walked in sorted key order
-// so the exposition is deterministic. The per-packet hot path stays
-// untouched: paths already count sends locally.
-//
-// The families are gauges: each export Sets the path's cumulative
-// totals as a snapshot, so re-exporting after more traffic simply
-// overwrites (the old counter-based export had to fake this with
-// Add(v − Value()) deltas). After a shard merge the per-path series
-// carry the busiest shard's snapshot — gauges merge by max; see
-// obs.Registry.Merge.
+// ExportMetrics snapshots the fast-forward engine's activity into the
+// fastpath_* gauge families: how much traffic bypassed the event heap,
+// and how often connections entered or abandoned analytic epochs. Each
+// export Sets cumulative totals, so re-exporting after more traffic
+// simply overwrites; after a shard merge the series carry the busiest
+// shard's snapshot — gauges merge by max, see obs.Registry.Merge.
 func (n *Network) ExportMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-
-	// Fast-forward engine activity: how much traffic bypassed the event
-	// heap, and how often connections entered/abandoned analytic epochs.
-	// Gauges (snapshots), same merge semantics as the per-path counters.
 	n.flushRuntime() // settle the telemetry hub alongside the export
 	fs := n.FastPathStats()
 	reg.Gauge("fastpath_epochs", "fast-forwarded epochs entered by connections (snapshot)").
@@ -121,29 +97,4 @@ func (n *Network) ExportMetrics(reg *obs.Registry) {
 	reg.Gauge("fastpath_epoch_segments",
 		"mean heap-bypassing segments per analytic epoch (snapshot)").
 		Set(epochSegs)
-
-	sent := reg.GaugeVec("net_path_packets", "packets sent per directed path (snapshot)", "from", "to")
-	dropped := reg.GaugeVec("net_path_dropped", "packets dropped per directed path (snapshot)", "from", "to")
-	bytes := reg.GaugeVec("net_path_bytes", "bytes sent per directed path (snapshot)", "from", "to")
-
-	keys := make([]pathKey, 0, len(n.paths))
-	for k := range n.paths {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		p := n.paths[k]
-		if p.sent == 0 && p.dropped == 0 {
-			continue // unused default paths would bloat the exposition
-		}
-		from, to := string(k.from), string(k.to)
-		sent.With(from, to).Set(float64(p.sent))
-		dropped.With(from, to).Set(float64(p.dropped))
-		bytes.With(from, to).Set(float64(p.bytes))
-	}
 }

@@ -155,7 +155,8 @@ type Sim struct {
 	Processed uint64
 
 	// maxDepth is the deepest the event queue has been — an int compare
-	// per push instead of a float64 gauge update (see enqueue).
+	// per push instead of a float64 gauge update (Metrics.Flush and the
+	// runtime hub publish it).
 	maxDepth int
 
 	// metrics, when wired via SetMetrics, mirrors scheduler activity
@@ -229,13 +230,6 @@ func (s *Sim) schedulePacket(at Time, n *Network, pkt Packet) {
 	s.enqueue(event{at: at, net: n, pkt: pkt})
 }
 
-// depthSampleInterval is how often (in scheduled events, power of two)
-// the heap-depth gauge is refreshed when metrics are wired. The true
-// maximum is tracked exactly in maxDepth; only the "current depth"
-// sample is decimated, so the hot path avoids an int→float64 convert
-// and gauge store per event.
-const depthSampleInterval = 1024
-
 // enqueue stamps the next sequence number and pushes e.
 func (s *Sim) enqueue(e event) {
 	e.seq = s.TakeSeq()
@@ -262,9 +256,6 @@ func (s *Sim) push(e event) {
 	}
 	if m := s.metrics; m != nil {
 		m.Scheduled.Inc()
-		if s.seq&(depthSampleInterval-1) == 0 {
-			m.HeapDepth.Set(float64(s.events.len()))
-		}
 	}
 }
 

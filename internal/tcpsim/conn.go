@@ -963,7 +963,6 @@ func (c *Conn) sampleRTT() {
 		rto = c.ep.cfg.MaxRTO
 	}
 	c.rto = rto
-	c.ep.Metrics.sampleSenderState(c.cwnd, c.srtt)
 }
 
 // onTimeout handles an RTO expiry: multiplicative backoff, collapse the

@@ -1,10 +1,6 @@
 package tcpsim
 
-import (
-	"time"
-
-	"fesplit/internal/obs"
-)
+import "fesplit/internal/obs"
 
 // StackMetrics bundles a TCP stack's registry instruments. One bundle
 // is typically shared by every endpoint of a simulation so the families
@@ -19,10 +15,6 @@ type StackMetrics struct {
 	FastRetrans *obs.Counter
 	RTOs        *obs.Counter
 	DupAcks     *obs.Counter
-	// CwndBytes and SRTTSeconds are sampled whenever an RTT measurement
-	// completes — the natural per-RTT cadence of the sender state.
-	CwndBytes   *obs.Histogram
-	SRTTSeconds *obs.Histogram
 }
 
 // NewStackMetrics registers the tcp_* families on reg and returns the
@@ -39,18 +31,5 @@ func NewStackMetrics(reg *obs.Registry) *StackMetrics {
 		FastRetrans: reg.Counter("tcp_fast_retransmits_total", "fast retransmits (triple duplicate ACK)"),
 		RTOs:        reg.Counter("tcp_rtos_total", "retransmission-timeout expiries"),
 		DupAcks:     reg.Counter("tcp_dup_acks_total", "duplicate ACKs received by senders"),
-		CwndBytes: reg.Histogram("tcp_cwnd_bytes",
-			"congestion window at RTT-sample completion", obs.SizeBuckets()),
-		SRTTSeconds: reg.Histogram("tcp_srtt_seconds",
-			"smoothed RTT at RTT-sample completion", obs.DurationBuckets()),
 	}
-}
-
-// sampleSenderState records the per-RTT sender snapshot.
-func (m *StackMetrics) sampleSenderState(cwnd float64, srtt time.Duration) {
-	if m == nil {
-		return
-	}
-	m.CwndBytes.Observe(cwnd)
-	m.SRTTSeconds.Observe(srtt.Seconds())
 }

@@ -126,6 +126,65 @@ func TestDiffMetricsCatchesBESlowdown(t *testing.T) {
 	}
 }
 
+// TestDiffMetricsCatchesGrowthFromZero: the critical-path families
+// observe zeros by design, so a phase appearing where the old run had
+// none (BE queueing under new load) moves every quantile off exactly 0.
+// No relative delta exists there; the absolute floor alone decides.
+func TestDiffMetricsCatchesGrowthFromZero(t *testing.T) {
+	feed := func(queue time.Duration) *MetricsRegistry {
+		reg := obs.NewRegistry()
+		co := analysis.NewCritObserver(reg, "bing-like")
+		for i := 0; i < 100; i++ {
+			var a critpath.Attribution
+			a.Phases[critpath.PhaseHandshake] = 40 * time.Millisecond
+			a.Phases[critpath.PhaseBEQueue] = queue
+			a.Total = a.Sum()
+			co.Observe(a, 0)
+		}
+		return reg
+	}
+	rep := DiffMetrics(feed(0), feed(300*time.Millisecond), DiffOptions{Families: []string{"critpath_phase_seconds"}})
+	if !rep.Failed() || rep.Regressions != 3 {
+		t.Fatalf("be-queue 0 → 300 ms at every quantile: %d regressions, want 3 (rows %+v)", rep.Regressions, rep.Rows)
+	}
+	for _, row := range rep.Rows {
+		if !strings.Contains(row.Labels, "phase=be-queue") || row.Old != 0 || !math.IsInf(row.DeltaPct, +1) {
+			t.Fatalf("breach row = %+v, want be-queue off an old value of 0 with DeltaPct +Inf", row)
+		}
+	}
+	var b strings.Builder
+	if err := rep.WriteTable(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, " new\n") || strings.Contains(out, "Inf") {
+		t.Fatalf("verdict table must print `new` in the delta column, not Inf:\n%s", out)
+	}
+	// Both sides at 0 is no move: the untouched zero phases stay silent
+	// and a same-seed pair still diffs clean.
+	if rep := DiffMetrics(feed(0), feed(0), DiffOptions{}); rep.Failed() || len(rep.Rows) != 0 {
+		t.Fatalf("identical zero phases produced breaches: %+v", rep.Rows)
+	}
+}
+
+// TestDiffNothingComparedFails: a regression gate that compared
+// nothing has not passed — an empty new dump, two runs sharing no
+// sketch series and a family filter matching nothing all fail it.
+func TestDiffNothingComparedFails(t *testing.T) {
+	reg := feedCritRegistry(t, "bing-like", 1)
+	for name, rep := range map[string]*DiffReport{
+		"empty new dump":    DiffMetrics(reg, obs.NewRegistry(), DiffOptions{}),
+		"disjoint services": DiffMetrics(reg, feedCritRegistry(t, "google-like", 1), DiffOptions{}),
+		"family filter":     DiffMetrics(reg, reg, DiffOptions{Families: []string{"no_such_family"}}),
+	} {
+		if rep.SeriesCompared != 0 || rep.Regressions != 0 {
+			t.Fatalf("%s: compared %d series, %d regressions; the case must compare nothing", name, rep.SeriesCompared, rep.Regressions)
+		}
+		if !rep.Failed() {
+			t.Errorf("%s: 0 series compared and the gate passed", name)
+		}
+	}
+}
+
 // TestDiffMetricsJSONLRoundTrip pins the CLI path: a registry written
 // to metrics JSONL and re-read diffs clean against itself.
 func TestDiffMetricsJSONLRoundTrip(t *testing.T) {

@@ -323,7 +323,7 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 // the simulated traffic bypassed the event heap via analytic
 // fast-forwarding, and how often connections entered or abandoned
 // those epochs. Skipped when the registry carries no fastpath gauges
-// (pre-fast-path metric dumps).
+// (an unobserved run).
 func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 	u, ok := FastPathUsageFrom(reg)
 	if !ok {
@@ -335,13 +335,11 @@ func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 	bw.printf("<tr><td class=\"l\">fastpath_epochs</td><td>%s</td></tr>\n", trimFloat(u.Epochs))
 	bw.printf("<tr><td class=\"l\">fastpath_bytes</td><td>%s</td></tr>\n", trimFloat(u.Bytes))
 	bw.printf("<tr><td class=\"l\">fastpath_fallbacks</td><td>%s</td></tr>\n", trimFloat(u.Fallbacks))
-	if u.HasReasons {
-		bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss</td><td>%s</td></tr>\n", trimFloat(u.FallbackLoss))
-		bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: topology</td><td>%s</td></tr>\n", trimFloat(u.FallbackTopology))
-		bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: teardown</td><td>%s</td></tr>\n", trimFloat(u.FallbackTeardown))
-		bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: disabled</td><td>%s</td></tr>\n", trimFloat(u.FallbackDisabled))
-		bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss-recovery</td><td>%s</td></tr>\n", trimFloat(u.FallbackLossRecovery))
-	}
+	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss</td><td>%s</td></tr>\n", trimFloat(u.FallbackLoss))
+	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: topology</td><td>%s</td></tr>\n", trimFloat(u.FallbackTopology))
+	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: teardown</td><td>%s</td></tr>\n", trimFloat(u.FallbackTeardown))
+	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: disabled</td><td>%s</td></tr>\n", trimFloat(u.FallbackDisabled))
+	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss-recovery</td><td>%s</td></tr>\n", trimFloat(u.FallbackLossRecovery))
 	bw.printf("<tr><td class=\"l\">fastpath_reentries</td><td>%s</td></tr>\n", trimFloat(u.Reentries))
 	bw.printf("<tr><td class=\"l\">fastpath_loss_drops</td><td>%s</td></tr>\n", trimFloat(u.LossDrops))
 	bw.printf("<tr><td class=\"l\">fastpath_epoch_segments</td><td>%s</td></tr>\n", trimFloat(u.EpochSegments))
@@ -349,8 +347,8 @@ func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 }
 
 // htmlRuntime renders the deterministic engine gauges — scheduler
-// depth watermarks and the per-path snapshot families' siblings — as
-// the report's runtime section. Only sim-time gauges appear here:
+// depth, FE/BE concurrency and queue levels, the fast-path snapshots —
+// as the report's runtime section. Only sim-time gauges appear here:
 // wall-clock telemetry (heap, GC, events/sec) lives in runtime.jsonl
 // and the -listen endpoints, never in deterministic exports.
 func htmlRuntime(bw *htmlWriter, reg *MetricsRegistry) {
@@ -359,10 +357,7 @@ func htmlRuntime(bw *htmlWriter, reg *MetricsRegistry) {
 	}
 	var gauges []*obs.Family
 	for _, f := range reg.Families() {
-		// The per-path traffic snapshots are a family per directed
-		// link — thousands of rows at fleet scale; the Prometheus and
-		// JSONL exports carry them in full.
-		if f.Kind == obs.KindGauge && !strings.HasPrefix(f.Name, "net_path_") {
+		if f.Kind == obs.KindGauge {
 			gauges = append(gauges, f)
 		}
 	}

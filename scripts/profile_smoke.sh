@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Profile/diff smoke test, end to end through the CLI: run two seeded
-# profiled studies and assert the regression gate's two contracts —
+# profiled studies and assert the regression gate's three contracts —
 # `fesplit diff` exits 0 on a same-seed pair (identical runs carry no
-# regressions), and exits nonzero naming the BE-processing phase on a
-# pair with an injected BE-latency regression (-be-slowdown).
+# regressions), exits nonzero naming the BE-processing phase on a pair
+# with an injected BE-latency regression (-be-slowdown), and exits
+# nonzero when it compared nothing (an empty dump, a -family filter
+# matching no series): a gate that compared nothing has not passed.
 #
 # Usage: scripts/profile_smoke.sh [path-to-fesplit-binary]
 set -euo pipefail
@@ -45,4 +47,16 @@ grep -q 'REGRESSED' "$out/diff-slow.txt" \
 grep -q 'critpath_phase_seconds.*phase=be-proc' "$out/diff-slow.txt" \
     || { echo "regression table does not name be-proc:"; cat "$out/diff-slow.txt"; exit 1; }
 
-echo "profile smoke: ok (blame table + same-seed clean diff + injected regression caught naming be-proc)"
+# Nothing compared → nonzero: an empty new dump, and a family filter
+# that matches no sketch family of an otherwise clean pair.
+mkdir "$out/empty" && : >"$out/empty/metrics.jsonl"
+if "$bin" diff "$out/base" "$out/empty" >"$out/diff-empty.txt" 2>"$out/diff-empty.err"; then
+    echo "diff exited 0 against an empty metrics.jsonl:"; cat "$out/diff-empty.txt"; exit 1
+fi
+grep -q 'nothing compared' "$out/diff-empty.err" \
+    || { echo "empty-dump failure does not say nothing was compared:"; cat "$out/diff-empty.err"; exit 1; }
+if "$bin" diff -family no_such_family "$out/base" "$out/same" >"$out/diff-nofam.txt" 2>/dev/null; then
+    echo "diff exited 0 with a -family filter matching nothing:"; cat "$out/diff-nofam.txt"; exit 1
+fi
+
+echo "profile smoke: ok (blame table + same-seed clean diff + injected regression caught naming be-proc + nothing compared fails)"

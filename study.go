@@ -221,7 +221,6 @@ type expAResult struct {
 // sketches and tail sampler); the sink keeps the parameters.
 type aSink struct {
 	fold   *analysis.Fold
-	po     *analysis.ParamObserver
 	params []Params
 }
 
@@ -229,7 +228,6 @@ type aSink struct {
 func (k *aSink) Consume(rec *emulator.Record) {
 	if p, ok := k.fold.Consume(rec); ok {
 		k.params = append(k.params, p)
-		k.po.Observe(p)
 	}
 }
 
@@ -265,10 +263,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		Workers: s.cfg.Workers,
 		Runtime: s.rt,
 		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
-			return &aSink{
-				fold: analysis.NewFold(o.Registry(), cfg.Name, cfg.Name, boundary, o.TailSampler(), DefaultBoundTolerance),
-				po:   analysis.NewParamObserver(o.Registry(), cfg.Name),
-			}
+			return &aSink{fold: analysis.NewFold(o.Registry(), cfg.Name, cfg.Name, boundary, o.TailSampler(), DefaultBoundTolerance)}
 		},
 	}
 	if s.obsv != nil {
@@ -298,6 +293,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 			samplers = append(samplers, o.Tail)
 		}
 		s.obsv.Tail = obs.MergeTailSamplers(samplers...)
+		analysis.ObserveParams(s.obsv.Reg, cfg.Name, params)
 	}
 	res := &expAResult{params: params, nodes: analysis.PerNode(params)}
 	s.expA[cfg.Name] = res
