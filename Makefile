@@ -66,11 +66,15 @@ lossy-check:
 	$(GO) test -race -count=5 -run 'TestLossEpoch|FuzzLossEpochBoundary' ./internal/tcpsim
 
 # Short fuzz pass over the observability codecs (label escaping, the
-# metrics JSONL round trip over all three instrument kinds) and the
-# lossy fast-lane differential property. Go runs one fuzz target per
-# invocation, so one run each. ~10s each — a smoke pass, not a
-# campaign; the CI check job runs this target, so the list lives here.
+# metrics JSONL round trip over all three instrument kinds), the trace
+# file codec (arbitrary bytes into Decode; built traces through Encode
+# and back) and the lossy fast-lane differential property. Go runs one
+# fuzz target per invocation, so one run each. ~10s each — a smoke
+# pass, not a campaign; the CI check job runs this target, so the list
+# lives here.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/capture
+	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLossEpochBoundary -fuzztime 10s ./internal/tcpsim
@@ -134,11 +138,11 @@ equivalence: build
 	@echo "serial and parallel study outputs are byte-identical"
 
 # Aim-2 progress metric (ROADMAP): non-test Go lines outside benchmark/,
-# in total and for the five packages the simplification PRs work on.
+# in total and for the packages the simplification PRs work on.
 # CHANGES.md quotes these numbers; this target reproduces them.
 loc:
 	@printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
-	@for d in . internal/emulator internal/analysis internal/obs cmd/fesplit; do \
+	@for d in . internal/emulator internal/analysis internal/obs internal/capture internal/trace cmd/fesplit; do \
 		printf '%-18s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done
 
@@ -158,8 +162,16 @@ race:
 cover:
 	$(GO) test -cover ./...
 
+# The benchmark series (ROADMAP item 1): one full run of benchmark/ at
+# seed 42 (~3 min), judged by the harness's own compare against the
+# newest committed seed-42 point in testdata/bench/ (A = committed, B =
+# this tree). Fails when a bounded metric is worse or an exact count
+# moved; host-time metrics are like for like only on the box that wrote
+# the point. To extend the series, run both seeds with
+# -out testdata/bench/pr<N>-seed42.json and -seed7.json (7 is held out).
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash benchmark/run.sh -seed 42 -out benchmark/out/result.json
+	bash benchmark/run.sh compare "$$(ls testdata/bench/pr*-seed42.json | sort -V | tail -1)" benchmark/out/result.json
 
 # Light-scale figure regeneration (seconds).
 report: build

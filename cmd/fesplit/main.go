@@ -256,7 +256,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "%10s %5s %8s %s\n", "t(ms)", "dir", "bytes", "flags")
 	for _, ev := range tr.Events {
 		fmt.Fprintf(stdout, "%10.2f %5s %8d %s\n",
-			float64(ev.Time-start)/1e6, ev.Dir, len(ev.Seg.Data), ev.Seg.Flags)
+			float64(ev.Time-start)/1e6, ev.Dir, ev.Len, ev.Flags)
 	}
 	fmt.Fprintln(stdout, traceSummary(tr))
 	if *out != "" {
@@ -272,12 +272,8 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 func traceSummary(tr *capture.Trace) string {
 	var sent, recv, retrans, payload int
 	for _, ev := range tr.Events {
-		plen := ev.PayloadLen
-		if l := len(ev.Seg.Data); l > plen {
-			plen = l
-		}
-		payload += plen
-		if ev.Seg.Retrans {
+		payload += int(ev.Len)
+		if ev.Retransmitted() {
 			retrans++
 		}
 		if ev.Dir == tcpsim.DirSend {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"fesplit/internal/tcpsim"
@@ -14,9 +15,9 @@ import (
 // Binary trace format:
 //
 //	magic   [4]byte  "FESP"
-//	version uint16   (1)
+//	version uvarint  (3)
 //	node    string   (uvarint length + bytes)
-//	nremote uvarint  remote-host string table
+//	nremote uvarint  remote-host string table (Trace.Hosts)
 //	  remote[i] string
 //	nevents uvarint
 //	  event:
@@ -25,7 +26,7 @@ import (
 //	    remote  uvarint  (string-table index)
 //	    srcport uvarint
 //	    dstport uvarint
-//	    flags   byte     (bit 7 = retransmission)
+//	    flags   byte     (bit 7 = retransmission, FlagRetrans)
 //	    seq     uvarint
 //	    ack     uvarint
 //	    wnd     uvarint
@@ -43,263 +44,161 @@ var traceMagic = [4]byte{'F', 'E', 'S', 'P'}
 
 const traceVersion = 3
 
-const retransBit = 0x80
-
 // ErrBadTrace reports a malformed or truncated trace stream.
 var ErrBadTrace = errors.New("capture: malformed trace")
 
 // Encode writes the trace to w in the binary format.
 func (t *Trace) Encode(w io.Writer) error {
+	// A bufio.Writer keeps its first write error, refuses further data
+	// and returns the error from Flush — the one place it is checked.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
 	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
+	putUvarint := func(v uint64) { bw.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
+	putString := func(s string) {
+		putUvarint(uint64(len(s)))
+		bw.WriteString(s)
 	}
-	putString := func(s string) error {
-		if err := putUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
+	bw.Write(traceMagic[:])
+	putUvarint(traceVersion)
+	putString(t.Node)
+	putUvarint(uint64(len(t.Hosts)))
+	for _, h := range t.Hosts {
+		putString(h)
 	}
-	if err := putUvarint(traceVersion); err != nil {
-		return err
-	}
-	if err := putString(t.Node); err != nil {
-		return err
-	}
-
-	// Build the remote-host string table.
-	idx := map[string]uint64{}
-	var table []string
-	for _, e := range t.Events {
-		if _, ok := idx[e.Remote]; !ok {
-			idx[e.Remote] = uint64(len(table))
-			table = append(table, e.Remote)
-		}
-	}
-	if err := putUvarint(uint64(len(table))); err != nil {
-		return err
-	}
-	for _, s := range table {
-		if err := putString(s); err != nil {
-			return err
-		}
-	}
-
-	if err := putUvarint(uint64(len(t.Events))); err != nil {
-		return err
-	}
+	putUvarint(uint64(len(t.Events)))
 	prev := time.Duration(0)
-	for _, e := range t.Events {
+	for i, e := range t.Events {
 		if e.Time < prev {
 			return fmt.Errorf("capture: events out of order at t=%v", e.Time)
 		}
-		if err := putUvarint(uint64(e.Time - prev)); err != nil {
-			return err
-		}
+		putUvarint(uint64(e.Time - prev))
 		prev = e.Time
-		if err := bw.WriteByte(byte(e.Dir)); err != nil {
-			return err
+		bw.WriteByte(byte(e.Dir))
+		putUvarint(uint64(e.Host))
+		putUvarint(uint64(e.SrcPort))
+		putUvarint(uint64(e.DstPort))
+		bw.WriteByte(byte(e.Flags))
+		putUvarint(e.Seq)
+		putUvarint(e.Ack)
+		putUvarint(uint64(e.Wnd))
+		putUvarint(uint64(e.Len))
+		sack := t.sacks[i]
+		putUvarint(uint64(len(sack)))
+		for _, b := range sack {
+			putUvarint(b.Start)
+			putUvarint(b.End)
 		}
-		if err := putUvarint(idx[e.Remote]); err != nil {
-			return err
-		}
-		s := e.Seg
-		if err := putUvarint(uint64(s.SrcPort)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(s.DstPort)); err != nil {
-			return err
-		}
-		fl := byte(s.Flags)
-		if s.Retrans {
-			fl |= retransBit
-		}
-		if err := bw.WriteByte(fl); err != nil {
-			return err
-		}
-		for _, v := range []uint64{s.Seq, s.Ack, uint64(s.Wnd),
-			uint64(e.PayloadLen)} {
-			if err := putUvarint(v); err != nil {
-				return err
-			}
-		}
-		if err := putUvarint(uint64(len(s.SACK))); err != nil {
-			return err
-		}
-		for _, b := range s.SACK {
-			if err := putUvarint(b.Start); err != nil {
-				return err
-			}
-			if err := putUvarint(b.End); err != nil {
-				return err
-			}
-		}
-		if err := putUvarint(uint64(len(s.Data))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(s.Data); err != nil {
-			return err
-		}
+		putUvarint(uint64(len(e.Data)))
+		bw.Write(e.Data)
 	}
 	return bw.Flush()
 }
 
-// Decode reads a trace from r.
-func Decode(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
+// reader decodes the format's primitives. It keeps the first failure,
+// as an ErrBadTrace naming the field, and reads zeroes after it, so
+// Decode checks once per event instead of once per field.
+type reader struct {
+	br  *bufio.Reader
+	err error
+}
+
+func (r *reader) fail(field string, why any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s: %v", ErrBadTrace, field, why)
+	}
+}
+
+// checked returns v when the read succeeded and v ≤ max.
+func (r *reader) checked(field string, v, max uint64, err error) uint64 {
+	if err != nil {
+		r.fail(field, err)
+	} else if v > max {
+		r.fail(field, fmt.Sprintf("%d exceeds %d", v, max))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return v
+}
+
+func (r *reader) uvarint(field string, max uint64) uint64 {
+	v, err := binary.ReadUvarint(r.br)
+	return r.checked(field, v, max, err)
+}
+
+func (r *reader) byte(field string, max byte) byte {
+	b, err := r.br.ReadByte()
+	return byte(r.checked(field, uint64(b), uint64(max), err))
+}
+
+// bytes reads a length-prefixed byte string of at most max bytes; nil
+// when empty.
+func (r *reader) bytes(field string, max uint64) []byte {
+	n := r.uvarint(field+" length", max)
+	if n == 0 {
+		return nil
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r.br, buf); err != nil {
+		r.fail(field, err)
+	}
+	return buf
+}
+
+// Decode reads a trace from rd. Every field is range-checked against
+// the in-memory row, so a corrupt file is an error, never a different
+// valid trace.
+func Decode(rd io.Reader) (*Trace, error) {
+	r := &reader{br: bufio.NewReader(rd)}
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r.br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	if magic != traceMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic[:])
 	}
-	getUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getString := func() (string, error) {
-		n, err := getUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("%w: oversized string (%d)", ErrBadTrace, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	ver, err := getUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if ver != traceVersion {
+	if ver := r.uvarint("version", math.MaxUint64); r.err == nil && ver != traceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, ver)
 	}
-	node, err := getString()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	t := &Trace{Node: string(r.bytes("node name", 1<<20)), sacks: map[int][]tcpsim.SACKBlock{}}
+	t.Hosts = make([]string, r.uvarint("host table size", math.MaxUint16+1))
+	for i := range t.Hosts {
+		t.Hosts[i] = string(r.bytes("host name", 1<<20))
 	}
-	nt, err := getUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if nt > 1<<20 {
-		return nil, fmt.Errorf("%w: oversized string table", ErrBadTrace)
-	}
-	table := make([]string, nt)
-	for i := range table {
-		if table[i], err = getString(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-	}
-
-	ne, err := getUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	t := &Trace{Node: node, Events: make([]Event, 0, min(int(ne), 1<<20))}
+	ne := r.uvarint("event count", math.MaxUint64)
+	t.Events = make([]Event, 0, min(ne, 1<<20))
 	now := time.Duration(0)
-	for i := uint64(0); i < ne; i++ {
-		dt, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	for i := uint64(0); i < ne && r.err == nil; i++ {
+		// The reads below run in source order, which is the file's.
+		now += time.Duration(r.uvarint("time delta", uint64(math.MaxInt64-now)))
+		e := Event{
+			Time:    now,
+			Dir:     tcpsim.Dir(r.byte("direction", byte(tcpsim.DirRecv))),
+			Host:    uint16(r.uvarint("remote host index", math.MaxUint16)),
+			SrcPort: uint16(r.uvarint("source port", math.MaxUint16)),
+			DstPort: uint16(r.uvarint("destination port", math.MaxUint16)),
+			Flags:   tcpsim.Flags(r.byte("flags", math.MaxUint8)),
+			Seq:     r.uvarint("seq", math.MaxUint64),
+			Ack:     r.uvarint("ack", math.MaxUint64),
+			Wnd:     uint32(r.uvarint("window", math.MaxUint32)),
+			Len:     uint32(r.uvarint("payload length", math.MaxUint32)),
 		}
-		now += time.Duration(dt)
-		dirB, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		if int(e.Host) >= len(t.Hosts) {
+			r.fail("remote host index", fmt.Sprintf("%d outside a table of %d", e.Host, len(t.Hosts)))
 		}
-		ri, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		if ri >= uint64(len(table)) {
-			return nil, fmt.Errorf("%w: remote index %d out of range", ErrBadTrace, ri)
-		}
-		src, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		dst, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		fl, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		var vals [4]uint64
-		for j := range vals {
-			if vals[j], err = getUvarint(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		if n := r.uvarint("SACK block count", 8); n > 0 {
+			blocks := make([]tcpsim.SACKBlock, n)
+			for j := range blocks {
+				blocks[j].Start = r.uvarint("SACK block start", math.MaxUint64)
+				blocks[j].End = r.uvarint("SACK block end", math.MaxUint64)
 			}
+			t.sacks[len(t.Events)] = blocks
 		}
-		nsack, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		if nsack > 8 {
-			return nil, fmt.Errorf("%w: %d SACK blocks", ErrBadTrace, nsack)
-		}
-		var sack []tcpsim.SACKBlock
-		for j := uint64(0); j < nsack; j++ {
-			s0, err := getUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-			}
-			e0, err := getUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-			}
-			sack = append(sack, tcpsim.SACKBlock{Start: s0, End: e0})
-		}
-		dataLen, err := getUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		if dataLen > 1<<24 {
-			return nil, fmt.Errorf("%w: oversized payload (%d)", ErrBadTrace, dataLen)
-		}
-		var data []byte
-		if dataLen > 0 {
-			data = make([]byte, dataLen)
-			if _, err := io.ReadFull(br, data); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-			}
-		}
-		t.Events = append(t.Events, Event{
-			Time:       now,
-			Dir:        tcpsim.Dir(dirB),
-			Remote:     table[ri],
-			PayloadLen: int(vals[3]),
-			Seg: tcpsim.Segment{
-				SrcPort: uint16(src),
-				DstPort: uint16(dst),
-				Flags:   tcpsim.Flags(fl &^ retransBit),
-				Retrans: fl&retransBit != 0,
-				Seq:     vals[0],
-				Ack:     vals[1],
-				Wnd:     int(vals[2]),
-				SACK:    sack,
-				Data:    data,
-			},
-		})
+		e.Data = r.bytes("captured payload", min(uint64(e.Len), 1<<24))
+		t.Events = append(t.Events, e)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return t, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

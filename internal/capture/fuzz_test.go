@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,17 +11,16 @@ import (
 
 // FuzzDecode hardens the binary trace decoder: arbitrary input must
 // produce an error or a valid trace, never a panic or runaway
-// allocation.
+// allocation — and a valid trace is one Encode writes back and Decode
+// reads to the same value, so no field was wrapped or coerced on the
+// way in.
 func FuzzDecode(f *testing.F) {
 	// Seed with a valid encoding and some corruptions of it.
-	tr := &Trace{Node: "seed", Events: []Event{
-		{Time: time.Millisecond, Dir: tcpsim.DirSend, Remote: "fe",
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagSYN, Wnd: 1000}},
-		{Time: 2 * time.Millisecond, Dir: tcpsim.DirRecv, Remote: "fe",
-			PayloadLen: 4,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagACK, Seq: 1, Ack: 1,
-				Data: []byte("data"), SACK: []tcpsim.SACKBlock{{Start: 9, End: 12}}}},
-	}}
+	tr := &Trace{Node: "seed", Hosts: []string{"fe"}, Events: []Event{
+		{Time: time.Millisecond, Dir: tcpsim.DirSend, Flags: tcpsim.FlagSYN, Wnd: 1000},
+		withData(Event{Time: 2 * time.Millisecond, Dir: tcpsim.DirRecv,
+			Flags: tcpsim.FlagACK, Seq: 1, Ack: 1}, []byte("data")),
+	}, sacks: map[int][]tcpsim.SACKBlock{1: {{Start: 9, End: 12}}}}
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
 		f.Fatal(err)
@@ -35,11 +35,20 @@ func FuzzDecode(f *testing.F) {
 		corrupted[i] ^= 0x5a
 	}
 	f.Add(corrupted)
+	for _, tc := range malformed {
+		f.Add(tc.raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data))
-		if err == nil && got == nil {
+		if err != nil {
+			return
+		}
+		if got == nil {
 			t.Fatal("nil trace without error")
+		}
+		if again := roundTrip(t, got); !reflect.DeepEqual(again, got) {
+			t.Fatalf("decoded trace does not survive the codec:\nfirst  %+v\nsecond %+v", got, again)
 		}
 	})
 }
@@ -52,27 +61,19 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}
-		tr := &Trace{Node: "f", Events: []Event{{
-			Time: time.Duration(dt), Dir: tcpsim.DirRecv, Remote: "r",
-			PayloadLen: len(payload),
-			Seg: tcpsim.Segment{SrcPort: src, DstPort: dst,
-				Flags: tcpsim.FlagACK, Seq: 1, Data: payload},
-		}}}
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
+		if len(payload) == 0 {
+			payload = nil // Decode spells "no captured bytes" as nil
 		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
+		tr := &Trace{Node: "f", Hosts: []string{"r"}, Events: []Event{withData(Event{
+			Time: time.Duration(dt), Dir: tcpsim.DirRecv, SrcPort: src, DstPort: dst,
+			Flags: tcpsim.FlagACK, Seq: 1, Wnd: uint32(dst) << 8}, payload)},
+			sacks: map[int][]tcpsim.SACKBlock{}}
+		if src%2 == 1 {
+			tr.Events[0].Flags |= FlagRetrans
+			tr.sacks[0] = []tcpsim.SACKBlock{{Start: uint64(src), End: uint64(src) + uint64(dst)}}
 		}
-		if len(got.Events) != 1 {
-			t.Fatalf("events = %d", len(got.Events))
-		}
-		e := got.Events[0]
-		if e.Time != time.Duration(dt) || e.Seg.SrcPort != src ||
-			e.Seg.DstPort != dst || !bytes.Equal(e.Seg.Data, payload) {
-			t.Fatalf("round trip mismatch: %+v", e)
+		if got := roundTrip(t, tr); !reflect.DeepEqual(got, tr) {
+			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, tr)
 		}
 	})
 }

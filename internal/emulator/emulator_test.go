@@ -225,12 +225,12 @@ func TestSnappedCampaignStillAnalyzable(t *testing.T) {
 	}
 	for _, tr := range fds.Traces {
 		for _, ev := range tr.Events {
-			fullBytes += len(ev.Seg.Data)
+			fullBytes += len(ev.Data)
 		}
 	}
 	for _, tr := range ds.Traces {
 		for _, ev := range tr.Events {
-			snapBytes += len(ev.Seg.Data)
+			snapBytes += len(ev.Data)
 		}
 	}
 	if snapBytes != 0 {

@@ -301,12 +301,7 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 
 	// The recorder holds this session (reset at issue); strays from the
 	// previous tenant's close handshake are filtered out by key.
-	r.evScratch = r.evScratch[:0]
-	for _, ev := range s.rec.Trace().Events {
-		if ev.Key() == rr.Key {
-			r.evScratch = append(r.evScratch, ev)
-		}
-	}
+	r.evScratch = s.rec.Trace().Session(rr.Key, r.evScratch[:0])
 	rr.Events = r.evScratch
 
 	// A failed join yields the zero FetchRecord: no ground truth.

@@ -83,8 +83,9 @@ func BackboneDelayModel() DelayModel {
 
 // WideAreaFEBEDelayModel is calibrated for the FE↔BE legs of both
 // studied services: long-haul routes with multi-AS detours and
-// switching overheads. Its inflation is chosen so the Figure-9
-// regression slope lands near the paper's ~0.08–0.1 ms/mile.
+// switching overheads. Its inflation gives 0.0483 ms of RTT per mile,
+// and the Figure-9 regression slope lands there (0.048–0.050 ms/mile)
+// — about half the paper's 0.08–0.1 ms/mile (ROADMAP 4a).
 func WideAreaFEBEDelayModel() DelayModel {
 	return DelayModel{PerMile: 8050 * time.Nanosecond, Inflation: 3.0, Floor: 300 * time.Microsecond}
 }

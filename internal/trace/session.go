@@ -96,21 +96,14 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	// nothing: only the stream length is tracked.
 	maxEnd, nChunks, hasBytes := 0, 0, false
 	for _, ev := range events {
-		if ev.Dir != tcpsim.DirRecv {
+		if ev.Dir != tcpsim.DirRecv || ev.Len == 0 {
 			continue
 		}
-		plen := len(ev.Seg.Data)
-		if plen > 0 {
+		if len(ev.Data) > 0 {
 			hasBytes = true
 		}
-		if ev.PayloadLen > plen {
-			plen = ev.PayloadLen
-		}
-		if plen == 0 {
-			continue
-		}
 		nChunks++
-		if end := int(ev.Seg.Seq-1) + plen; end > maxEnd {
+		if end := int(ev.Seq-1) + int(ev.Len); end > maxEnd {
 			maxEnd = end
 		}
 	}
@@ -125,41 +118,37 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	}
 
 	for _, ev := range events {
-		seg := ev.Seg
 		// Payload length survives snapping (tcpdump snaplen-style
 		// captures drop bytes but keep sizes).
-		plen := len(seg.Data)
-		if ev.PayloadLen > plen {
-			plen = ev.PayloadLen
-		}
+		plen := int(ev.Len)
 		switch ev.Dir {
 		case tcpsim.DirSend:
-			if seg.Flags&tcpsim.FlagSYN != 0 && !sawSYN {
+			if ev.Flags&tcpsim.FlagSYN != 0 && !sawSYN {
 				sawSYN = true
 				s.TB = ev.Time
 			}
 			if plen > 0 && !sawGET {
 				sawGET = true
 				s.T1 = ev.Time
-				reqLen = seg.Seq + uint64(plen) - 1 // bytes of request stream
+				reqLen = ev.Seq + uint64(plen) - 1 // bytes of request stream
 			}
 		case tcpsim.DirRecv:
-			if seg.Flags&tcpsim.FlagSYN != 0 && seg.Flags&tcpsim.FlagACK != 0 && !sawSYNACK {
+			if ev.Flags&tcpsim.FlagSYN != 0 && ev.Flags&tcpsim.FlagACK != 0 && !sawSYNACK {
 				sawSYNACK = true
 				s.RTT = ev.Time - s.TB
 			}
-			if !sawAckOfGET && sawGET && seg.Flags&tcpsim.FlagACK != 0 && seg.Ack > reqLen {
+			if !sawAckOfGET && sawGET && ev.Flags&tcpsim.FlagACK != 0 && ev.Ack > reqLen {
 				sawAckOfGET = true
 				s.T2 = ev.Time
 			}
 			if plen > 0 {
-				if seg.Retrans {
+				if ev.Retransmitted() {
 					s.Retransmissions++
 				}
 				if ev.Snapped() {
 					s.PayloadComplete = false
 				}
-				start := int(seg.Seq - 1) // response stream offset
+				start := int(ev.Seq - 1) // response stream offset
 				chunks = append(chunks, chunk{start: start, end: start + plen, at: ev.Time})
 				if len(chunks) == 1 {
 					s.T3 = ev.Time
@@ -170,7 +159,7 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 				// Reassemble whatever bytes were captured.
 				if hasBytes {
 					s.Payload = s.Payload[:s.StreamLen] // within the pre-scanned cap
-					copy(s.Payload[start:], seg.Data)
+					copy(s.Payload[start:], ev.Data)
 				}
 			}
 		}

@@ -19,23 +19,22 @@ type chunkSpec struct {
 }
 
 func mkEvents(rtt time.Duration, chunks []chunkSpec) []capture.Event {
+	get := []byte("GET / HTTP/1.1\r\n\r\n")
 	evs := []capture.Event{
-		{Time: 0, Dir: tcpsim.DirSend,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagSYN, SrcPort: 40000, DstPort: 80}},
-		{Time: rtt, Dir: tcpsim.DirRecv,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagSYN | tcpsim.FlagACK, Ack: 1, SrcPort: 80, DstPort: 40000}},
-		{Time: rtt, Dir: tcpsim.DirSend,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, SrcPort: 40000, DstPort: 80}},
-		{Time: rtt, Dir: tcpsim.DirSend,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Data: []byte("GET / HTTP/1.1\r\n\r\n"),
-				SrcPort: 40000, DstPort: 80}},
-		{Time: 2 * rtt, Dir: tcpsim.DirRecv,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagACK, Seq: 1, Ack: 19, SrcPort: 80, DstPort: 40000}},
+		{Time: 0, Dir: tcpsim.DirSend, Flags: tcpsim.FlagSYN, SrcPort: 40000, DstPort: 80},
+		{Time: rtt, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagSYN | tcpsim.FlagACK, Ack: 1, SrcPort: 80, DstPort: 40000},
+		{Time: rtt, Dir: tcpsim.DirSend, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, SrcPort: 40000, DstPort: 80},
+		{Time: rtt, Dir: tcpsim.DirSend, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Data: get, Len: uint32(len(get)),
+			SrcPort: 40000, DstPort: 80},
+		{Time: 2 * rtt, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagACK, Seq: 1, Ack: 19, SrcPort: 80, DstPort: 40000},
 	}
 	for _, c := range chunks {
-		evs = append(evs, capture.Event{Time: c.at, Dir: tcpsim.DirRecv,
-			Seg: tcpsim.Segment{Flags: tcpsim.FlagACK, Seq: c.seq, Ack: 19,
-				Data: c.data, Retrans: c.retra, SrcPort: 80, DstPort: 40000}})
+		ev := capture.Event{Time: c.at, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagACK, Seq: c.seq, Ack: 19,
+			Data: c.data, Len: uint32(len(c.data)), SrcPort: 80, DstPort: 40000}
+		if c.retra {
+			ev.Flags |= capture.FlagRetrans
+		}
+		evs = append(evs, ev)
 	}
 	return evs
 }

@@ -392,8 +392,8 @@ func (s *Study) Fig4() ([]Fig4Row, error) {
 			row.Events = append(row.Events, Fig4Event{
 				AtMS:    ms(ev.Time - start),
 				Send:    ev.Dir == tcpsim.DirSend,
-				Payload: len(ev.Seg.Data),
-				Flags:   ev.Seg.Flags.String(),
+				Payload: int(ev.Len),
+				Flags:   ev.Flags.String(),
 			})
 		}
 		rows[i] = row

@@ -254,7 +254,7 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, r
 	// Count retransmissions from the captured traces.
 	for _, tr := range ds.Traces {
 		for _, ev := range tr.Events {
-			if ev.Seg.Retrans {
+			if ev.Retransmitted() {
 				retrans++
 			}
 		}
