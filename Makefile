@@ -68,13 +68,17 @@ lossy-check:
 # Short fuzz pass over the observability codecs (label escaping, the
 # metrics JSONL round trip over all three instrument kinds), the trace
 # file codec (arbitrary bytes into Decode; built traces through Encode
-# and back) and the lossy fast-lane differential property. Go runs one
-# fuzz target per invocation, so one run each. ~10s each — a smoke
+# and back), the session parser above it (whatever Decode accepts into
+# trace.Parse) and the lossy fast-lane differential property. Go runs
+# one fuzz target per invocation, so one run each. ~10s each — a smoke
 # pass, not a campaign; the CI check job runs this target, so the list
-# lives here.
+# lives here. FuzzParse's seeds are whole 31 KB captures, which the
+# fuzzer's default 60 s-per-input minimisation would spend the smoke
+# pass shrinking: -fuzzminimizetime 0 spends it executing instead.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/capture
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLossEpochBoundary -fuzztime 10s ./internal/tcpsim
@@ -142,7 +146,7 @@ equivalence: build
 # CHANGES.md quotes these numbers; this target reproduces them.
 loc:
 	@printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
-	@for d in . internal/emulator internal/analysis internal/obs internal/capture internal/trace cmd/fesplit; do \
+	@for d in . internal/emulator internal/analysis internal/obs internal/capture internal/trace internal/tcpsim internal/httpsim cmd/fesplit; do \
 		printf '%-18s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done
 

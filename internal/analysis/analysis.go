@@ -66,7 +66,7 @@ func BoundaryFromSessions(sessions []*trace.Session) int {
 	}
 	payloads := make([][]byte, len(sessions))
 	for i, s := range sessions {
-		payloads[i] = s.Payload
+		payloads[i] = s.Payload()
 	}
 	lcp := StaticBoundary(payloads)
 	if lcp == 0 {

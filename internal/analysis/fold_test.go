@@ -295,6 +295,10 @@ func TestExtractRecordReturnsUnlocatedSession(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is compiled
+// in: it allocates on its own account, so an exact allocation pin skips.
+var raceEnabled bool
+
 // TestObservedQueryAllocOverhead puts the cost of observing on the
 // ledger in a machine-independent unit: the same world at the same seed
 // run unobserved and measured with ExtractDataset, then run under a
@@ -306,7 +310,13 @@ func TestExtractRecordReturnsUnlocatedSession(t *testing.T) {
 // none for one more allocation per folded record, which adds 0.5 per
 // query even when only the measurable half of the records pays it. The
 // race detector inflates the unobserved arm, so the ratio only reads
-// lower there. Update the pinned ratio only with a reason.
+// lower there. The ratio moves when either arm does — it was 1.3946
+// (148.1 → 206.5) until tcpsim stopped copying payloads and the
+// unobserved arm fell to 144.7 with the observer's cost unchanged — so
+// the difference between the arms is pinned too, with the same 0.3 of
+// room: a changed denominator moves only the ratio, a costlier observer
+// moves both (the difference is exact only without the race detector,
+// which allocates in both arms). Update either pin only with a reason.
 func TestObservedQueryAllocOverhead(t *testing.T) {
 	ds, boundary := overloadedRun(t)
 	queries := float64(len(ds.Records))
@@ -321,9 +331,16 @@ func TestObservedQueryAllocOverhead(t *testing.T) {
 			fold.Consume(&ds.Records[i])
 		}
 	}) / queries
-	const measured = 1.3946 // 148.1 → 206.5 allocations per query at seed 7
+	const (
+		measured      = 1.4038 // 144.7 → 203.1 allocations per query at seed 7
+		measuredDelta = 58.4   // what observing adds per query
+	)
 	if ratio := observed / unobserved; ratio > measured*1.0015 {
-		t.Errorf("observing costs %.1f → %.1f allocations per query, ratio %.4f: more than 0.15 %% over the pinned %.4f",
+		t.Errorf("observing costs %.1f → %.1f allocations per query, ratio %.4f: more than 0.15 %% over the pinned %.4f (if only the unobserved arm moved, the delta pin below still holds: re-pin the ratio)",
 			unobserved, observed, ratio, measured)
+	}
+	if delta := observed - unobserved; !raceEnabled && delta > measuredDelta+0.3 {
+		t.Errorf("observing adds %.2f allocations per query (%.1f → %.1f), more than 0.3 over the pinned %.1f: the observer itself got costlier",
+			delta, unobserved, observed, measuredDelta)
 	}
 }

@@ -205,7 +205,7 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 			FEDelay:      feDelay,
 			Fetch:        fetch[0],
 			StaticBytes:  staticLen,
-			DynamicBytes: len(s.Payload) - staticLen,
+			DynamicBytes: len(s.Payload()) - staticLen,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -124,7 +124,7 @@ func TestInteractiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Payload) == 0 {
+	if len(s.Payload()) == 0 {
 		t.Fatal("empty session payload")
 	}
 }

@@ -211,8 +211,9 @@ func (s *countSink) Consume(*emulator.Record) { s.n++ }
 // and copied the ≈ 30 KB page — and the budget sits below one page
 // above that, so a single reintroduced body copy fails it. A
 // full-payload Runner on the same deployment allocates at least four
-// times as much, so the test also fails if snapping silently stops
-// selecting the mode.
+// times as much (measured 5.6×: 76 KB against 14 KB — it was 9.9× while
+// tcpsim and trace.Parse still copied every response byte), so the test
+// also fails if snapping silently stops selecting the mode.
 func TestLengthOnlyAllocBudget(t *testing.T) {
 	const budget = 24 << 10
 	dep := cdn.GoogleLike(1)

@@ -225,18 +225,6 @@ func (p *responseParser) emitBody(data []byte) {
 		return
 	}
 	start := len(p.cur.Body)
-	if need := start + len(data); need > cap(p.cur.Body) {
-		// Explicit doubling: runtime append grows large slices by only
-		// ~1.25×, which on until-close bodies (no Content-Length to
-		// pre-size from) re-copied each body several times over.
-		newCap := 2 * cap(p.cur.Body)
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([]byte, start, newCap)
-		copy(grown, p.cur.Body)
-		p.cur.Body = grown
-	}
 	p.cur.Body = append(p.cur.Body, data...)
 	if p.onBodyChunk != nil {
 		end := len(p.cur.Body)

@@ -93,7 +93,11 @@ func (w *ResponseWriter) WriteHeader(status int, hdr Header) {
 
 // Write streams body bytes (chunk-framed when the response is chunked).
 // It sends a default 200 header first if the handler has not called
-// WriteHeader.
+// WriteHeader. The connection queues b itself (tcpsim.Conn.Send does not
+// copy), so b must not be modified afterwards; every caller passes an
+// immutable or fresh slice — the FE's static part, a fresh dynamic body,
+// the BE result cache, a gzip member, a completed Response.Body its
+// parser never touches again.
 func (w *ResponseWriter) Write(b []byte) {
 	if !w.wroteHeader {
 		w.WriteHeader(200, Header{})

@@ -55,7 +55,7 @@ func randBlankScenario(r *rand.Rand) blankScenario {
 // content-free (blank) or filled with bytes. It returns the transcript
 // and, per connection, the stream the client reassembled (content-free
 // deliveries as zeros) and how many bytes reached OnBlank.
-func (s blankScenario) run(t *testing.T, blank bool) (tr *transcript, streams [][]byte, blanked int, client *Endpoint) {
+func (s blankScenario) run(t *testing.T, blank bool) (tr *transcript, streams [][]byte, blanked int) {
 	t.Helper()
 	sim := simnet.New(s.seed)
 	n := simnet.NewNetwork(sim)
@@ -66,7 +66,7 @@ func (s blankScenario) run(t *testing.T, blank bool) (tr *transcript, streams []
 	}
 	n.SetLink("c", "s", pp)
 	cfg := Config{MSS: s.mss, InitialCwnd: s.iw, DelayedAck: s.delayedAck, SACK: s.sack, RecycleConns: true}
-	client = NewEndpoint(n, "c", cfg)
+	client := NewEndpoint(n, "c", cfg)
 	server := NewEndpoint(n, "s", cfg)
 	tr = &transcript{}
 	client.Tap, server.Tap = tr.tap("c"), tr.tap("s")
@@ -115,7 +115,7 @@ func (s blankScenario) run(t *testing.T, blank bool) (tr *transcript, streams []
 	dial(0)
 	sim.Run()
 	tr.finalAt = sim.Now()
-	return tr, streams, blanked, client
+	return tr, streams, blanked
 }
 
 func realBytes(n int, fill byte) []byte { return bytes.Repeat([]byte{fill}, n) }
@@ -134,8 +134,8 @@ func TestBlankDifferentialEquivalence(t *testing.T) {
 	blankedTotal := 0
 	for i := 0; i < iters; i++ {
 		s := randBlankScenario(r)
-		realTr, realStreams, _, _ := s.run(t, false)
-		blankTr, blankStreams, blanked, client := s.run(t, true)
+		realTr, realStreams, _ := s.run(t, false)
+		blankTr, blankStreams, blanked := s.run(t, true)
 		if d := realTr.diff(blankTr); d != "" {
 			t.Fatalf("iter %d scenario %+v diverged: %s", i, s, d)
 		}
@@ -154,9 +154,6 @@ func TestBlankDifferentialEquivalence(t *testing.T) {
 				t.Fatalf("iter %d conn %d: reassembled stream differs from the writes (%d vs %d bytes)", i, c, len(got), len(want))
 			}
 		}
-		if n := len(client.segPool.free); s.lossRate == 0 && !s.useGilbert && n != 0 {
-			t.Fatalf("iter %d: loss-free run pooled %d reassembly buffers", i, n)
-		}
 		blankedTotal += blanked
 	}
 	if blankedTotal == 0 {
@@ -167,7 +164,7 @@ func TestBlankDifferentialEquivalence(t *testing.T) {
 // TestBlankOutOfOrderNeverPooled walks a content-free segment through
 // every receive branch — stored out of order, SACKed, drained behind
 // the hole fill, partially overlapped by a retransmission — and checks
-// it is accounted by length alone: no pooled copy, no OnData.
+// it is accounted by length alone: no bytes held, no OnData.
 func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 	tn := newTestNet(t, simnet.PathParams{Delay: 5 * time.Millisecond}, Config{SACK: true})
 	tn.echoServer(t)
@@ -191,9 +188,8 @@ func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 	}
 
 	c.handle(seg(1000, 500)) // beyond a hole: stored, SACKed
-	held, ok := c.ooo[base+1000]
-	if !ok || held.n != 500 || held.data != nil {
-		t.Fatalf("out-of-order content-free segment stored as %+v (present %v)", held, ok)
+	if len(c.ooo) != 1 || c.ooo[0].seq != base+1000 || c.ooo[0].n != 500 || c.ooo[0].data != nil {
+		t.Fatalf("out-of-order content-free segment stored as %+v", c.ooo)
 	}
 	if last := acks[len(acks)-1]; len(last.SACK) != 1 || last.SACK[0] != (SACKBlock{base + 1000, base + 1500}) || last.Ack != base {
 		t.Fatalf("dup ACK = %v SACK %v", last, last.SACK)
@@ -211,9 +207,6 @@ func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 	if got := c.Metrics().BytesReceived; got != 2000 {
 		t.Fatalf("BytesReceived = %d, want 2000", got)
 	}
-	if n := len(tn.client.segPool.free); n != 0 {
-		t.Fatalf("segPool holds %d buffers: a content-free segment was copied", n)
-	}
 }
 
 // TestBlankMixedSegmentKeepsRealBytesInPlace: a segment whose range
@@ -221,11 +214,11 @@ func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 // bytes at their offsets and zeros elsewhere; pure ranges of either
 // kind cost nothing.
 func TestBlankMixedSegmentKeepsRealBytesInPlace(t *testing.T) {
-	c := &Conn{ep: &Endpoint{cfg: Config{}.withDefaults()}, bufBase: 1}
+	c := &Conn{ep: &Endpoint{cfg: Config{}.withDefaults()}, sndEnd: 1}
 	c.SendBlank([]byte("HEAD"), 10, []byte("MID"))
 	c.SendBlank(nil, 5, []byte("TAIL"))
-	if end := c.streamEnd(); end != 1+4+10+3+5+4 {
-		t.Fatalf("streamEnd = %d", end)
+	if c.sndEnd != 1+4+10+3+5+4 || len(c.sndq) != 5 {
+		t.Fatalf("sndEnd = %d, %d runs", c.sndEnd, len(c.sndq))
 	}
 	for _, tc := range []struct {
 		seq, n uint64
@@ -245,14 +238,20 @@ func TestBlankMixedSegmentKeepsRealBytesInPlace(t *testing.T) {
 			t.Fatalf("payload(%d,%d) = %q, %d; want %q, %d", tc.seq, tc.n, data, blank, tc.data, tc.blank)
 		}
 	}
-	// Acknowledging into the middle of a run trims it; offsets still map.
-	c.sndNxt = c.streamEnd()
+	// Acknowledging into the middle of a run drops the runs below it and
+	// leaves that one whole; offsets still map.
+	c.sndNxt = c.sndEnd
 	c.advanceUna(9)
-	if data, _ := c.payload(13, 7); string(data) != "\x00\x00MID\x00\x00" || c.bufBase != 9 || len(c.sndBuf) != 7 {
-		t.Fatalf("after ack 9: payload(13,7) = %q, bufBase %d, %d real bytes buffered", data, c.bufBase, len(c.sndBuf))
+	if data, _ := c.payload(13, 7); string(data) != "\x00\x00MID\x00\x00" || c.sndUna != 9 || len(c.sndq) != 4 || c.sndq[0].seq != 5 {
+		t.Fatalf("after ack 9: payload(13,7) = %q, sndUna %d, runs %+v", data, c.sndUna, c.sndq)
 	}
 	c.advanceUna(27)
-	if len(c.blanks) != 0 || c.blankLen != 0 || len(c.sndBuf) != 0 || c.streamEnd() != 27 {
-		t.Fatalf("after the final ack: %d runs (%d bytes), %d real bytes, streamEnd %d", len(c.blanks), c.blankLen, len(c.sndBuf), c.streamEnd())
+	if len(c.sndq) != 0 || c.sndEnd != 27 {
+		t.Fatalf("after the final ack: %d runs, sndEnd %d", len(c.sndq), c.sndEnd)
+	}
+	for i, r := range c.sndq[:cap(c.sndq)] {
+		if r.data != nil {
+			t.Fatalf("acknowledged run %d still pins %q", i, r.data)
+		}
 	}
 }

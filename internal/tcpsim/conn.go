@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"slices"
 	"time"
 
 	"fesplit/internal/simnet"
@@ -26,11 +27,10 @@ const (
 type Conn struct {
 	// OnConnect fires when the connection reaches ESTABLISHED.
 	OnConnect func()
-	// OnData delivers in-order stream bytes as they arrive. The slice
-	// is valid only for the duration of the callback — it aliases the
-	// sender's send buffer or a pooled reassembly buffer that is
-	// recycled when the callback returns — so callbacks that keep the
-	// bytes must copy them. The callback must not modify the slice.
+	// OnData delivers in-order stream bytes as they arrive. The slice is
+	// the sender's memory (what it passed to Send, or a segment built
+	// across two writes): valid for as long as the receiver keeps it,
+	// never to be modified.
 	OnData func([]byte)
 	// OnBlank delivers an in-order run of n content-free stream bytes
 	// (see SendBlank), in stream order with OnData's deliveries.
@@ -51,20 +51,13 @@ type Conn struct {
 	sndUna  uint64 // oldest unacknowledged sequence number
 	sndNxt  uint64 // next sequence number to send
 	maxSent uint64 // highest sequence ever transmitted (Retrans marking)
-	// sndBuf holds unacked + unsent payload bytes. Its contents are
-	// write-once: Send appends, acks advance the slice head, and no
-	// byte is ever overwritten in place — which is what lets outgoing
-	// segments carry capacity-capped subslices of it instead of fresh
-	// copies (see sendData). A reallocating append leaves in-flight
-	// subslices pointing at the old array, whose bytes never change.
-	//
-	// Content-free bytes (SendBlank) take sequence space but no room
-	// here: sndBuf holds the real bytes only, packed, and blanks lists
-	// the content-free runs of the unacked stream in sequence order.
-	sndBuf    []byte
-	bufBase   uint64 // sequence number of the first unacked stream byte
-	blanks    []blankRun
-	blankLen  uint64  // total length of blanks
+	// sndq is the unacked + unsent stream, one run per write in sequence
+	// order. Queued bytes are never modified, so anyone may point at
+	// them: a run holds the slice Send was given, outgoing segments carry
+	// subslices of it, and the receiver's hole list and application keep
+	// those (see payload). Acks drop whole runs from the front.
+	sndq      []sendRun
+	sndEnd    uint64  // sequence number following the last queued byte
 	cwnd      float64 // congestion window, bytes
 	ssthresh  float64 // slow-start threshold, bytes
 	peerWnd   int     // peer's advertised receive window
@@ -137,8 +130,7 @@ type Conn struct {
 
 	// --- receive side ---
 	rcvNxt   uint64
-	ooo      map[uint64]oooSeg // out-of-order segments keyed by seq
-	oooKeys  []uint64          // sorted mirror of ooo's keys (see oooInsertKey)
+	ooo      []oooSeg // out-of-order segments held behind a hole, sorted by seq
 	finRcvd  bool
 	finRseq  uint64
 	closedUp bool // OnClose already delivered
@@ -185,12 +177,7 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 		ssthresh:   float64(cfg.InitialSsthresh),
 		peerWnd:    cfg.RcvWindow, // until the peer advertises
 		rto:        time.Second,   // RFC 6298 initial RTO
-		// ooo is lazily allocated on the first out-of-order arrival:
-		// the common short loss-free flow never buffers out of order,
-		// and a million-client fleet should not pay a map header per
-		// connection for it.
-		bufBase: 1, // data starts after the SYN
-		rcvNxt:  0,
+		sndEnd:     1,             // data starts after the SYN
 	}
 	if server {
 		c.st = stateSynRcvd
@@ -203,22 +190,20 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 // reinit resets a recycled connection object for a fresh connection.
 // Preconditions (enforced by Endpoint.retire): the previous incarnation
 // is closed, out of the demux table, and has no pending timer check
-// events. Three fields deliberately survive across incarnations:
-// timerFn (the pre-bound check closure), the emptied ooo map and
-// oooKeys/sacked backing arrays (capacity reuse), and ackTimerGen —
-// which advances monotonically so a delayed-ACK closure scheduled by a
-// previous life can never match the new incarnation's generation. The
-// old send buffer is dropped, never reused: its write-once contents may
-// still be aliased by in-flight segments on the heap or the fast lane.
+// events. Three things deliberately survive across incarnations:
+// timerFn (the pre-bound check closure), the backing arrays of the
+// emptied sndq, ooo and sacked lists (capacity reuse — cleared, so they
+// pin none of the previous life's bytes), and ackTimerGen — which
+// advances monotonically so a delayed-ACK closure scheduled by a
+// previous life can never match the new incarnation's generation.
 func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server bool) {
 	cfg := c.ep.cfg
 	c.OnConnect, c.OnData, c.OnBlank, c.OnClose = nil, nil, nil, nil
 	c.acceptFn = nil
 	c.remote, c.remotePort, c.localPort, c.server = remote, remotePort, localPort, server
 	c.sndUna, c.sndNxt, c.maxSent = 0, 0, 0
-	c.sndBuf = nil
-	c.bufBase = 1
-	c.blanks, c.blankLen = c.blanks[:0], 0
+	clear(c.sndq)
+	c.sndq, c.sndEnd = c.sndq[:0], 1
 	c.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
 	c.ssthresh = float64(cfg.InitialSsthresh)
 	c.peerWnd = cfg.RcvWindow
@@ -292,17 +277,12 @@ func (c *Conn) Metrics() Metrics {
 	}
 }
 
-// Send queues data for transmission. Bytes sent before the handshake
-// completes are buffered and flushed on connect. Send after Close is
-// ignored.
+// Send queues data for transmission — the slice itself, not a copy, so
+// the caller must not modify data afterwards. Bytes sent before the
+// handshake completes are held and flushed on connect. Send after Close
+// is ignored.
 func (c *Conn) Send(data []byte) {
-	if c.finQueued || c.st == stateClosed || len(data) == 0 {
-		return
-	}
-	c.queue(data)
-	if c.st == stateEstablished {
-		c.trySend()
-	}
+	c.SendBlank(data, 0, nil)
 }
 
 // SendBlank queues head, then n content-free bytes, then tail, as one
@@ -311,51 +291,39 @@ func (c *Conn) Send(data []byte) {
 // built, buffered or copied — they occupy sequence space and wire size
 // only, and reach the peer through OnBlank. head and tail (either may
 // be empty) are the real bytes that frame the run, e.g. HTTP chunk
-// framing.
+// framing; like Send's data they must not be modified afterwards.
 func (c *Conn) SendBlank(head []byte, n int, tail []byte) {
 	if c.finQueued || c.st == stateClosed || len(head)+n+len(tail) == 0 {
 		return
 	}
-	c.queue(head)
-	if n > 0 {
-		end := c.streamEnd()
-		if k := len(c.blanks); k > 0 && c.blanks[k-1].end == end {
-			c.blanks[k-1].end += uint64(n)
-		} else {
-			c.blanks = append(c.blanks, blankRun{seq: end, end: end + uint64(n)})
-		}
-		c.blankLen += uint64(n)
-	}
-	c.queue(tail)
+	c.queue(head, len(head))
+	c.queue(nil, n)
+	c.queue(tail, len(tail))
 	if c.st == stateEstablished {
 		c.trySend()
 	}
 }
 
-// blankRun is one content-free range [seq, end) of the send stream.
-type blankRun struct{ seq, end uint64 }
-
-// streamEnd is the sequence number following the last queued byte.
-func (c *Conn) streamEnd() uint64 {
-	return c.bufBase + uint64(len(c.sndBuf)) + c.blankLen
+// sendRun is one queued write: stream range [seq, end) and its bytes,
+// or nil data for a content-free run.
+type sendRun struct {
+	seq, end uint64
+	data     []byte
 }
 
-// queue appends real bytes to the send buffer.
-func (c *Conn) queue(data []byte) {
-	if need := len(c.sndBuf) + len(data); need > cap(c.sndBuf) {
-		// Explicit doubling: runtime append grows large slices by only
-		// ~1.25×, so streaming senders re-copied the buffer several
-		// times over. The old array is deliberately left intact —
-		// in-flight segments alias subslices of it (see sndBuf's doc).
-		newCap := 2 * cap(c.sndBuf)
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([]byte, len(c.sndBuf), newCap)
-		copy(grown, c.sndBuf)
-		c.sndBuf = grown
+// queue appends n bytes to the send queue: data, or a content-free run
+// when data is nil (adjacent content-free runs merge).
+func (c *Conn) queue(data []byte, n int) {
+	if n == 0 {
+		return
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	seq := c.sndEnd
+	c.sndEnd += uint64(n)
+	if k := len(c.sndq); data == nil && k > 0 && c.sndq[k-1].data == nil {
+		c.sndq[k-1].end = c.sndEnd
+		return
+	}
+	c.sndq = append(c.sndq, sendRun{seq: seq, end: c.sndEnd, data: data})
 }
 
 // Close queues a FIN after all pending data; the connection terminates
@@ -414,12 +382,12 @@ func sortSACK(a []SACKBlock) {
 func (c *Conn) sackBlocks() []SACKBlock {
 	// The returned slice is aliased by in-flight segments until
 	// delivery, so it cannot come from a per-connection scratch; a
-	// single cap-3 allocation replaces append's doubling growth.
-	// oooKeys is the map's sorted mirror — no per-ACK key collection
-	// or sort (this runs for every ACK while a hole is open).
+	// single cap-3 allocation replaces append's doubling growth. The
+	// hole list is sorted — no per-ACK sort (this runs for every ACK
+	// while a hole is open).
 	blocks := make([]SACKBlock, 0, 3)
-	for _, k := range c.oooKeys {
-		end := k + uint64(c.ooo[k].n)
+	for _, d := range c.ooo {
+		k, end := d.seq, d.seq+uint64(d.n)
 		if n := len(blocks); n > 0 && blocks[n-1].End >= k {
 			if end > blocks[n-1].End {
 				blocks[n-1].End = end
@@ -428,7 +396,7 @@ func (c *Conn) sackBlocks() []SACKBlock {
 		}
 		if len(blocks) == 3 {
 			// A fourth disjoint range would be truncated anyway; later
-			// keys can only merge into it, never into blocks[0..2].
+			// entries can only merge into it, never into blocks[0..2].
 			break
 		}
 		blocks = append(blocks, SACKBlock{Start: k, End: end})
@@ -520,8 +488,7 @@ func (c *Conn) retransmitHole(from uint64) bool {
 			return false
 		}
 	}
-	streamEnd := c.streamEnd()
-	if start >= streamEnd {
+	if start >= c.sndEnd {
 		if c.finSent && start == c.finSeq {
 			s := c.seg(FlagFIN|FlagACK, c.finSeq)
 			s.Retrans = true
@@ -533,8 +500,8 @@ func (c *Conn) retransmitHole(from uint64) bool {
 	}
 	// Hole length: up to MSS, capped at the next SACKed range.
 	n := uint64(c.ep.cfg.MSS)
-	if n > streamEnd-start {
-		n = streamEnd - start
+	if n > c.sndEnd-start {
+		n = c.sndEnd - start
 	}
 	for _, b := range c.sacked {
 		if b.Start > start && b.Start-start < n {
@@ -549,69 +516,36 @@ func (c *Conn) retransmitHole(from uint64) bool {
 }
 
 // payload returns the outgoing segment payload for stream range
-// [seq, seq+n): real bytes as a subslice of sndBuf — zero-copy, safe
-// because sndBuf's contents are write-once (see the field comment; the
-// capacity cap keeps a misbehaving receiver from appending into the
-// send buffer) — or, for a range inside a content-free run, no bytes
-// and the length.
+// [seq, seq+n), which must lie at or above sndUna: a subslice of the one
+// queued run that holds it — zero-copy, safe because queued bytes are
+// never modified (the capacity cap keeps a misbehaving receiver from
+// appending into the sender's slice) — or, inside a content-free run, no
+// bytes and the length.
 func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
-	off := seq - c.bufBase
-	if len(c.blanks) == 0 {
-		return c.sndBuf[off : off+n : off+n], 0
+	i := 0
+	for c.sndq[i].end <= seq {
+		i++
 	}
-	// sndBuf skips the content-free bytes below seq; inside counts the
-	// ones within the range.
 	end := seq + n
-	var inside uint64
-	for _, r := range c.blanks {
-		if r.seq >= end {
-			break
+	if r := c.sndq[i]; end <= r.end {
+		if r.data == nil {
+			return nil, int(n)
 		}
-		off -= overlap(r, c.bufBase, seq)
-		inside += overlap(r, seq, end)
+		off := seq - r.seq
+		return r.data[off : off+n : off+n], 0
 	}
-	switch inside {
-	case 0:
-		return c.sndBuf[off : off+n : off+n], 0
-	case n:
-		return nil, int(n)
-	}
-	// The range straddles real and content-free bytes (a header sharing
-	// a segment with its body, chunk framing, a retransmission cut
-	// differently from the original): a segment is all one kind, so
-	// materialise this one — real bytes in place, zeros elsewhere.
+	// The range straddles runs (a header sharing a segment with its
+	// body, chunk framing, a retransmission cut differently from the
+	// original): a segment is one slice of one kind, so materialise this
+	// one — real bytes in place, zeros where the stream is content-free.
 	buf := make([]byte, n)
-	pos := seq
-	for _, r := range c.blanks {
-		if r.end <= pos {
-			continue
+	for ; i < len(c.sndq) && c.sndq[i].seq < end; i++ {
+		if r := c.sndq[i]; r.data != nil {
+			lo := max(r.seq, seq)
+			copy(buf[lo-seq:], r.data[lo-r.seq:])
 		}
-		if r.seq >= end {
-			break
-		}
-		if r.seq > pos {
-			off += uint64(copy(buf[pos-seq:r.seq-seq], c.sndBuf[off:]))
-		}
-		pos = r.end
-	}
-	if pos < end {
-		copy(buf[pos-seq:], c.sndBuf[off:])
 	}
 	return buf, 0
-}
-
-// overlap is the number of r's bytes that fall inside [lo, hi).
-func overlap(r blankRun, lo, hi uint64) uint64 {
-	if r.seq > lo {
-		lo = r.seq
-	}
-	if r.end < hi {
-		hi = r.end
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
 }
 
 func (c *Conn) transmit(s Segment) {
@@ -1031,11 +965,10 @@ func (c *Conn) retransmitOldest() {
 		c.transmit(s)
 		return
 	}
-	streamEnd := c.streamEnd()
-	if c.sndUna < streamEnd {
+	if c.sndUna < c.sndEnd {
 		n := uint64(c.ep.cfg.MSS)
-		if n > streamEnd-c.sndUna {
-			n = streamEnd - c.sndUna
+		if n > c.sndEnd-c.sndUna {
+			n = c.sndEnd - c.sndUna
 		}
 		s := c.dataSeg(c.sndUna, n)
 		s.Retrans = true
@@ -1226,55 +1159,32 @@ func (c *Conn) processAck(s Segment) {
 	}
 }
 
-// advanceUna moves the send window forward to ack.
+// advanceUna moves the send window forward to ack, dropping the runs it
+// covers whole (a partly acked run stays until its last byte is acked).
+// slices.Delete clears the vacated tail, so a long-lived or recycled
+// connection pins no acknowledged bytes.
 func (c *Conn) advanceUna(ack uint64) {
-	streamEnd := c.streamEnd()
-	dataAck := ack
 	if c.finSent && ack > c.finSeq {
 		c.finAcked = true
-		dataAck = c.finSeq
 	}
-	if dataAck > streamEnd {
-		dataAck = streamEnd
+	k := 0
+	for k < len(c.sndq) && c.sndq[k].end <= ack {
+		k++
 	}
-	if dataAck > c.bufBase {
-		acked := dataAck - c.bufBase
-		if len(c.blanks) > 0 {
-			acked -= c.ackBlanks(dataAck)
-		}
-		c.sndBuf = c.sndBuf[acked:]
-		c.bufBase = dataAck
-	}
+	c.sndq = slices.Delete(c.sndq, 0, k)
 	c.sndUna = ack
 	if len(c.sacked) > 0 {
 		c.pruneSACK(ack)
 	}
 }
 
-// ackBlanks drops the content-free runs (or the part of one) below ack
-// and returns how many content-free bytes that acknowledged.
-func (c *Conn) ackBlanks(ack uint64) uint64 {
-	var n uint64
-	i := 0
-	for ; i < len(c.blanks) && c.blanks[i].seq < ack; i++ {
-		r := &c.blanks[i]
-		if r.end > ack {
-			n += ack - r.seq
-			r.seq = ack
-			break
-		}
-		n += r.end - r.seq
-	}
-	c.blanks = c.blanks[:copy(c.blanks, c.blanks[i:])]
-	c.blankLen -= n
-	return n
-}
-
-// oooSeg is one buffered out-of-order payload: its length, and a pooled
-// copy of its bytes unless the segment was content-free.
+// oooSeg is one buffered out-of-order payload: n stream bytes from seq,
+// and the arriving segment's own data slice — the sender's memory, like
+// an in-order delivery — or nil if the segment was content-free.
 type oooSeg struct {
-	data []byte
+	seq  uint64
 	n    int
+	data []byte
 }
 
 // processPayload handles data bytes and FIN of an incoming segment.
@@ -1303,22 +1213,17 @@ func (c *Conn) processPayload(s Segment) {
 			}
 		}
 	case s.Seq > c.rcvNxt:
-		// Out of order: buffer a pooled copy and send an immediate
-		// duplicate ACK. The copy decouples the hole buffer from the
-		// sender's send buffer; the pool recycles it after delivery. A
-		// content-free segment has nothing to copy: only its length is
-		// kept.
+		// Out of order: hold the segment in the sorted hole list (one
+		// entry per sequence number; arrivals cluster near the tail, so
+		// the scan is typically a single compare) and send an immediate
+		// duplicate ACK.
 		if plen > 0 {
-			if _, dup := c.ooo[s.Seq]; !dup {
-				if c.ooo == nil {
-					c.ooo = make(map[uint64]oooSeg)
-				}
-				held := oooSeg{n: plen}
-				if s.Data != nil {
-					held.data = c.ep.segPool.copyIn(s.Data)
-				}
-				c.ooo[s.Seq] = held
-				c.oooInsertKey(s.Seq)
+			i := len(c.ooo)
+			for i > 0 && c.ooo[i-1].seq > s.Seq {
+				i--
+			}
+			if i == 0 || c.ooo[i-1].seq != s.Seq {
+				c.ooo = slices.Insert(c.ooo, i, oooSeg{seq: s.Seq, n: plen, data: s.Data})
 			}
 		}
 		if s.Flags&FlagFIN != 0 {
@@ -1364,49 +1269,31 @@ func (c *Conn) handleFIN(seqEnd uint64) {
 	c.maybeFinish()
 }
 
-// drainOOO delivers buffered segments that have become contiguous,
-// recycling each buffer once its OnData callback has returned.
-// It reports whether anything was drained.
+// drainOOO delivers held segments that have become contiguous — each
+// leaves the list before its callback runs, so a segment sent from the
+// callback SACKs only what is still held — and reports whether anything
+// was drained. Entries a differently cut retransmission left below
+// rcvNxt are dropped only after a drain: until then they keep counting
+// as a held hole (immediate ACKs, SACK blocks) — wire-visible, and what
+// the lossy goldens and digests pin.
 func (c *Conn) drainOOO() bool {
 	drained := false
-	for {
-		d, ok := c.ooo[c.rcvNxt]
-		if !ok {
-			break
+	i := 0
+	for i < len(c.ooo) && c.ooo[i].seq <= c.rcvNxt {
+		d := c.ooo[i]
+		if d.seq < c.rcvNxt {
+			i++
+			continue
 		}
-		delete(c.ooo, c.rcvNxt)
+		c.ooo = slices.Delete(c.ooo, i, i+1)
 		c.deliver(d.data, d.n)
 		c.rcvNxt += uint64(d.n)
-		c.ep.segPool.put(d.data)
 		drained = true
 	}
-	// Drop the sorted-key prefix now below rcvNxt: the keys drained
-	// above, plus stale overlapping buffers (returned to the pool).
-	if drained && len(c.oooKeys) > 0 {
-		i := 0
-		for ; i < len(c.oooKeys) && c.oooKeys[i] < c.rcvNxt; i++ {
-			k := c.oooKeys[i]
-			if d, ok := c.ooo[k]; ok { // stale overlap, not drained above
-				c.ep.segPool.put(d.data)
-				delete(c.ooo, k)
-			}
-		}
-		c.oooKeys = c.oooKeys[:copy(c.oooKeys, c.oooKeys[i:])]
+	if drained {
+		c.ooo = slices.Delete(c.ooo, 0, i)
 	}
 	return drained
-}
-
-// oooInsertKey splices seq into oooKeys, the sorted mirror of the ooo
-// map's key set. Out-of-order arrivals cluster near the tail, so the
-// linear scan from the end is typically a single compare.
-func (c *Conn) oooInsertKey(seq uint64) {
-	i := len(c.oooKeys)
-	for i > 0 && c.oooKeys[i-1] > seq {
-		i--
-	}
-	c.oooKeys = append(c.oooKeys, 0)
-	copy(c.oooKeys[i+1:], c.oooKeys[i:])
-	c.oooKeys[i] = seq
 }
 
 // deliver hands n in-order stream bytes to the application: data when
@@ -1433,9 +1320,8 @@ func (c *Conn) trySend() {
 		return
 	}
 	mss := uint64(c.ep.cfg.MSS)
-	streamEnd := c.streamEnd()
 
-	for c.sndNxt < streamEnd {
+	for c.sndNxt < c.sndEnd {
 		wnd := uint64(c.cwnd)
 		if pw := uint64(c.peerWnd); pw < wnd {
 			wnd = pw
@@ -1448,8 +1334,8 @@ func (c *Conn) trySend() {
 		if n > mss {
 			n = mss
 		}
-		if n > streamEnd-c.sndNxt {
-			n = streamEnd - c.sndNxt
+		if n > c.sndEnd-c.sndNxt {
+			n = c.sndEnd - c.sndNxt
 		}
 		if n == 0 {
 			return
@@ -1470,15 +1356,15 @@ func (c *Conn) trySend() {
 		}
 	}
 
-	if c.finQueued && !c.finSent && c.sndNxt == streamEnd {
+	if c.finQueued && !c.finSent && c.sndNxt == c.sndEnd {
 		c.finSent = true
-		c.finSeq = streamEnd
+		c.finSeq = c.sndEnd
 		s := c.seg(FlagFIN|FlagACK, c.finSeq)
 		if c.finSeq < c.maxSent {
 			s.Retrans = true
 		}
 		c.transmit(s)
-		c.sndNxt = streamEnd + 1
+		c.sndNxt = c.sndEnd + 1
 		if c.sndNxt > c.maxSent {
 			c.maxSent = c.sndNxt
 		}
@@ -1511,15 +1397,11 @@ func (c *Conn) abort() {
 	c.ep.retire(c)
 }
 
-// releaseOOO returns any still-buffered out-of-order segments to the
-// pool on connection teardown. Pool order is irrelevant — buffers are
-// content-free containers between owners.
+// releaseOOO drops any still-held out-of-order segments on connection
+// teardown, so a closed connection pins none of the sender's bytes.
 func (c *Conn) releaseOOO() {
-	for k, d := range c.ooo {
-		delete(c.ooo, k)
-		c.ep.segPool.put(d.data)
-	}
-	c.oooKeys = c.oooKeys[:0]
+	clear(c.ooo)
+	c.ooo = c.ooo[:0]
 }
 
 // maybeFinish tears the connection down once both directions are done:

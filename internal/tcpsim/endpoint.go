@@ -50,10 +50,6 @@ type Endpoint struct {
 	// does: the segment is dropped).
 	demuxGen uint64
 
-	// segPool recycles out-of-order reassembly buffers across this
-	// host's connections; see the ownership rules on segPool.
-	segPool segPool
-
 	// free is the connection free list (Config.RecycleConns): closed
 	// connection objects whose scheduled timer events have all drained,
 	// ready for reinit by the next Dial or accept. Ownership rule: an

@@ -173,10 +173,7 @@ func TestSACKScoreboardMergesAndPrunes(t *testing.T) {
 
 func TestSACKBlocksCapAtThree(t *testing.T) {
 	c := &Conn{ep: &Endpoint{cfg: Config{SACK: true}.withDefaults()},
-		ooo: map[uint64]oooSeg{
-			10: {n: 2}, 20: {n: 2}, 30: {n: 2}, 40: {n: 2}, 50: {n: 2},
-		},
-		oooKeys: []uint64{10, 20, 30, 40, 50}}
+		ooo: []oooSeg{{seq: 10, n: 2}, {seq: 20, n: 2}, {seq: 30, n: 2}, {seq: 40, n: 2}, {seq: 50, n: 2}}}
 	blocks := c.sackBlocks()
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %d, want capped at 3", len(blocks))
@@ -190,12 +187,11 @@ func TestSACKBlocksCapAtThree(t *testing.T) {
 
 func TestSACKContiguousOOOMergesToOneBlock(t *testing.T) {
 	c := &Conn{ep: &Endpoint{cfg: Config{SACK: true}.withDefaults()},
-		ooo: map[uint64]oooSeg{
-			100: {data: make([]byte, 50), n: 50},
-			150: {n: 50}, // contiguous, content-free
-			300: {data: make([]byte, 10), n: 10},
-		},
-		oooKeys: []uint64{100, 150, 300}}
+		ooo: []oooSeg{
+			{seq: 100, n: 50, data: make([]byte, 50)},
+			{seq: 150, n: 50}, // contiguous, content-free
+			{seq: 300, n: 10, data: make([]byte, 10)},
+		}}
 	blocks := c.sackBlocks()
 	if len(blocks) != 2 || blocks[0] != (SACKBlock{100, 200}) || blocks[1] != (SACKBlock{300, 310}) {
 		t.Fatalf("blocks = %+v", blocks)

@@ -29,6 +29,12 @@ var (
 	ErrNoResponse  = errors.New("trace: no response payload in session")
 )
 
+// maxStream bounds the response stream Parse accepts. A response is a
+// search result page, not gigabytes; a sequence number beyond this is a
+// corrupt or hostile capture, and refusing it keeps every offset inside
+// int and Payload's one allocation bounded.
+const maxStream = 1 << 30
+
 // arrival records the first client arrival of a contiguous byte range of
 // the response stream. Offsets are 0-based stream offsets (TCP seq − 1).
 type arrival struct {
@@ -52,14 +58,8 @@ type Session struct {
 	// RTT is the handshake round-trip (SYN → SYN|ACK).
 	RTT time.Duration
 
-	// Payload is the reassembled response byte stream (HTTP header
-	// included — the paper counts it as static content). It holds
-	// zeroes where bytes were not captured, and is nil when the capture
-	// carries no response bytes at all (snapped, or a length-only
-	// world); PayloadComplete reports whether every byte is genuine and
-	// StreamLen is the stream's length either way.
-	Payload []byte
-	// StreamLen is the length of the response stream in bytes.
+	// StreamLen is the length of the response stream in bytes (HTTP
+	// header included — the paper counts it as static content).
 	StreamLen int
 	// PayloadComplete is false when any inbound payload bytes are
 	// missing from the capture (timeline analysis still valid; content
@@ -70,54 +70,25 @@ type Session struct {
 	// retransmitted).
 	Retransmissions int
 
-	arrivals []arrival // sorted by stream offset, first arrivals only
-	boundary int       // located static/dynamic boundary, -1 if not set
+	events   []capture.Event // Parse's argument, borrowed: what Payload reassembles
+	arrivals []arrival       // sorted by stream offset, first arrivals only
+	boundary int             // located static/dynamic boundary, -1 if not set
 }
 
 // Parse reconstructs a Session from one connection's client-side events.
-// Events must be in capture (time) order.
+// Events must be in capture (time) order. The session keeps a reference
+// to events — not a copy — for Payload to read, so a caller that wants
+// the payload must leave them alone until it has it. An inbound data
+// packet outside the response stream (sequence number 0, or ending
+// beyond maxStream) is an error naming the event.
 func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
-	s := &Session{Key: key, boundary: -1, PayloadComplete: true}
+	s := &Session{Key: key, boundary: -1, PayloadComplete: true, events: events}
 	var (
 		sawSYN, sawSYNACK, sawGET, sawAckOfGET bool
 		reqLen                                 uint64
+		covered                                []span
 	)
-	type chunk struct {
-		start, end int
-		at         time.Duration
-	}
-	var chunks []chunk
-
-	// Pre-scan: size the reassembly buffer and chunk list in one exact
-	// allocation each. The per-chunk append-and-zero growth this
-	// replaces was the top allocator in wireless-study profiles (every
-	// extension allocated a fresh zeroed tail and often reallocated the
-	// whole payload). A capture without response bytes reassembles
-	// nothing: only the stream length is tracked.
-	maxEnd, nChunks, hasBytes := 0, 0, false
-	for _, ev := range events {
-		if ev.Dir != tcpsim.DirRecv || ev.Len == 0 {
-			continue
-		}
-		if len(ev.Data) > 0 {
-			hasBytes = true
-		}
-		nChunks++
-		if end := int(ev.Seq-1) + int(ev.Len); end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if nChunks > 0 {
-		chunks = make([]chunk, 0, nChunks)
-	}
-	if hasBytes {
-		// Extended by reslicing as chunks land: the fresh backing array
-		// is already zeroed, and only chunk copies write to it, so
-		// never-received gaps read as zero exactly as before.
-		s.Payload = make([]byte, 0, maxEnd)
-	}
-
-	for _, ev := range events {
+	for i, ev := range events {
 		// Payload length survives snapping (tcpdump snaplen-style
 		// captures drop bytes but keep sizes).
 		plen := int(ev.Len)
@@ -142,25 +113,23 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 				s.T2 = ev.Time
 			}
 			if plen > 0 {
+				if ev.Seq == 0 || ev.Seq > maxStream || ev.Seq-1+uint64(plen) > maxStream {
+					return nil, fmt.Errorf("trace: event %d: %d payload bytes at seq %d lie outside the response stream (1 … %d)",
+						i, plen, ev.Seq, maxStream)
+				}
 				if ev.Retransmitted() {
 					s.Retransmissions++
 				}
 				if ev.Snapped() {
 					s.PayloadComplete = false
 				}
-				start := int(ev.Seq - 1) // response stream offset
-				chunks = append(chunks, chunk{start: start, end: start + plen, at: ev.Time})
-				if len(chunks) == 1 {
+				if s.StreamLen == 0 {
 					s.T3 = ev.Time
 				}
-				if end := start + plen; end > s.StreamLen {
-					s.StreamLen = end
-				}
-				// Reassemble whatever bytes were captured.
-				if hasBytes {
-					s.Payload = s.Payload[:s.StreamLen] // within the pre-scanned cap
-					copy(s.Payload[start:], ev.Data)
-				}
+				start := int(ev.Seq - 1) // response stream offset
+				s.StreamLen = max(s.StreamLen, start+plen)
+				s.TE = max(s.TE, ev.Time)
+				covered = s.arrive(covered, start, start+plen, ev.Time)
 			}
 		}
 	}
@@ -170,66 +139,84 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	if !sawGET {
 		return nil, ErrNoRequest
 	}
-	if len(chunks) == 0 {
+	if s.StreamLen == 0 {
 		return nil, ErrNoResponse
-	}
-
-	// First-arrival map: earliest time each stream offset was received.
-	// Chunks are in time order, so keep only ranges not fully covered.
-	// Coverage is tracked as sorted disjoint intervals instead of a
-	// per-byte bitmap: retransmission-heavy traces used to zero and
-	// walk a payload-sized bool slice per session.
-	type span struct{ start, end int }
-	var covered []span
-	for _, c := range chunks {
-		// First covered interval that could overlap or abut [start,end).
-		lo := sort.Search(len(covered), func(i int) bool { return covered[i].end >= c.start })
-		// Emit the uncovered gaps in ascending offset order — exactly
-		// the ranges the bitmap walk marked fresh.
-		pos, j := c.start, lo
-		for pos < c.end {
-			if j < len(covered) && covered[j].start <= pos {
-				if covered[j].end > pos {
-					pos = covered[j].end
-				}
-				j++
-				continue
-			}
-			gapEnd := c.end
-			if j < len(covered) && covered[j].start < gapEnd {
-				gapEnd = covered[j].start
-			}
-			if pos < gapEnd {
-				s.arrivals = append(s.arrivals, arrival{start: pos, end: gapEnd, at: c.at})
-				pos = gapEnd
-			}
-		}
-		// Splice [start,end) into the covered set, merging every
-		// interval it overlaps or abuts.
-		hi, merged := lo, span{c.start, c.end}
-		for hi < len(covered) && covered[hi].start <= c.end {
-			if covered[hi].start < merged.start {
-				merged.start = covered[hi].start
-			}
-			if covered[hi].end > merged.end {
-				merged.end = covered[hi].end
-			}
-			hi++
-		}
-		if hi == lo {
-			covered = append(covered, span{})
-			copy(covered[lo+1:], covered[lo:])
-			covered[lo] = merged
-		} else {
-			covered[lo] = merged
-			covered = append(covered[:lo+1], covered[hi:]...)
-		}
-		if c.at > s.TE {
-			s.TE = c.at
-		}
 	}
 	sort.Slice(s.arrivals, func(i, j int) bool { return s.arrivals[i].start < s.arrivals[j].start })
 	return s, nil
+}
+
+// span is a covered range [start, end) of the response stream.
+type span struct{ start, end int }
+
+// arrive records the inbound payload [start, end) received at time at:
+// the parts of it not in covered — sorted, disjoint ranges of what
+// earlier packets brought — are first arrivals, and the whole range
+// joins covered, which is returned. Packets come in time order, so what
+// is covered arrived no later. Intervals instead of a per-byte bitmap:
+// retransmission-heavy traces used to zero and walk a payload-sized
+// bool slice per session.
+func (s *Session) arrive(covered []span, start, end int, at time.Duration) []span {
+	// First covered interval that could overlap or abut [start,end).
+	lo := sort.Search(len(covered), func(i int) bool { return covered[i].end >= start })
+	// Emit the uncovered gaps in ascending offset order.
+	pos, j := start, lo
+	for pos < end {
+		if j < len(covered) && covered[j].start <= pos {
+			if covered[j].end > pos {
+				pos = covered[j].end
+			}
+			j++
+			continue
+		}
+		gapEnd := end
+		if j < len(covered) && covered[j].start < gapEnd {
+			gapEnd = covered[j].start
+		}
+		if pos < gapEnd {
+			s.arrivals = append(s.arrivals, arrival{start: pos, end: gapEnd, at: at})
+			pos = gapEnd
+		}
+	}
+	// Splice [start,end) into the covered set, merging every interval
+	// it overlaps or abuts.
+	hi, merged := lo, span{start, end}
+	for hi < len(covered) && covered[hi].start <= end {
+		if covered[hi].start < merged.start {
+			merged.start = covered[hi].start
+		}
+		if covered[hi].end > merged.end {
+			merged.end = covered[hi].end
+		}
+		hi++
+	}
+	if hi == lo {
+		covered = append(covered, span{})
+		copy(covered[lo+1:], covered[lo:])
+		covered[lo] = merged
+		return covered
+	}
+	covered[lo] = merged
+	return append(covered[:lo+1], covered[hi:]...)
+}
+
+// Payload reassembles the response byte stream from the events Parse was
+// given. It holds zeroes where bytes were not captured, and is nil when
+// the capture carries no response bytes at all (snapped, or a
+// length-only world); PayloadComplete reports whether every byte is
+// genuine. Each call builds a fresh StreamLen-byte slice: the one reader
+// is the cross-query content analysis, over a handful of sessions.
+func (s *Session) Payload() []byte {
+	var p []byte
+	for _, ev := range s.events {
+		if ev.Dir == tcpsim.DirRecv && ev.Len > 0 && len(ev.Data) > 0 {
+			if p == nil {
+				p = make([]byte, s.StreamLen)
+			}
+			copy(p[ev.Seq-1:], ev.Data)
+		}
+	}
+	return p
 }
 
 // ArrivalOf returns the first time the byte at stream offset arrived.

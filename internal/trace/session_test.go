@@ -64,8 +64,8 @@ func TestParseTimeline(t *testing.T) {
 	if s.T3 != 25*time.Millisecond || s.TE != 100*time.Millisecond {
 		t.Fatalf("t3/te = %v/%v", s.T3, s.TE)
 	}
-	if string(s.Payload) != "SSSSSSSSSSDDDDDDDD" {
-		t.Fatalf("payload = %q", s.Payload)
+	if string(s.Payload()) != "SSSSSSSSSSDDDDDDDD" {
+		t.Fatalf("payload = %q", s.Payload())
 	}
 	if err := s.Locate(10); err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(s.Payload) != "HELLOWORLD" {
-		t.Fatalf("payload = %q", s.Payload)
+	if string(s.Payload()) != "HELLOWORLD" {
+		t.Fatalf("payload = %q", s.Payload())
 	}
 	at0, _ := s.ArrivalOf(0)
 	at5, _ := s.ArrivalOf(5)

@@ -226,7 +226,11 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 	obsvs := make([]*obs.Observer, len(cells))
 	tasks := make([]shard.Task, len(cells))
 	for i, c := range cells {
-		tasks[i] = shard.Task{Name: c.name, Run: func() error {
+		// Dispatched in reverse table order: the open-loop queue cells
+		// are the longest and the table's last rows, and a worker pool
+		// that starts its longest task last finishes late. Everything
+		// merged afterwards still indexes by cell.
+		tasks[len(cells)-1-i] = shard.Task{Name: c.name, Run: func() error {
 			cs := NewStudy(s.cfg)
 			cs.rt = s.rt // shared telemetry hub — atomic, pure observation
 			if observed {
