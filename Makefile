@@ -57,16 +57,17 @@ fastpath-check:
 	$(GO) test -race -count=5 -run 'FuzzKeepAliveExpiry' ./internal/httpsim
 	$(GO) test -race -count=2 -run 'TestParallelSerialEquivalence' .
 
-# Lossy fast-lane gate: the loss-epoch boundary pins (first-segment
+# Lossy fast-lane gate: the lossy differential pins (first-segment
 # loss, dropped retransmission, final-round loss, tail-loss RTO,
-# Gilbert burst re-entry) and the fuzz corpus replay, at an elevated
-# -count under the race detector. See docs/PERF.md §lossy
-# fast-forwarding.
+# back-to-back Gilbert bursts, a one-way blackout — lane run ≡ packet
+# run) and the fuzz seed replay, at an elevated -count under the race
+# detector. See docs/PERF.md §lossy fast-forwarding.
 lossy-check:
 	$(GO) test -race -count=5 -run 'TestLossEpoch|FuzzLossEpochBoundary' ./internal/tcpsim
 
 # Short fuzz pass over the observability codecs (label escaping, the
-# metrics JSONL round trip over all three instrument kinds), the trace
+# metrics JSONL round trip over all three instrument kinds, arbitrary
+# bytes into the JSONL reader), the trace
 # file codec (arbitrary bytes into Decode; built traces through Encode
 # and back), the session parser above it (whatever Decode accepts into
 # trace.Parse) and the lossy fast-lane differential property. Go runs
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzReadMetricsJSONL -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLossEpochBoundary -fuzztime 10s ./internal/tcpsim
 
 # Load-aware queueing gate: the Lindley/M-D-1 property tests, the

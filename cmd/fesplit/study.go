@@ -126,12 +126,10 @@ func printFastPath(w io.Writer, prefix string, reg *fesplit.MetricsRegistry) {
 	if !ok {
 		return
 	}
-	fmt.Fprintf(w, "%sfast path: %.0f epochs, %.0f bytes bypassed the event heap, %.0f fallbacks\n",
-		prefix, u.Epochs, u.Bytes, u.Fallbacks)
-	fmt.Fprintf(w, "%sfast path lossy lanes: %.0f re-entries, %.0f lane drops, %.1f segments/epoch\n",
-		prefix, u.Reentries, u.LossDrops, u.EpochSegments)
-	fmt.Fprintf(w, "%sfast path fallbacks by reason: loss %.0f, topology %.0f, teardown %.0f, disabled %.0f, loss-recovery %.0f\n",
-		prefix, u.FallbackLoss, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled, u.FallbackLossRecovery)
+	fmt.Fprintf(w, "%sfast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops, %.0f fallbacks\n",
+		prefix, u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops, u.Fallbacks)
+	fmt.Fprintf(w, "%sfast path fallbacks by reason: topology %.0f, teardown %.0f, disabled %.0f\n",
+		prefix, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled)
 }
 
 // htmlReport is the self-contained HTML page artifact, with the

@@ -99,20 +99,13 @@ type FastPathUsage struct {
 	Bytes     float64
 	Fallbacks float64
 	// Per-reason fallback breakdown (fastpath_fallbacks_by_reason):
-	// loss blackouts refusing the lane outright, topology changes
-	// invalidating the resolved handler, peer teardown mid-epoch, the
-	// engine being disabled outright, and loss-recovery suspensions
-	// (a lane segment was consumed by the loss process; the epoch
-	// resumes once the retransmission is cumulatively ACKed).
-	FallbackLoss         float64
-	FallbackTopology     float64
-	FallbackTeardown     float64
-	FallbackDisabled     float64
-	FallbackLossRecovery float64
-	// Lossy-lane activity: epochs re-entered after a loss-recovery
-	// suspension, lane segments consumed by loss processes at send
-	// time, and the mean heap-bypassing segments per analytic epoch.
-	Reentries     float64
+	// topology changes invalidating the resolved handler, peer teardown
+	// mid-epoch, and the engine being disabled outright.
+	FallbackTopology float64
+	FallbackTeardown float64
+	FallbackDisabled float64
+	// Lane segments consumed by loss processes at send time, and the
+	// mean heap-bypassing segments per epoch.
 	LossDrops     float64
 	EpochSegments float64
 }
@@ -132,16 +125,12 @@ func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 				}
 				var dst *float64
 				switch s.LabelValues[0] {
-				case "loss":
-					dst = &u.FallbackLoss
 				case "topology":
 					dst = &u.FallbackTopology
 				case "teardown":
 					dst = &u.FallbackTeardown
 				case "disabled":
 					dst = &u.FallbackDisabled
-				case "loss-recovery":
-					dst = &u.FallbackLossRecovery
 				default:
 					continue
 				}
@@ -157,8 +146,6 @@ func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 			dst = &u.Bytes
 		case "fastpath_fallbacks":
 			dst = &u.Fallbacks
-		case "fastpath_reentries":
-			dst = &u.Reentries
 		case "fastpath_loss_drops":
 			dst = &u.LossDrops
 		case "fastpath_epoch_segments":

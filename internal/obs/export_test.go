@@ -157,20 +157,31 @@ func TestSpanTreeHelpers(t *testing.T) {
 // malformed dump is an error naming the line, never a panic and never a
 // silently dropped series. The histogram row is a dump written before
 // the fixed-bucket kind was removed.
+// rejectRows are dumps ReadMetricsJSONL must refuse, with the error text
+// each must name. FuzzReadMetricsJSONL starts from them too.
+var rejectRows = []struct{ name, in, want string }{
+	{"not json", "{", "line 1"},
+	{"label count", `{"name":"a","kind":"counter","label_names":["x"],"label_values":[],"value":1}`,
+		"1 label names vs 0 values"},
+	{"bucket count", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[1,2],"bucket_n":[3]}`,
+		"2 bucket indices vs 1 counts"},
+	{"unknown kind", `{"name":"a","kind":"untyped","value":1}`, `line 1: unknown kind "untyped"`},
+	{"removed histogram kind", `{"name":"ok_total","kind":"counter","value":1}` + "\n" +
+		`{"name":"fe_fetch_seconds","kind":"histogram","bounds":[0.1],"counts":[1,0],"sum":0.05,"count":1}`,
+		`line 2: unknown kind "histogram"`},
+	{"schema collision", `{"name":"a","kind":"counter","value":1}` + "\n" + `{"name":"a","kind":"gauge","value":1}`,
+		"inconsistent series"},
+	// Found by FuzzReadMetricsJSONL's property: both were accepted and
+	// then dumped as something the reader itself rejects ("+Inf") or
+	// reads back with a different count.
+	{"counter overflow", `{"name":"a","kind":"counter","value":1e308}` + "\n" + `{"name":"a","kind":"counter","value":1e308}`,
+		`line 2: counter "a" overflows`},
+	{"repeated bucket", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[1,1],"bucket_n":[3,4]}`,
+		"bucket indices not ascending"},
+}
+
 func TestReadMetricsJSONLRejects(t *testing.T) {
-	for _, tc := range []struct{ name, in, want string }{
-		{"not json", "{", "line 1"},
-		{"label count", `{"name":"a","kind":"counter","label_names":["x"],"label_values":[],"value":1}`,
-			"1 label names vs 0 values"},
-		{"bucket count", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[1,2],"bucket_n":[3]}`,
-			"2 bucket indices vs 1 counts"},
-		{"unknown kind", `{"name":"a","kind":"untyped","value":1}`, `line 1: unknown kind "untyped"`},
-		{"removed histogram kind", `{"name":"ok_total","kind":"counter","value":1}` + "\n" +
-			`{"name":"fe_fetch_seconds","kind":"histogram","bounds":[0.1],"counts":[1,0],"sum":0.05,"count":1}`,
-			`line 2: unknown kind "histogram"`},
-		{"schema collision", `{"name":"a","kind":"counter","value":1}` + "\n" + `{"name":"a","kind":"gauge","value":1}`,
-			"inconsistent series"},
-	} {
+	for _, tc := range rejectRows {
 		reg, err := ReadMetricsJSONL(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)

@@ -77,6 +77,39 @@ func FuzzPrometheusLabelEscape(f *testing.F) {
 	})
 }
 
+// requireDumpFixpoint dumps r, reads the dump back and requires the
+// reconstructed registry to export exactly what r did, as JSONL and as
+// the Prometheus view (quantiles recompute from restored sketch state).
+func requireDumpFixpoint(t *testing.T, r *Registry) {
+	t.Helper()
+	var first, second bytes.Buffer
+	var p1, p2 strings.Builder
+	if err := WriteMetricsJSONL(&first, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePrometheus(&p1, r); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadMetricsJSONL(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("read back: %v\n%s", err, first.String())
+	}
+	if err := WriteMetricsJSONL(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePrometheus(&p2, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("jsonl round-trip not a fixpoint:\n--- first\n%s--- second\n%s",
+			first.String(), second.String())
+	}
+	if p1.String() != p2.String() {
+		t.Fatalf("prometheus view changed across jsonl round-trip:\n--- first\n%s--- second\n%s",
+			p1.String(), p2.String())
+	}
+}
+
 // FuzzMetricsJSONLRoundTrip drives the labeled-series JSONL dump
 // through write → read → write and requires a byte-exact fixpoint: the
 // reconstructed registry must export exactly what the original did,
@@ -94,34 +127,30 @@ func FuzzMetricsJSONLRoundTrip(f *testing.F) {
 		for i := uint(0); i < n%64; i++ {
 			sk.Observe(v + float64(i))
 		}
-		var first bytes.Buffer
-		if err := WriteMetricsJSONL(&first, r); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadMetricsJSONL(bytes.NewReader(first.Bytes()))
+		requireDumpFixpoint(t, r)
+	})
+}
+
+// FuzzReadMetricsJSONL feeds arbitrary bytes to the dump reader — the
+// file `fesplit diff` opens from a path the user names. It must return
+// an error, or a registry whose own dump reads back to the same dump
+// and the same Prometheus view; it must never panic.
+func FuzzReadMetricsJSONL(f *testing.F) {
+	// One line of each kind from a seed-42 study's metrics.jsonl.
+	f.Add([]byte(`{"name":"tcp_rtos_total","kind":"counter","help":"retransmission-timeout expiries","value":88}`))
+	f.Add([]byte(`{"name":"fe_pool_in_use","kind":"gauge","help":"BE-fetch pool slots currently occupied","label_names":["fe","site"],"label_values":["bing-like-fe-metro-miami","metro-miami"],"value":0,"max":3}`))
+	f.Add([]byte(`{"name":"vantage_overall_seconds","kind":"summary","help":"overall query delay by vantage node","label_names":["service","vantage"],"label_values":["google-like","node-019"],"alpha":0.01,"zero":0,"sum":2.55236773,"min":0.423269461,"max":0.427682372,"bucket_idx":[-42],"bucket_n":[6]}`))
+	for _, row := range rejectRows {
+		f.Add([]byte(row.in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		reg, err := ReadMetricsJSONL(bytes.NewReader(in))
 		if err != nil {
-			t.Fatalf("read back: %v\n%s", err, first.String())
+			if reg != nil {
+				t.Fatalf("rejected dump (%v) still returned a registry", err)
+			}
+			return
 		}
-		var second bytes.Buffer
-		if err := WriteMetricsJSONL(&second, back); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("jsonl round-trip not a fixpoint:\n--- first\n%s--- second\n%s",
-				first.String(), second.String())
-		}
-		// The Prometheus view must round-trip too (quantiles recompute
-		// from restored sketch state).
-		var p1, p2 strings.Builder
-		if err := WritePrometheus(&p1, r); err != nil {
-			t.Fatal(err)
-		}
-		if err := WritePrometheus(&p2, back); err != nil {
-			t.Fatal(err)
-		}
-		if p1.String() != p2.String() {
-			t.Fatalf("prometheus view changed across jsonl round-trip:\n--- first\n%s--- second\n%s",
-				p1.String(), p2.String())
-		}
+		requireDumpFixpoint(t, reg)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"fesplit/internal/stats"
@@ -126,6 +127,9 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 		case "counter":
 			c := reg.CounterVec(m.Name, m.Help, m.LabelNames...).With(m.LabelValues...)
 			c.Add(m.Value)
+			if math.IsInf(c.Value(), 0) {
+				return nil, fmt.Errorf("obs: metrics jsonl line %d: counter %q overflows", lineNo, m.Name)
+			}
 		case "gauge":
 			g := reg.GaugeVec(m.Name, m.Help, m.LabelNames...).With(m.LabelValues...)
 			g.Set(m.Max) // raise the high-water mark first
@@ -137,6 +141,9 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 			}
 			buckets := make([]stats.Bucket, len(m.BucketIdx))
 			for i := range m.BucketIdx {
+				if i > 0 && m.BucketIdx[i] <= m.BucketIdx[i-1] {
+					return nil, fmt.Errorf("obs: metrics jsonl line %d: bucket indices not ascending", lineNo)
+				}
 				buckets[i] = stats.Bucket{Index: m.BucketIdx[i], Count: m.BucketN[i]}
 			}
 			sk := reg.SketchVec(m.Name, m.Help, m.Alpha, m.LabelNames...).With(m.LabelValues...)

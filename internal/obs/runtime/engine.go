@@ -34,29 +34,20 @@ import (
 // fallback counters everywhere they appear (Engine, simnet's
 // FastPathStats, the fastpath_fallbacks_by_reason metric family).
 const (
-	// ReasonLoss: the path grew a loss process, so every segment needs
-	// a per-event drop decision only the packet path makes.
-	ReasonLoss = iota
 	// ReasonTopology: the topology version changed or the peer's stack
 	// was no longer directly resolvable.
-	ReasonTopology
+	ReasonTopology = iota
 	// ReasonTeardown: the connection closed mid-epoch.
 	ReasonTeardown
 	// ReasonDisabled: fast-forwarding was switched off on the network.
 	ReasonDisabled
-	// ReasonLossRecovery: the loss process dropped a lane segment at
-	// send time; the epoch is suspended for the per-packet recovery
-	// exchange and re-enters once the retransmission is cumulatively
-	// ACKed. Unlike the other reasons this one is transient — pair it
-	// with the re-entry counter to see epochs resuming.
-	ReasonLossRecovery
 	// NumReasons sizes per-reason counter arrays.
 	NumReasons
 )
 
 // ReasonNames are the label values of the per-reason counters, index-
 // aligned with the Reason constants.
-var ReasonNames = [NumReasons]string{"loss", "topology", "teardown", "disabled", "loss-recovery"}
+var ReasonNames = [NumReasons]string{"topology", "teardown", "disabled"}
 
 // Engine is the telemetry hub one study run shares across all of its
 // concurrent simulated worlds. Subsystems publish with batched atomic

@@ -37,7 +37,7 @@ func TestEngineAccumulatesAndSnapshots(t *testing.T) {
 	e.AddSimTime(-5) // negative deltas ignored
 	e.NoteHeapDepth(40)
 	e.NoteHeapDepth(12) // lower sample must not regress the watermark
-	e.AddFastpath(2, 10, 4096, [NumReasons]uint64{ReasonLoss: 1, ReasonTeardown: 2})
+	e.AddFastpath(2, 10, 4096, [NumReasons]uint64{ReasonDisabled: 1, ReasonTeardown: 2})
 	e.AddTasks(3)
 	e.TaskStarted("a")
 	e.TaskStarted("b")
@@ -57,7 +57,7 @@ func TestEngineAccumulatesAndSnapshots(t *testing.T) {
 	if fp.Epochs != 2 || fp.Segments != 10 || fp.Bytes != 4096 || fp.Fallbacks != 3 {
 		t.Errorf("fastpath snap = %+v", fp)
 	}
-	if fp.ByReason["loss"] != 1 || fp.ByReason["teardown"] != 2 || fp.ByReason["topology"] != 0 {
+	if fp.ByReason["disabled"] != 1 || fp.ByReason["teardown"] != 2 || fp.ByReason["topology"] != 0 {
 		t.Errorf("fallbacks by reason = %v", fp.ByReason)
 	}
 	if snap.Tasks.Done != 1 || snap.Tasks.Total != 3 {
@@ -239,7 +239,7 @@ func TestHTTPMetricsAndProgress(t *testing.T) {
 		"fesplit_runtime_fastpath_epochs_total 1",
 		"fesplit_runtime_fastpath_bytes_total 300",
 		`fesplit_runtime_fastpath_fallbacks_total{reason="disabled"} 4`,
-		`fesplit_runtime_fastpath_fallbacks_total{reason="loss"} 0`,
+		`fesplit_runtime_fastpath_fallbacks_total{reason="topology"} 0`,
 		"fesplit_runtime_records_streamed_total 0",
 	} {
 		if !strings.Contains(body, want) {

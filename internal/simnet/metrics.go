@@ -63,10 +63,10 @@ func (s *Sim) SetMetrics(m *Metrics) {
 
 // ExportMetrics snapshots the fast-forward engine's activity into the
 // fastpath_* gauge families: how much traffic bypassed the event heap,
-// and how often connections entered or abandoned analytic epochs. Each
-// export Sets cumulative totals, so re-exporting after more traffic
-// simply overwrites; after a shard merge the series carry the busiest
-// shard's snapshot — gauges merge by max, see obs.Registry.Merge.
+// and how often connections entered or abandoned epochs. Each export
+// Sets cumulative totals, so re-exporting after more traffic simply
+// overwrites; after a shard merge the series carry the busiest shard's
+// snapshot — gauges merge by max, see obs.Registry.Merge.
 func (n *Network) ExportMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -77,16 +77,13 @@ func (n *Network) ExportMetrics(reg *obs.Registry) {
 		Set(float64(fs.Epochs))
 	reg.Gauge("fastpath_bytes", "wire bytes carried by heap-bypassing segments (snapshot)").
 		Set(float64(fs.Bytes))
-	reg.Gauge("fastpath_fallbacks", "epochs suspended or abandoned back to the packet path (snapshot)").
+	reg.Gauge("fastpath_fallbacks", "epochs abandoned back to the packet path (snapshot)").
 		Set(float64(fs.Fallbacks))
 	byReason := reg.GaugeVec("fastpath_fallbacks_by_reason",
 		"epochs abandoned back to the packet path, by refusal reason (snapshot)", "reason")
 	for i, v := range fs.FallbacksByReason {
 		byReason.With(FallbackReason(i).String()).Set(float64(v))
 	}
-	reg.Gauge("fastpath_reentries",
-		"epochs re-entered after a loss-recovery suspension (snapshot)").
-		Set(float64(fs.Reentries))
 	reg.Gauge("fastpath_loss_drops",
 		"lane segments consumed by loss processes at send time (snapshot)").
 		Set(float64(fs.LossDrops))
@@ -95,6 +92,6 @@ func (n *Network) ExportMetrics(reg *obs.Registry) {
 		epochSegs = float64(fs.Segments) / float64(fs.Epochs)
 	}
 	reg.Gauge("fastpath_epoch_segments",
-		"mean heap-bypassing segments per analytic epoch (snapshot)").
+		"mean heap-bypassing segments per epoch (snapshot)").
 		Set(epochSegs)
 }

@@ -94,15 +94,13 @@ type Network struct {
 	// Fast-path accounting: segments/bytes that bypassed the global
 	// event heap, epochs entered and fallbacks taken by connections.
 	// Exported as the fastpath_* gauges by ExportMetrics. Fallbacks are
-	// additionally broken down by reason (see FallbackReason); epochs
-	// resumed after a loss suspension are counted as re-entries, and
-	// lane segments consumed by the loss process at send time as loss
-	// drops.
+	// additionally broken down by reason (see FallbackReason); lane
+	// segments consumed by the loss process at send time are counted as
+	// loss drops.
 	fastSegs      uint64
 	fastBytes     uint64
 	fastEpochs    uint64
 	fastFallbacks uint64
-	fastReentries uint64
 	fastLossDrops uint64
 	fastByReason  [rt.NumReasons]uint64
 	rtEngine      *rt.Engine
@@ -290,10 +288,9 @@ func (n *Network) admit(p *path, size int) (arrival Time, dropped bool) {
 // A handle's path may carry a loss process. Loss draws consume the
 // simulator PRNG in segment send order — exactly when Network.Send
 // would draw them — so Transmit resolves each segment's fate (arrival
-// time or drop) at send time, with no packet delivered. That send-time
-// pre-draw is what lets lossy flows stay on the fast lane: the holder
-// learns about a drop immediately and can suspend its analytic epoch
-// for the recovery exchange instead of abandoning it.
+// time or drop) at send time, with no packet delivered; a dropped
+// segment is simply never queued, as Network.Send would never have
+// scheduled it.
 type PathHandle struct {
 	n       *Network
 	p       *path
@@ -305,8 +302,8 @@ func (h PathHandle) Valid() bool { return h.p != nil && h.version == h.n.version
 
 // Version returns the topology version; it changes whenever outstanding
 // PathHandles are revoked. Callers that failed to obtain a handle can
-// cache the refusal against this value — every reason FastPath refuses
-// is stable until the topology next mutates.
+// cache the refusal against this value — every refusal reason is stable
+// until the topology next mutates.
 func (n *Network) Version() uint64 { return n.version }
 
 // Transmit admits one packet of the given size on the handle's path and
@@ -327,36 +324,15 @@ func (h PathHandle) Transmit(size int) (arrival Time, dropped bool) {
 }
 
 // FastPath resolves a handle for the directed path from → to, or an
-// invalid handle when the path is ineligible: fast-forwarding disabled
-// on this network, or the path is a blackout (a loss process that drops
-// every packet — fast-forwarding it would thrash the suspension
-// machinery for a path the packet path handles by pure timer traffic).
-// An ordinary loss process does NOT disqualify the path: drops are
-// resolved at send time by Transmit.
+// invalid handle when fast-forwarding is disabled on this network. A
+// loss process — a total blackout included — does not disqualify the
+// path: drops are resolved at send time by Transmit.
 func (n *Network) FastPath(from, to HostID) PathHandle {
 	if n.fastOff {
 		return PathHandle{}
 	}
-	p := n.pathState(from, to)
-	if p.blackout() {
-		return PathHandle{}
-	}
-	return PathHandle{n: n, p: p, version: n.version}
+	return PathHandle{n: n, p: n.pathState(from, to), version: n.version}
 }
-
-// blackout reports whether the path's loss process drops every packet
-// with certainty in every state.
-func (p *path) blackout() bool {
-	if p.gilbert != nil {
-		return p.gilbert.params.LossGood >= 1 && p.gilbert.params.LossBad >= 1
-	}
-	return p.params.LossRate >= 1
-}
-
-// FastPathEnabled reports whether FastPath resolution is on (it is by
-// default). Callers that failed to obtain a handle use this to tell a
-// policy refusal (disabled) from a path refusal (loss process).
-func (n *Network) FastPathEnabled() bool { return !n.fastOff }
 
 // SetFastPathEnabled toggles FastPath resolution (enabled by default).
 // Disabling revokes outstanding handles, forcing every transfer back to
@@ -385,15 +361,10 @@ func (n *Network) NoteFastEpoch() {
 // fastpath_fallbacks_by_reason label order.
 type FallbackReason uint8
 
-// Fallback reasons, in canonical label order. Loss-recovery is the one
-// non-terminal reason: the epoch is suspended, not abandoned, and the
-// connection re-enters the lane once the loss is repaired (see
-// NoteFastReentry).
+// Fallback reasons, in canonical label order. Loss is not among them:
+// a lane segment the loss process drops is counted (LossDrops) and the
+// connection stays in its epoch.
 const (
-	// FallbackLoss: the path is a loss blackout (certain drop), so the
-	// fast path refuses it outright and the packet path carries the
-	// timer-driven retransmission traffic.
-	FallbackLoss FallbackReason = rt.ReasonLoss
 	// FallbackTopology: the topology version changed, or the peer's
 	// stack stopped being directly resolvable (foreign lane, detached
 	// handler, non-endpoint handler).
@@ -403,11 +374,6 @@ const (
 	// FallbackDisabled: fast-forwarding was switched off on this
 	// network (SetFastPathEnabled(false)).
 	FallbackDisabled FallbackReason = rt.ReasonDisabled
-	// FallbackLossRecovery: the loss process consumed a lane segment at
-	// send time; the epoch suspends for the per-packet recovery
-	// exchange and re-enters once the retransmission is cumulatively
-	// ACKed.
-	FallbackLossRecovery FallbackReason = rt.ReasonLossRecovery
 )
 
 // String returns the reason's metric label value.
@@ -430,22 +396,12 @@ func (n *Network) NoteFastFallback(reason FallbackReason) {
 	}
 }
 
-// NoteFastReentry records a connection resuming the fast lane after a
-// loss-recovery suspension: the retransmission was cumulatively ACKed
-// and the next segment re-entered an analytic epoch. Every re-entry is
-// also counted as an epoch entry by the NoteFastEpoch call that follows
-// it, so Reentries ≤ Epochs always.
-func (n *Network) NoteFastReentry() {
-	n.fastReentries++
-}
-
 // FastPathStats reports cumulative fast-path activity.
 type FastPathStats struct {
 	Epochs    uint64 // epochs entered by connections
 	Segments  uint64 // segments that bypassed the event heap
 	Bytes     uint64 // wire bytes carried by those segments
-	Fallbacks uint64 // epochs suspended or abandoned back to the packet path
-	Reentries uint64 // epochs resumed after a loss-recovery suspension
+	Fallbacks uint64 // epochs abandoned back to the packet path
 	LossDrops uint64 // lane segments consumed by loss processes at send time
 	// FallbacksByReason breaks Fallbacks down, indexed by
 	// FallbackReason.
@@ -459,7 +415,6 @@ func (n *Network) FastPathStats() FastPathStats {
 		Segments:          n.fastSegs,
 		Bytes:             n.fastBytes,
 		Fallbacks:         n.fastFallbacks,
-		Reentries:         n.fastReentries,
 		LossDrops:         n.fastLossDrops,
 		FallbacksByReason: n.fastByReason,
 	}

@@ -389,5 +389,5 @@ func (s *Sim) Pending() int {
 
 // String summarizes simulator state for debugging.
 func (s *Sim) String() string {
-	return fmt.Sprintf("sim(t=%v pending=%d processed=%d)", s.now, s.events.len(), s.Processed)
+	return fmt.Sprintf("sim(t=%v pending=%d processed=%d)", s.now, s.Pending(), s.Processed)
 }

@@ -159,7 +159,16 @@ func TestProcessedCounter(t *testing.T) {
 	if s.Processed != 25 {
 		t.Fatalf("Processed = %d", s.Processed)
 	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
+	// String's pending= is Pending(): lane events count.
+	s.AttachFastLane(oneEventLane{})
+	if got, want := s.String(), "sim(t=24ms pending=1 processed=25)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
+
+// oneEventLane is a fast lane holding one never-due event.
+type oneEventLane struct{}
+
+func (oneEventLane) Head() (Time, uint64, bool) { return time.Hour, 0, true }
+func (oneEventLane) RunHead()                   {}
+func (oneEventLane) Len() int                   { return 1 }

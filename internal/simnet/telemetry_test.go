@@ -10,11 +10,9 @@ import (
 
 func TestFallbackReasonStrings(t *testing.T) {
 	want := map[FallbackReason]string{
-		FallbackLoss:         "loss",
-		FallbackTopology:     "topology",
-		FallbackTeardown:     "teardown",
-		FallbackDisabled:     "disabled",
-		FallbackLossRecovery: "loss-recovery",
+		FallbackTopology: "topology",
+		FallbackTeardown: "teardown",
+		FallbackDisabled: "disabled",
 	}
 	for r, s := range want {
 		if got := r.String(); got != s {
@@ -29,8 +27,8 @@ func TestFallbackReasonStrings(t *testing.T) {
 func TestNoteFastFallbackByReason(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s)
-	n.NoteFastFallback(FallbackLoss)
-	n.NoteFastFallback(FallbackLoss)
+	n.NoteFastFallback(FallbackTopology)
+	n.NoteFastFallback(FallbackTopology)
 	n.NoteFastFallback(FallbackTeardown)
 	n.NoteFastFallback(FallbackDisabled)
 
@@ -38,7 +36,7 @@ func TestNoteFastFallbackByReason(t *testing.T) {
 	if st.Fallbacks != 4 {
 		t.Fatalf("Fallbacks = %d, want 4", st.Fallbacks)
 	}
-	wantBy := [rt.NumReasons]uint64{FallbackLoss: 2, FallbackTeardown: 1, FallbackDisabled: 1}
+	wantBy := [rt.NumReasons]uint64{FallbackTopology: 2, FallbackTeardown: 1, FallbackDisabled: 1}
 	if st.FallbacksByReason != wantBy {
 		t.Fatalf("FallbacksByReason = %v, want %v", st.FallbacksByReason, wantBy)
 	}
@@ -54,7 +52,7 @@ func TestNoteFastFallbackByReason(t *testing.T) {
 func TestExportMetricsFallbackReasons(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s)
-	n.NoteFastFallback(FallbackLoss)
+	n.NoteFastFallback(FallbackTeardown)
 	n.NoteFastFallback(FallbackTopology)
 	n.NoteFastFallback(FallbackTopology)
 
@@ -63,13 +61,13 @@ func TestExportMetricsFallbackReasons(t *testing.T) {
 
 	byReason := reg.GaugeVec("fastpath_fallbacks_by_reason",
 		"epochs abandoned back to the packet path, by refusal reason (snapshot)", "reason")
-	checks := map[string]float64{"loss": 1, "topology": 2, "teardown": 0, "disabled": 0}
+	checks := map[string]float64{"teardown": 1, "topology": 2, "disabled": 0}
 	for label, want := range checks {
 		if got := byReason.With(label).Value(); got != want {
 			t.Errorf("fastpath_fallbacks_by_reason{reason=%q} = %g, want %g", label, got, want)
 		}
 	}
-	if got := reg.Gauge("fastpath_fallbacks", "epochs suspended or abandoned back to the packet path (snapshot)").Value(); got != 3 {
+	if got := reg.Gauge("fastpath_fallbacks", "epochs abandoned back to the packet path (snapshot)").Value(); got != 3 {
 		t.Errorf("fastpath_fallbacks = %g, want 3", got)
 	}
 }
@@ -119,7 +117,7 @@ func TestRuntimeHubPublication(t *testing.T) {
 	}
 	n.NoteFastEpoch()
 	h.Transmit(1460)
-	n.NoteFastFallback(FallbackLoss)
+	n.NoteFastFallback(FallbackTeardown)
 	n.ExportMetrics(obs.NewRegistry()) // flushes the hub alongside the export
 
 	snap := eng.Snapshot()
@@ -132,7 +130,7 @@ func TestRuntimeHubPublication(t *testing.T) {
 	if snap.Fastpath.Epochs != 1 || snap.Fastpath.Segments != 1 || snap.Fastpath.Bytes == 0 {
 		t.Errorf("hub fastpath = %+v", snap.Fastpath)
 	}
-	if snap.Fastpath.Fallbacks != 1 || snap.Fastpath.ByReason["loss"] != 1 {
+	if snap.Fastpath.Fallbacks != 1 || snap.Fastpath.ByReason["teardown"] != 1 {
 		t.Errorf("hub fallbacks = %d by-reason %v", snap.Fastpath.Fallbacks, snap.Fastpath.ByReason)
 	}
 }

@@ -114,20 +114,6 @@ type Conn struct {
 	// later mid-epoch fallback reports the refusal's own reason.
 	fastNoWhy simnet.FallbackReason
 
-	// Loss-epoch suspension. A lossy path's drop decisions are made at
-	// send time (PathHandle.Transmit pre-draws the loss process in
-	// segment order), so the sender learns about a loss the instant it
-	// happens: the epoch suspends — the recovery exchange (dupACKs,
-	// retransmission, cwnd collapse) runs segment-granularly on the
-	// packet path — and re-enters the lane once the retransmission is
-	// cumulatively ACKed. lossSeq is the dropped segment's sequence
-	// number; an ACK beyond it with recovery finished lifts the
-	// suspension. Pure-ACK drops don't suspend: they occupy no sequence
-	// space, so there is no retransmission exchange to wait out.
-	lossWait    bool
-	lossSeq     uint64
-	lossReenter bool // count the next epoch entry as a re-entry
-
 	// --- receive side ---
 	rcvNxt   uint64
 	ooo      []oooSeg // out-of-order segments held behind a hole, sorted by seq
@@ -219,7 +205,6 @@ func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server
 	c.peer, c.peerEp, c.peerGen = nil, nil, 0
 	c.lane, c.ring = nil, nil
 	c.fastLane, c.fastNo, c.fastNoVer, c.fastNoWhy = false, false, 0, 0
-	c.lossWait, c.lossSeq, c.lossReenter = false, 0, false
 	c.rcvNxt = 0
 	c.finRcvd, c.finRseq, c.closedUp = false, 0, false
 	c.ackPending = 0
@@ -576,8 +561,8 @@ func (c *Conn) fallbackReason() simnet.FallbackReason {
 }
 
 // fastEligible reports whether this segment can bypass the event heap:
-// the outgoing path is loss-free and the peer endpoint's stack is
-// directly reachable. Handshake segments qualify too — a peer whose
+// fast-forwarding is on and the peer endpoint's stack is directly
+// reachable. Handshake segments qualify too — a peer whose
 // connection object is not resolvable yet (the initial SYN precedes its
 // creation) rides a half-resolved ring whose deliveries take the full
 // Deliver demux, which handles listener accept exactly as a heap-
@@ -590,12 +575,6 @@ func (c *Conn) fallbackReason() simnet.FallbackReason {
 func (c *Conn) fastEligible() bool {
 	if c.st == stateClosed {
 		return false
-	}
-	if c.lossWait {
-		if c.inRecov || c.sndUna <= c.lossSeq {
-			return false // recovery exchange still in flight
-		}
-		c.lossWait = false // retransmission cumulatively ACKed: re-enter
 	}
 	if !c.fwdPath.Valid() {
 		if c.fastNo && c.fastNoVer == c.ep.net.Version() {
@@ -625,12 +604,8 @@ func (c *Conn) resolveFast() bool {
 	net := c.ep.net
 	h := net.FastPath(c.ep.host, c.remote)
 	if !h.Valid() {
-		// FastPath refuses for exactly two reasons: the engine is
-		// switched off, or the path is a loss blackout.
-		if !net.FastPathEnabled() {
-			return c.noFast(simnet.FallbackDisabled)
-		}
-		return c.noFast(simnet.FallbackLoss)
+		// FastPath refuses only when the engine is switched off.
+		return c.noFast(simnet.FallbackDisabled)
 	}
 	lane := laneFor(c.ep.Sim())
 	if lane == nil {
@@ -691,10 +666,6 @@ func (c *Conn) fastSend(s Segment) {
 	if !c.fastLane {
 		c.fastLane = true
 		e.net.NoteFastEpoch()
-		if c.lossReenter {
-			c.lossReenter = false
-			e.net.NoteFastReentry()
-		}
 	}
 	if e.Tap != nil {
 		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(c.remote), Segment: s})
@@ -709,19 +680,8 @@ func (c *Conn) fastSend(s Segment) {
 	if dropped {
 		// The loss process consumed the segment at send time — exactly
 		// the draw Network.Send would have made; nothing is scheduled in
-		// either lane. A pure ACK occupies no sequence space and has no
-		// recovery exchange, so the epoch continues. A data, SYN or FIN
-		// segment suspends the epoch: the dupACK/retransmission exchange
-		// runs segment-granularly on the packet path, and the lane is
-		// re-entered once the retransmission is cumulatively ACKed (see
-		// fastEligible).
-		if s.PayloadLen() > 0 || s.Flags&(FlagSYN|FlagFIN) != 0 {
-			c.fastLane = false
-			c.lossWait = true
-			c.lossSeq = s.Seq
-			c.lossReenter = true
-			e.net.NoteFastFallback(simnet.FallbackLossRecovery)
-		}
+		// either lane, and the recovery exchange that follows is lane
+		// traffic like any other.
 		return
 	}
 	r := c.ring

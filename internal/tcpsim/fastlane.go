@@ -7,16 +7,15 @@ import (
 // The fast lane is the TCP half of the flow-level fast-forward engine
 // (the network half is simnet.PathHandle). When a connection's peer's
 // stack state is directly resolvable, each segment's fate and arrival
-// time are computed analytically at send time — by the same path state
-// machine the packet path runs, loss draws included — and the delivery
-// is queued here instead of on the global event heap. The simulator
-// merges the lane into its dispatch loop in (time, seq) order, so
-// deliveries interleave with ordinary events exactly as heap-scheduled
-// packets would. Lossy paths alternate: a send-time drop that occupies
-// sequence space suspends the epoch so the recovery conversation runs
-// on the packet path, and the lane re-enters once the retransmission
-// is cumulatively ACKed (Conn.lossWait/lossSeq). Only a total blackout
-// refuses resolution outright. See docs/PERF.md for the exactness
+// time are resolved at send time — by the same path state machine the
+// packet path runs, loss draws included — and the delivery is queued
+// here instead of on the global event heap. The simulator merges the
+// lane into its dispatch loop in (time, seq) order, so deliveries
+// interleave with ordinary events exactly as heap-scheduled packets
+// would. The lane is a per-connection delivery queue, not a model of
+// the transfer: a dropped segment is simply not queued, and the
+// dupACKs, retransmissions and RTO-driven resends that repair it are
+// lane traffic like any other. See docs/PERF.md for the exactness
 // argument.
 //
 // Structure: one FIFO ring per sending connection, plus a small min-

@@ -61,6 +61,17 @@ func (tr *transcript) tap(host string) func(TapEvent) {
 	}
 }
 
+// sends counts the segments host transmitted.
+func (tr *transcript) sends(host string) int {
+	n := 0
+	for _, ev := range tr.events {
+		if ev.host == host && ev.dir == DirSend {
+			n++
+		}
+	}
+	return n
+}
+
 func (tr *transcript) diff(other *transcript) string {
 	if tr.finalAt != other.finalAt {
 		return fmt.Sprintf("final sim time: %v vs %v", tr.finalAt, other.finalAt)
@@ -120,14 +131,13 @@ func randScenario(r *rand.Rand) fastScenario {
 	case 0:
 		s.lossRate = 0 // clean: fast path carries the whole transfer
 	case 1:
-		s.lossRate = 0.02 // lossy: epochs suspend per recovery exchange
+		s.lossRate = 0.02 // lossy: recovery exchanges ride the lane
 	case 2:
 		s.lossRate = 0.002 // rare loss
 	case 3, 4:
-		// Bursty Gilbert loss with randomized parameters: the chain's
-		// state survives across epoch suspensions, so the fast lane
-		// must consume its two uniforms per segment in exactly the
-		// packet path's order.
+		// Bursty Gilbert loss with randomized parameters: the fast lane
+		// must consume the chain's two uniforms per segment in exactly
+		// the packet path's order.
 		s.useGilbert = true
 		s.gilbert = simnet.GilbertParams{
 			PGoodToBad: 0.001 + 0.05*r.Float64(),
@@ -297,10 +307,10 @@ func TestFastPathFallbackBoundary(t *testing.T) {
 	}
 }
 
-// TestFastPathStatsAccounting checks the gauge trio counts what it
-// says: a clean bulk transfer enters at least one epoch and pushes
-// most of its wire bytes through the lane; flipping the path lossy
-// mid-stream records a fallback.
+// TestFastPathStatsAccounting checks the counters count what they say:
+// a clean bulk transfer enters at least one epoch and never falls back;
+// on a lossy path every segment either endpoint sends is either queued
+// on the lane or dropped at send time, and a drop is not a fallback.
 func TestFastPathStatsAccounting(t *testing.T) {
 	s := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
 	var n *simnet.Network
@@ -313,39 +323,19 @@ func TestFastPathStatsAccounting(t *testing.T) {
 		t.Fatalf("clean transfer recorded fallbacks: %+v", st)
 	}
 
-	// Lossy from the start: the lane carries the loss-free stretches,
-	// suspending for each recovery exchange and re-entering afterwards.
+	// Lossy from the start: the whole conversation, recovery included,
+	// is lane traffic.
 	s2 := s
 	s2.lossRate = 0.05
 	s2.seed = 8
-	var n2 *simnet.Network
-	s2.run(t, true, func(net *simnet.Network, tn *testNet) { n2 = net })
-	st2 := n2.FastPathStats()
-	if st2.Epochs == 0 || st2.Segments == 0 {
-		t.Fatalf("lossy path entered no fast epochs: %+v", st2)
+	tr2 := s2.run(t, true, nil)
+	st2 := tr2.stats
+	if st2.LossDrops == 0 || st2.Fallbacks != 0 {
+		t.Fatalf("5%% loss: want send-time lane drops and no fallback, got %+v", st2)
 	}
-	if st2.LossDrops == 0 {
-		t.Fatalf("5%% loss recorded no send-time lane drops: %+v", st2)
-	}
-	if st2.FallbacksByReason[simnet.FallbackLossRecovery] == 0 {
-		t.Fatalf("lane drops produced no loss-recovery suspensions: %+v", st2)
-	}
-	if st2.Reentries == 0 {
-		t.Fatalf("suspensions never re-entered the lane: %+v", st2)
-	}
-	if st2.Reentries > st2.Epochs {
-		t.Fatalf("re-entries %d exceed epoch entries %d", st2.Reentries, st2.Epochs)
-	}
-
-	// A blackout path (certain loss) never qualifies: the packet path
-	// carries the pure timer/retransmission traffic.
-	s3 := s
-	s3.lossRate = 1
-	s3.seed = 9
-	var n3 *simnet.Network
-	s3.run(t, true, func(net *simnet.Network, tn *testNet) { n3 = net })
-	if st3 := n3.FastPathStats(); st3.Epochs != 0 || st3.Segments != 0 {
-		t.Fatalf("blackout path entered fast epochs: %+v", st3)
+	if sent := uint64(tr2.sends("c") + tr2.sends("s")); st2.Segments+st2.LossDrops != sent {
+		t.Fatalf("lane segments %d + lane drops %d != %d segments sent",
+			st2.Segments, st2.LossDrops, sent)
 	}
 }
 
@@ -364,63 +354,57 @@ func TestFastPathSlowStartTimingPreserved(t *testing.T) {
 }
 
 // TestFastPathFallbackReasonClassification checks the per-reason
-// breakdown of the fallback counter: flipping the path lossy mid-epoch
-// must classify the fallback as "loss", switching the engine off
-// mid-epoch as "disabled", and in both cases the reason counts must sum
-// to the fallback total.
+// breakdown of the fallback counter: a peer that stops being a directly
+// resolvable Endpoint mid-epoch must classify the fallback as
+// "topology", switching the engine off mid-epoch as "disabled", a
+// segment sent after the connection closed as "teardown", and in every
+// case the reason counts must sum to the fallback total.
 func TestFastPathFallbackReasonClassification(t *testing.T) {
 	base := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
 
 	// Mid-epoch mutation after the Nth fresh data segment, applied on a
 	// zero-delay event so both lanes see it at the same stream position.
-	midStream := func(apply func(n *simnet.Network)) func(*simnet.Network, *testNet) {
-		return func(n *simnet.Network, tn *testNet) {
-			sent := 0
-			inner := tn.server.Tap
-			tn.server.Tap = func(ev TapEvent) {
-				inner(ev)
-				if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
-					if sent == 20 {
-						tn.sim.Schedule(0, func() { apply(n) })
+	midStream := func(apply func(*simnet.Network, *testNet)) func(*testing.T) simnet.FastPathStats {
+		return func(t *testing.T) simnet.FastPathStats {
+			return base.run(t, true, func(n *simnet.Network, tn *testNet) {
+				sent := 0
+				inner := tn.server.Tap
+				tn.server.Tap = func(ev TapEvent) {
+					inner(ev)
+					if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
+						if sent == 20 {
+							tn.sim.Schedule(0, func() { apply(n, tn) })
+						}
+						sent++
 					}
-					sent++
 				}
-			}
+			}).stats
 		}
 	}
 
 	cases := []struct {
 		name   string
 		reason simnet.FallbackReason
-		apply  func(n *simnet.Network)
+		stats  func(*testing.T) simnet.FastPathStats
 	}{
-		// An ordinary loss process no longer abandons the epoch: the
-		// lane suspends per recovery exchange ("loss-recovery").
-		{"loss-recovery", simnet.FallbackLossRecovery, func(n *simnet.Network) {
-			n.SetPath("s", "c", simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: 0.3})
-		}},
-		// A blackout (certain loss) is refused outright ("loss").
-		{"loss", simnet.FallbackLoss, func(n *simnet.Network) {
-			n.SetPath("s", "c", simnet.PathParams{Delay: 10 * time.Millisecond, LossRate: 1})
-		}},
-		{"disabled", simnet.FallbackDisabled, func(n *simnet.Network) {
+		// The client's stack moves behind a forwarding handler: same
+		// deliveries, but no longer an *Endpoint the sender can resolve.
+		{"topology", simnet.FallbackTopology, midStream(func(n *simnet.Network, tn *testNet) {
+			n.Attach("c", simnet.HandlerFunc(tn.client.Deliver))
+		})},
+		{"disabled", simnet.FallbackDisabled, midStream(func(n *simnet.Network, _ *testNet) {
 			n.SetFastPathEnabled(false)
-		}},
+		})},
+		{"teardown", simnet.FallbackTeardown, lateDelayedAckStats},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var n *simnet.Network
-			mutate := midStream(tc.apply)
-			base.run(t, true, func(net *simnet.Network, tn *testNet) {
-				n = net
-				mutate(net, tn)
-			})
-			st := n.FastPathStats()
+			st := tc.stats(t)
 			if st.Fallbacks == 0 {
-				t.Fatalf("%s flip mid-epoch recorded no fallbacks: %+v", tc.name, st)
+				t.Fatalf("%s mid-epoch recorded no fallbacks: %+v", tc.name, st)
 			}
 			if st.FallbacksByReason[tc.reason] == 0 {
-				t.Fatalf("%s flip not classified: by-reason %v", tc.name, st.FallbacksByReason)
+				t.Fatalf("%s not classified: by-reason %v", tc.name, st.FallbacksByReason)
 			}
 			var sum uint64
 			for _, v := range st.FallbacksByReason {
@@ -432,4 +416,35 @@ func TestFastPathFallbackReasonClassification(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lateDelayedAckStats builds the one way a closed connection still
+// transmits: the client uploads into a blackout and aborts at the top of
+// its RTO ladder while a delayed ACK for a lone server segment is still
+// pending; the ACK timer then fires on the closed connection. A first
+// run learns the abort instant, the second lands the lone segment half
+// a delayed-ACK timeout before it.
+func lateDelayedAckStats(t *testing.T) simnet.FastPathStats {
+	const delay, ackTimeout = 10 * time.Millisecond, 40 * time.Millisecond
+	run := func(loneAt time.Duration) (abortAt time.Duration, st simnet.FastPathStats) {
+		tn := newTestNet(t, simnet.PathParams{Delay: delay}, Config{DelayedAck: true, DelayedAckTimeout: ackTimeout})
+		var srv *Conn
+		if _, err := tn.server.Listen(80, func(c *Conn) { srv = c }); err != nil {
+			t.Fatal(err)
+		}
+		cli := tn.client.Dial("s", 80)
+		cli.OnClose = func() { abortAt = tn.sim.Now() }
+		tn.sim.Schedule(100*time.Millisecond, func() {
+			tn.net.SetPath("c", "s", simnet.PathParams{Delay: delay, LossRate: 1})
+			cli.Send(make([]byte, 1000))
+		})
+		if loneAt > 0 {
+			tn.sim.Schedule(loneAt, func() { srv.Send([]byte{1}) })
+		}
+		tn.sim.Run()
+		return abortAt, tn.net.FastPathStats()
+	}
+	abortAt, _ := run(0)
+	_, st := run(abortAt - delay - ackTimeout/2)
+	return st
 }

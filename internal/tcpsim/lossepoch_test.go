@@ -7,19 +7,18 @@ import (
 	"fesplit/internal/simnet"
 )
 
-// Loss-epoch boundary tests: each pins one adversarial alignment of the
-// loss process against the analytic epoch machinery — the first data
-// segment of a transfer, a retransmission itself, the final round, a
-// tail loss that only an RTO can repair, and back-to-back Gilbert
-// bursts. The scenarios are found by seed search (the loss process is
-// the path RNG's, not injectable) and every found scenario is pinned by
-// the differential harness: fast lane vs packet path, transcript-
-// identical.
+// Lossy differential pins: each fixes one adversarial alignment of the
+// loss process against the transfer — the first data segment, a
+// retransmission itself, the final round, a tail loss that only an RTO
+// can repair, back-to-back Gilbert bursts, a one-way blackout. The
+// scenarios are found by seed search (the loss process is the path
+// RNG's, not injectable) and every found scenario is pinned by the
+// differential harness: fast lane vs packet path, transcript-identical.
 
 // findLossSeed scans seeds until the fast-lane run of base satisfies
 // pred, then returns the concrete scenario and its transcript. Fails
 // the test if no seed in [0, maxSeeds) qualifies — a drift alarm: if
-// the machinery changes such that the condition can no longer occur,
+// the transport changes such that the condition can no longer occur,
 // the pin must be revisited, not silently skipped.
 func findLossSeed(t *testing.T, base fastScenario, maxSeeds int64,
 	pred func(*transcript) bool) (fastScenario, *transcript) {
@@ -50,8 +49,8 @@ func pinDifferential(t *testing.T, s fastScenario, fastTr *transcript) {
 }
 
 // lossyBase is the shared scenario shape: enough data for several
-// rounds, SACK on (the recovery exchange the suspension must replay
-// faithfully is the interesting one).
+// rounds, SACK on (the recovery exchange with the most state to get
+// wrong).
 func lossyBase(lossRate float64) fastScenario {
 	return fastScenario{
 		delay:    10 * time.Millisecond,
@@ -76,9 +75,8 @@ func retransSends(tr *transcript) map[uint64]int {
 }
 
 // TestLossEpochFirstSegmentLoss: the loss process consumes the very
-// first data segment of the transfer, so the epoch suspends before a
-// single lane delivery completes and the handshake's RTO machinery
-// overlaps the suspension.
+// first data segment of the transfer, before a single data delivery
+// completes, so its repair overlaps the handshake's RTO state.
 func TestLossEpochFirstSegmentLoss(t *testing.T) {
 	base := lossyBase(0.02)
 	base.size = 40 << 10
@@ -89,9 +87,8 @@ func TestLossEpochFirstSegmentLoss(t *testing.T) {
 }
 
 // TestLossEpochRetransmissionLoss: a retransmission is itself dropped
-// (the same hole retransmitted twice or more), so the suspension's
-// re-entry condition — cumulative ACK beyond the dropped sequence —
-// must survive a failed repair attempt.
+// (the same hole retransmitted twice or more): a failed repair attempt
+// followed by a second one.
 func TestLossEpochRetransmissionLoss(t *testing.T) {
 	s, tr := findLossSeed(t, lossyBase(0.05), 500, func(tr *transcript) bool {
 		if tr.stats.LossDrops == 0 || tr.stats.Epochs == 0 {
@@ -109,8 +106,7 @@ func TestLossEpochRetransmissionLoss(t *testing.T) {
 
 // TestLossEpochFinalRoundLoss: the drop lands in the transfer's last
 // congestion round (the highest data sequence is retransmitted), so
-// the suspended epoch never re-enters — teardown must proceed from the
-// suspended state without double-counting fallbacks.
+// the repair runs into the FIN exchange and teardown.
 func TestLossEpochFinalRoundLoss(t *testing.T) {
 	base := lossyBase(0.02)
 	s, tr := findLossSeed(t, base, 1000, func(tr *transcript) bool {
@@ -129,8 +125,8 @@ func TestLossEpochFinalRoundLoss(t *testing.T) {
 }
 
 // TestLossEpochTailLossRTO: no dupACK train forms (tail loss), so only
-// the retransmission timer repairs the hole — the suspension has to
-// wait out a full RTO, not a fast-retransmit exchange.
+// the retransmission timer repairs the hole — a heap event between two
+// stretches of lane traffic.
 func TestLossEpochTailLossRTO(t *testing.T) {
 	s, tr := findLossSeed(t, lossyBase(0.02), 1000, func(tr *transcript) bool {
 		return tr.stats.LossDrops > 0 && tr.stats.Epochs > 0 && tr.serverM.Timeouts > 0
@@ -138,11 +134,9 @@ func TestLossEpochTailLossRTO(t *testing.T) {
 	pinDifferential(t, s, tr)
 }
 
-// TestLossEpochGilbertBackToBackBursts: a Gilbert process whose bad
-// state drops most packets produces clustered losses; the epoch must
-// suspend and re-enter repeatedly, with the chain's state carried
-// across every lane/heap transition.
-func TestLossEpochGilbertBackToBackBursts(t *testing.T) {
+// burstyBase is lossyBase behind a Gilbert process whose bad state
+// drops most packets: clustered losses.
+func burstyBase() fastScenario {
 	base := lossyBase(0)
 	base.useGilbert = true
 	base.gilbert = simnet.GilbertParams{
@@ -151,10 +145,87 @@ func TestLossEpochGilbertBackToBackBursts(t *testing.T) {
 		LossGood:   0.001,
 		LossBad:    0.6,
 	}
-	s, tr := findLossSeed(t, base, 500, func(tr *transcript) bool {
-		return tr.stats.Reentries >= 2 && tr.stats.LossDrops >= 4
+	return base
+}
+
+// recoveryEpisodes counts the server's retransmission episodes: a
+// retransmission opens a new one when the client's cumulative ACK has
+// covered everything the server had sent when the previous episode's
+// last retransmission left (NewReno's recovery point).
+func recoveryEpisodes(tr *transcript) int {
+	var maxAck, maxEnd, recoverAt uint64
+	episodes := 0
+	for _, ev := range tr.events {
+		if ev.host != "s" {
+			continue
+		}
+		switch {
+		case ev.dir == DirRecv:
+			maxAck = max(maxAck, ev.ack)
+		case ev.dataLen == 0: // handshake, pure ACK or FIN: not data
+		case ev.retrans:
+			if episodes == 0 || maxAck >= recoverAt {
+				episodes++
+			}
+			recoverAt = maxEnd
+		default:
+			maxEnd = max(maxEnd, ev.seq+uint64(ev.dataLen))
+		}
+	}
+	return episodes
+}
+
+// TestLossEpochGilbertBackToBackBursts: clustered losses repaired in at
+// least two separate recovery episodes, the chain's state carried
+// through each of them.
+func TestLossEpochGilbertBackToBackBursts(t *testing.T) {
+	s, tr := findLossSeed(t, burstyBase(), 500, func(tr *transcript) bool {
+		return recoveryEpisodes(tr) >= 2 && tr.stats.LossDrops >= 4
 	})
 	pinDifferential(t, s, tr)
+}
+
+// TestLossEpochBlackout: the server→client direction drops everything
+// from the first SYN|ACK on. Both ends climb their RTO ladders and
+// abort; the lane run must do so at the packet path's instants, with
+// every server segment resolved as a send-time lane drop.
+func TestLossEpochBlackout(t *testing.T) {
+	s := fastScenario{seed: 9, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
+	blackout := func(n *simnet.Network, _ *testNet) {
+		n.SetPath("s", "c", simnet.PathParams{Delay: s.delay, LossRate: 1})
+	}
+	fastTr := s.run(t, true, blackout)
+	slowTr := s.run(t, false, blackout)
+	if d := fastTr.diff(slowTr); d != "" {
+		t.Fatalf("blackout diverged: %s", d)
+	}
+	// The server's connection never establishes, so the accept callback
+	// (and serverM) never sees it; its ladder shows as SYN|ACK resends.
+	if fastTr.clientM.Timeouts != maxBackoffs || fastTr.sends("s") <= maxBackoffs || fastTr.gotLen != 0 {
+		t.Fatalf("want both ends to climb %d RTOs with nothing delivered, got client %+v, %d server sends, %d bytes",
+			maxBackoffs, fastTr.clientM, fastTr.sends("s"), fastTr.gotLen)
+	}
+	st := fastTr.stats
+	if st.Fallbacks != 0 || st.LossDrops != uint64(fastTr.sends("s")) || st.Segments != uint64(fastTr.sends("c")) {
+		t.Fatalf("want every server send a lane drop (%d), every client send a lane segment (%d), no fallback; got %+v",
+			fastTr.sends("s"), fastTr.sends("c"), st)
+	}
+}
+
+// TestLossyTransferNeverLeavesLane: under i.i.d. and clustered loss a
+// whole transfer — drops, dupACKs, retransmissions, RTO resends — is
+// lane traffic: no fallback is counted and the transcript is the packet
+// path's.
+func TestLossyTransferNeverLeavesLane(t *testing.T) {
+	for name, base := range map[string]fastScenario{"iid-3pct": lossyBase(0.03), "gilbert": burstyBase()} {
+		s, tr := findLossSeed(t, base, 100, func(tr *transcript) bool {
+			return tr.stats.LossDrops > 0 && tr.serverM.Retransmits > 0
+		})
+		pinDifferential(t, s, tr)
+		if tr.stats.Fallbacks != 0 {
+			t.Fatalf("%s: lossy transfer left the lane: %+v", name, tr.stats)
+		}
+	}
 }
 
 // FuzzLossEpochBoundary drives the differential harness from fuzzed

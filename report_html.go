@@ -320,27 +320,23 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 }
 
 // htmlFastPath renders the fast-forward engine's activity: how much of
-// the simulated traffic bypassed the event heap via analytic
-// fast-forwarding, and how often connections entered or abandoned
-// those epochs. Skipped when the registry carries no fastpath gauges
-// (an unobserved run).
+// the simulated traffic bypassed the event heap on the lane, and how
+// often connections entered or abandoned epochs. Skipped when the
+// registry carries no fastpath gauges (an unobserved run).
 func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 	u, ok := FastPathUsageFrom(reg)
 	if !ok {
 		return
 	}
 	bw.printf("<h2>Fast-forward engine</h2>\n")
-	bw.printf("<p class=\"note\">TCP transfers are fast-forwarded: segment deliveries are computed analytically and bypass the global event heap (packet-equivalent by construction; the busiest study cell's snapshot after the shard merge). Lossy flows alternate between analytic epochs and per-packet recovery exchanges — a send-time lane drop suspends the epoch, and the lane re-enters once the retransmission is cumulatively ACKed.</p>\n")
+	bw.printf("<p class=\"note\">TCP transfers are fast-forwarded: each segment's fate and arrival time are resolved at send time and its delivery is queued on a per-connection lane instead of the global event heap — loss recovery included (packet-equivalent by construction; the busiest study cell's snapshot after the shard merge).</p>\n")
 	bw.printf("<table>\n<tr><th class=\"l\">gauge</th><th>value</th></tr>\n")
 	bw.printf("<tr><td class=\"l\">fastpath_epochs</td><td>%s</td></tr>\n", trimFloat(u.Epochs))
 	bw.printf("<tr><td class=\"l\">fastpath_bytes</td><td>%s</td></tr>\n", trimFloat(u.Bytes))
 	bw.printf("<tr><td class=\"l\">fastpath_fallbacks</td><td>%s</td></tr>\n", trimFloat(u.Fallbacks))
-	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss</td><td>%s</td></tr>\n", trimFloat(u.FallbackLoss))
 	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: topology</td><td>%s</td></tr>\n", trimFloat(u.FallbackTopology))
 	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: teardown</td><td>%s</td></tr>\n", trimFloat(u.FallbackTeardown))
 	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: disabled</td><td>%s</td></tr>\n", trimFloat(u.FallbackDisabled))
-	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: loss-recovery</td><td>%s</td></tr>\n", trimFloat(u.FallbackLossRecovery))
-	bw.printf("<tr><td class=\"l\">fastpath_reentries</td><td>%s</td></tr>\n", trimFloat(u.Reentries))
 	bw.printf("<tr><td class=\"l\">fastpath_loss_drops</td><td>%s</td></tr>\n", trimFloat(u.LossDrops))
 	bw.printf("<tr><td class=\"l\">fastpath_epoch_segments</td><td>%s</td></tr>\n", trimFloat(u.EpochSegments))
 	bw.printf("</table>\n")

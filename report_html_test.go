@@ -56,6 +56,7 @@ func sampleObs() (*MetricsRegistry, []Exemplar) {
 	reg.Gauge("fastpath_epochs", "epochs").Set(12)
 	reg.Gauge("fastpath_bytes", "bytes").Set(3.5e6)
 	reg.Gauge("fastpath_fallbacks", "fallbacks").Set(2)
+	reg.GaugeVec("fastpath_fallbacks_by_reason", "by reason", "reason").With("teardown").Set(2)
 	sk := reg.SketchVec("session_param_seconds", "params", 0.01, "service", "phase").
 		With("google-like", "tdynamic")
 	for i := 1; i <= 100; i++ {
@@ -126,8 +127,8 @@ func TestFastPathUsageFrom(t *testing.T) {
 	if !ok {
 		t.Fatal("FastPathUsageFrom found no gauges in a registry that has them")
 	}
-	if u.Epochs != 12 || u.Bytes != 3.5e6 || u.Fallbacks != 2 {
-		t.Fatalf("usage = %+v, want {12 3.5e+06 2}", u)
+	if want := (FastPathUsage{Epochs: 12, Bytes: 3.5e6, Fallbacks: 2, FallbackTeardown: 2}); u != want {
+		t.Fatalf("usage = %+v, want %+v", u, want)
 	}
 	if _, ok := FastPathUsageFrom(nil); ok {
 		t.Error("nil registry reported fast-path gauges")
