@@ -34,12 +34,15 @@ layering:
 # Length-only payload gate: a snapped world must be the full-payload
 # world minus the bytes (twin-world differential: records, packets, FE
 # ground truth, event counts), and a length-only query must stay inside
-# its allocation budget while a full-payload one costs ≥ 4× as much;
+# its allocation budget while a full-payload one costs ≥ 4× as much, a
+# Runner record's events must be its connection's recorder list (capped,
+# disjoint, together the node's whole capture) inside the lossy world's
+# per-query budget;
 # below them, the same differential for TCP streams and HTTP responses
 # that mix real and content-free bytes. At an elevated -count under the
 # race detector. See DESIGN.md §payload path.
 payload-check:
-	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget' ./internal/emulator
+	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
@@ -69,7 +72,8 @@ lossy-check:
 # metrics JSONL round trip over all three instrument kinds, arbitrary
 # bytes into the JSONL reader), the trace
 # file codec (arbitrary bytes into Decode; built traces through Encode
-# and back), the session parser above it (whatever Decode accepts into
+# and back), the recorder (tap sequences against its own trace, session
+# split and codec), the session parser above it (whatever Decode accepts into
 # trace.Parse) and the lossy fast-lane differential property. Go runs
 # one fuzz target per invocation, so one run each. ~10s each — a smoke
 # pass, not a campaign; the CI check job runs this target, so the list
@@ -79,6 +83,7 @@ lossy-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/capture
+	$(GO) test -run '^$$' -fuzz FuzzRecorder -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs

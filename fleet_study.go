@@ -76,7 +76,7 @@ type FleetStudyResult struct {
 // at emission time. Everything it keeps is O(1) per batch: two quantile
 // sketches, counters, and — inside the fold — a span arena plus the
 // batch observer's bounded tail sampler, which clones only retained
-// spans (the record's events and body are slab-owned and recycled right
+// spans (the record's events and body are pooled and recycled right
 // after Consume returns). The fold has no registry: the fleet keeps
 // exemplars and delay sketches, not per-phase families.
 type fleetStudySink struct {

@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fesplit/internal/analysis"
+	"fesplit/internal/emulator"
+	"fesplit/internal/obs"
+	"fesplit/internal/stats"
 )
 
 func fleetStudyCSV(t *testing.T, workers int, clients int, horizon time.Duration) (string, *FleetStudyResult) {
@@ -93,5 +98,66 @@ func TestFleetStudyHeapBound(t *testing.T) {
 	}
 	if res.Merged.PeakFELog > 4_096 {
 		t.Fatalf("peak FE log %d — pruning broken", res.Merged.PeakFELog)
+	}
+}
+
+// fleetSeries runs the fleet study's campaign with a registry behind
+// every batch observer and its fold — what an observed fleet would
+// export — and returns each family's series count with the pooled slot
+// total.
+func fleetSeries(t *testing.T, clients int) (map[string]int, int) {
+	t.Helper()
+	fc := FleetStudyConfig{Clients: clients, Horizon: 10 * time.Minute, Batches: 2, Workers: 2}
+	dep := GoogleLike(44)
+	res, obsvs, _, err := emulator.RunFleet(emulator.FleetShardedOptions{
+		SimSeed: 143, Deployment: dep,
+		Fleet:   emulator.FleetOptions{Clients: clients, Curve: fc.Curve(), QuerySeed: 144, FleetSeed: 145},
+		Batches: fc.Batches, Workers: fc.Workers,
+		Observe: func(int) *obs.Observer { return obs.NewTailObserver(obs.TailConfig{}) },
+		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
+			return &fleetStudySink{
+				fold:    analysis.NewFold(o.Reg, dep.Name, dep.Name, 0, o.Tail, DefaultBoundTolerance),
+				overall: stats.NewSketch(0), dynamic: stats.NewSketch(0),
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]int{}
+	for _, o := range obsvs {
+		for _, f := range o.Reg.Families() {
+			series[f.Name] += len(f.Series())
+		}
+	}
+	return series, emulator.MergeFleetResults(res...).Slots
+}
+
+// TestFleetSeriesTrackSlotsNotClients: ten times the clients on the
+// same compressed day must not add series per client. Every family but
+// two is label-for-label the same; the per-vantage family has one
+// series per pooled slot (peak concurrency, not arrivals — and Bounded,
+// so it collapses past DefaultCardinality) and the per-FE family one
+// per serving FE. Measured at seed 42: 214 series at 200 clients, 216
+// at 2 000, 230 at 20 000. Mutation: label the vantage family by
+// client port.
+func TestFleetSeriesTrackSlotsNotClients(t *testing.T) {
+	few, _ := fleetSeries(t, 200)
+	many, slots := fleetSeries(t, 2000)
+	const perSlot, perFE = "vantage_overall_seconds", "fe_overall_seconds"
+	for name, n := range few {
+		if name != perSlot && name != perFE && many[name] != n {
+			t.Errorf("%s: %d series at 200 clients, %d at 2000", name, n, many[name])
+		}
+	}
+	if len(many) != len(few) {
+		t.Errorf("%d families at 2000 clients, %d at 200", len(many), len(few))
+	}
+	if n := many[perSlot]; n == 0 || n > min(slots, 2*obs.DefaultCardinality) {
+		t.Errorf("%s: %d series for %d pooled slots", perSlot, n, slots)
+	}
+	// fe_concurrency is registered once per FE and batch.
+	if n, fes := many[perFE], many["fe_concurrency"]; n == 0 || n > fes {
+		t.Errorf("%s: %d series, want at most one per FE and batch (%d)", perFE, n, fes)
 	}
 }

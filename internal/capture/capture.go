@@ -7,6 +7,7 @@ package capture
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"time"
 
@@ -67,11 +68,6 @@ func (e Event) conn() uint64 {
 	return connID(int(e.Host), e.DstPort, e.SrcPort)
 }
 
-// conn is k's connection in this trace's host numbering.
-func (t *Trace) conn(k ConnKey) uint64 {
-	return connID(slices.Index(t.Hosts, k.Remote), k.LocalPort, k.RemotePort)
-}
-
 // Trace is an ordered list of events captured at one node.
 type Trace struct {
 	Node string
@@ -87,27 +83,40 @@ type Trace struct {
 // Recorder captures tap events from a tcpsim endpoint. Wire it up with
 //
 //	ep.Tap = recorder.Tap
+//
+// It files each packet under its connection as it taps it, so a
+// connection's event list is its session: Session hands it out without
+// a split pass, and only Trace pays for the node-wide time order.
 type Recorder struct {
-	trace Trace
+	node  string
+	hosts []string
+	// sess holds one event list per connection in first-seen order; the
+	// first len(index) are live, the rest are lists ResetKeep kept.
+	sess    [][]Event
+	index   map[uint64]int32 // packed connection → list
+	order   []int32          // list of each tapped packet, in tap order
+	longest int              // a new list starts at the longest so far
+	// sacks holds the SACK blocks of the few packets that carried any,
+	// by tap position.
+	sacks map[int][]tcpsim.SACKBlock
 	// SnapPayload, when set, drops payload bytes at capture time while
 	// preserving their length — tcpdump's snaplen. Timeline analysis
 	// still works on snapped traces; content analysis does not, so
 	// keep at least one unsnapped recorder per service for the
-	// static-boundary probe. Large campaigns (250 nodes × 720 repeats)
-	// need snapping to stay within memory.
+	// static-boundary probe. Length-only worlds snap every recorder.
 	SnapPayload bool
 }
 
 // NewRecorder creates a recorder for the named node.
 func NewRecorder(node string) *Recorder {
-	return &Recorder{trace: Trace{Node: node, sacks: map[int][]tcpsim.SACKBlock{}}}
+	return &Recorder{node: node, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
 }
 
 // Tap records one endpoint event; pass it as tcpsim.Endpoint.Tap.
 func (r *Recorder) Tap(ev tcpsim.TapEvent) {
-	t, s := &r.trace, &ev.Segment
+	s := &ev.Segment
 	e := Event{
-		Time: ev.Time, Dir: ev.Dir, Host: t.host(ev.Remote),
+		Time: ev.Time, Dir: ev.Dir, Host: r.host(ev.Remote),
 		SrcPort: s.SrcPort, DstPort: s.DstPort, Flags: s.Flags,
 		Seq: s.Seq, Ack: s.Ack, Wnd: uint32(s.Wnd), Len: uint32(s.PayloadLen()),
 	}
@@ -118,42 +127,37 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent) {
 		e.Data = s.Data
 	}
 	if len(s.SACK) > 0 {
-		t.sacks[len(t.Events)] = s.SACK
+		r.sacks[len(r.order)] = s.SACK
 	}
-	if len(t.Events) == cap(t.Events) {
-		// Explicit doubling: runtime append grows large slices by only
-		// ~1.25×, and busy capture nodes re-copied six-figure event
-		// lists several times over a campaign.
-		grown := make([]Event, len(t.Events), max(2*cap(t.Events), 1024))
-		copy(grown, t.Events)
-		t.Events = grown
-	}
-	t.Events = append(t.Events, e)
+	i := r.list(e.conn())
+	r.sess[i] = append(r.sess[i], e)
+	r.longest = max(r.longest, len(r.sess[i]))
+	r.order = append(r.order, i)
 }
 
-// host returns remote's index in Hosts, adding it on first sight. A
-// capturing host talks to a handful of others, so a scan beats a map.
-func (t *Trace) host(remote string) uint16 {
-	i := slices.Index(t.Hosts, remote)
+// list returns connection id's list, opening one on first sight.
+func (r *Recorder) list(id uint64) int32 {
+	i, ok := r.index[id]
+	if !ok {
+		i = int32(len(r.index))
+		r.index[id] = i
+		if len(r.sess) == int(i) {
+			r.sess = append(r.sess, make([]Event, 0, r.longest))
+		}
+	}
+	return i
+}
+
+// host returns remote's index in the host table, adding it on first
+// sight. A capturing host talks to a handful of others, so a scan beats
+// a map.
+func (r *Recorder) host(remote string) uint16 {
+	i := slices.Index(r.hosts, remote)
 	if i < 0 {
-		i = len(t.Hosts)
-		t.Hosts = append(t.Hosts, remote)
+		i = len(r.hosts)
+		r.hosts = append(r.hosts, remote)
 	}
 	return uint16(i)
-}
-
-// Trace returns the accumulated trace. The returned value shares the
-// recorder's backing storage.
-func (r *Recorder) Trace() *Trace { return &r.trace }
-
-// ResetKeep discards accumulated events but keeps the backing storage.
-// Streaming fleet campaigns reset a pooled slot's recorder after every
-// folded session; reusing the slab means a slot's capture memory is
-// allocated once and amortized over thousands of ephemeral clients.
-// Any previously returned Trace must not be read afterwards.
-func (r *Recorder) ResetKeep() {
-	r.trace.Hosts, r.trace.Events = r.trace.Hosts[:0], r.trace.Events[:0]
-	clear(r.trace.sacks)
 }
 
 // ConnKey identifies one TCP connection within a trace from the
@@ -164,33 +168,65 @@ type ConnKey struct {
 	RemotePort uint16
 }
 
-// Session appends connection k's events to dst in capture order — the
-// carve for a consumer that wants one connection out of a live recorder
-// without paying for a full Sessions split.
-func (t *Trace) Session(k ConnKey, dst []Event) []Event {
-	id := t.conn(k)
-	for _, e := range t.Events {
-		if e.conn() == id {
-			dst = append(dst, e)
-		}
+// conn packs k in this recorder's host numbering.
+func (r *Recorder) conn(k ConnKey) uint64 {
+	return connID(slices.Index(r.hosts, k.Remote), k.LocalPort, k.RemotePort)
+}
+
+// Session returns connection k's events in capture order, nil when k
+// sent or received nothing. The slice is the recorder's own storage,
+// capacity-capped so an append cannot write into it; it is valid until
+// ResetKeep.
+func (r *Recorder) Session(k ConnKey) []Event {
+	i, ok := r.index[r.conn(k)]
+	if !ok {
+		return nil
 	}
-	return dst
+	l := r.sess[i]
+	return l[:len(l):len(l)]
 }
 
 // SACK returns the SACK blocks connection k's events carried, keyed by
-// the event's position in the connection's session.
-func (t *Trace) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
-	id, out, n := t.conn(k), map[int][]tcpsim.SACKBlock{}, 0
-	for i, e := range t.Events {
-		if e.conn() != id {
-			continue
+// the event's position in Session(k).
+func (r *Recorder) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
+	i, ok := r.index[r.conn(k)]
+	out, pos := map[int][]tcpsim.SACKBlock{}, 0
+	for j, l := range r.order {
+		if ok && l == i {
+			if b, sacked := r.sacks[j]; sacked {
+				out[pos] = b
+			}
+			pos++
 		}
-		if b, ok := t.sacks[i]; ok {
-			out[n] = b
-		}
-		n++
 	}
 	return out
+}
+
+// Trace copies the taps so far into one time-ordered trace: the codec's
+// and the text renderer's input. Per-connection readers use Session.
+func (r *Recorder) Trace() *Trace {
+	t := &Trace{Node: r.node, Hosts: append([]string{}, r.hosts...),
+		Events: make([]Event, len(r.order)), sacks: maps.Clone(r.sacks)}
+	pos := make([]int32, len(r.index))
+	for j, i := range r.order {
+		t.Events[j] = r.sess[i][pos[i]]
+		pos[i]++
+	}
+	return t
+}
+
+// ResetKeep discards accumulated events but keeps every list's storage.
+// Streaming fleet campaigns reset a pooled slot's recorder after every
+// folded session, so a slot's capture memory is allocated once and
+// amortized over thousands of ephemeral clients. Sessions handed out
+// before must not be read afterwards.
+func (r *Recorder) ResetKeep() {
+	for i := range len(r.index) {
+		r.sess[i] = r.sess[i][:0]
+	}
+	r.hosts, r.order = r.hosts[:0], r.order[:0]
+	clear(r.index)
+	clear(r.sacks)
 }
 
 // WriteText renders the trace in a tcpdump-like one-line-per-packet
@@ -216,42 +252,19 @@ func (t *Trace) WriteText(w io.Writer, maxEvents int) {
 	}
 }
 
-// Sessions splits the trace into per-connection event lists, preserving
-// event order, and returns the keys in first-seen order.
+// Sessions splits a decoded trace into per-connection event lists,
+// preserving event order, and returns the keys in first-seen order. A
+// live capture is already split: see Recorder.Session.
 func (t *Trace) Sessions() ([]ConnKey, map[ConnKey][]Event) {
-	// Count first, then carve per-connection windows off a single slab
-	// sized to the whole trace: per-key append growth used to re-copy
-	// every Event repeatedly on busy nodes.
-	var (
-		order  []ConnKey
-		counts []int
-		index  = make(map[uint64]int) // packed connection → position in order
-	)
+	var order []ConnKey
+	m := map[ConnKey][]Event{}
 	for _, e := range t.Events {
 		id := e.conn()
-		i, seen := index[id]
-		if !seen {
-			i = len(order)
-			index[id] = i
-			order = append(order, ConnKey{t.Hosts[e.Host], uint16(id >> 16), uint16(id)})
-			counts = append(counts, 0)
+		k := ConnKey{t.Hosts[e.Host], uint16(id >> 16), uint16(id)}
+		if _, seen := m[k]; !seen {
+			order = append(order, k)
 		}
-		counts[i]++
-	}
-	slab := make([]Event, len(t.Events))
-	wins := make([][]Event, len(order))
-	for i, n := range counts {
-		// Capacity-capped: a session's appends can never spill into the
-		// next window.
-		wins[i], slab = slab[:0:n], slab[n:]
-	}
-	for _, e := range t.Events {
-		i := index[e.conn()]
-		wins[i] = append(wins[i], e)
-	}
-	m := make(map[ConnKey][]Event, len(order))
-	for i, k := range order {
-		m[k] = wins[i]
+		m[k] = append(m[k], e)
 	}
 	return order, m
 }

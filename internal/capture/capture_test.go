@@ -259,16 +259,23 @@ func TestRecorderCapturesLiveConnection(t *testing.T) {
 	if got := roundTrip(t, tr); !reflect.DeepEqual(got, tr) {
 		t.Fatalf("live capture changed in the codec:\ngot  %+v\nwant %+v", got, tr)
 	}
+	key := ConnKey{Remote: "s", LocalPort: tr.Events[0].SrcPort, RemotePort: 80}
+	if got := rec.Session(key); !reflect.DeepEqual(got, tr.Events) {
+		t.Fatalf("the one connection's session differs from the trace:\ngot  %+v\nwant %+v", got, tr.Events)
+	}
 	rec.ResetKeep()
-	if len(tr.Events) != 0 || len(tr.Hosts) != 0 {
-		t.Fatal("reset did not clear")
+	if got := rec.Session(key); got != nil {
+		t.Fatalf("reset did not clear: session holds %d events", len(got))
+	}
+	if tr := rec.Trace(); len(tr.Events) != 0 || len(tr.Hosts) != 0 {
+		t.Fatalf("reset did not clear: trace holds %d events, %d hosts", len(tr.Events), len(tr.Hosts))
 	}
 }
 
 // A warmed recorder (slab grown, ResetKeep, same host) must record a
 // packet without allocating: the fleet taps 100 packets per query.
 // Mutations: build the host table with a map keyed by a fresh string,
-// or drop ResetKeep's reuse of the slab.
+// or drop ResetKeep's reuse of the per-connection lists.
 func TestTapWarmZeroAlloc(t *testing.T) {
 	rec := NewRecorder("c")
 	rec.SnapPayload = true
@@ -293,11 +300,10 @@ func TestTapWarmZeroAlloc(t *testing.T) {
 
 // TestSessionsSplit: over random interleavings of k connections on two
 // hosts, Sessions must hand every event to exactly one session, keep
-// each session in capture order, list keys in first-seen order, and cap
-// each window so an append cannot write into its neighbour's.
-// Mutations: carve windows with slab[off:off] (no capacity cap) and the
-// neighbour check fails; append keys on every event and the order check
-// fails.
+// each session in capture order, list keys in first-seen order, and
+// keep an append to one session out of every other.
+// Mutations: share one backing array between sessions and the neighbour
+// check fails; append keys on every event and the order check fails.
 func TestSessionsSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 200; round++ {
@@ -329,17 +335,11 @@ func TestSessionsSplit(t *testing.T) {
 			t.Fatalf("round %d: sessions\ngot  %v\nwant %v", round, got, want)
 		}
 		for _, key := range keys {
-			if carved := tr.Session(key, nil); !reflect.DeepEqual(carved, want[key]) {
-				t.Fatalf("round %d: Session(%v) = %v, want %v", round, key, carved, want[key])
-			}
 			_ = append(got[key], Event{Seq: 1 << 40})
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: appending to a session wrote into another's window", round)
 		}
-	}
-	if got := (&Trace{Hosts: []string{"fe"}}).Session(ConnKey{Remote: "nowhere"}, nil); got != nil {
-		t.Fatalf("Session of an unseen host = %v", got)
 	}
 }
 
@@ -372,19 +372,29 @@ func TestWriteTextRendering(t *testing.T) {
 
 func TestCodecPreservesSACKBlocks(t *testing.T) {
 	key := ConnKey{Remote: "fe", LocalPort: 40000, RemotePort: 80}
-	ack := Event{Time: time.Millisecond, Dir: tcpsim.DirSend, SrcPort: 40000, DstPort: 80,
-		Flags: tcpsim.FlagACK, Ack: 1000, Wnd: 100}
+	ack := tcpsim.TapEvent{Time: time.Millisecond, Remote: "fe", Dir: tcpsim.DirSend,
+		Segment: tcpsim.Segment{SrcPort: 40000, DstPort: 80, Flags: tcpsim.FlagACK, Ack: 1000, Wnd: 100}}
 	other := ack
-	other.SrcPort = 40001
+	other.Segment.SrcPort = 40001
 	blocks := []tcpsim.SACKBlock{{Start: 2000, End: 3000}, {Start: 5000, End: 5500}}
+	sacked := ack
+	sacked.Segment.SACK = blocks
 	// The SACK-carrying ACK is trace event 2 and its session's event 1.
-	tr := &Trace{Node: "n", Hosts: []string{"fe"}, Events: []Event{ack, other, ack},
-		sacks: map[int][]tcpsim.SACKBlock{2: blocks}}
-	got := roundTrip(t, tr)
-	if want := map[int][]tcpsim.SACKBlock{1: blocks}; !reflect.DeepEqual(got.SACK(key), want) {
-		t.Fatalf("SACK blocks = %+v, want %+v", got.SACK(key), want)
+	rec := NewRecorder("n")
+	for _, ev := range []tcpsim.TapEvent{ack, other, sacked} {
+		rec.Tap(ev)
 	}
-	if n := len(got.SACK(ConnKey{Remote: "fe", LocalPort: 40001, RemotePort: 80})); n != 0 {
+	if want := map[int][]tcpsim.SACKBlock{1: blocks}; !reflect.DeepEqual(rec.SACK(key), want) {
+		t.Fatalf("SACK blocks = %+v, want %+v", rec.SACK(key), want)
+	}
+	if n := len(rec.SACK(ConnKey{Remote: "fe", LocalPort: 40001, RemotePort: 80})); n != 0 {
 		t.Fatalf("the SACK-free connection reports %d SACK options", n)
+	}
+	tr := rec.Trace()
+	if want := map[int][]tcpsim.SACKBlock{2: blocks}; !reflect.DeepEqual(tr.sacks, want) {
+		t.Fatalf("trace SACK blocks = %+v, want %+v", tr.sacks, want)
+	}
+	if got := roundTrip(t, tr); !reflect.DeepEqual(got, tr) {
+		t.Fatalf("SACK-carrying trace changed in the codec:\ngot  %+v\nwant %+v", got, tr)
 	}
 }

@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,5 +76,120 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if got := roundTrip(t, tr); !reflect.DeepEqual(got, tr) {
 			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, tr)
 		}
+	})
+}
+
+// FuzzRecorder is the recorder's differential: arbitrary tap sequences
+// over four hosts and six local × two remote ports — connections
+// interleaved, equal timestamps across them, SACK-carrying ACKs — in
+// rounds separated by ResetKeep. After every round the recorder's
+// Trace must be the taps in tap order (SACK blocks at the same
+// positions), each Session and SACK must be what the trace's Sessions
+// split gives that connection, and the trace must survive the codec.
+// Each tap is four input bytes; a first byte of 0xff ends the round.
+// Mutations: file a SACK under the trace position instead of the
+// session position, or keep a list's events across ResetKeep.
+func FuzzRecorder(f *testing.F) {
+	f.Add([]byte{
+		0, 0, 0x12, 0x02, 1, 1, 0x02, 0x12, 0, 0, 0x07, 0x10, 4, 7, 0x10, 0x10,
+		0xff, 0, 0, 0,
+		2, 3, 0x20, 0x10, 2, 3, 0x06, 0x10, 6, 0x13, 0x00, 0x11,
+	})
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0x0a, 0x10, 0xff, 0, 0, 0, 0xff, 0, 0, 0})
+	hosts := []string{"fe-a", "fe-b", "be", "cdn"}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rec := NewRecorder("n")
+		rec.SnapPayload = len(in)%2 == 1
+		fresh := func() *Trace {
+			return &Trace{Node: "n", Hosts: []string{}, Events: []Event{}, sacks: map[int][]tcpsim.SACKBlock{}}
+		}
+		want, now := fresh(), time.Duration(0)
+		check := func() []ConnKey {
+			got := rec.Trace()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Trace is not the taps in tap order:\ngot  %+v\nwant %+v", got, want)
+			}
+			keys, sessions := got.Sessions()
+			sacks, pos := map[ConnKey]map[int][]tcpsim.SACKBlock{}, map[ConnKey]int{}
+			for i, e := range got.Events {
+				id := e.conn()
+				k := ConnKey{got.Hosts[e.Host], uint16(id >> 16), uint16(id)}
+				if sacks[k] == nil {
+					sacks[k] = map[int][]tcpsim.SACKBlock{}
+				}
+				if b, ok := got.sacks[i]; ok {
+					sacks[k][pos[k]] = b
+				}
+				pos[k]++
+			}
+			for _, k := range keys {
+				s := rec.Session(k)
+				if !reflect.DeepEqual(s, sessions[k]) || cap(s) != len(s) {
+					t.Fatalf("Session(%v) = %+v (cap %d), want %+v capacity-capped", k, s, cap(s), sessions[k])
+				}
+				if b := rec.SACK(k); !reflect.DeepEqual(b, sacks[k]) {
+					t.Fatalf("SACK(%v) = %+v, want %+v", k, b, sacks[k])
+				}
+			}
+			if s := rec.Session(ConnKey{Remote: "nowhere", LocalPort: 40000, RemotePort: 80}); s != nil {
+				t.Fatalf("a connection never tapped has %d events", len(s))
+			}
+			if again := roundTrip(t, got); !reflect.DeepEqual(again, got) {
+				t.Fatalf("recorded trace changed in the codec:\ngot  %+v\nwant %+v", again, got)
+			}
+			return keys
+		}
+		for ; len(in) >= 4; in = in[4:] {
+			a, b, c, d := in[0], in[1], in[2], in[3]
+			if a == 0xff {
+				keys := check()
+				rec.ResetKeep()
+				for _, k := range keys {
+					if s := rec.Session(k); s != nil {
+						t.Fatalf("session %v survived ResetKeep with %d events", k, len(s))
+					}
+				}
+				want = fresh()
+				continue
+			}
+			now += time.Duration(c >> 4) // 0: the same instant as the previous tap
+			ev := tcpsim.TapEvent{Time: now, Dir: tcpsim.Dir(a >> 2 & 1), Remote: hosts[a%4],
+				Segment: tcpsim.Segment{Flags: tcpsim.Flags(d & 0x3f), Retrans: c&1 != 0,
+					Seq: uint64(len(want.Events)), Ack: uint64(a), Wnd: int(b) * 100}}
+			local, remote := 40000+uint16(b%6), 80+uint16(b>>4&1)
+			ev.Segment.SrcPort, ev.Segment.DstPort = local, remote
+			if ev.Dir == tcpsim.DirRecv {
+				ev.Segment.SrcPort, ev.Segment.DstPort = remote, local
+			}
+			if c&4 != 0 {
+				ev.Segment.Data = []byte{c, d}
+			} else {
+				ev.Segment.Blank = int(c&8) * 180
+			}
+			if c&2 != 0 {
+				ev.Segment.SACK = []tcpsim.SACKBlock{{Start: uint64(d), End: uint64(d) + uint64(c)}}
+			}
+			rec.Tap(ev)
+
+			h := slices.Index(want.Hosts, ev.Remote)
+			if h < 0 {
+				h = len(want.Hosts)
+				want.Hosts = append(want.Hosts, ev.Remote)
+			}
+			s := ev.Segment
+			e := Event{Time: now, Dir: ev.Dir, Host: uint16(h), SrcPort: s.SrcPort, DstPort: s.DstPort,
+				Flags: s.Flags, Seq: s.Seq, Ack: s.Ack, Wnd: uint32(s.Wnd), Len: uint32(s.PayloadLen())}
+			if s.Retrans {
+				e.Flags |= FlagRetrans
+			}
+			if !rec.SnapPayload {
+				e.Data = s.Data
+			}
+			if s.SACK != nil {
+				want.sacks[len(want.Events)] = s.SACK
+			}
+			want.Events = append(want.Events, e)
+		}
+		check()
 	})
 }

@@ -101,10 +101,15 @@ func TestFinalizeEmptyDataset(t *testing.T) {
 	if len(ds.Records) != 0 {
 		t.Fatalf("empty campaign produced %d records", len(ds.Records))
 	}
-	// Even with nothing issued, every node owns a (possibly empty) trace
-	// and every FE a fetch-time series slot.
-	if len(ds.Traces) != len(r.Fleet.Nodes) {
-		t.Errorf("%d traces, want one per node (%d)", len(ds.Traces), len(r.Fleet.Nodes))
+	// Even with nothing issued, every node owns a (possibly empty)
+	// recorder and every FE a fetch-time series slot.
+	if len(ds.Captures) != len(r.Fleet.Nodes) {
+		t.Errorf("%d recorders, want one per node (%d)", len(ds.Captures), len(r.Fleet.Nodes))
+	}
+	for _, n := range r.Fleet.Nodes {
+		if rec := ds.Captures[n.Host]; rec == nil || len(rec.Trace().Events) != 0 {
+			t.Errorf("node %s: recorder %v, want an empty one", n.Host, rec)
+		}
 	}
 	if len(ds.FEFetchTimes) != len(r.Dep.FEs) {
 		t.Errorf("%d FE series, want %d", len(ds.FEFetchTimes), len(r.Dep.FEs))

@@ -42,7 +42,7 @@ type Record struct {
 	Status  int
 	BodyLen int
 	Failed  bool
-	// Key locates the session's packet events inside the node's trace.
+	// Key names the session's connection in the node's recorder.
 	Key capture.ConnKey
 	// Events is the session's client-side packet event list, attached
 	// by Finalize.
@@ -86,8 +86,9 @@ type Dataset struct {
 	Service    string
 	Experiment string
 	Records    []Record
-	// Traces holds each node's full packet trace.
-	Traces map[simnet.HostID]*capture.Trace
+	// Captures holds each node's packet recorder: the records' Events
+	// are its sessions, Trace its node-wide capture.
+	Captures map[simnet.HostID]*capture.Recorder
 	// FEFetchTimes is the per-FE ground-truth fetch-time series —
 	// unobservable in the real study, recorded here to validate the
 	// inference framework.
@@ -302,7 +303,6 @@ func (r *Runner) newDataset(experiment string) *Dataset {
 	return &Dataset{
 		Service:      r.Dep.Name,
 		Experiment:   experiment,
-		Traces:       make(map[simnet.HostID]*capture.Trace),
 		FEFetchTimes: make(map[simnet.HostID][]time.Duration),
 	}
 }
@@ -327,28 +327,17 @@ func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	})
 }
 
-// finalize runs the simulator to completion and attaches traces, session
-// events and FE ground truth to the dataset.
+// finalize runs the simulator to completion and attaches recorders,
+// session events and FE ground truth to the dataset.
 func (r *Runner) finalize(ds *Dataset) *Dataset {
 	r.Sim.Run()
-	for host, rec := range r.recs {
-		ds.Traces[host] = rec.Trace()
-	}
-	// Split each node's trace into sessions once; records then attach
-	// by connection key.
-	sessionsByNode := make(map[simnet.HostID]map[capture.ConnKey][]capture.Event, len(ds.Traces))
+	// The recorders filed every packet under its connection: a record's
+	// events are its connection's list.
+	ds.Captures = r.recs
 	for i := range ds.Records {
-		rr := &ds.Records[i]
-		sessions, ok := sessionsByNode[rr.Node]
-		if !ok {
-			tr, have := ds.Traces[rr.Node]
-			if !have {
-				continue
-			}
-			_, sessions = tr.Sessions()
-			sessionsByNode[rr.Node] = sessions
+		if rec := r.recs[ds.Records[i].Node]; rec != nil {
+			ds.Records[i].Events = rec.Session(ds.Records[i].Key)
 		}
-		rr.Events = sessions[rr.Key]
 	}
 	for _, fe := range r.Dep.FEs {
 		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()

@@ -46,8 +46,13 @@ func TestExperimentARecordsComplete(t *testing.T) {
 			t.Fatalf("record %d time travel", i)
 		}
 	}
-	if len(ds.Traces) != 15 {
-		t.Fatalf("traces = %d", len(ds.Traces))
+	if len(ds.Captures) != 15 {
+		t.Fatalf("recorders = %d", len(ds.Captures))
+	}
+	for _, n := range r.Fleet.Nodes {
+		if ds.Captures[n.Host] == nil {
+			t.Fatalf("node %s has no recorder", n.Host)
+		}
 	}
 	if len(ds.FEFetchTimes) == 0 {
 		t.Fatal("no FE ground truth")
@@ -223,13 +228,13 @@ func TestSnappedCampaignStillAnalyzable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range fds.Traces {
-		for _, ev := range tr.Events {
+	for _, rec := range fds.Records {
+		for _, ev := range rec.Events {
 			fullBytes += len(ev.Data)
 		}
 	}
-	for _, tr := range ds.Traces {
-		for _, ev := range tr.Events {
+	for _, rec := range ds.Records {
+		for _, ev := range rec.Events {
 			snapBytes += len(ev.Data)
 		}
 	}

@@ -168,8 +168,7 @@ type FleetRunner struct {
 	free     []*fleetSlot
 	freeHead int
 
-	evScratch []capture.Event
-	out       outQueue
+	out outQueue
 
 	res  FleetResult
 	live int
@@ -288,9 +287,9 @@ func (r *FleetRunner) issue(idx int) {
 	r.get(s.ep, &s.record, func(resp *httpsim.Response) { r.fold(s, resp) })
 }
 
-// fold finalizes one completed arrival: carve the session's events out
-// of the slot recorder, join the FE's ground truth, hand the record to
-// the sink, then recycle everything — recorder slab, Record struct,
+// fold finalizes one completed arrival: look the session's events up
+// in the slot recorder, join the FE's ground truth, hand the record to
+// the sink, then recycle everything — recorder lists, Record struct,
 // slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
@@ -299,10 +298,8 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 		r.res.Rejected++
 	}
 
-	// The recorder holds this session (reset at issue); strays from the
-	// previous tenant's close handshake are filtered out by key.
-	r.evScratch = s.rec.Trace().Session(rr.Key, r.evScratch[:0])
-	rr.Events = r.evScratch
+	// Strays from the previous tenant's close sit in lists of their own.
+	rr.Events = s.rec.Session(rr.Key)
 
 	// A failed join yields the zero FetchRecord: no ground truth.
 	fr, _ := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)

@@ -1,0 +1,109 @@
+package emulator_test
+
+import (
+	"cmp"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"fesplit/internal/capture"
+	"fesplit/internal/cdn"
+	"fesplit/internal/emulator"
+	"fesplit/internal/tcpsim"
+)
+
+// lossyCampaign is a small lossy-access Runner world, length-only like
+// the benchmark's: 20 nodes × 24 queries, so each node taps ≈ 1 500
+// packets.
+func lossyCampaign(t *testing.T) *emulator.Dataset {
+	t.Helper()
+	r, err := emulator.New(71, cdn.GoogleLike(1),
+		emulator.Options{Nodes: 20, FleetSeed: 72, Access: lossyAccess, SnapPayloads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.RunExperimentA(emulator.AOptions{QueriesPerNode: 24, Interval: time.Second, QuerySeed: 3})
+}
+
+// TestRunnerRecordsAreRecorderSessions: a record's events are its
+// connection's list in the node's recorder — capacity-capped, sharing
+// memory with no other record — and a node's records, taken together,
+// are its whole capture in order: every packet belongs to exactly one
+// record. Mutations: hand out Session uncapped, or attach one
+// connection's list to two records.
+func TestRunnerRecordsAreRecorderSessions(t *testing.T) {
+	ds := lossyCampaign(t)
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	byNode := map[string]map[capture.ConnKey]int{}
+	for i, rec := range ds.Records {
+		if len(rec.Events) == 0 {
+			t.Fatalf("record %d carries no events", i)
+		}
+		if cap(rec.Events) != len(rec.Events) {
+			t.Fatalf("record %d: %d events with capacity %d, want capped", i, len(rec.Events), cap(rec.Events))
+		}
+		lo := uintptr(unsafe.Pointer(&rec.Events[0]))
+		spans = append(spans, span{lo, lo + uintptr(len(rec.Events))*unsafe.Sizeof(rec.Events[0])})
+		node := string(rec.Node)
+		if byNode[node] == nil {
+			byNode[node] = map[capture.ConnKey]int{}
+		}
+		if j, dup := byNode[node][rec.Key]; dup {
+			t.Fatalf("records %d and %d share connection %v", j, i, rec.Key)
+		}
+		byNode[node][rec.Key] = i
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatal("two records' events overlap in memory")
+		}
+	}
+	for host, rec := range ds.Captures {
+		tr, keys := rec.Trace(), byNode[string(host)]
+		pos := map[capture.ConnKey]int{}
+		for j, e := range tr.Events {
+			k := capture.ConnKey{Remote: tr.Hosts[e.Host], LocalPort: e.DstPort, RemotePort: e.SrcPort}
+			if e.Dir == tcpsim.DirSend {
+				k.LocalPort, k.RemotePort = e.SrcPort, e.DstPort
+			}
+			i, ok := keys[k]
+			if !ok {
+				t.Fatalf("node %s packet %d (%v) belongs to no record", host, j, k)
+			}
+			if got := ds.Records[i].Events[pos[k]]; !reflect.DeepEqual(got, e) {
+				t.Fatalf("node %s packet %d: record %d holds %+v at %d, trace %+v", host, j, i, got, pos[k], e)
+			}
+			pos[k]++
+		}
+		for k, i := range keys {
+			if pos[k] != len(ds.Records[i].Events) {
+				t.Fatalf("record %d: %d events, %d in the node's trace", i, len(ds.Records[i].Events), pos[k])
+			}
+		}
+	}
+}
+
+// TestRunnerCaptureAllocBudget pins what the campaign above allocates
+// per query. Filing each packet under its connection made the node-wide
+// slab (grown by doubling) and the copy that split it into sessions go:
+// measured 29 147 → 24 266 B/query (30 871 → 26 025 under -race). The
+// budget sits half of that saving below the old cost in both modes, so
+// either copy coming back fails it.
+func TestRunnerCaptureAllocBudget(t *testing.T) {
+	const budget = 26_600
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := len(lossyCampaign(t).Records)
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%d queries, %.0f B per query", n, perQuery)
+	if perQuery > budget {
+		t.Fatalf("lossy Runner world allocates %.0f B per query, budget %d", perQuery, budget)
+	}
+}

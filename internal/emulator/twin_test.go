@@ -81,8 +81,8 @@ func twinWorlds(t *testing.T, tc twinCase) *emulator.Dataset {
 			t.Fatalf("record %d: %d events full, %d snapped", i, len(a.Events), len(b.Events))
 		}
 		var sackA, sackB map[int][]tcpsim.SACKBlock
-		if len(a.Events) > 0 { // keep-alive records carry no events, their datasets no traces
-			sackA, sackB = full.Traces[a.Node].SACK(a.Key), snap.Traces[b.Node].SACK(b.Key)
+		if len(a.Events) > 0 { // keep-alive records carry no events, their datasets no recorders
+			sackA, sackB = full.Captures[a.Node].SACK(a.Key), snap.Captures[b.Node].SACK(b.Key)
 		}
 		for j := range a.Events {
 			if !sameOnTheWire(a.Events[j], b.Events[j]) || !reflect.DeepEqual(sackA[j], sackB[j]) {

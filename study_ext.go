@@ -251,9 +251,9 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, r
 	for _, n := range nodes {
 		meds = append(meds, float64(n.MedOverall)/float64(time.Millisecond))
 	}
-	// Count retransmissions from the captured traces.
-	for _, tr := range ds.Traces {
-		for _, ev := range tr.Events {
+	// Count retransmissions over the records: one per client connection.
+	for _, rec := range ds.Records {
+		for _, ev := range rec.Events {
 			if ev.Retransmitted() {
 				retrans++
 			}
