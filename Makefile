@@ -51,11 +51,12 @@ fmt-check:
 
 # Fast-forward engine equivalence gate: the differential property test
 # (randomized RTT/loss/size/cwnd scenarios — i.i.d. and Gilbert — fast
-# lane vs packet lane), the fallback-boundary tests and the keep-alive
+# lane vs packet lane), the fallback-boundary tests, pooled ring storage
+# (flat across fresh connections, invisible in transcripts), the keep-alive
 # fuzz seeds, at an elevated -count and under the race detector. Slower
 # than the regular test run; CI runs it as its own job.
 fastpath-check:
-	$(GO) test -race -count=5 -run 'FastPath' ./internal/tcpsim
+	$(GO) test -race -count=5 -run 'FastPath|TestLaneStorageFollowsInFlight' ./internal/tcpsim
 	$(MAKE) lossy-check
 	$(GO) test -race -count=5 -run 'FuzzKeepAliveExpiry' ./internal/httpsim
 	$(GO) test -race -count=2 -run 'TestParallelSerialEquivalence' .
@@ -74,7 +75,8 @@ lossy-check:
 # file codec (arbitrary bytes into Decode; built traces through Encode
 # and back), the recorder (tap sequences against its own trace, session
 # split and codec), the session parser above it (whatever Decode accepts into
-# trace.Parse) and the lossy fast-lane differential property. Go runs
+# trace.Parse), the lossy fast-lane differential property and the lane's
+# rings against a merged-FIFO model (order, counts, pooled storage). Go runs
 # one fuzz target per invocation, so one run each. ~10s each — a smoke
 # pass, not a campaign; the CI check job runs this target, so the list
 # lives here. FuzzParse's seeds are whole 31 KB captures, which the
@@ -89,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzReadMetricsJSONL -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLossEpochBoundary -fuzztime 10s ./internal/tcpsim
+	$(GO) test -run '^$$' -fuzz FuzzLaneRings -fuzztime 10s ./internal/tcpsim
 
 # Load-aware queueing gate: the Lindley/M-D-1 property tests, the
 # zero-load byte-identity degeneracy, FE admission control and

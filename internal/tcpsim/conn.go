@@ -593,7 +593,7 @@ func (c *Conn) fastEligible() bool {
 		// full-demux ring: the packet path would deliver into the same
 		// vanished-connection drop, and Deliver reproduces it.
 		c.peer = nil
-		c.ring = &fastRing{dstEp: c.peerEp, from: c.ep.host}
+		c.retarget(nil, c.peerEp)
 	}
 	return true
 }
@@ -618,7 +618,7 @@ func (c *Conn) resolveFast() bool {
 	c.peerEp = ep
 	if !c.resolvePeer() {
 		c.peer = nil
-		c.ring = &fastRing{dstEp: ep, from: c.ep.host}
+		c.retarget(nil, ep)
 	}
 	c.fwdPath = h
 	c.lane = lane
@@ -646,13 +646,20 @@ func (c *Conn) resolvePeer() bool {
 	c.peer = peer
 	c.peerGen = ep.demuxGen
 	if c.ring == nil || c.ring.dst != peer || c.ring.dstEp != ep {
-		// First epoch, or the demux key resolved to a new connection
-		// object: start a fresh ring and let any old one drain. A ring
-		// must never mix destinations.
-		c.ring = &fastRing{dst: peer, dstEp: ep, from: c.ep.host}
+		// First epoch, or the key resolved to a new connection object.
+		c.retarget(peer, ep)
 	}
 	c.ring.dstGen = c.peerGen
 	return true
+}
+
+// retarget points the delivery ring at dst (nil: the full-demux ring),
+// reusing it only while empty, since a ring never mixes destinations.
+func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
+	if c.ring == nil || c.ring.n > 0 {
+		c.ring = &fastRing{from: c.ep.host}
+	}
+	c.ring.dst, c.ring.dstEp, c.ring.dstGen = dst, dstEp, 0
 }
 
 // fastSend transmits one segment through the fast lane: identical tap

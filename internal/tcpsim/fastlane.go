@@ -25,7 +25,8 @@ import (
 // plain append replaces the O(log n) sift of a unified heap. Only the
 // ring heap sifts, and it moves single pointers, not 100-byte events
 // full of GC-visible slices (the write barriers on those swaps
-// dominated the unified-heap profile).
+// dominated the unified-heap profile). Slot arrays belong to the lane,
+// not to connections: a ring holds one only while it is in the heap.
 
 // fastEvent is one pending segment delivery. The destination state
 // lives on the ring (constant per connection), so the event is just
@@ -38,16 +39,16 @@ type fastEvent struct {
 
 // fastRing is one connection-direction's pending deliveries: a FIFO
 // ring buffer plus the pre-resolved destination. A ring outlives cache
-// invalidation gracefully — a sender that re-resolves to a different
-// peer object or observes time regress (SetPath resets a path's FIFO
-// clamp) simply starts a fresh ring and lets the old one drain.
+// invalidation gracefully — a sender that re-resolves a non-empty ring
+// to a new peer object or observes time regress (SetPath resets a
+// path's FIFO clamp) starts a fresh ring and lets the old one drain.
 type fastRing struct {
 	dst    *Conn
 	dstEp  *Endpoint
 	dstGen uint64 // dstEp.demuxGen at the last successful resolution
 	from   simnet.HostID
 
-	evs  []fastEvent // ring storage, power-of-two length
+	evs  []fastEvent // ring storage, power-of-two length; nil when n == 0
 	head int
 	n    int
 
@@ -56,7 +57,6 @@ type fastRing struct {
 	headAt  simnet.Time
 	headSeq uint64
 	tailAt  simnet.Time // last pushed time, for monotonicity checks
-	inHeap  bool
 }
 
 // push appends one event; the caller has verified monotonicity.
@@ -102,6 +102,7 @@ type fastLane struct {
 	sim   *simnet.Sim
 	rings []*fastRing
 	total int
+	free  [][]fastEvent // drained rings' zeroed slot arrays, reused LIFO
 }
 
 // laneFor returns the simulator's fast lane, creating and attaching one
@@ -120,20 +121,20 @@ func laneFor(sim *simnet.Sim) *fastLane {
 	}
 }
 
-// enqueue queues one delivery on r, entering r into the ring heap if it
-// was empty. An already-queued ring's head is unchanged by an append,
-// so the common case is heap-free: O(1) per segment.
+// enqueue queues one delivery on r, entering r into the ring heap with
+// a freed slot array if it was empty. An already-queued ring's head is
+// unchanged by an append, so the common case is heap-free: O(1).
 func (l *fastLane) enqueue(r *fastRing, ev fastEvent) {
 	if r.n == 0 {
 		r.headAt, r.headSeq = ev.at, ev.seq
-	}
-	r.push(ev)
-	l.total++
-	if !r.inHeap {
-		r.inHeap = true
+		if n := len(l.free); n > 0 {
+			r.evs, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+		}
 		l.rings = append(l.rings, r)
 		l.siftUp(len(l.rings) - 1)
 	}
+	r.push(ev)
+	l.total++
 }
 
 func (l *fastLane) before(a, b *fastRing) bool {
@@ -207,20 +208,7 @@ func (l *fastLane) Len() int { return l.total }
 // packet path's behaviour bit for bit, including dropping segments
 // addressed to a connection that no longer exists.
 func (l *fastLane) RunHead() {
-	r := l.rings[0]
-	ev := r.pop()
-	l.total--
-	if r.n == 0 {
-		r.inHeap = false
-		last := len(l.rings) - 1
-		l.rings[0] = l.rings[last]
-		l.rings[last] = nil
-		l.rings = l.rings[:last]
-	}
-	if len(l.rings) > 1 {
-		l.siftDown()
-	}
-
+	r, ev := l.next()
 	ep := r.dstEp
 	if r.dst == nil || ep.demuxGen != r.dstGen {
 		ep.Deliver(simnet.Packet{
@@ -238,4 +226,24 @@ func (l *fastLane) RunHead() {
 		m.SegsRecv.Inc()
 	}
 	r.dst.handle(ev.seg)
+}
+
+// next removes the earliest pending delivery and restores the ring
+// heap. A ring its pop drained leaves the heap and frees its slot array.
+func (l *fastLane) next() (*fastRing, fastEvent) {
+	r := l.rings[0]
+	ev := r.pop()
+	l.total--
+	if r.n == 0 {
+		last := len(l.rings) - 1
+		l.rings[0] = l.rings[last]
+		l.rings[last] = nil
+		l.rings = l.rings[:last]
+		l.free = append(l.free, r.evs)
+		r.evs, r.head = nil, 0
+	}
+	if len(l.rings) > 1 {
+		l.siftDown()
+	}
+	return r, ev
 }

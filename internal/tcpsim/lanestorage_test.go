@@ -1,0 +1,184 @@
+package tcpsim
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"fesplit/internal/simnet"
+)
+
+// laneTransfers runs k short lossy request/response conversations one
+// after another in one Sim, each on a fresh connection, with the fast
+// lane on from conversation fastFrom onward (the earlier ones ride the
+// packet path, which draws the same loss and timing randomness). It
+// returns each conversation's transcript and the lane's free-list
+// length once each conversation has drained (-1 while no lane exists).
+func laneTransfers(t *testing.T, k, fastFrom int) ([]*transcript, []int) {
+	t.Helper()
+	const size = 12 << 10
+	sim := simnet.New(5)
+	n := simnet.NewNetwork(sim)
+	n.SetLink("c", "s", simnet.PathParams{Delay: 8 * time.Millisecond, LossRate: 0.05})
+	n.SetFastPathEnabled(fastFrom == 0)
+	cfg := Config{SACK: true}
+	client := NewEndpoint(n, "c", cfg)
+	server := NewEndpoint(n, "s", cfg)
+
+	payload := make([]byte, size)
+	var srv, cli *Conn
+	if _, err := server.Listen(80, func(c *Conn) {
+		srv = c
+		c.Send(payload)
+		c.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]*transcript, k)
+	free := make([]int, k)
+	drained := func(i int) {
+		tr := trs[i]
+		tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
+		free[i] = -1
+		if l, ok := sim.FastLane().(*fastLane); ok {
+			if l.Len() != 0 {
+				t.Fatalf("conversation %d: %d deliveries still queued", i, l.Len())
+			}
+			free[i] = len(l.free)
+		}
+	}
+	var next func(i int)
+	next = func(i int) {
+		if i > 0 {
+			drained(i - 1)
+		}
+		if i == k {
+			return
+		}
+		if i == fastFrom {
+			n.SetFastPathEnabled(true)
+		}
+		tr := &transcript{}
+		trs[i] = tr
+		client.Tap, server.Tap = tr.tap("c"), tr.tap("s")
+		c := client.Dial("s", 80)
+		cli = c
+		c.OnData = func(b []byte) { tr.gotLen += len(b) }
+		c.OnClose = func() {
+			c.Close()
+			if tr.gotLen != size {
+				t.Fatalf("conversation %d incomplete: %d/%d bytes", i, tr.gotLen, size)
+			}
+			sim.Schedule(5*time.Second, func() { next(i + 1) })
+		}
+	}
+	sim.ScheduleAt(0, func() { next(0) })
+	sim.Run()
+	return trs, free
+}
+
+// TestLaneStorageFollowsInFlight: a drained ring hands its slot array
+// back to the lane, so conversations on fresh connections reuse the
+// same few arrays — the free list after the fiftieth is the free list
+// after the first — and a reused array is invisible: each conversation's
+// transcript equals the same conversation on a lane that has never
+// pooled: a fresh Sim that plays the earlier ones on the packet path and
+// the rest after it on the lane (a client's FIN ladder can outlive the
+// idle gap, so a transcript holds the tail of the one before it too).
+func TestLaneStorageFollowsInFlight(t *testing.T) {
+	const k = 50
+	trs, free := laneTransfers(t, k, 0)
+	if free[0] < 1 || free[k-1] != free[0] {
+		t.Fatalf("free list after conversation 1: %d arrays, after %d: %d; want equal and non-zero", free[0], k, free[k-1])
+	}
+	retrans := 0
+	for i := range k {
+		retrans += trs[i].serverM.Retransmits
+		fresh, freshFree := laneTransfers(t, k, i)
+		if d := trs[i].diff(fresh[i]); d != "" {
+			t.Fatalf("conversation %d on pooled lane storage diverged from a fresh lane: %s", i, d)
+		}
+		if freshFree[i] != free[0] {
+			t.Fatalf("conversation %d on a fresh lane left %d arrays, the first on the shared lane %d", i, freshFree[i], free[0])
+		}
+	}
+	if retrans == 0 {
+		t.Fatal("no conversation lost a segment: the lossy path exercised nothing")
+	}
+}
+
+// FuzzLaneRings drives the lane's storage directly: interleaved
+// enqueues (bursts past a ring's 16 slots among them) and pops over up
+// to six rings, against a model of per-ring FIFOs merged in (at, seq)
+// order. The lane must pop the model's sequence and count what the
+// model holds, hand out only all-zero arrays from its free list, and
+// hold exactly as many arrays as the peak number of non-empty rings.
+// An op byte below 0xc0 enqueues a burst of 1 + op/6 on ring op%6; any
+// other pops 1 + op&0x1f deliveries.
+func FuzzLaneRings(f *testing.F) {
+	f.Add([]byte{0, 0xc0, 55, 0xc4, 91, 0xdf}) // a reused array grows with head ≠ 0
+	f.Add([]byte{2, 9, 4, 0xc1, 100, 0xc3, 36, 0xe5, 13, 0xff, 0xff, 0})
+	f.Add([]byte{186, 187, 0xd0, 188, 189, 0xdf, 0xdf, 190, 0xdf, 0xdf, 0xdf})
+	data := make([]byte, 8)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		l := &fastLane{}
+		var rings [6]fastRing
+		var model []fastEvent
+		var seq uint64
+		nonEmpty, peak := 0, 0
+		for _, op := range ops {
+			if op < 0xc0 {
+				r := &rings[op%6]
+				for range 1 + int(op)/6 {
+					if r.n == 0 {
+						if n := len(l.free); n > 0 {
+							for j, ev := range l.free[n-1] {
+								if !reflect.ValueOf(ev).IsZero() {
+									t.Fatalf("free array slot %d holds %+v", j, ev)
+								}
+							}
+						}
+						nonEmpty++
+						peak = max(peak, nonEmpty)
+					}
+					seq++
+					ev := fastEvent{at: r.tailAt + simnet.Time(seq%3), seq: seq,
+						seg: Segment{Seq: seq, Data: data[:seq%8]}}
+					l.enqueue(r, ev)
+					model = append(model, ev)
+				}
+			} else {
+				for range 1 + int(op&0x1f) {
+					if len(model) == 0 {
+						break
+					}
+					i := 0
+					for j, ev := range model {
+						if ev.at < model[i].at || ev.at == model[i].at && ev.seq < model[i].seq {
+							i = j
+						}
+					}
+					want := model[i]
+					model = slices.Delete(model, i, i+1)
+					r, got := l.next()
+					if got.at != want.at || got.seq != want.seq || got.seg.Seq != want.seg.Seq || len(got.seg.Data) != len(want.seg.Data) {
+						t.Fatalf("popped (%d, %d), model (%d, %d)", got.at, got.seq, want.at, want.seq)
+					}
+					if r.n == 0 {
+						if r.evs != nil {
+							t.Fatal("a drained ring kept its slot array")
+						}
+						nonEmpty--
+					}
+				}
+			}
+			if l.Len() != len(model) {
+				t.Fatalf("lane holds %d deliveries, model %d", l.Len(), len(model))
+			}
+			if len(l.free)+nonEmpty != peak {
+				t.Fatalf("%d free arrays + %d non-empty rings, peak %d non-empty", len(l.free), nonEmpty, peak)
+			}
+		}
+	})
+}
