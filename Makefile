@@ -51,10 +51,12 @@ fmt-check:
 
 # Fast-forward engine equivalence gate: the differential property test
 # (randomized RTT/loss/size/cwnd scenarios — i.i.d. and Gilbert — fast
-# lane vs packet lane), the fallback-boundary tests, pooled ring storage
-# (flat across fresh connections, invisible in transcripts), the keep-alive
-# fuzz seeds, at an elevated -count and under the race detector. Slower
-# than the regular test run; CI runs it as its own job.
+# lane vs packet lane), the mid-stream topology-change tests and the
+# scenarios that once left the lane (forwarding and dropping handlers, a
+# closed connection's late ACK — every segment must ride it), pooled ring
+# storage (flat across fresh connections, invisible in transcripts), the
+# keep-alive fuzz seeds, at an elevated -count and under the race
+# detector. Slower than the regular test run; CI runs it as its own job.
 fastpath-check:
 	$(GO) test -race -count=5 -run 'FastPath|TestLaneStorageFollowsInFlight' ./internal/tcpsim
 	$(MAKE) lossy-check
@@ -155,9 +157,9 @@ equivalence: build
 # in total and for the packages the simplification PRs work on.
 # CHANGES.md quotes these numbers; this target reproduces them.
 loc:
-	@printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
-	@for d in . internal/emulator internal/analysis internal/obs internal/capture internal/trace internal/tcpsim internal/httpsim cmd/fesplit; do \
-		printf '%-18s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
+	@printf '%-20s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
+	@for d in . internal/emulator internal/analysis internal/obs internal/obs/runtime internal/capture internal/trace internal/simnet internal/tcpsim internal/httpsim cmd/fesplit; do \
+		printf '%-20s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done
 
 build:

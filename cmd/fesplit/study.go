@@ -126,10 +126,8 @@ func printFastPath(w io.Writer, prefix string, reg *fesplit.MetricsRegistry) {
 	if !ok {
 		return
 	}
-	fmt.Fprintf(w, "%sfast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops, %.0f fallbacks\n",
-		prefix, u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops, u.Fallbacks)
-	fmt.Fprintf(w, "%sfast path fallbacks by reason: topology %.0f, teardown %.0f, disabled %.0f\n",
-		prefix, u.FallbackTopology, u.FallbackTeardown, u.FallbackDisabled)
+	fmt.Fprintf(w, "%sfast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops\n",
+		prefix, u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops)
 }
 
 // htmlReport is the self-contained HTML page artifact, with the

@@ -91,51 +91,23 @@ var DefaultBoundTolerance = 2 * vantage.CampusProfile().Jitter
 // FastPathUsage summarizes the flow-level fast-forward engine's
 // activity as recorded in a metrics registry: epochs entered by
 // connections, wire bytes whose deliveries bypassed the global event
-// heap, and epochs abandoned back to the packet path. After a shard
-// merge the values are the busiest study cell's snapshot (gauges merge
-// by max), which is what the report surfaces.
+// heap, lane segments consumed by loss processes at send time, and the
+// mean heap-bypassing segments per epoch. After a shard merge the
+// values are the busiest study cell's snapshot (gauges merge by max),
+// which is what the report surfaces.
 type FastPathUsage struct {
-	Epochs    float64
-	Bytes     float64
-	Fallbacks float64
-	// Per-reason fallback breakdown (fastpath_fallbacks_by_reason):
-	// topology changes invalidating the resolved handler, peer teardown
-	// mid-epoch, and the engine being disabled outright.
-	FallbackTopology float64
-	FallbackTeardown float64
-	FallbackDisabled float64
-	// Lane segments consumed by loss processes at send time, and the
-	// mean heap-bypassing segments per epoch.
+	Epochs        float64
+	Bytes         float64
 	LossDrops     float64
 	EpochSegments float64
 }
 
-// FastPathUsageFrom extracts the fastpath_* gauges and the per-reason
-// fallback breakdown from a registry. ok is false when the registry
-// carries no fast-path gauges (nil registry: the run was not observed).
+// FastPathUsageFrom extracts the fastpath_* gauges from a registry. ok
+// is false when the registry carries no fast-path gauges (nil registry:
+// the run was not observed).
 func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 	for _, f := range reg.Families() {
 		if f.Kind != obs.KindGauge {
-			continue
-		}
-		if f.Name == "fastpath_fallbacks_by_reason" {
-			for _, s := range f.Series() {
-				if s.Gauge == nil || len(s.LabelValues) == 0 {
-					continue
-				}
-				var dst *float64
-				switch s.LabelValues[0] {
-				case "topology":
-					dst = &u.FallbackTopology
-				case "teardown":
-					dst = &u.FallbackTeardown
-				case "disabled":
-					dst = &u.FallbackDisabled
-				default:
-					continue
-				}
-				*dst = s.Gauge.Value()
-			}
 			continue
 		}
 		var dst *float64
@@ -144,8 +116,6 @@ func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
 			dst = &u.Epochs
 		case "fastpath_bytes":
 			dst = &u.Bytes
-		case "fastpath_fallbacks":
-			dst = &u.Fallbacks
 		case "fastpath_loss_drops":
 			dst = &u.LossDrops
 		case "fastpath_epoch_segments":

@@ -30,25 +30,6 @@ import (
 	"time"
 )
 
-// Fallback reasons, the canonical order of the per-reason fast-path
-// fallback counters everywhere they appear (Engine, simnet's
-// FastPathStats, the fastpath_fallbacks_by_reason metric family).
-const (
-	// ReasonTopology: the topology version changed or the peer's stack
-	// was no longer directly resolvable.
-	ReasonTopology = iota
-	// ReasonTeardown: the connection closed mid-epoch.
-	ReasonTeardown
-	// ReasonDisabled: fast-forwarding was switched off on the network.
-	ReasonDisabled
-	// NumReasons sizes per-reason counter arrays.
-	NumReasons
-)
-
-// ReasonNames are the label values of the per-reason counters, index-
-// aligned with the Reason constants.
-var ReasonNames = [NumReasons]string{"topology", "teardown", "disabled"}
-
 // Engine is the telemetry hub one study run shares across all of its
 // concurrent simulated worlds. Subsystems publish with batched atomic
 // adds (safe from any goroutine, no allocation); the Sampler and the
@@ -68,11 +49,9 @@ type Engine struct {
 	heapDepthMax  atomic.Int64  // deepest event heap seen in any world
 	heapWatermark atomic.Uint64 // highest HeapAlloc observed (bytes)
 
-	fastEpochs    atomic.Uint64
-	fastSegs      atomic.Uint64
-	fastBytes     atomic.Uint64
-	fastFallbacks atomic.Uint64
-	fallbacks     [NumReasons]atomic.Uint64
+	fastEpochs atomic.Uint64
+	fastSegs   atomic.Uint64
+	fastBytes  atomic.Uint64
 
 	records atomic.Uint64 // records folded through streaming sinks
 
@@ -127,25 +106,15 @@ func (e *Engine) NoteHeapDepth(d int64) {
 	}
 }
 
-// AddFastpath publishes fast-lane activity deltas: epochs entered,
-// heap-bypassing segments and their wire bytes, and fallbacks by
-// reason (index-aligned with the Reason constants; the total fallback
-// count is the sum).
-func (e *Engine) AddFastpath(epochs, segs, bytes uint64, reasons [NumReasons]uint64) {
+// AddFastpath publishes fast-lane activity deltas: epochs entered and
+// heap-bypassing segments and their wire bytes.
+func (e *Engine) AddFastpath(epochs, segs, bytes uint64) {
 	if e == nil {
 		return
 	}
 	e.fastEpochs.Add(epochs)
 	e.fastSegs.Add(segs)
 	e.fastBytes.Add(bytes)
-	var total uint64
-	for i, n := range reasons {
-		if n != 0 {
-			e.fallbacks[i].Add(n)
-			total += n
-		}
-	}
-	e.fastFallbacks.Add(total)
 }
 
 // NoteRecord counts one record folded through a streaming sink, and

@@ -136,11 +136,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p("# HELP fesplit_runtime_fastpath_bytes_total wire bytes carried by heap-bypassing segments\n")
 	p("# TYPE fesplit_runtime_fastpath_bytes_total counter\n")
 	p("fesplit_runtime_fastpath_bytes_total %d\n", snap.Fastpath.Bytes)
-	p("# HELP fesplit_runtime_fastpath_fallbacks_total epochs abandoned back to the packet path, by reason\n")
-	p("# TYPE fesplit_runtime_fastpath_fallbacks_total counter\n")
-	for _, name := range ReasonNames {
-		p("fesplit_runtime_fastpath_fallbacks_total{reason=%q} %d\n", name, snap.Fastpath.ByReason[name])
-	}
 	p("# HELP fesplit_runtime_records_streamed_total records folded through streaming sinks\n")
 	p("# TYPE fesplit_runtime_records_streamed_total counter\n")
 	p("fesplit_runtime_records_streamed_total %d\n", snap.Records)

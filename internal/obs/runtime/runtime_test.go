@@ -15,7 +15,7 @@ func TestEngineNilReceiversAreNoOps(t *testing.T) {
 	e.AddEvents(5)
 	e.AddSimTime(7)
 	e.NoteHeapDepth(9)
-	e.AddFastpath(1, 2, 3, [NumReasons]uint64{1})
+	e.AddFastpath(1, 2, 3)
 	e.NoteRecord()
 	e.AddTasks(4)
 	e.TaskStarted("x")
@@ -37,7 +37,7 @@ func TestEngineAccumulatesAndSnapshots(t *testing.T) {
 	e.AddSimTime(-5) // negative deltas ignored
 	e.NoteHeapDepth(40)
 	e.NoteHeapDepth(12) // lower sample must not regress the watermark
-	e.AddFastpath(2, 10, 4096, [NumReasons]uint64{ReasonDisabled: 1, ReasonTeardown: 2})
+	e.AddFastpath(2, 10, 4096)
 	e.AddTasks(3)
 	e.TaskStarted("a")
 	e.TaskStarted("b")
@@ -54,11 +54,8 @@ func TestEngineAccumulatesAndSnapshots(t *testing.T) {
 		t.Errorf("heap depth max = %d, want 40", snap.HeapDepthMax)
 	}
 	fp := snap.Fastpath
-	if fp.Epochs != 2 || fp.Segments != 10 || fp.Bytes != 4096 || fp.Fallbacks != 3 {
+	if fp.Epochs != 2 || fp.Segments != 10 || fp.Bytes != 4096 || fp.Fallbacks != 0 {
 		t.Errorf("fastpath snap = %+v", fp)
-	}
-	if fp.ByReason["disabled"] != 1 || fp.ByReason["teardown"] != 2 || fp.ByReason["topology"] != 0 {
-		t.Errorf("fallbacks by reason = %v", fp.ByReason)
 	}
 	if snap.Tasks.Done != 1 || snap.Tasks.Total != 3 {
 		t.Errorf("tasks = %+v, want 1/3", snap.Tasks)
@@ -109,7 +106,7 @@ func TestEngineConcurrentPublishers(t *testing.T) {
 			for i := 0; i < per; i++ {
 				e.AddEvents(1)
 				e.NoteHeapDepth(int64(i))
-				e.AddFastpath(1, 1, 1, [NumReasons]uint64{ReasonTopology: 1})
+				e.AddFastpath(1, 1, 1)
 			}
 		}()
 	}
@@ -118,8 +115,8 @@ func TestEngineConcurrentPublishers(t *testing.T) {
 	if snap.Events != workers*per {
 		t.Errorf("events = %d, want %d", snap.Events, workers*per)
 	}
-	if snap.Fastpath.Fallbacks != workers*per || snap.Fastpath.ByReason["topology"] != workers*per {
-		t.Errorf("fallbacks = %d by-reason %v", snap.Fastpath.Fallbacks, snap.Fastpath.ByReason)
+	if fp := snap.Fastpath; fp.Epochs != workers*per || fp.Segments != workers*per || fp.Bytes != workers*per {
+		t.Errorf("fastpath = %+v, want %d of each", fp, workers*per)
 	}
 	if snap.HeapDepthMax != per-1 {
 		t.Errorf("heap depth max = %d, want %d", snap.HeapDepthMax, per-1)
@@ -214,7 +211,7 @@ func TestHTTPMetricsAndProgress(t *testing.T) {
 	e := NewEngine()
 	e.AddEvents(42)
 	e.AddSimTime(int64(time.Second))
-	e.AddFastpath(1, 2, 300, [NumReasons]uint64{ReasonDisabled: 4})
+	e.AddFastpath(1, 2, 300)
 	e.AddTasks(5)
 	e.TaskStarted("cell")
 	s := &Server{eng: e}
@@ -238,8 +235,7 @@ func TestHTTPMetricsAndProgress(t *testing.T) {
 		"fesplit_runtime_tasks_total 5",
 		"fesplit_runtime_fastpath_epochs_total 1",
 		"fesplit_runtime_fastpath_bytes_total 300",
-		`fesplit_runtime_fastpath_fallbacks_total{reason="disabled"} 4`,
-		`fesplit_runtime_fastpath_fallbacks_total{reason="topology"} 0`,
+		"fesplit_runtime_fastpath_segments_total 2",
 		"fesplit_runtime_records_streamed_total 0",
 	} {
 		if !strings.Contains(body, want) {

@@ -12,11 +12,13 @@ import (
 
 // FastpathSnap is the fast-lane slice of a Snapshot.
 type FastpathSnap struct {
-	Epochs    uint64            `json:"epochs"`
-	Segments  uint64            `json:"segments"`
-	Bytes     uint64            `json:"bytes"`
-	Fallbacks uint64            `json:"fallbacks"`
-	ByReason  map[string]uint64 `json:"fallbacks_by_reason"`
+	Epochs   uint64 `json:"epochs"`
+	Segments uint64 `json:"segments"`
+	Bytes    uint64 `json:"bytes"`
+	// Fallbacks is always 0: every segment rides the fast lane unless
+	// the engine is switched off, and nothing leaves it mid-stream. The
+	// field stays because the benchmark harness reads it.
+	Fallbacks uint64 `json:"fallbacks"`
 }
 
 // FleetSnap is the fleet-campaign slice of a Snapshot: ephemeral-client
@@ -78,10 +80,6 @@ func (e *Engine) Snapshot() Snapshot {
 	goruntime.ReadMemStats(&ms)
 	e.raiseWatermark(ms.HeapAlloc) // a sample IS a watermark observation
 	done, total, running := e.tasks()
-	byReason := make(map[string]uint64, NumReasons)
-	for i, name := range ReasonNames {
-		byReason[name] = e.fallbacks[i].Load()
-	}
 	return Snapshot{
 		WallMS:             time.Since(e.start).Milliseconds(),
 		Goroutines:         goruntime.NumGoroutine(),
@@ -95,11 +93,9 @@ func (e *Engine) Snapshot() Snapshot {
 		SimSeconds:         float64(e.simNanos.Load()) / 1e9,
 		HeapDepthMax:       e.heapDepthMax.Load(),
 		Fastpath: FastpathSnap{
-			Epochs:    e.fastEpochs.Load(),
-			Segments:  e.fastSegs.Load(),
-			Bytes:     e.fastBytes.Load(),
-			Fallbacks: e.fastFallbacks.Load(),
-			ByReason:  byReason,
+			Epochs:   e.fastEpochs.Load(),
+			Segments: e.fastSegs.Load(),
+			Bytes:    e.fastBytes.Load(),
 		},
 		Records: e.records.Load(),
 		Fleet: FleetSnap{

@@ -22,15 +22,15 @@ func TestGilbertEmpiricalLossMatchesStationary(t *testing.T) {
 	g := WirelessGilbert()
 	s := New(5)
 	n := NewNetwork(s)
-	n.Attach("b", HandlerFunc(func(Packet) {}))
+	delivered := 0
+	n.Attach("b", HandlerFunc(func(Packet) { delivered++ }))
 	n.SetPath("a", "b", PathParams{Delay: time.Millisecond, Gilbert: &g})
 	const total = 200000
 	for i := 0; i < total; i++ {
 		n.Send(Packet{From: "a", To: "b", Size: 10})
 	}
 	s.Run()
-	st := n.Stats("a", "b")
-	got := float64(st.Dropped) / total
+	got := float64(total-delivered) / total
 	want := g.MeanLossRate()
 	if math.Abs(got-want) > 0.25*want {
 		t.Fatalf("empirical loss %v vs stationary %v", got, want)
@@ -87,9 +87,10 @@ func TestGilbertLossesAreBursty(t *testing.T) {
 }
 
 func TestGilbertDeterministic(t *testing.T) {
-	run := func() uint64 {
+	run := func() float64 {
 		g := WirelessGilbert()
 		s := New(31)
+		m := wireMetrics(s)
 		n := NewNetwork(s)
 		n.Attach("b", HandlerFunc(func(Packet) {}))
 		n.SetPath("a", "b", PathParams{Delay: time.Millisecond, Gilbert: &g})
@@ -97,7 +98,7 @@ func TestGilbertDeterministic(t *testing.T) {
 			n.Send(Packet{From: "a", To: "b", Size: 10})
 		}
 		s.Run()
-		return n.Stats("a", "b").Dropped
+		return m.PacketsDropped.Value()
 	}
 	if run() != run() {
 		t.Fatal("Gilbert loss nondeterministic for equal seeds")

@@ -49,20 +49,12 @@ type PathParams struct {
 	Bandwidth float64
 }
 
-// Symmetric builds a PathParams pair (forward, reverse) with identical
-// parameters in both directions.
-func Symmetric(p PathParams) (fwd, rev PathParams) { return p, p }
-
 // path is the runtime state of one direction of a link.
 type path struct {
 	params      PathParams
 	busyUntil   Time // link serialization occupancy
 	lastArrival Time // FIFO clamp
 	gilbert     *gilbertState
-
-	// counters
-	sent, dropped uint64
-	bytes         uint64
 }
 
 func newPath(params PathParams) *path {
@@ -75,37 +67,32 @@ func newPath(params PathParams) *path {
 
 type pathKey struct{ from, to HostID }
 
-// Network connects hosts through configured paths. Unconfigured
-// host pairs share a default path (zero delay, unlimited bandwidth) so
-// tests can wire things up tersely.
+// Network connects hosts through configured paths. Unconfigured host
+// pairs get a zero PathParams (no delay, unlimited bandwidth, no loss)
+// so tests can wire things up tersely.
 type Network struct {
-	sim      *Sim
-	hosts    map[HostID]Handler
-	paths    map[pathKey]*path
-	defaults PathParams
+	sim   *Sim
+	hosts map[HostID]Handler
+	paths map[pathKey]*path
 
 	// version is bumped on every topology mutation (SetPath, Attach,
-	// Detach, …) and invalidates outstanding PathHandles; holders
-	// re-resolve through FastPath on mismatch.
+	// SetFastPathEnabled) and invalidates outstanding PathHandles;
+	// holders re-resolve through FastPath on mismatch.
 	version uint64
-	// fastOff disables FastPath entirely (differential testing).
+	// fastOff disables FastPath entirely (the differential tests'
+	// packet-path reference run).
 	fastOff bool
 
 	// Fast-path accounting: segments/bytes that bypassed the global
-	// event heap, epochs entered and fallbacks taken by connections.
-	// Exported as the fastpath_* gauges by ExportMetrics. Fallbacks are
-	// additionally broken down by reason (see FallbackReason); lane
-	// segments consumed by the loss process at send time are counted as
-	// loss drops.
+	// event heap and epochs entered by connections; lane segments
+	// consumed by the loss process at send time are counted as loss
+	// drops. Exported as the fastpath_* gauges by ExportMetrics.
 	fastSegs      uint64
 	fastBytes     uint64
 	fastEpochs    uint64
-	fastFallbacks uint64
 	fastLossDrops uint64
-	fastByReason  [rt.NumReasons]uint64
 	rtEngine      *rt.Engine
 	rtPub         FastPathStats // last values published to rtEngine
-	rtPubByReason [rt.NumReasons]uint64
 }
 
 // NewNetwork creates an empty network on the given simulator.
@@ -126,21 +113,8 @@ func (n *Network) Attach(id HostID, h Handler) {
 	n.hosts[id] = h
 }
 
-// Detach removes a host; packets in flight to it are dropped on arrival.
-func (n *Network) Detach(id HostID) {
-	n.version++
-	delete(n.hosts, id)
-}
-
-// Handler returns the attached handler for a host (nil when detached).
+// Handler returns the attached handler for a host (nil when none is).
 func (n *Network) Handler(id HostID) Handler { return n.hosts[id] }
-
-// SetDefaultPath sets parameters used for host pairs without an explicit
-// SetPath call.
-func (n *Network) SetDefaultPath(p PathParams) {
-	n.version++
-	n.defaults = p
-}
 
 // SetPath configures the directed path from → to. Call twice (swapped)
 // for a bidirectional link, or use SetLink.
@@ -156,42 +130,13 @@ func (n *Network) SetLink(a, b HostID, p PathParams) {
 	n.SetPath(b, a, p)
 }
 
-// DropHostPaths removes every configured path touching host, in both
-// directions, and returns how many were dropped. It is the reclamation
-// half of ephemeral-host lifecycles: a vantage slot that leaves the
-// fleet for good would otherwise pin one path per peer it ever talked
-// to (paths are lazily materialized per directed pair and never freed).
-// Dropping bumps the topology version, so outstanding PathHandles are
-// revoked exactly as SetPath would revoke them; a later send between
-// the same pair re-materializes a fresh path from the configured
-// defaults. Do not call this for hosts that will keep talking — the
-// fresh path forgets FIFO-clamp and loss-chain state, which is only
-// sound once the host is gone.
-func (n *Network) DropHostPaths(host HostID) int {
-	dropped := 0
-	for k := range n.paths {
-		if k.from == host || k.to == host {
-			delete(n.paths, k)
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		n.version++
-	}
-	return dropped
-}
-
-// PathCount returns the number of materialized directed paths (testing
-// and telemetry aid: the per-host state a churning fleet must bound).
-func (n *Network) PathCount() int { return len(n.paths) }
-
-// Path returns the parameters of the directed path from → to
-// (the default parameters if unconfigured).
+// Path returns the parameters of the directed path from → to (zero if
+// unconfigured).
 func (n *Network) Path(from, to HostID) PathParams {
 	if p, ok := n.paths[pathKey{from, to}]; ok {
 		return p.params
 	}
-	return n.defaults
+	return PathParams{}
 }
 
 // RTT returns the base round-trip propagation delay between a and b
@@ -204,7 +149,7 @@ func (n *Network) pathState(from, to HostID) *path {
 	k := pathKey{from, to}
 	p, ok := n.paths[k]
 	if !ok {
-		p = newPath(n.defaults)
+		p = newPath(PathParams{})
 		n.paths[k] = p
 	}
 	return p
@@ -232,8 +177,6 @@ func (n *Network) Send(pkt Packet) {
 // same arrival, the same counter updates, and — crucially — the same
 // PRNG draws in the same order as a heap-scheduled one.
 func (n *Network) admit(p *path, size int) (arrival Time, dropped bool) {
-	p.sent++
-	p.bytes += uint64(size)
 	if m := n.sim.metrics; m != nil {
 		m.PacketsSent.Inc()
 		m.BytesSent.Add(float64(size))
@@ -241,14 +184,12 @@ func (n *Network) admit(p *path, size int) (arrival Time, dropped bool) {
 
 	if p.gilbert != nil {
 		if p.gilbert.drop(n.sim.Rand().Float64(), n.sim.Rand().Float64()) {
-			p.dropped++
 			if m := n.sim.metrics; m != nil {
 				m.PacketsDropped.Inc()
 			}
 			return 0, true
 		}
 	} else if p.params.LossRate > 0 && n.sim.Rand().Float64() < p.params.LossRate {
-		p.dropped++
 		if m := n.sim.metrics; m != nil {
 			m.PacketsDropped.Inc()
 		}
@@ -283,7 +224,7 @@ func (n *Network) admit(p *path, size int) (arrival Time, dropped bool) {
 // without going through the event heap. The zero value is invalid.
 // Holders must check Valid before each use: any topology mutation
 // revokes every outstanding handle, after which the holder re-resolves
-// via FastPath (and may find the path no longer qualifies).
+// via FastPath (which refuses only while the engine is switched off).
 //
 // A handle's path may carry a loss process. Loss draws consume the
 // simulator PRNG in segment send order — exactly when Network.Send
@@ -299,12 +240,6 @@ type PathHandle struct {
 
 // Valid reports whether the handle still reflects the network topology.
 func (h PathHandle) Valid() bool { return h.p != nil && h.version == h.n.version }
-
-// Version returns the topology version; it changes whenever outstanding
-// PathHandles are revoked. Callers that failed to obtain a handle can
-// cache the refusal against this value — every refusal reason is stable
-// until the topology next mutates.
-func (n *Network) Version() uint64 { return n.version }
 
 // Transmit admits one packet of the given size on the handle's path and
 // returns its arrival time, or dropped=true when the path's loss
@@ -355,78 +290,30 @@ func (n *Network) NoteFastEpoch() {
 	}
 }
 
-// FallbackReason classifies why a connection abandoned its fast-
-// forwarded epoch back to the packet path. The numeric values are
-// index-aligned with the telemetry hub's Reason constants and the
-// fastpath_fallbacks_by_reason label order.
-type FallbackReason uint8
-
-// Fallback reasons, in canonical label order. Loss is not among them:
-// a lane segment the loss process drops is counted (LossDrops) and the
-// connection stays in its epoch.
-const (
-	// FallbackTopology: the topology version changed, or the peer's
-	// stack stopped being directly resolvable (foreign lane, detached
-	// handler, non-endpoint handler).
-	FallbackTopology FallbackReason = rt.ReasonTopology
-	// FallbackTeardown: the connection closed mid-epoch.
-	FallbackTeardown FallbackReason = rt.ReasonTeardown
-	// FallbackDisabled: fast-forwarding was switched off on this
-	// network (SetFastPathEnabled(false)).
-	FallbackDisabled FallbackReason = rt.ReasonDisabled
-)
-
-// String returns the reason's metric label value.
-func (r FallbackReason) String() string {
-	if int(r) < len(rt.ReasonNames) {
-		return rt.ReasonNames[r]
-	}
-	return "unknown"
-}
-
-// NoteFastFallback records a connection falling back to the packet
-// path mid-stream, classified by why the epoch could not continue.
-func (n *Network) NoteFastFallback(reason FallbackReason) {
-	n.fastFallbacks++
-	if int(reason) < len(n.fastByReason) {
-		n.fastByReason[reason]++
-	}
-	if n.rtEngine != nil {
-		n.flushRuntime()
-	}
-}
-
 // FastPathStats reports cumulative fast-path activity.
 type FastPathStats struct {
 	Epochs    uint64 // epochs entered by connections
 	Segments  uint64 // segments that bypassed the event heap
 	Bytes     uint64 // wire bytes carried by those segments
-	Fallbacks uint64 // epochs abandoned back to the packet path
 	LossDrops uint64 // lane segments consumed by loss processes at send time
-	// FallbacksByReason breaks Fallbacks down, indexed by
-	// FallbackReason.
-	FallbacksByReason [rt.NumReasons]uint64
 }
 
 // FastPathStats returns cumulative fast-path counters.
 func (n *Network) FastPathStats() FastPathStats {
 	return FastPathStats{
-		Epochs:            n.fastEpochs,
-		Segments:          n.fastSegs,
-		Bytes:             n.fastBytes,
-		Fallbacks:         n.fastFallbacks,
-		LossDrops:         n.fastLossDrops,
-		FallbacksByReason: n.fastByReason,
+		Epochs:    n.fastEpochs,
+		Segments:  n.fastSegs,
+		Bytes:     n.fastBytes,
+		LossDrops: n.fastLossDrops,
 	}
 }
 
 // SetRuntime wires (or unwires) the wall-clock telemetry hub for this
-// network's fast-path counters. Deltas publish at epoch entries and
-// fallbacks — never per segment.
+// network's fast-path counters. Deltas publish at epoch entries —
+// never per segment.
 func (n *Network) SetRuntime(e *rt.Engine) {
 	n.rtEngine = e
 	n.rtPub = n.FastPathStats()
-	n.rtPubByReason = n.fastByReason
 }
 
 // flushRuntime publishes since-last-flush fast-path deltas to the hub.
@@ -436,38 +323,21 @@ func (n *Network) flushRuntime() {
 		return
 	}
 	cur := n.FastPathStats()
-	var reasons [rt.NumReasons]uint64
-	for i := range reasons {
-		reasons[i] = n.fastByReason[i] - n.rtPubByReason[i]
-	}
 	e.AddFastpath(cur.Epochs-n.rtPub.Epochs, cur.Segments-n.rtPub.Segments,
-		cur.Bytes-n.rtPub.Bytes, reasons)
+		cur.Bytes-n.rtPub.Bytes)
 	n.rtPub = cur
-	n.rtPubByReason = n.fastByReason
 }
 
-// deliverNow hands pkt to its destination's handler, the delivery half
-// of Send's packet events. The handler lookup happens at delivery time
-// so Detach drops packets in flight, as before.
-func (n *Network) deliverNow(pkt Packet) {
+// DeliverNow hands pkt to the handler attached to pkt.To, dropping it
+// when none is: the delivery half of Send's packet events, run when
+// the event pops. A fast lane delivering a segment it queued itself
+// calls it the same way, so the handler is looked up at arrival on
+// either path and a host re-attached while the segment was in flight
+// receives it alike.
+func (n *Network) DeliverNow(pkt Packet) {
 	if h, ok := n.hosts[pkt.To]; ok {
 		h.Deliver(pkt)
 	}
-}
-
-// PathStats reports counters for the directed path from → to.
-type PathStats struct {
-	Sent    uint64
-	Dropped uint64
-	Bytes   uint64
-}
-
-// Stats returns the counters of the directed path from → to.
-func (n *Network) Stats(from, to HostID) PathStats {
-	if p, ok := n.paths[pathKey{from, to}]; ok {
-		return PathStats{Sent: p.sent, Dropped: p.dropped, Bytes: p.bytes}
-	}
-	return PathStats{}
 }
 
 // String summarizes the network for debugging.

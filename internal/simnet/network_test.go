@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"fesplit/internal/obs"
 )
 
 func newPair(t *testing.T, p PathParams) (*Sim, *Network, *recorder, *recorder) {
@@ -14,6 +16,14 @@ func newPair(t *testing.T, p PathParams) (*Sim, *Network, *recorder, *recorder) 
 	n.Attach("b", b)
 	n.SetLink("a", "b", p)
 	return s, n, a, b
+}
+
+// wireMetrics gives s a fresh metrics bundle: the net_packets_* and
+// net_bytes_sent_total counters are the network's only traffic totals.
+func wireMetrics(s *Sim) *Metrics {
+	m := NewMetrics(obs.NewRegistry())
+	s.SetMetrics(m)
+	return m
 }
 
 type recorder struct {
@@ -57,16 +67,6 @@ func TestUnknownHostDropped(t *testing.T) {
 	n := NewNetwork(s)
 	n.Send(Packet{From: "x", To: "ghost", Size: 10})
 	s.Run() // must not panic
-}
-
-func TestDetach(t *testing.T) {
-	s, n, _, b := newPair(t, PathParams{Delay: time.Millisecond})
-	n.Detach("b")
-	n.Send(Packet{From: "a", To: "b", Size: 10})
-	s.Run()
-	if len(b.pkts) != 0 {
-		t.Fatal("detached host received packet")
-	}
 }
 
 func TestFIFOWithJitter(t *testing.T) {
@@ -125,6 +125,7 @@ func TestUnlimitedBandwidthNoSerialization(t *testing.T) {
 
 func TestLossRate(t *testing.T) {
 	s, n, _, b := newPair(t, PathParams{Delay: time.Millisecond, LossRate: 0.3})
+	m := wireMetrics(s)
 	const total = 10000
 	for i := 0; i < total; i++ {
 		n.Send(Packet{From: "a", To: "b", Size: 10})
@@ -134,12 +135,11 @@ func TestLossRate(t *testing.T) {
 	if got < 0.66 || got > 0.74 {
 		t.Fatalf("delivery rate = %v, want ~0.7", got)
 	}
-	st := n.Stats("a", "b")
-	if st.Sent != total {
-		t.Fatalf("sent = %d", st.Sent)
+	if sent := m.PacketsSent.Value(); sent != total {
+		t.Fatalf("sent = %g", sent)
 	}
-	if st.Dropped != total-uint64(len(b.pkts)) {
-		t.Fatalf("dropped = %d, delivered = %d", st.Dropped, len(b.pkts))
+	if dropped := m.PacketsDropped.Value(); dropped != float64(total-len(b.pkts)) {
+		t.Fatalf("dropped = %g, delivered = %d", dropped, len(b.pkts))
 	}
 }
 
@@ -154,35 +154,37 @@ func TestLossZeroNeverDrops(t *testing.T) {
 	}
 }
 
+// TestDefaultPath: a pair with no SetPath gets a zero PathParams — no
+// delay, unlimited bandwidth, no loss.
 func TestDefaultPath(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s)
-	n.SetDefaultPath(PathParams{Delay: 7 * time.Millisecond})
 	r := &recorder{sim: s}
 	n.Attach("z", r)
-	n.Send(Packet{From: "y", To: "z", Size: 1})
+	s.Schedule(3*time.Millisecond, func() { n.Send(Packet{From: "y", To: "z", Size: 1 << 20}) })
 	s.Run()
-	if len(r.times) != 1 || r.times[0] != 7*time.Millisecond {
-		t.Fatalf("default path delay not applied: %v", r.times)
+	if len(r.times) != 1 || r.times[0] != 3*time.Millisecond {
+		t.Fatalf("unconfigured pair delayed delivery: %v", r.times)
 	}
-	if got := n.Path("p", "q").Delay; got != 7*time.Millisecond {
-		t.Fatalf("Path default = %v", got)
+	if got := n.Path("p", "q"); got != (PathParams{}) {
+		t.Fatalf("Path of an unconfigured pair = %+v", got)
 	}
 }
 
 func TestStatsBytes(t *testing.T) {
-	s, n, _, _ := newPair(t, PathParams{Delay: time.Millisecond})
+	s, n, _, b := newPair(t, PathParams{Delay: time.Millisecond})
+	m := wireMetrics(s)
 	n.Send(Packet{From: "a", To: "b", Size: 100})
 	n.Send(Packet{From: "a", To: "b", Size: 250})
 	s.Run()
-	if st := n.Stats("a", "b"); st.Bytes != 350 {
-		t.Fatalf("bytes = %d", st.Bytes)
+	if got := m.BytesSent.Value(); got != 350 {
+		t.Fatalf("bytes = %g", got)
 	}
-	if st := n.Stats("b", "a"); st.Sent != 0 {
-		t.Fatalf("reverse path should be idle: %+v", st)
+	if sent, dropped := m.PacketsSent.Value(), m.PacketsDropped.Value(); sent != 2 || dropped != 0 {
+		t.Fatalf("sent %g dropped %g, want 2 and 0", sent, dropped)
 	}
-	if st := n.Stats("no", "path"); st != (PathStats{}) {
-		t.Fatalf("missing path stats = %+v", st)
+	if len(b.pkts) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(b.pkts))
 	}
 }
 
@@ -198,54 +200,10 @@ func TestHandlerFunc(t *testing.T) {
 	}
 }
 
-func TestSymmetric(t *testing.T) {
-	f, r := Symmetric(PathParams{Delay: 3 * time.Millisecond})
-	if f != r {
-		t.Fatal("Symmetric returned differing directions")
-	}
-}
-
 func TestNetworkString(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s)
 	if n.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-func TestDropHostPaths(t *testing.T) {
-	s := New(1)
-	n := NewNetwork(s)
-	n.SetLink("ghost", "fe1", PathParams{Delay: 10 * time.Millisecond})
-	n.SetLink("ghost", "fe2", PathParams{Delay: 12 * time.Millisecond})
-	n.SetLink("stay", "fe1", PathParams{Delay: 5 * time.Millisecond})
-	if got := n.PathCount(); got != 6 {
-		t.Fatalf("PathCount = %d, want 6", got)
-	}
-	ver := n.Version()
-	if got := n.DropHostPaths("ghost"); got != 4 {
-		t.Fatalf("dropped %d paths, want 4", got)
-	}
-	if got := n.PathCount(); got != 2 {
-		t.Fatalf("PathCount after drop = %d, want 2", got)
-	}
-	if n.Version() == ver {
-		t.Fatal("version not bumped by DropHostPaths")
-	}
-	// Surviving path keeps its parameters; dropped pair falls back to
-	// the (zero) defaults.
-	if got := n.Path("stay", "fe1").Delay; got != 5*time.Millisecond {
-		t.Fatalf("surviving path delay = %v", got)
-	}
-	if got := n.Path("ghost", "fe1").Delay; got != 0 {
-		t.Fatalf("dropped path delay = %v, want default 0", got)
-	}
-	// No-op drop must not bump the version.
-	ver = n.Version()
-	if got := n.DropHostPaths("ghost"); got != 0 {
-		t.Fatalf("second drop removed %d paths", got)
-	}
-	if n.Version() != ver {
-		t.Fatal("no-op DropHostPaths bumped version")
 	}
 }

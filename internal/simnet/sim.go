@@ -127,9 +127,11 @@ func (q *eventQueue) siftDown() {
 // every lane event still carries a (time, seq) pair drawn from the
 // simulator's sequence space (TakeSeq), so the merged pop order across
 // the main heap and the lane is the same total order a single heap
-// would produce. That property is what lets the TCP fast path bypass
-// the global heap while remaining bit-identical to the packet path;
-// see docs/PERF.md.
+// would produce. That property is what lets every TCP segment bypass
+// the global heap while remaining bit-identical to the packet path,
+// which runs only when Network.SetFastPathEnabled(false) asks for it as
+// a reference; see docs/PERF.md. tcpsim attaches the one lane a
+// simulator has.
 type FastLane interface {
 	// Head returns the next lane event's (time, seq); ok is false when
 	// the lane is empty.
@@ -186,8 +188,8 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // AttachFastLane registers the auxiliary event lane. One lane per
-// simulator; attaching replaces any previous lane, so callers must
-// check FastLane first and share the existing one.
+// simulator; attaching replaces any previous lane, so callers check
+// FastLane first and share the existing one.
 func (s *Sim) AttachFastLane(l FastLane) { s.fast = l }
 
 // FastLane returns the attached lane (nil when none).
@@ -298,7 +300,7 @@ func (s *Sim) Step() bool {
 		m.Executed.Inc()
 	}
 	if e.net != nil {
-		e.net.deliverNow(e.pkt)
+		e.net.DeliverNow(e.pkt)
 	} else {
 		e.fn()
 	}

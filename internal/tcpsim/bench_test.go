@@ -31,11 +31,10 @@ var (
 	// bulkTransfer: 1 MB over a clean 20 ms-RTT path, end to end — the
 	// fast-forward engine in isolation.
 	bulkTransfer = transferScenario{size: 1 << 20, path: clean20ms}
-	// fastPathFallback: a topology change mid-epoch — handle
-	// re-resolution plus loss recovery for the remainder. (The name is
-	// the benchmark's; since loss recovery rides the lane nothing falls
-	// back.)
-	fastPathFallback = transferScenario{size: 256 << 10, cfg: Config{SACK: true}, path: clean20ms,
+	// fastPathTurnsLossy: the path turns lossy mid-transfer — handle
+	// re-resolution plus loss recovery for the remainder, all on the
+	// lane.
+	fastPathTurnsLossy = transferScenario{size: 256 << 10, cfg: Config{SACK: true}, path: clean20ms,
 		lossyAfter: 40 * time.Millisecond}
 )
 
@@ -106,7 +105,7 @@ func BenchmarkBulkTransfer(b *testing.B) {
 // rather than per byte.
 func BenchmarkFastPathTransfer(b *testing.B) { bulkTransfer.bench(b) }
 
-func BenchmarkFastPathFallback(b *testing.B) { fastPathFallback.bench(b) }
+func BenchmarkFastPathTurnsLossy(b *testing.B) { fastPathTurnsLossy.bench(b) }
 
 func BenchmarkGilbertLossyTransfer(b *testing.B) { gilbertLossy().bench(b) }
 
@@ -151,7 +150,7 @@ func TestTransferAllocPins(t *testing.T) {
 	}{
 		{"BulkTransfer", bulkTransfer, 54}, // also BenchmarkFastPathTransfer: one scenario
 		{"BulkTransferPacketLane", transferScenario{size: 1 << 20, path: clean20ms, packetLane: true}, 1489},
-		{"FastPathFallback", fastPathFallback, 139},
+		{"FastPathTurnsLossy", fastPathTurnsLossy, 139},
 		{"GilbertLossyTransfer", gilbertLossy(), 85},
 	}
 	for _, tc := range tests {

@@ -98,21 +98,16 @@ type Conn struct {
 	timerEvs      []timerEv // pending check events, time-descending
 
 	// Fast-lane cache: the outgoing path handle, the peer's connection
-	// and this connection's delivery ring, resolved once per epoch and
-	// revalidated by cheap generation compares per segment (see
-	// fastEligible).
-	fwdPath   simnet.PathHandle
-	peer      *Conn // nil on a half-resolved (full-demux) ring
-	peerEp    *Endpoint
-	peerGen   uint64 // peerEp.demuxGen at resolution
-	lane      *fastLane
-	ring      *fastRing
-	fastLane  bool   // currently inside a fast-forwarded epoch
-	fastNo    bool   // resolution refused; don't retry until the topology changes
-	fastNoVer uint64 // topology version the refusal was observed under
-	// fastNoWhy is why resolution refused, cached with the refusal so a
-	// later mid-epoch fallback reports the refusal's own reason.
-	fastNoWhy simnet.FallbackReason
+	// and this connection's delivery ring, resolved when the topology
+	// changes and revalidated by cheap generation compares per segment
+	// (see transmit). lane is nil until the incarnation's first
+	// resolution, which opens its epoch.
+	fwdPath simnet.PathHandle
+	peer    *Conn     // nil on a full-demux ring
+	peerEp  *Endpoint // nil when the peer host's handler is not an *Endpoint
+	peerGen uint64    // peerEp.demuxGen at resolution
+	lane    *fastLane
+	ring    *fastRing
 
 	// --- receive side ---
 	rcvNxt   uint64
@@ -204,7 +199,6 @@ func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server
 	c.fwdPath = simnet.PathHandle{}
 	c.peer, c.peerEp, c.peerGen = nil, nil, 0
 	c.lane, c.ring = nil, nil
-	c.fastLane, c.fastNo, c.fastNoVer, c.fastNoWhy = false, false, 0, 0
 	c.rcvNxt = 0
 	c.finRcvd, c.finRseq, c.closedUp = false, 0, false
 	c.ackPending = 0
@@ -533,104 +527,63 @@ func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
 	return buf, 0
 }
 
+// transmit sends s on the fast lane — or, only while the engine is
+// switched off (SetFastPathEnabled(false), the differential tests'
+// reference run), as a packet event on the heap. The steady-state cost
+// is two generation compares; resolution runs on an incarnation's first
+// segment and after a topology or demux change invalidated the cache.
+//
+// A peer whose connection object is not resolvable yet (the initial SYN
+// precedes its creation) or no longer exists, and a peer host whose
+// handler is not an *Endpoint (a forwarder, or none at all), get the
+// full-demux ring: its deliveries take the host-table lookup a heap
+// packet event takes, so listener accept, a vanished connection and a
+// forwarding handler behave exactly as on the packet path. A closed
+// connection's late segment (a delayed ACK) rides its ring like any
+// other.
 func (c *Conn) transmit(s Segment) {
 	c.bytesSent += uint64(s.PayloadLen())
-	if c.fastEligible() {
-		c.fastSend(s)
-		return
-	}
-	if c.fastLane {
-		c.fastLane = false
-		c.ep.net.NoteFastFallback(c.fallbackReason())
-	}
-	c.ep.send(c.remote, s)
-}
-
-// fallbackReason classifies why the epoch the connection was inside
-// can no longer continue. Called right after fastEligible returned
-// false, so the refusal cache — refreshed by that very call when
-// resolution re-ran — carries the current refusal's reason.
-func (c *Conn) fallbackReason() simnet.FallbackReason {
-	if c.st == stateClosed {
-		return simnet.FallbackTeardown
-	}
-	if c.fastNo && c.fastNoVer == c.ep.net.Version() {
-		return c.fastNoWhy
-	}
-	return simnet.FallbackTopology
-}
-
-// fastEligible reports whether this segment can bypass the event heap:
-// fast-forwarding is on and the peer endpoint's stack is directly
-// reachable. Handshake segments qualify too — a peer whose
-// connection object is not resolvable yet (the initial SYN precedes its
-// creation) rides a half-resolved ring whose deliveries take the full
-// Deliver demux, which handles listener accept exactly as a heap-
-// scheduled packet would.
-//
-// The steady-state cost is two generation compares; resolution runs on
-// the first segment of an epoch or after a topology/demux change
-// invalidated the cache, and refusals are cached against the topology
-// version (every refusal reason is stable until the topology mutates).
-func (c *Conn) fastEligible() bool {
-	if c.st == stateClosed {
-		return false
-	}
-	if !c.fwdPath.Valid() {
-		if c.fastNo && c.fastNoVer == c.ep.net.Version() {
-			return false
+	switch {
+	case !c.fwdPath.Valid():
+		if !c.resolveFast() {
+			c.ep.send(c.remote, s)
+			return
 		}
-		return c.resolveFast()
-	}
-	if c.peer == nil {
-		// Half-resolved: upgrade to direct dispatch when the peer's
-		// connection appears; deliveries stay correct either way.
-		c.resolvePeer()
-		return true
-	}
-	if c.peerEp.demuxGen != c.peerGen && !c.resolvePeer() {
-		// The peer's connection left the demux table. Demote to the
-		// full-demux ring: the packet path would deliver into the same
-		// vanished-connection drop, and Deliver reproduces it.
+	case c.peer == nil:
+		// Upgrade to direct dispatch once the peer's connection appears.
+		if c.peerEp != nil {
+			c.resolvePeer()
+		}
+	case c.peerEp.demuxGen != c.peerGen && !c.resolvePeer():
+		// The peer's connection left the demux table: demote to the
+		// full-demux ring, which drops into the vanished connection
+		// exactly as the packet path would.
 		c.peer = nil
 		c.retarget(nil, c.peerEp)
 	}
-	return true
+	c.fastSend(s)
 }
 
-// resolveFast (re)derives the fast-lane cache. Failure leaves the
-// connection on the packet path until the topology version changes.
+// resolveFast (re)derives the fast-lane cache: the path handle, and the
+// peer's connection when the peer host's handler is an *Endpoint. It
+// fails only while the engine is switched off.
 func (c *Conn) resolveFast() bool {
 	net := c.ep.net
 	h := net.FastPath(c.ep.host, c.remote)
 	if !h.Valid() {
-		// FastPath refuses only when the engine is switched off.
-		return c.noFast(simnet.FallbackDisabled)
+		return false
 	}
-	lane := laneFor(c.ep.Sim())
-	if lane == nil {
-		return c.noFast(simnet.FallbackTopology)
-	}
-	ep, ok := net.Handler(c.remote).(*Endpoint)
-	if !ok {
-		return c.noFast(simnet.FallbackTopology)
-	}
-	c.peerEp = ep
-	if !c.resolvePeer() {
-		c.peer = nil
-		c.retarget(nil, ep)
+	if c.lane == nil {
+		c.lane = laneFor(c.ep.Sim())
+		net.NoteFastEpoch()
 	}
 	c.fwdPath = h
-	c.lane = lane
-	c.fastNo = false
+	c.peerEp, _ = net.Handler(c.remote).(*Endpoint)
+	if c.peerEp == nil || !c.resolvePeer() {
+		c.peer = nil
+		c.retarget(nil, c.peerEp)
+	}
 	return true
-}
-
-func (c *Conn) noFast(why simnet.FallbackReason) bool {
-	c.fastNo = true
-	c.fastNoVer = c.ep.net.Version()
-	c.fastNoWhy = why
-	return false
 }
 
 // resolvePeer locates the peer's connection object through its
@@ -657,7 +610,7 @@ func (c *Conn) resolvePeer() bool {
 // reusing it only while empty, since a ring never mixes destinations.
 func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 	if c.ring == nil || c.ring.n > 0 {
-		c.ring = &fastRing{from: c.ep.host}
+		c.ring = &fastRing{src: c.ep, to: c.remote}
 	}
 	c.ring.dst, c.ring.dstEp, c.ring.dstGen = dst, dstEp, 0
 }
@@ -670,10 +623,6 @@ func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 // packet path.
 func (c *Conn) fastSend(s Segment) {
 	e := c.ep
-	if !c.fastLane {
-		c.fastLane = true
-		e.net.NoteFastEpoch()
-	}
 	if e.Tap != nil {
 		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(c.remote), Segment: s})
 	}
@@ -697,7 +646,7 @@ func (c *Conn) fastSend(s Segment) {
 		// reset the path's FIFO clamp mid-flight. Rings must stay
 		// monotone, so start a fresh one; the heap merge orders the
 		// overlap exactly as the global heap would have.
-		r = &fastRing{dst: r.dst, dstEp: r.dstEp, dstGen: r.dstGen, from: r.from}
+		r = &fastRing{dst: r.dst, dstEp: r.dstEp, dstGen: r.dstGen, src: r.src, to: r.to}
 		c.ring = r
 	}
 	c.lane.enqueue(r, fastEvent{at: arrival, seq: e.Sim().TakeSeq(), seg: s})

@@ -5,18 +5,20 @@ import (
 )
 
 // The fast lane is the TCP half of the flow-level fast-forward engine
-// (the network half is simnet.PathHandle). When a connection's peer's
-// stack state is directly resolvable, each segment's fate and arrival
-// time are resolved at send time — by the same path state machine the
-// packet path runs, loss draws included — and the delivery is queued
-// here instead of on the global event heap. The simulator merges the
-// lane into its dispatch loop in (time, seq) order, so deliveries
-// interleave with ordinary events exactly as heap-scheduled packets
-// would. The lane is a per-connection delivery queue, not a model of
-// the transfer: a dropped segment is simply not queued, and the
-// dupACKs, retransmissions and RTO-driven resends that repair it are
-// lane traffic like any other. See docs/PERF.md for the exactness
-// argument.
+// (the network half is simnet.PathHandle). Every segment a connection
+// sends rides it unless the engine is switched off: its fate and
+// arrival time are resolved at send time — by the same path state
+// machine the packet path runs, loss draws included — and the delivery
+// is queued here instead of on the global event heap. The simulator
+// merges the lane into its dispatch loop in (time, seq) order, so
+// deliveries interleave with ordinary events exactly as heap-scheduled
+// packets would. The lane is a per-connection delivery queue, not a
+// model of the transfer: a dropped segment is simply not queued, and
+// the dupACKs, retransmissions and RTO-driven resends that repair it
+// are lane traffic like any other. A ring whose peer connection is
+// resolved delivers straight to it; any other ring delivers through
+// the network's host table, as a heap packet event does. See
+// docs/PERF.md for the exactness argument.
 //
 // Structure: one FIFO ring per sending connection, plus a small min-
 // heap of the non-empty rings keyed by their head event. A path's FIFO
@@ -43,10 +45,11 @@ type fastEvent struct {
 // to a new peer object or observes time regress (SetPath resets a
 // path's FIFO clamp) starts a fresh ring and lets the old one drain.
 type fastRing struct {
-	dst    *Conn
+	dst    *Conn // nil: deliver through the host table (full demux)
 	dstEp  *Endpoint
-	dstGen uint64 // dstEp.demuxGen at the last successful resolution
-	from   simnet.HostID
+	dstGen uint64    // dstEp.demuxGen at the last successful resolution
+	src    *Endpoint // the sender: a delivered packet's From and Size
+	to     simnet.HostID
 
 	evs  []fastEvent // ring storage, power-of-two length; nil when n == 0
 	head int
@@ -106,19 +109,15 @@ type fastLane struct {
 }
 
 // laneFor returns the simulator's fast lane, creating and attaching one
-// on first use. If a foreign lane is already attached, fast-forwarding
-// is unavailable on this simulator and callers stay on the packet path.
+// on first use. tcpsim is the only lane user; a simulator carrying
+// another lane panics here.
 func laneFor(sim *simnet.Sim) *fastLane {
-	switch l := sim.FastLane().(type) {
-	case *fastLane:
-		return l
-	case nil:
-		nl := &fastLane{sim: sim}
-		sim.AttachFastLane(nl)
-		return nl
-	default:
-		return nil
+	if l := sim.FastLane(); l != nil {
+		return l.(*fastLane)
 	}
+	l := &fastLane{sim: sim}
+	sim.AttachFastLane(l)
+	return l
 }
 
 // enqueue queues one delivery on r, entering r into the ring heap with
@@ -200,27 +199,31 @@ func (l *fastLane) Len() int { return l.total }
 // receiver's handler typically transmits in turn (ACKs, responses) and
 // re-enters the lane synchronously.
 //
-// When the destination endpoint's demux table has not changed since the
-// sender resolved the connection, delivery goes straight to Conn.handle
-// — the tap and metrics updates are exactly those Endpoint.Deliver
-// performs. Any table change (a connection closed since the segment
-// departed) routes through the full Deliver demux, which reproduces the
-// packet path's behaviour bit for bit, including dropping segments
-// addressed to a connection that no longer exists.
+// When the ring's destination connection is resolved and its endpoint's
+// demux table has not changed since, delivery goes straight to
+// Conn.handle — the tap and metrics updates are exactly those
+// Endpoint.Deliver performs. Otherwise (no resolved connection, a peer
+// host behind another handler, a connection closed since the segment
+// departed) the segment is delivered as the packet it would have been,
+// through the same host-table lookup a heap packet event pops into —
+// which reproduces the packet path's behaviour bit for bit, including
+// dropping segments addressed to a connection or host that no longer
+// exists.
 func (l *fastLane) RunHead() {
 	r, ev := l.next()
 	ep := r.dstEp
 	if r.dst == nil || ep.demuxGen != r.dstGen {
-		ep.Deliver(simnet.Packet{
-			From:    r.from,
-			To:      ep.host,
-			Size:    ep.cfg.HeaderSize + ev.seg.PayloadLen(),
+		src := r.src
+		src.net.DeliverNow(simnet.Packet{
+			From:    src.host,
+			To:      r.to,
+			Size:    src.cfg.HeaderSize + ev.seg.PayloadLen(),
 			Payload: ev.seg,
 		})
 		return
 	}
 	if ep.Tap != nil {
-		ep.Tap(TapEvent{Time: l.sim.Now(), Dir: DirRecv, Remote: string(r.from), Segment: ev.seg})
+		ep.Tap(TapEvent{Time: l.sim.Now(), Dir: DirRecv, Remote: string(r.src.host), Segment: ev.seg})
 	}
 	if m := ep.Metrics; m != nil {
 		m.SegsRecv.Inc()

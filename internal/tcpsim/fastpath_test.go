@@ -3,6 +3,7 @@ package tcpsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,19 +309,18 @@ func TestFastPathFallbackBoundary(t *testing.T) {
 }
 
 // TestFastPathStatsAccounting checks the counters count what they say:
-// a clean bulk transfer enters at least one epoch and never falls back;
-// on a lossy path every segment either endpoint sends is either queued
-// on the lane or dropped at send time, and a drop is not a fallback.
+// a clean bulk transfer opens one epoch per connection and carries
+// every segment on the lane; on a lossy path every segment either
+// endpoint sends is either queued on the lane or dropped at send time.
 func TestFastPathStatsAccounting(t *testing.T) {
 	s := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
-	var n *simnet.Network
-	s.run(t, true, func(net *simnet.Network, tn *testNet) { n = net })
-	st := n.FastPathStats()
-	if st.Epochs == 0 || st.Segments == 0 || st.Bytes == 0 {
-		t.Fatalf("clean transfer recorded no fast-path activity: %+v", st)
+	tr := s.run(t, true, nil)
+	st := tr.stats
+	if st.Epochs != 2 || st.Bytes == 0 || st.LossDrops != 0 {
+		t.Fatalf("clean transfer: want two epochs, bytes and no drops, got %+v", st)
 	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("clean transfer recorded fallbacks: %+v", st)
+	if sent := uint64(tr.sends("c") + tr.sends("s")); st.Segments != sent {
+		t.Fatalf("lane segments %d != %d segments sent", st.Segments, sent)
 	}
 
 	// Lossy from the start: the whole conversation, recovery included,
@@ -330,8 +330,8 @@ func TestFastPathStatsAccounting(t *testing.T) {
 	s2.seed = 8
 	tr2 := s2.run(t, true, nil)
 	st2 := tr2.stats
-	if st2.LossDrops == 0 || st2.Fallbacks != 0 {
-		t.Fatalf("5%% loss: want send-time lane drops and no fallback, got %+v", st2)
+	if st2.LossDrops == 0 {
+		t.Fatalf("5%% loss: want send-time lane drops, got %+v", st2)
 	}
 	if sent := uint64(tr2.sends("c") + tr2.sends("s")); st2.Segments+st2.LossDrops != sent {
 		t.Fatalf("lane segments %d + lane drops %d != %d segments sent",
@@ -353,81 +353,89 @@ func TestFastPathSlowStartTimingPreserved(t *testing.T) {
 	}
 }
 
-// TestFastPathFallbackReasonClassification checks the per-reason
-// breakdown of the fallback counter: a peer that stops being a directly
-// resolvable Endpoint mid-epoch must classify the fallback as
-// "topology", switching the engine off mid-epoch as "disabled", a
-// segment sent after the connection closed as "teardown", and in every
-// case the reason counts must sum to the fallback total.
-func TestFastPathFallbackReasonClassification(t *testing.T) {
+// TestFastPathCarriesFormerFallbacks runs the scenarios that used to
+// leave the fast lane for the event heap — a peer host behind a
+// forwarding handler, behind a dropping one, and a delayed ACK a closed
+// connection sends — plus the one switch that still does (the engine
+// turned off mid-stream). Each must reproduce the engine-off run's
+// transcript; in the first three, every segment sent must have ridden
+// the lane (queued or dropped there at send time).
+func TestFastPathCarriesFormerFallbacks(t *testing.T) {
 	base := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
 
-	// Mid-epoch mutation after the Nth fresh data segment, applied on a
-	// zero-delay event so both lanes see it at the same stream position.
-	midStream := func(apply func(*simnet.Network, *testNet)) func(*testing.T) simnet.FastPathStats {
-		return func(t *testing.T) simnet.FastPathStats {
-			return base.run(t, true, func(n *simnet.Network, tn *testNet) {
-				sent := 0
-				inner := tn.server.Tap
-				tn.server.Tap = func(ev TapEvent) {
-					inner(ev)
-					if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
-						if sent == 20 {
-							tn.sim.Schedule(0, func() { apply(n, tn) })
-						}
-						sent++
+	// midStream applies a mutation after the server's 20th fresh data
+	// segment, on a zero-delay event so both runs see it at the same
+	// stream position.
+	midStream := func(apply func(*simnet.Network, *testNet)) func(*simnet.Network, *testNet) {
+		return func(n *simnet.Network, tn *testNet) {
+			sent := 0
+			inner := tn.server.Tap
+			tn.server.Tap = func(ev TapEvent) {
+				inner(ev)
+				if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
+					if sent == 20 {
+						tn.sim.Schedule(0, func() { apply(n, tn) })
 					}
+					sent++
 				}
-			}).stats
+			}
 		}
 	}
+	scenario := func(mutate func(*simnet.Network, *testNet)) func(*testing.T, bool) *transcript {
+		return func(t *testing.T, fast bool) *transcript { return base.run(t, fast, mutate) }
+	}
 
-	cases := []struct {
+	for _, tc := range []struct {
 		name   string
-		reason simnet.FallbackReason
-		stats  func(*testing.T) simnet.FastPathStats
+		run    func(t *testing.T, fast bool) *transcript
+		onLane bool // every segment rides the lane
 	}{
 		// The client's stack moves behind a forwarding handler: same
-		// deliveries, but no longer an *Endpoint the sender can resolve.
-		{"topology", simnet.FallbackTopology, midStream(func(n *simnet.Network, tn *testNet) {
+		// deliveries, through the host table instead of straight to
+		// the connection.
+		{"forwarder", scenario(midStream(func(n *simnet.Network, tn *testNet) {
 			n.Attach("c", simnet.HandlerFunc(tn.client.Deliver))
-		})},
-		{"disabled", simnet.FallbackDisabled, midStream(func(n *simnet.Network, _ *testNet) {
+		})), true},
+		{"dropper", scenario(func(n *simnet.Network, tn *testNet) {
+			n.Attach("c", &dropper{h: tn.client, drops: map[int]bool{3: true, 30: true, 31: true}})
+		}), true},
+		{"late-delayed-ack", lateDelayedAck, true},
+		{"switched-off", scenario(midStream(func(n *simnet.Network, _ *testNet) {
 			n.SetFastPathEnabled(false)
-		})},
-		{"teardown", simnet.FallbackTeardown, lateDelayedAckStats},
-	}
-	for _, tc := range cases {
+		})), false},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.stats(t)
-			if st.Fallbacks == 0 {
-				t.Fatalf("%s mid-epoch recorded no fallbacks: %+v", tc.name, st)
+			fastTr, slowTr := tc.run(t, true), tc.run(t, false)
+			if d := fastTr.diff(slowTr); d != "" {
+				t.Fatalf("diverged from the engine-off run: %s", d)
 			}
-			if st.FallbacksByReason[tc.reason] == 0 {
-				t.Fatalf("%s not classified: by-reason %v", tc.name, st.FallbacksByReason)
+			st := fastTr.stats
+			sent := uint64(fastTr.sends("c") + fastTr.sends("s"))
+			if onLane := st.Segments+st.LossDrops == sent; onLane != tc.onLane {
+				t.Fatalf("lane segments %d + lane drops %d vs %d segments sent: all on the lane = %v, want %v",
+					st.Segments, st.LossDrops, sent, onLane, tc.onLane)
 			}
-			var sum uint64
-			for _, v := range st.FallbacksByReason {
-				sum += v
-			}
-			if sum != st.Fallbacks {
-				t.Fatalf("by-reason sum %d != fallback total %d (%v)",
-					sum, st.Fallbacks, st.FallbacksByReason)
+			if st.Segments == 0 || slowTr.stats != (simnet.FastPathStats{}) {
+				t.Fatalf("engine on carried %+v, engine off %+v", st, slowTr.stats)
 			}
 		})
 	}
 }
 
-// lateDelayedAckStats builds the one way a closed connection still
+// lateDelayedAck builds the one way a closed connection still
 // transmits: the client uploads into a blackout and aborts at the top of
 // its RTO ladder while a delayed ACK for a lone server segment is still
 // pending; the ACK timer then fires on the closed connection. A first
 // run learns the abort instant, the second lands the lone segment half
 // a delayed-ACK timeout before it.
-func lateDelayedAckStats(t *testing.T) simnet.FastPathStats {
+func lateDelayedAck(t *testing.T, fast bool) *transcript {
 	const delay, ackTimeout = 10 * time.Millisecond, 40 * time.Millisecond
-	run := func(loneAt time.Duration) (abortAt time.Duration, st simnet.FastPathStats) {
+	run := func(loneAt time.Duration) (abortAt time.Duration, tr *transcript) {
 		tn := newTestNet(t, simnet.PathParams{Delay: delay}, Config{DelayedAck: true, DelayedAckTimeout: ackTimeout})
+		tn.net.SetFastPathEnabled(fast)
+		tr = &transcript{}
+		tn.client.Tap = tr.tap("c")
+		tn.server.Tap = tr.tap("s")
 		var srv *Conn
 		if _, err := tn.server.Listen(80, func(c *Conn) { srv = c }); err != nil {
 			t.Fatal(err)
@@ -442,9 +450,17 @@ func lateDelayedAckStats(t *testing.T) simnet.FastPathStats {
 			tn.sim.Schedule(loneAt, func() { srv.Send([]byte{1}) })
 		}
 		tn.sim.Run()
-		return abortAt, tn.net.FastPathStats()
+		tr.finalAt = tn.sim.Now()
+		tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
+		tr.stats = tn.net.FastPathStats()
+		return abortAt, tr
 	}
 	abortAt, _ := run(0)
-	_, st := run(abortAt - delay - ackTimeout/2)
-	return st
+	_, tr := run(abortAt - delay - ackTimeout/2)
+	if !slices.ContainsFunc(tr.events, func(ev obsEvent) bool {
+		return ev.host == "c" && ev.dir == DirSend && ev.at > abortAt
+	}) {
+		t.Fatalf("the client sent nothing after it closed at %v", abortAt)
+	}
+	return tr
 }

@@ -320,9 +320,10 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 }
 
 // htmlFastPath renders the fast-forward engine's activity: how much of
-// the simulated traffic bypassed the event heap on the lane, and how
-// often connections entered or abandoned epochs. Skipped when the
-// registry carries no fastpath gauges (an unobserved run).
+// the simulated traffic bypassed the event heap on the lane, how often
+// connections entered epochs and how much the loss processes dropped
+// there. Skipped when the registry carries no fastpath gauges (an
+// unobserved run).
 func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 	u, ok := FastPathUsageFrom(reg)
 	if !ok {
@@ -333,10 +334,6 @@ func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
 	bw.printf("<table>\n<tr><th class=\"l\">gauge</th><th>value</th></tr>\n")
 	bw.printf("<tr><td class=\"l\">fastpath_epochs</td><td>%s</td></tr>\n", trimFloat(u.Epochs))
 	bw.printf("<tr><td class=\"l\">fastpath_bytes</td><td>%s</td></tr>\n", trimFloat(u.Bytes))
-	bw.printf("<tr><td class=\"l\">fastpath_fallbacks</td><td>%s</td></tr>\n", trimFloat(u.Fallbacks))
-	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: topology</td><td>%s</td></tr>\n", trimFloat(u.FallbackTopology))
-	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: teardown</td><td>%s</td></tr>\n", trimFloat(u.FallbackTeardown))
-	bw.printf("<tr><td class=\"l\">&nbsp;&nbsp;reason: disabled</td><td>%s</td></tr>\n", trimFloat(u.FallbackDisabled))
 	bw.printf("<tr><td class=\"l\">fastpath_loss_drops</td><td>%s</td></tr>\n", trimFloat(u.LossDrops))
 	bw.printf("<tr><td class=\"l\">fastpath_epoch_segments</td><td>%s</td></tr>\n", trimFloat(u.EpochSegments))
 	bw.printf("</table>\n")

@@ -55,8 +55,7 @@ func sampleObs() (*MetricsRegistry, []Exemplar) {
 	reg.Counter("sim_events_total", "events").Add(999)
 	reg.Gauge("fastpath_epochs", "epochs").Set(12)
 	reg.Gauge("fastpath_bytes", "bytes").Set(3.5e6)
-	reg.Gauge("fastpath_fallbacks", "fallbacks").Set(2)
-	reg.GaugeVec("fastpath_fallbacks_by_reason", "by reason", "reason").With("teardown").Set(2)
+	reg.Gauge("fastpath_loss_drops", "drops").Set(2)
 	sk := reg.SketchVec("session_param_seconds", "params", 0.01, "service", "phase").
 		With("google-like", "tdynamic")
 	for i := 1; i <= 100; i++ {
@@ -127,7 +126,7 @@ func TestFastPathUsageFrom(t *testing.T) {
 	if !ok {
 		t.Fatal("FastPathUsageFrom found no gauges in a registry that has them")
 	}
-	if want := (FastPathUsage{Epochs: 12, Bytes: 3.5e6, Fallbacks: 2, FallbackTeardown: 2}); u != want {
+	if want := (FastPathUsage{Epochs: 12, Bytes: 3.5e6, LossDrops: 2}); u != want {
 		t.Fatalf("usage = %+v, want %+v", u, want)
 	}
 	if _, ok := FastPathUsageFrom(nil); ok {

@@ -54,7 +54,7 @@ for series in \
     fesplit_runtime_heap_watermark_bytes \
     fesplit_runtime_tasks_done \
     fesplit_runtime_fastpath_bytes_total \
-    'fesplit_runtime_fastpath_fallbacks_total{reason="teardown"}' \
+    fesplit_runtime_fastpath_segments_total \
     fesplit_runtime_records_streamed_total; do
     grep -qF "$series" "$out/metrics.txt" \
         || { echo "/metrics missing $series"; cat "$out/metrics.txt"; exit 1; }
