@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest loc
+.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-ab loc
 
 all: build vet test
 
@@ -77,8 +77,11 @@ lossy-check:
 # file codec (arbitrary bytes into Decode; built traces through Encode
 # and back), the recorder (tap sequences against its own trace, session
 # split and codec), the session parser above it (whatever Decode accepts into
-# trace.Parse), the lossy fast-lane differential property and the lane's
-# rings against a merged-FIFO model (order, counts, pooled storage). Go runs
+# trace.Parse), the lossy fast-lane differential property, the lane's
+# rings against a merged-FIFO model (order, counts, pooled storage), the
+# HTTP head parsers and renderers (arbitrary bytes in; rendered heads equal
+# to their fmt-based references and parsed back) and the query URL (Path
+# and ParsePath against their net/url references). Go runs
 # one fuzz target per invocation, so one run each. ~10s each — a smoke
 # pass, not a campaign; the CI check job runs this target, so the list
 # lives here. FuzzParse's seeds are whole 31 KB captures, which the
@@ -94,6 +97,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMetricsJSONL -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLossEpochBoundary -fuzztime 10s ./internal/tcpsim
 	$(GO) test -run '^$$' -fuzz FuzzLaneRings -fuzztime 10s ./internal/tcpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestParser$$' -fuzztime 10s ./internal/httpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzResponseParser$$' -fuzztime 10s ./internal/httpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryPath$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePath$$' -fuzztime 10s ./internal/workload
 
 # Load-aware queueing gate: the Lindley/M-D-1 property tests, the
 # zero-load byte-identity degeneracy, FE admission control and
@@ -188,6 +195,18 @@ cover:
 bench:
 	bash benchmark/run.sh -seed 42 -out benchmark/out/result.json
 	bash benchmark/run.sh compare "$$(ls testdata/bench/pr*-seed42.json | sort -V | tail -1)" benchmark/out/result.json
+
+# Paired A/B run of this checkout against a base revision on one machine:
+# PAIRS single-workload runs per side of WORKLOAD (default: all four),
+# alternating order, then per end-to-end metric the medians, quartiles,
+# pairs won and a verdict against its bound (worse / within /
+# unresolved). Exits non-zero when a metric reads worse. See
+# scripts/bench_ab.sh.
+BASE ?= HEAD
+PAIRS ?= 3
+WORKLOAD ?=
+bench-ab:
+	./scripts/bench_ab.sh "$(BASE)" "$(PAIRS)" "$(WORKLOAD)"
 
 # Light-scale figure regeneration (seconds).
 report: build

@@ -15,24 +15,15 @@ package httpsim
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Header is an ordered-insensitive header map with canonicalized-enough
-// keys (exact-match; producers and consumers agree on casing).
+// keys (exact-match; producers and consumers agree on casing). A parsed
+// head without header lines (bar Host) has a nil Header; readers index it.
 type Header map[string]string
-
-// clone returns a copy of h (nil-safe).
-func (h Header) clone() Header {
-	out := make(Header, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
 
 // Request is an HTTP request. Only bodyless methods (GET) are supported;
 // search queries carry their keywords in the URL, as the real services
@@ -51,7 +42,6 @@ func NewGet(host, path string) *Request {
 
 // Marshal renders the request wire format.
 func (r *Request) Marshal() []byte {
-	var b bytes.Buffer
 	method := r.Method
 	if method == "" {
 		method = "GET"
@@ -60,13 +50,7 @@ func (r *Request) Marshal() []byte {
 	if path == "" {
 		path = "/"
 	}
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", method, path)
-	fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
-	for _, k := range sortedKeys(r.Header) {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, r.Header[k])
-	}
-	b.WriteString("\r\n")
-	return b.Bytes()
+	return marshalHead(r.Header, method, " ", path, " HTTP/1.1\r\nHost: ", r.Host, "\r\n")
 }
 
 // Response is a fully received HTTP response.
@@ -82,24 +66,37 @@ type Response struct {
 	Body []byte
 }
 
-func sortedKeys(h Header) []string {
-	ks := make([]string, 0, len(h))
-	for k := range h {
-		ks = append(ks, k)
+// marshalHead renders a head into one exactly sized slice: the
+// concatenated parts (the first line and its CRLF), h's lines in key
+// order, and the blank line.
+func marshalHead(h Header, parts ...string) []byte {
+	n := len("\r\n")
+	for _, s := range parts {
+		n += len(s)
 	}
-	sort.Strings(ks)
-	return ks
+	keys := make([]string, 0, 4)
+	for k, v := range h {
+		keys = append(keys, k)
+		n += len(k) + len(": \r\n") + len(v)
+	}
+	if len(keys) > 1 {
+		slices.Sort(keys)
+	}
+	b := make([]byte, 0, n)
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	for _, k := range keys {
+		b = append(append(append(append(b, k...), ": "...), h[k]...), "\r\n"...)
+	}
+	return append(b, "\r\n"...)
 }
 
 // marshalResponseHeader renders a response status line plus headers.
 func marshalResponseHeader(status int, h Header) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, statusText(status))
-	for _, k := range sortedKeys(h) {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, h[k])
-	}
-	b.WriteString("\r\n")
-	return b.Bytes()
+	var num [20]byte
+	code := strconv.AppendInt(num[:0], int64(status), 10)
+	return marshalHead(h, "HTTP/1.1 ", string(code), " ", statusText(status), "\r\n")
 }
 
 func statusText(code int) string {
@@ -126,68 +123,83 @@ type parseError struct{ msg string }
 
 func (e *parseError) Error() string { return "httpsim: " + e.msg }
 
+// headEnd terminates a request or response head.
+var headEnd = []byte("\r\n\r\n")
+
 // requestParser accumulates stream bytes and emits complete requests.
 type requestParser struct {
-	buf bytes.Buffer
+	// carry stages an incomplete head, or what followed a malformed one;
+	// a head that arrives whole is parsed from the delivered slice.
+	carry []byte
+	first [1]*Request // backs feed's result: one request costs no slice
 }
 
-// feed appends stream data and returns any complete requests parsed.
+// feed appends stream data and returns any complete requests parsed. The
+// returned slice is valid until the next feed.
 func (p *requestParser) feed(data []byte) ([]*Request, error) {
-	p.buf.Write(data)
-	var out []*Request
-	for {
-		raw := p.buf.Bytes()
-		idx := bytes.Index(raw, []byte("\r\n\r\n"))
-		if idx < 0 {
-			return out, nil
-		}
-		head := string(raw[:idx])
-		p.buf.Next(idx + 4)
-		req, err := parseRequestHead(head)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, req)
+	if len(p.carry) > 0 {
+		p.carry = append(p.carry, data...)
+		data = p.carry
 	}
+	reqs := p.first[:0]
+	var err error
+	for idx := bytes.Index(data, headEnd); idx >= 0 && err == nil; idx = bytes.Index(data, headEnd) {
+		var req *Request
+		if req, err = parseRequestHead(string(data[:idx])); err == nil {
+			reqs = append(reqs, req)
+		}
+		data = data[idx+len(headEnd):]
+	}
+	p.carry = append(p.carry[:0], data...)
+	return reqs, err
 }
 
 func parseRequestHead(head string) (*Request, error) {
-	lines := strings.Split(head, "\r\n")
-	if len(lines) == 0 {
-		return nil, &parseError{"empty request"}
+	line, rest, more := strings.Cut(head, "\r\n")
+	method, target, ok := strings.Cut(line, " ")
+	path, proto, ok2 := strings.Cut(target, " ")
+	if !ok || !ok2 || !strings.HasPrefix(proto, "HTTP/1.") {
+		return nil, &parseError{"bad request line: " + line}
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
-		return nil, &parseError{"bad request line: " + lines[0]}
-	}
-	req := &Request{Method: parts[0], Path: parts[1], Header: Header{}}
-	for _, ln := range lines[1:] {
-		k, v, ok := splitHeaderLine(ln)
-		if !ok {
-			return nil, &parseError{"bad header line: " + ln}
-		}
-		if k == "Host" {
-			req.Host = v
-		} else {
-			req.Header[k] = v
-		}
+	req := &Request{Method: method, Path: path}
+	var err error
+	req.Header, err = parseHeaderLines(rest, more, &req.Host)
+	if err != nil {
+		return nil, err
 	}
 	return req, nil
 }
 
-func splitHeaderLine(ln string) (k, v string, ok bool) {
-	i := strings.Index(ln, ":")
-	if i < 0 {
-		return "", "", false
+// parseHeaderLines parses the header lines that follow a head's first
+// line (more: the head has any). A Host line goes to *host when host is
+// non-nil. The map stays nil until a line needs it.
+func parseHeaderLines(rest string, more bool, host *string) (Header, error) {
+	var h Header
+	for more {
+		var ln string
+		ln, rest, more = strings.Cut(rest, "\r\n")
+		k, v, ok := strings.Cut(ln, ":")
+		if !ok {
+			return nil, &parseError{"bad header line: " + ln}
+		}
+		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		switch {
+		case host != nil && k == "Host":
+			*host = v
+		case h == nil:
+			h = Header{k: v}
+		default:
+			h[k] = v
+		}
 	}
-	return strings.TrimSpace(ln[:i]), strings.TrimSpace(ln[i+1:]), true
+	return h, nil
 }
 
 // responseParser accumulates stream bytes and emits responses. Framing:
 // Transfer-Encoding: chunked when declared, Content-Length when present,
 // otherwise read-until-close.
 type responseParser struct {
-	buf        bytes.Buffer
+	carry      []byte // framing that cannot be parsed yet (see feed)
 	cur        *Response
 	need       int  // remaining body bytes (Content-Length framing)
 	untilClose bool // close-framing in progress
@@ -212,10 +224,8 @@ type responseParser struct {
 // freshly appended region to onBodyChunk. The callback slice aliases
 // Response.Body — Body only ever grows, so its bytes stay stable, but
 // callees must treat it as read-only (it is capacity-capped so an
-// append cannot clobber later body bytes). Sharing the Body copy this
-// way means each fragment costs zero allocations beyond amortized Body
-// growth, where the parser previously made a throwaway copy per
-// fragment — a top allocator in full-study profiles.
+// append cannot clobber later body bytes). A fragment costs no
+// allocation of its own.
 func (p *responseParser) emitBody(data []byte) {
 	p.cur.BodyLen += len(data)
 	if p.countOnly || p.dropped {
@@ -237,7 +247,7 @@ func (p *responseParser) emitBody(data []byte) {
 // header block or chunk framing is malformed.
 func (p *responseParser) feedBlank(n int) error {
 	switch {
-	case p.cur == nil || p.buf.Len() > 0:
+	case p.cur == nil || len(p.carry) > 0:
 		return &parseError{"content-free bytes outside a response body"}
 	case p.chunked:
 		if n > p.chunkLeft-2 {
@@ -259,176 +269,126 @@ func (p *responseParser) feedBlank(n int) error {
 }
 
 // feed appends stream data, invoking callbacks as parsing progresses.
+// Bytes are consumed from the delivered slice itself — body bytes
+// dominate stream volume, so nearly no payload byte is copied to be
+// parsed — and only what cannot be parsed yet (an incomplete head or
+// chunk-size line, or what followed malformed framing) is staged.
 func (p *responseParser) feed(data []byte) error {
-	// Mid-body with an empty carry buffer: consume straight from the
-	// caller's slice instead of staging through p.buf. Body bytes
-	// dominate stream volume, so this skips a buffer copy of nearly
-	// every payload byte (chunked framing still stages, as it has to
-	// scan for chunk boundaries).
-	if p.cur != nil && !p.chunked && p.buf.Len() == 0 && len(data) > 0 {
-		if p.untilClose {
-			p.emitBody(data)
-			return nil
-		}
-		n := len(data)
-		if n > p.need {
-			n = p.need
-		}
-		p.emitBody(data[:n])
-		data = data[n:]
-		p.need -= n
-		if p.need > 0 {
-			return nil
-		}
-		p.finish()
-		if len(data) == 0 {
-			return nil
-		}
+	if len(p.carry) > 0 {
+		p.carry = append(p.carry, data...)
+		data = p.carry
 	}
-	p.buf.Write(data)
-	for {
-		if p.cur == nil {
-			raw := p.buf.Bytes()
-			idx := bytes.Index(raw, []byte("\r\n\r\n"))
-			if idx < 0 {
-				return nil
+	var err error
+	more := false // data holds too little to proceed
+	for len(data) > 0 && err == nil && !more {
+		n := 0
+		switch {
+		case p.cur == nil:
+			idx := bytes.Index(data, headEnd)
+			if more = idx < 0; !more {
+				n = idx + len(headEnd)
+				err = p.begin(string(data[:idx]))
 			}
-			head := string(raw[:idx])
-			p.buf.Next(idx + 4)
-			resp, err := parseResponseHead(head)
-			if err != nil {
-				return err
-			}
-			p.cur = resp
-			switch {
-			case strings.EqualFold(resp.Header["Transfer-Encoding"], "chunked"):
-				p.chunked = true
-				p.untilClose = false
-			default:
-				if cl, ok := resp.Header["Content-Length"]; ok {
-					n, err := strconv.Atoi(cl)
-					if err != nil || n < 0 {
-						return &parseError{"bad Content-Length: " + cl}
-					}
-					p.need = n
-					p.untilClose = false
-					if n > 0 && !p.countOnly {
-						// One exact allocation up front; the per-fragment
-						// emitBody appends then never grow (growslice on
-						// Body was a top allocator in full-study profiles).
-						resp.Body = make([]byte, 0, n)
-					}
-				} else {
-					p.untilClose = true
-				}
-			}
-			if p.onHeader != nil {
-				p.onHeader(resp)
-			}
-			if !p.untilClose && !p.chunked && p.need == 0 {
-				p.finish()
-				continue
-			}
-		}
-		if p.chunked {
-			done, err := p.feedChunked()
-			if err != nil {
-				return err
-			}
-			if !done {
-				return nil
-			}
-			continue
-		}
-		if p.untilClose {
+		case p.chunked:
+			n, err = p.chunkStep(data)
+			more = n == 0
+		case p.untilClose:
 			// Consume everything; completion happens at close().
-			if p.buf.Len() > 0 {
-				p.emitBody(p.buf.Bytes())
-				p.buf.Reset()
+			n = len(data)
+			p.emitBody(data)
+		default:
+			n = min(len(data), p.need)
+			p.emitBody(data[:n])
+			if p.need -= n; p.need == 0 {
+				p.finish()
 			}
-			return nil
 		}
-		if p.buf.Len() == 0 {
-			return nil
-		}
-		n := p.buf.Len()
-		if n > p.need {
-			n = p.need
-		}
-		p.emitBody(p.buf.Next(n))
-		p.need -= n
-		if p.need == 0 {
-			p.finish()
-			continue
-		}
-		return nil
+		data = data[n:]
 	}
+	p.carry = append(p.carry[:0], data...)
+	return err
 }
 
-// feedChunked consumes chunked-framing data from the buffer. It returns
-// done=true when the terminating zero-length chunk completed the
-// response.
-func (p *responseParser) feedChunked() (done bool, err error) {
-	for {
-		if p.lastCRLF > 0 {
-			// The terminator's final CRLF may trail its size line by a
-			// segment; the response is complete only once it is consumed,
-			// or its bytes would prefix the next response on a keep-alive
-			// connection.
-			n := p.buf.Len()
-			if n > p.lastCRLF {
-				n = p.lastCRLF
+// begin parses a response head, sets up its body framing and completes
+// a response that has no body.
+func (p *responseParser) begin(head string) error {
+	resp, err := parseResponseHead(head)
+	if err != nil {
+		return err
+	}
+	p.cur = resp
+	switch {
+	case strings.EqualFold(resp.Header["Transfer-Encoding"], "chunked"):
+		p.chunked = true
+		p.untilClose = false
+	default:
+		if cl, ok := resp.Header["Content-Length"]; ok {
+			n, err := strconv.Atoi(cl)
+			if err != nil || n < 0 {
+				return &parseError{"bad Content-Length: " + cl}
 			}
-			p.buf.Next(n)
-			if p.lastCRLF -= n; p.lastCRLF > 0 {
-				return false, nil
+			p.need = n
+			p.untilClose = false
+			if n > 0 && !p.countOnly {
+				// One exact allocation up front: the per-fragment
+				// emitBody appends never grow Body.
+				resp.Body = make([]byte, 0, n)
 			}
+		} else {
+			p.untilClose = true
+		}
+	}
+	if p.onHeader != nil {
+		p.onHeader(resp)
+	}
+	if !p.untilClose && !p.chunked && p.need == 0 {
+		p.finish()
+	}
+	return nil
+}
+
+// chunkStep consumes the next piece of chunked framing from data: a
+// chunk-size line, chunk payload with its CRLF, or the terminator's final
+// CRLF. It returns 0 when data holds too little to proceed.
+func (p *responseParser) chunkStep(data []byte) (int, error) {
+	switch {
+	case p.lastCRLF > 0:
+		// The terminator's final CRLF may trail its size line by a
+		// segment; the response is complete only once it is consumed,
+		// or its bytes would prefix the next response on a keep-alive
+		// connection.
+		n := min(len(data), p.lastCRLF)
+		if p.lastCRLF -= n; p.lastCRLF == 0 {
 			p.finish()
-			return true, nil
 		}
-		if p.chunkLeft > 0 {
-			// Consume chunk payload plus its trailing CRLF. Offsets
-			// [0, chunkSize) of the chunk are payload; the final two
-			// bytes are CRLF.
-			n := p.buf.Len()
-			if n == 0 {
-				return false, nil
-			}
-			take := p.chunkLeft
-			if take > n {
-				take = n
-			}
-			raw := p.buf.Next(take)
-			consumed := (p.chunkSize + 2) - p.chunkLeft // before this take
-			payloadEnd := p.chunkSize - consumed        // payload bytes within raw
-			if payloadEnd > len(raw) {
-				payloadEnd = len(raw)
-			}
-			if payloadEnd > 0 {
-				p.emitBody(raw[:payloadEnd])
-			}
-			p.chunkLeft -= take
-			continue
+		return n, nil
+	case p.chunkLeft > 0:
+		// Chunk payload plus its trailing CRLF: offsets [0, chunkSize)
+		// of the chunk are payload, the final two bytes CRLF.
+		take := min(len(data), p.chunkLeft)
+		consumed := p.chunkSize + 2 - p.chunkLeft // before this take
+		if payload := min(p.chunkSize-consumed, take); payload > 0 {
+			p.emitBody(data[:payload])
 		}
-		// Expect a chunk-size line.
-		raw := p.buf.Bytes()
-		idx := bytes.Index(raw, []byte("\r\n"))
-		if idx < 0 {
-			return false, nil
-		}
-		line := string(raw[:idx])
-		p.buf.Next(idx + 2)
-		size, perr := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
-		if perr != nil || size < 0 {
-			return false, &parseError{"bad chunk size: " + line}
-		}
-		if size == 0 {
-			p.lastCRLF = 2 // terminating chunk: its final CRLF follows
-			continue
-		}
+		p.chunkLeft -= take
+		return take, nil
+	}
+	idx := bytes.Index(data, []byte("\r\n"))
+	if idx < 0 {
+		return 0, nil
+	}
+	line := string(data[:idx])
+	size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
+	switch {
+	case err != nil || size < 0:
+		return idx + 2, &parseError{"bad chunk size: " + line}
+	case size == 0:
+		p.lastCRLF = 2 // terminating chunk: its final CRLF follows
+	default:
 		p.chunkSize = int(size)
 		p.chunkLeft = int(size) + 2 // payload + CRLF
 	}
+	return idx + 2, nil
 }
 
 // close signals stream end (peer FIN) to complete close-framed bodies.
@@ -453,36 +413,30 @@ func (p *responseParser) finish() {
 
 // ChunkEncode frames data as one HTTP chunk.
 func ChunkEncode(data []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%x\r\n", len(data))
-	b.Write(data)
-	b.WriteString("\r\n")
-	return b.Bytes()
+	var num [16]byte
+	size := strconv.AppendInt(num[:0], int64(len(data)), 16)
+	b := append(make([]byte, 0, len(size)+len(data)+len("\r\n\r\n")), size...)
+	b = append(append(b, "\r\n"...), data...)
+	return append(b, "\r\n"...)
 }
 
 // ChunkTerminator is the zero-length chunk ending a chunked response.
 func ChunkTerminator() []byte { return []byte("0\r\n\r\n") }
 
 func parseResponseHead(head string) (*Response, error) {
-	lines := strings.Split(head, "\r\n")
-	if len(lines) == 0 {
-		return nil, &parseError{"empty response"}
+	line, rest, more := strings.Cut(head, "\r\n")
+	proto, status, ok := strings.Cut(line, " ")
+	if !ok || !strings.HasPrefix(proto, "HTTP/1.") {
+		return nil, &parseError{"bad status line: " + line}
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, &parseError{"bad status line: " + lines[0]}
-	}
-	code, err := strconv.Atoi(parts[1])
+	status, _, _ = strings.Cut(status, " ")
+	code, err := strconv.Atoi(status)
 	if err != nil {
-		return nil, &parseError{"bad status code: " + parts[1]}
+		return nil, &parseError{"bad status code: " + status}
 	}
-	resp := &Response{Status: code, Header: Header{}}
-	for _, ln := range lines[1:] {
-		k, v, ok := splitHeaderLine(ln)
-		if !ok {
-			return nil, &parseError{"bad header line: " + ln}
-		}
-		resp.Header[k] = v
+	h, err := parseHeaderLines(rest, more, nil)
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
+	return &Response{Status: code, Header: h}, nil
 }

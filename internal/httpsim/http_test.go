@@ -398,19 +398,6 @@ func TestGetTruncatedResponseError(t *testing.T) {
 	}
 }
 
-func TestHeaderClone(t *testing.T) {
-	h := Header{"A": "1"}
-	c := h.clone()
-	c["A"] = "2"
-	if h["A"] != "1" {
-		t.Fatal("clone aliases original")
-	}
-	var nilH Header
-	if got := nilH.clone(); got == nil || len(got) != 0 {
-		t.Fatal("nil clone")
-	}
-}
-
 func TestStatusText(t *testing.T) {
 	for code, want := range map[int]string{200: "OK", 404: "Not Found",
 		503: "Service Unavailable", 999: "Status"} {
@@ -538,33 +525,42 @@ func TestChunkedWriterSkipsEmptyWrites(t *testing.T) {
 }
 
 // FuzzResponseParser hardens the streaming response parser against
-// arbitrary wire bytes.
+// arbitrary wire bytes. Its render arm holds the status-line renderer
+// and ChunkEncode to their fmt-based references byte for byte, and a
+// rendered head to parse back to its status and headers.
 func FuzzResponseParser(f *testing.F) {
 	var seed bytes.Buffer
 	seed.Write(marshalResponseHeader(200, Header{"Content-Length": "3"}))
 	seed.WriteString("abc")
-	f.Add(seed.Bytes())
+	f.Add(seed.Bytes(), 200, "Content-Length:3")
 	var chunked bytes.Buffer
 	chunked.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
 	chunked.Write(ChunkEncode([]byte("xy")))
 	chunked.Write(ChunkTerminator())
-	f.Add(chunked.Bytes())
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\nshort"))
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(chunked.Bytes(), 503, "")
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\nshort"), -7, "X-Queue-Wait:1500\nContent-Length:17408")
+	f.Add([]byte("garbage"), 404, "a:1\nb: 2 \nc")
+	f.Fuzz(func(t *testing.T, data []byte, status int, hdr string) {
 		p := &responseParser{}
 		_ = p.feed(data) // must not panic
 		p.close()
+		checkResponseRender(t, status, fuzzHeader(hdr))
+		if got, want := ChunkEncode(data), refChunkEncode(data); !bytes.Equal(got, want) {
+			t.Fatalf("ChunkEncode = %q, want %q", got, want)
+		}
 	})
 }
 
-// FuzzRequestParser does the same for the request side.
+// FuzzRequestParser does the same for the request side: arbitrary bytes
+// into the parser, and Marshal against its reference and back through
+// the parser.
 func FuzzRequestParser(f *testing.F) {
-	f.Add(NewGet("h", "/x").Marshal())
-	f.Add([]byte("GET / HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\n"))
-	f.Add([]byte("junk\r\n\r\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(NewGet("h", "/x").Marshal(), "GET", "/x", "h", "")
+	f.Add([]byte("GET / HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\n"), "", "", "", "Connection:keep-alive")
+	f.Add([]byte("junk\r\n\r\n"), "GET", "/search?c=2&id=7&q=a+b&r=9", "bing-like", "User-Agent:fesplit\nAccept: */*\nHost:x")
+	f.Fuzz(func(t *testing.T, data []byte, method, path, host, hdr string) {
 		p := &requestParser{}
 		_, _ = p.feed(data) // must not panic
+		checkRequestRender(t, &Request{Method: method, Path: path, Host: host, Header: fuzzHeader(hdr)})
 	})
 }

@@ -1,7 +1,6 @@
 package httpsim
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -78,17 +77,17 @@ type ResponseWriter struct {
 // the terminator (the connection stays open — keep-alive); a
 // Content-Length header counts bytes; neither means close-framing, and
 // End() half-closes the connection. Calling WriteHeader twice panics (a
-// handler bug).
+// handler bug). hdr is rendered before WriteHeader returns; nothing keeps
+// it.
 func (w *ResponseWriter) WriteHeader(status int, hdr Header) {
 	if w.wroteHeader {
 		panic("httpsim: WriteHeader called twice")
 	}
 	w.wroteHeader = true
-	h := hdr.clone()
-	_, hasCL := h["Content-Length"]
-	w.chunked = strings.EqualFold(h["Transfer-Encoding"], "chunked")
+	_, hasCL := hdr["Content-Length"]
+	w.chunked = strings.EqualFold(hdr["Transfer-Encoding"], "chunked")
 	w.closeFramed = !hasCL && !w.chunked
-	w.conn.Send(marshalResponseHeader(status, h))
+	w.conn.Send(marshalResponseHeader(status, hdr))
 }
 
 // Write streams body bytes (chunk-framed when the response is chunked).
@@ -155,5 +154,5 @@ func (w *ResponseWriter) Conn() *tcpsim.Conn { return w.conn }
 
 // ContentLengthHeader builds a header with the given Content-Length.
 func ContentLengthHeader(n int) Header {
-	return Header{"Content-Length": fmt.Sprint(n)}
+	return Header{"Content-Length": strconv.Itoa(n)}
 }

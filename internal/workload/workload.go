@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"fesplit/internal/stats"
 )
@@ -241,43 +243,87 @@ func UnsuggestedKeyword(i int) string {
 // Path renders the query as a search URL path, like the emulator's GET.
 // Query metadata (class, rank, id) rides along as parameters so the
 // back-end cost model can recover it from the wire — the in-house
-// emulator controls both ends, like the paper's.
+// emulator controls both ends, like the paper's. The bytes are those of
+// url.Values.Encode (keys sorted, q query-escaped), copied once from the
+// stack into the string.
 func (q Query) Path() string {
-	v := url.Values{}
-	v.Set("q", q.Keywords)
-	v.Set("c", fmt.Sprint(uint8(q.Class)))
-	v.Set("r", fmt.Sprint(q.Rank))
-	v.Set("id", fmt.Sprint(q.ID))
-	return "/search?" + v.Encode()
+	var buf [256]byte
+	b := append(buf[:0], "/search?c="...)
+	b = strconv.AppendUint(b, uint64(q.Class), 10)
+	b = append(b, "&id="...)
+	b = strconv.AppendInt(b, int64(q.ID), 10)
+	b = append(b, "&q="...)
+	for i := 0; i < len(q.Keywords); i++ {
+		switch c := q.Keywords[i]; {
+		case c == ' ':
+			b = append(b, '+')
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '-' || c == '_' || c == '.' || c == '~':
+			b = append(b, c)
+		default:
+			b = append(b, '%', "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&15])
+		}
+	}
+	b = append(b, "&r="...)
+	b = strconv.AppendInt(b, int64(q.Rank), 10)
+	return string(b)
 }
 
 // ParsePath reconstructs a Query from a search URL path produced by
-// (Query).Path.
+// (Query).Path, accepting exactly what net/url would. A "/search?" path
+// with no fragment or control byte is cut on '&' and '=' in place; any
+// other target (a scheme, an authority, an escaped path) goes through
+// url.Parse. Parameters follow url.ParseQuery: a pair with ';' or a bad
+// escape is skipped, and only a key's first value counts.
 func ParsePath(path string) (Query, error) {
-	u, err := url.Parse(path)
-	if err != nil {
-		return Query{}, fmt.Errorf("workload: bad query path %q: %v", path, err)
+	raw, ok := strings.CutPrefix(path, "/search?")
+	if !ok || strings.ContainsFunc(raw, func(r rune) bool { return r == '#' || r < ' ' || r == 0x7f }) {
+		u, err := url.Parse(path)
+		if err != nil {
+			return Query{}, fmt.Errorf("workload: bad query path %q: %v", path, err)
+		}
+		if u.Path != "/search" {
+			return Query{}, fmt.Errorf("workload: not a search path: %q", path)
+		}
+		raw = u.RawQuery
 	}
-	if u.Path != "/search" {
-		return Query{}, fmt.Errorf("workload: not a search path: %q", path)
+	var kw string
+	var nums [4]int // q (unused), c, r, id
+	var seen [4]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		key := slices.Index([]string{"q", "c", "r", "id"}, k)
+		if strings.Contains(pair, ";") || err != nil || key < 0 || seen[key] {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		seen[key] = true
+		if key == 0 {
+			kw = v
+		} else if n, err := strconv.Atoi(v); err == nil {
+			nums[key] = n
+		}
 	}
-	v := u.Query()
-	kw := v.Get("q")
 	if kw == "" {
 		return Query{}, fmt.Errorf("workload: missing q parameter in %q", path)
 	}
-	q := Query{
-		Keywords: kw,
-		Terms:    len(strings.Fields(kw)),
+	return Query{ID: nums[3], Class: Class(nums[1]), Keywords: kw, Terms: countTerms(kw), Rank: nums[2]}, nil
+}
+
+// countTerms is len(strings.Fields(s)) without building the slice.
+func countTerms(s string) int {
+	n, inTerm := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inTerm {
+			n++
+		}
+		inTerm = !space
 	}
-	if c, err := strconv.Atoi(v.Get("c")); err == nil {
-		q.Class = Class(c)
-	}
-	if r, err := strconv.Atoi(v.Get("r")); err == nil {
-		q.Rank = r
-	}
-	if id, err := strconv.Atoi(v.Get("id")); err == nil {
-		q.ID = id
-	}
-	return q, nil
+	return n
 }

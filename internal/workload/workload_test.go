@@ -428,17 +428,20 @@ func TestUnsuggestedKeywordDistinct(t *testing.T) {
 }
 
 // FuzzParsePath hardens the wire-path parser: arbitrary paths must
-// error or parse, never panic.
+// error or parse, never panic, and agree with the net/url reference.
 func FuzzParsePath(f *testing.F) {
 	f.Add("/search?q=computer+science&c=1&r=10&id=3")
 	f.Add("/search?q=")
 	f.Add("/other")
 	f.Add("%zz")
 	f.Add("/search?q=a&r=-1&c=999")
+	f.Add("/search?q&q=a&c=+1&id=2&id=3&r=4+")
+	f.Add("http://h:80/%73earch?q=a%20b#f")
 	f.Fuzz(func(t *testing.T, path string) {
 		q, err := ParsePath(path)
 		if err == nil && q.Keywords == "" {
 			t.Fatal("parsed query without keywords")
 		}
+		checkParsePath(t, path)
 	})
 }
