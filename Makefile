@@ -140,7 +140,7 @@ telemetry-smoke: build
 	./scripts/telemetry_smoke.sh ./bin/fesplit
 
 # Critical-path profiler / regression-gate smoke, end to end through
-# the CLI: two same-seed profiled runs must diff clean (exit 0), a run
+# the CLI: two same-seed study runs must diff clean (exit 0), a run
 # with an injected 2× BE slowdown must fail the gate (nonzero) with a
 # verdict naming the be-proc phase, and a diff that compared nothing
 # must fail too. See docs/PROFILING.md.
@@ -208,13 +208,14 @@ WORKLOAD ?=
 bench-ab:
 	./scripts/bench_ab.sh "$(BASE)" "$(PAIRS)" "$(WORKLOAD)"
 
-# Light-scale figure regeneration (seconds).
+# Light-scale figure regeneration into study-out/ (seconds).
 report: build
-	./bin/fesplit report
+	./bin/fesplit study -dir study-out
 
-# Paper-scale regeneration (250 nodes, 720 repeats; ~10 min, ~4 GB RSS).
+# Paper-scale regeneration into study-full/ (250 nodes, 720 repeats;
+# ~10 min, ~4 GB RSS).
 report-full: build
-	./bin/fesplit report -scale full -csv results_csv | tee report_full.txt
+	./bin/fesplit study -scale full -dir study-full
 
 clean:
 	rm -rf bin

@@ -11,58 +11,13 @@ import (
 	"fesplit/internal/obs"
 )
 
-// cmdProfile runs the observed study and reports where each service's
-// query time goes: the per-phase critical-path blame table (stderr +
-// profile.csv), the lossless metrics dump that `fesplit diff` consumes,
-// annotated tail-exemplar spans, and the HTML report with the phase
-// waterfalls. Like `fesplit study`, every exported byte is identical
-// for any -workers value and across repeated same-seed runs.
-func cmdProfile(args []string, _, stderr io.Writer) error {
-	fs := newFlagSet("profile", stderr)
-	parse := studyFlags(fs, true)
-	dir := fs.String("dir", "profile-out", "output directory for the exported files")
-	topN := fs.Int("top", 5, "phases to print per service in the stderr blame table (0 → all)")
-	beSlowdown := fs.Float64("be-slowdown", 0,
-		"scale both services' BE processing cost by this factor (>0; a controlled regression injection for exercising `fesplit diff`)")
-	cfg, err := parse(args)
-	if err != nil {
-		return err
-	}
-	cfg.BESlowdown = *beSlowdown
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		return err
-	}
-	var rows []fesplit.PhaseBlame
-	_, err = runObserved(stderr, fesplit.NewStudy(cfg).RunAllObserved, nil, "", *dir, func(out *fesplit.StudyOutput) []outFile {
-		rows = fesplit.ProfileFromMetrics(out.Metrics)
-		spans := out.Spans()
-		return []outFile{
-			{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, rows) }},
-			{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
-			{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
-			htmlReport("report.html", out),
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	if err := fesplit.WriteProfileTable(stderr, rows, *topN); err != nil {
-		return err
-	}
-	if *beSlowdown > 0 && *beSlowdown != 1 {
-		fmt.Fprintf(stderr, "profile: BE cost model scaled ×%g (injected regression)\n", *beSlowdown)
-	}
-	fmt.Fprintf(stderr, "profile: blame table + metrics + report written to %s\n", *dir)
-	return nil
-}
-
 // cmdDiff compares two profiled runs sketch-by-sketch and gates on
 // regressions: exit 0 when no quantile moved past the thresholds,
 // nonzero with a verdict table naming the exact series (service, phase,
 // quantile) otherwise — and nonzero too when the two dumps share no
 // sketch series, since a gate that compared nothing has not passed.
 // Arguments are metrics.jsonl files or directories containing one (e.g.
-// `fesplit profile -dir` outputs).
+// `fesplit study -dir` outputs).
 func cmdDiff(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("diff", stderr)
 	relPct := fs.Float64("rel-pct", 10,

@@ -26,22 +26,16 @@ var commands = []struct {
 	summary string // one usage line per line
 	run     func(args []string, stdout, stderr io.Writer) error
 }{
-	{"report", `regenerate the paper's figures (text tables, optional CSV
-and self-contained HTML with inline SVG via -html)`, cmdReport},
+	{"report", `regenerate one paper figure (-fig N: text table, optional
+CSV and self-contained HTML with inline SVG via -html)`, cmdReport},
 	{"study", `run the full observed study on a worker pool and export
-figures, metrics, spans and reports into one directory;
-outputs are byte-identical for any -workers value and with
+figures, metrics, spans, reports and the critical-path
+blame table (profile.csv; top phases on stderr) into one
+directory, byte-identical for any -workers value and with
 telemetry (-progress, -listen, runtime.jsonl) on or off;
-default-FE campaign records are folded into accumulators
-per node batch, so memory is bounded by one batch world;
 -diurnal -clients N runs the ephemeral-client fleet campaign
 (open-loop diurnal arrivals, heap tracks peak concurrency)`, cmdStudy},
-	{"profile", `run the observed study and attribute every sim-nanosecond
-of query time to an exclusive critical-path phase: top-N
-blame table per service (stderr + profile.csv), lossless
-metrics.jsonl for 'fesplit diff', phase waterfalls in
-report.html; byte-identical for any -workers value`, cmdProfile},
-	{"diff", `compare two profiled runs sketch-by-sketch (quantile
+	{"diff", `compare two study runs sketch-by-sketch (quantile
 deltas with relative + absolute thresholds); prints a
 verdict table and exits nonzero on regression — the
 CI perf gate (see docs/PROFILING.md)`, cmdDiff},
@@ -103,10 +97,13 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
+// cmdReport regenerates one figure: it runs that figure's serial
+// method into an otherwise empty report and writes it. The whole matrix
+// is `fesplit study`.
 func cmdReport(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("report", stderr)
 	parse := studyFlags(fs, false)
-	fig := fs.String("fig", "all", "figure to regenerate: all|3|4|5|6|7|8|9|caching")
+	fig := fs.String("fig", "", "figure to regenerate: 3|4|5|6|7|8|9|caching")
 	csvDir := fs.String("csv", "", "also export figure data as CSV files into DIR")
 	htmlFile := fs.String("html", "", "also render the report as a self-contained HTML page (inline SVG figures) to FILE")
 	cfg, err := parse(args)
@@ -114,44 +111,35 @@ func cmdReport(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	study := fesplit.NewStudy(cfg)
-	// -fig all is the observed matrix: the Report is identical to
-	// RunAll's (observation never perturbs the simulations), and the
-	// registry lets the HTML page carry the metrics sections. A single
-	// figure runs its serial method into an otherwise empty report.
-	run := study.RunAllObserved
-	if *fig != "all" {
-		run = func() (*fesplit.StudyOutput, error) {
-			rep := &fesplit.Report{Config: cfg}
-			var err error
-			switch *fig {
-			case "3":
-				rep.Fig3, err = study.Fig3()
-			case "4":
-				rep.Fig4, err = study.Fig4()
-			case "5":
-				rep.Fig5, err = study.Fig5()
-			case "6":
-				rep.Fig6, err = study.Fig6()
-			case "7":
-				rep.Fig7, err = study.Fig7()
-			case "8":
-				rep.Fig8, err = study.Fig8()
-			case "9":
-				rep.Fig9, err = study.Fig9()
-			case "caching":
-				rep.Caching, err = study.Caching()
-			default:
-				err = fmt.Errorf("unknown -fig %q", *fig)
-			}
-			return &fesplit.StudyOutput{Report: rep}, err
-		}
+	rep := &fesplit.Report{Config: cfg}
+	switch *fig {
+	case "3":
+		rep.Fig3, err = study.Fig3()
+	case "4":
+		rep.Fig4, err = study.Fig4()
+	case "5":
+		rep.Fig5, err = study.Fig5()
+	case "6":
+		rep.Fig6, err = study.Fig6()
+	case "7":
+		rep.Fig7, err = study.Fig7()
+	case "8":
+		rep.Fig8, err = study.Fig8()
+	case "9":
+		rep.Fig9, err = study.Fig9()
+	case "caching":
+		rep.Caching, err = study.Caching()
+	case "", "all":
+		return fmt.Errorf("report: -fig names one figure; 'fesplit study' runs them all")
+	default:
+		return fmt.Errorf("report: unknown -fig %q", *fig)
 	}
-	out, err := runObserved(stderr, run, nil, *csvDir, "", func(out *fesplit.StudyOutput) []outFile {
-		if *htmlFile == "" {
-			return nil
-		}
-		return []outFile{htmlReport(*htmlFile, out)}
-	})
+	if err == nil && *csvDir != "" {
+		err = rep.WriteCSVs(*csvDir)
+	}
+	if err == nil && *htmlFile != "" {
+		err = writeFiles("", []outFile{{*htmlFile, func(f *os.File) error { return rep.WriteHTML(f, nil, nil) }}})
+	}
 	if err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
@@ -161,7 +149,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) error {
 	if *htmlFile != "" {
 		fmt.Fprintf(stderr, "HTML report written to %s\n", *htmlFile)
 	}
-	return out.Report.WriteText(stdout)
+	return rep.WriteText(stdout)
 }
 
 func cmdSweep(args []string, stdout, stderr io.Writer) error {

@@ -13,7 +13,7 @@ import (
 	rt "fesplit/internal/obs/runtime"
 )
 
-// studyFlags registers the flags report, study and profile share —
+// studyFlags registers the flags report and study share —
 // -seed and -scale, plus -workers and -node-batches on the commands that
 // expose the worker pool (elsewhere cells run on every CPU) — and
 // returns the function that parses args and validates them into the
@@ -96,52 +96,18 @@ func (t *telemetry) stop() {
 	}
 }
 
-// runObserved is the one run body of the matrix commands — report,
-// study and profile: run the study, end the telemetry session (if any),
-// export figure CSVs into csvDir (when set) and the artifacts files
-// builds from the output under dir, and print the fast-path summary.
-// The commands differ only in those artifact lists.
-func runObserved(stderr io.Writer, run func() (*fesplit.StudyOutput, error), tel *telemetry, csvDir, dir string,
-	files func(*fesplit.StudyOutput) []outFile) (*fesplit.StudyOutput, error) {
-	out, err := run()
-	tel.stop()
-	if err == nil && csvDir != "" {
-		err = out.Report.WriteCSVs(csvDir)
-	}
-	if err == nil {
-		err = writeFiles(dir, files(out))
-	}
-	if err != nil {
-		return nil, err
-	}
-	printFastPath(stderr, "", out.Metrics)
-	return out, nil
-}
-
-// printFastPath writes the fast-forward engine's usage summary of an
-// observed run, each line led by prefix; nothing when the registry
-// carries no fast-path gauges.
-func printFastPath(w io.Writer, prefix string, reg *fesplit.MetricsRegistry) {
-	u, ok := fesplit.FastPathUsageFrom(reg)
-	if !ok {
-		return
-	}
-	fmt.Fprintf(w, "%sfast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops\n",
-		prefix, u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops)
-}
-
-// htmlReport is the self-contained HTML page artifact, with the
-// metrics and exemplar sections when the run was observed.
-func htmlReport(name string, out *fesplit.StudyOutput) outFile {
-	return outFile{name, func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }}
-}
+// blameTop is how many phases per service the stderr blame table of
+// `fesplit study` prints; profile.csv carries them all.
+const blameTop = 5
 
 // cmdStudy runs the full observed study on a worker pool and exports
 // every view of it into one directory: the text report, figure CSVs,
-// lossless JSONL + Prometheus metrics, tail-sampled JSONL spans and the
-// self-contained HTML report. The headline property: for a fixed seed,
-// every exported byte is identical whatever -workers is — the worker
-// count buys wall-clock time, never different results.
+// lossless JSONL + Prometheus metrics, tail-sampled JSONL spans, the
+// self-contained HTML report and the critical-path blame table
+// (profile.csv, and its top phases per service on stderr). The headline
+// property: for a fixed seed, every exported byte is identical whatever
+// -workers is — the worker count buys wall-clock time, never different
+// results.
 func cmdStudy(args []string, _, stderr io.Writer) error {
 	fs := newFlagSet("study", stderr)
 	parse := studyFlags(fs, true)
@@ -162,6 +128,8 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 		"virtual-time span of the -diurnal rate curve (the compressed day)")
 	fleetBatches := fs.Int("fleet-batches", 0,
 		"strided arrival batches for -diurnal (0 → default; changes results, unlike -workers)")
+	beSlowdown := fs.Float64("be-slowdown", 0,
+		"scale both services' BE processing cost by this factor (0 → off; a controlled regression injection for exercising `fesplit diff`)")
 	cfg, err := parse(args)
 	switch {
 	case err != nil:
@@ -170,7 +138,12 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 		return fmt.Errorf("study: -diurnal requires -clients > 0, got %d", *clients)
 	case !*diurnal && *clients > 0:
 		return fmt.Errorf("study: -clients requires -diurnal")
+	case !(*beSlowdown >= 0):
+		return fmt.Errorf("study: -be-slowdown must be ≥ 0, got %g", *beSlowdown)
+	case *diurnal && *beSlowdown != 0:
+		return fmt.Errorf("study: -be-slowdown does not apply to the -diurnal fleet campaign")
 	}
+	cfg.BESlowdown = *beSlowdown
 	// The output directory must exist before the run: runtime.jsonl
 	// streams wall-clock telemetry while the study executes.
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
@@ -189,18 +162,36 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 	if *diurnal {
 		return runFleetStudy(stderr, study, tel, *clients, *horizon, *fleetBatches, *dir)
 	}
-	out, err := runObserved(stderr, study.RunAllObserved, tel, *dir, *dir, func(out *fesplit.StudyOutput) []outFile {
+	out, err := study.RunAllObserved()
+	tel.stop()
+	if err == nil {
+		err = out.Report.WriteCSVs(*dir)
+	}
+	var blame []fesplit.PhaseBlame
+	if err == nil {
+		blame = fesplit.ProfileFromMetrics(out.Metrics)
 		spans := out.Spans()
-		return []outFile{
+		err = writeFiles(*dir, []outFile{
 			{"report.txt", func(f *os.File) error { return out.Report.WriteText(f) }},
 			{"metrics.jsonl", func(f *os.File) error { return fesplit.WriteMetricsJSONL(f, out.Metrics) }},
 			{"metrics.prom", func(f *os.File) error { return fesplit.WritePrometheus(f, out.Metrics) }},
 			{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
-			htmlReport("report.html", out),
-		}
-	})
+			{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
+			{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, blame) }},
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("study: %w", err)
+	}
+	if u, ok := fesplit.FastPathUsageFrom(out.Metrics); ok {
+		fmt.Fprintf(stderr, "fast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops\n",
+			u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops)
+	}
+	if err := fesplit.WriteProfileTable(stderr, blame, blameTop); err != nil {
+		return err
+	}
+	if cfg.BESlowdown > 0 && cfg.BESlowdown != 1 {
+		fmt.Fprintf(stderr, "study: BE cost model scaled ×%g (injected regression)\n", cfg.BESlowdown)
 	}
 	fmt.Fprintf(stderr,
 		"study: seed %d, scale %s, %d workers — %d metric families, %d tail exemplars\n",
@@ -209,7 +200,7 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "study: peak heap %.1f MiB, %d records streamed\n",
 			float64(eng.HeapWatermark())/(1<<20), eng.Records())
 	}
-	fmt.Fprintf(stderr, "study: figures + metrics + reports written to %s\n", *dir)
+	fmt.Fprintf(stderr, "study: figures + metrics + reports + blame table written to %s\n", *dir)
 	if tel != nil && tel.server != nil && *linger > 0 {
 		fmt.Fprintf(stderr, "study: holding telemetry endpoint for %s\n", *linger)
 		time.Sleep(*linger)

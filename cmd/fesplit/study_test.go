@@ -43,13 +43,14 @@ func TestStudyArgumentValidation(t *testing.T) {
 		{"report unknown scale", "report", "-csv", []string{"-scale", "huge"}, 1, "-scale"},
 		{"report has no pool flag", "report", "-csv", []string{"-workers", "0"}, 1, "-workers"},
 		{"report unknown figure", "report", "-csv", []string{"-fig", "12"}, 1, "-fig"},
+		{"report without figure", "report", "-csv", nil, 1, "-fig"},
+		{"report all figures", "report", "-csv", []string{"-fig", "all"}, 1, "-fig"},
 		{"study zero workers", "study", "-dir", []string{"-workers", "0"}, 1, "-workers"},
 		{"study unknown scale", "study", "-dir", []string{"-scale", "huge"}, 1, "-scale"},
 		{"study clients without diurnal", "study", "-dir", []string{"-clients", "5"}, 1, "-clients"},
 		{"study removed stream flag", "study", "-dir", []string{"-stream"}, 1, "-stream"},
-		{"profile zero workers", "profile", "-dir", []string{"-workers", "0"}, 1, "-workers"},
-		{"profile unknown scale", "profile", "-dir", []string{"-scale", "huge"}, 1, "-scale"},
-		{"profile removed stream flag", "profile", "-dir", []string{"-stream"}, 1, "-stream"},
+		{"study negative be-slowdown", "study", "-dir", []string{"-be-slowdown", "-2"}, 1, "-be-slowdown must be ≥ 0"},
+		{"study be-slowdown with diurnal", "study", "-dir", []string{"-diurnal", "-clients", "5", "-be-slowdown", "2"}, 1, "-be-slowdown does not apply"},
 		{"sweep unknown flag", "sweep", "", []string{"-fraction", "0.5"}, 1, "-fraction"},
 		{"sweep loss above one", "sweep", "", []string{"-loss", "2"}, 1, "loss rate 2"},
 		{"sweep no query completes", "sweep", "", []string{"-loss", "0.9", "-repeats", "3"}, 1, "fraction 0.05, 0.10,"},
@@ -67,6 +68,11 @@ func TestStudyArgumentValidation(t *testing.T) {
 		{"removed obs", "obs", "-dir", nil, 2, `unknown command "obs"`},
 		{"removed interactive", "interactive", "", nil, 2, `unknown command "interactive"`},
 		{"removed live", "live", "", nil, 2, `unknown command "live"`},
+		// profile is folded into study: its old invocations are refused
+		// as a removed command, whatever flags they carry.
+		{"profile zero workers", "profile", "-dir", []string{"-workers", "0"}, 2, `unknown command "profile"`},
+		{"profile unknown scale", "profile", "-dir", []string{"-scale", "huge"}, 2, `unknown command "profile"`},
+		{"profile removed stream flag", "profile", "-dir", []string{"-stream"}, 2, `unknown command "profile"`},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +104,7 @@ func TestStudyArgumentValidation(t *testing.T) {
 					listed = append(listed, strings.Fields(line)[0])
 				}
 			}
-			want := []string{"report", "study", "profile", "diff", "trace", "decode", "sweep", "direct"}
+			want := []string{"report", "study", "diff", "trace", "decode", "sweep", "direct"}
 			if stdout != "" || !reflect.DeepEqual(listed, want) {
 				t.Errorf("stdout %q, usage lists %q; want nothing and %q", stdout, listed, want)
 			}
@@ -106,18 +112,17 @@ func TestStudyArgumentValidation(t *testing.T) {
 	}
 }
 
-// TestMatrixArtifactSets: study and profile share one run body and
-// differ only in what they export — exactly their documented file
-// lists, with runtime.jsonl only when telemetry is on.
+// TestMatrixArtifactSets: study exports exactly its documented file
+// list, with runtime.jsonl only when telemetry is on.
 func TestMatrixArtifactSets(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three light-scale study runs in -short mode")
+		t.Skip("two light-scale study runs in -short mode")
 	}
 	figures := []string{
 		"caching.csv", "capacity.csv", "failover.csv", "fig3.csv", "fig4.csv", "fig5.csv",
 		"fig6.csv", "fig7.csv", "fig8.csv", "fig9.csv", "hotspot.csv", "overload.csv",
 	}
-	study := append([]string{"metrics.jsonl", "metrics.prom", "report.html", "report.txt", "spans.jsonl"}, figures...)
+	study := append([]string{"metrics.jsonl", "metrics.prom", "profile.csv", "report.html", "report.txt", "spans.jsonl"}, figures...)
 	tests := []struct {
 		name string
 		cmd  string
@@ -127,7 +132,6 @@ func TestMatrixArtifactSets(t *testing.T) {
 		{"study", "study", nil, study},
 		{"study with telemetry", "study", []string{"-progress", "-progress-interval", "1h"},
 			append([]string{"runtime.jsonl"}, study...)},
-		{"profile", "profile", nil, []string{"metrics.jsonl", "profile.csv", "report.html", "spans.jsonl"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

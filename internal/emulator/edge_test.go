@@ -17,44 +17,44 @@ func TestMatchFetchEdgeCases(t *testing.T) {
 	}
 	tests := []struct {
 		name         string
-		cands        []frontend.FetchRecord
+		log          []frontend.FetchRecord
 		issued, done time.Duration
 		wantArrived  time.Duration
 		wantOK       bool
 	}{
 		{
 			name:   "empty candidate list",
-			cands:  nil,
+			log:    nil,
 			issued: 0, done: time.Second,
 			wantOK: false,
 		},
 		{
 			name:   "single candidate inside window",
-			cands:  []frontend.FetchRecord{fr(500 * time.Millisecond)},
+			log:    []frontend.FetchRecord{fr(500 * time.Millisecond)},
 			issued: 0, done: time.Second,
 			wantArrived: 500 * time.Millisecond, wantOK: true,
 		},
 		{
 			name:   "unmatched: arrival before window",
-			cands:  []frontend.FetchRecord{fr(100 * time.Millisecond)},
+			log:    []frontend.FetchRecord{fr(100 * time.Millisecond)},
 			issued: 200 * time.Millisecond, done: time.Second,
 			wantOK: false,
 		},
 		{
 			name:   "unmatched: arrival after window",
-			cands:  []frontend.FetchRecord{fr(2 * time.Second)},
+			log:    []frontend.FetchRecord{fr(2 * time.Second)},
 			issued: 0, done: time.Second,
 			wantOK: false,
 		},
 		{
 			name:   "window boundaries are inclusive",
-			cands:  []frontend.FetchRecord{fr(time.Second)},
+			log:    []frontend.FetchRecord{fr(time.Second)},
 			issued: time.Second, done: time.Second,
 			wantArrived: time.Second, wantOK: true,
 		},
 		{
 			name: "port recycling: picks the record in this query's window",
-			cands: []frontend.FetchRecord{
+			log: []frontend.FetchRecord{
 				fr(100 * time.Millisecond), // earlier session on the same port
 				fr(700 * time.Millisecond),
 				fr(5 * time.Second), // later session
@@ -63,18 +63,19 @@ func TestMatchFetchEdgeCases(t *testing.T) {
 			wantArrived: 700 * time.Millisecond, wantOK: true,
 		},
 		{
-			name: "duplicate arrival windows: first candidate wins",
-			cands: []frontend.FetchRecord{
-				fr(300 * time.Millisecond),
+			name: "other sessions in the window are skipped",
+			log: []frontend.FetchRecord{
+				{Client: "node-0", ClientPort: 4001, Arrived: 300 * time.Millisecond},
 				fr(400 * time.Millisecond),
+				{Client: "node-1", ClientPort: 4000, Arrived: 500 * time.Millisecond},
 			},
 			issued: 0, done: time.Second,
-			wantArrived: 300 * time.Millisecond, wantOK: true,
+			wantArrived: 400 * time.Millisecond, wantOK: true,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, ok := matchFetch(tt.cands, tt.issued, tt.done)
+			got, ok := findFetch(tt.log, "node-0", 4000, tt.issued, tt.done)
 			if ok != tt.wantOK {
 				t.Fatalf("ok=%v, want %v", ok, tt.wantOK)
 			}

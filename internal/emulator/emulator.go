@@ -58,7 +58,8 @@ type Record struct {
 	Fetch frontend.FetchRecord
 	// BE and BERTT are the FE's assigned back-end and the base FE↔BE
 	// round-trip propagation delay, which critical-path attribution
-	// (internal/obs/critpath) splits the fetch window by. Set with Fetch.
+	// (internal/obs/critpath) splits the fetch window by. Set with Fetch,
+	// when the response completes, whenever the FE log is on.
 	BE    simnet.HostID
 	BERTT time.Duration
 }
@@ -99,8 +100,8 @@ type Dataset struct {
 // client population: simulator, network and deployment, the optional
 // observability wiring (simulator counters, one TCP stack bundle for
 // every endpoint, per-FE/BE labeled metrics), the optional wall-clock
-// telemetry hub, and each FE's back-end link for the ground-truth join.
-// Runner and FleetRunner embed it.
+// telemetry hub, and each FE with its back-end link for the ground-truth
+// join. Runner and FleetRunner embed it.
 type world struct {
 	Sim *simnet.Sim
 	Net *simnet.Network
@@ -112,7 +113,9 @@ type world struct {
 	simMetrics *simnet.Metrics
 	stack      *tcpsim.StackMetrics
 	rt         *rt.Engine
-	links      map[simnet.HostID]beLink
+	// links is nil unless the FE fetch log is on (the observer carries
+	// a tail sampler): then complete joins every record with its FE's log.
+	links map[simnet.HostID]beLink
 }
 
 // newWorld builds the simulator, network and deployment, and wires them
@@ -128,8 +131,7 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 	if err != nil {
 		return nil, err
 	}
-	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm,
-		links: make(map[simnet.HostID]beLink, len(dep.FEs))}
+	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
 		net.SetRuntime(rtm)
@@ -148,9 +150,14 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 			dc.StartObserving(o)
 		}
 	}
-	for _, fe := range dep.FEs {
-		if be := dep.BEOf(fe); be != nil {
-			w.links[fe.Host()] = beLink{be: be.Host(), rtt: net.RTT(fe.Host(), be.Host())}
+	if o != nil && o.TailSampler() != nil {
+		w.links = make(map[simnet.HostID]beLink, len(dep.FEs))
+		for _, fe := range dep.FEs {
+			link := beLink{fe: fe}
+			if be := dep.BEOf(fe); be != nil {
+				link.be, link.rtt = be.Host(), net.RTT(fe.Host(), be.Host())
+			}
+			w.links[fe.Host()] = link
 		}
 	}
 	return w, nil
@@ -174,25 +181,48 @@ func (w *world) newRecord(node, fe simnet.HostID, q workload.Query, dnsTime time
 	return Record{Node: node, FE: fe, Query: q, IssuedAt: w.Sim.Now(), DNSTime: dnsTime, Failed: true}
 }
 
-// complete fills the response side of a record.
+// complete fills the response side of a record and, when the FE log is
+// on, joins the FE's ground truth: the session's log entry (the zero
+// value when none matched), the fetch time it implies, and the FE's
+// back-end link. The FE writes an entry's FetchDone and QueueWait before
+// it sends the response's last byte, so the entry is final here. A
+// keep-alive record has no connection of its own and joins nothing; a
+// degraded query's BE fetch never completes (FetchDone stays zero), so
+// it has no fetch time.
 func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.Failed = false
 	rr.DoneAt = w.Sim.Now()
 	rr.Status = resp.Status
 	rr.BodyLen = resp.BodyLen
+	link, ok := w.links[rr.FE]
+	if !ok || rr.Key == (capture.ConnKey{}) {
+		return
+	}
+	rr.Fetch, _ = findFetch(link.fe.FetchLog(), string(rr.Node), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
+	if rr.Fetch.FetchDone > 0 {
+		rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
+	}
+	rr.BE, rr.BERTT = link.be, link.rtt
 }
 
-// join stamps the FE's ground truth on a record: the matched log entry
-// fr (the zero value when none matched), the fetch time it implies, and
-// the FE's back-end link. A degraded query's BE fetch never completes
-// (FetchDone stays zero), so it has no fetch time.
-func (w *world) join(rr *Record, fr frontend.FetchRecord) {
-	rr.Fetch = fr
-	if fr.FetchDone > 0 {
-		rr.TrueFetch = fr.FetchDone - fr.Arrived
+// findFetch scans an FE's fetch log backward for the record of the
+// (client, port) session whose GET arrived inside the query window
+// [issued, done]. Ephemeral ports recycle on long runs, so the window
+// tells apart sessions that used the same port; a port cannot host two
+// interleaved sessions, so at most one entry matches. The log is
+// arrival-ordered, so the scan stops at the first entry older than the
+// query.
+func findFetch(log []frontend.FetchRecord, client string, port uint16, issued, done time.Duration) (frontend.FetchRecord, bool) {
+	for i := len(log) - 1; i >= 0; i-- {
+		fr := &log[i]
+		if fr.Arrived < issued {
+			break
+		}
+		if fr.Arrived <= done && fr.Client == client && fr.ClientPort == port {
+			return *fr, true
+		}
 	}
-	link := w.links[rr.FE]
-	rr.BE, rr.BERTT = link.be, link.rtt
+	return frontend.FetchRecord{}, false
 }
 
 // get sends the record's query to its FE on a fresh connection from ep
@@ -244,8 +274,8 @@ type Options struct {
 	// Obs, when non-nil, wires the whole world into an observability
 	// layer: simulator and network counters, a fleet-wide TCP stack
 	// bundle, per-FE/BE labeled metrics, and (when Obs carries a tail
-	// sampler) the FE fetch log, joined onto every completed record at
-	// finalize time. Nil costs nothing on the hot paths.
+	// sampler) the FE fetch log, joined onto every record as its
+	// response completes. Nil costs nothing on the hot paths.
 	Obs *obs.Observer
 	// Runtime, when non-nil, publishes engine liveness (events/sec,
 	// sim-time ratio, fast-path activity, heap watermark) to the
@@ -327,8 +357,8 @@ func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	})
 }
 
-// finalize runs the simulator to completion and attaches recorders,
-// session events and FE ground truth to the dataset.
+// finalize runs the simulator to completion and attaches recorders and
+// session events to the dataset.
 func (r *Runner) finalize(ds *Dataset) *Dataset {
 	r.Sim.Run()
 	// The recorders filed every packet under its connection: a record's
@@ -342,74 +372,27 @@ func (r *Runner) finalize(ds *Dataset) *Dataset {
 	for _, fe := range r.Dep.FEs {
 		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
 	}
-	r.observe(ds)
+	r.observe()
 	// One heap reading per completed world: with many batch worlds in
 	// flight this is what traces the campaign's memory watermark.
 	r.rt.SampleMem()
 	return ds
 }
 
-// feLogKey joins an FE-side fetch record with a client-side session: the
-// FE saw the client's host and TCP source port, which the client's
-// record knows as (Node, Key.LocalPort). Ephemeral ports DO recycle on
-// long runs (a 16-bit space against paper-scale 720-repeat campaigns),
-// so a key maps to all fetch records that ever used the port; the join
-// then disambiguates by handshake time — the record whose GET arrived
-// inside the query's [IssuedAt, DoneAt] window is the right one.
-type feLogKey struct {
-	client string
-	port   uint16
-}
-
-// matchFetch selects the fetch record belonging to the query window.
-// FE arrival always falls inside it: the GET leaves at IssuedAt and the
-// response returns by DoneAt. At most one candidate can match, because
-// a port cannot host two interleaved sessions.
-func matchFetch(cands []frontend.FetchRecord, issued, done time.Duration) (frontend.FetchRecord, bool) {
-	for _, fr := range cands {
-		if fr.Arrived >= issued && fr.Arrived <= done {
-			return fr, true
-		}
-	}
-	return frontend.FetchRecord{}, false
-}
-
-// observe flushes the registry snapshots and, when the FE fetch log is
-// on (the observer carries a tail sampler), joins every completed
-// record with the FE's ground truth. Parsing and measuring the records
-// is internal/analysis's job.
-func (r *Runner) observe(ds *Dataset) {
-	o := r.obsv
-	if o == nil {
+// observe flushes the simulator and network metrics into the observer's
+// registry. Parsing and measuring the records is internal/analysis's job.
+func (r *Runner) observe() {
+	if r.obsv == nil {
 		return
 	}
 	r.simMetrics.Flush()
-	r.Net.ExportMetrics(o.Registry())
-	if o.TailSampler() == nil {
-		return
-	}
-	logs := make(map[simnet.HostID]map[feLogKey][]frontend.FetchRecord, len(r.Dep.FEs))
-	for _, fe := range r.Dep.FEs {
-		m := make(map[feLogKey][]frontend.FetchRecord)
-		for _, fr := range fe.FetchLog() {
-			k := feLogKey{fr.Client, fr.ClientPort}
-			m[k] = append(m[k], fr)
-		}
-		logs[fe.Host()] = m
-	}
-	for i := range ds.Records {
-		rr := &ds.Records[i]
-		if rr.Failed || rr.Key == (capture.ConnKey{}) {
-			continue
-		}
-		fr, _ := matchFetch(logs[rr.FE][feLogKey{string(rr.Node), rr.Key.LocalPort}], rr.IssuedAt, rr.DoneAt)
-		r.join(rr, fr)
-	}
+	r.Net.ExportMetrics(r.obsv.Registry())
 }
 
-// beLink is the FE's assigned back-end and the base FE↔BE round-trip
+// beLink is an FE, its assigned back-end and the base FE↔BE round-trip
 // propagation delay.
 type beLink struct {
+	fe  *frontend.Server
 	be  simnet.HostID
 	rtt time.Duration
 }
@@ -531,7 +514,7 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 	for _, fe := range r.Dep.FEs {
 		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
 	}
-	r.observe(ds)
+	r.observe()
 	return ds
 }
 

@@ -287,10 +287,10 @@ func (r *FleetRunner) issue(idx int) {
 	r.get(s.ep, &s.record, func(resp *httpsim.Response) { r.fold(s, resp) })
 }
 
-// fold finalizes one completed arrival: look the session's events up
-// in the slot recorder, join the FE's ground truth, hand the record to
-// the sink, then recycle everything — recorder lists, Record struct,
-// slot.
+// fold finalizes one completed arrival: complete the record (which
+// joins the FE's ground truth), look the session's events up in the slot
+// recorder, hand the record to the sink, then recycle everything —
+// recorder lists, Record struct, slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
 	r.complete(rr, resp)
@@ -300,10 +300,6 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 
 	// Strays from the previous tenant's close sit in lists of their own.
 	rr.Events = s.rec.Session(rr.Key)
-
-	// A failed join yields the zero FetchRecord: no ground truth.
-	fr, _ := findFetch(s.fe, string(s.node.Host), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
-	r.join(rr, fr)
 
 	r.opts.Sink.Consume(rr)
 	r.rt.NoteRecord()
@@ -338,25 +334,6 @@ func (r *FleetRunner) prune() {
 		}
 		fe.PruneFetchLog(cutoff)
 	}
-}
-
-// findFetch scans an FE's live fetch log backward for the record of
-// the (client, port) session whose GET arrived inside the query
-// window. The log is arrival-ordered and pruned to the in-flight
-// window, so the scan is short and stops at the first entry older than
-// the query.
-func findFetch(fe *frontend.Server, client string, port uint16, issued, done time.Duration) (frontend.FetchRecord, bool) {
-	log := fe.FetchLog()
-	for i := len(log) - 1; i >= 0; i-- {
-		fr := &log[i]
-		if fr.Arrived < issued {
-			break
-		}
-		if fr.Arrived <= done && fr.Client == client && fr.ClientPort == port {
-			return *fr, true
-		}
-	}
-	return frontend.FetchRecord{}, false
 }
 
 // FleetShardedOptions parameterize RunFleet, the sharded fleet

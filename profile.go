@@ -115,7 +115,7 @@ func WriteProfileCSV(w io.Writer, rows []PhaseBlame) error {
 }
 
 // WriteProfileTable renders the top-N blame rows per service as an
-// aligned text table (the `fesplit profile` stderr summary). topN ≤ 0
+// aligned text table (the `fesplit study` stderr summary). topN ≤ 0
 // prints every phase.
 func WriteProfileTable(w io.Writer, rows []PhaseBlame, topN int) error {
 	if len(rows) == 0 {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Profile/diff smoke test, end to end through the CLI: run two seeded
-# profiled studies and assert the regression gate's three contracts —
+# Profile/diff smoke test, end to end through the CLI: run three seeded
+# studies (each writes the critical-path blame table) and assert the
+# regression gate's three contracts —
 # `fesplit diff` exits 0 on a same-seed pair (identical runs carry no
 # regressions), exits nonzero naming the BE-processing phase on a pair
 # with an injected BE-latency regression (-be-slowdown), and exits
@@ -14,12 +15,12 @@ bin=${1:-./bin/fesplit}
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-"$bin" profile -seed 7 -workers 2 -dir "$out/base" 2>"$out/base.log"
-"$bin" profile -seed 7 -workers 2 -dir "$out/same" 2>"$out/same.log"
-"$bin" profile -seed 7 -workers 2 -be-slowdown 2.0 -dir "$out/slow" 2>"$out/slow.log"
+"$bin" study -seed 7 -workers 2 -dir "$out/base" 2>"$out/base.log"
+"$bin" study -seed 7 -workers 2 -dir "$out/same" 2>"$out/same.log"
+"$bin" study -seed 7 -workers 2 -be-slowdown 2.0 -dir "$out/slow" 2>"$out/slow.log"
 
 for f in profile.csv metrics.jsonl spans.jsonl report.html; do
-    [ -s "$out/base/$f" ] || { echo "profile output missing $f"; exit 1; }
+    [ -s "$out/base/$f" ] || { echo "study output missing $f"; exit 1; }
 done
 grep -q '^service,phase,count' "$out/base/profile.csv" \
     || { echo "profile.csv missing blame header"; head "$out/base/profile.csv"; exit 1; }
@@ -31,7 +32,7 @@ grep -q 'critical-path blame' "$out/base.log" \
 # Same-seed runs must be byte-identical (determinism contract) and
 # diff clean with exit 0.
 diff -r "$out/base" "$out/same" >/dev/null \
-    || { echo "same-seed profile runs differ"; exit 1; }
+    || { echo "same-seed study runs differ"; exit 1; }
 "$bin" diff "$out/base" "$out/same" >"$out/diff-same.txt" \
     || { echo "diff failed on identical runs:"; cat "$out/diff-same.txt"; exit 1; }
 grep -q ' 0 regressions' "$out/diff-same.txt" \
