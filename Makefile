@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-ab loc
+.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-gate bench-ab loc
 
 all: build vet test
 
@@ -127,9 +127,20 @@ scale-check: build
 
 # Self-tests of the separate fesplit/benchmark module (not part of the
 # root `go test ./...`): catches an API rename that breaks the benchmark
-# harness before the next benchmark run does.
+# harness before the next benchmark run does. Then bench-gate's judge on
+# two canned compare outputs: host-time rows that read worse pass, a
+# changed digest fails.
 bench-selftest:
 	cd benchmark && $(GO) test ./...
+	./scripts/bench_gate.sh judge testdata/bench-gate/clean.txt
+	! ./scripts/bench_gate.sh judge testdata/bench-gate/changed-digest.txt
+
+# Benchmark gate on the machine-independent rows (ROADMAP item 1): one
+# seed-42 harness run compared with the newest committed point; fails on
+# a changed exact count or digest, or worse allocations per query, and
+# prints host-time rows unjudged. See scripts/bench_gate.sh.
+bench-gate:
+	./scripts/bench_gate.sh
 
 # Runtime-telemetry smoke, end to end through the CLI: a short study
 # with heartbeat, streaming sink and the HTTP endpoint all on; scrapes

@@ -120,10 +120,9 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		},
 		Batches: fc.Batches,
 		Workers: fc.Workers,
-		// The batch observer is tail-only: its sampler makes the runner
-		// log and join the FE's ground truth and is the one the sink's
-		// fold feeds. It carries no registry — nothing here would merge
-		// or export one.
+		// The batch observer is tail-only: its sampler is the one the
+		// sink's fold feeds. It carries no registry — nothing here would
+		// merge or export one.
 		Observe: func(int) *obs.Observer {
 			return &obs.Observer{Tail: obs.NewTailSampler(obs.TailConfig{})}
 		},

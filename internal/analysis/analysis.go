@@ -310,22 +310,24 @@ func RTTCDF(nodes []NodeSummary) *stats.ECDF {
 	return stats.NewECDF(xs)
 }
 
-// ValidateBounds checks the inference-framework invariant against
-// ground-truth fetch times recorded at the FE (available only in
-// simulation): the median true fetch must lie within
-// [median Tdelta, median Tdynamic]. Returns the three medians in
+// ValidateBounds checks the inference-framework invariant against the
+// FE's ground-truth fetch times the records joined (available only in
+// simulation): the median TrueFetch over records that have one must lie
+// within [median Tdelta, median Tdynamic]. Returns the three medians in
 // milliseconds.
-func ValidateBounds(params []Params, trueFetch []time.Duration) (lo, truth, hi float64, ok bool) {
-	if len(params) == 0 || len(trueFetch) == 0 {
+func ValidateBounds(params []Params, records []emulator.Record) (lo, truth, hi float64, ok bool) {
+	var del, dyn, tf []float64
+	for _, r := range records {
+		if r.TrueFetch > 0 {
+			tf = append(tf, float64(r.TrueFetch)/float64(time.Millisecond))
+		}
+	}
+	if len(params) == 0 || len(tf) == 0 {
 		return 0, 0, 0, false
 	}
-	var del, dyn, tf []float64
 	for _, p := range params {
 		del = append(del, float64(p.Tdelta)/float64(time.Millisecond))
 		dyn = append(dyn, float64(p.Tdynamic)/float64(time.Millisecond))
-	}
-	for _, f := range trueFetch {
-		tf = append(tf, float64(f)/float64(time.Millisecond))
 	}
 	lo, truth, hi = stats.Median(del), stats.Median(tf), stats.Median(dyn)
 	return lo, truth, hi, lo <= truth && truth <= hi

@@ -153,7 +153,7 @@ func TestModelPredictionsExperimentB(t *testing.T) {
 	}
 
 	// (e) Inference bounds contain the FE's ground-truth fetch time.
-	lob, truth, hib, ok := analysis.ValidateBounds(params, ds.FEFetchTimes[fe.Host()])
+	lob, truth, hib, ok := analysis.ValidateBounds(params, ds.Records)
 	if !ok {
 		t.Fatalf("bounds [%.1f, %.1f] ms do not contain ground truth %.1f ms", lob, hib, truth)
 	}
@@ -228,10 +228,14 @@ func TestValidateBoundsEdges(t *testing.T) {
 	}
 	params := []analysis.Params{{Tdelta: 10 * time.Millisecond, Tdynamic: 100 * time.Millisecond}}
 	// Truth outside the bounds must fail.
-	if _, _, _, ok := analysis.ValidateBounds(params, []time.Duration{500 * time.Millisecond}); ok {
+	if _, _, _, ok := analysis.ValidateBounds(params, []emulator.Record{{TrueFetch: 500 * time.Millisecond}}); ok {
 		t.Fatal("out-of-bounds truth validated")
 	}
-	if lo, truth, hi, ok := analysis.ValidateBounds(params, []time.Duration{50 * time.Millisecond}); !ok {
+	// Records without a fetch time are no evidence either way.
+	if _, _, _, ok := analysis.ValidateBounds(params, []emulator.Record{{}, {Failed: true}}); ok {
+		t.Fatal("records without ground truth validated")
+	}
+	if lo, truth, hi, ok := analysis.ValidateBounds(params, []emulator.Record{{}, {TrueFetch: 50 * time.Millisecond}}); !ok || truth != 50 {
 		t.Fatalf("in-bounds truth rejected: %v %v %v", lo, truth, hi)
 	}
 }

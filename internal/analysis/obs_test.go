@@ -51,8 +51,8 @@ func TestSketchQuantilesMatchExact(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := obs.NewTailObserver(obs.TailConfig{})
-			ds, params := observedParams(t, o, tc.cfg)
-			ObserveParams(o.Registry(), ds.Service, params)
+			_, params := observedParams(t, o, tc.cfg)
+			ObserveParams(o.Registry(), tc.cfg.Name, params)
 
 			var sk *obs.Sketch
 			for _, f := range o.Registry().Families() {
@@ -60,7 +60,7 @@ func TestSketchQuantilesMatchExact(t *testing.T) {
 					continue
 				}
 				for _, s := range f.Series() {
-					if s.LabelValues[0] == ds.Service && s.LabelValues[1] == "tdynamic" {
+					if s.LabelValues[0] == tc.cfg.Name && s.LabelValues[1] == "tdynamic" {
 						sk = s.Sketch
 					}
 				}
@@ -97,9 +97,10 @@ func TestSketchQuantilesMatchExact(t *testing.T) {
 	}
 }
 
-// foldAll folds every record of ds through a fresh fold feeding ts.
-func foldAll(ts *obs.TailSampler, ds *emulator.Dataset) *Fold {
-	fold := NewFold(nil, ds.Service, ds.Service, BoundaryFromDataset(ds), ts, boundTol)
+// foldAll folds every record of ds, a campaign against service,
+// through a fresh fold feeding ts.
+func foldAll(ts *obs.TailSampler, service string, ds *emulator.Dataset) *Fold {
+	fold := NewFold(nil, service, service, BoundaryFromDataset(ds), ts, boundTol)
 	for i := range ds.Records {
 		fold.Consume(&ds.Records[i])
 	}
@@ -112,8 +113,9 @@ func foldAll(ts *obs.TailSampler, ds *emulator.Dataset) *Fold {
 // sampler's threshold.
 func TestFoldRetainsTailAndViolations(t *testing.T) {
 	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.8, MaxExemplars: 8})
-	ds, params := observedParams(t, o, cdn.GoogleLike(7))
-	violations := foldAll(o.Tail, ds).Violations
+	cfg := cdn.GoogleLike(7)
+	ds, params := observedParams(t, o, cfg)
+	violations := foldAll(o.Tail, cfg.Name, ds).Violations
 	if o.Tail.Offered() != len(params) {
 		t.Fatalf("offered %d records, want all %d measurable", o.Tail.Offered(), len(params))
 	}
@@ -170,7 +172,8 @@ func TestViolatesBounds(t *testing.T) {
 // record even though its Tdynamic is nowhere near the tail.
 func TestFoldRetainsSyntheticViolation(t *testing.T) {
 	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.99, MaxExemplars: 1})
-	ds, _ := observedParams(t, o, cdn.GoogleLike(7))
+	cfg := cdn.GoogleLike(7)
+	ds, _ := observedParams(t, o, cfg)
 	boundary := BoundaryFromDataset(ds)
 	if boundary <= 0 {
 		t.Fatal("no boundary")
@@ -188,7 +191,7 @@ func TestFoldRetainsSyntheticViolation(t *testing.T) {
 	if planted == nil {
 		t.Fatal("no record to plant a violation on")
 	}
-	if foldAll(o.Tail, ds).Violations < 1 {
+	if foldAll(o.Tail, cfg.Name, ds).Violations < 1 {
 		t.Fatal("planted violation not detected")
 	}
 	found := false

@@ -246,8 +246,10 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 		sim.Run()
 
 		var fetch []float64
-		for _, ft := range fe.FetchTimes() {
-			fetch = append(fetch, float64(ft))
+		for _, fr := range fe.FetchLog() {
+			if fr.FetchDone > 0 {
+				fetch = append(fetch, float64(fr.FetchDone-fr.Arrived))
+			}
 		}
 		out = append(out, PlacementPoint{
 			Fraction:      f,

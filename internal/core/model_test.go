@@ -196,14 +196,14 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fetch := fe.FetchTimes()
-		if len(fetch) != 1 {
-			t.Fatalf("fetch samples = %d", len(fetch))
+		log := fe.FetchLog()
+		if len(log) != 1 || log[0].FetchDone == 0 {
+			t.Fatalf("fetch log = %+v, want one completed fetch", log)
 		}
 		pred, err := Predict(Inputs{
 			RTT:          rtt,
 			FEDelay:      feDelay,
-			Fetch:        fetch[0],
+			Fetch:        log[0].FetchDone - log[0].Arrived,
 			StaticBytes:  staticLen,
 			DynamicBytes: len(s.Payload()) - staticLen,
 		})

@@ -141,9 +141,9 @@ func TestDNSTimeVsFetchTime(t *testing.T) {
 	}
 	// DNS must be small relative to the fetch (google-like ≈ 60 ms).
 	var fetchMS []float64
-	for _, fts := range ds.FEFetchTimes {
-		for _, f := range fts {
-			fetchMS = append(fetchMS, float64(f)/1e6)
+	for _, rec := range ds.Records {
+		if rec.TrueFetch > 0 {
+			fetchMS = append(fetchMS, float64(rec.TrueFetch)/1e6)
 		}
 	}
 	medDNS, medFetch := stats.Median(dnsMS), stats.Median(fetchMS)

@@ -17,13 +17,10 @@ type RatePoint struct {
 // time — the open-loop campaign's diurnal load shape. Points must be
 // sorted by At with non-negative rates; the curve is flat before the
 // first point and the campaign's arrival horizon is the last point.
-//
-// The curve plays two roles. RunOpenLoop treats it as a dimensionless
-// rate multiplier on each node's BaseInterval. RunFleet treats it as
-// the absolute fleet-wide arrival rate and inverts its cumulative
-// integral into the exact global arrival sequence (arrivals), so the
-// k-th ephemeral client's arrival time is a pure function of the curve
-// — independent of batching, workers, or pool state.
+// RunFleet inverts its cumulative integral into the exact global
+// arrival sequence (arrivals), so the k-th ephemeral client's arrival
+// time is a pure function of the curve — independent of batching,
+// workers, or pool state.
 type DiurnalCurve struct {
 	Points []RatePoint
 }
@@ -57,33 +54,6 @@ func (c DiurnalCurve) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Horizon returns the curve's end — the campaign's arrival horizon.
-func (c DiurnalCurve) Horizon() time.Duration {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	return c.Points[len(c.Points)-1].At
-}
-
-// Rate linearly interpolates the curve at t, clamping outside the
-// anchored range.
-func (c DiurnalCurve) Rate(t time.Duration) float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	if t <= c.Points[0].At {
-		return c.Points[0].Rate
-	}
-	for i := 1; i < len(c.Points); i++ {
-		p0, p1 := c.Points[i-1], c.Points[i]
-		if t <= p1.At {
-			f := float64(t-p0.At) / float64(p1.At-p0.At)
-			return p0.Rate + f*(p1.Rate-p0.Rate)
-		}
-	}
-	return c.Points[len(c.Points)-1].Rate
 }
 
 // arrivals walks the curve's global arrival sequence: each next call

@@ -49,19 +49,21 @@ type Record struct {
 	Events []capture.Event
 	// TrueFetch is the FE-side ground-truth fetch time of this query
 	// (GET arrival at the FE to the complete dynamic portion from the
-	// BE), joined from the FE's fetch log by client host and port. Zero
-	// unless the runner's observer carries a tail sampler (which turns
-	// the FE log on), and zero when the BE fetch failed.
+	// BE), joined from the FE's fetch log by client host and port when
+	// the response completes, observed or not. Zero when the BE fetch
+	// failed or degraded, and on keep-alive records.
 	TrueFetch time.Duration
 	// Fetch is the joined FE log entry itself — the instants a span tree
 	// draws the FE-side phases from (zero value when nothing joined).
 	Fetch frontend.FetchRecord
 	// BE and BERTT are the FE's assigned back-end and the base FE↔BE
 	// round-trip propagation delay, which critical-path attribution
-	// (internal/obs/critpath) splits the fetch window by. Set with Fetch,
-	// when the response completes, whenever the FE log is on.
+	// (internal/obs/critpath) splits the fetch window by. Set with Fetch.
 	BE    simnet.HostID
 	BERTT time.Duration
+
+	// out is the record's slot in its world's outstanding-query queue.
+	out int
 }
 
 // OverallDelay is the user-perceived response time: first SYN to last
@@ -82,26 +84,20 @@ type RecordSink interface {
 	Consume(rec *Record)
 }
 
-// Dataset is the output of one experiment.
+// Dataset is the output of one experiment: its records, in issue order.
+// Each record carries its FE's ground truth (TrueFetch) and its session
+// events.
 type Dataset struct {
-	Service    string
-	Experiment string
-	Records    []Record
-	// Captures holds each node's packet recorder: the records' Events
-	// are its sessions, Trace its node-wide capture.
-	Captures map[simnet.HostID]*capture.Recorder
-	// FEFetchTimes is the per-FE ground-truth fetch-time series —
-	// unobservable in the real study, recorded here to validate the
-	// inference framework.
-	FEFetchTimes map[simnet.HostID][]time.Duration
+	Records []Record
 }
 
 // world is the plumbing every simulated world shares, whatever its
 // client population: simulator, network and deployment, the optional
 // observability wiring (simulator counters, one TCP stack bundle for
 // every endpoint, per-FE/BE labeled metrics), the optional wall-clock
-// telemetry hub, and each FE with its back-end link for the ground-truth
-// join. Runner and FleetRunner embed it.
+// telemetry hub, and the ground-truth join: each FE with its back-end
+// link, and the outstanding queries whose oldest bounds how much of the
+// FE logs a join can still need. Runner and FleetRunner embed it.
 type world struct {
 	Sim *simnet.Sim
 	Net *simnet.Network
@@ -113,9 +109,12 @@ type world struct {
 	simMetrics *simnet.Metrics
 	stack      *tcpsim.StackMetrics
 	rt         *rt.Engine
-	// links is nil unless the FE fetch log is on (the observer carries
-	// a tail sampler): then complete joins every record with its FE's log.
+	// links maps each FE host to its FE and back-end link.
 	links map[simnet.HostID]beLink
+	out   outQueue
+	// done counts completions; peakFELog is the longest FE fetch log
+	// seen at prune time.
+	done, peakFELog int
 }
 
 // newWorld builds the simulator, network and deployment, and wires them
@@ -131,7 +130,15 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 	if err != nil {
 		return nil, err
 	}
-	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm}
+	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm,
+		links: make(map[simnet.HostID]beLink, len(dep.FEs))}
+	for _, fe := range dep.FEs {
+		link := beLink{fe: fe}
+		if be := dep.BEOf(fe); be != nil {
+			link.be, link.rtt = be.Host(), net.RTT(fe.Host(), be.Host())
+		}
+		w.links[fe.Host()] = link
+	}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
 		net.SetRuntime(rtm)
@@ -150,16 +157,6 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 			dc.StartObserving(o)
 		}
 	}
-	if o != nil && o.TailSampler() != nil {
-		w.links = make(map[simnet.HostID]beLink, len(dep.FEs))
-		for _, fe := range dep.FEs {
-			link := beLink{fe: fe}
-			if be := dep.BEOf(fe); be != nil {
-				link.be, link.rtt = be.Host(), net.RTT(fe.Host(), be.Host())
-			}
-			w.links[fe.Host()] = link
-		}
-	}
 	return w, nil
 }
 
@@ -175,34 +172,95 @@ func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config) (*tcpsim.Endpoi
 	return ep, rec
 }
 
-// newRecord is a query's record at issue time; Failed clears when the
-// response completes.
+// newRecord is a query's record at issue time, queued as outstanding;
+// Failed clears when the response completes.
 func (w *world) newRecord(node, fe simnet.HostID, q workload.Query, dnsTime time.Duration) Record {
-	return Record{Node: node, FE: fe, Query: q, IssuedAt: w.Sim.Now(), DNSTime: dnsTime, Failed: true}
+	now := w.Sim.Now()
+	return Record{Node: node, FE: fe, Query: q, IssuedAt: now, DNSTime: dnsTime, Failed: true, out: w.out.push(now)}
 }
 
-// complete fills the response side of a record and, when the FE log is
-// on, joins the FE's ground truth: the session's log entry (the zero
-// value when none matched), the fetch time it implies, and the FE's
-// back-end link. The FE writes an entry's FetchDone and QueueWait before
-// it sends the response's last byte, so the entry is final here. A
-// keep-alive record has no connection of its own and joins nothing; a
-// degraded query's BE fetch never completes (FetchDone stays zero), so
-// it has no fetch time.
+// complete fills the response side of a record and joins the FE's
+// ground truth: the session's log entry (the zero value when none
+// matched), the fetch time it implies, and the FE's back-end link. The
+// FE writes an entry's FetchDone and QueueWait before it sends the
+// response's last byte, so the entry is final here. A keep-alive record
+// has no connection of its own and joins nothing; a degraded query's BE
+// fetch never completes (FetchDone stays zero), so it has no fetch time.
+// Every pruneEvery completions the FE logs are pruned.
 func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.Failed = false
 	rr.DoneAt = w.Sim.Now()
 	rr.Status = resp.Status
 	rr.BodyLen = resp.BodyLen
-	link, ok := w.links[rr.FE]
-	if !ok || rr.Key == (capture.ConnKey{}) {
-		return
+	if link, ok := w.links[rr.FE]; ok && rr.Key != (capture.ConnKey{}) {
+		rr.Fetch, _ = findFetch(link.fe.FetchLog(), string(rr.Node), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
+		if rr.Fetch.FetchDone > 0 {
+			rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
+		}
+		rr.BE, rr.BERTT = link.be, link.rtt
 	}
-	rr.Fetch, _ = findFetch(link.fe.FetchLog(), string(rr.Node), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
-	if rr.Fetch.FetchDone > 0 {
-		rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
+	w.out.markDone(rr.out)
+	if w.done++; w.done%pruneEvery == 0 {
+		w.prune()
 	}
-	rr.BE, rr.BERTT = link.be, link.rtt
+}
+
+// pruneEvery is the cadence of FE fetch-log pruning, in completions.
+const pruneEvery = 64
+
+// prune trims every FE's fetch log below the oldest outstanding query:
+// completed entries were already joined, and an outstanding query's
+// entry arrived after it was issued.
+func (w *world) prune() {
+	cutoff, ok := w.out.min()
+	if !ok {
+		// Nothing outstanding: everything logged so far was joined.
+		cutoff = w.Sim.Now() + 1
+	}
+	for _, fe := range w.Dep.FEs {
+		w.peakFELog = max(w.peakFELog, len(fe.FetchLog()))
+		fe.PruneFetchLog(cutoff)
+	}
+}
+
+// outQueue tracks outstanding queries in issue order (issue times are
+// monotone), yielding the oldest uncompleted issue time — the FE-log
+// prune cutoff. Completed heads are popped lazily; the slice compacts in
+// place so memory tracks the in-flight window.
+type outQueue struct {
+	entries []outEntry
+	base    int
+	head    int
+}
+
+type outEntry struct {
+	at   time.Duration
+	done bool
+}
+
+func (q *outQueue) push(at time.Duration) int {
+	q.entries = append(q.entries, outEntry{at: at})
+	return q.base + len(q.entries) - 1
+}
+
+func (q *outQueue) markDone(abs int) { q.entries[abs-q.base].done = true }
+
+// min pops completed heads and returns the oldest outstanding issue
+// time (false when nothing is outstanding).
+func (q *outQueue) min() (time.Duration, bool) {
+	for q.head < len(q.entries) && q.entries[q.head].done {
+		q.head++
+	}
+	if q.head > 1024 && q.head*2 > len(q.entries) {
+		n := copy(q.entries, q.entries[q.head:])
+		q.entries = q.entries[:n]
+		q.base += q.head
+		q.head = 0
+	}
+	if q.head < len(q.entries) {
+		return q.entries[q.head].at, true
+	}
+	return 0, false
 }
 
 // findFetch scans an FE's fetch log backward for the record of the
@@ -273,9 +331,9 @@ type Options struct {
 	SnapPayloads bool
 	// Obs, when non-nil, wires the whole world into an observability
 	// layer: simulator and network counters, a fleet-wide TCP stack
-	// bundle, per-FE/BE labeled metrics, and (when Obs carries a tail
-	// sampler) the FE fetch log, joined onto every record as its
-	// response completes. Nil costs nothing on the hot paths.
+	// bundle and per-FE/BE labeled metrics. It changes what is exported,
+	// never what the world records: every record joins its FE's ground
+	// truth either way. Nil costs nothing on the hot paths.
 	Obs *obs.Observer
 	// Runtime, when non-nil, publishes engine liveness (events/sec,
 	// sim-time ratio, fast-path activity, heap watermark) to the
@@ -328,25 +386,10 @@ func (r *Runner) NearestNode(fe *frontend.Server) vantage.Node {
 	return best
 }
 
-// newDataset allocates a dataset shell for this runner.
-func (r *Runner) newDataset(experiment string) *Dataset {
-	return &Dataset{
-		Service:      r.Dep.Name,
-		Experiment:   experiment,
-		FEFetchTimes: make(map[simnet.HostID][]time.Duration),
-	}
-}
-
 // issueAt schedules one query from node to fe at virtual time at,
-// appending a Record to ds when the response completes.
+// appending its Record to ds then; dnsTime is the resolution cost the
+// query paid before at.
 func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
-	fe *frontend.Server, q workload.Query) {
-	r.issueAtDNS(ds, at, node, fe, q, 0)
-}
-
-// issueAtDNS is issueAt with a DNS resolution cost recorded on the
-// record (the query was delayed by dnsTime before `at`).
-func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	fe *frontend.Server, q workload.Query, dnsTime time.Duration) {
 	r.Sim.ScheduleAt(at, func() {
 		idx := len(ds.Records)
@@ -357,36 +400,29 @@ func (r *Runner) issueAtDNS(ds *Dataset, at time.Duration, node vantage.Node,
 	})
 }
 
-// finalize runs the simulator to completion and attaches recorders and
-// session events to the dataset.
-func (r *Runner) finalize(ds *Dataset) *Dataset {
+// finalize runs the simulator to completion, attaches every record's
+// session events and flushes the simulator and network metrics into the
+// observer's registry. Parsing and measuring the records is
+// internal/analysis's job.
+func (r *Runner) finalize(dss ...*Dataset) {
 	r.Sim.Run()
 	// The recorders filed every packet under its connection: a record's
-	// events are its connection's list.
-	ds.Captures = r.recs
-	for i := range ds.Records {
-		if rec := r.recs[ds.Records[i].Node]; rec != nil {
-			ds.Records[i].Events = rec.Session(ds.Records[i].Key)
+	// events are its connection's list (none for a keep-alive record,
+	// whose key is zero).
+	for _, ds := range dss {
+		for i := range ds.Records {
+			if rec := r.recs[ds.Records[i].Node]; rec != nil {
+				ds.Records[i].Events = rec.Session(ds.Records[i].Key)
+			}
 		}
 	}
-	for _, fe := range r.Dep.FEs {
-		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
+	if r.obsv != nil {
+		r.simMetrics.Flush()
+		r.Net.ExportMetrics(r.obsv.Registry())
 	}
-	r.observe()
 	// One heap reading per completed world: with many batch worlds in
 	// flight this is what traces the campaign's memory watermark.
 	r.rt.SampleMem()
-	return ds
-}
-
-// observe flushes the simulator and network metrics into the observer's
-// registry. Parsing and measuring the records is internal/analysis's job.
-func (r *Runner) observe() {
-	if r.obsv == nil {
-		return
-	}
-	r.simMetrics.Flush()
-	r.Net.ExportMetrics(r.obsv.Registry())
 }
 
 // beLink is an FE, its assigned back-end and the base FE↔BE round-trip
@@ -456,7 +492,7 @@ func (r *Runner) RunExperimentA(opts AOptions) *Dataset {
 func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 	opts = opts.withDefaults()
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := r.newDataset("A")
+	ds := &Dataset{}
 	for i := lo; i < hi; i++ {
 		node := r.Fleet.Nodes[i]
 		defaultFE := r.Dep.DefaultFE(node.Point)
@@ -465,18 +501,19 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
 			if opts.Resolver == nil {
-				r.issueAt(ds, at, node, defaultFE, q)
+				r.issueAt(ds, at, node, defaultFE, q, 0)
 				continue
 			}
 			// DNS resolution happens at query time; the GET follows
 			// after the lookup cost.
 			r.Sim.ScheduleAt(at, func() {
 				fe, cost := opts.Resolver.Resolve(r.Sim.Now(), node.Host, node.Point)
-				r.issueAtDNS(ds, r.Sim.Now()+cost, node, fe, q, cost)
+				r.issueAt(ds, r.Sim.Now()+cost, node, fe, q, cost)
 			})
 		}
 	}
-	return r.finalize(ds)
+	r.finalize(ds)
+	return ds
 }
 
 // RunKeepAliveA is the connection-reuse variant of Experiment A: each
@@ -489,7 +526,7 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 	opts = opts.withDefaults()
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := r.newDataset("A-keepalive")
+	ds := &Dataset{}
 	for i, node := range r.Fleet.Nodes {
 		node := node
 		fe := r.Dep.DefaultFE(node.Point)
@@ -510,11 +547,7 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 			})
 		}
 	}
-	r.Sim.Run()
-	for _, fe := range r.Dep.FEs {
-		ds.FEFetchTimes[fe.Host()] = fe.FetchTimes()
-	}
-	r.observe()
+	r.finalize(ds)
 	return ds
 }
 
@@ -548,13 +581,6 @@ type OpenLoopOptions struct {
 	// the hotspot-keyword scenario: a complex query whose larger
 	// service time overloads the cluster at an unchanged arrival rate.
 	HotQuery workload.Query
-	// Curve, when non-nil, modulates each node's arrival rate by a
-	// piecewise-linear diurnal shape: the inter-arrival step at time t
-	// is BaseInterval divided by Curve.Rate(t) (here a dimensionless
-	// multiplier; 1.0 = BaseInterval pacing). Zero-rate stretches pause
-	// arrivals until the curve rises again. Composes multiplicatively
-	// with the surge window.
-	Curve *DiurnalCurve
 }
 
 // RunOpenLoop runs an open-loop arrival campaign and returns its
@@ -564,7 +590,7 @@ type OpenLoopOptions struct {
 // HotQuery inside the window, when set).
 func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := r.newDataset("open-loop")
+	ds := &Dataset{}
 	for i, node := range r.Fleet.Nodes {
 		fe := opts.FE
 		if fe == nil {
@@ -578,33 +604,17 @@ func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 			if surging && opts.HotQuery.Keywords != "" {
 				q = opts.HotQuery
 			}
-			r.issueAt(ds, at, node, fe, q)
+			r.issueAt(ds, at, node, fe, q, 0)
 			k++
 			step := opts.BaseInterval
 			if surging && opts.SurgeFactor > 1 {
 				step = opts.BaseInterval / time.Duration(opts.SurgeFactor)
 			}
-			if opts.Curve != nil {
-				if rate := opts.Curve.Rate(at); rate > 0 {
-					step = time.Duration(float64(step) / rate)
-				} else {
-					// Zero-rate stretch: jump to the next anchor where
-					// the curve can rise again, not past the horizon.
-					next := opts.Horizon
-					for _, p := range opts.Curve.Points {
-						if p.At > at && p.At < next {
-							next = p.At
-							break
-						}
-					}
-					at = next
-					continue
-				}
-			}
 			at += step
 		}
 	}
-	return r.finalize(ds)
+	r.finalize(ds)
+	return ds
 }
 
 // BOptions parameterize Experiment B.
@@ -643,14 +653,15 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 		gen := workload.NewGenerator(opts.QuerySeed + 177)
 		q = gen.Query(workload.ClassGranular)
 	}
-	ds := r.newDataset("B")
+	ds := &Dataset{}
 	for i, node := range r.Fleet.Nodes {
 		start := stagger(i)
 		for k := 0; k < opts.Repeats; k++ {
-			r.issueAt(ds, start+time.Duration(k)*opts.Interval, node, opts.FE, q)
+			r.issueAt(ds, start+time.Duration(k)*opts.Interval, node, opts.FE, q, 0)
 		}
 	}
-	return r.finalize(ds), nil
+	r.finalize(ds)
+	return ds, nil
 }
 
 // KeywordSweep runs the Figure-3 experiment: one node, one fixed FE,
@@ -658,21 +669,20 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 func (r *Runner) KeywordSweep(fe *frontend.Server, node vantage.Node,
 	samplesPerClass int, interval time.Duration, querySeed int64) map[workload.Class]*Dataset {
 	out := make(map[workload.Class]*Dataset)
+	var dss []*Dataset
 	gen := workload.NewGenerator(querySeed)
 	// Interleave classes in time so slow drift affects all equally.
 	for ci, class := range workload.Classes() {
-		ds := r.newDataset(fmt.Sprintf("fig3-%s", class))
+		ds := &Dataset{}
 		q := gen.Query(class)
 		for k := 0; k < samplesPerClass; k++ {
 			at := time.Duration(k)*interval + time.Duration(ci)*(interval/8)
-			r.issueAt(ds, at, node, fe, q)
+			r.issueAt(ds, at, node, fe, q, 0)
 		}
 		out[class] = ds
+		dss = append(dss, ds)
 	}
-	r.Sim.Run()
-	for _, ds := range out {
-		r.finalize(ds)
-	}
+	r.finalize(dss...)
 	return out
 }
 
@@ -689,8 +699,7 @@ func (r *Runner) CachingProbe(fe *frontend.Server, repeats int,
 	pool := gen.DistinctQueries(len(r.Fleet.Nodes)*repeats + 1)
 	shared, distinctQs := pool[0], pool[1:]
 
-	same = r.newDataset("caching-same")
-	distinct = r.newDataset("caching-distinct")
+	same, distinct = &Dataset{}, &Dataset{}
 	di := 0
 	for i, node := range r.Fleet.Nodes {
 		start := stagger(i)
@@ -698,13 +707,11 @@ func (r *Runner) CachingProbe(fe *frontend.Server, repeats int,
 			at := start + time.Duration(k)*interval
 			// Interleave the phases so slowly varying server load
 			// affects both equally.
-			r.issueAt(same, at, node, fe, shared)
-			r.issueAt(distinct, at+interval/2, node, fe, distinctQs[di])
+			r.issueAt(same, at, node, fe, shared, 0)
+			r.issueAt(distinct, at+interval/2, node, fe, distinctQs[di], 0)
 			di++
 		}
 	}
-	r.Sim.Run()
-	r.finalize(same)
-	r.finalize(distinct)
+	r.finalize(same, distinct)
 	return same, distinct
 }

@@ -46,16 +46,18 @@ func TestExperimentARecordsComplete(t *testing.T) {
 			t.Fatalf("record %d time travel", i)
 		}
 	}
-	if len(ds.Captures) != 15 {
-		t.Fatalf("recorders = %d", len(ds.Captures))
+	if len(r.Captures()) != 15 {
+		t.Fatalf("recorders = %d", len(r.Captures()))
 	}
 	for _, n := range r.Fleet.Nodes {
-		if ds.Captures[n.Host] == nil {
+		if r.Captures()[n.Host] == nil {
 			t.Fatalf("node %s has no recorder", n.Host)
 		}
 	}
-	if len(ds.FEFetchTimes) == 0 {
-		t.Fatal("no FE ground truth")
+	for i, rec := range ds.Records {
+		if rec.TrueFetch <= 0 {
+			t.Fatalf("record %d: no FE ground truth", i)
+		}
 	}
 }
 
@@ -149,7 +151,12 @@ func TestInteractivePrefixesCheaper(t *testing.T) {
 	fe := r.Dep.FEs[0]
 	node := r.NearestNode(fe)
 	ds := r.Interactive(fe, node, "computer science department", 500*time.Millisecond)
-	fts := ds.FEFetchTimes[fe.Host()]
+	var fts []time.Duration // one node, sequential keystrokes: issue order is FE arrival order
+	for _, rec := range ds.Records {
+		if rec.TrueFetch > 0 {
+			fts = append(fts, rec.TrueFetch)
+		}
+	}
 	if len(fts) < 12 {
 		t.Fatalf("fetch samples = %d", len(fts))
 	}
@@ -162,16 +169,6 @@ func TestInteractivePrefixesCheaper(t *testing.T) {
 	}
 	if early >= late {
 		t.Fatalf("early prefixes (%v) not cheaper than full query (%v)", early/3, late/3)
-	}
-}
-
-func TestIssueOnce(t *testing.T) {
-	r := newRunner(t, 3)
-	fe := r.Dep.FEs[0]
-	q := workload.Query{ID: 1, Keywords: "solo query", Terms: 2, Rank: 100}
-	ds := r.IssueOnce(fe, r.Fleet.Nodes[0], q)
-	if len(ds.Records) != 1 || ds.Records[0].Failed {
-		t.Fatalf("records = %+v", ds.Records)
 	}
 }
 

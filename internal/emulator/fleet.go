@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"time"
 
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
@@ -48,8 +47,8 @@ type FleetOptions struct {
 	// free-list's exact use case (proven transcript-identical by the
 	// tcpsim recycle differential suite).
 	ClientTCP tcpsim.Config
-	// Obs, when non-nil, wires metrics and (if it carries a tail
-	// sampler) the FE fetch log every folded record is joined with.
+	// Obs, when non-nil, wires metrics. Every folded record joins its
+	// FE's ground truth whether or not it is set.
 	Obs *obs.Observer
 	// Runtime receives fleet gauges (arrivals, live, slots, pooled)
 	// and heap-watermark samples.
@@ -90,9 +89,8 @@ type FleetResult struct {
 	// PeakLive is the largest number of arrivals simultaneously in
 	// flight.
 	PeakLive int
-	// PeakFELog is the largest live FE fetch-log length observed at
-	// prune time — with pruning it tracks in-flight count, not total
-	// arrivals.
+	// PeakFELog is the world's longest FE fetch log at prune time —
+	// with pruning it tracks in-flight count, not total arrivals.
 	PeakFELog int
 	// ArenaCap is the final node capacity of the span arena the
 	// campaign's sink assembled span trees in. The sink owns that arena
@@ -113,47 +111,6 @@ type fleetSlot struct {
 	ep     *tcpsim.Endpoint
 	rec    *capture.Recorder
 	record Record
-	outIdx int
-}
-
-// outQueue tracks outstanding arrivals in issue order (arrival times
-// are monotone), yielding the oldest uncompleted arrival time — the
-// FE-log prune cutoff. Completed heads are popped lazily; the slice
-// compacts in place so memory tracks the in-flight window.
-type outQueue struct {
-	entries []outEntry
-	base    int
-	head    int
-}
-
-type outEntry struct {
-	at   time.Duration
-	done bool
-}
-
-func (q *outQueue) push(at time.Duration) int {
-	q.entries = append(q.entries, outEntry{at: at})
-	return q.base + len(q.entries) - 1
-}
-
-func (q *outQueue) markDone(abs int) { q.entries[abs-q.base].done = true }
-
-// min pops completed heads and returns the oldest outstanding arrival
-// time (false when nothing is outstanding).
-func (q *outQueue) min() (time.Duration, bool) {
-	for q.head < len(q.entries) && q.entries[q.head].done {
-		q.head++
-	}
-	if q.head > 1024 && q.head*2 > len(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.base += q.head
-		q.head = 0
-	}
-	if q.head < len(q.entries) {
-		return q.entries[q.head].at, true
-	}
-	return 0, false
 }
 
 // FleetRunner owns one fleet-campaign world.
@@ -167,8 +124,6 @@ type FleetRunner struct {
 	slots    []*fleetSlot
 	free     []*fleetSlot
 	freeHead int
-
-	out outQueue
 
 	res  FleetResult
 	live int
@@ -268,6 +223,7 @@ func (r *FleetRunner) Run() *FleetResult {
 	// Final prune pass and watermark sample close out the world.
 	r.prune()
 	r.rt.SampleMem()
+	r.res.Completed, r.res.PeakFELog = r.done, r.peakFELog
 	return &r.res
 }
 
@@ -277,7 +233,6 @@ func (r *FleetRunner) issue(idx int) {
 	s := r.claim()
 	s.rec.ResetKeep()
 	s.record = r.newRecord(s.node.Host, s.fe.Host(), r.queries[idx%len(r.queries)], 0)
-	s.outIdx = r.out.push(s.record.IssuedAt)
 	r.res.Arrivals++
 	r.live++
 	if r.live > r.res.PeakLive {
@@ -288,9 +243,9 @@ func (r *FleetRunner) issue(idx int) {
 }
 
 // fold finalizes one completed arrival: complete the record (which
-// joins the FE's ground truth), look the session's events up in the slot
-// recorder, hand the record to the sink, then recycle everything —
-// recorder lists, Record struct, slot.
+// joins the FE's ground truth and may prune the FE logs), look the
+// session's events up in the slot recorder, hand the record to the sink,
+// then recycle everything — recorder lists, Record struct, slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
 	r.complete(rr, resp)
@@ -307,33 +262,8 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 
 	rr.Events = nil
 	s.rec.ResetKeep()
-	r.out.markDone(s.outIdx)
 	r.release(s)
 	r.live--
-	r.res.Completed++
-	if r.res.Completed%pruneEvery == 0 {
-		r.prune()
-	}
-}
-
-// pruneEvery is the fold cadence of FE fetch-log pruning, in
-// completions.
-const pruneEvery = 64
-
-// prune trims every FE's fetch log below the oldest outstanding
-// arrival — completed entries were already joined at fold time.
-func (r *FleetRunner) prune() {
-	cutoff, ok := r.out.min()
-	if !ok {
-		// Nothing outstanding: everything logged so far was folded.
-		cutoff = r.Sim.Now() + 1
-	}
-	for _, fe := range r.Dep.FEs {
-		if n := len(fe.FetchLog()); n > r.res.PeakFELog {
-			r.res.PeakFELog = n
-		}
-		fe.PruneFetchLog(cutoff)
-	}
 }
 
 // FleetShardedOptions parameterize RunFleet, the sharded fleet

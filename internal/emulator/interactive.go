@@ -22,7 +22,7 @@ import (
 // are highly correlated" emerges from term-count scaling.
 func (r *Runner) Interactive(fe *frontend.Server, node vantage.Node,
 	keywords string, keystrokeGap time.Duration) *Dataset {
-	ds := r.newDataset("interactive")
+	ds := &Dataset{}
 	full := []rune(keywords)
 	at := time.Duration(0)
 	for i := 1; i <= len(full); i++ {
@@ -37,18 +37,9 @@ func (r *Runner) Interactive(fe *frontend.Server, node vantage.Node,
 			Terms:    len(strings.Fields(prefix)),
 			Rank:     workload.NumRanks - 1, // interactive prefixes: no popularity discount
 		}
-		r.issueAt(ds, at, node, fe, q)
+		r.issueAt(ds, at, node, fe, q, 0)
 		at += keystrokeGap
 	}
-	return r.finalize(ds)
-}
-
-// --- convenience used by tests and the report ---
-
-// IssueOnce submits a single ad-hoc query outside the experiment
-// harness; the Record lands in the returned single-record dataset.
-func (r *Runner) IssueOnce(fe *frontend.Server, node vantage.Node, q workload.Query) *Dataset {
-	ds := r.newDataset("adhoc")
-	r.issueAt(ds, 0, node, fe, q)
-	return r.finalize(ds)
+	r.finalize(ds)
+	return ds
 }

@@ -18,14 +18,14 @@ import (
 // lossyCampaign is a small lossy-access Runner world, length-only like
 // the benchmark's: 20 nodes × 24 queries, so each node taps ≈ 1 500
 // packets.
-func lossyCampaign(t *testing.T) *emulator.Dataset {
+func lossyCampaign(t *testing.T) (*emulator.Runner, *emulator.Dataset) {
 	t.Helper()
 	r, err := emulator.New(71, cdn.GoogleLike(1),
 		emulator.Options{Nodes: 20, FleetSeed: 72, Access: lossyAccess, SnapPayloads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.RunExperimentA(emulator.AOptions{QueriesPerNode: 24, Interval: time.Second, QuerySeed: 3})
+	return r, r.RunExperimentA(emulator.AOptions{QueriesPerNode: 24, Interval: time.Second, QuerySeed: 3})
 }
 
 // TestRunnerRecordsAreRecorderSessions: a record's events are its
@@ -35,7 +35,7 @@ func lossyCampaign(t *testing.T) *emulator.Dataset {
 // record. Mutations: hand out Session uncapped, or attach one
 // connection's list to two records.
 func TestRunnerRecordsAreRecorderSessions(t *testing.T) {
-	ds := lossyCampaign(t)
+	r, ds := lossyCampaign(t)
 	type span struct{ lo, hi uintptr }
 	var spans []span
 	byNode := map[string]map[capture.ConnKey]int{}
@@ -63,7 +63,7 @@ func TestRunnerRecordsAreRecorderSessions(t *testing.T) {
 			t.Fatal("two records' events overlap in memory")
 		}
 	}
-	for host, rec := range ds.Captures {
+	for host, rec := range r.Captures() {
 		tr, keys := rec.Trace(), byNode[string(host)]
 		pos := map[capture.ConnKey]int{}
 		for j, e := range tr.Events {
@@ -104,7 +104,8 @@ func TestRunnerCaptureAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	n := len(lossyCampaign(t).Records)
+	_, ds := lossyCampaign(t)
+	n := len(ds.Records)
 	runtime.ReadMemStats(&after)
 	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	t.Logf("%d queries, %.0f B per query", n, perQuery)

@@ -43,8 +43,8 @@ func experimentA(r *emulator.Runner) *emulator.Dataset {
 }
 
 // twinWorlds runs tc in a full-payload and in a snapped world and
-// requires identical records, packets, FE ground truth and engine
-// totals. It returns the snapped dataset.
+// requires identical records, packets, FE ground truth (each record's
+// joined TrueFetch) and engine totals. It returns the snapped dataset.
 func twinWorlds(t *testing.T, tc twinCase) *emulator.Dataset {
 	t.Helper()
 	build := func(snap bool) (*emulator.Runner, *emulator.Dataset) {
@@ -65,9 +65,6 @@ func twinWorlds(t *testing.T, tc twinCase) *emulator.Dataset {
 	if a, b := fullR.Sim.Processed, snapR.Sim.Processed; a != b {
 		t.Fatalf("executed events: %d full, %d snapped", a, b)
 	}
-	if !reflect.DeepEqual(full.FEFetchTimes, snap.FEFetchTimes) {
-		t.Fatal("FE ground-truth fetch times differ")
-	}
 	if len(full.Records) != len(snap.Records) || len(full.Records) == 0 {
 		t.Fatalf("records: %d full, %d snapped", len(full.Records), len(snap.Records))
 	}
@@ -77,12 +74,15 @@ func twinWorlds(t *testing.T, tc twinCase) *emulator.Dataset {
 			t.Fatalf("record %d: full {status %d len %d %v→%v failed %v}, snapped {status %d len %d %v→%v failed %v}",
 				i, a.Status, a.BodyLen, a.IssuedAt, a.DoneAt, a.Failed, b.Status, b.BodyLen, b.IssuedAt, b.DoneAt, b.Failed)
 		}
+		if a.TrueFetch != b.TrueFetch {
+			t.Fatalf("record %d: FE ground-truth fetch %v full, %v snapped", i, a.TrueFetch, b.TrueFetch)
+		}
 		if len(a.Events) != len(b.Events) {
 			t.Fatalf("record %d: %d events full, %d snapped", i, len(a.Events), len(b.Events))
 		}
 		var sackA, sackB map[int][]tcpsim.SACKBlock
-		if len(a.Events) > 0 { // keep-alive records carry no events, their datasets no recorders
-			sackA, sackB = full.Captures[a.Node].SACK(a.Key), snap.Captures[b.Node].SACK(b.Key)
+		if len(a.Events) > 0 { // keep-alive records carry no events
+			sackA, sackB = fullR.Captures()[a.Node].SACK(a.Key), snapR.Captures()[b.Node].SACK(b.Key)
 		}
 		for j := range a.Events {
 			if !sameOnTheWire(a.Events[j], b.Events[j]) || !reflect.DeepEqual(sackA[j], sackB[j]) {

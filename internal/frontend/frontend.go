@@ -9,10 +9,10 @@
 //     center over a persistent, pre-warmed connection, eliminating
 //     slow-start ramp-up on the long FE↔BE leg.
 //
-// The server records the ground-truth FE↔BE fetch time of every query —
-// the quantity the paper's end-host inference framework can only bound
-// (T_delta ≤ T_fetch ≤ T_dynamic). Tests use it to validate those
-// bounds against hidden truth.
+// The server logs the ground-truth FE↔BE fetch time of every query
+// (FetchLog) — the quantity the paper's end-host inference framework can
+// only bound (T_delta ≤ T_fetch ≤ T_dynamic). Tests use it to validate
+// those bounds against hidden truth.
 package frontend
 
 import (
@@ -131,13 +131,11 @@ type Server struct {
 	lenOnly bool
 
 	served      int
-	fetchTimes  []time.Duration
 	dialedConns int
 	maxQueue    int
 
 	// observability (StartObserving)
-	met        *feMetrics
-	logFetches bool
+	met *feMetrics
 	// fetchLog holds FetchRecords for requests not yet pruned;
 	// fetchBase is the absolute index of fetchLog[0], i.e. how many
 	// records PruneFetchLog has dropped. In-flight completions address
@@ -239,17 +237,6 @@ func (fe *Server) Endpoint() *tcpsim.Endpoint { return fe.ep }
 
 // Served returns the number of requests handled.
 func (fe *Server) Served() int { return fe.served }
-
-// FetchTimes returns the ground-truth FE↔BE fetch time of each served
-// query, in arrival order: the time from receiving the client's GET to
-// receiving the complete dynamic portion from the back-end. This is the
-// directly-unobservable quantity the paper bounds from end-host
-// measurements.
-func (fe *Server) FetchTimes() []time.Duration {
-	out := make([]time.Duration, len(fe.fetchTimes))
-	copy(out, fe.fetchTimes)
-	return out
-}
 
 // DialedBEConns counts distinct BE connections opened (1 per query flow
 // when split TCP is disabled; far fewer with the persistent pool).
@@ -461,16 +448,13 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		return
 	}
 
-	logIdx := -1
-	if fe.logFetches {
-		logIdx = fe.fetchBase + len(fe.fetchLog)
-		rec := FetchRecord{Arrived: arrived}
-		if c := w.Conn(); c != nil {
-			rec.Client = string(c.RemoteHost())
-			rec.ClientPort = c.RemotePort()
-		}
-		fe.fetchLog = append(fe.fetchLog, rec)
+	logIdx := fe.fetchBase + len(fe.fetchLog)
+	rec := FetchRecord{Arrived: arrived}
+	if c := w.Conn(); c != nil {
+		rec.Client = string(c.RemoteHost())
+		rec.ClientPort = c.RemotePort()
 	}
+	fe.fetchLog = append(fe.fetchLog, rec)
 
 	// The dynamic portion, once the BE fetch has resolved (fetched):
 	// its bytes, or only its length at a length-only FE. Both stay zero
@@ -545,7 +529,6 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 						}
 						return
 					}
-					fe.fetchTimes = append(fe.fetchTimes, sim.Now()-arrived)
 					if m := fe.met; m != nil {
 						m.fetchQuantiles.Observe((sim.Now() - arrived).Seconds())
 					}

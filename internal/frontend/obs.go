@@ -21,11 +21,9 @@ type feMetrics struct {
 	poolWait       *obs.Gauge
 }
 
-// StartObserving wires this FE into the observer: registry metrics
-// (labeled by FE host and geographic site) and, when the observer
-// carries a tail sampler (so span trees will be assembled), per-request
-// fetch records for the ground-truth join. Call before traffic; a nil
-// observer is a no-op.
+// StartObserving wires this FE's registry metrics (labeled by FE host
+// and geographic site) into the observer. It changes what is exported,
+// never what the FE logs. Call before traffic; a nil observer is a no-op.
 func (fe *Server) StartObserving(o *obs.Observer) {
 	if reg := o.Registry(); reg != nil {
 		host, site := string(fe.host), fe.site.Name
@@ -53,9 +51,6 @@ func (fe *Server) StartObserving(o *obs.Observer) {
 				"fetches waiting for a BE-pool slot", "fe", "site").With(host, site),
 		}
 	}
-	if o.TailSampler() != nil {
-		fe.logFetches = true
-	}
 }
 
 // FetchRecord is the server-side ground truth of one handled request,
@@ -80,10 +75,10 @@ type FetchRecord struct {
 	QueueWait time.Duration
 }
 
-// FetchLog returns the per-request ground-truth records in arrival
-// order (empty unless StartObserving enabled logging). After
-// PruneFetchLog only the surviving suffix is returned; FetchLogBase
-// says how many earlier records were dropped.
+// FetchLog returns the ground-truth record of every handled request (a
+// 503 at admission excepted) in arrival order, whether or not the FE is
+// observed. After PruneFetchLog only the surviving suffix is returned;
+// FetchLogBase says how many earlier records were dropped.
 func (fe *Server) FetchLog() []FetchRecord { return fe.fetchLog }
 
 // FetchLogBase returns the absolute index of FetchLog()[0] — the
@@ -93,8 +88,8 @@ func (fe *Server) FetchLog() []FetchRecord { return fe.fetchLog }
 func (fe *Server) FetchLogBase() int { return fe.fetchBase }
 
 // logAt resolves an absolute fetch-log index to its record, or nil if
-// idx is -1 (logging disabled) or the record has been pruned. Late
-// completion writes for pruned entries are dropped here.
+// the record has been pruned. Late completion writes for pruned entries
+// are dropped here.
 func (fe *Server) logAt(idx int) *FetchRecord {
 	if idx < fe.fetchBase {
 		return nil
@@ -105,8 +100,8 @@ func (fe *Server) logAt(idx int) *FetchRecord {
 // PruneFetchLog discards fetch-log records that arrived strictly
 // before the cutoff and returns how many were dropped. Records are in
 // arrival order, so this trims a prefix in place (the backing array is
-// reused, not reallocated). Streaming fleet campaigns call it after
-// folding completed queries, passing the arrival time of their oldest
+// reused, not reallocated). The emulator's worlds call it after joining
+// completed queries, passing the arrival time of their oldest
 // still-outstanding query: the FE-side log then stays bounded by the
 // number of in-flight queries instead of growing with the whole run.
 func (fe *Server) PruneFetchLog(before time.Duration) int {

@@ -9,7 +9,7 @@ import (
 // prefix prune shifts the base, absolute indices keep resolving to the
 // right surviving records, and late writes to pruned entries vanish.
 func TestPruneFetchLog(t *testing.T) {
-	fe := &Server{logFetches: true}
+	fe := &Server{}
 	for i := 0; i < 10; i++ {
 		fe.fetchLog = append(fe.fetchLog, FetchRecord{
 			Arrived:    time.Duration(i) * time.Second,
@@ -34,13 +34,10 @@ func TestPruneFetchLog(t *testing.T) {
 	if r := fe.logAt(7); r == nil || r.ClientPort != 1007 {
 		t.Fatalf("logAt(7) = %+v, want port 1007", r)
 	}
-	// Pruned index 2 and the disabled-logging sentinel resolve to nil —
-	// the late-completion write is dropped, not misdirected.
+	// Pruned index 2 resolves to nil — the late-completion write is
+	// dropped, not misdirected.
 	if r := fe.logAt(2); r != nil {
 		t.Fatalf("logAt(2) resolved pruned record %+v", r)
-	}
-	if r := fe.logAt(-1); r != nil {
-		t.Fatalf("logAt(-1) resolved %+v", r)
 	}
 
 	// New appends continue the absolute numbering past the pruned gap.

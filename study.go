@@ -39,17 +39,8 @@ type StudyConfig struct {
 	RepeatsB  int
 	IntervalB time.Duration
 	// Fig3Samples sequential queries per keyword class, smoothed with
-	// a moving median of Fig3Window (paper: 500 samples, window 10).
+	// a moving median of fig3Window (paper: 500 samples).
 	Fig3Samples int
-	Fig3Window  int
-	// Fig9RTTCap: only sessions with client RTT below this
-	// approximate Tfetch by Tdynamic (paper Section 5).
-	Fig9RTTCap time.Duration
-	// Fig9MileCap drops FEs farther than this from the data center —
-	// the paper's revision "only consider[s] front-end servers close
-	// enough to the BE servers" (its Figure-9 x-range is a few hundred
-	// miles). Default 2000.
-	Fig9MileCap float64
 	// CachingRepeats per node for the Section-3 probe.
 	CachingRepeats int
 	// Workers caps the goroutines running study cells and node batches
@@ -82,9 +73,6 @@ func DefaultStudyConfig(seed int64) StudyConfig {
 		RepeatsB:        720,
 		IntervalB:       10 * time.Second,
 		Fig3Samples:     500,
-		Fig3Window:      10,
-		Fig9RTTCap:      40 * time.Millisecond,
-		Fig9MileCap:     2000,
 		CachingRepeats:  20,
 	}
 }
@@ -100,9 +88,6 @@ func LightStudyConfig(seed int64) StudyConfig {
 		RepeatsB:        10,
 		IntervalB:       3 * time.Second,
 		Fig3Samples:     60,
-		Fig3Window:      10,
-		Fig9RTTCap:      40 * time.Millisecond,
-		Fig9MileCap:     2000,
 		CachingRepeats:  6,
 	}
 }
@@ -302,6 +287,10 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 
 // --- Figure 3 ---
 
+// fig3Window is the moving-median window smoothing Figure 3's series
+// (the paper's 10).
+const fig3Window = 10
+
 // Fig3Data holds the keyword-class effect series (milliseconds, moving
 // medians) for one service.
 type Fig3Data struct {
@@ -341,8 +330,8 @@ func (s *Study) Fig3() (*Fig3Data, error) {
 			st = append(st, float64(p.Tstatic)/float64(time.Millisecond))
 			dy = append(dy, float64(p.Tdynamic)/float64(time.Millisecond))
 		}
-		out.Tstatic[class] = stats.MovingMedian(st, s.cfg.Fig3Window)
-		out.Tdynamic[class] = stats.MovingMedian(dy, s.cfg.Fig3Window)
+		out.Tstatic[class] = stats.MovingMedian(st, fig3Window)
+		out.Tdynamic[class] = stats.MovingMedian(dy, fig3Window)
 	}
 	return out, nil
 }
@@ -506,7 +495,7 @@ func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
 	analysis.ObserveParams(s.obsv.Registry(), "fig5/"+cfg.Name, params)
 	nodes := analysis.PerNode(params)
 	thr, hasThr := analysis.DeltaThreshold(nodes, 2*time.Millisecond)
-	lo, truth, hi, ok := analysis.ValidateBounds(params, ds.FEFetchTimes[fe.Host()])
+	lo, truth, hi, ok := analysis.ValidateBounds(params, ds.Records)
 	return &Fig5Data{
 		Service:     cfg.Name,
 		FixedFE:     string(fe.Host()),
@@ -632,6 +621,17 @@ func fig8From(cfg DeploymentConfig, res *expAResult) *Fig8Data {
 
 // --- Figure 9 ---
 
+const (
+	// fig9RTTCap: only sessions with client RTT below this approximate
+	// Tfetch by Tdynamic (paper Section 5).
+	fig9RTTCap = 40 * time.Millisecond
+	// fig9MileCap drops FEs farther than this from the data center —
+	// the paper's revision "only consider[s] front-end servers close
+	// enough to the BE servers" (its Figure-9 x-range is a few hundred
+	// miles).
+	fig9MileCap = 2000
+)
+
 // Fig9Data is the fetch-time factoring for one service.
 type Fig9Data struct {
 	Service string
@@ -679,20 +679,17 @@ func (s *Study) fig9For(cfg DeploymentConfig) (*Fig9Data, error) {
 	})
 	params := analysis.ExtractDataset(ds, 0)
 	analysis.ObserveParams(s.obsv.Registry(), "fig9/"+cfg.Name, params)
-	pts := analysis.Fig9Points(params, runner.Dep.FEBEDistances(), s.cfg.Fig9RTTCap)
-	if s.cfg.Fig9MileCap > 0 {
-		kept := pts[:0]
-		for _, p := range pts {
-			if p.Miles <= s.cfg.Fig9MileCap {
-				kept = append(kept, p)
-			}
+	pts := analysis.Fig9Points(params, runner.Dep.FEBEDistances(), fig9RTTCap)
+	kept := pts[:0]
+	for _, p := range pts {
+		if p.Miles <= fig9MileCap {
+			kept = append(kept, p)
 		}
-		pts = kept
 	}
 	return &Fig9Data{
 		Service: cfg.Name,
 		BE:      cfg.BESites[0].Name,
-		Result:  analysis.FactorFetchCI(pts, 1000, s.cfg.Seed+54),
+		Result:  analysis.FactorFetchCI(kept, 1000, s.cfg.Seed+54),
 	}, nil
 }
 

@@ -163,8 +163,10 @@ func (s *Study) ModelValidation() (*ModelValidationData, error) {
 	// Model inputs shared across nodes: the service's median fetch
 	// (ground truth) and FE delay, and the content sizes.
 	var fetchNS []float64
-	for _, f := range ds.FEFetchTimes[fe.Host()] {
-		fetchNS = append(fetchNS, float64(f))
+	for _, r := range ds.Records {
+		if r.TrueFetch > 0 {
+			fetchNS = append(fetchNS, float64(r.TrueFetch))
+		}
 	}
 	medFetch := time.Duration(stats.Median(fetchNS))
 	feDelay := cfg.FELoad.Mean
