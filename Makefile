@@ -40,10 +40,14 @@ layering:
 # per-query budget;
 # below them, the same differential for TCP streams and HTTP responses
 # that mix real and content-free bytes. At an elevated -count under the
-# race detector. See DESIGN.md §payload path.
+# race detector. Last, at study level: the probe's boundary equals what
+# each timing cell's materialised world derives from its own content, so
+# those cells run length-only inside an allocation budget, and the
+# matrix probes each service once. See DESIGN.md §payload path.
 payload-check:
 	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
+	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
 fmt-check:

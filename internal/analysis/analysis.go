@@ -212,14 +212,11 @@ func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, er
 }
 
 // ExtractDataset measures every measurable record of a dataset
-// (ExtractRecord's skip rules). If boundary ≤ 0 it is derived with
-// BoundaryFromDataset first.
+// (ExtractRecord's skip rules) at the given content boundary; it
+// returns nil for a non-positive boundary.
 func ExtractDataset(ds *emulator.Dataset, boundary int) []Params {
 	if boundary <= 0 {
-		boundary = BoundaryFromDataset(ds)
-		if boundary <= 0 {
-			return nil
-		}
+		return nil
 	}
 	out := make([]Params, 0, len(ds.Records))
 	for i := range ds.Records {

@@ -73,7 +73,7 @@ func TestFig9EndToEnd(t *testing.T) {
 	ds := r.RunExperimentA(emulator.AOptions{
 		QueriesPerNode: 6, Interval: 3 * time.Second, QuerySeed: 8,
 	})
-	params := analysis.ExtractDataset(ds, 0) // auto boundary
+	params := analysis.ExtractDataset(ds, analysis.BoundaryFromDataset(ds))
 	if len(params) == 0 {
 		t.Fatal("no params extracted")
 	}
@@ -267,7 +267,7 @@ func TestEstimateProcEndToEnd(t *testing.T) {
 	ds := r.RunExperimentA(emulator.AOptions{
 		QueriesPerNode: 6, Interval: 3 * time.Second, QuerySeed: 8,
 	})
-	params := analysis.ExtractDataset(ds, 0)
+	params := analysis.ExtractDataset(ds, analysis.BoundaryFromDataset(ds))
 	pts := analysis.Fig9Points(params, r.Dep.FEBEDistances(), 40*time.Millisecond)
 	reg := analysis.FactorFetch(pts)
 	// Use the fitted slope as the distance→RTT·C factor (a measured

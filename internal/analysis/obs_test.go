@@ -28,7 +28,7 @@ func observedParams(t *testing.T, o *obs.Observer, cfg cdn.Config) (*emulator.Da
 		Interval:       2 * time.Second,
 		QuerySeed:      9,
 	})
-	params := ExtractDataset(ds, 0)
+	params := ExtractDataset(ds, BoundaryFromDataset(ds))
 	if len(params) < 20 {
 		t.Fatalf("only %d params extracted", len(params))
 	}

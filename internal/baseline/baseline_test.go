@@ -51,7 +51,7 @@ func TestSplitTCPBeatsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := r.RunExperimentA(emulator.AOptions{QueriesPerNode: 4, Interval: 2 * time.Second, QuerySeed: 5})
-	params := analysis.ExtractDataset(ds, 0)
+	params := analysis.ExtractDataset(ds, analysis.BoundaryFromDataset(ds))
 	if len(params) == 0 {
 		t.Fatal("no split-TCP params")
 	}

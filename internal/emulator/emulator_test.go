@@ -306,7 +306,7 @@ func TestInitCwndLowersOverallDelay(t *testing.T) {
 		ds := r.RunExperimentA(emulator.AOptions{
 			QueriesPerNode: 4, Interval: 2 * time.Second, QuerySeed: seed + 8,
 		})
-		params := analysis.ExtractDataset(ds, 0)
+		params := analysis.ExtractDataset(ds, analysis.BoundaryFromDataset(ds))
 		if len(params) != 25*4 {
 			t.Fatalf("IW %d: measured %d of %d queries", iw, len(params), 25*4)
 		}
@@ -346,7 +346,7 @@ func TestFailedRecordsSkippedByAnalysis(t *testing.T) {
 	if failed == 0 {
 		t.Fatal("severed node produced no failures")
 	}
-	params := analysis.ExtractDataset(ds, 0)
+	params := analysis.ExtractDataset(ds, analysis.BoundaryFromDataset(ds))
 	for _, p := range params {
 		if p.Node == victim.Host {
 			t.Fatal("failed node leaked into params")

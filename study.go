@@ -124,10 +124,10 @@ func NewStudy(cfg StudyConfig) *Study {
 // placed by Seed+off+1 (every cell's offsets pair up that way); opts
 // carries what varies per cell: fleet size, access profile, payload
 // snapping, and Obs for the cells whose worlds feed the study observer.
-// A cell that takes its boundary from boundaryFor reads packet timings
-// only and snaps (its world then never builds response content); a cell
-// that analyses content — the probe itself, Fig 3, Fig 9, caching —
-// does not. Every world publishes to the telemetry hub (see SetRuntime).
+// Every cell takes its boundary from boundaryFor and reads packet
+// timings only, so its world snaps and never builds response content;
+// the probe, which analyses content, is the one world that does not.
+// Every world publishes to the telemetry hub (see SetRuntime).
 func (s *Study) world(off int64, dep DeploymentConfig, opts emulator.Options) (*emulator.Runner, error) {
 	opts.FleetSeed = s.cfg.Seed + off + 1
 	opts.Runtime = s.rt
@@ -138,9 +138,9 @@ func (s *Study) world(off int64, dep DeploymentConfig, opts emulator.Options) (*
 // boundary with a small dedicated probe run: a handful of distinct
 // queries from a node near its default FE, full payload capture, then
 // cross-query content analysis. The boundary is a property of the
-// service's content, so one probe serves every experiment — including
-// the large payload-snapped campaigns where content analysis is
-// impossible by design.
+// service's content, so one probe serves every experiment, and every
+// experiment's world is payload-snapped: content analysis happens here
+// and nowhere else.
 func (s *Study) boundaryFor(cfg DeploymentConfig) (int, error) {
 	if b, ok := s.boundaries[cfg.Name]; ok {
 		return b, nil
@@ -151,22 +151,16 @@ func (s *Study) boundaryFor(cfg DeploymentConfig) (int, error) {
 	}
 	fe := runner.Dep.DefaultFE(runner.Fleet.Nodes[0].Point)
 	node := runner.NearestNode(fe)
-	b := sweepBoundary(runner.KeywordSweep(fe, node, 2, 2*time.Second, s.cfg.Seed+73))
+	merged := &emulator.Dataset{}
+	for _, ds := range runner.KeywordSweep(fe, node, 2, 2*time.Second, s.cfg.Seed+73) {
+		merged.Records = append(merged.Records, ds.Records...)
+	}
+	b := analysis.BoundaryFromDataset(merged)
 	if b <= 0 {
 		return 0, fmt.Errorf("fesplit: boundary probe failed for %s", cfg.Name)
 	}
 	s.boundaries[cfg.Name] = b
 	return b, nil
-}
-
-// sweepBoundary derives the content boundary from a keyword sweep by
-// cross-query content analysis over all its classes' payloads.
-func sweepBoundary(sweeps map[workload.Class]*Dataset) int {
-	merged := &emulator.Dataset{}
-	for _, ds := range sweeps {
-		merged.Records = append(merged.Records, ds.Records...)
-	}
-	return analysis.BoundaryFromDataset(merged)
 }
 
 // Config returns the study configuration.
@@ -304,19 +298,17 @@ type Fig3Data struct {
 // samples for four keyword classes against one fixed Bing-like FE.
 func (s *Study) Fig3() (*Fig3Data, error) {
 	cfg := BingLike(s.cfg.Seed + 1)
-	runner, err := s.world(21, cfg, emulator.Options{Nodes: 8})
+	boundary, err := s.boundaryFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	runner, err := s.world(21, cfg, emulator.Options{Nodes: 8, SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
 	fe := runner.Dep.DefaultFE(runner.Fleet.Nodes[0].Point)
 	sweeps := runner.KeywordSweep(fe, runner.Fleet.Nodes[0],
 		s.cfg.Fig3Samples, 2*time.Second, s.cfg.Seed+23)
-
-	boundary := sweepBoundary(sweeps)
-	if boundary <= 0 {
-		return nil, fmt.Errorf("fesplit: fig3 boundary not found")
-	}
-
 	out := &Fig3Data{
 		Service:  cfg.Name,
 		Classes:  workload.Classes(),
@@ -324,9 +316,8 @@ func (s *Study) Fig3() (*Fig3Data, error) {
 		Tdynamic: map[QueryClass][]float64{},
 	}
 	for _, class := range out.Classes {
-		params := analysis.ExtractDataset(sweeps[class], boundary)
 		var st, dy []float64
-		for _, p := range params {
+		for _, p := range analysis.ExtractDataset(sweeps[class], boundary) {
 			st = append(st, float64(p.Tstatic)/float64(time.Millisecond))
 			dy = append(dy, float64(p.Tdynamic)/float64(time.Millisecond))
 		}
@@ -668,7 +659,11 @@ func (s *Study) fig9Setups() []DeploymentConfig {
 // fig9For runs one service's fetch-time factoring — the per-service
 // cell of Figure 9.
 func (s *Study) fig9For(cfg DeploymentConfig) (*Fig9Data, error) {
-	runner, err := s.world(51, cfg, emulator.Options{Nodes: s.cfg.Nodes})
+	boundary, err := s.boundaryFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	runner, err := s.world(51, cfg, emulator.Options{Nodes: s.cfg.Nodes, SnapPayloads: true})
 	if err != nil {
 		return nil, err
 	}
@@ -677,7 +672,7 @@ func (s *Study) fig9For(cfg DeploymentConfig) (*Fig9Data, error) {
 		Interval:       s.cfg.IntervalA,
 		QuerySeed:      s.cfg.Seed + 53,
 	})
-	params := analysis.ExtractDataset(ds, 0)
+	params := analysis.ExtractDataset(ds, boundary)
 	analysis.ObserveParams(s.obsv.Registry(), "fig9/"+cfg.Name, params)
 	pts := analysis.Fig9Points(params, runner.Dep.FEBEDistances(), fig9RTTCap)
 	kept := pts[:0]
@@ -718,20 +713,19 @@ func (s *Study) Caching() (*CachingData, error) {
 // worlds, which is what lets the cell matrix run them concurrently.
 func (s *Study) cachingRun(cache bool) (CacheVerdict, error) {
 	cfg := GoogleLike(s.cfg.Seed + 2)
-	if cache {
-		cfg.BEOptions = backend.Options{CacheResults: true, CacheHitTime: 2 * time.Millisecond}
-	}
-	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40)})
+	boundary, err := s.boundaryFor(cfg)
 	if err != nil {
 		return CacheVerdict{}, err
 	}
-	fe := runner.Dep.FEs[0]
-	same, distinct := runner.CachingProbe(fe, s.cfg.CachingRepeats,
-		2*time.Second, s.cfg.Seed+63)
-	boundary := analysis.BoundaryFromDataset(distinct)
-	if boundary <= 0 {
-		return CacheVerdict{}, fmt.Errorf("fesplit: caching probe boundary not found")
+	if cache {
+		cfg.BEOptions = backend.Options{CacheResults: true, CacheHitTime: 2 * time.Millisecond}
 	}
+	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40), SnapPayloads: true})
+	if err != nil {
+		return CacheVerdict{}, err
+	}
+	same, distinct := runner.CachingProbe(runner.Dep.FEs[0], s.cfg.CachingRepeats,
+		2*time.Second, s.cfg.Seed+63)
 	nearOnly := func(ps []Params) []Params {
 		out := ps[:0:0]
 		for _, p := range ps {

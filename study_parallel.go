@@ -2,6 +2,7 @@ package fesplit
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"fesplit/internal/obs"
@@ -25,11 +26,11 @@ import (
 // Each cell runs on its own sub-Study: its own memoization caches, its
 // own observer, its own simulated worlds. Cells share nothing mutable,
 // which is what makes the matrix race-free without a single lock; the
-// cheap shared derivations (content boundaries) are recomputed per cell
-// and are identical by determinism. Results merge in canonical cell
-// order after the pool drains: figure slices by service order,
-// registries via obs.Registry.Merge, tail exemplars re-ranked across
-// the union via obs.MergeTailSamplers.
+// one shared derivation, each service's content boundary, is probed
+// once before dispatch and every sub-Study starts from its own copy.
+// Results merge in canonical cell order after the pool drains: figure
+// slices by service order, registries via obs.Registry.Merge, tail
+// exemplars re-ranked across the union via obs.MergeTailSamplers.
 
 // StudyOutput is everything an observed study run produces: the report,
 // the merged metrics of every cell, and the fleet-wide tail exemplars.
@@ -221,6 +222,11 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 		return nil, fmt.Errorf("fesplit: StudyConfig.Workers must be ≥ 1 (or 0 for auto), got %d",
 			s.cfg.Workers)
 	}
+	for _, cfg := range s.serviceConfigs() {
+		if _, err := s.boundaryFor(cfg); err != nil {
+			return nil, err
+		}
+	}
 	cells := s.cells()
 	rep := s.newReport()
 	obsvs := make([]*obs.Observer, len(cells))
@@ -232,6 +238,7 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 		// merged afterwards still indexes by cell.
 		tasks[len(cells)-1-i] = shard.Task{Name: c.name, Run: func() error {
 			cs := NewStudy(s.cfg)
+			cs.boundaries = maps.Clone(s.boundaries)
 			cs.rt = s.rt // shared telemetry hub — atomic, pure observation
 			if observed {
 				cs.obsv = obs.NewTailObserver(obs.TailConfig{})
