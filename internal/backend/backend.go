@@ -30,7 +30,7 @@ const BEPort = 8080
 // QueueWaitHeader carries the time a query spent queued behind the BE
 // cluster's replicas, in integer nanoseconds, on 200 responses. It is
 // emitted ONLY when the wait is nonzero, so an unloaded cluster's wire
-// bytes stay byte-identical to the queue-less data center's.
+// bytes stay byte-identical to an unbounded one's.
 const QueueWaitHeader = "X-Queue-Wait"
 
 // Options configures a data center beyond its cost model.
@@ -45,15 +45,6 @@ type Options struct {
 	CacheResults bool
 	// CacheHitTime is the processing time of a cache hit.
 	CacheHitTime time.Duration
-	// LoadTick is how often the AR(1) load process advances.
-	LoadTick time.Duration
-	// LoadPhi is the AR(1) correlation (default 0.9).
-	LoadPhi float64
-	// Workers bounds concurrent query processing; excess queries queue
-	// FIFO, so sustained overload inflates fetch times mechanistically
-	// ("the load on servers at the data centers"). 0 = unlimited —
-	// load is then modeled statistically via the AR(1) term only.
-	Workers int
 	// ServeFullPage makes the data center return the complete page
 	// (static prefix + dynamic body) instead of the dynamic portion
 	// only. Used by the no-FE baseline, where clients talk straight to
@@ -70,25 +61,19 @@ type Options struct {
 	// appropriate for warm intra-cloud FE connections; the no-FE
 	// baseline sets the era-faithful IW=3 (RFC 3390) instead.
 	TCP tcpsim.Config
-	// Queue, when Queue.Replicas > 0, replaces the implicit FIFO with
-	// the replicated multi-server queue model (see queue.go and
-	// docs/QUEUEING.md): per-replica Lindley queueing, a cluster load
-	// balancer, a bounded backlog with 503 rejection, and the queue
-	// wait reported on the QueueWaitHeader. The zero value keeps the
-	// legacy fixed-Tproc path; Workers is ignored when the cluster is
-	// enabled (the replica count bounds concurrency instead).
+	// Queue is the data center's service queue (see queue.go and
+	// docs/QUEUEING.md). With Queue.Replicas > 0 overload inflates
+	// fetch times mechanistically ("the load on servers at the data
+	// centers"): per-replica Lindley queueing, a cluster load balancer,
+	// a bounded backlog with 503 rejection, and the queue wait reported
+	// on the QueueWaitHeader. The zero value serves every query at once
+	// after its sampled Tproc.
 	Queue QueueOptions
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheHitTime <= 0 {
 		o.CacheHitTime = 5 * time.Millisecond
-	}
-	if o.LoadTick <= 0 {
-		o.LoadTick = 500 * time.Millisecond
-	}
-	if o.LoadPhi == 0 {
-		o.LoadPhi = 0.9
 	}
 	return o
 }
@@ -103,23 +88,15 @@ type DataCenter struct {
 	opts Options
 	rng  *rand.Rand
 
-	load       stats.AR1
-	lastLoadAt time.Duration
+	load Load
 
 	cache map[string]respBody
 
-	// worker-pool state (Options.Workers > 0)
-	busy  int
-	queue []beJob
-
-	// replicated queue model (Options.Queue.Replicas > 0)
 	cluster *Cluster
 
 	// counters
 	served    int
 	cacheHits int
-	maxQueue  int
-	rejected  int
 
 	// observability (StartObserving)
 	met *beMetrics
@@ -130,11 +107,6 @@ type DataCenter struct {
 type respBody struct {
 	n int
 	b []byte
-}
-
-type beJob struct {
-	proc time.Duration
-	done func()
 }
 
 // New builds a data center attached to the network as host, serving the
@@ -149,18 +121,15 @@ func New(n *simnet.Network, host simnet.HostID, site geo.Site, spec workload.Con
 		cost:  cost,
 		opts:  opts.withDefaults(),
 		rng:   stats.NewRand(seed),
+		load:  NewLoad(),
 		cache: make(map[string]respBody),
 	}
-	dc.load = stats.AR1{Phi: dc.opts.LoadPhi, Sigma: 0.3}
 	tcpCfg := dc.opts.TCP
 	if tcpCfg == (tcpsim.Config{}) {
 		tcpCfg = tcpsim.Config{InitialCwnd: 10} // warm intra-cloud connections
 	}
 	dc.ep = tcpsim.NewEndpoint(n, host, tcpCfg)
-	if dc.opts.Queue.Replicas > 0 {
-		dc.cluster = newCluster(dc.ep.Sim(), dc.opts.Queue)
-		dc.cluster.onChange = dc.refreshQueueGauges
-	}
+	dc.cluster = NewCluster(dc.ep.Sim(), dc.opts.Queue, dc.refreshQueueGauges)
 	if _, err := httpsim.NewServer(dc.ep, BEPort, dc.handle); err != nil {
 		return nil, err
 	}
@@ -182,24 +151,6 @@ func (dc *DataCenter) Served() int { return dc.served }
 // CacheHits returns the number of result-cache hits (0 unless
 // Options.CacheResults).
 func (dc *DataCenter) CacheHits() int { return dc.cacheHits }
-
-// currentLoad advances the AR(1) load process lazily to the present and
-// returns its value, clamped to [-1, 1].
-func (dc *DataCenter) currentLoad() float64 {
-	now := dc.ep.Sim().Now()
-	for dc.lastLoadAt+dc.opts.LoadTick <= now {
-		dc.lastLoadAt += dc.opts.LoadTick
-		dc.load.Next(dc.rng)
-	}
-	v := dc.load.Value()
-	if v > 1 {
-		v = 1
-	}
-	if v < -1 {
-		v = -1
-	}
-	return v
-}
 
 // handle answers one forwarded search query after the modeled
 // processing time.
@@ -226,7 +177,7 @@ func (dc *DataCenter) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		}
 	}
 
-	proc := dc.cost.Sample(q, dc.currentLoad(), dc.rng)
+	proc := dc.cost.Sample(q, dc.load.At(dc.ep.Sim().Now(), dc.rng), dc.rng)
 	var body respBody
 	if dc.opts.LengthOnly {
 		body.n = dc.spec.DynamicLen(q, dc.rng)
@@ -258,102 +209,53 @@ func (dc *DataCenter) write(w *httpsim.ResponseWriter, body respBody) {
 }
 
 func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body respBody, d time.Duration) {
-	if dc.cluster != nil {
-		ok := dc.cluster.Submit(d, func(wait time.Duration) {
-			hdr := httpsim.ContentLengthHeader(body.n)
-			if wait > 0 {
-				// Report the queue share of the fetch so the FE (and the
-				// critical-path attribution downstream) can split Tfetch
-				// into queueing vs processing. Emitted only when nonzero:
-				// an unloaded cluster's responses stay byte-identical to
-				// the queue-less path.
-				hdr[QueueWaitHeader] = strconv.FormatInt(int64(wait), 10)
-			}
-			w.WriteHeader(200, hdr)
-			dc.write(w, body)
-			w.End()
-		})
-		if !ok {
-			dc.rejected++
-			if m := dc.met; m != nil {
-				m.rejections.Inc()
-			}
-			w.WriteHeader(503, httpsim.ContentLengthHeader(0))
-			w.End()
+	ok := dc.cluster.Submit(d, func(wait time.Duration) {
+		hdr := httpsim.ContentLengthHeader(body.n)
+		if wait > 0 {
+			// Report the queue share of the fetch so the FE (and the
+			// critical-path attribution downstream) can split Tfetch
+			// into queueing vs processing. Emitted only when nonzero:
+			// an unloaded cluster's responses stay byte-identical to
+			// an unbounded one's.
+			hdr[QueueWaitHeader] = strconv.FormatInt(int64(wait), 10)
 		}
-		return
-	}
-	dc.runJob(d, func() {
-		w.WriteHeader(200, httpsim.ContentLengthHeader(body.n))
+		w.WriteHeader(200, hdr)
 		dc.write(w, body)
 		w.End()
 	})
+	if !ok {
+		if m := dc.met; m != nil {
+			m.rejections.Inc()
+		}
+		w.WriteHeader(503, httpsim.ContentLengthHeader(0))
+		w.End()
+	}
 }
 
 // refreshQueueGauges mirrors the cluster's state into the registry after
 // every transition (no-op when unobserved).
 func (dc *DataCenter) refreshQueueGauges() {
 	m := dc.met
-	if m == nil || dc.cluster == nil {
+	if m == nil {
 		return
 	}
-	m.queueDepth.Set(float64(dc.cluster.Waiting()))
-	m.concurrency.Set(float64(dc.cluster.Busy()))
-	m.utilization.Set(float64(dc.cluster.Busy()) / float64(dc.cluster.Replicas()))
+	c := dc.cluster
+	m.queueDepth.Set(float64(c.Waiting()))
+	m.concurrency.Set(float64(c.Busy()))
+	if c.Replicas() > 0 {
+		m.utilization.Set(float64(c.Busy()) / float64(c.Replicas()))
+	}
 }
 
-// runJob occupies a worker for proc, then runs done. With a bounded
-// pool, excess jobs wait FIFO for a free worker.
-func (dc *DataCenter) runJob(proc time.Duration, done func()) {
-	if dc.opts.Workers > 0 && dc.busy >= dc.opts.Workers {
-		dc.queue = append(dc.queue, beJob{proc: proc, done: done})
-		if len(dc.queue) > dc.maxQueue {
-			dc.maxQueue = len(dc.queue)
-		}
-		if m := dc.met; m != nil {
-			m.queueDepth.Set(float64(len(dc.queue)))
-		}
-		return
-	}
-	dc.startJob(proc, done)
-}
-
-func (dc *DataCenter) startJob(proc time.Duration, done func()) {
-	dc.busy++
-	if m := dc.met; m != nil {
-		m.concurrency.Set(float64(dc.busy))
-	}
-	dc.ep.Sim().Schedule(proc, func() {
-		done()
-		dc.busy--
-		if m := dc.met; m != nil {
-			m.concurrency.Set(float64(dc.busy))
-			m.queueDepth.Set(float64(len(dc.queue)))
-		}
-		if len(dc.queue) > 0 {
-			next := dc.queue[0]
-			dc.queue = dc.queue[1:]
-			dc.startJob(next.proc, next.done)
-		}
-	})
-}
-
-// MaxQueueLen returns the deepest backlog observed (0 with an unbounded
-// pool). With the replicated queue model enabled it reports the
-// cluster's backlog instead of the legacy worker pool's.
-func (dc *DataCenter) MaxQueueLen() int {
-	if dc.cluster != nil {
-		return dc.cluster.MaxQueueLen()
-	}
-	return dc.maxQueue
-}
+// MaxQueueLen returns the deepest backlog the cluster has held.
+func (dc *DataCenter) MaxQueueLen() int { return dc.cluster.MaxQueueLen() }
 
 // Rejected returns the number of queries refused with a 503 at the
-// cluster queue cap (0 without the queue model).
-func (dc *DataCenter) Rejected() int { return dc.rejected }
+// cluster queue cap.
+func (dc *DataCenter) Rejected() int { return dc.cluster.Rejected() }
 
-// Cluster exposes the replicated queue model (nil unless
-// Options.Queue.Replicas > 0) for scenario probes and tests.
+// Cluster exposes the data center's service queue for scenario probes
+// and tests.
 func (dc *DataCenter) Cluster() *Cluster { return dc.cluster }
 
 // BingCostModel is the calibrated Bing-like back-end: large, variable

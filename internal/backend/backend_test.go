@@ -115,7 +115,7 @@ func TestBadQueryPath400(t *testing.T) {
 func TestLoadAdvancesLazily(t *testing.T) {
 	sim, ep, dc := newRig(t, workload.CostModel{
 		Base: 50 * time.Millisecond, LoadAmplitude: 0.5, CV: 0,
-	}, Options{LoadTick: 100 * time.Millisecond})
+	}, Options{})
 	// Two queries far apart in time see different load states; with
 	// CV=0 any difference in processing time comes from the AR(1).
 	q := workload.Query{ID: 5, Keywords: "iota kappa", Terms: 2, Rank: 999}
@@ -130,12 +130,12 @@ func TestLoadAdvancesLazily(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.CacheHitTime <= 0 || o.LoadTick <= 0 || o.LoadPhi == 0 {
+	if o.CacheHitTime <= 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	// Explicit values survive.
-	o2 := Options{CacheHitTime: time.Second, LoadPhi: 0.5}.withDefaults()
-	if o2.CacheHitTime != time.Second || o2.LoadPhi != 0.5 {
+	o2 := Options{CacheHitTime: time.Second}.withDefaults()
+	if o2.CacheHitTime != time.Second {
 		t.Fatalf("overrides lost: %+v", o2)
 	}
 }

@@ -14,14 +14,39 @@
 //
 // The model follows the replicated-cluster capacity analysis of
 // "Capacity Planning for Vertical Search Engines" (see PAPERS.md and
-// docs/QUEUEING.md); ROADMAP item 2.
+// docs/QUEUEING.md); ROADMAP item 2. With zero replicas the cluster is
+// unbounded: every query starts at once. Both server tiers serve
+// through a Cluster, and both sample their service times under one Load.
 package backend
 
 import (
 	"time"
 
 	"fesplit/internal/simnet"
+	"fesplit/internal/stats"
 )
+
+// Load is the slowly varying server load a service time is sampled
+// under: an AR(1) process (phi 0.9, sigma 0.3) that advances lazily, one
+// step per 500 ms of sim time, drawing from the owner's generator.
+type Load struct {
+	ar   stats.AR1
+	last time.Duration
+}
+
+// NewLoad returns the load process at rest.
+func NewLoad() Load { return Load{ar: stats.AR1{Phi: 0.9, Sigma: 0.3}} }
+
+// At advances the process to now and returns its value clamped to
+// [-1, 1].
+func (l *Load) At(now time.Duration, rng stats.Rand) float64 {
+	const tick = 500 * time.Millisecond
+	for l.last+tick <= now {
+		l.last += tick
+		l.ar.Next(rng)
+	}
+	return max(-1, min(1, l.ar.Value()))
+}
 
 // LBPolicy selects the replica a new query is dispatched to.
 type LBPolicy uint8
@@ -46,13 +71,12 @@ func (p LBPolicy) String() string {
 	return "unknown"
 }
 
-// QueueOptions configures the replicated queue model of a data center.
-// The zero value (Replicas == 0) disables it: the data center keeps the
-// legacy fixed-Tproc path (plus the Options.Workers FIFO, if set), and
-// every pre-existing figure stays byte-identical.
+// QueueOptions configures a server's queue. The zero value is the
+// unbounded queue: every query is served at once for its sampled time.
 type QueueOptions struct {
 	// Replicas is the number of identical servers in the cluster. Each
 	// query occupies exactly one replica for its sampled service time.
+	// 0 = unbounded.
 	Replicas int
 	// QueueCap bounds the cluster-wide backlog of dispatched-but-not-
 	// started queries. A query arriving with the backlog at the cap is
@@ -70,7 +94,7 @@ type replica struct {
 	outstanding int
 }
 
-// Cluster is the replicated multi-server queue of one data center.
+// Cluster is the replicated multi-server queue of one server.
 // Dispatch happens at arrival (queries never migrate between replicas),
 // which keeps the model a pure function of the arrival/service sequence:
 // per-query sojourn obeys the Lindley recurrence on its replica.
@@ -88,17 +112,19 @@ type Cluster struct {
 	busyTime time.Duration // accumulated service time of finished queries
 
 	// onChange refreshes the owner's gauges after any state transition
-	// (nil when unobserved).
+	// (may be nil).
 	onChange func()
 }
 
-// newCluster builds the queue model. Callers guarantee opts.Replicas > 0.
-func newCluster(sim *simnet.Sim, opts QueueOptions) *Cluster {
+// NewCluster builds a queue on sim; onChange, if non-nil, runs after
+// every state transition.
+func NewCluster(sim *simnet.Sim, opts QueueOptions, onChange func()) *Cluster {
 	return &Cluster{
 		sim:      sim,
 		replicas: make([]replica, opts.Replicas),
 		policy:   opts.Policy,
 		queueCap: opts.QueueCap,
+		onChange: onChange,
 	}
 }
 
@@ -123,11 +149,20 @@ func (c *Cluster) pick() int {
 // rejected and consumes nothing); otherwise done(wait) runs when service
 // completes, with wait the time the query spent queued before starting.
 //
-// A query that starts immediately (its replica is free) schedules
-// exactly one event, at now+proc — the same single event the legacy
-// fixed-Tproc path schedules, which is what makes an unloaded cluster
-// byte-identical to the queue-less data center.
+// A query that starts immediately (an unbounded queue, or a free
+// replica) schedules exactly one event, at now+proc, which is what makes
+// an unloaded cluster byte-identical to an unbounded one.
 func (c *Cluster) Submit(proc time.Duration, done func(wait time.Duration)) bool {
+	if len(c.replicas) == 0 {
+		c.busy++
+		c.refresh()
+		c.sim.Schedule(proc, func() {
+			c.busy--
+			c.refresh()
+			done(0)
+		})
+		return true
+	}
 	now := c.sim.Now()
 	i := c.pick()
 	r := &c.replicas[i]
@@ -176,7 +211,7 @@ func (c *Cluster) refresh() {
 	}
 }
 
-// Replicas returns the cluster size.
+// Replicas returns the cluster size (0 = unbounded).
 func (c *Cluster) Replicas() int { return len(c.replicas) }
 
 // Waiting returns the current dispatched-but-not-started backlog.
@@ -192,7 +227,7 @@ func (c *Cluster) Rejected() int { return c.rejected }
 func (c *Cluster) MaxQueueLen() int { return c.maxQueue }
 
 // BusyTime returns the total service time of finished queries across
-// all replicas.
+// all replicas (0 when unbounded).
 func (c *Cluster) BusyTime() time.Duration { return c.busyTime }
 
 // Utilization returns the cluster's average utilization over an

@@ -38,7 +38,7 @@ func newQueueRig(t *testing.T, cost workload.CostModel, opts Options) (*simnet.S
 // queue model is built on.
 func TestClusterLindleySingleReplica(t *testing.T) {
 	sim := simnet.New(1)
-	c := newCluster(sim, QueueOptions{Replicas: 1})
+	c := NewCluster(sim, QueueOptions{Replicas: 1}, nil)
 	const (
 		interval = 50 * time.Millisecond
 		proc     = 80 * time.Millisecond
@@ -125,59 +125,6 @@ func TestClusterMD1ThroughBE(t *testing.T) {
 	}
 }
 
-// TestZeroLoadDegeneracy pins the byte-identity contract: a replicated
-// cluster that never queues (sparse arrivals) must behave exactly like
-// the legacy fixed-Tproc path — same bodies, same headers, same
-// completion instants.
-func TestZeroLoadDegeneracy(t *testing.T) {
-	type outcome struct {
-		status  int
-		body    string
-		headers string
-		doneAt  time.Duration
-	}
-	run := func(opts Options) []outcome {
-		cost := workload.CostModel{Base: 70 * time.Millisecond, PerTerm: 5 * time.Millisecond}
-		sim, _, client := newQueueRig(t, cost, opts)
-		var out []outcome
-		const jobs = 5
-		eps := make([]*tcpsim.Endpoint, jobs)
-		for i := range eps {
-			eps[i] = client(fmt.Sprintf("c%d", i))
-		}
-		for i := 0; i < jobs; i++ {
-			i := i
-			q := workload.Query{ID: i, Keywords: fmt.Sprintf("term%d query", i),
-				Terms: 2, Rank: 999}
-			// Spacing far above the service time: the cluster never queues.
-			sim.ScheduleAt(time.Duration(i)*500*time.Millisecond, func() {
-				ep := eps[i]
-				httpsim.Get(ep, "be", BEPort, httpsim.NewGet("svc", q.Path()),
-					httpsim.ResponseCallbacks{OnDone: func(r *httpsim.Response) {
-						out = append(out, outcome{
-							status:  r.Status,
-							body:    string(r.Body),
-							headers: fmt.Sprint(r.Header),
-							doneAt:  sim.Now(),
-						})
-					}})
-			})
-		}
-		sim.Run()
-		return out
-	}
-	legacy := run(Options{})
-	queued := run(Options{Queue: QueueOptions{Replicas: 4, Policy: LeastOutstanding}})
-	if len(legacy) != len(queued) || len(legacy) == 0 {
-		t.Fatalf("outcome counts differ: %d vs %d", len(legacy), len(queued))
-	}
-	for i := range legacy {
-		if legacy[i] != queued[i] {
-			t.Errorf("job %d diverged:\nlegacy %+v\nqueued %+v", i, legacy[i], queued[i])
-		}
-	}
-}
-
 // TestLBPolicies checks replica selection: round-robin cycles in index
 // order; least-outstanding picks the emptiest replica with lowest-index
 // tie-breaking.
@@ -186,7 +133,7 @@ func TestLBPolicies(t *testing.T) {
 		t.Fatalf("policy names: %q, %q", RoundRobin, LeastOutstanding)
 	}
 	sim := simnet.New(1)
-	rr := newCluster(sim, QueueOptions{Replicas: 3, Policy: RoundRobin})
+	rr := NewCluster(sim, QueueOptions{Replicas: 3, Policy: RoundRobin}, nil)
 	got := []int{rr.pick(), rr.pick(), rr.pick(), rr.pick()}
 	for i, want := range []int{0, 1, 2, 0} {
 		if got[i] != want {
@@ -194,7 +141,7 @@ func TestLBPolicies(t *testing.T) {
 		}
 	}
 
-	lo := newCluster(sim, QueueOptions{Replicas: 3, Policy: LeastOutstanding})
+	lo := NewCluster(sim, QueueOptions{Replicas: 3, Policy: LeastOutstanding}, nil)
 	lo.replicas[0].outstanding = 2
 	lo.replicas[1].outstanding = 1
 	lo.replicas[2].outstanding = 1
@@ -213,7 +160,7 @@ func TestLBPolicies(t *testing.T) {
 func TestClusterRejectionAccounting(t *testing.T) {
 	sim := simnet.New(1)
 	const qcap = 3
-	c := newCluster(sim, QueueOptions{Replicas: 1, QueueCap: qcap})
+	c := NewCluster(sim, QueueOptions{Replicas: 1, QueueCap: qcap}, nil)
 	const jobs = 20
 	var accepted, completed int
 	for i := 0; i < jobs; i++ {
@@ -243,7 +190,7 @@ func TestClusterRejectionAccounting(t *testing.T) {
 func TestClusterDeterministicAcrossRuns(t *testing.T) {
 	run := func() []time.Duration {
 		sim := simnet.New(7)
-		c := newCluster(sim, QueueOptions{Replicas: 2, Policy: LeastOutstanding})
+		c := NewCluster(sim, QueueOptions{Replicas: 2, Policy: LeastOutstanding}, nil)
 		var waits []time.Duration
 		for i := 0; i < 30; i++ {
 			i := i
@@ -270,7 +217,7 @@ func TestClusterDeterministicAcrossRuns(t *testing.T) {
 // serving back-to-back work reads utilization 1 over the busy span.
 func TestClusterUtilization(t *testing.T) {
 	sim := simnet.New(1)
-	c := newCluster(sim, QueueOptions{Replicas: 2})
+	c := NewCluster(sim, QueueOptions{Replicas: 2}, nil)
 	sim.ScheduleAt(0, func() {
 		c.Submit(100*time.Millisecond, func(time.Duration) {})
 		c.Submit(100*time.Millisecond, func(time.Duration) {})

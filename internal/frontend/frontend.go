@@ -100,10 +100,11 @@ type Server struct {
 	beHost simnet.HostID
 
 	loadModel LoadModel
-	load      stats.AR1
-	loadTick  time.Duration
-	lastLoad  time.Duration
+	load      backend.Load
 	rng       *rand.Rand
+	// queue serves each request's processing delay before its static
+	// flush (Config.Workers replicas; 0 = unbounded).
+	queue *backend.Cluster
 
 	idle []*httpsim.PersistentConn
 
@@ -121,18 +122,12 @@ type Server struct {
 	// persistent ones.
 	splitTCP bool
 
-	// worker-pool state (Config.Workers > 0)
-	workers int
-	busy    int
-	queue   []feJob
-
 	gzip bool
 	// lenOnly: responses carry content-free bodies (Config.LengthOnly).
 	lenOnly bool
 
 	served      int
 	dialedConns int
-	maxQueue    int
 
 	// observability (StartObserving)
 	met *feMetrics
@@ -145,11 +140,6 @@ type Server struct {
 	fetchBase int
 }
 
-type feJob struct {
-	service time.Duration
-	run     func()
-}
-
 // Config assembles a Server.
 type Config struct {
 	Host   simnet.HostID
@@ -160,15 +150,14 @@ type Config struct {
 	Static []byte
 	// Load is the FE processing-delay model.
 	Load LoadModel
-	// LoadTick is the AR(1) advance period (default 500 ms).
-	LoadTick time.Duration
 	// DisableSplitTCP makes the FE dial a fresh BE connection per
 	// query (ablation A1's "no persistent connection" variant).
 	DisableSplitTCP bool
-	// Workers bounds concurrent request processing at the FE; excess
-	// requests queue FIFO before their static flush, so a busy shared
-	// CDN node inflates Tstatic mechanistically. 0 = unlimited
-	// (load is modeled statistically via LoadModel only).
+	// Workers is the number of FE queue replicas (round-robin
+	// dispatch); a request waiting for its replica delays its static
+	// flush, so a busy shared CDN node inflates Tstatic
+	// mechanistically. 0 = unlimited (load is modeled statistically
+	// via LoadModel only).
 	Workers int
 	// Gzip serves compressed responses: the cached static prefix and
 	// the fetched dynamic portion are sent as two concatenated gzip
@@ -201,10 +190,9 @@ func New(n *simnet.Network, cfg Config) (*Server, error) {
 		static:    cfg.Static,
 		beHost:    cfg.BEHost,
 		loadModel: cfg.Load,
-		loadTick:  cfg.LoadTick,
+		load:      backend.NewLoad(),
 		rng:       stats.NewRand(cfg.Seed),
 		splitTCP:  !cfg.DisableSplitTCP,
-		workers:   cfg.Workers,
 		gzip:      cfg.Gzip,
 		lenOnly:   cfg.LengthOnly,
 		pool:      cfg.BEPool,
@@ -215,11 +203,9 @@ func New(n *simnet.Network, cfg Config) (*Server, error) {
 	if fe.gzip {
 		fe.static = GzipMember(cfg.Static)
 	}
-	if fe.loadTick <= 0 {
-		fe.loadTick = 500 * time.Millisecond
-	}
-	fe.load = stats.AR1{Phi: 0.9, Sigma: 0.3}
 	fe.ep = tcpsim.NewEndpoint(n, cfg.Host, cfg.TCP)
+	fe.queue = backend.NewCluster(fe.ep.Sim(), backend.QueueOptions{Replicas: cfg.Workers},
+		fe.refreshQueueGauges)
 	if _, err := httpsim.NewServer(fe.ep, FEPort, fe.handle); err != nil {
 		return nil, err
 	}
@@ -241,22 +227,6 @@ func (fe *Server) Served() int { return fe.served }
 // DialedBEConns counts distinct BE connections opened (1 per query flow
 // when split TCP is disabled; far fewer with the persistent pool).
 func (fe *Server) DialedBEConns() int { return fe.dialedConns }
-
-func (fe *Server) currentLoad() float64 {
-	now := fe.ep.Sim().Now()
-	for fe.lastLoad+fe.loadTick <= now {
-		fe.lastLoad += fe.loadTick
-		fe.load.Next(fe.rng)
-	}
-	v := fe.load.Value()
-	if v > 1 {
-		v = 1
-	}
-	if v < -1 {
-		v = -1
-	}
-	return v
-}
 
 // getConn returns a back-end connection: a pooled persistent one under
 // split TCP, or a fresh dial otherwise.
@@ -359,44 +329,8 @@ func (fe *Server) Prewarm(n int) {
 	}
 }
 
-// runJob occupies an FE worker for the service time, then runs done.
-// Unbounded pools run immediately.
-func (fe *Server) runJob(service time.Duration, done func()) {
-	if fe.workers > 0 && fe.busy >= fe.workers {
-		fe.queue = append(fe.queue, feJob{service: service, run: done})
-		if len(fe.queue) > fe.maxQueue {
-			fe.maxQueue = len(fe.queue)
-		}
-		if m := fe.met; m != nil {
-			m.queueDepth.Set(float64(len(fe.queue)))
-		}
-		return
-	}
-	fe.startJob(service, done)
-}
-
-func (fe *Server) startJob(service time.Duration, done func()) {
-	fe.busy++
-	if m := fe.met; m != nil {
-		m.concurrency.Set(float64(fe.busy))
-	}
-	fe.ep.Sim().Schedule(service, func() {
-		done()
-		fe.busy--
-		if m := fe.met; m != nil {
-			m.concurrency.Set(float64(fe.busy))
-			m.queueDepth.Set(float64(len(fe.queue)))
-		}
-		if len(fe.queue) > 0 {
-			next := fe.queue[0]
-			fe.queue = fe.queue[1:]
-			fe.startJob(next.service, next.run)
-		}
-	})
-}
-
 // MaxQueueLen returns the deepest request backlog observed.
-func (fe *Server) MaxQueueLen() int { return fe.maxQueue }
+func (fe *Server) MaxQueueLen() int { return fe.queue.MaxQueueLen() }
 
 // Rejected counts client requests refused with a 503 at the BE-pool
 // admission check.
@@ -474,10 +408,10 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 	}
 
 	// Role 1: cached static portion, delivered after FE processing.
-	// With a bounded worker pool, the request waits for a free worker
+	// With bounded replicas, the request may wait for its replica
 	// first — queueing under overload inflates Tstatic.
-	feDelay := fe.loadModel.Sample(fe.currentLoad(), fe.rng)
-	fe.runJob(feDelay, func() {
+	feDelay := fe.loadModel.Sample(fe.load.At(sim.Now(), fe.rng), fe.rng)
+	fe.queue.Submit(feDelay, func(time.Duration) {
 		if keepAlive {
 			w.WriteHeader(200, httpsim.ChunkedHeader())
 		} else {
@@ -572,11 +506,4 @@ func (fe *Server) write(w *httpsim.ResponseWriter, b []byte, n int) {
 	} else {
 		w.Write(b)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

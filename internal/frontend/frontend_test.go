@@ -364,7 +364,7 @@ func TestBackendWorkerPoolQueues(t *testing.T) {
 	spec := workload.DefaultContentSpec("svc")
 	be, err := backend.New(n, "be", geo.Site{}, spec,
 		workload.CostModel{Base: 100 * time.Millisecond},
-		backend.Options{Workers: 1}, 1)
+		backend.Options{Queue: backend.QueueOptions{Replicas: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

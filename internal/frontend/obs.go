@@ -53,6 +53,15 @@ func (fe *Server) StartObserving(o *obs.Observer) {
 	}
 }
 
+// refreshQueueGauges mirrors the FE queue's state into the registry
+// after every transition (no-op when unobserved).
+func (fe *Server) refreshQueueGauges() {
+	if m := fe.met; m != nil {
+		m.concurrency.Set(float64(fe.queue.Busy()))
+		m.queueDepth.Set(float64(fe.queue.Waiting()))
+	}
+}
+
 // FetchRecord is the server-side ground truth of one handled request,
 // keyed by the client connection so it can be joined with the client's
 // packet-trace session (capture.ConnKey with Remote = this FE).

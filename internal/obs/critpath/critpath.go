@@ -223,7 +223,7 @@ func Attribute(root *obs.Span, tl Timeline) Attribution {
 	take(PhaseResidual, tl.TB) // think time / skew before the SYN
 	take(PhaseHandshake, tl.TB+tl.RTT)
 	take(PhaseResidual, tl.T1)
-	take(PhaseRequest, minDur(feArr, tl.T3))
+	take(PhaseRequest, min(feArr, tl.T3))
 	take(PhaseFEStatic, tl.T3)
 	take(PhaseStaticDelivery, tl.T4)
 	// Fetch window [T4, T5]: propagation first (bounded by the FE↔BE
@@ -231,10 +231,10 @@ func Attribute(root *obs.Span, tl Timeline) Attribution {
 	// BE processing. Without a be_rtt_ns annotation the whole window is
 	// BE processing; without be_queue_ns the queue share is empty.
 	if a.BERTT > 0 {
-		take(PhaseBERTT, minDur(tl.T4+a.BERTT, tl.T5))
+		take(PhaseBERTT, min(tl.T4+a.BERTT, tl.T5))
 	}
 	if a.BEQueue > 0 {
-		take(PhaseBEQueue, minDur(cur+a.BEQueue, tl.T5))
+		take(PhaseBEQueue, min(cur+a.BEQueue, tl.T5))
 	}
 	take(PhaseBEProc, tl.T5)
 	take(PhaseDynamicDelivery, tl.TE)
@@ -280,11 +280,4 @@ func clamp(v, lo, hi time.Duration) time.Duration {
 		return hi
 	}
 	return v
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
