@@ -43,11 +43,15 @@ layering:
 # race detector. Last, at study level: the probe's boundary equals what
 # each timing cell's materialised world derives from its own content, so
 # those cells run length-only inside an allocation budget, and the
-# matrix probes each service once. See DESIGN.md §payload path.
+# matrix probes each service once. World set-up last: generators share
+# one popularity table (drawn from concurrently), and client paths
+# resolve on first use to what eager wiring would have laid. See
+# DESIGN.md §payload path.
 payload-check:
 	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
+	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
 fmt-check:
@@ -180,7 +184,7 @@ equivalence: build
 # CHANGES.md quotes these numbers; this target reproduces them.
 loc:
 	@printf '%-20s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
-	@for d in . internal/emulator internal/analysis internal/obs internal/obs/runtime internal/capture internal/trace internal/simnet internal/tcpsim internal/httpsim internal/frontend internal/backend cmd/fesplit; do \
+	@for d in . internal/emulator internal/analysis internal/obs internal/obs/runtime internal/capture internal/trace internal/simnet internal/tcpsim internal/httpsim internal/frontend internal/backend internal/cdn internal/workload cmd/fesplit; do \
 		printf '%-20s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done
 

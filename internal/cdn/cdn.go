@@ -83,6 +83,16 @@ type Deployment struct {
 	BEs  []*backend.DataCenter
 
 	cfg Config
+	// feClients and beClients record the clients WireClient and
+	// WireClientToBEs wired; the servers' path resolvers read them.
+	feClients, beClients map[simnet.HostID]client
+}
+
+// client is one wired client: where it is and its access link.
+type client struct {
+	point          geo.Point
+	access, jitter time.Duration
+	loss           float64
 }
 
 // Build wires a deployment into the network.
@@ -90,7 +100,10 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 	if len(cfg.FESites) == 0 || len(cfg.BESites) == 0 {
 		return nil, fmt.Errorf("cdn: deployment %q needs FE and BE sites", cfg.Name)
 	}
-	d := &Deployment{Name: cfg.Name, Net: n, cfg: cfg}
+	d := &Deployment{Name: cfg.Name, Net: n, cfg: cfg,
+		feClients: make(map[simnet.HostID]client),
+		beClients: make(map[simnet.HostID]client),
+	}
 
 	beOpts := cfg.BEOptions
 	beOpts.LengthOnly = cfg.LengthOnly
@@ -102,6 +115,7 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 			return nil, err
 		}
 		d.BEs = append(d.BEs, dc)
+		d.resolveClients(host, site.Point, d.beClients)
 	}
 
 	static := cfg.Spec.StaticPrefix()
@@ -131,10 +145,28 @@ func Build(n *simnet.Network, cfg Config) (*Deployment, error) {
 			Jitter:   cfg.FEBEJitter,
 			LossRate: cfg.FEBELoss,
 		})
+		d.resolveClients(host, site.Point, d.feClients)
 		fe.Prewarm(cfg.PrewarmConns)
 		d.FEs = append(d.FEs, fe)
 	}
 	return d, nil
+}
+
+// resolveClients makes the paths between the server host at p and the
+// clients wired to it resolve on first use: one-way delay = the
+// client's access delay plus the distance-derived wide-area delay.
+func (d *Deployment) resolveClients(host simnet.HostID, p geo.Point, clients map[simnet.HostID]client) {
+	d.Net.SetPathResolver(host, func(peer simnet.HostID) (simnet.PathParams, bool) {
+		c, ok := clients[peer]
+		if !ok {
+			return simnet.PathParams{}, false
+		}
+		return simnet.PathParams{
+			Delay:    c.access + d.cfg.ClientDelay.OneWayBetween(c.point, p),
+			Jitter:   c.jitter,
+			LossRate: c.loss,
+		}, true
+	})
 }
 
 // nearestBE returns the data center closest to p.
@@ -205,31 +237,19 @@ func (d *Deployment) FarthestBE(p geo.Point) *backend.DataCenter {
 
 // WireClient connects a client host at point p to every FE of the
 // deployment: one-way delay = accessOneWay (the client's last-mile) plus
-// the distance-derived wide-area delay. Call once per client per
-// deployment.
+// the distance-derived wide-area delay. Each path is built when it
+// carries its first packet, so wire the client before it sends. Call
+// once per client per deployment.
 func (d *Deployment) WireClient(host simnet.HostID, p geo.Point, accessOneWay, jitter time.Duration, loss float64) {
-	for _, fe := range d.FEs {
-		delay := accessOneWay + d.cfg.ClientDelay.OneWayBetween(p, fe.Site().Point)
-		d.Net.SetLink(host, fe.Host(), simnet.PathParams{
-			Delay:    delay,
-			Jitter:   jitter,
-			LossRate: loss,
-		})
-	}
+	d.feClients[host] = client{p, accessOneWay, jitter, loss}
 }
 
 // WireClientToBEs additionally connects a client directly to every BE —
 // used only by the no-FE baseline (clients talking straight to the data
-// center over the public Internet).
+// center over the public Internet). As with WireClient, wire the
+// client before it sends.
 func (d *Deployment) WireClientToBEs(host simnet.HostID, p geo.Point, accessOneWay, jitter time.Duration, loss float64) {
-	for _, be := range d.BEs {
-		delay := accessOneWay + d.cfg.ClientDelay.OneWayBetween(p, be.Site().Point)
-		d.Net.SetLink(host, be.Host(), simnet.PathParams{
-			Delay:    delay,
-			Jitter:   jitter,
-			LossRate: loss,
-		})
-	}
+	d.beClients[host] = client{p, accessOneWay, jitter, loss}
 }
 
 // NearestBEToClient returns the data center nearest to a client point

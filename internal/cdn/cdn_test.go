@@ -1,6 +1,7 @@
 package cdn_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -220,4 +221,77 @@ func TestGzipDeploymentServesCompressed(t *testing.T) {
 	_ = d
 	// Construction suffices here; end-to-end compressed serving is
 	// covered in the frontend package tests.
+}
+
+// TestClientPathsOnDemand: wiring a client records it, and its paths
+// resolve on first use to exactly what an eager SetLink per server
+// would have configured — both directions, both server kinds, two
+// deployments on one network — while pairs nobody wired stay zero.
+func TestClientPathsOnDemand(t *testing.T) {
+	n := simnet.NewNetwork(simnet.New(1))
+	gd, err := cdn.Build(n, cdn.GoogleLike(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := cdn.Build(n, cdn.BingLike(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := vantage.DefaultFleet(7)
+	fleet.Wire(gd)
+	fleet.Wire(bd)
+	fleet.WireToBEs(bd)
+
+	check := func(host, server simnet.HostID, p geo.Point, delay geo.DelayModel, node vantage.Node) {
+		t.Helper()
+		want := simnet.PathParams{
+			Delay:    node.OneWay + delay.OneWayBetween(node.Point, p),
+			Jitter:   node.Access.Jitter,
+			LossRate: node.Access.Loss,
+		}
+		if got := n.Path(host, server); got != want {
+			t.Fatalf("%s → %s = %+v, want %+v", host, server, got, want)
+		}
+		if got := n.Path(server, host); got != want {
+			t.Fatalf("%s → %s = %+v, want %+v", server, host, got, want)
+		}
+	}
+	for _, node := range fleet.Nodes {
+		for _, d := range []struct {
+			dep *cdn.Deployment
+			cfg cdn.Config
+		}{{gd, cdn.GoogleLike(1)}, {bd, cdn.BingLike(2)}} {
+			for _, fe := range d.dep.FEs {
+				check(node.Host, fe.Host(), fe.Site().Point, d.cfg.ClientDelay, node)
+			}
+		}
+		for _, be := range bd.BEs {
+			check(node.Host, be.Host(), be.Site().Point, cdn.BingLike(2).ClientDelay, node)
+		}
+		for _, be := range gd.BEs {
+			if p, q := n.Path(node.Host, be.Host()), n.Path(be.Host(), node.Host); p != (simnet.PathParams{}) || q != (simnet.PathParams{}) {
+				t.Fatalf("%s ↔ %s not wired, got %+v / %+v", node.Host, be.Host(), p, q)
+			}
+		}
+	}
+	if p := n.Path("stranger", gd.FEs[0].Host()); p != (simnet.PathParams{}) {
+		t.Fatalf("unwired host → FE = %+v", p)
+	}
+
+	// Wiring records the client and lays no path: O(1) per client, not
+	// one per server.
+	hosts := make([]simnet.HostID, 1001)
+	for i := range hosts {
+		hosts[i] = simnet.HostID(fmt.Sprintf("extra-%d", i))
+	}
+	i := 0
+	node := fleet.Nodes[0]
+	allocs := testing.AllocsPerRun(len(hosts)-1, func() {
+		bd.WireClient(hosts[i], node.Point, node.OneWay, node.Access.Jitter, node.Access.Loss)
+		bd.WireClientToBEs(hosts[i], node.Point, node.OneWay, node.Access.Jitter, node.Access.Loss)
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("wiring one client allocates %.2f times, want ≤ 1 (%d FEs, %d BEs)", allocs, len(bd.FEs), len(bd.BEs))
+	}
 }

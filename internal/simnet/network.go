@@ -67,17 +67,19 @@ func newPath(params PathParams) *path {
 
 type pathKey struct{ from, to HostID }
 
-// Network connects hosts through configured paths. Unconfigured host
-// pairs get a zero PathParams (no delay, unlimited bandwidth, no loss)
-// so tests can wire things up tersely.
+// Network connects hosts through configured paths. A pair no SetPath
+// configured takes its parameters from either host's path resolver, or
+// else a zero PathParams (no delay, unlimited bandwidth, no loss) so
+// tests can wire things up tersely.
 type Network struct {
-	sim   *Sim
-	hosts map[HostID]Handler
-	paths map[pathKey]*path
+	sim       *Sim
+	hosts     map[HostID]Handler
+	paths     map[pathKey]*path
+	resolvers map[HostID]func(peer HostID) (PathParams, bool)
 
 	// version is bumped on every topology mutation (SetPath, Attach,
-	// SetFastPathEnabled) and invalidates outstanding PathHandles;
-	// holders re-resolve through FastPath on mismatch.
+	// SetPathResolver, SetFastPathEnabled) and invalidates outstanding
+	// PathHandles; holders re-resolve through FastPath on mismatch.
 	version uint64
 	// fastOff disables FastPath entirely (the differential tests'
 	// packet-path reference run).
@@ -98,9 +100,10 @@ type Network struct {
 // NewNetwork creates an empty network on the given simulator.
 func NewNetwork(sim *Sim) *Network {
 	return &Network{
-		sim:   sim,
-		hosts: make(map[HostID]Handler),
-		paths: make(map[pathKey]*path),
+		sim:       sim,
+		hosts:     make(map[HostID]Handler),
+		paths:     make(map[pathKey]*path),
+		resolvers: make(map[HostID]func(HostID) (PathParams, bool)),
 	}
 }
 
@@ -130,11 +133,31 @@ func (n *Network) SetLink(a, b HostID, p PathParams) {
 	n.SetPath(b, a, p)
 }
 
-// Path returns the parameters of the directed path from → to (zero if
-// unconfigured).
+// SetPathResolver resolves host's paths to and from peers no SetPath
+// configured: resolve(peer) returns the parameters of both directions
+// between host and peer, or false when host has no path to peer. A
+// resolved path is stored when it carries its first packet, so the
+// answer for a peer must not change after that.
+func (n *Network) SetPathResolver(host HostID, resolve func(peer HostID) (PathParams, bool)) {
+	n.version++
+	n.resolvers[host] = resolve
+}
+
+// Path returns the parameters of the directed path from → to: the
+// configured ones, else a resolver's, else zero.
 func (n *Network) Path(from, to HostID) PathParams {
 	if p, ok := n.paths[pathKey{from, to}]; ok {
 		return p.params
+	}
+	if r, ok := n.resolvers[to]; ok {
+		if p, ok := r(from); ok {
+			return p
+		}
+	}
+	if r, ok := n.resolvers[from]; ok {
+		if p, ok := r(to); ok {
+			return p
+		}
 	}
 	return PathParams{}
 }
@@ -149,7 +172,7 @@ func (n *Network) pathState(from, to HostID) *path {
 	k := pathKey{from, to}
 	p, ok := n.paths[k]
 	if !ok {
-		p = newPath(PathParams{})
+		p = newPath(n.Path(from, to))
 		n.paths[k] = p
 	}
 	return p

@@ -171,6 +171,37 @@ func TestDefaultPath(t *testing.T) {
 	}
 }
 
+// TestPathResolver: a server's resolver answers for both directions of
+// its unconfigured pairs, an explicit SetPath wins, and a resolved path
+// is stored on its first packet.
+func TestPathResolver(t *testing.T) {
+	s := New(1)
+	n := NewNetwork(s)
+	r := &recorder{sim: s}
+	n.Attach("srv", r)
+	delay := map[HostID]time.Duration{"c1": 5 * time.Millisecond, "c2": 7 * time.Millisecond}
+	n.SetPathResolver("srv", func(peer HostID) (PathParams, bool) {
+		d, ok := delay[peer]
+		return PathParams{Delay: d}, ok
+	})
+	n.SetPath("c2", "srv", PathParams{Delay: time.Millisecond})
+	if got := n.RTT("c1", "srv"); got != 10*time.Millisecond {
+		t.Fatalf("resolved RTT = %v, want 10ms", got)
+	}
+	if got := n.RTT("c2", "srv"); got != 8*time.Millisecond {
+		t.Fatalf("RTT with one explicit direction = %v, want 8ms", got)
+	}
+	if got := n.Path("c3", "srv"); got != (PathParams{}) {
+		t.Fatalf("path of a peer the resolver refuses = %+v", got)
+	}
+	s.Schedule(0, func() { n.Send(Packet{From: "c1", To: "srv"}) })
+	s.Run()
+	delay["c1"] = time.Second
+	if len(r.times) != 1 || r.times[0] != 5*time.Millisecond || n.Path("c1", "srv").Delay != 5*time.Millisecond {
+		t.Fatalf("first packet arrived at %v; stored path %+v", r.times, n.Path("c1", "srv"))
+	}
+}
+
 func TestStatsBytes(t *testing.T) {
 	s, n, _, b := newPair(t, PathParams{Delay: time.Millisecond})
 	m := wireMetrics(s)

@@ -22,7 +22,8 @@ func NewRand(seed int64) *rand.Rand {
 }
 
 // Zipf draws ranks in [0, n) with P(k) ∝ 1/(k+1)^s, modelling keyword
-// popularity: rank 0 is the most popular query.
+// popularity: rank 0 is the most popular query. A Zipf is read-only
+// once built, so concurrent Draws with separate Rands are safe.
 type Zipf struct {
 	cdf []float64
 }

@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 
 	"fesplit/internal/stats"
@@ -96,6 +97,7 @@ var vocab = []string{
 
 // Generator produces deterministic query streams. A Generator is not
 // safe for concurrent use; create one per experiment with a fixed seed.
+// Generators share the read-only popularity table and own their RNG.
 type Generator struct {
 	rng  *rand.Rand
 	zipf *stats.Zipf
@@ -106,12 +108,13 @@ type Generator struct {
 // 40,000-keyword experiment pool.
 const NumRanks = 40000
 
+// popularity is the Zipf table over NumRanks that every Generator
+// draws from, built once per process.
+var popularity = sync.OnceValue(func() *stats.Zipf { return stats.NewZipf(NumRanks, 1.01) })
+
 // NewGenerator returns a generator seeded deterministically.
 func NewGenerator(seed int64) *Generator {
-	return &Generator{
-		rng:  stats.NewRand(seed),
-		zipf: stats.NewZipf(NumRanks, 1.01),
-	}
+	return &Generator{rng: stats.NewRand(seed), zipf: popularity()}
 }
 
 // KeywordForRank returns the canonical keyword string of a popularity

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -444,4 +446,50 @@ func FuzzParsePath(f *testing.F) {
 		}
 		checkParsePath(t, path)
 	})
+}
+
+// TestGeneratorsSharePopularity: every Generator draws from the one
+// process-wide popularity table, the shared table yields the queries a
+// freshly built one does, a Generator costs only its RNG and itself,
+// and concurrent Generators may draw from the table at once.
+func TestGeneratorsSharePopularity(t *testing.T) {
+	a, b := NewGenerator(1), NewGenerator(2)
+	if a.zipf != b.zipf {
+		t.Fatal("generators hold separate popularity tables")
+	}
+	shared := NewGenerator(11)
+	fresh := &Generator{rng: stats.NewRand(11), zipf: stats.NewZipf(NumRanks, 1.01)}
+	for i := 0; i < 10000; i++ {
+		c := Class(i % 4)
+		if got, want := shared.Query(c), fresh.Query(c); got != want {
+			t.Fatalf("query %d: shared table %+v, fresh table %+v", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewGenerator(3) }); n > 3 {
+		t.Fatalf("NewGenerator allocates %.0f times, want ≤ 3 (RNG source, RNG, generator)", n)
+	}
+	ranks := func(seed int64) []int {
+		g := NewGenerator(seed)
+		out := make([]int, 1000)
+		for i := range out {
+			out[i] = g.Query(ClassGranular).Rank
+		}
+		return out
+	}
+	serial := [][]int{ranks(0), ranks(1)}
+	var concurrent [2][]int
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = ranks(int64(i))
+		}()
+	}
+	wg.Wait()
+	for i := range concurrent {
+		if !slices.Equal(concurrent[i], serial[i]) {
+			t.Fatalf("generator %d drew different ranks concurrently", i)
+		}
+	}
 }
