@@ -45,13 +45,15 @@ layering:
 # those cells run length-only inside an allocation budget, and the
 # matrix probes each service once. World set-up last: generators share
 # one popularity table (drawn from concurrently), and client paths
-# resolve on first use to what eager wiring would have laid. See
-# DESIGN.md §payload path.
+# resolve on first use to what eager wiring would have laid. The
+# per-packet rows (Segment, lane event, capture row) stay small and
+# pointer-free. See DESIGN.md §payload path.
 payload-check:
 	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
 	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
+	$(GO) test -run 'TestRowLayouts' ./internal/tcpsim ./internal/capture
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
 fmt-check:
@@ -61,8 +63,10 @@ fmt-check:
 # (randomized RTT/loss/size/cwnd scenarios — i.i.d. and Gilbert — fast
 # lane vs packet lane), the mid-stream topology-change tests and the
 # scenarios that once left the lane (forwarding and dropping handlers, a
-# closed connection's late ACK — every segment must ride it), pooled ring
-# storage (flat across fresh connections, invisible in transcripts), the
+# closed connection's late ACK — every segment must ride it), a receiver
+# whose demux table churns mid-flight (full demux, no boxed segment),
+# pooled ring storage (flat across fresh connections, invisible in
+# transcripts), the
 # keep-alive fuzz seeds, at an elevated -count and under the race
 # detector. Slower than the regular test run; CI runs it as its own job.
 fastpath-check:

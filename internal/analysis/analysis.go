@@ -94,7 +94,7 @@ func BoundaryFromDataset(ds *emulator.Dataset) int {
 			continue
 		}
 		if _, dup := seen[r.Query.Keywords]; !dup {
-			s, err := trace.Parse(r.Key, r.Events)
+			s, err := trace.ParseCaptured(r.Key, r.Events, r.Payloads)
 			if err == nil {
 				seen[r.Query.Keywords] = s
 			}
@@ -185,8 +185,8 @@ func (p Params) ViolatesBounds(trueFetch, tol time.Duration) bool {
 // once and builds the Section-2 parameters. The session comes back
 // whenever it parsed — with the error when only the boundary could not
 // be located, since the handshake and delivery instants are still good
-// — so Fold derives everything else from the same parse; it holds the
-// reassembled payload, so drop it with the record.
+// — so Fold derives everything else from the same parse; it borrows the
+// record's events, so drop it with the record.
 func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, error) {
 	if r.Failed || len(r.Events) == 0 {
 		return Params{}, nil, trace.ErrNoResponse

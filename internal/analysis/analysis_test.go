@@ -49,7 +49,7 @@ func boundaryOf(t *testing.T, r *emulator.Runner, fe *frontend.Server) int {
 			if rec.Failed || len(rec.Events) == 0 {
 				continue
 			}
-			s, err := trace.Parse(rec.Key, rec.Events)
+			s, err := trace.ParseCaptured(rec.Key, rec.Events, rec.Payloads)
 			if err != nil {
 				continue
 			}

@@ -20,21 +20,21 @@ import (
 const FlagRetrans tcpsim.Flags = 0x80
 
 // Event is one captured packet at the capturing host: what a tcpdump
-// line shows, and the row of the binary trace file. It is a flat 64
-// bytes; the SACK blocks a few ACKs carry live beside the rows, in the
-// trace (see Trace.SACK).
+// line shows, and the row of the binary trace file. It is a flat,
+// pointer-free 48 bytes; the captured payload bytes and the SACK blocks
+// a few ACKs carry live beside the rows (Recorder.Payloads,
+// Recorder.SACK).
 type Event struct {
 	// Time is virtual time at the capturing host when the segment was
 	// sent or delivered.
 	Time     time.Duration
 	Seq, Ack uint64
-	// Data is the captured payload: nil when the recorder snapped it
-	// (tcpdump's snaplen) or the segment was content-free to begin with.
-	Data []byte
-	Wnd  uint32
-	// Len is the payload length on the wire, whether or not Data holds
-	// the bytes.
-	Len              uint32
+	Wnd      uint32
+	// Len is the payload length on the wire (tcpdump's plen); Cap is how
+	// many of those bytes the capture holds (its caplen, ≤ Len). A
+	// recorder keeps all of them, or none when it snaps or the segment
+	// was content-free to begin with.
+	Len, Cap         uint32
 	SrcPort, DstPort uint16
 	// Host is the other endpoint, as an index into Trace.Hosts.
 	Host uint16
@@ -46,7 +46,7 @@ type Event struct {
 
 // Snapped reports whether the event lacks payload bytes it had on the
 // wire: dropped at capture time, or never materialised.
-func (e Event) Snapped() bool { return int(e.Len) > len(e.Data) }
+func (e Event) Snapped() bool { return e.Len > e.Cap }
 
 // Retransmitted reports whether the sender marked the segment as a
 // retransmission.
@@ -75,6 +75,9 @@ type Trace struct {
 	// indexes it.
 	Hosts  []string
 	Events []Event
+	// payloads holds the captured bytes of the events with Cap > 0, in
+	// event order.
+	payloads [][]byte
 	// sacks holds the SACK blocks of the few events that carried any,
 	// by index into Events.
 	sacks map[int][]tcpsim.SACKBlock
@@ -92,7 +95,10 @@ type Recorder struct {
 	hosts []string
 	// sess holds one event list per connection in first-seen order; the
 	// first len(index) are live, the rest are lists ResetKeep kept.
-	sess    [][]Event
+	sess [][]Event
+	// pays holds, per list, the captured bytes of its events with
+	// Cap > 0 in order; only an unsnapped recorder fills it.
+	pays    [][][]byte
 	index   map[uint64]int32 // packed connection → list
 	order   []int32          // list of each tapped packet, in tap order
 	longest int              // a new list starts at the longest so far
@@ -112,24 +118,27 @@ func NewRecorder(node string) *Recorder {
 	return &Recorder{node: node, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
 }
 
-// Tap records one endpoint event; pass it as tcpsim.Endpoint.Tap.
-func (r *Recorder) Tap(ev tcpsim.TapEvent) {
+// Tap records one endpoint event; pass it as tcpsim.Endpoint.Tap. It
+// keeps data (the sender's memory, never modified) unless snapping, and
+// copies sack, which is only valid during the call.
+func (r *Recorder) Tap(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock) {
 	s := &ev.Segment
 	e := Event{
 		Time: ev.Time, Dir: ev.Dir, Host: r.host(ev.Remote),
 		SrcPort: s.SrcPort, DstPort: s.DstPort, Flags: s.Flags,
-		Seq: s.Seq, Ack: s.Ack, Wnd: uint32(s.Wnd), Len: uint32(s.PayloadLen()),
+		Seq: s.Seq, Ack: s.Ack, Wnd: s.Wnd, Len: s.Len,
 	}
 	if s.Retrans {
 		e.Flags |= FlagRetrans
 	}
-	if !r.SnapPayload {
-		e.Data = s.Data
-	}
-	if len(s.SACK) > 0 {
-		r.sacks[len(r.order)] = s.SACK
+	if len(sack) > 0 {
+		r.sacks[len(r.order)] = slices.Clone(sack)
 	}
 	i := r.list(e.conn())
+	if !r.SnapPayload && len(data) > 0 {
+		e.Cap = uint32(len(data))
+		r.pays[i] = append(r.pays[i], data)
+	}
 	r.sess[i] = append(r.sess[i], e)
 	r.longest = max(r.longest, len(r.sess[i]))
 	r.order = append(r.order, i)
@@ -143,6 +152,7 @@ func (r *Recorder) list(id uint64) int32 {
 		r.index[id] = i
 		if len(r.sess) == int(i) {
 			r.sess = append(r.sess, make([]Event, 0, r.longest))
+			r.pays = append(r.pays, nil)
 		}
 	}
 	return i
@@ -186,6 +196,18 @@ func (r *Recorder) Session(k ConnKey) []Event {
 	return l[:len(l):len(l)]
 }
 
+// Payloads returns the captured bytes of connection k's events with
+// Cap > 0, in Session(k) order: nil from a snapped recorder. Like
+// Session it is the recorder's own storage, valid until ResetKeep.
+func (r *Recorder) Payloads(k ConnKey) [][]byte {
+	i, ok := r.index[r.conn(k)]
+	if !ok {
+		return nil
+	}
+	p := r.pays[i]
+	return p[:len(p):len(p)]
+}
+
 // SACK returns the SACK blocks connection k's events carried, keyed by
 // the event's position in Session(k).
 func (r *Recorder) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
@@ -207,10 +229,15 @@ func (r *Recorder) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
 func (r *Recorder) Trace() *Trace {
 	t := &Trace{Node: r.node, Hosts: append([]string{}, r.hosts...),
 		Events: make([]Event, len(r.order)), sacks: maps.Clone(r.sacks)}
-	pos := make([]int32, len(r.index))
+	pos, pay := make([]int32, len(r.index)), make([]int32, len(r.index))
 	for j, i := range r.order {
-		t.Events[j] = r.sess[i][pos[i]]
+		e := r.sess[i][pos[i]]
+		t.Events[j] = e
 		pos[i]++
+		if e.Cap > 0 {
+			t.payloads = append(t.payloads, r.pays[i][pay[i]])
+			pay[i]++
+		}
 	}
 	return t
 }
@@ -223,6 +250,8 @@ func (r *Recorder) Trace() *Trace {
 func (r *Recorder) ResetKeep() {
 	for i := range len(r.index) {
 		r.sess[i] = r.sess[i][:0]
+		clear(r.pays[i])
+		r.pays[i] = r.pays[i][:0]
 	}
 	r.hosts, r.order = r.hosts[:0], r.order[:0]
 	clear(r.index)
@@ -250,6 +279,25 @@ func (t *Trace) WriteText(w io.Writer, maxEvents int) {
 			ev.Time, ev.Dir, t.Hosts[ev.Host], ev.Flags,
 			ev.Seq, ev.Ack, ev.Len, ev.Wnd, retr, snap)
 	}
+}
+
+// Payloads returns the captured bytes of connection k's events with
+// Cap > 0, in event order — what Recorder.Payloads returns for a live
+// capture.
+func (t *Trace) Payloads(k ConnKey) [][]byte {
+	var out [][]byte
+	id := connID(slices.Index(t.Hosts, k.Remote), k.LocalPort, k.RemotePort)
+	next := 0
+	for _, e := range t.Events {
+		if e.Cap == 0 || next == len(t.payloads) {
+			continue
+		}
+		if e.conn() == id {
+			out = append(out, t.payloads[next])
+		}
+		next++
+	}
+	return out
 }
 
 // Sessions splits a decoded trace into per-connection event lists,

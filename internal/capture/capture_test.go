@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,14 +18,22 @@ import (
 	"fesplit/internal/tcpsim"
 )
 
-// withData returns e carrying payload as both its bytes and its length.
+// withData returns e with payload's length as both its wire and its
+// captured length; the bytes go to the trace (withPayloads).
 func withData(e Event, payload []byte) Event {
-	e.Data, e.Len = payload, uint32(len(payload))
+	e.Len, e.Cap = uint32(len(payload)), uint32(len(payload))
 	return e
 }
 
+// withPayloads sets t's captured bytes: one per event with Cap > 0.
+func (t *Trace) withPayloads(p ...[]byte) *Trace {
+	t.payloads = p
+	return t
+}
+
 func sampleTrace() *Trace {
-	return &Trace{
+	get, body := []byte("GET /search?q=x HTTP/1.1\r\n\r\n"), bytes.Repeat([]byte("s"), 1460)
+	return (&Trace{
 		Node:  "client-1",
 		Hosts: []string{"fe-1"},
 		Events: []Event{
@@ -35,13 +44,13 @@ func sampleTrace() *Trace {
 				SrcPort: 40000, DstPort: 80, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Wnd: 65535},
 			withData(Event{Time: 21 * time.Millisecond, Dir: tcpsim.DirSend,
 				SrcPort: 40000, DstPort: 80, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Wnd: 65535},
-				[]byte("GET /search?q=x HTTP/1.1\r\n\r\n")),
+				get),
 			withData(Event{Time: 41 * time.Millisecond, Dir: tcpsim.DirRecv,
 				SrcPort: 80, DstPort: 40000, Flags: tcpsim.FlagACK | FlagRetrans, Seq: 1, Ack: 29, Wnd: 65535},
-				bytes.Repeat([]byte("s"), 1460)),
+				body),
 		},
 		sacks: map[int][]tcpsim.SACKBlock{},
-	}
+	}).withPayloads(get, body)
 }
 
 // roundTrip encodes tr and decodes the bytes back.
@@ -65,11 +74,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// The row is the unit every workload stores per packet; ROADMAP item 6
-// sized it. Mutation: add any field to Event (an int, a string).
-func TestEventIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 64 {
-		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want ≤ 64", n)
+// TestRowLayouts pins the row every workload stores per packet: 48
+// bytes and pointer-free, so a session's event list is a noscan block.
+// Mutation: put the payload slice back into Event, or add any field.
+func TestRowLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 48", n)
+	}
+	var scanned func(t reflect.Type, path string) string
+	scanned = func(t reflect.Type, path string) string {
+		switch t.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return path
+		case reflect.Array:
+			return scanned(t.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if p := scanned(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+					return p
+				}
+			}
+		}
+		return ""
+	}
+	if p := scanned(reflect.TypeOf(Event{}), "Event"); p != "" {
+		t.Fatalf("Event holds a GC-visible field: %s", p)
 	}
 }
 
@@ -214,6 +244,7 @@ func TestRoundTripQuick(t *testing.T) {
 			}
 			if i == 0 && len(payload) > 0 {
 				ev = withData(ev, payload)
+				tr.payloads = [][]byte{payload}
 			}
 			if i%4 == 3 {
 				ev.Flags |= FlagRetrans
@@ -263,6 +294,9 @@ func TestRecorderCapturesLiveConnection(t *testing.T) {
 	if got := rec.Session(key); !reflect.DeepEqual(got, tr.Events) {
 		t.Fatalf("the one connection's session differs from the trace:\ngot  %+v\nwant %+v", got, tr.Events)
 	}
+	if got := rec.Payloads(key); len(got) != 2 || string(got[0]) != "request" || string(got[1]) != "response" {
+		t.Fatalf("captured bytes = %q, want the request and the response", got)
+	}
 	rec.ResetKeep()
 	if got := rec.Session(key); got != nil {
 		t.Fatalf("reset did not clear: session holds %d events", len(got))
@@ -280,20 +314,20 @@ func TestTapWarmZeroAlloc(t *testing.T) {
 	rec := NewRecorder("c")
 	rec.SnapPayload = true
 	ev := tcpsim.TapEvent{Remote: "fe", Dir: tcpsim.DirRecv,
-		Segment: tcpsim.Segment{SrcPort: 80, DstPort: 40000, Flags: tcpsim.FlagACK, Blank: 1460}}
+		Segment: tcpsim.Segment{SrcPort: 80, DstPort: 40000, Flags: tcpsim.FlagACK, Len: 1460}}
 	for i := 0; i < 200; i++ {
-		rec.Tap(ev)
+		rec.Tap(ev, nil, nil)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		rec.ResetKeep()
 		for i := 0; i < 200; i++ {
-			rec.Tap(ev)
+			rec.Tap(ev, nil, nil)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Tap: %v allocs per 200 packets, want 0", allocs)
 	}
-	if e := rec.Trace().Events[0]; e.Len != 1460 || !e.Snapped() || e.Data != nil {
+	if e := rec.Trace().Events[0]; e.Len != 1460 || !e.Snapped() || e.Cap != 0 {
 		t.Fatalf("snapped content-free event = %+v", e)
 	}
 }
@@ -378,12 +412,16 @@ func TestCodecPreservesSACKBlocks(t *testing.T) {
 	other.Segment.SrcPort = 40001
 	blocks := []tcpsim.SACKBlock{{Start: 2000, End: 3000}, {Start: 5000, End: 5500}}
 	sacked := ack
-	sacked.Segment.SACK = blocks
+	sacked.Segment.NSACK = uint8(len(blocks))
 	// The SACK-carrying ACK is trace event 2 and its session's event 1.
+	// The tap's blocks are only valid during the call: the recorder must
+	// keep a copy.
 	rec := NewRecorder("n")
-	for _, ev := range []tcpsim.TapEvent{ack, other, sacked} {
-		rec.Tap(ev)
-	}
+	scratch := slices.Clone(blocks)
+	rec.Tap(ack, nil, nil)
+	rec.Tap(other, nil, nil)
+	rec.Tap(sacked, nil, scratch)
+	clear(scratch)
 	if want := map[int][]tcpsim.SACKBlock{1: blocks}; !reflect.DeepEqual(rec.SACK(key), want) {
 		t.Fatalf("SACK blocks = %+v, want %+v", rec.SACK(key), want)
 	}

@@ -34,8 +34,9 @@ import (
 //	    nsack   uvarint  (SACK blocks)
 //	      start uvarint
 //	      end   uvarint
-//	    datalen uvarint  (captured payload bytes; ≤ plen when snapped)
-//	    data    [datalen]byte
+//	    caplen  uvarint  (captured payload bytes, Event.Cap: ≤ plen, the
+//	                      wire length; 0 when snapped or content-free)
+//	    data    [caplen]byte
 //
 // All integers are unsigned varints; times are deltas, which keeps
 // typical events under 20 bytes plus payload.
@@ -66,7 +67,7 @@ func (t *Trace) Encode(w io.Writer) error {
 		putString(h)
 	}
 	putUvarint(uint64(len(t.Events)))
-	prev := time.Duration(0)
+	prev, pay := time.Duration(0), 0
 	for i, e := range t.Events {
 		if e.Time < prev {
 			return fmt.Errorf("capture: events out of order at t=%v", e.Time)
@@ -88,8 +89,14 @@ func (t *Trace) Encode(w io.Writer) error {
 			putUvarint(b.Start)
 			putUvarint(b.End)
 		}
-		putUvarint(uint64(len(e.Data)))
-		bw.Write(e.Data)
+		putUvarint(uint64(e.Cap))
+		if e.Cap > 0 {
+			if pay == len(t.payloads) || len(t.payloads[pay]) != int(e.Cap) {
+				return fmt.Errorf("capture: event %d: no %d captured bytes", i, e.Cap)
+			}
+			bw.Write(t.payloads[pay])
+			pay++
+		}
 	}
 	return bw.Flush()
 }
@@ -194,7 +201,10 @@ func Decode(rd io.Reader) (*Trace, error) {
 			}
 			t.sacks[len(t.Events)] = blocks
 		}
-		e.Data = r.bytes("captured payload", min(uint64(e.Len), 1<<24))
+		if data := r.bytes("captured payload", min(uint64(e.Len), 1<<24)); data != nil {
+			e.Cap = uint32(len(data))
+			t.payloads = append(t.payloads, data)
+		}
 		t.Events = append(t.Events, e)
 	}
 	if r.err != nil {

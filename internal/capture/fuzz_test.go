@@ -17,11 +17,11 @@ import (
 // way in.
 func FuzzDecode(f *testing.F) {
 	// Seed with a valid encoding and some corruptions of it.
-	tr := &Trace{Node: "seed", Hosts: []string{"fe"}, Events: []Event{
+	tr := (&Trace{Node: "seed", Hosts: []string{"fe"}, Events: []Event{
 		{Time: time.Millisecond, Dir: tcpsim.DirSend, Flags: tcpsim.FlagSYN, Wnd: 1000},
 		withData(Event{Time: 2 * time.Millisecond, Dir: tcpsim.DirRecv,
 			Flags: tcpsim.FlagACK, Seq: 1, Ack: 1}, []byte("data")),
-	}, sacks: map[int][]tcpsim.SACKBlock{1: {{Start: 9, End: 12}}}}
+	}, sacks: map[int][]tcpsim.SACKBlock{1: {{Start: 9, End: 12}}}}).withPayloads([]byte("data"))
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
 		f.Fatal(err)
@@ -62,13 +62,13 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}
-		if len(payload) == 0 {
-			payload = nil // Decode spells "no captured bytes" as nil
-		}
 		tr := &Trace{Node: "f", Hosts: []string{"r"}, Events: []Event{withData(Event{
 			Time: time.Duration(dt), Dir: tcpsim.DirRecv, SrcPort: src, DstPort: dst,
 			Flags: tcpsim.FlagACK, Seq: 1, Wnd: uint32(dst) << 8}, payload)},
 			sacks: map[int][]tcpsim.SACKBlock{}}
+		if len(payload) > 0 { // Decode spells "no captured bytes" as no entry
+			tr.payloads = [][]byte{payload}
+		}
 		if src%2 == 1 {
 			tr.Events[0].Flags |= FlagRetrans
 			tr.sacks[0] = []tcpsim.SACKBlock{{Start: uint64(src), End: uint64(src) + uint64(dst)}}
@@ -84,8 +84,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // interleaved, equal timestamps across them, SACK-carrying ACKs — in
 // rounds separated by ResetKeep. After every round the recorder's
 // Trace must be the taps in tap order (SACK blocks at the same
-// positions), each Session and SACK must be what the trace's Sessions
-// split gives that connection, and the trace must survive the codec.
+// positions, captured bytes unless snapping), each Session, Payloads
+// and SACK must be what the trace gives that connection, and the trace
+// must survive the codec.
 // Each tap is four input bytes; a first byte of 0xff ends the round.
 // Mutations: file a SACK under the trace position instead of the
 // session position, or keep a list's events across ResetKeep.
@@ -130,6 +131,9 @@ func FuzzRecorder(f *testing.F) {
 				if b := rec.SACK(k); !reflect.DeepEqual(b, sacks[k]) {
 					t.Fatalf("SACK(%v) = %+v, want %+v", k, b, sacks[k])
 				}
+				if p, want := rec.Payloads(k), got.Payloads(k); !slices.EqualFunc(p, want, bytes.Equal) {
+					t.Fatalf("Payloads(%v) = %q, want %q", k, p, want)
+				}
 			}
 			if s := rec.Session(ConnKey{Remote: "nowhere", LocalPort: 40000, RemotePort: 80}); s != nil {
 				t.Fatalf("a connection never tapped has %d events", len(s))
@@ -155,21 +159,25 @@ func FuzzRecorder(f *testing.F) {
 			now += time.Duration(c >> 4) // 0: the same instant as the previous tap
 			ev := tcpsim.TapEvent{Time: now, Dir: tcpsim.Dir(a >> 2 & 1), Remote: hosts[a%4],
 				Segment: tcpsim.Segment{Flags: tcpsim.Flags(d & 0x3f), Retrans: c&1 != 0,
-					Seq: uint64(len(want.Events)), Ack: uint64(a), Wnd: int(b) * 100}}
+					Seq: uint64(len(want.Events)), Ack: uint64(a), Wnd: uint32(b) * 100}}
 			local, remote := 40000+uint16(b%6), 80+uint16(b>>4&1)
 			ev.Segment.SrcPort, ev.Segment.DstPort = local, remote
 			if ev.Dir == tcpsim.DirRecv {
 				ev.Segment.SrcPort, ev.Segment.DstPort = remote, local
 			}
+			var data []byte
+			var sack []tcpsim.SACKBlock
 			if c&4 != 0 {
-				ev.Segment.Data = []byte{c, d}
+				data = []byte{c, d}
+				ev.Segment.Len = 2
 			} else {
-				ev.Segment.Blank = int(c&8) * 180
+				ev.Segment.Len = uint32(c&8) * 180
 			}
 			if c&2 != 0 {
-				ev.Segment.SACK = []tcpsim.SACKBlock{{Start: uint64(d), End: uint64(d) + uint64(c)}}
+				sack = []tcpsim.SACKBlock{{Start: uint64(d), End: uint64(d) + uint64(c)}}
+				ev.Segment.NSACK = 1
 			}
-			rec.Tap(ev)
+			rec.Tap(ev, data, sack)
 
 			h := slices.Index(want.Hosts, ev.Remote)
 			if h < 0 {
@@ -178,15 +186,16 @@ func FuzzRecorder(f *testing.F) {
 			}
 			s := ev.Segment
 			e := Event{Time: now, Dir: ev.Dir, Host: uint16(h), SrcPort: s.SrcPort, DstPort: s.DstPort,
-				Flags: s.Flags, Seq: s.Seq, Ack: s.Ack, Wnd: uint32(s.Wnd), Len: uint32(s.PayloadLen())}
+				Flags: s.Flags, Seq: s.Seq, Ack: s.Ack, Wnd: s.Wnd, Len: s.Len}
 			if s.Retrans {
 				e.Flags |= FlagRetrans
 			}
-			if !rec.SnapPayload {
-				e.Data = s.Data
+			if !rec.SnapPayload && data != nil {
+				e.Cap = uint32(len(data))
+				want.payloads = append(want.payloads, data)
 			}
-			if s.SACK != nil {
-				want.sacks[len(want.Events)] = s.SACK
+			if sack != nil {
+				want.sacks[len(want.Events)] = sack
 			}
 			want.Events = append(want.Events, e)
 		}

@@ -183,11 +183,12 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 			httpsim.ResponseCallbacks{})
 		sim.Run()
 
-		keys, sessions := rec.Trace().Sessions()
+		tr := rec.Trace()
+		keys, sessions := tr.Sessions()
 		if len(keys) != 1 {
 			t.Fatalf("sessions = %d", len(keys))
 		}
-		s, err := trace.Parse(keys[0], sessions[keys[0]])
+		s, err := trace.ParseCaptured(keys[0], sessions[keys[0]], tr.Payloads(keys[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,8 +45,10 @@ type Record struct {
 	// Key names the session's connection in the node's recorder.
 	Key capture.ConnKey
 	// Events is the session's client-side packet event list, attached
-	// by Finalize.
-	Events []capture.Event
+	// by Finalize; Payloads the bytes its unsnapped events captured
+	// (capture.Recorder.Payloads), nil in a length-only world.
+	Events   []capture.Event
+	Payloads [][]byte
 	// TrueFetch is the FE-side ground-truth fetch time of this query
 	// (GET arrival at the FE to the complete dynamic portion from the
 	// BE), joined from the FE's fetch log by client host and port when
@@ -412,7 +414,8 @@ func (r *Runner) finalize(dss ...*Dataset) {
 	for _, ds := range dss {
 		for i := range ds.Records {
 			if rec := r.recs[ds.Records[i].Node]; rec != nil {
-				ds.Records[i].Events = rec.Session(ds.Records[i].Key)
+				k := ds.Records[i].Key
+				ds.Records[i].Events, ds.Records[i].Payloads = rec.Session(k), rec.Payloads(k)
 			}
 		}
 	}

@@ -127,7 +127,7 @@ func TestInteractiveSession(t *testing.T) {
 	// Each per-keystroke session still fits the basic model: parse and
 	// bound the fetch for the final (full-keyword) query.
 	last := ds.Records[len(ds.Records)-1]
-	s, err := trace.Parse(last.Key, last.Events)
+	s, err := trace.ParseCaptured(last.Key, last.Events, last.Payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,15 @@ func TestSnappedCampaignStillAnalyzable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range fds.Records {
-		for _, ev := range rec.Events {
-			fullBytes += len(ev.Data)
+		for _, p := range rec.Payloads {
+			fullBytes += len(p)
 		}
 	}
 	for _, rec := range ds.Records {
 		for _, ev := range rec.Events {
-			snapBytes += len(ev.Data)
+			snapBytes += int(ev.Cap)
 		}
+		snapBytes += len(rec.Payloads)
 	}
 	if snapBytes != 0 {
 		t.Fatalf("snapped trace retains %d payload bytes", snapBytes)

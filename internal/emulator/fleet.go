@@ -254,13 +254,13 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	}
 
 	// Strays from the previous tenant's close sit in lists of their own.
-	rr.Events = s.rec.Session(rr.Key)
+	rr.Events, rr.Payloads = s.rec.Session(rr.Key), s.rec.Payloads(rr.Key)
 
 	r.opts.Sink.Consume(rr)
 	r.rt.NoteRecord()
 	r.rt.NoteFleetDone()
 
-	rr.Events = nil
+	rr.Events, rr.Payloads = nil, nil
 	s.rec.ResetKeep()
 	r.release(s)
 	r.live--

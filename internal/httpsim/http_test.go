@@ -309,7 +309,7 @@ func TestPersistentConnSequentialRequests(t *testing.T) {
 func TestPersistentConnReusesTransport(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond)
 	handshakes := 0
-	w.server.Tap = func(ev tcpsim.TapEvent) {
+	w.server.Tap = func(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock) {
 		if ev.Dir == tcpsim.DirRecv && ev.Segment.Flags == tcpsim.FlagSYN {
 			handshakes++
 		}

@@ -195,9 +195,9 @@ func TestWriteBlankMatchesWriteOnTheWire(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		w.client.Tap = func(ev tcpsim.TapEvent) {
+		w.client.Tap = func(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock) {
 			s := ev.Segment
-			events = append(events, wireEvent{ev.Time, ev.Dir, s.Seq, s.Ack, s.Flags, s.PayloadLen()})
+			events = append(events, wireEvent{ev.Time, ev.Dir, s.Seq, s.Ack, s.Flags, int(s.Len)})
 		}
 		done := func(tag string) ResponseCallbacks {
 			return ResponseCallbacks{CountOnly: true, OnDone: func(r *Response) {

@@ -136,10 +136,11 @@ func BenchmarkLossyTransfer(b *testing.B) {
 // segment allocates nothing (a subslice of the queued write, by-value
 // lane entries), so a transfer costs tens of objects however many
 // segments it carries; the packet lane boxes each segment and each ACK
-// into its simnet.Packet, one object per packet, and recovery adds SACK
-// blocks and timers — the two lossy pins fell 220 → 139 and 111 → 85
-// when recovery exchanges stopped leaving the lane (no segment boxed
-// into a Packet while a hole is open). A limit 10 % over the measured
+// into its simnet.Packet, one object per packet, and recovery adds
+// timers — the two lossy pins fell 220 → 139 and 111 → 85 when recovery
+// exchanges stopped leaving the lane (no segment boxed into a Packet
+// while a hole is open), then to 66 and 63 when SACK blocks moved into
+// the lane slots' side storage. A limit 10 % over the measured
 // count leaves room for set-up changes and none for one more allocation
 // per segment, packet or event (256 KB is ≈ 180 segments, 1 MB ≈ 720).
 func TestTransferAllocPins(t *testing.T) {
@@ -150,13 +151,14 @@ func TestTransferAllocPins(t *testing.T) {
 	}{
 		{"BulkTransfer", bulkTransfer, 54}, // also BenchmarkFastPathTransfer: one scenario
 		{"BulkTransferPacketLane", transferScenario{size: 1 << 20, path: clean20ms, packetLane: true}, 1489},
-		{"FastPathTurnsLossy", fastPathTurnsLossy, 139},
-		{"GilbertLossyTransfer", gilbertLossy(), 85},
+		{"FastPathTurnsLossy", fastPathTurnsLossy, 66},
+		{"GilbertLossyTransfer", gilbertLossy(), 63},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := make([]byte, tc.sc.size)
 			got := testing.AllocsPerRun(5, func() { tc.sc.run(t, 1, payload) })
+			t.Logf("MEASURED %s %v", tc.name, got)
 			if limit := tc.measured * 1.1; got > limit {
 				t.Errorf("one transfer allocated %.0f objects, more than 10 %% over the pinned %.0f",
 					got, tc.measured)

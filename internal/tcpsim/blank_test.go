@@ -3,6 +3,7 @@ package tcpsim
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,30 +178,32 @@ func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 	c.OnBlank = func(n int) { blanks = append(blanks, n) }
 	c.OnData = func(b []byte) { t.Fatalf("OnData got %d bytes of a content-free stream", len(b)) }
 	var acks []Segment
-	tn.client.Tap = func(ev TapEvent) {
+	var lastSACK []SACKBlock
+	tn.client.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
 		if ev.Dir == DirSend {
 			acks = append(acks, ev.Segment)
+			lastSACK = slices.Clone(sack)
 		}
 	}
 	base := c.rcvNxt
 	seg := func(off, n int) Segment {
-		return Segment{SrcPort: 80, DstPort: c.localPort, Flags: FlagACK, Seq: base + uint64(off), Ack: c.sndUna, Blank: n}
+		return Segment{SrcPort: 80, DstPort: c.localPort, Flags: FlagACK, Seq: base + uint64(off), Ack: c.sndUna, Len: uint32(n)}
 	}
 
-	c.handle(seg(1000, 500)) // beyond a hole: stored, SACKed
+	c.handle(seg(1000, 500), nil, nil) // beyond a hole: stored, SACKed
 	if len(c.ooo) != 1 || c.ooo[0].seq != base+1000 || c.ooo[0].n != 500 || c.ooo[0].data != nil {
 		t.Fatalf("out-of-order content-free segment stored as %+v", c.ooo)
 	}
-	if last := acks[len(acks)-1]; len(last.SACK) != 1 || last.SACK[0] != (SACKBlock{base + 1000, base + 1500}) || last.Ack != base {
-		t.Fatalf("dup ACK = %v SACK %v", last, last.SACK)
+	if last := acks[len(acks)-1]; last.NSACK != 1 || len(lastSACK) != 1 || lastSACK[0] != (SACKBlock{base + 1000, base + 1500}) || last.Ack != base {
+		t.Fatalf("dup ACK = %v SACK %v", last, lastSACK)
 	}
 
-	c.handle(seg(0, 1000)) // the hole: delivered, then the stored run drains
+	c.handle(seg(0, 1000), nil, nil) // the hole: delivered, then the stored run drains
 	if len(blanks) != 2 || blanks[0] != 1000 || blanks[1] != 500 || c.rcvNxt != base+1500 || len(c.ooo) != 0 {
 		t.Fatalf("after the hole fill: OnBlank %v, rcvNxt +%d, %d still buffered", blanks, c.rcvNxt-base, len(c.ooo))
 	}
 
-	c.handle(seg(1200, 800)) // retransmission cut differently: only its new tail counts
+	c.handle(seg(1200, 800), nil, nil) // retransmission cut differently: only its new tail counts
 	if len(blanks) != 3 || blanks[2] != 500 || c.rcvNxt != base+2000 {
 		t.Fatalf("after the partial overlap: OnBlank %v, rcvNxt +%d", blanks, c.rcvNxt-base)
 	}
@@ -223,26 +226,25 @@ func TestBlankMixedSegmentKeepsRealBytesInPlace(t *testing.T) {
 	for _, tc := range []struct {
 		seq, n uint64
 		data   string // "" = content-free
-		blank  int
 	}{
-		{1, 4, "HEAD", 0},
-		{5, 10, "", 10},
-		{7, 3, "", 3},
-		{3, 6, "AD\x00\x00\x00\x00", 0},
-		{13, 7, "\x00\x00MID\x00\x00", 0},
-		{1, 26, "HEAD" + string(make([]byte, 10)) + "MID" + string(make([]byte, 5)) + "TAIL", 0},
-		{23, 4, "TAIL", 0},
+		{1, 4, "HEAD"},
+		{5, 10, ""},
+		{7, 3, ""},
+		{3, 6, "AD\x00\x00\x00\x00"},
+		{13, 7, "\x00\x00MID\x00\x00"},
+		{1, 26, "HEAD" + string(make([]byte, 10)) + "MID" + string(make([]byte, 5)) + "TAIL"},
+		{23, 4, "TAIL"},
 	} {
-		data, blank := c.payload(tc.seq, tc.n)
-		if string(data) != tc.data || blank != tc.blank || (tc.data == "") != (data == nil) {
-			t.Fatalf("payload(%d,%d) = %q, %d; want %q, %d", tc.seq, tc.n, data, blank, tc.data, tc.blank)
+		data := c.payload(tc.seq, tc.n)
+		if string(data) != tc.data || (tc.data == "") != (data == nil) {
+			t.Fatalf("payload(%d,%d) = %q; want %q", tc.seq, tc.n, data, tc.data)
 		}
 	}
 	// Acknowledging into the middle of a run drops the runs below it and
 	// leaves that one whole; offsets still map.
 	c.sndNxt = c.sndEnd
 	c.advanceUna(9)
-	if data, _ := c.payload(13, 7); string(data) != "\x00\x00MID\x00\x00" || c.sndUna != 9 || len(c.sndq) != 4 || c.sndq[0].seq != 5 {
+	if data := c.payload(13, 7); string(data) != "\x00\x00MID\x00\x00" || c.sndUna != 9 || len(c.sndq) != 4 || c.sndq[0].seq != 5 {
 		t.Fatalf("after ack 9: payload(13,7) = %q, sndUna %d, runs %+v", data, c.sndUna, c.sndq)
 	}
 	c.advanceUna(27)

@@ -74,6 +74,9 @@ type Conn struct {
 	// during recovery.
 	sacked   []SACKBlock
 	lastHole uint64
+	// sackBuf holds the blocks of the segment seg last built (its NSACK
+	// of them), which transmit hands on beside it.
+	sackBuf [3]SACKBlock
 
 	// RTT estimation / RTO
 	srtt       time.Duration
@@ -325,22 +328,23 @@ func (c *Conn) seg(flags Flags, seq uint64) Segment {
 		DstPort: c.remotePort,
 		Flags:   flags,
 		Seq:     seq,
-		Wnd:     c.ep.cfg.RcvWindow,
+		Wnd:     uint32(c.ep.cfg.RcvWindow),
 	}
 	if flags&FlagACK != 0 {
 		s.Ack = c.rcvNxt
 		if c.ep.cfg.SACK && len(c.ooo) > 0 {
-			s.SACK = c.sackBlocks()
+			s.NSACK = c.sackBlocks()
 		}
 	}
 	return s
 }
 
-// dataSeg builds the data segment carrying stream range [seq, seq+n).
-func (c *Conn) dataSeg(seq, n uint64) Segment {
+// dataSeg builds the data segment carrying stream range [seq, seq+n) and
+// returns it with its bytes (nil inside a content-free run).
+func (c *Conn) dataSeg(seq, n uint64) (Segment, []byte) {
 	s := c.seg(FlagACK, seq)
-	s.Data, s.Blank = c.payload(seq, n)
-	return s
+	s.Len = uint32(n)
+	return s, c.payload(seq, n)
 }
 
 // sortSACK is an allocation-free insertion sort for the sender's SACK
@@ -357,14 +361,12 @@ func sortSACK(a []SACKBlock) {
 
 // sackBlocks merges the out-of-order buffer into up to three
 // selective-ack ranges (RFC 2018 limits blocks to what fits the TCP
-// option space).
-func (c *Conn) sackBlocks() []SACKBlock {
-	// The returned slice is aliased by in-flight segments until
-	// delivery, so it cannot come from a per-connection scratch; a
-	// single cap-3 allocation replaces append's doubling growth. The
-	// hole list is sorted — no per-ACK sort (this runs for every ACK
-	// while a hole is open).
-	blocks := make([]SACKBlock, 0, 3)
+// option space) in sackBuf and returns their count. The hole list is
+// sorted — no per-ACK sort (this runs for every ACK while a hole is
+// open) — and nothing is allocated: the blocks travel by value in the
+// lane slot's side storage.
+func (c *Conn) sackBlocks() uint8 {
+	blocks := c.sackBuf[:0]
 	for _, d := range c.ooo {
 		k, end := d.seq, d.seq+uint64(d.n)
 		if n := len(blocks); n > 0 && blocks[n-1].End >= k {
@@ -380,7 +382,7 @@ func (c *Conn) sackBlocks() []SACKBlock {
 		}
 		blocks = append(blocks, SACKBlock{Start: k, End: end})
 	}
-	return blocks
+	return uint8(len(blocks))
 }
 
 // addSACK folds the peer's reported blocks into the sender scoreboard,
@@ -471,7 +473,7 @@ func (c *Conn) retransmitHole(from uint64) bool {
 		if c.finSent && start == c.finSeq {
 			s := c.seg(FlagFIN|FlagACK, c.finSeq)
 			s.Retrans = true
-			c.transmit(s)
+			c.transmit(s, nil)
 			c.lastHole = start + 1
 			return true
 		}
@@ -487,9 +489,9 @@ func (c *Conn) retransmitHole(from uint64) bool {
 			n = b.Start - start
 		}
 	}
-	s := c.dataSeg(start, n)
+	s, data := c.dataSeg(start, n)
 	s.Retrans = true
-	c.transmit(s)
+	c.transmit(s, data)
 	c.lastHole = start + n
 	return true
 }
@@ -498,9 +500,9 @@ func (c *Conn) retransmitHole(from uint64) bool {
 // [seq, seq+n), which must lie at or above sndUna: a subslice of the one
 // queued run that holds it — zero-copy, safe because queued bytes are
 // never modified (the capacity cap keeps a misbehaving receiver from
-// appending into the sender's slice) — or, inside a content-free run, no
-// bytes and the length.
-func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
+// appending into the sender's slice) — or, inside a content-free run,
+// nil.
+func (c *Conn) payload(seq, n uint64) []byte {
 	i := 0
 	for c.sndq[i].end <= seq {
 		i++
@@ -508,10 +510,10 @@ func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
 	end := seq + n
 	if r := c.sndq[i]; end <= r.end {
 		if r.data == nil {
-			return nil, int(n)
+			return nil
 		}
 		off := seq - r.seq
-		return r.data[off : off+n : off+n], 0
+		return r.data[off : off+n : off+n]
 	}
 	// The range straddles runs (a header sharing a segment with its
 	// body, chunk framing, a retransmission cut differently from the
@@ -524,10 +526,11 @@ func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
 			copy(buf[lo-seq:], r.data[lo-r.seq:])
 		}
 	}
-	return buf, 0
+	return buf
 }
 
-// transmit sends s on the fast lane — or, only while the engine is
+// transmit sends s, its bytes and the SACK blocks seg left in sackBuf
+// on the fast lane — or, only while the engine is
 // switched off (SetFastPathEnabled(false), the differential tests'
 // reference run), as a packet event on the heap. The steady-state cost
 // is two generation compares; resolution runs on an incarnation's first
@@ -541,12 +544,12 @@ func (c *Conn) payload(seq, n uint64) (data []byte, blank int) {
 // forwarding handler behave exactly as on the packet path. A closed
 // connection's late segment (a delayed ACK) rides its ring like any
 // other.
-func (c *Conn) transmit(s Segment) {
-	c.bytesSent += uint64(s.PayloadLen())
+func (c *Conn) transmit(s Segment, data []byte) {
+	c.bytesSent += uint64(s.Len)
 	switch {
 	case !c.fwdPath.Valid():
 		if !c.resolveFast() {
-			c.ep.send(c.remote, s)
+			c.ep.send(c.remote, s, data, c.sackBuf[:s.NSACK])
 			return
 		}
 	case c.peer == nil:
@@ -561,7 +564,7 @@ func (c *Conn) transmit(s Segment) {
 		c.peer = nil
 		c.retarget(nil, c.peerEp)
 	}
-	c.fastSend(s)
+	c.fastSend(s, data)
 }
 
 // resolveFast (re)derives the fast-lane cache: the path handle, and the
@@ -621,10 +624,11 @@ func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 // number drawn exactly where Network.Send's heap push would have drawn
 // it. See docs/PERF.md for why the result is bit-identical to the
 // packet path.
-func (c *Conn) fastSend(s Segment) {
+func (c *Conn) fastSend(s Segment, data []byte) {
 	e := c.ep
+	sack := c.sackBuf[:s.NSACK]
 	if e.Tap != nil {
-		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(c.remote), Segment: s})
+		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(c.remote), Segment: s}, data, sack)
 	}
 	if m := e.Metrics; m != nil {
 		m.SegsSent.Inc()
@@ -632,7 +636,7 @@ func (c *Conn) fastSend(s Segment) {
 			m.Retransmits.Inc()
 		}
 	}
-	arrival, dropped := c.fwdPath.Transmit(e.cfg.HeaderSize + s.PayloadLen())
+	arrival, dropped := c.fwdPath.Transmit(e.cfg.HeaderSize + int(s.Len))
 	if dropped {
 		// The loss process consumed the segment at send time — exactly
 		// the draw Network.Send would have made; nothing is scheduled in
@@ -649,21 +653,21 @@ func (c *Conn) fastSend(s Segment) {
 		r = &fastRing{dst: r.dst, dstEp: r.dstEp, dstGen: r.dstGen, src: r.src, to: r.to}
 		c.ring = r
 	}
-	c.lane.enqueue(r, fastEvent{at: arrival, seq: e.Sim().TakeSeq(), seg: s})
+	c.lane.enqueue(r, fastEvent{at: arrival, seq: e.Sim().TakeSeq(), seg: s}, data, sack)
 }
 
 // sendSYN begins the client handshake.
 func (c *Conn) sendSYN() {
 	c.sndNxt = 1
 	c.startTimed(1)
-	c.transmit(c.seg(FlagSYN, 0))
+	c.transmit(c.seg(FlagSYN, 0), nil)
 	c.armTimer(c.rto)
 }
 
 func (c *Conn) sendSynAck() {
 	c.sndNxt = 1
 	c.startTimed(1)
-	c.transmit(c.seg(FlagSYN|FlagACK, 0))
+	c.transmit(c.seg(FlagSYN|FlagACK, 0), nil)
 	c.armTimer(c.rto)
 }
 
@@ -671,7 +675,7 @@ func (c *Conn) sendSynAck() {
 func (c *Conn) sendAck() {
 	c.ackPending = 0
 	c.ackTimerGen++
-	c.transmit(c.seg(FlagACK, c.sndNxt))
+	c.transmit(c.seg(FlagACK, c.sndNxt), nil)
 }
 
 // scheduleAck acknowledges received data, immediately or delayed per
@@ -873,12 +877,12 @@ func (c *Conn) retransmitOldest() {
 	case stateSynSent:
 		s := c.seg(FlagSYN, 0)
 		s.Retrans = true
-		c.transmit(s)
+		c.transmit(s, nil)
 		return
 	case stateSynRcvd:
 		s := c.seg(FlagSYN|FlagACK, 0)
 		s.Retrans = true
-		c.transmit(s)
+		c.transmit(s, nil)
 		return
 	}
 	if c.sndUna < c.sndEnd {
@@ -886,28 +890,29 @@ func (c *Conn) retransmitOldest() {
 		if n > c.sndEnd-c.sndUna {
 			n = c.sndEnd - c.sndUna
 		}
-		s := c.dataSeg(c.sndUna, n)
+		s, data := c.dataSeg(c.sndUna, n)
 		s.Retrans = true
-		c.transmit(s)
+		c.transmit(s, data)
 		return
 	}
 	if c.finSent && c.sndUna == c.finSeq {
 		s := c.seg(FlagFIN|FlagACK, c.finSeq)
 		s.Retrans = true
-		c.transmit(s)
+		c.transmit(s, nil)
 	}
 }
 
 // --- receive path ---
 
-// handle processes one incoming segment.
-func (c *Conn) handle(s Segment) {
+// handle processes one incoming segment, its payload bytes and its SACK
+// blocks.
+func (c *Conn) handle(s Segment, data []byte, sack []SACKBlock) {
 	switch c.st {
 	case stateSynSent:
 		if s.Flags&FlagSYN != 0 && s.Flags&FlagACK != 0 && s.Ack >= 1 {
 			c.rcvNxt = s.Seq + 1
 			c.sndUna = 1
-			c.peerWnd = s.Wnd
+			c.peerWnd = int(s.Wnd)
 			if c.timedValid && s.Ack >= c.timedSeq {
 				c.sampleRTT()
 			}
@@ -929,15 +934,15 @@ func (c *Conn) handle(s Segment) {
 		}
 		if s.Flags&FlagACK != 0 && s.Ack >= 1 {
 			c.sndUna = 1
-			c.peerWnd = s.Wnd
+			c.peerWnd = int(s.Wnd)
 			if c.timedValid && s.Ack >= c.timedSeq {
 				c.sampleRTT()
 			}
 			c.cancelTimer()
 			c.establish()
 			// The establishing segment may carry data; fall through.
-			if s.PayloadLen() > 0 || s.Flags&FlagFIN != 0 {
-				c.processPayload(s)
+			if s.Len > 0 || s.Flags&FlagFIN != 0 {
+				c.processPayload(s, data)
 			}
 			c.trySend()
 		}
@@ -954,10 +959,10 @@ func (c *Conn) handle(s Segment) {
 		return
 	}
 	if s.Flags&FlagACK != 0 {
-		c.processAck(s)
+		c.processAck(s, sack)
 	}
-	if s.PayloadLen() > 0 || s.Flags&FlagFIN != 0 {
-		c.processPayload(s)
+	if s.Len > 0 || s.Flags&FlagFIN != 0 {
+		c.processPayload(s, data)
 	}
 	c.maybeFinish()
 }
@@ -977,11 +982,11 @@ func (c *Conn) establish() {
 }
 
 // processAck handles the acknowledgment field of an incoming segment.
-func (c *Conn) processAck(s Segment) {
-	c.peerWnd = s.Wnd
+func (c *Conn) processAck(s Segment, sack []SACKBlock) {
+	c.peerWnd = int(s.Wnd)
 	mss := float64(c.ep.cfg.MSS)
-	if c.ep.cfg.SACK && len(s.SACK) > 0 {
-		c.addSACK(s.SACK)
+	if c.ep.cfg.SACK && len(sack) > 0 {
+		c.addSACK(sack)
 	}
 
 	if s.Ack > c.sndUna {
@@ -1029,7 +1034,7 @@ func (c *Conn) processAck(s Segment) {
 
 	// Possible duplicate ACK: pure ACK, no data, nothing new acked,
 	// with data outstanding.
-	if s.Ack == c.sndUna && s.PayloadLen() == 0 && s.Flags&FlagFIN == 0 &&
+	if s.Ack == c.sndUna && s.Len == 0 && s.Flags&FlagFIN == 0 &&
 		c.sndNxt > c.sndUna {
 		c.dupAcks++
 		if m := c.ep.Metrics; m != nil {
@@ -1104,8 +1109,8 @@ type oooSeg struct {
 }
 
 // processPayload handles data bytes and FIN of an incoming segment.
-func (c *Conn) processPayload(s Segment) {
-	plen := s.PayloadLen()
+func (c *Conn) processPayload(s Segment, data []byte) {
+	plen := int(s.Len)
 	dataEnd := s.Seq + uint64(plen)
 
 	switch {
@@ -1113,7 +1118,7 @@ func (c *Conn) processPayload(s Segment) {
 		// In-order: deliver, then drain any contiguous out-of-order
 		// segments.
 		if plen > 0 {
-			c.deliver(s.Data, plen)
+			c.deliver(data, plen)
 			c.rcvNxt = dataEnd
 		}
 		drained := c.drainOOO()
@@ -1139,7 +1144,7 @@ func (c *Conn) processPayload(s Segment) {
 				i--
 			}
 			if i == 0 || c.ooo[i-1].seq != s.Seq {
-				c.ooo = slices.Insert(c.ooo, i, oooSeg{seq: s.Seq, n: plen, data: s.Data})
+				c.ooo = slices.Insert(c.ooo, i, oooSeg{seq: s.Seq, n: plen, data: data})
 			}
 		}
 		if s.Flags&FlagFIN != 0 {
@@ -1150,7 +1155,7 @@ func (c *Conn) processPayload(s Segment) {
 	default: // s.Seq < c.rcvNxt
 		if dataEnd > c.rcvNxt {
 			// Partially new: deliver the new tail.
-			tail := s.Data
+			tail := data
 			if tail != nil {
 				tail = tail[c.rcvNxt-s.Seq:]
 			}
@@ -1256,13 +1261,13 @@ func (c *Conn) trySend() {
 		if n == 0 {
 			return
 		}
-		s := c.dataSeg(c.sndNxt, n)
+		s, data := c.dataSeg(c.sndNxt, n)
 		if c.sndNxt < c.maxSent {
 			s.Retrans = true // go-back-N resend after an RTO
 		} else {
 			c.startTimed(c.sndNxt + n) // Karn: time first transmissions only
 		}
-		c.transmit(s)
+		c.transmit(s, data)
 		c.sndNxt += n
 		if c.sndNxt > c.maxSent {
 			c.maxSent = c.sndNxt
@@ -1279,7 +1284,7 @@ func (c *Conn) trySend() {
 		if c.finSeq < c.maxSent {
 			s.Retrans = true
 		}
-		c.transmit(s)
+		c.transmit(s, nil)
 		c.sndNxt = c.sndEnd + 1
 		if c.sndNxt > c.maxSent {
 			c.maxSent = c.sndNxt

@@ -59,8 +59,10 @@ type Endpoint struct {
 	free []*Conn
 
 	// Tap, when non-nil, observes every segment this endpoint sends or
-	// receives. Used for packet capture.
-	Tap func(TapEvent)
+	// receives, with its payload bytes (nil when content-free; the
+	// sender's memory, never to be modified) and its SACK blocks (valid
+	// only during the call). Used for packet capture.
+	Tap func(ev TapEvent, data []byte, sack []SACKBlock)
 
 	// Metrics, when non-nil, mirrors stack activity (segments,
 	// retransmissions, RTOs, cwnd samples) into the observability
@@ -124,44 +126,67 @@ func (e *Endpoint) allocPort() uint16 {
 	}
 }
 
+// wireSeg is a segment as a heap packet carries it: boxed into
+// Packet.Payload with its bytes and SACK blocks. Only the engine-off
+// packet path (the differential tests' reference run) and a lane
+// delivery to a host whose handler is not an *Endpoint build one.
+type wireSeg struct {
+	Segment
+	data []byte
+	sack [3]SACKBlock
+}
+
+func box(seg Segment, data []byte, sack []SACKBlock) *wireSeg {
+	w := &wireSeg{Segment: seg, data: data}
+	copy(w.sack[:], sack)
+	return w
+}
+
 // Deliver implements simnet.Handler: demultiplex to a connection or a
 // listener.
 func (e *Endpoint) Deliver(pkt simnet.Packet) {
-	seg, ok := pkt.Payload.(Segment)
+	w, ok := pkt.Payload.(*wireSeg)
 	if !ok {
 		return // not TCP; ignore
 	}
+	e.deliver(pkt.From, w.Segment, w.data, w.sack[:w.NSACK])
+}
+
+// deliver is Deliver for an unboxed segment from host from: the tap,
+// the metrics, then the demux.
+func (e *Endpoint) deliver(from simnet.HostID, seg Segment, data []byte, sack []SACKBlock) {
 	if e.Tap != nil {
-		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirRecv, Remote: string(pkt.From), Segment: seg})
+		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirRecv, Remote: string(from), Segment: seg}, data, sack)
 	}
 	if m := e.Metrics; m != nil {
 		m.SegsRecv.Inc()
 	}
-	key := connKey{pkt.From, seg.SrcPort, seg.DstPort}
+	key := connKey{from, seg.SrcPort, seg.DstPort}
 	if c, ok := e.conns[key]; ok {
-		c.handle(seg)
+		c.handle(seg, data, sack)
 		return
 	}
 	// New connection? Only a SYN to a listening port is acceptable.
 	if seg.Flags&FlagSYN != 0 && seg.Flags&FlagACK == 0 {
 		if l, ok := e.listeners[seg.DstPort]; ok && !l.closed {
-			c := newConn(e, pkt.From, seg.SrcPort, seg.DstPort, true)
+			c := newConn(e, from, seg.SrcPort, seg.DstPort, true)
 			c.acceptFn = l.accept
 			e.conns[key] = c
 			if m := e.Metrics; m != nil {
 				m.ConnsOpened.Inc()
 			}
-			c.handle(seg)
+			c.handle(seg, data, sack)
 		}
 	}
 	// Anything else (stray segment to a closed conn) is dropped; real
 	// stacks send RST, which nothing in this simulation would consume.
 }
 
-// send transmits a segment to remote, invoking the tap.
-func (e *Endpoint) send(remote simnet.HostID, seg Segment) {
+// send transmits a segment to remote as a heap packet event, invoking
+// the tap.
+func (e *Endpoint) send(remote simnet.HostID, seg Segment, data []byte, sack []SACKBlock) {
 	if e.Tap != nil {
-		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(remote), Segment: seg})
+		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(remote), Segment: seg}, data, sack)
 	}
 	if m := e.Metrics; m != nil {
 		m.SegsSent.Inc()
@@ -172,8 +197,8 @@ func (e *Endpoint) send(remote simnet.HostID, seg Segment) {
 	e.net.Send(simnet.Packet{
 		From:    e.host,
 		To:      remote,
-		Size:    e.cfg.HeaderSize + seg.PayloadLen(),
-		Payload: seg,
+		Size:    e.cfg.HeaderSize + int(seg.Len),
+		Payload: box(seg, data, sack),
 	})
 }
 

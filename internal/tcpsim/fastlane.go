@@ -25,18 +25,33 @@ import (
 // clamp makes arrival times monotone per directed path — and sequence
 // numbers only grow — so (at, seq) is monotone within a ring and a
 // plain append replaces the O(log n) sift of a unified heap. Only the
-// ring heap sifts, and it moves single pointers, not 100-byte events
-// full of GC-visible slices (the write barriers on those swaps
-// dominated the unified-heap profile). Slot arrays belong to the lane,
-// not to connections: a ring holds one only while it is in the heap.
+// ring heap sifts, and it moves single pointers. A slot is a 48-byte,
+// pointer-free event beside its payload slice, and a SACK column at the
+// same index holds the few ACKs' blocks, so an event copy is a few
+// register moves and one word per slot is GC-visible. Slot arrays
+// belong to the lane, not to connections: a ring holds them only while
+// it is in the heap.
 
 // fastEvent is one pending segment delivery. The destination state
 // lives on the ring (constant per connection), so the event is just
-// the heap-slot key and the segment.
+// the heap-slot key and the segment header.
 type fastEvent struct {
 	at  simnet.Time
 	seq uint64
 	seg Segment
+}
+
+// slot is one ring entry: a delivery and its payload bytes.
+type slot struct {
+	ev   fastEvent
+	data []byte
+}
+
+// slots is a ring's storage: the entries and, index for index, their
+// SACK blocks — a column the first push that carries blocks allocates.
+type slots struct {
+	evs  []slot // power-of-two length; nil when the ring is empty
+	sack [][3]SACKBlock
 }
 
 // fastRing is one connection-direction's pending deliveries: a FIFO
@@ -51,7 +66,7 @@ type fastRing struct {
 	src    *Endpoint // the sender: a delivered packet's From and Size
 	to     simnet.HostID
 
-	evs  []fastEvent // ring storage, power-of-two length; nil when n == 0
+	slots
 	head int
 	n    int
 
@@ -62,41 +77,58 @@ type fastRing struct {
 	tailAt  simnet.Time // last pushed time, for monotonicity checks
 }
 
-// push appends one event; the caller has verified monotonicity.
-func (r *fastRing) push(ev fastEvent) {
+// push appends one event with its bytes and SACK blocks; the caller has
+// verified monotonicity.
+func (r *fastRing) push(ev fastEvent, data []byte, sack []SACKBlock) {
 	if r.n == len(r.evs) {
 		r.grow()
 	}
-	r.evs[(r.head+r.n)&(len(r.evs)-1)] = ev
+	i := (r.head + r.n) & (len(r.evs) - 1)
+	r.evs[i].ev = ev
+	r.evs[i].data = data
+	if len(sack) > 0 {
+		if r.sack == nil {
+			r.sack = make([][3]SACKBlock, len(r.evs))
+		}
+		copy(r.sack[i][:], sack)
+	}
 	r.n++
 	r.tailAt = ev.at
 }
 
 func (r *fastRing) grow() {
-	old := r.evs
-	size := 2 * len(old)
+	old := r.slots
+	size := 2 * len(old.evs)
 	if size == 0 {
 		size = 16
 	}
-	evs := make([]fastEvent, size)
-	for i := 0; i < r.n; i++ {
-		evs[i] = old[(r.head+i)&(len(old)-1)]
+	r.evs = make([]slot, size)
+	r.sack = nil
+	if old.sack != nil {
+		r.sack = make([][3]SACKBlock, size)
 	}
-	r.evs = evs
+	mask := len(old.evs) - 1
+	for i := 0; i < r.n; i++ {
+		j := (r.head + i) & mask
+		r.evs[i] = old.evs[j]
+		if old.sack != nil {
+			r.sack[i] = old.sack[j]
+		}
+	}
 	r.head = 0
 }
 
-// pop removes and returns the head event. Only valid when n > 0.
-func (r *fastRing) pop() fastEvent {
-	ev := r.evs[r.head]
-	r.evs[r.head] = fastEvent{} // release the payload for the GC
-	r.head = (r.head + 1) & (len(r.evs) - 1)
+// pop removes the head event and returns its slot index, valid until
+// the next push. Only valid when n > 0.
+func (r *fastRing) pop() int {
+	i := r.head
+	r.head = (i + 1) & (len(r.evs) - 1)
 	r.n--
 	if r.n > 0 {
-		h := &r.evs[r.head]
+		h := &r.evs[r.head].ev
 		r.headAt, r.headSeq = h.at, h.seq
 	}
-	return ev
+	return i
 }
 
 // fastLane implements simnet.FastLane: a 4-ary min-heap of non-empty
@@ -105,7 +137,10 @@ type fastLane struct {
 	sim   *simnet.Sim
 	rings []*fastRing
 	total int
-	free  [][]fastEvent // drained rings' zeroed slot arrays, reused LIFO
+	free  []slots // drained rings' storage, reused LIFO
+	// sack holds the SACK blocks of the delivery in flight: its slot
+	// may be reused by a push from the receiver's handler.
+	sack [3]SACKBlock
 }
 
 // laneFor returns the simulator's fast lane, creating and attaching one
@@ -123,16 +158,16 @@ func laneFor(sim *simnet.Sim) *fastLane {
 // enqueue queues one delivery on r, entering r into the ring heap with
 // a freed slot array if it was empty. An already-queued ring's head is
 // unchanged by an append, so the common case is heap-free: O(1).
-func (l *fastLane) enqueue(r *fastRing, ev fastEvent) {
+func (l *fastLane) enqueue(r *fastRing, ev fastEvent, data []byte, sack []SACKBlock) {
 	if r.n == 0 {
 		r.headAt, r.headSeq = ev.at, ev.seq
 		if n := len(l.free); n > 0 {
-			r.evs, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+			r.slots, l.free[n-1], l.free = l.free[n-1], slots{}, l.free[:n-1]
 		}
 		l.rings = append(l.rings, r)
 		l.siftUp(len(l.rings) - 1)
 	}
-	r.push(ev)
+	r.push(ev, data, sack)
 	l.total++
 }
 
@@ -202,51 +237,63 @@ func (l *fastLane) Len() int { return l.total }
 // When the ring's destination connection is resolved and its endpoint's
 // demux table has not changed since, delivery goes straight to
 // Conn.handle — the tap and metrics updates are exactly those
-// Endpoint.Deliver performs. Otherwise (no resolved connection, a peer
-// host behind another handler, a connection closed since the segment
-// departed) the segment is delivered as the packet it would have been,
-// through the same host-table lookup a heap packet event pops into —
-// which reproduces the packet path's behaviour bit for bit, including
-// dropping segments addressed to a connection or host that no longer
-// exists.
+// Endpoint.Deliver performs. Otherwise (no resolved connection, a
+// connection closed since the segment departed) the segment takes the
+// host-table route a heap packet event pops into: to the endpoint's
+// full demux when the peer host's handler is still that *Endpoint, and
+// as a boxed Packet through Network.DeliverNow only when it is some
+// other handler (a forwarder, a dropper) — which reproduces the packet
+// path's behaviour bit for bit, including dropping segments addressed
+// to a connection or host that no longer exists.
 func (l *fastLane) RunHead() {
-	r, ev := l.next()
+	r, ev, data, sack := l.next()
 	ep := r.dstEp
-	if r.dst == nil || ep.demuxGen != r.dstGen {
+	switch {
+	case r.dst != nil && ep.demuxGen == r.dstGen:
+		if ep.Tap != nil {
+			ep.Tap(TapEvent{Time: l.sim.Now(), Dir: DirRecv, Remote: string(r.src.host), Segment: ev.seg}, data, sack)
+		}
+		if m := ep.Metrics; m != nil {
+			m.SegsRecv.Inc()
+		}
+		r.dst.handle(ev.seg, data, sack)
+	case ep != nil && r.src.net.Handler(r.to) == simnet.Handler(ep):
+		ep.deliver(r.src.host, ev.seg, data, sack)
+	default:
 		src := r.src
 		src.net.DeliverNow(simnet.Packet{
 			From:    src.host,
 			To:      r.to,
-			Size:    src.cfg.HeaderSize + ev.seg.PayloadLen(),
-			Payload: ev.seg,
+			Size:    src.cfg.HeaderSize + int(ev.seg.Len),
+			Payload: box(ev.seg, data, sack),
 		})
-		return
 	}
-	if ep.Tap != nil {
-		ep.Tap(TapEvent{Time: l.sim.Now(), Dir: DirRecv, Remote: string(r.src.host), Segment: ev.seg})
-	}
-	if m := ep.Metrics; m != nil {
-		m.SegsRecv.Inc()
-	}
-	r.dst.handle(ev.seg)
 }
 
-// next removes the earliest pending delivery and restores the ring
-// heap. A ring its pop drained leaves the heap and frees its slot array.
-func (l *fastLane) next() (*fastRing, fastEvent) {
+// next removes the earliest pending delivery — its event, bytes and
+// SACK blocks (copied to l.sack) — and restores the ring heap. A ring
+// its pop drained leaves the heap and frees its storage.
+func (l *fastLane) next() (*fastRing, fastEvent, []byte, []SACKBlock) {
 	r := l.rings[0]
-	ev := r.pop()
+	i := r.pop()
+	ev, data := r.evs[i].ev, r.evs[i].data
+	r.evs[i].data = nil // release the payload for the GC
+	var sack []SACKBlock
+	if ev.seg.NSACK > 0 {
+		l.sack = r.sack[i]
+		sack = l.sack[:ev.seg.NSACK]
+	}
 	l.total--
 	if r.n == 0 {
 		last := len(l.rings) - 1
 		l.rings[0] = l.rings[last]
 		l.rings[last] = nil
 		l.rings = l.rings[:last]
-		l.free = append(l.free, r.evs)
-		r.evs, r.head = nil, 0
+		l.free = append(l.free, r.slots)
+		r.slots, r.head = slots{}, 0
 	}
 	if len(l.rings) > 1 {
 		l.siftDown()
 	}
-	return r, ev
+	return r, ev, data, sack
 }

@@ -17,8 +17,9 @@ import (
 // connection metrics, the same final clock. These tests run randomized
 // and adversarially-timed scenarios both ways and diff the transcripts.
 
-// obsEvent is a TapEvent reduced to comparable fields (Data collapses
-// to its length; the stream-integrity tests already cover contents).
+// obsEvent is a TapEvent reduced to comparable fields, with its SACK
+// blocks (the payload collapses to its length; the stream-integrity
+// tests already cover contents).
 type obsEvent struct {
 	at      time.Duration
 	host    string
@@ -29,6 +30,7 @@ type obsEvent struct {
 	ack     uint64
 	dataLen int
 	retrans bool
+	sack    [3]SACKBlock
 }
 
 // transcript is everything observable about one scenario run.
@@ -46,9 +48,9 @@ type transcript struct {
 }
 
 // tap returns the Endpoint.Tap that appends host's events to tr.
-func (tr *transcript) tap(host string) func(TapEvent) {
-	return func(ev TapEvent) {
-		tr.events = append(tr.events, obsEvent{
+func (tr *transcript) tap(host string) func(TapEvent, []byte, []SACKBlock) {
+	return func(ev TapEvent, data []byte, sack []SACKBlock) {
+		o := obsEvent{
 			at:      ev.Time,
 			host:    host,
 			dir:     ev.Dir,
@@ -56,9 +58,11 @@ func (tr *transcript) tap(host string) func(TapEvent) {
 			flags:   ev.Segment.Flags,
 			seq:     ev.Segment.Seq,
 			ack:     ev.Segment.Ack,
-			dataLen: ev.Segment.PayloadLen(),
+			dataLen: int(ev.Segment.Len),
 			retrans: ev.Segment.Retrans,
-		})
+		}
+		copy(o.sack[:], sack)
+		tr.events = append(tr.events, o)
 	}
 }
 
@@ -273,9 +277,9 @@ func TestFastPathFallbackBoundary(t *testing.T) {
 			mutate := func(n *simnet.Network, tn *testNet) {
 				sent := 0
 				inner := tn.server.Tap
-				tn.server.Tap = func(ev TapEvent) {
-					inner(ev)
-					if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
+				tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+					inner(ev, data, sack)
+					if ev.Dir == DirSend && len(data) > 0 && !ev.Segment.Retrans {
 						if sent == boundary.seg {
 							// Defer to after the current dispatch so both
 							// lanes see the flip at the same stream
@@ -370,9 +374,9 @@ func TestFastPathCarriesFormerFallbacks(t *testing.T) {
 		return func(n *simnet.Network, tn *testNet) {
 			sent := 0
 			inner := tn.server.Tap
-			tn.server.Tap = func(ev TapEvent) {
-				inner(ev)
-				if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && !ev.Segment.Retrans {
+			tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+				inner(ev, data, sack)
+				if ev.Dir == DirSend && len(data) > 0 && !ev.Segment.Retrans {
 					if sent == 20 {
 						tn.sim.Schedule(0, func() { apply(n, tn) })
 					}
@@ -463,4 +467,63 @@ func lateDelayedAck(t *testing.T, fast bool) *transcript {
 		t.Fatalf("the client sent nothing after it closed at %v", abortAt)
 	}
 	return tr
+}
+
+// demuxChurn is a transfer whose receiver's demux table keeps changing:
+// the server pushes one 100 KB flight (IW 100) through a 10 Mbit/s
+// bottleneck, and meanwhile the client opens and closes short
+// connections to a second host, each close bumping the client's
+// demuxGen. The server transmits nothing new once its flight is out, so
+// every flight segment delivered after the first close finds its ring's
+// resolution stale and takes the full demux. fallbacks counts those
+// deliveries on the fast run.
+func demuxChurn(t *testing.T, fast bool, fallbacks *int) *transcript {
+	s := fastScenario{seed: 5, delay: 10 * time.Millisecond, bandwidth: 10e6, size: 100 << 10, mss: 1460, iw: 100}
+	return s.run(t, fast, func(n *simnet.Network, tn *testNet) {
+		other := NewEndpoint(n, "s2", Config{})
+		n.SetLink("c", "s2", simnet.PathParams{Delay: time.Millisecond})
+		if _, err := other.Listen(81, func(c *Conn) {
+			c.Send(make([]byte, 500))
+			c.Close()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 12 {
+			tn.sim.Schedule(time.Duration(25+8*i)*time.Millisecond, func() {
+				c := tn.client.Dial("s2", 81)
+				c.OnClose = c.Close
+			})
+		}
+		inner := tn.client.Tap
+		tn.client.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+			inner(ev, data, sack)
+			if srv := tn.server.conns[connKey{"c", 40000, 80}]; fast && ev.Dir == DirRecv && ev.Segment.SrcPort == 80 &&
+				srv != nil && srv.ring != nil && srv.ring.dstGen != tn.client.demuxGen {
+				*fallbacks++
+			}
+		}
+	})
+}
+
+// TestFastPathDemuxChurnNeverBoxes: a lane delivery whose receiving
+// endpoint's demux table changed since the sender resolved it goes
+// through that endpoint's full demux — transcript-identical to the
+// engine-off run — without boxing the segment into a simnet.Packet. The
+// allocation pin (exact at the seed, 10 % of headroom) is smaller than
+// the number of such deliveries, so one allocation each would trip it.
+func TestFastPathDemuxChurnNeverBoxes(t *testing.T) {
+	fallbacks := 0
+	fastTr := demuxChurn(t, true, &fallbacks)
+	if d := fastTr.diff(demuxChurn(t, false, new(int))); d != "" {
+		t.Fatalf("diverged from the engine-off run: %s", d)
+	}
+	if fastTr.gotLen != 100<<10 {
+		t.Fatalf("delivered %d of %d bytes", fastTr.gotLen, 100<<10)
+	}
+	const measured = 253 // allocations per run at seed 5
+	allocs := testing.AllocsPerRun(3, func() { demuxChurn(t, true, new(int)) })
+	if limit := measured * 1.1; allocs > limit || fallbacks <= int(limit-measured)+1 {
+		t.Errorf("%.0f allocations per run (pinned %d), %d deliveries through the full demux: want allocations ≤ %.0f and more full-demux deliveries than the headroom",
+			allocs, measured, fallbacks, limit)
+	}
 }

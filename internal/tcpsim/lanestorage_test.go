@@ -1,7 +1,6 @@
 package tcpsim
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -112,7 +111,8 @@ func TestLaneStorageFollowsInFlight(t *testing.T) {
 // enqueues (bursts past a ring's 16 slots among them) and pops over up
 // to six rings, against a model of per-ring FIFOs merged in (at, seq)
 // order. The lane must pop the model's sequence and count what the
-// model holds, hand out only all-zero arrays from its free list, and
+// model holds — each event with its bytes and SACK blocks — hand out
+// only arrays with a cleared byte column from its free list, and
 // hold exactly as many arrays as the peak number of non-empty rings.
 // An op byte below 0xc0 enqueues a burst of 1 + op/6 on ring op%6; any
 // other pops 1 + op&0x1f deliveries.
@@ -124,7 +124,12 @@ func FuzzLaneRings(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		l := &fastLane{}
 		var rings [6]fastRing
-		var model []fastEvent
+		type want struct {
+			ev   fastEvent
+			data []byte
+			sack []SACKBlock
+		}
+		var model []want
 		var seq uint64
 		nonEmpty, peak := 0, 0
 		for _, op := range ops {
@@ -133,9 +138,9 @@ func FuzzLaneRings(f *testing.F) {
 				for range 1 + int(op)/6 {
 					if r.n == 0 {
 						if n := len(l.free); n > 0 {
-							for j, ev := range l.free[n-1] {
-								if !reflect.ValueOf(ev).IsZero() {
-									t.Fatalf("free array slot %d holds %+v", j, ev)
+							for j, e := range l.free[n-1].evs {
+								if e.data != nil {
+									t.Fatalf("free array slot %d still pins %d bytes", j, len(e.data))
 								}
 							}
 						}
@@ -143,10 +148,16 @@ func FuzzLaneRings(f *testing.F) {
 						peak = max(peak, nonEmpty)
 					}
 					seq++
-					ev := fastEvent{at: r.tailAt + simnet.Time(seq%3), seq: seq,
-						seg: Segment{Seq: seq, Data: data[:seq%8]}}
-					l.enqueue(r, ev)
-					model = append(model, ev)
+					w := want{ev: fastEvent{at: r.tailAt + simnet.Time(seq%3), seq: seq,
+						seg: Segment{Seq: seq, Len: uint32(seq % 8)}}, data: data[:seq%8]}
+					if seq%5 == 0 {
+						for k := range seq%3 + 1 {
+							w.sack = append(w.sack, SACKBlock{Start: seq + k, End: seq + k + 1})
+						}
+						w.ev.seg.NSACK = uint8(len(w.sack))
+					}
+					l.enqueue(r, w.ev, w.data, w.sack)
+					model = append(model, w)
 				}
 			} else {
 				for range 1 + int(op&0x1f) {
@@ -154,16 +165,17 @@ func FuzzLaneRings(f *testing.F) {
 						break
 					}
 					i := 0
-					for j, ev := range model {
-						if ev.at < model[i].at || ev.at == model[i].at && ev.seq < model[i].seq {
+					for j, w := range model {
+						if w.ev.at < model[i].ev.at || w.ev.at == model[i].ev.at && w.ev.seq < model[i].ev.seq {
 							i = j
 						}
 					}
-					want := model[i]
+					w := model[i]
 					model = slices.Delete(model, i, i+1)
-					r, got := l.next()
-					if got.at != want.at || got.seq != want.seq || got.seg.Seq != want.seg.Seq || len(got.seg.Data) != len(want.seg.Data) {
-						t.Fatalf("popped (%d, %d), model (%d, %d)", got.at, got.seq, want.at, want.seq)
+					r, got, data, sack := l.next()
+					if got != w.ev || len(data) != len(w.data) || !slices.Equal(sack, w.sack) {
+						t.Fatalf("popped %+v (%d bytes, SACK %v), model %+v (%d bytes, SACK %v)",
+							got, len(data), sack, w.ev, len(w.data), w.sack)
 					}
 					if r.n == 0 {
 						if r.evs != nil {

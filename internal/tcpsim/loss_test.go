@@ -127,12 +127,12 @@ func TestDelayedAckTimerFires(t *testing.T) {
 	client := NewEndpoint(n, "c", cfg)
 	server := NewEndpoint(n, "s", cfg)
 	var ackAt, dataAt time.Duration
-	server.Tap = func(ev TapEvent) {
-		if ev.Dir == DirRecv && len(ev.Segment.Data) == 0 &&
+	server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+		if ev.Dir == DirRecv && len(data) == 0 &&
 			ev.Segment.Flags == FlagACK && ev.Segment.Ack > 1 && ackAt == 0 {
 			ackAt = ev.Time
 		}
-		if ev.Dir == DirSend && len(ev.Segment.Data) > 0 && dataAt == 0 {
+		if ev.Dir == DirSend && len(data) > 0 && dataAt == 0 {
 			dataAt = ev.Time
 		}
 	}
@@ -158,7 +158,7 @@ func TestDelayedAckTimerFires(t *testing.T) {
 func TestRetransmissionsMarkedInTap(t *testing.T) {
 	sim, client, server := lossyWorld(23, 0, 0.1)
 	var retrans int
-	server.Tap = func(ev TapEvent) {
+	server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
 		if ev.Dir == DirSend && ev.Segment.Retrans {
 			retrans++
 		}

@@ -92,9 +92,9 @@ func TestSendDoesNotCopy(t *testing.T) {
 	}
 	mss := Config{}.withDefaults().MSS
 	var first []byte
-	tn.server.Tap = func(ev TapEvent) {
-		if ev.Dir == DirSend && first == nil && len(ev.Segment.Data) == mss {
-			first = ev.Segment.Data
+	tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+		if ev.Dir == DirSend && first == nil && len(data) == mss {
+			first = data
 		}
 	}
 	tn.client.Dial("s", 80)

@@ -18,7 +18,7 @@ type dropper struct {
 }
 
 func (d *dropper) Deliver(p simnet.Packet) {
-	if seg, ok := p.Payload.(Segment); ok && seg.PayloadLen() > 0 && !seg.Retrans {
+	if w, ok := p.Payload.(*wireSeg); ok && w.Len > 0 && !w.Retrans {
 		d.seen++
 		if d.drops[d.seen] {
 			return
@@ -70,10 +70,13 @@ func TestSACKReceiverReportsBlocks(t *testing.T) {
 	n.Attach("c", &dropper{h: client, drops: map[int]bool{2: true}})
 
 	sawSACK := false
-	server.Tap = func(ev TapEvent) {
-		if ev.Dir == DirRecv && len(ev.Segment.SACK) > 0 {
+	server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+		if int(ev.Segment.NSACK) != len(sack) {
+			t.Errorf("segment counts %d SACK blocks, the tap got %d", ev.Segment.NSACK, len(sack))
+		}
+		if ev.Dir == DirRecv && len(sack) > 0 {
 			sawSACK = true
-			for _, b := range ev.Segment.SACK {
+			for _, b := range sack {
 				if b.End <= b.Start {
 					t.Errorf("degenerate SACK block %+v", b)
 				}
@@ -174,7 +177,7 @@ func TestSACKScoreboardMergesAndPrunes(t *testing.T) {
 func TestSACKBlocksCapAtThree(t *testing.T) {
 	c := &Conn{ep: &Endpoint{cfg: Config{SACK: true}.withDefaults()},
 		ooo: []oooSeg{{seq: 10, n: 2}, {seq: 20, n: 2}, {seq: 30, n: 2}, {seq: 40, n: 2}, {seq: 50, n: 2}}}
-	blocks := c.sackBlocks()
+	blocks := c.sackBuf[:c.sackBlocks()]
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %d, want capped at 3", len(blocks))
 	}
@@ -192,7 +195,7 @@ func TestSACKContiguousOOOMergesToOneBlock(t *testing.T) {
 			{seq: 150, n: 50}, // contiguous, content-free
 			{seq: 300, n: 10, data: make([]byte, 10)},
 		}}
-	blocks := c.sackBlocks()
+	blocks := c.sackBuf[:c.sackBlocks()]
 	if len(blocks) != 2 || blocks[0] != (SACKBlock{100, 200}) || blocks[1] != (SACKBlock{300, 310}) {
 		t.Fatalf("blocks = %+v", blocks)
 	}

@@ -54,44 +54,31 @@ type SACKBlock struct {
 	Start, End uint64
 }
 
-// Segment is the TCP wire unit carried as a simnet packet payload.
-// Sequence numbers are absolute 64-bit byte offsets (no wraparound — the
-// simulator controls both ends, and search-response streams are far below
-// 2^64 bytes).
+// Segment is the TCP header of one wire unit: 32 bytes, pointer-free,
+// copied by value through the lane and the taps. Its payload bytes and
+// SACK blocks travel beside it (a lane slot's side storage, a boxed
+// packet's fields, a tap's arguments). Sequence numbers are absolute
+// 64-bit byte offsets (no wraparound — the simulator controls both ends,
+// and search-response streams are far below 2^64 bytes).
 type Segment struct {
+	Seq uint64 // first payload byte (or the SYN/FIN's sequence slot)
+	Ack uint64 // next byte expected from the peer (valid with FlagACK)
+	Wnd uint32 // advertised receive window in bytes
+	// Len is the payload length in bytes, whether or not the bytes
+	// travel with the segment: a content-free segment (see
+	// Conn.SendBlank) occupies sequence space and wire size only.
+	Len     uint32
 	SrcPort uint16
 	DstPort uint16
 	Flags   Flags
-	Retrans bool   // set on retransmissions (for traces/debugging)
-	Seq     uint64 // first payload byte (or the SYN/FIN's sequence slot)
-	Ack     uint64 // next byte expected from the peer (valid with FlagACK)
-	Wnd     int    // advertised receive window in bytes
-	Data    []byte // payload bytes; nil for control and content-free segments
-	// Blank is the payload length of a content-free segment: bytes that
-	// occupy sequence space and wire size but whose content no layer
-	// built (see Conn.SendBlank). Meaningful only when Data is nil; a
-	// segment is either all real bytes or all content-free. (Retrans
-	// sits beside Flags so this field does not grow the struct, which
-	// every captured event embeds.)
-	Blank int
-	// SACK carries up to three selective-ack blocks when the SACK
-	// option is enabled and the receiver holds out-of-order data.
-	SACK []SACKBlock
+	Retrans bool  // set on retransmissions (for traces/debugging)
+	NSACK   uint8 // selective-ack blocks carried beside the segment, ≤ 3
 }
 
-// PayloadLen returns the payload length in bytes, whether or not the
-// bytes themselves travel with the segment.
-func (s Segment) PayloadLen() int {
-	if s.Data != nil {
-		return len(s.Data)
-	}
-	return s.Blank
-}
-
-// Len returns the sequence-space length: payload bytes plus one for SYN
-// and one for FIN.
-func (s Segment) Len() uint64 {
-	n := uint64(s.PayloadLen())
+// SeqLen returns the sequence-space length: payload bytes plus one for
+// SYN and one for FIN.
+func (s Segment) SeqLen() uint64 {
+	n := uint64(s.Len)
 	if s.Flags&FlagSYN != 0 {
 		n++
 	}
@@ -104,7 +91,7 @@ func (s Segment) Len() uint64 {
 // String renders the segment for debugging.
 func (s Segment) String() string {
 	return fmt.Sprintf("[%s seq=%d ack=%d len=%d wnd=%d]",
-		s.Flags, s.Seq, s.Ack, s.PayloadLen(), s.Wnd)
+		s.Flags, s.Seq, s.Ack, s.Len, s.Wnd)
 }
 
 // Config tunes a TCP endpoint. Zero fields take the documented defaults
@@ -201,10 +188,11 @@ func (d Dir) String() string {
 
 // TapEvent reports one segment passing an endpoint, with the virtual time
 // it was sent or delivered. The capture package turns these into
-// tcpdump-like traces.
+// tcpdump-like traces. The segment's payload bytes and SACK blocks are
+// the tap's other two arguments (see Endpoint.Tap).
 type TapEvent struct {
 	Time    time.Duration
-	Dir     Dir
 	Remote  string // remote host ID
 	Segment Segment
+	Dir     Dir
 }

@@ -236,7 +236,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var srv *Conn
-	tn.server.Tap = func(ev TapEvent) {}
+	tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {}
 	var got int
 	c := tn.client.Dial("s", 80)
 	c.OnData = func(b []byte) { got += len(b) }
@@ -376,8 +376,8 @@ func TestDelayedAckReducesAckCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		acks := 0
-		tn.server.Tap = func(ev TapEvent) {
-			if ev.Dir == DirRecv && ev.Segment.Flags&FlagACK != 0 && len(ev.Segment.Data) == 0 {
+		tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+			if ev.Dir == DirRecv && ev.Segment.Flags&FlagACK != 0 && len(data) == 0 {
 				acks++
 			}
 		}
@@ -397,7 +397,7 @@ func TestTapSeesHandshake(t *testing.T) {
 	tn := newTestNet(t, simnet.PathParams{Delay: 10 * time.Millisecond}, Config{})
 	tn.echoServer(t)
 	var evs []TapEvent
-	tn.client.Tap = func(ev TapEvent) { evs = append(evs, ev) }
+	tn.client.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) { evs = append(evs, ev) }
 	c := tn.client.Dial("s", 80)
 	c.OnConnect = func() { c.Send([]byte("q")) }
 	c.OnData = func([]byte) { c.Close() }
@@ -419,19 +419,19 @@ func TestTapSeesHandshake(t *testing.T) {
 }
 
 func TestSegmentStringAndFlags(t *testing.T) {
-	s := Segment{Flags: FlagSYN | FlagACK, Seq: 5, Ack: 9, Data: []byte("ab")}
+	s := Segment{Flags: FlagSYN | FlagACK, Seq: 5, Ack: 9, Len: 2}
 	if s.String() == "" || s.Flags.String() != "SYN|ACK" {
 		t.Fatalf("String rendering broken: %v %v", s, s.Flags)
 	}
 	if Flags(0).String() != "-" {
 		t.Fatal("zero flags string")
 	}
-	if s.Len() != 3 { // SYN + 2 data bytes
-		t.Fatalf("Len = %d", s.Len())
+	if s.SeqLen() != 3 { // SYN + 2 data bytes
+		t.Fatalf("SeqLen = %d", s.SeqLen())
 	}
 	f := Segment{Flags: FlagFIN}
-	if f.Len() != 1 {
-		t.Fatalf("FIN Len = %d", f.Len())
+	if f.SeqLen() != 1 {
+		t.Fatalf("FIN SeqLen = %d", f.SeqLen())
 	}
 	if DirSend.String() != "send" || DirRecv.String() != "recv" {
 		t.Fatal("Dir strings")
@@ -467,10 +467,10 @@ func TestFlowControlRespectsPeerWindow(t *testing.T) {
 	}
 	var inFlightMax int
 	var acked, sent uint64
-	tn.server.Tap = func(ev TapEvent) {
+	tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
 		seg := ev.Segment
-		if ev.Dir == DirSend && len(seg.Data) > 0 && !seg.Retrans {
-			sent = seg.Seq + uint64(len(seg.Data))
+		if ev.Dir == DirSend && len(data) > 0 && !seg.Retrans {
+			sent = seg.Seq + uint64(len(data))
 			if int(sent-acked-1) > inFlightMax {
 				inFlightMax = int(sent - acked - 1)
 			}

@@ -21,7 +21,7 @@ var hostileSeqs = []uint64{0, 1<<63 - 10}
 
 func TestParseRejectsHostileSequence(t *testing.T) {
 	for _, seq := range hostileSeqs {
-		evs := mkEvents(10*time.Millisecond, []chunkSpec{
+		evs, _ := mkEvents(10*time.Millisecond, []chunkSpec{
 			{at: 30 * time.Millisecond, seq: 1, data: []byte("HELLO")},
 			{at: 35 * time.Millisecond, seq: seq, data: []byte("WORLD")},
 		})
@@ -72,7 +72,7 @@ func FuzzParse(f *testing.F) {
 		}
 		keys, sessions := tr.Sessions()
 		for _, k := range keys {
-			s, err := Parse(k, sessions[k])
+			s, err := ParseCaptured(k, sessions[k], tr.Payloads(k))
 			if err != nil {
 				continue
 			}

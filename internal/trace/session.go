@@ -13,8 +13,10 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,32 +64,55 @@ type Session struct {
 	// header included — the paper counts it as static content).
 	StreamLen int
 	// PayloadComplete is false when any inbound payload bytes are
-	// missing from the capture (timeline analysis still valid; content
-	// analysis is not).
+	// missing from the session: snapped or content-free in the capture,
+	// or captured but not handed to the parser (timeline analysis still
+	// valid; content analysis is not).
 	PayloadComplete bool
 
 	// Retransmissions seen in the capture (inbound data marked
 	// retransmitted).
 	Retransmissions int
 
-	events   []capture.Event // Parse's argument, borrowed: what Payload reassembles
-	arrivals []arrival       // sorted by stream offset, first arrivals only
-	boundary int             // located static/dynamic boundary, -1 if not set
+	events   []capture.Event // the parser's arguments, borrowed: what Payload reassembles
+	payloads [][]byte
+	arrivals []arrival // sorted by stream offset, first arrivals only
+	boundary int       // located static/dynamic boundary, -1 if not set
 }
 
-// Parse reconstructs a Session from one connection's client-side events.
-// Events must be in capture (time) order. The session keeps a reference
-// to events — not a copy — for Payload to read, so a caller that wants
-// the payload must leave them alone until it has it. An inbound data
-// packet outside the response stream (sequence number 0, or ending
-// beyond maxStream) is an error naming the event.
+// Parse reconstructs a Session's timeline from one connection's
+// client-side events, in capture (time) order. It reads no payload
+// bytes: a session whose capture holds some needs ParseCaptured for
+// Payload. An inbound data packet outside the response stream (sequence
+// number 0, or ending beyond maxStream) is an error naming the event.
 func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
-	s := &Session{Key: key, boundary: -1, PayloadComplete: true, events: events}
+	return ParseCaptured(key, events, nil)
+}
+
+// ParseCaptured is Parse with the captured bytes of the events
+// (capture.Recorder.Payloads: one slice per event with Cap > 0, in
+// order), which Payload reassembles. The session keeps references to
+// both — not copies — so a caller that wants the payload must leave
+// them alone until it has it.
+func ParseCaptured(key capture.ConnKey, events []capture.Event, payloads [][]byte) (*Session, error) {
+	s := &Session{Key: key, boundary: -1, PayloadComplete: true, events: events, payloads: payloads}
 	var (
 		sawSYN, sawSYNACK, sawGET, sawAckOfGET bool
 		reqLen                                 uint64
 		covered                                []span
+		inbound, captured                      int
 	)
+	for _, ev := range events {
+		if ev.Dir == tcpsim.DirRecv && ev.Len > 0 {
+			inbound++
+		}
+		if ev.Cap > 0 {
+			captured++
+		}
+	}
+	s.arrivals = make([]arrival, 0, inbound)
+	if captured != len(payloads) { // none given, or not these events'
+		s.PayloadComplete, s.payloads = false, nil
+	}
 	for i, ev := range events {
 		// Payload length survives snapping (tcpdump snaplen-style
 		// captures drop bytes but keep sizes).
@@ -142,7 +167,11 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 	if s.StreamLen == 0 {
 		return nil, ErrNoResponse
 	}
-	sort.Slice(s.arrivals, func(i, j int) bool { return s.arrivals[i].start < s.arrivals[j].start })
+	// First-arrival ranges are disjoint, so the order by start is total.
+	byStart := func(a, b arrival) int { return cmp.Compare(a.start, b.start) }
+	if !slices.IsSortedFunc(s.arrivals, byStart) {
+		slices.SortFunc(s.arrivals, byStart)
+	}
 	return s, nil
 }
 
@@ -200,20 +229,30 @@ func (s *Session) arrive(covered []span, start, end int, at time.Duration) []spa
 	return append(covered[:lo+1], covered[hi:]...)
 }
 
-// Payload reassembles the response byte stream from the events Parse was
-// given. It holds zeroes where bytes were not captured, and is nil when
-// the capture carries no response bytes at all (snapped, or a
-// length-only world); PayloadComplete reports whether every byte is
-// genuine. Each call builds a fresh StreamLen-byte slice: the one reader
-// is the cross-query content analysis, over a handful of sessions.
+// Payload reassembles the response byte stream from the captured bytes
+// ParseCaptured was given. It holds zeroes where bytes were not
+// captured, and is nil when the session has no response bytes at all
+// (snapped, a length-only world, or parsed without its payloads);
+// PayloadComplete reports whether every byte is genuine. Each call
+// builds a fresh StreamLen-byte slice: the one reader is the
+// cross-query content analysis, over a handful of sessions.
 func (s *Session) Payload() []byte {
+	if s.payloads == nil {
+		return nil
+	}
 	var p []byte
+	next := 0
 	for _, ev := range s.events {
-		if ev.Dir == tcpsim.DirRecv && ev.Len > 0 && len(ev.Data) > 0 {
+		if ev.Cap == 0 {
+			continue
+		}
+		data := s.payloads[next]
+		next++
+		if ev.Dir == tcpsim.DirRecv && ev.Len > 0 {
 			if p == nil {
 				p = make([]byte, s.StreamLen)
 			}
-			copy(p[ev.Seq-1:], ev.Data)
+			copy(p[ev.Seq-1:], data)
 		}
 	}
 	return p

@@ -10,7 +10,8 @@ import (
 )
 
 // mkEvents builds a synthetic client-side session: handshake at RTT,
-// GET at t1, ACK at t1+RTT, then response chunks at given times/offsets.
+// GET at t1, ACK at t1+RTT, then response chunks at given times/offsets;
+// and the bytes its events captured.
 type chunkSpec struct {
 	at    time.Duration
 	seq   uint64 // TCP seq (stream offset + 1)
@@ -18,26 +19,30 @@ type chunkSpec struct {
 	retra bool
 }
 
-func mkEvents(rtt time.Duration, chunks []chunkSpec) []capture.Event {
+func mkEvents(rtt time.Duration, chunks []chunkSpec) ([]capture.Event, [][]byte) {
 	get := []byte("GET / HTTP/1.1\r\n\r\n")
 	evs := []capture.Event{
 		{Time: 0, Dir: tcpsim.DirSend, Flags: tcpsim.FlagSYN, SrcPort: 40000, DstPort: 80},
 		{Time: rtt, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagSYN | tcpsim.FlagACK, Ack: 1, SrcPort: 80, DstPort: 40000},
 		{Time: rtt, Dir: tcpsim.DirSend, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, SrcPort: 40000, DstPort: 80},
-		{Time: rtt, Dir: tcpsim.DirSend, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Data: get, Len: uint32(len(get)),
+		{Time: rtt, Dir: tcpsim.DirSend, Flags: tcpsim.FlagACK, Seq: 1, Ack: 1, Len: uint32(len(get)), Cap: uint32(len(get)),
 			SrcPort: 40000, DstPort: 80},
 		{Time: 2 * rtt, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagACK, Seq: 1, Ack: 19, SrcPort: 80, DstPort: 40000},
 	}
+	pays := [][]byte{get}
 	for _, c := range chunks {
 		ev := capture.Event{Time: c.at, Dir: tcpsim.DirRecv, Flags: tcpsim.FlagACK, Seq: c.seq, Ack: 19,
-			Data: c.data, Len: uint32(len(c.data)), SrcPort: 80, DstPort: 40000}
+			Len: uint32(len(c.data)), Cap: uint32(len(c.data)), SrcPort: 80, DstPort: 40000}
+		pays = append(pays, c.data)
 		if c.retra {
 			ev.Flags |= capture.FlagRetrans
 		}
 		evs = append(evs, ev)
 	}
-	return evs
+	return evs, pays
 }
+
+func first[A, B any](a A, _ B) A { return a }
 
 func key() capture.ConnKey {
 	return capture.ConnKey{Remote: "fe", LocalPort: 40000, RemotePort: 80}
@@ -47,11 +52,11 @@ func TestParseTimeline(t *testing.T) {
 	rtt := 20 * time.Millisecond
 	static := []byte("SSSSSSSSSS") // 10 bytes
 	dynamic := []byte("DDDDDDDD")
-	evs := mkEvents(rtt, []chunkSpec{
+	evs, pays := mkEvents(rtt, []chunkSpec{
 		{at: 25 * time.Millisecond, seq: 1, data: static},
 		{at: 100 * time.Millisecond, seq: 11, data: dynamic},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +69,12 @@ func TestParseTimeline(t *testing.T) {
 	if s.T3 != 25*time.Millisecond || s.TE != 100*time.Millisecond {
 		t.Fatalf("t3/te = %v/%v", s.T3, s.TE)
 	}
-	if string(s.Payload()) != "SSSSSSSSSSDDDDDDDD" {
-		t.Fatalf("payload = %q", s.Payload())
+	if string(s.Payload()) != "SSSSSSSSSSDDDDDDDD" || !s.PayloadComplete {
+		t.Fatalf("payload = %q, complete %v", s.Payload(), s.PayloadComplete)
+	}
+	// Without its captured bytes the session has the timeline only.
+	if bare, err := Parse(key(), evs); err != nil || bare.Payload() != nil || bare.PayloadComplete || bare.TE != s.TE {
+		t.Fatalf("Parse without payloads = %v, %v", bare, err)
 	}
 	if err := s.Locate(10); err != nil {
 		t.Fatal(err)
@@ -89,11 +98,11 @@ func TestParseTimeline(t *testing.T) {
 
 func TestCoalescedBoundaryGivesZeroDelta(t *testing.T) {
 	// Large RTT: last static byte and first dynamic byte in ONE packet.
-	evs := mkEvents(200*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(200*time.Millisecond, []chunkSpec{
 		{at: 410 * time.Millisecond, seq: 1, data: []byte("SSSSSSSSDD")},
 		{at: 411 * time.Millisecond, seq: 11, data: []byte("DDDDDD")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +116,12 @@ func TestCoalescedBoundaryGivesZeroDelta(t *testing.T) {
 
 func TestRetransmissionFirstArrivalWins(t *testing.T) {
 	// Offset 0..10 arrives at 25ms and again (retransmitted) at 300ms.
-	evs := mkEvents(20*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(20*time.Millisecond, []chunkSpec{
 		{at: 25 * time.Millisecond, seq: 1, data: []byte("0123456789")},
 		{at: 300 * time.Millisecond, seq: 1, data: []byte("0123456789"), retra: true},
 		{at: 310 * time.Millisecond, seq: 11, data: []byte("XY")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +138,11 @@ func TestRetransmissionFirstArrivalWins(t *testing.T) {
 }
 
 func TestOutOfOrderReassembly(t *testing.T) {
-	evs := mkEvents(10*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(10*time.Millisecond, []chunkSpec{
 		{at: 30 * time.Millisecond, seq: 6, data: []byte("WORLD")},
 		{at: 35 * time.Millisecond, seq: 1, data: []byte("HELLO")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +161,21 @@ func TestParseErrors(t *testing.T) {
 		t.Fatalf("empty session err = %v", err)
 	}
 	// Handshake only.
-	evs := mkEvents(10*time.Millisecond, nil)[:3]
-	if _, err := Parse(key(), evs); err != ErrNoRequest {
+	evs, _ := mkEvents(10*time.Millisecond, nil)
+	if _, err := Parse(key(), evs[:3]); err != ErrNoRequest {
 		t.Fatalf("no-request err = %v", err)
 	}
 	// Handshake + GET but no response payload.
-	evs = mkEvents(10*time.Millisecond, nil)
 	if _, err := Parse(key(), evs); err != ErrNoResponse {
 		t.Fatalf("no-response err = %v", err)
 	}
 }
 
 func TestLocateBounds(t *testing.T) {
-	evs := mkEvents(10*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(10*time.Millisecond, []chunkSpec{
 		{at: 15 * time.Millisecond, seq: 1, data: []byte("ABCD")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +191,13 @@ func TestLocateBounds(t *testing.T) {
 
 func TestTemporalBoundaryDetectsGap(t *testing.T) {
 	// Static burst at 25ms, dynamic burst at 250ms: a dominant gap.
-	evs := mkEvents(20*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(20*time.Millisecond, []chunkSpec{
 		{at: 25 * time.Millisecond, seq: 1, data: []byte("SSSS")},
 		{at: 26 * time.Millisecond, seq: 5, data: []byte("SSSS")},
 		{at: 250 * time.Millisecond, seq: 9, data: []byte("DDDD")},
 		{at: 251 * time.Millisecond, seq: 13, data: []byte("DDDD")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +220,7 @@ func TestTemporalBoundaryAmbiguous(t *testing.T) {
 			data: []byte("XXXX"),
 		})
 	}
-	s, err := Parse(key(), mkEvents(20*time.Millisecond, chunks))
+	s, err := Parse(key(), first(mkEvents(20*time.Millisecond, chunks)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +228,9 @@ func TestTemporalBoundaryAmbiguous(t *testing.T) {
 		t.Fatal("ambiguous clustering accepted")
 	}
 	// Single packet: no gaps at all.
-	s2, err := Parse(key(), mkEvents(20*time.Millisecond, []chunkSpec{
+	s2, err := Parse(key(), first(mkEvents(20*time.Millisecond, []chunkSpec{
 		{at: 25 * time.Millisecond, seq: 1, data: []byte("ONLY")},
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +240,10 @@ func TestTemporalBoundaryAmbiguous(t *testing.T) {
 }
 
 func TestSessionString(t *testing.T) {
-	evs := mkEvents(10*time.Millisecond, []chunkSpec{
+	evs, pays := mkEvents(10*time.Millisecond, []chunkSpec{
 		{at: 15 * time.Millisecond, seq: 1, data: []byte("ABCDEFGH")},
 	})
-	s, err := Parse(key(), evs)
+	s, err := ParseCaptured(key(), evs, pays)
 	if err != nil {
 		t.Fatal(err)
 	}
