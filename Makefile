@@ -49,11 +49,12 @@ layering:
 # per-packet rows (Segment, lane event, capture row) stay small and
 # pointer-free. See DESIGN.md §payload path.
 payload-check:
-	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget' ./internal/emulator
+	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget|TestRecordsSurviveLaterExperiments|TestDatasetRecordsPresized' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
 	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
 	$(GO) test -run 'TestRowLayouts' ./internal/tcpsim ./internal/capture
+	$(GO) test -race -run 'FuzzRecorder' ./internal/capture
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
 fmt-check:

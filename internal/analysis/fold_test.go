@@ -318,7 +318,9 @@ var raceEnabled bool
 // (93.9 → 152.0) until world set-up shared one popularity table and
 // resolved client paths on first use, and 1.6508 (87.9 → 145.0) until
 // trace.Parse stopped growing and reflect-sorting its arrivals and lane
-// segments stopped being boxed on a demux change; each time the
+// segments stopped being boxed on a demux change, and 1.6730
+// (85.0 → 142.1) until datasets were presized, client connections
+// recycled and capture sessions sealed exact-size; each time the
 // unobserved arm fell with the observer's cost unchanged — so the difference between the arms is
 // pinned too, with the same 0.3 of room: a changed denominator moves
 // only the ratio, a costlier observer moves both (the difference is
@@ -339,7 +341,7 @@ func TestObservedQueryAllocOverhead(t *testing.T) {
 		}
 	}) / queries
 	const (
-		measured      = 1.6730 // 85.0 → 142.1 allocations per query at seed 7
+		measured      = 1.6923 // 82.6 → 139.8 allocations per query at seed 7
 		measuredDelta = 57.1   // what observing adds per query
 	)
 	if ratio := observed / unobserved; ratio > measured*1.0015 {

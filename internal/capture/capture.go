@@ -94,14 +94,29 @@ type Recorder struct {
 	node  string
 	hosts []string
 	// sess holds one event list per connection in first-seen order; the
-	// first len(index) are live, the rest are lists ResetKeep kept.
+	// first len(index) are live, the rest are storage ResetKeep kept.
+	// List own, the newest, writes into buf instead; its sess entry is
+	// only the storage it is sealed into.
 	sess [][]Event
+	// buf is the newest list's events, a buffer the recorder reuses
+	// (own < 0: no list since ResetKeep). When another list opens, the
+	// newest is sealed — copied into its kept storage, or else into an
+	// exact-size slice a late tap reallocates — and buf passes, emptied,
+	// to the new list. Session on the newest list hands buf out (lent):
+	// the list keeps it and the next list starts a fresh buffer, until
+	// ResetKeep takes it back.
+	buf  []Event
+	own  int32
+	lent bool
 	// pays holds, per list, the captured bytes of its events with
 	// Cap > 0 in order; only an unsnapped recorder fills it.
-	pays    [][][]byte
-	index   map[uint64]int32 // packed connection → list
-	order   []int32          // list of each tapped packet, in tap order
-	longest int              // a new list starts at the longest so far
+	pays  [][][]byte
+	index map[uint64]int32 // packed connection → list
+	// runs is the tap order, run-length coded: a node whose connections
+	// follow one another keeps about one run per connection. taps is
+	// the number of packets tapped.
+	runs []tapRun
+	taps int
 	// sacks holds the SACK blocks of the few packets that carried any,
 	// by tap position.
 	sacks map[int][]tcpsim.SACKBlock
@@ -113,9 +128,12 @@ type Recorder struct {
 	SnapPayload bool
 }
 
+// tapRun is n consecutive taps on one list.
+type tapRun struct{ list, n int32 }
+
 // NewRecorder creates a recorder for the named node.
 func NewRecorder(node string) *Recorder {
-	return &Recorder{node: node, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
+	return &Recorder{node: node, own: -1, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
 }
 
 // Tap records one endpoint event; pass it as tcpsim.Endpoint.Tap. It
@@ -132,16 +150,24 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock)
 		e.Flags |= FlagRetrans
 	}
 	if len(sack) > 0 {
-		r.sacks[len(r.order)] = slices.Clone(sack)
+		r.sacks[r.taps] = slices.Clone(sack)
 	}
 	i := r.list(e.conn())
 	if !r.SnapPayload && len(data) > 0 {
 		e.Cap = uint32(len(data))
 		r.pays[i] = append(r.pays[i], data)
 	}
-	r.sess[i] = append(r.sess[i], e)
-	r.longest = max(r.longest, len(r.sess[i]))
-	r.order = append(r.order, i)
+	if i == r.own {
+		r.buf = append(r.buf, e)
+	} else {
+		r.sess[i] = append(r.sess[i], e)
+	}
+	if n := len(r.runs); n > 0 && r.runs[n-1].list == i {
+		r.runs[n-1].n++
+	} else {
+		r.runs = append(r.runs, tapRun{list: i, n: 1})
+	}
+	r.taps++
 }
 
 // list returns connection id's list, opening one on first sight.
@@ -151,11 +177,36 @@ func (r *Recorder) list(id uint64) int32 {
 		i = int32(len(r.index))
 		r.index[id] = i
 		if len(r.sess) == int(i) {
-			r.sess = append(r.sess, make([]Event, 0, r.longest))
+			r.sess = append(r.sess, nil)
 			r.pays = append(r.pays, nil)
 		}
+		r.pass(i)
 	}
 	return i
+}
+
+// pass hands the buffer to new list i, sealing the list that held it;
+// a lent buffer stays with its list and i gets a fresh one.
+func (r *Recorder) pass(i int32) {
+	switch {
+	case r.own < 0:
+	case r.lent:
+		r.sess[r.own], r.buf, r.lent = r.buf, make([]Event, 0, cap(r.buf)), false
+	default:
+		if cap(r.sess[r.own]) < len(r.buf) {
+			r.sess[r.own] = make([]Event, 0, len(r.buf))
+		}
+		r.sess[r.own] = append(r.sess[r.own], r.buf...)
+	}
+	r.buf, r.own = r.buf[:0], i
+}
+
+// events is list i's events.
+func (r *Recorder) events(i int32) []Event {
+	if i == r.own {
+		return r.buf
+	}
+	return r.sess[i]
 }
 
 // host returns remote's index in the host table, adding it on first
@@ -185,14 +236,19 @@ func (r *Recorder) conn(k ConnKey) uint64 {
 
 // Session returns connection k's events in capture order, nil when k
 // sent or received nothing. The slice is the recorder's own storage,
-// capacity-capped so an append cannot write into it; it is valid until
-// ResetKeep.
+// capacity-capped so an append cannot write into it; later taps never
+// change it, and it is valid until ResetKeep. Asked for the newest
+// list, Session hands out the recorder's buffer, which the recorder
+// then leaves to that list.
 func (r *Recorder) Session(k ConnKey) []Event {
 	i, ok := r.index[r.conn(k)]
 	if !ok {
 		return nil
 	}
-	l := r.sess[i]
+	if i == r.own {
+		r.lent = true
+	}
+	l := r.events(i)
 	return l[:len(l):len(l)]
 }
 
@@ -212,14 +268,17 @@ func (r *Recorder) Payloads(k ConnKey) [][]byte {
 // the event's position in Session(k).
 func (r *Recorder) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
 	i, ok := r.index[r.conn(k)]
-	out, pos := map[int][]tcpsim.SACKBlock{}, 0
-	for j, l := range r.order {
-		if ok && l == i {
-			if b, sacked := r.sacks[j]; sacked {
-				out[pos] = b
+	out, j, pos := map[int][]tcpsim.SACKBlock{}, 0, 0
+	for _, run := range r.runs {
+		if ok && run.list == i {
+			for m := range int(run.n) {
+				if b, sacked := r.sacks[j+m]; sacked {
+					out[pos+m] = b
+				}
 			}
-			pos++
+			pos += int(run.n)
 		}
+		j += int(run.n)
 	}
 	return out
 }
@@ -228,32 +287,36 @@ func (r *Recorder) SACK(k ConnKey) map[int][]tcpsim.SACKBlock {
 // and the text renderer's input. Per-connection readers use Session.
 func (r *Recorder) Trace() *Trace {
 	t := &Trace{Node: r.node, Hosts: append([]string{}, r.hosts...),
-		Events: make([]Event, len(r.order)), sacks: maps.Clone(r.sacks)}
+		Events: make([]Event, 0, r.taps), sacks: maps.Clone(r.sacks)}
 	pos, pay := make([]int32, len(r.index)), make([]int32, len(r.index))
-	for j, i := range r.order {
-		e := r.sess[i][pos[i]]
-		t.Events[j] = e
-		pos[i]++
-		if e.Cap > 0 {
-			t.payloads = append(t.payloads, r.pays[i][pay[i]])
-			pay[i]++
+	for _, run := range r.runs {
+		i := run.list
+		evs := r.events(i)[pos[i]:][:run.n]
+		pos[i] += run.n
+		t.Events = append(t.Events, evs...)
+		for _, e := range evs {
+			if e.Cap > 0 {
+				t.payloads = append(t.payloads, r.pays[i][pay[i]])
+				pay[i]++
+			}
 		}
 	}
 	return t
 }
 
-// ResetKeep discards accumulated events but keeps every list's storage.
-// Streaming fleet campaigns reset a pooled slot's recorder after every
-// folded session, so a slot's capture memory is allocated once and
-// amortized over thousands of ephemeral clients. Sessions handed out
-// before must not be read afterwards.
+// ResetKeep discards accumulated events but keeps every list's storage
+// and the buffer, lent or not. Streaming fleet campaigns reset a pooled
+// slot's recorder after every folded session, so a slot's capture
+// memory is allocated once and amortized over thousands of ephemeral
+// clients. Sessions handed out before must not be read afterwards.
 func (r *Recorder) ResetKeep() {
 	for i := range len(r.index) {
 		r.sess[i] = r.sess[i][:0]
 		clear(r.pays[i])
 		r.pays[i] = r.pays[i][:0]
 	}
-	r.hosts, r.order = r.hosts[:0], r.order[:0]
+	r.buf, r.own, r.lent = r.buf[:0], -1, false
+	r.hosts, r.runs, r.taps = r.hosts[:0], r.runs[:0], 0
 	clear(r.index)
 	clear(r.sacks)
 }

@@ -86,10 +86,13 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // Trace must be the taps in tap order (SACK blocks at the same
 // positions, captured bytes unless snapping), each Session, Payloads
 // and SACK must be what the trace gives that connection, and the trace
-// must survive the codec.
+// must survive the codec. A Session taken mid-stream (bit 0x40 of a
+// tap's last byte asks for its connection's) must never change after
+// later taps and connection opens.
 // Each tap is four input bytes; a first byte of 0xff ends the round.
 // Mutations: file a SACK under the trace position instead of the
-// session position, or keep a list's events across ResetKeep.
+// session position, keep a list's events across ResetKeep, or pass a
+// handed-out buffer on to the next list.
 func FuzzRecorder(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0x12, 0x02, 1, 1, 0x02, 0x12, 0, 0, 0x07, 0x10, 4, 7, 0x10, 0x10,
@@ -97,6 +100,7 @@ func FuzzRecorder(f *testing.F) {
 		2, 3, 0x20, 0x10, 2, 3, 0x06, 0x10, 6, 0x13, 0x00, 0x11,
 	})
 	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0x0a, 0x10, 0xff, 0, 0, 0, 0xff, 0, 0, 0})
+	f.Add([]byte{0, 0, 0x10, 0x52, 0, 1, 0x12, 0x10, 0, 0, 0x16, 0x10, 0, 2, 0x10, 0x51, 0, 1, 0x00, 0x10})
 	hosts := []string{"fe-a", "fe-b", "be", "cdn"}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rec := NewRecorder("n")
@@ -105,7 +109,14 @@ func FuzzRecorder(f *testing.F) {
 			return &Trace{Node: "n", Hosts: []string{}, Events: []Event{}, sacks: map[int][]tcpsim.SACKBlock{}}
 		}
 		want, now := fresh(), time.Duration(0)
+		type held struct{ got, want []Event }
+		var taken []held
 		check := func() []ConnKey {
+			for _, h := range taken {
+				if !reflect.DeepEqual(h.got, h.want) {
+					t.Fatalf("a session taken mid-stream changed:\ngot  %+v\nwant %+v", h.got, h.want)
+				}
+			}
 			got := rec.Trace()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Trace is not the taps in tap order:\ngot  %+v\nwant %+v", got, want)
@@ -148,6 +159,7 @@ func FuzzRecorder(f *testing.F) {
 			if a == 0xff {
 				keys := check()
 				rec.ResetKeep()
+				taken = taken[:0]
 				for _, k := range keys {
 					if s := rec.Session(k); s != nil {
 						t.Fatalf("session %v survived ResetKeep with %d events", k, len(s))
@@ -178,6 +190,10 @@ func FuzzRecorder(f *testing.F) {
 				ev.Segment.NSACK = 1
 			}
 			rec.Tap(ev, data, sack)
+			if d&0x40 != 0 {
+				s := rec.Session(ConnKey{Remote: ev.Remote, LocalPort: local, RemotePort: remote})
+				taken = append(taken, held{s, slices.Clone(s)})
+			}
 
 			h := slices.Index(want.Hosts, ev.Remote)
 			if h < 0 {

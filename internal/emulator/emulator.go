@@ -93,6 +93,13 @@ type Dataset struct {
 	Records []Record
 }
 
+// newDataset reserves room for the n records a campaign will issue.
+// Records are still appended as they issue, so their order is sim-time
+// issue order; the reservation only spares the slice its regrowth.
+func newDataset(n int) *Dataset {
+	return &Dataset{Records: make([]Record, 0, n)}
+}
+
 // world is the plumbing every simulated world shares, whatever its
 // client population: simulator, network and deployment, the optional
 // observability wiring (simulator counters, one TCP stack bundle for
@@ -165,7 +172,11 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 // newClient attaches one client host to the world: a TCP endpoint
 // reporting to the world's stack bundle, with a packet recorder on its
 // tap (a snapped world's recorder drops whatever payload bytes reach it).
+// Nothing keeps a client connection object past its close (get reads
+// the local port at dial time, a closed PersistentConn no longer
+// touches its connection), so client endpoints recycle them.
 func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config) (*tcpsim.Endpoint, *capture.Recorder) {
+	cfg.RecycleConns = true
 	ep := tcpsim.NewEndpoint(w.Net, host, cfg)
 	ep.Metrics = w.stack
 	rec := capture.NewRecorder(string(host))
@@ -318,7 +329,8 @@ type Options struct {
 	FleetSeed int64
 	// Access selects the fleet's last-mile profile (default campus).
 	Access vantage.AccessProfile
-	// ClientTCP overrides the client endpoints' TCP configuration.
+	// ClientTCP overrides the client endpoints' TCP configuration;
+	// RecycleConns is always on.
 	ClientTCP tcpsim.Config
 	// SnapPayloads is the capture's snaplen: records keep every packet's
 	// timing, sequence range and size but no payload bytes, so timeline
@@ -495,7 +507,7 @@ func (r *Runner) RunExperimentA(opts AOptions) *Dataset {
 func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 	opts = opts.withDefaults()
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := &Dataset{}
+	ds := newDataset((hi - lo) * opts.QueriesPerNode)
 	for i := lo; i < hi; i++ {
 		node := r.Fleet.Nodes[i]
 		defaultFE := r.Dep.DefaultFE(node.Point)
@@ -529,7 +541,7 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 	opts = opts.withDefaults()
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := &Dataset{}
+	ds := newDataset(len(r.Fleet.Nodes) * opts.QueriesPerNode)
 	for i, node := range r.Fleet.Nodes {
 		node := node
 		fe := r.Dep.DefaultFE(node.Point)
@@ -593,7 +605,7 @@ type OpenLoopOptions struct {
 // HotQuery inside the window, when set).
 func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
-	ds := &Dataset{}
+	ds, n := &Dataset{}, 0
 	for i, node := range r.Fleet.Nodes {
 		fe := opts.FE
 		if fe == nil {
@@ -609,6 +621,7 @@ func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 			}
 			r.issueAt(ds, at, node, fe, q, 0)
 			k++
+			n++
 			step := opts.BaseInterval
 			if surging && opts.SurgeFactor > 1 {
 				step = opts.BaseInterval / time.Duration(opts.SurgeFactor)
@@ -616,6 +629,7 @@ func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 			at += step
 		}
 	}
+	ds.Records = make([]Record, 0, n)
 	r.finalize(ds)
 	return ds
 }
@@ -656,7 +670,7 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 		gen := workload.NewGenerator(opts.QuerySeed + 177)
 		q = gen.Query(workload.ClassGranular)
 	}
-	ds := &Dataset{}
+	ds := newDataset(len(r.Fleet.Nodes) * opts.Repeats)
 	for i, node := range r.Fleet.Nodes {
 		start := stagger(i)
 		for k := 0; k < opts.Repeats; k++ {
@@ -676,7 +690,7 @@ func (r *Runner) KeywordSweep(fe *frontend.Server, node vantage.Node,
 	gen := workload.NewGenerator(querySeed)
 	// Interleave classes in time so slow drift affects all equally.
 	for ci, class := range workload.Classes() {
-		ds := &Dataset{}
+		ds := newDataset(max(samplesPerClass, 0))
 		q := gen.Query(class)
 		for k := 0; k < samplesPerClass; k++ {
 			at := time.Duration(k)*interval + time.Duration(ci)*(interval/8)
@@ -699,10 +713,11 @@ func (r *Runner) CachingProbe(fe *frontend.Server, repeats int,
 	// Draw the shared query from the same pool as the distinct ones so
 	// the phases have identical term counts and popularity bands —
 	// any Tdynamic difference then isolates result caching.
-	pool := gen.DistinctQueries(len(r.Fleet.Nodes)*repeats + 1)
+	n := len(r.Fleet.Nodes) * repeats
+	pool := gen.DistinctQueries(n + 1)
 	shared, distinctQs := pool[0], pool[1:]
 
-	same, distinct = &Dataset{}, &Dataset{}
+	same, distinct = newDataset(n), newDataset(n)
 	di := 0
 	for i, node := range r.Fleet.Nodes {
 		start := stagger(i)

@@ -42,10 +42,10 @@ type FleetOptions struct {
 	FleetSeed int64
 	// Access is the slots' last-mile profile (default campus).
 	Access vantage.AccessProfile
-	// ClientTCP overrides slot TCP configuration. RecycleConns is
-	// forced on: slot endpoints churn one connection per arrival, the
-	// free-list's exact use case (proven transcript-identical by the
-	// tcpsim recycle differential suite).
+	// ClientTCP overrides slot TCP configuration. RecycleConns is on,
+	// as on every emulator client endpoint: slot endpoints churn one
+	// connection per arrival, the free list's exact use case (proven
+	// transcript-identical by the tcpsim recycle differential suite).
 	ClientTCP tcpsim.Config
 	// Obs, when non-nil, wires metrics. Every folded record joins its
 	// FE's ground truth whether or not it is set.
@@ -151,7 +151,6 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 		queries: corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed),
 		metros:  geo.WorldMetros(),
 	}
-	r.opts.ClientTCP.RecycleConns = true
 	return r, nil
 }
 

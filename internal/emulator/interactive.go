@@ -22,7 +22,7 @@ import (
 // are highly correlated" emerges from term-count scaling.
 func (r *Runner) Interactive(fe *frontend.Server, node vantage.Node,
 	keywords string, keystrokeGap time.Duration) *Dataset {
-	ds := &Dataset{}
+	ds, n := &Dataset{}, 0
 	full := []rune(keywords)
 	at := time.Duration(0)
 	for i := 1; i <= len(full); i++ {
@@ -38,8 +38,10 @@ func (r *Runner) Interactive(fe *frontend.Server, node vantage.Node,
 			Rank:     workload.NumRanks - 1, // interactive prefixes: no popularity discount
 		}
 		r.issueAt(ds, at, node, fe, q, 0)
+		n++
 		at += keystrokeGap
 	}
+	ds.Records = make([]Record, 0, n)
 	r.finalize(ds)
 	return ds
 }

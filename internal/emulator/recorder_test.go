@@ -12,6 +12,9 @@ import (
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
 	"fesplit/internal/emulator"
+	"fesplit/internal/frontend"
+	"fesplit/internal/geo"
+	"fesplit/internal/simnet"
 	"fesplit/internal/tcpsim"
 )
 
@@ -98,11 +101,15 @@ func TestRunnerRecordsAreRecorderSessions(t *testing.T) {
 // and net/url go (18 295 → 15 772; 19 988 → 15 880 under -race);
 // pointer-free 48-byte capture rows and segments, with no segment boxed
 // on the lane, made payload and SACK slice headers go (15 716 → 13 878;
-// 15 836 → 14 000 under -race). The budget sits half of the last saving
-// below the old cost in the mode where that is lower, so any of these
-// costs coming back fails it in both.
+// 15 836 → 14 000 under -race); presized datasets, recycled client
+// connections, run-length tap order and exact-size sessions made the
+// dataset's regrowth, a connection object per query and each session's
+// spare capacity go (13 878 → 11 257; 13 996 → 11 378 under -race). The
+// budget sits half of the last saving below the old cost in the mode
+// where that is lower, so any of these costs coming back fails it in
+// both.
 func TestRunnerCaptureAllocBudget(t *testing.T) {
-	const budget = 14_750
+	const budget = 12_570
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -113,5 +120,93 @@ func TestRunnerCaptureAllocBudget(t *testing.T) {
 	t.Logf("%d queries, %.0f B per query", n, perQuery)
 	if perQuery > budget {
 		t.Fatalf("lossy Runner world allocates %.0f B per query, budget %d", perQuery, budget)
+	}
+}
+
+// TestRecordsSurviveLaterExperiments: a Runner may run several
+// experiments, and a record keeps its Session slice, so a later
+// experiment's taps must never write into an earlier record's events —
+// the recorder hands its buffer out with the newest session and never
+// reuses it. Mutation: pass a handed-out buffer on to the next list.
+func TestRecordsSurviveLaterExperiments(t *testing.T) {
+	r := newRunner(t, 6)
+	opts := emulator.AOptions{QueriesPerNode: 3, Interval: time.Second, QuerySeed: 5}
+	first := r.RunExperimentA(opts)
+	snap := make([][]capture.Event, len(first.Records))
+	for i, rec := range first.Records {
+		snap[i] = slices.Clone(rec.Events)
+	}
+	second := r.RunExperimentA(opts)
+	if len(second.Records) != len(first.Records) {
+		t.Fatalf("second experiment: %d records, want %d", len(second.Records), len(first.Records))
+	}
+	for i, rec := range first.Records {
+		if !reflect.DeepEqual(rec.Events, snap[i]) {
+			t.Fatalf("record %d of the first experiment changed while the second ran", i)
+		}
+	}
+}
+
+// firstFE is an FEResolver that sends every client to one FE after a
+// fixed lookup cost.
+type firstFE struct{ r *emulator.Runner }
+
+func (f firstFE) Resolve(time.Duration, simnet.HostID, geo.Point) (*frontend.Server, time.Duration) {
+	return f.r.Dep.FEs[0], 5 * time.Millisecond
+}
+
+// TestDatasetRecordsPresized: every campaign shape reserves exactly the
+// records it issues, so a dataset is never regrown — and never
+// over-reserved. No count here is a capacity append's growth lands on,
+// so every shape fails at the parent. Mutation: start any shape on an
+// empty dataset.
+func TestDatasetRecordsPresized(t *testing.T) {
+	const nodes, per = 3, 5
+	aOpts := emulator.AOptions{QueriesPerNode: per, Interval: time.Second, QuerySeed: 5}
+	shapes := map[string]func(r *emulator.Runner) []*emulator.Dataset{
+		"A": func(r *emulator.Runner) []*emulator.Dataset {
+			return []*emulator.Dataset{r.RunExperimentA(aOpts)}
+		},
+		"A+resolver": func(r *emulator.Runner) []*emulator.Dataset {
+			o := aOpts
+			o.Resolver = firstFE{r}
+			return []*emulator.Dataset{r.RunExperimentA(o)}
+		},
+		"keep-alive": func(r *emulator.Runner) []*emulator.Dataset {
+			return []*emulator.Dataset{r.RunKeepAliveA(aOpts)}
+		},
+		"open-loop": func(r *emulator.Runner) []*emulator.Dataset {
+			return []*emulator.Dataset{r.RunOpenLoop(emulator.OpenLoopOptions{QueriesPerNode: per,
+				Horizon: 5 * time.Second, BaseInterval: time.Second,
+				SurgeStart: 2 * time.Second, SurgeEnd: 3 * time.Second, SurgeFactor: 3})}
+		},
+		"B": func(r *emulator.Runner) []*emulator.Dataset {
+			ds, err := r.RunExperimentB(emulator.BOptions{FE: r.Dep.FEs[0], Repeats: per, Interval: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*emulator.Dataset{ds}
+		},
+		"keyword sweep": func(r *emulator.Runner) []*emulator.Dataset {
+			var out []*emulator.Dataset
+			for _, ds := range r.KeywordSweep(r.Dep.FEs[0], r.Fleet.Nodes[0], per, time.Second, 5) {
+				out = append(out, ds)
+			}
+			return out
+		},
+		"caching probe": func(r *emulator.Runner) []*emulator.Dataset {
+			same, distinct := r.CachingProbe(r.Dep.FEs[0], per, time.Second, 5)
+			return []*emulator.Dataset{same, distinct}
+		},
+		"interactive": func(r *emulator.Runner) []*emulator.Dataset {
+			return []*emulator.Dataset{r.Interactive(r.Dep.FEs[0], r.Fleet.Nodes[0], "web search", 200*time.Millisecond)}
+		},
+	}
+	for name, run := range shapes {
+		for i, ds := range run(newRunner(t, nodes)) {
+			if n := len(ds.Records); n == 0 || cap(ds.Records) != n {
+				t.Errorf("%s dataset %d: %d records in capacity %d, want exactly reserved", name, i, n, cap(ds.Records))
+			}
+		}
 	}
 }

@@ -173,8 +173,13 @@ func (p *PersistentConn) fail(err error) {
 	}
 }
 
-// Close shuts the connection down after pending data drains.
+// Close shuts the connection down after pending data drains. Once the
+// connection is closed, by Close or by the peer, it is a no-op: on a
+// recycling endpoint the object may already carry another connection.
 func (p *PersistentConn) Close() {
+	if p.closed {
+		return
+	}
 	p.closed = true
 	p.conn.Close()
 }

@@ -361,6 +361,43 @@ func TestPersistentConnQueueDrainOrder(t *testing.T) {
 	}
 }
 
+// TestPersistentConnCloseAfterPeerClose: on a recycling endpoint, a
+// connection the peer closed returns to the free list and the next Dial
+// reinitialises the same object, so a later Close must not reach it.
+// Mutation: let Close call the connection's Close unconditionally and
+// the new connection sends a FIN.
+func TestPersistentConnCloseAfterPeerClose(t *testing.T) {
+	w := newWorld(t, time.Millisecond)
+	w.client = tcpsim.NewEndpoint(w.net, "c", tcpsim.Config{RecycleConns: true})
+	if _, err := w.server.Listen(80, func(c *tcpsim.Conn) {
+		c.OnConnect = c.Close // the peer closes at once
+		c.OnClose = c.Close
+	}); err != nil {
+		t.Fatal(err)
+	}
+	finned := false
+	if _, err := w.server.Listen(81, func(c *tcpsim.Conn) {
+		c.OnClose = func() { finned = true }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPersistentConn(w.client, "s", 80)
+	w.sim.Run()
+	if w.client.FreeConns() != 1 {
+		t.Fatalf("%d connections on the free list, want the closed one", w.client.FreeConns())
+	}
+	next := w.client.Dial("s", 81)
+	if next != pc.conn {
+		t.Fatal("the new connection did not reuse the closed one's object")
+	}
+	pc.Close()
+	w.sim.Run()
+	if finned || next.Closed() {
+		t.Fatalf("Close on a peer-closed PersistentConn closed the connection that reused its object (FIN seen %v, closed %v)",
+			finned, next.Closed())
+	}
+}
+
 func TestPersistentConnDoAfterClose(t *testing.T) {
 	w := newWorld(t, time.Millisecond)
 	if _, err := NewServer(w.server, 80, func(rw *ResponseWriter, r *Request) {

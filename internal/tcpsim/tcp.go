@@ -135,8 +135,8 @@ type Config struct {
 	// segment timings, RNG draws and port allocation are unchanged —
 	// but callers that retain *Conn pointers past OnClose must leave
 	// it off: a recycled object may become a different connection.
-	// Default off; the fleet campaign's churning client endpoints
-	// turn it on (docs/SCALE.md).
+	// Default off; every emulator client endpoint turns it on, FE and
+	// BE endpoints leave it off (docs/SCALE.md).
 	RecycleConns bool
 }
 
