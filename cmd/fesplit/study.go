@@ -103,8 +103,9 @@ const blameTop = 5
 // cmdStudy runs the full observed study on a worker pool and exports
 // every view of it into one directory: the text report, figure CSVs,
 // lossless JSONL + Prometheus metrics, tail-sampled JSONL spans, the
-// self-contained HTML report and the critical-path blame table
-// (profile.csv, and its top phases per service on stderr). The headline
+// self-contained HTML report, the critical-path blame table
+// (profile.csv, and its top phases per service on stderr) and the
+// paper-claim scorecard (scorecard.csv). The headline
 // property: for a fixed seed, every exported byte is identical whatever
 // -workers is — the worker count buys wall-clock time, never different
 // results.
@@ -178,6 +179,7 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 			{"spans.jsonl", func(f *os.File) error { return fesplit.WriteSpansJSONL(f, spans) }},
 			{"report.html", func(f *os.File) error { return out.Report.WriteHTML(f, out.Metrics, out.Exemplars) }},
 			{"profile.csv", func(f *os.File) error { return fesplit.WriteProfileCSV(f, blame) }},
+			{"scorecard.csv", func(f *os.File) error { return fesplit.WriteScorecardCSV(f, out.Report.Scorecard()) }},
 		})
 	}
 	if err != nil {

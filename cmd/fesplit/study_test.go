@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"fesplit"
 )
 
 // runCLI runs one command line in-process and returns its exit code
@@ -113,7 +115,8 @@ func TestStudyArgumentValidation(t *testing.T) {
 }
 
 // TestMatrixArtifactSets: study exports exactly its documented file
-// list, with runtime.jsonl only when telemetry is on.
+// list, with runtime.jsonl only when telemetry is on, and its
+// scorecard.csv holds the scorecard of the same study's report.
 func TestMatrixArtifactSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two light-scale study runs in -short mode")
@@ -122,7 +125,17 @@ func TestMatrixArtifactSets(t *testing.T) {
 		"caching.csv", "capacity.csv", "failover.csv", "fig3.csv", "fig4.csv", "fig5.csv",
 		"fig6.csv", "fig7.csv", "fig8.csv", "fig9.csv", "hotspot.csv", "overload.csv",
 	}
-	study := append([]string{"metrics.jsonl", "metrics.prom", "profile.csv", "report.html", "report.txt", "spans.jsonl"}, figures...)
+	study := append([]string{"metrics.jsonl", "metrics.prom", "profile.csv", "report.html", "report.txt", "scorecard.csv", "spans.jsonl"}, figures...)
+	cfg := fesplit.LightStudyConfig(42)
+	cfg.Workers = 2
+	rep, err := fesplit.NewStudy(cfg).RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scorecard bytes.Buffer
+	if err := fesplit.WriteScorecardCSV(&scorecard, rep.Scorecard()); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name string
 		cmd  string
@@ -151,6 +164,9 @@ func TestMatrixArtifactSets(t *testing.T) {
 			sort.Strings(tc.want)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("%s exported\n  %q\nwant\n  %q", tc.name, got, tc.want)
+			}
+			if b, err := os.ReadFile(filepath.Join(dir, "scorecard.csv")); err != nil || !bytes.Equal(b, scorecard.Bytes()) {
+				t.Errorf("scorecard.csv (err %v):\n%s\nwant the report's scorecard:\n%s", err, b, scorecard.Bytes())
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package fesplit
 import (
 	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -21,17 +22,7 @@ func (r *Report) WriteCSVs(dir string) error {
 		if err != nil {
 			return err
 		}
-		cw := csv.NewWriter(f)
-		if err := cw.Write(header); err != nil {
-			f.Close()
-			return err
-		}
-		if err := cw.WriteAll(rows); err != nil {
-			f.Close()
-			return err
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
+		if err := writeCSV(f, header, rows); err != nil {
 			f.Close()
 			return err
 		}
@@ -218,4 +209,11 @@ func (r *Report) WriteCSVs(dir string) error {
 		}
 	}
 	return nil
+}
+
+// writeCSV writes a header line and rows as CSV.
+func writeCSV(w io.Writer, header []string, rows [][]string) error {
+	cw := csv.NewWriter(w)
+	cw.Write(header) // a write error sticks, and WriteAll reports it
+	return cw.WriteAll(rows)
 }

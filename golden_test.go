@@ -2,12 +2,14 @@ package fesplit
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files and the generated family table of docs/METRICS.md from the current study output")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files and the generated blocks of EXPERIMENTS.md and docs/METRICS.md from the current study output")
 
 // TestGoldenFigureCSVs regression-pins every figure CSV of the light
 // study at seed 42. The study is deterministic end to end, so any byte
@@ -32,6 +34,7 @@ func TestGoldenFigureCSVs(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("study produced no CSV figures")
 	}
+	checkScorecardDoc(t, rep)
 
 	goldenDir := filepath.Join("testdata", "golden")
 	if *updateGolden {
@@ -84,5 +87,47 @@ func TestGoldenFigureCSVs(t *testing.T) {
 	}
 	for name := range wantNames {
 		t.Errorf("golden file %s no longer produced by the study", name)
+	}
+}
+
+// The scorecard block of EXPERIMENTS.md sits between these two comments
+// and is generated, never hand-edited.
+const (
+	scorecardDocBegin = "<!-- BEGIN GENERATED scorecard: go test -run TestGoldenFigureCSVs -update . -->\n"
+	scorecardDocEnd   = "<!-- END GENERATED scorecard -->\n"
+)
+
+// checkScorecardDoc holds EXPERIMENTS.md's scorecard block to the
+// scorecard of the light seed-42 report, the way
+// TestMetricsDocMatchesRegistry holds docs/METRICS.md to the registry.
+func checkScorecardDoc(t *testing.T, rep *Report) {
+	var b strings.Builder
+	b.WriteString("| Figure | Quantity | Paper | Band | Kind | Light, seed 42 | Verdict |\n|---|---|---|---|---|---|---|\n")
+	for _, r := range rep.Scorecard() {
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s |\n",
+			r.Figure, r.Quantity, r.Paper, r.Band(), r.Kind, r.Measured(), r.Verdict)
+	}
+	checkGeneratedBlock(t, "EXPERIMENTS.md", scorecardDocBegin, scorecardDocEnd, b.String())
+}
+
+// checkGeneratedBlock holds the block of the document at path between
+// the begin and end markers to want; -update rewrites it instead.
+func checkGeneratedBlock(t *testing.T, path, begin, end, want string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, rest, ok := strings.Cut(string(raw), begin)
+	got, tail, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("%s lacks the generated-block markers:\n%s%s", path, begin, end)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(head+begin+want+end+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if got != want {
+		t.Errorf("%s generated block drifted — rerun with -update and review.\n--- documented\n%s--- generated\n%s", path, got, want)
 	}
 }

@@ -279,7 +279,7 @@ func PerNode(params []Params) []NodeSummary {
 }
 
 // DeltaThreshold estimates the RTT beyond which Tdelta vanishes
-// (Section 4.1: ~50–100 ms for Google, ~100–200 ms for Bing): the
+// (Section 4.1; the paper's bands are rows of the root scorecard): the
 // smallest node-median RTT such that every node at or above it has
 // median Tdelta ≤ tol. It returns (0, false) when no node's Tdelta
 // vanishes.

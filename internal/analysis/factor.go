@@ -21,11 +21,10 @@ type DistancePoint struct {
 type FactorResult struct {
 	Fit stats.LinFit
 	// ProcTimeMS is the regression intercept: the estimated back-end
-	// query processing time T_proc (paper: ≈260 ms Bing, ≈34 ms
-	// Google).
+	// query processing time T_proc.
 	ProcTimeMS float64
 	// SlopeMSPerMile is the network-delay contribution of FE↔BE
-	// distance (paper: 0.08–0.099 ms/mile, similar across services).
+	// distance, similar across services in the paper.
 	SlopeMSPerMile float64
 	Points         []DistancePoint
 	// SlopeCI and ProcCI are 95% percentile-bootstrap confidence

@@ -259,8 +259,8 @@ func (dc *DataCenter) Rejected() int { return dc.cluster.Rejected() }
 func (dc *DataCenter) Cluster() *Cluster { return dc.cluster }
 
 // BingCostModel is the calibrated Bing-like back-end: large, variable
-// processing times (paper Figure 9 intercept ≈ 260 ms; Figures 7-8 show
-// high variance).
+// processing times (the paper's Figure 9 intercept, a row of the root
+// scorecard; Figures 7-8 show high variance).
 func BingCostModel() workload.CostModel {
 	return workload.CostModel{
 		Base:            180 * time.Millisecond,
@@ -272,8 +272,8 @@ func BingCostModel() workload.CostModel {
 }
 
 // GoogleCostModel is the calibrated Google-like back-end: small, stable
-// processing times, tuned so the Figure-9 regression intercept lands at
-// the paper's ≈34 ms and the Tdelta threshold near its 50–100 ms band.
+// processing times, tuned so the Figure-9 regression intercept and the
+// Tdelta threshold land near the paper's (the root scorecard's rows).
 func GoogleCostModel() workload.CostModel {
 	return workload.CostModel{
 		Base:            32 * time.Millisecond,

@@ -95,19 +95,14 @@ type Recorder struct {
 	hosts []string
 	// sess holds one event list per connection in first-seen order; the
 	// first len(index) are live, the rest are storage ResetKeep kept.
-	// List own, the newest, writes into buf instead; its sess entry is
-	// only the storage it is sealed into.
 	sess [][]Event
-	// buf is the newest list's events, a buffer the recorder reuses
-	// (own < 0: no list since ResetKeep). When another list opens, the
-	// newest is sealed — copied into its kept storage, or else into an
-	// exact-size slice a late tap reallocates — and buf passes, emptied,
-	// to the new list. Session on the newest list hands buf out (lent):
-	// the list keeps it and the next list starts a fresh buffer, until
-	// ResetKeep takes it back.
-	buf  []Event
-	own  int32
-	lent bool
+	// open lists, oldest first, the lists writing into a reused buffer.
+	// A new list without kept storage takes the buffer of an open list
+	// whose connection has closed — sealing that list into an exact-size
+	// copy a late tap reallocates — or else a new buffer: a node keeps
+	// about one buffer per connection open at a time. Session on an open
+	// list hands its buffer out: the list leaves open and keeps it.
+	open []int32
 	// pays holds, per list, the captured bytes of its events with
 	// Cap > 0 in order; only an unsnapped recorder fills it.
 	pays  [][][]byte
@@ -133,7 +128,7 @@ type tapRun struct{ list, n int32 }
 
 // NewRecorder creates a recorder for the named node.
 func NewRecorder(node string) *Recorder {
-	return &Recorder{node: node, own: -1, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
+	return &Recorder{node: node, index: map[uint64]int32{}, sacks: map[int][]tcpsim.SACKBlock{}}
 }
 
 // Tap records one endpoint event; pass it as tcpsim.Endpoint.Tap. It
@@ -157,11 +152,7 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock)
 		e.Cap = uint32(len(data))
 		r.pays[i] = append(r.pays[i], data)
 	}
-	if i == r.own {
-		r.buf = append(r.buf, e)
-	} else {
-		r.sess[i] = append(r.sess[i], e)
-	}
+	r.sess[i] = append(r.sess[i], e)
 	if n := len(r.runs); n > 0 && r.runs[n-1].list == i {
 		r.runs[n-1].n++
 	} else {
@@ -180,33 +171,46 @@ func (r *Recorder) list(id uint64) int32 {
 			r.sess = append(r.sess, nil)
 			r.pays = append(r.pays, nil)
 		}
-		r.pass(i)
+		if cap(r.sess[i]) == 0 {
+			r.sess[i] = r.buffer()
+			r.open = append(r.open, i)
+		}
 	}
 	return i
 }
 
-// pass hands the buffer to new list i, sealing the list that held it;
-// a lent buffer stays with its list and i gets a fresh one.
-func (r *Recorder) pass(i int32) {
-	switch {
-	case r.own < 0:
-	case r.lent:
-		r.sess[r.own], r.buf, r.lent = r.buf, make([]Event, 0, cap(r.buf)), false
-	default:
-		if cap(r.sess[r.own]) < len(r.buf) {
-			r.sess[r.own] = make([]Event, 0, len(r.buf))
+// buffer returns an empty buffer for a new open list. Every open list
+// whose connection has closed is sealed into an exact-size copy and
+// leaves open; the new list takes the first one's buffer, or with none
+// closed a new buffer as large as the oldest open list's.
+func (r *Recorder) buffer() (b []Event) {
+	open := r.open[:0]
+	for _, j := range r.open {
+		if !closed(r.sess[j]) {
+			open = append(open, j)
+			continue
 		}
-		r.sess[r.own] = append(r.sess[r.own], r.buf...)
+		if b == nil {
+			b = r.sess[j][:0]
+		}
+		r.sess[j] = slices.Clone(r.sess[j])
 	}
-	r.buf, r.own = r.buf[:0], i
+	if r.open = open; b == nil && len(open) > 0 {
+		b = make([]Event, 0, cap(r.sess[open[0]]))
+	}
+	return b
 }
 
-// events is list i's events.
-func (r *Recorder) events(i int32) []Event {
-	if i == r.own {
-		return r.buf
+// closed reports whether a connection's events hold a FIN each way:
+// its teardown is under way, and only the final ACK, or a FIN
+// retransmitted when that ACK is lost, can follow (such a late tap
+// regrows the sealed list).
+func closed(evs []Event) bool {
+	var fin [2]bool // per direction
+	for _, e := range evs {
+		fin[e.Dir] = fin[e.Dir] || e.Flags&tcpsim.FlagFIN != 0
 	}
-	return r.sess[i]
+	return fin[0] && fin[1]
 }
 
 // host returns remote's index in the host table, adding it on first
@@ -237,18 +241,18 @@ func (r *Recorder) conn(k ConnKey) uint64 {
 // Session returns connection k's events in capture order, nil when k
 // sent or received nothing. The slice is the recorder's own storage,
 // capacity-capped so an append cannot write into it; later taps never
-// change it, and it is valid until ResetKeep. Asked for the newest
-// list, Session hands out the recorder's buffer, which the recorder
-// then leaves to that list.
+// change it, and it is valid until ResetKeep. Asked for an open list,
+// Session hands out its buffer, which the recorder then leaves to that
+// list.
 func (r *Recorder) Session(k ConnKey) []Event {
 	i, ok := r.index[r.conn(k)]
 	if !ok {
 		return nil
 	}
-	if i == r.own {
-		r.lent = true
+	if o := slices.Index(r.open, i); o >= 0 {
+		r.open = slices.Delete(r.open, o, o+1)
 	}
-	l := r.events(i)
+	l := r.sess[i]
 	return l[:len(l):len(l)]
 }
 
@@ -291,7 +295,7 @@ func (r *Recorder) Trace() *Trace {
 	pos, pay := make([]int32, len(r.index)), make([]int32, len(r.index))
 	for _, run := range r.runs {
 		i := run.list
-		evs := r.events(i)[pos[i]:][:run.n]
+		evs := r.sess[i][pos[i]:][:run.n]
 		pos[i] += run.n
 		t.Events = append(t.Events, evs...)
 		for _, e := range evs {
@@ -304,8 +308,8 @@ func (r *Recorder) Trace() *Trace {
 	return t
 }
 
-// ResetKeep discards accumulated events but keeps every list's storage
-// and the buffer, lent or not. Streaming fleet campaigns reset a pooled
+// ResetKeep discards accumulated events but keeps every list's storage,
+// the buffers included. Streaming fleet campaigns reset a pooled
 // slot's recorder after every folded session, so a slot's capture
 // memory is allocated once and amortized over thousands of ephemeral
 // clients. Sessions handed out before must not be read afterwards.
@@ -315,7 +319,7 @@ func (r *Recorder) ResetKeep() {
 		clear(r.pays[i])
 		r.pays[i] = r.pays[i][:0]
 	}
-	r.buf, r.own, r.lent = r.buf[:0], -1, false
+	r.open = r.open[:0]
 	r.hosts, r.runs, r.taps = r.hosts[:0], r.runs[:0], 0
 	clear(r.index)
 	clear(r.sacks)

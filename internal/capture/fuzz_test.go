@@ -81,7 +81,8 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 
 // FuzzRecorder is the recorder's differential: arbitrary tap sequences
 // over four hosts and six local × two remote ports — connections
-// interleaved, equal timestamps across them, SACK-carrying ACKs — in
+// interleaved, overlapping ones closing while others stay open, equal
+// timestamps across them, SACK-carrying ACKs — in
 // rounds separated by ResetKeep. After every round the recorder's
 // Trace must be the taps in tap order (SACK blocks at the same
 // positions, captured bytes unless snapping), each Session, Payloads
@@ -91,8 +92,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // later taps and connection opens.
 // Each tap is four input bytes; a first byte of 0xff ends the round.
 // Mutations: file a SACK under the trace position instead of the
-// session position, keep a list's events across ResetKeep, or pass a
-// handed-out buffer on to the next list.
+// session position, keep a list's events across ResetKeep, or pass on
+// a closed list's buffer without sealing the list, or a handed-out
+// buffer at all.
 func FuzzRecorder(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0x12, 0x02, 1, 1, 0x02, 0x12, 0, 0, 0x07, 0x10, 4, 7, 0x10, 0x10,
@@ -101,6 +103,19 @@ func FuzzRecorder(f *testing.F) {
 	})
 	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0x0a, 0x10, 0xff, 0, 0, 0, 0xff, 0, 0, 0})
 	f.Add([]byte{0, 0, 0x10, 0x52, 0, 1, 0x12, 0x10, 0, 0, 0x16, 0x10, 0, 2, 0x10, 0x51, 0, 1, 0x00, 0x10})
+	// Overlapping connections: A and B open; A's teardown completes (a
+	// FIN each way, then the final ACK) while B stays open; C opens on
+	// A's buffer, B takes taps and lends its buffer to a Session, D
+	// opens on a new buffer, A takes a late retransmitted FIN, and B
+	// closes and lends its buffer again before E opens on a new one.
+	f.Add([]byte{
+		0, 0, 0x10, 0x01, 0, 1, 0x10, 0x01, 4, 0, 0x10, 0x03, 0, 0, 0x10, 0x06,
+		4, 0, 0x10, 0x06, 8, 0, 0x10, 0x02, 0, 2, 0x10, 0x01, 4, 1, 0x10, 0x43,
+		0, 1, 0x10, 0x02, 0, 3, 0x10, 0x01, 4, 0, 0x11, 0x06,
+		0, 1, 0x10, 0x06, 12, 1, 0x10, 0x06, 16, 1, 0x10, 0x42, 0, 4, 0x10, 0x01,
+		0xff, 0, 0, 0,
+		0, 1, 0x10, 0x01, 0, 2, 0x10, 0x01, 4, 1, 0x10, 0x02,
+	})
 	hosts := []string{"fe-a", "fe-b", "be", "cdn"}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rec := NewRecorder("n")

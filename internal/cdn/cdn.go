@@ -286,8 +286,8 @@ func (d *Deployment) FEBEDistances() map[simnet.HostID]float64 {
 // --- calibrated deployments ---
 
 // googleFEMetros is the sparse dedicated fleet: a handful of major
-// peering metros, calibrated so roughly 60% of vantage nodes see <20 ms
-// RTT to their default FE (paper Figure 6) while the dense CDN fleet
+// peering metros, calibrated to the paper's Figure-6 share of vantage
+// nodes within 20 ms of their default FE (a root scorecard row) while the dense CDN fleet
 // reaches nearly all of them.
 var googleFEMetros = []string{
 	"metro-newyork", "metro-chicago", "metro-atlanta",

@@ -85,7 +85,8 @@ func BackboneDelayModel() DelayModel {
 // studied services: long-haul routes with multi-AS detours and
 // switching overheads. Its inflation gives 0.0483 ms of RTT per mile,
 // and the Figure-9 regression slope lands there (0.048–0.050 ms/mile)
-// — about half the paper's 0.08–0.1 ms/mile (ROADMAP 4a).
+// — about half the paper's slopes (the Fig 9 rows of the root
+// scorecard; ROADMAP item 16).
 func WideAreaFEBEDelayModel() DelayModel {
 	return DelayModel{PerMile: 8050 * time.Nanosecond, Inflation: 3.0, Floor: 300 * time.Microsecond}
 }

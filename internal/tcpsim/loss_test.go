@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,32 +48,79 @@ func TestSynAckLossRecovered(t *testing.T) {
 	}
 }
 
+// retryTransfer sends size bytes server→client over lossyWorld and
+// returns the payload, what the client received, and whether any
+// connection of either side — the server's half-open ones included —
+// gave up after its retry budget of maxBackoffs unanswered
+// retransmissions.
+func retryTransfer(seed int64, loss float64, size int) (payload, got []byte, gaveUp bool) {
+	sim, client, server := lossyWorld(seed, loss, loss)
+	payload = make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 2654435761)
+	}
+	if _, err := server.Listen(80, func(c *Conn) {
+		c.Send(payload)
+		c.Close()
+	}); err != nil {
+		panic(err)
+	}
+	var conns []*Conn
+	server.Tap = func(TapEvent, []byte, []SACKBlock) {
+		for _, c := range server.conns {
+			if !slices.Contains(conns, c) {
+				conns = append(conns, c)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	conn := client.Dial("s", 80)
+	conn.OnData = func(b []byte) { buf.Write(b) }
+	conn.OnClose = func() { conn.Close() }
+	sim.Run()
+	for _, c := range append(conns, conn) {
+		gaveUp = gaveUp || c.backoffs > maxBackoffs
+	}
+	return payload, buf.Bytes(), gaveUp
+}
+
 func TestStreamIntegrityQuickRandomLoss(t *testing.T) {
 	// Property: for any seed and loss rate ≤ 20%, the delivered stream
-	// equals the sent stream (TCP reliability invariant).
+	// equals the sent stream (TCP reliability invariant) — or, when a
+	// connection spent its retry budget, is a prefix of it.
 	f := func(seed int64, lossBase uint8, sizeKB uint8) bool {
-		loss := float64(lossBase%20) / 100
-		size := (int(sizeKB)%64 + 1) << 10
-		sim, client, server := lossyWorld(seed, loss, loss)
-		payload := make([]byte, size)
-		for i := range payload {
-			payload[i] = byte(i * 2654435761)
+		payload, got, gaveUp := retryTransfer(seed, float64(lossBase%20)/100, (int(sizeKB)%64+1)<<10)
+		if gaveUp {
+			return bytes.HasPrefix(payload, got)
 		}
-		if _, err := server.Listen(80, func(c *Conn) {
-			c.Send(payload)
-			c.Close()
-		}); err != nil {
-			return false
-		}
-		var got bytes.Buffer
-		conn := client.Dial("s", 80)
-		conn.OnData = func(b []byte) { got.Write(b) }
-		conn.OnClose = func() { conn.Close() }
-		sim.Run()
-		return bytes.Equal(got.Bytes(), payload)
+		return bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetryBudgetAbortKeepsPrefix pins two inputs on which the property
+// above once failed. In each, every retransmission of one run of RTOs
+// is lost, or reaches the client and has its re-ACK lost, until the
+// server gives up: mid-stream (13% loss: 5 of 8 retransmissions and all
+// 3 re-ACKs lost) and in SYN-RCVD (19% loss: the handshake's ACK and
+// all 4 re-ACKs of delivered SYN-ACKs lost). The client keeps the
+// prefix it received.
+func TestRetryBudgetAbortKeepsPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		seed       int64
+		loss       float64
+		size, want int
+	}{
+		{7571746219536066632, 0.13, 50 << 10, 24820},
+		{937, 0.19, 3 << 10, 0},
+	} {
+		payload, got, gaveUp := retryTransfer(tc.seed, tc.loss, tc.size)
+		if !gaveUp || !bytes.Equal(got, payload[:tc.want]) {
+			t.Errorf("seed %d, loss %g: gave up %v, delivered %d of %d bytes (prefix %v); want a retry-budget abort after %d",
+				tc.seed, tc.loss, gaveUp, len(got), tc.size, bytes.HasPrefix(payload, got), tc.want)
+		}
 	}
 }
 

@@ -197,8 +197,7 @@ func (s ContentSpec) DynamicSize(q Query) int {
 
 // CostModel maps a query to back-end processing time — the paper's
 // T_proc, the dominant component of the FE-BE fetch time that Section 5
-// estimates via the regression intercept (~260 ms for Bing, ~34 ms for
-// Google).
+// estimates via the regression intercept.
 type CostModel struct {
 	// Base is the floor processing time of any query.
 	Base time.Duration

@@ -2,7 +2,6 @@ package fesplit
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,28 +34,5 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", f.Name, f.Kind, labels, f.Help)
 	}
-	want := b.String()
-
-	path := filepath.Join("docs", "METRICS.md")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(raw)
-	head, rest, ok := strings.Cut(doc, metricsDocBegin)
-	got, tail, ok2 := strings.Cut(rest, metricsDocEnd)
-	if !ok || !ok2 {
-		t.Fatalf("%s lacks the generated-block markers:\n%s%s", path, metricsDocBegin, metricsDocEnd)
-	}
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(head+metricsDocBegin+want+metricsDocEnd+tail), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote the family table of %s (%d families)", path, len(out.Metrics.Families()))
-		return
-	}
-	if got != want {
-		t.Errorf("%s family table drifted from the registry — rerun with -update and review.\n--- documented\n%s--- registered\n%s",
-			path, got, want)
-	}
+	checkGeneratedBlock(t, filepath.Join("docs", "METRICS.md"), metricsDocBegin, metricsDocEnd, b.String())
 }

@@ -61,7 +61,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			pf("%-10s %14.1f %14.1f %14.1f %14.1f\n",
 				c, ss.Median, ss.IQR(), ds.Median, ds.IQR())
 		}
-		pf("observation: Tdynamic varies strongly across classes; Tstatic does not.\n")
 	}
 
 	if r.Fig4 != nil {
@@ -86,7 +85,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			}
 			pf("%s\n", strings.Join(marks, " "))
 		}
-		pf("observation: the static and dynamic receive clusters merge as RTT grows.\n")
 	}
 
 	if r.Fig5 != nil {
@@ -137,7 +135,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			pf("%-14s %12.1f %12.1f %12.1f %12.1f\n",
 				f.Service, f.MedStaticMS, f.IQRStaticMS, f.MedDynamicMS, f.IQRDynMS)
 		}
-		pf("observation: the dense CDN is closer yet slower and more variable.\n")
 	}
 
 	if r.Fig8 != nil {
@@ -282,6 +279,20 @@ func (r *Report) WriteText(w io.Writer) error {
 		pf("smallest cluster meeting the SLO: %d replicas\n", d.MinReplicas)
 	}
 
+	var scored []ScorecardRow
+	for _, row := range r.Scorecard() {
+		if row.held {
+			scored = append(scored, row)
+		}
+	}
+	if scored != nil {
+		hr("Scorecard — the paper's claims (structural rows are asserted by tests; calibrated rows are reported)")
+		pf("%-6s %-10s %-7s %10s %16s  %s\n", "figure", "kind", "verdict", "measured", "band", "quantity — paper")
+		for _, row := range scored {
+			pf("%-6s %-10s %-7s %10s %16s  %s — %s\n", row.Figure, row.Kind, row.Verdict,
+				row.Measured(), row.Band(), row.Quantity, row.Paper)
+		}
+	}
 	return nil
 }
 
