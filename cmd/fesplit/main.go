@@ -183,9 +183,6 @@ func cmdSweep(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("sweep: no query completed at FE fraction %s (client-leg loss %g, %d repeats)",
 			strings.Join(empty, ", "), *loss, *repeats)
 	}
-	fmt.Fprintln(stdout, "\nobservation: overall delay favors FEs near the client, but the gains")
-	fmt.Fprintln(stdout, "flatten below the threshold — there, Tdynamic is governed solely by the")
-	fmt.Fprintln(stdout, "FE-BE fetch time, which grows as the FE moves away from the data center.")
 	return nil
 }
 

@@ -6,8 +6,26 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var seed42 struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+// seed42Report runs the light study at seed 42 once per test binary; the
+// tests that read it share the one report.
+func seed42Report(t *testing.T) *Report {
+	t.Helper()
+	seed42.once.Do(func() { seed42.rep, seed42.err = NewStudy(LightStudyConfig(42)).RunAll() })
+	if seed42.err != nil {
+		t.Fatal(seed42.err)
+	}
+	return seed42.rep
+}
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files and the generated blocks of EXPERIMENTS.md and docs/METRICS.md from the current study output")
 
@@ -18,11 +36,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files
 // or an accidental reproducibility break — the failure mode this PR's
 // parallel runner must never introduce.
 func TestGoldenFigureCSVs(t *testing.T) {
-	cfg := LightStudyConfig(42)
-	rep, err := NewStudy(cfg).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := seed42Report(t)
 	dir := t.TempDir()
 	if err := rep.WriteCSVs(dir); err != nil {
 		t.Fatal(err)

@@ -78,12 +78,9 @@ type Network struct {
 	resolvers map[HostID]func(peer HostID) (PathParams, bool)
 
 	// version is bumped on every topology mutation (SetPath, Attach,
-	// SetPathResolver, SetFastPathEnabled) and invalidates outstanding
-	// PathHandles; holders re-resolve through FastPath on mismatch.
+	// SetPathResolver) and invalidates outstanding PathHandles; holders
+	// re-resolve through FastPath on mismatch.
 	version uint64
-	// fastOff disables FastPath entirely (the differential tests'
-	// packet-path reference run).
-	fastOff bool
 
 	// Fast-path accounting: segments/bytes that bypassed the global
 	// event heap and epochs entered by connections; lane segments
@@ -247,7 +244,7 @@ func (n *Network) admit(p *path, size int) (arrival Time, dropped bool) {
 // without going through the event heap. The zero value is invalid.
 // Holders must check Valid before each use: any topology mutation
 // revokes every outstanding handle, after which the holder re-resolves
-// via FastPath (which refuses only while the engine is switched off).
+// via FastPath.
 //
 // A handle's path may carry a loss process. Loss draws consume the
 // simulator PRNG in segment send order — exactly when Network.Send
@@ -281,24 +278,11 @@ func (h PathHandle) Transmit(size int) (arrival Time, dropped bool) {
 	return arrival, false
 }
 
-// FastPath resolves a handle for the directed path from → to, or an
-// invalid handle when fast-forwarding is disabled on this network. A
-// loss process — a total blackout included — does not disqualify the
-// path: drops are resolved at send time by Transmit.
+// FastPath resolves a handle for the directed path from → to. A loss
+// process — a total blackout included — does not disqualify the path:
+// drops are resolved at send time by Transmit.
 func (n *Network) FastPath(from, to HostID) PathHandle {
-	if n.fastOff {
-		return PathHandle{}
-	}
 	return PathHandle{n: n, p: n.pathState(from, to), version: n.version}
-}
-
-// SetFastPathEnabled toggles FastPath resolution (enabled by default).
-// Disabling revokes outstanding handles, forcing every transfer back to
-// the packet-level path — the differential equivalence tests run each
-// scenario both ways and require identical observable behaviour.
-func (n *Network) SetFastPathEnabled(on bool) {
-	n.version++
-	n.fastOff = !on
 }
 
 // NoteFastEpoch records a connection entering a fast-forwarded epoch

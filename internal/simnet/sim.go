@@ -128,9 +128,8 @@ func (q *eventQueue) siftDown() {
 // simulator's sequence space (TakeSeq), so the merged pop order across
 // the main heap and the lane is the same total order a single heap
 // would produce. That property is what lets every TCP segment bypass
-// the global heap while remaining bit-identical to the packet path,
-// which runs only when Network.SetFastPathEnabled(false) asks for it as
-// a reference; see docs/PERF.md. tcpsim attaches the one lane a
+// the global heap and still reproduce the packet path's frozen
+// transcripts; see docs/PERF.md. tcpsim attaches the one lane a
 // simulator has.
 type FastLane interface {
 	// Head returns the next lane event's (time, seq); ok is false when

@@ -20,10 +20,6 @@ type transferScenario struct {
 	// at that instant: the transfer starts clean and must re-resolve its
 	// path handle and recover losses mid-stream.
 	lossyAfter time.Duration
-	// packetLane disables the fast-forward engine, so every segment and
-	// ACK is an event on the heap. Otherwise the engine must have carried
-	// segments: a scenario cannot silently measure the wrong lane.
-	packetLane bool
 }
 
 var (
@@ -66,9 +62,6 @@ func (sc transferScenario) run(tb testing.TB, seed int64, payload []byte) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	if sc.packetLane {
-		n.SetFastPathEnabled(false)
-	}
 	if sc.lossyAfter > 0 {
 		lossy := simnet.PathParams{Delay: sc.path.Delay, LossRate: 0.02}
 		sim.Schedule(sc.lossyAfter, func() { n.SetPath("s", "c", lossy) })
@@ -80,9 +73,6 @@ func (sc transferScenario) run(tb testing.TB, seed int64, payload []byte) {
 	sim.Run()
 	if got != len(payload) {
 		tb.Fatalf("incomplete: %d", got)
-	}
-	if fast := n.FastPathStats().Segments > 0; fast == sc.packetLane {
-		tb.Fatalf("scenario measures the wrong lane: fast lane carried segments = %v", fast)
 	}
 }
 
@@ -135,12 +125,11 @@ func BenchmarkLossyTransfer(b *testing.B) {
 // scenario, at a fixed seed so the count is exact. On the fast lane a
 // segment allocates nothing (a subslice of the queued write, by-value
 // lane entries), so a transfer costs tens of objects however many
-// segments it carries; the packet lane boxes each segment and each ACK
-// into its simnet.Packet, one object per packet, and recovery adds
-// timers — the two lossy pins fell 220 → 139 and 111 → 85 when recovery
-// exchanges stopped leaving the lane (no segment boxed into a Packet
-// while a hole is open), then to 66 and 63 when SACK blocks moved into
-// the lane slots' side storage. A limit 10 % over the measured
+// segments it carries, and recovery adds timers — the two lossy pins
+// fell 220 → 139 and 111 → 85 when recovery exchanges stopped leaving
+// the lane (no segment boxed into a Packet while a hole is open), then
+// to 66 and 63 when SACK blocks moved into the lane slots' side
+// storage. A limit 10 % over the measured
 // count leaves room for set-up changes and none for one more allocation
 // per segment, packet or event (256 KB is ≈ 180 segments, 1 MB ≈ 720).
 func TestTransferAllocPins(t *testing.T) {
@@ -150,7 +139,6 @@ func TestTransferAllocPins(t *testing.T) {
 		measured float64 // allocations per transfer at seed 1
 	}{
 		{"BulkTransfer", bulkTransfer, 54}, // also BenchmarkFastPathTransfer: one scenario
-		{"BulkTransferPacketLane", transferScenario{size: 1 << 20, path: clean20ms, packetLane: true}, 1489},
 		{"FastPathTurnsLossy", fastPathTurnsLossy, 66},
 		{"GilbertLossyTransfer", gilbertLossy(), 63},
 	}

@@ -530,11 +530,9 @@ func (c *Conn) payload(seq, n uint64) []byte {
 }
 
 // transmit sends s, its bytes and the SACK blocks seg left in sackBuf
-// on the fast lane — or, only while the engine is
-// switched off (SetFastPathEnabled(false), the differential tests'
-// reference run), as a packet event on the heap. The steady-state cost
-// is two generation compares; resolution runs on an incarnation's first
-// segment and after a topology or demux change invalidated the cache.
+// on the fast lane. The steady-state cost is two generation compares;
+// resolution runs on an incarnation's first segment and after a
+// topology or demux change invalidated the cache.
 //
 // A peer whose connection object is not resolvable yet (the initial SYN
 // precedes its creation) or no longer exists, and a peer host whose
@@ -548,10 +546,7 @@ func (c *Conn) transmit(s Segment, data []byte) {
 	c.bytesSent += uint64(s.Len)
 	switch {
 	case !c.fwdPath.Valid():
-		if !c.resolveFast() {
-			c.ep.send(c.remote, s, data, c.sackBuf[:s.NSACK])
-			return
-		}
+		c.resolveFast()
 	case c.peer == nil:
 		// Upgrade to direct dispatch once the peer's connection appears.
 		if c.peerEp != nil {
@@ -568,25 +563,19 @@ func (c *Conn) transmit(s Segment, data []byte) {
 }
 
 // resolveFast (re)derives the fast-lane cache: the path handle, and the
-// peer's connection when the peer host's handler is an *Endpoint. It
-// fails only while the engine is switched off.
-func (c *Conn) resolveFast() bool {
+// peer's connection when the peer host's handler is an *Endpoint.
+func (c *Conn) resolveFast() {
 	net := c.ep.net
-	h := net.FastPath(c.ep.host, c.remote)
-	if !h.Valid() {
-		return false
-	}
 	if c.lane == nil {
 		c.lane = laneFor(c.ep.Sim())
 		net.NoteFastEpoch()
 	}
-	c.fwdPath = h
+	c.fwdPath = net.FastPath(c.ep.host, c.remote)
 	c.peerEp, _ = net.Handler(c.remote).(*Endpoint)
 	if c.peerEp == nil || !c.resolvePeer() {
 		c.peer = nil
 		c.retarget(nil, c.peerEp)
 	}
-	return true
 }
 
 // resolvePeer locates the peer's connection object through its
@@ -618,12 +607,11 @@ func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 	c.ring.dst, c.ring.dstEp, c.ring.dstGen = dst, dstEp, 0
 }
 
-// fastSend transmits one segment through the fast lane: identical tap
-// and metrics effects to Endpoint.send, arrival computed by the shared
-// path state machine, delivery queued on the lane under a sequence
-// number drawn exactly where Network.Send's heap push would have drawn
-// it. See docs/PERF.md for why the result is bit-identical to the
-// packet path.
+// fastSend transmits one segment through the fast lane: the tap and
+// the metrics, arrival computed by the path state machine Network.Send
+// runs, delivery queued on the lane under a sequence number drawn
+// exactly where Network.Send's heap push would have drawn it. See
+// docs/PERF.md for why the result is bit-identical to the packet path.
 func (c *Conn) fastSend(s Segment, data []byte) {
 	e := c.ep
 	sack := c.sackBuf[:s.NSACK]
@@ -1083,10 +1071,13 @@ func (c *Conn) processAck(s Segment, sack []SACKBlock) {
 // advanceUna moves the send window forward to ack, dropping the runs it
 // covers whole (a partly acked run stays until its last byte is acked).
 // slices.Delete clears the vacated tail, so a long-lived or recycled
-// connection pins no acknowledged bytes.
+// connection pins no acknowledged bytes. An ack past the stream's end
+// acknowledges the FIN, also when an RTO rewind cleared finSent after
+// the FIN had left (the ack then outruns sndNxt).
 func (c *Conn) advanceUna(ack uint64) {
-	if c.finSent && ack > c.finSeq {
-		c.finAcked = true
+	if c.finQueued && ack > c.sndEnd {
+		c.finSent, c.finAcked = true, true
+		c.sndNxt = ack
 	}
 	k := 0
 	for k < len(c.sndq) && c.sndq[k].end <= ack {

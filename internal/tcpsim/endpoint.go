@@ -127,9 +127,8 @@ func (e *Endpoint) allocPort() uint16 {
 }
 
 // wireSeg is a segment as a heap packet carries it: boxed into
-// Packet.Payload with its bytes and SACK blocks. Only the engine-off
-// packet path (the differential tests' reference run) and a lane
-// delivery to a host whose handler is not an *Endpoint build one.
+// Packet.Payload with its bytes and SACK blocks. Only a lane delivery
+// to a host whose handler is not an *Endpoint builds one.
 type wireSeg struct {
 	Segment
 	data []byte
@@ -180,26 +179,6 @@ func (e *Endpoint) deliver(from simnet.HostID, seg Segment, data []byte, sack []
 	}
 	// Anything else (stray segment to a closed conn) is dropped; real
 	// stacks send RST, which nothing in this simulation would consume.
-}
-
-// send transmits a segment to remote as a heap packet event, invoking
-// the tap.
-func (e *Endpoint) send(remote simnet.HostID, seg Segment, data []byte, sack []SACKBlock) {
-	if e.Tap != nil {
-		e.Tap(TapEvent{Time: e.Sim().Now(), Dir: DirSend, Remote: string(remote), Segment: seg}, data, sack)
-	}
-	if m := e.Metrics; m != nil {
-		m.SegsSent.Inc()
-		if seg.Retrans {
-			m.Retransmits.Inc()
-		}
-	}
-	e.net.Send(simnet.Packet{
-		From:    e.host,
-		To:      remote,
-		Size:    e.cfg.HeaderSize + int(seg.Len),
-		Payload: box(seg, data, sack),
-	})
 }
 
 // remove drops a connection from the demux table.

@@ -6,10 +6,10 @@ import (
 
 // The fast lane is the TCP half of the flow-level fast-forward engine
 // (the network half is simnet.PathHandle). Every segment a connection
-// sends rides it unless the engine is switched off: its fate and
-// arrival time are resolved at send time — by the same path state
-// machine the packet path runs, loss draws included — and the delivery
-// is queued here instead of on the global event heap. The simulator
+// sends rides it: its fate and arrival time are resolved at send time —
+// by the same path state machine Network.Send runs, loss draws
+// included — and the delivery is queued here instead of on the global
+// event heap. The simulator
 // merges the lane into its dispatch loop in (time, seq) order, so
 // deliveries interleave with ordinary events exactly as heap-scheduled
 // packets would. The lane is a per-connection delivery queue, not a

@@ -1,21 +1,27 @@
 package tcpsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fesplit/internal/simnet"
 )
 
-// The fast-forward engine's contract is exact equivalence: with
-// SetFastPathEnabled(false) forcing every segment through the event
-// heap, a scenario must produce bit-identical observable behaviour —
-// every tap event at the same sim-time with the same segment, the same
-// connection metrics, the same final clock. These tests run randomized
-// and adversarially-timed scenarios both ways and diff the transcripts.
+// The lane is TCP's only path. Besides the drop schedules
+// (schedule_test.go), its reference is the packet path it replaced: for
+// every scenario the lane-vs-packet differentials ran, the transcript
+// both paths produced — every tap event at the same sim-time with the
+// same segment, the same connection metrics, the same final clock — is
+// frozen as a sha256 digest in testdata/transcripts.sha256, and the
+// lane must reproduce it.
 
 // obsEvent is a TapEvent reduced to comparable fields, with its SACK
 // blocks (the payload collapses to its length; the stream-integrity
@@ -41,9 +47,8 @@ type transcript struct {
 	serverM Metrics
 	gotLen  int
 	doneAt  time.Duration
-	// stats is the run's fast-path accounting — deliberately NOT part
-	// of diff (the packet-path run has no epochs by construction); the
-	// loss-boundary tests use it to prove a scenario exercised the lane.
+	// stats is the run's fast-path accounting, not part of diff or the
+	// digest: the tests use it to prove a scenario exercised the lane.
 	stats simnet.FastPathStats
 }
 
@@ -77,24 +82,11 @@ func (tr *transcript) sends(host string) int {
 	return n
 }
 
+// diff names the first difference between two transcripts, or "".
 func (tr *transcript) diff(other *transcript) string {
-	if tr.finalAt != other.finalAt {
-		return fmt.Sprintf("final sim time: %v vs %v", tr.finalAt, other.finalAt)
-	}
-	if tr.doneAt != other.doneAt {
-		return fmt.Sprintf("transfer completion: %v vs %v", tr.doneAt, other.doneAt)
-	}
-	if tr.gotLen != other.gotLen {
-		return fmt.Sprintf("bytes delivered: %d vs %d", tr.gotLen, other.gotLen)
-	}
-	if tr.clientM != other.clientM {
-		return fmt.Sprintf("client metrics: %+v vs %+v", tr.clientM, other.clientM)
-	}
-	if tr.serverM != other.serverM {
-		return fmt.Sprintf("server metrics: %+v vs %+v", tr.serverM, other.serverM)
-	}
-	if len(tr.events) != len(other.events) {
-		return fmt.Sprintf("tap event count: %d vs %d", len(tr.events), len(other.events))
+	a := fmt.Sprint(tr.finalAt, tr.doneAt, tr.gotLen, tr.clientM, tr.serverM, len(tr.events))
+	if b := fmt.Sprint(other.finalAt, other.doneAt, other.gotLen, other.clientM, other.serverM, len(other.events)); a != b {
+		return fmt.Sprintf("final time, completion, bytes, client and server metrics, tap events: %s vs %s", a, b)
 	}
 	for i := range tr.events {
 		if tr.events[i] != other.events[i] {
@@ -102,6 +94,34 @@ func (tr *transcript) diff(other *transcript) string {
 		}
 	}
 	return ""
+}
+
+// digest is a sha256 of everything diff compares.
+func (tr *transcript) digest() string {
+	h := sha256.New()
+	fmt.Fprint(h, tr.events, tr.finalAt, tr.doneAt, tr.gotLen, tr.clientM, tr.serverM)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// frozen maps a scenario name to its transcript digest, as the
+// packet-path reference wrote it (testdata/transcripts.sha256).
+var frozen = sync.OnceValue(func() map[string]string {
+	b, _ := os.ReadFile("testdata/transcripts.sha256")
+	m := map[string]string{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok {
+			m[name] = sum
+		}
+	}
+	return m
+})
+
+// checkFrozen fails t unless tr reproduces the frozen digest of name.
+func checkFrozen(t *testing.T, name string, tr *transcript) {
+	t.Helper()
+	if got, want := tr.digest(), frozen()[name]; got != want {
+		t.Fatalf("%s: transcript digest %s, frozen %q", name, got, want)
+	}
 }
 
 // fastScenario parameterizes one randomized transfer.
@@ -164,7 +184,7 @@ func randScenario(r *rand.Rand) fastScenario {
 // when non-nil, is called once per run with the network and a hook
 // registrar so adversarial tests can inject topology changes at exact
 // points in the segment stream.
-func (s fastScenario) run(t *testing.T, fast bool, mutate func(*simnet.Network, *testNet)) *transcript {
+func (s fastScenario) run(t *testing.T, mutate func(*simnet.Network, *testNet)) *transcript {
 	t.Helper()
 	sim := simnet.New(s.seed)
 	n := simnet.NewNetwork(sim)
@@ -176,7 +196,6 @@ func (s fastScenario) run(t *testing.T, fast bool, mutate func(*simnet.Network, 
 		pp.Gilbert = &g
 	}
 	n.SetLink("c", "s", pp)
-	n.SetFastPathEnabled(fast)
 	cfg := Config{MSS: s.mss, InitialCwnd: s.iw, DelayedAck: s.delayedAck, SACK: s.sack}
 	tn := &testNet{
 		sim:    sim,
@@ -227,10 +246,10 @@ func (s fastScenario) run(t *testing.T, fast bool, mutate func(*simnet.Network, 
 	return tr
 }
 
-// TestFastPathDifferentialEquivalence is the engine's main gate: many
+// TestFastPathDifferentialEquivalence is the lane's main gate: many
 // randomized scenarios across the (RTT, jitter, loss, bandwidth, size,
-// cwnd, MSS, SACK, delayed-ACK, direction) space, each run with the
-// fast path enabled and disabled, must produce identical transcripts.
+// cwnd, MSS, SACK, delayed-ACK, direction) space must each reproduce
+// the transcript the packet path produced.
 func TestFastPathDifferentialEquivalence(t *testing.T) {
 	iters := 60
 	if testing.Short() {
@@ -239,75 +258,66 @@ func TestFastPathDifferentialEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for i := 0; i < iters; i++ {
 		s := randScenario(r)
-		fastTr := s.run(t, true, nil)
-		slowTr := s.run(t, false, nil)
-		if d := fastTr.diff(slowTr); d != "" {
-			t.Fatalf("iter %d scenario %+v diverged: %s", i, s, d)
+		tr := s.run(t, nil)
+		if tr.gotLen != s.size {
+			t.Fatalf("iter %d scenario %+v incomplete: %d/%d bytes", i, s, tr.gotLen, s.size)
 		}
-		if fastTr.gotLen != s.size {
-			t.Fatalf("iter %d scenario %+v incomplete: %d/%d bytes", i, s, fastTr.gotLen, s.size)
-		}
+		checkFrozen(t, fmt.Sprintf("random/%02d", i), tr)
+	}
+	// The seed corpus of the former lossy fuzz target, mapped as it
+	// mapped its inputs (0.005000000000000001 is float64(50)/1000*0.1).
+	for i, s := range []fastScenario{
+		{seed: 1, delay: 11 * time.Millisecond, lossRate: 0.002, size: 65537},
+		{seed: 7, delay: 31 * time.Millisecond, lossRate: 0.005000000000000001, size: 122881, sack: true},
+		{seed: 42, delay: 6 * time.Millisecond, size: 204801, sack: true, useGilbert: true,
+			gilbert: simnet.GilbertParams{PGoodToBad: 0.05, PBadToGood: 0.25, LossGood: 0.001, LossBad: 0.6}},
+		{seed: 9, delay: 2 * time.Millisecond, size: 2},
+	} {
+		s.mss, s.iw = 1460, 10
+		checkFrozen(t, fmt.Sprintf("loss-epoch-seed/%d", i), s.run(t, nil))
 	}
 }
 
 // TestFastPathFallbackBoundary injects a total-loss window starting at
 // the epoch's first, middle, and last data segment. The topology flip
-// revokes the sender's path handle mid-epoch, forcing the fallback
-// transition at each boundary; timings must still match the packet
-// path exactly, including the retransmission schedule through the loss
-// window.
+// revokes the sender's path handle mid-epoch at each boundary; timings
+// must still match the packet path's exactly, including the
+// retransmission schedule through the loss window.
 func TestFastPathFallbackBoundary(t *testing.T) {
 	const totalSegs = 70 // ~100KB at MSS 1460
-	for _, boundary := range []struct {
-		name string
-		seg  int
-	}{
-		{"first", 0},
-		{"middle", totalSegs / 2},
-		{"last", totalSegs - 1},
-	} {
-		t.Run(boundary.name, func(t *testing.T) {
-			s := fastScenario{
-				seed:  99,
-				delay: 15 * time.Millisecond,
-				size:  totalSegs * 1460,
-				mss:   1460,
-				iw:    10,
-			}
-			mutate := func(n *simnet.Network, tn *testNet) {
+	s := fastScenario{seed: 99, delay: 15 * time.Millisecond, size: totalSegs * 1460, mss: 1460, iw: 10}
+	for i, name := range []string{"first", "middle", "last"} {
+		t.Run(name, func(t *testing.T) {
+			boundary := []int{0, totalSegs / 2, totalSegs - 1}[i]
+			tr := s.run(t, func(n *simnet.Network, tn *testNet) {
 				sent := 0
 				inner := tn.server.Tap
 				tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
 					inner(ev, data, sack)
 					if ev.Dir == DirSend && len(data) > 0 && !ev.Segment.Retrans {
-						if sent == boundary.seg {
-							// Defer to after the current dispatch so both
-							// lanes see the flip at the same stream
-							// position (mid-send mutation would race the
+						if sent == boundary {
+							// Defer to after the current dispatch, so the
+							// flip lands at the reference's stream position
+							// (mid-send mutation would race the
 							// already-resolved handle).
 							tn.sim.Schedule(0, func() {
-								lossy := simnet.PathParams{Delay: 15 * time.Millisecond, LossRate: 1}
-								n.SetPath("s", "c", lossy)
+								n.SetPath("s", "c", simnet.PathParams{Delay: s.delay, LossRate: 1})
 								tn.sim.Schedule(120*time.Millisecond, func() {
-									n.SetPath("s", "c", simnet.PathParams{Delay: 15 * time.Millisecond})
+									n.SetPath("s", "c", simnet.PathParams{Delay: s.delay})
 								})
 							})
 						}
 						sent++
 					}
 				}
+			})
+			if tr.gotLen != s.size {
+				t.Fatalf("incomplete: %d/%d", tr.gotLen, s.size)
 			}
-			fastTr := s.run(t, true, mutate)
-			slowTr := s.run(t, false, mutate)
-			if d := fastTr.diff(slowTr); d != "" {
-				t.Fatalf("boundary %s diverged: %s", boundary.name, d)
+			if tr.clientM.Retransmits == 0 && tr.serverM.Retransmits == 0 {
+				t.Fatal("loss window produced no retransmissions; injection missed")
 			}
-			if fastTr.gotLen != s.size {
-				t.Fatalf("boundary %s incomplete: %d/%d", boundary.name, fastTr.gotLen, s.size)
-			}
-			if fastTr.clientM.Retransmits == 0 && fastTr.serverM.Retransmits == 0 {
-				t.Fatalf("boundary %s: loss window produced no retransmissions; injection missed", boundary.name)
-			}
+			checkFrozen(t, "boundary/"+name, tr)
 		})
 	}
 }
@@ -318,7 +328,7 @@ func TestFastPathFallbackBoundary(t *testing.T) {
 // endpoint sends is either queued on the lane or dropped at send time.
 func TestFastPathStatsAccounting(t *testing.T) {
 	s := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
-	tr := s.run(t, true, nil)
+	tr := s.run(t, nil)
 	st := tr.stats
 	if st.Epochs != 2 || st.Bytes == 0 || st.LossDrops != 0 {
 		t.Fatalf("clean transfer: want two epochs, bytes and no drops, got %+v", st)
@@ -329,98 +339,70 @@ func TestFastPathStatsAccounting(t *testing.T) {
 
 	// Lossy from the start: the whole conversation, recovery included,
 	// is lane traffic.
-	s2 := s
-	s2.lossRate = 0.05
-	s2.seed = 8
-	tr2 := s2.run(t, true, nil)
-	st2 := tr2.stats
-	if st2.LossDrops == 0 {
-		t.Fatalf("5%% loss: want send-time lane drops, got %+v", st2)
+	s.lossRate, s.seed = 0.05, 8
+	tr = s.run(t, nil)
+	if st = tr.stats; st.LossDrops == 0 {
+		t.Fatalf("5%% loss: want send-time lane drops, got %+v", st)
 	}
-	if sent := uint64(tr2.sends("c") + tr2.sends("s")); st2.Segments+st2.LossDrops != sent {
-		t.Fatalf("lane segments %d + lane drops %d != %d segments sent",
-			st2.Segments, st2.LossDrops, sent)
+	if sent := uint64(tr.sends("c") + tr.sends("s")); st.Segments+st.LossDrops != sent {
+		t.Fatalf("lane segments %d + lane drops %d != %d segments sent", st.Segments, st.LossDrops, sent)
 	}
 }
 
 // TestFastPathSlowStartTimingPreserved pins a known-good absolute
-// timing (from the pre-fast-path engine) and checks both lanes still
-// land on it: a 21KB slow-start ramp completes between 3 and 6 RTT.
+// timing (from the pre-fast-path engine): a 21KB slow-start ramp
+// completes between 3 and 6 RTT.
 func TestFastPathSlowStartTimingPreserved(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		s := fastScenario{seed: 1, delay: 25 * time.Millisecond, size: 21000, mss: 1000, iw: 3}
-		tr := s.run(t, fast, nil)
-		rtt := 50 * time.Millisecond
-		if tr.doneAt < 3*rtt || tr.doneAt > 6*rtt {
-			t.Fatalf("fast=%v: completion at %v, want 3-6 RTT slow-start ramp", fast, tr.doneAt)
-		}
+	s := fastScenario{seed: 1, delay: 25 * time.Millisecond, size: 21000, mss: 1000, iw: 3}
+	tr := s.run(t, nil)
+	if rtt := 50 * time.Millisecond; tr.doneAt < 3*rtt || tr.doneAt > 6*rtt {
+		t.Fatalf("completion at %v, want 3-6 RTT slow-start ramp", tr.doneAt)
 	}
 }
 
 // TestFastPathCarriesFormerFallbacks runs the scenarios that used to
 // leave the fast lane for the event heap — a peer host behind a
 // forwarding handler, behind a dropping one, and a delayed ACK a closed
-// connection sends — plus the one switch that still does (the engine
-// turned off mid-stream). Each must reproduce the engine-off run's
-// transcript; in the first three, every segment sent must have ridden
-// the lane (queued or dropped there at send time).
+// connection sends. Each must reproduce the packet path's transcript,
+// and every segment sent must have ridden the lane (queued or dropped
+// there at send time).
 func TestFastPathCarriesFormerFallbacks(t *testing.T) {
 	base := fastScenario{seed: 7, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
-
-	// midStream applies a mutation after the server's 20th fresh data
-	// segment, on a zero-delay event so both runs see it at the same
-	// stream position.
-	midStream := func(apply func(*simnet.Network, *testNet)) func(*simnet.Network, *testNet) {
-		return func(n *simnet.Network, tn *testNet) {
-			sent := 0
-			inner := tn.server.Tap
-			tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
-				inner(ev, data, sack)
-				if ev.Dir == DirSend && len(data) > 0 && !ev.Segment.Retrans {
-					if sent == 20 {
-						tn.sim.Schedule(0, func() { apply(n, tn) })
-					}
-					sent++
-				}
-			}
-		}
-	}
-	scenario := func(mutate func(*simnet.Network, *testNet)) func(*testing.T, bool) *transcript {
-		return func(t *testing.T, fast bool) *transcript { return base.run(t, fast, mutate) }
-	}
-
 	for _, tc := range []struct {
-		name   string
-		run    func(t *testing.T, fast bool) *transcript
-		onLane bool // every segment rides the lane
+		name string
+		run  func(t *testing.T) *transcript
 	}{
-		// The client's stack moves behind a forwarding handler: same
-		// deliveries, through the host table instead of straight to
-		// the connection.
-		{"forwarder", scenario(midStream(func(n *simnet.Network, tn *testNet) {
-			n.Attach("c", simnet.HandlerFunc(tn.client.Deliver))
-		})), true},
-		{"dropper", scenario(func(n *simnet.Network, tn *testNet) {
-			n.Attach("c", &dropper{h: tn.client, drops: map[int]bool{3: true, 30: true, 31: true}})
-		}), true},
-		{"late-delayed-ack", lateDelayedAck, true},
-		{"switched-off", scenario(midStream(func(n *simnet.Network, _ *testNet) {
-			n.SetFastPathEnabled(false)
-		})), false},
+		// After the server's 20th fresh data segment (on a zero-delay
+		// event, where the reference applied it), the client's stack
+		// moves behind a forwarding handler: same deliveries, through
+		// the host table instead of straight to the connection.
+		{"forwarder", func(t *testing.T) *transcript {
+			return base.run(t, func(n *simnet.Network, tn *testNet) {
+				sent := 0
+				inner := tn.server.Tap
+				tn.server.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
+					inner(ev, data, sack)
+					if ev.Dir == DirSend && len(data) > 0 && !ev.Segment.Retrans {
+						if sent == 20 {
+							tn.sim.Schedule(0, func() { n.Attach("c", simnet.HandlerFunc(tn.client.Deliver)) })
+						}
+						sent++
+					}
+				}
+			})
+		}},
+		{"dropper", func(t *testing.T) *transcript {
+			return base.run(t, func(n *simnet.Network, tn *testNet) {
+				n.Attach("c", &dropper{h: tn.client, drops: map[int]bool{3: true, 30: true, 31: true}})
+			})
+		}},
+		{"late-delayed-ack", lateDelayedAck},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fastTr, slowTr := tc.run(t, true), tc.run(t, false)
-			if d := fastTr.diff(slowTr); d != "" {
-				t.Fatalf("diverged from the engine-off run: %s", d)
-			}
-			st := fastTr.stats
-			sent := uint64(fastTr.sends("c") + fastTr.sends("s"))
-			if onLane := st.Segments+st.LossDrops == sent; onLane != tc.onLane {
-				t.Fatalf("lane segments %d + lane drops %d vs %d segments sent: all on the lane = %v, want %v",
-					st.Segments, st.LossDrops, sent, onLane, tc.onLane)
-			}
-			if st.Segments == 0 || slowTr.stats != (simnet.FastPathStats{}) {
-				t.Fatalf("engine on carried %+v, engine off %+v", st, slowTr.stats)
+			tr := tc.run(t)
+			checkFrozen(t, "former-fallback/"+tc.name, tr)
+			if st, sent := tr.stats, uint64(tr.sends("c")+tr.sends("s")); st.Segments == 0 || st.Segments+st.LossDrops != sent {
+				t.Fatalf("lane segments %d + lane drops %d, %d segments sent: want all on the lane", st.Segments, st.LossDrops, sent)
 			}
 		})
 	}
@@ -432,11 +414,10 @@ func TestFastPathCarriesFormerFallbacks(t *testing.T) {
 // pending; the ACK timer then fires on the closed connection. A first
 // run learns the abort instant, the second lands the lone segment half
 // a delayed-ACK timeout before it.
-func lateDelayedAck(t *testing.T, fast bool) *transcript {
+func lateDelayedAck(t *testing.T) *transcript {
 	const delay, ackTimeout = 10 * time.Millisecond, 40 * time.Millisecond
 	run := func(loneAt time.Duration) (abortAt time.Duration, tr *transcript) {
 		tn := newTestNet(t, simnet.PathParams{Delay: delay}, Config{DelayedAck: true, DelayedAckTimeout: ackTimeout})
-		tn.net.SetFastPathEnabled(fast)
 		tr = &transcript{}
 		tn.client.Tap = tr.tap("c")
 		tn.server.Tap = tr.tap("s")
@@ -476,10 +457,10 @@ func lateDelayedAck(t *testing.T, fast bool) *transcript {
 // demuxGen. The server transmits nothing new once its flight is out, so
 // every flight segment delivered after the first close finds its ring's
 // resolution stale and takes the full demux. fallbacks counts those
-// deliveries on the fast run.
-func demuxChurn(t *testing.T, fast bool, fallbacks *int) *transcript {
+// deliveries.
+func demuxChurn(t *testing.T, fallbacks *int) *transcript {
 	s := fastScenario{seed: 5, delay: 10 * time.Millisecond, bandwidth: 10e6, size: 100 << 10, mss: 1460, iw: 100}
-	return s.run(t, fast, func(n *simnet.Network, tn *testNet) {
+	return s.run(t, func(n *simnet.Network, tn *testNet) {
 		other := NewEndpoint(n, "s2", Config{})
 		n.SetLink("c", "s2", simnet.PathParams{Delay: time.Millisecond})
 		if _, err := other.Listen(81, func(c *Conn) {
@@ -497,7 +478,7 @@ func demuxChurn(t *testing.T, fast bool, fallbacks *int) *transcript {
 		inner := tn.client.Tap
 		tn.client.Tap = func(ev TapEvent, data []byte, sack []SACKBlock) {
 			inner(ev, data, sack)
-			if srv := tn.server.conns[connKey{"c", 40000, 80}]; fast && ev.Dir == DirRecv && ev.Segment.SrcPort == 80 &&
+			if srv := tn.server.conns[connKey{"c", 40000, 80}]; ev.Dir == DirRecv && ev.Segment.SrcPort == 80 &&
 				srv != nil && srv.ring != nil && srv.ring.dstGen != tn.client.demuxGen {
 				*fallbacks++
 			}
@@ -507,23 +488,43 @@ func demuxChurn(t *testing.T, fast bool, fallbacks *int) *transcript {
 
 // TestFastPathDemuxChurnNeverBoxes: a lane delivery whose receiving
 // endpoint's demux table changed since the sender resolved it goes
-// through that endpoint's full demux — transcript-identical to the
-// engine-off run — without boxing the segment into a simnet.Packet. The
+// through that endpoint's full demux — reproducing the packet path's
+// transcript — without boxing the segment into a simnet.Packet. The
 // allocation pin (exact at the seed, 10 % of headroom) is smaller than
 // the number of such deliveries, so one allocation each would trip it.
 func TestFastPathDemuxChurnNeverBoxes(t *testing.T) {
 	fallbacks := 0
-	fastTr := demuxChurn(t, true, &fallbacks)
-	if d := fastTr.diff(demuxChurn(t, false, new(int))); d != "" {
-		t.Fatalf("diverged from the engine-off run: %s", d)
+	tr := demuxChurn(t, &fallbacks)
+	if tr.gotLen != 100<<10 {
+		t.Fatalf("delivered %d of %d bytes", tr.gotLen, 100<<10)
 	}
-	if fastTr.gotLen != 100<<10 {
-		t.Fatalf("delivered %d of %d bytes", fastTr.gotLen, 100<<10)
-	}
+	checkFrozen(t, "demux-churn", tr)
 	const measured = 253 // allocations per run at seed 5
-	allocs := testing.AllocsPerRun(3, func() { demuxChurn(t, true, new(int)) })
+	allocs := testing.AllocsPerRun(3, func() { demuxChurn(t, new(int)) })
 	if limit := measured * 1.1; allocs > limit || fallbacks <= int(limit-measured)+1 {
 		t.Errorf("%.0f allocations per run (pinned %d), %d deliveries through the full demux: want allocations ≤ %.0f and more full-demux deliveries than the headroom",
 			allocs, measured, fallbacks, limit)
+	}
+}
+
+// TestLossEpochBlackout: the server→client direction drops everything
+// from the first SYN|ACK on. Both ends climb their RTO ladders and
+// abort at the packet path's instants, every server segment resolved
+// as a send-time lane drop.
+func TestLossEpochBlackout(t *testing.T) {
+	s := fastScenario{seed: 9, delay: 10 * time.Millisecond, size: 100 << 10, mss: 1460, iw: 10}
+	tr := s.run(t, func(n *simnet.Network, _ *testNet) {
+		n.SetPath("s", "c", simnet.PathParams{Delay: s.delay, LossRate: 1})
+	})
+	checkFrozen(t, "blackout", tr)
+	// The server's connection never establishes, so the accept callback
+	// (and serverM) never sees it; its ladder shows as SYN|ACK resends.
+	if tr.clientM.Timeouts != maxBackoffs || tr.sends("s") <= maxBackoffs || tr.gotLen != 0 {
+		t.Fatalf("want both ends to climb %d RTOs with nothing delivered, got client %+v, %d server sends, %d bytes",
+			maxBackoffs, tr.clientM, tr.sends("s"), tr.gotLen)
+	}
+	if st := tr.stats; st.LossDrops != uint64(tr.sends("s")) || st.Segments != uint64(tr.sends("c")) {
+		t.Fatalf("want every server send a lane drop (%d), every client send a lane segment (%d); got %+v",
+			tr.sends("s"), tr.sends("c"), st)
 	}
 }

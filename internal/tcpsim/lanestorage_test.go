@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -9,18 +10,15 @@ import (
 )
 
 // laneTransfers runs k short lossy request/response conversations one
-// after another in one Sim, each on a fresh connection, with the fast
-// lane on from conversation fastFrom onward (the earlier ones ride the
-// packet path, which draws the same loss and timing randomness). It
-// returns each conversation's transcript and the lane's free-list
-// length once each conversation has drained (-1 while no lane exists).
-func laneTransfers(t *testing.T, k, fastFrom int) ([]*transcript, []int) {
+// after another in one Sim, each on a fresh connection. It returns each
+// conversation's transcript and the lane's free-list length once each
+// conversation has drained.
+func laneTransfers(t *testing.T, k int) ([]*transcript, []int) {
 	t.Helper()
 	const size = 12 << 10
 	sim := simnet.New(5)
 	n := simnet.NewNetwork(sim)
 	n.SetLink("c", "s", simnet.PathParams{Delay: 8 * time.Millisecond, LossRate: 0.05})
-	n.SetFastPathEnabled(fastFrom == 0)
 	cfg := Config{SACK: true}
 	client := NewEndpoint(n, "c", cfg)
 	server := NewEndpoint(n, "s", cfg)
@@ -36,27 +34,18 @@ func laneTransfers(t *testing.T, k, fastFrom int) ([]*transcript, []int) {
 	}
 	trs := make([]*transcript, k)
 	free := make([]int, k)
-	drained := func(i int) {
-		tr := trs[i]
-		tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
-		free[i] = -1
-		if l, ok := sim.FastLane().(*fastLane); ok {
-			if l.Len() != 0 {
-				t.Fatalf("conversation %d: %d deliveries still queued", i, l.Len())
-			}
-			free[i] = len(l.free)
-		}
-	}
 	var next func(i int)
 	next = func(i int) {
 		if i > 0 {
-			drained(i - 1)
+			tr, l := trs[i-1], sim.FastLane().(*fastLane)
+			tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
+			if l.Len() != 0 {
+				t.Fatalf("conversation %d: %d deliveries still queued", i-1, l.Len())
+			}
+			free[i-1] = len(l.free)
 		}
 		if i == k {
 			return
-		}
-		if i == fastFrom {
-			n.SetFastPathEnabled(true)
 		}
 		tr := &transcript{}
 		trs[i] = tr
@@ -80,27 +69,20 @@ func laneTransfers(t *testing.T, k, fastFrom int) ([]*transcript, []int) {
 // TestLaneStorageFollowsInFlight: a drained ring hands its slot array
 // back to the lane, so conversations on fresh connections reuse the
 // same few arrays — the free list after the fiftieth is the free list
-// after the first — and a reused array is invisible: each conversation's
-// transcript equals the same conversation on a lane that has never
-// pooled: a fresh Sim that plays the earlier ones on the packet path and
-// the rest after it on the lane (a client's FIN ladder can outlive the
-// idle gap, so a transcript holds the tail of the one before it too).
+// after the first — and a reused array is invisible: each conversation
+// reproduces the transcript the packet path produced for it (a client's
+// FIN ladder can outlive the idle gap, so a transcript holds the tail
+// of the one before it too).
 func TestLaneStorageFollowsInFlight(t *testing.T) {
 	const k = 50
-	trs, free := laneTransfers(t, k, 0)
+	trs, free := laneTransfers(t, k)
 	if free[0] < 1 || free[k-1] != free[0] {
 		t.Fatalf("free list after conversation 1: %d arrays, after %d: %d; want equal and non-zero", free[0], k, free[k-1])
 	}
 	retrans := 0
-	for i := range k {
-		retrans += trs[i].serverM.Retransmits
-		fresh, freshFree := laneTransfers(t, k, i)
-		if d := trs[i].diff(fresh[i]); d != "" {
-			t.Fatalf("conversation %d on pooled lane storage diverged from a fresh lane: %s", i, d)
-		}
-		if freshFree[i] != free[0] {
-			t.Fatalf("conversation %d on a fresh lane left %d arrays, the first on the shared lane %d", i, freshFree[i], free[0])
-		}
+	for i, tr := range trs {
+		retrans += tr.serverM.Retransmits
+		checkFrozen(t, fmt.Sprintf("lane-storage/%02d", i), tr)
 	}
 	if retrans == 0 {
 		t.Fatal("no conversation lost a segment: the lossy path exercised nothing")

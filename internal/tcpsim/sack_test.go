@@ -9,15 +9,23 @@ import (
 	"fesplit/internal/simnet"
 )
 
-// dropper deterministically drops the Nth data-bearing packets destined
-// to the wrapped handler, then forwards everything else.
+// dropper deterministically drops packets bound for the wrapped
+// handler and forwards the rest. It counts two ordinals: drops names
+// data-bearing first transmissions (1-based), mask names every arrival
+// (bit i drops the (i+1)th packet) — the drop schedules of
+// TestDropSchedules.
 type dropper struct {
-	h     simnet.Handler
-	drops map[int]bool
-	seen  int
+	h             simnet.Handler
+	drops         map[int]bool
+	mask          uint64
+	seen, arrived int
 }
 
 func (d *dropper) Deliver(p simnet.Packet) {
+	d.arrived++
+	if d.arrived <= 64 && d.mask>>(d.arrived-1)&1 != 0 {
+		return
+	}
 	if w, ok := p.Payload.(*wireSeg); ok && w.Len > 0 && !w.Retrans {
 		d.seen++
 		if d.drops[d.seen] {

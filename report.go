@@ -241,7 +241,6 @@ func (r *Report) WriteText(w io.Writer) error {
 		writeBuckets(d.Buckets)
 		pf("BE rejections %d, FE retries %d, degraded responses %d, max queue depth %d\n",
 			d.BERejected, d.FERetries, d.Degraded, d.MaxQueueDepth)
-		pf("observation: the cap bounds queue depth; excess load is shed as 503s.\n")
 	}
 
 	if r.Hotspot != nil {
@@ -251,7 +250,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			d.Service, d.Replicas, d.HotTerms, d.SurgeStartS, d.SurgeEndS)
 		writeBuckets(d.Buckets)
 		pf("max queue depth %d\n", d.MaxQueueDepth)
-		pf("observation: per-query work, not arrival rate, saturates the cluster.\n")
 	}
 
 	if r.Failover != nil {
@@ -261,7 +259,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			d.Service, d.FailAtS, d.FromBE, d.ToBE)
 		writeBuckets(d.Buckets)
 		pf("median Tdynamic: pre %.1f ms → post %.1f ms\n", d.PreP50Ms, d.PostP50Ms)
-		pf("observation: distance, not load, explains the step — queues stay flat.\n")
 	}
 
 	if r.Capacity != nil {

@@ -97,12 +97,8 @@ func TestStudyFig5ThresholdOrdering(t *testing.T) {
 	})
 }
 func TestWriteReportRendersEverySection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report in -short mode")
-	}
-	study := NewStudy(LightStudyConfig(6))
 	var buf bytes.Buffer
-	if err := study.WriteReport(&buf); err != nil {
+	if err := seed42Report(t).WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
