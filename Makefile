@@ -37,7 +37,9 @@ layering:
 # its allocation budget while a full-payload one costs ≥ 4× as much, a
 # Runner record's events must be its connection's recorder list (capped,
 # disjoint, together the node's whole capture) inside the lossy world's
-# per-query budget;
+# per-query budget, and a Runner given a measurer must measure each
+# record at close exactly as a run-end parse would, keeping no events and
+# inside its capture budget;
 # below them, the same differential for TCP streams and HTTP responses
 # that mix real and content-free bytes. At an elevated -count under the
 # race detector. Last, at study level: the probe's boundary equals what
@@ -49,7 +51,7 @@ layering:
 # per-packet rows (Segment, lane event, capture row) stay small and
 # pointer-free. See DESIGN.md §payload path.
 payload-check:
-	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget|TestRecordsSurviveLaterExperiments|TestDatasetRecordsPresized' ./internal/emulator
+	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget|TestRecordsSurviveLaterExperiments|TestDatasetRecordsPresized|TestMeasureAtCloseMatchesRunEnd|TestMeasuredRunnerHoldsNoEvents' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
 	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
 	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
@@ -139,12 +141,16 @@ scale-check: build
 # Self-tests of the separate fesplit/benchmark module (not part of the
 # root `go test ./...`): catches an API rename that breaks the benchmark
 # harness before the next benchmark run does. Then bench-gate's judge on
-# two canned compare outputs: host-time rows that read worse pass, a
-# changed digest fails.
+# three canned compare outputs: host-time rows that read worse pass, a
+# changed digest fails, and worse allocations fail naming the layer whose
+# allocation row moved most, as a changed per-layer count names its own.
 bench-selftest:
 	cd benchmark && $(GO) test ./...
 	./scripts/bench_gate.sh judge testdata/bench-gate/clean.txt
 	! ./scripts/bench_gate.sh judge testdata/bench-gate/changed-digest.txt
+	! ./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt >/dev/null
+	./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt | grep -q 'moved most: layer capture '
+	./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt | grep -q 'simnet.events_per_query .*(layer simnet)$$'
 
 # Benchmark gate on the machine-independent rows (ROADMAP item 1): one
 # seed-42 harness run compared with the newest committed point; fails on
@@ -235,7 +241,7 @@ report: build
 	./bin/fesplit study -dir study-out
 
 # Paper-scale regeneration into study-full/ (250 nodes, 720 repeats;
-# ~10 min, ~4 GB RSS).
+# ~11 s and ~0.5 GB peak RSS on 2 vCPUs).
 report-full: build
 	./bin/fesplit study -scale full -dir study-full
 

@@ -15,7 +15,9 @@ import (
 	"sort"
 	"time"
 
+	"fesplit/internal/capture"
 	"fesplit/internal/emulator"
+	"fesplit/internal/obs/critpath"
 	"fesplit/internal/simnet"
 	"fesplit/internal/stats"
 	"fesplit/internal/trace"
@@ -179,36 +181,74 @@ func (p Params) ViolatesBounds(trueFetch, tol time.Duration) bool {
 	return trueFetch < p.Tdelta-tol || trueFetch > p.Tdynamic+tol
 }
 
-// ExtractRecord is the one place a finished record is parsed: it applies
-// the skip rules (failed query, no captured events, unparseable
-// session, boundary not locatable in the stream), parses the session
-// once and builds the Section-2 parameters. The session comes back
-// whenever it parsed — with the error when only the boundary could not
-// be located, since the handshake and delivery instants are still good
-// — so Fold derives everything else from the same parse; it borrows the
-// record's events, so drop it with the record.
-func ExtractRecord(r *emulator.Record, boundary int) (Params, *trace.Session, error) {
-	if r.Failed || len(r.Events) == 0 {
+// Measurer measures records at one content boundary, parsing each into
+// one reused scratch session: an emulator.Measurer (a Runner given it
+// measures each record as its connection closes), and ExtractRecord
+// reads records measured or not. It is not safe for concurrent use.
+type Measurer struct {
+	boundary int
+	s        trace.Session
+	tl       critpath.Timeline // an unmeasured record's, for ExtractRecord
+}
+
+// NewMeasurer returns a measurer for the given static/dynamic boundary.
+func NewMeasurer(boundary int) *Measurer { return &Measurer{boundary: boundary} }
+
+// Measure implements emulator.Measurer.
+func (m *Measurer) Measure(rr *emulator.Record, events []capture.Event) {
+	rr.Parsed, rr.Skip = m.measure(rr.Key, events, &rr.Timeline)
+}
+
+// measure parses one session's events, locates the boundary in them and
+// writes the session's instants to tl. parsed is false when the events
+// do not parse; err is why the session has no Section-2 parameters.
+func (m *Measurer) measure(key capture.ConnKey, events []capture.Event, tl *critpath.Timeline) (parsed bool, err error) {
+	if len(events) == 0 {
+		return false, trace.ErrNoResponse
+	}
+	s := &m.s
+	if err := trace.ParseInto(s, key, events, nil); err != nil {
+		return false, err
+	}
+	err = s.Locate(m.boundary)
+	*tl = critpath.Timeline{TB: s.TB, T1: s.T1, T2: s.T2, T3: s.T3, T4: s.T4, T5: s.T5, TE: s.TE, RTT: s.RTT}
+	return true, err
+}
+
+// ExtractRecord is the one place a finished record's measurement is
+// read: it applies the skip rules (failed query, no captured events,
+// unparseable session, boundary not locatable in the stream) and builds
+// the Section-2 parameters from the timeline the record was measured
+// into at m's boundary, or else m parses now (valid until m's next
+// call). The timeline comes back whenever the session parsed — with the
+// error when only the boundary was not located, since the handshake and
+// delivery instants are still good — so Fold derives all else from it.
+func (m *Measurer) ExtractRecord(r *emulator.Record) (Params, *critpath.Timeline, error) {
+	if r.Failed {
 		return Params{}, nil, trace.ErrNoResponse
 	}
-	s, err := trace.Parse(r.Key, r.Events)
-	if err != nil {
-		return Params{}, nil, err
+	tl, parsed, err := &r.Timeline, r.Parsed, r.Skip
+	if !r.Measured {
+		tl = &m.tl
+		parsed, err = m.measure(r.Key, r.Events, tl)
 	}
-	if err := s.Locate(boundary); err != nil {
-		return Params{}, s, err
+	switch {
+	case !parsed:
+		return Params{}, nil, err
+	case err != nil:
+		return Params{}, tl, err
 	}
 	return Params{
 		Node:      r.Node,
 		FE:        r.FE,
-		RTT:       s.RTT,
-		Tstatic:   s.Tstatic(),
-		Tdynamic:  s.Tdynamic(),
-		Tdelta:    s.Tdelta(),
-		Overall:   s.Overall(),
+		RTT:       tl.RTT,
+		Tstatic:   tl.T4 - tl.T2,
+		Tdynamic:  tl.T5 - tl.T2,
+		Tdelta:    tl.T5 - tl.T4,
+		Overall:   tl.TE - tl.TB,
 		Terms:     r.Query.Terms,
-		Coalesced: s.Tdelta() == 0,
-	}, s, nil
+		Coalesced: tl.T5 == tl.T4,
+	}, tl, nil
 }
 
 // ExtractDataset measures every measurable record of a dataset
@@ -218,9 +258,10 @@ func ExtractDataset(ds *emulator.Dataset, boundary int) []Params {
 	if boundary <= 0 {
 		return nil
 	}
+	m := NewMeasurer(boundary)
 	out := make([]Params, 0, len(ds.Records))
 	for i := range ds.Records {
-		if p, _, err := ExtractRecord(&ds.Records[i], boundary); err == nil {
+		if p, _, err := m.ExtractRecord(&ds.Records[i]); err == nil {
 			out = append(out, p)
 		}
 	}

@@ -49,7 +49,7 @@ func TestCritPathConservation(t *testing.T) {
 			attributed := 0
 			for i := range ds.Records {
 				rr := &ds.Records[i]
-				_, sess, err := ExtractRecord(rr, boundary)
+				_, sess, err := NewMeasurer(boundary).ExtractRecord(rr)
 				if err != nil {
 					continue
 				}

@@ -7,23 +7,24 @@ import (
 	"fesplit/internal/emulator"
 	"fesplit/internal/obs"
 	"fesplit/internal/obs/critpath"
-	"fesplit/internal/trace"
 )
 
 // Fold is the one measuring pass over a finished record. Everything
-// derived from a record's packet trace comes from the single parse of
-// ExtractRecord, in this fixed order: the phase sketches, the Section-2
-// parameters, the causal span tree, the critical-path attribution
-// annotated onto that tree, and only then the tail offer — so retained
-// exemplars always carry the cp:* waterfall. The tree lives in the
-// fold's own arena and is recycled after every record; the sampler
-// clones the few it keeps.
+// derived from a record's packet trace comes from the one timeline
+// ExtractRecord reads, in this fixed order: the phase sketches, the
+// Section-2 parameters, the causal span tree, the critical-path
+// attribution annotated onto that tree, and only then the tail offer —
+// so retained exemplars always carry the cp:* waterfall. The tree lives
+// in the fold's own arena and is recycled after every record; the
+// sampler clones the few it keeps.
 //
-// A Fold belongs to one batch: it is not safe for concurrent use.
+// A Fold is also the Measurer of its boundary, so the records it folds
+// can be measured as their connections close. It belongs to one batch:
+// it is not safe for concurrent use.
 type Fold struct {
-	boundary int
-	tol      time.Duration
-	service  string
+	*Measurer
+	tol     time.Duration
+	service string
 	// The three phase families, nil without a registry.
 	phase, perFE, perNode *obs.SketchVec
 	crit                  *CritObserver // nil without a registry
@@ -48,7 +49,7 @@ type Fold struct {
 // observed packets, each shifted by up to one jitter draw, so pass about
 // twice the fleet's access jitter.
 func NewFold(reg *obs.Registry, service, label string, boundary int, ts *obs.TailSampler, tol time.Duration) *Fold {
-	f := &Fold{boundary: boundary, tol: tol, service: service, tail: ts}
+	f := &Fold{Measurer: NewMeasurer(boundary), tol: tol, service: service, tail: ts}
 	if reg != nil {
 		f.phase = reg.SketchVec("query_phase_seconds",
 			"per-phase query durations (client-observed)",
@@ -70,8 +71,8 @@ func NewFold(reg *obs.Registry, service, label string, boundary int, ts *obs.Tai
 // is false for a record ExtractRecord cannot measure. The record is not
 // retained.
 func (f *Fold) Consume(rr *emulator.Record) (p Params, ok bool) {
-	p, s, err := ExtractRecord(rr, f.boundary)
-	f.observePhases(rr, s)
+	p, tl, err := f.ExtractRecord(rr)
+	f.observePhases(rr, tl)
 	if err != nil {
 		return Params{}, false
 	}
@@ -82,9 +83,9 @@ func (f *Fold) Consume(rr *emulator.Record) (p Params, ok bool) {
 	if f.crit == nil && f.tail == nil {
 		return p, true
 	}
-	root := f.span(rr, s)
+	root := f.span(rr, tl)
 	if f.crit != nil {
-		f.crit.Observe(attribute(root, s), rr.TrueFetch)
+		f.crit.Observe(attribute(root, tl), rr.TrueFetch)
 		f.Attributed++
 	}
 	f.tail.OfferTransient(p.Tdynamic.Seconds(), violation, root)
@@ -98,9 +99,9 @@ func (f *Fold) ArenaCap() int { return f.arena.Cap() }
 
 // observePhases feeds the dimensional quantile sketches: every
 // completed record's overall delay (by service, FE and vantage), its DNS
-// cost when it paid one, and the client-side phases of s — the parsed
-// session, nil when the capture did not parse.
-func (f *Fold) observePhases(rr *emulator.Record, s *trace.Session) {
+// cost when it paid one, and the client-side phases of s — the session's
+// timeline, nil when the capture did not parse.
+func (f *Fold) observePhases(rr *emulator.Record, s *critpath.Timeline) {
 	if f.phase == nil || rr.Failed {
 		return
 	}
@@ -119,10 +120,11 @@ func (f *Fold) observePhases(rr *emulator.Record, s *trace.Session) {
 }
 
 // span builds the paper's Figure-2 causal phases of one query as a span
-// tree in the fold's arena: client-side phases from the parsed session,
-// plus the FE's ground truth the emulator joined onto the record (static
-// flush, FE↔BE fetch; absent when the join failed) on a second track.
-func (f *Fold) span(rr *emulator.Record, s *trace.Session) *obs.Span {
+// tree in the fold's arena: client-side phases from the session's
+// timeline, plus the FE's ground truth the emulator joined onto the
+// record (static flush, FE↔BE fetch; absent when the join failed) on a
+// second track.
+func (f *Fold) span(rr *emulator.Record, s *critpath.Timeline) *obs.Span {
 	a := &f.arena
 	start := rr.IssuedAt - rr.DNSTime
 	root := a.NewSpan("query", "client", obs.ConnKey(rr.Key), start, rr.DoneAt)
@@ -157,14 +159,11 @@ func (f *Fold) span(rr *emulator.Record, s *trace.Session) *obs.Span {
 }
 
 // attribute computes the exclusive critical-path attribution of a span
-// tree from its located session and annotates it onto the tree (cp:*
-// child spans + fetch-estimate attr), so exporters and tail exemplars
-// carry the waterfall.
-func attribute(root *obs.Span, s *trace.Session) critpath.Attribution {
-	a := critpath.Attribute(root, critpath.Timeline{
-		TB: s.TB, T1: s.T1, T2: s.T2, T3: s.T3,
-		T4: s.T4, T5: s.T5, TE: s.TE, RTT: s.RTT,
-	})
+// tree from its located session's timeline and annotates it onto the
+// tree (cp:* child spans + fetch-estimate attr), so exporters and tail
+// exemplars carry the waterfall.
+func attribute(root *obs.Span, tl *critpath.Timeline) critpath.Attribution {
+	a := critpath.Attribute(root, *tl)
 	critpath.Annotate(root, a)
 	return a
 }

@@ -61,8 +61,9 @@ func TestPerRecordFetchBounds(t *testing.T) {
 				if err != nil || s.Locate(boundary) != nil {
 					continue
 				}
+				_, tl, _ := steps.ExtractRecord(rec)
 				steps.arena.Reset()
-				fetch := steps.span(rec, s).Find("fe-fetch")
+				fetch := steps.span(rec, tl).Find("fe-fetch")
 				if fetch == nil {
 					t.Fatalf("record %d: span tree missing fe-fetch", i)
 				}

@@ -182,7 +182,7 @@ func TestFoldRetainsSyntheticViolation(t *testing.T) {
 	// Tfetch ≤ Tdynamic.
 	var planted *emulator.Record
 	for i := range ds.Records {
-		if _, _, err := ExtractRecord(&ds.Records[i], boundary); err == nil {
+		if _, _, err := NewMeasurer(boundary).ExtractRecord(&ds.Records[i]); err == nil {
 			planted = &ds.Records[i]
 			planted.TrueFetch = time.Hour
 			break

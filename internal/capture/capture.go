@@ -121,6 +121,26 @@ type Recorder struct {
 	// keep at least one unsnapped recorder per service for the
 	// static-boundary probe. Length-only worlds snap every recorder.
 	SnapPayload bool
+	// OnFinal, when set before the first tap, takes each list once it is
+	// final — a FIN each way and an inbound ACK of the local FIN: the
+	// remote end sends nothing more — with events valid during the call.
+	// The list then leaves the recorder (a later tap on its connection
+	// opens a fresh one), and its slot and buffer, unless Session handed
+	// it out, go to the next lists. Such a recorder keeps its lists only:
+	// no tap order (Trace) and no SACK blocks.
+	OnFinal func(k ConnKey, events []Event)
+	// ends holds the lists' teardowns; free and spare hold the buffers
+	// and list slots OnFinal emptied.
+	ends  []teardown
+	free  [][]Event
+	spare []int32
+}
+
+// teardown is a list's close handshake so far: the ACK number covering
+// the local FIN (0 before it), the remote FIN, and such an ACK.
+type teardown struct {
+	finAck         uint64
+	peerFIN, acked bool
 }
 
 // tapRun is n consecutive taps on one list.
@@ -144,15 +164,21 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock)
 	if s.Retrans {
 		e.Flags |= FlagRetrans
 	}
-	if len(sack) > 0 {
-		r.sacks[r.taps] = slices.Clone(sack)
-	}
 	i := r.list(e.conn())
 	if !r.SnapPayload && len(data) > 0 {
 		e.Cap = uint32(len(data))
 		r.pays[i] = append(r.pays[i], data)
 	}
 	r.sess[i] = append(r.sess[i], e)
+	if r.OnFinal != nil {
+		if r.ends[i].final(&e) {
+			r.handOff(i, e.conn())
+		}
+		return
+	}
+	if len(sack) > 0 {
+		r.sacks[r.taps] = slices.Clone(sack)
+	}
 	if n := len(r.runs); n > 0 && r.runs[n-1].list == i {
 		r.runs[n-1].n++
 	} else {
@@ -161,15 +187,52 @@ func (r *Recorder) Tap(ev tcpsim.TapEvent, data []byte, sack []tcpsim.SACKBlock)
 	r.taps++
 }
 
+// final files one event of the list and reports whether it made the
+// list final.
+func (t *teardown) final(e *Event) bool {
+	fin := e.Flags&tcpsim.FlagFIN != 0
+	if e.Dir == tcpsim.DirSend {
+		if fin {
+			t.finAck = max(t.finAck, e.Seq+uint64(e.Len)+1)
+		}
+		return false
+	}
+	t.peerFIN = t.peerFIN || fin
+	t.acked = t.acked || t.finAck > 0 && e.Flags&tcpsim.FlagACK != 0 && e.Ack >= t.finAck
+	return t.peerFIN && t.acked
+}
+
+// handOff gives final list i, connection id's, to OnFinal and takes it
+// out of the index: its slot goes to spare, an open list's buffer to
+// free.
+func (r *Recorder) handOff(i int32, id uint64) {
+	l := r.sess[i]
+	r.OnFinal(ConnKey{r.hosts[id>>32], uint16(id >> 16), uint16(id)}, l[:len(l):len(l)])
+	delete(r.index, id)
+	r.sess[i], r.ends[i], r.spare = nil, teardown{}, append(r.spare, i)
+	clear(r.pays[i])
+	r.pays[i] = r.pays[i][:0]
+	if o := slices.Index(r.open, i); o >= 0 {
+		r.open = slices.Delete(r.open, o, o+1)
+		r.free = append(r.free, l[:0])
+	}
+}
+
 // list returns connection id's list, opening one on first sight.
 func (r *Recorder) list(id uint64) int32 {
 	i, ok := r.index[id]
 	if !ok {
 		i = int32(len(r.index))
+		if n := len(r.spare); n > 0 {
+			i, r.spare = r.spare[n-1], r.spare[:n-1]
+		}
 		r.index[id] = i
 		if len(r.sess) == int(i) {
 			r.sess = append(r.sess, nil)
 			r.pays = append(r.pays, nil)
+			if r.OnFinal != nil {
+				r.ends = append(r.ends, teardown{})
+			}
 		}
 		if cap(r.sess[i]) == 0 {
 			r.sess[i] = r.buffer()
@@ -179,14 +242,19 @@ func (r *Recorder) list(id uint64) int32 {
 	return i
 }
 
-// buffer returns an empty buffer for a new open list. Every open list
-// whose connection has closed is sealed into an exact-size copy and
-// leaves open; the new list takes the first one's buffer, or with none
-// closed a new buffer as large as the oldest open list's.
+// buffer returns an empty buffer for a new open list: a free one, if
+// any. Else, without OnFinal, every open list whose connection has
+// closed is sealed into an exact-size copy and leaves open; the new list
+// takes the first one's buffer, or with none closed a new buffer as
+// large as the oldest open list's.
 func (r *Recorder) buffer() (b []Event) {
+	if n := len(r.free); n > 0 {
+		b, r.free = r.free[n-1], r.free[:n-1]
+		return b
+	}
 	open := r.open[:0]
 	for _, j := range r.open {
-		if !closed(r.sess[j]) {
+		if r.OnFinal != nil || !closed(r.sess[j]) {
 			open = append(open, j)
 			continue
 		}
@@ -314,12 +382,13 @@ func (r *Recorder) Trace() *Trace {
 // memory is allocated once and amortized over thousands of ephemeral
 // clients. Sessions handed out before must not be read afterwards.
 func (r *Recorder) ResetKeep() {
-	for i := range len(r.index) {
+	for i := range r.sess {
 		r.sess[i] = r.sess[i][:0]
 		clear(r.pays[i])
 		r.pays[i] = r.pays[i][:0]
 	}
-	r.open = r.open[:0]
+	r.open, r.spare = r.open[:0], r.spare[:0]
+	clear(r.ends)
 	r.hosts, r.runs, r.taps = r.hosts[:0], r.runs[:0], 0
 	clear(r.index)
 	clear(r.sacks)

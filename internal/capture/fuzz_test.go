@@ -91,10 +91,15 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // tap's last byte asks for its connection's) must never change after
 // later taps and connection opens.
 // Each tap is four input bytes; a first byte of 0xff ends the round.
+// An input whose length is not a multiple of four sets OnFinal: then a
+// list must go to OnFinal, capacity-capped, exactly when the model below
+// calls it final, and leave the recorder — its session holds only later
+// taps on its connection — which keeps no trace and no SACK blocks.
 // Mutations: file a SACK under the trace position instead of the
 // session position, keep a list's events across ResetKeep, or pass on
 // a closed list's buffer without sealing the list, or a handed-out
-// buffer at all.
+// buffer at all; hand a list over before the ACK of the local FIN, or
+// keep its events in the recorder after.
 func FuzzRecorder(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0x12, 0x02, 1, 1, 0x02, 0x12, 0, 0, 0x07, 0x10, 4, 7, 0x10, 0x10,
@@ -116,10 +121,50 @@ func FuzzRecorder(f *testing.F) {
 		0xff, 0, 0, 0,
 		0, 1, 0x10, 0x01, 0, 2, 0x10, 0x01, 4, 1, 0x10, 0x02,
 	})
+	// OnFinal (trailing bytes): fe-a's connection opens, takes data and
+	// closes, and the ACK of its FIN makes it final; then a late
+	// retransmitted FIN opens a fresh list, and a second connection
+	// opens on the buffer the first gave back and lends it to a Session.
+	f.Add([]byte{
+		0, 0, 0x10, 0x01, 4, 0, 0x10, 0x03, 4, 0, 0x14, 0x02, 4, 0, 0x10, 0x06,
+		0, 0, 0x10, 0x06, 0x3c, 0, 0x10, 0x02, 0x3c, 0, 0x11, 0x06,
+		0, 1, 0x10, 0x01, 4, 1, 0x14, 0x42, 0, 0,
+	})
+	// OnFinal: the ACK of the local FIN is lost — an ACK short of it
+	// arrives, then the local FIN is retransmitted — so the list stays
+	// to the round's end; the next round starts on the kept storage.
+	f.Add([]byte{
+		0, 0, 0x10, 0x01, 4, 0, 0x10, 0x03, 4, 0, 0x1c, 0x02, 4, 0, 0x10, 0x06,
+		0, 0, 0x10, 0x06, 4, 0, 0x10, 0x02, 0, 0, 0x11, 0x06,
+		0xff, 0, 0, 0,
+		0, 0, 0x10, 0x01, 4, 0, 0x10, 0x03, 0, 0,
+	})
+	// OnFinal: overlapping connections A, B and C become final out of
+	// order, C then A; D opens on a spare list while B is still open,
+	// and B's hand-over must hold B's taps alone.
+	f.Add([]byte{
+		0, 0, 0x10, 0x01, 0, 1, 0x10, 0x01, 0, 2, 0x10, 0x01, 4, 0, 0x10, 0x03,
+		4, 1, 0x10, 0x03, 4, 2, 0x10, 0x03, 4, 2, 0x14, 0x02, 4, 2, 0x10, 0x06,
+		0, 2, 0x10, 0x06, 0x3c, 2, 0x10, 0x02, 4, 0, 0x16, 0x02, 4, 0, 0x10, 0x06,
+		0, 0, 0x10, 0x06, 0x3c, 0, 0x10, 0x02, 0, 3, 0x10, 0x01, 4, 1, 0x14, 0x02,
+		4, 3, 0x10, 0x03, 4, 1, 0x10, 0x06, 0, 1, 0x10, 0x06, 0x3c, 1, 0x10, 0x42,
+		4, 3, 0x14, 0x02, 0, 0,
+	})
 	hosts := []string{"fe-a", "fe-b", "be", "cdn"}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rec := NewRecorder("n")
 		rec.SnapPayload = len(in)%2 == 1
+		type handoff struct {
+			k      ConnKey
+			events []Event
+			capped bool
+		}
+		var handed []handoff
+		if len(in)%4 != 0 {
+			rec.OnFinal = func(k ConnKey, evs []Event) {
+				handed = append(handed, handoff{k, slices.Clone(evs), cap(evs) == len(evs)})
+			}
+		}
 		fresh := func() *Trace {
 			return &Trace{Node: "n", Hosts: []string{}, Events: []Event{}, sacks: map[int][]tcpsim.SACKBlock{}}
 		}
@@ -132,19 +177,20 @@ func FuzzRecorder(f *testing.F) {
 					t.Fatalf("a session taken mid-stream changed:\ngot  %+v\nwant %+v", h.got, h.want)
 				}
 			}
-			got := rec.Trace()
-			if !reflect.DeepEqual(got, want) {
+			if got := rec.Trace(); rec.OnFinal == nil && !reflect.DeepEqual(got, want) {
 				t.Fatalf("Trace is not the taps in tap order:\ngot  %+v\nwant %+v", got, want)
+			} else if rec.OnFinal != nil && len(got.Events) > 0 {
+				t.Fatalf("a recorder with OnFinal keeps a trace of %d events", len(got.Events))
 			}
-			keys, sessions := got.Sessions()
+			keys, sessions := want.Sessions()
 			sacks, pos := map[ConnKey]map[int][]tcpsim.SACKBlock{}, map[ConnKey]int{}
-			for i, e := range got.Events {
+			for i, e := range want.Events {
 				id := e.conn()
-				k := ConnKey{got.Hosts[e.Host], uint16(id >> 16), uint16(id)}
+				k := ConnKey{want.Hosts[e.Host], uint16(id >> 16), uint16(id)}
 				if sacks[k] == nil {
 					sacks[k] = map[int][]tcpsim.SACKBlock{}
 				}
-				if b, ok := got.sacks[i]; ok {
+				if b, ok := want.sacks[i]; ok {
 					sacks[k][pos[k]] = b
 				}
 				pos[k]++
@@ -157,15 +203,15 @@ func FuzzRecorder(f *testing.F) {
 				if b := rec.SACK(k); !reflect.DeepEqual(b, sacks[k]) {
 					t.Fatalf("SACK(%v) = %+v, want %+v", k, b, sacks[k])
 				}
-				if p, want := rec.Payloads(k), got.Payloads(k); !slices.EqualFunc(p, want, bytes.Equal) {
+				if p, want := rec.Payloads(k), want.Payloads(k); !slices.EqualFunc(p, want, bytes.Equal) {
 					t.Fatalf("Payloads(%v) = %q, want %q", k, p, want)
 				}
 			}
 			if s := rec.Session(ConnKey{Remote: "nowhere", LocalPort: 40000, RemotePort: 80}); s != nil {
 				t.Fatalf("a connection never tapped has %d events", len(s))
 			}
-			if again := roundTrip(t, got); !reflect.DeepEqual(again, got) {
-				t.Fatalf("recorded trace changed in the codec:\ngot  %+v\nwant %+v", again, got)
+			if again := roundTrip(t, want); !reflect.DeepEqual(again, want) {
+				t.Fatalf("recorded trace changed in the codec:\ngot  %+v\nwant %+v", again, want)
 			}
 			return keys
 		}
@@ -204,12 +250,6 @@ func FuzzRecorder(f *testing.F) {
 				sack = []tcpsim.SACKBlock{{Start: uint64(d), End: uint64(d) + uint64(c)}}
 				ev.Segment.NSACK = 1
 			}
-			rec.Tap(ev, data, sack)
-			if d&0x40 != 0 {
-				s := rec.Session(ConnKey{Remote: ev.Remote, LocalPort: local, RemotePort: remote})
-				taken = append(taken, held{s, slices.Clone(s)})
-			}
-
 			h := slices.Index(want.Hosts, ev.Remote)
 			if h < 0 {
 				h = len(want.Hosts)
@@ -225,11 +265,78 @@ func FuzzRecorder(f *testing.F) {
 				e.Cap = uint32(len(data))
 				want.payloads = append(want.payloads, data)
 			}
-			if sack != nil {
+			if sack != nil && rec.OnFinal == nil {
 				want.sacks[len(want.Events)] = sack
 			}
 			want.Events = append(want.Events, e)
+
+			k := ConnKey{Remote: ev.Remote, LocalPort: local, RemotePort: remote}
+			rec.Tap(ev, data, sack)
+			if rec.OnFinal != nil {
+				_, sessions := want.Sessions()
+				final := finalModel(sessions[k])
+				if len(handed) != 0 && (!final || len(handed) > 1 || handed[0].k != k) || final && len(handed) == 0 {
+					t.Fatalf("tap %+v: lists handed over %+v, want %v's only when it is final (%v)", e, handed, k, final)
+				}
+				if final {
+					if !reflect.DeepEqual(handed[0].events, sessions[k]) || !handed[0].capped {
+						t.Fatalf("OnFinal got %+v (capped %v), want %+v capped", handed[0].events, handed[0].capped, sessions[k])
+					}
+					dropConn(want, e.conn())
+				}
+				handed = handed[:0]
+			}
+			if d&0x40 != 0 {
+				s := rec.Session(k)
+				taken = append(taken, held{s, slices.Clone(s)})
+			}
 		}
 		check()
 	})
+}
+
+// finalModel reports whether one connection's list is final, read from
+// the whole list: some inbound ACK reaches past every local FIN tapped
+// before it, and a remote FIN was tapped.
+func finalModel(evs []Event) bool {
+	acked, peerFIN := false, false
+	for j, a := range evs {
+		if a.Dir != tcpsim.DirRecv {
+			continue
+		}
+		peerFIN = peerFIN || a.Flags&tcpsim.FlagFIN != 0
+		fins, covered := 0, true
+		for _, e := range evs[:j] {
+			if e.Dir == tcpsim.DirSend && e.Flags&tcpsim.FlagFIN != 0 {
+				fins++
+				covered = covered && a.Ack > e.Seq+uint64(e.Len)
+			}
+		}
+		acked = acked || a.Flags&tcpsim.FlagACK != 0 && fins > 0 && covered
+	}
+	return acked && peerFIN
+}
+
+// dropConn removes connection id's events from tr, with their captured
+// bytes and SACK blocks, as a recorder does once OnFinal took them.
+func dropConn(tr *Trace, id uint64) {
+	evs, sacks := []Event{}, map[int][]tcpsim.SACKBlock{}
+	var pays [][]byte
+	next := 0
+	for i, e := range tr.Events {
+		keep := e.conn() != id
+		if e.Cap > 0 {
+			if keep {
+				pays = append(pays, tr.payloads[next])
+			}
+			next++
+		}
+		if keep {
+			if b, ok := tr.sacks[i]; ok {
+				sacks[len(evs)] = b
+			}
+			evs = append(evs, e)
+		}
+	}
+	tr.Events, tr.payloads, tr.sacks = evs, pays, sacks
 }

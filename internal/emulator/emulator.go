@@ -21,6 +21,7 @@ import (
 	"fesplit/internal/geo"
 	"fesplit/internal/httpsim"
 	"fesplit/internal/obs"
+	"fesplit/internal/obs/critpath"
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/simnet"
 	"fesplit/internal/tcpsim"
@@ -42,11 +43,17 @@ type Record struct {
 	Status  int
 	BodyLen int
 	Failed  bool
+	// Measured: a Measurer (Options.Measure) took the session's events
+	// instead of the record and wrote Timeline, valid when they parsed
+	// (Parsed), and Skip: nil, or why the record has no parameters.
+	Measured, Parsed bool
+	Timeline         critpath.Timeline
+	Skip             error
 	// Key names the session's connection in the node's recorder.
 	Key capture.ConnKey
 	// Events is the session's client-side packet event list, attached
-	// by Finalize; Payloads the bytes its unsnapped events captured
-	// (capture.Recorder.Payloads), nil in a length-only world.
+	// when the run ends; Payloads the bytes its unsnapped events
+	// captured (capture.Recorder.Payloads), nil in a length-only world.
 	Events   []capture.Event
 	Payloads [][]byte
 	// TrueFetch is the FE-side ground-truth fetch time of this query
@@ -84,6 +91,13 @@ func (r Record) OverallDelay() time.Duration { return r.DoneAt - r.IssuedAt }
 // you keep.
 type RecordSink interface {
 	Consume(rec *Record)
+}
+
+// Measurer writes a record's Timeline, Parsed and Skip from its
+// connection's client-side events, which are valid during the call
+// (internal/analysis implements it for a known content boundary).
+type Measurer interface {
+	Measure(rr *Record, events []capture.Event)
 }
 
 // Dataset is the output of one experiment: its records, in issue order.
@@ -318,6 +332,18 @@ type Runner struct {
 
 	eps  map[simnet.HostID]*tcpsim.Endpoint
 	recs map[simnet.HostID]*capture.Recorder
+	// measure is Options.Measure; pending maps each connection it has
+	// not measured to its record (datasets never regrow, so the pointer
+	// holds), and endMeasured counts the records measured at run end.
+	measure     Measurer
+	pending     map[nodePort]*Record
+	endMeasured int
+}
+
+// nodePort names a client connection by its node and local port.
+type nodePort struct {
+	node simnet.HostID
+	port uint16
 }
 
 // Options configures a Runner.
@@ -354,6 +380,10 @@ type Options struct {
 	// wall-clock telemetry hub. Unlike Obs it is shared across
 	// concurrent worlds and never touches the deterministic exports.
 	Runtime *rt.Engine
+	// Measure, when non-nil, measures each record as soon as its capture
+	// list is final (capture.Recorder.OnFinal reuses its buffer), or when
+	// the run ends. Nil attaches every record's events instead.
+	Measure Measurer
 }
 
 func (o Options) withDefaults() Options {
@@ -376,13 +406,25 @@ func New(simSeed int64, depCfg cdn.Config, opts Options) (*Runner, error) {
 	fleet := vantage.NewFleet(opts.Nodes, geo.WorldMetros(), opts.Access, opts.FleetSeed)
 	fleet.Wire(w.Dep)
 	r := &Runner{
-		world: w,
-		Fleet: fleet,
-		eps:   make(map[simnet.HostID]*tcpsim.Endpoint),
-		recs:  make(map[simnet.HostID]*capture.Recorder),
+		world:   w,
+		Fleet:   fleet,
+		eps:     make(map[simnet.HostID]*tcpsim.Endpoint),
+		recs:    make(map[simnet.HostID]*capture.Recorder),
+		measure: opts.Measure,
+		pending: make(map[nodePort]*Record),
 	}
 	for _, n := range fleet.Nodes {
-		r.eps[n.Host], r.recs[n.Host] = w.newClient(n.Host, opts.ClientTCP)
+		ep, rec := w.newClient(n.Host, opts.ClientTCP)
+		if r.measure != nil {
+			rec.OnFinal = func(k capture.ConnKey, evs []capture.Event) {
+				if rr := r.pending[nodePort{n.Host, k.LocalPort}]; rr != nil {
+					delete(r.pending, nodePort{n.Host, k.LocalPort})
+					r.measure.Measure(rr, evs)
+					rr.Measured = true
+				}
+			}
+		}
+		r.eps[n.Host], r.recs[n.Host] = ep, rec
 	}
 	return r, nil
 }
@@ -408,26 +450,38 @@ func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
 	r.Sim.ScheduleAt(at, func() {
 		idx := len(ds.Records)
 		ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, dnsTime))
-		r.get(r.eps[node.Host], &ds.Records[idx], func(resp *httpsim.Response) {
+		rr := &ds.Records[idx]
+		r.get(r.eps[node.Host], rr, func(resp *httpsim.Response) {
 			r.complete(&ds.Records[idx], resp)
 		})
+		if r.measure != nil {
+			r.pending[nodePort{node.Host, rr.Key.LocalPort}] = rr
+		}
 	})
 }
 
-// finalize runs the simulator to completion, attaches every record's
-// session events and flushes the simulator and network metrics into the
-// observer's registry. Parsing and measuring the records is
-// internal/analysis's job.
+// finalize runs the simulator to completion, measures each record not
+// measured yet or else attaches its session events, and flushes the
+// simulator and network metrics into the observer's registry. How a
+// record is measured is internal/analysis's business.
 func (r *Runner) finalize(dss ...*Dataset) {
 	r.Sim.Run()
+	clear(r.pending)
 	// The recorders filed every packet under its connection: a record's
 	// events are its connection's list (none for a keep-alive record,
 	// whose key is zero).
 	for _, ds := range dss {
 		for i := range ds.Records {
-			if rec := r.recs[ds.Records[i].Node]; rec != nil {
-				k := ds.Records[i].Key
-				ds.Records[i].Events, ds.Records[i].Payloads = rec.Session(k), rec.Payloads(k)
+			rr := &ds.Records[i]
+			rec := r.recs[rr.Node]
+			switch {
+			case rec == nil || rr.Measured:
+			case r.measure != nil:
+				r.measure.Measure(rr, rec.Session(rr.Key))
+				rr.Measured = true
+				r.endMeasured++
+			default:
+				rr.Events, rr.Payloads = rec.Session(rr.Key), rec.Payloads(rr.Key)
 			}
 		}
 	}

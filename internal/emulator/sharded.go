@@ -57,7 +57,9 @@ type ShardedAOptions struct {
 	// order and then drops the batch dataset, so memory stays bounded by
 	// one batch world instead of the full record count. The sinks come
 	// back in batch order: merging the per-batch accumulators in that
-	// order is equivalent to offering every record serially.
+	// order is equivalent to offering every record serially. A sink that
+	// is also a Measurer measures its batch's records (Options.Measure);
+	// Runner.Measure, which batches would share, is ignored.
 	Sink func(batch int, o *obs.Observer) RecordSink
 	// Runtime, when non-nil, receives engine telemetry: batch task
 	// progress, streamed-record counts and heap watermark samples. Pure
@@ -94,6 +96,7 @@ func RunShardedA(opts ShardedAOptions) ([]*obs.Observer, []RecordSink, error) {
 			ropts := opts.Runner
 			ropts.Runtime = opts.Runtime
 			ropts.Obs = o
+			ropts.Measure, _ = sink.(Measurer)
 			r, err := New(shard.Mix(opts.SimSeed, uint64(b.Index)), opts.Deployment, ropts)
 			if err != nil {
 				return err

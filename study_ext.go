@@ -38,11 +38,7 @@ func (s *Study) TermEffect() ([]*TermEffectData, error) {
 // termEffectFor runs the term-count correlation for one service — the
 // per-service cell of TermEffect.
 func (s *Study) termEffectFor(cfg DeploymentConfig) (*TermEffectData, error) {
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(81, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(81, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +82,7 @@ type InteractiveData struct {
 // (the paper names Google's "search as you type").
 func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 	cfg := GoogleLike(s.cfg.Seed + 2)
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(85, cfg, emulator.Options{Nodes: 6, SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(85, cfg, emulator.Options{Nodes: 6})
 	if err != nil {
 		return nil, err
 	}
@@ -104,11 +96,11 @@ func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 		Keystrokes: len(ds.Records),
 		ModelHolds: true,
 	}
-	conns := map[uint16]bool{}
+	conns, m := map[uint16]bool{}, analysis.NewMeasurer(boundary)
 	for i := range ds.Records {
 		rec := &ds.Records[i]
 		conns[rec.Key.LocalPort] = true
-		p, _, err := analysis.ExtractRecord(rec, boundary)
+		p, _, err := m.ExtractRecord(rec)
 		if err != nil {
 			data.ModelHolds = false
 			continue
@@ -141,11 +133,7 @@ type ModelValidationData struct {
 // model is validated" step, quantified.
 func (s *Study) ModelValidation() (*ModelValidationData, error) {
 	cfg := GoogleLike(s.cfg.Seed + 2)
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := s.world(91, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(91, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60)})
 	if err != nil {
 		return nil, err
 	}

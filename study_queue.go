@@ -200,7 +200,8 @@ func probeCluster(r *emulator.Runner, buckets []QueueBucket) {
 // otherwise.
 func (s *Study) openLoop(off int64, label string, cfg DeploymentConfig, nodes, boundary int,
 	load emulator.OpenLoopOptions, before func(*emulator.Runner)) (runner *emulator.Runner, ds *emulator.Dataset, tdyn []float64, err error) {
-	runner, err = s.world(off, cfg, emulator.Options{Nodes: nodes, SnapPayloads: true, Obs: s.obsv})
+	fold := analysis.NewFold(s.obsv.Registry(), cfg.Name, label, boundary, nil, DefaultBoundTolerance)
+	runner, err = s.world(off, cfg, emulator.Options{Nodes: nodes, SnapPayloads: true, Obs: s.obsv, Measure: fold})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -210,7 +211,6 @@ func (s *Study) openLoop(off int64, label string, cfg DeploymentConfig, nodes, b
 	load.QueriesPerNode = 20
 	load.QuerySeed = s.cfg.Seed + off + 2
 	ds = runner.RunOpenLoop(load)
-	fold := analysis.NewFold(s.obsv.Registry(), cfg.Name, label, boundary, nil, DefaultBoundTolerance)
 	tdyn = make([]float64, len(ds.Records))
 	for i := range ds.Records {
 		rec := &ds.Records[i]
