@@ -41,8 +41,11 @@ layering:
 # record at close exactly as a run-end parse would, keeping no events and
 # inside its capture budget;
 # below them, the same differential for TCP streams and HTTP responses
-# that mix real and content-free bytes. At an elevated -count under the
-# race detector. Last, at study level: the probe's boundary equals what
+# that mix real and content-free bytes; a warm client→FE→BE query inside
+# its exact allocation pin (the pin itself skips under the race
+# detector, the exchange still runs), and a ResponseWriter kept past its
+# connection's end writing nothing into the connection that reuses the
+# object. At an elevated -count under the race detector. Last, at study level: the probe's boundary equals what
 # each timing cell's materialised world derives from its own content, so
 # those cells run length-only inside an allocation budget, and the
 # matrix probes each service once. World set-up last: generators share
@@ -53,6 +56,7 @@ layering:
 payload-check:
 	$(GO) test -race -count=2 -run 'TestTwinWorlds|TestLengthOnlyAllocBudget|TestRunnerRecordsAreRecorderSessions|TestRunnerCaptureAllocBudget|TestRecordsSurviveLaterExperiments|TestDatasetRecordsPresized|TestMeasureAtCloseMatchesRunEnd|TestMeasuredRunnerHoldsNoEvents' ./internal/emulator
 	$(GO) test -race -count=2 -run 'Blank|ContentFree|CountOnly' ./internal/tcpsim ./internal/httpsim
+	$(GO) test -race -count=2 -run 'TestServedQueryAllocPins|TestStaleWriterWritesNothing' ./internal/frontend ./internal/httpsim
 	$(GO) test -race -run 'TestProbeBoundaryMatchesOwnContent|TestTimingCellsAllocBudget|TestMatrixProbesEachServiceOnce' .
 	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
 	$(GO) test -run 'TestRowLayouts' ./internal/tcpsim ./internal/capture
@@ -141,9 +145,10 @@ scale-check: build
 # Self-tests of the separate fesplit/benchmark module (not part of the
 # root `go test ./...`): catches an API rename that breaks the benchmark
 # harness before the next benchmark run does. Then bench-gate's judge on
-# three canned compare outputs: host-time rows that read worse pass, a
-# changed digest fails, and worse allocations fail naming the layer whose
-# allocation row moved most, as a changed per-layer count names its own.
+# four canned compare outputs: host-time rows that read worse pass, under
+# each the layer whose CPU share grew most; a changed digest fails; and
+# worse allocations fail naming the layer whose allocation row moved
+# most, as a changed per-layer count names its own.
 bench-selftest:
 	cd benchmark && $(GO) test ./...
 	./scripts/bench_gate.sh judge testdata/bench-gate/clean.txt
@@ -151,6 +156,9 @@ bench-selftest:
 	! ./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt >/dev/null
 	./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt | grep -q 'moved most: layer capture '
 	./scripts/bench_gate.sh judge testdata/bench-gate/worse-alloc.txt | grep -q 'simnet.events_per_query .*(layer simnet)$$'
+	./scripts/bench_gate.sh judge testdata/bench-gate/worse-host.txt >/dev/null
+	./scripts/bench_gate.sh judge testdata/bench-gate/worse-host.txt | grep -q 'grew most: layer tcpsim '
+	./scripts/bench_gate.sh judge testdata/bench-gate/worse-host.txt | grep -q 'grew most: layer obs '
 
 # Benchmark gate on the machine-independent rows (ROADMAP item 1): one
 # seed-42 harness run compared with the newest committed point; fails on

@@ -197,6 +197,12 @@ func NewMeasurer(boundary int) *Measurer { return &Measurer{boundary: boundary} 
 // Measure implements emulator.Measurer.
 func (m *Measurer) Measure(rr *emulator.Record, events []capture.Event) {
 	rr.Parsed, rr.Skip = m.measure(rr.Key, events, &rr.Timeline)
+	rr.Retrans = 0
+	for _, ev := range events {
+		if ev.Retransmitted() {
+			rr.Retrans++
+		}
+	}
 }
 
 // measure parses one session's events, locates the boundary in them and

@@ -93,6 +93,7 @@ type DataCenter struct {
 	cache map[string]respBody
 
 	cluster *Cluster
+	replies []*reply // free replies, reused by the next respondAfter
 
 	// counters
 	served    int
@@ -157,7 +158,7 @@ func (dc *DataCenter) CacheHits() int { return dc.cacheHits }
 func (dc *DataCenter) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 	q, err := workload.ParsePath(r.Path)
 	if err != nil {
-		w.WriteHeader(400, httpsim.ContentLengthHeader(0))
+		w.WriteHeaderLength(400, 0, nil)
 		w.End()
 		return
 	}
@@ -208,28 +209,62 @@ func (dc *DataCenter) write(w *httpsim.ResponseWriter, body respBody) {
 	}
 }
 
+// respondAfter answers w with body once the cluster has served the
+// query for d.
 func (dc *DataCenter) respondAfter(w *httpsim.ResponseWriter, body respBody, d time.Duration) {
-	ok := dc.cluster.Submit(d, func(wait time.Duration) {
-		hdr := httpsim.ContentLengthHeader(body.n)
-		if wait > 0 {
-			// Report the queue share of the fetch so the FE (and the
-			// critical-path attribution downstream) can split Tfetch
-			// into queueing vs processing. Emitted only when nonzero:
-			// an unloaded cluster's responses stay byte-identical to
-			// an unbounded one's.
-			hdr[QueueWaitHeader] = strconv.FormatInt(int64(wait), 10)
-		}
-		w.WriteHeader(200, hdr)
-		dc.write(w, body)
-		w.End()
-	})
-	if !ok {
+	rp := dc.newReply(w, body)
+	if !dc.cluster.Submit(d, rp.sendFn) {
+		rp.release()
 		if m := dc.met; m != nil {
 			m.rejections.Inc()
 		}
-		w.WriteHeader(503, httpsim.ContentLengthHeader(0))
+		w.WriteHeaderLength(503, 0, nil)
 		w.End()
 	}
+}
+
+// reply is one response waiting for its service to finish, bound once
+// and recycled, so a served query allocates none of it.
+type reply struct {
+	dc     *DataCenter
+	w      *httpsim.ResponseWriter
+	body   respBody
+	sendFn func(wait time.Duration)
+}
+
+func (dc *DataCenter) newReply(w *httpsim.ResponseWriter, body respBody) *reply {
+	var rp *reply
+	if n := len(dc.replies); n > 0 {
+		rp, dc.replies = dc.replies[n-1], dc.replies[:n-1]
+	} else {
+		rp = &reply{dc: dc}
+		rp.sendFn = rp.send
+	}
+	rp.w, rp.body = w, body
+	return rp
+}
+
+func (rp *reply) release() {
+	rp.w, rp.body = nil, respBody{}
+	rp.dc.replies = append(rp.dc.replies, rp)
+}
+
+// send writes the response once its service completes.
+func (rp *reply) send(wait time.Duration) {
+	dc, w, body := rp.dc, rp.w, rp.body
+	rp.release()
+	var hdr httpsim.Header
+	if wait > 0 {
+		// Report the queue share of the fetch so the FE (and the
+		// critical-path attribution downstream) can split Tfetch into
+		// queueing vs processing. Emitted only when nonzero: an
+		// unloaded cluster's responses stay byte-identical to an
+		// unbounded one's.
+		hdr = httpsim.Header{QueueWaitHeader: strconv.FormatInt(int64(wait), 10)}
+	}
+	w.WriteHeaderLength(200, body.n, hdr)
+	dc.write(w, body)
+	w.End()
 }
 
 // refreshQueueGauges mirrors the cluster's state into the registry after

@@ -111,6 +111,8 @@ type Cluster struct {
 	maxQueue int
 	busyTime time.Duration // accumulated service time of finished queries
 
+	free []*job // finished jobs, reused by the next Submit
+
 	// onChange refreshes the owner's gauges after any state transition
 	// (may be nil).
 	onChange func()
@@ -156,11 +158,7 @@ func (c *Cluster) Submit(proc time.Duration, done func(wait time.Duration)) bool
 	if len(c.replicas) == 0 {
 		c.busy++
 		c.refresh()
-		c.sim.Schedule(proc, func() {
-			c.busy--
-			c.refresh()
-			done(0)
-		})
+		c.sim.Schedule(proc, c.newJob(-1, proc, 0, done).finishFn)
 		return true
 	}
 	now := c.sim.Now()
@@ -178,17 +176,11 @@ func (c *Cluster) Submit(proc time.Duration, done func(wait time.Duration)) bool
 	wait := start - now
 	r.freeAt = start + proc
 	r.outstanding++
-	finish := func() {
-		c.busy--
-		c.busyTime += proc
-		c.replicas[i].outstanding--
-		c.refresh()
-		done(wait)
-	}
+	j := c.newJob(i, proc, wait, done)
 	if wait == 0 {
 		c.busy++
 		c.refresh()
-		c.sim.Schedule(proc, finish)
+		c.sim.Schedule(proc, j.finishFn)
 		return true
 	}
 	c.waiting++
@@ -196,13 +188,54 @@ func (c *Cluster) Submit(proc time.Duration, done func(wait time.Duration)) bool
 		c.maxQueue = c.waiting
 	}
 	c.refresh()
-	c.sim.Schedule(wait, func() {
-		c.waiting--
-		c.busy++
-		c.refresh()
-	})
-	c.sim.Schedule(wait+proc, finish)
+	c.sim.Schedule(wait, j.startFn)
+	c.sim.Schedule(wait+proc, j.finishFn)
 	return true
+}
+
+// job is one submitted query's pending events, bound once and recycled
+// through the cluster's free list, so a submission allocates nothing.
+type job struct {
+	c          *Cluster
+	replica    int // -1: the unbounded cluster
+	proc, wait time.Duration
+	done       func(wait time.Duration)
+
+	startFn, finishFn func()
+}
+
+func (c *Cluster) newJob(replica int, proc, wait time.Duration, done func(time.Duration)) *job {
+	var j *job
+	if n := len(c.free); n > 0 {
+		j, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		j = &job{c: c}
+		j.startFn, j.finishFn = j.start, j.finish
+	}
+	j.replica, j.proc, j.wait, j.done = replica, proc, wait, done
+	return j
+}
+
+// start moves a queued query into service.
+func (j *job) start() {
+	c := j.c
+	c.waiting--
+	c.busy++
+	c.refresh()
+}
+
+// finish ends service, frees the job and runs its done.
+func (j *job) finish() {
+	c, done, wait := j.c, j.done, j.wait
+	c.busy--
+	if j.replica >= 0 {
+		c.busyTime += j.proc
+		c.replicas[j.replica].outstanding--
+	}
+	j.done = nil
+	c.free = append(c.free, j)
+	c.refresh()
+	done(wait)
 }
 
 func (c *Cluster) refresh() {

@@ -45,8 +45,10 @@ type Record struct {
 	Failed  bool
 	// Measured: a Measurer (Options.Measure) took the session's events
 	// instead of the record and wrote Timeline, valid when they parsed
-	// (Parsed), and Skip: nil, or why the record has no parameters.
+	// (Parsed), Retrans, the events marked retransmitted (both
+	// directions), and Skip: nil, or why the record has no parameters.
 	Measured, Parsed bool
+	Retrans          int32
 	Timeline         critpath.Timeline
 	Skip             error
 	// Key names the session's connection in the node's recorder.
@@ -93,7 +95,7 @@ type RecordSink interface {
 	Consume(rec *Record)
 }
 
-// Measurer writes a record's Timeline, Parsed and Skip from its
+// Measurer writes a record's Timeline, Parsed, Retrans and Skip from its
 // connection's client-side events, which are valid during the call
 // (internal/analysis implements it for a known content boundary).
 type Measurer interface {
@@ -608,7 +610,7 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 				idx := len(ds.Records)
 				ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, 0))
 				req := httpsim.NewGet(r.Dep.Name, q.Path())
-				req.Header["Connection"] = "keep-alive"
+				req.Header = httpsim.Header{"Connection": "keep-alive"}
 				pc.Do(req, httpsim.ResponseCallbacks{
 					CountOnly: true,
 					OnDone:    func(resp *httpsim.Response) { r.complete(&ds.Records[idx], resp) },

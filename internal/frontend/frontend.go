@@ -107,11 +107,13 @@ type Server struct {
 	queue *backend.Cluster
 
 	idle []*httpsim.PersistentConn
+	// requests are free per-request states, reused by the next request.
+	requests []*request
 
 	// bounded BE pool state (Config.BEPool.MaxConns > 0)
 	pool        PoolConfig
 	beInflight  int
-	poolWaiters []func()
+	poolWaiters []*request
 	maxPoolWait int
 	rejected    int
 	beRetries   int
@@ -203,7 +205,13 @@ func New(n *simnet.Network, cfg Config) (*Server, error) {
 	if fe.gzip {
 		fe.static = GzipMember(cfg.Static)
 	}
-	fe.ep = tcpsim.NewEndpoint(n, cfg.Host, cfg.TCP)
+	// Nothing keeps an FE connection object past its close unchecked
+	// (a ResponseWriter checks its connection's incarnation, a closed
+	// PersistentConn no longer touches its connection), so the FE
+	// recycles them, as client endpoints do.
+	tcpCfg := cfg.TCP
+	tcpCfg.RecycleConns = true
+	fe.ep = tcpsim.NewEndpoint(n, cfg.Host, tcpCfg)
 	fe.queue = backend.NewCluster(fe.ep.Sim(), backend.QueueOptions{Replicas: cfg.Workers},
 		fe.refreshQueueGauges)
 	if _, err := httpsim.NewServer(fe.ep, FEPort, fe.handle); err != nil {
@@ -271,22 +279,22 @@ func (fe *Server) SetBEHost(host simnet.HostID) {
 // BEHost returns the data center currently targeted by new fetches.
 func (fe *Server) BEHost() simnet.HostID { return fe.beHost }
 
-// withConn runs use with a BE connection, respecting the bounded pool:
-// with a full pool the fetch waits FIFO for a slot (admission against
-// PoolConfig.QueueCap happened at request arrival). Unbounded pools run
-// immediately — the legacy path, untouched.
-func (fe *Server) withConn(use func(pc *httpsim.PersistentConn)) {
+// withConn gives q a BE connection and issues its fetch, respecting the
+// bounded pool: with a full pool the fetch waits FIFO for a slot
+// (admission against PoolConfig.QueueCap happened at request arrival).
+// Unbounded pools run immediately — the legacy path, untouched.
+func (fe *Server) withConn(q *request) {
 	if fe.pool.MaxConns <= 0 {
-		use(fe.getConn())
+		q.fetch(fe.getConn())
 		return
 	}
 	if fe.beInflight < fe.pool.MaxConns {
 		fe.beInflight++
 		fe.refreshPoolGauges()
-		use(fe.getConn())
+		q.fetch(fe.getConn())
 		return
 	}
-	fe.poolWaiters = append(fe.poolWaiters, func() { use(fe.getConn()) })
+	fe.poolWaiters = append(fe.poolWaiters, q)
 	if len(fe.poolWaiters) > fe.maxPoolWait {
 		fe.maxPoolWait = len(fe.poolWaiters)
 	}
@@ -301,9 +309,10 @@ func (fe *Server) releaseSlot() {
 	}
 	if len(fe.poolWaiters) > 0 {
 		next := fe.poolWaiters[0]
+		fe.poolWaiters[0] = nil
 		fe.poolWaiters = fe.poolWaiters[1:]
 		fe.refreshPoolGauges()
-		next()
+		next.fetch(fe.getConn())
 		return
 	}
 	fe.beInflight--
@@ -377,7 +386,7 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		if m := fe.met; m != nil {
 			m.rejections.Inc()
 		}
-		w.WriteHeader(503, httpsim.ContentLengthHeader(0))
+		w.WriteHeaderLength(503, 0, nil)
 		w.End()
 		return
 	}
@@ -390,113 +399,158 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 	}
 	fe.fetchLog = append(fe.fetchLog, rec)
 
-	// The dynamic portion, once the BE fetch has resolved (fetched):
-	// its bytes, or only its length at a length-only FE. Both stay zero
-	// when the fetch failed or degraded to static-only.
-	staticWritten, fetched := false, false
-	var dynamic []byte
-	dynamicLen := 0
-	done := false
-
-	finish := func() {
-		if done {
-			return
-		}
-		done = true
-		fe.write(w, dynamic, dynamicLen)
-		w.End()
-	}
+	q := fe.newRequest()
+	q.w, q.arrived, q.logIdx, q.keepAlive = w, arrived, logIdx, keepAlive
+	q.req.Path, q.req.Host = r.Path, r.Host
 
 	// Role 1: cached static portion, delivered after FE processing.
 	// With bounded replicas, the request may wait for its replica
 	// first — queueing under overload inflates Tstatic.
 	feDelay := fe.loadModel.Sample(fe.load.At(sim.Now(), fe.rng), fe.rng)
-	fe.queue.Submit(feDelay, func(time.Duration) {
-		if keepAlive {
-			w.WriteHeader(200, httpsim.ChunkedHeader())
-		} else {
-			w.WriteHeader(200, httpsim.Header{}) // close-framed
-		}
-		fe.write(w, fe.static, len(fe.static))
-		staticWritten = true
-		if m := fe.met; m != nil {
-			m.staticFlushes.Inc()
-		}
-		if r := fe.logAt(logIdx); r != nil {
-			r.StaticAt = sim.Now()
-		}
-		if fetched {
-			finish()
-		}
-	})
+	fe.queue.Submit(feDelay, q.flushFn)
 
 	// Role 2: split-TCP fetch of the dynamic portion, forwarded
 	// immediately (not waiting for the FE delay — proxies pipeline).
 	// With a bounded pool the fetch may first wait for a slot; a BE 503
 	// (cluster queue cap) is retried with exponential backoff, holding
 	// the slot and connection, before degrading to static-only.
-	fe.withConn(func(pc *httpsim.PersistentConn) {
-		attempt := 0
-		var issue func()
-		issue = func() {
-			pc.Do(&httpsim.Request{Method: "GET", Path: r.Path, Host: r.Host}, httpsim.ResponseCallbacks{
-				CountOnly: fe.lenOnly,
-				OnDone: func(resp *httpsim.Response) {
-					if resp.Status == 503 {
-						if attempt < fe.pool.Retries {
-							attempt++
-							fe.beRetries++
-							if m := fe.met; m != nil {
-								m.retries.Inc()
-							}
-							backoff := fe.pool.Backoff << uint(min(attempt-1, 16))
-							sim.Schedule(backoff, issue)
-							return
-						}
-						// Retries exhausted: degrade to static-only.
-						fe.be503s++
-						fe.putConn(pc)
-						fe.releaseSlot()
-						fetched = true
-						if staticWritten {
-							finish()
-						}
-						return
-					}
-					if m := fe.met; m != nil {
-						m.fetchQuantiles.Observe((sim.Now() - arrived).Seconds())
-					}
-					if rec := fe.logAt(logIdx); rec != nil {
-						rec.FetchDone = sim.Now()
-						if v := resp.Header[backend.QueueWaitHeader]; v != "" {
-							if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
-								rec.QueueWait = time.Duration(ns)
-							}
-						}
-					}
-					fe.putConn(pc)
-					fe.releaseSlot()
-					fetched = true
-					dynamic, dynamicLen = resp.Body, resp.BodyLen
-					if fe.gzip {
-						dynamic = GzipMember(resp.Body)
-					}
-					if staticWritten {
-						finish()
-					}
-				},
-				OnError: func(error) {
-					// BE unreachable: end the response after the static part.
-					fe.releaseSlot()
-					fetched = true
-					if staticWritten {
-						finish()
-					}
-				},
-			})
+	fe.withConn(q)
+}
+
+// request is one client request in flight at the FE: what its static
+// flush and its BE fetch share. Its callbacks are bound once, and it
+// goes back to the server's free list when its response ends, so a
+// served query allocates none of it.
+type request struct {
+	fe      *Server
+	w       *httpsim.ResponseWriter
+	pc      *httpsim.PersistentConn
+	req     httpsim.Request // the fetch forwarded to the BE
+	cb      httpsim.ResponseCallbacks
+	arrived time.Duration
+	logIdx  int
+	attempt int // BE 503 retries so far
+	// The dynamic portion, once the BE fetch has resolved (fetched):
+	// its bytes, or only its length at a length-only FE. Both stay zero
+	// when the fetch failed or degraded to static-only.
+	dynamic       []byte
+	dynamicLen    int
+	keepAlive     bool
+	staticWritten bool
+	fetched       bool
+
+	flushFn func(time.Duration)
+	issueFn func()
+}
+
+func (fe *Server) newRequest() *request {
+	if n := len(fe.requests); n > 0 {
+		q := fe.requests[n-1]
+		fe.requests = fe.requests[:n-1]
+		return q
+	}
+	q := &request{fe: fe, req: httpsim.Request{Method: "GET"}}
+	q.flushFn, q.issueFn = q.flush, q.issue
+	q.cb = httpsim.ResponseCallbacks{CountOnly: fe.lenOnly, OnDone: q.fetchDone, OnError: q.fetchFailed}
+	return q
+}
+
+// flush writes the static portion once the FE's processing is done.
+func (q *request) flush(time.Duration) {
+	fe, w := q.fe, q.w
+	if q.keepAlive {
+		w.WriteHeader(200, httpsim.ChunkedHeader())
+	} else {
+		w.WriteHeader(200, nil) // close-framed
+	}
+	fe.write(w, fe.static, len(fe.static))
+	q.staticWritten = true
+	if m := fe.met; m != nil {
+		m.staticFlushes.Inc()
+	}
+	if r := fe.logAt(q.logIdx); r != nil {
+		r.StaticAt = fe.ep.Sim().Now()
+	}
+	if q.fetched {
+		q.finish()
+	}
+}
+
+// fetch issues the BE fetch over pc.
+func (q *request) fetch(pc *httpsim.PersistentConn) {
+	q.pc = pc
+	q.issue()
+}
+
+func (q *request) issue() { q.pc.Do(&q.req, q.cb) }
+
+// fetchDone takes the BE's answer: a 503 is retried or degrades the
+// response to static-only, anything else is the dynamic portion.
+func (q *request) fetchDone(resp *httpsim.Response) {
+	fe := q.fe
+	sim := fe.ep.Sim()
+	if resp.Status == 503 {
+		if q.attempt < fe.pool.Retries {
+			q.attempt++
+			fe.beRetries++
+			if m := fe.met; m != nil {
+				m.retries.Inc()
+			}
+			backoff := fe.pool.Backoff << uint(min(q.attempt-1, 16))
+			sim.Schedule(backoff, q.issueFn)
+			return
 		}
-		issue()
-	})
+		// Retries exhausted: degrade to static-only.
+		fe.be503s++
+		fe.putConn(q.pc)
+		fe.releaseSlot()
+		q.resolved()
+		return
+	}
+	if m := fe.met; m != nil {
+		m.fetchQuantiles.Observe((sim.Now() - q.arrived).Seconds())
+	}
+	if rec := fe.logAt(q.logIdx); rec != nil {
+		rec.FetchDone = sim.Now()
+		if v := resp.Header[backend.QueueWaitHeader]; v != "" {
+			if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
+				rec.QueueWait = time.Duration(ns)
+			}
+		}
+	}
+	q.dynamic, q.dynamicLen = resp.Body, resp.BodyLen
+	if fe.gzip {
+		q.dynamic = GzipMember(resp.Body)
+	}
+	fe.putConn(q.pc)
+	fe.releaseSlot()
+	q.resolved()
+}
+
+// fetchFailed: the BE is unreachable, so the response ends after the
+// static part.
+func (q *request) fetchFailed(error) {
+	q.fe.releaseSlot()
+	q.resolved()
+}
+
+// resolved marks the fetch done and ends the response if the static
+// part is out.
+func (q *request) resolved() {
+	q.fetched = true
+	if q.staticWritten {
+		q.finish()
+	}
+}
+
+// finish sends the dynamic portion, ends the response and frees q: the
+// static flush and the fetch have both run, so nothing refers to it.
+func (q *request) finish() {
+	fe, w := q.fe, q.w
+	fe.write(w, q.dynamic, q.dynamicLen)
+	w.End()
+	*q = request{fe: fe, req: httpsim.Request{Method: "GET"}, cb: q.cb, flushFn: q.flushFn, issueFn: q.issueFn}
+	fe.requests = append(fe.requests, q)
 }
 
 // write sends body bytes b, or only their count n at a length-only FE.

@@ -32,40 +32,76 @@ type ResponseCallbacks struct {
 // Get opens a fresh connection to host:port, issues one GET and
 // consumes the response; the connection closes afterwards. This mirrors
 // the paper's query emulator: every search query uses a new TCP
-// connection.
+// connection. req is rendered before Get returns; nothing keeps it. The
+// Response the callbacks see is the exchange's own (see Response).
 func Get(ep *tcpsim.Endpoint, host simnet.HostID, port uint16, req *Request, cb ResponseCallbacks) *tcpsim.Conn {
 	conn := ep.Dial(host, port)
-	parser := &responseParser{
+	x, _ := conn.App.(*exchange)
+	if x == nil {
+		x = &exchange{}
+		x.onConnect, x.onData, x.onBlank, x.onClose, x.onDone = x.connect, x.data, x.blank, x.close, x.done
+		conn.App = x
+	}
+	x.conn, x.req, x.cb, x.finished = conn, req.Marshal(), cb, false
+	x.parser = responseParser{
+		carry:       x.parser.carry[:0],
 		countOnly:   cb.CountOnly,
 		onHeader:    cb.OnHeader,
 		onBodyChunk: cb.OnBody,
+		onDone:      x.onDone,
 	}
-	done := false
-	parser.onDone = func(r *Response) {
-		done = true
-		if cb.OnDone != nil {
-			cb.OnDone(r)
-		}
-	}
-	conn.OnConnect = func() { conn.Send(req.Marshal()) }
-	conn.OnData = func(b []byte) {
-		if err := parser.feed(b); err != nil && cb.OnError != nil {
-			cb.OnError(err)
-		}
-	}
-	conn.OnBlank = func(n int) {
-		if err := parser.feedBlank(n); err != nil && cb.OnError != nil {
-			cb.OnError(err)
-		}
-	}
-	conn.OnClose = func() {
-		parser.close()
-		conn.Close()
-		if !done && cb.OnError != nil {
-			cb.OnError(errTruncated)
-		}
-	}
+	conn.OnConnect, conn.OnData, conn.OnBlank, conn.OnClose = x.onConnect, x.onData, x.onBlank, x.onClose
 	return conn
+}
+
+// exchange is one Get: the request, the response parser and the
+// callbacks, bound to the tcpsim.Conn object (Conn.App) once. On a
+// recycling endpoint each later Get on the object reuses it, so a query
+// allocates only its request bytes.
+type exchange struct {
+	conn     *tcpsim.Conn
+	req      []byte
+	parser   responseParser
+	cb       ResponseCallbacks
+	finished bool // the response completed
+
+	onConnect, onClose func()
+	onData             func([]byte)
+	onBlank            func(int)
+	onDone             func(*Response)
+}
+
+func (x *exchange) connect() { x.conn.Send(x.req) }
+
+func (x *exchange) data(b []byte) {
+	if err := x.parser.feed(b); err != nil && x.cb.OnError != nil {
+		x.cb.OnError(err)
+	}
+}
+
+func (x *exchange) blank(n int) {
+	if err := x.parser.feedBlank(n); err != nil && x.cb.OnError != nil {
+		x.cb.OnError(err)
+	}
+}
+
+func (x *exchange) done(r *Response) {
+	x.finished = true
+	if x.cb.OnDone != nil {
+		x.cb.OnDone(r)
+	}
+}
+
+// close ends the exchange at the peer's FIN, its last callback; it then
+// drops the request and the caller's callbacks.
+func (x *exchange) close() {
+	x.parser.close()
+	x.conn.Close()
+	if !x.finished && x.cb.OnError != nil {
+		x.cb.OnError(errTruncated)
+	}
+	x.req, x.cb = nil, ResponseCallbacks{}
+	x.parser.onHeader, x.parser.onBodyChunk = nil, nil
 }
 
 var errTruncated = &parseError{"connection closed before response completed"}
@@ -75,10 +111,10 @@ var errTruncated = &parseError{"connection closed before response completed"}
 // Content-Length framed. The FE server holds one of these per BE data
 // center — the paper's persistent split-TCP back-end connection.
 type PersistentConn struct {
-	ep     *tcpsim.Endpoint
 	conn   *tcpsim.Conn
-	parser *responseParser
-	queue  []pendingReq
+	parser responseParser
+	queue  []pendingReq // queue[head:] waits; emptied, it restarts at 0
+	head   int
 	cur    ResponseCallbacks // callbacks of the in-flight request
 	inFly  bool
 	ready  bool
@@ -93,33 +129,38 @@ type pendingReq struct {
 // NewPersistentConn dials host:port and returns a connection that can
 // carry any number of sequential requests.
 func NewPersistentConn(ep *tcpsim.Endpoint, host simnet.HostID, port uint16) *PersistentConn {
-	p := &PersistentConn{ep: ep}
-	p.conn = ep.Dial(host, port)
-	p.parser = &responseParser{}
-	p.conn.OnConnect = func() {
-		p.ready = true
-		p.pump()
-	}
-	p.conn.OnData = func(b []byte) {
-		if err := p.parser.feed(b); err != nil {
-			p.fail(err)
-		}
-	}
-	p.conn.OnBlank = func(n int) {
-		if err := p.parser.feedBlank(n); err != nil {
-			p.fail(err)
-		}
-	}
-	p.conn.OnClose = func() {
-		p.closed = true
-		p.conn.Close()
-		p.fail(errTruncated)
-	}
+	p := &PersistentConn{conn: ep.Dial(host, port)}
+	p.parser.onDone = p.done
+	p.conn.OnConnect, p.conn.OnData, p.conn.OnBlank, p.conn.OnClose = p.connect, p.data, p.blank, p.peerClosed
 	return p
 }
 
+func (p *PersistentConn) connect() {
+	p.ready = true
+	p.pump()
+}
+
+func (p *PersistentConn) data(b []byte) {
+	if err := p.parser.feed(b); err != nil {
+		p.fail(err)
+	}
+}
+
+func (p *PersistentConn) blank(n int) {
+	if err := p.parser.feedBlank(n); err != nil {
+		p.fail(err)
+	}
+}
+
+func (p *PersistentConn) peerClosed() {
+	p.closed = true
+	p.conn.Close()
+	p.fail(errTruncated)
+}
+
 // Do enqueues a request. cb.OnDone (or OnError) fires when its response
-// completes. Requests are answered strictly in order.
+// completes. Requests are answered strictly in order. req is rendered
+// when it is sent; keep it unchanged until then.
 func (p *PersistentConn) Do(req *Request, cb ResponseCallbacks) {
 	if p.closed {
 		if cb.OnError != nil {
@@ -133,39 +174,49 @@ func (p *PersistentConn) Do(req *Request, cb ResponseCallbacks) {
 
 // pump starts the next queued request if the line is idle.
 func (p *PersistentConn) pump() {
-	if !p.ready || p.inFly || p.closed || len(p.queue) == 0 {
+	if !p.ready || p.inFly || p.closed || p.head == len(p.queue) {
 		return
 	}
-	next := p.queue[0]
-	p.queue = p.queue[1:]
-	p.inFly = true
-	cb := next.cb
-	p.cur = cb
-	p.parser.countOnly = cb.CountOnly
-	p.parser.onHeader = cb.OnHeader
-	p.parser.onBodyChunk = cb.OnBody
-	p.parser.onDone = func(r *Response) {
-		p.inFly = false
-		if cb.OnDone != nil {
-			cb.OnDone(r)
-		}
-		p.pump()
+	next := p.queue[p.head]
+	p.queue[p.head] = pendingReq{}
+	if p.head++; p.head == len(p.queue) {
+		p.queue, p.head = p.queue[:0], 0
 	}
+	p.inFly = true
+	p.cur = next.cb
+	p.parser.countOnly = next.cb.CountOnly
+	p.parser.onHeader = next.cb.OnHeader
+	p.parser.onBodyChunk = next.cb.OnBody
 	p.conn.Send(next.req.Marshal())
+}
+
+// done completes the in-flight request; a response with none in flight
+// (after fail) has no one to tell.
+func (p *PersistentConn) done(r *Response) {
+	if !p.inFly {
+		return
+	}
+	p.inFly = false
+	cb := p.cur
+	p.cur = ResponseCallbacks{}
+	if cb.OnDone != nil {
+		cb.OnDone(r)
+	}
+	p.pump()
 }
 
 // fail reports an error to the in-flight and queued requests.
 func (p *PersistentConn) fail(err error) {
 	if p.inFly {
 		p.inFly = false
-		p.parser.onDone = nil
-		if p.cur.OnError != nil {
-			p.cur.OnError(err)
-		}
+		cb := p.cur
 		p.cur = ResponseCallbacks{}
+		if cb.OnError != nil {
+			cb.OnError(err)
+		}
 	}
-	queued := p.queue
-	p.queue = nil
+	queued := p.queue[p.head:]
+	p.queue, p.head = nil, 0
 	for _, q := range queued {
 		if q.cb.OnError != nil {
 			q.cb.OnError(err)
@@ -185,4 +236,4 @@ func (p *PersistentConn) Close() {
 }
 
 // QueueLen returns the number of requests not yet sent.
-func (p *PersistentConn) QueueLen() int { return len(p.queue) }
+func (p *PersistentConn) QueueLen() int { return len(p.queue) - p.head }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -124,45 +125,78 @@ func checkRequestRender(t *testing.T, r *Request) {
 	}
 	got := reqs[0]
 	if got.Method != want.Method || got.Path != want.Path || got.Host != want.Host || !sameHeader(got.Header, want.Header) {
-		t.Fatalf("parse(render(%+v)) = %+v", want, *got)
+		t.Fatalf("parse(render(%+v)) = %+v", want, got)
 	}
 }
 
-// checkResponseRender does the same for a response head.
-func checkResponseRender(t *testing.T, status int, h Header) {
+// checkResponseRender does the same for a response head, rendered from
+// h alone and with Content-Length: cl (cl ≥ 0) in place of h's. The
+// parsed head keeps every line but the framing ones, which set the
+// parser's framing — or its error, for a Content-Length that is no
+// length.
+func checkResponseRender(t *testing.T, status int, h Header, cl int) {
 	t.Helper()
-	raw := marshalResponseHeader(status, h)
-	if want := refMarshalResponseHeader(status, h); !bytes.Equal(raw, want) {
-		t.Fatalf("marshalResponseHeader(%d, %v)\n got %q\nwant %q", status, h, raw, want)
-	}
-	if !headerOnWire(h, false) {
-		return
-	}
-	got, err := parseResponseHead(string(raw[:len(raw)-len(headEnd)]))
-	if err != nil || got.Status != status || !sameHeader(got.Header, h) {
-		t.Fatalf("parse(render(%d, %v)) = %+v, %v", status, h, got, err)
+	for _, n := range []int{-1, cl} {
+		want := h
+		if n >= 0 {
+			want = maps.Clone(h)
+			if want == nil {
+				want = Header{}
+			}
+			want[contentLength] = strconv.Itoa(n)
+		}
+		raw := marshalResponseHeader(status, h, n)
+		if ref := refMarshalResponseHeader(status, want); !bytes.Equal(raw, ref) {
+			t.Fatalf("marshalResponseHeader(%d, %v, %d)\n got %q\nwant %q", status, h, n, raw, ref)
+		}
+		if !headerOnWire(h, false) {
+			continue
+		}
+		wantErr := false
+		if v, ok := want[contentLength]; ok && !strings.EqualFold(want[transferEncoding], "chunked") {
+			length, err := strconv.Atoi(v)
+			wantErr = err != nil || length < 0
+		}
+		rest := maps.Clone(want)
+		delete(rest, contentLength)
+		delete(rest, transferEncoding)
+		p := &responseParser{countOnly: true}
+		err := p.begin(raw[:len(raw)-len(headEnd)])
+		if (err != nil) != wantErr || p.resp.Status != status || !sameHeader(p.resp.Header, rest) {
+			t.Fatalf("parse(render(%d, %v, %d)) = %+v, %v", status, h, n, p.resp, err)
+		}
 	}
 }
 
-// TestHeadAllocPins pins what one HTTP head costs: one exactly sized
-// slice to render either head, and the head string plus the parsed
-// value to parse it, plus a header map (two allocations: the map and its
-// group) only when a line needs one. The counts are exact; update them
-// only with a reason.
+// TestHeadAllocPins pins what one HTTP head costs. Rendering is one
+// exactly sized slice, and nothing for a head without header lines (a
+// shared slice). Parsing copies out only what the request or response
+// keeps: a request its path (a repeated Host is shared, the method GET
+// is a constant), a response nothing — its framing lines become parser
+// fields — unless it has another line, which costs a header map (two
+// allocations: the map and its group) and the line's two strings. The
+// counts are exact; update them only with a reason.
 func TestHeadAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	get := NewGet("bing-like", "/search?c=2&id=7&q=computer+science&r=102")
 	keepAlive := NewGet("bing-like", "/search?q=x")
-	keepAlive.Header["Connection"] = "keep-alive"
-	cl := ContentLengthHeader(17408)
-	queued := ContentLengthHeader(17408)
-	queued["X-Queue-Wait"] = "1500000"
+	keepAlive.Header = Header{"Connection": "keep-alive"}
+	queued := Header{"X-Queue-Wait": "1500000"}
 	reqRaw := get.Marshal()
-	respRaw := marshalResponseHeader(200, cl)
+	clRaw := marshalResponseHeader(200, nil, 17408)
+	queuedRaw := marshalResponseHeader(200, queued, 17408)
 	var reqP requestParser
 	respP := &responseParser{countOnly: true}
+	parseResp := func(raw []byte) func() {
+		return func() {
+			if err := respP.feed(raw); err != nil || respP.cur == nil {
+				t.Fatal(err)
+			}
+			respP.cur, respP.need = nil, 0
+		}
+	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -170,20 +204,17 @@ func TestHeadAllocPins(t *testing.T) {
 	}{
 		{"Request.Marshal", 1, func() { get.Marshal() }},
 		{"Request.Marshal/header", 1, func() { keepAlive.Marshal() }},
-		{"marshalResponseHeader", 1, func() { marshalResponseHeader(200, cl) }},
-		{"marshalResponseHeader/two-headers", 1, func() { marshalResponseHeader(200, queued) }},
+		{"marshalResponseHeader/bare", 0, func() { marshalResponseHeader(200, nil, -1) }},
+		{"marshalResponseHeader/content-length", 1, func() { marshalResponseHeader(200, nil, 17408) }},
+		{"marshalResponseHeader/two-headers", 1, func() { marshalResponseHeader(200, queued, 17408) }},
 		{"ChunkEncode", 1, func() { ChunkEncode(reqRaw) }},
-		{"request/host-only/one-segment", 2, func() {
+		{"request/host-only/one-segment", 1, func() {
 			if reqs, err := reqP.feed(reqRaw); err != nil || len(reqs) != 1 {
 				t.Fatal(reqs, err)
 			}
 		}},
-		{"response/content-length-head", 4, func() {
-			if err := respP.feed(respRaw); err != nil || respP.cur == nil {
-				t.Fatal(err)
-			}
-			respP.cur, respP.need = nil, 0
-		}},
+		{"response/content-length-head", 0, parseResp(clRaw)},
+		{"response/queue-wait-head", 4, parseResp(queuedRaw)},
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocations, pinned %v", c.name, got, c.want)

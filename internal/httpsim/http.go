@@ -17,13 +17,21 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // Header is an ordered-insensitive header map with canonicalized-enough
 // keys (exact-match; producers and consumers agree on casing). A parsed
-// head without header lines (bar Host) has a nil Header; readers index it.
+// head keeps only the lines no field holds: a request's Host goes to
+// Request.Host, a response's framing (Content-Length,
+// Transfer-Encoding) to the parser, so a head without other lines has a
+// nil Header; readers index it.
 type Header map[string]string
+
+// Framing header names.
+const (
+	contentLength    = "Content-Length"
+	transferEncoding = "Transfer-Encoding"
+)
 
 // Request is an HTTP request. Only bodyless methods (GET) are supported;
 // search queries carry their keywords in the URL, as the real services
@@ -35,9 +43,10 @@ type Request struct {
 	Header Header
 }
 
-// NewGet builds a GET request for path against the given virtual host.
+// NewGet builds a GET request for path against the given virtual host,
+// with no header lines (set Header to add some).
 func NewGet(host, path string) *Request {
-	return &Request{Method: "GET", Path: path, Host: host, Header: Header{}}
+	return &Request{Method: "GET", Path: path, Host: host}
 }
 
 // Marshal renders the request wire format.
@@ -50,10 +59,13 @@ func (r *Request) Marshal() []byte {
 	if path == "" {
 		path = "/"
 	}
-	return marshalHead(r.Header, method, " ", path, " HTTP/1.1\r\nHost: ", r.Host, "\r\n")
+	return marshalHead(r.Header, -1, method, " ", path, " HTTP/1.1\r\nHost: ", r.Host, "\r\n")
 }
 
-// Response is a fully received HTTP response.
+// Response is a fully received HTTP response. The parser that reads a
+// connection's responses owns it and reuses it for the next one: a
+// callback that keeps anything past the connection's next response
+// copies it (Body itself is never reused).
 type Response struct {
 	Status int
 	Header Header
@@ -67,15 +79,26 @@ type Response struct {
 }
 
 // marshalHead renders a head into one exactly sized slice: the
-// concatenated parts (the first line and its CRLF), h's lines in key
-// order, and the blank line.
-func marshalHead(h Header, parts ...string) []byte {
+// concatenated parts (the first line and its CRLF), the header lines in
+// key order — h's, and Content-Length: cl when cl ≥ 0, which replaces
+// any in h — and the blank line.
+func marshalHead(h Header, cl int, parts ...string) []byte {
 	n := len("\r\n")
 	for _, s := range parts {
 		n += len(s)
 	}
+	var num [20]byte
+	var clv []byte
 	keys := make([]string, 0, 4)
+	if cl >= 0 {
+		clv = strconv.AppendInt(num[:0], int64(cl), 10)
+		keys = append(keys, contentLength)
+		n += len(contentLength) + len(": \r\n") + len(clv)
+	}
 	for k, v := range h {
+		if cl >= 0 && k == contentLength {
+			continue
+		}
 		keys = append(keys, k)
 		n += len(k) + len(": \r\n") + len(v)
 	}
@@ -87,17 +110,31 @@ func marshalHead(h Header, parts ...string) []byte {
 		b = append(b, s...)
 	}
 	for _, k := range keys {
-		b = append(append(append(append(b, k...), ": "...), h[k]...), "\r\n"...)
+		b = append(append(b, k...), ": "...)
+		if cl >= 0 && k == contentLength {
+			b = append(b, clv...)
+		} else {
+			b = append(b, h[k]...)
+		}
+		b = append(b, "\r\n"...)
 	}
 	return append(b, "\r\n"...)
 }
 
-// marshalResponseHeader renders a response status line plus headers.
-func marshalResponseHeader(status int, h Header) []byte {
+// marshalResponseHeader renders a response status line plus headers:
+// h's, and Content-Length: cl when cl ≥ 0. A bare 200 — the FE's
+// close-framed head, one per query — is the shared slice head200, which
+// like every slice a connection queues is never modified.
+func marshalResponseHeader(status int, h Header, cl int) []byte {
+	if status == 200 && len(h) == 0 && cl < 0 {
+		return head200
+	}
 	var num [20]byte
 	code := strconv.AppendInt(num[:0], int64(status), 10)
-	return marshalHead(h, "HTTP/1.1 ", string(code), " ", statusText(status), "\r\n")
+	return marshalHead(h, cl, "HTTP/1.1 ", string(code), " ", statusText(status), "\r\n")
 }
+
+var head200 = []byte("HTTP/1.1 200 OK\r\n\r\n")
 
 func statusText(code int) string {
 	switch code {
@@ -126,87 +163,109 @@ func (e *parseError) Error() string { return "httpsim: " + e.msg }
 // headEnd terminates a request or response head.
 var headEnd = []byte("\r\n\r\n")
 
+// Byte strings the head parsers cut on.
+var (
+	crlf         = []byte("\r\n")
+	http1        = []byte("HTTP/1.")
+	chunkedToken = []byte("chunked")
+)
+
 // requestParser accumulates stream bytes and emits complete requests.
 type requestParser struct {
 	// carry stages an incomplete head, or what followed a malformed one;
 	// a head that arrives whole is parsed from the delivered slice.
 	carry []byte
-	first [1]*Request // backs feed's result: one request costs no slice
+	reqs  []Request // backs feed's result
+	// host is the last Host parsed: a connection's requests name one
+	// virtual host, so it is converted once and shared.
+	host string
 }
 
 // feed appends stream data and returns any complete requests parsed. The
-// returned slice is valid until the next feed.
-func (p *requestParser) feed(data []byte) ([]*Request, error) {
+// returned slice and its requests are valid until the next feed.
+func (p *requestParser) feed(data []byte) ([]Request, error) {
 	if len(p.carry) > 0 {
 		p.carry = append(p.carry, data...)
 		data = p.carry
 	}
-	reqs := p.first[:0]
+	p.reqs = p.reqs[:0]
 	var err error
 	for idx := bytes.Index(data, headEnd); idx >= 0 && err == nil; idx = bytes.Index(data, headEnd) {
-		var req *Request
-		if req, err = parseRequestHead(string(data[:idx])); err == nil {
-			reqs = append(reqs, req)
+		var req Request
+		if req, err = p.parseHead(data[:idx]); err == nil {
+			p.reqs = append(p.reqs, req)
 		}
 		data = data[idx+len(headEnd):]
 	}
 	p.carry = append(p.carry[:0], data...)
-	return reqs, err
+	return p.reqs, err
 }
 
-func parseRequestHead(head string) (*Request, error) {
-	line, rest, more := strings.Cut(head, "\r\n")
-	method, target, ok := strings.Cut(line, " ")
-	path, proto, ok2 := strings.Cut(target, " ")
-	if !ok || !ok2 || !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, &parseError{"bad request line: " + line}
+// parseHead parses one request head. What the request keeps is copied
+// out of head: the path, a method other than GET, a new Host and any
+// other header line.
+func (p *requestParser) parseHead(head []byte) (Request, error) {
+	line, rest, more := bytes.Cut(head, crlf)
+	method, target, ok := bytes.Cut(line, []byte(" "))
+	path, proto, ok2 := bytes.Cut(target, []byte(" "))
+	if !ok || !ok2 || !bytes.HasPrefix(proto, http1) {
+		return Request{}, &parseError{"bad request line: " + string(line)}
 	}
-	req := &Request{Method: method, Path: path}
-	var err error
-	req.Header, err = parseHeaderLines(rest, more, &req.Host)
-	if err != nil {
-		return nil, err
+	req := Request{Method: "GET", Path: string(path)}
+	if string(method) != req.Method {
+		req.Method = string(method)
+	}
+	for more {
+		var k, v []byte
+		if k, v, rest, more, ok = cutHeaderLine(rest); !ok {
+			return Request{}, &parseError{"bad header line: " + string(k)}
+		}
+		if string(k) != "Host" {
+			req.Header = setHeader(req.Header, k, v)
+			continue
+		}
+		if string(v) != p.host {
+			p.host = string(v)
+		}
+		req.Host = p.host
 	}
 	return req, nil
 }
 
-// parseHeaderLines parses the header lines that follow a head's first
-// line (more: the head has any). A Host line goes to *host when host is
-// non-nil. The map stays nil until a line needs it.
-func parseHeaderLines(rest string, more bool, host *string) (Header, error) {
-	var h Header
-	for more {
-		var ln string
-		ln, rest, more = strings.Cut(rest, "\r\n")
-		k, v, ok := strings.Cut(ln, ":")
-		if !ok {
-			return nil, &parseError{"bad header line: " + ln}
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch {
-		case host != nil && k == "Host":
-			*host = v
-		case h == nil:
-			h = Header{k: v}
-		default:
-			h[k] = v
-		}
+// cutHeaderLine cuts the next header line off rest (more: another line
+// follows) and returns its trimmed key and value; ok is false for a
+// line without a colon, whose whole text k then holds.
+func cutHeaderLine(rest []byte) (k, v, tail []byte, more, ok bool) {
+	ln, tail, more := bytes.Cut(rest, crlf)
+	k, v, ok = bytes.Cut(ln, []byte(":"))
+	if !ok {
+		return ln, nil, tail, more, false
 	}
-	return h, nil
+	return bytes.TrimSpace(k), bytes.TrimSpace(v), tail, more, true
+}
+
+// setHeader adds the line k: v to h, making the map on its first line.
+func setHeader(h Header, k, v []byte) Header {
+	if h == nil {
+		h = make(Header, 1)
+	}
+	h[string(k)] = string(v)
+	return h
 }
 
 // responseParser accumulates stream bytes and emits responses. Framing:
 // Transfer-Encoding: chunked when declared, Content-Length when present,
 // otherwise read-until-close.
 type responseParser struct {
-	carry      []byte // framing that cannot be parsed yet (see feed)
-	cur        *Response
-	need       int  // remaining body bytes (Content-Length framing)
-	untilClose bool // close-framing in progress
-	chunked    bool // chunked framing in progress
-	chunkSize  int  // payload size of the current chunk
-	chunkLeft  int  // remaining bytes of the current chunk (+CRLF)
-	lastCRLF   int  // bytes of the chunked terminator's final CRLF still due
+	carry      []byte    // framing that cannot be parsed yet (see feed)
+	cur        *Response // &resp while a response is in progress, else nil
+	resp       Response  // the response in progress or last completed
+	need       int       // remaining body bytes (Content-Length framing)
+	untilClose bool      // close-framing in progress
+	chunked    bool      // chunked framing in progress
+	chunkSize  int       // payload size of the current chunk
+	chunkLeft  int       // remaining bytes of the current chunk (+CRLF)
+	lastCRLF   int       // bytes of the chunked terminator's final CRLF still due
 	// countOnly: measure bodies (Response.BodyLen), retain nothing.
 	// dropped: the current body met a content-free run and retains
 	// nothing either (Response.Body is all or nothing).
@@ -287,7 +346,7 @@ func (p *responseParser) feed(data []byte) error {
 			idx := bytes.Index(data, headEnd)
 			if more = idx < 0; !more {
 				n = idx + len(headEnd)
-				err = p.begin(string(data[:idx]))
+				err = p.begin(data[:idx])
 			}
 		case p.chunked:
 			n, err = p.chunkStep(data)
@@ -309,34 +368,59 @@ func (p *responseParser) feed(data []byte) error {
 	return err
 }
 
-// begin parses a response head, sets up its body framing and completes
-// a response that has no body.
-func (p *responseParser) begin(head string) error {
-	resp, err := parseResponseHead(head)
-	if err != nil {
-		return err
+// begin parses a response head into p.resp, sets up its body framing
+// and completes a response that has no body. The framing lines set the
+// framing and go nowhere else; any other line is copied into the
+// response's Header.
+func (p *responseParser) begin(head []byte) error {
+	line, rest, more := bytes.Cut(head, crlf)
+	proto, status, ok := bytes.Cut(line, []byte(" "))
+	if !ok || !bytes.HasPrefix(proto, http1) {
+		return &parseError{"bad status line: " + string(line)}
 	}
+	status, _, _ = bytes.Cut(status, []byte(" "))
+	code, err := strconv.Atoi(string(status))
+	if err != nil {
+		return &parseError{"bad status code: " + string(status)}
+	}
+	var h Header
+	var cl, te []byte
+	hasCL := false
+	for more {
+		var k, v []byte
+		if k, v, rest, more, ok = cutHeaderLine(rest); !ok {
+			return &parseError{"bad header line: " + string(k)}
+		}
+		switch string(k) {
+		case contentLength:
+			cl, hasCL = v, true
+		case transferEncoding:
+			te = v
+		default:
+			h = setHeader(h, k, v)
+		}
+	}
+	p.resp = Response{Status: code, Header: h}
+	resp := &p.resp
 	p.cur = resp
 	switch {
-	case strings.EqualFold(resp.Header["Transfer-Encoding"], "chunked"):
+	case bytes.EqualFold(te, chunkedToken):
 		p.chunked = true
 		p.untilClose = false
-	default:
-		if cl, ok := resp.Header["Content-Length"]; ok {
-			n, err := strconv.Atoi(cl)
-			if err != nil || n < 0 {
-				return &parseError{"bad Content-Length: " + cl}
-			}
-			p.need = n
-			p.untilClose = false
-			if n > 0 && !p.countOnly {
-				// One exact allocation up front: the per-fragment
-				// emitBody appends never grow Body.
-				resp.Body = make([]byte, 0, n)
-			}
-		} else {
-			p.untilClose = true
+	case hasCL:
+		n, err := strconv.Atoi(string(cl))
+		if err != nil || n < 0 {
+			return &parseError{"bad Content-Length: " + string(cl)}
 		}
+		p.need = n
+		p.untilClose = false
+		if n > 0 && !p.countOnly {
+			// One exact allocation up front: the per-fragment
+			// emitBody appends never grow Body.
+			resp.Body = make([]byte, 0, n)
+		}
+	default:
+		p.untilClose = true
 	}
 	if p.onHeader != nil {
 		p.onHeader(resp)
@@ -373,15 +457,15 @@ func (p *responseParser) chunkStep(data []byte) (int, error) {
 		p.chunkLeft -= take
 		return take, nil
 	}
-	idx := bytes.Index(data, []byte("\r\n"))
+	idx := bytes.Index(data, crlf)
 	if idx < 0 {
 		return 0, nil
 	}
-	line := string(data[:idx])
-	size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
+	line := data[:idx]
+	size, err := strconv.ParseInt(string(bytes.TrimSpace(line)), 16, 32)
 	switch {
 	case err != nil || size < 0:
-		return idx + 2, &parseError{"bad chunk size: " + line}
+		return idx + 2, &parseError{"bad chunk size: " + string(line)}
 	case size == 0:
 		p.lastCRLF = 2 // terminating chunk: its final CRLF follows
 	default:
@@ -422,21 +506,3 @@ func ChunkEncode(data []byte) []byte {
 
 // ChunkTerminator is the zero-length chunk ending a chunked response.
 func ChunkTerminator() []byte { return []byte("0\r\n\r\n") }
-
-func parseResponseHead(head string) (*Response, error) {
-	line, rest, more := strings.Cut(head, "\r\n")
-	proto, status, ok := strings.Cut(line, " ")
-	if !ok || !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, &parseError{"bad status line: " + line}
-	}
-	status, _, _ = strings.Cut(status, " ")
-	code, err := strconv.Atoi(status)
-	if err != nil {
-		return nil, &parseError{"bad status code: " + status}
-	}
-	h, err := parseHeaderLines(rest, more, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Status: code, Header: h}, nil
-}

@@ -32,7 +32,7 @@ func newWorld(t *testing.T, delay time.Duration) *world {
 
 func TestRequestMarshalParse(t *testing.T) {
 	req := NewGet("www.bing.com", "/search?q=computer+science")
-	req.Header["User-Agent"] = "fesplit-emulator"
+	req.Header = Header{"User-Agent": "fesplit-emulator"}
 	var p requestParser
 	reqs, err := p.feed(req.Marshal())
 	if err != nil {
@@ -106,7 +106,7 @@ func TestResponseParserContentLength(t *testing.T) {
 		onBodyChunk: func(b []byte) { chunks = append(chunks, b) },
 		onDone:      func(r *Response) { got = r },
 	}
-	raw := marshalResponseHeader(200, Header{"Content-Length": "5"})
+	raw := marshalResponseHeader(200, Header{"Content-Length": "5"}, -1)
 	if err := p.feed(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestResponseParserContentLength(t *testing.T) {
 func TestResponseParserCloseFramed(t *testing.T) {
 	var got *Response
 	p := &responseParser{onDone: func(r *Response) { got = r }}
-	if err := p.feed(marshalResponseHeader(200, Header{})); err != nil {
+	if err := p.feed(marshalResponseHeader(200, Header{}, -1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.feed([]byte("partial body ")); err != nil {
@@ -149,12 +149,12 @@ func TestResponseParserCloseFramed(t *testing.T) {
 }
 
 func TestResponseParserSequentialCL(t *testing.T) {
-	var done []*Response
-	p := &responseParser{onDone: func(r *Response) { done = append(done, r) }}
+	var done []Response // the parser reuses its Response: keep copies
+	p := &responseParser{onDone: func(r *Response) { done = append(done, *r) }}
 	var raw bytes.Buffer
-	raw.Write(marshalResponseHeader(200, Header{"Content-Length": "2"}))
+	raw.Write(marshalResponseHeader(200, Header{"Content-Length": "2"}, -1))
 	raw.WriteString("ab")
-	raw.Write(marshalResponseHeader(404, Header{"Content-Length": "0"}))
+	raw.Write(marshalResponseHeader(404, Header{"Content-Length": "0"}, -1))
 	if err := p.feed(raw.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestResponseParserSequentialCL(t *testing.T) {
 
 func TestResponseParserBadContentLength(t *testing.T) {
 	p := &responseParser{}
-	err := p.feed(marshalResponseHeader(200, Header{"Content-Length": "nan"}))
+	err := p.feed(marshalResponseHeader(200, Header{"Content-Length": "nan"}, -1))
 	if err == nil {
 		t.Fatal("bad Content-Length accepted")
 	}
@@ -459,7 +459,7 @@ func TestChunkedResponseParsing(t *testing.T) {
 		onDone:      func(r *Response) { done = r },
 	}
 	var raw bytes.Buffer
-	raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+	raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 	raw.Write(ChunkEncode([]byte("hello ")))
 	raw.Write(ChunkEncode([]byte("chunked world")))
 	raw.Write(ChunkTerminator())
@@ -486,7 +486,7 @@ func TestChunkedSequentialResponses(t *testing.T) {
 	p := &responseParser{onDone: func(r *Response) { bodies = append(bodies, string(r.Body)) }}
 	var raw bytes.Buffer
 	for _, body := range []string{"first", "second response"} {
-		raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+		raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 		raw.Write(ChunkEncode([]byte(body)))
 		raw.Write(ChunkTerminator())
 	}
@@ -501,7 +501,7 @@ func TestChunkedSequentialResponses(t *testing.T) {
 func TestChunkedBadSize(t *testing.T) {
 	p := &responseParser{}
 	var raw bytes.Buffer
-	raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+	raw.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 	raw.WriteString("zz\r\n")
 	if err := p.feed(raw.Bytes()); err == nil {
 		t.Fatal("bad chunk size accepted")
@@ -567,11 +567,11 @@ func TestChunkedWriterSkipsEmptyWrites(t *testing.T) {
 // rendered head to parse back to its status and headers.
 func FuzzResponseParser(f *testing.F) {
 	var seed bytes.Buffer
-	seed.Write(marshalResponseHeader(200, Header{"Content-Length": "3"}))
+	seed.Write(marshalResponseHeader(200, Header{"Content-Length": "3"}, -1))
 	seed.WriteString("abc")
 	f.Add(seed.Bytes(), 200, "Content-Length:3")
 	var chunked bytes.Buffer
-	chunked.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+	chunked.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 	chunked.Write(ChunkEncode([]byte("xy")))
 	chunked.Write(ChunkTerminator())
 	f.Add(chunked.Bytes(), 503, "")
@@ -581,7 +581,7 @@ func FuzzResponseParser(f *testing.F) {
 		p := &responseParser{}
 		_ = p.feed(data) // must not panic
 		p.close()
-		checkResponseRender(t, status, fuzzHeader(hdr))
+		checkResponseRender(t, status, fuzzHeader(hdr), len(data))
 		if got, want := ChunkEncode(data), refChunkEncode(data); !bytes.Equal(got, want) {
 			t.Fatalf("ChunkEncode = %q, want %q", got, want)
 		}

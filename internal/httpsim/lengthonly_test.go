@@ -17,7 +17,7 @@ import (
 // response on the keep-alive connection starts at its status line.
 func TestChunkedTerminatorSplitAcrossSegments(t *testing.T) {
 	var one bytes.Buffer
-	one.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+	one.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 	one.Write(ChunkEncode([]byte("first")))
 	head := one.Len()
 	one.Write(ChunkTerminator())
@@ -35,7 +35,7 @@ func TestChunkedTerminatorSplitAcrossSegments(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		var two bytes.Buffer
-		two.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}))
+		two.Write(marshalResponseHeader(200, Header{"Transfer-Encoding": "chunked"}, -1))
 		two.Write(ChunkEncode([]byte("second")))
 		two.Write(ChunkTerminator())
 		if err := p.feed(two.Bytes()); err != nil {
@@ -55,9 +55,9 @@ func TestParserContentFreeRuns(t *testing.T) {
 		blank int    // fed as a content-free run
 		close bool   // or the peer closes
 	}
-	clHead := string(marshalResponseHeader(200, ContentLengthHeader(10)))
-	closeHead := string(marshalResponseHeader(200, Header{}))
-	chunkHead := string(marshalResponseHeader(200, ChunkedHeader()))
+	clHead := string(marshalResponseHeader(200, ContentLengthHeader(10), -1))
+	closeHead := string(marshalResponseHeader(200, Header{}, -1))
+	chunkHead := string(marshalResponseHeader(200, ChunkedHeader(), -1))
 	cases := []struct {
 		name    string
 		steps   []step
@@ -120,9 +120,9 @@ func TestParserContentFreeRuns(t *testing.T) {
 func TestCountOnlyRetainsNothing(t *testing.T) {
 	body := strings.Repeat("x", 5000)
 	for name, raw := range map[string]string{
-		"content-length": string(marshalResponseHeader(200, ContentLengthHeader(len(body)))) + body,
-		"chunked":        string(marshalResponseHeader(200, ChunkedHeader())) + string(ChunkEncode([]byte(body))) + string(ChunkTerminator()),
-		"until-close":    string(marshalResponseHeader(200, Header{})) + body,
+		"content-length": string(marshalResponseHeader(200, ContentLengthHeader(len(body)), -1)) + body,
+		"chunked":        string(marshalResponseHeader(200, ChunkedHeader(), -1)) + string(ChunkEncode([]byte(body))) + string(ChunkTerminator()),
+		"until-close":    string(marshalResponseHeader(200, Header{}, -1)) + body,
 	} {
 		var done *Response
 		seen := 0

@@ -10,7 +10,8 @@ import (
 // HandlerFunc serves one request. The handler may hold the
 // ResponseWriter and keep writing in later virtual-time events (the FE
 // server does exactly that: static prefix now, dynamic portion when the
-// BE fetch returns).
+// BE fetch returns) until it calls End. The Request is valid during the
+// call only: copy what a later event needs.
 type HandlerFunc func(w *ResponseWriter, r *Request)
 
 // Server serves HTTP on a tcpsim endpoint port.
@@ -31,29 +32,63 @@ func NewServer(ep *tcpsim.Endpoint, port uint16, handler HandlerFunc) (*Server, 
 	return s, nil
 }
 
+// serverConn is the server side of one connection object: its request
+// parser, the writer its responses reuse and its callbacks, bound to the
+// tcpsim.Conn object (Conn.App) once. On a recycling endpoint every
+// later connection the object carries is served by the same serverConn.
+type serverConn struct {
+	s       *Server
+	conn    *tcpsim.Conn
+	parser  requestParser
+	w       *ResponseWriter // reused for the next response once ended
+	onData  func([]byte)
+	onClose func()
+}
+
 // accept wires one connection. Multiple sequential requests per
 // connection are supported (keep-alive); responses must complete in
 // request order — PersistentConn enforces one request in flight, and
 // handlers must not interleave writes across requests on one
 // connection.
 func (s *Server) accept(conn *tcpsim.Conn) {
-	parser := &requestParser{}
-	conn.OnData = func(b []byte) {
-		reqs, err := parser.feed(b)
-		if err != nil {
-			conn.Close() // malformed request: drop the connection
-			return
-		}
-		for _, req := range reqs {
-			w := &ResponseWriter{conn: conn}
-			s.handler(w, req)
-		}
+	sc, _ := conn.App.(*serverConn)
+	if sc == nil {
+		sc = &serverConn{}
+		sc.onData, sc.onClose = sc.data, sc.close
+		conn.App = sc
 	}
-	conn.OnClose = func() {
-		// Peer finished sending; we close once pending writes drain
-		// (tcpsim FIN is queued behind data).
-		conn.Close()
+	sc.s, sc.conn = s, conn
+	sc.parser.carry = sc.parser.carry[:0]
+	conn.OnData, conn.OnClose = sc.onData, sc.onClose
+}
+
+func (sc *serverConn) data(b []byte) {
+	reqs, err := sc.parser.feed(b)
+	if err != nil {
+		sc.conn.Close() // malformed request: drop the connection
+		return
 	}
+	for i := range reqs {
+		sc.s.handler(sc.writer(), &reqs[i])
+	}
+}
+
+// close answers the peer's FIN: we close once pending writes drain
+// (tcpsim FIN is queued behind data).
+func (sc *serverConn) close() { sc.conn.Close() }
+
+// writer returns the writer of the next response: the connection
+// object's own once its last response has ended, else a fresh one — a
+// handler may still hold an unended writer, even one of the object's
+// previous connection.
+func (sc *serverConn) writer() *ResponseWriter {
+	w := sc.w
+	if w == nil || !w.ended {
+		w = new(ResponseWriter)
+		sc.w = w
+	}
+	*w = ResponseWriter{conn: sc.conn, incarnation: sc.conn.Incarnation()}
+	return w
 }
 
 // ResponseWriter streams a response onto the connection.
@@ -65,12 +100,24 @@ func (s *Server) accept(conn *tcpsim.Conn) {
 //	w.Write(part2)          // later, from another event
 //	w.End()                 // close-framed: half-closes the connection;
 //	                        // CL-framed: no-op once the length is written
+//
+// End hands the writer back to the server, which reuses it for the
+// connection's next response: nothing may use it afterwards. A writer
+// kept while its connection ends writes nothing: on a recycling
+// endpoint the connection object may already carry another connection,
+// which the writer's incarnation tells apart (tcpsim.Conn.Incarnation).
 type ResponseWriter struct {
 	conn        *tcpsim.Conn
+	incarnation uint64 // conn's incarnation when the response began
 	wroteHeader bool
 	closeFramed bool
 	chunked     bool
+	ended       bool
 }
+
+// live reports whether the writer's connection object still carries the
+// connection the response began on.
+func (w *ResponseWriter) live() bool { return w.conn.Incarnation() == w.incarnation }
 
 // WriteHeader sends the status line and headers. Framing follows the
 // headers: Transfer-Encoding: chunked streams chunks and End() writes
@@ -78,16 +125,33 @@ type ResponseWriter struct {
 // Content-Length header counts bytes; neither means close-framing, and
 // End() half-closes the connection. Calling WriteHeader twice panics (a
 // handler bug). hdr is rendered before WriteHeader returns; nothing keeps
-// it.
+// it. A status this package names without header lines sends a shared
+// head, rendered once.
 func (w *ResponseWriter) WriteHeader(status int, hdr Header) {
+	_, hasCL := hdr[contentLength]
+	w.begin(hasCL, strings.EqualFold(hdr[transferEncoding], "chunked"))
+	if w.live() {
+		w.conn.Send(marshalResponseHeader(status, hdr, -1))
+	}
+}
+
+// WriteHeaderLength is WriteHeader with Content-Length: n framing and
+// hdr's other lines (nil for none), rendered without building a map.
+func (w *ResponseWriter) WriteHeaderLength(status, n int, hdr Header) {
+	w.begin(true, false)
+	if w.live() {
+		w.conn.Send(marshalResponseHeader(status, hdr, n))
+	}
+}
+
+// begin records the response's framing as its head is written.
+func (w *ResponseWriter) begin(hasCL, chunked bool) {
 	if w.wroteHeader {
 		panic("httpsim: WriteHeader called twice")
 	}
 	w.wroteHeader = true
-	_, hasCL := hdr["Content-Length"]
-	w.chunked = strings.EqualFold(hdr["Transfer-Encoding"], "chunked")
-	w.closeFramed = !hasCL && !w.chunked
-	w.conn.Send(marshalResponseHeader(status, hdr))
+	w.chunked = chunked
+	w.closeFramed = !hasCL && !chunked
 }
 
 // Write streams body bytes (chunk-framed when the response is chunked).
@@ -99,7 +163,10 @@ func (w *ResponseWriter) WriteHeader(status int, hdr Header) {
 // parser never touches again.
 func (w *ResponseWriter) Write(b []byte) {
 	if !w.wroteHeader {
-		w.WriteHeader(200, Header{})
+		w.WriteHeader(200, nil)
+	}
+	if !w.live() {
+		return
 	}
 	if w.chunked {
 		if len(b) == 0 {
@@ -116,13 +183,13 @@ func (w *ResponseWriter) Write(b []byte) {
 // (see tcpsim.Conn.SendBlank). Chunk framing stays real.
 func (w *ResponseWriter) WriteBlank(n int) {
 	if !w.wroteHeader {
-		w.WriteHeader(200, Header{})
+		w.WriteHeader(200, nil)
 	}
-	if n <= 0 {
+	if n <= 0 || !w.live() {
 		return
 	}
 	if w.chunked {
-		w.conn.SendBlank(append(strconv.AppendInt(nil, int64(n), 16), "\r\n"...), n, []byte("\r\n"))
+		w.conn.SendBlank(append(strconv.AppendInt(nil, int64(n), 16), "\r\n"...), n, crlf)
 		return
 	}
 	w.conn.SendBlank(nil, n, nil)
@@ -130,10 +197,14 @@ func (w *ResponseWriter) WriteBlank(n int) {
 
 // End completes the response: terminator chunk for chunked framing
 // (connection stays open), half-close for close-framing, no-op for
-// Content-Length framing.
+// Content-Length framing. The writer goes back to the server.
 func (w *ResponseWriter) End() {
 	if !w.wroteHeader {
-		w.WriteHeader(200, Header{})
+		w.WriteHeader(200, nil)
+	}
+	w.ended = true
+	if !w.live() {
+		return
 	}
 	if w.chunked {
 		w.conn.Send(ChunkTerminator())
@@ -146,13 +217,16 @@ func (w *ResponseWriter) End() {
 
 // ChunkedHeader builds a header declaring chunked transfer encoding.
 func ChunkedHeader() Header {
-	return Header{"Transfer-Encoding": "chunked"}
+	return Header{transferEncoding: "chunked"}
 }
 
-// Conn exposes the underlying transport connection (for metrics).
+// Conn exposes the underlying transport connection (for metrics). On a
+// recycling endpoint it is the response's connection only while the
+// response is in progress.
 func (w *ResponseWriter) Conn() *tcpsim.Conn { return w.conn }
 
 // ContentLengthHeader builds a header with the given Content-Length.
+// WriteHeaderLength frames a response by length without one.
 func ContentLengthHeader(n int) Header {
-	return Header{"Content-Length": strconv.Itoa(n)}
+	return Header{contentLength: strconv.Itoa(n)}
 }

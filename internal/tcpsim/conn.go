@@ -38,6 +38,11 @@ type Conn struct {
 	// OnClose fires once when the peer's FIN is received (end of the
 	// peer's stream).
 	OnClose func()
+	// App is the application's state for the connection object. Unlike
+	// the callbacks it survives recycling, so a protocol layer binds its
+	// per-connection objects to the object once and reuses them with
+	// every later incarnation; Incarnation tells the lives apart.
+	App any
 
 	ep         *Endpoint
 	remote     simnet.HostID
@@ -123,6 +128,9 @@ type Conn struct {
 	ackPending  int
 	ackTimerGen uint64
 
+	// incarnation counts the lives of this object (see Incarnation).
+	incarnation uint64
+
 	// retired marks a closed connection waiting for its pending RTO
 	// check events to drain before it can enter the endpoint's free
 	// list (see Endpoint.retire). Only set when recycling is on.
@@ -174,12 +182,14 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 // reinit resets a recycled connection object for a fresh connection.
 // Preconditions (enforced by Endpoint.retire): the previous incarnation
 // is closed, out of the demux table, and has no pending timer check
-// events. Three things deliberately survive across incarnations:
+// events. Five things deliberately survive across incarnations:
 // timerFn (the pre-bound check closure), the backing arrays of the
 // emptied sndq, ooo and sacked lists (capacity reuse — cleared, so they
-// pin none of the previous life's bytes), and ackTimerGen — which
-// advances monotonically so a delayed-ACK closure scheduled by a
-// previous life can never match the new incarnation's generation.
+// pin none of the previous life's bytes), App, the delivery ring when it
+// is empty — an empty ring sits on no lane and holds no slot array, so
+// retarget may point it anywhere — and ackTimerGen, which advances
+// monotonically so a delayed-ACK closure scheduled by a previous life
+// can never match the new incarnation's generation.
 func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server bool) {
 	cfg := c.ep.cfg
 	c.OnConnect, c.OnData, c.OnBlank, c.OnClose = nil, nil, nil, nil
@@ -201,7 +211,10 @@ func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server
 	c.timerArmed, c.timerDeadline, c.timerSeq = false, 0, 0
 	c.fwdPath = simnet.PathHandle{}
 	c.peer, c.peerEp, c.peerGen = nil, nil, 0
-	c.lane, c.ring = nil, nil
+	c.lane = nil
+	if c.ring != nil && c.ring.n > 0 {
+		c.ring = nil // a late segment of the previous life is still queued
+	}
 	c.rcvNxt = 0
 	c.finRcvd, c.finRseq, c.closedUp = false, 0, false
 	c.ackPending = 0
@@ -211,12 +224,19 @@ func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server
 	c.bytesSent, c.bytesRecved = 0, 0
 	c.establishedT = 0
 	c.retired = false
+	c.incarnation++
 	if server {
 		c.st = stateSynRcvd
 	} else {
 		c.st = stateSynSent
 	}
 }
+
+// Incarnation identifies the connection this object currently carries:
+// it changes each time a recycling endpoint reuses the object for a new
+// connection. Code that keeps a *Conn across events compares it to the
+// value it saw to learn whether the object is still its connection.
+func (c *Conn) Incarnation() uint64 { return c.incarnation }
 
 // RemoteHost returns the peer's host ID.
 func (c *Conn) RemoteHost() simnet.HostID { return c.remote }
@@ -600,11 +620,13 @@ func (c *Conn) resolvePeer() bool {
 
 // retarget points the delivery ring at dst (nil: the full-demux ring),
 // reusing it only while empty, since a ring never mixes destinations.
+// An empty ring may come from the object's previous incarnation, so the
+// remote host is set too.
 func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 	if c.ring == nil || c.ring.n > 0 {
-		c.ring = &fastRing{src: c.ep, to: c.remote}
+		c.ring = &fastRing{src: c.ep}
 	}
-	c.ring.dst, c.ring.dstEp, c.ring.dstGen = dst, dstEp, 0
+	c.ring.dst, c.ring.dstEp, c.ring.dstGen, c.ring.to = dst, dstEp, 0, c.remote
 }
 
 // fastSend transmits one segment through the fast lane: the tap and

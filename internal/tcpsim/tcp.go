@@ -133,10 +133,13 @@ type Config struct {
 	// next Dial/accept reinitializes it in place instead of
 	// allocating. Recycling is invisible to protocol behaviour —
 	// segment timings, RNG draws and port allocation are unchanged —
-	// but callers that retain *Conn pointers past OnClose must leave
-	// it off: a recycled object may become a different connection.
-	// Default off; every emulator client endpoint turns it on, FE and
-	// BE endpoints leave it off (docs/SCALE.md).
+	// but a recycled object may become a different connection, so
+	// code that keeps a *Conn past OnClose must stop using it once the
+	// connection has closed (httpsim's PersistentConn does) or check
+	// Conn.Incarnation first (its ResponseWriter does). Default off. Every emulator client endpoint
+	// and every FE endpoint turns it on; BE endpoints leave it off,
+	// since their connections are the FEs' pooled persistent ones and
+	// a free list there would hold nothing to reuse (docs/SCALE.md).
 	RecycleConns bool
 }
 

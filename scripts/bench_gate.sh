@@ -17,7 +17,10 @@
 # The host-time rows (setup_s, queries_per_s, cpu_ms_per_query,
 # heap_p99_mb) are printed but never judged: they are like for like
 # only on the box that wrote the committed point (make bench-ab compares
-# those pairwise on one machine).
+# those pairwise on one machine). Under one that reads worse the gate
+# prints, unjudged too, the same workload's <layer>.cpu_share row that
+# grew most, relatively: shares sum to one, so the layer that got
+# costlier is the one whose share rose.
 #
 # Usage: scripts/bench_gate.sh               run, compare, judge (~3 min)
 #        scripts/bench_gate.sh judge FILE    judge a saved compare output
@@ -38,11 +41,17 @@ judge() {
 			if ($2 ~ /\.alloc_bytes_per_query$/ && (!($1 in most) || (move < 0 ? -move : move) > mostmove[$1])) {
 				most[$1] = n; mostmove[$1] = move < 0 ? -move : move
 			}
+			if ($2 ~ /\.cpu_share$/ && (!($1 in cpu) || move > cpumove[$1])) {
+				cpu[$1] = n; cpumove[$1] = move
+			}
 		}
 		END {
 			for (i = 1; i <= n; i++) {
 				if (metric[i] ~ /^(setup_s|queries_per_s|cpu_ms_per_query|heap_p99_mb)$/) {
 					printf "host-time (not judged)  %s\n", row[i]
+					if (verdict[i] == "worse" && (wl[i] in cpu)) {
+						printf "  grew most: layer %s  %s\n", layer(metric[cpu[wl[i]]]), row[cpu[wl[i]]]
+					}
 				} else if (verdict[i] == "changed") {
 					printf "FAIL exact value changed  %s  (layer %s)\n", row[i], layer(metric[i]); fail++
 				} else if (verdict[i] == "worse" && metric[i] ~ /^(alloc_bytes_per_query|allocs_per_query)$/) {

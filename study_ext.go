@@ -222,11 +222,7 @@ func (s *Study) Wireless() (*WirelessData, error) {
 // median overall delays (ms) and the client-side retransmission count.
 func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, retrans int, err error) {
 	cfg := GoogleLike(s.cfg.Seed + 2)
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	runner, err := s.world(87, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), Access: profile, SnapPayloads: true})
+	runner, boundary, err := s.timingWorld(87, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 60), Access: profile})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -241,13 +237,10 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, r
 	for _, n := range nodes {
 		meds = append(meds, float64(n.MedOverall)/float64(time.Millisecond))
 	}
-	// Count retransmissions over the records: one per client connection.
-	for _, rec := range ds.Records {
-		for _, ev := range rec.Events {
-			if ev.Retransmitted() {
-				retrans++
-			}
-		}
+	// Count retransmissions over the records: one per client connection,
+	// counted when it was measured.
+	for i := range ds.Records {
+		retrans += int(ds.Records[i].Retrans)
 	}
 	return stats.Median(meds), retrans, nil
 }
