@@ -122,12 +122,12 @@ fuzz-smoke:
 # Load-aware queueing gate: the Lindley/M-D-1 property tests, the
 # zero-load byte-identity degeneracy, FE admission control and
 # retry/backoff at an elevated -count under the race detector, the
-# overload/hotspot/failover/capacity scenario determinism check, the
-# golden-CSV gate that pins those cells, and a short fuzz pass over the
-# FE admission control. See docs/QUEUEING.md.
+# overload/hotspot/failover/capacity scenario determinism check and
+# scorecard rows, the golden-CSV gate that pins those cells, and a short
+# fuzz pass over the FE admission control. See docs/QUEUEING.md.
 queueing-check:
 	$(GO) test -race -count=3 ./internal/backend ./internal/frontend
-	$(GO) test -race -count=2 -run 'TestQueueScenariosDeterministic|TestGoldenFigureCSVs' .
+	$(GO) test -race -count=2 -run 'TestQueueScenariosDeterministic|TestOverloadScenario|TestHotspotScenario|TestFailoverScenario|TestCapacitySweep|TestGoldenFigureCSVs' .
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionControl -fuzztime 10s ./internal/frontend
 
 # Bounded-memory fleet gate, end to end through the CLI: a 10⁴-client

@@ -2,6 +2,7 @@ package fesplit
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,16 +18,17 @@ func (r *Report) WriteCSVs(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	w := func(name string, header []string, rows [][]string) error {
-		f, err := os.Create(filepath.Join(dir, name))
+	// w writes one file; after the first error it writes nothing more,
+	// and WriteCSVs returns that error.
+	var err error
+	w := func(name string, header []string, rows [][]string) {
 		if err != nil {
-			return err
+			return
 		}
-		if err := writeCSV(f, header, rows); err != nil {
-			f.Close()
-			return err
+		var f *os.File
+		if f, err = os.Create(filepath.Join(dir, name)); err == nil {
+			err = errors.Join(writeCSV(f, header, rows), f.Close())
 		}
-		return f.Close()
 	}
 	f64 := func(v float64) string { return fmt.Sprintf("%.3f", v) }
 	dms := func(d time.Duration) string { return f64(ms(d)) }
@@ -41,10 +43,7 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig3.csv",
-			[]string{"class", "sample", "tstatic_ms", "tdynamic_ms"}, rows); err != nil {
-			return err
-		}
+		w("fig3.csv", []string{"class", "sample", "tstatic_ms", "tdynamic_ms"}, rows)
 	}
 	if r.Fig4 != nil {
 		var rows [][]string
@@ -60,10 +59,7 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig4.csv",
-			[]string{"rtt_ms", "t_ms", "dir", "payload", "flags"}, rows); err != nil {
-			return err
-		}
+		w("fig4.csv", []string{"rtt_ms", "t_ms", "dir", "payload", "flags"}, rows)
 	}
 	if r.Fig5 != nil {
 		var rows [][]string
@@ -76,11 +72,7 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig5.csv",
-			[]string{"service", "node", "rtt_ms", "tstatic_ms", "tdynamic_ms", "tdelta_ms", "n"},
-			rows); err != nil {
-			return err
-		}
+		w("fig5.csv", []string{"service", "node", "rtt_ms", "tstatic_ms", "tdynamic_ms", "tdelta_ms", "n"}, rows)
 	}
 	if r.Fig6 != nil {
 		var rows [][]string
@@ -89,9 +81,7 @@ func (r *Report) WriteCSVs(dir string) error {
 				rows = append(rows, []string{f.Service, f64(rtt)})
 			}
 		}
-		if err := w("fig6.csv", []string{"service", "rtt_ms"}, rows); err != nil {
-			return err
-		}
+		w("fig6.csv", []string{"service", "rtt_ms"}, rows)
 	}
 	if r.Fig7 != nil {
 		var rows [][]string
@@ -103,10 +93,7 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig7.csv",
-			[]string{"service", "node", "rtt_ms", "tstatic_ms", "tdynamic_ms"}, rows); err != nil {
-			return err
-		}
+		w("fig7.csv", []string{"service", "node", "rtt_ms", "tstatic_ms", "tdynamic_ms"}, rows)
 	}
 	if r.Fig8 != nil {
 		var rows [][]string
@@ -119,11 +106,9 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig8.csv",
+		w("fig8.csv",
 			[]string{"service", "node", "min_ms", "q1_ms", "median_ms", "q3_ms", "max_ms",
-				"whisker_low_ms", "whisker_high_ms"}, rows); err != nil {
-			return err
-		}
+				"whisker_low_ms", "whisker_high_ms"}, rows)
 	}
 	if r.Fig9 != nil {
 		var rows [][]string
@@ -135,11 +120,9 @@ func (r *Report) WriteCSVs(dir string) error {
 				})
 			}
 		}
-		if err := w("fig9.csv",
+		w("fig9.csv",
 			[]string{"service", "fe", "miles", "tdynamic_ms", "fit_slope_ms_per_mile",
-				"fit_intercept_ms"}, rows); err != nil {
-			return err
-		}
+				"fit_intercept_ms"}, rows)
 	}
 	bucketRows := func(service string, buckets []QueueBucket) [][]string {
 		var rows [][]string
@@ -158,22 +141,13 @@ func (r *Report) WriteCSVs(dir string) error {
 		"rejected", "p50_tdyn_ms", "p99_tdyn_ms", "queue_depth", "utilization"}
 
 	if r.Overload != nil {
-		if err := w("overload.csv", bucketHeader,
-			bucketRows(r.Overload.Service, r.Overload.Buckets)); err != nil {
-			return err
-		}
+		w("overload.csv", bucketHeader, bucketRows(r.Overload.Service, r.Overload.Buckets))
 	}
 	if r.Hotspot != nil {
-		if err := w("hotspot.csv", bucketHeader,
-			bucketRows(r.Hotspot.Service, r.Hotspot.Buckets)); err != nil {
-			return err
-		}
+		w("hotspot.csv", bucketHeader, bucketRows(r.Hotspot.Service, r.Hotspot.Buckets))
 	}
 	if r.Failover != nil {
-		if err := w("failover.csv", bucketHeader,
-			bucketRows(r.Failover.Service, r.Failover.Buckets)); err != nil {
-			return err
-		}
+		w("failover.csv", bucketHeader, bucketRows(r.Failover.Service, r.Failover.Buckets))
 	}
 	if r.Capacity != nil {
 		var rows [][]string
@@ -186,12 +160,10 @@ func (r *Report) WriteCSVs(dir string) error {
 				f64(r.Capacity.SLOMs), fmt.Sprint(p.MeetsSLO),
 			})
 		}
-		if err := w("capacity.csv",
+		w("capacity.csv",
 			[]string{"service", "replicas", "offered", "ok", "utilization",
 				"max_queue_depth", "p50_tdyn_ms", "p99_tdyn_ms", "slo_ms",
-				"meets_slo"}, rows); err != nil {
-			return err
-		}
+				"meets_slo"}, rows)
 	}
 	if r.Caching != nil {
 		rows := [][]string{
@@ -202,13 +174,9 @@ func (r *Report) WriteCSVs(dir string) error {
 				f64(r.Caching.Control.MedianSameMS), f64(r.Caching.Control.MedianDistinctMS),
 				fmt.Sprint(r.Caching.Control.CachingDetected)},
 		}
-		if err := w("caching.csv",
-			[]string{"variant", "ks", "same_median_ms", "distinct_median_ms", "detected"},
-			rows); err != nil {
-			return err
-		}
+		w("caching.csv", []string{"variant", "ks", "same_median_ms", "distinct_median_ms", "detected"}, rows)
 	}
-	return nil
+	return err
 }
 
 // writeCSV writes a header line and rows as CSV.

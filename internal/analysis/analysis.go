@@ -12,6 +12,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -291,29 +293,32 @@ type NodeSummary struct {
 // median RTT ascending (equal medians by node name, so the order never
 // depends on map iteration).
 func PerNode(params []Params) []NodeSummary {
-	group := map[simnet.HostID][]Params{}
-	for _, p := range params {
-		group[p.Node] = append(group[p.Node], p)
+	// A stable sort by node makes each node's params one run in their
+	// original order, so the node's five columns are runs of one array.
+	ps := slices.Clone(params)
+	slices.SortStableFunc(ps, func(a, b Params) int { return cmp.Compare(a.Node, b.Node) })
+	n := len(ps)
+	col := make([]float64, 5*n)
+	rtt, st, dy, de, ov := col[:n], col[n:2*n], col[2*n:3*n], col[3*n:4*n], col[4*n:]
+	for i, p := range ps {
+		rtt[i], st[i], dy[i], de[i], ov[i] = float64(p.RTT), float64(p.Tstatic), float64(p.Tdynamic), float64(p.Tdelta), float64(p.Overall)
 	}
-	out := make([]NodeSummary, 0, len(group))
-	for node, ps := range group {
-		var rtt, st, dy, de, ov []float64
-		for _, p := range ps {
-			rtt = append(rtt, float64(p.RTT))
-			st = append(st, float64(p.Tstatic))
-			dy = append(dy, float64(p.Tdynamic))
-			de = append(de, float64(p.Tdelta))
-			ov = append(ov, float64(p.Overall))
+	out := []NodeSummary{}
+	for i, j := 0, 0; i < n; i = j {
+		j = i + 1
+		for j < n && ps[j].Node == ps[i].Node {
+			j++
 		}
+		med := func(c []float64) time.Duration { return time.Duration(stats.Median(c[i:j])) }
 		out = append(out, NodeSummary{
-			Node:        node,
-			RTT:         time.Duration(stats.Median(rtt)),
-			MedStatic:   time.Duration(stats.Median(st)),
-			MedDynamic:  time.Duration(stats.Median(dy)),
-			MedDelta:    time.Duration(stats.Median(de)),
-			MedOverall:  time.Duration(stats.Median(ov)),
-			OverallDist: stats.BoxPlotOf(ov),
-			N:           len(ps),
+			Node:        ps[i].Node,
+			RTT:         med(rtt),
+			MedStatic:   med(st),
+			MedDynamic:  med(dy),
+			MedDelta:    med(de),
+			MedOverall:  med(ov),
+			OverallDist: stats.BoxPlotOf(ov[i:j]),
+			N:           j - i,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,8 +1,12 @@
 package fesplit
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -35,4 +39,39 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", f.Name, f.Kind, labels, f.Help)
 	}
 	checkGeneratedBlock(t, filepath.Join("docs", "METRICS.md"), metricsDocBegin, metricsDocEnd, b.String())
+}
+
+// TestDocsNameExistingTests: every Test, Fuzz, Benchmark or Example
+// name the documents cite is a function of some _test.go file (a
+// trailing * matches as a prefix), and every name in a Makefile -run or
+// -fuzz pattern, unanchored as go test reads it, begins one.
+func TestDocsNameExistingTests(t *testing.T) {
+	var src strings.Builder
+	err := filepath.WalkDir(".", func(path string, _ fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			b, err := os.ReadFile(path)
+			src.Write(b)
+			return err
+		}
+		return err
+	})
+	name := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*\*?`)
+	docs, _ := filepath.Glob(filepath.Join("docs", "*.md"))
+	for _, path := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile") {
+		b, rerr := os.ReadFile(path)
+		err = errors.Join(err, rerr)
+		text, exact := string(b), "("
+		if path == "Makefile" {
+			text, exact = strings.Join(regexp.MustCompile(`-(?:run|fuzz) ('[^']*'|\S+)`).FindAllString(text, -1), " "), ""
+		}
+		for _, cited := range name.FindAllString(text, -1) {
+			prefix, star := strings.CutSuffix(cited, "*")
+			if f := "\nfunc " + prefix; !strings.Contains(src.String(), f+exact) && !(star && strings.Contains(src.String(), f)) {
+				t.Errorf("%s cites %s, which no _test.go defines", path, cited)
+			}
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }

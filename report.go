@@ -196,7 +196,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	if r.Interactive != nil {
 		hr("Section 6 — interactive search-as-you-type")
 		d := r.Interactive
-		pf("typing %q: %d keystrokes, %d TCP connections (one per letter)\n",
+		pf("typing %q: %d keystrokes, %d TCP connections\n",
 			d.Keywords, d.Keystrokes, d.Connections)
 		pf("per-keystroke Tdynamic (ms):")
 		for _, v := range d.PerKeystrokeTdynMS {
@@ -220,7 +220,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			d.Service, d.CampusOverallMS, d.WirelessOverallMS)
 		pf("client-side retransmissions: campus %d, wireless %d\n",
 			d.CampusRetrans, d.WirelessRetrans)
-		pf("with a lossy last hop, close FE placement matters far more.\n")
 	}
 
 	writeBuckets := func(buckets []QueueBucket) {
@@ -283,10 +282,10 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	if scored != nil {
-		hr("Scorecard — the paper's claims (structural rows are asserted by tests; calibrated rows are reported)")
-		pf("%-6s %-10s %-7s %10s %16s  %s\n", "figure", "kind", "verdict", "measured", "band", "quantity — paper")
+		hr("Scorecard — the paper's claims (structural and extension rows are asserted by tests; calibrated rows are reported)")
+		pf("%-10s %-10s %-7s %10s %16s  %s\n", "figure", "kind", "verdict", "measured", "band", "quantity — paper")
 		for _, row := range scored {
-			pf("%-6s %-10s %-7s %10s %16s  %s — %s\n", row.Figure, row.Kind, row.Verdict,
+			pf("%-10s %-10s %-7s %10s %16s  %s — %s\n", row.Figure, row.Kind, row.Verdict,
 				row.Measured(), row.Band(), row.Quantity, row.Paper)
 		}
 	}

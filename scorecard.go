@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"fesplit/internal/stats"
@@ -12,25 +13,27 @@ import (
 // The scorecard states each claim of the paper's evaluation once. A
 // structural row is an ordering or bound the reproduction must hold at
 // any seed, and tests assert it; a calibrated row compares a number
-// with the paper's and is reported, not asserted. Bands come from the
-// paper's text, never from a reproduced value.
+// with the paper's and is reported, not asserted; an extension row, a
+// claim beyond the numbered figures, is asserted. Bands come from the
+// paper's text or a cited source, never from a reproduced value.
 
 // Claim kinds and row verdicts.
 const (
-	Structural, Calibrated           = "structural", "calibrated"
-	VerdictIn, VerdictOut, VerdictNA = "in", "out", "n/a"
+	Structural, Calibrated, Extension = "structural", "calibrated", "extension"
+	VerdictIn, VerdictOut, VerdictNA  = "in", "out", "n/a"
 )
 
 // paperPointTolerance is the half-width, as a share of the value, of
 // the band around a claim the paper states as one number.
 const paperPointTolerance = 0.20
 
-// positive is the lower bound of a strict "> 0": the smallest positive
-// float64, so the band [positive, +Inf] admits exactly the values
-// above zero.
-const positive = math.SmallestNonzeroFloat64
-
 var inf = math.Inf(1)
+
+// above(x) is the lower bound of a strict "> x": the next float64 up, so
+// the band [above(x), +Inf] admits exactly the values above x.
+func above(x float64) float64 { return math.Nextafter(x, inf) }
+
+var positive = above(0)
 
 // Claim is one row of the scorecard. measure reads its quantity off a
 // report that holds the claim's figure; ok is false when the input is
@@ -53,14 +56,22 @@ type ScorecardRow struct {
 
 // scoredFigures says whether a report holds each figure a claim names.
 var scoredFigures = map[string]func(*Report) bool{
-	"Fig 3": func(r *Report) bool { return r.Fig3 != nil },
-	"Fig 4": func(r *Report) bool { return r.Fig4 != nil },
-	"Fig 5": func(r *Report) bool { return r.Fig5 != nil },
-	"Fig 6": func(r *Report) bool { return r.Fig6 != nil },
-	"Fig 7": func(r *Report) bool { return r.Fig7 != nil },
-	"Fig 8": func(r *Report) bool { return r.Fig8 != nil },
-	"Fig 9": func(r *Report) bool { return r.Fig9 != nil },
-	"§3":    func(r *Report) bool { return r.Caching != nil },
+	"Fig 3":      func(r *Report) bool { return r.Fig3 != nil },
+	"Fig 4":      func(r *Report) bool { return r.Fig4 != nil },
+	"Fig 5":      func(r *Report) bool { return r.Fig5 != nil },
+	"Fig 6":      func(r *Report) bool { return r.Fig6 != nil },
+	"Fig 7":      func(r *Report) bool { return r.Fig7 != nil },
+	"Fig 8":      func(r *Report) bool { return r.Fig8 != nil },
+	"Fig 9":      func(r *Report) bool { return r.Fig9 != nil },
+	"§3":         func(r *Report) bool { return r.Caching != nil },
+	"E1":         func(r *Report) bool { return r.TermEffect != nil },
+	"§6":         func(r *Report) bool { return r.Interactive != nil },
+	"Discussion": func(r *Report) bool { return r.Wireless != nil },
+	"E7":         func(r *Report) bool { return r.ModelCheck != nil },
+	"Overload":   func(r *Report) bool { return r.Overload != nil },
+	"Hotspot":    func(r *Report) bool { return r.Hotspot != nil },
+	"Failover":   func(r *Report) bool { return r.Failover != nil },
+	"Capacity":   func(r *Report) bool { return r.Capacity != nil },
 }
 
 // claims is the scorecard table.
@@ -118,6 +129,65 @@ var claims = []Claim{
 		func(r *Report) (float64, bool) {
 			return b2f(r.Caching.Control.CachingDetected), r.Caching.Control.MedianDistinctMS > 0
 		}},
+	{"E1", "bing-like Tdynamic slope per query term (ms/term)", "reviewers: does fetch time grow with the number of words in the query?", positive, inf, Extension,
+		per(termEffect, func(b, _ *TermEffectData) (float64, bool) { return b.SlopeMSPerTerm, true })},
+	{"E1", "google-like Tdynamic slope per query term (ms/term)", "reviewers: does fetch time grow with the number of words in the query?", positive, inf, Extension,
+		per(termEffect, func(_, g *TermEffectData) (float64, bool) { return g.SlopeMSPerTerm, true })},
+	{"E1", "per-term slope, bing − google (ms/term)", "Bing's back end charges more per term (12 vs 2 ms configured)", positive, inf, Extension,
+		per(termEffect, func(b, g *TermEffectData) (float64, bool) { return b.SlopeMSPerTerm - g.SlopeMSPerTerm, true })},
+	// A probe that typed nothing, or a wireless leg that has not run, is missing.
+	{"§6", "TCP connections − keystrokes", `"a separate query (using a new TCP connection)" after each letter`, 0, 0, Extension,
+		func(r *Report) (float64, bool) {
+			return float64(r.Interactive.Connections - r.Interactive.Keystrokes), r.Interactive.Keystrokes > 0
+		}},
+	{"§6", "every keystroke session fits the basic model (1 = yes)", `"the delivery of each query hence still fits our basic model"`, 1, 1, Extension,
+		func(r *Report) (float64, bool) { return b2f(r.Interactive.ModelHolds), r.Interactive.Keystrokes > 0 }},
+	{"Discussion", "median overall delay, wireless − campus (ms)", `where "loss rates are high", "placing FEs closer to users ... may significantly improve" delay`, positive, inf, Extension,
+		func(r *Report) (float64, bool) {
+			return r.Wireless.WirelessOverallMS - r.Wireless.CampusOverallMS, min(r.Wireless.CampusOverallMS, r.Wireless.WirelessOverallMS) > 0
+		}},
+	{"Discussion", "client-side retransmissions, wireless − campus", `"loss rates are high (e.g., in a wireless network)"`, positive, inf, Extension,
+		func(r *Report) (float64, bool) {
+			return float64(r.Wireless.WirelessRetrans - r.Wireless.CampusRetrans), min(r.Wireless.CampusOverallMS, r.Wireless.WirelessOverallMS) > 0
+		}},
+	{"E7", "median absolute Tdynamic error of the analytic model (ms)", "the §2 model predicts what the simulation measures", -inf, 15, Extension,
+		func(r *Report) (float64, bool) { return r.ModelCheck.MedAbsErrTdynMS, r.ModelCheck.Nodes > 0 }},
+	{"E7", "median absolute Tdelta error of the analytic model (ms)", "the §2 model predicts what the simulation measures", -inf, 15, Extension,
+		func(r *Report) (float64, bool) { return r.ModelCheck.MedAbsErrDeltaMS, r.ModelCheck.Nodes > 0 }},
+	{"E7", "share of nodes whose Tdynamic error is ≤ 10 ms", "the §2 model predicts what the simulation measures", 0.5, inf, Extension,
+		func(r *Report) (float64, bool) { return r.ModelCheck.Within10ms, r.ModelCheck.Nodes > 0 }},
+	{"Overload", "max queue depth − queue cap", "the cap bounds the waiting room", -inf, 0, Extension,
+		func(r *Report) (float64, bool) { return float64(r.Overload.MaxQueueDepth - r.Overload.QueueCap), true }},
+	{"Overload", "BE rejections", "a 4× spike overloads the capped cluster", positive, inf, Extension,
+		func(r *Report) (float64, bool) { return float64(r.Overload.BERejected), true }},
+	{"Overload", "FE retries", "the FE retries a BE 503", positive, inf, Extension,
+		func(r *Report) (float64, bool) { return float64(r.Overload.FERetries), true }},
+	{"Overload", "offered, surge bucket / quiet bucket", "a 4× arrival spike", above(2), inf, Extension,
+		surge(false, func(in, quiet *QueueBucket) float64 { return float64(in.Offered) / float64(quiet.Offered) })},
+	{"Overload", "degraded + rejected in the surge bucket", "the FE sheds load while the spike lasts", positive, inf, Extension,
+		surge(false, func(in, _ *QueueBucket) float64 { return float64(in.Degraded + in.Rejected) })},
+	{"Overload", "p99 Tdynamic, surge − quiet bucket (ms)", "the spike queues", positive, inf, Extension,
+		surge(false, func(in, quiet *QueueBucket) float64 { return in.P99Ms - quiet.P99Ms })},
+	{"Hotspot", "offered, surge − quiet bucket", "the hot keyword leaves the arrival rate unchanged", 0, 0, Extension,
+		surge(true, func(in, quiet *QueueBucket) float64 { return float64(in.Offered - quiet.Offered) })},
+	{"Hotspot", "p99 Tdynamic, surge − quiet bucket (ms)", "load is work, not just queries per second", positive, inf, Extension,
+		surge(true, func(in, quiet *QueueBucket) float64 { return in.P99Ms - quiet.P99Ms })},
+	{"Hotspot", "max queue depth", "the hot query queues", positive, inf, Extension,
+		func(r *Report) (float64, bool) { return float64(r.Hotspot.MaxQueueDepth), true }},
+	{"Failover", "median Tdynamic, post − pre failover (ms)", "the farthest BE adds tens of ms of backbone propagation", above(10), inf, Extension,
+		func(r *Report) (float64, bool) {
+			return r.Failover.PostP50Ms - r.Failover.PreP50Ms, r.Failover.PreP50Ms > 0
+		}},
+	{"Capacity", "largest cluster meets its SLO (1 = yes)", `Badue et al., "Capacity Planning for Vertical Search Engines": response time stays flat below the knee`, 1, 1, Extension,
+		sweep(func(p []CapacityPoint) float64 { return b2f(p[0].MeetsSLO) })},
+	{"Capacity", "smallest cluster meets its SLO (1 = yes)", "Badue et al.: past the knee the tail breaks the SLO", 0, 0, Extension,
+		sweep(func(p []CapacityPoint) float64 { return b2f(p[len(p)-1].MeetsSLO) })},
+	{"Capacity", "smallest replica count meeting the SLO", "some swept cluster meets the SLO", 1, inf, Extension,
+		func(r *Report) (float64, bool) { return float64(r.Capacity.MinReplicas), len(r.Capacity.Points) > 1 }},
+	{"Capacity", "worst p99 ratio, one step fewer replicas / more", "fewer replicas never cut the tail (a few % wobble)", 0.9, inf, Extension,
+		worstStep(func(more, fewer CapacityPoint) float64 { return fewer.P99Ms / more.P99Ms })},
+	{"Capacity", "worst utilization step, one step fewer replicas − more", "fewer replicas never cut utilization", 0, inf, Extension,
+		worstStep(func(more, fewer CapacityPoint) float64 { return fewer.Utilization - more.Utilization })},
 }
 
 // paperPoint is a calibrated claim the paper states as one value v: its
@@ -147,11 +217,11 @@ func (r *Report) Scorecard() []ScorecardRow {
 }
 
 // Band renders the claim's band: "> 0", "≥ 3", "≤ 1.5", "= 1" or
-// "[lo, hi]".
+// "[lo, hi]"; a lower bound above(x) of a whole x is "> x".
 func (c Claim) Band() string {
-	switch {
-	case c.Lo == positive && c.Hi == inf:
-		return "> 0"
+	switch x := math.Round(c.Lo); {
+	case c.Hi == inf && c.Lo == above(x):
+		return fmt.Sprintf("> %.4g", x)
 	case c.Hi == inf:
 		return fmt.Sprintf("≥ %.4g", c.Lo)
 	case c.Lo == -inf:
@@ -226,6 +296,53 @@ func fig6(r *Report) []*Fig6Data { return r.Fig6 }
 func fig7(r *Report) []*Fig7Data { return r.Fig7 }
 func fig8(r *Report) []*Fig8Data { return r.Fig8 }
 func fig9(r *Report) []*Fig9Data { return r.Fig9 }
+
+func (d *TermEffectData) service() string    { return d.Service }
+func termEffect(r *Report) []*TermEffectData { return r.TermEffect }
+
+// surge measures f over the overload (hotspot when hot) cell's first
+// bucket 4 s into its surge and its first bucket from 4 s into the run
+// to 4 s before the surge; a layout without either is missing.
+func surge(hot bool, f func(in, quiet *QueueBucket) float64) func(*Report) (float64, bool) {
+	return func(r *Report) (float64, bool) {
+		var buckets []QueueBucket
+		var start, end float64
+		if hot {
+			buckets, start, end = r.Hotspot.Buckets, r.Hotspot.SurgeStartS, r.Hotspot.SurgeEndS
+		} else {
+			buckets, start, end = r.Overload.Buckets, r.Overload.SurgeStartS, r.Overload.SurgeEndS
+		}
+		in := slices.IndexFunc(buckets, func(b QueueBucket) bool { return b.StartS >= start+4 && b.StartS < end })
+		quiet := slices.IndexFunc(buckets, func(b QueueBucket) bool { return b.StartS >= 4 && b.StartS < start-4 })
+		if in < 0 || quiet < 0 {
+			return 0, false
+		}
+		return f(&buckets[in], &buckets[quiet]), true
+	}
+}
+
+// sweep measures f over the capacity sweep's points, by decreasing
+// replica count; a sweep of fewer than two is missing.
+func sweep(f func([]CapacityPoint) float64) func(*Report) (float64, bool) {
+	return func(r *Report) (float64, bool) {
+		if p := r.Capacity.Points; len(p) > 1 {
+			return f(p), true
+		}
+		return 0, false
+	}
+}
+
+// worstStep measures the sweep's smallest step(more, fewer) over
+// adjacent points.
+func worstStep(step func(more, fewer CapacityPoint) float64) func(*Report) (float64, bool) {
+	return sweep(func(p []CapacityPoint) float64 {
+		worst := inf
+		for i := 1; i < len(p); i++ {
+			worst = min(worst, step(p[i-1], p[i]))
+		}
+		return worst
+	})
+}
 
 // fit9 measures f over both Fig 9 fits; a fit without points is
 // missing.

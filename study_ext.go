@@ -1,7 +1,6 @@
 package fesplit
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -204,17 +203,10 @@ type WirelessData struct {
 
 // Wireless runs the Discussion-section what-if: the same fleet and
 // workload over a campus wired profile versus a lossy higher-latency
-// wireless profile, on the Google-like service. Placing FEs close to
-// users matters far more when the last hop loses packets.
+// wireless profile, on the Google-like service.
 func (s *Study) Wireless() (*WirelessData, error) {
 	rep, err := s.runCells("wireless/")
-	if err == nil {
-		err = finishWireless(rep.Wireless)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rep.Wireless, nil
+	return rep.Wireless, err
 }
 
 // wirelessRun executes the what-if campaign under one access profile —
@@ -243,15 +235,4 @@ func (s *Study) wirelessRun(profile vantage.AccessProfile) (overallMS float64, r
 		retrans += int(ds.Records[i].Retrans)
 	}
 	return stats.Median(meds), retrans, nil
-}
-
-// finishWireless is the cell table's one cross-row step: the what-if's
-// two legs land in one WirelessData, and the verdict only holds when
-// the wireless leg is the slower one.
-func finishWireless(w *WirelessData) error {
-	if w.WirelessOverallMS <= w.CampusOverallMS {
-		return fmt.Errorf("fesplit: wireless (%f ms) not slower than campus (%f ms)",
-			w.WirelessOverallMS, w.CampusOverallMS)
-	}
-	return nil
 }

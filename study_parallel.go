@@ -133,8 +133,7 @@ func (s *Study) cells() []studyCell {
 			rep.ModelCheck, err = cs.ModelValidation()
 			return
 		}},
-		// The what-if's two legs share one WirelessData; finishWireless
-		// joins them once both have run.
+		// The what-if's two legs share one WirelessData.
 		studyCell{"wireless/campus", func(cs *Study, rep *Report) (err error) {
 			rep.Wireless.CampusOverallMS, rep.Wireless.CampusRetrans, err = cs.wirelessRun(vantage.CampusProfile())
 			return
@@ -258,9 +257,6 @@ func (s *Study) runMatrix(observed bool) (*StudyOutput, error) {
 		return nil, err
 	}
 
-	if err := finishWireless(rep.Wireless); err != nil {
-		return nil, fmt.Errorf("wireless: %w", err)
-	}
 	out := &StudyOutput{Report: rep}
 	if !observed {
 		return out, nil
