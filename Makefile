@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-gate bench-ab loc
+.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-gate bench-ab output-diff loc
 
 all: build vet test
 
@@ -243,6 +243,15 @@ PAIRS ?= 3
 WORKLOAD ?=
 bench-ab:
 	./scripts/bench_ab.sh "$(BASE)" "$(PAIRS)" "$(WORKLOAD)"
+
+# Byte-identity of the CLI's outputs against a base revision: the
+# study at seeds 42 and 7, the diurnal fleet, every report figure, trace
+# and decode, sweep and direct, built from BASE and from this checkout
+# and diffed file by file (stderr and runtime.jsonl excluded). FULL=1
+# adds the paper-scale study. Exits 1 naming every file that differs.
+# See scripts/output_diff.sh.
+output-diff:
+	./scripts/output_diff.sh "$(BASE)"
 
 # Light-scale figure regeneration into study-out/ (seconds).
 report: build

@@ -168,18 +168,18 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 // the worker count.
 func (r *FleetStudyResult) WriteFleetCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
-		"row,arrivals,completed,rejected,slots,peak_live,peak_fe_log,arena_cap,extracted,violations,p50_overall_ms,p90_overall_ms,p99_overall_ms,p50_dynamic_ms,p99_dynamic_ms"); err != nil {
+		"row,arrivals,completed,rejected,slots,peak_live,arena_cap,extracted,violations,p50_overall_ms,p90_overall_ms,p99_overall_ms,p50_dynamic_ms,p99_dynamic_ms"); err != nil {
 		return err
 	}
 	for i, b := range r.Batches {
-		if _, err := fmt.Fprintf(w, "batch%d,%d,%d,%d,%d,%d,%d,%d,,,,,,,\n",
-			i, b.Arrivals, b.Completed, b.Rejected, b.Slots, b.PeakLive, b.PeakFELog, b.ArenaCap); err != nil {
+		if _, err := fmt.Fprintf(w, "batch%d,%d,%d,%d,%d,%d,%d,,,,,,,\n",
+			i, b.Arrivals, b.Completed, b.Rejected, b.Slots, b.PeakLive, b.ArenaCap); err != nil {
 			return err
 		}
 	}
 	m := r.Merged
-	_, err := fmt.Fprintf(w, "total,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-		m.Arrivals, m.Completed, m.Rejected, m.Slots, m.PeakLive, m.PeakFELog, m.ArenaCap,
+	_, err := fmt.Fprintf(w, "total,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+		m.Arrivals, m.Completed, m.Rejected, m.Slots, m.PeakLive, m.ArenaCap,
 		r.Extracted, r.Violations,
 		r.Overall.Quantile(0.5), r.Overall.Quantile(0.9), r.Overall.Quantile(0.99),
 		r.Dynamic.Quantile(0.5), r.Dynamic.Quantile(0.99))

@@ -96,9 +96,6 @@ func TestFleetStudyHeapBound(t *testing.T) {
 	if res.Merged.Slots > 2_000 {
 		t.Fatalf("slot pool %d for 10k clients — recycling broken", res.Merged.Slots)
 	}
-	if res.Merged.PeakFELog > 4_096 {
-		t.Fatalf("peak FE log %d — pruning broken", res.Merged.PeakFELog)
-	}
 }
 
 // fleetSeries runs the fleet study's campaign with a registry behind

@@ -174,7 +174,7 @@ func TestFoldFeedsByRecordKind(t *testing.T) {
 
 // TestFoldSpanCarriesJoinedGroundTruth checks the span tree against the
 // record it was built from: client-side phases from the parsed session,
-// FE-side phases exactly the joined log entry's instants on their own
+// FE-side phases exactly the joined FE record's instants on their own
 // track, the back-end link and queue wait as fetch attributes — and none
 // of the FE side when nothing was joined.
 func TestFoldSpanCarriesJoinedGroundTruth(t *testing.T) {

@@ -23,8 +23,8 @@ import (
 // arrivals) must behave exactly like the unbounded one. The "be" row
 // asks the data center directly (status, body, headers, completion
 // instants); the "fe" row asks an FE in front of an unbounded data
-// center, and adds the FE's static-flush instants and FetchLog and the
-// exported fe_*/be_* metric families.
+// center, and adds the FE's static-flush instants, what it hands to
+// OnFetch and the exported fe_*/be_* metric families.
 func TestZeroLoadDegeneracy(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -66,6 +66,7 @@ func zeroLoadRun(t *testing.T, viaFE bool, opts backend.Options, workers int) []
 	}
 	target, port := simnet.HostID("be"), uint16(backend.BEPort)
 	var fe *frontend.Server
+	var fetches []frontend.FetchRecord
 	o := &obs.Observer{Reg: obs.NewRegistry()}
 	if viaFE {
 		fe, err = frontend.New(n, frontend.Config{
@@ -77,6 +78,7 @@ func zeroLoadRun(t *testing.T, viaFE bool, opts backend.Options, workers int) []
 			t.Fatal(err)
 		}
 		n.SetLink("fe", "be", simnet.PathParams{Delay: 10 * time.Millisecond})
+		fe.OnFetch = func(fr frontend.FetchRecord) { fetches = append(fetches, fr) }
 		fe.StartObserving(o)
 		dc.StartObserving(o)
 		target, port = "fe", frontend.FEPort
@@ -98,7 +100,7 @@ func zeroLoadRun(t *testing.T, viaFE bool, opts backend.Options, workers int) []
 	}
 	sim.Run()
 	if fe != nil {
-		for _, rec := range fe.FetchLog() {
+		for _, rec := range fetches {
 			out = append(out, fmt.Sprintf("%+v", rec))
 		}
 		var dump bytes.Buffer

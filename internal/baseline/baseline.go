@@ -209,6 +209,12 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 		})
 		net.SetLink("fe", "be", simnet.PathParams{Delay: delays.OneWay(fbMiles)})
 		fe.Prewarm(1)
+		var fetch []float64
+		fe.OnFetch = func(fr frontend.FetchRecord) {
+			if fr.FetchDone > 0 {
+				fetch = append(fetch, float64(fr.FetchDone-fr.Arrived))
+			}
+		}
 
 		ep := tcpsim.NewEndpoint(net, "client", tcpsim.Config{})
 		gen := workload.NewGenerator(cfg.Seed + 3)
@@ -244,13 +250,6 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 			})
 		}
 		sim.Run()
-
-		var fetch []float64
-		for _, fr := range fe.FetchLog() {
-			if fr.FetchDone > 0 {
-				fetch = append(fetch, float64(fr.FetchDone-fr.Arrived))
-			}
-		}
 		out = append(out, PlacementPoint{
 			Fraction:      f,
 			ClientFEMiles: cfMiles,

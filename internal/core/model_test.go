@@ -171,6 +171,8 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 		}
 		n.SetLink("client", "fe", simnet.PathParams{Delay: rtt / 2})
 		n.SetLink("fe", "be", simnet.PathParams{Delay: feBE})
+		var log []frontend.FetchRecord
+		fe.OnFetch = func(fr frontend.FetchRecord) { log = append(log, fr) }
 		fe.Prewarm(1)
 		sim.RunFor(2 * time.Second) // settle the prewarm handshake
 
@@ -197,9 +199,8 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		log := fe.FetchLog()
 		if len(log) != 1 || log[0].FetchDone == 0 {
-			t.Fatalf("fetch log = %+v, want one completed fetch", log)
+			t.Fatalf("hand-overs = %+v, want one completed fetch", log)
 		}
 		pred, err := Predict(Inputs{
 			RTT:          rtt,

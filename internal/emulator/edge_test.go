@@ -7,80 +7,97 @@ import (
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
 	"fesplit/internal/frontend"
+	"fesplit/internal/httpsim"
 	"fesplit/internal/obs"
 	"fesplit/internal/shard"
 )
 
+// TestMatchFetchEdgeCases drives the hand-over and the join of one live
+// query on node-0's port 4000, issued at issued: the FE records handed
+// over while it is live, those handed over after it completed, and
+// what the record joins (wantArrived; zero = nothing).
 func TestMatchFetchEdgeCases(t *testing.T) {
 	fr := func(arrived time.Duration) frontend.FetchRecord {
-		return frontend.FetchRecord{Client: "node-0", ClientPort: 4000, Arrived: arrived}
+		return frontend.FetchRecord{Client: "node-0", ClientPort: 4000, Arrived: arrived,
+			FetchDone: arrived + 100*time.Millisecond}
 	}
 	tests := []struct {
-		name         string
-		log          []frontend.FetchRecord
-		issued, done time.Duration
-		wantArrived  time.Duration
-		wantOK       bool
+		name          string
+		live, after   []frontend.FetchRecord
+		issued        time.Duration
+		neverComplete bool
+		wantArrived   time.Duration
 	}{
 		{
 			name:   "empty candidate list",
-			log:    nil,
-			issued: 0, done: time.Second,
-			wantOK: false,
+			issued: 0,
 		},
 		{
 			name:   "single candidate inside window",
-			log:    []frontend.FetchRecord{fr(500 * time.Millisecond)},
-			issued: 0, done: time.Second,
-			wantArrived: 500 * time.Millisecond, wantOK: true,
+			live:   []frontend.FetchRecord{fr(500 * time.Millisecond)},
+			issued: 0, wantArrived: 500 * time.Millisecond,
 		},
 		{
 			name:   "unmatched: arrival before window",
-			log:    []frontend.FetchRecord{fr(100 * time.Millisecond)},
-			issued: 200 * time.Millisecond, done: time.Second,
-			wantOK: false,
+			live:   []frontend.FetchRecord{fr(100 * time.Millisecond)},
+			issued: 200 * time.Millisecond,
 		},
 		{
 			name:   "unmatched: arrival after window",
-			log:    []frontend.FetchRecord{fr(2 * time.Second)},
-			issued: 0, done: time.Second,
-			wantOK: false,
+			after:  []frontend.FetchRecord{fr(2 * time.Second)},
+			issued: 0,
 		},
 		{
 			name:   "window boundaries are inclusive",
-			log:    []frontend.FetchRecord{fr(time.Second)},
-			issued: time.Second, done: time.Second,
-			wantArrived: time.Second, wantOK: true,
+			live:   []frontend.FetchRecord{fr(time.Second)},
+			issued: time.Second, wantArrived: time.Second,
 		},
 		{
 			name: "port recycling: picks the record in this query's window",
-			log: []frontend.FetchRecord{
+			live: []frontend.FetchRecord{
 				fr(100 * time.Millisecond), // earlier session on the same port
 				fr(700 * time.Millisecond),
-				fr(5 * time.Second), // later session
 			},
-			issued: 600 * time.Millisecond, done: time.Second,
-			wantArrived: 700 * time.Millisecond, wantOK: true,
+			after:  []frontend.FetchRecord{fr(5 * time.Second)}, // later session
+			issued: 600 * time.Millisecond, wantArrived: 700 * time.Millisecond,
 		},
 		{
 			name: "other sessions in the window are skipped",
-			log: []frontend.FetchRecord{
+			live: []frontend.FetchRecord{
 				{Client: "node-0", ClientPort: 4001, Arrived: 300 * time.Millisecond},
 				fr(400 * time.Millisecond),
 				{Client: "node-1", ClientPort: 4000, Arrived: 500 * time.Millisecond},
 			},
-			issued: 0, done: time.Second,
-			wantArrived: 400 * time.Millisecond, wantOK: true,
+			issued: 0, wantArrived: 400 * time.Millisecond,
+		},
+		{
+			name:          "a query that never completes joins nothing",
+			live:          []frontend.FetchRecord{fr(500 * time.Millisecond)},
+			issued:        0,
+			neverComplete: true,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, ok := findFetch(tt.log, "node-0", 4000, tt.issued, tt.done)
-			if ok != tt.wantOK {
-				t.Fatalf("ok=%v, want %v", ok, tt.wantOK)
+			w := handOverWorld()
+			rr := liveRecord(w, "node-0", 4000, tt.issued)
+			for _, f := range tt.live {
+				w.handOver(f)
 			}
-			if ok && got.Arrived != tt.wantArrived {
-				t.Fatalf("matched arrival %v, want %v", got.Arrived, tt.wantArrived)
+			if !tt.neverComplete {
+				w.complete(rr, &httpsim.Response{Status: 200})
+			}
+			for _, f := range tt.after {
+				w.handOver(f)
+			}
+			if tt.wantArrived == 0 {
+				if rr.Fetch != (frontend.FetchRecord{}) || rr.TrueFetch != 0 {
+					t.Fatalf("joined %+v (TrueFetch %v), want nothing", rr.Fetch, rr.TrueFetch)
+				}
+				return
+			}
+			if rr.Fetch.Arrived != tt.wantArrived || rr.TrueFetch != 100*time.Millisecond {
+				t.Fatalf("joined arrival %v (TrueFetch %v), want %v", rr.Fetch.Arrived, rr.TrueFetch, tt.wantArrived)
 			}
 		})
 	}

@@ -60,21 +60,19 @@ type Record struct {
 	Payloads [][]byte
 	// TrueFetch is the FE-side ground-truth fetch time of this query
 	// (GET arrival at the FE to the complete dynamic portion from the
-	// BE), joined from the FE's fetch log by client host and port when
-	// the response completes, observed or not. Zero when the BE fetch
-	// failed or degraded, and on keep-alive records.
+	// BE), from the truth the FE handed over for the query's connection,
+	// observed or not. Zero when the BE fetch failed or degraded, and on
+	// keep-alive records.
 	TrueFetch time.Duration
-	// Fetch is the joined FE log entry itself — the instants a span tree
-	// draws the FE-side phases from (zero value when nothing joined).
+	// Fetch is the FE's handed-over truth itself — the instants a span
+	// tree draws the FE-side phases from (zero value when nothing
+	// joined).
 	Fetch frontend.FetchRecord
 	// BE and BERTT are the FE's assigned back-end and the base FE↔BE
 	// round-trip propagation delay, which critical-path attribution
-	// (internal/obs/critpath) splits the fetch window by. Set with Fetch.
+	// (internal/obs/critpath) splits the fetch window by.
 	BE    simnet.HostID
 	BERTT time.Duration
-
-	// out is the record's slot in its world's outstanding-query queue.
-	out int
 }
 
 // OverallDelay is the user-perceived response time: first SYN to last
@@ -120,9 +118,8 @@ func newDataset(n int) *Dataset {
 // client population: simulator, network and deployment, the optional
 // observability wiring (simulator counters, one TCP stack bundle for
 // every endpoint, per-FE/BE labeled metrics), the optional wall-clock
-// telemetry hub, and the ground-truth join: each FE with its back-end
-// link, and the outstanding queries whose oldest bounds how much of the
-// FE logs a join can still need. Runner and FleetRunner embed it.
+// telemetry hub, and the live-query table every FE hands its ground
+// truth to. Runner and FleetRunner embed it.
 type world struct {
 	Sim *simnet.Sim
 	Net *simnet.Network
@@ -134,12 +131,33 @@ type world struct {
 	simMetrics *simnet.Metrics
 	stack      *tcpsim.StackMetrics
 	rt         *rt.Engine
-	// links maps each FE host to its FE and back-end link.
+	// live holds each query in flight by its connection: get adds it,
+	// the FE's hand-over stages its truth there, complete joins it. The
+	// measurer (Options.Measure) removes an entry once it has measured
+	// the connection; without one, complete does.
+	live    map[nodePort]liveQuery
+	measure Measurer
+	// links maps each FE host to its back-end link.
 	links map[simnet.HostID]beLink
-	out   outQueue
-	// done counts completions; peakFELog is the longest FE fetch log
-	// seen at prune time.
-	done, peakFELog int
+}
+
+// beLink is an FE's assigned back-end and the base FE↔BE round-trip
+// propagation delay.
+type beLink struct {
+	be  simnet.HostID
+	rtt time.Duration
+}
+
+// nodePort names a client connection by its node and local port.
+type nodePort struct {
+	node simnet.HostID
+	port uint16
+}
+
+// liveQuery is a query in flight and the FE truth staged for it.
+type liveQuery struct {
+	rr    *Record
+	fetch frontend.FetchRecord
 }
 
 // newWorld builds the simulator, network and deployment, and wires them
@@ -156,13 +174,12 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 		return nil, err
 	}
 	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm,
-		links: make(map[simnet.HostID]beLink, len(dep.FEs))}
+		live: make(map[nodePort]liveQuery), links: make(map[simnet.HostID]beLink, len(dep.FEs))}
 	for _, fe := range dep.FEs {
-		link := beLink{fe: fe}
+		fe.OnFetch = w.handOver
 		if be := dep.BEOf(fe); be != nil {
-			link.be, link.rtt = be.Host(), net.RTT(fe.Host(), be.Host())
+			w.links[fe.Host()] = beLink{be.Host(), net.RTT(fe.Host(), be.Host())}
 		}
-		w.links[fe.Host()] = link
 	}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
@@ -201,125 +218,61 @@ func (w *world) newClient(host simnet.HostID, cfg tcpsim.Config) (*tcpsim.Endpoi
 	return ep, rec
 }
 
-// newRecord is a query's record at issue time, queued as outstanding;
-// Failed clears when the response completes.
+// newRecord is a query's record at issue time; Failed clears when the
+// response completes.
 func (w *world) newRecord(node, fe simnet.HostID, q workload.Query, dnsTime time.Duration) Record {
-	now := w.Sim.Now()
-	return Record{Node: node, FE: fe, Query: q, IssuedAt: now, DNSTime: dnsTime, Failed: true, out: w.out.push(now)}
+	return Record{Node: node, FE: fe, Query: q, IssuedAt: w.Sim.Now(), DNSTime: dnsTime, Failed: true}
 }
 
-// complete fills the response side of a record and joins the FE's
-// ground truth: the session's log entry (the zero value when none
-// matched), the fetch time it implies, and the FE's back-end link. The
-// FE writes an entry's FetchDone and QueueWait before it sends the
-// response's last byte, so the entry is final here. A keep-alive record
-// has no connection of its own and joins nothing; a degraded query's BE
-// fetch never completes (FetchDone stays zero), so it has no fetch time.
-// Every pruneEvery completions the FE logs are pruned.
+// handOver stages an FE's truth on the live query of its client
+// connection. A GET that arrived before that query was issued belonged
+// to the port's earlier connection, and is dropped.
+func (w *world) handOver(fr frontend.FetchRecord) {
+	k := nodePort{simnet.HostID(fr.Client), fr.ClientPort}
+	if q, ok := w.live[k]; ok && fr.Arrived >= q.rr.IssuedAt {
+		q.fetch = fr
+		w.live[k] = q
+	}
+}
+
+// complete fills the response side of a record and joins the FE truth
+// staged for its connection: the FE's record (the zero value when none
+// was handed over) and the fetch time it implies, plus the FE's
+// back-end link. The FE hands its truth over before it sends the
+// response's last byte, so it is final here. A keep-alive record has no
+// connection of its own and joins nothing; a degraded query's BE fetch
+// never completes (FetchDone stays zero), so it has no fetch time.
 func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.Failed = false
 	rr.DoneAt = w.Sim.Now()
 	rr.Status = resp.Status
 	rr.BodyLen = resp.BodyLen
 	if link, ok := w.links[rr.FE]; ok && rr.Key != (capture.ConnKey{}) {
-		rr.Fetch, _ = findFetch(link.fe.FetchLog(), string(rr.Node), rr.Key.LocalPort, rr.IssuedAt, rr.DoneAt)
-		if rr.Fetch.FetchDone > 0 {
-			rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
-		}
 		rr.BE, rr.BERTT = link.be, link.rtt
 	}
-	w.out.markDone(rr.out)
-	if w.done++; w.done%pruneEvery == 0 {
-		w.prune()
+	k := nodePort{rr.Node, rr.Key.LocalPort}
+	q, ok := w.live[k]
+	if !ok || q.rr != rr {
+		return
+	}
+	if w.measure == nil {
+		delete(w.live, k)
+	}
+	rr.Fetch = q.fetch
+	if rr.Fetch.FetchDone > 0 {
+		rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
 	}
 }
 
-// pruneEvery is the cadence of FE fetch-log pruning, in completions.
-const pruneEvery = 64
-
-// prune trims every FE's fetch log below the oldest outstanding query:
-// completed entries were already joined, and an outstanding query's
-// entry arrived after it was issued.
-func (w *world) prune() {
-	cutoff, ok := w.out.min()
-	if !ok {
-		// Nothing outstanding: everything logged so far was joined.
-		cutoff = w.Sim.Now() + 1
-	}
-	for _, fe := range w.Dep.FEs {
-		w.peakFELog = max(w.peakFELog, len(fe.FetchLog()))
-		fe.PruneFetchLog(cutoff)
-	}
-}
-
-// outQueue tracks outstanding queries in issue order (issue times are
-// monotone), yielding the oldest uncompleted issue time — the FE-log
-// prune cutoff. Completed heads are popped lazily; the slice compacts in
-// place so memory tracks the in-flight window.
-type outQueue struct {
-	entries []outEntry
-	base    int
-	head    int
-}
-
-type outEntry struct {
-	at   time.Duration
-	done bool
-}
-
-func (q *outQueue) push(at time.Duration) int {
-	q.entries = append(q.entries, outEntry{at: at})
-	return q.base + len(q.entries) - 1
-}
-
-func (q *outQueue) markDone(abs int) { q.entries[abs-q.base].done = true }
-
-// min pops completed heads and returns the oldest outstanding issue
-// time (false when nothing is outstanding).
-func (q *outQueue) min() (time.Duration, bool) {
-	for q.head < len(q.entries) && q.entries[q.head].done {
-		q.head++
-	}
-	if q.head > 1024 && q.head*2 > len(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.base += q.head
-		q.head = 0
-	}
-	if q.head < len(q.entries) {
-		return q.entries[q.head].at, true
-	}
-	return 0, false
-}
-
-// findFetch scans an FE's fetch log backward for the record of the
-// (client, port) session whose GET arrived inside the query window
-// [issued, done]. Ephemeral ports recycle on long runs, so the window
-// tells apart sessions that used the same port; a port cannot host two
-// interleaved sessions, so at most one entry matches. The log is
-// arrival-ordered, so the scan stops at the first entry older than the
-// query.
-func findFetch(log []frontend.FetchRecord, client string, port uint16, issued, done time.Duration) (frontend.FetchRecord, bool) {
-	for i := len(log) - 1; i >= 0; i-- {
-		fr := &log[i]
-		if fr.Arrived < issued {
-			break
-		}
-		if fr.Arrived <= done && fr.Client == client && fr.ClientPort == port {
-			return *fr, true
-		}
-	}
-	return frontend.FetchRecord{}, false
-}
-
-// get sends the record's query to its FE on a fresh connection from ep
-// and stamps the connection's key on the record; onDone runs when the
-// response completes. The response is counted, never retained: the
+// get sends the record's query to its FE on a fresh connection from ep,
+// stamps the connection's key on the record and makes it a live query;
+// onDone runs when the response completes. The response is counted, never retained: the
 // capture is the record of content.
 func (w *world) get(ep *tcpsim.Endpoint, rr *Record, onDone func(*httpsim.Response)) {
 	conn := httpsim.Get(ep, rr.FE, frontend.FEPort, httpsim.NewGet(w.Dep.Name, rr.Query.Path()),
 		httpsim.ResponseCallbacks{CountOnly: true, OnDone: onDone})
 	rr.Key = capture.ConnKey{Remote: string(rr.FE), LocalPort: conn.LocalPort(), RemotePort: frontend.FEPort}
+	w.live[nodePort{rr.Node, rr.Key.LocalPort}] = liveQuery{rr: rr}
 }
 
 // stagger is node i's campaign start offset, so the fleet doesn't fire
@@ -334,18 +287,8 @@ type Runner struct {
 
 	eps  map[simnet.HostID]*tcpsim.Endpoint
 	recs map[simnet.HostID]*capture.Recorder
-	// measure is Options.Measure; pending maps each connection it has
-	// not measured to its record (datasets never regrow, so the pointer
-	// holds), and endMeasured counts the records measured at run end.
-	measure     Measurer
-	pending     map[nodePort]*Record
+	// endMeasured counts the records measured at run end.
 	endMeasured int
-}
-
-// nodePort names a client connection by its node and local port.
-type nodePort struct {
-	node simnet.HostID
-	port uint16
 }
 
 // Options configures a Runner.
@@ -407,22 +350,22 @@ func New(simSeed int64, depCfg cdn.Config, opts Options) (*Runner, error) {
 	}
 	fleet := vantage.NewFleet(opts.Nodes, geo.WorldMetros(), opts.Access, opts.FleetSeed)
 	fleet.Wire(w.Dep)
+	w.measure = opts.Measure
 	r := &Runner{
-		world:   w,
-		Fleet:   fleet,
-		eps:     make(map[simnet.HostID]*tcpsim.Endpoint),
-		recs:    make(map[simnet.HostID]*capture.Recorder),
-		measure: opts.Measure,
-		pending: make(map[nodePort]*Record),
+		world: w,
+		Fleet: fleet,
+		eps:   make(map[simnet.HostID]*tcpsim.Endpoint),
+		recs:  make(map[simnet.HostID]*capture.Recorder),
 	}
 	for _, n := range fleet.Nodes {
 		ep, rec := w.newClient(n.Host, opts.ClientTCP)
 		if r.measure != nil {
 			rec.OnFinal = func(k capture.ConnKey, evs []capture.Event) {
-				if rr := r.pending[nodePort{n.Host, k.LocalPort}]; rr != nil {
-					delete(r.pending, nodePort{n.Host, k.LocalPort})
-					r.measure.Measure(rr, evs)
-					rr.Measured = true
+				np := nodePort{n.Host, k.LocalPort}
+				if q, ok := r.live[np]; ok {
+					delete(r.live, np)
+					r.measure.Measure(q.rr, evs)
+					q.rr.Measured = true
 				}
 			}
 		}
@@ -452,13 +395,9 @@ func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
 	r.Sim.ScheduleAt(at, func() {
 		idx := len(ds.Records)
 		ds.Records = append(ds.Records, r.newRecord(node.Host, fe.Host(), q, dnsTime))
-		rr := &ds.Records[idx]
-		r.get(r.eps[node.Host], rr, func(resp *httpsim.Response) {
+		r.get(r.eps[node.Host], &ds.Records[idx], func(resp *httpsim.Response) {
 			r.complete(&ds.Records[idx], resp)
 		})
-		if r.measure != nil {
-			r.pending[nodePort{node.Host, rr.Key.LocalPort}] = rr
-		}
 	})
 }
 
@@ -468,7 +407,7 @@ func (r *Runner) issueAt(ds *Dataset, at time.Duration, node vantage.Node,
 // record is measured is internal/analysis's business.
 func (r *Runner) finalize(dss ...*Dataset) {
 	r.Sim.Run()
-	clear(r.pending)
+	clear(r.live)
 	// The recorders filed every packet under its connection: a record's
 	// events are its connection's list (none for a keep-alive record,
 	// whose key is zero).
@@ -494,14 +433,6 @@ func (r *Runner) finalize(dss ...*Dataset) {
 	// One heap reading per completed world: with many batch worlds in
 	// flight this is what traces the campaign's memory watermark.
 	r.rt.SampleMem()
-}
-
-// beLink is an FE, its assigned back-end and the base FE↔BE round-trip
-// propagation delay.
-type beLink struct {
-	fe  *frontend.Server
-	be  simnet.HostID
-	rtt time.Duration
 }
 
 // FEResolver abstracts DNS-style client→FE resolution (implemented by

@@ -89,8 +89,9 @@ type FleetResult struct {
 	// PeakLive is the largest number of arrivals simultaneously in
 	// flight.
 	PeakLive int
-	// PeakFELog is the world's longest FE fetch log at prune time —
-	// with pruning it tracks in-flight count, not total arrivals.
+	// PeakFELog is always 0: FEs keep no fetch log (each hands its
+	// truth to the world's live-query table). The field stays for
+	// readers of earlier summaries.
 	PeakFELog int
 	// ArenaCap is the final node capacity of the span arena the
 	// campaign's sink assembled span trees in. The sink owns that arena
@@ -125,8 +126,7 @@ type FleetRunner struct {
 	free     []*fleetSlot
 	freeHead int
 
-	res  FleetResult
-	live int
+	res FleetResult
 }
 
 // NewFleetRunner builds a fleet-campaign world: simulator, network and
@@ -219,10 +219,8 @@ func (r *FleetRunner) Run() *FleetResult {
 	}
 	schedule()
 	r.Sim.Run()
-	// Final prune pass and watermark sample close out the world.
-	r.prune()
+	// A watermark sample closes out the world.
 	r.rt.SampleMem()
-	r.res.Completed, r.res.PeakFELog = r.done, r.peakFELog
 	return &r.res
 }
 
@@ -233,21 +231,21 @@ func (r *FleetRunner) issue(idx int) {
 	s.rec.ResetKeep()
 	s.record = r.newRecord(s.node.Host, s.fe.Host(), r.queries[idx%len(r.queries)], 0)
 	r.res.Arrivals++
-	r.live++
-	if r.live > r.res.PeakLive {
-		r.res.PeakLive = r.live
-	}
 	r.rt.NoteFleetArrival()
 	r.get(s.ep, &s.record, func(resp *httpsim.Response) { r.fold(s, resp) })
+	// Without a measurer the live table holds exactly the arrivals in
+	// flight.
+	r.res.PeakLive = max(r.res.PeakLive, len(r.world.live))
 }
 
 // fold finalizes one completed arrival: complete the record (which
-// joins the FE's ground truth and may prune the FE logs), look the
+// joins the FE's ground truth), look the
 // session's events up in the slot recorder, hand the record to the sink,
 // then recycle everything — recorder lists, Record struct, slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
 	r.complete(rr, resp)
+	r.res.Completed++
 	if resp.Status == 503 {
 		r.res.Rejected++
 	}
@@ -262,7 +260,6 @@ func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr.Events, rr.Payloads = nil, nil
 	s.rec.ResetKeep()
 	r.release(s)
-	r.live--
 }
 
 // FleetShardedOptions parameterize RunFleet, the sharded fleet
@@ -344,9 +341,6 @@ func MergeFleetResults(rs ...*FleetResult) FleetResult {
 		out.Slots += r.Slots
 		if r.PeakLive > out.PeakLive {
 			out.PeakLive = r.PeakLive
-		}
-		if r.PeakFELog > out.PeakFELog {
-			out.PeakFELog = r.PeakFELog
 		}
 		if r.ArenaCap > out.ArenaCap {
 			out.ArenaCap = r.ArenaCap

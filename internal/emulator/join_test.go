@@ -1,69 +1,67 @@
 package emulator
 
 import (
-	"slices"
 	"testing"
 	"time"
 
+	"fesplit/internal/backend"
+	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
 	"fesplit/internal/frontend"
+	"fesplit/internal/httpsim"
 	"fesplit/internal/obs"
+	"fesplit/internal/simnet"
 )
 
-// TestFetchJoinSurvivesPortReuse pins the FE-log join against ephemeral
-// port reuse: when two sessions from the same client host used the same
-// source port at different times, each query window must join the fetch
-// record whose GET arrived inside it. (What a span tree draws from the
-// joined entry is analysis.Fold's test.)
-func TestFetchJoinSurvivesPortReuse(t *testing.T) {
-	const port = 4242
-	early := frontend.FetchRecord{
-		Client: "node-1", ClientPort: port,
-		Arrived:   1 * time.Second,
-		StaticAt:  1100 * time.Millisecond,
-		FetchDone: 1200 * time.Millisecond,
-	}
-	late := frontend.FetchRecord{
-		Client: "node-1", ClientPort: port,
-		Arrived:   61 * time.Second,
-		StaticAt:  61100 * time.Millisecond,
-		FetchDone: 61400 * time.Millisecond,
-	}
-	log := []frontend.FetchRecord{early, late}
-	if fr, _ := findFetch(log, "node-1", port, 900*time.Millisecond, 1500*time.Millisecond); fr != early {
-		t.Fatalf("early window joined %+v, want its own log entry", fr)
-	}
-	if fr, _ := findFetch(log, "node-1", port, 60900*time.Millisecond, 61700*time.Millisecond); fr != late {
-		t.Fatalf("late window joined %+v, want its own log entry", fr)
-	}
-	// A window covering neither session joins nothing rather than
-	// guessing.
-	if fr, ok := findFetch(log, "node-1", port, 30*time.Second, 31*time.Second); ok || fr != (frontend.FetchRecord{}) {
-		t.Errorf("window outside both sessions still joined %+v", fr)
-	}
+// handOverWorld is the least world a hand-over needs: a clock and the
+// live-query table.
+func handOverWorld() *world {
+	sim := simnet.New(1)
+	return &world{Sim: sim, Net: simnet.NewNetwork(sim), live: make(map[nodePort]liveQuery)}
 }
 
-func TestMatchFetch(t *testing.T) {
-	log := []frontend.FetchRecord{
-		{Client: "node-0", ClientPort: 4000, Arrived: 10 * time.Second},
-		{Client: "node-0", ClientPort: 4000, Arrived: 20 * time.Second},
+// liveRecord makes a query on node's port live in w, as get does.
+func liveRecord(w *world, node simnet.HostID, port uint16, issued time.Duration) *Record {
+	rr := &Record{Node: node, FE: "fe-0", IssuedAt: issued, Failed: true,
+		Key: capture.ConnKey{Remote: "fe-0", LocalPort: port, RemotePort: frontend.FEPort}}
+	w.live[nodePort{node, port}] = liveQuery{rr: rr}
+	return rr
+}
+
+// TestFetchJoinSurvivesPortReuse pins the join against ephemeral port
+// reuse: when two sessions from the same client host use the same
+// source port in turn, a late hand-over from the earlier connection (its
+// GET arrived before the later query was issued) must not stand in for
+// the later query's own. Mutation: drop the Arrived ≥ IssuedAt guard in
+// handOver.
+func TestFetchJoinSurvivesPortReuse(t *testing.T) {
+	const port = 4242
+	w := handOverWorld()
+	early := frontend.FetchRecord{Client: "node-1", ClientPort: port,
+		Arrived: 1 * time.Second, StaticAt: 1100 * time.Millisecond, FetchDone: 1200 * time.Millisecond}
+	late := frontend.FetchRecord{Client: "node-1", ClientPort: port,
+		Arrived: 61 * time.Second, StaticAt: 61100 * time.Millisecond, FetchDone: 61400 * time.Millisecond}
+
+	rr := liveRecord(w, "node-1", port, 60900*time.Millisecond)
+	w.handOver(early)
+	if got := w.live[nodePort{"node-1", port}].fetch; got != (frontend.FetchRecord{}) {
+		t.Fatalf("the earlier connection's hand-over was staged on the later query: %+v", got)
 	}
-	if fr, ok := findFetch(log, "node-0", 4000, 19*time.Second, 21*time.Second); !ok || fr.Arrived != 20*time.Second {
-		t.Fatalf("findFetch picked %v ok=%v, want the 20s record", fr.Arrived, ok)
+	w.handOver(late)
+	w.complete(rr, &httpsim.Response{Status: 200})
+	if rr.Fetch != late || rr.TrueFetch != 400*time.Millisecond {
+		t.Fatalf("later query joined %+v (TrueFetch %v), want its own hand-over", rr.Fetch, rr.TrueFetch)
 	}
-	if _, ok := findFetch(log, "node-0", 4000, 12*time.Second, 13*time.Second); ok {
-		t.Fatal("findFetch matched a window containing no arrival")
-	}
-	if _, ok := findFetch(nil, "node-0", 4000, 0, time.Hour); ok {
-		t.Fatal("findFetch matched an empty log")
+	if len(w.live) != 0 {
+		t.Fatalf("complete left %d live entries without a measurer", len(w.live))
 	}
 }
 
 // TestGroundTruthWithoutObserver: what a world records does not depend
 // on who watches it. An unobserved world and its twin carrying a tail
 // observer join the same FE ground truth onto every record, and every
-// completed non-503 record has a fetch time. Mutation: gate the FE log
-// or the join on the observer again.
+// completed non-503 record has a fetch time. Mutation: gate the
+// hand-over on the observer.
 func TestGroundTruthWithoutObserver(t *testing.T) {
 	run := func(o *obs.Observer) *Dataset {
 		r, err := New(21, cdn.GoogleLike(21), Options{Nodes: 30, FleetSeed: 22, Obs: o})
@@ -88,51 +86,117 @@ func TestGroundTruthWithoutObserver(t *testing.T) {
 	}
 }
 
-// TestRunnerFELogBounded: a Runner world prunes its FE logs as the
-// fleet does, so after a campaign every log holds at most the
-// completions since the last prune plus what was in flight, and the
-// busiest FE has dropped entries. Mutation: stop pruning in complete.
-func TestRunnerFELogBounded(t *testing.T) {
-	r, err := New(31, cdn.GoogleLike(31), Options{Nodes: 40, FleetSeed: 32})
+// TestKeepAliveRecordsJoinNothing: a keep-alive query shares its
+// connection with the node's other queries, so it is never live by
+// connection and joins no FE truth, though the FE hands every request
+// over.
+func TestKeepAliveRecordsJoinNothing(t *testing.T) {
+	r, err := New(41, cdn.GoogleLike(41), Options{Nodes: 4, FleetSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := r.RunExperimentA(AOptions{QueriesPerNode: 6, Interval: 2 * time.Second, QuerySeed: 33})
-	// Peak in-flight count: +1 at issue, -1 at completion (a failed
-	// record stays in flight).
-	type step struct {
-		at time.Duration
-		d  int
-	}
-	var steps []step
-	for _, rec := range ds.Records {
-		steps = append(steps, step{rec.IssuedAt, 1})
-		if !rec.Failed {
-			steps = append(steps, step{rec.DoneAt, -1})
-		}
-	}
-	slices.SortFunc(steps, func(a, b step) int {
-		if a.at != b.at {
-			return int(a.at - b.at)
-		}
-		return b.d - a.d // issue before completion at the same instant
-	})
-	live, peak := 0, 0
-	for _, s := range steps {
-		live += s.d
-		peak = max(peak, live)
-	}
-	var busiest *frontend.Server
+	handed := 0
 	for _, fe := range r.Dep.FEs {
-		if n := len(fe.FetchLog()); n > pruneEvery+peak {
-			t.Errorf("FE %s holds %d log entries, bound %d (pruneEvery %d + peak in flight %d)",
-				fe.Host(), n, pruneEvery+peak, pruneEvery, peak)
+		next := fe.OnFetch
+		fe.OnFetch = func(fr frontend.FetchRecord) { handed++; next(fr) }
+	}
+	ds := r.RunKeepAliveA(AOptions{QueriesPerNode: 3, Interval: time.Second, QuerySeed: 43})
+	if handed == 0 {
+		t.Fatal("no FE handed a request over")
+	}
+	for i, rr := range ds.Records {
+		if rr.Failed {
+			t.Fatalf("keep-alive record %d never completed", i)
 		}
-		if busiest == nil || fe.Served() > busiest.Served() {
-			busiest = fe
+		if rr.Fetch != (frontend.FetchRecord{}) || rr.TrueFetch != 0 {
+			t.Fatalf("keep-alive record %d joined %+v (TrueFetch %v)", i, rr.Fetch, rr.TrueFetch)
 		}
 	}
-	if busiest.FetchLogBase() == 0 {
-		t.Fatalf("busiest FE %s served %d requests and pruned none", busiest.Host(), busiest.Served())
+}
+
+// TestOverloadHandsEveryRequestOverOnce overloads a one-replica BE with
+// a one-deep queue behind FEs that retry once, so fetches are retried
+// and some degrade to static-only: every request an FE handled (its
+// admission 503s excepted) is still handed over exactly once.
+func TestOverloadHandsEveryRequestOverOnce(t *testing.T) {
+	cfg := cdn.SingleBE(cdn.BingLike(1), "bing-be-virginia")
+	cfg.BEOptions.Queue = backend.QueueOptions{Replicas: 1, QueueCap: 1}
+	cfg.FEPool = frontend.PoolConfig{Retries: 1, Backoff: 5 * time.Millisecond}
+	opts := fleetTestOpts(&fleetSink{}, nil)
+	opts.Curve = DefaultDiurnalCurve(30*time.Second, 40)
+	r, err := NewFleetRunner(11, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type request struct {
+		client string
+		port   uint16
+		at     time.Duration
+	}
+	seen := make(map[request]int)
+	handed := 0
+	for _, fe := range r.Dep.FEs {
+		next := fe.OnFetch
+		fe.OnFetch = func(fr frontend.FetchRecord) {
+			handed++
+			seen[request{fr.Client, fr.ClientPort, fr.Arrived}]++
+			next(fr)
+		}
+	}
+	r.Run()
+	handled, retries, degraded := 0, 0, 0
+	for _, fe := range r.Dep.FEs {
+		handled += fe.Served() - fe.Rejected()
+		retries += fe.BERetries()
+		degraded += fe.BERejectedFetches()
+	}
+	if retries == 0 || degraded == 0 {
+		t.Fatalf("retries %d, degraded fetches %d: the scenario does not overload the BE", retries, degraded)
+	}
+	if handed != handled || len(seen) != handed {
+		t.Fatalf("%d hand-overs of %d distinct requests, FEs handled %d", handed, len(seen), handled)
+	}
+}
+
+// countMeasurer measures nothing; the Runner marks what it was handed.
+type countMeasurer struct{ n int }
+
+func (m *countMeasurer) Measure(*Record, []capture.Event) { m.n++ }
+
+// TestLiveTableHoldsOnlyInFlight: a world's live table holds a query
+// from its issue until its record is done with — completed, or, with a
+// measurer, measured — and nothing longer, so it tracks concurrency,
+// not history. Probes every 100 ms of a campaign find no entry whose
+// record is finished. Mutation: stop removing the entry in complete, or
+// in the measurer's OnFinal.
+func TestLiveTableHoldsOnlyInFlight(t *testing.T) {
+	for _, m := range []*countMeasurer{nil, {}} {
+		opts := Options{Nodes: 40, FleetSeed: 32}
+		if m != nil {
+			opts.Measure = m
+		}
+		r, err := New(31, cdn.GoogleLike(31), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak := 0
+		for at := time.Duration(0); at < 20*time.Second; at += 100 * time.Millisecond {
+			r.Sim.ScheduleAt(at, func() {
+				peak = max(peak, len(r.live))
+				for k, q := range r.live {
+					if (m == nil && !q.rr.Failed) || q.rr.Measured {
+						t.Fatalf("measurer %v: live entry %v at %v is finished (done at %v, measured %v)",
+							m != nil, k, r.Sim.Now(), q.rr.DoneAt, q.rr.Measured)
+					}
+				}
+			})
+		}
+		ds := r.RunExperimentA(AOptions{QueriesPerNode: 6, Interval: 2 * time.Second, QuerySeed: 33})
+		if peak == 0 || peak >= len(ds.Records) {
+			t.Fatalf("measurer %v: peak live %d of %d records", m != nil, peak, len(ds.Records))
+		}
+		if m != nil && m.n != len(ds.Records) {
+			t.Fatalf("measured %d of %d records", m.n, len(ds.Records))
+		}
 	}
 }

@@ -47,8 +47,8 @@ func TestObservedRunDeterministic(t *testing.T) {
 // TestObservedRunCoverage asserts the registry spans every subsystem
 // (the obs CLI's acceptance floor: ≥12 families across simnet, tcpsim,
 // frontend and backend) and that every completed record carries the
-// FE's ground truth a span tree needs: the joined log entry with its
-// fetch window, and the FE's back-end link.
+// FE's ground truth a span tree needs: the handed-over FE record with
+// its fetch window, and the FE's back-end link.
 func TestObservedRunCoverage(t *testing.T) {
 	prom, ds := observedRun(t, 13)
 	fams := 0
@@ -79,7 +79,7 @@ func TestObservedRunCoverage(t *testing.T) {
 			continue
 		}
 		if rec.TrueFetch <= 0 || rec.TrueFetch != rec.Fetch.FetchDone-rec.Fetch.Arrived {
-			t.Errorf("record %d: fetch time %v does not match its log entry %+v", i, rec.TrueFetch, rec.Fetch)
+			t.Errorf("record %d: fetch time %v does not match its FE record %+v", i, rec.TrueFetch, rec.Fetch)
 		}
 		if rec.Fetch.Arrived < rec.IssuedAt || rec.Fetch.Arrived > rec.DoneAt {
 			t.Errorf("record %d joined a fetch outside its query window", i)

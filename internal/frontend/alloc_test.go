@@ -60,7 +60,6 @@ func TestServedQueryAllocPins(t *testing.T) {
 	serve := func() {
 		httpsim.Get(client, "fe", FEPort, httpsim.NewGet("svc", path), cb)
 		sim.Run()
-		fe.PruneFetchLog(sim.Now())
 	}
 	for i := 0; i < 4; i++ { // warm: every pool and free list filled
 		serve()

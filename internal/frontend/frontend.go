@@ -9,10 +9,11 @@
 //     center over a persistent, pre-warmed connection, eliminating
 //     slow-start ramp-up on the long FE↔BE leg.
 //
-// The server logs the ground-truth FE↔BE fetch time of every query
-// (FetchLog) — the quantity the paper's end-host inference framework can
-// only bound (T_delta ≤ T_fetch ≤ T_dynamic). Tests use it to validate
-// those bounds against hidden truth.
+// The server hands the ground truth of every request it serves, its
+// FE↔BE fetch time included, to Server.OnFetch — the quantity the
+// paper's end-host inference framework can only bound (T_delta ≤
+// T_fetch ≤ T_dynamic). Tests use it to validate those bounds against
+// hidden truth.
 package frontend
 
 import (
@@ -133,13 +134,12 @@ type Server struct {
 
 	// observability (StartObserving)
 	met *feMetrics
-	// fetchLog holds FetchRecords for requests not yet pruned;
-	// fetchBase is the absolute index of fetchLog[0], i.e. how many
-	// records PruneFetchLog has dropped. In-flight completions address
-	// their record by absolute index through logAt, so a late write to
-	// a pruned entry is discarded instead of corrupting a neighbour.
-	fetchLog  []FetchRecord
-	fetchBase int
+
+	// OnFetch, when set, receives the ground truth of every handled
+	// request (a 503 at admission excepted), observed or not, as its
+	// response ends: before the response's last byte is written, so
+	// before the client can see it complete.
+	OnFetch func(FetchRecord)
 }
 
 // Config assembles a Server.
@@ -391,16 +391,13 @@ func (fe *Server) handle(w *httpsim.ResponseWriter, r *httpsim.Request) {
 		return
 	}
 
-	logIdx := fe.fetchBase + len(fe.fetchLog)
-	rec := FetchRecord{Arrived: arrived}
-	if c := w.Conn(); c != nil {
-		rec.Client = string(c.RemoteHost())
-		rec.ClientPort = c.RemotePort()
-	}
-	fe.fetchLog = append(fe.fetchLog, rec)
-
 	q := fe.newRequest()
-	q.w, q.arrived, q.logIdx, q.keepAlive = w, arrived, logIdx, keepAlive
+	q.w, q.keepAlive = w, keepAlive
+	q.rec.Arrived = arrived
+	if c := w.Conn(); c != nil {
+		q.rec.Client = string(c.RemoteHost())
+		q.rec.ClientPort = c.RemotePort()
+	}
 	q.req.Path, q.req.Host = r.Path, r.Host
 
 	// Role 1: cached static portion, delivered after FE processing.
@@ -427,9 +424,8 @@ type request struct {
 	pc      *httpsim.PersistentConn
 	req     httpsim.Request // the fetch forwarded to the BE
 	cb      httpsim.ResponseCallbacks
-	arrived time.Duration
-	logIdx  int
-	attempt int // BE 503 retries so far
+	rec     FetchRecord // the request's ground truth, for OnFetch
+	attempt int         // BE 503 retries so far
 	// The dynamic portion, once the BE fetch has resolved (fetched):
 	// its bytes, or only its length at a length-only FE. Both stay zero
 	// when the fetch failed or degraded to static-only.
@@ -468,9 +464,7 @@ func (q *request) flush(time.Duration) {
 	if m := fe.met; m != nil {
 		m.staticFlushes.Inc()
 	}
-	if r := fe.logAt(q.logIdx); r != nil {
-		r.StaticAt = fe.ep.Sim().Now()
-	}
+	q.rec.StaticAt = fe.ep.Sim().Now()
 	if q.fetched {
 		q.finish()
 	}
@@ -508,14 +502,12 @@ func (q *request) fetchDone(resp *httpsim.Response) {
 		return
 	}
 	if m := fe.met; m != nil {
-		m.fetchQuantiles.Observe((sim.Now() - q.arrived).Seconds())
+		m.fetchQuantiles.Observe((sim.Now() - q.rec.Arrived).Seconds())
 	}
-	if rec := fe.logAt(q.logIdx); rec != nil {
-		rec.FetchDone = sim.Now()
-		if v := resp.Header[backend.QueueWaitHeader]; v != "" {
-			if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
-				rec.QueueWait = time.Duration(ns)
-			}
+	q.rec.FetchDone = sim.Now()
+	if v := resp.Header[backend.QueueWaitHeader]; v != "" {
+		if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
+			q.rec.QueueWait = time.Duration(ns)
 		}
 	}
 	q.dynamic, q.dynamicLen = resp.Body, resp.BodyLen
@@ -543,10 +535,14 @@ func (q *request) resolved() {
 	}
 }
 
-// finish sends the dynamic portion, ends the response and frees q: the
-// static flush and the fetch have both run, so nothing refers to it.
+// finish hands q's ground truth to OnFetch, sends the dynamic portion,
+// ends the response and frees q: the static flush and the fetch have
+// both run, so nothing refers to it.
 func (q *request) finish() {
 	fe, w := q.fe, q.w
+	if fe.OnFetch != nil {
+		fe.OnFetch(q.rec)
+	}
 	fe.write(w, q.dynamic, q.dynamicLen)
 	w.End()
 	*q = request{fe: fe, req: httpsim.Request{Method: "GET"}, cb: q.cb, flushFn: q.flushFn, issueFn: q.issueFn}

@@ -23,6 +23,8 @@ type rig struct {
 	fe     *Server
 	be     *backend.DataCenter
 	spec   workload.ContentSpec
+	// fetches is what the FE handed to OnFetch, in hand-over order.
+	fetches []FetchRecord
 }
 
 func newRig(t *testing.T, clientFE, feBE time.Duration, feCfg func(*Config)) *rig {
@@ -52,7 +54,7 @@ func newRig(t *testing.T, clientFE, feBE time.Duration, feCfg func(*Config)) *ri
 	}
 	n.SetLink("client", "fe", simnet.PathParams{Delay: clientFE})
 	n.SetLink("fe", "be", simnet.PathParams{Delay: feBE})
-	return &rig{
+	r := &rig{
 		sim:    sim,
 		net:    n,
 		client: tcpsim.NewEndpoint(n, "client", tcpsim.Config{}),
@@ -60,6 +62,8 @@ func newRig(t *testing.T, clientFE, feBE time.Duration, feCfg func(*Config)) *ri
 		be:     be,
 		spec:   spec,
 	}
+	fe.OnFetch = func(fr FetchRecord) { r.fetches = append(r.fetches, fr) }
+	return r
 }
 
 func query() *httpsim.Request {
@@ -119,11 +123,11 @@ func TestStaticArrivesBeforeDynamic(t *testing.T) {
 	}
 }
 
-// fetchTimes is the FE's ground truth: the fetch time of every logged
-// request whose BE fetch completed, in arrival order.
-func fetchTimes(fe *Server) []time.Duration {
+// fetchTimes is the FE's ground truth: the fetch time of every
+// handed-over request whose BE fetch completed, in hand-over order.
+func fetchTimes(r *rig) []time.Duration {
 	var out []time.Duration
-	for _, fr := range fe.FetchLog() {
+	for _, fr := range r.fetches {
 		if fr.FetchDone > 0 {
 			out = append(out, fr.FetchDone-fr.Arrived)
 		}
@@ -136,7 +140,7 @@ func TestFetchTimeGroundTruth(t *testing.T) {
 	r := newRig(t, 5*time.Millisecond, feBE, nil)
 	httpsim.Get(r.client, "fe", FEPort, query(), httpsim.ResponseCallbacks{})
 	r.sim.Run()
-	fts := fetchTimes(r.fe)
+	fts := fetchTimes(r)
 	if len(fts) != 1 {
 		t.Fatalf("fetch samples = %d", len(fts))
 	}
@@ -198,7 +202,7 @@ func TestSplitTCPFetchFasterThanColdDial(t *testing.T) {
 		}
 		httpsim.Get(r.client, "fe", FEPort, query(), httpsim.ResponseCallbacks{})
 		r.sim.Run()
-		fts := fetchTimes(r.fe)
+		fts := fetchTimes(r)
 		if len(fts) != 1 {
 			t.Fatalf("fetch samples = %d", len(fts))
 		}

@@ -23,7 +23,8 @@ type feMetrics struct {
 
 // StartObserving wires this FE's registry metrics (labeled by FE host
 // and geographic site) into the observer. It changes what is exported,
-// never what the FE logs. Call before traffic; a nil observer is a no-op.
+// never what the FE hands to OnFetch. Call before traffic; a nil
+// observer is a no-op.
 func (fe *Server) StartObserving(o *obs.Observer) {
 	if reg := o.Registry(); reg != nil {
 		host, site := string(fe.host), fe.site.Name
@@ -82,47 +83,4 @@ type FetchRecord struct {
 	// backend.QueueWaitHeader (zero without the queue model, or when
 	// the query started service immediately).
 	QueueWait time.Duration
-}
-
-// FetchLog returns the ground-truth record of every handled request (a
-// 503 at admission excepted) in arrival order, whether or not the FE is
-// observed. After PruneFetchLog only the surviving suffix is returned;
-// FetchLogBase says how many earlier records were dropped.
-func (fe *Server) FetchLog() []FetchRecord { return fe.fetchLog }
-
-// FetchLogBase returns the absolute index of FetchLog()[0] — the
-// number of records PruneFetchLog has discarded. Consumers that walk
-// the log incrementally keep an absolute cursor and index the slice at
-// cursor-FetchLogBase().
-func (fe *Server) FetchLogBase() int { return fe.fetchBase }
-
-// logAt resolves an absolute fetch-log index to its record, or nil if
-// the record has been pruned. Late completion writes for pruned entries
-// are dropped here.
-func (fe *Server) logAt(idx int) *FetchRecord {
-	if idx < fe.fetchBase {
-		return nil
-	}
-	return &fe.fetchLog[idx-fe.fetchBase]
-}
-
-// PruneFetchLog discards fetch-log records that arrived strictly
-// before the cutoff and returns how many were dropped. Records are in
-// arrival order, so this trims a prefix in place (the backing array is
-// reused, not reallocated). The emulator's worlds call it after joining
-// completed queries, passing the arrival time of their oldest
-// still-outstanding query: the FE-side log then stays bounded by the
-// number of in-flight queries instead of growing with the whole run.
-func (fe *Server) PruneFetchLog(before time.Duration) int {
-	n := 0
-	for n < len(fe.fetchLog) && fe.fetchLog[n].Arrived < before {
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	k := copy(fe.fetchLog, fe.fetchLog[n:])
-	fe.fetchLog = fe.fetchLog[:k]
-	fe.fetchBase += n
-	return n
 }
