@@ -145,8 +145,8 @@ func (f *Fold) span(rr *emulator.Record, s *critpath.Timeline) *obs.Span {
 	if fr.FetchDone > 0 {
 		c := a.Child(root, critpath.FetchSpan, fr.Arrived, fr.FetchDone)
 		c.Track = "frontend"
-		if rr.BE != "" {
-			c.SetAttr("be", string(rr.BE))
+		if fr.BE != "" {
+			c.SetAttr("be", string(fr.BE))
 			c.SetAttr(critpath.AttrBERTT, strconv.FormatInt(int64(rr.BERTT), 10))
 		}
 		if fr.QueueWait > 0 {

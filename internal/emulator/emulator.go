@@ -65,13 +65,12 @@ type Record struct {
 	// keep-alive records.
 	TrueFetch time.Duration
 	// Fetch is the FE's handed-over truth itself — the instants a span
-	// tree draws the FE-side phases from (zero value when nothing
-	// joined).
+	// tree draws the FE-side phases from, and the BE the fetch went to
+	// (zero value when nothing joined).
 	Fetch frontend.FetchRecord
-	// BE and BERTT are the FE's assigned back-end and the base FE↔BE
-	// round-trip propagation delay, which critical-path attribution
-	// (internal/obs/critpath) splits the fetch window by.
-	BE    simnet.HostID
+	// BERTT is the base FE↔BE round-trip propagation delay to Fetch.BE,
+	// which critical-path attribution (internal/obs/critpath) splits the
+	// fetch window by. Set with Fetch.BE.
 	BERTT time.Duration
 }
 
@@ -137,15 +136,6 @@ type world struct {
 	// the connection; without one, complete does.
 	live    map[nodePort]liveQuery
 	measure Measurer
-	// links maps each FE host to its back-end link.
-	links map[simnet.HostID]beLink
-}
-
-// beLink is an FE's assigned back-end and the base FE↔BE round-trip
-// propagation delay.
-type beLink struct {
-	be  simnet.HostID
-	rtt time.Duration
 }
 
 // nodePort names a client connection by its node and local port.
@@ -174,12 +164,9 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 		return nil, err
 	}
 	w := &world{Sim: sim, Net: net, Dep: dep, snap: snap, obsv: o, rt: rtm,
-		live: make(map[nodePort]liveQuery), links: make(map[simnet.HostID]beLink, len(dep.FEs))}
+		live: make(map[nodePort]liveQuery)}
 	for _, fe := range dep.FEs {
 		fe.OnFetch = w.handOver
-		if be := dep.BEOf(fe); be != nil {
-			w.links[fe.Host()] = beLink{be.Host(), net.RTT(fe.Host(), be.Host())}
-		}
 	}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
@@ -237,8 +224,8 @@ func (w *world) handOver(fr frontend.FetchRecord) {
 
 // complete fills the response side of a record and joins the FE truth
 // staged for its connection: the FE's record (the zero value when none
-// was handed over) and the fetch time it implies, plus the FE's
-// back-end link. The FE hands its truth over before it sends the
+// was handed over), the fetch time it implies, and the base RTT to the
+// BE the fetch went to. The FE hands its truth over before it sends the
 // response's last byte, so it is final here. A keep-alive record has no
 // connection of its own and joins nothing; a degraded query's BE fetch
 // never completes (FetchDone stays zero), so it has no fetch time.
@@ -247,9 +234,6 @@ func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.DoneAt = w.Sim.Now()
 	rr.Status = resp.Status
 	rr.BodyLen = resp.BodyLen
-	if link, ok := w.links[rr.FE]; ok && rr.Key != (capture.ConnKey{}) {
-		rr.BE, rr.BERTT = link.be, link.rtt
-	}
 	k := nodePort{rr.Node, rr.Key.LocalPort}
 	q, ok := w.live[k]
 	if !ok || q.rr != rr {
@@ -261,6 +245,9 @@ func (w *world) complete(rr *Record, resp *httpsim.Response) {
 	rr.Fetch = q.fetch
 	if rr.Fetch.FetchDone > 0 {
 		rr.TrueFetch = rr.Fetch.FetchDone - rr.Fetch.Arrived
+	}
+	if rr.Fetch.BE != "" {
+		rr.BERTT = w.Net.RTT(rr.FE, rr.Fetch.BE)
 	}
 }
 

@@ -76,9 +76,9 @@ func TestGroundTruthWithoutObserver(t *testing.T) {
 	}
 	for i := range bare.Records {
 		a, b := &bare.Records[i], &watched.Records[i]
-		if a.TrueFetch != b.TrueFetch || a.Fetch != b.Fetch || a.BE != b.BE || a.BERTT != b.BERTT {
-			t.Fatalf("record %d: unobserved {%v %+v %s %v}, observed {%v %+v %s %v}",
-				i, a.TrueFetch, a.Fetch, a.BE, a.BERTT, b.TrueFetch, b.Fetch, b.BE, b.BERTT)
+		if a.TrueFetch != b.TrueFetch || a.Fetch != b.Fetch || a.BERTT != b.BERTT {
+			t.Fatalf("record %d: unobserved {%v %+v %v}, observed {%v %+v %v}",
+				i, a.TrueFetch, a.Fetch, a.BERTT, b.TrueFetch, b.Fetch, b.BERTT)
 		}
 		if !a.Failed && a.Status != 503 && a.TrueFetch <= 0 {
 			t.Fatalf("completed record %d (status %d) has no ground-truth fetch time", i, a.Status)
@@ -197,6 +197,58 @@ func TestLiveTableHoldsOnlyInFlight(t *testing.T) {
 		}
 		if m != nil && m.n != len(ds.Records) {
 			t.Fatalf("measured %d of %d records", m.n, len(ds.Records))
+		}
+	}
+}
+
+// TestFailoverRecordsNameTheBEUsed fails every FE over, mid-run, to the
+// data center farthest from it. Every served record names the BE its
+// fetch went to, with that BE's base RTT: before the switch the FE's
+// nearest; after it the far one, or the nearest for a fetch that rode a
+// connection dialed before the switch and pooled again after it. Each
+// BE served exactly the fetches the records name it for.
+func TestFailoverRecordsNameTheBEUsed(t *testing.T) {
+	const failAt = 24 * time.Second
+	cfg := cdn.BingLike(43)
+	cfg.BEOptions.Queue = backend.QueueOptions{Replicas: 8, Policy: backend.LeastOutstanding}
+	r, err := New(44, cfg, Options{Nodes: 32, FleetSeed: 45, SnapPayloads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := map[simnet.HostID]simnet.HostID{}, map[simnet.HostID]simnet.HostID{}
+	for _, fe := range r.Dep.FEs {
+		be := r.Dep.FarthestBE(fe.Site().Point)
+		r.Dep.WireFEBE(fe, be)
+		near[fe.Host()], far[fe.Host()] = fe.BEHost(), be.Host()
+		r.Sim.ScheduleAt(failAt, func() { fe.SetBEHost(be.Host()) })
+	}
+	ds := r.RunOpenLoop(OpenLoopOptions{Horizon: 2 * failAt, BaseInterval: 2 * time.Second,
+		QueriesPerNode: 20, QuerySeed: 46})
+	named := map[simnet.HostID]int{}
+	moved := 0
+	for i, rr := range ds.Records {
+		if rr.Failed {
+			continue
+		}
+		named[rr.Fetch.BE]++
+		be := rr.Fetch.BE
+		switch {
+		case be == near[rr.FE]:
+		case be == far[rr.FE] && rr.IssuedAt >= failAt:
+			moved++
+		default:
+			t.Fatalf("record %d (FE %s, issued %v) names BE %q", i, rr.FE, rr.IssuedAt, be)
+		}
+		if rr.BERTT != r.Net.RTT(rr.FE, be) {
+			t.Fatalf("record %d names BE %s at %v, its base RTT is %v", i, be, rr.BERTT, r.Net.RTT(rr.FE, be))
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no record issued after the switch names its far BE")
+	}
+	for _, dc := range r.Dep.BEs {
+		if named[dc.Host()] != dc.Served() {
+			t.Errorf("BE %s served %d fetches, records name it %d times", dc.Host(), dc.Served(), named[dc.Host()])
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestObservedRunDeterministic(t *testing.T) {
 	}
 	for i := range ds1.Records {
 		a, b := ds1.Records[i], ds2.Records[i]
-		if a.Fetch != b.Fetch || a.TrueFetch != b.TrueFetch || a.BE != b.BE || a.BERTT != b.BERTT {
+		if a.Fetch != b.Fetch || a.TrueFetch != b.TrueFetch || a.BERTT != b.BERTT {
 			t.Fatalf("record %d joined different ground truth across same-seed runs", i)
 		}
 	}
@@ -84,7 +84,7 @@ func TestObservedRunCoverage(t *testing.T) {
 		if rec.Fetch.Arrived < rec.IssuedAt || rec.Fetch.Arrived > rec.DoneAt {
 			t.Errorf("record %d joined a fetch outside its query window", i)
 		}
-		if rec.BE == "" || rec.BERTT <= 0 {
+		if rec.Fetch.BE == "" || rec.BERTT <= 0 {
 			t.Errorf("record %d carries no back-end link", i)
 		}
 		joined++

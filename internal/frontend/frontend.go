@@ -264,7 +264,9 @@ func (fe *Server) putConn(pc *httpsim.PersistentConn) {
 // SetBEHost redirects future BE fetches to a different data center —
 // the failover primitive (an FE fleet falling back to a distant BE when
 // its primary cluster degrades). Idle pooled connections to the old BE
-// are closed; in-flight fetches complete against the old one.
+// are closed; in-flight fetches complete against the old one, and their
+// connections go back to the pool, so later fetches may still ride them
+// there (FetchRecord.BE names the BE each fetch went to).
 func (fe *Server) SetBEHost(host simnet.HostID) {
 	if host == fe.beHost {
 		return
@@ -473,6 +475,7 @@ func (q *request) flush(time.Duration) {
 // fetch issues the BE fetch over pc.
 func (q *request) fetch(pc *httpsim.PersistentConn) {
 	q.pc = pc
+	q.rec.BE = pc.Host()
 	q.issue()
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"fesplit/internal/obs"
+	"fesplit/internal/simnet"
 )
 
 // feMetrics are one FE server's resolved registry instruments (labeled
@@ -78,6 +79,9 @@ type FetchRecord struct {
 	// FetchDone is when the complete dynamic portion arrived from the
 	// back-end (zero on BE error).
 	FetchDone time.Duration
+	// BE is the data center the fetch went to (empty when the request
+	// never reached the BE pool).
+	BE simnet.HostID
 	// QueueWait is the time the query spent queued behind the BE
 	// cluster's replicas, as reported on the response's
 	// backend.QueueWaitHeader (zero without the queue model, or when

@@ -112,6 +112,7 @@ var errTruncated = &parseError{"connection closed before response completed"}
 // center — the paper's persistent split-TCP back-end connection.
 type PersistentConn struct {
 	conn   *tcpsim.Conn
+	host   simnet.HostID
 	parser responseParser
 	queue  []pendingReq // queue[head:] waits; emptied, it restarts at 0
 	head   int
@@ -129,7 +130,7 @@ type pendingReq struct {
 // NewPersistentConn dials host:port and returns a connection that can
 // carry any number of sequential requests.
 func NewPersistentConn(ep *tcpsim.Endpoint, host simnet.HostID, port uint16) *PersistentConn {
-	p := &PersistentConn{conn: ep.Dial(host, port)}
+	p := &PersistentConn{conn: ep.Dial(host, port), host: host}
 	p.parser.onDone = p.done
 	p.conn.OnConnect, p.conn.OnData, p.conn.OnBlank, p.conn.OnClose = p.connect, p.data, p.blank, p.peerClosed
 	return p
@@ -234,6 +235,9 @@ func (p *PersistentConn) Close() {
 	p.closed = true
 	p.conn.Close()
 }
+
+// Host returns the host the connection was dialed to.
+func (p *PersistentConn) Host() simnet.HostID { return p.host }
 
 // QueueLen returns the number of requests not yet sent.
 func (p *PersistentConn) QueueLen() int { return len(p.queue) - p.head }
