@@ -253,8 +253,8 @@ func (w *world) complete(rr *Record, resp *httpsim.Response) {
 
 // get sends the record's query to its FE on a fresh connection from ep,
 // stamps the connection's key on the record and makes it a live query;
-// onDone runs when the response completes. The response is counted, never retained: the
-// capture is the record of content.
+// onDone runs when the response completes. The response is counted,
+// never retained: the capture is the record of content.
 func (w *world) get(ep *tcpsim.Endpoint, rr *Record, onDone func(*httpsim.Response)) {
 	conn := httpsim.Get(ep, rr.FE, frontend.FEPort, httpsim.NewGet(w.Dep.Name, rr.Query.Path()),
 		httpsim.ResponseCallbacks{CountOnly: true, OnDone: onDone})

@@ -235,13 +235,13 @@ func (r *FleetRunner) issue(idx int) {
 	r.get(s.ep, &s.record, func(resp *httpsim.Response) { r.fold(s, resp) })
 	// Without a measurer the live table holds exactly the arrivals in
 	// flight.
-	r.res.PeakLive = max(r.res.PeakLive, len(r.world.live))
+	r.res.PeakLive = max(r.res.PeakLive, len(r.live))
 }
 
 // fold finalizes one completed arrival: complete the record (which
-// joins the FE's ground truth), look the
-// session's events up in the slot recorder, hand the record to the sink,
-// then recycle everything — recorder lists, Record struct, slot.
+// joins the FE's ground truth), look the session's events up in the
+// slot recorder, hand the record to the sink, then recycle everything —
+// recorder lists, Record struct, slot.
 func (r *FleetRunner) fold(s *fleetSlot, resp *httpsim.Response) {
 	rr := &s.record
 	r.complete(rr, resp)
