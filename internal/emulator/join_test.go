@@ -57,6 +57,41 @@ func TestFetchJoinSurvivesPortReuse(t *testing.T) {
 	}
 }
 
+// TestMatchFetch: a query joins the FE record whose GET arrived while it
+// was live, and nothing when no arrival falls in that window or no
+// record was handed over.
+func TestMatchFetch(t *testing.T) {
+	fr := func(arrived time.Duration) frontend.FetchRecord {
+		return frontend.FetchRecord{Client: "node-0", ClientPort: 4000, Arrived: arrived,
+			FetchDone: arrived + 100*time.Millisecond}
+	}
+	// The window 19s..completion holds the 20s arrival, not the 10s one.
+	w := handOverWorld()
+	rr := liveRecord(w, "node-0", 4000, 19*time.Second)
+	w.handOver(fr(10 * time.Second))
+	w.handOver(fr(20 * time.Second))
+	w.complete(rr, &httpsim.Response{Status: 200})
+	if rr.Fetch.Arrived != 20*time.Second || rr.TrueFetch != 100*time.Millisecond {
+		t.Fatalf("joined arrival %v (TrueFetch %v), want the 20s record", rr.Fetch.Arrived, rr.TrueFetch)
+	}
+	// The window 12s..completion holds neither arrival.
+	w = handOverWorld()
+	rr = liveRecord(w, "node-0", 4000, 12*time.Second)
+	w.handOver(fr(10 * time.Second))
+	w.complete(rr, &httpsim.Response{Status: 200})
+	w.handOver(fr(20 * time.Second))
+	if rr.Fetch != (frontend.FetchRecord{}) || rr.TrueFetch != 0 {
+		t.Fatalf("a window containing no arrival joined %+v", rr.Fetch)
+	}
+	// Nothing handed over joins nothing.
+	w = handOverWorld()
+	rr = liveRecord(w, "node-0", 4000, 0)
+	w.complete(rr, &httpsim.Response{Status: 200})
+	if rr.Fetch != (frontend.FetchRecord{}) || rr.TrueFetch != 0 {
+		t.Fatalf("an empty hand-over joined %+v", rr.Fetch)
+	}
+}
+
 // TestGroundTruthWithoutObserver: what a world records does not depend
 // on who watches it. An unobserved world and its twin carrying a tail
 // observer join the same FE ground truth onto every record, and every
