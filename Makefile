@@ -248,7 +248,8 @@ bench-ab:
 # study at seeds 42 and 7, the diurnal fleet, every report figure, trace
 # and decode, sweep and direct, built from BASE and from this checkout
 # and diffed file by file (stderr and runtime.jsonl excluded). FULL=1
-# adds the paper-scale study. Exits 1 naming every file that differs.
+# adds the paper-scale study. Exits 1 naming every file that differs,
+# each text file with its first differing lines.
 # See scripts/output_diff.sh.
 output-diff:
 	./scripts/output_diff.sh "$(BASE)"

@@ -185,10 +185,6 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("study: %w", err)
 	}
-	if u, ok := fesplit.FastPathUsageFrom(out.Metrics); ok {
-		fmt.Fprintf(stderr, "fast path: %.0f epochs of %.1f segments, %.0f bytes bypassed the event heap, %.0f lane drops\n",
-			u.Epochs, u.EpochSegments, u.Bytes, u.LossDrops)
-	}
 	if err := fesplit.WriteProfileTable(stderr, blame, blameTop); err != nil {
 		return err
 	}

@@ -88,51 +88,6 @@ func NewRuntimeEngine() *rt.Engine { return rt.NewEngine() }
 // separate measurement noise from genuine model violations.
 var DefaultBoundTolerance = 2 * vantage.CampusProfile().Jitter
 
-// FastPathUsage summarizes the flow-level fast-forward engine's
-// activity as recorded in a metrics registry: epochs entered by
-// connections, wire bytes whose deliveries bypassed the global event
-// heap, lane segments consumed by loss processes at send time, and the
-// mean heap-bypassing segments per epoch. After a shard merge the
-// values are the busiest study cell's snapshot (gauges merge by max),
-// which is what the report surfaces.
-type FastPathUsage struct {
-	Epochs        float64
-	Bytes         float64
-	LossDrops     float64
-	EpochSegments float64
-}
-
-// FastPathUsageFrom extracts the fastpath_* gauges from a registry. ok
-// is false when the registry carries no fast-path gauges (nil registry:
-// the run was not observed).
-func FastPathUsageFrom(reg *MetricsRegistry) (u FastPathUsage, ok bool) {
-	for _, f := range reg.Families() {
-		if f.Kind != obs.KindGauge {
-			continue
-		}
-		var dst *float64
-		switch f.Name {
-		case "fastpath_epochs":
-			dst = &u.Epochs
-		case "fastpath_bytes":
-			dst = &u.Bytes
-		case "fastpath_loss_drops":
-			dst = &u.LossDrops
-		case "fastpath_epoch_segments":
-			dst = &u.EpochSegments
-		default:
-			continue
-		}
-		for _, s := range f.Series() {
-			if s.Gauge != nil {
-				*dst = s.Gauge.Value()
-				ok = true
-			}
-		}
-	}
-	return u, ok
-}
-
 // WriteMetricsJSONL dumps a registry as one JSON object per series —
 // lossless (unlike the Prometheus text view, sketches keep their
 // buckets) and byte-deterministic.

@@ -170,7 +170,6 @@ func newWorld(simSeed int64, depCfg cdn.Config, snap bool, o *obs.Observer, rtm 
 	}
 	if rtm != nil {
 		sim.SetRuntime(rtm)
-		net.SetRuntime(rtm)
 	}
 	if o != nil {
 		reg := o.Registry()
@@ -415,7 +414,6 @@ func (r *Runner) finalize(dss ...*Dataset) {
 	}
 	if r.obsv != nil {
 		r.simMetrics.Flush()
-		r.Net.ExportMetrics(r.obsv.Registry())
 	}
 	// One heap reading per completed world: with many batch worlds in
 	// flight this is what traces the campaign's memory watermark.
@@ -456,12 +454,17 @@ func (o AOptions) withDefaults() AOptions {
 	return o
 }
 
-// corpusOr returns queries or, when empty, the generated granular corpus
-// of n queries (n ≤ 0 → 20) that every campaign shape defaults to.
+// corpusOr returns queries or, when empty, corpus(n, seed).
 func corpusOr(queries []workload.Query, n int, seed int64) []workload.Query {
 	if len(queries) > 0 {
 		return queries
 	}
+	return corpus(n, seed)
+}
+
+// corpus generates the granular-class corpus of n queries (n ≤ 0 → 20)
+// that every campaign shape defaults to.
+func corpus(n int, seed int64) []workload.Query {
 	if n <= 0 {
 		n = 20
 	}
@@ -549,9 +552,8 @@ type OpenLoopOptions struct {
 	// FE, when set, is the fixed front-end every node queries;
 	// nil → each node's default (nearest) FE.
 	FE *frontend.Server
-	// Queries is the corpus nodes cycle through (generated granular
-	// corpus of QueriesPerNode when empty).
-	Queries        []workload.Query
+	// QueriesPerNode (default 20) sizes the generated granular corpus
+	// nodes cycle through; QuerySeed generates it.
 	QueriesPerNode int
 	QuerySeed      int64
 	// Horizon is the arrival horizon: nodes stop issuing at this sim
@@ -578,7 +580,7 @@ type OpenLoopOptions struct {
 // inside the surge window), issuing corpus queries in sequence (the
 // HotQuery inside the window, when set).
 func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
-	queries := corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed)
+	queries := corpus(opts.QueriesPerNode, opts.QuerySeed)
 	ds, n := &Dataset{}, 0
 	for i, node := range r.Fleet.Nodes {
 		fe := opts.FE
@@ -615,10 +617,7 @@ type BOptions struct {
 	// Repeats per node (paper: 720) and Interval between repeats.
 	Repeats  int
 	Interval time.Duration
-	// Query is the single repeated query. Zero value → a generated
-	// granular query.
-	Query workload.Query
-	// QuerySeed generates the default query.
+	// QuerySeed generates the single repeated query, a granular one.
 	QuerySeed int64
 }
 
@@ -639,11 +638,7 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 	if opts.FE == nil {
 		return nil, fmt.Errorf("emulator: experiment B needs a fixed FE")
 	}
-	q := opts.Query
-	if q.Keywords == "" {
-		gen := workload.NewGenerator(opts.QuerySeed + 177)
-		q = gen.Query(workload.ClassGranular)
-	}
+	q := workload.NewGenerator(opts.QuerySeed + 177).Query(workload.ClassGranular)
 	ds := newDataset(len(r.Fleet.Nodes) * opts.Repeats)
 	for i, node := range r.Fleet.Nodes {
 		start := stagger(i)

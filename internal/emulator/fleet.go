@@ -33,20 +33,12 @@ type FleetOptions struct {
 	// at k — a pure function of the curve, identical across batch
 	// layouts.
 	Curve DiurnalCurve
-	// Queries is the corpus arrivals cycle through by global arrival
-	// index (generated granular corpus of QueriesPerNode when empty).
-	Queries        []workload.Query
-	QueriesPerNode int
-	QuerySeed      int64
-	// FleetSeed derives each slot's geography via vantage.SynthNode.
+	// QuerySeed generates the 20-query granular corpus arrivals cycle
+	// through by global arrival index.
+	QuerySeed int64
+	// FleetSeed derives each slot's geography, behind the campus
+	// access profile, via vantage.SynthNode.
 	FleetSeed int64
-	// Access is the slots' last-mile profile (default campus).
-	Access vantage.AccessProfile
-	// ClientTCP overrides slot TCP configuration. RecycleConns is on,
-	// as on every emulator client endpoint: slot endpoints churn one
-	// connection per arrival, the free list's exact use case (proven
-	// transcript-identical by the tcpsim recycle differential suite).
-	ClientTCP tcpsim.Config
 	// Obs, when non-nil, wires metrics. Every folded record joins its
 	// FE's ground truth whether or not it is set.
 	Obs *obs.Observer
@@ -65,9 +57,6 @@ type FleetOptions struct {
 }
 
 func (o FleetOptions) withDefaults() FleetOptions {
-	if o.Access == (vantage.AccessProfile{}) {
-		o.Access = vantage.CampusProfile()
-	}
 	if o.stride <= 0 {
 		o.stride = 1
 	}
@@ -148,7 +137,7 @@ func NewFleetRunner(simSeed int64, depCfg cdn.Config, opts FleetOptions) (*Fleet
 	r := &FleetRunner{
 		world:   w,
 		opts:    opts,
-		queries: corpusOr(opts.Queries, opts.QueriesPerNode, opts.QuerySeed),
+		queries: corpus(0, opts.QuerySeed),
 		metros:  geo.WorldMetros(),
 	}
 	return r, nil
@@ -171,8 +160,11 @@ func (r *FleetRunner) claim() *fleetSlot {
 		return s
 	}
 	idx := r.opts.offset + len(r.slots)*r.opts.stride
-	n := vantage.SynthNode(r.opts.FleetSeed, idx, r.metros, r.opts.Access)
-	ep, rec := r.newClient(n.Host, r.opts.ClientTCP)
+	n := vantage.SynthNode(r.opts.FleetSeed, idx, r.metros, vantage.CampusProfile())
+	// Slot endpoints take the default TCP configuration; newClient turns
+	// RecycleConns on, the free list's exact use case: a slot churns one
+	// connection per arrival.
+	ep, rec := r.newClient(n.Host, tcpsim.Config{})
 	r.Dep.WireClient(n.Host, n.Point, n.OneWay, n.Access.Jitter, n.Access.Loss)
 	s := &fleetSlot{node: n, fe: r.Dep.DefaultFE(n.Point), ep: ep, rec: rec}
 	r.slots = append(r.slots, s)

@@ -15,9 +15,9 @@ type FastpathSnap struct {
 	Epochs   uint64 `json:"epochs"`
 	Segments uint64 `json:"segments"`
 	Bytes    uint64 `json:"bytes"`
-	// Fallbacks is always 0: every segment rides the fast lane unless
-	// the engine is switched off, and nothing leaves it mid-stream. The
-	// field stays because the benchmark harness reads it.
+	// Fallbacks is always 0: every segment rides the fast lane, and
+	// nothing leaves it mid-stream. The field stays because the
+	// benchmark harness reads it.
 	Fallbacks uint64 `json:"fallbacks"`
 }
 

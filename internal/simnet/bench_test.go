@@ -13,34 +13,27 @@ import (
 // metrics registry wired, a wall-clock telemetry hub attached (batched
 // atomic adds, flushed every rtFlushInterval events). The benchmarks
 // below measure each state's overhead; TestScheduleStepZeroAlloc and
-// TestNetworkSendZeroAlloc pin each at zero allocations. n is nil when
-// the world has no network.
+// TestNetworkSendZeroAlloc pin each at zero allocations.
 var wirings = []struct {
 	name string
-	wire func(s *Sim, n *Network)
+	wire func(s *Sim)
 }{
 	{"bare", bare},
 	{"metrics", withMetrics},
 	{"runtime", withRuntime},
 }
 
-func bare(*Sim, *Network) {}
+func bare(*Sim) {}
 
-func withMetrics(s *Sim, _ *Network) { s.SetMetrics(NewMetrics(obs.NewRegistry())) }
+func withMetrics(s *Sim) { s.SetMetrics(NewMetrics(obs.NewRegistry())) }
 
-func withRuntime(s *Sim, n *Network) {
-	eng := rt.NewEngine()
-	s.SetRuntime(eng)
-	if n != nil {
-		n.SetRuntime(eng)
-	}
-}
+func withRuntime(s *Sim) { s.SetRuntime(rt.NewEngine()) }
 
 // benchEventThroughput measures raw scheduler throughput: schedule and
 // drain chains of events.
-func benchEventThroughput(b *testing.B, wire func(*Sim, *Network)) {
+func benchEventThroughput(b *testing.B, wire func(*Sim)) {
 	s := New(1)
-	wire(s, nil)
+	wire(s)
 	var fn func()
 	remaining := b.N
 	fn = func() {
@@ -56,10 +49,10 @@ func benchEventThroughput(b *testing.B, wire func(*Sim, *Network)) {
 
 // benchNetworkSend measures per-packet delivery cost on a configured
 // path.
-func benchNetworkSend(b *testing.B, wire func(*Sim, *Network)) {
+func benchNetworkSend(b *testing.B, wire func(*Sim)) {
 	s := New(2)
 	n := NewNetwork(s)
-	wire(s, n)
+	wire(s)
 	n.Attach("dst", HandlerFunc(func(Packet) {}))
 	n.SetPath("src", "dst", PathParams{Delay: time.Millisecond})
 	b.ResetTimer()

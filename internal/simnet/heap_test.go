@@ -91,7 +91,7 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	for _, w := range wirings {
 		t.Run(w.name, func(t *testing.T) {
 			s := New(1)
-			w.wire(s, nil)
+			w.wire(s)
 			fn := func() {}
 			// Warm the heap's backing array past the measured burst.
 			for i := 0; i < 64; i++ {
@@ -119,7 +119,7 @@ func TestNetworkSendZeroAlloc(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			s := New(1)
 			n := NewNetwork(s)
-			w.wire(s, n)
+			w.wire(s)
 			n.SetPath("a", "b", PathParams{Delay: time.Millisecond})
 			delivered := 0
 			n.Attach("b", HandlerFunc(func(pkt Packet) { delivered++ }))

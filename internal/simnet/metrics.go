@@ -59,32 +59,3 @@ func (s *Sim) SetMetrics(m *Metrics) {
 		m.sim = s
 	}
 }
-
-// ExportMetrics snapshots the fast-forward engine's activity into the
-// fastpath_* gauge families: how much traffic bypassed the event heap,
-// how often connections entered epochs, and how much of it the loss
-// processes consumed at send time. Each export Sets cumulative totals,
-// so re-exporting after more traffic simply overwrites; after a shard
-// merge the series carry the busiest shard's snapshot — gauges merge by
-// max, see obs.Registry.Merge.
-func (n *Network) ExportMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	n.flushRuntime() // settle the telemetry hub alongside the export
-	fs := n.FastPathStats()
-	reg.Gauge("fastpath_epochs", "fast-forwarded epochs entered by connections (snapshot)").
-		Set(float64(fs.Epochs))
-	reg.Gauge("fastpath_bytes", "wire bytes carried by heap-bypassing segments (snapshot)").
-		Set(float64(fs.Bytes))
-	reg.Gauge("fastpath_loss_drops",
-		"lane segments consumed by loss processes at send time (snapshot)").
-		Set(float64(fs.LossDrops))
-	epochSegs := 0.0
-	if fs.Epochs > 0 {
-		epochSegs = float64(fs.Segments) / float64(fs.Epochs)
-	}
-	reg.Gauge("fastpath_epoch_segments",
-		"mean heap-bypassing segments per epoch (snapshot)").
-		Set(epochSegs)
-}

@@ -3,8 +3,6 @@ package simnet
 import (
 	"fmt"
 	"time"
-
-	rt "fesplit/internal/obs/runtime"
 )
 
 // HostID names a host on the simulated network, e.g. "client-17",
@@ -81,17 +79,6 @@ type Network struct {
 	// SetPathResolver) and invalidates outstanding PathHandles; holders
 	// re-resolve through FastPath on mismatch.
 	version uint64
-
-	// Fast-path accounting: segments/bytes that bypassed the global
-	// event heap and epochs entered by connections; lane segments
-	// consumed by the loss process at send time are counted as loss
-	// drops. Exported as the fastpath_* gauges by ExportMetrics.
-	fastSegs      uint64
-	fastBytes     uint64
-	fastEpochs    uint64
-	fastLossDrops uint64
-	rtEngine      *rt.Engine
-	rtPub         FastPathStats // last values published to rtEngine
 }
 
 // NewNetwork creates an empty network on the given simulator.
@@ -268,14 +255,7 @@ func (h PathHandle) Valid() bool { return h.p != nil && h.version == h.n.version
 // is left to the caller's lane. On a drop the caller must schedule
 // nothing — Network.Send would not have either.
 func (h PathHandle) Transmit(size int) (arrival Time, dropped bool) {
-	arrival, dropped = h.n.admit(h.p, size)
-	if dropped {
-		h.n.fastLossDrops++
-		return 0, true
-	}
-	h.n.fastSegs++
-	h.n.fastBytes += uint64(size)
-	return arrival, false
+	return h.n.admit(h.p, size)
 }
 
 // FastPath resolves a handle for the directed path from → to. A loss
@@ -283,56 +263,6 @@ func (h PathHandle) Transmit(size int) (arrival Time, dropped bool) {
 // drops are resolved at send time by Transmit.
 func (n *Network) FastPath(from, to HostID) PathHandle {
 	return PathHandle{n: n, p: n.pathState(from, to), version: n.version}
-}
-
-// NoteFastEpoch records a connection entering a fast-forwarded epoch
-// (its segments start bypassing the event heap). Epoch entries are the
-// natural cadence for publishing fast-path liveness to the telemetry
-// hub: frequent enough for a one-second heartbeat, far off the
-// per-segment path.
-func (n *Network) NoteFastEpoch() {
-	n.fastEpochs++
-	if n.rtEngine != nil {
-		n.flushRuntime()
-	}
-}
-
-// FastPathStats reports cumulative fast-path activity.
-type FastPathStats struct {
-	Epochs    uint64 // epochs entered by connections
-	Segments  uint64 // segments that bypassed the event heap
-	Bytes     uint64 // wire bytes carried by those segments
-	LossDrops uint64 // lane segments consumed by loss processes at send time
-}
-
-// FastPathStats returns cumulative fast-path counters.
-func (n *Network) FastPathStats() FastPathStats {
-	return FastPathStats{
-		Epochs:    n.fastEpochs,
-		Segments:  n.fastSegs,
-		Bytes:     n.fastBytes,
-		LossDrops: n.fastLossDrops,
-	}
-}
-
-// SetRuntime wires (or unwires) the wall-clock telemetry hub for this
-// network's fast-path counters. Deltas publish at epoch entries —
-// never per segment.
-func (n *Network) SetRuntime(e *rt.Engine) {
-	n.rtEngine = e
-	n.rtPub = n.FastPathStats()
-}
-
-// flushRuntime publishes since-last-flush fast-path deltas to the hub.
-func (n *Network) flushRuntime() {
-	e := n.rtEngine
-	if e == nil {
-		return
-	}
-	cur := n.FastPathStats()
-	e.AddFastpath(cur.Epochs-n.rtPub.Epochs, cur.Segments-n.rtPub.Segments,
-		cur.Bytes-n.rtPub.Bytes)
-	n.rtPub = cur
 }
 
 // DeliverNow hands pkt to the handler attached to pkt.To, dropping it

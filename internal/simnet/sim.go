@@ -140,6 +140,15 @@ type FastLane interface {
 	RunHead()
 	// Len returns the number of pending lane events (for Pending).
 	Len() int
+	// Carried returns the lane's cumulative traffic, which the runtime
+	// hub publishes at the simulator's flush.
+	Carried() LaneCounts
+}
+
+// LaneCounts is what a fast lane has carried: epochs connections
+// opened on it, and the segments it queued and their wire bytes.
+type LaneCounts struct {
+	Epochs, Segments, Bytes uint64
 }
 
 // Sim is a discrete-event simulator. Create one with New; it is not safe
@@ -165,14 +174,16 @@ type Sim struct {
 	metrics *Metrics
 
 	// rt, when wired via SetRuntime, publishes engine liveness (events
-	// executed, virtual time advanced, heap-depth watermark) to the
-	// wall-clock telemetry hub. Publication is batched: Run flushes
-	// deltas every rtFlushInterval events and at drain, so Step itself
-	// stays untouched and the zero-allocation hot path holds.
+	// executed, virtual time advanced, heap-depth watermark) and the
+	// fast lane's traffic to the wall-clock telemetry hub. Publication
+	// is batched: Run flushes deltas every rtFlushInterval events and at
+	// drain, so Step itself stays untouched and the zero-allocation hot
+	// path holds.
 	rt          *rt.Engine
-	rtEvents    uint64 // Processed at last flush
-	rtLastNow   Time   // now at last flush
-	rtStepCount uint64 // events since Run started, for the flush cadence
+	rtEvents    uint64     // Processed at last flush
+	rtLastNow   Time       // now at last flush
+	rtLane      LaneCounts // lane totals at last flush
+	rtStepCount uint64     // events since Run started, for the flush cadence
 }
 
 // New returns a simulator whose randomness derives from seed.
@@ -350,6 +361,10 @@ func (s *Sim) SetRuntime(e *rt.Engine) {
 	s.rt = e
 	s.rtEvents = s.Processed
 	s.rtLastNow = s.now
+	s.rtLane = LaneCounts{}
+	if s.fast != nil {
+		s.rtLane = s.fast.Carried()
+	}
 }
 
 // flushRuntime publishes the since-last-flush deltas to the hub.
@@ -360,6 +375,11 @@ func (s *Sim) flushRuntime() {
 	e.AddSimTime(int64(s.now - s.rtLastNow))
 	s.rtLastNow = s.now
 	e.NoteHeapDepth(int64(s.maxDepth))
+	if s.fast != nil {
+		c := s.fast.Carried()
+		e.AddFastpath(c.Epochs-s.rtLane.Epochs, c.Segments-s.rtLane.Segments, c.Bytes-s.rtLane.Bytes)
+		s.rtLane = c
+	}
 }
 
 // nextAt reports whether any pending event (heap or fast lane) is due

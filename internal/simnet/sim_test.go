@@ -172,3 +172,4 @@ type oneEventLane struct{}
 func (oneEventLane) Head() (Time, uint64, bool) { return time.Hour, 0, true }
 func (oneEventLane) RunHead()                   {}
 func (oneEventLane) Len() int                   { return 1 }
+func (oneEventLane) Carried() LaneCounts        { return LaneCounts{} }

@@ -32,28 +32,24 @@ func TestHeapDepthMaxOnShortRun(t *testing.T) {
 	}
 }
 
-// TestRuntimeHubPublication wires a telemetry hub to a simulator and a
-// network and checks wall-clock counters flow out: events executed,
-// sim-time advanced, fast-path epochs, segments and bytes.
+// TestRuntimeHubPublication wires a telemetry hub to a simulator
+// carrying a fast lane and checks wall-clock counters flow out: events
+// executed, sim-time advanced, and the lane's epochs, segments and
+// bytes carried since wiring.
 func TestRuntimeHubPublication(t *testing.T) {
 	eng := rt.NewEngine()
 	s := New(1)
+	lane := &countingLane{LaneCounts{Epochs: 3, Segments: 40, Bytes: 60000}} // before wiring
+	s.AttachFastLane(lane)
 	s.SetRuntime(eng)
-	n := NewNetwork(s)
-	n.SetRuntime(eng)
 
 	for i := 0; i < 100; i++ {
 		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
+	lane.c.Epochs++
+	lane.c.Segments++
+	lane.c.Bytes += 1500
 	s.Run()
-	n.SetPath("a", "b", PathParams{Delay: time.Millisecond})
-	h := n.FastPath("a", "b")
-	if !h.Valid() {
-		t.Fatal("loss-free path refused a fast-path handle")
-	}
-	n.NoteFastEpoch()
-	h.Transmit(1460)
-	n.ExportMetrics(obs.NewRegistry()) // flushes the hub alongside the export
 
 	snap := eng.Snapshot()
 	if snap.Events != 100 {
@@ -66,3 +62,11 @@ func TestRuntimeHubPublication(t *testing.T) {
 		t.Errorf("hub fastpath = %+v", snap.Fastpath)
 	}
 }
+
+// countingLane is an empty fast lane reporting set traffic totals.
+type countingLane struct{ c LaneCounts }
+
+func (*countingLane) Head() (Time, uint64, bool) { return 0, 0, false }
+func (*countingLane) RunHead()                   {}
+func (*countingLane) Len() int                   { return 0 }
+func (l *countingLane) Carried() LaneCounts      { return l.c }

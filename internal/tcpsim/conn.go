@@ -588,7 +588,7 @@ func (c *Conn) resolveFast() {
 	net := c.ep.net
 	if c.lane == nil {
 		c.lane = laneFor(c.ep.Sim())
-		net.NoteFastEpoch()
+		c.lane.carried.Epochs++
 	}
 	c.fwdPath = net.FastPath(c.ep.host, c.remote)
 	c.peerEp, _ = net.Handler(c.remote).(*Endpoint)
@@ -646,14 +646,18 @@ func (c *Conn) fastSend(s Segment, data []byte) {
 			m.Retransmits.Inc()
 		}
 	}
-	arrival, dropped := c.fwdPath.Transmit(e.cfg.HeaderSize + int(s.Len))
+	size := e.cfg.HeaderSize + int(s.Len)
+	arrival, dropped := c.fwdPath.Transmit(size)
 	if dropped {
 		// The loss process consumed the segment at send time — exactly
 		// the draw Network.Send would have made; nothing is scheduled in
 		// either lane, and the recovery exchange that follows is lane
 		// traffic like any other.
+		c.lane.drops++
 		return
 	}
+	c.lane.carried.Segments++
+	c.lane.carried.Bytes += uint64(size)
 	r := c.ring
 	if r.n > 0 && arrival < r.tailAt {
 		// Arrival regressed below an event already queued: a SetPath

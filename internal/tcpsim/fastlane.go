@@ -141,6 +141,12 @@ type fastLane struct {
 	// sack holds the SACK blocks of the delivery in flight: its slot
 	// may be reused by a push from the receiver's handler.
 	sack [3]SACKBlock
+	// carried counts the epochs connections opened on the lane and the
+	// segments it queued; drops, the segments the path's loss process
+	// consumed at send time. The simulator publishes carried to the
+	// runtime hub.
+	carried simnet.LaneCounts
+	drops   uint64
 }
 
 // laneFor returns the simulator's fast lane, creating and attaching one
@@ -228,6 +234,9 @@ func (l *fastLane) Head() (at simnet.Time, seq uint64, ok bool) {
 
 // Len implements simnet.FastLane.
 func (l *fastLane) Len() int { return l.total }
+
+// Carried implements simnet.FastLane.
+func (l *fastLane) Carried() simnet.LaneCounts { return l.carried }
 
 // RunHead implements simnet.FastLane: deliver the earliest pending
 // segment. The ring heap is restored before dispatch because the

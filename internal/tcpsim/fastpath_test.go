@@ -47,9 +47,21 @@ type transcript struct {
 	serverM Metrics
 	gotLen  int
 	doneAt  time.Duration
-	// stats is the run's fast-path accounting, not part of diff or the
+	// stats is the lane's traffic totals, not part of diff or the
 	// digest: the tests use it to prove a scenario exercised the lane.
-	stats simnet.FastPathStats
+	stats laneStats
+}
+
+// laneStats is what a simulator's lane carried and dropped.
+type laneStats struct {
+	simnet.LaneCounts
+	LossDrops uint64
+}
+
+// statsOf reads sim's lane totals.
+func statsOf(sim *simnet.Sim) laneStats {
+	l := laneFor(sim)
+	return laneStats{l.carried, l.drops}
 }
 
 // tap returns the Endpoint.Tap that appends host's events to tr.
@@ -242,7 +254,7 @@ func (s fastScenario) run(t *testing.T, mutate func(*simnet.Network, *testNet)) 
 	if srv != nil {
 		tr.serverM = srv.Metrics()
 	}
-	tr.stats = n.FastPathStats()
+	tr.stats = statsOf(sim)
 	return tr
 }
 
@@ -437,7 +449,7 @@ func lateDelayedAck(t *testing.T) *transcript {
 		tn.sim.Run()
 		tr.finalAt = tn.sim.Now()
 		tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
-		tr.stats = tn.net.FastPathStats()
+		tr.stats = statsOf(tn.sim)
 		return abortAt, tr
 	}
 	abortAt, _ := run(0)

@@ -209,13 +209,11 @@ func (r *Report) htmlFig9(bw *htmlWriter) {
 	}
 }
 
-// htmlMetrics renders the registry's quantile sketches, counters and
-// the fast-forward engine's gauge trio.
+// htmlMetrics renders the registry's quantile sketches and counters.
 func htmlMetrics(bw *htmlWriter, reg *MetricsRegistry) {
 	if reg == nil {
 		return
 	}
-	htmlFastPath(bw, reg)
 	fams := reg.Families()
 	var sketches, counters []*obs.Family
 	for _, f := range fams {
@@ -319,31 +317,11 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 	}
 }
 
-// htmlFastPath renders the fast-forward engine's activity: how much of
-// the simulated traffic bypassed the event heap on the lane, how often
-// connections entered epochs and how much the loss processes dropped
-// there. Skipped when the registry carries no fastpath gauges (an
-// unobserved run).
-func htmlFastPath(bw *htmlWriter, reg *MetricsRegistry) {
-	u, ok := FastPathUsageFrom(reg)
-	if !ok {
-		return
-	}
-	bw.printf("<h2>Fast-forward engine</h2>\n")
-	bw.printf("<p class=\"note\">TCP transfers are fast-forwarded: each segment's fate and arrival time are resolved at send time and its delivery is queued on a per-connection lane instead of the global event heap — loss recovery included (packet-equivalent by construction; the busiest study cell's snapshot after the shard merge).</p>\n")
-	bw.printf("<table>\n<tr><th class=\"l\">gauge</th><th>value</th></tr>\n")
-	bw.printf("<tr><td class=\"l\">fastpath_epochs</td><td>%s</td></tr>\n", trimFloat(u.Epochs))
-	bw.printf("<tr><td class=\"l\">fastpath_bytes</td><td>%s</td></tr>\n", trimFloat(u.Bytes))
-	bw.printf("<tr><td class=\"l\">fastpath_loss_drops</td><td>%s</td></tr>\n", trimFloat(u.LossDrops))
-	bw.printf("<tr><td class=\"l\">fastpath_epoch_segments</td><td>%s</td></tr>\n", trimFloat(u.EpochSegments))
-	bw.printf("</table>\n")
-}
-
 // htmlRuntime renders the deterministic engine gauges — scheduler
-// depth, FE/BE concurrency and queue levels, the fast-path snapshots —
-// as the report's runtime section. Only sim-time gauges appear here:
-// wall-clock telemetry (heap, GC, events/sec) lives in runtime.jsonl
-// and the -listen endpoints, never in deterministic exports.
+// depth, FE/BE concurrency and queue levels — as the report's runtime
+// section. Only sim-time gauges appear here: wall-clock telemetry
+// (heap, GC, events/sec) lives in runtime.jsonl and the -listen
+// endpoints, never in deterministic exports.
 func htmlRuntime(bw *htmlWriter, reg *MetricsRegistry) {
 	if reg == nil {
 		return

@@ -53,9 +53,7 @@ func sampleObs() (*MetricsRegistry, []Exemplar) {
 	o := obs.NewTailObserver(obs.TailConfig{Percentile: 0.5, MaxExemplars: 4})
 	reg := o.Registry()
 	reg.Counter("sim_events_total", "events").Add(999)
-	reg.Gauge("fastpath_epochs", "epochs").Set(12)
-	reg.Gauge("fastpath_bytes", "bytes").Set(3.5e6)
-	reg.Gauge("fastpath_loss_drops", "drops").Set(2)
+	reg.Gauge("sim_heap_depth", "depth").RaiseMax(12)
 	sk := reg.SketchVec("session_param_seconds", "params", 0.01, "service", "phase").
 		With("google-like", "tdynamic")
 	for i := 1; i <= 100; i++ {
@@ -100,8 +98,8 @@ func TestWriteHTMLDeterministicAndComplete(t *testing.T) {
 		"service=google-like, phase=tdynamic",
 		"Counters",
 		"sim_events_total",
-		"Fast-forward engine",
-		"fastpath_bytes",
+		"Engine runtime gauges",
+		"sim_heap_depth",
 		"Tail exemplars",
 		"bound violation",
 		"<svg",
@@ -117,37 +115,5 @@ func TestWriteHTMLDeterministicAndComplete(t *testing.T) {
 	// Violation exemplar must always render even with a tight cap.
 	if got := strings.Count(out, `<p class="violation">`); got != 1 {
 		t.Errorf("%d violation badges, want 1", got)
-	}
-}
-
-func TestFastPathUsageFrom(t *testing.T) {
-	reg, _ := sampleObs()
-	u, ok := FastPathUsageFrom(reg)
-	if !ok {
-		t.Fatal("FastPathUsageFrom found no gauges in a registry that has them")
-	}
-	if want := (FastPathUsage{Epochs: 12, Bytes: 3.5e6, LossDrops: 2}); u != want {
-		t.Fatalf("usage = %+v, want %+v", u, want)
-	}
-	if _, ok := FastPathUsageFrom(nil); ok {
-		t.Error("nil registry reported fast-path gauges")
-	}
-	empty := obs.NewRegistry()
-	if _, ok := FastPathUsageFrom(empty); ok {
-		t.Error("empty registry reported fast-path gauges")
-	}
-}
-
-func TestWriteHTMLEmptyReport(t *testing.T) {
-	var b bytes.Buffer
-	if err := (&Report{}).WriteHTML(&b, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "<!DOCTYPE html>") || !strings.Contains(out, "</html>") {
-		t.Fatal("empty report did not render a complete page")
-	}
-	if strings.Contains(out, "Figure") {
-		t.Error("empty report rendered figure sections")
 	}
 }

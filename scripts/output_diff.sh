@@ -8,8 +8,9 @@
 # directory of its own, and compares stdout, exit status and every file
 # written. stderr (summary lines, timings) and runtime.jsonl (wall-clock
 # telemetry) are not part of the contract and are left out. Prints one
-# line per differing file, names the command that wrote it, and exits 1
-# on any difference.
+# line per differing file, names the command that wrote it, lists below
+# a differing text file its first differing lines (at most 20, each cut
+# to 200 characters), and exits 1 on any difference.
 #
 # Usage: scripts/output_diff.sh BASE
 #   BASE    any git revision (HEAD compares the checkout with its commit)
@@ -61,6 +62,12 @@ if diff -rq "$work/base" "$work/head" >"$work/diff"; then
 	exit 0
 fi
 # base/<command>/<file>: the first path component names the command.
-sed "s|$work/||g" "$work/diff"
+while IFS= read -r line; do
+	echo "${line//"$work/"/}"
+	if [[ $line =~ ^Files\ (.+)\ and\ (.+)\ differ$ ]] &&
+		grep -Iq . "${BASH_REMATCH[1]}" && grep -Iq . "${BASH_REMATCH[2]}"; then
+		diff "${BASH_REMATCH[1]}" "${BASH_REMATCH[2]}" | grep '^[<>]' | head -20 | cut -c1-200 | sed 's/^/    /' || true
+	fi
+done <"$work/diff"
 echo "output-diff: outputs differ from $base" >&2
 exit 1

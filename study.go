@@ -418,7 +418,6 @@ func (s *Study) singleFEWorld(off int64, clients int) (*simnet.Network, workload
 	net := simnet.NewNetwork(sim)
 	if s.rt != nil {
 		sim.SetRuntime(s.rt)
-		net.SetRuntime(s.rt)
 	}
 	spec := workload.DefaultContentSpec("bing-like")
 	if _, err := backend.New(net, "be", geo.Site{Name: "be"}, spec,
