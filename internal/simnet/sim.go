@@ -356,7 +356,8 @@ func (s *Sim) RunUntil(t Time) {
 // hub. Unlike SetMetrics this is aggregate and cross-world: many
 // concurrent simulators share one hub, publishing batched deltas with
 // atomic adds. The hub never feeds back into the simulation or the
-// deterministic exports.
+// deterministic exports. What the fast lane carried before the call is
+// not published.
 func (s *Sim) SetRuntime(e *rt.Engine) {
 	s.rt = e
 	s.rtEvents = s.Processed

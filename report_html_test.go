@@ -117,3 +117,17 @@ func TestWriteHTMLDeterministicAndComplete(t *testing.T) {
 		t.Errorf("%d violation badges, want 1", got)
 	}
 }
+
+func TestWriteHTMLEmptyReport(t *testing.T) {
+	var b bytes.Buffer
+	if err := (&Report{}).WriteHTML(&b, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "<!DOCTYPE html>") || !strings.Contains(out, "</html>") {
+		t.Fatal("empty report did not render a complete page")
+	}
+	if strings.Contains(out, "Figure") {
+		t.Error("empty report rendered figure sections")
+	}
+}
