@@ -64,8 +64,8 @@ type FleetStudyResult struct {
 	// Violations counts inference-bound violations among them.
 	Extracted  int
 	Violations int
-	// Exemplars is the merged tail selection (cloned spans — they
-	// survived the campaign arenas).
+	// Exemplars is the merged tail selection (span trees built only for
+	// the offers the batch samplers kept).
 	Exemplars []obs.Exemplar
 	// HeapWatermark is the engine's peak live heap over the campaign
 	// (0 when the study has no runtime attached).
@@ -74,9 +74,9 @@ type FleetStudyResult struct {
 
 // fleetStudySink folds one batch's records into mergeable accumulators
 // at emission time. Everything it keeps is O(1) per batch: two quantile
-// sketches, counters, and — inside the fold — a span arena plus the
-// batch observer's bounded tail sampler, which clones only retained
-// spans (the record's events and body are pooled and recycled right
+// sketches, counters, and — inside the fold — the batch observer's
+// bounded tail sampler, for which the fold builds only retained span
+// trees (the record's events and body are pooled and recycled right
 // after Consume returns). The fold has no registry: the fleet keeps
 // exemplars and delay sketches, not per-phase families.
 type fleetStudySink struct {
@@ -150,8 +150,6 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 		out.Dynamic.Merge(k.dynamic)
 		out.Extracted += k.extracted
 		out.Violations += k.fold.Violations
-		// The span arena lives in the batch's fold, not in its runner.
-		results[i].ArenaCap = k.fold.ArenaCap()
 		samplers[i] = obsvs[i].Tail
 	}
 	out.Merged = emulator.MergeFleetResults(results...)
@@ -168,18 +166,18 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 // the worker count.
 func (r *FleetStudyResult) WriteFleetCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
-		"row,arrivals,completed,rejected,slots,peak_live,arena_cap,extracted,violations,p50_overall_ms,p90_overall_ms,p99_overall_ms,p50_dynamic_ms,p99_dynamic_ms"); err != nil {
+		"row,arrivals,completed,rejected,slots,peak_live,extracted,violations,p50_overall_ms,p90_overall_ms,p99_overall_ms,p50_dynamic_ms,p99_dynamic_ms"); err != nil {
 		return err
 	}
 	for i, b := range r.Batches {
-		if _, err := fmt.Fprintf(w, "batch%d,%d,%d,%d,%d,%d,%d,,,,,,,\n",
-			i, b.Arrivals, b.Completed, b.Rejected, b.Slots, b.PeakLive, b.ArenaCap); err != nil {
+		if _, err := fmt.Fprintf(w, "batch%d,%d,%d,%d,%d,%d,,,,,,,\n",
+			i, b.Arrivals, b.Completed, b.Rejected, b.Slots, b.PeakLive); err != nil {
 			return err
 		}
 	}
 	m := r.Merged
-	_, err := fmt.Fprintf(w, "total,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-		m.Arrivals, m.Completed, m.Rejected, m.Slots, m.PeakLive, m.ArenaCap,
+	_, err := fmt.Fprintf(w, "total,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+		m.Arrivals, m.Completed, m.Rejected, m.Slots, m.PeakLive,
 		r.Extracted, r.Violations,
 		r.Overall.Quantile(0.5), r.Overall.Quantile(0.9), r.Overall.Quantile(0.99),
 		r.Dynamic.Quantile(0.5), r.Dynamic.Quantile(0.99))

@@ -57,7 +57,7 @@ func TestRunFleetStudySmall(t *testing.T) {
 	}
 	for _, e := range res.Exemplars {
 		if e.Span == nil || e.Span.Name != "query" {
-			t.Fatalf("exemplar span lost to arena recycling: %+v", e.Span)
+			t.Fatalf("exemplar kept without its span tree: %+v", e.Span)
 		}
 	}
 	if !strings.HasPrefix(csv1, "row,arrivals,") || !strings.Contains(csv1, "\ntotal,400,400,") {

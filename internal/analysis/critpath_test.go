@@ -11,10 +11,10 @@ import (
 	"fesplit/internal/vantage"
 )
 
-// TestCritPathConservation runs the fold's span and critical-path steps
-// on emulator output for both calibrated services and asserts, per
-// record: phases
-// partition the root span exactly (the conservation invariant), the
+// TestCritPathConservation runs the fold's query, span and
+// critical-path steps on emulator output for both calibrated services
+// and asserts, per record: phases partition the query's root span
+// exactly (the conservation invariant), the
 // derived fetch estimate respects [Tdelta, Tdynamic], and — validated
 // against Record.TrueFetch ground truth — estimate and truth live in
 // the same jitter-widened inference window, so the estimate can never
@@ -45,7 +45,6 @@ func TestCritPathConservation(t *testing.T) {
 			if boundary <= 0 {
 				t.Fatal("no content boundary derivable")
 			}
-			steps := NewFold(nil, tc.name, tc.name, boundary, nil, tol)
 			attributed := 0
 			for i := range ds.Records {
 				rr := &ds.Records[i]
@@ -53,9 +52,9 @@ func TestCritPathConservation(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				steps.arena.Reset()
-				root := steps.span(rr, sess)
-				a := attribute(root, sess)
+				a := critpath.Attribute(query(rr), *sess)
+				root := span(rr, sess)
+				critpath.Annotate(root, a)
 				attributed++
 				if !a.Conserved() {
 					t.Fatalf("record %d: phase sum %v != total %v", i, a.Sum(), a.Total)
@@ -77,7 +76,7 @@ func TestCritPathConservation(t *testing.T) {
 					}
 				}
 				// The split of the fetch window is bounded by the
-				// annotated FE↔BE RTT and by the window itself.
+				// record's FE↔BE RTT and by the window itself.
 				if a.Phases[critpath.PhaseBERTT] > a.BERTT {
 					t.Fatalf("record %d: be-rtt %v > link RTT %v",
 						i, a.Phases[critpath.PhaseBERTT], a.BERTT)

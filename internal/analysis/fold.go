@@ -12,11 +12,10 @@ import (
 // Fold is the one measuring pass over a finished record. Everything
 // derived from a record's packet trace comes from the one timeline
 // ExtractRecord reads, in this fixed order: the phase sketches, the
-// Section-2 parameters, the causal span tree, the critical-path
-// attribution annotated onto that tree, and only then the tail offer —
-// so retained exemplars always carry the cp:* waterfall. The tree lives
-// in the fold's own arena and is recycled after every record; the
-// sampler clones the few it keeps.
+// Section-2 parameters, the critical-path attribution (read off the
+// record's typed fields), and only then the tail offer. The sampler
+// decides first; the causal span tree, with the cp:* waterfall
+// annotated onto it, is built on the heap only for an offer it keeps.
 //
 // A Fold is also the Measurer of its boundary, so the records it folds
 // can be measured as their connections close. It belongs to one batch:
@@ -29,7 +28,6 @@ type Fold struct {
 	phase, perFE, perNode *obs.SketchVec
 	crit                  *CritObserver // nil without a registry
 	tail                  *obs.TailSampler
-	arena                 obs.SpanArena
 
 	// Attributed counts the records the critical-path pass covered;
 	// Violations those whose FE ground truth falsified
@@ -42,7 +40,7 @@ type Fold struct {
 // phase families labeled by service and the critpath families labeled by
 // label — the queueing scenarios tell their critical paths apart by
 // scenario while sharing one service. ts (nil → nothing offered)
-// receives every located session's span tree with its Tdynamic, flagged
+// receives every located session's Tdynamic and span-tree builder, flagged
 // when the FE's ground-truth fetch time falls outside
 // Tdelta ≤ Tfetch ≤ Tdynamic (paper equation 1) by more than tol. tol
 // absorbs access-link jitter: the client-side bounds come from two
@@ -80,22 +78,21 @@ func (f *Fold) Consume(rr *emulator.Record) (p Params, ok bool) {
 	if violation {
 		f.Violations++
 	}
-	if f.crit == nil && f.tail == nil {
-		return p, true
-	}
-	root := f.span(rr, tl)
+	var a critpath.Attribution
 	if f.crit != nil {
-		f.crit.Observe(attribute(root, tl), rr.TrueFetch)
+		a = critpath.Attribute(query(rr), *tl)
+		f.crit.Observe(a, rr.TrueFetch)
 		f.Attributed++
 	}
-	f.tail.OfferTransient(p.Tdynamic.Seconds(), violation, root)
-	f.arena.Reset()
+	f.tail.Offer(p.Tdynamic.Seconds(), violation, func() *obs.Span {
+		root := span(rr, tl)
+		if f.crit != nil {
+			critpath.Annotate(root, a)
+		}
+		return root
+	})
 	return p, true
 }
-
-// ArenaCap returns the span arena's node capacity — bounded by the
-// largest single tree, whatever the campaign length.
-func (f *Fold) ArenaCap() int { return f.arena.Cap() }
 
 // observePhases feeds the dimensional quantile sketches: every
 // completed record's overall delay (by service, FE and vantage), its DNS
@@ -119,51 +116,67 @@ func (f *Fold) observePhases(rr *emulator.Record, s *critpath.Timeline) {
 	}
 }
 
+// The FE-side fetch span and its attributes, as exported.
+const (
+	fetchSpan   = "fe-fetch"
+	attrBERTT   = "be_rtt_ns"
+	attrBEQueue = "be_queue_ns"
+)
+
+// query reads the critical-path cut points off the record, under the
+// same conditions span draws them: the DNS end only when resolution
+// cost time, the FE side only when the FE's fetch ended (otherwise the
+// arrival is inferred), the BE RTT only when the BE is known.
+func query(rr *emulator.Record) critpath.Query {
+	q := critpath.Query{Start: rr.IssuedAt - rr.DNSTime, End: rr.DoneAt, FEArrival: -1}
+	if rr.DNSTime > 0 {
+		q.DNSEnd = rr.IssuedAt
+	}
+	if fr := rr.Fetch; fr.FetchDone > 0 {
+		q.FEArrival, q.BEQueue = fr.Arrived, fr.QueueWait
+		if fr.BE != "" {
+			q.BERTT = rr.BERTT
+		}
+	}
+	return q
+}
+
 // span builds the paper's Figure-2 causal phases of one query as a span
-// tree in the fold's arena: client-side phases from the session's
-// timeline, plus the FE's ground truth the emulator joined onto the
-// record (static flush, FE↔BE fetch; absent when the join failed) on a
-// second track.
-func (f *Fold) span(rr *emulator.Record, s *critpath.Timeline) *obs.Span {
-	a := &f.arena
+// tree: client-side phases from the session's timeline, plus the FE's
+// ground truth the emulator joined onto the record (static flush,
+// FE↔BE fetch; absent when the join failed) on a second track.
+func span(rr *emulator.Record, s *critpath.Timeline) *obs.Span {
 	start := rr.IssuedAt - rr.DNSTime
-	root := a.NewSpan("query", "client", obs.ConnKey(rr.Key), start, rr.DoneAt)
+	// Sized for the whole tree below (Annotate adds one attribute and
+	// grows the children once for its segments), so no slice regrows.
+	root := &obs.Span{Name: "query", Track: "client", Key: obs.ConnKey(rr.Key), Start: start, End: rr.DoneAt,
+		Attrs: make([]obs.Attr, 0, 4), Children: make([]*obs.Span, 0, 6)}
 	root.SetAttr("node", string(rr.Node))
 	root.SetAttr("fe", string(rr.FE))
 	root.SetAttr("keywords", rr.Query.Keywords)
 	if rr.DNSTime > 0 {
-		a.Child(root, "dns-resolve", start, rr.IssuedAt)
+		root.Child("dns-resolve", start, rr.IssuedAt)
 	}
-	a.Child(root, "tcp-handshake", s.TB, s.TB+s.RTT)
-	a.Child(root, "get-request", s.T1, s.T3)
-	a.Child(root, "delivery", s.T3, s.TE)
+	root.Child("tcp-handshake", s.TB, s.TB+s.RTT)
+	root.Child("get-request", s.T1, s.T3)
+	root.Child("delivery", s.T3, s.TE)
 	fr := rr.Fetch
 	if fr.StaticAt > 0 {
-		c := a.Child(root, "fe-static-flush", fr.Arrived, fr.StaticAt)
+		c := root.Child("fe-static-flush", fr.Arrived, fr.StaticAt)
 		c.Track = "frontend"
 	}
 	if fr.FetchDone > 0 {
-		c := a.Child(root, critpath.FetchSpan, fr.Arrived, fr.FetchDone)
+		c := root.Child(fetchSpan, fr.Arrived, fr.FetchDone)
 		c.Track = "frontend"
 		if fr.BE != "" {
 			c.SetAttr("be", string(fr.BE))
-			c.SetAttr(critpath.AttrBERTT, strconv.FormatInt(int64(rr.BERTT), 10))
+			c.SetAttr(attrBERTT, strconv.FormatInt(int64(rr.BERTT), 10))
 		}
 		if fr.QueueWait > 0 {
 			// BE-reported cluster queueing inside the fetch window,
 			// powering the be-queue critical-path phase.
-			c.SetAttr(critpath.AttrBEQueue, strconv.FormatInt(int64(fr.QueueWait), 10))
+			c.SetAttr(attrBEQueue, strconv.FormatInt(int64(fr.QueueWait), 10))
 		}
 	}
 	return root
-}
-
-// attribute computes the exclusive critical-path attribution of a span
-// tree from its located session's timeline and annotates it onto the
-// tree (cp:* child spans + fetch-estimate attr), so exporters and tail
-// exemplars carry the waterfall.
-func attribute(root *obs.Span, tl *critpath.Timeline) critpath.Attribution {
-	a := critpath.Attribute(root, *tl)
-	critpath.Annotate(root, a)
-	return a
 }

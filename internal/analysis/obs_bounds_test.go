@@ -62,8 +62,7 @@ func TestPerRecordFetchBounds(t *testing.T) {
 					continue
 				}
 				_, tl, _ := steps.ExtractRecord(rec)
-				steps.arena.Reset()
-				fetch := steps.span(rec, tl).Find("fe-fetch")
+				fetch := find(span(rec, tl), fetchSpan)
 				if fetch == nil {
 					t.Fatalf("record %d: span tree missing fe-fetch", i)
 				}

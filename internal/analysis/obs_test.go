@@ -130,7 +130,7 @@ func TestFoldRetainsTailAndViolations(t *testing.T) {
 		} else if e.Value < o.TailSampler().Threshold() {
 			t.Errorf("non-violation exemplar %v below threshold %v", e.Value, o.TailSampler().Threshold())
 		}
-		if e.Span == nil || e.Span.Find("fe-fetch") == nil {
+		if e.Span == nil || find(e.Span, fetchSpan) == nil {
 			t.Error("retained exemplar lacks a full span tree with FE ground truth")
 		}
 	}

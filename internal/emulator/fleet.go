@@ -82,10 +82,9 @@ type FleetResult struct {
 	// truth to the world's live-query table). The field stays for
 	// readers of earlier summaries.
 	PeakFELog int
-	// ArenaCap is the final node capacity of the span arena the
-	// campaign's sink assembled span trees in. The sink owns that arena
-	// (see analysis.Fold), so its owner fills this in; the runner leaves
-	// it zero.
+	// ArenaCap is always 0: span trees are built only for retained
+	// exemplars, in no arena. The field stays for readers of earlier
+	// summaries.
 	ArenaCap int
 }
 
@@ -333,9 +332,6 @@ func MergeFleetResults(rs ...*FleetResult) FleetResult {
 		out.Slots += r.Slots
 		if r.PeakLive > out.PeakLive {
 			out.PeakLive = r.PeakLive
-		}
-		if r.ArenaCap > out.ArenaCap {
-			out.ArenaCap = r.ArenaCap
 		}
 	}
 	return out

@@ -1,15 +1,16 @@
 // Package critpath attributes every sim-nanosecond of a query's
 // end-to-end time to exactly one phase of the split-TCP critical path.
 //
-// The attribution walks a query's span tree (as assembled by
-// internal/emulator) together with the paper's timeline cut points
-// (trace.Session) and partitions the root span [Start, End] into an
-// ordered sequence of exclusive segments: DNS resolution, TCP
+// The attribution reads a query's typed cut points (a Query: its span
+// of time, DNS end, FE arrival and the FE↔BE link and queue figures
+// the emulator joined onto the record) together with the paper's
+// timeline cut points (trace.Session) and partitions [Start, End] into
+// an ordered sequence of exclusive segments: DNS resolution, TCP
 // handshake, request upload, FE processing + static flush, static
 // delivery, the FE↔BE fetch window split into backbone RTT propagation
 // vs BE processing, dynamic delivery, and residual gaps. Segments are
 // produced by telescoping a cursor across clamped cut points, so the
-// conservation invariant — phases sum exactly to the span's end-to-end
+// conservation invariant — phases sum exactly to the query's end-to-end
 // duration, in integer nanoseconds — holds by construction for any
 // input, including degenerate or out-of-order timelines.
 //
@@ -20,6 +21,7 @@
 package critpath
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -47,16 +49,15 @@ const (
 	PhaseBERTT
 	// PhaseBEQueue is the cluster-queueing share of the fetch window:
 	// the time the query waited for a BE replica, as reported by the
-	// queue model through the be_queue_ns annotation (empty without
-	// the queue model or at zero load).
+	// queue model (empty without the queue model or at zero load).
 	PhaseBEQueue
 	// PhaseBEProc is the remainder of the fetch window: BE processing.
 	PhaseBEProc
 	// PhaseDynamicDelivery is dynamic-chunk delivery, T5→TE.
 	PhaseDynamicDelivery
 	// PhaseResidual absorbs every gap the cut points leave uncovered
-	// (e.g. connection teardown after TE, clock skew between the DNS
-	// child span and the SYN). Conservation forces it to exist.
+	// (e.g. connection teardown after TE, clock skew between DNS end
+	// and the SYN). Conservation forces it to exist.
 	PhaseResidual
 
 	// NumPhases is the number of exclusive phases.
@@ -86,22 +87,38 @@ type Timeline struct {
 	RTT                        time.Duration
 }
 
-// Segment is one attributed interval of the root span.
+// Query is one query's own cut points, read off its record: Start is
+// DNS start (IssuedAt − DNSTime), End its completion. DNSEnd is where
+// resolution ended (at or before Start: no DNS phase). FEArrival is the
+// request's arrival at the FE as the FE reported it, or negative to
+// infer it from the timeline. BERTT (the FE↔BE base RTT) and BEQueue
+// (the BE cluster queue wait) split the fetch window; zero leaves the
+// share empty.
+type Query struct {
+	Start, End, DNSEnd time.Duration
+	FEArrival          time.Duration
+	BERTT, BEQueue     time.Duration
+}
+
+// Segment is one attributed interval of the query.
 type Segment struct {
 	Phase      Phase
 	Start, End time.Duration
 }
 
-// Attribution is the exclusive partition of one query's root span.
+// maxSegments bounds the walk: Attribute takes at most this many steps.
+const maxSegments = 12
+
+// Attribution is the exclusive partition of one query's [Start, End].
 type Attribution struct {
 	// Phases holds the total time attributed to each phase, indexed by
 	// Phase. Sum(Phases) == Total exactly, in integer nanoseconds.
 	Phases [NumPhases]time.Duration
-	// Segments is the ordered, contiguous partition of [root.Start,
-	// root.End] the phase totals were folded from (zero-length segments
-	// are omitted).
-	Segments []Segment
-	// Total is the root span's end-to-end duration (DNS start → done).
+	// segs[:nsegs] is the ordered, contiguous partition the phase totals
+	// were folded from (see Segments).
+	segs  [maxSegments]Segment
+	nsegs int
+	// Total is the query's end-to-end duration (DNS start → done).
 	Total time.Duration
 	// Tdelta and Tdynamic are the paper's inference bounds for the
 	// FE↔BE fetch (T5−T4 and T5−T2).
@@ -110,17 +127,21 @@ type Attribution struct {
 	// into [Tdelta, Tdynamic].
 	FetchEstimate time.Duration
 	// BERTT is the FE↔BE base RTT used to split the fetch window
-	// (zero when the span carried no be_rtt_ns annotation).
+	// (zero when the query carried none).
 	BERTT time.Duration
 	// BEQueue is the BE-reported cluster queue wait inside the fetch
-	// window (zero without a be_queue_ns annotation).
+	// window (zero when the query carried none).
 	BEQueue time.Duration
-	// FEArrival is the request's arrival time at the FE. When no
-	// fe-fetch server span was available it is inferred from the
-	// client-side timeline (ArrivalInferred true).
+	// FEArrival is the request's arrival time at the FE. When the query
+	// carried none it is inferred from the client-side timeline
+	// (ArrivalInferred true).
 	FEArrival       time.Duration
 	ArrivalInferred bool
 }
+
+// Segments returns the ordered, contiguous partition of [Start, End]
+// (zero-length segments are omitted).
+func (a *Attribution) Segments() []Segment { return a.segs[:a.nsegs] }
 
 // Sum returns the total time across all phases.
 func (a Attribution) Sum() time.Duration {
@@ -132,56 +153,35 @@ func (a Attribution) Sum() time.Duration {
 }
 
 // Conserved reports the conservation invariant: phases sum exactly to
-// the root span's end-to-end duration. Attribute guarantees it by
+// the query's end-to-end duration. Attribute guarantees it by
 // construction; observers count violations anyway as a self-check.
 func (a Attribution) Conserved() bool { return a.Sum() == a.Total }
 
-// FetchSpan is the span name the emulator gives the FE-side fetch
-// interval; AttrBERTT is the attribute carrying the FE↔BE base RTT in
-// integer nanoseconds.
 const (
-	FetchSpan = "fe-fetch"
-	AttrBERTT = "be_rtt_ns"
-	// AttrBEQueue carries the BE cluster queue wait (integer
-	// nanoseconds) the queue model reported for this query.
-	AttrBEQueue = "be_queue_ns"
-
-	// attrFetchEst marks an annotated root span (idempotence guard) and
-	// carries the fetch estimate for exporters.
+	// attrFetchEst carries the fetch estimate on an annotated root span
+	// for exporters.
 	attrFetchEst = "cp_fetch_est_ns"
 	// AnnotationTrack is the display track of the generated cp:* spans.
 	AnnotationTrack = "critpath"
 )
 
-// Attribute partitions the root span's [Start, End] into exclusive
-// phase segments using the session cut points. It never fails: cut
-// points outside the span (or out of order) are clamped, and anything
-// left uncovered lands in PhaseResidual, so Conserved() always holds.
-func Attribute(root *obs.Span, tl Timeline) Attribution {
+// Attribute partitions the query's [Start, End] into exclusive phase
+// segments using the session cut points. It never fails: cut points
+// outside the query (or out of order) are clamped, and anything left
+// uncovered lands in PhaseResidual, so Conserved() always holds.
+func Attribute(q Query, tl Timeline) Attribution {
 	a := Attribution{
-		Total:    root.End - root.Start,
+		Total:    q.End - q.Start,
 		Tdelta:   tl.T5 - tl.T4,
 		Tdynamic: tl.T5 - tl.T2,
+		BERTT:    max(q.BERTT, 0),
+		BEQueue:  max(q.BEQueue, 0),
 	}
 	if a.Total < 0 {
 		a.Total = 0
 	}
 
-	// FE-side ground-truth interval, if the emulator matched one.
-	feArr := time.Duration(-1)
-	if fe := root.Find(FetchSpan); fe != nil {
-		feArr = fe.Start
-		if v, ok := attr(fe, AttrBERTT); ok {
-			if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
-				a.BERTT = time.Duration(ns)
-			}
-		}
-		if v, ok := attr(fe, AttrBEQueue); ok {
-			if ns, err := strconv.ParseInt(v, 10, 64); err == nil && ns > 0 {
-				a.BEQueue = time.Duration(ns)
-			}
-		}
-	}
+	feArr := q.FEArrival
 	if feArr < 0 {
 		// Client-side inference: T2 is the ACK of the GET, one forward
 		// trip after the request reached the FE — so the FE saw it
@@ -201,25 +201,22 @@ func Attribute(root *obs.Span, tl Timeline) Attribution {
 
 	// Telescope a cursor across the cut points. take clamps each cut
 	// into [cursor, End] so phases are non-negative and exclusive; the
-	// final residual take closes the partition exactly at root.End.
-	cur := root.Start
+	// final residual take closes the partition exactly at End.
+	cur := q.Start
 	take := func(p Phase, until time.Duration) {
-		if until > root.End {
-			until = root.End
+		if until > q.End {
+			until = q.End
 		}
 		if until <= cur {
 			return
 		}
 		a.Phases[p] += until - cur
-		a.Segments = append(a.Segments, Segment{Phase: p, Start: cur, End: until})
+		a.segs[a.nsegs] = Segment{Phase: p, Start: cur, End: until}
+		a.nsegs++
 		cur = until
 	}
 
-	// DNS runs from span start to the dns-resolve child's end (the
-	// span starts at IssuedAt−DNSTime); without one it is empty.
-	if dns := root.Find("dns-resolve"); dns != nil {
-		take(PhaseDNS, dns.End)
-	}
+	take(PhaseDNS, q.DNSEnd)   // empty without a resolution
 	take(PhaseResidual, tl.TB) // think time / skew before the SYN
 	take(PhaseHandshake, tl.TB+tl.RTT)
 	take(PhaseResidual, tl.T1)
@@ -228,8 +225,8 @@ func Attribute(root *obs.Span, tl Timeline) Attribution {
 	take(PhaseStaticDelivery, tl.T4)
 	// Fetch window [T4, T5]: propagation first (bounded by the FE↔BE
 	// base RTT), then the BE-reported cluster queue wait, the rest is
-	// BE processing. Without a be_rtt_ns annotation the whole window is
-	// BE processing; without be_queue_ns the queue share is empty.
+	// BE processing. Without a BE RTT the whole window is BE
+	// processing; without a queue wait the queue share is empty.
 	if a.BERTT > 0 {
 		take(PhaseBERTT, min(tl.T4+a.BERTT, tl.T5))
 	}
@@ -238,35 +235,21 @@ func Attribute(root *obs.Span, tl Timeline) Attribution {
 	}
 	take(PhaseBEProc, tl.T5)
 	take(PhaseDynamicDelivery, tl.TE)
-	take(PhaseResidual, root.End) // teardown / trailing gap
+	take(PhaseResidual, q.End) // teardown / trailing gap
 
 	return a
 }
 
-// Annotate appends the attribution to the span tree for export: one
-// cp:<phase> child per segment on the "critpath" track, plus the fetch
-// estimate as a root attribute. Calling it twice is a no-op.
+// Annotate appends the attribution to a query's span tree for export:
+// one cp:<phase> child per segment on the "critpath" track, plus the
+// fetch estimate as a root attribute.
 func Annotate(root *obs.Span, a Attribution) {
-	if root == nil {
-		return
-	}
-	if _, ok := attr(root, attrFetchEst); ok {
-		return
-	}
 	root.SetAttr(attrFetchEst, strconv.FormatInt(int64(a.FetchEstimate), 10))
-	for _, seg := range a.Segments {
+	root.Children = slices.Grow(root.Children, a.nsegs)
+	for _, seg := range a.Segments() {
 		c := root.Child("cp:"+seg.Phase.String(), seg.Start, seg.End)
 		c.Track = AnnotationTrack
 	}
-}
-
-func attr(s *obs.Span, key string) (string, bool) {
-	for _, at := range s.Attrs {
-		if at.K == key {
-			return at.V, true
-		}
-	}
-	return "", false
 }
 
 func clamp(v, lo, hi time.Duration) time.Duration {

@@ -45,55 +45,45 @@ func randTimeline(rng *rand.Rand) (Timeline, time.Duration, time.Duration) {
 	return tl, dns, end
 }
 
-// buildSpan mimics the emulator's assembleSpan for a timeline.
-func buildSpan(rng *rand.Rand, tl Timeline, dns, end time.Duration) *Span {
-	root := &Span{Name: "query", Track: "client", Start: 0, End: end}
+// buildQuery mimics the fold's query for a timeline: the DNS end when
+// resolution cost time, and for most records the FE's arrival with, at
+// random, a BE RTT and a queue wait.
+func buildQuery(rng *rand.Rand, tl Timeline, dns, end time.Duration) Query {
+	q := Query{Start: 0, End: end, FEArrival: -1}
 	if dns > 0 {
-		root.Child("dns-resolve", 0, dns)
+		q.DNSEnd = dns
 	}
-	root.Child("tcp-handshake", tl.TB, tl.TB+tl.RTT)
-	root.Child("get-request", tl.T1, tl.T3)
-	root.Child("delivery", tl.T3, tl.TE)
-	if rng.Intn(4) != 0 { // most records have a matched FE-side span
-		arr := tl.T2 - tl.RTT/2
-		if arr < tl.T1 {
-			arr = tl.T1
-		}
-		fe := root.Child(FetchSpan, arr, tl.T5-tl.RTT/2)
-		fe.Track = "frontend"
+	if rng.Intn(4) != 0 { // most records have a matched FE-side fetch
+		q.FEArrival = max(tl.T2-tl.RTT/2, tl.T1)
 		if rng.Intn(3) != 0 {
-			beRTT := time.Duration(rng.Intn(40)+1) * time.Millisecond
-			fe.SetAttr(AttrBERTT, strconv.FormatInt(int64(beRTT), 10))
+			q.BERTT = time.Duration(rng.Intn(40)+1) * time.Millisecond
 		}
 		if rng.Intn(3) == 0 {
-			wait := time.Duration(rng.Intn(150)+1) * time.Millisecond
-			fe.SetAttr(AttrBEQueue, strconv.FormatInt(int64(wait), 10))
+			q.BEQueue = time.Duration(rng.Intn(150)+1) * time.Millisecond
 		}
 	}
-	return root
+	return q
 }
 
-type Span = obs.Span
-
 // TestAttributeConservation is the core property test: for random
-// (including degenerate) timelines, phases partition the root span
+// (including degenerate) timelines, phases partition the query
 // exactly, segments are contiguous, and the fetch estimate respects
 // the paper's [Tdelta, Tdynamic] inference bounds.
 func TestAttributeConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		tl, dns, end := randTimeline(rng)
-		root := buildSpan(rng, tl, dns, end)
-		a := Attribute(root, tl)
+		q := buildQuery(rng, tl, dns, end)
+		a := Attribute(q, tl)
 
 		if !a.Conserved() {
 			t.Fatalf("case %d: phases sum %v != total %v (tl=%+v)", i, a.Sum(), a.Total, tl)
 		}
-		if a.Total != root.End-root.Start {
-			t.Fatalf("case %d: total %v != span dur %v", i, a.Total, root.Dur())
+		if a.Total != q.End-q.Start {
+			t.Fatalf("case %d: total %v != query dur %v", i, a.Total, q.End-q.Start)
 		}
-		cur := root.Start
-		for j, seg := range a.Segments {
+		cur := q.Start
+		for j, seg := range a.Segments() {
 			if seg.Start != cur {
 				t.Fatalf("case %d: segment %d starts at %v, want %v (gap)", i, j, seg.Start, cur)
 			}
@@ -102,8 +92,8 @@ func TestAttributeConservation(t *testing.T) {
 			}
 			cur = seg.End
 		}
-		if len(a.Segments) > 0 && cur != root.End {
-			t.Fatalf("case %d: segments end at %v, want %v", i, cur, root.End)
+		if len(a.Segments()) > 0 && cur != q.End {
+			t.Fatalf("case %d: segments end at %v, want %v", i, cur, q.End)
 		}
 		for ph, d := range a.Phases {
 			if d < 0 {
@@ -120,21 +110,20 @@ func TestAttributeConservation(t *testing.T) {
 					i, a.FetchEstimate, a.Tdelta, a.Tdynamic)
 			}
 		}
-		// The fetch window split never exceeds the annotated BE RTT.
+		// The fetch window split never exceeds the query's BE RTT.
 		if a.BERTT > 0 && a.Phases[PhaseBERTT] > a.BERTT {
 			t.Fatalf("case %d: be-rtt phase %v > BE RTT %v", i, a.Phases[PhaseBERTT], a.BERTT)
 		}
-		// Likewise the queue share never exceeds the annotated wait,
-		// and it exists only with an annotation.
+		// Likewise the queue share never exceeds the query's wait, and
+		// it exists only with one.
 		if a.Phases[PhaseBEQueue] > a.BEQueue {
-			t.Fatalf("case %d: be-queue phase %v > annotated wait %v",
+			t.Fatalf("case %d: be-queue phase %v > queue wait %v",
 				i, a.Phases[PhaseBEQueue], a.BEQueue)
 		}
 	}
 }
 
-// TestBEQueueSplit pins the fetch-window split with a queue-wait
-// annotation: [T4, T5] telescopes into be-rtt, then be-queue, then
+// TestBEQueueSplit pins the fetch-window split with a queue wait: [T4, T5] telescopes into be-rtt, then be-queue, then
 // be-proc, each clamped to the window.
 func TestBEQueueSplit(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -142,16 +131,8 @@ func TestBEQueueSplit(t *testing.T) {
 		TB: ms(10), T1: ms(50), T2: ms(70), T3: ms(75),
 		T4: ms(90), T5: ms(290), TE: ms(300), RTT: ms(40),
 	}
-	build := func(beRTT, wait time.Duration) *Span {
-		root := &Span{Name: "query", Start: 0, End: ms(305)}
-		fe := root.Child(FetchSpan, ms(50), ms(270))
-		if beRTT > 0 {
-			fe.SetAttr(AttrBERTT, strconv.FormatInt(int64(beRTT), 10))
-		}
-		if wait > 0 {
-			fe.SetAttr(AttrBEQueue, strconv.FormatInt(int64(wait), 10))
-		}
-		return root
+	build := func(beRTT, wait time.Duration) Query {
+		return Query{Start: 0, End: ms(305), FEArrival: ms(50), BERTT: beRTT, BEQueue: wait}
 	}
 
 	// Fetch window is [90, 290] = 200 ms: 30 ms RTT + 120 ms queue
@@ -169,11 +150,11 @@ func TestBEQueueSplit(t *testing.T) {
 			a.Phases[PhaseBERTT], a.Phases[PhaseBEQueue], a.Phases[PhaseBEProc])
 	}
 
-	// Without the annotation the queue share is empty and the window
+	// Without a queue wait the queue share is empty and the window
 	// is rtt + proc, exactly as before the queue model existed.
 	a = Attribute(build(ms(30), 0), tl)
 	if a.Phases[PhaseBEQueue] != 0 {
-		t.Fatalf("be-queue = %v without annotation", a.Phases[PhaseBEQueue])
+		t.Fatalf("be-queue = %v without a queue wait", a.Phases[PhaseBEQueue])
 	}
 	if a.Phases[PhaseBERTT] != ms(30) || a.Phases[PhaseBEProc] != ms(170) {
 		t.Fatalf("split = rtt %v / proc %v, want 30/170 ms",
@@ -198,22 +179,19 @@ func TestAttributeWellFormedTimeline(t *testing.T) {
 		TB: ms(10), T1: ms(50), T2: ms(70), T3: ms(75),
 		T4: ms(90), T5: ms(170), TE: ms(180), RTT: ms(40),
 	}
-	root := &Span{Name: "query", Start: 0, End: ms(185)}
-	root.Child("dns-resolve", 0, ms(10))
-	fe := root.Child(FetchSpan, ms(70), ms(170))
-	fe.SetAttr(AttrBERTT, strconv.FormatInt(int64(ms(30)), 10))
+	q := Query{Start: 0, End: ms(185), DNSEnd: ms(10), FEArrival: ms(70), BERTT: ms(30)}
 
-	a := Attribute(root, tl)
+	a := Attribute(q, tl)
 	want := map[Phase]time.Duration{
 		PhaseDNS:             ms(10),
 		PhaseHandshake:       ms(40),
-		PhaseRequest:         ms(20), // T1 → FE arrival (fe span start 70)
+		PhaseRequest:         ms(20), // T1 → FE arrival (70)
 		PhaseFEStatic:        ms(5),  // FE arrival → T3
 		PhaseStaticDelivery:  ms(15),
 		PhaseBERTT:           ms(30),
 		PhaseBEProc:          ms(50),
 		PhaseDynamicDelivery: ms(10),
-		PhaseResidual:        ms(5), // TE → span end
+		PhaseResidual:        ms(5), // TE → query end
 	}
 	for ph, w := range want {
 		if a.Phases[ph] != w {
@@ -224,7 +202,7 @@ func TestAttributeWellFormedTimeline(t *testing.T) {
 		t.Fatalf("sum %v != total %v", a.Sum(), a.Total)
 	}
 	if a.ArrivalInferred {
-		t.Fatal("arrival inferred despite fe-fetch span")
+		t.Fatal("arrival inferred despite a reported FE arrival")
 	}
 	// Estimate: T5 − feArr − RTT/2 = 170 − 70 − 20 = 80ms; bounds
 	// [Tdelta, Tdynamic] = [80, 100] — inside, no clamping.
@@ -233,26 +211,34 @@ func TestAttributeWellFormedTimeline(t *testing.T) {
 	}
 }
 
-func TestAnnotateIdempotent(t *testing.T) {
+// TestAnnotateTilesQuery: the cp:* children Annotate hangs on a root
+// are the attribution's segments, on the critpath track, tiling the
+// root exactly, and the root carries the fetch estimate.
+func TestAnnotateTilesQuery(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	tl := Timeline{TB: 0, T1: ms(10), T2: ms(15), T3: ms(16), T4: ms(20), T5: ms(60), TE: ms(65), RTT: ms(10)}
-	root := &Span{Name: "query", Start: 0, End: ms(65)}
-	a := Attribute(root, tl)
+	root := &obs.Span{Name: "query", Start: 0, End: ms(65)}
+	a := Attribute(Query{Start: root.Start, End: root.End, FEArrival: -1}, tl)
 	Annotate(root, a)
-	n := len(root.Children)
-	if n != len(a.Segments) {
-		t.Fatalf("annotated %d children, want %d segments", n, len(a.Segments))
+	if n := len(root.Children); n == 0 || n != len(a.Segments()) {
+		t.Fatalf("annotated %d children, want %d segments", n, len(a.Segments()))
 	}
-	if _, ok := attr(root, attrFetchEst); !ok {
-		t.Fatal("root missing fetch-estimate attr")
-	}
-	Annotate(root, a) // second call must not duplicate
-	if len(root.Children) != n {
-		t.Fatalf("re-annotation grew children %d → %d", n, len(root.Children))
-	}
-	for _, c := range root.Children {
-		if c.Track != AnnotationTrack {
-			t.Fatalf("cp child %q on track %q", c.Name, c.Track)
+	cur := root.Start
+	for i, c := range root.Children {
+		seg := a.Segments()[i]
+		if c.Track != AnnotationTrack || c.Name != "cp:"+seg.Phase.String() {
+			t.Fatalf("cp child %q on track %q, want %q on %q", c.Name, c.Track, "cp:"+seg.Phase.String(), AnnotationTrack)
 		}
+		if c.Start != cur || c.End != seg.End {
+			t.Fatalf("cp child %q covers [%v, %v], want [%v, %v]", c.Name, c.Start, c.End, cur, seg.End)
+		}
+		cur = c.End
+	}
+	if cur != root.End {
+		t.Fatalf("cp children end at %v, want %v", cur, root.End)
+	}
+	want := obs.Attr{K: attrFetchEst, V: strconv.FormatInt(int64(a.FetchEstimate), 10)}
+	if len(root.Attrs) != 1 || root.Attrs[0] != want {
+		t.Fatalf("root attrs %v, want [%v]", root.Attrs, want)
 	}
 }

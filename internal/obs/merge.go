@@ -102,11 +102,11 @@ func MergeTailSamplers(ss ...*TailSampler) *TailSampler {
 		base := out.offered
 		for _, c := range s.viols {
 			c.Seq += base
-			out.absorb(c, false)
+			out.absorb(c, nil)
 		}
 		for _, c := range s.cands {
 			c.Seq += base
-			out.absorb(c, false)
+			out.absorb(c, nil)
 		}
 		out.offered = base + s.offered
 	}

@@ -123,7 +123,7 @@ func TestMergeTailSamplersEqualsSingle(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			// Values 1..n with a violation sprinkled in; exactly
 			// representable so shard split cannot perturb the sketch.
-			t.OfferTransient(float64(i+1), i%37 == 0, mkSpan(i))
+			t.Offer(float64(i+1), i%37 == 0, func() *Span { return mkSpan(i) })
 		}
 	}
 	const n = 111
@@ -160,7 +160,7 @@ func TestMergeTailSamplersNilAndEmpty(t *testing.T) {
 		t.Fatal("all-nil merge should yield an empty sampler")
 	}
 	real := NewTailSampler(TailConfig{Percentile: 0.5})
-	real.OfferTransient(1, false, &Span{Name: "q"})
+	real.Offer(1, false, func() *Span { return &Span{Name: "q"} })
 	merged := MergeTailSamplers(nil, real)
 	if merged.Offered() != 1 {
 		t.Fatalf("offered %d, want 1", merged.Offered())

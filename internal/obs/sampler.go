@@ -90,38 +90,36 @@ func (t *TailSampler) Config() TailConfig {
 	return t.cfg
 }
 
-// OfferTransient presents one completed query: its selection value
-// (seconds), whether it violated the inference bound, and its span
-// tree. Nil samplers and nil spans are ignored. The tree may be owned
-// by a SpanArena and about to be recycled: the sampler first decides
-// whether the exemplar would be retained at all — most are not — and
-// deep-copies the tree via Span.Clone only on retention, so the caller
-// may Reset the arena as soon as OfferTransient returns.
-func (t *TailSampler) OfferTransient(value float64, violation bool, span *Span) {
-	if t == nil || span == nil {
+// Offer presents one completed query: its selection value (seconds)
+// and whether it violated the inference bound. The sampler decides
+// first whether the exemplar would be retained at all — most are not —
+// and calls build for its span tree only on retention, so a rejected
+// offer builds nothing. Nil samplers and nil builds are ignored.
+func (t *TailSampler) Offer(value float64, violation bool, build func() *Span) {
+	if t == nil || build == nil {
 		return
 	}
 	t.sketch.Add(value)
-	t.absorb(Exemplar{Value: value, Violation: violation, Span: span, Seq: t.offered}, true)
+	t.absorb(Exemplar{Value: value, Violation: violation, Seq: t.offered}, build)
 	t.offered++
 }
 
 // absorb puts an exemplar into the pool — violations always, others
 // while the pool has room or by evicting its current worst when they
-// beat it — cloning the span first when clone is set. A rejected span is
-// never cloned: the bounded pool saves both the copy and the retention.
-// MergeTailSamplers calls it directly with spans the shards already
-// own: no sketch add (shard sketches merge wholesale) and no offered
-// bump (the merger rebases counts per shard).
-func (t *TailSampler) absorb(ex Exemplar, clone bool) {
+// beat it — taking its span from build when build is set. A rejected
+// exemplar never builds: the bounded pool saves both the tree and the
+// retention. MergeTailSamplers calls it directly with spans the shards
+// already own (nil build): no sketch add (shard sketches merge
+// wholesale) and no offered bump (the merger rebases counts per shard).
+func (t *TailSampler) absorb(ex Exemplar, build func() *Span) {
 	t.done = false // the threshold moves with every offer, kept or not
 	t.selected = nil
 	full := len(t.cands) >= t.cfg.MaxExemplars
 	if !ex.Violation && full && !worseExemplar(t.cands[0], ex) {
 		return
 	}
-	if clone {
-		ex.Span = ex.Span.Clone()
+	if build != nil {
+		ex.Span = build()
 	}
 	switch {
 	case ex.Violation:

@@ -59,23 +59,6 @@ func (s *Span) Child(name string, start, end time.Duration) *Span {
 // SetAttr appends one annotation.
 func (s *Span) SetAttr(k, v string) { s.Attrs = append(s.Attrs, Attr{K: k, V: v}) }
 
-// Find returns the first descendant (depth-first, self included) with
-// the given name, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.Name == name {
-		return s
-	}
-	for _, c := range s.Children {
-		if m := c.Find(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // Tracer is the export container for finished span trees, one root per
 // query, in Add order (TailSampler.Spans fills one with the selected
 // exemplars for the JSONL exporter).
@@ -142,9 +125,9 @@ func (t *Tracer) Walk(fn func(s *Span, depth int)) {
 // *Observer disables everything it would wire: all fields' methods are
 // nil-safe, so instrumentation reads naturally at call sites.
 //
-// Reg collects metrics. Tail, when set, makes the emulator log and join
-// the FE's ground truth and makes analysis.Fold assemble a span tree
-// per query, of which the sampler retains the tail/violation exemplars.
+// Reg collects metrics. Tail, when set, receives analysis.Fold's tail
+// offers and retains the tail/violation exemplars; a span tree is built
+// only for an offer it keeps.
 type Observer struct {
 	Reg  *Registry
 	Tail *TailSampler

@@ -67,7 +67,7 @@ func sampleObs() (*MetricsRegistry, []Exemplar) {
 		root.Child("handshake", root.Start, root.Start+40*time.Millisecond)
 		fe := root.Child("fe-fetch", root.Start+50*time.Millisecond, root.Start+180*time.Millisecond)
 		fe.Track = "frontend"
-		ts.OfferTransient(0.1+float64(i)*0.01, i == 3, root)
+		ts.Offer(0.1+float64(i)*0.01, i == 3, func() *obs.Span { return root })
 	}
 	return reg, ts.Select()
 }
