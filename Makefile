@@ -92,7 +92,8 @@ lossy-check:
 
 # Short fuzz pass over the observability codecs (label escaping, the
 # metrics JSONL round trip over all three instrument kinds, arbitrary
-# bytes into the JSONL reader), the trace
+# bytes into the JSONL reader, the exporters' JSON string encoder
+# against encoding/json), the trace
 # file codec (arbitrary bytes into Decode; built traces through Encode
 # and back), the recorder (tap sequences against its own trace, session
 # split and codec), the session parser above it (whatever Decode accepts into
@@ -113,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusLabelEscape -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzMetricsJSONLRoundTrip -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzReadMetricsJSONL -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONString$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzLaneRings -fuzztime 10s ./internal/tcpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestParser$$' -fuzztime 10s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzResponseParser$$' -fuzztime 10s ./internal/httpsim

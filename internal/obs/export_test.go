@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,12 @@ var rejectRows = []struct{ name, in, want string }{
 		`line 2: counter "a" overflows`},
 	{"repeated bucket", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[1,1],"bucket_n":[3,4]}`,
 		"bucket indices not ascending"},
+	// The dense sketch store costs 8 B per index of the span: one line
+	// must not make the reader allocate gigabytes.
+	{"bucket index beyond alpha's range", `{"name":"a","kind":"summary","alpha":0.01,"bucket_idx":[-300000000,300000000],"bucket_n":[1,1]}`,
+		"bucket index -300000000 outside"},
+	{"bucket span over the cap", `{"name":"a","kind":"summary","alpha":1e-12,"bucket_idx":[-300000000,300000000],"bucket_n":[1,1]}`,
+		"span more than 65536"},
 }
 
 func TestReadMetricsJSONLRejects(t *testing.T) {
@@ -182,6 +189,27 @@ func TestReadMetricsJSONLRejects(t *testing.T) {
 		}
 		if reg != nil {
 			t.Errorf("%s: a rejected dump still returned a registry", tc.name)
+		}
+	}
+}
+
+// TestReadMetricsJSONLWideSpanAllocatesLittle holds the reader to its
+// bound: a two-bucket line whose indices lie 6·10⁸ apart is refused
+// before the sketch store is sized to the span (4.8 GB).
+func TestReadMetricsJSONLWideSpanAllocatesLittle(t *testing.T) {
+	for _, tc := range rejectRows {
+		if !strings.HasPrefix(tc.name, "bucket index beyond") && !strings.HasPrefix(tc.name, "bucket span") {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMetricsJSONL(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1e6 {
+			t.Errorf("%s: rejecting it allocated %d bytes, want under 1 MB", tc.name, n)
 		}
 	}
 }

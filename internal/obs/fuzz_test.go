@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,24 @@ func FuzzReadMetricsJSONL(f *testing.F) {
 			return
 		}
 		requireDumpFixpoint(t, reg)
+	})
+}
+
+// FuzzJSONString holds the exporters' string encoder to encoding/json:
+// whatever the bytes, appendJSONString appends exactly what
+// json.Marshal renders for the string coerced to valid UTF-8, and
+// leaves what the buffer held before it alone.
+func FuzzJSONString(f *testing.F) {
+	for _, s := range []string{"fe-chicago", "", "a<b", "a>b", "a&b", `a"b`, `a\b`, "\x00", "\n", "\x1f", "\x7f", "\u2028\u2029", "\xff\xc3(", "同🚀"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(strings.ToValidUTF8(s, "\uFFFD"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte("{"), s); string(got) != "{"+string(want) {
+			t.Fatalf("%q: appended %s, want {%s", s, got, want)
+		}
 	})
 }

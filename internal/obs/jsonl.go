@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -14,8 +15,9 @@ import (
 // back. Field order is fixed and floats are integral microsecond
 // strings with nanosecond decimals, so output is deterministic.
 func WriteSpansJSONL(w io.Writer, t *Tracer) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	var parents []string
+	var line []byte
 	t.Walk(func(s *Span, depth int) {
 		if depth < len(parents) {
 			parents = parents[:depth]
@@ -26,47 +28,48 @@ func WriteSpansJSONL(w io.Writer, t *Tracer) error {
 		}
 		parents = append(parents, s.Name)
 
-		bw.printf(`{"track":%s,"name":%s,"parent":%s,"depth":%d,"start_us":%s,"dur_us":%s`,
-			jstr(s.Track), jstr(s.Name), jstr(parent), depth, usec(s.Start), usec(s.Dur()))
+		line = appendJSONString(append(line[:0], `{"track":`...), s.Track)
+		line = appendJSONString(append(line, `,"name":`...), s.Name)
+		line = appendJSONString(append(line, `,"parent":`...), parent)
+		line = strconv.AppendInt(append(line, `,"depth":`...), int64(depth), 10)
+		line = appendUsec(append(line, `,"start_us":`...), s.Start)
+		line = appendUsec(append(line, `,"dur_us":`...), s.Dur())
 		if s.Key != (ConnKey{}) {
-			bw.printf(`,"conn":%s`, jstr(s.Key.String()))
+			line = appendJSONString(append(line, `,"conn":`...), s.Key.String())
 		}
 		for _, a := range s.Attrs {
-			bw.printf(",%s:%s", jstr("attr_"+a.K), jstr(a.V))
+			line = appendJSONString(append(line, ','), "attr_"+a.K)
+			line = appendJSONString(append(line, ':'), a.V)
 		}
-		bw.printf("}\n")
+		line = append(line, "}\n"...)
+		_, _ = bw.Write(line) // a bufio.Writer keeps its first error for Flush
 	})
-	return bw.err
+	return bw.Flush()
 }
 
-// usec renders a duration as microseconds with nanosecond precision.
-func usec(d time.Duration) string {
-	neg := ""
+// appendUsec appends d as microseconds with nanosecond decimals.
+func appendUsec(b []byte, d time.Duration) []byte {
 	if d < 0 {
-		neg, d = "-", -d
+		b, d = append(b, '-'), -d
 	}
-	return fmt.Sprintf("%s%d.%03d", neg, d/time.Microsecond, d%time.Microsecond)
+	ns := d % time.Microsecond
+	b = strconv.AppendInt(b, int64(d/time.Microsecond), 10)
+	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
 }
 
-// jstr JSON-encodes a string. Invalid UTF-8 is coerced to U+FFFD first
-// so encoding is idempotent: re-encoding a decoded value yields the
-// same bytes (encoding/json would otherwise escape the invalid byte on
-// the first pass and pass the replacement rune through on the second).
-func jstr(s string) string {
-	b, _ := json.Marshal(strings.ToValidUTF8(s, "�"))
-	return string(b)
-}
-
-// errWriter latches the first write error so export code can stay
-// linear.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...interface{}) {
-	if e.err != nil {
-		return
+// appendJSONString appends s as a JSON string. A string of printable
+// ASCII without ", \, <, > or & encodes as itself, quoted. Any other is
+// coerced to valid UTF-8 (U+FFFD for invalid bytes) and encoded by
+// encoding/json, so encoding is idempotent: re-encoding a decoded value
+// yields the same bytes (encoding/json would otherwise escape the
+// invalid byte on the first pass and pass the replacement rune through
+// on the second).
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(strings.ToValidUTF8(s, "\uFFFD")) // a string always marshals
+			return append(b, enc...)
+		}
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return append(append(append(b, '"'), s...), '"')
 }

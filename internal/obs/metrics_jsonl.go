@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"fesplit/internal/stats"
@@ -20,61 +21,64 @@ import (
 // label-value order with a fixed field order, so same-seed runs export
 // byte-identical files.
 func WriteMetricsJSONL(w io.Writer, r *Registry) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, f := range r.Families() {
 		for _, s := range f.Series() {
-			bw.printf(`{"name":%s,"kind":%s,"help":%s`,
-				jstr(f.Name), jstr(f.Kind.String()), jstr(f.Help))
+			line = appendJSONString(append(line[:0], `{"name":`...), f.Name)
+			line = appendJSONString(append(line, `,"kind":`...), f.Kind.String())
+			line = appendJSONString(append(line, `,"help":`...), f.Help)
 			if len(s.LabelNames) > 0 {
-				bw.printf(`,"label_names":%s,"label_values":%s`,
-					jstrs(s.LabelNames), jstrs(s.LabelValues))
+				line = appendJSONStrings(append(line, `,"label_names":`...), s.LabelNames)
+				line = appendJSONStrings(append(line, `,"label_values":`...), s.LabelValues)
 			}
 			switch f.Kind {
 			case KindCounter:
-				bw.printf(`,"value":%s`, fmtFloat(s.Counter.Value()))
+				line = appendFloat(append(line, `,"value":`...), s.Counter.Value())
 			case KindGauge:
-				bw.printf(`,"value":%s,"max":%s`,
-					fmtFloat(s.Gauge.Value()), fmtFloat(s.Gauge.Max()))
+				line = appendFloat(append(line, `,"value":`...), s.Gauge.Value())
+				line = appendFloat(append(line, `,"max":`...), s.Gauge.Max())
 			case KindSketch:
 				sk := s.Sketch.Underlying()
-				bw.printf(`,"alpha":%s,"zero":%d,"sum":%s,"min":%s,"max":%s`,
-					fmtFloat(sk.Alpha()), sk.ZeroCount(), fmtFloat(sk.Sum()),
-					fmtFloat(sk.Min()), fmtFloat(sk.Max()))
-				bw.printf(`,"bucket_idx":[`)
+				line = appendFloat(append(line, `,"alpha":`...), sk.Alpha())
+				line = strconv.AppendUint(append(line, `,"zero":`...), sk.ZeroCount(), 10)
+				line = appendFloat(append(line, `,"sum":`...), sk.Sum())
+				line = appendFloat(append(line, `,"min":`...), sk.Min())
+				line = appendFloat(append(line, `,"max":`...), sk.Max())
 				buckets := sk.Buckets()
+				line = append(line, `,"bucket_idx":[`...)
 				for i, b := range buckets {
 					if i > 0 {
-						bw.printf(",")
+						line = append(line, ',')
 					}
-					bw.printf("%d", b.Index)
+					line = strconv.AppendInt(line, int64(b.Index), 10)
 				}
-				bw.printf(`],"bucket_n":[`)
+				line = append(line, `],"bucket_n":[`...)
 				for i, b := range buckets {
 					if i > 0 {
-						bw.printf(",")
+						line = append(line, ',')
 					}
-					bw.printf("%d", b.Count)
+					line = strconv.AppendUint(line, b.Count, 10)
 				}
-				bw.printf(`]`)
+				line = append(line, ']')
 			}
-			bw.printf("}\n")
+			line = append(line, "}\n"...)
+			_, _ = bw.Write(line) // a bufio.Writer keeps its first error for Flush
 		}
 	}
-	return bw.err
+	return bw.Flush()
 }
 
-// jstrs JSON-encodes a string slice.
-func jstrs(ss []string) string {
-	var b strings.Builder
-	b.WriteByte('[')
+// appendJSONStrings appends a JSON array of strings.
+func appendJSONStrings(b []byte, ss []string) []byte {
+	b = append(b, '[')
 	for i, s := range ss {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(jstr(s))
+		b = appendJSONString(b, s)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(b, ']')
 }
 
 // metricLine mirrors one WriteMetricsJSONL line for decoding.
@@ -107,7 +111,7 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 	}()
 	reg := NewRegistry()
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from 4 KiB as long lines need
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -141,13 +145,13 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 			}
 			buckets := make([]stats.Bucket, len(m.BucketIdx))
 			for i := range m.BucketIdx {
-				if i > 0 && m.BucketIdx[i] <= m.BucketIdx[i-1] {
-					return nil, fmt.Errorf("obs: metrics jsonl line %d: bucket indices not ascending", lineNo)
-				}
 				buckets[i] = stats.Bucket{Index: m.BucketIdx[i], Count: m.BucketN[i]}
 			}
-			sk := reg.SketchVec(m.Name, m.Help, m.Alpha, m.LabelNames...).With(m.LabelValues...)
-			sk.sk = stats.RestoreSketch(m.Alpha, m.Zero, m.Sum, m.Min, m.Max, buckets)
+			restored, err := stats.RestoreSketch(m.Alpha, m.Zero, m.Sum, m.Min, m.Max, buckets)
+			if err != nil {
+				return nil, fmt.Errorf("obs: metrics jsonl line %d: %w", lineNo, err)
+			}
+			reg.SketchVec(m.Name, m.Help, m.Alpha, m.LabelNames...).With(m.LabelValues...).sk = restored
 		default:
 			return nil, fmt.Errorf("obs: metrics jsonl line %d: unknown kind %q", lineNo, m.Kind)
 		}

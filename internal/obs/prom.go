@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"strconv"
 	"strings"
@@ -14,52 +14,37 @@ import (
 // output is byte-identical across runs with the same seed — the
 // determinism tests diff it directly.
 func WritePrometheus(w io.Writer, r *Registry) error {
+	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, f := range r.Families() {
+		line = line[:0]
 		if f.Help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, f.Help); err != nil {
-				return err
-			}
+			line = append(append(append(append(line, "# HELP "...), f.Name...), ' '), f.Help...)
+			line = append(line, '\n')
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Kind); err != nil {
-			return err
-		}
+		line = append(append(append(append(line, "# TYPE "...), f.Name...), ' '), f.Kind.String()...)
+		line = append(line, '\n')
 		for _, s := range f.Series() {
-			if err := writeSeries(w, f, s); err != nil {
-				return err
+			switch f.Kind {
+			case KindCounter:
+				line = appendFloat(appendSample(line, f.Name, "", s, -1), s.Counter.Value())
+			case KindGauge:
+				line = appendFloat(appendSample(line, f.Name, "", s, -1), s.Gauge.Value())
+			case KindSketch:
+				sk := s.Sketch
+				for _, q := range SummaryQuantiles() {
+					line = appendFloat(appendSample(line, f.Name, "", s, q), sk.Quantile(q))
+					line = append(line, '\n')
+				}
+				line = appendFloat(appendSample(line, f.Name, "_sum", s, -1), sk.Sum())
+				line = append(line, '\n')
+				line = strconv.AppendUint(appendSample(line, f.Name, "_count", s, -1), sk.Count(), 10)
 			}
+			line = append(line, '\n')
 		}
+		_, _ = bw.Write(line) // a bufio.Writer keeps its first error for Flush
 	}
-	return nil
-}
-
-func writeSeries(w io.Writer, f *Family, s SeriesView) error {
-	switch f.Kind {
-	case KindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), fmtFloat(s.Counter.Value()))
-		return err
-	case KindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), fmtFloat(s.Gauge.Value()))
-		return err
-	case KindSketch:
-		sk := s.Sketch
-		for _, q := range SummaryQuantiles() {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n",
-				f.Name, labelString(s.LabelNames, s.LabelValues, fmtFloat(q)),
-				fmtFloat(sk.Quantile(q))); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), fmtFloat(sk.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-			f.Name, labelString(s.LabelNames, s.LabelValues, ""), sk.Count())
-		return err
-	}
-	return nil
+	return bw.Flush()
 }
 
 // SummaryQuantiles are the fixed quantiles sketch families expose in
@@ -67,33 +52,23 @@ func writeSeries(w io.Writer, f *Family, s SeriesView) error {
 // JSONL export).
 func SummaryQuantiles() []float64 { return []float64{0.5, 0.9, 0.95, 0.99} }
 
-// labelString renders {k="v",...}, appending a summary quantile label
-// when non-empty. Empty label sets render as "".
-func labelString(names, values []string, quantile string) string {
-	if len(names) == 0 && quantile == "" {
-		return ""
+// appendSample appends a sample's name, its suffix and {k="v",...},
+// with a summary quantile label when q ≥ 0, then the space before the
+// value. Empty label sets render as nothing.
+func appendSample(b []byte, name, suffix string, s SeriesView, q float64) []byte {
+	b = append(append(b, name...), suffix...)
+	if len(s.LabelNames) == 0 && q < 0 {
+		return append(b, ' ')
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
+	b = append(b, '{')
+	for i, n := range s.LabelNames {
+		b = append(append(append(append(b, n...), `="`...), escapeLabel(s.LabelValues[i])...), `",`...)
 	}
-	if quantile != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`quantile="`)
-		b.WriteString(quantile)
-		b.WriteByte('"')
+	if q >= 0 {
+		b = append(appendFloat(append(b, `quantile="`...), q), `",`...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	b[len(b)-1] = '}' // the last label's comma
+	return append(b, ' ')
 }
 
 // escapeLabel escapes backslash, double quote and newline per the
@@ -104,6 +79,6 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// fmtFloat renders a float the way Prometheus clients do: shortest
-// representation that round-trips.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendFloat appends a float the way Prometheus clients render it:
+// the shortest representation that round-trips.
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }

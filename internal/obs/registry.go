@@ -320,9 +320,11 @@ func (f *Family) child(values []string) *series {
 			break
 		}
 	}
-	key := labelKey(values)
-	s, ok := f.kids[key]
-	if ok {
+	// The key is built in a stack buffer and looked up without a string
+	// conversion allocation; only a new series copies it into the map.
+	var stack [128]byte
+	key := appendLabelKey(stack[:0], values)
+	if s, ok := f.kids[string(key)]; ok {
 		return s
 	}
 	if f.limit > 0 && len(f.labels) > 0 && len(f.kids) >= f.limit {
@@ -330,15 +332,15 @@ func (f *Family) child(values []string) *series {
 		for i := range overflow {
 			overflow[i] = OverflowLabel
 		}
-		okey := labelKey(overflow)
-		if s, ok = f.kids[okey]; ok {
+		key = appendLabelKey(stack[:0], overflow)
+		if s, ok := f.kids[string(key)]; ok {
 			return s
 		}
-		key, values = okey, overflow
+		values = overflow
 	}
 	vals := make([]string, len(values))
 	copy(vals, values)
-	s = &series{labelValues: vals}
+	s := &series{labelValues: vals}
 	switch f.Kind {
 	case KindCounter:
 		s.counter = &Counter{}
@@ -347,20 +349,20 @@ func (f *Family) child(values []string) *series {
 	case KindSketch:
 		s.sketch = &Sketch{sk: stats.NewSketch(f.alpha)}
 	}
-	f.kids[key] = s
+	f.kids[string(key)] = s
 	return s
 }
 
-// labelKey joins label values with an unlikely separator.
-func labelKey(values []string) string {
-	key := ""
+// appendLabelKey appends the label values joined with an unlikely
+// separator.
+func appendLabelKey(b []byte, values []string) []byte {
 	for i, v := range values {
 		if i > 0 {
-			key += "\x1f"
+			b = append(b, '\x1f')
 		}
-		key += v
+		b = append(b, v...)
 	}
-	return key
+	return b
 }
 
 // Counter returns the unlabeled counter of the named family, creating

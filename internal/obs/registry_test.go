@@ -223,3 +223,26 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Error("families not sorted by name")
 	}
 }
+
+// TestWithExistingSeriesZeroAlloc pins the label lookup: finding a
+// series that exists builds no key string, whatever the kind.
+func TestWithExistingSeriesZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("c_total", "", "svc", "fe")
+	g := r.GaugeVec("g", "", "svc", "fe")
+	sk := r.SketchVec("s_seconds", "", 0, "svc", "fe")
+	c.With("google-like", "fe-metro-chicago").Inc()
+	g.With("google-like", "fe-metro-chicago").Set(1)
+	sk.With("google-like", "fe-metro-chicago").Observe(0.25)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.With("google-like", "fe-metro-chicago").Inc()
+		g.With("google-like", "fe-metro-chicago").Add(1)
+		sk.With("google-like", "fe-metro-chicago").Observe(0.25)
+	})
+	if allocs != 0 {
+		t.Fatalf("With on existing series allocated %v objects per run, want 0", allocs)
+	}
+	if c.With("ab", "c") == c.With("a", "bc") {
+		t.Fatal(`label values ("ab", "c") and ("a", "bc") share a series`)
+	}
+}

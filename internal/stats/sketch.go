@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sketch is a DDSketch-style streaming quantile sketch with a relative
@@ -24,12 +23,16 @@ import (
 // inputs below minIndexable (1 ns when values are seconds) fold into a
 // dedicated zero bucket; negative inputs are treated as zero, which
 // suits the non-negative durations and sizes this repository measures.
+// Buckets live in a dense store (DDSketch's layout), one count per
+// index from the lowest bucket seen to the highest: its memory follows
+// the span of indices, not the number of buckets.
 type Sketch struct {
 	alpha   float64
 	gamma   float64
 	lnGamma float64
 
-	counts map[int]uint64
+	counts []uint64 // counts[k] is bucket offset+k
+	offset int
 	zero   uint64 // values in [0, minIndexable)
 	count  uint64
 	sum    float64
@@ -58,7 +61,6 @@ func NewSketch(alpha float64) *Sketch {
 		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		counts:  make(map[int]uint64),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
@@ -79,10 +81,32 @@ func (s *Sketch) bucketValue(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
 }
 
+// slot returns the count cell of bucket i, widening the store to reach
+// it.
+func (s *Sketch) slot(i int) *uint64 {
+	k := i - s.offset
+	switch {
+	case len(s.counts) == 0:
+		s.counts, s.offset, k = append(s.counts, 0), i, 0
+	case k < 0:
+		// Grow downward by at least the store's length, as append grows upward.
+		n := max(len(s.counts)-k, 2*len(s.counts))
+		grown := make([]uint64, n)
+		copy(grown[n-len(s.counts):], s.counts)
+		s.offset -= n - len(s.counts)
+		s.counts, k = grown, i-s.offset
+	case k >= len(s.counts):
+		s.counts = append(s.counts, make([]uint64, k+1-len(s.counts))...)
+	}
+	return &s.counts[k]
+}
+
 // Add folds one value into the sketch.
 func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
-// AddN folds n occurrences of v into the sketch.
+// AddN folds n occurrences of v into the sketch. +Inf lands in the top
+// bucket the sketch can index, that of math.MaxFloat64; Sum and Max
+// still read +Inf.
 func (s *Sketch) AddN(v float64, n uint64) {
 	if n == 0 || math.IsNaN(v) {
 		return
@@ -102,7 +126,7 @@ func (s *Sketch) AddN(v float64, n uint64) {
 		s.zero += n
 		return
 	}
-	s.counts[s.index(v)] += n
+	*s.slot(s.index(min(v, math.MaxFloat64))) += n
 }
 
 // Count returns the number of values added.
@@ -154,16 +178,19 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if rank < float64(s.zero) {
 		return 0
 	}
+	// Stop at the bucket holding the rank, or at the top one.
 	cum := float64(s.zero)
-	var last float64
-	for _, b := range s.Buckets() {
-		cum += float64(b.Count)
-		last = s.bucketValue(b.Index)
-		if rank < cum {
-			return s.clampToRange(last)
+	at := -1
+	for k, c := range s.counts {
+		if c == 0 {
+			continue
+		}
+		at = k
+		if cum += float64(c); rank < cum {
+			break
 		}
 	}
-	return s.clampToRange(last)
+	return s.clampToRange(s.bucketValue(s.offset + at))
 }
 
 // clampToRange keeps bucket midpoints inside the observed [min, max],
@@ -189,8 +216,10 @@ func (s *Sketch) Merge(other *Sketch) {
 		panic(fmt.Sprintf("stats: merging sketches with different accuracies (%v vs %v)",
 			s.alpha, other.alpha))
 	}
-	for i, c := range other.counts {
-		s.counts[i] += c
+	for k, c := range other.counts {
+		if c != 0 {
+			*s.slot(other.offset + k) += c
+		}
 	}
 	s.zero += other.zero
 	s.count += other.count
@@ -213,14 +242,17 @@ type Bucket struct {
 // the deterministic export form used by the JSONL metrics dump. The
 // zero bucket is reported separately via ZeroCount.
 func (s *Sketch) Buckets() []Bucket {
-	idxs := make([]int, 0, len(s.counts))
-	for i := range s.counts {
-		idxs = append(idxs, i)
+	n := 0
+	for _, c := range s.counts {
+		if c != 0 {
+			n++
+		}
 	}
-	sort.Ints(idxs)
-	out := make([]Bucket, len(idxs))
-	for k, i := range idxs {
-		out[k] = Bucket{Index: i, Count: s.counts[i]}
+	out := make([]Bucket, 0, n)
+	for k, c := range s.counts {
+		if c != 0 {
+			out = append(out, Bucket{Index: s.offset + k, Count: c})
+		}
 	}
 	return out
 }
@@ -229,23 +261,48 @@ func (s *Sketch) Buckets() []Bucket {
 // bucket.
 func (s *Sketch) ZeroCount() uint64 { return s.zero }
 
+// MaxRestoreSpan caps the span of bucket indices RestoreSketch accepts:
+// the dense store costs 8 B per index of the span, however few buckets
+// are filled. It covers the whole indexable range for alpha ≥ 0.0056 —
+// about 36 500 indices at DefaultSketchAlpha — in at most 512 KiB.
+const MaxRestoreSpan = 1 << 16
+
 // RestoreSketch rebuilds a sketch from its exported state (the inverse
 // of Buckets/ZeroCount/Sum/Min/Max) so serialized sketches round-trip.
-func RestoreSketch(alpha float64, zero uint64, sum, min, max float64, buckets []Bucket) *Sketch {
+// It returns an error, before allocating the store, for bucket indices
+// that do not ascend, lie outside the range the alpha can index
+// (index(minIndexable) … index(math.MaxFloat64)) or span more than
+// MaxRestoreSpan.
+func RestoreSketch(alpha float64, zero uint64, sum, min, max float64, buckets []Bucket) (*Sketch, error) {
 	s := NewSketch(alpha)
+	if n := len(buckets); n > 0 {
+		lo := math.Ceil(math.Log(minIndexable) / s.lnGamma)
+		hi := math.Ceil(math.Log(math.MaxFloat64) / s.lnGamma)
+		for i, b := range buckets {
+			if i > 0 && b.Index <= buckets[i-1].Index {
+				return nil, fmt.Errorf("stats: sketch bucket indices not ascending")
+			}
+			if x := float64(b.Index); x < lo || x > hi {
+				return nil, fmt.Errorf("stats: sketch bucket index %d outside [%v, %v] at alpha %v", b.Index, lo, hi, s.alpha)
+			}
+		}
+		d := buckets[n-1].Index - buckets[0].Index // < 0: the ascending indices overflowed
+		if d < 0 || d >= MaxRestoreSpan {
+			return nil, fmt.Errorf("stats: sketch bucket indices %d … %d span more than %d",
+				buckets[0].Index, buckets[n-1].Index, MaxRestoreSpan)
+		}
+		s.counts, s.offset = make([]uint64, d+1), buckets[0].Index
+	}
 	s.zero = zero
 	s.count = zero
 	s.sum = sum
 	for _, b := range buckets {
-		if b.Count == 0 {
-			continue
-		}
-		s.counts[b.Index] = b.Count
+		*s.slot(b.Index) = b.Count
 		s.count += b.Count
 	}
 	if s.count > 0 {
 		s.min = min
 		s.max = max
 	}
-	return s
+	return s, nil
 }

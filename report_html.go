@@ -1,6 +1,7 @@
 package fesplit
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // empty exemplar list are simply skipped. Output is deterministic:
 // same inputs render byte-identical pages.
 func (r *Report) WriteHTML(w io.Writer, reg *MetricsRegistry, exemplars []Exemplar) error {
-	bw := &htmlWriter{w: w}
+	bw := &htmlWriter{w: bufio.NewWriter(w)}
 	bw.printf("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
 	bw.printf("<title>fesplit report (seed=%d)</title>\n", r.Config.Seed)
 	bw.printf(`<style>
@@ -53,21 +54,15 @@ figure { margin: 0.8em 0; }
 	htmlExemplars(bw, exemplars)
 
 	bw.printf("</body>\n</html>\n")
-	return bw.err
+	return bw.w.Flush()
 }
 
-// htmlWriter latches the first write error (same pattern as the obs
-// exporters).
-type htmlWriter struct {
-	w   io.Writer
-	err error
-}
+// htmlWriter buffers the page; the bufio.Writer keeps the first write
+// error and Flush returns it.
+type htmlWriter struct{ w *bufio.Writer }
 
 func (h *htmlWriter) printf(format string, args ...interface{}) {
-	if h.err != nil {
-		return
-	}
-	_, h.err = fmt.Fprintf(h.w, format, args...)
+	_, _ = fmt.Fprintf(h.w, format, args...)
 }
 
 func (r *Report) htmlFig6(bw *htmlWriter) {
