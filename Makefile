@@ -3,14 +3,15 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench check layering payload-check fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-gate bench-ab output-diff loc
+.PHONY: all build test vet race cover bench check layering payload-check alloc-pins fmt-check report report-full clean fuzz-smoke equivalence fastpath-check lossy-check telemetry-smoke profile-smoke queueing-check scale-check bench-selftest bench-gate bench-ab output-diff loc
 
 all: build vet test
 
 # CI-equivalent verification: vet, build, race-clean tests (the
 # allocation pins of the event engine, the packet path and the TCP
 # transfers are plain tests among them), the payload and formatting
-# gates, a fuzz smoke pass. The observability instrumentation must stay
+# gates, the exact allocation pins without the race detector, a fuzz
+# smoke pass. The observability instrumentation must stay
 # goroutine-free; -race proves the simulation stays single-threaded.
 check:
 	$(GO) vet ./...
@@ -18,6 +19,7 @@ check:
 	$(MAKE) layering
 	$(GO) test -race ./...
 	$(MAKE) payload-check
+	$(MAKE) alloc-pins
 	$(MAKE) fmt-check
 	$(MAKE) fuzz-smoke
 
@@ -61,6 +63,14 @@ payload-check:
 	$(GO) test -race -count=2 -run 'TestGeneratorsSharePopularity|TestClientPathsOnDemand' ./internal/workload ./internal/cdn
 	$(GO) test -run 'TestRowLayouts' ./internal/tcpsim ./internal/capture
 	$(GO) test -race -run 'FuzzRecorder' ./internal/capture
+
+# Exact allocation pins that skip their exact arms under the race
+# detector (its sync.Pool drops objects at random, so fmt allocates at
+# random): HTTP heads, query paths, a served query, and the cost of
+# observing (observed vs unobserved world, a warm fold pass, a rejected
+# record's fold). Run without -race so they gate.
+alloc-pins:
+	$(GO) test -count=1 -run 'TestHeadAllocPins|TestServedQueryAllocPins|TestPathAllocPins|TestObservedQueryAllocOverhead|TestRejectedRecordFoldAllocs' ./internal/httpsim ./internal/frontend ./internal/workload ./internal/analysis
 
 # Formatting gate: no Go file in the tree differs from its gofmt form.
 fmt-check:

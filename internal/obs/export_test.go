@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,6 +180,19 @@ var rejectRows = []struct{ name, in, want string }{
 		"bucket index -300000000 outside"},
 	{"bucket span over the cap", `{"name":"a","kind":"summary","alpha":1e-12,"bucket_idx":[-300000000,300000000],"bucket_n":[1,1]}`,
 		"span more than 65536"},
+	// Nor may many lines, each within the cap: 20 of them would ask for
+	// 5.6 MB from under 2 KB.
+	{"bucket spans over the dump's budget", wideSpanDump(20), "line 2: sketch stores span 70074 buckets"},
+}
+
+// wideSpanDump is n summary families whose two buckets lie at the ends
+// of what alpha 0.01 can index, 35 037 slots apart.
+func wideSpanDump(n int) string {
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, `{"name":"w%d","kind":"summary","alpha":0.01,"bucket_idx":[-1036,34000],"bucket_n":[1,1]}`+"\n", i)
+	}
+	return b.String()
 }
 
 func TestReadMetricsJSONLRejects(t *testing.T) {
@@ -194,8 +208,10 @@ func TestReadMetricsJSONLRejects(t *testing.T) {
 }
 
 // TestReadMetricsJSONLWideSpanAllocatesLittle holds the reader to its
-// bound: a two-bucket line whose indices lie 6·10⁸ apart is refused
-// before the sketch store is sized to the span (4.8 GB).
+// bounds: a two-bucket line whose indices lie 6·10⁸ apart is refused
+// before the sketch store is sized to the span (4.8 GB), and a dump of
+// lines that each fit the cap is refused once their stores outgrow
+// what its length allows.
 func TestReadMetricsJSONLWideSpanAllocatesLittle(t *testing.T) {
 	for _, tc := range rejectRows {
 		if !strings.HasPrefix(tc.name, "bucket index beyond") && !strings.HasPrefix(tc.name, "bucket span") {

@@ -57,13 +57,10 @@ func appendUsec(b []byte, d time.Duration) []byte {
 	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
 }
 
-// appendJSONString appends s as a JSON string. A string of printable
-// ASCII without ", \, <, > or & encodes as itself, quoted. Any other is
-// coerced to valid UTF-8 (U+FFFD for invalid bytes) and encoded by
-// encoding/json, so encoding is idempotent: re-encoding a decoded value
-// yields the same bytes (encoding/json would otherwise escape the
-// invalid byte on the first pass and pass the replacement rune through
-// on the second).
+// appendJSONString appends s as a JSON string. Printable ASCII without
+// ", \, <, > or & encodes as itself, quoted. Any other string goes to
+// encoding/json coerced to valid UTF-8 first, so encoding is idempotent
+// (encoding/json escapes an invalid byte, then passes U+FFFD through).
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {

@@ -98,6 +98,11 @@ type metricLine struct {
 	BucketN     []uint64 `json:"bucket_n"`
 }
 
+// restoreSlotsPerByte bounds the summed bucket spans (8 B of store each)
+// of a dump's sketches per byte read, beyond stats.MaxRestoreSpan; study
+// dumps read at most 0.16.
+const restoreSlotsPerByte = 8
+
 // ReadMetricsJSONL parses a WriteMetricsJSONL dump back into a
 // registry whose export is equivalent to the original's — the
 // round-trip property the JSONL fuzz test pins down. Inconsistent
@@ -113,8 +118,10 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<20) // grows from 4 KiB as long lines need
 	lineNo := 0
+	var read, slots uint64 // bytes read, sketch store slots restored
 	for sc.Scan() {
 		lineNo++
+		read += uint64(len(sc.Bytes())) + 1
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
@@ -150,6 +157,12 @@ func ReadMetricsJSONL(rd io.Reader) (_ *Registry, err error) {
 			restored, err := stats.RestoreSketch(m.Alpha, m.Zero, m.Sum, m.Min, m.Max, buckets)
 			if err != nil {
 				return nil, fmt.Errorf("obs: metrics jsonl line %d: %w", lineNo, err)
+			}
+			if n := len(buckets); n > 0 { // ascending, in range: RestoreSketch checked
+				slots += uint64(buckets[n-1].Index-buckets[0].Index) + 1
+				if slots > max(stats.MaxRestoreSpan, restoreSlotsPerByte*read) {
+					return nil, fmt.Errorf("obs: metrics jsonl line %d: sketch stores span %d buckets in %d bytes", lineNo, slots, read)
+				}
 			}
 			reg.SketchVec(m.Name, m.Help, m.Alpha, m.LabelNames...).With(m.LabelValues...).sk = restored
 		default:

@@ -293,16 +293,13 @@ func RestoreSketch(alpha float64, zero uint64, sum, min, max float64, buckets []
 		}
 		s.counts, s.offset = make([]uint64, d+1), buckets[0].Index
 	}
-	s.zero = zero
-	s.count = zero
-	s.sum = sum
+	s.zero, s.count, s.sum = zero, zero, sum
 	for _, b := range buckets {
 		*s.slot(b.Index) = b.Count
 		s.count += b.Count
 	}
 	if s.count > 0 {
-		s.min = min
-		s.max = max
+		s.min, s.max = min, max
 	}
 	return s, nil
 }

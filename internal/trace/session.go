@@ -24,11 +24,14 @@ import (
 	"fesplit/internal/tcpsim"
 )
 
-// Errors returned by Parse.
+// Errors returned by Parse, ArrivalOf and Locate: fixed values, so a
+// session refused for want of a boundary costs no allocation.
 var (
-	ErrNoHandshake = errors.New("trace: no complete handshake in session")
-	ErrNoRequest   = errors.New("trace: no outbound request in session")
-	ErrNoResponse  = errors.New("trace: no response payload in session")
+	ErrNoHandshake     = errors.New("trace: no complete handshake in session")
+	ErrNoRequest       = errors.New("trace: no outbound request in session")
+	ErrNoResponse      = errors.New("trace: no response payload in session")
+	ErrNeverReceived   = errors.New("trace: offset never received")
+	ErrBoundaryOutside = errors.New("trace: boundary outside stream")
 )
 
 // maxStream bounds the response stream Parse accepts. A response is a
@@ -278,14 +281,14 @@ func (s *Session) ArrivalOf(offset int) (time.Duration, error) {
 			return a.at, nil
 		}
 	}
-	return 0, fmt.Errorf("trace: offset %d never received (stream len %d)", offset, s.StreamLen)
+	return 0, ErrNeverReceived
 }
 
 // Locate sets T4/T5 for the given static/dynamic boundary: the static
 // portion is stream bytes [0, boundary), the dynamic portion the rest.
 func (s *Session) Locate(boundary int) error {
 	if boundary <= 0 || boundary >= s.StreamLen {
-		return fmt.Errorf("trace: boundary %d outside stream (len %d)", boundary, s.StreamLen)
+		return ErrBoundaryOutside
 	}
 	t4, err := s.ArrivalOf(boundary - 1)
 	if err != nil {

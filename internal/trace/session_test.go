@@ -180,12 +180,17 @@ func TestLocateBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []int{-1, 0, 4, 100} {
-		if err := s.Locate(bad); err == nil {
-			t.Fatalf("Locate(%d) accepted", bad)
+		if err := s.Locate(bad); err != ErrBoundaryOutside {
+			t.Fatalf("Locate(%d) err = %v", bad, err)
 		}
 	}
-	if _, err := s.ArrivalOf(99); err == nil {
-		t.Fatal("ArrivalOf(99) accepted")
+	if _, err := s.ArrivalOf(99); err != ErrNeverReceived {
+		t.Fatalf("ArrivalOf(99) err = %v", err)
+	}
+	// A record whose boundary cannot be located is common in a study
+	// (the parse saw no byte past it); refusing it must cost nothing.
+	if n := testing.AllocsPerRun(10, func() { s.Locate(100); s.ArrivalOf(99) }); n != 0 {
+		t.Errorf("refusing a boundary allocates %v objects, want 0", n)
 	}
 }
 

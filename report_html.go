@@ -23,10 +23,10 @@ import (
 // empty exemplar list are simply skipped. Output is deterministic:
 // same inputs render byte-identical pages.
 func (r *Report) WriteHTML(w io.Writer, reg *MetricsRegistry, exemplars []Exemplar) error {
-	bw := &htmlWriter{w: bufio.NewWriter(w)}
-	bw.printf("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	bw.printf("<title>fesplit report (seed=%d)</title>\n", r.Config.Seed)
-	bw.printf(`<style>
+	bw := bufio.NewWriter(w) // keeps the first write error; Flush returns it
+	fmt.Fprintf(bw, "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
+	fmt.Fprintf(bw, "<title>fesplit report (seed=%d)</title>\n", r.Config.Seed)
+	fmt.Fprintf(bw, `<style>
 body { font-family: sans-serif; margin: 2em auto; max-width: 72em; color: #222; }
 h1 { font-size: 1.4em; } h2 { font-size: 1.15em; margin-top: 2em; border-bottom: 1px solid #ccc; }
 p.note { color: #555; font-size: 0.92em; }
@@ -39,8 +39,8 @@ figure { margin: 0.8em 0; }
 </head>
 <body>
 `)
-	bw.printf("<h1>fesplit reproduction study</h1>\n")
-	bw.printf("<p class=\"note\">seed %d, %d vantage nodes — figures regenerated from the deterministic simulation.</p>\n",
+	fmt.Fprintf(bw, "<h1>fesplit reproduction study</h1>\n")
+	fmt.Fprintf(bw, "<p class=\"note\">seed %d, %d vantage nodes — figures regenerated from the deterministic simulation.</p>\n",
 		r.Config.Seed, r.Config.Nodes)
 
 	r.htmlFig6(bw)
@@ -53,23 +53,15 @@ figure { margin: 0.8em 0; }
 	htmlRuntime(bw, reg)
 	htmlExemplars(bw, exemplars)
 
-	bw.printf("</body>\n</html>\n")
-	return bw.w.Flush()
+	fmt.Fprintf(bw, "</body>\n</html>\n")
+	return bw.Flush()
 }
 
-// htmlWriter buffers the page; the bufio.Writer keeps the first write
-// error and Flush returns it.
-type htmlWriter struct{ w *bufio.Writer }
-
-func (h *htmlWriter) printf(format string, args ...interface{}) {
-	_, _ = fmt.Fprintf(h.w, format, args...)
-}
-
-func (r *Report) htmlFig6(bw *htmlWriter) {
+func (r *Report) htmlFig6(bw *bufio.Writer) {
 	if len(r.Fig6) == 0 {
 		return
 	}
-	bw.printf("<h2>Figure 6 — RTT to default FE (CDF)</h2>\n")
+	fmt.Fprintf(bw, "<h2>Figure 6 — RTT to default FE (CDF)</h2>\n")
 	var series []viz.Series
 	for _, f := range r.Fig6 {
 		xs := append([]float64(nil), f.RTTsMS...)
@@ -80,46 +72,46 @@ func (r *Report) htmlFig6(bw *htmlWriter) {
 			s.Y = append(s.Y, float64(i+1)/float64(len(xs)))
 		}
 		series = append(series, s)
-		bw.printf("<p class=\"note\">%s: %.0f%% of nodes under 20 ms</p>\n",
+		fmt.Fprintf(bw, "<p class=\"note\">%s: %.0f%% of nodes under 20 ms</p>\n",
 			viz.Esc(f.Service), 100*f.FracUnder20ms)
 	}
-	bw.printf("<figure>%s</figure>\n", viz.Plot(series, viz.Options{
+	fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Plot(series, viz.Options{
 		Title: "RTT to default FE", XLabel: "RTT (ms)", YLabel: "CDF", Step: true,
 	}))
 }
 
-func (r *Report) htmlFig5(bw *htmlWriter) {
+func (r *Report) htmlFig5(bw *bufio.Writer) {
 	if len(r.Fig5) == 0 {
 		return
 	}
-	bw.printf("<h2>Figure 5 — T<sub>static</sub> / T<sub>dynamic</sub> / T<sub>delta</sub> vs RTT (fixed FE)</h2>\n")
+	fmt.Fprintf(bw, "<h2>Figure 5 — T<sub>static</sub> / T<sub>dynamic</sub> / T<sub>delta</sub> vs RTT (fixed FE)</h2>\n")
 	for _, f := range r.Fig5 {
 		series := nodeParamSeries(f.Nodes)
-		bw.printf("<figure>%s</figure>\n", viz.Plot(series, viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Plot(series, viz.Options{
 			Title:  fmt.Sprintf("%s — fixed FE %s", f.Service, f.FixedFE),
 			XLabel: "node median RTT (ms)", YLabel: "ms",
 		}))
-		bw.printf("<p class=\"note\">inference bounds: Tdelta %.1f ≤ Tfetch %.1f ≤ Tdynamic %.1f ms (ok=%v)",
+		fmt.Fprintf(bw, "<p class=\"note\">inference bounds: Tdelta %.1f ≤ Tfetch %.1f ≤ Tdynamic %.1f ms (ok=%v)",
 			f.BoundLoMS, f.TruthMS, f.BoundHiMS, f.BoundsOK)
 		if f.HasThresh {
-			bw.printf("; Tdelta→0 threshold ≈ %.0f ms RTT", f.ThresholdMS)
+			fmt.Fprintf(bw, "; Tdelta→0 threshold ≈ %.0f ms RTT", f.ThresholdMS)
 		}
-		bw.printf("</p>\n")
+		fmt.Fprintf(bw, "</p>\n")
 	}
 }
 
-func (r *Report) htmlFig7(bw *htmlWriter) {
+func (r *Report) htmlFig7(bw *bufio.Writer) {
 	if len(r.Fig7) == 0 {
 		return
 	}
-	bw.printf("<h2>Figure 7 — T<sub>static</sub> / T<sub>dynamic</sub> with default FEs</h2>\n")
+	fmt.Fprintf(bw, "<h2>Figure 7 — T<sub>static</sub> / T<sub>dynamic</sub> with default FEs</h2>\n")
 	for _, f := range r.Fig7 {
 		series := nodeParamSeries(f.Nodes)
-		bw.printf("<figure>%s</figure>\n", viz.Plot(series, viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Plot(series, viz.Options{
 			Title:  fmt.Sprintf("%s — default FEs", f.Service),
 			XLabel: "node median RTT (ms)", YLabel: "ms",
 		}))
-		bw.printf("<p class=\"note\">%s: Tstatic med %.1f (IQR %.1f) ms, Tdynamic med %.1f (IQR %.1f) ms</p>\n",
+		fmt.Fprintf(bw, "<p class=\"note\">%s: Tstatic med %.1f (IQR %.1f) ms, Tdynamic med %.1f (IQR %.1f) ms</p>\n",
 			viz.Esc(f.Service), f.MedStaticMS, f.IQRStaticMS, f.MedDynamicMS, f.IQRDynMS)
 	}
 }
@@ -141,11 +133,11 @@ func nodeParamSeries(nodes []NodeSummary) []viz.Series {
 	return []viz.Series{st, dy, de}
 }
 
-func (r *Report) htmlFig8(bw *htmlWriter) {
+func (r *Report) htmlFig8(bw *bufio.Writer) {
 	if len(r.Fig8) == 0 {
 		return
 	}
-	bw.printf("<h2>Figure 8 — overall delay per node (box plots)</h2>\n")
+	fmt.Fprintf(bw, "<h2>Figure 8 — overall delay per node (box plots)</h2>\n")
 	const maxBoxes = 24
 	for _, f := range r.Fig8 {
 		var boxes []viz.Box
@@ -158,20 +150,20 @@ func (r *Report) htmlFig8(bw *htmlWriter) {
 				Min:   b.WhiskerLow, Q1: b.Q1, Median: b.Median, Q3: b.Q3, Max: b.WhiskerHigh,
 			})
 		}
-		bw.printf("<figure>%s</figure>\n", viz.BoxPlot(boxes, viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.BoxPlot(boxes, viz.Options{
 			Title:  fmt.Sprintf("%s — overall delay (first %d nodes by RTT)", f.Service, len(boxes)),
 			YLabel: "ms", Width: 900,
 		}))
-		bw.printf("<p class=\"note\">%s: median of node medians %.1f ms, median node IQR %.1f ms</p>\n",
+		fmt.Fprintf(bw, "<p class=\"note\">%s: median of node medians %.1f ms, median node IQR %.1f ms</p>\n",
 			viz.Esc(f.Service), f.MedOverallMS, f.SpreadMS)
 	}
 }
 
-func (r *Report) htmlFig9(bw *htmlWriter) {
+func (r *Report) htmlFig9(bw *bufio.Writer) {
 	if len(r.Fig9) == 0 {
 		return
 	}
-	bw.printf("<h2>Figure 9 — factoring the FE-BE fetch time</h2>\n")
+	fmt.Fprintf(bw, "<h2>Figure 9 — factoring the FE-BE fetch time</h2>\n")
 	for _, f := range r.Fig9 {
 		pts := viz.Series{Name: "FE sites"}
 		var xmin, xmax float64
@@ -195,17 +187,17 @@ func (r *Report) htmlFig9(bw *htmlWriter) {
 		}
 		// Markers for the measured sites, a line for the regression:
 		// render the line series first so points draw on top.
-		bw.printf("<figure>%s</figure>\n", viz.Plot([]viz.Series{pts, fit}, viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Plot([]viz.Series{pts, fit}, viz.Options{
 			Title:  fmt.Sprintf("%s → %s", f.Service, f.BE),
 			XLabel: "FE-BE distance (miles)", YLabel: "Tdynamic (ms)", Lines: false,
 		}))
-		bw.printf("<p class=\"note\">%s → %s: Tdynamic = %.4f·miles + %.1f ms (R²=%.2f); intercept ≈ back-end processing time.</p>\n",
+		fmt.Fprintf(bw, "<p class=\"note\">%s → %s: Tdynamic = %.4f·miles + %.1f ms (R²=%.2f); intercept ≈ back-end processing time.</p>\n",
 			viz.Esc(f.Service), viz.Esc(f.BE), f.Result.SlopeMSPerMile, f.Result.ProcTimeMS, f.Result.Fit.R2)
 	}
 }
 
 // htmlMetrics renders the registry's quantile sketches and counters.
-func htmlMetrics(bw *htmlWriter, reg *MetricsRegistry) {
+func htmlMetrics(bw *bufio.Writer, reg *MetricsRegistry) {
 	if reg == nil {
 		return
 	}
@@ -220,36 +212,36 @@ func htmlMetrics(bw *htmlWriter, reg *MetricsRegistry) {
 		}
 	}
 	if len(sketches) > 0 {
-		bw.printf("<h2>Metric quantiles (DDSketch, α=%s)</h2>\n", trimFloat(sketches[0].Alpha()))
-		bw.printf("<table>\n<tr><th class=\"l\">metric</th><th class=\"l\">labels</th><th>count</th><th>p50</th><th>p90</th><th>p95</th><th>p99</th></tr>\n")
+		fmt.Fprintf(bw, "<h2>Metric quantiles (DDSketch, α=%s)</h2>\n", trimFloat(sketches[0].Alpha()))
+		fmt.Fprintf(bw, "<table>\n<tr><th class=\"l\">metric</th><th class=\"l\">labels</th><th>count</th><th>p50</th><th>p90</th><th>p95</th><th>p99</th></tr>\n")
 		for _, f := range sketches {
 			for _, s := range f.Series() {
 				sk := s.Sketch
 				if sk == nil || sk.Count() == 0 {
 					continue
 				}
-				bw.printf("<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
+				fmt.Fprintf(bw, "<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
 					viz.Esc(f.Name), viz.Esc(labelSummary(f.LabelNames(), s.LabelValues)),
 					sk.Count(),
 					trimFloat(sk.Quantile(0.5)), trimFloat(sk.Quantile(0.9)),
 					trimFloat(sk.Quantile(0.95)), trimFloat(sk.Quantile(0.99)))
 			}
 		}
-		bw.printf("</table>\n")
+		fmt.Fprintf(bw, "</table>\n")
 	}
 	if len(counters) > 0 {
-		bw.printf("<h2>Counters</h2>\n<table>\n<tr><th class=\"l\">metric</th><th class=\"l\">labels</th><th>value</th></tr>\n")
+		fmt.Fprintf(bw, "<h2>Counters</h2>\n<table>\n<tr><th class=\"l\">metric</th><th class=\"l\">labels</th><th>value</th></tr>\n")
 		for _, f := range counters {
 			for _, s := range f.Series() {
 				if s.Counter == nil || s.Counter.Value() == 0 {
 					continue
 				}
-				bw.printf("<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%s</td></tr>\n",
+				fmt.Fprintf(bw, "<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%s</td></tr>\n",
 					viz.Esc(f.Name), viz.Esc(labelSummary(f.LabelNames(), s.LabelValues)),
 					trimFloat(s.Counter.Value()))
 			}
 		}
-		bw.printf("</table>\n")
+		fmt.Fprintf(bw, "</table>\n")
 	}
 }
 
@@ -258,7 +250,7 @@ func htmlMetrics(bw *htmlWriter, reg *MetricsRegistry) {
 // carry cp:* annotations — the attribution waterfall, each query's
 // end-to-end time partitioned into exclusive phases. Skipped when the
 // registry carries no critpath sketches (unprofiled runs).
-func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
+func htmlCritPath(bw *bufio.Writer, reg *MetricsRegistry, exemplars []Exemplar) {
 	if reg == nil {
 		return
 	}
@@ -266,16 +258,16 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 	if len(rows) == 0 {
 		return
 	}
-	bw.printf("<h2>Critical-path attribution</h2>\n")
-	bw.printf("<p class=\"note\">every sim-nanosecond of each query attributed to exactly one phase (phases sum to the end-to-end time; see docs/PROFILING.md). Share is the phase's fraction of the service's total attributed time.</p>\n")
-	bw.printf("<table>\n<tr><th class=\"l\">service</th><th class=\"l\">phase</th><th>count</th><th>mean ms</th><th>p50 ms</th><th>p90 ms</th><th>p99 ms</th><th>share</th></tr>\n")
+	fmt.Fprintf(bw, "<h2>Critical-path attribution</h2>\n")
+	fmt.Fprintf(bw, "<p class=\"note\">every sim-nanosecond of each query attributed to exactly one phase (phases sum to the end-to-end time; see docs/PROFILING.md). Share is the phase's fraction of the service's total attributed time.</p>\n")
+	fmt.Fprintf(bw, "<table>\n<tr><th class=\"l\">service</th><th class=\"l\">phase</th><th>count</th><th>mean ms</th><th>p50 ms</th><th>p90 ms</th><th>p99 ms</th><th>share</th></tr>\n")
 	for _, r := range rows {
-		bw.printf("<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%.2f%%</td></tr>\n",
+		fmt.Fprintf(bw, "<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%.2f%%</td></tr>\n",
 			viz.Esc(r.Service), viz.Esc(r.Phase), r.Count,
 			trimFloat(r.MeanMS), trimFloat(r.P50MS), trimFloat(r.P90MS),
 			trimFloat(r.P99MS), r.SharePct)
 	}
-	bw.printf("</table>\n")
+	fmt.Fprintf(bw, "</table>\n")
 
 	// Phase waterfalls of the slowest annotated exemplars: only the
 	// cp:* rows, so the flame view reads as a pure partition.
@@ -305,7 +297,7 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 			continue
 		}
 		shown++
-		bw.printf("<figure>%s</figure>\n", viz.Timeline(segs, viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Timeline(segs, viz.Options{
 			Title:  fmt.Sprintf("phase waterfall — exemplar #%d (Tdynamic %.1f ms)", e.Seq, 1000*e.Value),
 			XLabel: "ms since query start", Width: 900,
 		}))
@@ -317,7 +309,7 @@ func htmlCritPath(bw *htmlWriter, reg *MetricsRegistry, exemplars []Exemplar) {
 // section. Only sim-time gauges appear here: wall-clock telemetry
 // (heap, GC, events/sec) lives in runtime.jsonl and the -listen
 // endpoints, never in deterministic exports.
-func htmlRuntime(bw *htmlWriter, reg *MetricsRegistry) {
+func htmlRuntime(bw *bufio.Writer, reg *MetricsRegistry) {
 	if reg == nil {
 		return
 	}
@@ -330,34 +322,34 @@ func htmlRuntime(bw *htmlWriter, reg *MetricsRegistry) {
 	if len(gauges) == 0 {
 		return
 	}
-	bw.printf("<h2>Engine runtime gauges</h2>\n")
-	bw.printf("<p class=\"note\">deterministic engine state snapshots (value and historical max; after a shard merge each series carries the busiest cell's snapshot — gauges merge by max).</p>\n")
-	bw.printf("<table>\n<tr><th class=\"l\">gauge</th><th class=\"l\">labels</th><th>value</th><th>max</th></tr>\n")
+	fmt.Fprintf(bw, "<h2>Engine runtime gauges</h2>\n")
+	fmt.Fprintf(bw, "<p class=\"note\">deterministic engine state snapshots (value and historical max; after a shard merge each series carries the busiest cell's snapshot — gauges merge by max).</p>\n")
+	fmt.Fprintf(bw, "<table>\n<tr><th class=\"l\">gauge</th><th class=\"l\">labels</th><th>value</th><th>max</th></tr>\n")
 	for _, f := range gauges {
 		for _, s := range f.Series() {
 			if s.Gauge == nil || (s.Gauge.Value() == 0 && s.Gauge.Max() == 0) {
 				continue
 			}
-			bw.printf("<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%s</td><td>%s</td></tr>\n",
+			fmt.Fprintf(bw, "<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%s</td><td>%s</td></tr>\n",
 				viz.Esc(f.Name), viz.Esc(labelSummary(f.LabelNames(), s.LabelValues)),
 				trimFloat(s.Gauge.Value()), trimFloat(s.Gauge.Max()))
 		}
 	}
-	bw.printf("</table>\n")
+	fmt.Fprintf(bw, "</table>\n")
 }
 
 // htmlExemplars renders the tail-sampled span trees as timelines.
-func htmlExemplars(bw *htmlWriter, exemplars []Exemplar) {
+func htmlExemplars(bw *bufio.Writer, exemplars []Exemplar) {
 	if len(exemplars) == 0 {
 		return
 	}
-	bw.printf("<h2>Tail exemplars</h2>\n")
-	bw.printf("<p class=\"note\">span trees retained by the tail sampler: slowest-T<sub>dynamic</sub> queries plus every inference-bound violation.</p>\n")
+	fmt.Fprintf(bw, "<h2>Tail exemplars</h2>\n")
+	fmt.Fprintf(bw, "<p class=\"note\">span trees retained by the tail sampler: slowest-T<sub>dynamic</sub> queries plus every inference-bound violation.</p>\n")
 	const maxTimelines = 16
 	shown := 0
 	for _, e := range exemplars {
 		if shown >= maxTimelines {
-			bw.printf("<p class=\"note\">… %d more exemplars not shown</p>\n", len(exemplars)-shown)
+			fmt.Fprintf(bw, "<p class=\"note\">… %d more exemplars not shown</p>\n", len(exemplars)-shown)
 			break
 		}
 		if e.Span == nil {
@@ -366,9 +358,9 @@ func htmlExemplars(bw *htmlWriter, exemplars []Exemplar) {
 		shown++
 		title := fmt.Sprintf("exemplar #%d — Tdynamic %.1f ms", e.Seq, 1000*e.Value)
 		if e.Violation {
-			bw.printf("<p class=\"violation\">bound violation: Tfetch outside [Tdelta, Tdynamic]</p>\n")
+			fmt.Fprintf(bw, "<p class=\"violation\">bound violation: Tfetch outside [Tdelta, Tdynamic]</p>\n")
 		}
-		bw.printf("<figure>%s</figure>\n", viz.Timeline(spanIntervals(e.Span), viz.Options{
+		fmt.Fprintf(bw, "<figure>%s</figure>\n", viz.Timeline(spanIntervals(e.Span), viz.Options{
 			Title: title, XLabel: "ms since query start", Width: 900,
 		}))
 	}
