@@ -96,7 +96,7 @@ fastpath-check:
 # direction for 48 transfer shapes (196 608 runs; the regular test run
 # enumerates 4 per direction), judged by absolute end states — both ends
 # CLOSED, every byte delivered in order, nothing pending — with the
-# no-RST end state pinned to its count. See docs/PERF.md.
+# no-RST end state pinned to its count. See docs/OPERATING.md §5.
 lossy-check:
 	$(GO) test -count=1 -run 'TestDropSchedules' ./internal/tcpsim -dropk 6
 
@@ -136,7 +136,7 @@ fuzz-smoke:
 # retry/backoff at an elevated -count under the race detector, the
 # overload/hotspot/failover/capacity scenario determinism check and
 # scorecard rows, the golden-CSV gate that pins those cells, and a short
-# fuzz pass over the FE admission control. See docs/QUEUEING.md.
+# fuzz pass over the FE admission control. See docs/OPERATING.md §3.
 queueing-check:
 	$(GO) test -race -count=3 ./internal/backend ./internal/frontend
 	$(GO) test -race -count=2 -run 'TestQueueScenariosDeterministic|TestOverloadScenario|TestHotspotScenario|TestFailoverScenario|TestCapacitySweep|TestGoldenFigureCSVs' .
@@ -147,7 +147,7 @@ queueing-check:
 # watermark under the pinned bound (192 MiB, matching
 # TestFleetStudyHeapBound) and a worker-invariant fleet.csv, and the
 # small-scale figure CSVs must stay byte-identical to testdata/golden.
-# See docs/SCALE.md. The first line is the fleet path's race gate:
+# See docs/OPERATING.md §2. The first line is the fleet path's race gate:
 # batch worlds run on concurrent workers, so the fleet study must stay
 # race-clean at an elevated -count.
 scale-check: build
@@ -199,7 +199,7 @@ profile-smoke: build
 # observed study exported twice — one worker, then four — must be
 # byte-identical across every artifact (CSVs, JSONL, Prometheus text,
 # HTML, spans). This is the parallel runner's contract; see
-# docs/PARALLEL.md.
+# docs/OPERATING.md §1.
 equivalence: build
 	rm -rf equiv-w1 equiv-w4
 	./bin/fesplit study -seed 7 -workers 1 -dir equiv-w1
@@ -209,10 +209,13 @@ equivalence: build
 	@echo "serial and parallel study outputs are byte-identical"
 
 # Aim-2 progress metric (ROADMAP): non-test Go lines outside benchmark/,
-# in total and for the packages the simplification PRs work on.
-# CHANGES.md quotes these numbers; this target reproduces them.
+# in total and for the packages the simplification PRs work on, and the
+# prose lines of README, DESIGN, EXPERIMENTS and docs/*.md (ROADMAP
+# item 3's target). CHANGES.md quotes these numbers; this target
+# reproduces them.
 loc:
 	@printf '%-20s %6d\n' total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
+	@printf '%-20s %6d\n' prose $$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md | wc -l)
 	@for d in . internal/emulator internal/analysis internal/obs internal/obs/runtime internal/capture internal/trace internal/simnet internal/tcpsim internal/httpsim internal/frontend internal/backend internal/cdn internal/workload cmd/fesplit; do \
 		printf '%-20s %6d\n' $$d $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); \
 	done

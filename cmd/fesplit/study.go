@@ -132,6 +132,8 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 	beSlowdown := fs.Float64("be-slowdown", 0,
 		"scale both services' BE processing cost by this factor (0 → off; a controlled regression injection for exercising `fesplit diff`)")
 	cfg, err := parse(args)
+	set := map[string]bool{} // flags given on the command line, defaults aside
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case err != nil:
 		return err
@@ -139,6 +141,18 @@ func cmdStudy(args []string, _, stderr io.Writer) error {
 		return fmt.Errorf("study: -diurnal requires -clients > 0, got %d", *clients)
 	case !*diurnal && *clients > 0:
 		return fmt.Errorf("study: -clients requires -diurnal")
+	case !*diurnal && set["horizon"]:
+		return fmt.Errorf("study: -horizon requires -diurnal")
+	case !*diurnal && set["fleet-batches"]:
+		return fmt.Errorf("study: -fleet-batches requires -diurnal")
+	case *diurnal && set["node-batches"]:
+		return fmt.Errorf("study: -node-batches does not apply to the -diurnal fleet campaign (-fleet-batches does)")
+	case *diurnal && set["linger"]:
+		return fmt.Errorf("study: -linger does not apply to the -diurnal fleet campaign")
+	case set["linger"] && *listen == "":
+		return fmt.Errorf("study: -linger requires -listen")
+	case set["progress-interval"] && !*diurnal && !*progress && *listen == "":
+		return fmt.Errorf("study: -progress-interval requires -progress, -listen or -diurnal")
 	case !(*beSlowdown >= 0):
 		return fmt.Errorf("study: -be-slowdown must be ≥ 0, got %g", *beSlowdown)
 	case *diurnal && *beSlowdown != 0:

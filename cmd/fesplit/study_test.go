@@ -50,6 +50,12 @@ func TestStudyArgumentValidation(t *testing.T) {
 		{"study zero workers", "study", "-dir", []string{"-workers", "0"}, 1, "-workers"},
 		{"study unknown scale", "study", "-dir", []string{"-scale", "huge"}, 1, "-scale"},
 		{"study clients without diurnal", "study", "-dir", []string{"-clients", "5"}, 1, "-clients"},
+		{"study horizon without diurnal", "study", "-dir", []string{"-horizon", "4m"}, 1, "-horizon requires -diurnal"},
+		{"study fleet-batches without diurnal", "study", "-dir", []string{"-fleet-batches", "2"}, 1, "-fleet-batches requires -diurnal"},
+		{"study node-batches with diurnal", "study", "-dir", []string{"-diurnal", "-clients", "5", "-node-batches", "2"}, 1, "-node-batches does not apply"},
+		{"study linger with diurnal", "study", "-dir", []string{"-diurnal", "-clients", "5", "-listen", "127.0.0.1:0", "-linger", "1s"}, 1, "-linger does not apply"},
+		{"study linger without listen", "study", "-dir", []string{"-linger", "1s"}, 1, "-linger requires -listen"},
+		{"study progress-interval without telemetry", "study", "-dir", []string{"-progress-interval", "2s"}, 1, "-progress-interval requires"},
 		{"study removed stream flag", "study", "-dir", []string{"-stream"}, 1, "-stream"},
 		{"study negative be-slowdown", "study", "-dir", []string{"-be-slowdown", "-2"}, 1, "-be-slowdown must be ≥ 0"},
 		{"study be-slowdown with diurnal", "study", "-dir", []string{"-diurnal", "-clients", "5", "-be-slowdown", "2"}, 1, "-be-slowdown does not apply"},

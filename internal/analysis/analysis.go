@@ -349,16 +349,6 @@ func DeltaThreshold(nodes []NodeSummary, tol time.Duration) (time.Duration, bool
 	return thr, found
 }
 
-// RTTCDF builds the Figure-6 CDF of node RTTs to their default FE, in
-// milliseconds.
-func RTTCDF(nodes []NodeSummary) *stats.ECDF {
-	xs := make([]float64, len(nodes))
-	for i, n := range nodes {
-		xs[i] = float64(n.RTT) / float64(time.Millisecond)
-	}
-	return stats.NewECDF(xs)
-}
-
 // ValidateBounds checks the inference-framework invariant against the
 // FE's ground-truth fetch times the records joined (available only in
 // simulation): the median TrueFetch over records that have one must lie

@@ -206,22 +206,6 @@ func TestPerNodeOrderStableOnEqualRTT(t *testing.T) {
 	}
 }
 
-func TestRTTCDFConstruction(t *testing.T) {
-	nodes := []analysis.NodeSummary{
-		{RTT: 5 * time.Millisecond},
-		{RTT: 15 * time.Millisecond},
-		{RTT: 50 * time.Millisecond},
-		{RTT: 120 * time.Millisecond},
-	}
-	cdf := analysis.RTTCDF(nodes)
-	if got := cdf.At(20); got != 0.5 {
-		t.Fatalf("F(20ms) = %v, want 0.5", got)
-	}
-	if cdf.N() != 4 {
-		t.Fatalf("N = %d", cdf.N())
-	}
-}
-
 func TestValidateBoundsEdges(t *testing.T) {
 	if _, _, _, ok := analysis.ValidateBounds(nil, nil); ok {
 		t.Fatal("empty inputs validated")

@@ -62,7 +62,7 @@ type Options struct {
 	// baseline sets the era-faithful IW=3 (RFC 3390) instead.
 	TCP tcpsim.Config
 	// Queue is the data center's service queue (see queue.go and
-	// docs/QUEUEING.md). With Queue.Replicas > 0 overload inflates
+	// docs/OPERATING.md §3). With Queue.Replicas > 0 overload inflates
 	// fetch times mechanistically ("the load on servers at the data
 	// centers"): per-replica Lindley queueing, a cluster load balancer,
 	// a bounded backlog with 503 rejection, and the queue wait reported

@@ -14,7 +14,7 @@
 //
 // The model follows the replicated-cluster capacity analysis of
 // "Capacity Planning for Vertical Search Engines" (see PAPERS.md and
-// docs/QUEUEING.md); ROADMAP item 2. With zero replicas the cluster is
+// docs/OPERATING.md §3); ROADMAP item 2. With zero replicas the cluster is
 // unbounded: every query starts at once. Both server tiers serve
 // through a Cluster, and both sample their service times under one Load.
 package backend

@@ -183,16 +183,6 @@ func TestFleetPlacementDeterministic(t *testing.T) {
 	}
 }
 
-func TestFleetByHost(t *testing.T) {
-	f := vantage.DefaultFleet(3)
-	if f.ByHost("node-007") == nil {
-		t.Fatal("node-007 missing")
-	}
-	if f.ByHost("node-999") != nil {
-		t.Fatal("bogus node found")
-	}
-}
-
 func TestFleetProfiles(t *testing.T) {
 	c, w := vantage.CampusProfile(), vantage.WirelessProfile()
 	if w.Loss <= c.Loss {

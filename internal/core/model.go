@@ -176,17 +176,6 @@ func FetchBounds(tdelta, tdynamic time.Duration) (lo, hi time.Duration) {
 	return tdelta, tdynamic
 }
 
-// SolveProc inverts equation (2): given an estimated fetch time, the
-// window constant C and the FE↔BE round trip, it returns the implied
-// back-end processing time (clamped at zero).
-func SolveProc(fetch time.Duration, c float64, rttBE time.Duration) time.Duration {
-	proc := fetch - time.Duration(c*float64(rttBE))
-	if proc < 0 {
-		proc = 0
-	}
-	return proc
-}
-
 // DeltaThresholdRTT predicts the RTT at which Tdelta reaches zero:
 // the static delivery (one extra window round beyond the first) catches
 // up with the fetch when RTT ≈ Tfetch − FEDelay. Beyond it, clusters

@@ -128,15 +128,6 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
-func TestSolveProc(t *testing.T) {
-	if got := SolveProc(100*time.Millisecond, 1.5, 20*time.Millisecond); got != 70*time.Millisecond {
-		t.Fatalf("SolveProc = %v", got)
-	}
-	if got := SolveProc(10*time.Millisecond, 2, 50*time.Millisecond); got != 0 {
-		t.Fatalf("negative proc not clamped: %v", got)
-	}
-}
-
 func TestFetchBounds(t *testing.T) {
 	lo, hi := FetchBounds(5*time.Millisecond, 50*time.Millisecond)
 	if lo != 5*time.Millisecond || hi != 50*time.Millisecond {

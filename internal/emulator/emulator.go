@@ -547,7 +547,7 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 // node issues queries on its own fixed schedule regardless of
 // completions, so offered load is a pure function of the options — the
 // harness for the overload, hotspot and failover scenarios against
-// queue-enabled back ends (docs/QUEUEING.md).
+// queue-enabled back ends (docs/OPERATING.md §3).
 type OpenLoopOptions struct {
 	// FE, when set, is the fixed front-end every node queries;
 	// nil → each node's default (nearest) FE.

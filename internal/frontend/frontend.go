@@ -71,7 +71,7 @@ func SharedCDNLoadModel() LoadModel {
 
 // PoolConfig bounds the FE→BE connection pool and adds admission
 // control and retry behavior — the front half of the load-aware
-// back-end subsystem (docs/QUEUEING.md). The zero value (MaxConns == 0)
+// back-end subsystem (docs/OPERATING.md §3). The zero value (MaxConns == 0)
 // keeps the legacy unbounded pool: no admission, no retries, and wire
 // behavior byte-identical to earlier versions.
 type PoolConfig struct {

@@ -74,13 +74,6 @@ func DefaultDelayModel() DelayModel {
 	return DelayModel{PerMile: 8050 * time.Nanosecond, Inflation: 1.6, Floor: 250 * time.Microsecond}
 }
 
-// BackboneDelayModel is calibrated for dedicated inter-datacenter
-// backbones: near-straight fiber routes and negligible queuing, as the
-// paper attributes to Google's internal FE↔BE network.
-func BackboneDelayModel() DelayModel {
-	return DelayModel{PerMile: 8050 * time.Nanosecond, Inflation: 1.15, Floor: 100 * time.Microsecond}
-}
-
 // WideAreaFEBEDelayModel is calibrated for the FE↔BE legs of both
 // studied services: long-haul routes with multi-AS detours and
 // switching overheads. Its inflation gives 0.0483 ms of RTT per mile,
@@ -116,16 +109,4 @@ func (m DelayModel) RTT(miles float64) time.Duration { return 2 * m.OneWay(miles
 type Site struct {
 	Name  string
 	Point Point
-}
-
-// Nearest returns the index of the site closest to p, and the distance in
-// miles. It returns (-1, +Inf) for an empty slice.
-func Nearest(p Point, sites []Site) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for i, s := range sites {
-		if d := DistanceMiles(p, s.Point); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
 }

@@ -114,15 +114,6 @@ func TestDelayModelScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestBackboneFasterThanPublic(t *testing.T) {
-	pub, bb := DefaultDelayModel(), BackboneDelayModel()
-	for _, miles := range []float64{50, 200, 1000, 3000} {
-		if bb.OneWay(miles) >= pub.OneWay(miles) {
-			t.Fatalf("backbone not faster at %v miles", miles)
-		}
-	}
-}
-
 func TestRTTIsTwiceOneWay(t *testing.T) {
 	m := DefaultDelayModel()
 	if m.RTT(500) != 2*m.OneWay(500) {
@@ -135,22 +126,6 @@ func TestOneWayBetween(t *testing.T) {
 	a, b := Point{40, -74}, Point{34, -118}
 	if m.OneWayBetween(a, b) != m.OneWay(DistanceMiles(a, b)) {
 		t.Fatal("OneWayBetween mismatch")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	sites := GoogleBEs()
-	// Charlotte NC is nearest to Lenoir NC.
-	charlotte := Point{35.2271, -80.8431}
-	i, d := Nearest(charlotte, sites)
-	if i < 0 || sites[i].Name != "google-be-lenoir" {
-		t.Fatalf("nearest to Charlotte = %v", sites[i].Name)
-	}
-	if d <= 0 || d > 100 {
-		t.Fatalf("Charlotte-Lenoir distance = %v", d)
-	}
-	if i, d := Nearest(charlotte, nil); i != -1 || !math.IsInf(d, 1) {
-		t.Fatal("empty Nearest should return (-1, +Inf)")
 	}
 }
 

@@ -129,7 +129,7 @@ func (q *eventQueue) siftDown() {
 // the main heap and the lane is the same total order a single heap
 // would produce. That property is what lets every TCP segment bypass
 // the global heap and still reproduce the packet path's frozen
-// transcripts; see docs/PERF.md. tcpsim attaches the one lane a
+// transcripts; see docs/OPERATING.md §5. tcpsim attaches the one lane a
 // simulator has.
 type FastLane interface {
 	// Head returns the next lane event's (time, seq); ok is false when

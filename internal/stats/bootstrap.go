@@ -50,27 +50,6 @@ func BootstrapLinReg(xs, ys []float64, resamples int, level float64, rng *rand.R
 	return percentileCI(slopes, level), percentileCI(intercepts, level)
 }
 
-// BootstrapMedian returns a percentile bootstrap CI for the median.
-func BootstrapMedian(xs []float64, resamples int, level float64, rng *rand.Rand) BootstrapCI {
-	n := len(xs)
-	if n == 0 || resamples < 1 {
-		return BootstrapCI{Level: level}
-	}
-	meds := make([]float64, 0, resamples)
-	sample := make([]float64, n)
-	for b := 0; b < resamples; b++ {
-		for i := 0; i < n; i++ {
-			sample[i] = xs[rng.Intn(n)]
-		}
-		// Median would sort a fresh copy per resample; sorting the
-		// scratch in place is free — every slot is overwritten on the
-		// next round — and yields the same value.
-		sort.Float64s(sample)
-		meds = append(meds, quantileSorted(sample, 0.5))
-	}
-	return percentileCI(meds, level)
-}
-
 func percentileCI(vals []float64, level float64) BootstrapCI {
 	if level <= 0 || level >= 1 {
 		level = 0.95

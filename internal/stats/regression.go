@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // LinFit is an ordinary-least-squares straight-line fit y = Slope·x +
 // Intercept. Paper Section 5 fits Tdynamic against FE↔BE geographic
 // distance; the intercept estimates the back-end processing time and the
@@ -68,17 +66,4 @@ func (f LinFit) Residuals(xs, ys []float64) []float64 {
 		out[i] = ys[i] - f.Predict(xs[i])
 	}
 	return out
-}
-
-// RMSE returns the root-mean-square error of the fit on (xs, ys).
-func (f LinFit) RMSE(xs, ys []float64) float64 {
-	res := f.Residuals(xs, ys)
-	if len(res) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range res {
-		s += r * r
-	}
-	return math.Sqrt(s / float64(len(res)))
 }

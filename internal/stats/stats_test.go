@@ -333,9 +333,6 @@ func TestLinRegResidualsSumZero(t *testing.T) {
 	if !almostEq(s, 0, 1e-6) {
 		t.Fatalf("OLS residuals sum to %v, want ~0", s)
 	}
-	if f.RMSE(xs, ys) <= 0 {
-		t.Fatal("RMSE should be positive for noisy data")
-	}
 }
 
 func TestZipfDistribution(t *testing.T) {
@@ -509,24 +506,6 @@ func TestBootstrapLinRegDegenerate(t *testing.T) {
 	s, i := BootstrapLinReg(nil, nil, 100, 0.95, rand.New(rand.NewSource(1)))
 	if s.Width() != 0 || i.Width() != 0 {
 		t.Fatal("empty input produced nonzero CI")
-	}
-}
-
-func TestBootstrapMedian(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*10 + 100
-	}
-	ci := BootstrapMedian(xs, 600, 0.9, rand.New(rand.NewSource(24)))
-	if !ci.Contains(100) {
-		t.Fatalf("median CI [%.1f, %.1f] misses 100", ci.Lo, ci.Hi)
-	}
-	if ci.Width() > 5 {
-		t.Fatalf("median CI too wide: %.2f", ci.Width())
-	}
-	if empty := BootstrapMedian(nil, 10, 0.9, rng); empty.Width() != 0 {
-		t.Fatal("empty input produced CI")
 	}
 }
 

@@ -633,7 +633,7 @@ func (c *Conn) retarget(dst *Conn, dstEp *Endpoint) {
 // the metrics, arrival computed by the path state machine Network.Send
 // runs, delivery queued on the lane under a sequence number drawn
 // exactly where Network.Send's heap push would have drawn it. See
-// docs/PERF.md for why the result is bit-identical to the packet path.
+// docs/OPERATING.md §5 for why the result is bit-identical to the packet path.
 func (c *Conn) fastSend(s Segment, data []byte) {
 	e := c.ep
 	sack := c.sackBuf[:s.NSACK]
@@ -646,7 +646,7 @@ func (c *Conn) fastSend(s Segment, data []byte) {
 			m.Retransmits.Inc()
 		}
 	}
-	size := e.cfg.HeaderSize + int(s.Len)
+	size := headerSize + int(s.Len)
 	arrival, dropped := c.fwdPath.Transmit(size)
 	if dropped {
 		// The loss process consumed the segment at send time — exactly
@@ -827,8 +827,8 @@ func (c *Conn) sampleRTT() {
 	if rto < c.ep.cfg.MinRTO {
 		rto = c.ep.cfg.MinRTO
 	}
-	if rto > c.ep.cfg.MaxRTO {
-		rto = c.ep.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }
@@ -865,8 +865,8 @@ func (c *Conn) onTimeout() {
 	c.inRecov = false
 	c.timedValid = false // Karn: never time retransmitted data
 	c.rto *= 2
-	if c.rto > c.ep.cfg.MaxRTO {
-		c.rto = c.ep.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	if c.st == stateEstablished {
 		// Go-back-N: after an RTO, data beyond sndUna is no longer

@@ -18,7 +18,7 @@ import (
 // are lane traffic like any other. A ring whose peer connection is
 // resolved delivers straight to it; any other ring delivers through
 // the network's host table, as a heap packet event does. See
-// docs/PERF.md for the exactness argument.
+// docs/OPERATING.md §5 for the exactness argument.
 //
 // Structure: one FIFO ring per sending connection, plus a small min-
 // heap of the non-empty rings keyed by their head event. A path's FIFO
@@ -273,7 +273,7 @@ func (l *fastLane) RunHead() {
 		src.net.DeliverNow(simnet.Packet{
 			From:    src.host,
 			To:      r.to,
-			Size:    src.cfg.HeaderSize + int(ev.seg.Len),
+			Size:    headerSize + int(ev.seg.Len),
 			Payload: box(ev.seg, data, sack),
 		})
 	}

@@ -75,24 +75,18 @@ type Segment struct {
 	NSACK   uint8 // selective-ack blocks carried beside the segment, ≤ 3
 }
 
-// SeqLen returns the sequence-space length: payload bytes plus one for
-// SYN and one for FIN.
-func (s Segment) SeqLen() uint64 {
-	n := uint64(s.Len)
-	if s.Flags&FlagSYN != 0 {
-		n++
-	}
-	if s.Flags&FlagFIN != 0 {
-		n++
-	}
-	return n
-}
-
 // String renders the segment for debugging.
 func (s Segment) String() string {
 	return fmt.Sprintf("[%s seq=%d ack=%d len=%d wnd=%d]",
 		s.Flags, s.Seq, s.Ack, s.Len, s.Wnd)
 }
+
+// Per-segment overhead (IP+TCP headers) added to the simnet packet
+// size, and the retransmission timeout's ceiling. No world varies them.
+const (
+	headerSize = 40
+	maxRTO     = 60 * time.Second
+)
 
 // Config tunes a TCP endpoint. Zero fields take the documented defaults
 // via (Config).withDefaults.
@@ -109,10 +103,9 @@ type Config struct {
 	// RcvWindow is the advertised receive window in bytes.
 	// Default 256 KiB.
 	RcvWindow int
-	// MinRTO and MaxRTO clamp the retransmission timeout.
-	// Defaults 200 ms and 60 s.
+	// MinRTO is the retransmission timeout's floor (its ceiling is
+	// maxRTO). Default 200 ms.
 	MinRTO time.Duration
-	MaxRTO time.Duration
 	// DelayedAck enables RFC 1122 delayed ACKs: acknowledge every
 	// second full segment, or after DelayedAckTimeout. Default off —
 	// the measurement model assumes prompt ACK clocking.
@@ -124,9 +117,6 @@ type Config struct {
 	// Reno needs one RTT per loss. Default off (the paper's era had
 	// SACK widely deployed; the ablation quantifies its effect).
 	SACK bool
-	// HeaderSize is the per-segment overhead (IP+TCP headers) added to
-	// the simnet packet size. Default 40.
-	HeaderSize int
 	// RecycleConns enables free-list recycling of completed connection
 	// objects on this endpoint: a closed connection returns to the
 	// endpoint once no scheduled timer event references it, and the
@@ -139,7 +129,7 @@ type Config struct {
 	// Conn.Incarnation first (its ResponseWriter does). Default off. Every emulator client endpoint
 	// and every FE endpoint turns it on; BE endpoints leave it off,
 	// since their connections are the FEs' pooled persistent ones and
-	// a free list there would hold nothing to reuse (docs/SCALE.md).
+	// a free list there would hold nothing to reuse (docs/OPERATING.md §2).
 	RecycleConns bool
 }
 
@@ -160,14 +150,8 @@ func (c Config) withDefaults() Config {
 	if c.MinRTO <= 0 {
 		c.MinRTO = 200 * time.Millisecond
 	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 60 * time.Second
-	}
 	if c.DelayedAckTimeout <= 0 {
 		c.DelayedAckTimeout = 40 * time.Millisecond
-	}
-	if c.HeaderSize <= 0 {
-		c.HeaderSize = 40
 	}
 	return c
 }

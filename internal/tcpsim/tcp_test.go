@@ -426,13 +426,6 @@ func TestSegmentStringAndFlags(t *testing.T) {
 	if Flags(0).String() != "-" {
 		t.Fatal("zero flags string")
 	}
-	if s.SeqLen() != 3 { // SYN + 2 data bytes
-		t.Fatalf("SeqLen = %d", s.SeqLen())
-	}
-	f := Segment{Flags: FlagFIN}
-	if f.SeqLen() != 1 {
-		t.Fatalf("FIN SeqLen = %d", f.SeqLen())
-	}
 	if DirSend.String() != "send" || DirRecv.String() != "recv" {
 		t.Fatal("Dir strings")
 	}
@@ -443,7 +436,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.MSS != 1460 || c.InitialCwnd != 3 || c.RcvWindow != 256<<10 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if c.MinRTO != 200*time.Millisecond || c.HeaderSize != 40 {
+	if c.MinRTO != 200*time.Millisecond {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// Explicit values survive.

@@ -146,13 +146,3 @@ func (f *Fleet) WireToBEs(d *cdn.Deployment) {
 		d.WireClientToBEs(n.Host, n.Point, n.OneWay, n.Access.Jitter, n.Access.Loss)
 	}
 }
-
-// ByHost returns the node with the given host ID, or nil.
-func (f *Fleet) ByHost(h simnet.HostID) *Node {
-	for i := range f.Nodes {
-		if f.Nodes[i].Host == h {
-			return &f.Nodes[i]
-		}
-	}
-	return nil
-}

@@ -70,17 +70,6 @@ func TestProfileContrast(t *testing.T) {
 	}
 }
 
-func TestByHost(t *testing.T) {
-	f := DefaultFleet(5)
-	n := f.ByHost("node-042")
-	if n == nil || n.Host != "node-042" {
-		t.Fatalf("ByHost = %+v", n)
-	}
-	if f.ByHost("absent") != nil {
-		t.Fatal("bogus host resolved")
-	}
-}
-
 func TestHostNamesUnique(t *testing.T) {
 	f := DefaultFleet(6)
 	seen := map[string]bool{}

@@ -219,30 +219,6 @@ func (g *Generator) DistinctQueries(n int) []Query {
 	return out
 }
 
-// Suggestions returns the top-n keyword strings by popularity — the
-// drop-down "search suggestion box" list the paper harvested for its
-// commonly-searched keywords.
-func Suggestions(n int) []string {
-	if n < 0 {
-		n = 0
-	}
-	if n > NumRanks {
-		n = NumRanks
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = KeywordForRank(i)
-	}
-	return out
-}
-
-// UnsuggestedKeyword returns a keyword string guaranteed not to appear
-// in any Suggestions list — the paper's "search words not listed by the
-// suggestion bar".
-func UnsuggestedKeyword(i int) string {
-	return fmt.Sprintf("unlisted term %d xq%dz", i, i*7919)
-}
-
 // Path renders the query as a search URL path, like the emulator's GET.
 // Query metadata (class, rank, id) rides along as parameters so the
 // back-end cost model can recover it from the wire — the in-house

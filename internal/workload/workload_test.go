@@ -391,44 +391,6 @@ func TestSharedStaticPrefixAcrossQueries(t *testing.T) {
 	}
 }
 
-func TestSuggestions(t *testing.T) {
-	s := Suggestions(100)
-	if len(s) != 100 {
-		t.Fatalf("len = %d", len(s))
-	}
-	seen := map[string]bool{}
-	for _, kw := range s {
-		if seen[kw] {
-			t.Fatalf("duplicate suggestion %q", kw)
-		}
-		seen[kw] = true
-	}
-	if got := Suggestions(-1); len(got) != 0 {
-		t.Fatal("negative n")
-	}
-	if got := Suggestions(NumRanks + 5); len(got) != NumRanks {
-		t.Fatalf("clamp failed: %d", len(got))
-	}
-}
-
-func TestUnsuggestedKeywordDistinct(t *testing.T) {
-	sugg := map[string]bool{}
-	for _, kw := range Suggestions(1000) {
-		sugg[kw] = true
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		kw := UnsuggestedKeyword(i)
-		if sugg[kw] {
-			t.Fatalf("unsuggested keyword %q collides with suggestions", kw)
-		}
-		if seen[kw] {
-			t.Fatalf("duplicate unsuggested %q", kw)
-		}
-		seen[kw] = true
-	}
-}
-
 // FuzzParsePath hardens the wire-path parser: arbitrary paths must
 // error or parse, never panic, and agree with the net/url reference.
 func FuzzParsePath(f *testing.F) {

@@ -28,20 +28,11 @@ type Report struct {
 	Interactive *InteractiveData
 	Wireless    *WirelessData
 	ModelCheck  *ModelValidationData
-	// Load-aware back-end queueing scenarios (docs/QUEUEING.md).
+	// Load-aware back-end queueing scenarios (docs/OPERATING.md §3).
 	Overload *OverloadData
 	Hotspot  *HotspotData
 	Failover *FailoverData
 	Capacity *CapacityData
-}
-
-// WriteReport runs the whole study and renders it as text.
-func (s *Study) WriteReport(w io.Writer) error {
-	rep, err := s.RunAll()
-	if err != nil {
-		return err
-	}
-	return rep.WriteText(w)
 }
 
 // WriteText renders the report in the order of the paper's figures.

@@ -46,7 +46,7 @@ type StudyConfig struct {
 	// Workers caps the goroutines running study cells and node batches
 	// (0 → runtime.NumCPU, negative → error). Workers schedules work,
 	// nothing else: every figure, metrics dump and report is
-	// byte-identical for Workers=1 and Workers=N. See docs/PARALLEL.md.
+	// byte-identical for Workers=1 and Workers=N. See docs/OPERATING.md §1.
 	Workers int
 	// NodeBatches splits the default-FE campaign (Figures 6–8) into
 	// this many independent node-batch worlds (0 →

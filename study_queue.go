@@ -6,7 +6,7 @@ package fesplit
 // load. All four scenarios drive open-loop arrival campaigns
 // (emulator.RunOpenLoop) so offered load is a pure function of the
 // configuration — completions never throttle arrivals, which is what
-// lets a surge actually overload the cluster. See docs/QUEUEING.md.
+// lets a surge actually overload the cluster. See docs/OPERATING.md §3.
 //
 //   - Overload: a traffic spike (4× arrival rate for a window) against
 //     a capped queue — rejections, retries, and a Tdynamic tail that
