@@ -30,7 +30,6 @@ import (
 	"fesplit/internal/baseline"
 	"fesplit/internal/capture"
 	"fesplit/internal/cdn"
-	"fesplit/internal/emulator"
 	"fesplit/internal/obs"
 	rt "fesplit/internal/obs/runtime"
 	"fesplit/internal/vantage"
@@ -41,8 +40,6 @@ import (
 type (
 	// DeploymentConfig specifies a deployment to build.
 	DeploymentConfig = cdn.Config
-	// Dataset is the output of one experiment.
-	Dataset = emulator.Dataset
 	// Trace is a node's captured packet trace.
 	Trace = capture.Trace
 	// Params are the per-session measured parameters

@@ -117,6 +117,7 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 			Curve:     fc.Curve(),
 			QuerySeed: s.cfg.Seed + 102,
 			FleetSeed: s.cfg.Seed + 103,
+			Runtime:   s.rt,
 		},
 		Batches: fc.Batches,
 		Workers: fc.Workers,
@@ -133,7 +134,6 @@ func (s *Study) RunFleetStudy(fc FleetStudyConfig) (*FleetStudyResult, error) {
 				dynamic: stats.NewSketch(0),
 			}
 		},
-		Runtime: s.rt,
 	})
 	if err != nil {
 		return nil, err

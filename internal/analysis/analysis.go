@@ -167,13 +167,9 @@ type Params struct {
 	Coalesced bool
 }
 
-// FetchBounds returns the inference-framework bounds on the
-// (directly unobservable) FE-BE fetch time:
-// Tdelta ≤ Tfetch ≤ Tdynamic (paper equation 1).
-func (p Params) FetchBounds() (lo, hi time.Duration) { return p.Tdelta, p.Tdynamic }
-
 // ViolatesBounds reports whether a ground-truth fetch time falsifies
-// the inference bound Tdelta ≤ Tfetch ≤ Tdynamic beyond the jitter
+// the inference bound Tdelta ≤ Tfetch ≤ Tdynamic (paper equation 1) on
+// the directly unobservable FE-BE fetch time beyond the jitter
 // tolerance. A zero fetch time means no ground truth was joined; that
 // cannot witness a violation.
 func (p Params) ViolatesBounds(trueFetch, tol time.Duration) bool {

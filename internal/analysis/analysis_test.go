@@ -224,14 +224,6 @@ func TestValidateBoundsEdges(t *testing.T) {
 	}
 }
 
-func TestFetchBoundsAccessors(t *testing.T) {
-	p := analysis.Params{Tdelta: 3 * time.Millisecond, Tdynamic: 30 * time.Millisecond}
-	lo, hi := p.FetchBounds()
-	if lo != 3*time.Millisecond || hi != 30*time.Millisecond {
-		t.Fatalf("bounds = %v %v", lo, hi)
-	}
-}
-
 // TestBoundaryCrossCheck validates the content-derived boundary against
 // per-session temporal clustering on near-node sessions, as the paper
 // does by combining both methods.

@@ -202,11 +202,11 @@ func TestFactorFetchCI(t *testing.T) {
 		})
 	}
 	res := analysis.FactorFetchCI(pts, 500, 7)
-	if !res.SlopeCI.Contains(res.SlopeMSPerMile) {
+	if ci, v := res.SlopeCI, res.SlopeMSPerMile; !(ci.Lo <= v && v <= ci.Hi) {
 		t.Fatalf("slope CI [%.4f, %.4f] misses point estimate %.4f",
 			res.SlopeCI.Lo, res.SlopeCI.Hi, res.SlopeMSPerMile)
 	}
-	if !res.ProcCI.Contains(res.ProcTimeMS) {
+	if ci, v := res.ProcCI, res.ProcTimeMS; !(ci.Lo <= v && v <= ci.Hi) {
 		t.Fatalf("intercept CI [%.1f, %.1f] misses point estimate %.1f",
 			res.ProcCI.Lo, res.ProcCI.Hi, res.ProcTimeMS)
 	}

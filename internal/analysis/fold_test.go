@@ -261,7 +261,11 @@ func TestFoldExemplarsSurvive(t *testing.T) {
 		buf *bytes.Buffer
 		ts  *obs.TailSampler
 	}{{&a, ts}, {&b, again}} {
-		if err := obs.WriteSpansJSONL(out.buf, out.ts.Spans()); err != nil {
+		tr := obs.NewTracer()
+		for _, e := range out.ts.Select() {
+			tr.Add(e.Span)
+		}
+		if err := obs.WriteSpansJSONL(out.buf, tr); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,15 +72,16 @@ func TestPerRecordFetchBounds(t *testing.T) {
 				if s.Retransmissions > 0 {
 					continue
 				}
-				if s.Tdelta() > rec.TrueFetch+tol {
-					t.Errorf("record %d: Tdelta %v > true fetch %v", i, s.Tdelta(), rec.TrueFetch)
+				tdelta, tdynamic := s.T5-s.T4, s.T5-s.T2
+				if tdelta > rec.TrueFetch+tol {
+					t.Errorf("record %d: Tdelta %v > true fetch %v", i, tdelta, rec.TrueFetch)
 				}
-				if rec.TrueFetch > s.Tdynamic()+tol {
-					t.Errorf("record %d: true fetch %v > Tdynamic %v", i, rec.TrueFetch, s.Tdynamic())
+				if rec.TrueFetch > tdynamic+tol {
+					t.Errorf("record %d: true fetch %v > Tdynamic %v", i, rec.TrueFetch, tdynamic)
 				}
-				lo = append(lo, float64(s.Tdelta()))
+				lo = append(lo, float64(tdelta))
 				truth = append(truth, float64(rec.TrueFetch))
-				hi = append(hi, float64(s.Tdynamic()))
+				hi = append(hi, float64(tdynamic))
 				checked++
 			}
 			if checked < 20 {

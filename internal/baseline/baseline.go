@@ -73,7 +73,7 @@ func RunDirect(depCfg cdn.Config, nodes int, fleetSeed int64, repeats int,
 		a := &acc{rtt: net.RTT(node.Host, be.Host())}
 		accs[node.Host] = a
 		ep := tcpsim.NewEndpoint(net, node.Host, tcpsim.Config{})
-		start := time.Duration(i%97) * 103 * time.Millisecond
+		start := vantage.Stagger(i)
 		for k := 0; k < repeats; k++ {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*interval

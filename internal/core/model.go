@@ -170,12 +170,6 @@ func Predict(in Inputs) (Prediction, error) {
 	return p, nil
 }
 
-// FetchBounds returns the inference bounds of equation (1) for a
-// measured (Tdelta, Tdynamic) pair.
-func FetchBounds(tdelta, tdynamic time.Duration) (lo, hi time.Duration) {
-	return tdelta, tdynamic
-}
-
 // DeltaThresholdRTT predicts the RTT at which Tdelta reaches zero:
 // the static delivery (one extra window round beyond the first) catches
 // up with the fetch when RTT ≈ Tfetch − FEDelay. Beyond it, clusters

@@ -128,13 +128,6 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
-func TestFetchBounds(t *testing.T) {
-	lo, hi := FetchBounds(5*time.Millisecond, 50*time.Millisecond)
-	if lo != 5*time.Millisecond || hi != 50*time.Millisecond {
-		t.Fatal("bounds mismatch")
-	}
-}
-
 // TestModelAgreesWithSimulator is the validation step: a fully
 // deterministic client–FE–BE world is both simulated at packet level
 // and predicted analytically; the timelines must agree.
@@ -224,6 +217,6 @@ func TestModelAgreesWithSimulator(t *testing.T) {
 		// congestion window is byte-granular, which can shift the last
 		// round by up to one RTT.
 		within("te", s.TE-start, pred.TE, rtt+20*time.Millisecond)
-		within("Tdelta", s.Tdelta(), pred.Tdelta(), 10*time.Millisecond)
+		within("Tdelta", s.T5-s.T4, pred.Tdelta(), 10*time.Millisecond)
 	}
 }

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -248,5 +249,49 @@ func TestRunShardedARequiresSink(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("RunShardedA accepted a nil sink factory")
+	}
+}
+
+// TestShardedRefusesPerBatchFields: a sharded campaign sets each batch's
+// observer, measurer and sink itself, so options that set one of those
+// inner fields are refused with an error naming the field.
+func TestShardedRefusesPerBatchFields(t *testing.T) {
+	sink := func(int, *obs.Observer) RecordSink { return &collectSink{} }
+	a := ShardedAOptions{SimSeed: 1, Deployment: cdn.GoogleLike(1), Runner: Options{Nodes: 2, FleetSeed: 2},
+		A: AOptions{QueriesPerNode: 1, Interval: time.Second}, Sink: sink}
+	f := FleetShardedOptions{SimSeed: 1, Deployment: cdn.GoogleLike(1),
+		Fleet: FleetOptions{Clients: 2, FleetSeed: 2}, Sink: sink}
+	for _, tc := range []struct {
+		field string
+		run   func() error
+	}{
+		{"ShardedAOptions.Runner.Obs", func() error {
+			o := a
+			o.Runner.Obs = &obs.Observer{}
+			_, _, err := RunShardedA(o)
+			return err
+		}},
+		{"ShardedAOptions.Runner.Measure", func() error {
+			o := a
+			o.Runner.Measure = &countMeasurer{}
+			_, _, err := RunShardedA(o)
+			return err
+		}},
+		{"FleetShardedOptions.Fleet.Obs", func() error {
+			o := f
+			o.Fleet.Obs = &obs.Observer{}
+			_, _, _, err := RunFleet(o)
+			return err
+		}},
+		{"FleetShardedOptions.Fleet.Sink", func() error {
+			o := f
+			o.Fleet.Sink = &collectSink{}
+			_, _, _, err := RunFleet(o)
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set: error %v, want one naming the field", tc.field, err)
+		}
 	}
 }

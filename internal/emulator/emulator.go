@@ -261,10 +261,6 @@ func (w *world) get(ep *tcpsim.Endpoint, rr *Record, onDone func(*httpsim.Respon
 	w.live[nodePort{rr.Node, rr.Key.LocalPort}] = liveQuery{rr: rr}
 }
 
-// stagger is node i's campaign start offset, so the fleet doesn't fire
-// in lockstep (PlanetLab nodes were never synchronized).
-func stagger(i int) time.Duration { return time.Duration(i%97) * 103 * time.Millisecond }
-
 // Runner owns one simulated world with a materialised vantage fleet: a
 // client TCP endpoint + packet recorder per node.
 type Runner struct {
@@ -488,7 +484,7 @@ func (r *Runner) runExperimentARange(opts AOptions, lo, hi int) *Dataset {
 	for i := lo; i < hi; i++ {
 		node := r.Fleet.Nodes[i]
 		defaultFE := r.Dep.DefaultFE(node.Point)
-		start := stagger(i)
+		start := vantage.Stagger(i)
 		for k := 0; k < opts.QueriesPerNode; k++ {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
@@ -523,7 +519,7 @@ func (r *Runner) RunKeepAliveA(opts AOptions) *Dataset {
 		node := node
 		fe := r.Dep.DefaultFE(node.Point)
 		pc := httpsim.NewPersistentConn(r.eps[node.Host], fe.Host(), frontend.FEPort)
-		start := stagger(i)
+		start := vantage.Stagger(i)
 		for k := 0; k < opts.QueriesPerNode; k++ {
 			q := queries[k%len(queries)]
 			at := start + time.Duration(k)*opts.Interval
@@ -587,7 +583,7 @@ func (r *Runner) RunOpenLoop(opts OpenLoopOptions) *Dataset {
 		if fe == nil {
 			fe = r.Dep.DefaultFE(node.Point)
 		}
-		start := stagger(i)
+		start := vantage.Stagger(i)
 		k := 0
 		for at := start; at < opts.Horizon; {
 			surging := at >= opts.SurgeStart && at < opts.SurgeEnd
@@ -641,7 +637,7 @@ func (r *Runner) RunExperimentB(opts BOptions) (*Dataset, error) {
 	q := workload.NewGenerator(opts.QuerySeed + 177).Query(workload.ClassGranular)
 	ds := newDataset(len(r.Fleet.Nodes) * opts.Repeats)
 	for i, node := range r.Fleet.Nodes {
-		start := stagger(i)
+		start := vantage.Stagger(i)
 		for k := 0; k < opts.Repeats; k++ {
 			r.issueAt(ds, start+time.Duration(k)*opts.Interval, node, opts.FE, q, 0)
 		}
@@ -689,7 +685,7 @@ func (r *Runner) CachingProbe(fe *frontend.Server, repeats int,
 	same, distinct = newDataset(n), newDataset(n)
 	di := 0
 	for i, node := range r.Fleet.Nodes {
-		start := stagger(i)
+		start := vantage.Stagger(i)
 		for k := 0; k < repeats; k++ {
 			at := start + time.Duration(k)*interval
 			// Interleave the phases so slowly varying server load

@@ -265,8 +265,10 @@ type FleetShardedOptions struct {
 	SimSeed int64
 	// Deployment is the service under test, shared by every batch.
 	Deployment cdn.Config
-	// Fleet configures each batch's campaign. Its Sink/Obs fields are
-	// ignored — use the per-batch factories below.
+	// Fleet configures each batch's campaign. Its Runtime, when
+	// non-nil, also receives task progress from all batches. Sink and Obs
+	// are set per batch from the factories below: RunFleet refuses
+	// options that set either.
 	Fleet FleetOptions
 	// Batches is the arrival-stride count (≤ 0 → DefaultNodeBatches).
 	Batches int
@@ -278,9 +280,6 @@ type FleetShardedOptions struct {
 	// Observe, when non-nil, returns a fresh Observer private to the
 	// batch.
 	Observe func(batch int) *obs.Observer
-	// Runtime receives fleet gauges, task progress and heap watermark
-	// samples from all batches.
-	Runtime *rt.Engine
 }
 
 // RunFleet runs the ephemeral-client fleet campaign split into strided
@@ -288,6 +287,12 @@ type FleetShardedOptions struct {
 // Results, observers (nil unless Observe was set) and sinks come back
 // in batch order — the canonical merge order.
 func RunFleet(opts FleetShardedOptions) ([]*FleetResult, []*obs.Observer, []RecordSink, error) {
+	switch {
+	case opts.Fleet.Obs != nil:
+		return nil, nil, nil, perBatchField("FleetShardedOptions.Fleet.Obs", "Observe")
+	case opts.Fleet.Sink != nil:
+		return nil, nil, nil, perBatchField("FleetShardedOptions.Fleet.Sink", "Sink")
+	}
 	k := opts.Batches
 	if k <= 0 {
 		k = DefaultNodeBatches
@@ -297,11 +302,10 @@ func RunFleet(opts FleetShardedOptions) ([]*FleetResult, []*obs.Observer, []Reco
 		names[b] = fmt.Sprintf("fleet[%d/%d]", b, k)
 	}
 	results := make([]*FleetResult, k)
-	obsvs, sinks, err := runSharded(names, opts.Workers, opts.Runtime, opts.Observe, opts.Sink,
+	obsvs, sinks, err := runSharded(names, opts.Workers, opts.Fleet.Runtime, opts.Observe, opts.Sink,
 		func(b int, o *obs.Observer, sink RecordSink) error {
 			fopts := opts.Fleet
 			fopts.stride, fopts.offset = k, b
-			fopts.Runtime = opts.Runtime
 			fopts.Sink = sink
 			fopts.Obs = o
 			fr, err := NewFleetRunner(shard.Mix(opts.SimSeed, uint64(b)), opts.Deployment, fopts)

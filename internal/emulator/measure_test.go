@@ -109,7 +109,11 @@ func fold(t *testing.T, f *analysis.Fold, o *obs.Observer, dss []*emulator.Datas
 	if err := obs.WriteMetricsJSONL(&m, o.Reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteSpansJSONL(&s, o.Tail.Spans()); err != nil {
+	tr := obs.NewTracer()
+	for _, e := range o.Tail.Select() {
+		tr.Add(e.Span)
+	}
+	if err := obs.WriteSpansJSONL(&s, tr); err != nil {
 		t.Fatal(err)
 	}
 	out.metrics, out.spans, out.counters = m.String(), s.String(), [2]int{f.Attributed, f.Violations}

@@ -33,7 +33,10 @@ type ShardedAOptions struct {
 	Deployment cdn.Config
 	// Runner configures each batch's world. Nodes is the FULL fleet
 	// size — every batch builds the whole fleet (placement must match
-	// across batches) and drives only its own node range.
+	// across batches) and drives only its own node range. Its Runtime,
+	// when non-nil, also receives batch task progress and streamed-record
+	// counts. Obs and Measure are set per batch (from Observe and Sink):
+	// RunShardedA refuses options that set either.
 	Runner Options
 	// A parameterizes the campaign each batch runs over its node range.
 	A AOptions
@@ -58,13 +61,8 @@ type ShardedAOptions struct {
 	// one batch world instead of the full record count. The sinks come
 	// back in batch order: merging the per-batch accumulators in that
 	// order is equivalent to offering every record serially. A sink that
-	// is also a Measurer measures its batch's records (Options.Measure);
-	// Runner.Measure, which batches would share, is ignored.
+	// is also a Measurer measures its batch's records (Options.Measure).
 	Sink func(batch int, o *obs.Observer) RecordSink
-	// Runtime, when non-nil, receives engine telemetry: batch task
-	// progress, streamed-record counts and heap watermark samples. Pure
-	// observation — results are byte-identical with or without it.
-	Runtime *rt.Engine
 }
 
 // RunShardedA runs Experiment A split into contiguous node batches,
@@ -77,6 +75,12 @@ type ShardedAOptions struct {
 // Observers (nil unless Observe was set) and sinks come back in batch
 // order — the canonical merge order.
 func RunShardedA(opts ShardedAOptions) ([]*obs.Observer, []RecordSink, error) {
+	switch {
+	case opts.Runner.Obs != nil:
+		return nil, nil, perBatchField("ShardedAOptions.Runner.Obs", "Observe")
+	case opts.Runner.Measure != nil:
+		return nil, nil, perBatchField("ShardedAOptions.Runner.Measure", "a Sink that is a Measurer")
+	}
 	n := opts.Runner.withDefaults().Nodes
 	k := opts.Batches
 	if k <= 0 {
@@ -90,11 +94,10 @@ func RunShardedA(opts ShardedAOptions) ([]*obs.Observer, []RecordSink, error) {
 	for i, b := range batches {
 		names[i] = fmt.Sprintf("nodes[%d:%d]", b.Lo, b.Hi)
 	}
-	return runSharded(names, opts.Workers, opts.Runtime, opts.Observe, opts.Sink,
+	return runSharded(names, opts.Workers, opts.Runner.Runtime, opts.Observe, opts.Sink,
 		func(i int, o *obs.Observer, sink RecordSink) error {
 			b := batches[i]
 			ropts := opts.Runner
-			ropts.Runtime = opts.Runtime
 			ropts.Obs = o
 			ropts.Measure, _ = sink.(Measurer)
 			r, err := New(shard.Mix(opts.SimSeed, uint64(b.Index)), opts.Deployment, ropts)
@@ -107,10 +110,16 @@ func RunShardedA(opts ShardedAOptions) ([]*obs.Observer, []RecordSink, error) {
 			ds := r.runExperimentARange(opts.A, b.Lo, b.Hi)
 			for j := range ds.Records {
 				sink.Consume(&ds.Records[j])
-				opts.Runtime.NoteRecord()
+				opts.Runner.Runtime.NoteRecord()
 			}
 			return nil
 		})
+}
+
+// perBatchField is the error for an options field a sharded campaign
+// sets per batch itself.
+func perBatchField(field, use string) error {
+	return fmt.Errorf("emulator: %s is set per batch; use %s instead", field, use)
 }
 
 // runSharded is the sharding wrapper behind RunShardedA and RunFleet:

@@ -340,9 +340,6 @@ func (fe *Server) Prewarm(n int) {
 	}
 }
 
-// MaxQueueLen returns the deepest request backlog observed.
-func (fe *Server) MaxQueueLen() int { return fe.queue.MaxQueueLen() }
-
 // Rejected counts client requests refused with a 503 at the BE-pool
 // admission check.
 func (fe *Server) Rejected() int { return fe.rejected }

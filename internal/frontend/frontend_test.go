@@ -262,11 +262,11 @@ func TestConcurrentQueriesDontHeadOfLineBlock(t *testing.T) {
 func TestLoadModelSampling(t *testing.T) {
 	m := LoadModel{Mean: 30 * time.Millisecond, CV: 0.5}
 	rng := stats.NewRand(4)
-	var w stats.Welford
-	for i := 0; i < 20000; i++ {
-		w.Add(float64(m.Sample(0, rng)))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = float64(m.Sample(0, rng))
 	}
-	mean := time.Duration(w.Mean())
+	mean := time.Duration(stats.Mean(xs))
 	if mean < 27*time.Millisecond || mean > 33*time.Millisecond {
 		t.Fatalf("mean = %v", mean)
 	}
@@ -473,8 +473,8 @@ func TestFrontendWorkerPoolInflatesTstatic(t *testing.T) {
 	if hi-lo < 50*time.Millisecond {
 		t.Fatalf("FE queueing not visible: first-byte times %v", firstByte)
 	}
-	if fe.MaxQueueLen() < 1 {
-		t.Fatalf("max queue = %d", fe.MaxQueueLen())
+	if got := fe.queue.MaxQueueLen(); got < 1 {
+		t.Fatalf("max queue = %d", got)
 	}
 }
 

@@ -28,11 +28,6 @@ type Point struct {
 // String renders the point as "lat,lon" with 4 decimal places.
 func (p Point) String() string { return fmt.Sprintf("%.4f,%.4f", p.Lat, p.Lon) }
 
-// Valid reports whether the point lies in the legal coordinate range.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
-}
-
 // DistanceMiles returns the great-circle (haversine) distance between two
 // points in statute miles.
 func DistanceMiles(a, b Point) float64 {
@@ -101,9 +96,6 @@ func (m DelayModel) OneWay(miles float64) time.Duration {
 func (m DelayModel) OneWayBetween(a, b Point) time.Duration {
 	return m.OneWay(DistanceMiles(a, b))
 }
-
-// RTT returns the round-trip propagation delay for the given mileage.
-func (m DelayModel) RTT(miles float64) time.Duration { return 2 * m.OneWay(miles) }
 
 // Site is a named geographic location hosting infrastructure.
 type Site struct {

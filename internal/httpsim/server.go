@@ -18,17 +18,14 @@ type HandlerFunc func(w *ResponseWriter, r *Request)
 type Server struct {
 	ep      *tcpsim.Endpoint
 	handler HandlerFunc
-	lis     *tcpsim.Listener
 }
 
 // NewServer starts an HTTP server on ep:port.
 func NewServer(ep *tcpsim.Endpoint, port uint16, handler HandlerFunc) (*Server, error) {
 	s := &Server{ep: ep, handler: handler}
-	lis, err := ep.Listen(port, s.accept)
-	if err != nil {
+	if _, err := ep.Listen(port, s.accept); err != nil {
 		return nil, err
 	}
-	s.lis = lis
 	return s, nil
 }
 

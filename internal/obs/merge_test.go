@@ -19,7 +19,7 @@ func fillRegistry(r *Registry, lo, hi int) {
 		// equals the cross-shard max — the only gauge pattern that is
 		// shard-order independent (see Registry.Merge).
 		r.Gauge("merge_test_high_water", "a gauge").Set(float64(i))
-		r.Sketch("merge_test_sketch", "a sketch", 0).Observe(float64(i%100 + 1))
+		r.SketchVec("merge_test_sketch", "a sketch", 0).With().Observe(float64(i%100 + 1))
 	}
 }
 

@@ -102,17 +102,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adjusts the gauge by d (use ±1 for concurrency tracking).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-	if g.v > g.max {
-		g.max = g.v
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -380,15 +369,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		return nil
 	}
 	return r.family(name, help, KindGauge, nil, 0).child(nil).gauge
-}
-
-// Sketch returns the unlabeled quantile sketch of the named family with
-// the given relative accuracy (≤ 0 → stats.DefaultSketchAlpha).
-func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, KindSketch, nil, normAlpha(alpha)).child(nil).sketch
 }
 
 // DefaultSketchAlpha re-exports the stats-layer default relative

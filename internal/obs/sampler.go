@@ -228,13 +228,3 @@ func (t *TailSampler) Select() []Exemplar {
 	t.done = true
 	return kept
 }
-
-// Spans returns the selected exemplars' span trees as a Tracer, ready
-// for the JSONL span exporter.
-func (t *TailSampler) Spans() *Tracer {
-	tr := NewTracer()
-	for _, e := range t.Select() {
-		tr.Add(e.Span)
-	}
-	return tr
-}

@@ -129,8 +129,10 @@ func TestTailSamplerDeterministicAndIdempotent(t *testing.T) {
 	if len(again) != len(sa) {
 		t.Fatal("Select is not idempotent")
 	}
-	if got := a.Spans().Len(); got == 0 {
-		t.Fatal("Spans() returned no spans")
+	for _, e := range sa {
+		if e.Span == nil {
+			t.Fatalf("exemplar %d has no span tree", e.Seq)
+		}
 	}
 }
 

@@ -60,11 +60,10 @@ func (s *Span) Child(name string, start, end time.Duration) *Span {
 func (s *Span) SetAttr(k, v string) { s.Attrs = append(s.Attrs, Attr{K: k, V: v}) }
 
 // Tracer is the export container for finished span trees, one root per
-// query, in Add order (TailSampler.Spans fills one with the selected
+// query, in Add order (StudyOutput.Spans fills one with the selected
 // exemplars for the JSONL exporter).
 type Tracer struct {
 	roots []*Span
-	count int
 }
 
 // NewTracer returns an empty tracer.
@@ -76,7 +75,6 @@ func (t *Tracer) Add(root *Span) {
 		return
 	}
 	t.roots = append(t.roots, root)
-	t.count += countSpans(root)
 }
 
 // Roots returns the recorded span trees in Add order (nil tracer → nil).
@@ -85,22 +83,6 @@ func (t *Tracer) Roots() []*Span {
 		return nil
 	}
 	return t.roots
-}
-
-// Len returns the total number of spans across all trees.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.count
-}
-
-func countSpans(s *Span) int {
-	n := 1
-	for _, c := range s.Children {
-		n += countSpans(c)
-	}
-	return n
 }
 
 // Walk visits every span depth-first, parents before children, with the

@@ -84,19 +84,14 @@ type Progress interface {
 	TaskDone(name string)
 }
 
-// Run executes every task on up to workers goroutines (resolved via
-// Workers) and returns the canonical first error: the error of the
+// RunProgress executes every task on up to workers goroutines (resolved
+// via Workers), delivering task lifecycle notifications to p (nil p:
+// none), and returns the canonical first error: the error of the
 // failed task with the lowest index, wrapped with the task's name. All
 // tasks run to completion even when an early one fails — partial
 // execution would make the set of side effects depend on scheduling.
 // Panics inside tasks are recovered into errors, so one broken shard
 // cannot take down the process.
-func Run(workers int, tasks []Task) error {
-	return RunProgress(workers, tasks, nil)
-}
-
-// RunProgress is Run with task lifecycle notifications delivered to p
-// (nil p ≡ Run).
 func RunProgress(workers int, tasks []Task, p Progress) error {
 	if len(tasks) == 0 {
 		return nil
@@ -151,9 +146,6 @@ type Batch struct {
 	// Lo and Hi bound the half-open node-index range [Lo, Hi).
 	Lo, Hi int
 }
-
-// Len returns the number of nodes in the batch.
-func (b Batch) Len() int { return b.Hi - b.Lo }
 
 // NodeBatches splits n nodes into k contiguous batches whose sizes
 // differ by at most one (the first n%k batches hold the extra node).

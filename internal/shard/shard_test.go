@@ -64,15 +64,11 @@ func TestNodeBatchesPartition(t *testing.T) {
 			if b.Lo != lo {
 				t.Errorf("NodeBatches(%d,%d)[%d]: gap, Lo %d want %d", tt.n, tt.k, i, b.Lo, lo)
 			}
-			if b.Len() < 1 {
+			n := b.Hi - b.Lo
+			if n < 1 {
 				t.Errorf("NodeBatches(%d,%d)[%d]: empty batch", tt.n, tt.k, i)
 			}
-			if b.Len() < minLen {
-				minLen = b.Len()
-			}
-			if b.Len() > maxLen {
-				maxLen = b.Len()
-			}
+			minLen, maxLen = min(minLen, n), max(maxLen, n)
 			lo = b.Hi
 		}
 		if len(bs) > 0 {
@@ -116,7 +112,7 @@ func TestRunExecutesEveryTask(t *testing.T) {
 				return nil
 			}}
 		}
-		if err := Run(workers, tasks); err != nil {
+		if err := RunProgress(workers, tasks, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range done {
@@ -140,7 +136,7 @@ func TestRunReportsLowestIndexError(t *testing.T) {
 	// and every task still runs.
 	for _, workers := range []int{1, 4} {
 		ran.Store(0)
-		err := Run(workers, tasks)
+		err := RunProgress(workers, tasks, nil)
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("workers=%d: got %v, want wrapped sentinel", workers, err)
 		}
@@ -158,7 +154,7 @@ func TestRunRecoversPanics(t *testing.T) {
 		{Name: "fine", Run: func() error { return nil }},
 		{Name: "explodes", Run: func() error { panic("kaboom") }},
 	}
-	err := Run(2, tasks)
+	err := RunProgress(2, tasks, nil)
 	if err == nil {
 		t.Fatal("panic not surfaced as error")
 	}
@@ -168,7 +164,7 @@ func TestRunRecoversPanics(t *testing.T) {
 }
 
 func TestRunEmptyTaskList(t *testing.T) {
-	if err := Run(4, nil); err != nil {
+	if err := RunProgress(4, nil, nil); err != nil {
 		t.Fatalf("empty task list: %v", err)
 	}
 }

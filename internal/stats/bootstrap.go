@@ -12,9 +12,6 @@ type BootstrapCI struct {
 	Level float64
 }
 
-// Contains reports whether v lies inside the interval.
-func (ci BootstrapCI) Contains(v float64) bool { return v >= ci.Lo && v <= ci.Hi }
-
 // Width returns Hi − Lo.
 func (ci BootstrapCI) Width() float64 { return ci.Hi - ci.Lo }
 

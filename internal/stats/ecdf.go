@@ -20,9 +20,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// N returns the number of samples in the ECDF.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // At returns F(x) = P[X ≤ x], the fraction of samples ≤ x.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {

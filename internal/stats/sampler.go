@@ -9,9 +9,7 @@ import (
 // interface keeps the samplers testable with recorded streams.
 type Rand interface {
 	Float64() float64
-	Intn(n int) int
 	NormFloat64() float64
-	ExpFloat64() float64
 }
 
 // NewRand returns a deterministic PRNG for the given seed. Every
@@ -45,9 +43,6 @@ func NewZipf(n int, s float64) *Zipf {
 	}
 	return &Zipf{cdf: cdf}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Draw samples a rank using rng.
 func (z *Zipf) Draw(rng Rand) int {
@@ -104,9 +99,6 @@ func LogNormalFromMeanCV(mean, cv float64) LogNormal {
 	}
 }
 
-// Mean returns the analytic mean exp(mu + sigma²/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
 // AR1 is a first-order autoregressive process
 // x[t+1] = phi·x[t] + noise, noise ~ Normal(0, sigma). It models slowly
 // varying server load: successive queries to a loaded FE/BE see
@@ -125,9 +117,6 @@ func (a *AR1) Next(rng Rand) float64 {
 
 // Value returns the current state without advancing.
 func (a *AR1) Value() float64 { return a.x }
-
-// Reset sets the process state to x.
-func (a *AR1) Reset(x float64) { a.x = x }
 
 // StationaryStdDev returns the long-run standard deviation
 // sigma/sqrt(1-phi²), or sigma when |phi| ≥ 1.

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used throughout
-// fesplit: order statistics, streaming moments, moving medians, empirical
+// fesplit: order statistics, moments, moving medians, empirical
 // CDFs, box-plot summaries, least-squares regression and the seeded random
 // samplers that drive workload and load-fluctuation models.
 //
@@ -210,54 +210,3 @@ func MovingMedian(xs []float64, window int) []float64 {
 	}
 	return out
 }
-
-// Welford accumulates running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples added.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample seen, or 0 before any Add.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample seen, or 0 before any Add.
-func (w *Welford) Max() float64 { return w.max }

@@ -15,20 +15,8 @@ type connKey struct {
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
-	ep     *Endpoint
-	port   uint16
 	accept func(*Conn)
-	closed bool
 }
-
-// Close stops accepting new connections; established ones are unaffected.
-func (l *Listener) Close() {
-	l.closed = true
-	delete(l.ep.listeners, l.port)
-}
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Endpoint is a host's TCP stack: it owns every connection and listener
 // of that host and demultiplexes incoming segments. Create one per
@@ -94,7 +82,7 @@ func (e *Endpoint) Listen(port uint16, accept func(*Conn)) (*Listener, error) {
 	if _, busy := e.listeners[port]; busy {
 		return nil, fmt.Errorf("tcpsim: %s port %d already listening", e.host, port)
 	}
-	l := &Listener{ep: e, port: port, accept: accept}
+	l := &Listener{accept: accept}
 	e.listeners[port] = l
 	return l, nil
 }
@@ -167,7 +155,7 @@ func (e *Endpoint) deliver(from simnet.HostID, seg Segment, data []byte, sack []
 	}
 	// New connection? Only a SYN to a listening port is acceptable.
 	if seg.Flags&FlagSYN != 0 && seg.Flags&FlagACK == 0 {
-		if l, ok := e.listeners[seg.DstPort]; ok && !l.closed {
+		if l, ok := e.listeners[seg.DstPort]; ok {
 			c := newConn(e, from, seg.SrcPort, seg.DstPort, true)
 			c.acceptFn = l.accept
 			e.conns[key] = c

@@ -330,26 +330,6 @@ func TestListenPortConflict(t *testing.T) {
 	}
 }
 
-func TestListenerClose(t *testing.T) {
-	tn := newTestNet(t, simnet.PathParams{Delay: time.Millisecond}, Config{})
-	l, err := tn.server.Listen(80, func(c *Conn) { t.Error("accepted after close") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Port() != 80 {
-		t.Fatalf("Port = %d", l.Port())
-	}
-	l.Close()
-	c := tn.client.Dial("s", 80)
-	connected := false
-	c.OnConnect = func() { connected = true }
-	// SYN retries will eventually abort; just run a bounded window.
-	tn.sim.RunUntil(10 * time.Second)
-	if connected {
-		t.Fatal("connected to closed listener")
-	}
-}
-
 func TestDialUnreachableAborts(t *testing.T) {
 	tn := newTestNet(t, simnet.PathParams{Delay: time.Millisecond}, Config{})
 	c := tn.client.Dial("s", 9999) // nothing listening

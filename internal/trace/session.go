@@ -303,23 +303,6 @@ func (s *Session) Locate(boundary int) error {
 	return nil
 }
 
-// Boundary returns the located boundary, or -1.
-func (s *Session) Boundary() int { return s.boundary }
-
-// Measured parameters (valid after Locate):
-
-// Tstatic is t4 − t2: static-portion processing+delivery beyond one RTT.
-func (s *Session) Tstatic() time.Duration { return s.T4 - s.T2 }
-
-// Tdynamic is t5 − t2: the upper bound on the FE-BE fetch time.
-func (s *Session) Tdynamic() time.Duration { return s.T5 - s.T2 }
-
-// Tdelta is t5 − t4: the lower bound on the FE-BE fetch time.
-func (s *Session) Tdelta() time.Duration { return s.T5 - s.T4 }
-
-// Overall is te − tb: the user-perceived response time.
-func (s *Session) Overall() time.Duration { return s.TE - s.TB }
-
 // ChunkStartAtOrBelow returns the largest first-arrival chunk start that
 // is ≤ off, or -1 when no chunk starts at or below off. Content analysis
 // overshoots the true static/dynamic boundary when dynamic bodies share

@@ -82,17 +82,11 @@ func TestParseTimeline(t *testing.T) {
 	if s.T4 != 25*time.Millisecond || s.T5 != 100*time.Millisecond {
 		t.Fatalf("t4/t5 = %v/%v", s.T4, s.T5)
 	}
-	if s.Tstatic() != s.T4-s.T2 || s.Tdynamic() != s.T5-s.T2 {
-		t.Fatal("parameter identities broken")
+	if overall := s.TE - s.TB; overall != 100*time.Millisecond {
+		t.Fatalf("te - tb = %v", overall)
 	}
-	if s.Tdelta() != 75*time.Millisecond {
-		t.Fatalf("Tdelta = %v", s.Tdelta())
-	}
-	if s.Overall() != 100*time.Millisecond {
-		t.Fatalf("Overall = %v", s.Overall())
-	}
-	if s.Boundary() != 10 {
-		t.Fatalf("Boundary = %d", s.Boundary())
+	if s.boundary != 10 {
+		t.Fatalf("boundary = %d", s.boundary)
 	}
 }
 
@@ -109,8 +103,8 @@ func TestCoalescedBoundaryGivesZeroDelta(t *testing.T) {
 	if err := s.Locate(8); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tdelta() != 0 {
-		t.Fatalf("coalesced Tdelta = %v, want 0", s.Tdelta())
+	if tdelta := s.T5 - s.T4; tdelta != 0 {
+		t.Fatalf("coalesced Tdelta = %v, want 0", tdelta)
 	}
 }
 

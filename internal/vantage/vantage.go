@@ -132,6 +132,10 @@ func DefaultFleet(seed int64) *Fleet {
 	return NewFleet(250, geo.WorldMetros(), CampusProfile(), seed)
 }
 
+// Stagger is node i's campaign start offset, so the fleet doesn't fire
+// in lockstep (PlanetLab nodes were never synchronized).
+func Stagger(i int) time.Duration { return time.Duration(i%97) * 103 * time.Millisecond }
+
 // Wire connects every node to every FE of the deployment.
 func (f *Fleet) Wire(d *cdn.Deployment) {
 	for _, n := range f.Nodes {

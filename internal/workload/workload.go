@@ -117,21 +117,6 @@ func NewGenerator(seed int64) *Generator {
 	return &Generator{rng: stats.NewRand(seed), zipf: popularity()}
 }
 
-// KeywordForRank returns the canonical keyword string of a popularity
-// rank: deterministic, unique per rank, composed of vocabulary words.
-func KeywordForRank(rank int) string {
-	a := vocab[rank%len(vocab)]
-	b := vocab[(rank/len(vocab))%len(vocab)]
-	if rank < len(vocab) {
-		return a
-	}
-	c := rank / (len(vocab) * len(vocab))
-	if c == 0 {
-		return a + " " + b
-	}
-	return fmt.Sprintf("%s %s %d", a, b, c)
-}
-
 // termCount returns the term-count range per class.
 func termCount(c Class, rng *rand.Rand) int {
 	switch c {

@@ -103,17 +103,6 @@ func TestDistinctQueriesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestKeywordForRankUnique(t *testing.T) {
-	seen := map[string]int{}
-	for r := 0; r < NumRanks; r += 97 {
-		kw := KeywordForRank(r)
-		if prev, dup := seen[kw]; dup {
-			t.Fatalf("ranks %d and %d share keyword %q", prev, r, kw)
-		}
-		seen[kw] = r
-	}
-}
-
 func TestQueryPathRoundTrip(t *testing.T) {
 	q := Query{ID: 7, Class: ClassComplex, Keywords: "computer science department", Terms: 3, Rank: 102}
 	got, err := ParsePath(q.Path())
@@ -346,14 +335,15 @@ func TestCostModelLoadEffect(t *testing.T) {
 func TestCostModelVariability(t *testing.T) {
 	m := CostModel{Base: 250 * time.Millisecond, CV: 0.4}
 	rng := stats.NewRand(6)
-	var w stats.Welford
-	for i := 0; i < 20000; i++ {
-		w.Add(float64(m.Sample(Query{Rank: NumRanks - 1}, 0, rng)) / float64(time.Millisecond))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = float64(m.Sample(Query{Rank: NumRanks - 1}, 0, rng)) / float64(time.Millisecond)
 	}
-	if w.Mean() < 230 || w.Mean() > 270 {
-		t.Fatalf("mean = %v ms, want ~250", w.Mean())
+	mean := stats.Mean(xs)
+	if mean < 230 || mean > 270 {
+		t.Fatalf("mean = %v ms, want ~250", mean)
 	}
-	cv := w.StdDev() / w.Mean()
+	cv := stats.StdDev(xs) / mean
 	if cv < 0.3 || cv > 0.5 {
 		t.Fatalf("cv = %v, want ~0.4", cv)
 	}

@@ -250,7 +250,7 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 	sopts := emulator.ShardedAOptions{
 		SimSeed:    s.cfg.Seed + 11,
 		Deployment: cfg,
-		Runner:     emulator.Options{Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 12, SnapPayloads: true},
+		Runner:     emulator.Options{Nodes: s.cfg.Nodes, FleetSeed: s.cfg.Seed + 12, SnapPayloads: true, Runtime: s.rt},
 		A: emulator.AOptions{
 			QueriesPerNode: s.cfg.QueriesPerNodeA,
 			Interval:       s.cfg.IntervalA,
@@ -258,7 +258,6 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		},
 		Batches: s.cfg.NodeBatches,
 		Workers: s.cfg.Workers,
-		Runtime: s.rt,
 		Sink: func(_ int, o *obs.Observer) emulator.RecordSink {
 			return &aSink{fold: analysis.NewFold(o.Registry(), cfg.Name, cfg.Name, boundary, o.TailSampler(), DefaultBoundTolerance)}
 		},
@@ -717,16 +716,16 @@ func (s *Study) Caching() (*CachingData, error) {
 // or positive control (cache on). The two variants are independent
 // worlds, which is what lets the cell matrix run them concurrently.
 func (s *Study) cachingRun(cache bool) (CacheVerdict, error) {
+	// The boundary is probed on the cache-free deployment; timingWorld
+	// then finds it cached under the service's name.
 	cfg := GoogleLike(s.cfg.Seed + 2)
-	boundary, err := s.boundaryFor(cfg)
-	if err != nil {
+	if _, err := s.boundaryFor(cfg); err != nil {
 		return CacheVerdict{}, err
 	}
 	if cache {
 		cfg.BEOptions = backend.Options{CacheResults: true, CacheHitTime: 2 * time.Millisecond}
 	}
-	runner, err := s.world(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40), SnapPayloads: true,
-		Measure: analysis.NewMeasurer(boundary)})
+	runner, boundary, err := s.timingWorld(61, cfg, emulator.Options{Nodes: min(s.cfg.Nodes, 40)})
 	if err != nil {
 		return CacheVerdict{}, err
 	}
