@@ -140,7 +140,7 @@ func TestExportsDeterministic(t *testing.T) {
 
 func TestSpanTreeHelpers(t *testing.T) {
 	tr := buildTestTrace()
-	root := tr.Roots()[0]
+	root := tr.roots[0]
 	if d := root.Children[0].Dur(); d != 40*time.Millisecond {
 		t.Fatalf("handshake dur = %v", d)
 	}

@@ -77,14 +77,6 @@ func (t *Tracer) Add(root *Span) {
 	t.roots = append(t.roots, root)
 }
 
-// Roots returns the recorded span trees in Add order (nil tracer → nil).
-func (t *Tracer) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	return t.roots
-}
-
 // Walk visits every span depth-first, parents before children, with the
 // nesting depth (roots are depth 0).
 func (t *Tracer) Walk(fn func(s *Span, depth int)) {

@@ -18,7 +18,7 @@ import (
 
 // Why an exported declaration that no non-test code reads may stay.
 const (
-	assertsLayer    = "a test asserts another layer's behaviour through it"
+	assertsLayer    = "a test asserts other code's behaviour through it"
 	backsExperiment = "it backs a decided experiment (EXPERIMENTS.md)"
 	stdlibCalls     = "only the standard library calls it"
 )
@@ -42,7 +42,6 @@ var reachableByTest = map[string]string{
 	"internal/frontend.Server.Served":            assertsLayer,
 	"internal/httpsim.PersistentConn.QueueLen":   assertsLayer,
 	"internal/obs.TailSampler.Offered":           assertsLayer,
-	"internal/obs.Tracer.Roots":                  assertsLayer,
 	"internal/simnet.GilbertParams.MeanLossRate": assertsLayer,
 	"internal/simnet.WirelessGilbert":            assertsLayer,
 	"internal/stats.AR1.StationaryStdDev":        assertsLayer,
