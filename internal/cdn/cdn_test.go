@@ -143,7 +143,7 @@ func TestRTTCDFCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := vantage.DefaultFleet(7)
+	fleet := campusFleet(7)
 	fleet.Wire(gd)
 	fleet.Wire(bd)
 
@@ -171,8 +171,8 @@ func TestRTTCDFCalibration(t *testing.T) {
 }
 
 func TestFleetPlacementDeterministic(t *testing.T) {
-	a := vantage.DefaultFleet(3)
-	b := vantage.DefaultFleet(3)
+	a := campusFleet(3)
+	b := campusFleet(3)
 	if len(a.Nodes) != 250 {
 		t.Fatalf("fleet size = %d", len(a.Nodes))
 	}
@@ -227,7 +227,7 @@ func TestClientPathsOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := vantage.DefaultFleet(7)
+	fleet := campusFleet(7)
 	fleet.Wire(gd)
 	fleet.Wire(bd)
 	fleet.WireToBEs(bd)
@@ -284,4 +284,9 @@ func TestClientPathsOnDemand(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("wiring one client allocates %.2f times, want ≤ 1 (%d FEs, %d BEs)", allocs, len(bd.FEs), len(bd.BEs))
 	}
+}
+
+// campusFleet is the 250-node campus fleet over the world metro pool.
+func campusFleet(seed int64) *vantage.Fleet {
+	return vantage.NewFleet(250, geo.WorldMetros(), vantage.CampusProfile(), seed)
 }

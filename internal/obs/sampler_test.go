@@ -125,6 +125,9 @@ func TestTailSamplerDeterministicAndIdempotent(t *testing.T) {
 			t.Fatalf("selection differs at %d: %+v vs %+v", i, sa[i], sb[i])
 		}
 	}
+	if len(sa) == 0 {
+		t.Fatal("no exemplars selected")
+	}
 	again := a.Select()
 	if len(again) != len(sa) {
 		t.Fatal("Select is not idempotent")

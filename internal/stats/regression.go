@@ -50,20 +50,3 @@ func LinReg(xs, ys []float64) LinFit {
 	}
 	return fit
 }
-
-// Predict evaluates the fitted line at x.
-func (f LinFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
-
-// Residuals returns ys[i] − Predict(xs[i]) for the common prefix of the
-// two slices.
-func (f LinFit) Residuals(xs, ys []float64) []float64 {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = ys[i] - f.Predict(xs[i])
-	}
-	return out
-}

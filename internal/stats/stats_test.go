@@ -305,8 +305,8 @@ func TestLinRegResidualsSumZero(t *testing.T) {
 	}
 	f := LinReg(xs, ys)
 	var s float64
-	for _, r := range f.Residuals(xs, ys) {
-		s += r
+	for i := range xs {
+		s += ys[i] - (f.Slope*xs[i] + f.Intercept)
 	}
 	if !almostEq(s, 0, 1e-6) {
 		t.Fatalf("OLS residuals sum to %v, want ~0", s)
@@ -356,6 +356,9 @@ func TestZipfDegenerate(t *testing.T) {
 
 func TestLogNormalMeanCV(t *testing.T) {
 	l := LogNormalFromMeanCV(250, 0.3)
+	if m := math.Exp(l.Mu + l.Sigma*l.Sigma/2); !almostEq(m, 250, 1e-9) {
+		t.Fatalf("analytic mean = %v, want 250", m)
+	}
 	rng := rand.New(rand.NewSource(10))
 	xs := make([]float64, 200000)
 	for i := range xs {

@@ -126,12 +126,6 @@ func SynthNode(seed int64, idx int, metros []geo.Site, profile AccessProfile) No
 	}
 }
 
-// DefaultFleet builds the standard 250-node campus fleet over the world
-// metro pool, mirroring the paper's PlanetLab coverage.
-func DefaultFleet(seed int64) *Fleet {
-	return NewFleet(250, geo.WorldMetros(), CampusProfile(), seed)
-}
-
 // Stagger is node i's campaign start offset, so the fleet doesn't fire
 // in lockstep (PlanetLab nodes were never synchronized).
 func Stagger(i int) time.Duration { return time.Duration(i%97) * 103 * time.Millisecond }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultFleetSizeAndDeterminism(t *testing.T) {
-	a, b := DefaultFleet(3), DefaultFleet(3)
+	a, b := campusFleet(3), campusFleet(3)
 	if len(a.Nodes) != 250 {
 		t.Fatalf("size = %d", len(a.Nodes))
 	}
@@ -16,7 +16,7 @@ func TestDefaultFleetSizeAndDeterminism(t *testing.T) {
 			t.Fatalf("nondeterministic at %d", i)
 		}
 	}
-	c := DefaultFleet(4)
+	c := campusFleet(4)
 	same := 0
 	for i := range a.Nodes {
 		if a.Nodes[i].Point == c.Nodes[i].Point {
@@ -71,7 +71,7 @@ func TestProfileContrast(t *testing.T) {
 }
 
 func TestHostNamesUnique(t *testing.T) {
-	f := DefaultFleet(6)
+	f := campusFleet(6)
 	seen := map[string]bool{}
 	for _, n := range f.Nodes {
 		if seen[string(n.Host)] {
@@ -79,4 +79,9 @@ func TestHostNamesUnique(t *testing.T) {
 		}
 		seen[string(n.Host)] = true
 	}
+}
+
+// campusFleet is the 250-node campus fleet over the world metro pool.
+func campusFleet(seed int64) *Fleet {
+	return NewFleet(250, geo.WorldMetros(), CampusProfile(), seed)
 }

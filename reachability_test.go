@@ -45,14 +45,12 @@ var reachableByTest = map[string]string{
 	"internal/simnet.GilbertParams.MeanLossRate": assertsLayer,
 	"internal/simnet.WirelessGilbert":            assertsLayer,
 	"internal/stats.AR1.StationaryStdDev":        assertsLayer,
-	"internal/stats.LinFit.Residuals":            assertsLayer,
 	"internal/stats.Zipf.Prob":                   assertsLayer,
 	"internal/tcpsim.Conn.Closed":                assertsLayer,
 	"internal/tcpsim.Conn.Established":           assertsLayer,
 	"internal/tcpsim.Conn.Metrics":               assertsLayer,
 	"internal/tcpsim.Endpoint.FreeConns":         assertsLayer,
 	"internal/tcpsim.Endpoint.OpenConns":         assertsLayer,
-	"internal/vantage.DefaultFleet":              assertsLayer,
 
 	"internal/analysis.BoundaryCrossCheck":   backsExperiment,
 	"internal/analysis.EstimateProcPerFE":    backsExperiment,
@@ -85,10 +83,11 @@ var reachableByTest = map[string]string{
 //
 // Uses are matched by types.Object, so a dead method sharing a live
 // name is found. A method also counts as read where a value of its type
-// is converted to an interface whose method set includes it, or
-// instantiates a type parameter whose constraint does; a method that
+// is passed, assigned or returned as an interface whose method set
+// includes it, or is asserted to one after being boxed; a method that
 // only reflection or a type assertion inside the standard library
-// reaches (fmt calling String on an any) is not read.
+// reaches (fmt calling String on an any) is not read, nor is a generic
+// declaration through its instances (the module exports none).
 func TestExportedFunctionsHaveReaders(t *testing.T) {
 	found, err := checkReachability(".", "fesplit", []string{"benchmark"}, reachableByTest)
 	if err != nil {
@@ -102,8 +101,9 @@ func TestExportedFunctionsHaveReaders(t *testing.T) {
 // TestReachabilityFixture holds the checker to its cases on the fixture
 // module under testdata/reach: a dead method sharing a live function's
 // name is reported, a method reached only through an interface
-// conversion or a type assertion is not, and an allowlisted entry that
-// has a reader (or no declaration) is reported.
+// conversion (a call argument, an assignment, a return) or a type
+// assertion is not, and an allowlisted entry that has a reader (or no
+// declaration) is reported.
 func TestReachabilityFixture(t *testing.T) {
 	found, err := checkReachability(filepath.Join("testdata", "reach"), "reach", nil, map[string]string{
 		"a.Listed": stdlibCalls,
@@ -300,10 +300,9 @@ func (c *reachChecker) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	info := &types.Info{
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Instances: map[*ast.Ident]types.Instance{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	pkg, err := (&types.Config{Importer: c}).Check(path, c.fset, files, info)
 	if err != nil {
@@ -319,33 +318,9 @@ func (c *reachChecker) Import(path string) (*types.Package, error) {
 		c.convert(f, info)
 	}
 	for id, obj := range info.Uses {
-		c.use(obj, id.Pos())
-	}
-	for id, inst := range info.Instances {
-		var tparams *types.TypeParamList
-		switch obj := info.Uses[id].(type) {
-		case *types.Func:
-			tparams = obj.Origin().Type().(*types.Signature).TypeParams()
-		case *types.TypeName:
-			if named, ok := obj.Type().(*types.Named); ok {
-				tparams = named.Origin().TypeParams()
-			}
-		}
-		for i := 0; tparams != nil && i < tparams.Len(); i++ {
-			c.toInterface(inst.TypeArgs.At(i), tparams.At(i).Constraint(), id.Pos())
-		}
+		c.uses[obj] = append(c.uses[obj], id.Pos())
 	}
 	return pkg, nil
-}
-
-func (c *reachChecker) use(obj types.Object, at token.Pos) {
-	switch o := obj.(type) {
-	case *types.Func:
-		obj = o.Origin()
-	case *types.Var:
-		obj = o.Origin()
-	}
-	c.uses[obj] = append(c.uses[obj], at)
 }
 
 // declare records f's exported package-level declarations and marks
@@ -398,10 +373,14 @@ func (c *reachChecker) declare(key string, f *ast.File, info *types.Info) {
 	}
 }
 
-// convert finds where f converts a value to an interface type: an
-// explicit conversion, a call argument, an assignment, a declaration
-// with a type, a return, a composite literal element, a channel send,
-// or a comparison.
+// convert finds where f converts a value to an interface type as a
+// call argument, an assignment or a return, and where it asserts one to
+// an interface type. The other forms (an explicit conversion, a typed
+// declaration, a composite-literal element, a channel send, a
+// comparison, a constraint's instantiation, a multi-valued call spread
+// over arguments or results) reach no method of this module that these
+// do not, so they are not followed: a method reached only through one
+// of them is reported as unread, never passed.
 func (c *reachChecker) convert(f *ast.File, info *types.Info) {
 	typeOf := func(e ast.Expr) types.Type {
 		if e == nil {
@@ -427,131 +406,44 @@ func (c *reachChecker) convert(f *ast.File, info *types.Info) {
 		case *ast.FuncLit:
 			results = append(results, typeOf(n).(*types.Signature).Results())
 		case *ast.CallExpr:
-			if tv := info.Types[n.Fun]; tv.IsType() {
-				c.toInterface(typeOf(n.Args[0]), tv.Type, n.Pos())
-				break
-			}
 			t := typeOf(n.Fun)
-			if t == nil {
+			if t == nil || info.Types[n.Fun].IsType() {
 				break
 			}
 			sig, ok := t.Underlying().(*types.Signature)
 			if !ok {
 				break
 			}
-			args := flatten(n.Args, typeOf)
 			params := sig.Params()
-			for i, a := range args {
-				var pt types.Type
-				switch {
-				case sig.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid():
-					if s, ok := params.At(params.Len() - 1).Type().Underlying().(*types.Slice); ok {
-						pt = s.Elem()
-					}
-				case i < params.Len():
-					pt = params.At(i).Type()
+			for i, a := range n.Args {
+				if i < params.Len() {
+					c.toInterface(typeOf(a), params.At(i).Type(), n.Pos())
 				}
-				c.toInterface(a, pt, n.Pos())
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ASSIGN {
-				for i, v := range flatten(n.Rhs, typeOf) {
+				for i, v := range n.Rhs {
 					if i < len(n.Lhs) {
-						c.toInterface(v, typeOf(n.Lhs[i]), n.Pos())
+						c.toInterface(typeOf(v), typeOf(n.Lhs[i]), n.Pos())
 					}
-				}
-			}
-		case *ast.ValueSpec:
-			if n.Type != nil {
-				for _, v := range flatten(n.Values, typeOf) {
-					c.toInterface(v, typeOf(n.Type), n.Pos())
 				}
 			}
 		case *ast.ReturnStmt:
 			if len(results) > 0 {
 				res := results[len(results)-1]
-				for i, v := range flatten(n.Results, typeOf) {
+				for i, v := range n.Results {
 					if i < res.Len() {
-						c.toInterface(v, res.At(i).Type(), n.Pos())
+						c.toInterface(typeOf(v), res.At(i).Type(), n.Pos())
 					}
-				}
-			}
-		case *ast.CompositeLit:
-			t := typeOf(n)
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if t == nil {
-				break
-			}
-			for i, e := range n.Elts {
-				kv, _ := e.(*ast.KeyValueExpr)
-				switch u := t.Underlying().(type) {
-				case *types.Struct:
-					if kv == nil {
-						if i < u.NumFields() {
-							c.toInterface(typeOf(e), u.Field(i).Type(), e.Pos())
-						}
-						break
-					}
-					for j := 0; j < u.NumFields(); j++ {
-						if id, ok := kv.Key.(*ast.Ident); ok && u.Field(j).Name() == id.Name {
-							c.toInterface(typeOf(kv.Value), u.Field(j).Type(), e.Pos())
-						}
-					}
-				case *types.Map:
-					c.toInterface(typeOf(kv.Key), u.Key(), e.Pos())
-					c.toInterface(typeOf(kv.Value), u.Elem(), e.Pos())
-				case interface{ Elem() types.Type }: // slice or array
-					if kv != nil {
-						e = kv.Value
-					}
-					c.toInterface(typeOf(e), u.Elem(), e.Pos())
 				}
 			}
 		case *ast.TypeAssertExpr:
-			c.assert(info.Types[n.Type].Type, n.Pos())
-		case *ast.TypeSwitchStmt:
-			for _, cc := range n.Body.List {
-				for _, e := range cc.(*ast.CaseClause).List {
-					c.assert(info.Types[e].Type, e.Pos())
-				}
-			}
-		case *ast.SendStmt:
-			if ch, ok := typeOf(n.Chan).Underlying().(*types.Chan); ok {
-				c.toInterface(typeOf(n.Value), ch.Elem(), n.Pos())
-			}
-		case *ast.BinaryExpr:
-			if n.Op == token.EQL || n.Op == token.NEQ {
-				c.toInterface(typeOf(n.X), typeOf(n.Y), n.Pos())
-				c.toInterface(typeOf(n.Y), typeOf(n.X), n.Pos())
+			if t := typeOf(n.Type); t != nil && types.IsInterface(t) {
+				c.asserted = append(c.asserted, reachAssert{t, n.Pos()})
 			}
 		}
 		return true
 	})
-}
-
-// assert records an assertion to t when t is an interface type.
-func (c *reachChecker) assert(t types.Type, at token.Pos) {
-	if t != nil && types.IsInterface(t) {
-		c.asserted = append(c.asserted, reachAssert{t, at})
-	}
-}
-
-// flatten lists the types of exprs, spreading one multi-valued call.
-func flatten(exprs []ast.Expr, typeOf func(ast.Expr) types.Type) []types.Type {
-	var ts []types.Type
-	for _, e := range exprs {
-		t := typeOf(e)
-		if tup, ok := t.(*types.Tuple); ok {
-			for i := 0; i < tup.Len(); i++ {
-				ts = append(ts, tup.At(i).Type())
-			}
-			continue
-		}
-		ts = append(ts, t)
-	}
-	return ts
 }
 
 // toInterface records, when a value of type v is converted to the
@@ -570,7 +462,7 @@ func (c *reachChecker) toInterface(v, t types.Type, at token.Pos) {
 		m := it.Method(i)
 		if obj, _, _ := types.LookupFieldOrMethod(v, true, m.Pkg(), m.Name()); obj != nil {
 			if _, ok := obj.(*types.Func); ok {
-				c.use(obj, at)
+				c.uses[obj] = append(c.uses[obj], at)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package a holds the reachability checker's three cases.
+// Package a holds the reachability checker's cases.
 package a
 
 import "fmt"
@@ -36,3 +36,23 @@ func Mark(v any) {
 		m.Mark()
 	}
 }
+
+// Getter's implementations are reached only through an assignment (V,
+// in Assign) and a return (W, in Wrap).
+type Getter interface{ Get() int }
+
+type V struct{}
+
+func (V) Get() int { return 1 }
+
+func Assign() int {
+	var g Getter
+	g = V{}
+	return g.Get()
+}
+
+type W struct{}
+
+func (W) Get() int { return 2 }
+
+func Wrap() Getter { return W{} }

@@ -9,4 +9,5 @@ func main() {
 	a.Listed()
 	println(a.Show())
 	a.Mark(a.U{})
+	println(a.Assign(), a.Wrap().Get())
 }
