@@ -100,10 +100,7 @@ func Fig9Points(params []Params, feMiles map[simnet.HostID]float64, rttCap time.
 // constant C) out of Tfetch, and what remains is T_proc.
 type ProcEstimate struct {
 	FE      simnet.HostID
-	Miles   float64
 	TprocMS float64
-	TdynMS  float64
-	RTTbeMS float64
 }
 
 // EstimateProcPerFE computes per-FE processing-time estimates:
@@ -121,13 +118,7 @@ func EstimateProcPerFE(points []DistancePoint, msPerMileRTT, c float64) []ProcEs
 		if proc < 0 {
 			proc = 0
 		}
-		out = append(out, ProcEstimate{
-			FE:      p.FE,
-			Miles:   p.Miles,
-			TprocMS: proc,
-			TdynMS:  p.TdynamicMS,
-			RTTbeMS: rttBE,
-		})
+		out = append(out, ProcEstimate{FE: p.FE, TprocMS: proc})
 	}
 	return out
 }
@@ -154,7 +145,6 @@ func ProcSpread(ests []ProcEstimate) (medianMS, dispersion float64) {
 type TermPoint struct {
 	Terms       int
 	MedTdynMS   float64
-	MedTstatMS  float64
 	SampleCount int
 }
 
@@ -164,18 +154,12 @@ type TermPoint struct {
 // and fit Tdynamic against term count. Use small-RTT sessions so
 // Tdynamic approximates the fetch.
 func TermEffect(params []Params, rttCap time.Duration) ([]TermPoint, stats.LinFit) {
-	byTerms := map[int]*struct{ dyn, stat []float64 }{}
+	byTerms := map[int][]float64{}
 	for _, p := range params {
 		if p.RTT > rttCap || p.Terms <= 0 {
 			continue
 		}
-		b := byTerms[p.Terms]
-		if b == nil {
-			b = &struct{ dyn, stat []float64 }{}
-			byTerms[p.Terms] = b
-		}
-		b.dyn = append(b.dyn, float64(p.Tdynamic)/float64(time.Millisecond))
-		b.stat = append(b.stat, float64(p.Tstatic)/float64(time.Millisecond))
+		byTerms[p.Terms] = append(byTerms[p.Terms], float64(p.Tdynamic)/float64(time.Millisecond))
 	}
 	terms := make([]int, 0, len(byTerms))
 	for k := range byTerms {
@@ -185,14 +169,13 @@ func TermEffect(params []Params, rttCap time.Duration) ([]TermPoint, stats.LinFi
 	var pts []TermPoint
 	var xs, ys []float64
 	for _, k := range terms {
-		b := byTerms[k]
+		dyn := byTerms[k]
 		pts = append(pts, TermPoint{
 			Terms:       k,
-			MedTdynMS:   stats.Median(b.dyn),
-			MedTstatMS:  stats.Median(b.stat),
-			SampleCount: len(b.dyn),
+			MedTdynMS:   stats.Median(dyn),
+			SampleCount: len(dyn),
 		})
-		for _, d := range b.dyn {
+		for _, d := range dyn {
 			xs = append(xs, float64(k))
 			ys = append(ys, d)
 		}

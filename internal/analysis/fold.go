@@ -29,10 +29,9 @@ type Fold struct {
 	crit                  *CritObserver // nil without a registry
 	tail                  *obs.TailSampler
 
-	// Attributed counts the records the critical-path pass covered;
-	// Violations those whose FE ground truth falsified
+	// Violations counts the records whose FE ground truth falsified
 	// Tdelta ≤ Tfetch ≤ Tdynamic by more than the tolerance.
-	Attributed, Violations int
+	Violations int
 }
 
 // NewFold builds a fold measuring against the given static/dynamic
@@ -82,7 +81,6 @@ func (f *Fold) Consume(rr *emulator.Record) (p Params, ok bool) {
 	if f.crit != nil {
 		a = critpath.Attribute(query(rr), *tl)
 		f.crit.Observe(a, rr.TrueFetch)
-		f.Attributed++
 	}
 	f.tail.Offer(p.Tdynamic.Seconds(), violation, func() *obs.Span {
 		root := span(rr, tl)

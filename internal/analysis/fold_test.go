@@ -128,8 +128,8 @@ func TestFoldFeedsByRecordKind(t *testing.T) {
 			if ok != tc.ok || (p != Params{}) != tc.ok {
 				t.Fatalf("Consume = %+v, %v; want parameters: %v", p, ok, tc.ok)
 			}
-			if ts.Offered() != tc.offered || fold.Attributed != tc.offered {
-				t.Fatalf("offered %d attributed %d, want %d each", ts.Offered(), fold.Attributed, tc.offered)
+			if ts.Offered() != tc.offered {
+				t.Fatalf("offered %d, want %d", ts.Offered(), tc.offered)
 			}
 			want := map[string]bool{}
 			for _, group := range tc.fed {
@@ -202,10 +202,11 @@ func TestFoldSpanCarriesJoinedGroundTruth(t *testing.T) {
 	if fetch == nil || fetch.Track != "frontend" || fetch.Start != fr.Arrived || fetch.End != fr.FetchDone || fetch.Dur() != queued.TrueFetch {
 		t.Fatalf("fe-fetch %+v, want [%v, %v] on the frontend track", fetch, fr.Arrived, fr.FetchDone)
 	}
-	a := critpath.Attribute(query(&queued), *s)
-	if a.BERTT != queued.BERTT || a.BEQueue != fr.QueueWait || a.FEArrival != fr.Arrived || a.ArrivalInferred {
-		t.Errorf("attribution read BE RTT %v queue %v arrival %v inferred %v off the record, want %v / %v / %v / false",
-			a.BERTT, a.BEQueue, a.FEArrival, a.ArrivalInferred, queued.BERTT, fr.QueueWait, fr.Arrived)
+	q := query(&queued)
+	a := critpath.Attribute(q, *s)
+	if a.BERTT != queued.BERTT || a.BEQueue != fr.QueueWait || q.FEArrival != fr.Arrived {
+		t.Errorf("attribution read BE RTT %v queue %v arrival %v off the record, want %v / %v / %v",
+			a.BERTT, a.BEQueue, q.FEArrival, queued.BERTT, fr.QueueWait, fr.Arrived)
 	}
 
 	unjoined := queued

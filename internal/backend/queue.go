@@ -259,10 +259,6 @@ func (c *Cluster) Rejected() int { return c.rejected }
 // MaxQueueLen returns the deepest backlog observed.
 func (c *Cluster) MaxQueueLen() int { return c.maxQueue }
 
-// BusyTime returns the total service time of finished queries across
-// all replicas (0 when unbounded).
-func (c *Cluster) BusyTime() time.Duration { return c.busyTime }
-
 // Utilization returns the cluster's average utilization over an
 // elapsed sim-time window: completed service time divided by total
 // replica capacity.

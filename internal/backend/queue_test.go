@@ -67,7 +67,7 @@ func TestClusterLindleySingleReplica(t *testing.T) {
 		t.Errorf("post-drain state: rejected=%d waiting=%d busy=%d",
 			c.Rejected(), c.Waiting(), c.Busy())
 	}
-	if got := c.BusyTime(); got != time.Duration(n)*proc {
+	if got := c.busyTime; got != time.Duration(n)*proc {
 		t.Errorf("busy time %v, want %v", got, time.Duration(n)*proc)
 	}
 }

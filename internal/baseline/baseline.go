@@ -113,8 +113,6 @@ type PlacementPoint struct {
 	Fraction float64
 	// ClientFEMiles and FEBEMiles are the resulting leg lengths.
 	ClientFEMiles, FEBEMiles float64
-	// RTTClientFE is the measured handshake RTT of the first leg.
-	RTTClientFE time.Duration
 	// N is how many of the position's queries completed. Overall and
 	// MedTdynamic are medians over exactly those N queries, so both are
 	// zero — no sample, not a delay — when N is 0.
@@ -140,9 +138,6 @@ type SweepConfig struct {
 	Fractions []float64
 	// Repeats per position (default 15).
 	Repeats int
-	// Cost is the BE processing model (default Bing-like, where the
-	// fetch dominates and the threshold effect is pronounced).
-	Cost *workload.CostModel
 	// ClientLoss is the loss rate on the client↔FE leg — raise it to
 	// study the wireless scenario of the paper's Discussion section.
 	ClientLoss float64
@@ -160,16 +155,14 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	if c.Repeats <= 0 {
 		c.Repeats = 15
 	}
-	if c.Cost == nil {
-		m := backend.BingCostModel()
-		c.Cost = &m
-	}
 	return c
 }
 
 // PlacementSweep measures end-to-end delay as the FE slides along a
 // straight client—BE path. Each position runs in a fresh simulation so
-// positions are independent and identically seeded.
+// positions are independent and identically seeded. The BE processes
+// like Bing's, where the fetch dominates and the threshold effect is
+// pronounced.
 func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 	cfg = cfg.withDefaults()
 	if !(cfg.ClientLoss >= 0 && cfg.ClientLoss < 1) {
@@ -188,7 +181,7 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 		sim := simnet.New(cfg.Seed + 91)
 		net := simnet.NewNetwork(sim)
 		spec := workload.DefaultContentSpec("sweep")
-		if _, err := backend.New(net, "be", geo.Site{Name: "be"}, spec, *cfg.Cost,
+		if _, err := backend.New(net, "be", geo.Site{Name: "be"}, spec, backend.BingCostModel(),
 			backend.Options{}, cfg.Seed+1); err != nil {
 			return nil, err
 		}
@@ -254,7 +247,6 @@ func PlacementSweep(cfg SweepConfig) ([]PlacementPoint, error) {
 			Fraction:      f,
 			ClientFEMiles: cfMiles,
 			FEBEMiles:     fbMiles,
-			RTTClientFE:   rtt,
 			N:             len(overall),
 			Overall:       time.Duration(stats.Median(overall)),
 			MedTdynamic:   time.Duration(stats.Median(tdyn)),

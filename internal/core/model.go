@@ -33,27 +33,20 @@ type Inputs struct {
 	// (the static portion includes the HTTP response header).
 	StaticBytes  int
 	DynamicBytes int
-	// MSS and InitCwnd describe the FE→client TCP sender. Slow start
-	// grows the window by one segment per ACK; the model assumes no
-	// loss, matching the paper's PlanetLab observations.
-	MSS      int
-	InitCwnd int
 }
 
-func (in Inputs) withDefaults() Inputs {
-	if in.MSS <= 0 {
-		in.MSS = 1460
-	}
-	if in.InitCwnd <= 0 {
-		in.InitCwnd = 3
-	}
-	return in
-}
+// The FE→client TCP sender: its segment size in bytes and initial
+// window in segments, the transport simulator's defaults. Slow start
+// grows the window by one segment per ACK; the model assumes no loss,
+// matching the paper's PlanetLab observations.
+const (
+	mss      = 1460
+	initCwnd = 3
+)
 
-// Prediction is the modeled Figure-2 timeline, with tb = 0.
+// Prediction is the modeled Figure-2 timeline, with the SYN sent at 0
+// and the GET one RTT later.
 type Prediction struct {
-	TB time.Duration // SYN sent
-	T1 time.Duration // GET sent
 	T2 time.Duration // ACK of GET received
 	T3 time.Duration // first static packet received
 	T4 time.Duration // last static packet received
@@ -92,22 +85,19 @@ func (h *slotHeap) Pop() interface{} {
 // frees the slot and adds one more (exponential growth), exactly the
 // no-loss behaviour of the transport simulator.
 func Predict(in Inputs) (Prediction, error) {
-	in = in.withDefaults()
 	if in.StaticBytes <= 0 || in.DynamicBytes <= 0 {
 		return Prediction{}, fmt.Errorf("core: content sizes must be positive: %+v", in)
 	}
-	p := Prediction{
-		TB: 0,
-		T1: in.RTT,     // GET goes out when the SYN|ACK arrives
-		T2: 2 * in.RTT, // its ACK returns one RTT later
-	}
+	// The GET goes out when the SYN|ACK arrives; its ACK returns one
+	// RTT later.
+	p := Prediction{T2: 2 * in.RTT}
 	getAtFE := in.RTT + in.RTT/2
 	staticReady := getAtFE + in.FEDelay
 	dynamicReady := getAtFE + in.Fetch
 
-	// Window slots: the connection starts with InitCwnd slots, all
+	// Window slots: the connection starts with initCwnd slots, all
 	// free immediately.
-	slots := make(slotHeap, in.InitCwnd)
+	slots := make(slotHeap, initCwnd)
 	heap.Init(&slots)
 
 	type sendRec struct {
@@ -136,7 +126,7 @@ func Predict(in Inputs) (Prediction, error) {
 		if at < dynamicReady {
 			limit = in.StaticBytes
 		}
-		n := in.MSS
+		n := mss
 		if sent+n > limit {
 			n = limit - sent
 		}

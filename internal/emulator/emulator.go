@@ -269,8 +269,6 @@ type Runner struct {
 
 	eps  map[simnet.HostID]*tcpsim.Endpoint
 	recs map[simnet.HostID]*capture.Recorder
-	// endMeasured counts the records measured at run end.
-	endMeasured int
 }
 
 // Options configures a Runner.
@@ -402,7 +400,6 @@ func (r *Runner) finalize(dss ...*Dataset) {
 			case r.measure != nil:
 				r.measure.Measure(rr, rec.Session(rr.Key))
 				rr.Measured = true
-				r.endMeasured++
 			default:
 				rr.Events, rr.Payloads = rec.Session(rr.Key), rec.Payloads(rr.Key)
 			}

@@ -115,7 +115,6 @@ type Server struct {
 	pool        PoolConfig
 	beInflight  int
 	poolWaiters []*request
-	maxPoolWait int
 	rejected    int
 	beRetries   int
 	be503s      int
@@ -129,8 +128,7 @@ type Server struct {
 	// lenOnly: responses carry content-free bodies (Config.LengthOnly).
 	lenOnly bool
 
-	served      int
-	dialedConns int
+	served int
 
 	// observability (StartObserving)
 	met *feMetrics
@@ -232,10 +230,6 @@ func (fe *Server) Endpoint() *tcpsim.Endpoint { return fe.ep }
 // Served returns the number of requests handled.
 func (fe *Server) Served() int { return fe.served }
 
-// DialedBEConns counts distinct BE connections opened (1 per query flow
-// when split TCP is disabled; far fewer with the persistent pool).
-func (fe *Server) DialedBEConns() int { return fe.dialedConns }
-
 // getConn returns a back-end connection: a pooled persistent one under
 // split TCP, or a fresh dial otherwise.
 func (fe *Server) getConn() *httpsim.PersistentConn {
@@ -246,7 +240,6 @@ func (fe *Server) getConn() *httpsim.PersistentConn {
 			return pc
 		}
 	}
-	fe.dialedConns++
 	if m := fe.met; m != nil {
 		m.beDials.Inc()
 	}
@@ -297,9 +290,6 @@ func (fe *Server) withConn(q *request) {
 		return
 	}
 	fe.poolWaiters = append(fe.poolWaiters, q)
-	if len(fe.poolWaiters) > fe.maxPoolWait {
-		fe.maxPoolWait = len(fe.poolWaiters)
-	}
 	fe.refreshPoolGauges()
 }
 
@@ -335,7 +325,6 @@ func (fe *Server) Prewarm(n int) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		fe.dialedConns++
 		fe.idle = append(fe.idle, httpsim.NewPersistentConn(fe.ep, fe.beHost, backend.BEPort))
 	}
 }
@@ -350,12 +339,6 @@ func (fe *Server) BERetries() int { return fe.beRetries }
 // BERejectedFetches counts fetches that exhausted their retries against
 // a rejecting BE cluster and degraded to a static-only response.
 func (fe *Server) BERejectedFetches() int { return fe.be503s }
-
-// MaxPoolWaiters returns the deepest BE-fetch wait queue observed.
-func (fe *Server) MaxPoolWaiters() int { return fe.maxPoolWait }
-
-// PoolInflight returns the number of BE-fetch slots currently in use.
-func (fe *Server) PoolInflight() int { return fe.beInflight }
 
 // handle serves one client search request: flush the cached static
 // prefix after the FE processing delay, and in parallel fetch the

@@ -9,6 +9,7 @@ import (
 	"fesplit/internal/backend"
 	"fesplit/internal/geo"
 	"fesplit/internal/httpsim"
+	"fesplit/internal/obs"
 	"fesplit/internal/simnet"
 	"fesplit/internal/stats"
 	"fesplit/internal/tcpsim"
@@ -154,8 +155,16 @@ func TestFetchTimeGroundTruth(t *testing.T) {
 	}
 }
 
+// dials has fe count its fresh BE connections (fe_be_dials_total) and
+// returns the count's reader.
+func dials(fe *Server) func() int {
+	fe.StartObserving(&obs.Observer{Reg: obs.NewRegistry()})
+	return func() int { return int(fe.met.beDials.Value()) }
+}
+
 func TestPersistentConnsReused(t *testing.T) {
 	r := newRig(t, 5*time.Millisecond, 10*time.Millisecond, func(c *Config) {})
+	dialed := dials(r.fe)
 	for i := 0; i < 5; i++ {
 		i := i
 		r.sim.Schedule(time.Duration(i)*2*time.Second, func() {
@@ -167,7 +176,7 @@ func TestPersistentConnsReused(t *testing.T) {
 		t.Fatalf("served = %d", r.fe.Served())
 	}
 	// Sequential queries reuse one pooled connection.
-	if got := r.fe.DialedBEConns(); got != 1 {
+	if got := dialed(); got != 1 {
 		t.Fatalf("dialed %d BE conns, want 1 (pooled)", got)
 	}
 }
@@ -176,6 +185,7 @@ func TestSplitTCPDisabledDialsPerQuery(t *testing.T) {
 	r := newRig(t, 5*time.Millisecond, 10*time.Millisecond, func(c *Config) {
 		c.DisableSplitTCP = true
 	})
+	dialed := dials(r.fe)
 	for i := 0; i < 4; i++ {
 		i := i
 		r.sim.Schedule(time.Duration(i)*2*time.Second, func() {
@@ -183,7 +193,7 @@ func TestSplitTCPDisabledDialsPerQuery(t *testing.T) {
 		})
 	}
 	r.sim.Run()
-	if got := r.fe.DialedBEConns(); got != 4 {
+	if got := dialed(); got != 4 {
 		t.Fatalf("dialed %d BE conns, want 4 (no split TCP)", got)
 	}
 }
@@ -233,6 +243,7 @@ func TestConcurrentQueriesDontHeadOfLineBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetLink("fe", "be", simnet.PathParams{Delay: 10 * time.Millisecond})
+	dialed := dials(fe)
 	var doneTimes []time.Duration
 	for _, cl := range []simnet.HostID{"c1", "c2"} {
 		n.SetLink(cl, "fe", simnet.PathParams{Delay: 5 * time.Millisecond})
@@ -254,19 +265,19 @@ func TestConcurrentQueriesDontHeadOfLineBlock(t *testing.T) {
 	if gap > 100*time.Millisecond {
 		t.Fatalf("completion gap %v suggests head-of-line blocking", gap)
 	}
-	if fe.DialedBEConns() < 2 {
-		t.Fatalf("dialed %d conns for 2 concurrent queries", fe.DialedBEConns())
+	if dialed() < 2 {
+		t.Fatalf("dialed %d conns for 2 concurrent queries", dialed())
 	}
 }
 
 func TestLoadModelSampling(t *testing.T) {
 	m := LoadModel{Mean: 30 * time.Millisecond, CV: 0.5}
 	rng := stats.NewRand(4)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = float64(m.Sample(0, rng))
+	var sum time.Duration
+	for range 20000 {
+		sum += m.Sample(0, rng)
 	}
-	mean := time.Duration(stats.Mean(xs))
+	mean := sum / 20000
 	if mean < 27*time.Millisecond || mean > 33*time.Millisecond {
 		t.Fatalf("mean = %v", mean)
 	}

@@ -9,6 +9,7 @@ import (
 	"fesplit/internal/backend"
 	"fesplit/internal/geo"
 	"fesplit/internal/httpsim"
+	"fesplit/internal/obs"
 	"fesplit/internal/simnet"
 	"fesplit/internal/tcpsim"
 	"fesplit/internal/workload"
@@ -47,8 +48,13 @@ func newPoolRig(t *testing.T, beOpts backend.Options, pool PoolConfig) *poolRig 
 		t.Fatal(err)
 	}
 	n.SetLink("fe", "be", simnet.PathParams{Delay: 3 * time.Millisecond})
+	fe.StartObserving(&obs.Observer{Reg: obs.NewRegistry()})
 	return &poolRig{sim: sim, net: n, fe: fe, be: be, static: spec.StaticPrefix()}
 }
+
+// maxWaiters is the deepest the FE's BE-pool wait queue has been
+// (fe_pool_wait_depth's maximum).
+func (r *poolRig) maxWaiters() int { return int(r.fe.met.poolWait.Max()) }
 
 // client wires a fresh client host to the FE and returns its endpoint.
 func (r *poolRig) client(i int) *tcpsim.Endpoint {
@@ -91,11 +97,11 @@ func TestPoolExhaustionSerializesFetches(t *testing.T) {
 	if len(dones) != 3 {
 		t.Fatalf("%d responses, want 3", len(dones))
 	}
-	if r.fe.MaxPoolWaiters() < 2 {
-		t.Errorf("max pool waiters = %d, want ≥ 2", r.fe.MaxPoolWaiters())
+	if r.maxWaiters() < 2 {
+		t.Errorf("max pool waiters = %d, want ≥ 2", r.maxWaiters())
 	}
-	if r.fe.PoolInflight() != 0 {
-		t.Errorf("pool not drained: inflight %d", r.fe.PoolInflight())
+	if r.fe.beInflight != 0 {
+		t.Errorf("pool not drained: inflight %d", r.fe.beInflight)
 	}
 	// Three 80 ms fetches through one slot cannot finish faster than
 	// 240 ms of BE service time.
@@ -141,8 +147,8 @@ func TestAdmissionControlRejects(t *testing.T) {
 	if r.fe.Rejected() != rejected {
 		t.Errorf("fe.Rejected() = %d, clients saw %d", r.fe.Rejected(), rejected)
 	}
-	if r.fe.MaxPoolWaiters() > 1 {
-		t.Errorf("pool wait queue reached %d, cap 1", r.fe.MaxPoolWaiters())
+	if r.maxWaiters() > 1 {
+		t.Errorf("pool wait queue reached %d, cap 1", r.maxWaiters())
 	}
 }
 
@@ -290,14 +296,14 @@ func FuzzAdmissionControl(f *testing.F) {
 		if r.fe.Rejected() != rejected {
 			t.Errorf("fe.Rejected() = %d, clients saw %d", r.fe.Rejected(), rejected)
 		}
-		if r.fe.MaxPoolWaiters() > qcap {
-			t.Errorf("pool wait queue reached %d, cap %d", r.fe.MaxPoolWaiters(), qcap)
+		if r.maxWaiters() > qcap {
+			t.Errorf("pool wait queue reached %d, cap %d", r.maxWaiters(), qcap)
 		}
 		if got := r.be.Cluster().MaxQueueLen(); got > beCap {
 			t.Errorf("cluster queue reached %d, cap %d", got, beCap)
 		}
-		if r.fe.PoolInflight() != 0 {
-			t.Errorf("pool not drained: inflight %d", r.fe.PoolInflight())
+		if r.fe.beInflight != 0 {
+			t.Errorf("pool not drained: inflight %d", r.fe.beInflight)
 		}
 		if degraded != r.fe.BERejectedFetches() {
 			t.Errorf("degraded responses %d != FE degraded fetches %d",

@@ -238,6 +238,3 @@ func (p *PersistentConn) Close() {
 
 // Host returns the host the connection was dialed to.
 func (p *PersistentConn) Host() simnet.HostID { return p.host }
-
-// QueueLen returns the number of requests not yet sent.
-func (p *PersistentConn) QueueLen() int { return len(p.queue) - p.head }

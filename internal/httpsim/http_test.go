@@ -352,7 +352,7 @@ func TestPersistentConnQueueDrainOrder(t *testing.T) {
 			OnDone: func(r *Response) { order = append(order, string(r.Body)) },
 		})
 	}
-	if pc.QueueLen() == 0 {
+	if len(pc.queue)-pc.head == 0 {
 		t.Fatal("queue should hold requests before the handshake")
 	}
 	w.sim.Run()

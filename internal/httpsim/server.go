@@ -16,13 +16,12 @@ type HandlerFunc func(w *ResponseWriter, r *Request)
 
 // Server serves HTTP on a tcpsim endpoint port.
 type Server struct {
-	ep      *tcpsim.Endpoint
 	handler HandlerFunc
 }
 
 // NewServer starts an HTTP server on ep:port.
 func NewServer(ep *tcpsim.Endpoint, port uint16, handler HandlerFunc) (*Server, error) {
-	s := &Server{ep: ep, handler: handler}
+	s := &Server{handler: handler}
 	if _, err := ep.Listen(port, s.accept); err != nil {
 		return nil, err
 	}

@@ -132,11 +132,6 @@ type Attribution struct {
 	// BEQueue is the BE-reported cluster queue wait inside the fetch
 	// window (zero when the query carried none).
 	BEQueue time.Duration
-	// FEArrival is the request's arrival time at the FE. When the query
-	// carried none it is inferred from the client-side timeline
-	// (ArrivalInferred true).
-	FEArrival       time.Duration
-	ArrivalInferred bool
 }
 
 // Segments returns the ordered, contiguous partition of [Start, End]
@@ -187,9 +182,7 @@ func Attribute(q Query, tl Timeline) Attribution {
 		// trip after the request reached the FE — so the FE saw it
 		// about half an RTT before T2. Clamp into [T1, T3].
 		feArr = clamp(tl.T2-tl.RTT/2, tl.T1, tl.T3)
-		a.ArrivalInferred = true
 	}
-	a.FEArrival = feArr
 
 	// Fetch estimate: the dynamic chunk leaves the FE RTT/2 before its
 	// first byte reaches the client at T5, and the FE issued the fetch

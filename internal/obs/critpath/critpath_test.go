@@ -201,9 +201,6 @@ func TestAttributeWellFormedTimeline(t *testing.T) {
 	if !a.Conserved() {
 		t.Fatalf("sum %v != total %v", a.Sum(), a.Total)
 	}
-	if a.ArrivalInferred {
-		t.Fatal("arrival inferred despite a reported FE arrival")
-	}
 	// Estimate: T5 − feArr − RTT/2 = 170 − 70 − 20 = 80ms; bounds
 	// [Tdelta, Tdynamic] = [80, 100] — inside, no clamping.
 	if a.FetchEstimate != ms(80) {

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used throughout
-// fesplit: order statistics, moments, moving medians, empirical
+// fesplit: order statistics, moving medians, empirical
 // CDFs, box-plot summaries, least-squares regression and the seeded random
 // samplers that drive workload and load-fluctuation models.
 //
@@ -11,36 +11,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased (n-1) sample variance of xs.
-// It returns 0 for fewer than two samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
@@ -109,11 +79,8 @@ func quantileSorted(xs []float64, q float64) float64 {
 	return (1-frac)*xs[lo] + frac*xs[hi]
 }
 
-// Summary holds one-pass descriptive statistics of a sample.
+// Summary holds the quartiles and extremes of a sample.
 type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
 	Min    float64
 	Q1     float64
 	Median float64
@@ -132,9 +99,6 @@ func Summarize(xs []float64) Summary {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return Summary{
-		N:      n,
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
 		Min:    sorted[0],
 		Q1:     quantileSorted(sorted, 0.25),
 		Median: quantileSorted(sorted, 0.5),

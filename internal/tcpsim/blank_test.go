@@ -171,7 +171,7 @@ func TestBlankOutOfOrderNeverPooled(t *testing.T) {
 	tn.echoServer(t)
 	c := tn.client.Dial("s", 80)
 	tn.sim.Run()
-	if !c.Established() {
+	if c.st != stateEstablished {
 		t.Fatal("not established")
 	}
 	var blanks []int

@@ -48,7 +48,6 @@ type Conn struct {
 	remote     simnet.HostID
 	remotePort uint16
 	localPort  uint16
-	server     bool
 	acceptFn   func(*Conn)
 	st         state
 
@@ -164,9 +163,8 @@ func newConn(ep *Endpoint, remote simnet.HostID, remotePort, localPort uint16, s
 		remote:     remote,
 		remotePort: remotePort,
 		localPort:  localPort,
-		server:     server,
 		cwnd:       float64(cfg.InitialCwnd * cfg.MSS),
-		ssthresh:   float64(cfg.InitialSsthresh),
+		ssthresh:   initialSsthresh,
 		peerWnd:    cfg.RcvWindow, // until the peer advertises
 		rto:        time.Second,   // RFC 6298 initial RTO
 		sndEnd:     1,             // data starts after the SYN
@@ -194,12 +192,12 @@ func (c *Conn) reinit(remote simnet.HostID, remotePort, localPort uint16, server
 	cfg := c.ep.cfg
 	c.OnConnect, c.OnData, c.OnBlank, c.OnClose = nil, nil, nil, nil
 	c.acceptFn = nil
-	c.remote, c.remotePort, c.localPort, c.server = remote, remotePort, localPort, server
+	c.remote, c.remotePort, c.localPort = remote, remotePort, localPort
 	c.sndUna, c.sndNxt, c.maxSent = 0, 0, 0
 	clear(c.sndq)
 	c.sndq, c.sndEnd = c.sndq[:0], 1
 	c.cwnd = float64(cfg.InitialCwnd * cfg.MSS)
-	c.ssthresh = float64(cfg.InitialSsthresh)
+	c.ssthresh = initialSsthresh
 	c.peerWnd = cfg.RcvWindow
 	c.dupAcks, c.inRecov, c.recoverSq = 0, false, 0
 	c.finQueued, c.finSent, c.finSeq, c.finAcked = false, false, 0, false
@@ -246,9 +244,6 @@ func (c *Conn) RemotePort() uint16 { return c.remotePort }
 
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.localPort }
-
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.st == stateEstablished }
 
 // Closed reports whether the connection has fully terminated.
 func (c *Conn) Closed() bool { return c.st == stateClosed }
@@ -653,7 +648,6 @@ func (c *Conn) fastSend(s Segment, data []byte) {
 		// the draw Network.Send would have made; nothing is scheduled in
 		// either lane, and the recovery exchange that follows is lane
 		// traffic like any other.
-		c.lane.drops++
 		return
 	}
 	c.lane.carried.Segments++
@@ -706,7 +700,7 @@ func (c *Conn) scheduleAck() {
 	}
 	c.ackTimerGen++
 	gen := c.ackTimerGen
-	c.ep.Sim().Schedule(c.ep.cfg.DelayedAckTimeout, func() {
+	c.ep.Sim().Schedule(delayedAckTimeout, func() {
 		if gen == c.ackTimerGen && c.ackPending > 0 {
 			c.sendAck()
 		}
@@ -824,8 +818,8 @@ func (c *Conn) sampleRTT() {
 		c.srtt = (7*c.srtt + r) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.ep.cfg.MinRTO {
-		rto = c.ep.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if rto > maxRTO {
 		rto = maxRTO

@@ -142,11 +142,8 @@ type fastLane struct {
 	// may be reused by a push from the receiver's handler.
 	sack [3]SACKBlock
 	// carried counts the epochs connections opened on the lane and the
-	// segments it queued; drops, the segments the path's loss process
-	// consumed at send time. The simulator publishes carried to the
-	// runtime hub.
+	// segments it queued. The simulator publishes it to the runtime hub.
 	carried simnet.LaneCounts
-	drops   uint64
 }
 
 // laneFor returns the simulator's fast lane, creating and attaching one

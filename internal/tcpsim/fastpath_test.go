@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fesplit/internal/obs"
 	"fesplit/internal/simnet"
 )
 
@@ -50,18 +51,28 @@ type transcript struct {
 	// stats is the lane's traffic totals, not part of diff or the
 	// digest: the tests use it to prove a scenario exercised the lane.
 	stats laneStats
+	// net and drops count the segments the paths' loss processes drop.
+	net   simnet.Metrics
+	drops obs.Counter
 }
 
-// laneStats is what a simulator's lane carried and dropped.
+// laneStats is what a simulator's lane carried, and the segments its
+// paths' loss processes dropped at send time.
 type laneStats struct {
 	simnet.LaneCounts
 	LossDrops uint64
 }
 
-// statsOf reads sim's lane totals.
-func statsOf(sim *simnet.Sim) laneStats {
-	l := laneFor(sim)
-	return laneStats{l.carried, l.drops}
+// countDrops has sim count into tr the segments its paths' loss
+// processes drop; call it before the first send.
+func (tr *transcript) countDrops(sim *simnet.Sim) {
+	tr.net.PacketsDropped = &tr.drops
+	sim.SetMetrics(&tr.net)
+}
+
+// statsOf reads sim's lane totals and tr's drop count.
+func (tr *transcript) statsOf(sim *simnet.Sim) laneStats {
+	return laneStats{laneFor(sim).carried, uint64(tr.drops.Value())}
 }
 
 // tap returns the Endpoint.Tap that appends host's events to tr.
@@ -216,6 +227,7 @@ func (s fastScenario) run(t *testing.T, mutate func(*simnet.Network, *testNet)) 
 		server: NewEndpoint(n, "s", cfg),
 	}
 	tr := &transcript{}
+	tr.countDrops(sim)
 	tn.client.Tap = tr.tap("c")
 	tn.server.Tap = tr.tap("s")
 
@@ -254,7 +266,7 @@ func (s fastScenario) run(t *testing.T, mutate func(*simnet.Network, *testNet)) 
 	if srv != nil {
 		tr.serverM = srv.Metrics()
 	}
-	tr.stats = statsOf(sim)
+	tr.stats = tr.statsOf(sim)
 	return tr
 }
 
@@ -427,10 +439,11 @@ func TestFastPathCarriesFormerFallbacks(t *testing.T) {
 // run learns the abort instant, the second lands the lone segment half
 // a delayed-ACK timeout before it.
 func lateDelayedAck(t *testing.T) *transcript {
-	const delay, ackTimeout = 10 * time.Millisecond, 40 * time.Millisecond
+	const delay, ackTimeout = 10 * time.Millisecond, delayedAckTimeout
 	run := func(loneAt time.Duration) (abortAt time.Duration, tr *transcript) {
-		tn := newTestNet(t, simnet.PathParams{Delay: delay}, Config{DelayedAck: true, DelayedAckTimeout: ackTimeout})
+		tn := newTestNet(t, simnet.PathParams{Delay: delay}, Config{DelayedAck: true})
 		tr = &transcript{}
+		tr.countDrops(tn.sim)
 		tn.client.Tap = tr.tap("c")
 		tn.server.Tap = tr.tap("s")
 		var srv *Conn
@@ -449,7 +462,7 @@ func lateDelayedAck(t *testing.T) *transcript {
 		tn.sim.Run()
 		tr.finalAt = tn.sim.Now()
 		tr.clientM, tr.serverM = cli.Metrics(), srv.Metrics()
-		tr.stats = statsOf(tn.sim)
+		tr.stats = tr.statsOf(tn.sim)
 		return abortAt, tr
 	}
 	abortAt, _ := run(0)

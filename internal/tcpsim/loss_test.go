@@ -168,7 +168,7 @@ func TestFINLossStillCloses(t *testing.T) {
 func TestDelayedAckTimerFires(t *testing.T) {
 	// A single small segment with delayed ACKs: the ACK must arrive
 	// after the delayed-ack timeout, not immediately, and not never.
-	cfg := Config{DelayedAck: true, DelayedAckTimeout: 40 * time.Millisecond}
+	cfg := Config{DelayedAck: true}
 	sim := simnet.New(5)
 	n := simnet.NewNetwork(sim)
 	n.SetLink("c", "s", simnet.PathParams{Delay: 5 * time.Millisecond})

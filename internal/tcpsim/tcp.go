@@ -82,10 +82,16 @@ func (s Segment) String() string {
 }
 
 // Per-segment overhead (IP+TCP headers) added to the simnet packet
-// size, and the retransmission timeout's ceiling. No world varies them.
+// size, the retransmission timeout's floor and ceiling, how long a
+// delayed ACK waits for a second segment, and the initial slow-start
+// threshold in bytes ("unlimited" for SERP-sized flows). No world
+// varies them.
 const (
-	headerSize = 40
-	maxRTO     = 60 * time.Second
+	headerSize        = 40
+	minRTO            = 200 * time.Millisecond
+	maxRTO            = 60 * time.Second
+	delayedAckTimeout = 40 * time.Millisecond
+	initialSsthresh   = 256 << 10
 )
 
 // Config tunes a TCP endpoint. Zero fields take the documented defaults
@@ -97,20 +103,13 @@ type Config struct {
 	// Default 3 (RFC 3390 era, matching the 2011 study); the
 	// init-cwnd ablation sweeps {1, 3, 10}.
 	InitialCwnd int
-	// InitialSsthresh is the initial slow-start threshold in bytes.
-	// Default 256 KiB (effectively "unlimited" for SERP-sized flows).
-	InitialSsthresh int
 	// RcvWindow is the advertised receive window in bytes.
 	// Default 256 KiB.
 	RcvWindow int
-	// MinRTO is the retransmission timeout's floor (its ceiling is
-	// maxRTO). Default 200 ms.
-	MinRTO time.Duration
 	// DelayedAck enables RFC 1122 delayed ACKs: acknowledge every
-	// second full segment, or after DelayedAckTimeout. Default off —
+	// second full segment, or after delayedAckTimeout. Default off —
 	// the measurement model assumes prompt ACK clocking.
-	DelayedAck        bool
-	DelayedAckTimeout time.Duration
+	DelayedAck bool
 	// SACK enables selective acknowledgments (RFC 2018): receivers
 	// report out-of-order blocks and senders retransmit only the
 	// holes, recovering multiple losses per window in one RTT where
@@ -141,17 +140,8 @@ func (c Config) withDefaults() Config {
 	if c.InitialCwnd <= 0 {
 		c.InitialCwnd = 3
 	}
-	if c.InitialSsthresh <= 0 {
-		c.InitialSsthresh = 256 << 10
-	}
 	if c.RcvWindow <= 0 {
 		c.RcvWindow = 256 << 10
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.DelayedAckTimeout <= 0 {
-		c.DelayedAckTimeout = 40 * time.Millisecond
 	}
 	return c
 }

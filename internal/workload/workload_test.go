@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -339,11 +340,18 @@ func TestCostModelVariability(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(m.Sample(Query{Rank: NumRanks - 1}, 0, rng)) / float64(time.Millisecond)
 	}
-	mean := stats.Mean(xs)
+	var mean, ss float64
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
 	if mean < 230 || mean > 270 {
 		t.Fatalf("mean = %v ms, want ~250", mean)
 	}
-	cv := stats.StdDev(xs) / mean
+	cv := math.Sqrt(ss/float64(len(xs)-1)) / mean
 	if cv < 0.3 || cv > 0.5 {
 		t.Fatalf("cv = %v, want ~0.4", cv)
 	}

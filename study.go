@@ -96,7 +96,7 @@ func LightStudyConfig(seed int64) StudyConfig {
 // Study runs the reproduction experiments and caches shared datasets.
 type Study struct {
 	cfg        StudyConfig
-	expA       map[string]*expAResult
+	expA       map[string][]NodeSummary
 	boundaries map[string]int
 	// obsv, when non-nil, collects this study's metrics and tail
 	// exemplars. Set only on the per-cell sub-studies RunAllObserved
@@ -115,7 +115,7 @@ type Study struct {
 func NewStudy(cfg StudyConfig) *Study {
 	return &Study{
 		cfg:        cfg,
-		expA:       make(map[string]*expAResult),
+		expA:       make(map[string][]NodeSummary),
 		boundaries: make(map[string]int),
 	}
 }
@@ -203,11 +203,6 @@ func (s *Study) serviceConfigs() []DeploymentConfig {
 	return cfgs
 }
 
-type expAResult struct {
-	params []Params
-	nodes  []NodeSummary
-}
-
 // aSink folds one batch's default-FE records into mergeable
 // accumulators at emission time, so the batch dataset can be dropped:
 // analysis.Fold measures each record (and feeds the batch observer's
@@ -228,8 +223,9 @@ func (k *aSink) Consume(rec *emulator.Record) {
 // record as its connection closes.
 func (k *aSink) Measure(rec *emulator.Record, events []capture.Event) { k.fold.Measure(rec, events) }
 
-// experimentA runs (or returns the cached) default-FE experiment for a
-// service: the fleet split into node batches (each an independent
+// experimentA runs the default-FE experiment for a service (once; later
+// calls return the cached result) and returns its per-node summaries:
+// the fleet split into node batches (each an independent
 // simulated world, see emulator.RunShardedA), every batch folding its
 // records into a private aSink (parameters, sketches, tail offers) and
 // dropping its dataset, so the campaign's live heap is one batch world.
@@ -237,7 +233,7 @@ func (k *aSink) Measure(rec *emulator.Record, events []capture.Event) { k.fold.M
 // observer. Accumulators, registries and tail samplers merge here in
 // batch order — exactly equivalent to feeding every record serially —
 // so the result is identical for any worker count.
-func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
+func (s *Study) experimentA(cfg DeploymentConfig) ([]NodeSummary, error) {
 	if r, ok := s.expA[cfg.Name]; ok {
 		return r, nil
 	}
@@ -291,9 +287,9 @@ func (s *Study) experimentA(cfg DeploymentConfig) (*expAResult, error) {
 		s.obsv.Tail = obs.MergeTailSamplers(samplers...)
 		analysis.ObserveParams(s.obsv.Reg, cfg.Name, params)
 	}
-	res := &expAResult{params: params, nodes: analysis.PerNode(params)}
-	s.expA[cfg.Name] = res
-	return res, nil
+	nodes := analysis.PerNode(params)
+	s.expA[cfg.Name] = nodes
+	return nodes, nil
 }
 
 // --- Figure 3 ---
@@ -525,9 +521,9 @@ func (s *Study) Fig6() ([]*Fig6Data, error) {
 
 // fig6From derives the Figure-6 series from a service's default-FE
 // campaign — a pure transform.
-func fig6From(cfg DeploymentConfig, res *expAResult) *Fig6Data {
+func fig6From(cfg DeploymentConfig, nodes []NodeSummary) *Fig6Data {
 	var rtts []float64
-	for _, n := range res.nodes {
+	for _, n := range nodes {
 		rtts = append(rtts, float64(n.RTT)/float64(time.Millisecond))
 	}
 	cdf := stats.NewECDF(rtts)
@@ -559,16 +555,16 @@ func (s *Study) Fig7() ([]*Fig7Data, error) {
 
 // fig7From derives the Figure-7 distributions from a service's
 // default-FE campaign.
-func fig7From(cfg DeploymentConfig, res *expAResult) *Fig7Data {
+func fig7From(cfg DeploymentConfig, nodes []NodeSummary) *Fig7Data {
 	var st, dy []float64
-	for _, n := range res.nodes {
+	for _, n := range nodes {
 		st = append(st, float64(n.MedStatic)/float64(time.Millisecond))
 		dy = append(dy, float64(n.MedDynamic)/float64(time.Millisecond))
 	}
 	sSum, dSum := stats.Summarize(st), stats.Summarize(dy)
 	return &Fig7Data{
 		Service:      cfg.Name,
-		Nodes:        res.nodes,
+		Nodes:        nodes,
 		MedStaticMS:  sSum.Median,
 		MedDynamicMS: dSum.Median,
 		IQRStaticMS:  sSum.IQR(),
@@ -598,10 +594,10 @@ func (s *Study) Fig8() ([]*Fig8Data, error) {
 
 // fig8From derives the Figure-8 box plots from a service's default-FE
 // campaign.
-func fig8From(cfg DeploymentConfig, res *expAResult) *Fig8Data {
+func fig8From(cfg DeploymentConfig, nodes []NodeSummary) *Fig8Data {
 	d := &Fig8Data{Service: cfg.Name}
 	var meds, iqrs []float64
-	for _, n := range res.nodes {
+	for _, n := range nodes {
 		d.Nodes = append(d.Nodes, string(n.Node))
 		bp := n.OverallDist
 		// Convert to milliseconds for reporting.

@@ -65,7 +65,6 @@ func (s *Study) termEffectFor(cfg DeploymentConfig) (*TermEffectData, error) {
 
 // InteractiveData summarizes the Section-6 search-as-you-type probe.
 type InteractiveData struct {
-	Service    string
 	Keywords   string
 	Keystrokes int
 	// One TCP connection per keystroke, as the paper observes.
@@ -90,7 +89,6 @@ func (s *Study) Interactive(keywords string) (*InteractiveData, error) {
 	ds := runner.Interactive(fe, node, keywords, 400*time.Millisecond)
 
 	data := &InteractiveData{
-		Service:    cfg.Name,
 		Keywords:   keywords,
 		Keystrokes: len(ds.Records),
 		ModelHolds: true,

@@ -92,13 +92,13 @@ func (s *Study) cells() []studyCell {
 	}
 	for i, cfg := range svcs {
 		list = append(list, studyCell{"figA/" + cfg.Name, func(cs *Study, rep *Report) error {
-			expA, err := cs.experimentA(cfg)
+			nodes, err := cs.experimentA(cfg)
 			if err != nil {
 				return err
 			}
-			rep.Fig6[i] = fig6From(cfg, expA)
-			rep.Fig7[i] = fig7From(cfg, expA)
-			rep.Fig8[i] = fig8From(cfg, expA)
+			rep.Fig6[i] = fig6From(cfg, nodes)
+			rep.Fig7[i] = fig7From(cfg, nodes)
+			rep.Fig8[i] = fig8From(cfg, nodes)
 			return nil
 		}})
 	}
